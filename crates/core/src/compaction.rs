@@ -233,7 +233,7 @@ fn select_seek_inputs(
 }
 
 /// Builds a compaction job for one of the triggers returned by
-/// [`FlsmVersionSet::compaction_candidates`](crate::version::FlsmVersionSet).
+/// [`FlsmVersion::compaction_candidates`].
 ///
 /// `uncommitted_output_guards` are the pending guard keys for the output
 /// level; they become part of the partition key set and are committed by the
@@ -495,9 +495,8 @@ pub fn run_compaction_io(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::version::{FlsmVersionBuilder, FlsmVersionEdit};
     use pebblesdb_common::key::encode_internal_key;
-    use pebblesdb_engine::FileMetaDataEdit;
+    use pebblesdb_engine::{FileMetaDataEdit, VersionEdit, VersionShape};
     use pebblesdb_env::MemEnv;
     use std::path::PathBuf;
 
@@ -542,14 +541,12 @@ mod tests {
         let f1 = write_table(&env, &db, &options, 10, &[("a", 5), ("h", 5), ("q", 5)]);
         let f2 = write_table(&env, &db, &options, 11, &[("c", 6), ("m", 6), ("x", 6)]);
 
-        let mut builder = FlsmVersionBuilder::new(4);
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_files.push((0, f1));
         edit.new_files.push((0, f2));
         edit.new_guards.push((1, b"h".to_vec()));
         edit.new_guards.push((1, b"q".to_vec()));
-        builder.apply(&edit);
-        let version = builder.finish();
+        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
         let mut next = 100u64;
         let job = build_compaction_job(
@@ -600,12 +597,10 @@ mod tests {
 
         let f1 = write_table(&env, &db, &options, 20, &[("k", 9)]);
         let f2 = write_table(&env, &db, &options, 21, &[("k", 3)]);
-        let mut builder = FlsmVersionBuilder::new(4);
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_files.push((0, f1));
         edit.new_files.push((0, f2));
-        builder.apply(&edit);
-        let version = builder.finish();
+        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
         let mut next = 200u64;
         let job = build_compaction_job(
@@ -644,14 +639,12 @@ mod tests {
         let f2 = write_table(&env, &db, &options, 31, &[("b", 2)]);
         let f3 = write_table(&env, &db, &options, 32, &[("z", 3)]);
 
-        let mut builder = FlsmVersionBuilder::new(4);
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_guards.push((1, b"m".to_vec()));
         edit.new_files.push((1, f1));
         edit.new_files.push((1, f2));
         edit.new_files.push((1, f3));
-        builder.apply(&edit);
-        let version = builder.finish();
+        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
         // The sentinel guard has two files (over the budget of 1); guard "m"
         // has one. Only the sentinel's files are selected.
@@ -681,11 +674,9 @@ mod tests {
         let last = options.max_levels - 1;
 
         let f1 = write_table(&env, &db, &options, 40, &[("a", 1), ("b", 2)]);
-        let mut builder = FlsmVersionBuilder::new(options.max_levels);
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_files.push((last, f1));
-        builder.apply(&edit);
-        let version = builder.finish();
+        let version = FlsmVersion::empty(options.max_levels).apply(&edit).unwrap();
 
         let mut next = 300u64;
         let job = build_compaction_job(
@@ -724,14 +715,12 @@ mod tests {
         let f3 = write_table(&env, &db, &options, 52, &[("m", 3)]);
         let f4 = write_table(&env, &db, &options, 53, &[("n", 4)]);
 
-        let mut builder = FlsmVersionBuilder::new(4);
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_guards.push((1, b"m".to_vec()));
         for f in [f1, f2, f3, f4] {
             edit.new_files.push((1, f));
         }
-        builder.apply(&edit);
-        let version = builder.finish();
+        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
         let mut next = 400u64;
         let mut alloc = || {
@@ -795,12 +784,10 @@ mod tests {
         let options = StoreOptions::default();
         let f1 = write_table(&env, &db, &options, 60, &[("a", 1)]);
         let f2 = write_table(&env, &db, &options, 61, &[("b", 2)]);
-        let mut builder = FlsmVersionBuilder::new(4);
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_files.push((0, f1));
         edit.new_files.push((0, f2));
-        builder.apply(&edit);
-        let version = builder.finish();
+        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
         let claimed: BTreeSet<u64> = [60u64].into_iter().collect();
         let mut next = 500u64;
@@ -855,15 +842,13 @@ mod tests {
         };
         let f_n_old = write_table(env, db, options, 72, &[("n", 2)]);
 
-        let mut builder = FlsmVersionBuilder::new(options.max_levels);
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_guards.push((1, b"m".to_vec()));
         edit.new_files.push((last, f_a));
         edit.new_files.push((last, f_b));
         edit.new_files.push((last, f_span));
         edit.new_files.push((last, f_n_old));
-        builder.apply(&edit);
-        builder.finish()
+        FlsmVersion::empty(options.max_levels).apply(&edit).unwrap()
     }
 
     /// A file spanning two guards welds them into one compaction component:

@@ -22,12 +22,14 @@ use pebblesdb_common::{
     CfStats, ColumnFamilyHandle, Db, KvStore, ReadOptions, Result, StoreOptions, StorePreset,
     StoreStats, WriteBatch, WriteOptions,
 };
-use pebblesdb_engine::{EngineDb, EngineIo, FileMetaData, JobClaim, PolicyCtx, ShapePolicy};
+use pebblesdb_engine::{
+    EngineDb, EngineIo, FileMetaData, JobClaim, PolicyCtx, ShapePolicy, VersionEdit, VersionShape,
+};
 use pebblesdb_env::Env;
 
 use crate::compaction::{build_compaction_job, run_compaction_io, FlsmCompactionJob};
 use crate::guards::{GuardPicker, UncommittedGuards};
-use crate::version::{CompactionReason, FlsmVersion, FlsmVersionEdit, FlsmVersionSet};
+use crate::version::{CompactionReason, FlsmVersion};
 
 /// The guarded FLSM shape policy.
 pub struct FlsmPolicy {
@@ -82,16 +84,12 @@ impl FlsmPolicy {
 }
 
 impl ShapePolicy for FlsmPolicy {
-    type Versions = FlsmVersionSet;
+    type Version = FlsmVersion;
     type State = FlsmPolicyState;
     type Job = FlsmCompactionJob;
 
     fn engine_name(&self) -> String {
         self.label.to_string()
-    }
-
-    fn new_versions(&self, io: &EngineIo) -> FlsmVersionSet {
-        FlsmVersionSet::new(Arc::clone(&io.env), io.db_path.clone(), io.options.clone())
     }
 
     fn new_state(&self) -> FlsmPolicyState {
@@ -221,11 +219,11 @@ impl ShapePolicy for FlsmPolicy {
         ctx: &mut PolicyCtx<'_, Self>,
     ) -> Option<JobClaim<FlsmCompactionJob>> {
         let split = self.options.compaction_threads.max(1);
-        let version = ctx.versions.current();
+        let version = Arc::clone(ctx.versions.current());
 
-        let mut candidates = ctx.versions.compaction_candidates();
+        let mut candidates = version.compaction_candidates(&self.options);
         if ctx.state.seek_compaction_pending {
-            match Self::pick_seek_compaction_level(ctx.versions.current_unpinned()) {
+            match Self::pick_seek_compaction_level(&version) {
                 // Seek compactions yield to size triggers; the flag stays
                 // set until the seek job itself is claimed.
                 Some(level) => candidates.push((level, CompactionReason::SeekTriggered)),
@@ -292,7 +290,7 @@ impl ShapePolicy for FlsmPolicy {
         job: &FlsmCompactionJob,
         outputs: Vec<FileMetaData>,
     ) -> Result<(u64, u64)> {
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         for file in &job.inputs {
             edit.delete_file(job.level, file.number);
         }
@@ -490,7 +488,7 @@ mod tests {
     /// race it to the job.
     fn fabricate_files(state: &mut FlsmState<'_>, files: &[(usize, &str, &str)]) {
         let cf = state.default_cf_mut();
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         for (level, smallest, largest) in files {
             let number = cf.versions.new_file_number();
             edit.new_files

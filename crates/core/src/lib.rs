@@ -45,7 +45,7 @@ pub mod version;
 pub use db::{FlsmPolicy, PebblesDb};
 pub use guards::{GuardMeta, GuardPicker, UncommittedGuards};
 pub use pebblesdb_common::{StoreOptions, StorePreset};
-pub use version::{CompactionReason, FlsmVersion, FlsmVersionEdit, FlsmVersionSet};
+pub use version::{CompactionReason, FlsmVersion};
 
 #[cfg(test)]
 mod tests {

@@ -1,25 +1,22 @@
-//! FLSM versions: guard-organised file metadata and its MANIFEST encoding.
+//! FLSM versions: guard-organised file metadata.
 //!
 //! The structure mirrors the baseline LSM's `version` module but each level (from 1
 //! down) is a list of [`GuardMeta`]s instead of a sorted run of disjoint
-//! files. Version edits additionally carry newly committed guard keys, which
-//! is the only extra metadata PebblesDB persists compared to its
-//! HyperLevelDB base (section 4.3.1 of the paper).
+//! files. The MANIFEST machinery is the chassis's
+//! ([`pebblesdb_engine::version_set`]); its edits additionally carry newly
+//! committed guard keys, which is the only extra metadata PebblesDB persists
+//! compared to its HyperLevelDB base (section 4.3.1 of the paper). This
+//! module supplies the shape: how edits rebuild the guard tree.
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
-use pebblesdb_common::coding::{put_length_prefixed_slice, put_varint32, put_varint64, Decoder};
-use pebblesdb_common::filename::{current_file_name, descriptor_file_name};
 use pebblesdb_common::key::{parse_internal_key, LookupKey, SequenceNumber, ValueType};
 use pebblesdb_common::vlog::{LookupValue, ValuePointer};
 use pebblesdb_common::{Error, ReadOptions, Result, StoreOptions};
-use pebblesdb_engine::policy::{VersionMeta, VersionSetOps};
-use pebblesdb_engine::{FileMetaData, FileMetaDataEdit};
-use pebblesdb_env::Env;
+use pebblesdb_engine::{FileMetaData, VersionEdit, VersionShape};
 use pebblesdb_sstable::TableCache;
-use pebblesdb_wal::{LogReader, LogWriter};
 
 use crate::guards::{guard_index_for_key, GuardMeta};
 
@@ -105,14 +102,6 @@ pub struct FlsmVersion {
 }
 
 impl FlsmVersion {
-    /// Creates an empty version with `max_levels` levels.
-    pub fn new(max_levels: usize) -> Self {
-        FlsmVersion {
-            level0: Vec::new(),
-            levels: (0..max_levels).map(|_| FlsmLevel::empty()).collect(),
-        }
-    }
-
     /// Number of levels (including level 0).
     pub fn num_levels(&self) -> usize {
         self.levels.len()
@@ -136,34 +125,6 @@ impl FlsmVersion {
         }
     }
 
-    /// Total number of live files.
-    pub fn num_files(&self) -> usize {
-        (0..self.num_levels()).map(|l| self.level_files(l)).sum()
-    }
-
-    /// Total bytes across all live files.
-    pub fn total_bytes(&self) -> u64 {
-        (0..self.num_levels()).map(|l| self.level_bytes(l)).sum()
-    }
-
-    /// Sizes of every live file (Table 5.1 of the paper).
-    pub fn file_sizes(&self) -> Vec<u64> {
-        let mut sizes: Vec<u64> = self.level0.iter().map(|f| f.file_size).collect();
-        for level in self.levels.iter().skip(1) {
-            sizes.extend(level.unique_files().iter().map(|f| f.file_size));
-        }
-        sizes
-    }
-
-    /// All file numbers referenced by this version.
-    pub fn live_file_numbers(&self) -> Vec<u64> {
-        let mut numbers: Vec<u64> = self.level0.iter().map(|f| f.number).collect();
-        for level in self.levels.iter().skip(1) {
-            numbers.extend(level.unique_files().iter().map(|f| f.number));
-        }
-        numbers
-    }
-
     /// Number of guards per level (sentinel included), for diagnostics.
     pub fn guards_per_level(&self) -> Vec<usize> {
         self.levels.iter().map(|l| l.guards.len()).collect()
@@ -172,19 +133,6 @@ impl FlsmVersion {
     /// Total number of empty guards across all levels.
     pub fn empty_guards(&self) -> usize {
         self.levels.iter().skip(1).map(|l| l.empty_guards()).sum()
-    }
-
-    /// Human-readable per-level summary (`L0:n L1:files/guards ...`).
-    pub fn level_summary(&self) -> String {
-        let mut parts = vec![format!("L0:{}", self.level0.len())];
-        for (idx, level) in self.levels.iter().enumerate().skip(1) {
-            parts.push(format!(
-                "L{idx}:{}f/{}g",
-                level.num_files(),
-                level.guards.len()
-            ));
-        }
-        parts.join(" ")
     }
 
     /// Point lookup across the whole version.
@@ -240,20 +188,235 @@ impl FlsmVersion {
         Ok(None)
     }
 
-    /// Checks the structural invariants concurrent compaction commits must
-    /// preserve. Returns a description of the first violation found.
+    /// Decides whether (and why) a compaction is needed, and at which level.
+    pub fn pick_compaction_level(
+        &self,
+        options: &StoreOptions,
+    ) -> Option<(usize, CompactionReason)> {
+        self.compaction_candidates(options).into_iter().next()
+    }
+
+    /// Every level that currently wants a compaction, in priority order
+    /// (level 0 pressure, guard fanout, byte budgets, aggressive merging).
     ///
-    /// Invariants:
+    /// The compaction pool walks this list so a worker whose preferred level
+    /// is fully claimed by in-flight jobs can still pick up independent work
+    /// at another level. Each level appears at most once, under its
+    /// highest-priority reason.
+    pub fn compaction_candidates(&self, options: &StoreOptions) -> Vec<(usize, CompactionReason)> {
+        let mut candidates = Vec::new();
+        let mut seen = vec![false; self.num_levels()];
+        let push = |candidates: &mut Vec<(usize, CompactionReason)>,
+                    seen: &mut Vec<bool>,
+                    level: usize,
+                    reason: CompactionReason| {
+            if !seen[level] {
+                seen[level] = true;
+                candidates.push((level, reason));
+            }
+        };
+        // Level 0 is governed by file count.
+        if self.level0.len() >= options.level0_compaction_trigger {
+            push(&mut candidates, &mut seen, 0, CompactionReason::Level0Files);
+        }
+        // A guard over its sstable budget forces a compaction of its level.
+        // This includes the last level, which rewrites its guards in place
+        // (the paper's "exception to the no-rewrite rule").
+        for level in 1..self.num_levels() {
+            if self.levels[level].max_files_in_guard() > options.max_sstables_per_guard {
+                push(
+                    &mut candidates,
+                    &mut seen,
+                    level,
+                    CompactionReason::GuardFanout,
+                );
+            }
+        }
+        // Byte budgets.
+        for level in 1..self.num_levels() - 1 {
+            if self.level_bytes(level) > options.max_bytes_for_level(level) {
+                push(
+                    &mut candidates,
+                    &mut seen,
+                    level,
+                    CompactionReason::LevelBytes,
+                );
+            }
+        }
+        // Aggressive compaction: level i close in size to level i+1.
+        if options.enable_aggressive_compaction {
+            for level in 1..self.num_levels() - 1 {
+                let this = self.level_bytes(level);
+                let next = self.level_bytes(level + 1);
+                if this > 0
+                    && next > 0
+                    && (this as f64) >= options.aggressive_compaction_ratio * (next as f64)
+                    && this >= options.max_bytes_for_level(level) / 2
+                {
+                    push(
+                        &mut candidates,
+                        &mut seen,
+                        level,
+                        CompactionReason::Aggressive,
+                    );
+                }
+            }
+        }
+        candidates
+    }
+}
+
+/// Searches one sstable; the outer `Option` says whether this file holds a
+/// version of the key, the payload is that version's sequence and its value
+/// (`None` = tombstone) so callers can pick the newest match across the
+/// overlapping files of a guard.
+fn search_file(
+    read_options: &ReadOptions,
+    file: &Arc<FileMetaData>,
+    key: &LookupKey,
+    table_cache: &TableCache,
+) -> Result<Option<(SequenceNumber, Option<LookupValue>)>> {
+    let table = table_cache.get_table(file.number, file.file_size)?;
+    if !table.may_contain_user_key(key.user_key()) {
+        return Ok(None);
+    }
+    match table.get(read_options, key.internal_key())? {
+        Some((found_key, value)) => match parse_internal_key(&found_key) {
+            Some(parsed) if parsed.user_key == key.user_key() => match parsed.value_type {
+                ValueType::Value => Ok(Some((parsed.sequence, Some(LookupValue::Inline(value))))),
+                ValueType::ValuePointer => Ok(Some((
+                    parsed.sequence,
+                    Some(LookupValue::Pointer(ValuePointer::decode(&value)?)),
+                ))),
+                ValueType::Deletion => Ok(Some((parsed.sequence, None))),
+            },
+            _ => Ok(None),
+        },
+        None => Ok(None),
+    }
+}
+
+/// Why a compaction was scheduled (used for stats and tests).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CompactionReason {
+    /// Too many level-0 files.
+    Level0Files,
+    /// Some guard exceeded `max_sstables_per_guard`.
+    GuardFanout,
+    /// A level exceeded its byte budget.
+    LevelBytes,
+    /// The level is close in size to the next level (aggressive compaction).
+    Aggressive,
+    /// Requested by the consecutive-seek heuristic.
+    SeekTriggered,
+    /// Explicitly requested (flush / compact_all).
+    Manual,
+}
+
+impl VersionShape for FlsmVersion {
+    fn empty(max_levels: usize) -> Self {
+        FlsmVersion {
+            level0: Vec::new(),
+            levels: (0..max_levels).map(|_| FlsmLevel::empty()).collect(),
+        }
+    }
+
+    /// Rebuilds the guard tree: guard keys and files are collected per level,
+    /// the edit is applied to those lists, and every file is re-attached to
+    /// the guards its key range overlaps.
+    fn apply(&self, edit: &VersionEdit) -> Result<Self> {
+        edit.check_levels(self.num_levels())?;
+        if edit.new_guards.iter().any(|(_, key)| key.is_empty()) {
+            return Err(Error::corruption(
+                "version edit commits the sentinel (empty) guard key",
+            ));
+        }
+        // Guard keys per level (sentinel excluded) and files per level
+        // (level 0 included at index 0).
+        let mut guard_keys: Vec<BTreeSet<Vec<u8>>> = self
+            .levels
+            .iter()
+            .map(|level| level.guard_keys().into_iter().collect())
+            .collect();
+        let mut files: Vec<Vec<Arc<FileMetaData>>> =
+            self.levels.iter().map(FlsmLevel::unique_files).collect();
+        files[0] = self.level0.clone();
+
+        for (level, key) in &edit.new_guards {
+            // A guard at level i is a guard at every deeper level too.
+            for keys in &mut guard_keys[*level..] {
+                keys.insert(key.clone());
+            }
+        }
+        for (level, number) in &edit.deleted_files {
+            files[*level].retain(|f| f.number != *number);
+        }
+        for (level, file) in &edit.new_files {
+            files[*level].push(file.to_meta());
+        }
+        // Newest first everywhere. The dedup matters at recovery only:
+        // MANIFEST snapshots written before the version set moved into the
+        // chassis listed a file once per guard it spans.
+        for level_files in &mut files {
+            level_files.sort_by_key(|f| Reverse(f.number));
+            level_files.dedup_by_key(|f| f.number);
+        }
+
+        let mut version = FlsmVersion::empty(self.num_levels());
+        version.level0 = std::mem::take(&mut files[0]);
+        for (level_idx, keys) in guard_keys.into_iter().enumerate().skip(1) {
+            let keys: Vec<Vec<u8>> = keys.into_iter().collect();
+            let mut guards: Vec<GuardMeta> = Vec::with_capacity(keys.len() + 1);
+            guards.push(GuardMeta::new(Vec::new()));
+            guards.extend(keys.iter().cloned().map(GuardMeta::new));
+            for file in &files[level_idx] {
+                // A file is attached to every guard its key range overlaps.
+                // Freshly compacted files land in exactly one guard; only
+                // files written before a guard was committed can span more.
+                let first = guard_index_for_key(&keys, file.smallest.user_key());
+                let last = guard_index_for_key(&keys, file.largest.user_key());
+                for guard in guards.iter_mut().take(last + 1).skip(first) {
+                    guard.files.push(Arc::clone(file));
+                }
+            }
+            version.levels[level_idx] = FlsmLevel { guards };
+        }
+        Ok(version)
+    }
+
+    fn snapshot_into(&self, edit: &mut VersionEdit) {
+        for file in &self.level0 {
+            edit.add_file(0, file);
+        }
+        for (level_idx, level) in self.levels.iter().enumerate().skip(1) {
+            edit.new_guards
+                .extend(level.guard_keys().into_iter().map(|key| (level_idx, key)));
+            for file in level.unique_files() {
+                edit.add_file(level_idx, &file);
+            }
+        }
+    }
+
+    fn live_file_numbers(&self) -> Vec<u64> {
+        let mut numbers: Vec<u64> = self.level0.iter().map(|f| f.number).collect();
+        for level in self.levels.iter().skip(1) {
+            numbers.extend(level.unique_files().iter().map(|f| f.number));
+        }
+        numbers
+    }
+
+    fn needs_compaction(&self, options: &StoreOptions) -> bool {
+        self.pick_compaction_level(options).is_some()
+    }
+
+    /// The invariants concurrent compaction commits must preserve:
     /// * every guard level starts with the sentinel guard and its remaining
     ///   guard keys are strictly sorted (so guard ranges are disjoint);
     /// * a guard at level `i` is also a guard at every deeper level;
     /// * every file attached to a guard overlaps that guard's key range, and
     ///   every guard a file overlaps holds it (point lookups inspect exactly
     ///   one guard, so a missing attachment is a lost key).
-    ///
-    /// Called via `debug_assert!` after every version commit; release builds
-    /// pay nothing.
-    pub fn validate(&self) -> std::result::Result<(), String> {
+    fn validate(&self) -> std::result::Result<(), String> {
         for (level_idx, level) in self.levels.iter().enumerate().skip(1) {
             let guards = &level.guards;
             if guards.is_empty() || !guards[0].is_sentinel() {
@@ -314,642 +477,39 @@ impl FlsmVersion {
         }
         Ok(())
     }
-}
 
-/// Searches one sstable; the outer `Option` says whether this file holds a
-/// version of the key, the payload is that version's sequence and its value
-/// (`None` = tombstone) so callers can pick the newest match across the
-/// overlapping files of a guard.
-fn search_file(
-    read_options: &ReadOptions,
-    file: &Arc<FileMetaData>,
-    key: &LookupKey,
-    table_cache: &TableCache,
-) -> Result<Option<(SequenceNumber, Option<LookupValue>)>> {
-    let table = table_cache.get_table(file.number, file.file_size)?;
-    if !table.may_contain_user_key(key.user_key()) {
-        return Ok(None);
-    }
-    match table.get(read_options, key.internal_key())? {
-        Some((found_key, value)) => match parse_internal_key(&found_key) {
-            Some(parsed) if parsed.user_key == key.user_key() => match parsed.value_type {
-                ValueType::Value => Ok(Some((parsed.sequence, Some(LookupValue::Inline(value))))),
-                ValueType::ValuePointer => Ok(Some((
-                    parsed.sequence,
-                    Some(LookupValue::Pointer(ValuePointer::decode(&value)?)),
-                ))),
-                ValueType::Deletion => Ok(Some((parsed.sequence, None))),
-            },
-            _ => Ok(None),
-        },
-        None => Ok(None),
-    }
-}
-
-/// A record of FLSM layout changes, persisted in the MANIFEST.
-#[derive(Debug, Default, Clone)]
-pub struct FlsmVersionEdit {
-    /// New write-ahead log number.
-    pub log_number: Option<u64>,
-    /// Next file number to allocate.
-    pub next_file_number: Option<u64>,
-    /// Last sequence number.
-    pub last_sequence: Option<SequenceNumber>,
-    /// Files removed: `(level, file number)`.
-    pub deleted_files: Vec<(usize, u64)>,
-    /// Files added: `(level, metadata)`. Files are re-attached to guards by
-    /// their smallest key when the version is rebuilt.
-    pub new_files: Vec<(usize, FileMetaDataEdit)>,
-    /// Guard keys committed at a level (they also apply to deeper levels,
-    /// which is re-derived when the version is rebuilt).
-    pub new_guards: Vec<(usize, Vec<u8>)>,
-}
-
-const TAG_LOG_NUMBER: u32 = 1;
-const TAG_NEXT_FILE_NUMBER: u32 = 2;
-const TAG_LAST_SEQUENCE: u32 = 3;
-const TAG_DELETED_FILE: u32 = 4;
-const TAG_NEW_FILE: u32 = 5;
-const TAG_NEW_GUARD: u32 = 7;
-
-impl FlsmVersionEdit {
-    /// Serialises the edit.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        if let Some(v) = self.log_number {
-            put_varint32(&mut out, TAG_LOG_NUMBER);
-            put_varint64(&mut out, v);
-        }
-        if let Some(v) = self.next_file_number {
-            put_varint32(&mut out, TAG_NEXT_FILE_NUMBER);
-            put_varint64(&mut out, v);
-        }
-        if let Some(v) = self.last_sequence {
-            put_varint32(&mut out, TAG_LAST_SEQUENCE);
-            put_varint64(&mut out, v);
-        }
-        for (level, number) in &self.deleted_files {
-            put_varint32(&mut out, TAG_DELETED_FILE);
-            put_varint32(&mut out, *level as u32);
-            put_varint64(&mut out, *number);
-        }
-        for (level, file) in &self.new_files {
-            put_varint32(&mut out, TAG_NEW_FILE);
-            put_varint32(&mut out, *level as u32);
-            put_varint64(&mut out, file.number);
-            put_varint64(&mut out, file.file_size);
-            put_length_prefixed_slice(&mut out, &file.smallest);
-            put_length_prefixed_slice(&mut out, &file.largest);
-        }
-        for (level, key) in &self.new_guards {
-            put_varint32(&mut out, TAG_NEW_GUARD);
-            put_varint32(&mut out, *level as u32);
-            put_length_prefixed_slice(&mut out, key);
-        }
-        out
-    }
-
-    /// Decodes an edit.
-    pub fn decode(data: &[u8]) -> Result<FlsmVersionEdit> {
-        let mut edit = FlsmVersionEdit::default();
-        let mut dec = Decoder::new(data);
-        while !dec.is_empty() {
-            let tag = dec.read_varint32()?;
-            match tag {
-                TAG_LOG_NUMBER => edit.log_number = Some(dec.read_varint64()?),
-                TAG_NEXT_FILE_NUMBER => edit.next_file_number = Some(dec.read_varint64()?),
-                TAG_LAST_SEQUENCE => edit.last_sequence = Some(dec.read_varint64()?),
-                TAG_DELETED_FILE => {
-                    let level = dec.read_varint32()? as usize;
-                    let number = dec.read_varint64()?;
-                    edit.deleted_files.push((level, number));
-                }
-                TAG_NEW_FILE => {
-                    let level = dec.read_varint32()? as usize;
-                    let number = dec.read_varint64()?;
-                    let file_size = dec.read_varint64()?;
-                    let smallest = dec.read_length_prefixed_slice()?.to_vec();
-                    let largest = dec.read_length_prefixed_slice()?.to_vec();
-                    edit.new_files.push((
-                        level,
-                        FileMetaDataEdit {
-                            number,
-                            file_size,
-                            smallest,
-                            largest,
-                        },
-                    ));
-                }
-                TAG_NEW_GUARD => {
-                    let level = dec.read_varint32()? as usize;
-                    let key = dec.read_length_prefixed_slice()?.to_vec();
-                    edit.new_guards.push((level, key));
-                }
-                other => {
-                    return Err(Error::corruption(format!(
-                        "unknown FLSM version edit tag {other}"
-                    )))
-                }
-            }
-        }
-        Ok(edit)
-    }
-
-    /// Convenience helper to record a new file.
-    pub fn add_file(&mut self, level: usize, file: &FileMetaData) {
-        self.new_files.push((
-            level,
-            FileMetaDataEdit {
-                number: file.number,
-                file_size: file.file_size,
-                smallest: file.smallest.encoded().to_vec(),
-                largest: file.largest.encoded().to_vec(),
-            },
-        ));
-    }
-
-    /// Convenience helper to record a deleted file.
-    pub fn delete_file(&mut self, level: usize, number: u64) {
-        self.deleted_files.push((level, number));
-    }
-}
-
-/// Rebuilds an [`FlsmVersion`] from guard keys and file lists.
-pub struct FlsmVersionBuilder {
-    max_levels: usize,
-    /// Guard keys per level (sentinel excluded).
-    guard_keys: Vec<BTreeSet<Vec<u8>>>,
-    /// Files per level (level 0 included at index 0).
-    files: Vec<Vec<Arc<FileMetaData>>>,
-}
-
-impl FlsmVersionBuilder {
-    /// Starts from an existing version.
-    pub fn from_version(version: &FlsmVersion) -> Self {
-        let max_levels = version.num_levels();
-        let mut guard_keys = vec![BTreeSet::new(); max_levels];
-        let mut files = vec![Vec::new(); max_levels];
-        files[0] = version.level0.clone();
-        for (level_idx, level) in version.levels.iter().enumerate().skip(1) {
-            for guard in &level.guards {
-                if !guard.is_sentinel() {
-                    guard_keys[level_idx].insert(guard.key.clone());
-                }
-            }
-            files[level_idx] = level.unique_files();
-        }
-        FlsmVersionBuilder {
-            max_levels,
-            guard_keys,
-            files,
-        }
-    }
-
-    /// Starts from an empty version with `max_levels` levels.
-    pub fn new(max_levels: usize) -> Self {
-        FlsmVersionBuilder {
-            max_levels,
-            guard_keys: vec![BTreeSet::new(); max_levels],
-            files: vec![Vec::new(); max_levels],
-        }
-    }
-
-    /// Applies one edit.
-    pub fn apply(&mut self, edit: &FlsmVersionEdit) {
-        for (level, key) in &edit.new_guards {
-            // A guard at level i is a guard at every deeper level too.
-            for deeper in *level..self.max_levels {
-                self.guard_keys[deeper].insert(key.clone());
-            }
-        }
-        for (level, number) in &edit.deleted_files {
-            if *level < self.max_levels {
-                self.files[*level].retain(|f| f.number != *number);
-            }
-        }
-        for (level, file) in &edit.new_files {
-            if *level < self.max_levels {
-                self.files[*level].push(Arc::new(FileMetaData::new(
-                    file.number,
-                    file.file_size,
-                    pebblesdb_common::InternalKey::from_encoded(file.smallest.clone()),
-                    pebblesdb_common::InternalKey::from_encoded(file.largest.clone()),
-                )));
-            }
-        }
-    }
-
-    /// Produces the resulting version, attaching files to guards by their
-    /// smallest user key.
-    pub fn finish(self) -> FlsmVersion {
-        let mut version = FlsmVersion::new(self.max_levels);
-        let mut level0 = self.files[0].clone();
-        level0.sort_by_key(|f| std::cmp::Reverse(f.number));
-        version.level0 = level0;
-
-        for level_idx in 1..self.max_levels {
-            let keys: Vec<Vec<u8>> = self.guard_keys[level_idx].iter().cloned().collect();
-            let mut guards: Vec<GuardMeta> = Vec::with_capacity(keys.len() + 1);
-            guards.push(GuardMeta::new(Vec::new()));
-            for key in &keys {
-                guards.push(GuardMeta::new(key.clone()));
-            }
-            for file in &self.files[level_idx] {
-                // A file is attached to every guard its key range overlaps.
-                // Freshly compacted files land in exactly one guard; only
-                // files written before a guard was committed can span more.
-                let first = guard_index_for_key(&keys, file.smallest.user_key());
-                let last = guard_index_for_key(&keys, file.largest.user_key());
-                for guard in guards.iter_mut().take(last + 1).skip(first) {
-                    guard.files.push(Arc::clone(file));
-                }
-            }
-            for guard in &mut guards {
-                guard.files.sort_by_key(|f| std::cmp::Reverse(f.number));
-            }
-            version.levels[level_idx] = FlsmLevel { guards };
-        }
-        version
-    }
-}
-
-/// Why a compaction was scheduled (used for stats and tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompactionReason {
-    /// Too many level-0 files.
-    Level0Files,
-    /// Some guard exceeded `max_sstables_per_guard`.
-    GuardFanout,
-    /// A level exceeded its byte budget.
-    LevelBytes,
-    /// The level is close in size to the next level (aggressive compaction).
-    Aggressive,
-    /// Requested by the consecutive-seek heuristic.
-    SeekTriggered,
-    /// Explicitly requested (flush / compact_all).
-    Manual,
-}
-
-/// Owns the current [`FlsmVersion`], the MANIFEST and file numbering.
-pub struct FlsmVersionSet {
-    env: Arc<dyn Env>,
-    db_path: PathBuf,
-    options: StoreOptions,
-    current: Arc<FlsmVersion>,
-    live_versions: Vec<Weak<FlsmVersion>>,
-    manifest: Option<LogWriter>,
-    manifest_number: u64,
-    next_file_number: u64,
-    /// Sequence number of the most recent write.
-    pub last_sequence: SequenceNumber,
-    /// Write-ahead log number reflected in `current`.
-    pub log_number: u64,
-}
-
-impl FlsmVersionSet {
-    /// Creates a version set for the database at `db_path`.
-    pub fn new(env: Arc<dyn Env>, db_path: PathBuf, options: StoreOptions) -> Self {
-        let levels = options.max_levels;
-        FlsmVersionSet {
-            env,
-            db_path,
-            options,
-            current: Arc::new(FlsmVersion::new(levels)),
-            live_versions: Vec::new(),
-            manifest: None,
-            manifest_number: 1,
-            next_file_number: 2,
-            last_sequence: 0,
-            log_number: 0,
-        }
-    }
-
-    /// The current version, pinned against file deletion.
-    pub fn current(&mut self) -> Arc<FlsmVersion> {
-        let version = Arc::clone(&self.current);
-        self.live_versions.push(Arc::downgrade(&version));
-        version
-    }
-
-    /// A read-only peek at the current version.
-    pub fn current_unpinned(&self) -> &Arc<FlsmVersion> {
-        &self.current
-    }
-
-    /// Allocates a new file number.
-    pub fn new_file_number(&mut self) -> u64 {
-        let number = self.next_file_number;
-        self.next_file_number += 1;
-        number
-    }
-
-    /// Marks `number` as used (during recovery).
-    pub fn mark_file_number_used(&mut self, number: u64) {
-        if self.next_file_number <= number {
-            self.next_file_number = number + 1;
-        }
-    }
-
-    /// The file number of the live MANIFEST.
-    pub fn manifest_number(&self) -> u64 {
-        self.manifest_number
-    }
-
-    /// The store options.
-    pub fn options(&self) -> &StoreOptions {
-        &self.options
-    }
-
-    /// File numbers referenced by the current version or any pinned version.
-    pub fn all_live_file_numbers(&mut self) -> Vec<u64> {
-        self.live_files_and_pins().0
-    }
-
-    /// File numbers referenced by the current version or any pinned version,
-    /// plus whether a version *other than* `current` contributed (a read or
-    /// cursor still pins it). Both facts come from the same observation of
-    /// the pin list — a GC that keeps a pinned version's files must also
-    /// learn that a later pass may find more garbage, even if the pin drops
-    /// immediately afterwards.
-    pub fn live_files_and_pins(&mut self) -> (Vec<u64>, bool) {
-        let mut live = self.current.live_file_numbers();
-        self.live_versions.retain(|weak| weak.strong_count() > 0);
-        let mut pinned = false;
-        for weak in &self.live_versions {
-            if let Some(version) = weak.upgrade() {
-                if !Arc::ptr_eq(&version, &self.current) {
-                    pinned = true;
-                    live.extend(version.live_file_numbers());
-                }
-            }
-        }
-        live.sort_unstable();
-        live.dedup();
-        (live, pinned)
-    }
-
-    /// Writes a fresh MANIFEST for an empty database.
-    pub fn create_new(&mut self) -> Result<()> {
-        self.rewrite_manifest()
-    }
-
-    /// Recovers from the MANIFEST named by `CURRENT`.
-    pub fn recover(&mut self) -> Result<()> {
-        let current = self
-            .env
-            .read_file_to_vec(&current_file_name(&self.db_path))?;
-        let name = String::from_utf8_lossy(&current);
-        let name = name.trim();
-        let manifest_number: u64 = name
-            .strip_prefix("MANIFEST-")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| Error::corruption("CURRENT does not name a manifest"))?;
-        let path = self.db_path.join(name);
-        let file = self.env.new_sequential_file(&path)?;
-        let mut reader = LogReader::new(file);
-
-        let mut builder = FlsmVersionBuilder::new(self.options.max_levels);
-        while let Some(record) = reader.read_record()? {
-            let edit = FlsmVersionEdit::decode(&record)?;
-            if let Some(v) = edit.log_number {
-                self.log_number = v;
-            }
-            if let Some(v) = edit.next_file_number {
-                self.next_file_number = v;
-            }
-            if let Some(v) = edit.last_sequence {
-                self.last_sequence = v;
-            }
-            builder.apply(&edit);
-        }
-        self.current = Arc::new(builder.finish());
-        self.mark_file_number_used(manifest_number);
-        self.rewrite_manifest()?;
-        Ok(())
-    }
-
-    /// Applies `edit`, logs it, and installs the resulting version.
-    pub fn log_and_apply(&mut self, mut edit: FlsmVersionEdit) -> Result<Arc<FlsmVersion>> {
-        if edit.log_number.is_none() {
-            edit.log_number = Some(self.log_number);
-        }
-        edit.next_file_number = Some(self.next_file_number);
-        edit.last_sequence = Some(self.last_sequence);
-
-        let mut builder = FlsmVersionBuilder::from_version(&self.current);
-        builder.apply(&edit);
-        let next = Arc::new(builder.finish());
-        // Guards must stay sorted and disjoint after every commit — with
-        // concurrent compaction jobs merging their edits through this
-        // serialized path, a violation here means two jobs claimed
-        // overlapping work.
-        #[cfg(debug_assertions)]
-        if let Err(violation) = next.validate() {
-            panic!("FLSM version invariant violated after commit: {violation}");
-        }
-
-        if self.manifest.is_none() {
-            self.rewrite_manifest()?;
-        }
-        if let Some(manifest) = self.manifest.as_mut() {
-            manifest.add_record(&edit.encode())?;
-            manifest.sync()?;
-        }
-        if let Some(v) = edit.log_number {
-            self.log_number = v;
-        }
-        self.current = Arc::clone(&next);
-        Ok(next)
-    }
-
-    /// Writes a full-snapshot MANIFEST and points `CURRENT` at it.
-    fn rewrite_manifest(&mut self) -> Result<()> {
-        let manifest_number = self.new_file_number();
-        let path = descriptor_file_name(&self.db_path, manifest_number);
-        let file = self.env.new_writable_file(&path)?;
-        let mut writer = LogWriter::new(file);
-
-        let mut snapshot = FlsmVersionEdit {
-            next_file_number: Some(self.next_file_number),
-            last_sequence: Some(self.last_sequence),
-            log_number: Some(self.log_number),
-            ..Default::default()
-        };
-        for file in &self.current.level0 {
-            snapshot.add_file(0, file);
-        }
-        for (level_idx, level) in self.current.levels.iter().enumerate().skip(1) {
-            for guard in &level.guards {
-                if !guard.is_sentinel() {
-                    snapshot.new_guards.push((level_idx, guard.key.clone()));
-                }
-                for file in &guard.files {
-                    snapshot.add_file(level_idx, file);
-                }
-            }
-        }
-        writer.add_record(&snapshot.encode())?;
-        writer.sync()?;
-        self.manifest = Some(writer);
-        self.manifest_number = manifest_number;
-        self.env.write_string_to_file_sync(
-            &current_file_name(&self.db_path),
-            format!("MANIFEST-{manifest_number:06}\n").as_bytes(),
-        )?;
-        Ok(())
-    }
-
-    /// Decides whether (and why) a compaction is needed, and at which level.
-    pub fn pick_compaction_level(&self) -> Option<(usize, CompactionReason)> {
-        self.compaction_candidates().into_iter().next()
-    }
-
-    /// Every level that currently wants a compaction, in priority order
-    /// (level 0 pressure, guard fanout, byte budgets, aggressive merging).
-    ///
-    /// The compaction pool walks this list so a worker whose preferred level
-    /// is fully claimed by in-flight jobs can still pick up independent work
-    /// at another level. Each level appears at most once, under its
-    /// highest-priority reason.
-    pub fn compaction_candidates(&self) -> Vec<(usize, CompactionReason)> {
-        let version = &self.current;
-        let mut candidates = Vec::new();
-        let mut seen = vec![false; version.num_levels()];
-        let push = |candidates: &mut Vec<(usize, CompactionReason)>,
-                    seen: &mut Vec<bool>,
-                    level: usize,
-                    reason: CompactionReason| {
-            if !seen[level] {
-                seen[level] = true;
-                candidates.push((level, reason));
-            }
-        };
-        // Level 0 is governed by file count.
-        if version.level0.len() >= self.options.level0_compaction_trigger {
-            push(&mut candidates, &mut seen, 0, CompactionReason::Level0Files);
-        }
-        // A guard over its sstable budget forces a compaction of its level.
-        // This includes the last level, which rewrites its guards in place
-        // (the paper's "exception to the no-rewrite rule").
-        for level in 1..version.num_levels() {
-            if version.levels[level].max_files_in_guard() > self.options.max_sstables_per_guard {
-                push(
-                    &mut candidates,
-                    &mut seen,
-                    level,
-                    CompactionReason::GuardFanout,
-                );
-            }
-        }
-        // Byte budgets.
-        for level in 1..version.num_levels() - 1 {
-            if version.level_bytes(level) > self.options.max_bytes_for_level(level) {
-                push(
-                    &mut candidates,
-                    &mut seen,
-                    level,
-                    CompactionReason::LevelBytes,
-                );
-            }
-        }
-        // Aggressive compaction: level i close in size to level i+1.
-        if self.options.enable_aggressive_compaction {
-            for level in 1..version.num_levels() - 1 {
-                let this = version.level_bytes(level);
-                let next = version.level_bytes(level + 1);
-                if this > 0
-                    && next > 0
-                    && (this as f64) >= self.options.aggressive_compaction_ratio * (next as f64)
-                    && this >= self.options.max_bytes_for_level(level) / 2
-                {
-                    push(
-                        &mut candidates,
-                        &mut seen,
-                        level,
-                        CompactionReason::Aggressive,
-                    );
-                }
-            }
-        }
-        candidates
-    }
-
-    /// Returns `true` if background compaction work is pending.
-    pub fn needs_compaction(&self) -> bool {
-        self.pick_compaction_level().is_some()
-    }
-}
-
-impl VersionMeta for FlsmVersion {
     fn level0_len(&self) -> usize {
         self.level0.len()
     }
+
     fn total_bytes(&self) -> u64 {
-        FlsmVersion::total_bytes(self)
+        (0..self.num_levels()).map(|l| self.level_bytes(l)).sum()
     }
+
     fn num_files(&self) -> usize {
-        FlsmVersion::num_files(self)
+        (0..self.num_levels()).map(|l| self.level_files(l)).sum()
     }
+
+    /// Sizes of every live file (Table 5.1 of the paper).
     fn file_sizes(&self) -> Vec<u64> {
-        FlsmVersion::file_sizes(self)
-    }
-    fn level_summary(&self) -> String {
-        FlsmVersion::level_summary(self)
-    }
-}
-
-impl VersionSetOps for FlsmVersionSet {
-    type Version = FlsmVersion;
-
-    fn recover(&mut self) -> Result<()> {
-        FlsmVersionSet::recover(self)
-    }
-    fn create_new(&mut self) -> Result<()> {
-        FlsmVersionSet::create_new(self)
-    }
-    fn log_number(&self) -> u64 {
-        self.log_number
-    }
-    fn last_sequence(&self) -> SequenceNumber {
-        self.last_sequence
-    }
-    fn set_last_sequence(&mut self, seq: SequenceNumber) {
-        self.last_sequence = seq;
-    }
-    fn new_file_number(&mut self) -> u64 {
-        FlsmVersionSet::new_file_number(self)
-    }
-    fn mark_file_number_used(&mut self, number: u64) {
-        FlsmVersionSet::mark_file_number_used(self, number)
-    }
-    fn manifest_number(&self) -> u64 {
-        FlsmVersionSet::manifest_number(self)
-    }
-    fn current(&mut self) -> Arc<FlsmVersion> {
-        FlsmVersionSet::current(self)
-    }
-    fn current_unpinned(&self) -> &Arc<FlsmVersion> {
-        FlsmVersionSet::current_unpinned(self)
-    }
-    fn live_files_and_pins(&mut self) -> (Vec<u64>, bool) {
-        FlsmVersionSet::live_files_and_pins(self)
-    }
-    fn needs_compaction(&self) -> bool {
-        FlsmVersionSet::needs_compaction(self)
-    }
-    fn commit_level0(
-        &mut self,
-        meta: Option<&FileMetaData>,
-        log_number: Option<u64>,
-    ) -> Result<()> {
-        let mut edit = FlsmVersionEdit {
-            log_number,
-            ..Default::default()
-        };
-        if let Some(meta) = meta {
-            edit.add_file(0, meta);
+        let mut sizes: Vec<u64> = self.level0.iter().map(|f| f.file_size).collect();
+        for level in self.levels.iter().skip(1) {
+            sizes.extend(level.unique_files().iter().map(|f| f.file_size));
         }
-        self.log_and_apply(edit).map(|_| ())
+        sizes
+    }
+
+    /// `L0:n L1:files/guards ...`.
+    fn level_summary(&self) -> String {
+        let mut parts = vec![format!("L0:{}", self.level0.len())];
+        for (idx, level) in self.levels.iter().enumerate().skip(1) {
+            parts.push(format!(
+                "L{idx}:{}f/{}g",
+                level.num_files(),
+                level.guards.len()
+            ));
+        }
+        parts.join(" ")
     }
 }
 
@@ -957,7 +517,7 @@ impl VersionSetOps for FlsmVersionSet {
 mod tests {
     use super::*;
     use pebblesdb_common::key::{InternalKey, ValueType};
-    use pebblesdb_env::MemEnv;
+    use pebblesdb_engine::FileMetaDataEdit;
 
     fn file_edit(number: u64, smallest: &str, largest: &str) -> FileMetaDataEdit {
         FileMetaDataEdit {
@@ -973,39 +533,14 @@ mod tests {
     }
 
     #[test]
-    fn edit_roundtrip_including_guards() {
-        let mut edit = FlsmVersionEdit {
-            log_number: Some(4),
-            last_sequence: Some(99),
-            ..Default::default()
-        };
-        edit.new_files.push((1, file_edit(7, "c", "h")));
-        edit.deleted_files.push((0, 3));
-        edit.new_guards.push((1, b"m".to_vec()));
-        edit.new_guards.push((2, b"t".to_vec()));
-
-        let decoded = FlsmVersionEdit::decode(&edit.encode()).unwrap();
-        assert_eq!(decoded.log_number, Some(4));
-        assert_eq!(decoded.last_sequence, Some(99));
-        assert_eq!(decoded.new_files.len(), 1);
-        assert_eq!(decoded.deleted_files, vec![(0, 3)]);
-        assert_eq!(
-            decoded.new_guards,
-            vec![(1, b"m".to_vec()), (2, b"t".to_vec())]
-        );
-    }
-
-    #[test]
     fn builder_attaches_files_to_owning_guards() {
-        let mut builder = FlsmVersionBuilder::new(4);
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_guards.push((1, b"m".to_vec()));
         edit.new_files.push((1, file_edit(10, "a", "d"))); // Sentinel.
         edit.new_files.push((1, file_edit(11, "p", "z"))); // Guard "m".
         edit.new_files.push((1, file_edit(12, "m", "n"))); // Guard "m".
         edit.new_files.push((0, file_edit(13, "a", "z"))); // Level 0.
-        builder.apply(&edit);
-        let version = builder.finish();
+        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
         assert_eq!(version.level0.len(), 1);
         let level1 = &version.levels[1];
@@ -1030,57 +565,55 @@ mod tests {
 
     #[test]
     fn deleting_files_keeps_guards() {
-        let mut builder = FlsmVersionBuilder::new(3);
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_guards.push((1, b"g".to_vec()));
         edit.new_files.push((1, file_edit(5, "h", "k")));
-        builder.apply(&edit);
-        let mut second = FlsmVersionEdit::default();
+        let mut second = VersionEdit::default();
         second.delete_file(1, 5);
-        builder.apply(&second);
-        let version = builder.finish();
+        let version = FlsmVersion::empty(3)
+            .apply(&edit)
+            .and_then(|v| v.apply(&second))
+            .unwrap();
         assert_eq!(version.levels[1].num_files(), 0);
         assert_eq!(version.levels[1].guards.len(), 2);
         assert_eq!(version.empty_guards(), 4);
     }
 
+    /// A file spanning two guards is attached to both but is one file: the
+    /// snapshot lists it once, and a snapshot that lists it twice (as
+    /// MANIFESTs written before the chassis owned the version set did)
+    /// rebuilds the same version.
     #[test]
-    fn version_set_persists_guards_across_recovery() {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let db = PathBuf::from("/flsm");
-        env.create_dir_all(&db).unwrap();
-        let opts = StoreOptions::default();
+    fn spanning_files_snapshot_once_and_duplicates_collapse() {
+        let mut edit = VersionEdit::default();
+        edit.new_guards.push((1, b"m".to_vec()));
+        edit.new_files.push((1, file_edit(10, "a", "z")));
+        let version = FlsmVersion::empty(3).apply(&edit).unwrap();
+        assert_eq!(version.levels[1].guards[0].files.len(), 1);
+        assert_eq!(version.levels[1].guards[1].files.len(), 1);
 
-        let mut vs = FlsmVersionSet::new(Arc::clone(&env), db.clone(), opts.clone());
-        vs.create_new().unwrap();
-        vs.last_sequence = 500;
-        let mut edit = FlsmVersionEdit::default();
-        edit.new_guards.push((1, b"guard-key".to_vec()));
-        edit.new_files.push((1, file_edit(8, "x", "z")));
-        vs.log_and_apply(edit).unwrap();
+        let mut snapshot = VersionEdit::default();
+        version.snapshot_into(&mut snapshot);
+        assert_eq!(snapshot.new_files.len(), 1);
 
-        let mut recovered = FlsmVersionSet::new(Arc::clone(&env), db, opts);
-        recovered.recover().unwrap();
-        assert_eq!(recovered.last_sequence, 500);
-        let version = recovered.current_unpinned();
-        assert_eq!(version.levels[1].guards.len(), 2);
-        assert_eq!(version.levels[1].guards[1].key, b"guard-key".to_vec());
-        assert_eq!(version.levels[1].num_files(), 1);
+        snapshot.new_files.push((1, file_edit(10, "a", "z")));
+        let rebuilt = FlsmVersion::empty(3).apply(&snapshot).unwrap();
+        assert_eq!(rebuilt.num_files(), 1);
+        assert_eq!(rebuilt.levels[1].guards[1].files.len(), 1);
+        assert!(rebuilt.validate().is_ok());
     }
 
     #[test]
     fn validate_accepts_built_versions_and_rejects_broken_ones() {
-        let mut builder = FlsmVersionBuilder::new(4);
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_guards.push((1, b"m".to_vec()));
         edit.new_files.push((1, file_edit(10, "a", "d")));
         edit.new_files.push((1, file_edit(11, "m", "z")));
-        builder.apply(&edit);
-        let version = builder.finish();
+        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
         assert!(version.validate().is_ok());
 
         // Out-of-order guards are rejected.
-        let mut broken = FlsmVersion::new(4);
+        let mut broken = FlsmVersion::empty(4);
         broken.levels[1].guards = vec![
             GuardMeta::new(Vec::new()),
             GuardMeta::new(b"t".to_vec()),
@@ -1089,35 +622,25 @@ mod tests {
         assert!(broken.validate().is_err());
 
         // A file attached to a guard it cannot overlap is rejected.
-        let mut misfiled = FlsmVersion::new(4);
-        misfiled.levels[1].guards = vec![GuardMeta::new(Vec::new()), GuardMeta::new(b"m".to_vec())];
-        misfiled.levels[2].guards = vec![GuardMeta::new(Vec::new()), GuardMeta::new(b"m".to_vec())];
-        misfiled.levels[3].guards = vec![GuardMeta::new(Vec::new()), GuardMeta::new(b"m".to_vec())];
-        let edit = file_edit(20, "x", "z");
-        let file = Arc::new(FileMetaData::new(
-            edit.number,
-            edit.file_size,
-            pebblesdb_common::InternalKey::from_encoded(edit.smallest),
-            pebblesdb_common::InternalKey::from_encoded(edit.largest),
-        ));
-        misfiled.levels[1].guards[0].files.push(file);
+        let mut misfiled = FlsmVersion::empty(4);
+        for level in &mut misfiled.levels[1..] {
+            level.guards = vec![GuardMeta::new(Vec::new()), GuardMeta::new(b"m".to_vec())];
+        }
+        misfiled.levels[1].guards[0]
+            .files
+            .push(file_edit(20, "x", "z").to_meta());
         assert!(misfiled.validate().is_err());
     }
 
     #[test]
     fn compaction_candidates_list_every_triggered_level_once() {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let db = PathBuf::from("/flsm-candidates");
-        env.create_dir_all(&db).unwrap();
         let mut opts = StoreOptions::default();
         opts.level0_compaction_trigger = 2;
         opts.max_sstables_per_guard = 2;
         opts.enable_aggressive_compaction = false;
-        let mut vs = FlsmVersionSet::new(env, db, opts);
-        vs.create_new().unwrap();
 
         // Trigger level 0 (two files) and guard fanout at levels 1 and 2.
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_files.push((0, file_edit(10, "a", "b")));
         edit.new_files.push((0, file_edit(11, "c", "d")));
         for n in 20..23 {
@@ -1126,11 +649,10 @@ mod tests {
         for n in 30..33 {
             edit.new_files.push((2, file_edit(n, "k", "p")));
         }
-        vs.log_and_apply(edit).unwrap();
+        let version = FlsmVersion::empty(opts.max_levels).apply(&edit).unwrap();
 
-        let candidates = vs.compaction_candidates();
         assert_eq!(
-            candidates,
+            version.compaction_candidates(&opts),
             vec![
                 (0, CompactionReason::Level0Files),
                 (1, CompactionReason::GuardFanout),
@@ -1139,45 +661,41 @@ mod tests {
         );
         // The single-level picker returns the highest-priority candidate.
         assert_eq!(
-            vs.pick_compaction_level(),
+            version.pick_compaction_level(&opts),
             Some((0, CompactionReason::Level0Files))
         );
     }
 
     #[test]
     fn compaction_triggers_cover_level0_guards_and_bytes() {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let db = PathBuf::from("/flsm2");
-        env.create_dir_all(&db).unwrap();
         let mut opts = StoreOptions::default();
         opts.level0_compaction_trigger = 2;
         opts.max_sstables_per_guard = 2;
         opts.base_level_bytes = 2500;
         opts.enable_aggressive_compaction = false;
-        let mut vs = FlsmVersionSet::new(env, db, opts);
-        vs.create_new().unwrap();
-        assert!(!vs.needs_compaction());
+        let version = FlsmVersion::empty(opts.max_levels);
+        assert!(!version.needs_compaction(&opts));
 
         // Two level-0 files trigger a level-0 compaction.
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.new_files.push((0, file_edit(10, "a", "b")));
         edit.new_files.push((0, file_edit(11, "c", "d")));
-        vs.log_and_apply(edit).unwrap();
+        let version = version.apply(&edit).unwrap();
         assert_eq!(
-            vs.pick_compaction_level(),
+            version.pick_compaction_level(&opts),
             Some((0, CompactionReason::Level0Files))
         );
 
         // Guard fanout trigger: three files in one guard with budget 2.
-        let mut edit = FlsmVersionEdit::default();
+        let mut edit = VersionEdit::default();
         edit.delete_file(0, 10);
         edit.delete_file(0, 11);
         for n in 20..23 {
             edit.new_files.push((1, file_edit(n, "k", "p")));
         }
-        vs.log_and_apply(edit).unwrap();
+        let version = version.apply(&edit).unwrap();
         assert_eq!(
-            vs.pick_compaction_level(),
+            version.pick_compaction_level(&opts),
             Some((1, CompactionReason::GuardFanout))
         );
     }

@@ -68,9 +68,8 @@ use pebblesdb_wal::{LogReader, LogWriter, SegmentReplay};
 use crate::catalog::{self, Catalog, CatalogData};
 use crate::cdc::{ChangeLog, TailRead};
 use crate::meta::FileMetaData;
-use crate::policy::{
-    EngineIo, JobClaim, PolicyCtx, ShapePolicy, VersionMeta, VersionOf, VersionSetOps,
-};
+use crate::policy::{EngineIo, JobClaim, PolicyCtx, ShapePolicy};
+use crate::version_set::{VersionSet, VersionShape};
 use crate::vlog::{CfVlog, TakenVlog, VlogGcReport, VlogReaderCache};
 
 /// A handle to an open store built on the chassis.
@@ -92,9 +91,15 @@ pub struct EngineShared<P: ShapePolicy> {
 
 impl<P: ShapePolicy> Drop for EngineShared<P> {
     fn drop(&mut self) {
-        self.core.shutting_down.store(true, Ordering::SeqCst);
-        self.core.work_available.notify_all();
-        self.core.flush_available.notify_all();
+        {
+            // A worker checks the flag and parks under `state`; setting it
+            // and notifying under the same lock means no worker can sit
+            // between its check and its wait and miss the wake-up.
+            let _state = self.core.state.lock();
+            self.core.shutting_down.store(true, Ordering::SeqCst);
+            self.core.work_available.notify_all();
+            self.core.flush_available.notify_all();
+        }
         for handle in self.background_threads.lock().drain(..) {
             // `join` only errs if the thread panicked, and the panic has
             // already printed; re-raising it from a destructor would abort
@@ -160,7 +165,7 @@ pub struct CfState<P: ShapePolicy> {
     /// The immutable memtable being flushed, if any.
     pub imm: Option<Arc<MemTable>>,
     /// The family's version set (MANIFEST machinery).
-    pub versions: P::Versions,
+    pub versions: VersionSet<P::Version>,
     /// The policy's own mutable state (uncommitted guards, compaction
     /// pointers, pending seek requests, ...).
     pub policy: P::State,
@@ -352,15 +357,11 @@ impl<P: ShapePolicy> EngineDb<P> {
             } else {
                 cf_io(&env, &dir, &options)
             };
-            let mut versions = policy.new_versions(&io);
-            if env.file_exists(&pebblesdb_common::filename::current_file_name(&dir)) {
-                versions.recover()?;
-            } else {
-                // Either a fresh database or a family whose create edit
-                // committed but whose directory was never initialised
-                // (crash between the two); both start empty here.
-                versions.create_new()?;
-            }
+            // A directory without a CURRENT is either a fresh database or a
+            // family whose create edit committed but whose directory was
+            // never initialised (crash between the two); both start empty.
+            let mut versions =
+                VersionSet::open(Arc::clone(&io.env), io.db_path.clone(), io.options.clone())?;
             state.last_sequence = state.last_sequence.max(versions.last_sequence());
             // Vlog files are registered by directory listing, not in the
             // MANIFEST; their numbers must be re-marked used so a new file
@@ -513,9 +514,9 @@ impl<P: ShapePolicy> EngineDb<P> {
 
     /// Runs `f` against the default family's current version under the
     /// state lock.
-    pub fn with_current_version<R>(&self, f: impl FnOnce(&VersionOf<P>) -> R) -> R {
+    pub fn with_current_version<R>(&self, f: impl FnOnce(&P::Version) -> R) -> R {
         let state = self.shared.core.state.lock();
-        f(state.default_cf().versions.current_unpinned())
+        f(state.default_cf().versions.current())
     }
 
     /// Writes a batch whose sequence numbers were already assigned by an
@@ -1162,7 +1163,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             let Some(cf) = state.cfs.get(&cf_id) else {
                 return Err(missing_cf_error(cf_id));
             };
-            let level0_files = cf.versions.current_unpinned().level0_len();
+            let level0_files = cf.versions.current().level0_len();
             if allow_delay && level0_files >= self.io.options.level0_slowdown_writes_trigger {
                 // Gentle back-pressure: let the compaction workers make
                 // progress without fully blocking this writer.
@@ -1275,10 +1276,9 @@ impl<P: ShapePolicy> EngineCore<P> {
         user_key: &[u8],
     ) -> Result<Option<(LookupValue, Arc<VlogReaderCache>)>> {
         let (lookup, imm, version, io, resolver) = {
-            let mut state = self.state.lock();
+            let state = self.state.lock();
             let sequence = visible_sequence(opts, state.last_sequence);
-            let st = &mut *state;
-            let Some(cf) = st.cfs.get_mut(&cf_id) else {
+            let Some(cf) = state.cfs.get(&cf_id) else {
                 return Err(missing_cf_error(cf_id));
             };
             let lookup = LookupKey::new(user_key, sequence);
@@ -1299,7 +1299,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             (
                 lookup,
                 cf.imm.clone(),
-                cf.versions.current(),
+                Arc::clone(cf.versions.current()),
                 cf.io.clone(),
                 resolver,
             )
@@ -1343,7 +1343,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             self.work_available.notify_one();
         }
         let (sequence, mem, imm, version, io, resolver, snapshot) = {
-            let mut state = self.state.lock();
+            let state = self.state.lock();
             let sequence = visible_sequence(opts, state.last_sequence);
             // The cursor resolves value pointers as it streams; pinning its
             // sequence in the cursor-pin list keeps vlog GC from deleting a
@@ -1353,15 +1353,14 @@ impl<P: ShapePolicy> EngineCore<P> {
             // the compaction floor would let any long-lived cursor stall
             // version dedup (and flush-quiesce) indefinitely.
             let snapshot = self.cursor_pins.acquire(sequence);
-            let st = &mut *state;
-            let Some(cf) = st.cfs.get_mut(&cf_id) else {
+            let Some(cf) = state.cfs.get(&cf_id) else {
                 return Err(missing_cf_error(cf_id));
             };
             (
                 sequence,
                 Arc::clone(&cf.mem),
                 cf.imm.clone(),
-                cf.versions.current(),
+                Arc::clone(cf.versions.current()),
                 cf.io.clone(),
                 Arc::clone(&cf.vlog.readers),
                 snapshot,
@@ -1492,7 +1491,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             .map(|(id, cf)| {
                 (
                     cf.versions.needs_compaction(),
-                    cf.versions.current_unpinned().level0_len(),
+                    cf.versions.current().level0_len(),
                     *id,
                 )
             })
@@ -2083,8 +2082,8 @@ impl<P: ShapePolicy> EngineCore<P> {
         let dir = catalog::cf_dir(&self.io.db_path, id);
         self.io.env.create_dir_all(&dir)?;
         let io = cf_io(&self.io.env, &dir, &self.io.options);
-        let mut versions = self.policy.new_versions(&io);
-        versions.create_new()?;
+        let mut versions =
+            VersionSet::open(Arc::clone(&io.env), io.db_path.clone(), io.options.clone())?;
         versions.set_last_sequence(state.last_sequence);
         versions.commit_level0(None, Some(state.log_file_number))?;
         let mem_log_number = state.log_file_number;
@@ -2194,7 +2193,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             if scope.is_some_and(|s| s != *id) {
                 continue;
             }
-            let version = cf.versions.current_unpinned();
+            let version = cf.versions.current();
             disk_bytes_live += version.total_bytes();
             num_files += version.num_files() as u64;
             memory += cf.mem.approximate_memory_usage()
@@ -2261,7 +2260,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             .cfs
             .values()
             .map(|cf| {
-                let version = cf.versions.current_unpinned();
+                let version = cf.versions.current();
                 CfStats {
                     id: cf.id,
                     name: cf.name.clone(),
@@ -2285,7 +2284,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             if scope.is_some_and(|s| s != *id) {
                 continue;
             }
-            sizes.extend(cf.versions.current_unpinned().file_sizes());
+            sizes.extend(cf.versions.current().file_sizes());
         }
         sizes
     }

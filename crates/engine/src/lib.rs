@@ -12,7 +12,9 @@
 //!
 //! A policy supplies only what actually differs between tree shapes:
 //!
-//! * which version-set (MANIFEST) format organises the levels,
+//! * the version *shape* — how edits build a version and what a snapshot of
+//!   it enumerates; the MANIFEST format and the version set itself are the
+//!   chassis's ([`version_set`]),
 //! * how point gets and cursors route through a version,
 //! * how compaction jobs are picked, executed and committed, and
 //! * write/read observations (guard selection, seek-triggered compaction).
@@ -28,6 +30,7 @@ pub mod cdc;
 pub mod chassis;
 pub mod meta;
 pub mod policy;
+pub mod version_set;
 pub mod vlog;
 
 pub use cdc::{ChangeLog, TailBatch, TailRead};
@@ -35,7 +38,6 @@ pub use chassis::{
     CfState, ClaimedJob, EngineChangeStream, EngineCore, EngineDb, EngineShared, EngineState,
 };
 pub use meta::{FileMetaData, FileMetaDataEdit};
-pub use policy::{
-    EngineIo, JobClaim, PolicyCtx, ShapePolicy, VersionMeta, VersionOf, VersionSetOps,
-};
+pub use policy::{EngineIo, JobClaim, PolicyCtx, ShapePolicy};
+pub use version_set::{VersionEdit, VersionSet, VersionShape};
 pub use vlog::VlogGcReport;

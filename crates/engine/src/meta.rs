@@ -1,10 +1,11 @@
 //! Sstable metadata shared by every level organization.
 //!
 //! [`FileMetaData`] describes one live table; both the guard-organised FLSM
-//! version set and the sorted-run LSM version set reference tables through
-//! it, so it lives in the chassis crate rather than in either engine.
+//! version and the sorted-run LSM version reference tables through it, so it
+//! lives in the chassis crate rather than in either engine.
 
 use std::sync::atomic::{AtomicI64, Ordering as AtomicOrdering};
+use std::sync::Arc;
 
 use pebblesdb_common::key::InternalKey;
 
@@ -74,6 +75,18 @@ pub struct FileMetaDataEdit {
     pub smallest: Vec<u8>,
     /// Largest internal key.
     pub largest: Vec<u8>,
+}
+
+impl FileMetaDataEdit {
+    /// The live-table metadata this record describes.
+    pub fn to_meta(&self) -> Arc<FileMetaData> {
+        Arc::new(FileMetaData::new(
+            self.number,
+            self.file_size,
+            InternalKey::from_encoded(self.smallest.clone()),
+            InternalKey::from_encoded(self.largest.clone()),
+        ))
+    }
 }
 
 #[cfg(test)]

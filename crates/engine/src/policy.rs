@@ -17,6 +17,7 @@ use pebblesdb_env::Env;
 use pebblesdb_sstable::TableCache;
 
 use crate::meta::FileMetaData;
+use crate::version_set::{VersionSet, VersionShape};
 
 /// The IO handles one column family runs against, shared by the chassis and
 /// its policy: the environment, the family's directory, the open options and
@@ -36,62 +37,6 @@ pub struct EngineIo {
     pub table_cache: Arc<TableCache>,
 }
 
-/// Aggregate facts the chassis needs from a version snapshot, independent of
-/// how the version organises its levels.
-pub trait VersionMeta {
-    /// Number of level-0 files (drives write back-pressure).
-    fn level0_len(&self) -> usize;
-    /// Total bytes across all live files.
-    fn total_bytes(&self) -> u64;
-    /// Total number of live files.
-    fn num_files(&self) -> usize;
-    /// Sizes of every live file.
-    fn file_sizes(&self) -> Vec<u64>;
-    /// Human-readable per-level summary.
-    fn level_summary(&self) -> String;
-}
-
-/// The version-set (MANIFEST) operations the chassis drives. Implemented by
-/// `FlsmVersionSet` (guard-organised levels) and `VersionSet` (sorted runs).
-pub trait VersionSetOps: Send + 'static {
-    /// The immutable snapshot type this set produces.
-    type Version: VersionMeta + Send + Sync + 'static;
-
-    /// Recovers state from the MANIFEST named by `CURRENT`.
-    fn recover(&mut self) -> Result<()>;
-    /// Writes a fresh MANIFEST for an empty database.
-    fn create_new(&mut self) -> Result<()>;
-    /// Write-ahead log number reflected in the current version.
-    fn log_number(&self) -> u64;
-    /// Sequence number of the most recent committed write.
-    fn last_sequence(&self) -> SequenceNumber;
-    /// Publishes a new last sequence (called by the group-commit leader).
-    fn set_last_sequence(&mut self, seq: SequenceNumber);
-    /// Allocates a new file number.
-    fn new_file_number(&mut self) -> u64;
-    /// Marks `number` as used (during recovery).
-    fn mark_file_number_used(&mut self, number: u64);
-    /// The file number of the live MANIFEST.
-    fn manifest_number(&self) -> u64;
-    /// The current version, pinned against file deletion.
-    fn current(&mut self) -> Arc<Self::Version>;
-    /// A read-only peek at the current version without registering a pin.
-    fn current_unpinned(&self) -> &Arc<Self::Version>;
-    /// Live file numbers plus whether a pinned old version contributed.
-    fn live_files_and_pins(&mut self) -> (Vec<u64>, bool);
-    /// Returns `true` if background compaction work is pending.
-    fn needs_compaction(&self) -> bool;
-    /// Commits the only edit shape the chassis itself produces: "switch to
-    /// WAL `log_number`, optionally adding a level-0 table" (WAL rotation at
-    /// open, recovery flushes, memtable flushes). Compaction edits are built
-    /// by the policy, which knows the concrete edit type.
-    fn commit_level0(&mut self, meta: Option<&FileMetaData>, log_number: Option<u64>)
-        -> Result<()>;
-}
-
-/// The version type a policy's version set produces.
-pub type VersionOf<P> = <<P as ShapePolicy>::Versions as VersionSetOps>::Version;
-
 /// A claimed unit of compaction work, with the file numbers the chassis must
 /// reserve: `input_numbers` keep other workers off the same inputs,
 /// `output_numbers` keep the concurrent GC away from on-disk files no
@@ -110,7 +55,7 @@ pub struct JobClaim<J> {
 /// chassis state mutex.
 pub struct PolicyCtx<'a, P: ShapePolicy> {
     /// The engine's version set.
-    pub versions: &'a mut P::Versions,
+    pub versions: &'a mut VersionSet<P::Version>,
     /// The policy's own mutable state (uncommitted guards, compaction
     /// pointers, pending seek requests, ...).
     pub state: &'a mut P::State,
@@ -127,8 +72,8 @@ pub struct PolicyCtx<'a, P: ShapePolicy> {
 /// The same chassis instance drives the FLSM (guards per level) and the
 /// classic LSM (one implicit guard per level) purely through this trait.
 pub trait ShapePolicy: Send + Sync + Sized + 'static {
-    /// The engine's version-set (MANIFEST machinery).
-    type Versions: VersionSetOps;
+    /// The immutable version snapshot: how this shape organises its levels.
+    type Version: VersionShape;
     /// Per-store mutable policy state, kept inside the chassis state mutex.
     type State: Send + 'static;
     /// A fully described unit of compaction work.
@@ -136,8 +81,6 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
 
     /// The engine name reported in benchmark output.
     fn engine_name(&self) -> String;
-    /// Creates the version set for the database directory.
-    fn new_versions(&self, io: &EngineIo) -> Self::Versions;
     /// Creates the initial policy state.
     fn new_state(&self) -> Self::State;
 
@@ -171,7 +114,7 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
     fn get_in_version(
         &self,
         io: &EngineIo,
-        version: &VersionOf<Self>,
+        version: &Self::Version,
         opts: &ReadOptions,
         key: &LookupKey,
     ) -> Result<Option<LookupValue>>;
@@ -181,7 +124,7 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
     fn append_version_iterators(
         &self,
         io: &EngineIo,
-        version: &VersionOf<Self>,
+        version: &Self::Version,
         opts: &ReadOptions,
         children: &mut Vec<Box<dyn DbIterator>>,
     ) -> Result<()>;

@@ -1,0 +1,650 @@
+//! The version set: one MANIFEST record format and one installer for every
+//! tree shape.
+//!
+//! A version is an immutable snapshot of which sstables live where. Every
+//! mutation (memtable flush, compaction) is a [`VersionEdit`] appended to the
+//! MANIFEST log and applied to produce the next version — the LevelDB
+//! descriptor scheme PebblesDB inherits, extended only by the guard record
+//! (section 4.3.1 of the paper). [`VersionSet`] owns CURRENT/MANIFEST
+//! recovery and rewriting, file numbering, log-number/last-sequence
+//! bookkeeping and the tracking of versions readers still hold; a tree shape
+//! plugs in through [`VersionShape`] on its version type.
+//!
+//! # MANIFEST records
+//!
+//! A record is a sequence of tagged fields (tags and levels are varint32,
+//! numbers varint64, keys length-prefixed):
+//!
+//! | tag | field | payload |
+//! |-----|-------|---------|
+//! | 1 | log number | number |
+//! | 2 | next file number | number |
+//! | 3 | last sequence | sequence |
+//! | 4 | deleted file | level, file number |
+//! | 5 | new file | level, file number, file size, smallest key, largest key |
+//! | 7 | new guard (FLSM only) | level, guard key |
+
+use std::cmp::Ordering;
+use std::path::PathBuf;
+use std::sync::{Arc, Weak};
+
+use pebblesdb_common::coding::{put_length_prefixed_slice, put_varint32, put_varint64, Decoder};
+use pebblesdb_common::filename::{current_file_name, descriptor_file_name};
+use pebblesdb_common::key::{compare_internal_keys, SequenceNumber};
+use pebblesdb_common::{Error, Result, StoreOptions};
+use pebblesdb_env::Env;
+use pebblesdb_wal::{LogReader, LogWriter};
+
+use crate::meta::{FileMetaData, FileMetaDataEdit};
+
+/// A record of changes to the file layout, persisted in the MANIFEST.
+#[derive(Debug, Default, Clone)]
+pub struct VersionEdit {
+    /// New write-ahead log number (older logs are no longer needed).
+    pub log_number: Option<u64>,
+    /// Next file number to allocate.
+    pub next_file_number: Option<u64>,
+    /// Last sequence number.
+    pub last_sequence: Option<SequenceNumber>,
+    /// Files removed: `(level, file number)`.
+    pub deleted_files: Vec<(usize, u64)>,
+    /// Files added: `(level, metadata)`. The shape decides where in the level
+    /// a file lands when the version is rebuilt (FLSM: its guards).
+    pub new_files: Vec<(usize, FileMetaDataEdit)>,
+    /// Guard keys committed at a level (FLSM only; they also apply to deeper
+    /// levels, which is re-derived when the version is rebuilt).
+    pub new_guards: Vec<(usize, Vec<u8>)>,
+}
+
+const TAG_LOG_NUMBER: u32 = 1;
+const TAG_NEXT_FILE_NUMBER: u32 = 2;
+const TAG_LAST_SEQUENCE: u32 = 3;
+const TAG_DELETED_FILE: u32 = 4;
+const TAG_NEW_FILE: u32 = 5;
+const TAG_NEW_GUARD: u32 = 7;
+
+impl VersionEdit {
+    /// Serialises the edit for the MANIFEST log.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        if let Some(v) = self.log_number {
+            put_varint32(&mut out, TAG_LOG_NUMBER);
+            put_varint64(&mut out, v);
+        }
+        if let Some(v) = self.next_file_number {
+            put_varint32(&mut out, TAG_NEXT_FILE_NUMBER);
+            put_varint64(&mut out, v);
+        }
+        if let Some(v) = self.last_sequence {
+            put_varint32(&mut out, TAG_LAST_SEQUENCE);
+            put_varint64(&mut out, v);
+        }
+        for (level, number) in &self.deleted_files {
+            put_varint32(&mut out, TAG_DELETED_FILE);
+            put_varint32(&mut out, *level as u32);
+            put_varint64(&mut out, *number);
+        }
+        for (level, file) in &self.new_files {
+            put_varint32(&mut out, TAG_NEW_FILE);
+            put_varint32(&mut out, *level as u32);
+            put_varint64(&mut out, file.number);
+            put_varint64(&mut out, file.file_size);
+            put_length_prefixed_slice(&mut out, &file.smallest);
+            put_length_prefixed_slice(&mut out, &file.largest);
+        }
+        for (level, key) in &self.new_guards {
+            put_varint32(&mut out, TAG_NEW_GUARD);
+            put_varint32(&mut out, *level as u32);
+            put_length_prefixed_slice(&mut out, key);
+        }
+        out
+    }
+
+    /// Decodes an edit from a MANIFEST record.
+    pub fn decode(data: &[u8]) -> Result<VersionEdit> {
+        let mut edit = VersionEdit::default();
+        let mut dec = Decoder::new(data);
+        while !dec.is_empty() {
+            let tag = dec.read_varint32()?;
+            match tag {
+                TAG_LOG_NUMBER => edit.log_number = Some(dec.read_varint64()?),
+                TAG_NEXT_FILE_NUMBER => edit.next_file_number = Some(dec.read_varint64()?),
+                TAG_LAST_SEQUENCE => edit.last_sequence = Some(dec.read_varint64()?),
+                TAG_DELETED_FILE => {
+                    let level = dec.read_varint32()? as usize;
+                    let number = dec.read_varint64()?;
+                    edit.deleted_files.push((level, number));
+                }
+                TAG_NEW_FILE => {
+                    let level = dec.read_varint32()? as usize;
+                    let number = dec.read_varint64()?;
+                    let file_size = dec.read_varint64()?;
+                    let smallest = dec.read_length_prefixed_slice()?.to_vec();
+                    let largest = dec.read_length_prefixed_slice()?.to_vec();
+                    // Every consumer takes the user key of these bounds, which
+                    // panics on anything shorter than the 8-byte trailer; and
+                    // a file whose bounds are inverted covers no key range,
+                    // so no level would hold it.
+                    if smallest.len() < 8
+                        || largest.len() < 8
+                        || compare_internal_keys(&smallest, &largest) == Ordering::Greater
+                    {
+                        return Err(Error::corruption(format!(
+                            "file {number} has malformed key bounds"
+                        )));
+                    }
+                    edit.new_files.push((
+                        level,
+                        FileMetaDataEdit {
+                            number,
+                            file_size,
+                            smallest,
+                            largest,
+                        },
+                    ));
+                }
+                TAG_NEW_GUARD => {
+                    let level = dec.read_varint32()? as usize;
+                    let key = dec.read_length_prefixed_slice()?.to_vec();
+                    edit.new_guards.push((level, key));
+                }
+                other => {
+                    return Err(Error::corruption(format!(
+                        "unknown version edit tag {other}"
+                    )))
+                }
+            }
+        }
+        Ok(edit)
+    }
+
+    /// Records a new file.
+    pub fn add_file(&mut self, level: usize, file: &FileMetaData) {
+        self.new_files.push((
+            level,
+            FileMetaDataEdit {
+                number: file.number,
+                file_size: file.file_size,
+                smallest: file.smallest.encoded().to_vec(),
+                largest: file.largest.encoded().to_vec(),
+            },
+        ));
+    }
+
+    /// Records a deleted file.
+    pub fn delete_file(&mut self, level: usize, number: u64) {
+        self.deleted_files.push((level, number));
+    }
+
+    /// Folds `later` into this edit, so that applying the result once equals
+    /// applying both in order. Recovery replays a whole MANIFEST as one edit
+    /// instead of rebuilding the version once per record.
+    pub fn absorb(&mut self, later: VersionEdit) {
+        self.log_number = later.log_number.or(self.log_number);
+        self.next_file_number = later.next_file_number.or(self.next_file_number);
+        self.last_sequence = later.last_sequence.or(self.last_sequence);
+        for (level, number) in later.deleted_files {
+            // `apply` runs an edit's deletes before its adds, so deleting a
+            // file this edit added has to cancel the add instead.
+            let adds = self.new_files.len();
+            self.new_files
+                .retain(|(l, file)| (*l, file.number) != (level, number));
+            if self.new_files.len() == adds {
+                self.deleted_files.push((level, number));
+            }
+        }
+        self.new_files.extend(later.new_files);
+        self.new_guards.extend(later.new_guards);
+    }
+
+    /// Rejects records no version of `max_levels` levels can hold: a file or
+    /// guard at a level that does not exist (dropping it would silently lose
+    /// an sstable at reopen) and a guard at level 0, which has none. Every
+    /// [`VersionShape::apply`] starts with this check.
+    pub fn check_levels(&self, max_levels: usize) -> Result<()> {
+        let deleted = self.deleted_files.iter().map(|(level, _)| *level);
+        let added = self.new_files.iter().map(|(level, _)| *level);
+        let guards = self.new_guards.iter().map(|(level, _)| *level);
+        if let Some(level) = deleted
+            .chain(added)
+            .chain(guards)
+            .find(|l| *l >= max_levels)
+        {
+            return Err(Error::corruption(format!(
+                "version edit names level {level} of a {max_levels}-level store"
+            )));
+        }
+        if self.new_guards.iter().any(|(level, _)| *level == 0) {
+            return Err(Error::corruption("version edit commits a guard at level 0"));
+        }
+        Ok(())
+    }
+}
+
+/// What a tree shape supplies on its immutable version type: how edits build
+/// the next version, what a full snapshot enumerates, and the aggregate
+/// facts the chassis reads off a version.
+pub trait VersionShape: Sized + Send + Sync + 'static {
+    /// An empty version with `max_levels` levels.
+    fn empty(max_levels: usize) -> Self;
+    /// The version that results from applying `edit` to this one. Fails with
+    /// `Corruption` on an edit the shape cannot hold (see
+    /// [`VersionEdit::check_levels`]); edits come from the MANIFEST as well
+    /// as from the engine.
+    fn apply(&self, edit: &VersionEdit) -> Result<Self>;
+    /// Adds the records that rebuild this version from an empty one.
+    fn snapshot_into(&self, edit: &mut VersionEdit);
+    /// All file numbers referenced by this version.
+    fn live_file_numbers(&self) -> Vec<u64>;
+    /// Returns `true` if background compaction work is pending.
+    fn needs_compaction(&self, options: &StoreOptions) -> bool;
+    /// Checks the shape's structural invariants, describing the first
+    /// violation found. Debug builds run it after every commit.
+    fn validate(&self) -> std::result::Result<(), String>;
+    /// Number of level-0 files (drives write back-pressure).
+    fn level0_len(&self) -> usize;
+    /// Total bytes across all live files.
+    fn total_bytes(&self) -> u64;
+    /// Total number of live files.
+    fn num_files(&self) -> usize;
+    /// Sizes of every live file.
+    fn file_sizes(&self) -> Vec<u64>;
+    /// Human-readable per-level summary.
+    fn level_summary(&self) -> String;
+}
+
+/// Owns the current version, the MANIFEST log and file-number allocation.
+pub struct VersionSet<V: VersionShape> {
+    env: Arc<dyn Env>,
+    db_path: PathBuf,
+    options: StoreOptions,
+    current: Arc<V>,
+    /// Versions that a read or cursor still held when a commit replaced
+    /// them; their files must outlive the holder.
+    replaced: Vec<Weak<V>>,
+    manifest: Option<LogWriter>,
+    manifest_number: u64,
+    next_file_number: u64,
+    last_sequence: SequenceNumber,
+    log_number: u64,
+}
+
+impl<V: VersionShape> VersionSet<V> {
+    /// Opens the version set of the directory `db_path`: recovers from the
+    /// MANIFEST named by `CURRENT` if there is one, starts empty otherwise.
+    /// Either way a fresh full-snapshot MANIFEST is written, which keeps
+    /// recovery time bounded by the edits of one run.
+    pub fn open(env: Arc<dyn Env>, db_path: PathBuf, options: StoreOptions) -> Result<Self> {
+        let mut set = VersionSet {
+            current: Arc::new(V::empty(options.max_levels)),
+            env,
+            db_path,
+            options,
+            replaced: Vec::new(),
+            manifest: None,
+            manifest_number: 1,
+            next_file_number: 2,
+            last_sequence: 0,
+            log_number: 0,
+        };
+        if set.env.file_exists(&current_file_name(&set.db_path)) {
+            set.recover()?;
+        }
+        set.rewrite_manifest()?;
+        Ok(set)
+    }
+
+    /// The current version. A caller that keeps a clone past the state lock
+    /// pins the version's files: the commit that replaces a held version
+    /// starts tracking it (see [`VersionSet::live_files_and_pins`]).
+    pub fn current(&self) -> &Arc<V> {
+        &self.current
+    }
+
+    /// Allocates a new file number.
+    pub fn new_file_number(&mut self) -> u64 {
+        let number = self.next_file_number;
+        self.next_file_number += 1;
+        number
+    }
+
+    /// Marks `number` as used (during recovery).
+    pub fn mark_file_number_used(&mut self, number: u64) {
+        if self.next_file_number <= number {
+            self.next_file_number = number + 1;
+        }
+    }
+
+    /// The file number of the live MANIFEST.
+    pub fn manifest_number(&self) -> u64 {
+        self.manifest_number
+    }
+
+    /// Write-ahead log number whose contents are reflected in `current`.
+    pub fn log_number(&self) -> u64 {
+        self.log_number
+    }
+
+    /// Sequence number of the most recent committed write.
+    pub fn last_sequence(&self) -> SequenceNumber {
+        self.last_sequence
+    }
+
+    /// Publishes a new last sequence (called before a MANIFEST commit).
+    pub fn set_last_sequence(&mut self, seq: SequenceNumber) {
+        self.last_sequence = seq;
+    }
+
+    /// Returns `true` if background compaction work is pending.
+    pub fn needs_compaction(&self) -> bool {
+        self.current.needs_compaction(&self.options)
+    }
+
+    /// Number of replaced versions still tracked because something held them
+    /// when they were replaced (dead entries are pruned by the next commit
+    /// or GC pass).
+    pub fn tracked_versions(&self) -> usize {
+        self.replaced.len()
+    }
+
+    /// File numbers referenced by the current version or any replaced version
+    /// a read or cursor still holds, plus whether such a held version
+    /// contributed. Both facts come from the same observation — a GC that
+    /// keeps a held version's files must also learn that a later pass may
+    /// find more garbage, even if the holder drops immediately afterwards.
+    pub fn live_files_and_pins(&mut self) -> (Vec<u64>, bool) {
+        let mut live = self.current.live_file_numbers();
+        let mut pinned = false;
+        self.replaced.retain(|weak| match weak.upgrade() {
+            Some(version) => {
+                pinned = true;
+                live.extend(version.live_file_numbers());
+                true
+            }
+            None => false,
+        });
+        live.sort_unstable();
+        live.dedup();
+        (live, pinned)
+    }
+
+    /// Recovers state from the MANIFEST named by `CURRENT`.
+    fn recover(&mut self) -> Result<()> {
+        let current = self
+            .env
+            .read_file_to_vec(&current_file_name(&self.db_path))?;
+        let name = String::from_utf8_lossy(&current);
+        let name = name.trim();
+        let manifest_number: u64 = name
+            .strip_prefix("MANIFEST-")
+            .and_then(|n| n.parse().ok())
+            .ok_or_else(|| Error::corruption("CURRENT does not name a manifest"))?;
+        let file = self.env.new_sequential_file(&self.db_path.join(name))?;
+        let mut reader = LogReader::new(file);
+
+        let mut replay = VersionEdit::default();
+        while let Some(record) = reader.read_record()? {
+            replay.absorb(VersionEdit::decode(&record)?);
+        }
+        self.log_number = replay.log_number.unwrap_or(self.log_number);
+        self.next_file_number = replay.next_file_number.unwrap_or(self.next_file_number);
+        self.last_sequence = replay.last_sequence.unwrap_or(self.last_sequence);
+        self.current = Arc::new(self.current.apply(&replay)?);
+        self.mark_file_number_used(manifest_number);
+        Ok(())
+    }
+
+    /// Applies `edit` to the current version, logs it and installs the result.
+    pub fn log_and_apply(&mut self, mut edit: VersionEdit) -> Result<Arc<V>> {
+        if edit.log_number.is_none() {
+            edit.log_number = Some(self.log_number);
+        }
+        edit.next_file_number = Some(self.next_file_number);
+        edit.last_sequence = Some(self.last_sequence);
+
+        let next = Arc::new(self.current.apply(&edit)?);
+        // With concurrent compaction jobs merging their edits through this
+        // serialized path, a violation here means two jobs claimed
+        // overlapping work.
+        #[cfg(debug_assertions)]
+        if let Err(violation) = next.validate() {
+            panic!("version invariant violated after commit: {violation}");
+        }
+
+        let manifest = self.manifest.as_mut().expect("open wrote a MANIFEST");
+        manifest.add_record(&edit.encode())?;
+        manifest.sync()?;
+        if let Some(v) = edit.log_number {
+            self.log_number = v;
+        }
+        let replaced = std::mem::replace(&mut self.current, Arc::clone(&next));
+        // Holders clone `current` under the lock that also guards this call,
+        // so a count of one means nobody can ever reach `replaced` again.
+        self.replaced.retain(|weak| weak.strong_count() > 0);
+        if Arc::strong_count(&replaced) > 1 {
+            self.replaced.push(Arc::downgrade(&replaced));
+        }
+        Ok(next)
+    }
+
+    /// Commits the only edit shape the chassis itself produces: "switch to
+    /// WAL `log_number`, optionally adding a level-0 table" (WAL rotation at
+    /// open, recovery flushes, memtable flushes). Compaction edits are built
+    /// by the policy.
+    pub fn commit_level0(
+        &mut self,
+        meta: Option<&FileMetaData>,
+        log_number: Option<u64>,
+    ) -> Result<()> {
+        let mut edit = VersionEdit {
+            log_number,
+            ..Default::default()
+        };
+        if let Some(meta) = meta {
+            edit.add_file(0, meta);
+        }
+        self.log_and_apply(edit).map(|_| ())
+    }
+
+    /// Writes a new MANIFEST holding a full snapshot of the current state and
+    /// points `CURRENT` at it.
+    fn rewrite_manifest(&mut self) -> Result<()> {
+        let manifest_number = self.new_file_number();
+        let path = descriptor_file_name(&self.db_path, manifest_number);
+        let mut writer = LogWriter::new(self.env.new_writable_file(&path)?);
+
+        let mut snapshot = VersionEdit {
+            next_file_number: Some(self.next_file_number),
+            last_sequence: Some(self.last_sequence),
+            log_number: Some(self.log_number),
+            ..Default::default()
+        };
+        self.current.snapshot_into(&mut snapshot);
+        writer.add_record(&snapshot.encode())?;
+        writer.sync()?;
+        self.manifest = Some(writer);
+        self.manifest_number = manifest_number;
+        self.env.write_string_to_file_sync(
+            &current_file_name(&self.db_path),
+            format!("MANIFEST-{manifest_number:06}\n").as_bytes(),
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pebblesdb_common::key::{InternalKey, ValueType};
+
+    fn file_edit(number: u64, smallest: &str, largest: &str) -> FileMetaDataEdit {
+        FileMetaDataEdit {
+            number,
+            file_size: 1000,
+            smallest: InternalKey::new(smallest.as_bytes(), 9, ValueType::Value)
+                .encoded()
+                .to_vec(),
+            largest: InternalKey::new(largest.as_bytes(), 1, ValueType::Value)
+                .encoded()
+                .to_vec(),
+        }
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// One roundtrip body for what used to be two formats.
+    fn roundtrip(guards: &[(usize, Vec<u8>)]) {
+        let mut edit = VersionEdit {
+            log_number: Some(12),
+            next_file_number: Some(55),
+            last_sequence: Some(9000),
+            new_guards: guards.to_vec(),
+            ..Default::default()
+        };
+        edit.delete_file(2, 40);
+        edit.new_files.push((1, file_edit(41, "a", "m")));
+        let decoded = VersionEdit::decode(&edit.encode()).unwrap();
+        assert_eq!(decoded.log_number, Some(12));
+        assert_eq!(decoded.next_file_number, Some(55));
+        assert_eq!(decoded.last_sequence, Some(9000));
+        assert_eq!(decoded.deleted_files, vec![(2, 40)]);
+        assert_eq!(decoded.new_files.len(), 1);
+        assert_eq!(decoded.new_files[0].0, 1);
+        assert_eq!(decoded.new_files[0].1.number, 41);
+        assert_eq!(
+            decoded.new_files[0].1.smallest,
+            edit.new_files[0].1.smallest
+        );
+        assert_eq!(decoded.new_guards, guards);
+    }
+
+    #[test]
+    fn version_edit_roundtrip() {
+        roundtrip(&[]);
+    }
+
+    #[test]
+    fn edit_roundtrip_including_guards() {
+        roundtrip(&[(1, b"m".to_vec()), (2, b"t".to_vec())]);
+    }
+
+    /// Bytes produced by the per-engine `encode`s this module replaced (the
+    /// FLSM edit carries two guards): both must decode and re-encode
+    /// byte-identically, or existing store directories would not reopen.
+    #[test]
+    fn golden_bytes_of_both_former_formats_roundtrip() {
+        const LSM: &str = "010c02ac0203f0a20404000904028201050183018180040d6170706c65\
+            01090000000000000d6d616e676f007011010000000005038401010801010000000000000a7a7a\
+            0202000000000000";
+        const FLSM_GUARDS: &str = "0701046b69776907030470656172";
+        for hex in [LSM.to_string(), format!("{LSM}{FLSM_GUARDS}")] {
+            let bytes = unhex(&hex);
+            let edit = VersionEdit::decode(&bytes).unwrap();
+            assert_eq!(edit.encode(), bytes);
+            assert_eq!(edit.log_number, Some(12));
+            assert_eq!(edit.next_file_number, Some(300));
+            assert_eq!(edit.last_sequence, Some(70_000));
+            assert_eq!(edit.deleted_files, vec![(0, 9), (2, 130)]);
+            assert_eq!(edit.new_files[0].1.number, 131);
+            assert_eq!(edit.new_files[0].1.file_size, 65_537);
+            assert_eq!(edit.new_files[1].0, 3);
+            assert_eq!(
+                edit.new_files[1].1.largest,
+                InternalKey::new(b"zz", 2, ValueType::ValuePointer).encoded()
+            );
+        }
+        let flsm = VersionEdit::decode(&unhex(&format!("{LSM}{FLSM_GUARDS}"))).unwrap();
+        assert_eq!(
+            flsm.new_guards,
+            vec![(1, b"kiwi".to_vec()), (3, b"pear".to_vec())]
+        );
+    }
+
+    /// Folding keeps "deletes run before adds" true across the fold: a later
+    /// delete cancels an earlier add, a trivial move survives, and the newest
+    /// bookkeeping fields win.
+    #[test]
+    fn absorb_equals_applying_in_order() {
+        let mut first = VersionEdit {
+            log_number: Some(3),
+            last_sequence: Some(10),
+            ..Default::default()
+        };
+        first.new_files.push((1, file_edit(5, "a", "c")));
+        first.new_files.push((1, file_edit(6, "d", "f")));
+        first.new_guards.push((1, b"d".to_vec()));
+        let mut second = VersionEdit {
+            last_sequence: Some(20),
+            ..Default::default()
+        };
+        second.delete_file(1, 5); // cancels the add above
+        second.delete_file(1, 6); // a trivial move of 6 to level 2
+        second.new_files.push((2, file_edit(6, "d", "f")));
+        second.delete_file(0, 2); // not added here: stays a delete
+
+        first.absorb(second);
+        assert_eq!(first.log_number, Some(3));
+        assert_eq!(first.last_sequence, Some(20));
+        assert_eq!(first.deleted_files, vec![(0, 2)]);
+        let added: Vec<(usize, u64)> = first
+            .new_files
+            .iter()
+            .map(|(l, f)| (*l, f.number))
+            .collect();
+        assert_eq!(added, vec![(2, 6)]);
+        assert_eq!(first.new_guards, vec![(1, b"d".to_vec())]);
+    }
+
+    #[test]
+    fn corrupt_edit_is_rejected() {
+        assert!(VersionEdit::decode(&[99, 1, 2, 3]).is_err());
+        // Tag 6 was never written by either engine.
+        assert!(VersionEdit::decode(&[6, 1]).is_err());
+    }
+
+    /// A new-file record whose bounds cannot be internal keys used to reach
+    /// `extract_user_key`'s assert when the version was rebuilt.
+    #[test]
+    fn short_or_inverted_file_bounds_are_corruption() {
+        for len in 0..8 {
+            let mut edit = VersionEdit::default();
+            edit.new_files.push((1, file_edit(7, "a", "b")));
+            edit.new_files[0].1.largest.truncate(len);
+            let err = VersionEdit::decode(&edit.encode()).unwrap_err();
+            assert!(err.is_corruption(), "{len}-byte bound: {err}");
+        }
+        let mut edit = VersionEdit::default();
+        edit.new_files.push((1, file_edit(7, "b", "a")));
+        assert!(VersionEdit::decode(&edit.encode())
+            .unwrap_err()
+            .is_corruption());
+    }
+
+    #[test]
+    fn check_levels_rejects_missing_levels_and_level0_guards() {
+        let mut edit = VersionEdit::default();
+        edit.new_files.push((6, file_edit(7, "a", "b")));
+        edit.delete_file(6, 3);
+        edit.new_guards.push((6, b"g".to_vec()));
+        assert!(edit.check_levels(7).is_ok());
+        assert!(edit.check_levels(6).unwrap_err().is_corruption());
+
+        for field in 0..3 {
+            let mut edit = VersionEdit::default();
+            match field {
+                0 => edit.new_files.push((4, file_edit(7, "a", "b"))),
+                1 => edit.delete_file(4, 3),
+                _ => edit.new_guards.push((4, b"g".to_vec())),
+            }
+            assert!(edit.check_levels(4).unwrap_err().is_corruption());
+        }
+
+        let mut edit = VersionEdit::default();
+        edit.new_guards.push((0, b"g".to_vec()));
+        assert!(edit.check_levels(7).unwrap_err().is_corruption());
+    }
+}

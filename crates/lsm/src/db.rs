@@ -28,11 +28,13 @@ use pebblesdb_common::{
     CfStats, ColumnFamilyHandle, Db, Error, KvStore, ReadOptions, Result, StoreOptions,
     StorePreset, StoreStats, WriteBatch, WriteOptions,
 };
-use pebblesdb_engine::{EngineDb, EngineIo, FileMetaData, JobClaim, PolicyCtx, ShapePolicy};
+use pebblesdb_engine::{
+    EngineDb, EngineIo, FileMetaData, JobClaim, PolicyCtx, ShapePolicy, VersionEdit, VersionShape,
+};
 use pebblesdb_env::Env;
 use pebblesdb_sstable::TableBuilder;
 
-use crate::version::{FileMetaDataEdit, Version, VersionEdit, VersionSet};
+use crate::version::Version;
 
 /// The leveled-compaction shape: one implicit guard per level.
 pub struct LsmPolicy {
@@ -67,16 +69,12 @@ impl LsmCompactionJob {
 }
 
 impl ShapePolicy for LsmPolicy {
-    type Versions = VersionSet;
+    type Version = Version;
     type State = LsmPolicyState;
     type Job = LsmCompactionJob;
 
     fn engine_name(&self) -> String {
         self.preset.name().to_string()
-    }
-
-    fn new_versions(&self, io: &EngineIo) -> VersionSet {
-        VersionSet::new(Arc::clone(&io.env), io.db_path.clone(), io.options.clone())
     }
 
     fn new_state(&self) -> LsmPolicyState {
@@ -140,8 +138,8 @@ impl ShapePolicy for LsmPolicy {
         if !ctx.claimed_inputs.is_empty() {
             return None;
         }
-        let (level, _score) = ctx.versions.pick_compaction_level()?;
-        let version = ctx.versions.current();
+        let version = Arc::clone(ctx.versions.current());
+        let (level, _score) = version.pick_compaction_level(&self.options)?;
 
         let inputs: Vec<Arc<FileMetaData>> = if level == 0 {
             // Compact the whole of level 0 in one go (HyperLevelDB-style
@@ -237,15 +235,7 @@ impl ShapePolicy for LsmPolicy {
             let file = &job.inputs[0];
             let mut edit = VersionEdit::default();
             edit.delete_file(job.level, file.number);
-            edit.new_files.push((
-                job.level + 1,
-                FileMetaDataEdit {
-                    number: file.number,
-                    file_size: file.file_size,
-                    smallest: file.smallest.encoded().to_vec(),
-                    largest: file.largest.encoded().to_vec(),
-                },
-            ));
+            edit.add_file(job.level + 1, file);
             ctx.state.compact_pointer[job.level] = file.largest.encoded().to_vec();
             ctx.versions.log_and_apply(edit)?;
             return Ok((0, 0));

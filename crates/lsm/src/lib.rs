@@ -30,7 +30,7 @@ pub mod version;
 pub use db::{LsmDb, LsmPolicy};
 pub use iter::LevelConcatIterator;
 pub use pebblesdb_common::{StoreOptions, StorePreset};
-pub use version::{FileMetaData, Version, VersionEdit, VersionSet};
+pub use version::{FileMetaData, Version};
 
 #[cfg(test)]
 mod tests {

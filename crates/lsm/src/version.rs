@@ -1,141 +1,24 @@
-//! Versions, version edits and the version set (MANIFEST machinery).
+//! The leveled version: sorted runs of disjoint sstables per level.
 //!
 //! A [`Version`] is an immutable snapshot of which sstables live at which
 //! level. Mutations (memtable flushes, compactions) are described by
-//! [`VersionEdit`]s which are appended to the MANIFEST log and applied to
-//! produce the next version — the standard LevelDB descriptor scheme that
-//! PebblesDB inherits (and extends with guard metadata in the `pebblesdb`
-//! crate).
+//! [`VersionEdit`]s which the chassis's version set
+//! ([`pebblesdb_engine::version_set`]) appends to the MANIFEST log and
+//! applies to produce the next version — the standard LevelDB descriptor
+//! scheme that PebblesDB inherits (and extends with guard records for the
+//! `pebblesdb` crate's shape). This module supplies the leveled shape.
 
-use std::path::PathBuf;
-use std::sync::{Arc, Weak};
+use std::cmp::Ordering;
+use std::sync::Arc;
 
-use pebblesdb_common::coding::put_length_prefixed_slice;
-use pebblesdb_common::coding::{put_varint32, put_varint64, Decoder};
-use pebblesdb_common::filename::{current_file_name, descriptor_file_name};
-use pebblesdb_common::key::{compare_internal_keys, InternalKey, LookupKey, SequenceNumber};
+use pebblesdb_common::key::{compare_internal_keys, LookupKey, SequenceNumber};
 use pebblesdb_common::key::{parse_internal_key, ValueType};
 use pebblesdb_common::vlog::{LookupValue, ValuePointer};
 use pebblesdb_common::{Error, ReadOptions, Result, StoreOptions};
-use pebblesdb_engine::policy::{VersionMeta, VersionSetOps};
-use pebblesdb_env::Env;
+use pebblesdb_engine::{VersionEdit, VersionShape};
 use pebblesdb_sstable::TableCache;
-use pebblesdb_wal::{LogReader, LogWriter};
 
 pub use pebblesdb_engine::meta::{FileMetaData, FileMetaDataEdit};
-
-/// A record of changes to the file set, persisted in the MANIFEST.
-#[derive(Debug, Default, Clone)]
-pub struct VersionEdit {
-    /// New write-ahead log number (older logs are no longer needed).
-    pub log_number: Option<u64>,
-    /// Next file number to allocate.
-    pub next_file_number: Option<u64>,
-    /// Last sequence number.
-    pub last_sequence: Option<SequenceNumber>,
-    /// Files removed: `(level, file number)`.
-    pub deleted_files: Vec<(usize, u64)>,
-    /// Files added: `(level, metadata)`.
-    pub new_files: Vec<(usize, FileMetaDataEdit)>,
-}
-
-const TAG_LOG_NUMBER: u32 = 1;
-const TAG_NEXT_FILE_NUMBER: u32 = 2;
-const TAG_LAST_SEQUENCE: u32 = 3;
-const TAG_DELETED_FILE: u32 = 4;
-const TAG_NEW_FILE: u32 = 5;
-
-impl VersionEdit {
-    /// Serialises the edit for the MANIFEST log.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        if let Some(v) = self.log_number {
-            put_varint32(&mut out, TAG_LOG_NUMBER);
-            put_varint64(&mut out, v);
-        }
-        if let Some(v) = self.next_file_number {
-            put_varint32(&mut out, TAG_NEXT_FILE_NUMBER);
-            put_varint64(&mut out, v);
-        }
-        if let Some(v) = self.last_sequence {
-            put_varint32(&mut out, TAG_LAST_SEQUENCE);
-            put_varint64(&mut out, v);
-        }
-        for (level, number) in &self.deleted_files {
-            put_varint32(&mut out, TAG_DELETED_FILE);
-            put_varint32(&mut out, *level as u32);
-            put_varint64(&mut out, *number);
-        }
-        for (level, file) in &self.new_files {
-            put_varint32(&mut out, TAG_NEW_FILE);
-            put_varint32(&mut out, *level as u32);
-            put_varint64(&mut out, file.number);
-            put_varint64(&mut out, file.file_size);
-            put_length_prefixed_slice(&mut out, &file.smallest);
-            put_length_prefixed_slice(&mut out, &file.largest);
-        }
-        out
-    }
-
-    /// Decodes an edit from a MANIFEST record.
-    pub fn decode(data: &[u8]) -> Result<VersionEdit> {
-        let mut edit = VersionEdit::default();
-        let mut dec = Decoder::new(data);
-        while !dec.is_empty() {
-            let tag = dec.read_varint32()?;
-            match tag {
-                TAG_LOG_NUMBER => edit.log_number = Some(dec.read_varint64()?),
-                TAG_NEXT_FILE_NUMBER => edit.next_file_number = Some(dec.read_varint64()?),
-                TAG_LAST_SEQUENCE => edit.last_sequence = Some(dec.read_varint64()?),
-                TAG_DELETED_FILE => {
-                    let level = dec.read_varint32()? as usize;
-                    let number = dec.read_varint64()?;
-                    edit.deleted_files.push((level, number));
-                }
-                TAG_NEW_FILE => {
-                    let level = dec.read_varint32()? as usize;
-                    let number = dec.read_varint64()?;
-                    let file_size = dec.read_varint64()?;
-                    let smallest = dec.read_length_prefixed_slice()?.to_vec();
-                    let largest = dec.read_length_prefixed_slice()?.to_vec();
-                    edit.new_files.push((
-                        level,
-                        FileMetaDataEdit {
-                            number,
-                            file_size,
-                            smallest,
-                            largest,
-                        },
-                    ));
-                }
-                other => {
-                    return Err(Error::corruption(format!(
-                        "unknown version edit tag {other}"
-                    )))
-                }
-            }
-        }
-        Ok(edit)
-    }
-
-    /// Convenience helper to record a new file.
-    pub fn add_file(&mut self, level: usize, file: &FileMetaData) {
-        self.new_files.push((
-            level,
-            FileMetaDataEdit {
-                number: file.number,
-                file_size: file.file_size,
-                smallest: file.smallest.encoded().to_vec(),
-                largest: file.largest.encoded().to_vec(),
-            },
-        ));
-    }
-
-    /// Convenience helper to record a deleted file.
-    pub fn delete_file(&mut self, level: usize, number: u64) {
-        self.deleted_files.push((level, number));
-    }
-}
 
 /// An immutable snapshot of the files at every level.
 #[derive(Debug)]
@@ -146,13 +29,6 @@ pub struct Version {
 }
 
 impl Version {
-    /// Creates an empty version with `levels` levels.
-    pub fn new(levels: usize) -> Self {
-        Version {
-            files: vec![Vec::new(); levels],
-        }
-    }
-
     /// Number of levels.
     pub fn num_levels(&self) -> usize {
         self.files.len()
@@ -161,26 +37,6 @@ impl Version {
     /// Total bytes stored at `level`.
     pub fn level_bytes(&self, level: usize) -> u64 {
         self.files[level].iter().map(|f| f.file_size).sum()
-    }
-
-    /// Total number of live files.
-    pub fn num_files(&self) -> usize {
-        self.files.iter().map(|l| l.len()).sum()
-    }
-
-    /// Total bytes across all live files.
-    pub fn total_bytes(&self) -> u64 {
-        self.files.iter().flatten().map(|f| f.file_size).sum()
-    }
-
-    /// Sizes of every live file.
-    pub fn file_sizes(&self) -> Vec<u64> {
-        self.files.iter().flatten().map(|f| f.file_size).collect()
-    }
-
-    /// All file numbers referenced by this version.
-    pub fn live_file_numbers(&self) -> Vec<u64> {
-        self.files.iter().flatten().map(|f| f.number).collect()
     }
 
     /// The files at `level` whose user-key range overlaps `[begin, end]`.
@@ -311,9 +167,115 @@ impl Version {
         }
     }
 
-    /// Human-readable summary of files per level (for debugging and the
-    /// `compare_engines` example).
-    pub fn level_summary(&self) -> String {
+    /// Returns the level with the highest compaction score, if any level is
+    /// over budget. Level 0 is scored by file count, deeper levels by bytes.
+    pub fn pick_compaction_level(&self, options: &StoreOptions) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for level in 0..self.num_levels() - 1 {
+            let score = if level == 0 {
+                self.files[0].len() as f64 / options.level0_compaction_trigger as f64
+            } else {
+                self.level_bytes(level) as f64 / options.max_bytes_for_level(level) as f64
+            };
+            if score >= 1.0 && best.map(|(_, s)| score > s).unwrap_or(true) {
+                best = Some((level, score));
+            }
+        }
+        best
+    }
+}
+
+impl VersionShape for Version {
+    fn empty(max_levels: usize) -> Self {
+        Version {
+            files: vec![Vec::new(); max_levels],
+        }
+    }
+
+    /// Applies the edit's deletes, then its adds, and restores per-level
+    /// ordering (files are shared with `self` via `Arc`).
+    fn apply(&self, edit: &VersionEdit) -> Result<Self> {
+        edit.check_levels(self.num_levels())?;
+        if !edit.new_guards.is_empty() {
+            return Err(Error::corruption(
+                "guard record (tag 7) in the MANIFEST of a leveled store",
+            ));
+        }
+        let mut files = self.files.clone();
+        for (level, number) in &edit.deleted_files {
+            files[*level].retain(|f| f.number != *number);
+        }
+        for (level, file) in &edit.new_files {
+            files[*level].push(file.to_meta());
+        }
+        for (level, files) in files.iter_mut().enumerate() {
+            if level == 0 {
+                files.sort_by_key(|f| std::cmp::Reverse(f.number));
+            } else {
+                files.sort_by(|a, b| {
+                    compare_internal_keys(a.smallest.encoded(), b.smallest.encoded())
+                });
+            }
+        }
+        let version = Version { files };
+        // Reads binary-search the deeper levels, so an edit that makes two
+        // of their files overlap would hide keys rather than fail.
+        version.validate().map_err(Error::corruption)?;
+        Ok(version)
+    }
+
+    fn snapshot_into(&self, edit: &mut VersionEdit) {
+        for (level, files) in self.files.iter().enumerate() {
+            for file in files {
+                edit.add_file(level, file);
+            }
+        }
+    }
+
+    fn live_file_numbers(&self) -> Vec<u64> {
+        self.files.iter().flatten().map(|f| f.number).collect()
+    }
+
+    fn needs_compaction(&self, options: &StoreOptions) -> bool {
+        self.pick_compaction_level(options).is_some()
+    }
+
+    /// Every level from 1 down is a sorted run of files disjoint by internal
+    /// key.
+    fn validate(&self) -> std::result::Result<(), String> {
+        for (level, files) in self.files.iter().enumerate().skip(1) {
+            for pair in files.windows(2) {
+                if compare_internal_keys(pair[0].largest.encoded(), pair[1].smallest.encoded())
+                    != Ordering::Less
+                {
+                    return Err(format!(
+                        "L{level}: files {} and {} overlap",
+                        pair[0].number, pair[1].number
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn level0_len(&self) -> usize {
+        self.files[0].len()
+    }
+
+    fn total_bytes(&self) -> u64 {
+        self.files.iter().flatten().map(|f| f.file_size).sum()
+    }
+
+    fn num_files(&self) -> usize {
+        self.files.iter().map(|l| l.len()).sum()
+    }
+
+    fn file_sizes(&self) -> Vec<u64> {
+        self.files.iter().flatten().map(|f| f.file_size).collect()
+    }
+
+    /// Files per level (for debugging and the `compare_engines` example).
+    fn level_summary(&self) -> String {
         let counts: Vec<String> = self
             .files
             .iter()
@@ -324,376 +286,10 @@ impl Version {
     }
 }
 
-/// Owns the current [`Version`], the MANIFEST log and file-number allocation.
-pub struct VersionSet {
-    env: Arc<dyn Env>,
-    db_path: PathBuf,
-    options: StoreOptions,
-    current: Arc<Version>,
-    live_versions: Vec<Weak<Version>>,
-    manifest: Option<LogWriter>,
-    manifest_number: u64,
-    next_file_number: u64,
-    /// Sequence number of the most recent write.
-    pub last_sequence: SequenceNumber,
-    /// Write-ahead log number whose contents are reflected in `current`.
-    pub log_number: u64,
-}
-
-impl VersionSet {
-    /// Creates a version set for a database directory.
-    pub fn new(env: Arc<dyn Env>, db_path: PathBuf, options: StoreOptions) -> Self {
-        let levels = options.max_levels;
-        VersionSet {
-            env,
-            db_path,
-            options,
-            current: Arc::new(Version::new(levels)),
-            live_versions: Vec::new(),
-            manifest: None,
-            manifest_number: 1,
-            next_file_number: 2,
-            last_sequence: 0,
-            log_number: 0,
-        }
-    }
-
-    /// The current version.
-    pub fn current(&mut self) -> Arc<Version> {
-        let version = Arc::clone(&self.current);
-        self.live_versions.push(Arc::downgrade(&version));
-        version
-    }
-
-    /// A read-only peek at the current version without registering a pin.
-    pub fn current_unpinned(&self) -> &Arc<Version> {
-        &self.current
-    }
-
-    /// Allocates a new file number.
-    pub fn new_file_number(&mut self) -> u64 {
-        let number = self.next_file_number;
-        self.next_file_number += 1;
-        number
-    }
-
-    /// Marks `number` as used (during recovery).
-    pub fn mark_file_number_used(&mut self, number: u64) {
-        if self.next_file_number <= number {
-            self.next_file_number = number + 1;
-        }
-    }
-
-    /// File numbers referenced by the current version or any version still
-    /// pinned by an in-flight read.
-    pub fn all_live_file_numbers(&mut self) -> Vec<u64> {
-        self.live_files_and_pins().0
-    }
-
-    /// File numbers referenced by the current version or any pinned version,
-    /// plus whether a version *other than* `current` contributed (a read or
-    /// cursor still pins it). Both facts come from the same observation of
-    /// the pin list — a GC that keeps a pinned version's files must also
-    /// learn that a later pass may find more garbage, even if the pin drops
-    /// immediately afterwards.
-    pub fn live_files_and_pins(&mut self) -> (Vec<u64>, bool) {
-        let mut live: Vec<u64> = self.current.live_file_numbers();
-        self.live_versions.retain(|weak| weak.strong_count() > 0);
-        let mut pinned = false;
-        for weak in &self.live_versions {
-            if let Some(version) = weak.upgrade() {
-                if !Arc::ptr_eq(&version, &self.current) {
-                    pinned = true;
-                    live.extend(version.live_file_numbers());
-                }
-            }
-        }
-        live.sort_unstable();
-        live.dedup();
-        (live, pinned)
-    }
-
-    /// Writes a fresh MANIFEST describing an empty database.
-    pub fn create_new(&mut self) -> Result<()> {
-        let manifest_number = self.new_file_number();
-        let path = descriptor_file_name(&self.db_path, manifest_number);
-        let file = self.env.new_writable_file(&path)?;
-        let mut writer = LogWriter::new(file);
-        let edit = VersionEdit {
-            next_file_number: Some(self.next_file_number),
-            last_sequence: Some(self.last_sequence),
-            log_number: Some(self.log_number),
-            ..Default::default()
-        };
-        writer.add_record(&edit.encode())?;
-        writer.sync()?;
-        self.manifest = Some(writer);
-        self.manifest_number = manifest_number;
-        self.env.write_string_to_file_sync(
-            &current_file_name(&self.db_path),
-            format!("MANIFEST-{manifest_number:06}\n").as_bytes(),
-        )?;
-        Ok(())
-    }
-
-    /// Recovers state from the MANIFEST named by `CURRENT`.
-    pub fn recover(&mut self) -> Result<()> {
-        let current = self
-            .env
-            .read_file_to_vec(&current_file_name(&self.db_path))?;
-        let name = String::from_utf8_lossy(&current);
-        let name = name.trim();
-        let manifest_number: u64 = name
-            .strip_prefix("MANIFEST-")
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| Error::corruption("CURRENT does not name a manifest"))?;
-        let path = self.db_path.join(name);
-        let file = self.env.new_sequential_file(&path)?;
-        let mut reader = LogReader::new(file);
-
-        let mut builder = VersionBuilder::new(Version::new(self.options.max_levels));
-        while let Some(record) = reader.read_record()? {
-            let edit = VersionEdit::decode(&record)?;
-            if let Some(v) = edit.log_number {
-                self.log_number = v;
-            }
-            if let Some(v) = edit.next_file_number {
-                self.next_file_number = v;
-            }
-            if let Some(v) = edit.last_sequence {
-                self.last_sequence = v;
-            }
-            builder.apply(&edit);
-        }
-        self.current = Arc::new(builder.finish());
-        self.manifest_number = manifest_number;
-        self.mark_file_number_used(manifest_number);
-
-        // Continue appending to a fresh manifest to keep recovery simple.
-        self.rewrite_manifest()?;
-        Ok(())
-    }
-
-    /// Applies `edit` to the current version, logs it and installs the result.
-    pub fn log_and_apply(&mut self, mut edit: VersionEdit) -> Result<Arc<Version>> {
-        if edit.log_number.is_none() {
-            edit.log_number = Some(self.log_number);
-        }
-        edit.next_file_number = Some(self.next_file_number);
-        edit.last_sequence = Some(self.last_sequence);
-
-        let mut builder = VersionBuilder::from_version(&self.current);
-        builder.apply(&edit);
-        let next = Arc::new(builder.finish());
-
-        if self.manifest.is_none() {
-            self.rewrite_manifest()?;
-        }
-        if let Some(manifest) = self.manifest.as_mut() {
-            manifest.add_record(&edit.encode())?;
-            manifest.sync()?;
-        }
-        if let Some(v) = edit.log_number {
-            self.log_number = v;
-        }
-        self.current = Arc::clone(&next);
-        Ok(next)
-    }
-
-    /// Writes a new MANIFEST containing a full snapshot of the current state.
-    fn rewrite_manifest(&mut self) -> Result<()> {
-        let manifest_number = self.new_file_number();
-        let path = descriptor_file_name(&self.db_path, manifest_number);
-        let file = self.env.new_writable_file(&path)?;
-        let mut writer = LogWriter::new(file);
-
-        let mut snapshot = VersionEdit {
-            next_file_number: Some(self.next_file_number),
-            last_sequence: Some(self.last_sequence),
-            log_number: Some(self.log_number),
-            ..Default::default()
-        };
-        for (level, files) in self.current.files.iter().enumerate() {
-            for file in files {
-                snapshot.add_file(level, file);
-            }
-        }
-        writer.add_record(&snapshot.encode())?;
-        writer.sync()?;
-        self.manifest = Some(writer);
-        self.manifest_number = manifest_number;
-        self.env.write_string_to_file_sync(
-            &current_file_name(&self.db_path),
-            format!("MANIFEST-{manifest_number:06}\n").as_bytes(),
-        )?;
-        Ok(())
-    }
-
-    /// Returns the level with the highest compaction score, if any level is
-    /// over budget. Level 0 is scored by file count, deeper levels by bytes.
-    pub fn pick_compaction_level(&self) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for level in 0..self.current.num_levels() - 1 {
-            let score = if level == 0 {
-                self.current.files[0].len() as f64 / self.options.level0_compaction_trigger as f64
-            } else {
-                self.current.level_bytes(level) as f64
-                    / self.options.max_bytes_for_level(level) as f64
-            };
-            if score >= 1.0 && best.map(|(_, s)| score > s).unwrap_or(true) {
-                best = Some((level, score));
-            }
-        }
-        best
-    }
-
-    /// Returns `true` if any level is over its compaction budget.
-    pub fn needs_compaction(&self) -> bool {
-        self.pick_compaction_level().is_some()
-    }
-
-    /// The file number of the live MANIFEST.
-    pub fn manifest_number(&self) -> u64 {
-        self.manifest_number
-    }
-
-    /// The database options (shared with compaction code).
-    pub fn options(&self) -> &StoreOptions {
-        &self.options
-    }
-}
-
-impl VersionMeta for Version {
-    fn level0_len(&self) -> usize {
-        self.files[0].len()
-    }
-    fn total_bytes(&self) -> u64 {
-        Version::total_bytes(self)
-    }
-    fn num_files(&self) -> usize {
-        Version::num_files(self)
-    }
-    fn file_sizes(&self) -> Vec<u64> {
-        Version::file_sizes(self)
-    }
-    fn level_summary(&self) -> String {
-        Version::level_summary(self)
-    }
-}
-
-impl VersionSetOps for VersionSet {
-    type Version = Version;
-
-    fn recover(&mut self) -> Result<()> {
-        VersionSet::recover(self)
-    }
-    fn create_new(&mut self) -> Result<()> {
-        VersionSet::create_new(self)
-    }
-    fn log_number(&self) -> u64 {
-        self.log_number
-    }
-    fn last_sequence(&self) -> SequenceNumber {
-        self.last_sequence
-    }
-    fn set_last_sequence(&mut self, seq: SequenceNumber) {
-        self.last_sequence = seq;
-    }
-    fn new_file_number(&mut self) -> u64 {
-        VersionSet::new_file_number(self)
-    }
-    fn mark_file_number_used(&mut self, number: u64) {
-        VersionSet::mark_file_number_used(self, number)
-    }
-    fn manifest_number(&self) -> u64 {
-        VersionSet::manifest_number(self)
-    }
-    fn current(&mut self) -> Arc<Version> {
-        VersionSet::current(self)
-    }
-    fn current_unpinned(&self) -> &Arc<Version> {
-        VersionSet::current_unpinned(self)
-    }
-    fn live_files_and_pins(&mut self) -> (Vec<u64>, bool) {
-        VersionSet::live_files_and_pins(self)
-    }
-    fn needs_compaction(&self) -> bool {
-        VersionSet::needs_compaction(self)
-    }
-    fn commit_level0(
-        &mut self,
-        meta: Option<&FileMetaData>,
-        log_number: Option<u64>,
-    ) -> Result<()> {
-        let mut edit = VersionEdit {
-            log_number,
-            ..Default::default()
-        };
-        if let Some(meta) = meta {
-            edit.add_file(0, meta);
-        }
-        self.log_and_apply(edit).map(|_| ())
-    }
-}
-
-/// Applies a sequence of edits to a base version.
-pub struct VersionBuilder {
-    files: Vec<Vec<Arc<FileMetaData>>>,
-}
-
-impl VersionBuilder {
-    /// Starts from an empty version.
-    pub fn new(base: Version) -> Self {
-        VersionBuilder { files: base.files }
-    }
-
-    /// Starts from an existing version (files are shared via `Arc`).
-    pub fn from_version(base: &Version) -> Self {
-        VersionBuilder {
-            files: base.files.clone(),
-        }
-    }
-
-    /// Applies one edit.
-    pub fn apply(&mut self, edit: &VersionEdit) {
-        for (level, number) in &edit.deleted_files {
-            if *level < self.files.len() {
-                self.files[*level].retain(|f| f.number != *number);
-            }
-        }
-        for (level, file) in &edit.new_files {
-            if *level < self.files.len() {
-                let meta = Arc::new(FileMetaData::new(
-                    file.number,
-                    file.file_size,
-                    InternalKey::from_encoded(file.smallest.clone()),
-                    InternalKey::from_encoded(file.largest.clone()),
-                ));
-                self.files[*level].push(meta);
-            }
-        }
-    }
-
-    /// Produces the resulting version with per-level ordering restored.
-    pub fn finish(mut self) -> Version {
-        for (level, files) in self.files.iter_mut().enumerate() {
-            if level == 0 {
-                files.sort_by_key(|f| std::cmp::Reverse(f.number));
-            } else {
-                files.sort_by(|a, b| {
-                    compare_internal_keys(a.smallest.encoded(), b.smallest.encoded())
-                });
-            }
-        }
-        Version { files: self.files }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pebblesdb_common::key::ValueType;
-    use pebblesdb_env::MemEnv;
+    use pebblesdb_common::key::{InternalKey, ValueType};
 
     fn ikey(user: &str, seq: u64) -> InternalKey {
         InternalKey::new(user.as_bytes(), seq, ValueType::Value)
@@ -709,43 +305,18 @@ mod tests {
     }
 
     #[test]
-    fn version_edit_roundtrip() {
-        let mut edit = VersionEdit {
-            log_number: Some(12),
-            next_file_number: Some(55),
-            last_sequence: Some(9000),
-            ..Default::default()
-        };
-        edit.deleted_files.push((2, 40));
-        edit.new_files.push((1, meta(41, "a", "m")));
-        let decoded = VersionEdit::decode(&edit.encode()).unwrap();
-        assert_eq!(decoded.log_number, Some(12));
-        assert_eq!(decoded.next_file_number, Some(55));
-        assert_eq!(decoded.last_sequence, Some(9000));
-        assert_eq!(decoded.deleted_files, vec![(2, 40)]);
-        assert_eq!(decoded.new_files.len(), 1);
-        assert_eq!(decoded.new_files[0].0, 1);
-        assert_eq!(decoded.new_files[0].1.number, 41);
-    }
-
-    #[test]
-    fn corrupt_edit_is_rejected() {
-        assert!(VersionEdit::decode(&[99, 1, 2, 3]).is_err());
-    }
-
-    #[test]
     fn builder_applies_adds_and_deletes_in_order() {
-        let mut builder = VersionBuilder::new(Version::new(7));
         let mut edit = VersionEdit::default();
         edit.new_files.push((1, meta(10, "k", "p")));
         edit.new_files.push((1, meta(11, "a", "e")));
         edit.new_files.push((0, meta(12, "c", "z")));
-        builder.apply(&edit);
         let mut second = VersionEdit::default();
         second.deleted_files.push((1, 10));
         second.new_files.push((2, meta(13, "q", "t")));
-        builder.apply(&second);
-        let version = builder.finish();
+        let version = Version::empty(7)
+            .apply(&edit)
+            .and_then(|v| v.apply(&second))
+            .unwrap();
         assert_eq!(version.files[0].len(), 1);
         assert_eq!(version.files[1].len(), 1);
         assert_eq!(version.files[1][0].number, 11);
@@ -760,14 +331,12 @@ mod tests {
 
     #[test]
     fn overlapping_inputs_expands_level0_ranges() {
-        let mut builder = VersionBuilder::new(Version::new(7));
         let mut edit = VersionEdit::default();
         // Two overlapping level-0 files and one detached one.
         edit.new_files.push((0, meta(1, "a", "f")));
         edit.new_files.push((0, meta(2, "e", "k")));
         edit.new_files.push((0, meta(3, "x", "z")));
-        builder.apply(&edit);
-        let version = builder.finish();
+        let version = Version::empty(7).apply(&edit).unwrap();
         let inputs = version.overlapping_inputs(0, Some(b"a"), Some(b"b"));
         // Picking "a".."b" pulls in file 1; expansion to file 1's range pulls
         // in file 2 because they overlap at "e"/"f".
@@ -777,44 +346,18 @@ mod tests {
     }
 
     #[test]
-    fn version_set_persists_and_recovers_state() {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let db = PathBuf::from("/db");
-        env.create_dir_all(&db).unwrap();
-        let opts = StoreOptions::default();
-
-        let mut vs = VersionSet::new(Arc::clone(&env), db.clone(), opts.clone());
-        vs.create_new().unwrap();
-        vs.last_sequence = 777;
-        let mut edit = VersionEdit::default();
-        edit.new_files.push((1, meta(9, "a", "z")));
-        vs.log_and_apply(edit).unwrap();
-
-        let mut recovered = VersionSet::new(Arc::clone(&env), db, opts);
-        recovered.recover().unwrap();
-        assert_eq!(recovered.last_sequence, 777);
-        assert_eq!(recovered.current_unpinned().files[1].len(), 1);
-        assert_eq!(recovered.current_unpinned().files[1][0].number, 9);
-        assert!(recovered.next_file_number > 9 || recovered.next_file_number > 2);
-    }
-
-    #[test]
     fn compaction_scores_trigger_on_level0_count_and_level_bytes() {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let db = PathBuf::from("/db2");
-        env.create_dir_all(&db).unwrap();
         let mut opts = StoreOptions::default();
         opts.level0_compaction_trigger = 2;
         opts.base_level_bytes = 1500;
-        let mut vs = VersionSet::new(env, db, opts);
-        vs.create_new().unwrap();
-        assert!(!vs.needs_compaction());
+        let version = Version::empty(opts.max_levels);
+        assert!(!version.needs_compaction(&opts));
 
         let mut edit = VersionEdit::default();
         edit.new_files.push((0, meta(10, "a", "b")));
         edit.new_files.push((0, meta(11, "c", "d")));
-        vs.log_and_apply(edit).unwrap();
-        let (level, score) = vs.pick_compaction_level().unwrap();
+        let version = version.apply(&edit).unwrap();
+        let (level, score) = version.pick_compaction_level(&opts).unwrap();
         assert_eq!(level, 0);
         assert!(score >= 1.0);
 
@@ -824,36 +367,23 @@ mod tests {
         edit.deleted_files.push((0, 11));
         edit.new_files.push((1, meta(12, "a", "b")));
         edit.new_files.push((1, meta(13, "c", "d")));
-        vs.log_and_apply(edit).unwrap();
-        let (level, _) = vs.pick_compaction_level().unwrap();
+        let version = version.apply(&edit).unwrap();
+        let (level, _) = version.pick_compaction_level(&opts).unwrap();
         assert_eq!(level, 1);
     }
 
     #[test]
-    fn live_file_numbers_include_pinned_versions() {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let db = PathBuf::from("/db3");
-        env.create_dir_all(&db).unwrap();
-        let mut vs = VersionSet::new(env, db, StoreOptions::default());
-        vs.create_new().unwrap();
-
+    fn overlapping_files_within_a_deeper_level_are_corruption() {
         let mut edit = VersionEdit::default();
-        edit.new_files.push((1, meta(20, "a", "c")));
-        vs.log_and_apply(edit).unwrap();
-        let pinned = vs.current();
-
-        // Replace file 20 with 21; 20 must stay live while `pinned` exists.
+        edit.new_files.push((0, meta(1, "a", "m")));
+        edit.new_files.push((0, meta(2, "c", "z")));
+        assert!(Version::empty(7).apply(&edit).is_ok());
         let mut edit = VersionEdit::default();
-        edit.deleted_files.push((1, 20));
-        edit.new_files.push((1, meta(21, "a", "c")));
-        vs.log_and_apply(edit).unwrap();
-
-        let live = vs.all_live_file_numbers();
-        assert!(live.contains(&20));
-        assert!(live.contains(&21));
-        drop(pinned);
-        let live = vs.all_live_file_numbers();
-        assert!(!live.contains(&20));
-        assert!(live.contains(&21));
+        edit.new_files.push((1, meta(1, "a", "m")));
+        edit.new_files.push((1, meta(2, "c", "z")));
+        assert!(matches!(
+            Version::empty(7).apply(&edit),
+            Err(Error::Corruption(_))
+        ));
     }
 }
