@@ -14,7 +14,7 @@ use pebblesdb_bench::engines::{
 };
 use pebblesdb_bench::report::{format_kops, format_mib, format_ratio};
 use pebblesdb_bench::{scaled_options, Args, EngineKind, Report, Workload};
-use pebblesdb_common::{CompressionType, Db, KvStore};
+use pebblesdb_common::{CompressionType, Db, KvStore, StoreStats};
 
 fn workload_from_name(name: &str) -> Option<Workload> {
     match name {
@@ -370,20 +370,12 @@ fn main() {
         let cf_stats = db.cf_stats();
         let mut header = vec!["family".to_string()];
         if let Some(first) = cf_stats.first() {
-            header.extend(
-                pebblesdb_common::stats_text::cf_stat_fields(first)
-                    .iter()
-                    .map(|f| f.name.to_string()),
-            );
+            header.extend(first.fields().iter().map(|f| f.name.to_string()));
         }
         let mut cf_report = Report::new("per column family", header);
         for cf in cf_stats {
             let mut row = vec![cf.name.clone()];
-            row.extend(
-                pebblesdb_common::stats_text::cf_stat_fields(&cf)
-                    .iter()
-                    .map(|f| f.human_value()),
-            );
+            row.extend(cf.fields().iter().map(|f| f.human_value()));
             cf_report.add_row(row);
         }
         cf_report.print();
@@ -398,10 +390,8 @@ fn main() {
         let mut header = vec!["stat".to_string()];
         header.extend((0..shard_stats.len()).map(|i| format!("shard {i}")));
         let mut shard_report = Report::new("per shard", header);
-        let per_shard_fields: Vec<Vec<pebblesdb_common::stats_text::StatField>> = shard_stats
-            .iter()
-            .map(pebblesdb_common::stats_text::store_stat_fields)
-            .collect();
+        let per_shard_fields: Vec<Vec<pebblesdb_common::StatField>> =
+            shard_stats.iter().map(StoreStats::fields).collect();
         for (row_idx, field) in per_shard_fields[0].iter().enumerate() {
             let mut row = vec![field.name.to_string()];
             row.extend(

@@ -77,8 +77,8 @@ impl Report {
 
 // One byte formatter for every stats surface: the server's INFO command and
 // Prometheus endpoint render the same fields, so the rendering lives in
-// `pebblesdb_common::stats_text` and this is just the historical name.
-pub use pebblesdb_common::stats_text::format_mib;
+// `pebblesdb_common::stats` and this is just the historical name.
+pub use pebblesdb_common::stats::format_mib;
 
 /// Formats a ratio with two decimals.
 pub fn format_ratio(value: f64) -> String {

@@ -14,17 +14,17 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pebblesdb_common::counters::EngineCounters;
 use pebblesdb_common::filename::btree_pages_file_name;
 use pebblesdb_common::key::ValueType;
 use pebblesdb_common::snapshot::{Snapshot, SnapshotList};
 use pebblesdb_common::{
-    DbIterator, Error, KvStore, ReadOptions, Result, StoreOptions, StoreStats, WriteBatch,
-    WriteOptions,
+    DbIterator, EngineCounters, Error, KvStore, ReadOptions, Result, StoreOptions, StoreStats,
+    WriteBatch, WriteOptions,
 };
 use pebblesdb_env::Env;
 
@@ -118,7 +118,7 @@ impl BTreeStore {
             return Ok(BTreeStore {
                 env,
                 inner: Arc::new(Mutex::new(tree)),
-                counters: EngineCounters::new(),
+                counters: EngineCounters::default(),
                 snapshots: SnapshotList::new(),
             });
         } else {
@@ -139,7 +139,7 @@ impl BTreeStore {
                 last_sequence: 0,
                 undo: BTreeMap::new(),
             })),
-            counters: EngineCounters::new(),
+            counters: EngineCounters::default(),
             snapshots: SnapshotList::new(),
         })
     }
@@ -331,12 +331,13 @@ impl KvStore for BTreeStore {
         self.begin_write(&mut tree, key)?;
         self.insert_entry(&mut tree, key, value)?;
         self.counters
-            .add_user_bytes((key.len() + value.len()) as u64);
+            .user_bytes_written
+            .fetch_add((key.len() + value.len()) as u64, Ordering::Relaxed);
         self.maybe_checkpoint(&mut tree)
     }
 
     fn get_opts(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.counters.record_get();
+        self.counters.gets.fetch_add(1, Ordering::Relaxed);
         let mut tree = self.inner.lock();
         let live = Self::live_value(&mut tree, key)?;
         match opts.snapshot {
@@ -364,7 +365,9 @@ impl KvStore for BTreeStore {
             tree.pager
                 .write_page(leaf, Node::Leaf { entries, next_leaf }.encode()?)?;
         }
-        self.counters.add_user_bytes(key.len() as u64);
+        self.counters
+            .user_bytes_written
+            .fetch_add(key.len() as u64, Ordering::Relaxed);
         self.maybe_checkpoint(&mut tree)
     }
 
@@ -387,7 +390,7 @@ impl KvStore for BTreeStore {
     }
 
     fn iter(&self, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.counters.record_seek();
+        self.counters.seeks.fetch_add(1, Ordering::Relaxed);
         // The cursor outlives this call, so even a snapshot equal to the
         // current sequence must keep resolving through the undo overlay —
         // writes issued after cursor creation would otherwise leak into the
@@ -416,25 +419,19 @@ impl KvStore for BTreeStore {
     fn stats(&self) -> StoreStats {
         let io = self.env.io_stats().snapshot();
         let tree = self.inner.lock();
+        let mut stats = StoreStats::default();
+        self.counters.snapshot_into(&mut stats);
+        // No compactions here: the two compaction byte rows carry the
+        // pager's page traffic instead.
         StoreStats {
-            user_bytes_written: EngineCounters::load(&self.counters.user_bytes_written),
             bytes_written: io.bytes_written,
             bytes_read: io.bytes_read,
             disk_bytes_live: u64::from(tree.pager.num_pages()) * PAGE_SIZE as u64,
             num_files: 1,
-            compactions: 0,
-            flushes: 0,
-            max_concurrent_compactions: 0,
-            compaction_micros: 0,
             compaction_bytes_read: tree.pager.pages_read() * PAGE_SIZE as u64,
             compaction_bytes_written: tree.pager.pages_written() * PAGE_SIZE as u64,
             memory_usage_bytes: tree.pager.memory_usage() as u64,
-            gets: EngineCounters::load(&self.counters.gets),
-            seeks: EngineCounters::load(&self.counters.seeks),
-            write_stalls: 0,
-            write_stall_micros: 0,
-            memtable_clones: 0,
-            ..Default::default()
+            ..stats
         }
     }
 

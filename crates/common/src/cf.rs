@@ -40,22 +40,26 @@ use crate::store::{KvStore, StoreStats};
 /// The name of the column family every store starts with (id 0).
 pub const DEFAULT_CF_NAME: &str = "default";
 
-/// Per-column-family statistics, for detecting imbalance between
-/// namespaces (one family's compaction debt hiding behind another's).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CfStats {
-    /// The family's id (0 = default).
-    pub id: CfId,
-    /// The family's name.
-    pub name: String,
-    /// Live data files owned by this family.
-    pub num_files: u64,
-    /// Bytes currently live on disk for this family.
-    pub live_bytes: u64,
-    /// Completed memtable flushes of this family.
-    pub flushes: u64,
-    /// Bytes held by this family's active and immutable memtables.
-    pub memtable_bytes: u64,
+crate::stat_table! {
+    /// Per-column-family statistics, for detecting imbalance between
+    /// namespaces (one family's compaction debt hiding behind another's).
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct CfStats {
+        /// The family's id (0 = default).
+        pub id: CfId,
+        /// The family's name.
+        pub name: String,
+    }
+    rows {
+        /// Live data files owned by this family.
+        computed num_files: Count, Sum;
+        /// Bytes currently live on disk for this family.
+        computed live_bytes: Bytes, Sum;
+        /// Completed memtable flushes of this family.
+        computed flushes: Count, Sum;
+        /// Bytes held by this family's active and immutable memtables.
+        computed memtable_bytes: Bytes, Sum;
+    }
 }
 
 /// The raw namespace-scoped operations an engine core exposes.

@@ -15,8 +15,8 @@
 //! * the group-commit writer queue both LSM engines share ([`commit`]),
 //! * database file naming conventions ([`filename`]),
 //! * RESP2 wire framing for the network server and its clients ([`resp`]),
-//! * the shared statistics field list every reporting surface renders from
-//!   ([`stats_text`]), and
+//! * the declarative stat tables every counter, shard merge and reporting
+//!   surface is generated from ([`stats`]), and
 //! * the tiny `--flag value` parser the workspace binaries share ([`args`]).
 //!
 //! [`pebblesdb`]: https://www.cs.utexas.edu/~vijay/papers/sosp17-pebblesdb.pdf
@@ -26,7 +26,6 @@ pub mod batch;
 pub mod cf;
 pub mod coding;
 pub mod commit;
-pub mod counters;
 pub mod crc32c;
 pub mod error;
 pub mod filename;
@@ -37,7 +36,7 @@ pub mod options;
 pub mod replication;
 pub mod resp;
 pub mod snapshot;
-pub mod stats_text;
+pub mod stats;
 pub mod store;
 pub mod user_iter;
 pub mod vlog;
@@ -46,7 +45,6 @@ pub use args::Args;
 pub use batch::{CfId, WriteBatch};
 pub use cf::{CfOps, CfStats, ColumnFamilyHandle, Db, PrefixDb, DEFAULT_CF_NAME};
 pub use commit::{CommitGroup, CommitQueue, Role, Ticket};
-pub use counters::CompressionStats;
 pub use error::{Error, Result};
 pub use iterator::DbIterator;
 pub use key::{InternalKey, ParsedInternalKey, SequenceNumber, ValueType, MAX_SEQUENCE_NUMBER};
@@ -54,7 +52,7 @@ pub use options::{CompressionType, ReadOptions, StoreOptions, StorePreset, Write
 pub use replication::{ChangeEvent, ChangeStream, ReplicationFrame};
 pub use resp::{RespCodec, RespLimits, RespValue};
 pub use snapshot::{Snapshot, SnapshotList};
-pub use stats_text::{cf_stat_fields, render_info, store_stat_fields, StatField, StatUnit};
-pub use store::{KvStore, StoreStats};
+pub use stats::{MergeRule, StatField, StatUnit};
+pub use store::{EngineCounters, KvStore, StoreStats};
 pub use user_iter::{UserEntriesIterator, UserIterator};
 pub use vlog::{LookupValue, ValuePointer, ValueResolver};

@@ -8,8 +8,8 @@
 
 use std::sync::Arc;
 
-use crate::counters::CompressionStats;
 use crate::key::SequenceNumber;
+use crate::store::EngineCounters;
 
 /// Which codec a block (or separated value) is stored with.
 ///
@@ -187,11 +187,13 @@ pub struct StoreOptions {
     /// deeper). Vlog values always follow `compression` — they have no
     /// level.
     pub compression_per_level: Vec<CompressionType>,
-    /// Compression counters shared by every component this options value is
-    /// cloned into (table builders, block readers, vlog appenders), surfaced
-    /// through `StoreStats`. Cloning options shares the `Arc`, so one store
-    /// aggregates across all its column families.
-    pub compression_stats: Arc<CompressionStats>,
+    /// The stat sink of the store these options configure: table builders,
+    /// block readers and vlog appenders reach the store's counters through
+    /// it. Clones share the `Arc` (that is how one store aggregates across
+    /// its column families), so an engine installs a fresh sink when it
+    /// opens — two stores opened from clones of one options value must not
+    /// count into each other.
+    pub counters: Arc<EngineCounters>,
 
     /// FLSM: maximum sstables a guard may hold before it must be compacted.
     pub max_sstables_per_guard: usize,
@@ -253,7 +255,7 @@ impl Default for StoreOptions {
 
             compression: CompressionType::None,
             compression_per_level: Vec::new(),
-            compression_stats: Arc::new(CompressionStats::default()),
+            counters: Arc::default(),
 
             max_sstables_per_guard: 8,
             top_level_bits: 14,

@@ -22,109 +22,124 @@ use crate::error::Result;
 use crate::iterator::DbIterator;
 use crate::options::{ReadOptions, WriteOptions};
 use crate::snapshot::Snapshot;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Aggregate statistics a store exposes for the evaluation harness.
-///
-/// `write_amplification()` is the paper's headline metric: total bytes the
-/// store wrote to the device divided by the bytes of user data handed to it.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StoreStats {
-    /// Bytes of user data (keys + values) accepted through the write path.
-    pub user_bytes_written: u64,
-    /// Total bytes written to storage (WAL + sstables/pages + metadata).
-    pub bytes_written: u64,
-    /// Total bytes read from storage.
-    pub bytes_read: u64,
-    /// Bytes currently live on disk (space amplification numerator).
-    pub disk_bytes_live: u64,
-    /// Number of live data files (sstables or b-tree page files).
-    pub num_files: u64,
-    /// Number of completed compactions (or checkpoints for the B+Tree).
-    pub compactions: u64,
-    /// Number of completed memtable flushes (imm -> level 0). Engines
-    /// without a flush path report 0.
-    pub flushes: u64,
-    /// Largest number of compaction jobs ever running at the same instant.
-    /// With the per-guard compaction pool this exceeds 1 whenever two
-    /// disjoint guard subsets were compacted concurrently.
-    pub max_concurrent_compactions: u64,
-    /// Total wall-clock time spent in compaction, in microseconds.
-    pub compaction_micros: u64,
-    /// Bytes read by compactions.
-    pub compaction_bytes_read: u64,
-    /// Bytes written by compactions.
-    pub compaction_bytes_written: u64,
-    /// Approximate resident memory the store controls (memtables, bloom
-    /// filters, block cache), in bytes.
-    pub memory_usage_bytes: u64,
-    /// Number of get operations served.
-    pub gets: u64,
-    /// Number of seek operations served.
-    pub seeks: u64,
-    /// Number of write stalls caused by level-0 back-pressure.
-    pub write_stalls: u64,
-    /// Total microseconds writers spent stalled (the duration companion to
-    /// `write_stalls`; what the group-commit pipeline is meant to shrink).
-    pub write_stall_micros: u64,
-    /// Memtable deep copies taken to preserve a live cursor's view. The
-    /// concurrent arena memtable makes this structurally zero; the field is
-    /// kept so tests can assert the copy-on-write path never returns.
-    pub memtable_clones: u64,
-    /// Block-cache lookups that were served from memory (sstable data
-    /// blocks). Engines without a block cache report 0.
-    pub block_cache_hits: u64,
-    /// Block-cache lookups that had to read the device.
-    pub block_cache_misses: u64,
-    /// Table-cache lookups that found the sstable reader already open.
-    pub table_cache_hits: u64,
-    /// Table-cache lookups that had to open (and parse the footer of) the
-    /// sstable.
-    pub table_cache_misses: u64,
-    /// Number of live column families (1 for single-namespace stores; see
-    /// [`Db::cf_stats`](crate::cf::Db::cf_stats) for the per-family
-    /// breakdown).
-    pub num_column_families: u64,
-    /// Number of independent shards serving this store (1 for plain
-    /// engines; see [`Db::shard_stats`](crate::cf::Db::shard_stats) for the
-    /// per-shard breakdown).
-    pub num_shards: u64,
-    /// Bytes appended to value-log files by key-value separation (0 when
-    /// [`StoreOptions::value_separation_threshold`](crate::options::StoreOptions)
-    /// is 0 or the engine has no value log).
-    pub vlog_bytes_written: u64,
-    /// Value-pointer resolutions served by an already-open vlog reader.
-    pub vlog_cache_hits: u64,
-    /// Value-pointer resolutions that had to open a vlog reader.
-    pub vlog_cache_misses: u64,
-    /// Live values relocated out of retiring vlog files by garbage
-    /// collection.
-    pub vlog_gc_relocations: u64,
-    /// Background cleanup operations (obsolete-file deletes, dropped-family
-    /// directory removal) that failed and were deferred to a later GC pass.
-    pub cleanup_failures: u64,
-    /// Uncompressed bytes that ended up stored compressed (sstable
-    /// data/index blocks plus separated vlog values; blocks kept raw for
-    /// insufficient savings are excluded).
-    pub compress_input_bytes: u64,
-    /// Compressed bytes stored for those inputs; `output / input` is the
-    /// achieved compression ratio.
-    pub compress_output_bytes: u64,
-    /// Blocks/values attempted but stored raw because compressing them
-    /// saved less than the ~12.5% threshold.
-    pub compress_skipped_blocks: u64,
-    /// Total microseconds read paths spent decompressing blocks and values.
-    pub decompress_micros: u64,
-    /// Replica stores: the sequence number of the last batch applied from
-    /// the leader's change stream (0 on a primary).
-    pub replica_applied_seq: u64,
-    /// Replica stores: committed leader batches the replica had not yet
-    /// applied, as last reported by the leader alongside a shipped batch.
-    pub replica_lag_batches: u64,
-    /// Change streams (`Db::stream` cursors) currently open on this store.
-    pub cdc_streams_active: u64,
-    /// Bytes of committed batches handed to change streams (the WAL-shipping
-    /// volume, counted once per stream that consumed each batch).
-    pub wal_bytes_shipped: u64,
+crate::stat_table! {
+    /// Aggregate statistics a store exposes for the evaluation harness.
+    ///
+    /// `write_amplification()` is the paper's headline metric: total bytes the
+    /// store wrote to the device divided by the bytes of user data handed to it.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct StoreStats {}
+    /// The atomic cells behind the `counter` rows: one per store, bumped with
+    /// `Relaxed` on the hot paths by the engine and by every component that
+    /// works on its behalf (table builders, block readers, vlog appenders
+    /// reach it through [`StoreOptions::counters`](crate::StoreOptions)).
+    #[derive(Debug, Default)]
+    pub sink EngineCounters {
+        /// Level-compaction jobs currently running (claimed but not
+        /// committed); feeds `max_concurrent_compactions`.
+        pub active_compactions: AtomicU64,
+    }
+    rows {
+        /// Bytes of user data (keys + values) accepted through the write path.
+        counter user_bytes_written: Bytes, Sum;
+        /// Total bytes written to storage (WAL + sstables/pages + metadata).
+        computed bytes_written: Bytes, Shared;
+        /// Total bytes read from storage.
+        computed bytes_read: Bytes, Shared;
+        /// Bytes currently live on disk (space amplification numerator).
+        computed disk_bytes_live: Bytes, Sum;
+        /// Number of live data files (sstables or b-tree page files).
+        computed num_files: Count, Sum;
+        /// Number of completed compactions, including memtable flushes (or
+        /// checkpoints for the B+Tree).
+        counter compactions: Count, Sum;
+        /// Number of completed memtable flushes (imm -> level 0). Engines
+        /// without a flush path report 0.
+        counter flushes: Count, Sum;
+        /// Largest number of compaction jobs ever running at the same instant.
+        /// With the per-guard compaction pool this exceeds 1 whenever two
+        /// disjoint guard subsets were compacted concurrently.
+        counter max_concurrent_compactions: Count, Max;
+        /// Total wall-clock time spent in compaction, in microseconds.
+        counter compaction_micros: Micros, Sum;
+        /// Bytes read by compactions.
+        counter compaction_bytes_read: Bytes, Sum;
+        /// Bytes written by compactions.
+        counter compaction_bytes_written: Bytes, Sum;
+        /// Approximate resident memory the store controls (memtables, bloom
+        /// filters, block cache), in bytes.
+        computed memory_usage_bytes: Bytes, Sum;
+        /// Number of get operations served.
+        counter gets: Count, Sum;
+        /// Number of seek / range-query operations served.
+        counter seeks: Count, Sum;
+        /// Number of write stalls (level-0 slowdown or stop).
+        counter write_stalls: Count, Sum;
+        /// Total microseconds writers spent stalled — slowdown sleeps plus
+        /// waits for memtable flushes and level-0 back-pressure (the duration
+        /// companion to `write_stalls`; what the group-commit pipeline is
+        /// meant to shrink).
+        counter write_stall_micros: Micros, Sum;
+        /// Block-cache lookups that were served from memory (sstable data
+        /// blocks). Engines without a block cache report 0.
+        computed block_cache_hits: Count, Sum;
+        /// Block-cache lookups that had to read the device.
+        computed block_cache_misses: Count, Sum;
+        /// Table-cache lookups that found the sstable reader already open.
+        computed table_cache_hits: Count, Sum;
+        /// Table-cache lookups that had to open (and parse the footer of) the
+        /// sstable.
+        computed table_cache_misses: Count, Sum;
+        /// Number of live column families (1 for single-namespace stores; see
+        /// [`Db::cf_stats`](crate::cf::Db::cf_stats) for the per-family
+        /// breakdown).
+        computed num_column_families: Count, Shared;
+        /// Number of independent shards serving this store (1 for plain
+        /// engines; see [`Db::shard_stats`](crate::cf::Db::shard_stats) for the
+        /// per-shard breakdown).
+        computed num_shards: Count, Sum;
+        /// Bytes appended to value-log files by key-value separation (0 when
+        /// [`StoreOptions::value_separation_threshold`](crate::options::StoreOptions)
+        /// is 0 or the engine has no value log).
+        counter vlog_bytes_written: Bytes, Sum;
+        /// Value-pointer resolutions served by an already-open vlog reader.
+        counter vlog_cache_hits: Count, Sum;
+        /// Value-pointer resolutions that had to open a vlog reader.
+        counter vlog_cache_misses: Count, Sum;
+        /// Live values relocated out of retiring vlog files by garbage
+        /// collection.
+        counter vlog_gc_relocations: Count, Sum;
+        /// Background cleanup operations (obsolete-file deletes, dropped-family
+        /// directory removal) that failed and were deferred to a later GC
+        /// pass; the work is deferred, not lost, so this counter is how the
+        /// failures stay observable.
+        counter cleanup_failures: Count, Sum;
+        /// Uncompressed bytes that ended up stored compressed (sstable
+        /// data/index blocks plus separated vlog values; blocks kept raw for
+        /// insufficient savings are excluded).
+        counter compress_input_bytes: Bytes, Sum;
+        /// Compressed bytes stored for those inputs; `output / input` is the
+        /// achieved compression ratio.
+        counter compress_output_bytes: Bytes, Sum;
+        /// Blocks/values attempted but stored raw because compressing them
+        /// saved less than the ~12.5% threshold.
+        counter compress_skipped_blocks: Count, Sum;
+        /// Total microseconds read paths spent decompressing blocks and values.
+        counter decompress_micros: Micros, Sum;
+        /// Replica stores: the sequence number of the last batch applied from
+        /// the leader's change stream (0 on a primary).
+        computed replica_applied_seq: Count, Max;
+        /// Replica stores: committed leader batches the replica had not yet
+        /// applied, as last reported by the leader alongside a shipped batch.
+        computed replica_lag_batches: Count, Max;
+        /// Change streams (`Db::stream` cursors) currently open on this store.
+        computed cdc_streams_active: Count, Sum;
+        /// Bytes of committed batches handed to change streams (the WAL-shipping
+        /// volume, counted once per stream that consumed each batch).
+        counter wal_bytes_shipped: Bytes, Sum;
+    }
 }
 
 impl StoreStats {
@@ -146,6 +161,59 @@ impl StoreStats {
         } else {
             self.disk_bytes_live as f64 / self.user_bytes_written as f64
         }
+    }
+}
+
+// A single counter is bumped in place
+// (`counters.gets.fetch_add(1, Ordering::Relaxed)`); only events that move
+// several cells together get a method here.
+impl EngineCounters {
+    /// Records one write stall that lasted `micros` microseconds.
+    pub fn record_stall(&self, micros: u64) {
+        self.write_stalls.fetch_add(1, Ordering::Relaxed);
+        self.write_stall_micros.fetch_add(micros, Ordering::Relaxed);
+    }
+
+    /// Marks a compaction job as running and returns how many are now
+    /// in flight, updating the concurrency high-water mark.
+    pub fn record_compaction_start(&self) -> u64 {
+        let now = self.active_compactions.fetch_add(1, Ordering::Relaxed) + 1;
+        self.max_concurrent_compactions
+            .fetch_max(now, Ordering::Relaxed);
+        now
+    }
+
+    /// Marks a compaction job as finished (committed or failed).
+    pub fn record_compaction_end(&self) {
+        self.active_compactions.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Records one value-pointer resolution (`hit` = reader already open).
+    pub fn record_vlog_resolution(&self, hit: bool) {
+        if hit {
+            self.vlog_cache_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.vlog_cache_misses.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Records a finished compaction.
+    pub fn record_compaction(&self, micros: u64, bytes_read: u64, bytes_written: u64) {
+        self.compactions.fetch_add(1, Ordering::Relaxed);
+        self.compaction_micros.fetch_add(micros, Ordering::Relaxed);
+        self.compaction_bytes_read
+            .fetch_add(bytes_read, Ordering::Relaxed);
+        self.compaction_bytes_written
+            .fetch_add(bytes_written, Ordering::Relaxed);
+    }
+
+    /// Records one block or value stored compressed: `input` bytes in,
+    /// `output` bytes stored.
+    pub fn record_compressed(&self, input: u64, output: u64) {
+        self.compress_input_bytes
+            .fetch_add(input, Ordering::Relaxed);
+        self.compress_output_bytes
+            .fetch_add(output, Ordering::Relaxed);
     }
 }
 
@@ -412,5 +480,66 @@ mod tests {
         assert_eq!(got.len(), 4);
         // Zero limit yields nothing.
         assert!(store.scan(b"", &[], 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn counters_accumulate_independently() {
+        let counters = EngineCounters::default();
+        counters
+            .user_bytes_written
+            .fetch_add(100, Ordering::Relaxed);
+        counters.user_bytes_written.fetch_add(20, Ordering::Relaxed);
+        counters.gets.fetch_add(1, Ordering::Relaxed);
+        counters.record_stall(40);
+        counters.record_stall(2);
+        counters.record_compaction(500, 1000, 2000);
+        counters.record_compaction(250, 10, 20);
+        counters.record_vlog_resolution(true);
+        counters.record_vlog_resolution(false);
+        counters.record_vlog_resolution(false);
+        counters.record_compressed(4096, 1024);
+
+        // `snapshot_into` fills exactly the counter rows; a computed row
+        // keeps what the caller put there.
+        let mut stats = StoreStats {
+            bytes_written: 77,
+            ..Default::default()
+        };
+        counters.snapshot_into(&mut stats);
+        let expected = StoreStats {
+            bytes_written: 77,
+            user_bytes_written: 120,
+            gets: 1,
+            write_stalls: 2,
+            write_stall_micros: 42,
+            compactions: 2,
+            compaction_micros: 750,
+            compaction_bytes_read: 1010,
+            compaction_bytes_written: 2020,
+            vlog_cache_hits: 1,
+            vlog_cache_misses: 2,
+            compress_input_bytes: 4096,
+            compress_output_bytes: 1024,
+            ..Default::default()
+        };
+        assert_eq!(stats, expected);
+    }
+
+    #[test]
+    fn compaction_concurrency_high_water_mark_sticks() {
+        let counters = EngineCounters::default();
+        assert_eq!(counters.record_compaction_start(), 1);
+        assert_eq!(counters.record_compaction_start(), 2);
+        assert_eq!(counters.record_compaction_start(), 3);
+        counters.record_compaction_end();
+        counters.record_compaction_end();
+        // A later lone job does not lower the recorded maximum.
+        assert_eq!(counters.record_compaction_start(), 2);
+        counters.record_compaction_end();
+        counters.record_compaction_end();
+        assert_eq!(counters.active_compactions.load(Ordering::Relaxed), 0);
+        let mut stats = StoreStats::default();
+        counters.snapshot_into(&mut stats);
+        assert_eq!(stats.max_concurrent_compactions, 3);
     }
 }

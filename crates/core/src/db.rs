@@ -595,9 +595,10 @@ mod tests {
         assert_eq!(state.active_compactions, 2);
         assert_eq!(state.default_cf().active_jobs, 2);
         assert_eq!(
-            pebblesdb_common::counters::EngineCounters::load(
-                &inner.counters.max_concurrent_compactions
-            ),
+            inner
+                .counters
+                .max_concurrent_compactions
+                .load(std::sync::atomic::Ordering::Relaxed),
             2
         );
         // Outputs of both uncommitted jobs are protected from the GC.

@@ -23,7 +23,6 @@
 //! what it needs out and drops this lock first.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,8 +97,6 @@ pub struct ChangeLog {
     /// Closed-segment retention cap (see
     /// `StoreOptions::cdc_wal_retain_segments`).
     retain_segments: usize,
-    /// Bytes of batch payload handed to streams, across all cursors.
-    wal_bytes_shipped: AtomicU64,
 }
 
 impl ChangeLog {
@@ -131,7 +128,6 @@ impl ChangeLog {
             data_ready: Condvar::new(),
             cap_bytes: cap_bytes.max(1),
             retain_segments,
-            wal_bytes_shipped: AtomicU64::new(0),
         }
     }
 
@@ -208,16 +204,6 @@ impl ChangeLog {
     /// Number of live cursors.
     pub fn streams_active(&self) -> u64 {
         self.inner.lock().cursors.len() as u64
-    }
-
-    /// Records `n` bytes of batch payload handed to a stream.
-    pub fn add_shipped_bytes(&self, n: u64) {
-        self.wal_bytes_shipped.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Total bytes of batch payload handed to streams so far.
-    pub fn shipped_bytes(&self) -> u64 {
-        self.wal_bytes_shipped.load(Ordering::Relaxed)
     }
 
     /// Committed batches past the absolute tail position `pos` — a cursor's
@@ -516,8 +502,5 @@ mod tests {
         assert_eq!(log.streams_active(), 2);
         log.deregister(a);
         assert_eq!(log.streams_active(), 1);
-        log.add_shipped_bytes(10);
-        log.add_shipped_bytes(5);
-        assert_eq!(log.shipped_bytes(), 15);
     }
 }

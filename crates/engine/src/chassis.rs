@@ -47,7 +47,6 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use pebblesdb_common::cf::{CfOps, CfStats, ColumnFamilyHandle, Db};
 use pebblesdb_common::commit::{CommitGroup, CommitQueue, Role};
-use pebblesdb_common::counters::EngineCounters;
 use pebblesdb_common::filename::{
     log_file_name, parse_file_name, table_file_name, vlog_file_name, FileType,
 };
@@ -57,8 +56,8 @@ use pebblesdb_common::snapshot::{Snapshot, SnapshotList};
 use pebblesdb_common::user_iter::UserIterator;
 use pebblesdb_common::vlog::{iter_vlog_records, LookupValue, ValuePointer, ValueResolver};
 use pebblesdb_common::{
-    CfId, ChangeEvent, ChangeStream, Error, KvStore, ReadOptions, Result, StoreOptions, StoreStats,
-    WriteBatch, WriteOptions,
+    CfId, ChangeEvent, ChangeStream, EngineCounters, Error, KvStore, ReadOptions, Result,
+    StoreOptions, StoreStats, WriteBatch, WriteOptions,
 };
 use pebblesdb_skiplist::memtable::MemTableGet;
 use pebblesdb_skiplist::MemTable;
@@ -195,6 +194,17 @@ pub struct CfState<P: ShapePolicy> {
     pub vlog: CfVlog,
 }
 
+impl<P: ShapePolicy> CfState<P> {
+    /// Bytes held by the family's active and immutable memtables.
+    fn memtable_bytes(&self) -> usize {
+        self.mem.approximate_memory_usage()
+            + self
+                .imm
+                .as_ref()
+                .map_or(0, |imm| imm.approximate_memory_usage())
+    }
+}
+
 /// The mutable engine state, shared by writers and the background threads.
 pub struct EngineState<P: ShapePolicy> {
     /// The live column families by id. Id 0 (the default) always exists.
@@ -312,8 +322,14 @@ impl<P: ShapePolicy> EngineDb<P> {
         policy: P,
         env: Arc<dyn pebblesdb_env::Env>,
         path: &Path,
-        options: StoreOptions,
+        mut options: StoreOptions,
     ) -> Result<EngineDb<P>> {
+        // This store's own stat sink, installed before the options are
+        // cloned into the families' table caches and vlogs: the caller's
+        // value may share its sink with another open store.
+        let counters = Arc::new(EngineCounters::default());
+        options.counters = Arc::clone(&counters);
+
         env.create_dir_all(path)?;
         let io = cf_io(&env, path, &options);
 
@@ -329,10 +345,6 @@ impl<P: ShapePolicy> EngineDb<P> {
         // single-namespace (pre-column-family) layout.
         let catalog_exists = env.file_exists(&catalog::catalog_file_name(path));
         let catalog_data = catalog::read(env.as_ref(), path)?;
-
-        // Created before the families so their vlog reader caches can share
-        // the store-wide counters.
-        let counters = Arc::new(EngineCounters::new());
 
         let mut state: EngineState<P> = EngineState {
             cfs: BTreeMap::new(),
@@ -366,10 +378,9 @@ impl<P: ShapePolicy> EngineDb<P> {
             // Vlog files are registered by directory listing, not in the
             // MANIFEST; their numbers must be re-marked used so a new file
             // never collides with a recovered one.
-            let (vlog, vlog_numbers) =
-                CfVlog::recover(&env, &dir, &counters, &options.compression_stats)?;
-            for number in vlog_numbers {
-                versions.mark_file_number_used(number);
+            let vlog = CfVlog::recover(&env, &dir, &counters)?;
+            for number in vlog.sealed.keys() {
+                versions.mark_file_number_used(*number);
             }
             state.cfs.insert(
                 *id,
@@ -405,7 +416,7 @@ impl<P: ShapePolicy> EngineDb<P> {
                 // committed), so a failed reap costs only disk space;
                 // count it so the leak stays observable, and leave the
                 // directory for the next open to retry.
-                counters.record_cleanup_failure();
+                counters.cleanup_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
 
@@ -523,7 +534,7 @@ impl<P: ShapePolicy> EngineDb<P> {
     /// external allocator (see [`CommitQueue::submit_presequenced`]). Used
     /// by the sharded coordinator, which owns the global sequence space.
     pub fn write_presequenced(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        self.shared.core.write_presequenced(opts, batch)
+        self.shared.core.write(batch, opts, true)
     }
 
     /// The sequence number of the most recent committed write.
@@ -774,7 +785,13 @@ fn separate_batch(
 impl<P: ShapePolicy> EngineCore<P> {
     // ---------------------------------------------------------------- write
 
-    fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
+    /// Commits `batch` through the group-commit queue. A `presequenced`
+    /// batch carries sequence numbers assigned by an external allocator (a
+    /// sharded coordinator): it rides the pipeline — sharing WAL appends and
+    /// one fsync with other pre-sequenced writes — but is never merged or
+    /// renumbered, and `last_sequence` advances to the batch's own (possibly
+    /// out-of-order) end.
+    fn write(&self, batch: WriteBatch, opts: &WriteOptions, presequenced: bool) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -788,41 +805,19 @@ impl<P: ShapePolicy> EngineCore<P> {
             user_bytes += (record.key.len() + record.value.len()) as u64;
         }
 
-        let ticket = self.commit_queue.submit(Some(batch), opts.sync);
+        let ticket = if presequenced {
+            self.commit_queue.submit_presequenced(batch, opts.sync)
+        } else {
+            self.commit_queue.submit(Some(batch), opts.sync)
+        };
         let result = match self.commit_queue.wait_turn(&ticket) {
             Role::Done(result) => result,
             Role::Leader(group) => self.commit(group),
         };
         if result.is_ok() {
-            self.counters.add_user_bytes(user_bytes);
-        }
-        result
-    }
-
-    /// Writes a batch whose sequence numbers were assigned by an external
-    /// allocator (a sharded coordinator). The batch rides the group-commit
-    /// pipeline — sharing WAL appends and one fsync with other pre-sequenced
-    /// writes — but is never merged or renumbered, and `last_sequence`
-    /// advances to the batch's own (possibly out-of-order) end.
-    fn write_presequenced(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.policy.note_write();
-
-        let mut user_bytes = 0u64;
-        for record in batch.iter() {
-            let record = record?;
-            user_bytes += (record.key.len() + record.value.len()) as u64;
-        }
-
-        let ticket = self.commit_queue.submit_presequenced(batch, opts.sync);
-        let result = match self.commit_queue.wait_turn(&ticket) {
-            Role::Done(result) => result,
-            Role::Leader(group) => self.commit(group),
-        };
-        if result.is_ok() {
-            self.counters.add_user_bytes(user_bytes);
+            self.counters
+                .user_bytes_written
+                .fetch_add(user_bytes, Ordering::Relaxed);
         }
         result
     }
@@ -989,7 +984,6 @@ impl<P: ShapePolicy> EngineCore<P> {
                         sealed: Vec::new(),
                         dirty: false,
                         compression: self.io.options.compression,
-                        compression_stats: Arc::clone(&self.io.options.compression_stats),
                     },
                 );
             }
@@ -1243,7 +1237,7 @@ impl<P: ShapePolicy> EngineCore<P> {
     // ----------------------------------------------------------------- read
 
     fn get(&self, cf_id: CfId, opts: &ReadOptions, user_key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.counters.record_get();
+        self.counters.gets.fetch_add(1, Ordering::Relaxed);
         let mut retried = false;
         loop {
             let (found, resolver) = match self.lookup_value(cf_id, opts, user_key)? {
@@ -1331,7 +1325,7 @@ impl<P: ShapePolicy> EngineCore<P> {
     /// for the policy's read heuristics (FLSM: the seek-compaction trigger),
     /// armed on the family being read.
     fn iter(&self, cf_id: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.counters.record_seek();
+        self.counters.seeks.fetch_add(1, Ordering::Relaxed);
         if self.policy.note_seek() {
             {
                 let mut state = self.state.lock();
@@ -1656,7 +1650,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         commit?;
         cf.imm = None;
         cf.flushes += 1;
-        self.counters.record_flush();
+        self.counters.flushes.fetch_add(1, Ordering::Relaxed);
         self.counters
             .record_compaction(start.elapsed().as_micros() as u64, 0, written);
 
@@ -1737,7 +1731,9 @@ impl<P: ShapePolicy> EngineCore<P> {
                         // The file is obsolete in every version, so a failed
                         // delete leaks space, not correctness; the next GC
                         // pass retries it. Count it so the leak is visible.
-                        self.counters.record_cleanup_failure();
+                        self.counters
+                            .cleanup_failures
+                            .fetch_add(1, Ordering::Relaxed);
                     }
                 } else if cf.id == 0 && ty == FileType::WriteAheadLog {
                     live_wals += 1;
@@ -1873,7 +1869,9 @@ impl<P: ShapePolicy> EngineCore<P> {
                 Role::Done(result) => result?,
                 Role::Leader(group) => self.commit(group)?,
             }
-            self.counters.record_vlog_relocation();
+            self.counters
+                .vlog_gc_relocations
+                .fetch_add(1, Ordering::Relaxed);
             report.relocated += 1;
             report.relocated_bytes += value.len() as u64;
         }
@@ -1954,7 +1952,9 @@ impl<P: ShapePolicy> EngineCore<P> {
                 Err(_) => {
                     // Deferred, not lost: the file stays in `retired` and
                     // the next pass retries the delete.
-                    self.counters.record_cleanup_failure();
+                    self.counters
+                        .cleanup_failures
+                        .fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -2087,12 +2087,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         versions.set_last_sequence(state.last_sequence);
         versions.commit_level0(None, Some(state.log_file_number))?;
         let mem_log_number = state.log_file_number;
-        let vlog = CfVlog::new(
-            &self.io.env,
-            &dir,
-            &self.counters,
-            &self.io.options.compression_stats,
-        );
+        let vlog = CfVlog::new(&self.io.env, &dir, &self.counters);
         state.cfs.insert(
             id,
             CfState {
@@ -2164,7 +2159,9 @@ impl<P: ShapePolicy> EngineCore<P> {
         // can act on: count it, note it as a background warning, and let the
         // next open retry the reap.
         if let Err(err) = self.io.env.remove_dir_all(&removed.io.db_path) {
-            self.counters.record_cleanup_failure();
+            self.counters
+                .cleanup_failures
+                .fetch_add(1, Ordering::Relaxed);
             let mut state = self.state.lock();
             if state.bg_warning.is_none() {
                 state.bg_warning = Some(err);
@@ -2182,76 +2179,35 @@ impl<P: ShapePolicy> EngineCore<P> {
     fn stats_scoped(&self, scope: Option<CfId>) -> StoreStats {
         let io = self.io.env.io_stats().snapshot();
         let state = self.state.lock();
-        let mut disk_bytes_live = 0u64;
-        let mut num_files = 0u64;
-        let mut memory = 0usize;
-        let mut block_cache_hits = 0u64;
-        let mut block_cache_misses = 0u64;
-        let mut table_cache_hits = 0u64;
-        let mut table_cache_misses = 0u64;
+        // The counter rows come from the sink; what is filled in here is
+        // what a snapshot computes. A primary has no replication lag: the
+        // follower store sets the two replica rows itself.
+        let mut stats = StoreStats {
+            bytes_written: io.bytes_written,
+            bytes_read: io.bytes_read,
+            num_column_families: state.cfs.len() as u64,
+            num_shards: 1,
+            cdc_streams_active: self.change_log.streams_active(),
+            ..Default::default()
+        };
+        self.counters.snapshot_into(&mut stats);
         for (id, cf) in &state.cfs {
             if scope.is_some_and(|s| s != *id) {
                 continue;
             }
             let version = cf.versions.current();
-            disk_bytes_live += version.total_bytes();
-            num_files += version.num_files() as u64;
-            memory += cf.mem.approximate_memory_usage()
-                + cf.imm
-                    .as_ref()
-                    .map(|m| m.approximate_memory_usage())
-                    .unwrap_or(0)
-                + cf.io.table_cache.memory_usage();
-            let (bh, bm) = cf.io.table_cache.block_cache_hit_miss();
-            let (th, tm) = cf.io.table_cache.table_cache_hit_miss();
-            block_cache_hits += bh;
-            block_cache_misses += bm;
-            table_cache_hits += th;
-            table_cache_misses += tm;
+            stats.disk_bytes_live += version.total_bytes();
+            stats.num_files += version.num_files() as u64;
+            stats.memory_usage_bytes +=
+                (cf.memtable_bytes() + cf.io.table_cache.memory_usage()) as u64;
+            let (hits, misses) = cf.io.table_cache.block_cache_hit_miss();
+            stats.block_cache_hits += hits;
+            stats.block_cache_misses += misses;
+            let (hits, misses) = cf.io.table_cache.table_cache_hit_miss();
+            stats.table_cache_hits += hits;
+            stats.table_cache_misses += misses;
         }
-        let compression = &self.io.options.compression_stats;
-        StoreStats {
-            user_bytes_written: EngineCounters::load(&self.counters.user_bytes_written),
-            bytes_written: io.bytes_written,
-            bytes_read: io.bytes_read,
-            disk_bytes_live,
-            num_files,
-            compactions: EngineCounters::load(&self.counters.compactions),
-            flushes: EngineCounters::load(&self.counters.flushes),
-            max_concurrent_compactions: EngineCounters::load(
-                &self.counters.max_concurrent_compactions,
-            ),
-            compaction_micros: EngineCounters::load(&self.counters.compaction_micros),
-            compaction_bytes_read: EngineCounters::load(&self.counters.compaction_bytes_read),
-            compaction_bytes_written: EngineCounters::load(&self.counters.compaction_bytes_written),
-            memory_usage_bytes: memory as u64,
-            gets: EngineCounters::load(&self.counters.gets),
-            seeks: EngineCounters::load(&self.counters.seeks),
-            write_stalls: EngineCounters::load(&self.counters.write_stalls),
-            write_stall_micros: EngineCounters::load(&self.counters.write_stall_micros),
-            memtable_clones: EngineCounters::load(&self.counters.memtable_clones),
-            block_cache_hits,
-            block_cache_misses,
-            table_cache_hits,
-            table_cache_misses,
-            num_column_families: state.cfs.len() as u64,
-            num_shards: 1,
-            vlog_bytes_written: EngineCounters::load(&self.counters.vlog_bytes_written),
-            vlog_cache_hits: EngineCounters::load(&self.counters.vlog_cache_hits),
-            vlog_cache_misses: EngineCounters::load(&self.counters.vlog_cache_misses),
-            vlog_gc_relocations: EngineCounters::load(&self.counters.vlog_gc_relocations),
-            cleanup_failures: EngineCounters::load(&self.counters.cleanup_failures),
-            compress_input_bytes: compression.input_bytes.load(Ordering::Relaxed),
-            compress_output_bytes: compression.output_bytes.load(Ordering::Relaxed),
-            compress_skipped_blocks: compression.skipped_blocks.load(Ordering::Relaxed),
-            decompress_micros: compression.decompress_micros.load(Ordering::Relaxed),
-            // A primary has no replication lag; the follower store overrides
-            // these two with its applied frontier.
-            replica_applied_seq: 0,
-            replica_lag_batches: 0,
-            cdc_streams_active: self.change_log.streams_active(),
-            wal_bytes_shipped: self.change_log.shipped_bytes(),
-        }
+        stats
     }
 
     fn cf_stats(&self) -> Vec<CfStats> {
@@ -2267,11 +2223,7 @@ impl<P: ShapePolicy> EngineCore<P> {
                     num_files: version.num_files() as u64,
                     live_bytes: version.total_bytes(),
                     flushes: cf.flushes,
-                    memtable_bytes: (cf.mem.approximate_memory_usage()
-                        + cf.imm
-                            .as_ref()
-                            .map(|m| m.approximate_memory_usage())
-                            .unwrap_or(0)) as u64,
+                    memtable_bytes: cf.memtable_bytes() as u64,
                 }
             })
             .collect()
@@ -2297,7 +2249,7 @@ impl<P: ShapePolicy> CfOps for EngineShared<P> {
     fn cf_put_opts(&self, cf: CfId, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
         let mut batch = WriteBatch::new();
         batch.put_cf(cf, key, value);
-        self.core.write(batch, opts)
+        self.core.write(batch, opts, false)
     }
 
     fn cf_get_opts(&self, cf: CfId, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
@@ -2307,11 +2259,11 @@ impl<P: ShapePolicy> CfOps for EngineShared<P> {
     fn cf_delete_opts(&self, cf: CfId, opts: &WriteOptions, key: &[u8]) -> Result<()> {
         let mut batch = WriteBatch::new();
         batch.delete_cf(cf, key);
-        self.core.write(batch, opts)
+        self.core.write(batch, opts, false)
     }
 
     fn cf_write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        self.core.write(batch, opts)
+        self.core.write(batch, opts, false)
     }
 
     fn cf_iter(&self, cf: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
@@ -2383,7 +2335,7 @@ impl<P: ShapePolicy> KvStore for EngineDb<P> {
     fn put_opts(&self, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
         let mut batch = WriteBatch::new();
         batch.put(key, value);
-        self.shared.core.write(batch, opts)
+        self.shared.core.write(batch, opts, false)
     }
 
     fn get_opts(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
@@ -2393,11 +2345,11 @@ impl<P: ShapePolicy> KvStore for EngineDb<P> {
     fn delete_opts(&self, opts: &WriteOptions, key: &[u8]) -> Result<()> {
         let mut batch = WriteBatch::new();
         batch.delete(key);
-        self.shared.core.write(batch, opts)
+        self.shared.core.write(batch, opts, false)
     }
 
     fn write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        self.shared.core.write(batch, opts)
+        self.shared.core.write(batch, opts, false)
     }
 
     fn iter(&self, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
@@ -2484,8 +2436,9 @@ impl<P: ShapePolicy> EngineChangeStream<P> {
     fn deliver(&mut self, batch: WriteBatch) -> Result<Option<ChangeEvent>> {
         let batch = self.resolve_pointers(batch)?;
         let core = &self.shared.core;
-        core.change_log
-            .add_shipped_bytes(batch.contents().len() as u64);
+        core.counters
+            .wal_bytes_shipped
+            .fetch_add(batch.contents().len() as u64, Ordering::Relaxed);
         let event = ChangeEvent::from_batch(batch);
         self.next_seq = self.next_seq.max(event.last_seq + 1);
         core.change_log.update_cursor(self.cursor_id, self.next_seq);

@@ -23,17 +23,17 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pebblesdb_common::counters::EngineCounters;
 use pebblesdb_common::filename::{parse_file_name, vlog_file_name, FileType};
 use pebblesdb_common::key::SequenceNumber;
 use pebblesdb_common::vlog::{
     encode_vlog_record_with, parse_vlog_record, ValuePointer, ValueResolver,
 };
-use pebblesdb_common::{CompressionStats, CompressionType, Error, Result};
+use pebblesdb_common::{CompressionType, EngineCounters, Error, Result};
 use pebblesdb_env::{Env, RandomAccessFile, WritableFile};
 
 /// Open readers a family's cache keeps before evicting; pointer resolution
@@ -70,42 +70,20 @@ impl CfVlog {
         env: &Arc<dyn Env>,
         dir: &Path,
         counters: &Arc<EngineCounters>,
-        compression_stats: &Arc<CompressionStats>,
-    ) -> Result<(CfVlog, Vec<u64>)> {
-        let mut sealed = BTreeMap::new();
-        let mut numbers = Vec::new();
+    ) -> Result<CfVlog> {
+        let mut vlog = CfVlog::new(env, dir, counters);
         for name in env.children(dir)? {
             let Some((FileType::ValueLog, number)) = parse_file_name(&name) else {
                 continue;
             };
             let size = env.file_size(&dir.join(&name))?;
-            sealed.insert(number, size);
-            numbers.push(number);
+            vlog.sealed.insert(number, size);
         }
-        Ok((
-            CfVlog {
-                active: None,
-                sealed,
-                retired: BTreeMap::new(),
-                readers: Arc::new(VlogReaderCache {
-                    env: Arc::clone(env),
-                    dir: dir.to_path_buf(),
-                    counters: Arc::clone(counters),
-                    compression_stats: Arc::clone(compression_stats),
-                    readers: Mutex::new(HashMap::new()),
-                }),
-            },
-            numbers,
-        ))
+        Ok(vlog)
     }
 
     /// An empty registry for a freshly created family.
-    pub fn new(
-        env: &Arc<dyn Env>,
-        dir: &Path,
-        counters: &Arc<EngineCounters>,
-        compression_stats: &Arc<CompressionStats>,
-    ) -> CfVlog {
+    pub fn new(env: &Arc<dyn Env>, dir: &Path, counters: &Arc<EngineCounters>) -> CfVlog {
         CfVlog {
             active: None,
             sealed: BTreeMap::new(),
@@ -114,7 +92,6 @@ impl CfVlog {
                 env: Arc::clone(env),
                 dir: dir.to_path_buf(),
                 counters: Arc::clone(counters),
-                compression_stats: Arc::clone(compression_stats),
                 readers: Mutex::new(HashMap::new()),
             }),
         }
@@ -155,8 +132,6 @@ pub struct TakenVlog {
     pub dirty: bool,
     /// Codec applied to values before they are framed into records.
     pub compression: CompressionType,
-    /// Where compressed/skipped byte counts are recorded.
-    pub compression_stats: Arc<CompressionStats>,
 }
 
 impl TakenVlog {
@@ -199,12 +174,13 @@ impl TakenVlog {
             CompressionType::None => encode_vlog_record_with(key, value, false),
             CompressionType::Lz => match pebblesdb_compress::compress_if_worthwhile(value) {
                 Some(compressed) => {
-                    self.compression_stats
-                        .record_compressed(value.len() as u64, compressed.len() as u64);
+                    counters.record_compressed(value.len() as u64, compressed.len() as u64);
                     encode_vlog_record_with(key, &compressed, true)
                 }
                 None => {
-                    self.compression_stats.record_skipped();
+                    counters
+                        .compress_skipped_blocks
+                        .fetch_add(1, Ordering::Relaxed);
                     encode_vlog_record_with(key, value, false)
                 }
             },
@@ -217,7 +193,9 @@ impl TakenVlog {
         active.file.append(&record)?;
         active.offset += record.len() as u64;
         self.dirty = true;
-        counters.add_vlog_bytes(record.len() as u64);
+        counters
+            .vlog_bytes_written
+            .fetch_add(record.len() as u64, Ordering::Relaxed);
         Ok(pointer)
     }
 
@@ -244,7 +222,6 @@ pub struct VlogReaderCache {
     env: Arc<dyn Env>,
     dir: PathBuf,
     counters: Arc<EngineCounters>,
-    compression_stats: Arc<CompressionStats>,
     readers: Mutex<HashMap<u64, Arc<dyn RandomAccessFile>>>,
 }
 
@@ -301,8 +278,9 @@ impl ValueResolver for VlogReaderCache {
         if record.compressed {
             let start = std::time::Instant::now();
             let value = pebblesdb_compress::decompress(record.value, MAX_DECOMPRESSED_VALUE)?;
-            self.compression_stats
-                .add_decompress_micros(start.elapsed().as_micros() as u64);
+            self.counters
+                .decompress_micros
+                .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
             Ok(value)
         } else {
             Ok(record.value.to_vec())

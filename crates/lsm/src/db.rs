@@ -331,9 +331,11 @@ impl LsmPolicy {
                     let file = io.env.new_writable_file(&path)?;
                     // Outputs of a level-N compaction land in level N+1, so
                     // the deeper level's compression tier applies.
+                    // `io.options` carries the store's stat sink; the
+                    // policy's own copy predates the open that installed it.
                     builder = Some((
                         number,
-                        TableBuilder::new_for_level(&self.options, file, job.level + 1),
+                        TableBuilder::new_for_level(&io.options, file, job.level + 1),
                     ));
                 }
                 let (_, b) = builder.as_mut().expect("builder exists");

@@ -31,13 +31,12 @@
 use std::sync::Arc;
 
 use pebblesdb_common::resp::RespValue;
-use pebblesdb_common::stats_text::{cf_stat_fields, render_info, store_stat_fields};
 use pebblesdb_common::{
     ColumnFamilyHandle, Db, Error, KvStore, SequenceNumber, WriteBatch, WriteOptions,
 };
 
 use crate::auth::AuthProvider;
-use crate::metrics::ServerCounters;
+use crate::metrics::{stat_sections, ServerCounters};
 use crate::rate_limit::TokenBucket;
 
 /// The dispatcher knobs a [`Session`] needs (a subset of the server config).
@@ -467,38 +466,14 @@ impl Session {
     }
 
     fn cmd_info(&self) -> RespValue {
-        let server_fields = self.counters.fields();
-        let store_fields = store_stat_fields(&self.db.stats());
-        let cf_stats = self.db.cf_stats();
-        let cf_sections: Vec<(String, Vec<_>)> = cf_stats
-            .iter()
-            .map(|cf| (format!("cf:{}", cf.name), cf_stat_fields(cf)))
-            .collect();
-        // Sharded stores get one section per shard (same field list as the
-        // aggregate `store` section); unsharded stores render none.
-        let shard_sections: Vec<(String, Vec<_>)> = self
-            .db
-            .shard_stats()
-            .iter()
-            .enumerate()
-            .map(|(index, stats)| (format!("shard:{index}"), store_stat_fields(stats)))
-            .collect();
-        let mut sections: Vec<(&str, &[_])> = vec![
-            ("server", server_fields.as_slice()),
-            ("store", store_fields.as_slice()),
-        ];
-        for (title, fields) in &cf_sections {
-            sections.push((title.as_str(), fields.as_slice()));
-        }
-        for (title, fields) in &shard_sections {
-            sections.push((title.as_str(), fields.as_slice()));
-        }
         let mut body = format!(
             "# engine\r\nname:{}\r\nselected_cf:{}\r\n\r\n",
             self.db.engine_name(),
             self.cf.name()
         );
-        body.push_str(&render_info(&sections));
+        for section in stat_sections(&self.counters, self.db.as_ref()) {
+            body.push_str(&section.render_info());
+        }
         RespValue::Bulk(body.into_bytes())
     }
 }
@@ -785,5 +760,85 @@ mod tests {
         assert!(text.contains("user_bytes_written:"));
         assert!(text.contains("# cf:default"));
         assert!(text.contains("memtable_bytes:"));
+    }
+
+    fn info_text(s: &mut Session) -> String {
+        let RespValue::Bulk(body) = run(s, &[b"INFO"]) else {
+            panic!("INFO must return a bulk string")
+        };
+        String::from_utf8(body).unwrap()
+    }
+
+    #[test]
+    fn every_table_row_renders_once_in_table_order_on_both_surfaces() {
+        let mut s = session();
+        run(&mut s, &[b"SET", b"k", b"v"]);
+        let info = info_text(&mut s);
+        let prometheus = crate::metrics::render_prometheus(&s.counters, s.db.as_ref());
+        let names = |fields: Vec<pebblesdb_common::StatField>| -> Vec<&'static str> {
+            fields.iter().map(|f| f.name).collect()
+        };
+        let tables = [
+            (
+                "server",
+                names(crate::metrics::ServerStats::default().fields()),
+            ),
+            (
+                "store",
+                names(pebblesdb_common::StoreStats::default().fields()),
+            ),
+            ("cf", names(pebblesdb_common::CfStats::default().fields())),
+        ];
+        for (kind, rows) in tables {
+            let section = info
+                .split("\r\n\r\n")
+                .find(|section| section.starts_with(&format!("# {kind}")))
+                .unwrap_or_else(|| panic!("no {kind} section in:\n{info}"));
+            let info_rows: Vec<&str> = section
+                .lines()
+                .skip(1)
+                .map(|line| line.split(':').next().unwrap())
+                .collect();
+            assert_eq!(info_rows, rows, "INFO # {kind}");
+
+            let prefix = format!("pebblesdb_{kind}_");
+            let samples: Vec<&str> = prometheus
+                .lines()
+                .filter_map(|line| line.strip_prefix(&prefix))
+                .map(|rest| rest.split([' ', '{']).next().unwrap())
+                .collect();
+            assert_eq!(samples, rows, "pebblesdb_{kind}_*");
+        }
+    }
+
+    #[test]
+    fn hostile_family_name_cannot_forge_info_or_prometheus_lines() {
+        let mut s = session();
+        s.db.create_cf("a\"b\nc").unwrap();
+
+        // INFO: the name is one section title on one line.
+        let info = info_text(&mut s);
+        assert!(info.contains("# cf:a\"b c\r\n"), "{info}");
+        let titles = info.lines().filter(|l| l.starts_with("# cf:")).count();
+        assert_eq!(titles, 2, "{info}");
+        assert!(!info.lines().any(|l| l == "c"), "{info}");
+
+        // Prometheus: the name is one escaped label value; every sample is
+        // still `name[{labels}] value`.
+        let text = crate::metrics::render_prometheus(&s.counters, s.db.as_ref());
+        assert!(
+            text.contains("pebblesdb_cf_num_files{cf=\"a\\\"b\\nc\"} 0\n"),
+            "{text}"
+        );
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            let (name, value) = line.rsplit_once(' ').expect(line);
+            assert!(value.parse::<u64>().is_ok(), "bad line: {line}");
+            assert!(name.starts_with("pebblesdb_"), "bad line: {line}");
+        }
+        let samples = text
+            .lines()
+            .filter(|l| l.starts_with("pebblesdb_cf_num_files{"))
+            .count();
+        assert_eq!(samples, 2, "{text}");
     }
 }

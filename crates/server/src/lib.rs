@@ -53,7 +53,7 @@ use pebblesdb_common::Db;
 pub use auth::{AuthProvider, StaticTokenAuth};
 pub use client::RespClient;
 pub use dispatch::{Session, SessionOptions};
-pub use metrics::{render_prometheus, ServerCounters};
+pub use metrics::{render_prometheus, ServerCounters, ServerStats};
 pub use rate_limit::{RateLimit, TokenBucket};
 
 use connection::ConnShared;

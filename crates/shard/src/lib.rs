@@ -569,43 +569,6 @@ impl<P: ShapePolicy> ShardedCore<P> {
         journal.rotate()
     }
 
-    fn aggregate(&self, per_shard: &[StoreStats]) -> StoreStats {
-        let mut total = StoreStats::default();
-        for (index, stats) in per_shard.iter().enumerate() {
-            if index == 0 {
-                // Device IO counters are environment-wide: every shard
-                // shares one Env, so each reports identical store-wide
-                // figures — summing would multiply them by the shard count.
-                total.bytes_written = stats.bytes_written;
-                total.bytes_read = stats.bytes_read;
-            }
-            total.user_bytes_written += stats.user_bytes_written;
-            total.disk_bytes_live += stats.disk_bytes_live;
-            total.num_files += stats.num_files;
-            total.compactions += stats.compactions;
-            total.flushes += stats.flushes;
-            total.max_concurrent_compactions = total
-                .max_concurrent_compactions
-                .max(stats.max_concurrent_compactions);
-            total.compaction_micros += stats.compaction_micros;
-            total.compaction_bytes_read += stats.compaction_bytes_read;
-            total.compaction_bytes_written += stats.compaction_bytes_written;
-            total.memory_usage_bytes += stats.memory_usage_bytes;
-            total.gets += stats.gets;
-            total.seeks += stats.seeks;
-            total.write_stalls += stats.write_stalls;
-            total.write_stall_micros += stats.write_stall_micros;
-            total.memtable_clones += stats.memtable_clones;
-            total.block_cache_hits += stats.block_cache_hits;
-            total.block_cache_misses += stats.block_cache_misses;
-            total.table_cache_hits += stats.table_cache_hits;
-            total.table_cache_misses += stats.table_cache_misses;
-            total.num_column_families = total.num_column_families.max(stats.num_column_families);
-        }
-        total.num_shards = self.shard_count() as u64;
-        total
-    }
-
     fn sharded_engine_name(&self) -> String {
         format!(
             "{}[{} shards]",
@@ -613,6 +576,15 @@ impl<P: ShapePolicy> ShardedCore<P> {
             self.shard_count()
         )
     }
+}
+
+/// Folds per-shard snapshots into the store-wide one, each row by its
+/// table's merge rule.
+fn aggregate(per_shard: impl Iterator<Item = StoreStats>) -> StoreStats {
+    per_shard.fold(StoreStats::default(), |mut total, stats| {
+        total.merge(&stats);
+        total
+    })
 }
 
 impl<P: ShapePolicy> CfOps for ShardedCore<P> {
@@ -653,12 +625,7 @@ impl<P: ShapePolicy> CfOps for ShardedCore<P> {
     }
 
     fn cf_kv_stats(&self, cf: CfId) -> StoreStats {
-        let per_shard: Vec<StoreStats> = self
-            .shard_ops
-            .iter()
-            .map(|ops| ops.cf_kv_stats(cf))
-            .collect();
-        self.aggregate(&per_shard)
+        aggregate(self.shard_ops.iter().map(|ops| ops.cf_kv_stats(cf)))
     }
 
     fn cf_live_file_sizes(&self, cf: CfId) -> Vec<u64> {
@@ -839,9 +806,7 @@ impl<P: ShapePolicy> KvStore for ShardedDb<P> {
     }
 
     fn stats(&self) -> StoreStats {
-        let per_shard: Vec<StoreStats> =
-            self.core.shards.iter().map(|shard| shard.stats()).collect();
-        self.core.aggregate(&per_shard)
+        aggregate(self.core.shards.iter().map(|shard| shard.stats()))
     }
 
     fn engine_name(&self) -> String {
@@ -915,22 +880,14 @@ impl<P: ShapePolicy> Db for ShardedDb<P> {
     }
 
     fn cf_stats(&self) -> Vec<CfStats> {
-        // Sum each family's figures across shards, keyed by id.
+        // Merge each family's figures across shards, keyed by id.
         let mut merged: BTreeMap<CfId, CfStats> = BTreeMap::new();
         for shard in &self.core.shards {
             for stats in shard.cf_stats() {
-                let entry = merged.entry(stats.id).or_insert_with(|| CfStats {
-                    id: stats.id,
-                    name: stats.name.clone(),
-                    num_files: 0,
-                    live_bytes: 0,
-                    flushes: 0,
-                    memtable_bytes: 0,
-                });
-                entry.num_files += stats.num_files;
-                entry.live_bytes += stats.live_bytes;
-                entry.flushes += stats.flushes;
-                entry.memtable_bytes += stats.memtable_bytes;
+                merged
+                    .entry(stats.id)
+                    .and_modify(|total| total.merge(&stats))
+                    .or_insert(stats);
             }
         }
         merged.into_values().collect()

@@ -186,8 +186,13 @@ mod tests {
             lz_size < raw_size,
             "compressed table ({lz_size}) not smaller than raw ({raw_size})"
         );
-        let stats = &lz_opts.compression_stats;
-        assert!(stats.input_bytes.load(std::sync::atomic::Ordering::Relaxed) > 0);
+        let stats = &lz_opts.counters;
+        assert!(
+            stats
+                .compress_input_bytes
+                .load(std::sync::atomic::Ordering::Relaxed)
+                > 0
+        );
 
         // Every entry reads back bit-identically, with checksums verified.
         let file = env.new_random_access_file(lz_path).unwrap();
@@ -212,7 +217,10 @@ mod tests {
                 .decompress_micros
                 .load(std::sync::atomic::Ordering::Relaxed)
                 > 0
-                || stats.input_bytes.load(std::sync::atomic::Ordering::Relaxed) > 0
+                || stats
+                    .compress_input_bytes
+                    .load(std::sync::atomic::Ordering::Relaxed)
+                    > 0
         );
     }
 

@@ -1,12 +1,13 @@
 //! Reads entries back out of an sstable file.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use pebblesdb_bloom::BloomFilterPolicy;
 use pebblesdb_common::coding::decode_fixed32;
 use pebblesdb_common::iterator::DbIterator;
-use pebblesdb_common::{crc32c, CompressionStats, Error, ReadOptions, Result, StoreOptions};
+use pebblesdb_common::{crc32c, EngineCounters, Error, ReadOptions, Result, StoreOptions};
 use pebblesdb_env::RandomAccessFile;
 
 use crate::block::{Block, BlockIterator};
@@ -38,7 +39,7 @@ pub struct Table {
     cache_id: u64,
     verify_checksums_default: bool,
     size: u64,
-    compression_stats: Arc<CompressionStats>,
+    counters: Arc<EngineCounters>,
 }
 
 impl Table {
@@ -59,9 +60,9 @@ impl Table {
         let footer_data = file.read(size - FOOTER_SIZE as u64, FOOTER_SIZE)?;
         let footer = Footer::decode(&footer_data)?;
 
-        let stats = &options.compression_stats;
+        let counters = &options.counters;
         let index_contents =
-            Self::read_block_contents(file.as_ref(), &footer.index_handle, true, stats)?;
+            Self::read_block_contents(file.as_ref(), &footer.index_handle, true, counters)?;
         let index_block = Arc::new(Block::new(index_contents)?);
 
         let filter = if footer.filter_handle.size > 0 && options.bloom_bits_per_key > 0 {
@@ -69,7 +70,7 @@ impl Table {
                 file.as_ref(),
                 &footer.filter_handle,
                 true,
-                stats,
+                counters,
             )?)
         } else {
             None
@@ -84,7 +85,7 @@ impl Table {
             cache_id,
             verify_checksums_default: options.paranoid_checks,
             size,
-            compression_stats: Arc::clone(stats),
+            counters: Arc::clone(counters),
         })
     }
 
@@ -154,7 +155,7 @@ impl Table {
         file: &dyn RandomAccessFile,
         handle: &BlockHandle,
         verify: bool,
-        stats: &CompressionStats,
+        counters: &EngineCounters,
     ) -> Result<Vec<u8>> {
         let raw = file.read(handle.offset, handle.size as usize + BLOCK_TRAILER_SIZE)?;
         if raw.len() < handle.size as usize + BLOCK_TRAILER_SIZE {
@@ -175,7 +176,9 @@ impl Table {
             1 => {
                 let start = Instant::now();
                 let decoded = pebblesdb_compress::decompress(contents, MAX_DECOMPRESSED_BLOCK)?;
-                stats.add_decompress_micros(start.elapsed().as_micros() as u64);
+                counters
+                    .decompress_micros
+                    .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
                 Ok(decoded)
             }
             _ => Err(Error::corruption("unsupported compression type")),
@@ -195,7 +198,7 @@ impl Table {
         }
         let verify = read_options.verify_checksums || self.verify_checksums_default;
         let contents =
-            Self::read_block_contents(self.file.as_ref(), handle, verify, &self.compression_stats)?;
+            Self::read_block_contents(self.file.as_ref(), handle, verify, &self.counters)?;
         // `contents` is already decompressed, so the cache below only ever
         // holds uncompressed blocks — a cache hit never decodes.
         let block = Block::new(contents)?;

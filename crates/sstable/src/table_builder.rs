@@ -1,11 +1,12 @@
 //! Builds an sstable file from a sorted stream of entries.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use pebblesdb_bloom::BloomFilterPolicy;
 use pebblesdb_common::coding::put_fixed32;
 use pebblesdb_common::key::extract_user_key;
-use pebblesdb_common::{crc32c, CompressionStats, CompressionType, Error, Result, StoreOptions};
+use pebblesdb_common::{crc32c, CompressionType, EngineCounters, Error, Result, StoreOptions};
 use pebblesdb_env::WritableFile;
 
 use crate::block::BlockBuilder;
@@ -37,7 +38,7 @@ pub struct TableBuilder {
     /// Codec for data and index blocks (the filter block is raw bloom bits —
     /// incompressible by construction — and always stored with tag 0).
     compression: CompressionType,
-    compression_stats: Arc<CompressionStats>,
+    counters: Arc<EngineCounters>,
 }
 
 impl TableBuilder {
@@ -78,7 +79,7 @@ impl TableBuilder {
             last_key: Vec::new(),
             closed: false,
             compression,
-            compression_stats: Arc::clone(&options.compression_stats),
+            counters: Arc::clone(&options.counters),
         }
     }
 
@@ -204,12 +205,14 @@ impl TableBuilder {
             CompressionType::None => self.write_block_with_tag(contents, 0),
             CompressionType::Lz => match pebblesdb_compress::compress_if_worthwhile(contents) {
                 Some(compressed) => {
-                    self.compression_stats
+                    self.counters
                         .record_compressed(contents.len() as u64, compressed.len() as u64);
                     self.write_block_with_tag(&compressed, CompressionType::Lz.tag())
                 }
                 None => {
-                    self.compression_stats.record_skipped();
+                    self.counters
+                        .compress_skipped_blocks
+                        .fetch_add(1, Ordering::Relaxed);
                     self.write_block_with_tag(contents, 0)
                 }
             },

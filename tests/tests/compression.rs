@@ -167,6 +167,28 @@ fn compression_shrinks_tables_and_moves_the_counters() {
     }
 }
 
+/// Two stores opened from clones of one options value (a leader and an
+/// in-process follower, two engines in one benchmark) each count their own
+/// compression work: the sink rides inside the options, and sharing it made
+/// every store report the others' bytes.
+#[test]
+fn compression_counters_do_not_leak_between_stores() {
+    for engine in ENGINES {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let options = small_file_options(CompressionType::Lz);
+        let busy = open_engine(engine, &env, Path::new("/leak-busy"), options.clone());
+        let idle = open_engine(engine, &env, Path::new("/leak-idle"), options.clone());
+        for i in 0..400u32 {
+            busy.put(format!("key{i:06}").as_bytes(), &compressible_value(i, 400))
+                .unwrap();
+        }
+        busy.flush().unwrap();
+        assert!(busy.stats().compress_input_bytes > 0, "{engine}");
+        assert_eq!(idle.stats().compress_input_bytes, 0, "{engine}");
+        assert_eq!(idle.stats().compress_output_bytes, 0, "{engine}");
+    }
+}
+
 #[test]
 fn per_level_tiers_keep_young_levels_raw() {
     for engine in ENGINES {

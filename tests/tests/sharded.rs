@@ -13,7 +13,9 @@ use rand::{Rng, SeedableRng};
 
 use pebblesdb::PebblesDb;
 use pebblesdb_common::snapshot::Snapshot;
-use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset, WriteBatch};
+use pebblesdb_common::{
+    CompressionType, Db, KvStore, ReadOptions, StoreOptions, StorePreset, StoreStats, WriteBatch,
+};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 use pebblesdb_shard::{HashPartitioner, Partitioner, PartitionerKind, ShardConfig};
@@ -40,12 +42,22 @@ fn hash_config() -> ShardConfig {
 /// Opens a sharded store of either policy family by name, so every scenario
 /// runs against both the FLSM and the baseline-LSM shards.
 fn open_sharded(env: Arc<dyn Env>, dir: &Path, engine: &str, config: ShardConfig) -> Arc<dyn Db> {
+    open_sharded_with(env, dir, engine, tiny_options(), config)
+}
+
+fn open_sharded_with(
+    env: Arc<dyn Env>,
+    dir: &Path,
+    engine: &str,
+    options: StoreOptions,
+    config: ShardConfig,
+) -> Arc<dyn Db> {
     match engine {
-        "flsm" => Arc::new(
-            PebblesDb::open_sharded(env, dir, tiny_options(), config).expect("open flsm shards"),
-        ),
+        "flsm" => {
+            Arc::new(PebblesDb::open_sharded(env, dir, options, config).expect("open flsm shards"))
+        }
         "lsm" => Arc::new(
-            LsmDb::open_sharded(env, dir, tiny_options(), StorePreset::HyperLevelDb, config)
+            LsmDb::open_sharded(env, dir, options, StorePreset::HyperLevelDb, config)
                 .expect("open lsm shards"),
         ),
         other => panic!("unknown engine {other}"),
@@ -376,6 +388,67 @@ fn cross_shard_batch_whose_journal_append_fails_applies_nothing() {
     assert_eq!(store.get(b"base").unwrap(), Some(b"line".to_vec()));
     assert_eq!(store.get(&key_a).unwrap(), None);
     assert_eq!(store.get(&key_b).unwrap(), None);
+}
+
+/// Every row of a sharded store's `stats()` is its shards' rows merged by
+/// the row's rule. The value-log and compression rows used to read 0 (the
+/// hand-written aggregate never copied them), and the device-IO rows are one
+/// shared `Env`'s store-wide figures — the same on every shard — so they
+/// must not come out multiplied by the shard count.
+#[test]
+fn sharded_stats_merge_every_row_by_its_rule() {
+    for engine in ["flsm", "lsm"] {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let mut options = tiny_options();
+        options.value_separation_threshold = 256;
+        options.compression = CompressionType::Lz;
+        let config = ShardConfig {
+            shards: 2,
+            partitioner: PartitionerKind::Hash,
+        };
+        let store = open_sharded_with(env, Path::new("/sharded-stats"), engine, options, config);
+        for i in 0..200u16 {
+            let value = format!("value-{:04}-", i % 5).repeat(100);
+            store.put(&key_of(i), value.as_bytes()).unwrap();
+        }
+        store.flush().unwrap();
+
+        // Background work may still move counters, and they only grow: the
+        // aggregate lies between the per-shard readings around it.
+        let before = store.shard_stats();
+        let total = store.stats();
+        let after = store.shard_stats();
+        assert_eq!(before.len(), 2, "{engine}");
+        let row = |stats: &StoreStats, name: &str| -> u64 {
+            let fields = stats.fields();
+            fields.iter().find(|f| f.name == name).unwrap().value
+        };
+        for name in [
+            "user_bytes_written",
+            "vlog_bytes_written",
+            "compress_input_bytes",
+            "compress_output_bytes",
+        ] {
+            let total = row(&total, name);
+            let low: u64 = before.iter().map(|s| row(s, name)).sum();
+            let high: u64 = after.iter().map(|s| row(s, name)).sum();
+            assert!(total > 0, "{engine}: {name} reads 0");
+            assert!(
+                low <= total && total <= high,
+                "{engine}: {name} = {total} is not the sum of its shards ({low}..={high})"
+            );
+        }
+        for name in ["bytes_written", "bytes_read"] {
+            let total = row(&total, name);
+            let low = before.iter().map(|s| row(s, name)).min().unwrap();
+            let high = after.iter().map(|s| row(s, name)).max().unwrap();
+            assert!(
+                low <= total && total <= high,
+                "{engine}: {name} = {total} is not one shard's store-wide reading ({low}..={high})"
+            );
+        }
+        assert!(total.bytes_written > 0, "{engine}");
+    }
 }
 
 #[test]
