@@ -154,7 +154,7 @@ pub fn select_guard_inputs(
     claimed: &BTreeSet<u64>,
     split: usize,
 ) -> Vec<Arc<FileMetaData>> {
-    let guards = &version.levels[level].guards;
+    let guards = version.levels[level].guards();
     let components = connected_guard_components(guards);
     let claimable = |component: &&Vec<usize>| {
         component.iter().all(|&idx| {
@@ -204,7 +204,7 @@ fn select_seek_inputs(
     level: usize,
     claimed: &BTreeSet<u64>,
 ) -> Vec<Arc<FileMetaData>> {
-    let guards = &version.levels[level].guards;
+    let guards = version.levels[level].guards();
     let components = connected_guard_components(guards);
     let best = components
         .iter()
@@ -309,7 +309,7 @@ pub fn build_compaction_job(
         let dest = &version.levels[last_level];
         let mut dest_bytes = 0u64;
         let mut dest_full = false;
-        for guard in &dest.guards {
+        for guard in dest.guards() {
             let overlaps = guard.files.iter().any(|f| {
                 f.smallest.user_key() <= largest.as_slice()
                     && smallest.as_slice() <= f.largest.user_key()
@@ -353,7 +353,7 @@ pub fn build_compaction_job(
         // In-place jobs commit no new guards, so partition i is exactly
         // guard i of the level (0 = sentinel).
         version.levels[output_level]
-            .guards
+            .guards()
             .iter()
             .map(|g| g.files.iter().all(|f| input_numbers.contains(&f.number)))
             .collect()
@@ -928,7 +928,7 @@ mod tests {
 
         // Hand-build a job covering only the sentinel guard's own files plus
         // the spanning file — guard "m" keeps file 72 (older "n").
-        let guards = &version.levels[last].guards;
+        let guards = version.levels[last].guards();
         let inputs: Vec<Arc<FileMetaData>> = guards[0].files.to_vec();
         let job = FlsmCompactionJob {
             level: last,

@@ -102,9 +102,12 @@ impl ShapePolicy for FlsmPolicy {
     // ------------------------------------------------------------ write path
 
     /// Writes reset the consecutive-seek counter (section 4.2: seek-based
-    /// compaction targets read-only phases).
+    /// compaction targets read-only phases). The counter is shared with
+    /// every reader, so a write-only phase leaves its cache line alone.
     fn note_write(&self) {
-        self.consecutive_seeks.store(0, Ordering::Relaxed);
+        if self.consecutive_seeks.load(Ordering::Relaxed) != 0 {
+            self.consecutive_seeks.store(0, Ordering::Relaxed);
+        }
     }
 
     /// Guard selection: a pure hash of the key, safe to run in the unlocked
@@ -138,11 +141,13 @@ impl ShapePolicy for FlsmPolicy {
     /// contributes a single lazy [`GuardLevelIterator`](crate::iter::GuardLevelIterator)
     /// that merges the sstables of whichever guard the cursor is in,
     /// positioning the deepest non-empty level's guard with a thread pool on
-    /// `seek` — the paper's "parallel seeks" optimisation.
+    /// `seek` — the paper's "parallel seeks" optimisation. The level
+    /// iterators read the guards of the shared `version` in place, so the
+    /// cost of a cursor does not depend on the number of guards.
     fn append_version_iterators(
         &self,
         io: &EngineIo,
-        version: &FlsmVersion,
+        version: &Arc<FlsmVersion>,
         opts: &ReadOptions,
         children: &mut Vec<Box<dyn DbIterator>>,
     ) -> Result<()> {
@@ -156,20 +161,15 @@ impl ShapePolicy for FlsmPolicy {
 
         // Parallel guard seeks pay on the deepest non-empty level, whose
         // sstables are the least likely to be cached.
-        let deepest_nonempty = version
-            .levels
-            .iter()
-            .enumerate()
-            .skip(1)
+        let deepest_nonempty = (1..version.num_levels())
             .rev()
-            .find(|(_, l)| l.num_files() > 0)
-            .map(|(idx, _)| idx);
-        for (level_idx, level) in version.levels.iter().enumerate().skip(1) {
-            if level.num_files() == 0 {
+            .find(|level| version.level_files(*level) > 0);
+        for level in 1..version.num_levels() {
+            if version.level_files(level) == 0 {
                 continue;
             }
             let parallel_threads =
-                if self.options.enable_parallel_seeks && Some(level_idx) == deepest_nonempty {
+                if self.options.enable_parallel_seeks && Some(level) == deepest_nonempty {
                     self.options.parallel_seek_threads
                 } else {
                     1
@@ -178,7 +178,8 @@ impl ShapePolicy for FlsmPolicy {
                 crate::iter::GuardLevelIterator::new(
                     Arc::clone(&io.table_cache),
                     opts.clone(),
-                    level.guards.clone(),
+                    Arc::clone(version),
+                    level,
                 )
                 .with_parallel_seeks(parallel_threads),
             ));
@@ -186,10 +187,15 @@ impl ShapePolicy for FlsmPolicy {
         Ok(())
     }
 
-    /// Counts a seek; the threshold of consecutive seeks arms a
-    /// seek-triggered compaction via `arm_requested_compaction`.
-    fn note_seek(&self) -> bool {
-        if !self.options.enable_seek_compaction {
+    /// Counts a seek against `version`, the one the cursor pinned; the
+    /// threshold of consecutive seeks arms a seek-triggered compaction via
+    /// `arm_requested_compaction`. Only seeks a compaction could speed up
+    /// count: over a tree whose guards all hold at most one sstable there is
+    /// nothing to collapse, and the cursor touches no shared state here.
+    fn note_seek(&self, version: &FlsmVersion) -> bool {
+        if !self.options.enable_seek_compaction
+            || Self::pick_seek_compaction_level(version).is_none()
+        {
             return false;
         }
         let seeks = self.consecutive_seeks.fetch_add(1, Ordering::Relaxed) + 1;
@@ -565,6 +571,132 @@ mod tests {
         assert!(inner.claim_job(&mut state).is_none());
         assert!(!state.default_cf().policy.seek_compaction_pending);
         drop(state);
+    }
+
+    fn seek_pending(db: &PebblesDb) -> bool {
+        let state = db.db.core().state.lock();
+        state.default_cf().policy.seek_compaction_pending
+    }
+
+    fn open_cursor(db: &PebblesDb) {
+        let mut iter = db.iter(&ReadOptions::default()).unwrap();
+        iter.seek(b"key");
+    }
+
+    /// Polls until `done` holds (it may take the state lock itself).
+    fn wait_until(db: &PebblesDb, what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !done() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{what}: {}",
+                db.level_summary()
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// Polls the current version until `done` holds.
+    fn wait_for_shape(db: &PebblesDb, what: &str, done: impl Fn(&FlsmVersion) -> bool) {
+        wait_until(db, what, || db.db.with_current_version(&done));
+    }
+
+    fn fattest_guard(version: &FlsmVersion) -> usize {
+        let deeper = version.levels.iter().map(|l| l.max_files_in_guard());
+        deeper.max().unwrap_or(0).max(version.level0.len())
+    }
+
+    /// Over a tree with nothing to collapse the trigger is silent: no
+    /// cursor sets the flag, wakes a worker or runs a compaction, however
+    /// many consecutive seeks there are.
+    #[test]
+    fn seek_trigger_is_silent_once_every_guard_is_collapsed() {
+        let mut options = StoreOptions::default();
+        options.write_buffer_size = 32 << 10;
+        options.top_level_bits = 8;
+        let db = open_empty(options);
+        for i in 0..4000u32 {
+            let key = format!("key{:06}", i.wrapping_mul(2_654_435_761) % 4000);
+            db.put(key.as_bytes(), &[b'v'; 64]).unwrap();
+        }
+        db.flush().unwrap();
+        // Read the tree to rest: the trigger collapses what the load left.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while db.db.with_current_version(fattest_guard) > 1 {
+            assert!(std::time::Instant::now() < deadline, "never came to rest");
+            open_cursor(&db);
+            db.flush().unwrap();
+        }
+        wait_until(&db, "the last seek compaction", || !seek_pending(&db));
+        db.flush().unwrap();
+
+        let compactions = db.stats().compactions;
+        for _ in 0..1000 {
+            open_cursor(&db);
+            assert!(!seek_pending(&db), "a cursor over a tree at rest armed");
+        }
+        assert_eq!(db.stats().compactions, compactions);
+        assert_eq!(db.db.with_current_version(fattest_guard), 1);
+    }
+
+    /// With a guard holding two sstables and every size trigger off,
+    /// `seek_compaction_threshold` consecutive cursors — and no fewer, and
+    /// not across a write — schedule the compaction that collapses it.
+    #[test]
+    fn seek_trigger_collapses_a_fat_guard_after_threshold_consecutive_seeks() {
+        let mut options = StoreOptions::default();
+        options.level0_compaction_trigger = 100;
+        options.level0_slowdown_writes_trigger = 100;
+        options.level0_stop_writes_trigger = 120;
+        options.enable_aggressive_compaction = false;
+        options.top_level_bits = 30; // no guards: every level is its sentinel
+        let threshold = options.seek_compaction_threshold;
+        let db = open_empty(options.clone());
+        let mut next_key = 0u32;
+        let mut two_level0_files = |db: &PebblesDb| {
+            for _ in 0..2 {
+                for _ in 0..50 {
+                    next_key += 1;
+                    let key = format!("key{next_key:06}");
+                    db.put(key.as_bytes(), b"value").unwrap();
+                }
+                db.flush().unwrap();
+            }
+        };
+        // Two seek-triggered level-0 compactions stack two sstables in the
+        // level-1 sentinel guard.
+        for files in 1..=2 {
+            two_level0_files(&db);
+            assert_eq!(db.db.with_current_version(|v| v.level0.len()), 2);
+            for _ in 0..threshold {
+                open_cursor(&db);
+            }
+            wait_for_shape(&db, "level-0 seek compaction", |v| {
+                v.level0.is_empty() && v.levels[1].max_files_in_guard() == files
+            });
+        }
+        db.db.with_current_version(|v| {
+            assert_eq!(fattest_guard(v), 2);
+            assert!(v.compaction_candidates(&options).is_empty());
+        });
+        wait_until(&db, "flag of the last job", || !seek_pending(&db));
+
+        // One short of the threshold arms nothing...
+        for _ in 0..threshold - 1 {
+            open_cursor(&db);
+            assert!(!seek_pending(&db));
+        }
+        // ...a write resets the count...
+        db.put(b"key000000", b"value").unwrap();
+        for _ in 0..threshold - 1 {
+            open_cursor(&db);
+            assert!(!seek_pending(&db));
+        }
+        assert_eq!(db.db.with_current_version(fattest_guard), 2);
+        // ...and the cursor that completes the run schedules the job.
+        open_cursor(&db);
+        wait_for_shape(&db, "level-1 seek compaction", |v| fattest_guard(v) == 1);
+        assert_eq!(db.files_per_level()[..3], [0, 0, 1]);
     }
 
     /// Claims at the same level are disjoint, and the counters see the

@@ -14,16 +14,20 @@ use pebblesdb_common::key::extract_user_key;
 use pebblesdb_common::{ReadOptions, Result};
 use pebblesdb_sstable::TableCache;
 
-use crate::guards::{guard_index_for_key, GuardMeta};
+use crate::guards::GuardMeta;
+use crate::version::FlsmVersion;
 
 /// A lazy iterator over one guard-organised FLSM level.
+///
+/// The iterator borrows the level's guards from the version it pins, so
+/// building one costs the same whatever the number of guards.
 pub struct GuardLevelIterator {
     table_cache: Arc<TableCache>,
     read_options: ReadOptions,
-    /// The level's guards (sentinel first), cloned from the pinned version.
-    guards: Vec<GuardMeta>,
-    /// Guard keys (sentinel excluded), kept for binary search.
-    guard_keys: Vec<Vec<u8>>,
+    /// The pinned version; the guards of `version.levels[level]` are read in
+    /// place.
+    version: Arc<FlsmVersion>,
+    level: usize,
     /// Index of the guard the cursor is in; `guards.len()` = unpositioned.
     index: usize,
     current: Option<MergingIterator>,
@@ -34,29 +38,47 @@ pub struct GuardLevelIterator {
     parallel_seek_threads: usize,
 }
 
+/// The guard-key bounds `[lower, upper)` of guard `index`.
+///
+/// Files written before a guard was committed may span several guards
+/// (they are attached to each guard they overlap); bounding iteration to
+/// the guard's own key range ensures every entry is emitted exactly once
+/// and in global key order.
+fn guard_bounds(guards: &[GuardMeta], index: usize) -> (Option<&[u8]>, Option<&[u8]>) {
+    // The sentinel's empty key is "no lower bound".
+    let lower = guards
+        .get(index)
+        .filter(|g| !g.is_sentinel())
+        .map(|g| g.key.as_slice());
+    let upper = guards.get(index + 1).map(|g| g.key.as_slice());
+    (lower, upper)
+}
+
 impl GuardLevelIterator {
-    /// Creates an iterator over the given guards.
+    /// Creates an iterator over the guards of `version.levels[level]`.
     pub fn new(
         table_cache: Arc<TableCache>,
         read_options: ReadOptions,
-        guards: Vec<GuardMeta>,
+        version: Arc<FlsmVersion>,
+        level: usize,
     ) -> Self {
-        let guard_keys = guards
-            .iter()
-            .filter(|g| !g.is_sentinel())
-            .map(|g| g.key.clone())
-            .collect();
-        let index = guards.len();
+        let index = version.levels[level].guards().len();
         GuardLevelIterator {
             table_cache,
             read_options,
-            guards,
-            guard_keys,
+            version,
+            level,
             index,
             current: None,
             error: None,
             parallel_seek_threads: 1,
         }
+    }
+
+    /// The level's guards. Methods that move the cursor spell this out on
+    /// the `version` field instead, keeping the borrow off `current`.
+    fn guards(&self) -> &[GuardMeta] {
+        self.version.levels[self.level].guards()
     }
 
     fn record_open_error(&mut self, result: Result<()>) -> bool {
@@ -86,27 +108,28 @@ impl GuardLevelIterator {
         if self.parallel_seek_threads <= 1 {
             return;
         }
-        let Some(guard) = self.guards.get(index) else {
+        let Some(guard) = self.guards().get(index) else {
             return;
         };
         if guard.files.len() <= 1 {
             return;
         }
-        let files: Vec<(u64, u64)> = guard
+        let chunk_size = guard
             .files
-            .iter()
-            .map(|f| (f.number, f.file_size))
-            .collect();
-        let chunk_size = files.len().div_ceil(self.parallel_seek_threads).max(1);
+            .len()
+            .div_ceil(self.parallel_seek_threads)
+            .max(1);
         // Capture only the Sync pieces; `self` also holds the (non-Sync)
         // current merging iterator.
         let table_cache = &self.table_cache;
         let read_options = &self.read_options;
         std::thread::scope(|scope| {
-            for chunk in files.chunks(chunk_size) {
+            for chunk in guard.files.chunks(chunk_size) {
                 scope.spawn(move || {
-                    for (number, size) in chunk {
-                        if let Ok(mut iter) = table_cache.iter(read_options, *number, *size) {
+                    for file in chunk {
+                        if let Ok(mut iter) =
+                            table_cache.iter(read_options, file.number, file.file_size)
+                        {
                             iter.seek(target);
                         }
                     }
@@ -115,35 +138,17 @@ impl GuardLevelIterator {
         });
     }
 
-    /// The guard-key bounds `[lower, upper)` of guard `index`.
-    ///
-    /// Files written before a guard was committed may span several guards
-    /// (they are attached to each guard they overlap); bounding iteration to
-    /// the guard's own key range ensures every entry is emitted exactly once
-    /// and in global key order.
-    fn guard_bounds(&self, index: usize) -> (Option<&[u8]>, Option<&[u8]>) {
-        let lower = if index == 0 {
-            None
-        } else {
-            self.guard_keys.get(index - 1).map(|k| k.as_slice())
-        };
-        let upper = self.guard_keys.get(index).map(|k| k.as_slice());
-        (lower, upper)
-    }
-
     fn open_guard(&mut self, index: usize) -> Result<()> {
         self.index = index;
-        if index >= self.guards.len() {
-            self.current = None;
-            return Ok(());
-        }
-        let guard = &self.guards[index];
-        if guard.files.is_empty() {
-            self.current = None;
-            return Ok(());
-        }
-        let mut children: Vec<Box<dyn DbIterator>> = Vec::with_capacity(guard.files.len());
-        for file in &guard.files {
+        let files = match self.version.levels[self.level].guards().get(index) {
+            Some(guard) if !guard.files.is_empty() => &guard.files,
+            _ => {
+                self.current = None;
+                return Ok(());
+            }
+        };
+        let mut children: Vec<Box<dyn DbIterator>> = Vec::with_capacity(files.len());
+        for file in files {
             children.push(Box::new(self.table_cache.iter(
                 &self.read_options,
                 file.number,
@@ -164,29 +169,19 @@ impl GuardLevelIterator {
             return false;
         }
         let user_key = extract_user_key(iter.key());
-        let (lower, upper) = self.guard_bounds(self.index);
-        if let Some(lower) = lower {
-            if user_key < lower {
-                return false;
-            }
-        }
-        if let Some(upper) = upper {
-            if user_key >= upper {
-                return false;
-            }
-        }
-        true
+        let (lower, upper) = guard_bounds(self.guards(), self.index);
+        lower.is_none_or(|lower| user_key >= lower) && upper.is_none_or(|upper| user_key < upper)
     }
 
     /// Skips forward over entries below the guard's lower bound (they belong
     /// to an earlier guard and were emitted there).
     fn skip_below_lower_bound(&mut self) {
-        let lower = match self.guard_bounds(self.index).0 {
-            Some(lower) => lower.to_vec(),
-            None => return,
+        let guards = self.version.levels[self.level].guards();
+        let Some(lower) = guard_bounds(guards, self.index).0 else {
+            return;
         };
         while let Some(iter) = self.current.as_mut() {
-            if !iter.valid() || extract_user_key(iter.key()) >= lower.as_slice() {
+            if !iter.valid() || extract_user_key(iter.key()) >= lower {
                 break;
             }
             iter.next();
@@ -200,14 +195,14 @@ impl GuardLevelIterator {
             }
             // Either the guard is exhausted or the next entry spills past the
             // guard's upper bound; move on to the following guard.
-            let next = if self.index >= self.guards.len() {
+            let guard_count = self.guards().len();
+            if self.index >= guard_count {
                 return;
-            } else {
-                self.index + 1
-            };
-            if next >= self.guards.len() {
+            }
+            let next = self.index + 1;
+            if next >= guard_count {
                 self.current = None;
-                self.index = self.guards.len();
+                self.index = guard_count;
                 return;
             }
             let result = self.open_guard(next);
@@ -228,26 +223,20 @@ impl GuardLevelIterator {
             }
             // If the current entry is merely above the upper bound, walk
             // backwards within the same guard first.
-            if let Some(iter) = self.current.as_mut() {
-                if iter.valid() {
-                    let user_key = extract_user_key(iter.key()).to_vec();
-                    if let Some(upper) = self.guard_bounds(self.index).1 {
-                        if user_key.as_slice() >= upper {
-                            self.current.as_mut().expect("checked").prev();
-                            continue;
-                        }
-                    }
+            let guards = self.version.levels[self.level].guards();
+            if let (Some(iter), Some(upper)) =
+                (self.current.as_mut(), guard_bounds(guards, self.index).1)
+            {
+                if iter.valid() && extract_user_key(iter.key()) >= upper {
+                    iter.prev();
+                    continue;
                 }
             }
             if self.index == 0 {
                 self.current = None;
                 return;
             }
-            let prev = if self.index >= self.guards.len() {
-                self.guards.len() - 1
-            } else {
-                self.index - 1
-            };
+            let prev = self.index.min(guards.len()) - 1;
             let result = self.open_guard(prev);
             if !self.record_open_error(result) {
                 return;
@@ -265,7 +254,7 @@ impl DbIterator for GuardLevelIterator {
     }
 
     fn seek_to_first(&mut self) {
-        if self.guards.is_empty() {
+        if self.guards().is_empty() {
             self.current = None;
             return;
         }
@@ -280,11 +269,11 @@ impl DbIterator for GuardLevelIterator {
     }
 
     fn seek_to_last(&mut self) {
-        if self.guards.is_empty() {
+        if self.guards().is_empty() {
             self.current = None;
             return;
         }
-        let last = self.guards.len() - 1;
+        let last = self.guards().len() - 1;
         let result = self.open_guard(last);
         if !self.record_open_error(result) {
             return;
@@ -297,12 +286,11 @@ impl DbIterator for GuardLevelIterator {
     }
 
     fn seek(&mut self, target: &[u8]) {
-        if self.guards.is_empty() {
+        if self.guards().is_empty() {
             self.current = None;
             return;
         }
-        let user_key = extract_user_key(target);
-        let index = guard_index_for_key(&self.guard_keys, user_key);
+        let index = self.version.levels[self.level].guard_index_for(extract_user_key(target));
         self.parallel_warm_guard(index, target);
         let result = self.open_guard(index);
         if !self.record_open_error(result) {
@@ -350,12 +338,17 @@ impl DbIterator for GuardLevelIterator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::version::FlsmLevel;
     use pebblesdb_common::filename::table_file_name;
-    use pebblesdb_common::key::{encode_internal_key, InternalKey, ValueType};
+    use pebblesdb_common::key::{
+        compare_internal_keys, encode_internal_key, InternalKey, ValueType,
+    };
     use pebblesdb_common::StoreOptions;
-    use pebblesdb_engine::FileMetaData;
+    use pebblesdb_engine::{FileMetaData, VersionEdit, VersionShape};
     use pebblesdb_env::{Env, MemEnv};
     use pebblesdb_sstable::TableBuilder;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::path::{Path, PathBuf};
 
     fn build_file(
@@ -371,7 +364,7 @@ mod tests {
             .iter()
             .map(|(k, seq)| encode_internal_key(k.as_bytes(), *seq, ValueType::Value))
             .collect();
-        encoded.sort_by(|a, b| pebblesdb_common::key::compare_internal_keys(a, b));
+        encoded.sort_by(|a, b| compare_internal_keys(a, b));
         for key in &encoded {
             builder.add(key, format!("v{number}").as_bytes()).unwrap();
         }
@@ -409,6 +402,13 @@ mod tests {
         (cache, vec![sentinel, guard_m, guard_t])
     }
 
+    /// An iterator over level 1 of a version whose level 1 holds `guards`.
+    fn level_iter(cache: Arc<TableCache>, guards: Vec<GuardMeta>) -> GuardLevelIterator {
+        let mut version = FlsmVersion::empty(2);
+        version.levels[1] = FlsmLevel::new(guards);
+        GuardLevelIterator::new(cache, ReadOptions::default(), Arc::new(version), 1)
+    }
+
     fn user_keys_forward(iter: &mut GuardLevelIterator) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut out = Vec::new();
         iter.seek_to_first();
@@ -422,7 +422,7 @@ mod tests {
     #[test]
     fn iterates_across_guards_and_merges_within_a_guard() {
         let (cache, guards) = setup();
-        let mut iter = GuardLevelIterator::new(cache, ReadOptions::default(), guards);
+        let mut iter = level_iter(cache, guards);
         let entries = user_keys_forward(&mut iter);
         let keys: Vec<Vec<u8>> = entries.iter().map(|(k, _)| k.clone()).collect();
         // "c" appears in both sentinel files (seq 6 newer than seq 5).
@@ -445,7 +445,7 @@ mod tests {
     #[test]
     fn seek_lands_in_the_owning_guard() {
         let (cache, guards) = setup();
-        let mut iter = GuardLevelIterator::new(cache, ReadOptions::default(), guards);
+        let mut iter = level_iter(cache, guards);
         iter.seek(&encode_internal_key(b"n", u64::MAX >> 8, ValueType::Value));
         assert!(iter.valid());
         assert_eq!(extract_user_key(iter.key()), b"p");
@@ -465,7 +465,7 @@ mod tests {
         let (cache, mut guards) = setup();
         // Clear guard "m" so the level is sentinel + empty + empty.
         guards[1].files.clear();
-        let mut iter = GuardLevelIterator::new(cache, ReadOptions::default(), guards);
+        let mut iter = level_iter(cache, guards);
         let entries = user_keys_forward(&mut iter);
         assert_eq!(entries.len(), 4);
         assert_eq!(entries.last().unwrap().0, b"c".to_vec());
@@ -474,7 +474,7 @@ mod tests {
     #[test]
     fn reverse_iteration_walks_back_through_guards() {
         let (cache, guards) = setup();
-        let mut iter = GuardLevelIterator::new(cache, ReadOptions::default(), guards);
+        let mut iter = level_iter(cache, guards);
         iter.seek_to_last();
         assert!(iter.valid());
         assert_eq!(extract_user_key(iter.key()), b"p");
@@ -483,5 +483,130 @@ mod tests {
         iter.prev();
         // Crosses back into the sentinel guard.
         assert_eq!(extract_user_key(iter.key()), b"c");
+    }
+
+    /// Differential test against a flat sorted oracle: random guard sets
+    /// (empty guards included), files that span several guards and overlap
+    /// inside a guard, user keys repeated at different sequences; random
+    /// cursor programs must see every entry exactly once, in global
+    /// internal-key order, in both directions.
+    #[test]
+    fn random_guard_levels_match_a_flat_sorted_oracle() {
+        const KEYS: u32 = 120;
+        let user_key = |k: u32| format!("k{k:03}");
+        let mut max_span = 0;
+        for seed in 0..150u64 {
+            let mut rng = StdRng::seed_from_u64(0x6a4d_0000 + seed);
+            let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+            let db = PathBuf::from("/guard-diff");
+            env.create_dir_all(&db).unwrap();
+            let options = StoreOptions::default();
+
+            // The version is built by `apply`, which attaches each file to
+            // every guard its key range overlaps.
+            let mut edit = VersionEdit::default();
+            for _ in 0..rng.gen_range(0..12) {
+                let key = user_key(rng.gen_range(0..KEYS));
+                edit.new_guards.push((1, key.into_bytes()));
+            }
+            let mut oracle: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+            let mut sequence = 1u64;
+            for number in 1..=rng.gen_range(1..9u64) {
+                // Narrow files sit inside a guard; wide ones span several.
+                let width = if rng.gen_bool(0.5) { 8 } else { 70 };
+                let low = rng.gen_range(0..KEYS);
+                let entries: Vec<(String, u64)> = (0..rng.gen_range(1..14))
+                    .map(|_| {
+                        sequence += 1;
+                        let key = (low + rng.gen_range(0..width)).min(KEYS - 1);
+                        (user_key(key), sequence)
+                    })
+                    .collect();
+                let borrowed: Vec<(&str, u64)> =
+                    entries.iter().map(|(k, s)| (k.as_str(), *s)).collect();
+                let file = build_file(&env, &db, &options, number, &borrowed);
+                edit.add_file(1, &file);
+                for (key, seq) in &entries {
+                    oracle.push((
+                        encode_internal_key(key.as_bytes(), *seq, ValueType::Value),
+                        format!("v{number}").into_bytes(),
+                    ));
+                }
+            }
+            oracle.sort_by(|a, b| compare_internal_keys(&a.0, &b.0));
+            let version = Arc::new(FlsmVersion::empty(2).apply(&edit).unwrap());
+            version.validate().unwrap();
+            let level = &version.levels[1];
+            for file in level.unique_files() {
+                let span = level.guard_index_for(file.largest.user_key())
+                    - level.guard_index_for(file.smallest.user_key());
+                max_span = max_span.max(span + 1);
+            }
+
+            let cache = Arc::new(TableCache::new(Arc::clone(&env), db, options, 16));
+            let mut iter = GuardLevelIterator::new(cache, ReadOptions::default(), version, 1);
+            // `position` is the oracle's cursor: an index, or `None` for
+            // "not valid".
+            let mut position: Option<usize> = None;
+            for step in 0..80 {
+                match rng.gen_range(0..6) {
+                    0 => {
+                        iter.seek_to_first();
+                        position = Some(0);
+                    }
+                    1 => {
+                        iter.seek_to_last();
+                        position = Some(oracle.len() - 1);
+                    }
+                    2 => {
+                        let key = user_key(rng.gen_range(0..KEYS));
+                        let seq = if rng.gen_bool(0.5) {
+                            u64::MAX >> 8
+                        } else {
+                            rng.gen_range(0..sequence + 2)
+                        };
+                        let target = encode_internal_key(key.as_bytes(), seq, ValueType::Value);
+                        iter.seek(&target);
+                        let at = oracle.partition_point(|(k, _)| {
+                            compare_internal_keys(k, &target) == std::cmp::Ordering::Less
+                        });
+                        position = (at < oracle.len()).then_some(at);
+                    }
+                    3 | 4 => {
+                        let Some(at) = position else { continue };
+                        iter.next();
+                        position = (at + 1 < oracle.len()).then_some(at + 1);
+                    }
+                    _ => {
+                        let Some(at) = position else { continue };
+                        iter.prev();
+                        position = at.checked_sub(1);
+                    }
+                }
+                iter.status().unwrap();
+                assert_eq!(
+                    iter.valid(),
+                    position.is_some(),
+                    "seed {seed} step {step}: validity"
+                );
+                if let Some(at) = position {
+                    let found = (iter.key(), iter.value());
+                    let expected = (oracle[at].0.as_slice(), oracle[at].1.as_slice());
+                    assert_eq!(found, expected, "seed {seed} step {step}");
+                }
+            }
+            // A full forward walk emits each entry exactly once.
+            iter.seek_to_first();
+            for (key, value) in &oracle {
+                assert!(iter.valid(), "seed {seed}: walk ended early");
+                assert_eq!(
+                    (iter.key(), iter.value()),
+                    (key.as_slice(), value.as_slice())
+                );
+                iter.next();
+            }
+            assert!(!iter.valid(), "seed {seed}: an entry was emitted twice");
+        }
+        assert!(max_span >= 4, "the generator must produce spanning files");
     }
 }

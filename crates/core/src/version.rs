@@ -21,18 +21,44 @@ use pebblesdb_sstable::TableCache;
 use crate::guards::{guard_index_for_key, GuardMeta};
 
 /// One guard-organised level of the FLSM.
+///
+/// A level is immutable once built; the aggregate facts the read, stats and
+/// compaction-picking paths ask of it are computed once in
+/// [`FlsmLevel::new`], so none of them walks the guard list.
 #[derive(Debug, Clone, Default)]
 pub struct FlsmLevel {
     /// `guards[0]` is the sentinel (empty key); the rest are sorted by key.
-    pub guards: Vec<GuardMeta>,
+    guards: Vec<GuardMeta>,
+    num_files: usize,
+    total_bytes: u64,
+    max_files_in_guard: usize,
+    empty_guards: usize,
 }
 
 impl FlsmLevel {
+    /// Builds a level from its guards (sentinel first, then sorted by key).
+    pub fn new(guards: Vec<GuardMeta>) -> Self {
+        let mut level = FlsmLevel {
+            max_files_in_guard: guards.iter().map(|g| g.files.len()).max().unwrap_or(0),
+            empty_guards: guards.iter().filter(|g| g.files.is_empty()).count(),
+            guards,
+            num_files: 0,
+            total_bytes: 0,
+        };
+        let files = level.unique_files();
+        level.num_files = files.len();
+        level.total_bytes = files.iter().map(|f| f.file_size).sum();
+        level
+    }
+
     /// Creates a level with only an empty sentinel guard.
     pub fn empty() -> Self {
-        FlsmLevel {
-            guards: vec![GuardMeta::new(Vec::new())],
-        }
+        FlsmLevel::new(vec![GuardMeta::new(Vec::new())])
+    }
+
+    /// The level's guards: the sentinel first, the rest sorted by key.
+    pub fn guards(&self) -> &[GuardMeta] {
+        &self.guards
     }
 
     /// The guard keys of this level, excluding the sentinel.
@@ -40,25 +66,29 @@ impl FlsmLevel {
         self.guards.iter().skip(1).map(|g| g.key.clone()).collect()
     }
 
-    /// The guard that owns `user_key`.
-    pub fn guard_for(&self, user_key: &[u8]) -> &GuardMeta {
+    /// Index into [`FlsmLevel::guards`] of the guard that owns `user_key`.
+    pub fn guard_index_for(&self, user_key: &[u8]) -> usize {
         // Binary search directly over the guard list (sentinel first), so the
         // read path allocates nothing.
-        let count = self
-            .guards
-            .partition_point(|g| g.is_sentinel() || g.key.as_slice() <= user_key);
-        &self.guards[count.saturating_sub(1)]
+        self.guards
+            .partition_point(|g| g.is_sentinel() || g.key.as_slice() <= user_key)
+            .saturating_sub(1)
+    }
+
+    /// The guard that owns `user_key`.
+    pub fn guard_for(&self, user_key: &[u8]) -> &GuardMeta {
+        &self.guards[self.guard_index_for(user_key)]
     }
 
     /// Total bytes across every guard (files spanning several guards are
     /// counted once).
     pub fn total_bytes(&self) -> u64 {
-        self.unique_files().iter().map(|f| f.file_size).sum()
+        self.total_bytes
     }
 
     /// Total number of distinct files across every guard.
     pub fn num_files(&self) -> usize {
-        self.unique_files().len()
+        self.num_files
     }
 
     /// The distinct files of this level.
@@ -66,7 +96,8 @@ impl FlsmLevel {
     /// A file whose key range spans several guards (because a guard was
     /// committed after the file was written) is attached to each guard it
     /// overlaps so point lookups stay correct; aggregations must therefore
-    /// de-duplicate by file number.
+    /// de-duplicate by file number. Walks every guard: the per-operation
+    /// paths read the facts cached by [`FlsmLevel::new`] instead.
     pub fn unique_files(&self) -> Vec<Arc<FileMetaData>> {
         let mut seen = std::collections::BTreeSet::new();
         let mut out = Vec::new();
@@ -82,13 +113,13 @@ impl FlsmLevel {
 
     /// The largest number of sstables held by any single guard.
     pub fn max_files_in_guard(&self) -> usize {
-        self.guards.iter().map(|g| g.files.len()).max().unwrap_or(0)
+        self.max_files_in_guard
     }
 
     /// Number of guards with no sstables (tracked for the empty-guard
     /// experiment, Figure 5.4 of the paper).
     pub fn empty_guards(&self) -> usize {
-        self.guards.iter().filter(|g| g.files.is_empty()).count()
+        self.empty_guards
     }
 }
 
@@ -127,7 +158,7 @@ impl FlsmVersion {
 
     /// Number of guards per level (sentinel included), for diagnostics.
     pub fn guards_per_level(&self) -> Vec<usize> {
-        self.levels.iter().map(|l| l.guards.len()).collect()
+        self.levels.iter().map(|l| l.guards().len()).collect()
     }
 
     /// Total number of empty guards across all levels.
@@ -379,7 +410,7 @@ impl VersionShape for FlsmVersion {
                     guard.files.push(Arc::clone(file));
                 }
             }
-            version.levels[level_idx] = FlsmLevel { guards };
+            version.levels[level_idx] = FlsmLevel::new(guards);
         }
         Ok(version)
     }
@@ -446,7 +477,6 @@ impl VersionShape for FlsmVersion {
                     }
                 }
             }
-            let keys: Vec<Vec<u8>> = level.guard_keys();
             for (guard_idx, guard) in guards.iter().enumerate() {
                 let lower: &[u8] = &guard.key;
                 let upper: Option<&[u8]> = guards.get(guard_idx + 1).map(|g| g.key.as_slice());
@@ -463,8 +493,8 @@ impl VersionShape for FlsmVersion {
             }
             // Every guard a file's range overlaps must hold the file.
             for file in level.unique_files() {
-                let first = guard_index_for_key(&keys, file.smallest.user_key());
-                let last = guard_index_for_key(&keys, file.largest.user_key());
+                let first = level.guard_index_for(file.smallest.user_key());
+                let last = level.guard_index_for(file.largest.user_key());
                 for guard in guards.iter().take(last + 1).skip(first) {
                     if !guard.files.iter().any(|f| f.number == file.number) {
                         return Err(format!(
@@ -614,21 +644,22 @@ mod tests {
 
         // Out-of-order guards are rejected.
         let mut broken = FlsmVersion::empty(4);
-        broken.levels[1].guards = vec![
+        broken.levels[1] = FlsmLevel::new(vec![
             GuardMeta::new(Vec::new()),
             GuardMeta::new(b"t".to_vec()),
             GuardMeta::new(b"g".to_vec()),
-        ];
+        ]);
         assert!(broken.validate().is_err());
 
         // A file attached to a guard it cannot overlap is rejected.
         let mut misfiled = FlsmVersion::empty(4);
+        let guards = vec![GuardMeta::new(Vec::new()), GuardMeta::new(b"m".to_vec())];
         for level in &mut misfiled.levels[1..] {
-            level.guards = vec![GuardMeta::new(Vec::new()), GuardMeta::new(b"m".to_vec())];
+            *level = FlsmLevel::new(guards.clone());
         }
-        misfiled.levels[1].guards[0]
-            .files
-            .push(file_edit(20, "x", "z").to_meta());
+        let mut sentinel = GuardMeta::new(Vec::new());
+        sentinel.files.push(file_edit(20, "x", "z").to_meta());
+        misfiled.levels[1] = FlsmLevel::new(vec![sentinel, guards[1].clone()]);
         assert!(misfiled.validate().is_err());
     }
 

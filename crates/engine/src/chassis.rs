@@ -1326,16 +1326,6 @@ impl<P: ShapePolicy> EngineCore<P> {
     /// armed on the family being read.
     fn iter(&self, cf_id: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
         self.counters.seeks.fetch_add(1, Ordering::Relaxed);
-        if self.policy.note_seek() {
-            {
-                let mut state = self.state.lock();
-                let st = &mut *state;
-                if let Some(cf) = st.cfs.get_mut(&cf_id) {
-                    self.policy.arm_requested_compaction(&mut cf.policy);
-                }
-            }
-            self.work_available.notify_one();
-        }
         let (sequence, mem, imm, version, io, resolver, snapshot) = {
             let state = self.state.lock();
             let sequence = visible_sequence(opts, state.last_sequence);
@@ -1360,6 +1350,14 @@ impl<P: ShapePolicy> EngineCore<P> {
                 snapshot,
             )
         };
+        // The lock is taken a second time only when the policy wants a
+        // compaction for what this cursor is about to read.
+        if self.policy.note_seek(&version) {
+            if let Some(cf) = self.state.lock().cfs.get_mut(&cf_id) {
+                self.policy.arm_requested_compaction(&mut cf.policy);
+            }
+            self.work_available.notify_one();
+        }
 
         let mut children: Vec<Box<dyn DbIterator>> = Vec::new();
         children.push(Box::new(mem.owned_iter()));

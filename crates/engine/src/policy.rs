@@ -120,19 +120,24 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
     ) -> Result<Option<LookupValue>>;
 
     /// Appends the version's level iterators (level-0 files plus one lazy
-    /// iterator per deeper level) to a cursor's child list.
+    /// iterator per deeper level) to a cursor's child list. A level iterator
+    /// keeps a clone of the `Arc` and reads the version's file lists in
+    /// place, so building a cursor copies no per-file or per-guard state.
     fn append_version_iterators(
         &self,
         io: &EngineIo,
-        version: &Self::Version,
+        version: &Arc<Self::Version>,
         opts: &ReadOptions,
         children: &mut Vec<Box<dyn DbIterator>>,
     ) -> Result<()>;
 
-    /// Called on every cursor creation. Returning `true` asks the chassis to
-    /// call [`ShapePolicy::arm_requested_compaction`] under the state lock
-    /// and wake the worker pool (FLSM: the consecutive-seek trigger).
-    fn note_seek(&self) -> bool {
+    /// Called on every cursor creation, outside the state lock, with the
+    /// version the cursor pinned. Returning `true` asks the chassis to call
+    /// [`ShapePolicy::arm_requested_compaction`] under the state lock and
+    /// wake the worker pool (FLSM: the consecutive-seek trigger, which stays
+    /// silent while `version` has no guard a compaction could collapse).
+    fn note_seek(&self, version: &Self::Version) -> bool {
+        let _ = version;
         false
     }
 

@@ -98,7 +98,7 @@ impl ShapePolicy for LsmPolicy {
     fn append_version_iterators(
         &self,
         io: &EngineIo,
-        version: &Version,
+        version: &Arc<Version>,
         opts: &ReadOptions,
         children: &mut Vec<Box<dyn DbIterator>>,
     ) -> Result<()> {
@@ -118,7 +118,8 @@ impl ShapePolicy for LsmPolicy {
             children.push(Box::new(crate::iter::LevelConcatIterator::new(
                 Arc::clone(&io.table_cache),
                 opts.clone(),
-                version.files[level].clone(),
+                Arc::clone(version),
+                level,
             )));
         }
         Ok(())

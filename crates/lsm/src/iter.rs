@@ -12,14 +12,18 @@ use pebblesdb_common::{ReadOptions, Result};
 use pebblesdb_sstable::table::TableIterator;
 use pebblesdb_sstable::TableCache;
 
-use crate::version::FileMetaData;
+use crate::version::{FileMetaData, Version};
 
 /// Iterates over a sorted run of non-overlapping files, opening each sstable
 /// only when the cursor reaches it.
+///
+/// The run is `version.files[level]`, read in place from the version the
+/// iterator pins.
 pub struct LevelConcatIterator {
     table_cache: Arc<TableCache>,
     read_options: ReadOptions,
-    files: Vec<Arc<FileMetaData>>,
+    version: Arc<Version>,
+    level: usize,
     /// Index of the file the cursor is in; `files.len()` means unpositioned.
     index: usize,
     current: Option<TableIterator>,
@@ -28,22 +32,28 @@ pub struct LevelConcatIterator {
 }
 
 impl LevelConcatIterator {
-    /// Creates an iterator over `files`, which must be sorted by smallest key
-    /// and non-overlapping.
+    /// Creates an iterator over `version.files[level]`, which must be sorted
+    /// by smallest key and non-overlapping (any level but 0).
     pub fn new(
         table_cache: Arc<TableCache>,
         read_options: ReadOptions,
-        files: Vec<Arc<FileMetaData>>,
+        version: Arc<Version>,
+        level: usize,
     ) -> Self {
-        let index = files.len();
+        let index = version.files[level].len();
         LevelConcatIterator {
             table_cache,
             read_options,
-            files,
+            version,
+            level,
             index,
             current: None,
             error: None,
         }
+    }
+
+    fn files(&self) -> &[Arc<FileMetaData>] {
+        &self.version.files[self.level]
     }
 
     fn record_open_error(&mut self, result: Result<()>) -> bool {
@@ -59,11 +69,10 @@ impl LevelConcatIterator {
 
     fn open_file(&mut self, index: usize) -> Result<()> {
         self.index = index;
-        if index >= self.files.len() {
+        let Some(file) = self.version.files[self.level].get(index) else {
             self.current = None;
             return Ok(());
-        }
-        let file = &self.files[index];
+        };
         self.current = Some(self.table_cache.iter(
             &self.read_options,
             file.number,
@@ -75,7 +84,7 @@ impl LevelConcatIterator {
     fn skip_forward_while_invalid(&mut self) {
         while self.current.as_ref().map(|it| !it.valid()).unwrap_or(false) {
             let next = self.index + 1;
-            if next >= self.files.len() {
+            if next >= self.files().len() {
                 self.current = None;
                 return;
             }
@@ -112,7 +121,7 @@ impl DbIterator for LevelConcatIterator {
     }
 
     fn seek_to_first(&mut self) {
-        if self.files.is_empty() {
+        if self.files().is_empty() {
             self.current = None;
             return;
         }
@@ -127,11 +136,11 @@ impl DbIterator for LevelConcatIterator {
     }
 
     fn seek_to_last(&mut self) {
-        if self.files.is_empty() {
+        if self.files().is_empty() {
             self.current = None;
             return;
         }
-        let last = self.files.len() - 1;
+        let last = self.files().len() - 1;
         let result = self.open_file(last);
         if !self.record_open_error(result) {
             return;
@@ -144,12 +153,12 @@ impl DbIterator for LevelConcatIterator {
 
     fn seek(&mut self, target: &[u8]) {
         // Find the first file whose largest key is >= target.
-        let index = self.files.partition_point(|f| {
+        let index = self.files().partition_point(|f| {
             compare_internal_keys(f.largest.encoded(), target) == std::cmp::Ordering::Less
         });
-        if index >= self.files.len() {
+        if index >= self.files().len() {
             self.current = None;
-            self.index = self.files.len();
+            self.index = self.files().len();
             return;
         }
         let result = self.open_file(index);
@@ -245,8 +254,12 @@ mod tests {
             build_file(&env, &db, &options, 2, &["f", "g"]),
             build_file(&env, &db, &options, 3, &["m", "n"]),
         ];
+        let version = Arc::new(Version {
+            files: vec![Vec::new(), files],
+        });
         let cache = Arc::new(TableCache::new(Arc::clone(&env), db, options.clone(), 16));
-        let mut iter = LevelConcatIterator::new(Arc::clone(&cache), ReadOptions::default(), files);
+        let mut iter =
+            LevelConcatIterator::new(Arc::clone(&cache), ReadOptions::default(), version, 1);
 
         iter.seek_to_first();
         let mut seen = Vec::new();
@@ -297,7 +310,10 @@ mod tests {
             StoreOptions::default(),
             4,
         ));
-        let mut iter = LevelConcatIterator::new(cache, ReadOptions::default(), Vec::new());
+        let version = Arc::new(Version {
+            files: vec![Vec::new(), Vec::new()],
+        });
+        let mut iter = LevelConcatIterator::new(cache, ReadOptions::default(), version, 1);
         iter.seek_to_first();
         assert!(!iter.valid());
         iter.seek(&encode_internal_key(b"a", 1, ValueType::Value));

@@ -222,6 +222,73 @@ fn cursor_across_memtable_rotation_takes_no_clone() {
     }
 }
 
+/// A cursor opened before compactions replace its version — and before the
+/// obsolete-file GC that follows them — streams its creation-time view to
+/// the end: the level iterators hold the version they read their file lists
+/// from, so every sstable they have yet to open stays on disk until the
+/// cursor drops.
+#[test]
+fn cursor_outlives_the_compactions_that_replace_its_version() {
+    const KEYS: u32 = 3000;
+    fn check(env: Arc<dyn Env>, store: &dyn KvStore) {
+        let name = store.engine_name();
+        let tables = || {
+            let names = env.children(Path::new("/pinned")).unwrap();
+            names.iter().filter(|name| name.ends_with(".sst")).count()
+        };
+        let load = |value: &[u8]| {
+            for i in 0..KEYS {
+                store.put(format!("key{i:06}").as_bytes(), value).unwrap();
+            }
+            store.flush().unwrap();
+        };
+        load(&[b'1'; 100]);
+        let old_files = store.stats().num_files as usize;
+        assert!(
+            old_files > 4,
+            "{name}: the old view must span several files"
+        );
+
+        // Position the cursor inside the first file only.
+        let mut cursor = store.iter(&ReadOptions::default()).unwrap();
+        cursor.seek_to_first();
+        assert_eq!(cursor.key(), b"key000000");
+
+        // Overwrite everything: compactions rewrite every level, each
+        // commit runs the obsolete-file GC, and the final flush quiesces.
+        load(&[b'2'; 100]);
+        load(&[b'3'; 100]);
+        assert!(
+            tables() > store.stats().num_files as usize,
+            "{name}: the cursor's files were reclaimed under it"
+        );
+
+        for i in 0..KEYS {
+            assert!(cursor.valid(), "{name}: view ended at key {i}");
+            assert_eq!(cursor.key(), format!("key{i:06}").as_bytes(), "{name}");
+            assert_eq!(cursor.value(), &[b'1'; 100], "{name}: key {i}");
+            cursor.next();
+        }
+        assert!(!cursor.valid(), "{name}");
+        cursor.status().unwrap();
+
+        // Once the cursor is gone the next quiesce reclaims its files.
+        drop(cursor);
+        store.put(b"key000000", b"4").unwrap();
+        store.flush().unwrap();
+        assert_eq!(tables(), store.stats().num_files as usize, "{name}");
+    }
+
+    let dir = Path::new("/pinned");
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let flsm = PebblesDb::open_with_options(Arc::clone(&env), dir, small_options()).unwrap();
+    check(env, &flsm);
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let preset = StorePreset::HyperLevelDb;
+    let lsm = LsmDb::open_with_options(Arc::clone(&env), dir, small_options(), preset).unwrap();
+    check(env, &lsm);
+}
+
 /// The multi-threaded per-guard compaction pool under full write load:
 /// 4 writers stream data through a tiny memtable while snapshot readers and
 /// a long-lived cursor race the pool (`compaction_threads = 4`).

@@ -1,0 +1,172 @@
+//! Cursor construction is O(levels): the heap allocations of one
+//! `iter()` + `seek` + drop do not depend on how many guards (FLSM) or files
+//! (LSM) the tree holds. Counted, not timed — a counting global allocator
+//! makes the check deterministic, and living in its own test binary keeps
+//! the allocator away from every other suite.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::Path;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use pebblesdb::PebblesDb;
+use pebblesdb_common::{KvStore, ReadOptions, StoreOptions, StorePreset};
+use pebblesdb_env::{Env, MemEnv};
+use pebblesdb_lsm::LsmDb;
+
+thread_local! {
+    /// Allocations made by this thread; background threads count into
+    /// their own (unread) cells.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a const-initialised thread-local `Cell` without a destructor,
+// so touching it neither allocates nor outlives its thread.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Two cursors over trees of very different width may differ by the odd
+/// level or level-0 file, never by a term in the guard or file count (the
+/// deep-cloning cursor paid about two allocations per guard).
+const SLACK: u64 = 32;
+
+fn key(i: u32) -> Vec<u8> {
+    format!("key{i:08}").into_bytes()
+}
+
+fn load(db: &dyn KvStore, keys: u32) {
+    for i in 0..keys {
+        // A multiplicative shuffle, so every flush spans the key space.
+        db.put(&key(i.wrapping_mul(2_654_435_761) % keys), &[b'v'; 100])
+            .unwrap();
+    }
+    db.flush().unwrap();
+}
+
+/// Mean allocations of `iter()` + `seek` + drop at one (block-cached) key.
+fn allocations_per_cursor(db: &dyn KvStore, target: &[u8]) -> u64 {
+    let cursor = || {
+        let mut iter = db.iter(&ReadOptions::default()).unwrap();
+        iter.seek(target);
+        assert!(iter.valid());
+    };
+    for _ in 0..32 {
+        cursor();
+    }
+    const ROUNDS: u64 = 64;
+    let before = ALLOCATIONS.with(Cell::get);
+    for _ in 0..ROUNDS {
+        cursor();
+    }
+    (ALLOCATIONS.with(Cell::get) - before) / ROUNDS
+}
+
+fn small_options() -> StoreOptions {
+    let mut options = StoreOptions::default();
+    options.write_buffer_size = 64 << 10;
+    options.base_level_bytes = 256 << 10;
+    options.enable_parallel_seeks = false;
+    options
+}
+
+/// Opens an FLSM store, loads it and reads it to rest: cursors until
+/// seek-based compaction has left at most one sstable in every guard and in
+/// level 0. Returns the store and its guard count.
+fn flsm_at_rest(top_level_bits: u32, bit_decrement: u32, keys: u32) -> (PebblesDb, usize) {
+    let mut options = small_options();
+    // A guard's data must fit one sstable, or no compaction can bring the
+    // guard down to a single file.
+    options.max_file_size = 16 << 20;
+    options.top_level_bits = top_level_bits;
+    options.bit_decrement = bit_decrement;
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let db = PebblesDb::open_with_options(env, Path::new("/alloc-flsm"), options).unwrap();
+    load(&db, keys);
+
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        db.flush().unwrap();
+        let at_rest = db.engine().with_current_version(|v| {
+            v.level0.len() <= 1 && v.levels.iter().all(|l| l.max_files_in_guard() <= 1)
+        });
+        if at_rest {
+            let guards = db.guards_per_level().iter().sum();
+            return (db, guards);
+        }
+        assert!(
+            Instant::now() < deadline,
+            "never came to rest: {}",
+            db.level_summary()
+        );
+        for _ in 0..db.options().seek_compaction_threshold {
+            let mut iter = db.iter(&ReadOptions::default()).unwrap();
+            iter.seek(&key(0));
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn flsm_cursor_allocations_do_not_grow_with_the_guard_count() {
+    let (narrow, narrow_guards) = flsm_at_rest(16, 1, 12_000);
+    let (wide, wide_guards) = flsm_at_rest(7, 1, 12_000);
+    assert!(
+        narrow_guards <= 100,
+        "narrow tree has {narrow_guards} guards"
+    );
+    assert!(wide_guards >= 1_000, "wide tree has {wide_guards} guards");
+
+    let target = key(6_000);
+    let narrow_allocs = allocations_per_cursor(&narrow, &target);
+    let wide_allocs = allocations_per_cursor(&wide, &target);
+    assert!(
+        narrow_allocs.abs_diff(wide_allocs) <= SLACK,
+        "{narrow_guards} guards: {narrow_allocs} allocations per cursor, \
+         {wide_guards} guards: {wide_allocs}"
+    );
+}
+
+#[test]
+fn lsm_cursor_allocations_do_not_grow_with_the_file_count() {
+    let open = |max_file_size: usize| {
+        let mut options = small_options();
+        options.max_file_size = max_file_size;
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let preset = StorePreset::HyperLevelDb;
+        let db = LsmDb::open_with_options(env, Path::new("/alloc-lsm"), options, preset).unwrap();
+        load(&db, 12_000);
+        let files: usize = db.files_per_level().iter().sum();
+        (db, files)
+    };
+    let (few, few_files) = open(1 << 20);
+    let (many, many_files) = open(4 << 10);
+    assert!(few_files <= 20, "coarse tree has {few_files} files");
+    assert!(many_files >= 200, "fine tree has {many_files} files");
+
+    let target = key(6_000);
+    let few_allocs = allocations_per_cursor(&few, &target);
+    let many_allocs = allocations_per_cursor(&many, &target);
+    assert!(
+        few_allocs.abs_diff(many_allocs) <= SLACK,
+        "{few_files} files: {few_allocs} allocations per cursor, \
+         {many_files} files: {many_allocs}"
+    );
+}

@@ -91,11 +91,11 @@ fn version_set_persists_guards_across_recovery() {
     edit.new_guards.push((1, b"guard-key".to_vec()));
     edit.new_files.push((1, file_edit(8, "x", "z")));
     persists_and_recovers::<FlsmVersion>(edit, |version| {
-        assert_eq!(version.levels[1].guards.len(), 2);
-        assert_eq!(version.levels[1].guards[1].key, b"guard-key".to_vec());
+        assert_eq!(version.levels[1].guards().len(), 2);
+        assert_eq!(version.levels[1].guards()[1].key, b"guard-key".to_vec());
         assert_eq!(version.levels[1].num_files(), 1);
         // A guard at level 1 is a guard at every deeper level too.
-        assert_eq!(version.levels[2].guards.len(), 2);
+        assert_eq!(version.levels[2].guards().len(), 2);
     });
 }
 
@@ -314,6 +314,61 @@ fn random_edit(rng: &mut StdRng, max_levels: usize, guards: bool) -> VersionEdit
         }
     }
     edit
+}
+
+/// The per-level facts an FLSM level caches when it is built (`stats()`,
+/// cursor construction and compaction picking read them as fields) against
+/// their recomputation from the guard list, after every step of a random
+/// edit sequence over a 1,296-guard tree.
+#[test]
+fn cached_level_facts_match_recomputation_after_every_edit() {
+    const MAX_LEVELS: usize = 5;
+    let mut rng = StdRng::seed_from_u64(0x5eed_fac7);
+    // Every 4-letter key over the generator's alphabet is a guard, so its
+    // files (keys of up to 5 letters) routinely span several guards.
+    let mut edit = VersionEdit::default();
+    for n in 0..6u32.pow(4) {
+        let key: Vec<u8> = (0..4).map(|i| b'a' + (n / 6u32.pow(i) % 6) as u8).collect();
+        edit.new_guards.push((1, key));
+    }
+    let mut version = FlsmVersion::empty(MAX_LEVELS).apply(&edit).unwrap();
+    assert!(version.levels[1].guards().len() >= 1000);
+
+    let (mut spanning, mut emptied) = (false, false);
+    for step in 0..120 {
+        let mut edit = random_edit(&mut rng, MAX_LEVELS, true);
+        for (_, file) in &mut edit.new_files {
+            file.file_size = rng.gen_range(1..5000);
+        }
+        let next = version.apply(&edit).unwrap();
+        for (level, built) in next.levels.iter().enumerate().skip(1) {
+            let files = built.unique_files();
+            let attached = built.guards().iter().map(|g| g.files.len());
+            assert_eq!(built.num_files(), files.len(), "step {step} L{level}");
+            assert_eq!(
+                built.total_bytes(),
+                files.iter().map(|f| f.file_size).sum::<u64>(),
+                "step {step} L{level}"
+            );
+            assert_eq!(
+                built.max_files_in_guard(),
+                attached.clone().max().unwrap(),
+                "step {step} L{level}"
+            );
+            assert_eq!(
+                built.empty_guards(),
+                attached.clone().filter(|n| *n == 0).count(),
+                "step {step} L{level}"
+            );
+            spanning |= attached.sum::<usize>() > files.len();
+            emptied |= built.empty_guards() > version.levels[level].empty_guards();
+        }
+        assert_eq!(next.num_files(), next.live_file_numbers().len());
+        assert_eq!(next.total_bytes(), next.file_sizes().iter().sum::<u64>());
+        version = next;
+    }
+    assert!(spanning, "no file ever spanned two guards");
+    assert!(emptied, "no edit ever emptied a guard");
 }
 
 fn sorted(mut numbers: Vec<u64>) -> Vec<u64> {
