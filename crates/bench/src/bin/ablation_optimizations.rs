@@ -5,7 +5,7 @@
 //! compaction alone removes most of the range-query overhead (66% -> 7%),
 //! parallel seeks help less (66% -> 48%), and sstable-level bloom filters
 //! improve point reads by ~63%. This binary toggles the corresponding
-//! `StoreOptions` flags and reports read and seek throughput for each
+//! `StoreOptions` settings and reports read and seek throughput for each
 //! configuration.
 
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use pebblesdb::PebblesDb;
 use pebblesdb_bench::engines::open_bench_env;
 use pebblesdb_bench::report::format_kops;
 use pebblesdb_bench::{scaled_options, Args, EngineKind, Report, Workload};
-use pebblesdb_common::KvStore;
+use pebblesdb_common::{KvStore, StoreOptions};
 
 struct Variant {
     name: &'static str,
@@ -86,12 +86,15 @@ fn main() {
             &args.get_str("dir", ""),
         );
         let mut options = scaled_options(engine, scale);
-        options.enable_sstable_bloom = variant.bloom;
         if !variant.bloom {
             options.bloom_bits_per_key = 0;
         }
-        options.enable_parallel_seeks = variant.parallel_seeks;
-        options.enable_seek_compaction = variant.seek_compaction;
+        if variant.parallel_seeks {
+            options.parallel_seek_threads = StoreOptions::default().parallel_seek_threads;
+        }
+        if !variant.seek_compaction {
+            options.seek_compaction_threshold = 0;
+        }
         options.enable_aggressive_compaction = variant.aggressive;
         let store: Arc<dyn KvStore> =
             Arc::new(PebblesDb::open_with_options(env, &dir, options).expect("open"));

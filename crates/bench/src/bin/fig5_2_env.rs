@@ -4,7 +4,8 @@
 //! * `--part aged`: the store is aged before measuring (bulk insert, then
 //!   interleaved deletes and updates from multiple threads, as in §5.2
 //!   "Impact of File-System and Key-Value Store Aging"). File-system aging is
-//!   not reproducible in-process and is noted as a substitution in DESIGN.md.
+//!   not reproducible in-process, so only the store is aged: a substitution
+//!   for the paper's set-up.
 //! * `--part lowmem`: the store runs with tiny caches relative to the
 //!   dataset, mimicking the paper's `mem=4GB` boot parameter where DRAM is
 //!   6 % of the dataset.

@@ -101,7 +101,7 @@ pub fn scaled_options(kind: EngineKind, scale_divisor: usize) -> StoreOptions {
     // the default bench environment is in-memory, where spawning the seek
     // threads costs more than it saves, so the harness turns them off. The
     // ablation binary re-enables them explicitly.
-    options.enable_parallel_seeks = false;
+    options.parallel_seek_threads = 1;
     options
 }
 

@@ -1,8 +1,9 @@
 //! The PebblesDB evaluation harness.
 //!
 //! Every table and figure of the paper's evaluation chapter has a binary in
-//! `src/bin/` that regenerates it (see `DESIGN.md` for the index). The
-//! binaries share this library:
+//! `src/bin/` that regenerates it, named after it (`fig5_1_micro`,
+//! `table5_1_sstable_sizes`, ...; `bench_suite/BENCHMARK.md` maps the
+//! figures to the benchmark's metrics). The binaries share this library:
 //!
 //! * [`engines`] — opens any of the evaluated stores (PebblesDB, PebblesDB-1,
 //!   HyperLevelDB/LevelDB/RocksDB presets of the baseline LSM, the B+Tree)
@@ -21,8 +22,8 @@
 //! uses it too.
 //!
 //! All experiments run at laptop scale by default (`--keys`, `--value-size`
-//! and `--threads` flags change that); `EXPERIMENTS.md` records the shapes
-//! measured this way against the paper's numbers.
+//! and `--threads` flags change that); each binary prints the paper's
+//! reported numbers beside the shapes it measured this way.
 
 pub mod engines;
 pub mod keygen;

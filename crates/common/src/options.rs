@@ -203,22 +203,18 @@ pub struct StoreOptions {
     pub top_level_bits: u32,
     /// FLSM: bits of relaxation per level when testing guard membership.
     pub bit_decrement: u32,
-    /// FLSM: consecutive seeks that trigger seek-based compaction.
+    /// FLSM: consecutive seeks that trigger seek-based compaction; `0`
+    /// turns the trigger off.
     pub seek_compaction_threshold: usize,
     /// FLSM: compact level `i` into `i+1` when `size(i) >= ratio *
     /// size(i+1)`.
     pub aggressive_compaction_ratio: f64,
-    /// FLSM: threads used for parallel last-level seeks.
+    /// FLSM: threads that position the sstables of a last-level guard on a
+    /// seek (PebblesDB optimization); `1` or less seeks them serially.
     pub parallel_seek_threads: usize,
     /// FLSM: rewrite into the second-highest level instead of merging when a
     /// last-level merge would cost this many times more IO.
     pub last_level_merge_io_factor: f64,
-    /// FLSM: attach a bloom filter to every sstable (PebblesDB optimization).
-    pub enable_sstable_bloom: bool,
-    /// FLSM: position last-level sstable iterators with a thread pool.
-    pub enable_parallel_seeks: bool,
-    /// FLSM: enable the consecutive-seek compaction trigger.
-    pub enable_seek_compaction: bool,
     /// FLSM: enable aggressive whole-level compaction when levels are close
     /// in size.
     pub enable_aggressive_compaction: bool,
@@ -264,9 +260,6 @@ impl Default for StoreOptions {
             aggressive_compaction_ratio: 0.25,
             parallel_seek_threads: 4,
             last_level_merge_io_factor: 25.0,
-            enable_sstable_bloom: true,
-            enable_parallel_seeks: true,
-            enable_seek_compaction: true,
             enable_aggressive_compaction: true,
         }
     }

@@ -11,20 +11,15 @@
 //! up a much more expensive last-level merge.
 
 use std::collections::BTreeSet;
-use std::path::Path;
 use std::sync::Arc;
 
-use pebblesdb_common::filename::table_file_name;
-use pebblesdb_common::iterator::{DbIterator, MergingIterator};
-use pebblesdb_common::key::{
-    parse_internal_key, InternalKey, SequenceNumber, ValueType, MAX_SEQUENCE_NUMBER,
-};
-use pebblesdb_common::{Error, ReadOptions, Result, StoreOptions};
-use pebblesdb_engine::FileMetaData;
-use pebblesdb_env::Env;
-use pebblesdb_sstable::{TableBuilder, TableCache};
+use pebblesdb_common::key::SequenceNumber;
+use pebblesdb_common::{Result, StoreOptions};
+use pebblesdb_engine::meta::user_key_range;
+use pebblesdb_engine::runs::merge_to_tables;
+use pebblesdb_engine::{EngineIo, FileMetaData, MergeSpec};
 
-use crate::guards::guard_index_for_key;
+use crate::guards::{guard_index_for_key, GuardMeta};
 use crate::version::{CompactionReason, FlsmVersion};
 
 /// A fully described unit of compaction work.
@@ -36,39 +31,44 @@ pub struct FlsmCompactionJob {
     pub reason: CompactionReason,
     /// Input files (entire guards, or all of level 0).
     pub inputs: Vec<Arc<FileMetaData>>,
-    /// The level the outputs are written to (`level + 1`, or `level` for an
-    /// in-place rewrite).
-    pub output_level: usize,
+    /// How the inputs are merged: the output level is `level + 1`, or
+    /// `level` for an in-place rewrite; tombstones can be dropped only when
+    /// it is the last level of the tree.
+    pub spec: MergeSpec,
     /// Sorted guard keys of the output level used to partition the merged
     /// stream (committed plus uncommitted).
     pub partition_keys: Vec<Vec<u8>>,
     /// Uncommitted guard keys of the output level that become committed when
     /// this compaction's edit is applied.
     pub guards_to_commit: Vec<Vec<u8>>,
-    /// Whether tombstones can be dropped (only safe when the output level is
-    /// the last level of the tree).
-    pub drop_tombstones: bool,
-    /// With `drop_tombstones`, which output partitions every one of whose
+    /// With `spec.drop_tombstones`, which output partitions every one of whose
     /// files is part of this job's inputs. A tombstone may only be dropped in
     /// a *fully covered* partition: a file left behind in the owning guard
     /// may still hold an older value the tombstone must keep shadowing.
     /// Component-based selection makes inputs guard-complete, so this is
     /// defense-in-depth for any future selection strategy that is not.
-    /// Empty when `drop_tombstones` is false.
+    /// Empty when `spec.drop_tombstones` is false.
     pub full_partitions: Vec<bool>,
-    /// Pre-allocated output file numbers.
-    pub output_numbers: Vec<u64>,
     /// Total bytes of input (for stats).
     pub input_bytes: u64,
-    /// Versions superseded at or below this sequence are invisible to every
-    /// live snapshot and may be garbage-collected by the merge.
-    pub smallest_snapshot: SequenceNumber,
 }
 
 impl FlsmCompactionJob {
-    /// Returns `true` if this job rewrites data within its own level.
-    pub fn is_in_place(&self) -> bool {
-        self.level == self.output_level
+    /// Executes the job's IO: merge the inputs and write one or more output
+    /// sstables per destination guard.
+    ///
+    /// No file already in the output level is read or rewritten — the
+    /// outputs are purely the fragmented inputs, which is what keeps FLSM
+    /// write amplification low.
+    pub fn merge(&self, io: &EngineIo) -> Result<Vec<FileMetaData>> {
+        merge_to_tables(io, &self.inputs, &self.spec, |user_key| {
+            let partition = guard_index_for_key(&self.partition_keys, user_key);
+            // Besides the output being the last level, dropping a tombstone
+            // needs the owning guard fully covered by this job's inputs (a
+            // leftover file could hold an older value it still shadows).
+            let covered = self.full_partitions.get(partition).copied();
+            (partition, covered.unwrap_or(true))
+        })
     }
 }
 
@@ -83,7 +83,7 @@ impl FlsmCompactionJob {
 /// level-ordered lookups would then return the stale value. Each inner
 /// vector holds guard indices; singleton components are the common case
 /// (freshly compacted files land in exactly one guard).
-fn connected_guard_components(guards: &[crate::guards::GuardMeta]) -> Vec<Vec<usize>> {
+fn connected_guard_components(guards: &[GuardMeta]) -> Vec<Vec<usize>> {
     fn find(parent: &mut [usize], mut i: usize) -> usize {
         while parent[i] != i {
             parent[i] = parent[parent[i]];
@@ -120,10 +120,7 @@ fn connected_guard_components(guards: &[crate::guards::GuardMeta]) -> Vec<Vec<us
 }
 
 /// The distinct files of a guard component, newest first within each guard.
-fn component_files(
-    guards: &[crate::guards::GuardMeta],
-    component: &[usize],
-) -> Vec<Arc<FileMetaData>> {
+fn component_files(guards: &[GuardMeta], component: &[usize]) -> Vec<Arc<FileMetaData>> {
     let mut seen = BTreeSet::new();
     let mut files = Vec::new();
     for &idx in component {
@@ -134,6 +131,13 @@ fn component_files(
         }
     }
     files
+}
+
+/// Returns `true` if no file of the component is an input of an in-flight
+/// job.
+fn is_claimable(guards: &[GuardMeta], component: &[usize], claimed: &BTreeSet<u64>) -> bool {
+    let mut files = component.iter().flat_map(|&idx| &guards[idx].files);
+    files.all(|f| !claimed.contains(&f.number))
 }
 
 /// Selects the input guard components for a compaction of `level`, skipping
@@ -156,14 +160,7 @@ pub fn select_guard_inputs(
 ) -> Vec<Arc<FileMetaData>> {
     let guards = version.levels[level].guards();
     let components = connected_guard_components(guards);
-    let claimable = |component: &&Vec<usize>| {
-        component.iter().all(|&idx| {
-            guards[idx]
-                .files
-                .iter()
-                .all(|f| !claimed.contains(&f.number))
-        })
-    };
+    let claimable = |component: &&Vec<usize>| is_claimable(guards, component, claimed);
     let over_budget = |component: &&Vec<usize>| {
         component
             .iter()
@@ -196,8 +193,9 @@ pub fn select_guard_inputs(
 
 /// Selects the inputs of a seek-triggered compaction at `level`: the whole
 /// component around the claimable guard with the most overlapping sstables.
-/// Returns nothing when no claimable guard holds at least two files — a
-/// seek compaction of a single file would rewrite data without reducing any
+/// Returns nothing when no claimable guard holds two overlapping files — a
+/// seek compaction of a single file, or of the disjoint files of a guard
+/// larger than `max_file_size`, would rewrite data without reducing any
 /// overlap, so the request stays pending instead.
 fn select_seek_inputs(
     version: &FlsmVersion,
@@ -208,13 +206,11 @@ fn select_seek_inputs(
     let components = connected_guard_components(guards);
     let best = components
         .iter()
+        .filter(|component| is_claimable(guards, component, claimed))
         .filter(|component| {
-            component.iter().all(|&idx| {
-                guards[idx]
-                    .files
-                    .iter()
-                    .all(|f| !claimed.contains(&f.number))
-            })
+            component
+                .iter()
+                .any(|&idx| guards[idx].has_overlapping_files())
         })
         .map(|component| {
             let fanout = component
@@ -224,7 +220,6 @@ fn select_seek_inputs(
                 .unwrap_or(0);
             (fanout, component)
         })
-        .filter(|(fanout, _)| *fanout >= 2)
         .max_by_key(|(fanout, _)| *fanout);
     match best {
         Some((_, component)) => component_files(guards, component),
@@ -240,9 +235,8 @@ fn select_seek_inputs(
 /// job. `claimed` holds the file numbers of every in-flight job's inputs —
 /// the new job's inputs never intersect it, which is what keeps concurrent
 /// workers on disjoint guard subsets. `split` is the worker-pool size used
-/// to chunk a level's eligible guards across jobs. `allocate_number` hands
-/// out output file numbers (called under the database lock before the IO
-/// starts). Returns `None` when every eligible guard is claimed.
+/// to chunk a level's eligible guards across jobs. Returns `None` when every
+/// eligible guard is claimed.
 #[allow(clippy::too_many_arguments)]
 pub fn build_compaction_job(
     version: &FlsmVersion,
@@ -253,7 +247,6 @@ pub fn build_compaction_job(
     smallest_snapshot: SequenceNumber,
     claimed: &BTreeSet<u64>,
     split: usize,
-    mut allocate_number: impl FnMut() -> u64,
 ) -> Option<FlsmCompactionJob> {
     let last_level = version.num_levels() - 1;
 
@@ -296,16 +289,7 @@ pub fn build_compaction_job(
     // the input, rewrite within this level instead of setting up a huge
     // last-level merge.
     if level + 1 == last_level && level > 0 {
-        let smallest = inputs
-            .iter()
-            .map(|f| f.smallest.user_key().to_vec())
-            .min()
-            .unwrap_or_default();
-        let largest = inputs
-            .iter()
-            .map(|f| f.largest.user_key().to_vec())
-            .max()
-            .unwrap_or_default();
+        let (smallest, largest) = user_key_range(&inputs);
         let dest = &version.levels[last_level];
         let mut dest_bytes = 0u64;
         let mut dest_full = false;
@@ -361,144 +345,45 @@ pub fn build_compaction_job(
         Vec::new()
     };
 
-    let estimated_outputs =
-        (input_bytes / options.max_file_size.max(1) as u64) as usize + partition_keys.len() + 2;
-    let output_numbers: Vec<u64> = (0..estimated_outputs).map(|_| allocate_number()).collect();
-
     Some(FlsmCompactionJob {
         level,
         reason,
         inputs,
-        output_level,
+        spec: MergeSpec {
+            output_level,
+            smallest_snapshot,
+            drop_tombstones,
+        },
         partition_keys,
         guards_to_commit,
-        drop_tombstones,
         full_partitions,
-        output_numbers,
         input_bytes,
-        smallest_snapshot,
     })
-}
-
-/// Executes the IO of a compaction job: merge the inputs and write one or
-/// more output sstables per destination guard.
-///
-/// No file already in the output level is read or rewritten — the outputs are
-/// purely the fragmented inputs, which is what keeps FLSM write
-/// amplification low.
-pub fn run_compaction_io(
-    env: &dyn Env,
-    db_path: &Path,
-    options: &StoreOptions,
-    table_cache: &TableCache,
-    job: &FlsmCompactionJob,
-) -> Result<Vec<FileMetaData>> {
-    let read_options = ReadOptions::default();
-    let mut children: Vec<Box<dyn DbIterator>> = Vec::new();
-    for file in &job.inputs {
-        children.push(Box::new(table_cache.iter(
-            &read_options,
-            file.number,
-            file.file_size,
-        )?));
-    }
-    let mut merged = MergingIterator::new(children);
-    merged.seek_to_first();
-
-    let mut outputs: Vec<FileMetaData> = Vec::new();
-    let mut builder: Option<(u64, TableBuilder)> = None;
-    let mut next_output = 0usize;
-    let mut current_partition: Option<usize> = None;
-    let mut last_user_key: Option<Vec<u8>> = None;
-    let mut last_sequence_for_key = MAX_SEQUENCE_NUMBER;
-
-    let finish_current = |builder: &mut Option<(u64, TableBuilder)>,
-                          outputs: &mut Vec<FileMetaData>|
-     -> Result<()> {
-        if let Some((number, b)) = builder.take() {
-            if b.num_entries() > 0 {
-                let smallest = b.first_key().map(|k| k.to_vec()).unwrap_or_default();
-                let largest = b.last_key().map(|k| k.to_vec()).unwrap_or_default();
-                let size = b.finish()?;
-                outputs.push(FileMetaData::new(
-                    number,
-                    size,
-                    InternalKey::from_encoded(smallest),
-                    InternalKey::from_encoded(largest),
-                ));
-            } else {
-                b.abandon()?;
-            }
-        }
-        Ok(())
-    };
-
-    while merged.valid() {
-        let key = merged.key().to_vec();
-        let parsed = parse_internal_key(&key)
-            .ok_or_else(|| Error::corruption("malformed key during FLSM compaction"))?;
-
-        let is_same_user_key = last_user_key
-            .as_deref()
-            .map(|last| last == parsed.user_key)
-            .unwrap_or(false);
-        if !is_same_user_key {
-            last_user_key = Some(parsed.user_key.to_vec());
-            last_sequence_for_key = MAX_SEQUENCE_NUMBER;
-        }
-        let partition = guard_index_for_key(&job.partition_keys, parsed.user_key);
-        // A version may be dropped once a newer version of the same key is
-        // visible to every live snapshot; tombstones additionally need the
-        // output to be the last level *and* the owning guard fully covered by
-        // this job's inputs (a leftover file could hold an older value the
-        // tombstone still shadows).
-        let tombstone_droppable = job.full_partitions.get(partition).copied().unwrap_or(true);
-        let drop_entry = last_sequence_for_key <= job.smallest_snapshot
-            || (job.drop_tombstones
-                && tombstone_droppable
-                && parsed.value_type == ValueType::Deletion
-                && parsed.sequence <= job.smallest_snapshot);
-        last_sequence_for_key = parsed.sequence;
-
-        if !drop_entry {
-            let rotate = current_partition != Some(partition)
-                || builder
-                    .as_ref()
-                    .map(|(_, b)| b.file_size() >= options.max_file_size as u64)
-                    .unwrap_or(false);
-            if rotate {
-                finish_current(&mut builder, &mut outputs)?;
-                current_partition = Some(partition);
-            }
-            if builder.is_none() {
-                let number = *job
-                    .output_numbers
-                    .get(next_output)
-                    .ok_or_else(|| Error::internal("ran out of output file numbers"))?;
-                next_output += 1;
-                let path = table_file_name(db_path, number);
-                let file = env.new_writable_file(&path)?;
-                builder = Some((
-                    number,
-                    TableBuilder::new_for_level(options, file, job.output_level),
-                ));
-            }
-            let (_, b) = builder.as_mut().expect("builder exists");
-            b.add(&key, merged.value())?;
-        }
-        merged.next();
-    }
-    finish_current(&mut builder, &mut outputs)?;
-    Ok(outputs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pebblesdb_common::key::encode_internal_key;
-    use pebblesdb_engine::{FileMetaDataEdit, VersionEdit, VersionShape};
-    use pebblesdb_env::MemEnv;
-    use std::path::PathBuf;
+    use pebblesdb_common::filename::table_file_name;
+    use pebblesdb_common::iterator::DbIterator;
+    use pebblesdb_common::key::{encode_internal_key, parse_internal_key, ValueType};
+    use pebblesdb_common::ReadOptions;
+    use pebblesdb_engine::{FileMetaDataEdit, FileNumbers, VersionEdit, VersionShape};
+    use pebblesdb_env::{Env, MemEnv};
+    use pebblesdb_sstable::{TableBuilder, TableCache};
+    use std::path::{Path, PathBuf};
+
+    /// IO handles over `db` whose outputs are numbered from 900.
+    fn io_for(env: &Arc<dyn Env>, db: &Path, options: &StoreOptions) -> EngineIo {
+        let cache = TableCache::new(Arc::clone(env), db.to_path_buf(), options.clone(), 16);
+        EngineIo {
+            env: Arc::clone(env),
+            db_path: db.to_path_buf(),
+            options: options.clone(),
+            table_cache: Arc::new(cache),
+            file_numbers: FileNumbers::starting_at(900),
+        }
+    }
 
     fn write_table(
         env: &Arc<dyn Env>,
@@ -535,7 +420,7 @@ mod tests {
         let db = PathBuf::from("/flsm-compact");
         env.create_dir_all(&db).unwrap();
         let options = StoreOptions::default();
-        let table_cache = TableCache::new(Arc::clone(&env), db.clone(), options.clone(), 16);
+        let io = io_for(&env, &db, &options);
 
         // Two overlapping level-0 files spanning the whole key space.
         let f1 = write_table(&env, &db, &options, 10, &[("a", 5), ("h", 5), ("q", 5)]);
@@ -548,7 +433,6 @@ mod tests {
         edit.new_guards.push((1, b"q".to_vec()));
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
-        let mut next = 100u64;
         let job = build_compaction_job(
             &version,
             &options,
@@ -558,18 +442,14 @@ mod tests {
             1_000,
             &BTreeSet::new(),
             1,
-            || {
-                next += 1;
-                next
-            },
         )
         .unwrap();
-        assert_eq!(job.output_level, 1);
+        assert_eq!(job.spec.output_level, 1);
         assert_eq!(job.inputs.len(), 2);
         assert_eq!(job.partition_keys, vec![b"h".to_vec(), b"q".to_vec()]);
-        assert!(!job.drop_tombstones);
+        assert!(!job.spec.drop_tombstones);
 
-        let outputs = run_compaction_io(env.as_ref(), &db, &options, &table_cache, &job).unwrap();
+        let outputs = job.merge(&io).unwrap();
         // Keys a,c | h,m | q,x => three partitions => three output files.
         assert_eq!(outputs.len(), 3);
         let mut spans: Vec<(Vec<u8>, Vec<u8>)> = outputs
@@ -593,7 +473,7 @@ mod tests {
         let db = PathBuf::from("/flsm-dup");
         env.create_dir_all(&db).unwrap();
         let options = StoreOptions::default();
-        let table_cache = TableCache::new(Arc::clone(&env), db.clone(), options.clone(), 16);
+        let io = io_for(&env, &db, &options);
 
         let f1 = write_table(&env, &db, &options, 20, &[("k", 9)]);
         let f2 = write_table(&env, &db, &options, 21, &[("k", 3)]);
@@ -602,7 +482,6 @@ mod tests {
         edit.new_files.push((0, f2));
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
-        let mut next = 200u64;
         let job = build_compaction_job(
             &version,
             &options,
@@ -612,13 +491,9 @@ mod tests {
             1_000,
             &BTreeSet::new(),
             1,
-            || {
-                next += 1;
-                next
-            },
         )
         .unwrap();
-        let outputs = run_compaction_io(env.as_ref(), &db, &options, &table_cache, &job).unwrap();
+        let outputs = job.merge(&io).unwrap();
         assert_eq!(outputs.len(), 1);
         // Only the newest version survives, so the file holds exactly one key.
         assert_eq!(outputs[0].smallest.user_key(), b"k");
@@ -678,7 +553,6 @@ mod tests {
         edit.new_files.push((last, f1));
         let version = FlsmVersion::empty(options.max_levels).apply(&edit).unwrap();
 
-        let mut next = 300u64;
         let job = build_compaction_job(
             &version,
             &options,
@@ -688,15 +562,10 @@ mod tests {
             1_000,
             &BTreeSet::new(),
             1,
-            || {
-                next += 1;
-                next
-            },
         )
         .unwrap();
-        assert!(job.is_in_place());
-        assert_eq!(job.output_level, last);
-        assert!(job.drop_tombstones);
+        assert_eq!((job.level, job.spec.output_level), (last, last));
+        assert!(job.spec.drop_tombstones);
         // The whole level is in the inputs, so every partition is coverable.
         assert!(job.full_partitions.iter().all(|full| *full));
     }
@@ -722,11 +591,6 @@ mod tests {
         }
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
-        let mut next = 400u64;
-        let mut alloc = || {
-            next += 1;
-            next
-        };
         let mut claimed = BTreeSet::new();
         // Worker 1 of a 2-worker pool takes one guard...
         let job1 = build_compaction_job(
@@ -738,7 +602,6 @@ mod tests {
             1_000,
             &claimed,
             2,
-            &mut alloc,
         )
         .unwrap();
         claimed.extend(job1.inputs.iter().map(|f| f.number));
@@ -752,7 +615,6 @@ mod tests {
             1_000,
             &claimed,
             2,
-            &mut alloc,
         )
         .unwrap();
         claimed.extend(job2.inputs.iter().map(|f| f.number));
@@ -771,7 +633,6 @@ mod tests {
             1_000,
             &claimed,
             2,
-            &mut alloc,
         );
         assert!(job3.is_none());
     }
@@ -790,7 +651,6 @@ mod tests {
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
         let claimed: BTreeSet<u64> = [60u64].into_iter().collect();
-        let mut next = 500u64;
         let job = build_compaction_job(
             &version,
             &options,
@@ -800,10 +660,6 @@ mod tests {
             1_000,
             &claimed,
             4,
-            || {
-                next += 1;
-                next
-            },
         );
         assert!(job.is_none(), "level 0 must not be double-compacted");
     }
@@ -863,11 +719,10 @@ mod tests {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let db = PathBuf::from("/flsm-component");
         env.create_dir_all(&db).unwrap();
-        let table_cache = TableCache::new(Arc::clone(&env), db.clone(), options.clone(), 16);
+        let io = io_for(&env, &db, &options);
         let last = options.max_levels - 1;
         let version = spanning_tombstone_version(&env, &db, &options);
 
-        let mut next = 600u64;
         let job = build_compaction_job(
             &version,
             &options,
@@ -877,10 +732,6 @@ mod tests {
             1_000, // every sequence is below the snapshot floor
             &BTreeSet::new(),
             1,
-            || {
-                next += 1;
-                next
-            },
         )
         .unwrap();
         // The over-budget sentinel guard drags guard "m" in through the
@@ -888,14 +739,15 @@ mod tests {
         // every partition is fully covered.
         let input_numbers: BTreeSet<u64> = job.inputs.iter().map(|f| f.number).collect();
         assert_eq!(input_numbers, [70u64, 71, 72, 73].into_iter().collect());
-        assert!(job.drop_tombstones);
+        assert!(job.spec.drop_tombstones);
         assert_eq!(job.full_partitions, vec![true, true]);
 
         // With the component fully covered, the tombstone for "n" and the
         // older value it shadows are both dropped for good.
-        let outputs = run_compaction_io(env.as_ref(), &db, &options, &table_cache, &job).unwrap();
+        let outputs = job.merge(&io).unwrap();
         for meta in &outputs {
-            let mut iter = table_cache
+            let mut iter = io
+                .table_cache
                 .iter(&ReadOptions::default(), meta.number, meta.file_size)
                 .unwrap();
             iter.seek_to_first();
@@ -922,7 +774,7 @@ mod tests {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let db = PathBuf::from("/flsm-tomb");
         env.create_dir_all(&db).unwrap();
-        let table_cache = TableCache::new(Arc::clone(&env), db.clone(), options.clone(), 16);
+        let io = io_for(&env, &db, &options);
         let last = options.max_levels - 1;
         let version = spanning_tombstone_version(&env, &db, &options);
 
@@ -934,19 +786,21 @@ mod tests {
             level: last,
             reason: CompactionReason::GuardFanout,
             inputs,
-            output_level: last,
+            spec: MergeSpec {
+                output_level: last,
+                smallest_snapshot: 1_000,
+                drop_tombstones: true,
+            },
             partition_keys: vec![b"m".to_vec()],
             guards_to_commit: vec![],
-            drop_tombstones: true,
             full_partitions: vec![true, false],
-            output_numbers: vec![900, 901, 902],
             input_bytes: 0,
-            smallest_snapshot: 1_000,
         };
-        let outputs = run_compaction_io(env.as_ref(), &db, &options, &table_cache, &job).unwrap();
+        let outputs = job.merge(&io).unwrap();
         let mut survived_tombstone = false;
         for meta in &outputs {
-            let mut iter = table_cache
+            let mut iter = io
+                .table_cache
                 .iter(&ReadOptions::default(), meta.number, meta.file_size)
                 .unwrap();
             iter.seek_to_first();

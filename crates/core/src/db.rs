@@ -15,20 +15,21 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pebblesdb_common::iterator::DbIterator;
-use pebblesdb_common::key::LookupKey;
 use pebblesdb_common::snapshot::Snapshot;
-use pebblesdb_common::vlog::LookupValue;
 use pebblesdb_common::{
     CfStats, ColumnFamilyHandle, Db, KvStore, ReadOptions, Result, StoreOptions, StorePreset,
     StoreStats, WriteBatch, WriteOptions,
 };
+use pebblesdb_engine::runs::push_table_iterators;
 use pebblesdb_engine::{
-    EngineDb, EngineIo, FileMetaData, JobClaim, PolicyCtx, ShapePolicy, VersionEdit, VersionShape,
+    EngineDb, EngineIo, FileMetaData, JobClaim, LevelCursor, PolicyCtx, ShapePolicy, VersionEdit,
+    VersionShape,
 };
 use pebblesdb_env::Env;
 
-use crate::compaction::{build_compaction_job, run_compaction_io, FlsmCompactionJob};
+use crate::compaction::{build_compaction_job, FlsmCompactionJob};
 use crate::guards::{GuardPicker, UncommittedGuards};
+use crate::iter::GuardRuns;
 use crate::version::{CompactionReason, FlsmVersion};
 
 /// The guarded FLSM shape policy.
@@ -66,8 +67,10 @@ impl FlsmPolicy {
         }
     }
 
-    /// Picks the level whose guards hold the most overlapping sstables for a
-    /// seek-triggered compaction, if any guard has at least two.
+    /// Picks the level a seek-triggered compaction would help most: level 0
+    /// if it holds at least two files, or the level whose fattest guard is
+    /// fattest among the levels where some guard holds two *overlapping*
+    /// sstables (disjoint ones are already as collapsed as they get).
     fn pick_seek_compaction_level(version: &FlsmVersion) -> Option<usize> {
         let mut best: Option<(usize, usize)> = None;
         if version.level0.len() >= 2 {
@@ -75,7 +78,7 @@ impl FlsmPolicy {
         }
         for (level_idx, level) in version.levels.iter().enumerate().skip(1) {
             let fanout = level.max_files_in_guard();
-            if fanout >= 2 && best.map(|(_, b)| fanout > b).unwrap_or(true) {
+            if level.has_overlapping_guard() && best.is_none_or(|(_, b)| fanout > b) {
                 best = Some((level_idx, fanout));
             }
         }
@@ -127,23 +130,14 @@ impl ShapePolicy for FlsmPolicy {
 
     // ------------------------------------------------------------- read path
 
-    fn get_in_version(
-        &self,
-        io: &EngineIo,
-        version: &FlsmVersion,
-        opts: &ReadOptions,
-        key: &LookupKey,
-    ) -> Result<Option<LookupValue>> {
-        version.get(opts, key, &io.table_cache)
-    }
-
     /// Level 0 contributes one iterator per file; each deeper level
-    /// contributes a single lazy [`GuardLevelIterator`](crate::iter::GuardLevelIterator)
-    /// that merges the sstables of whichever guard the cursor is in,
-    /// positioning the deepest non-empty level's guard with a thread pool on
-    /// `seek` — the paper's "parallel seeks" optimisation. The level
-    /// iterators read the guards of the shared `version` in place, so the
-    /// cost of a cursor does not depend on the number of guards.
+    /// contributes a single lazy [`LevelCursor`] over its guards that merges
+    /// the sstables of whichever guard the cursor is in, positioning the
+    /// deepest non-empty level's guard with a thread pool on `seek` — the
+    /// paper's "parallel seeks" optimisation (`parallel_seek_threads <= 1`
+    /// turns it off). The cursors read the guards of the shared `version`
+    /// in place, so the cost of a cursor does not depend on the number of
+    /// guards.
     fn append_version_iterators(
         &self,
         io: &EngineIo,
@@ -151,13 +145,7 @@ impl ShapePolicy for FlsmPolicy {
         opts: &ReadOptions,
         children: &mut Vec<Box<dyn DbIterator>>,
     ) -> Result<()> {
-        for file in &version.level0 {
-            children.push(Box::new(io.table_cache.iter(
-                opts,
-                file.number,
-                file.file_size,
-            )?));
-        }
+        push_table_iterators(&io.table_cache, opts, &version.level0, children)?;
 
         // Parallel guard seeks pay on the deepest non-empty level, whose
         // sstables are the least likely to be cached.
@@ -168,18 +156,17 @@ impl ShapePolicy for FlsmPolicy {
             if version.level_files(level) == 0 {
                 continue;
             }
-            let parallel_threads =
-                if self.options.enable_parallel_seeks && Some(level) == deepest_nonempty {
-                    self.options.parallel_seek_threads
-                } else {
-                    1
-                };
+            let parallel_threads = if Some(level) == deepest_nonempty {
+                self.options.parallel_seek_threads
+            } else {
+                1
+            };
+            let version = Arc::clone(version);
             children.push(Box::new(
-                crate::iter::GuardLevelIterator::new(
+                LevelCursor::new(
                     Arc::clone(&io.table_cache),
                     opts.clone(),
-                    Arc::clone(version),
-                    level,
+                    GuardRuns { version, level },
                 )
                 .with_parallel_seeks(parallel_threads),
             ));
@@ -190,16 +177,16 @@ impl ShapePolicy for FlsmPolicy {
     /// Counts a seek against `version`, the one the cursor pinned; the
     /// threshold of consecutive seeks arms a seek-triggered compaction via
     /// `arm_requested_compaction`. Only seeks a compaction could speed up
-    /// count: over a tree whose guards all hold at most one sstable there is
-    /// nothing to collapse, and the cursor touches no shared state here.
+    /// count: over a tree none of whose guards holds overlapping sstables
+    /// there is nothing to collapse, and the cursor touches no shared state
+    /// here. A `seek_compaction_threshold` of 0 turns the trigger off.
     fn note_seek(&self, version: &FlsmVersion) -> bool {
-        if !self.options.enable_seek_compaction
-            || Self::pick_seek_compaction_level(version).is_none()
-        {
+        let threshold = self.options.seek_compaction_threshold;
+        if threshold == 0 || Self::pick_seek_compaction_level(version).is_none() {
             return false;
         }
         let seeks = self.consecutive_seeks.fetch_add(1, Ordering::Relaxed) + 1;
-        if seeks >= self.options.seek_compaction_threshold {
+        if seeks >= threshold {
             self.consecutive_seeks.store(0, Ordering::Relaxed);
             true
         } else {
@@ -219,11 +206,7 @@ impl ShapePolicy for FlsmPolicy {
     /// `seek_compaction_pending` is cleared only when a seek-triggered job
     /// is actually scheduled (or provably never will be): a size-triggered
     /// job claiming the same wakeup must not swallow the request.
-    fn pick_job(
-        &self,
-        _io: &EngineIo,
-        ctx: &mut PolicyCtx<'_, Self>,
-    ) -> Option<JobClaim<FlsmCompactionJob>> {
+    fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<JobClaim<FlsmCompactionJob>> {
         let split = self.options.compaction_threads.max(1);
         let version = Arc::clone(ctx.versions.current());
 
@@ -233,8 +216,9 @@ impl ShapePolicy for FlsmPolicy {
                 // Seek compactions yield to size triggers; the flag stays
                 // set until the seek job itself is claimed.
                 Some(level) => candidates.push((level, CompactionReason::SeekTriggered)),
-                // No guard holds two sstables anywhere: the request can
-                // never be satisfied, so drop it instead of spinning.
+                // No guard holds two overlapping sstables anywhere: the
+                // request can never be satisfied, so drop it instead of
+                // spinning.
                 None => ctx.state.seek_compaction_pending = false,
             }
         }
@@ -252,27 +236,22 @@ impl ShapePolicy for FlsmPolicy {
                 .iter()
                 .cloned()
                 .collect();
-            let job = {
-                let versions = &mut *ctx.versions;
-                build_compaction_job(
-                    &version,
-                    &self.options,
-                    level,
-                    reason,
-                    pending_guards,
-                    ctx.smallest_snapshot,
-                    ctx.claimed_inputs,
-                    split,
-                    || versions.new_file_number(),
-                )
-            };
+            let job = build_compaction_job(
+                &version,
+                &self.options,
+                level,
+                reason,
+                pending_guards,
+                ctx.smallest_snapshot,
+                ctx.claimed_inputs,
+                split,
+            );
             if let Some(job) = job {
                 if job.reason == CompactionReason::SeekTriggered {
                     ctx.state.seek_compaction_pending = false;
                 }
                 return Some(JobClaim {
                     input_numbers: job.inputs.iter().map(|f| f.number).collect(),
-                    output_numbers: job.output_numbers.clone(),
                     job,
                 });
             }
@@ -281,13 +260,7 @@ impl ShapePolicy for FlsmPolicy {
     }
 
     fn run_job_io(&self, io: &EngineIo, job: &FlsmCompactionJob) -> Result<Vec<FileMetaData>> {
-        run_compaction_io(
-            io.env.as_ref(),
-            &io.db_path,
-            &io.options,
-            &io.table_cache,
-            job,
-        )
+        job.merge(io)
     }
 
     fn commit_job(
@@ -303,10 +276,10 @@ impl ShapePolicy for FlsmPolicy {
         let mut bytes_written = 0;
         for meta in &outputs {
             bytes_written += meta.file_size;
-            edit.add_file(job.output_level, meta);
+            edit.add_file(job.spec.output_level, meta);
         }
         for key in &job.guards_to_commit {
-            edit.new_guards.push((job.output_level, key.clone()));
+            edit.new_guards.push((job.spec.output_level, key.clone()));
         }
         ctx.versions.log_and_apply(edit)?;
         // Only the keys this job actually committed leave the pending set;
@@ -314,7 +287,7 @@ impl ShapePolicy for FlsmPolicy {
         // compaction into the level.
         ctx.state
             .uncommitted_guards
-            .remove_committed(job.output_level, &job.guards_to_commit);
+            .remove_committed(job.spec.output_level, &job.guards_to_commit);
         Ok((job.input_bytes, bytes_written))
     }
 }
@@ -620,9 +593,11 @@ mod tests {
             db.put(key.as_bytes(), &[b'v'; 64]).unwrap();
         }
         db.flush().unwrap();
-        // Read the tree to rest: the trigger collapses what the load left.
+        // Read the tree to rest: the trigger collapses every overlap the
+        // load left.
+        let collapsible = |v: &FlsmVersion| FlsmPolicy::pick_seek_compaction_level(v).is_some();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        while db.db.with_current_version(fattest_guard) > 1 {
+        while db.db.with_current_version(collapsible) {
             assert!(std::time::Instant::now() < deadline, "never came to rest");
             open_cursor(&db);
             db.flush().unwrap();
@@ -636,14 +611,15 @@ mod tests {
             assert!(!seek_pending(&db), "a cursor over a tree at rest armed");
         }
         assert_eq!(db.stats().compactions, compactions);
-        assert_eq!(db.db.with_current_version(fattest_guard), 1);
+        assert!(!db.db.with_current_version(collapsible));
     }
 
-    /// With a guard holding two sstables and every size trigger off,
-    /// `seek_compaction_threshold` consecutive cursors — and no fewer, and
-    /// not across a write — schedule the compaction that collapses it.
-    #[test]
-    fn seek_trigger_collapses_a_fat_guard_after_threshold_consecutive_seeks() {
+    /// Opens a store with every size trigger off and no guards (each level is
+    /// its sentinel), and stacks two sstables in the level-1 sentinel guard:
+    /// two rounds of two level-0 files, each moved down by a seek-triggered
+    /// level-0 compaction. Key number `n` (0..200, 100 per round) is written
+    /// as `key_of(n)`, which decides whether the two sstables overlap.
+    fn stack_two_files_in_level1(key_of: impl Fn(u32) -> u32) -> (PebblesDb, usize) {
         let mut options = StoreOptions::default();
         options.level0_compaction_trigger = 100;
         options.level0_slowdown_writes_trigger = 100;
@@ -652,27 +628,20 @@ mod tests {
         options.top_level_bits = 30; // no guards: every level is its sentinel
         let threshold = options.seek_compaction_threshold;
         let db = open_empty(options.clone());
-        let mut next_key = 0u32;
-        let mut two_level0_files = |db: &PebblesDb| {
-            for _ in 0..2 {
-                for _ in 0..50 {
-                    next_key += 1;
-                    let key = format!("key{next_key:06}");
+        for round in 0..2u32 {
+            for file in 0..2 {
+                for i in 0..50 {
+                    let key = format!("key{:06}", key_of(round * 100 + file * 50 + i));
                     db.put(key.as_bytes(), b"value").unwrap();
                 }
                 db.flush().unwrap();
             }
-        };
-        // Two seek-triggered level-0 compactions stack two sstables in the
-        // level-1 sentinel guard.
-        for files in 1..=2 {
-            two_level0_files(&db);
             assert_eq!(db.db.with_current_version(|v| v.level0.len()), 2);
             for _ in 0..threshold {
                 open_cursor(&db);
             }
             wait_for_shape(&db, "level-0 seek compaction", |v| {
-                v.level0.is_empty() && v.levels[1].max_files_in_guard() == files
+                v.level0.is_empty() && v.levels[1].max_files_in_guard() == round as usize + 1
             });
         }
         db.db.with_current_version(|v| {
@@ -680,6 +649,19 @@ mod tests {
             assert!(v.compaction_candidates(&options).is_empty());
         });
         wait_until(&db, "flag of the last job", || !seek_pending(&db));
+        (db, threshold)
+    }
+
+    /// With a guard holding two overlapping sstables and every size trigger
+    /// off, `seek_compaction_threshold` consecutive cursors — and no fewer,
+    /// and not across a write — schedule the compaction that collapses it.
+    #[test]
+    fn seek_trigger_collapses_a_fat_guard_after_threshold_consecutive_seeks() {
+        // Both rounds interleave over the same key range.
+        let (db, threshold) = stack_two_files_in_level1(|n| (n % 100) * 10 + n / 100);
+        assert!(db
+            .db
+            .with_current_version(|v| v.levels[1].has_overlapping_guard()));
 
         // One short of the threshold arms nothing...
         for _ in 0..threshold - 1 {
@@ -697,6 +679,27 @@ mod tests {
         open_cursor(&db);
         wait_for_shape(&db, "level-1 seek compaction", |v| fattest_guard(v) == 1);
         assert_eq!(db.files_per_level()[..3], [0, 0, 1]);
+    }
+
+    /// A guard larger than `max_file_size` keeps several *disjoint*
+    /// sstables; counting those as collapsible re-armed the trigger every
+    /// `seek_compaction_threshold` cursors and rewrote the guard forever.
+    #[test]
+    fn seek_trigger_ignores_a_guard_whose_files_are_disjoint() {
+        // The second round's keys all sort after the first round's.
+        let (db, threshold) = stack_two_files_in_level1(|n| n);
+        db.db.with_current_version(|v| {
+            assert_eq!(v.levels[1].max_files_in_guard(), 2);
+            assert!(!v.levels[1].has_overlapping_guard());
+            assert!(!db.db.core().policy.note_seek(v));
+        });
+        let compactions = db.stats().compactions;
+        for _ in 0..10 * threshold {
+            open_cursor(&db);
+            assert!(!seek_pending(&db), "a cursor over disjoint files armed");
+        }
+        assert_eq!(db.stats().compactions, compactions);
+        assert_eq!(db.files_per_level()[..3], [0, 2, 0]);
     }
 
     /// Claims at the same level are disjoint, and the counters see the
@@ -733,15 +736,15 @@ mod tests {
                 .load(std::sync::atomic::Ordering::Relaxed),
             2
         );
-        // Outputs of both uncommitted jobs are protected from the GC.
-        for number in claim1
-            .claim
-            .output_numbers
-            .iter()
-            .chain(&claim2.claim.output_numbers)
-        {
-            assert!(state.default_cf().pending_outputs.contains(number));
-        }
+        // Whatever both uncommitted jobs go on to write is protected from
+        // the GC: each registered the counter it will number its outputs from.
+        let mut floors = state.default_cf().output_floors.clone();
+        floors.sort_unstable();
+        assert_eq!(floors, [claim1.output_floor, claim2.output_floor]);
+        assert_eq!(
+            claim1.output_floor,
+            state.default_cf().io.file_numbers.peek()
+        );
         drop(state);
     }
 }

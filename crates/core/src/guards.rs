@@ -18,6 +18,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pebblesdb_common::hash::murmur3_32;
+use pebblesdb_common::key::compare_internal_keys;
 use pebblesdb_common::StoreOptions;
 use pebblesdb_engine::FileMetaData;
 
@@ -89,6 +90,24 @@ impl GuardMeta {
     /// Total bytes stored under this guard.
     pub fn total_bytes(&self) -> u64 {
         self.files.iter().map(|f| f.file_size).sum()
+    }
+
+    /// Returns `true` if two of the guard's sstables overlap, which is what
+    /// a compaction of the guard can collapse. A guard holding more data
+    /// than `max_file_size` legitimately keeps several sstables that are
+    /// *disjoint* sorted runs (cut by internal key, so one user key's
+    /// versions may end one file and start the next); rewriting those gains
+    /// a reader nothing.
+    pub fn has_overlapping_files(&self) -> bool {
+        let ends_before = |a: &FileMetaData, b: &FileMetaData| {
+            compare_internal_keys(a.largest.encoded(), b.smallest.encoded()).is_lt()
+        };
+        self.files.iter().enumerate().any(|(i, a)| {
+            let later = &self.files[i + 1..];
+            later
+                .iter()
+                .any(|b| !ends_before(a, b) && !ends_before(b, a))
+        })
     }
 }
 

@@ -12,9 +12,10 @@ use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use pebblesdb_common::key::{parse_internal_key, LookupKey, SequenceNumber, ValueType};
-use pebblesdb_common::vlog::{LookupValue, ValuePointer};
+use pebblesdb_common::key::LookupKey;
+use pebblesdb_common::vlog::LookupValue;
 use pebblesdb_common::{Error, ReadOptions, Result, StoreOptions};
+use pebblesdb_engine::runs::{probe_file, probe_level0};
 use pebblesdb_engine::{FileMetaData, VersionEdit, VersionShape};
 use pebblesdb_sstable::TableCache;
 
@@ -33,6 +34,7 @@ pub struct FlsmLevel {
     total_bytes: u64,
     max_files_in_guard: usize,
     empty_guards: usize,
+    has_overlapping_guard: bool,
 }
 
 impl FlsmLevel {
@@ -41,6 +43,7 @@ impl FlsmLevel {
         let mut level = FlsmLevel {
             max_files_in_guard: guards.iter().map(|g| g.files.len()).max().unwrap_or(0),
             empty_guards: guards.iter().filter(|g| g.files.is_empty()).count(),
+            has_overlapping_guard: guards.iter().any(GuardMeta::has_overlapping_files),
             guards,
             num_files: 0,
             total_bytes: 0,
@@ -116,6 +119,12 @@ impl FlsmLevel {
         self.max_files_in_guard
     }
 
+    /// Whether some guard holds two sstables that overlap — the only thing
+    /// a seek-triggered compaction of this level could collapse.
+    pub fn has_overlapping_guard(&self) -> bool {
+        self.has_overlapping_guard
+    }
+
     /// Number of guards with no sstables (tracked for the empty-guard
     /// experiment, Figure 5.4 of the paper).
     pub fn empty_guards(&self) -> usize {
@@ -166,59 +175,6 @@ impl FlsmVersion {
         self.levels.iter().skip(1).map(|l| l.empty_guards()).sum()
     }
 
-    /// Point lookup across the whole version.
-    pub fn get(
-        &self,
-        read_options: &ReadOptions,
-        key: &LookupKey,
-        table_cache: &TableCache,
-    ) -> Result<Option<LookupValue>> {
-        let user_key = key.user_key();
-
-        // Level 0: all overlapping files, newest first.
-        let mut level0: Vec<&Arc<FileMetaData>> = self
-            .level0
-            .iter()
-            .filter(|f| f.smallest.user_key() <= user_key && user_key <= f.largest.user_key())
-            .collect();
-        level0.sort_by_key(|f| std::cmp::Reverse(f.number));
-        for file in level0 {
-            // Level-0 files are recency-ordered by number: flushes are
-            // serialized by the single flush thread.
-            if let Some((_, decided)) = search_file(read_options, file, key, table_cache)? {
-                return Ok(decided);
-            }
-        }
-
-        // Levels 1..: exactly one guard per level can own the key. The
-        // sstables inside a guard overlap freely and — now that concurrent
-        // compaction jobs at different levels may deliver files into the same
-        // guard out of file-number order — the newest-number-first heuristic
-        // is no longer a total order on recency. Each candidate file is
-        // consulted (bloom filters skip most) and the match with the highest
-        // sequence number wins.
-        for level in self.levels.iter().skip(1) {
-            let guard = level.guard_for(user_key);
-            let mut best: Option<(SequenceNumber, Option<LookupValue>)> = None;
-            for file in guard
-                .files
-                .iter()
-                .filter(|f| f.smallest.user_key() <= user_key && user_key <= f.largest.user_key())
-            {
-                if let Some((sequence, value)) = search_file(read_options, file, key, table_cache)?
-                {
-                    if best.as_ref().map(|(s, _)| sequence > *s).unwrap_or(true) {
-                        best = Some((sequence, value));
-                    }
-                }
-            }
-            if let Some((_, decided)) = best {
-                return Ok(decided);
-            }
-        }
-        Ok(None)
-    }
-
     /// Decides whether (and why) a compaction is needed, and at which level.
     pub fn pick_compaction_level(
         &self,
@@ -235,43 +191,28 @@ impl FlsmVersion {
     /// at another level. Each level appears at most once, under its
     /// highest-priority reason.
     pub fn compaction_candidates(&self, options: &StoreOptions) -> Vec<(usize, CompactionReason)> {
-        let mut candidates = Vec::new();
-        let mut seen = vec![false; self.num_levels()];
-        let push = |candidates: &mut Vec<(usize, CompactionReason)>,
-                    seen: &mut Vec<bool>,
-                    level: usize,
-                    reason: CompactionReason| {
-            if !seen[level] {
-                seen[level] = true;
+        let mut candidates: Vec<(usize, CompactionReason)> = Vec::new();
+        let mut push = |level: usize, reason: CompactionReason| {
+            if candidates.iter().all(|(listed, _)| *listed != level) {
                 candidates.push((level, reason));
             }
         };
         // Level 0 is governed by file count.
         if self.level0.len() >= options.level0_compaction_trigger {
-            push(&mut candidates, &mut seen, 0, CompactionReason::Level0Files);
+            push(0, CompactionReason::Level0Files);
         }
         // A guard over its sstable budget forces a compaction of its level.
         // This includes the last level, which rewrites its guards in place
         // (the paper's "exception to the no-rewrite rule").
         for level in 1..self.num_levels() {
             if self.levels[level].max_files_in_guard() > options.max_sstables_per_guard {
-                push(
-                    &mut candidates,
-                    &mut seen,
-                    level,
-                    CompactionReason::GuardFanout,
-                );
+                push(level, CompactionReason::GuardFanout);
             }
         }
         // Byte budgets.
         for level in 1..self.num_levels() - 1 {
             if self.level_bytes(level) > options.max_bytes_for_level(level) {
-                push(
-                    &mut candidates,
-                    &mut seen,
-                    level,
-                    CompactionReason::LevelBytes,
-                );
+                push(level, CompactionReason::LevelBytes);
             }
         }
         // Aggressive compaction: level i close in size to level i+1.
@@ -284,46 +225,11 @@ impl FlsmVersion {
                     && (this as f64) >= options.aggressive_compaction_ratio * (next as f64)
                     && this >= options.max_bytes_for_level(level) / 2
                 {
-                    push(
-                        &mut candidates,
-                        &mut seen,
-                        level,
-                        CompactionReason::Aggressive,
-                    );
+                    push(level, CompactionReason::Aggressive);
                 }
             }
         }
         candidates
-    }
-}
-
-/// Searches one sstable; the outer `Option` says whether this file holds a
-/// version of the key, the payload is that version's sequence and its value
-/// (`None` = tombstone) so callers can pick the newest match across the
-/// overlapping files of a guard.
-fn search_file(
-    read_options: &ReadOptions,
-    file: &Arc<FileMetaData>,
-    key: &LookupKey,
-    table_cache: &TableCache,
-) -> Result<Option<(SequenceNumber, Option<LookupValue>)>> {
-    let table = table_cache.get_table(file.number, file.file_size)?;
-    if !table.may_contain_user_key(key.user_key()) {
-        return Ok(None);
-    }
-    match table.get(read_options, key.internal_key())? {
-        Some((found_key, value)) => match parse_internal_key(&found_key) {
-            Some(parsed) if parsed.user_key == key.user_key() => match parsed.value_type {
-                ValueType::Value => Ok(Some((parsed.sequence, Some(LookupValue::Inline(value))))),
-                ValueType::ValuePointer => Ok(Some((
-                    parsed.sequence,
-                    Some(LookupValue::Pointer(ValuePointer::decode(&value)?)),
-                ))),
-                ValueType::Deletion => Ok(Some((parsed.sequence, None))),
-            },
-            _ => Ok(None),
-        },
-        None => Ok(None),
     }
 }
 
@@ -413,6 +319,46 @@ impl VersionShape for FlsmVersion {
             version.levels[level_idx] = FlsmLevel::new(guards);
         }
         Ok(version)
+    }
+
+    /// Point lookup across the whole version.
+    fn get(
+        &self,
+        read_options: &ReadOptions,
+        key: &LookupKey,
+        table_cache: &TableCache,
+    ) -> Result<Option<LookupValue>> {
+        let user_key = key.user_key();
+        if let Some(decided) = probe_level0(table_cache, read_options, &self.level0, key)? {
+            return Ok(decided);
+        }
+
+        // Levels 1..: exactly one guard per level can own the key. The
+        // sstables inside a guard overlap freely and — now that concurrent
+        // compaction jobs at different levels may deliver files into the same
+        // guard out of file-number order — the newest-number-first heuristic
+        // is no longer a total order on recency. Each candidate file is
+        // consulted (bloom filters skip most) and the match with the highest
+        // sequence number wins.
+        for level in self.levels.iter().skip(1) {
+            let guard = level.guard_for(user_key);
+            let mut best = None;
+            for file in guard
+                .files
+                .iter()
+                .filter(|f| f.overlaps_user_range(Some(user_key), Some(user_key)))
+            {
+                if let Some(found) = probe_file(table_cache, read_options, file, key)? {
+                    if best.as_ref().is_none_or(|(newest, _)| found.0 > *newest) {
+                        best = Some(found);
+                    }
+                }
+            }
+            if let Some((_, decided)) = best {
+                return Ok(decided);
+            }
+        }
+        Ok(None)
     }
 
     fn snapshot_into(&self, edit: &mut VersionEdit) {

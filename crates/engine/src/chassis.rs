@@ -4,9 +4,10 @@
 //! group-commit write path, `make_room_for_write` + memtable rotation, a
 //! dedicated flush thread (imm -> level 0 never queues behind a level
 //! compaction), a pool of compaction workers that claim disjoint jobs
-//! through the [`ShapePolicy`], pending-output/live-file garbage collection,
-//! the snapshot list and stats assembly. The policy decides only *what* a
-//! compaction job is and *how* reads route through a version.
+//! through the [`ShapePolicy`], live-file garbage collection (with a per-job
+//! floor shielding uncommitted outputs), the snapshot list and stats
+//! assembly. The policy decides only *what* a compaction job is and *how*
+//! reads route through a version.
 //!
 //! # Column families
 //!
@@ -47,11 +48,9 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use pebblesdb_common::cf::{CfOps, CfStats, ColumnFamilyHandle, Db};
 use pebblesdb_common::commit::{CommitGroup, CommitQueue, Role};
-use pebblesdb_common::filename::{
-    log_file_name, parse_file_name, table_file_name, vlog_file_name, FileType,
-};
+use pebblesdb_common::filename::{log_file_name, parse_file_name, vlog_file_name, FileType};
 use pebblesdb_common::iterator::{DbIterator, MergingIterator, PinnedIterator};
-use pebblesdb_common::key::{InternalKey, LookupKey, SequenceNumber, ValueType};
+use pebblesdb_common::key::{LookupKey, SequenceNumber, ValueType};
 use pebblesdb_common::snapshot::{Snapshot, SnapshotList};
 use pebblesdb_common::user_iter::UserIterator;
 use pebblesdb_common::vlog::{iter_vlog_records, LookupValue, ValuePointer, ValueResolver};
@@ -61,13 +60,14 @@ use pebblesdb_common::{
 };
 use pebblesdb_skiplist::memtable::MemTableGet;
 use pebblesdb_skiplist::MemTable;
-use pebblesdb_sstable::{TableBuilder, TableCache};
+use pebblesdb_sstable::TableCache;
 use pebblesdb_wal::{LogReader, LogWriter, SegmentReplay};
 
 use crate::catalog::{self, Catalog, CatalogData};
 use crate::cdc::{ChangeLog, TailRead};
 use crate::meta::FileMetaData;
 use crate::policy::{EngineIo, JobClaim, PolicyCtx, ShapePolicy};
+use crate::runs::flush_to_table;
 use crate::version_set::{VersionSet, VersionShape};
 use crate::vlog::{CfVlog, TakenVlog, VlogGcReport, VlogReaderCache};
 
@@ -173,10 +173,13 @@ pub struct CfState<P: ShapePolicy> {
     /// set, so concurrent jobs always operate on disjoint file subsets.
     /// File numbers are per-family (each version set allocates its own).
     pub claimed_inputs: BTreeSet<u64>,
-    /// Output file numbers of this family's uncommitted jobs (flushes and
-    /// compactions). `remove_obsolete_files` must never delete these: they
-    /// are invisible to every version until their job commits.
-    pub pending_outputs: BTreeSet<u64>,
+    /// One *floor* per uncommitted job of this family (flush or compaction):
+    /// the file-number counter's value when the job started. A job names
+    /// its output tables on demand, so all of them are numbered at or above
+    /// its floor; `remove_obsolete_files` must never delete a table at or
+    /// above the lowest floor — it may be invisible to every version only
+    /// because its job has not committed yet (RocksDB's min-pending-output).
+    pub output_floors: Vec<u64>,
     /// The WAL that was live when the active memtable was created. Once
     /// `imm` flushes, every record of this family in older WALs is covered
     /// by sstables, so this is the log number a flush commit publishes.
@@ -282,8 +285,10 @@ impl<P: ShapePolicy> EngineState<P> {
 pub struct ClaimedJob<P: ShapePolicy> {
     /// The family the job belongs to.
     pub cf: CfId,
-    /// The policy-level claim (inputs, outputs, job description).
+    /// The policy-level claim (inputs, job description).
     pub claim: JobClaim<P::Job>,
+    /// The job's entry in the family's `output_floors`.
+    pub output_floor: u64,
 }
 
 /// One key observation made during the unlocked group-commit apply, tagged
@@ -296,24 +301,43 @@ type CfObservation = (CfId, (usize, Vec<u8>));
 /// a single-namespace store never crosses this.
 const WAL_BACKLOG_LIMIT: usize = 8;
 
+/// Removes one finished (or failed) job's entry from a family's floors.
+fn lift_output_floor(floors: &mut Vec<u64>, floor: u64) {
+    if let Some(at) = floors.iter().position(|f| *f == floor) {
+        floors.swap_remove(at);
+    }
+}
+
 fn missing_cf_error(cf: CfId) -> Error {
     Error::invalid_argument(format!("column family {cf} does not exist (dropped?)"))
 }
 
-/// Builds the IO handles of one family rooted at `dir`.
-fn cf_io(env: &Arc<dyn pebblesdb_env::Env>, dir: &Path, options: &StoreOptions) -> EngineIo {
-    let table_cache = Arc::new(TableCache::new(
+/// Opens the version set of one family rooted at `dir` and builds the
+/// family's IO handles around it (they share the file-number counter).
+///
+/// A directory without a CURRENT is either a fresh database or a family
+/// whose create edit committed but whose directory was never initialised
+/// (crash between the two); both start empty.
+fn open_cf_dir<V: VersionShape>(
+    env: &Arc<dyn pebblesdb_env::Env>,
+    dir: &Path,
+    options: &StoreOptions,
+) -> Result<(EngineIo, VersionSet<V>)> {
+    let versions = VersionSet::open(Arc::clone(env), dir.to_path_buf(), options.clone())?;
+    let table_cache = TableCache::new(
         Arc::clone(env),
         dir.to_path_buf(),
         options.clone(),
         options.max_open_files,
-    ));
-    EngineIo {
+    );
+    let io = EngineIo {
         env: Arc::clone(env),
         db_path: dir.to_path_buf(),
         options: options.clone(),
-        table_cache,
-    }
+        table_cache: Arc::new(table_cache),
+        file_numbers: versions.file_numbers().clone(),
+    };
+    Ok((io, versions))
 }
 
 impl<P: ShapePolicy> EngineDb<P> {
@@ -331,13 +355,12 @@ impl<P: ShapePolicy> EngineDb<P> {
         options.counters = Arc::clone(&counters);
 
         env.create_dir_all(path)?;
-        let io = cf_io(&env, path, &options);
 
         let current_exists = env.file_exists(&pebblesdb_common::filename::current_file_name(path));
-        if current_exists && io.options.error_if_exists {
+        if current_exists && options.error_if_exists {
             return Err(Error::invalid_argument("database already exists"));
         }
-        if !current_exists && !io.options.create_if_missing {
+        if !current_exists && !options.create_if_missing {
             return Err(Error::invalid_argument("database does not exist"));
         }
 
@@ -364,16 +387,7 @@ impl<P: ShapePolicy> EngineDb<P> {
         for (id, name) in &catalog_data.cfs {
             let dir = catalog::cf_dir(path, *id);
             env.create_dir_all(&dir)?;
-            let io = if *id == 0 {
-                io.clone()
-            } else {
-                cf_io(&env, &dir, &options)
-            };
-            // A directory without a CURRENT is either a fresh database or a
-            // family whose create edit committed but whose directory was
-            // never initialised (crash between the two); both start empty.
-            let mut versions =
-                VersionSet::open(Arc::clone(&io.env), io.db_path.clone(), io.options.clone())?;
+            let (io, versions) = open_cf_dir(&env, &dir, &options)?;
             state.last_sequence = state.last_sequence.max(versions.last_sequence());
             // Vlog files are registered by directory listing, not in the
             // MANIFEST; their numbers must be re-marked used so a new file
@@ -393,7 +407,7 @@ impl<P: ShapePolicy> EngineDb<P> {
                     versions,
                     policy: policy.new_state(),
                     claimed_inputs: BTreeSet::new(),
-                    pending_outputs: BTreeSet::new(),
+                    output_floors: Vec::new(),
                     mem_log_number: 0,
                     active_jobs: 0,
                     flush_running: false,
@@ -420,6 +434,9 @@ impl<P: ShapePolicy> EngineDb<P> {
             }
         }
 
+        // The default family's handles are the store's: its directory is
+        // the database root, where the WAL lives.
+        let io = state.default_cf().io.clone();
         let mut wal_births = recover_wals(&io, &mut state)?;
 
         // Start a fresh WAL for new writes, making its directory entry
@@ -676,51 +693,12 @@ fn recover_wals<P: ShapePolicy>(
 fn flush_recovery_memtable<P: ShapePolicy>(state: &mut EngineState<P>, cf_id: CfId) -> Result<()> {
     let last_sequence = state.last_sequence;
     let cf = state.cfs.get_mut(&cf_id).expect("recovering family exists");
-    let number = cf.versions.new_file_number();
     let mem = std::mem::replace(&mut cf.mem, Arc::new(MemTable::new()));
-    if let Some(meta) = build_table_from_memtable(&cf.io, &mem, number)? {
+    if let Some(meta) = flush_to_table(&cf.io, mem.iter())? {
         cf.versions.set_last_sequence(last_sequence);
         cf.versions.commit_level0(Some(&meta), None)?;
     }
     Ok(())
-}
-
-/// Writes the contents of a memtable into a new level-0 sstable, syncing the
-/// directory so the new entry is durable before a MANIFEST references it.
-fn build_table_from_memtable(
-    io: &EngineIo,
-    mem: &MemTable,
-    file_number: u64,
-) -> Result<Option<FileMetaData>> {
-    let mut iter = mem.iter();
-    iter.seek_to_first();
-    if !iter.valid() {
-        return Ok(None);
-    }
-    let file = io
-        .env
-        .new_writable_file(&table_file_name(&io.db_path, file_number))?;
-    // Flushes always land in level 0, so the per-level compression tier for
-    // level 0 applies (typically raw: young tables are short-lived).
-    let mut builder = TableBuilder::new_for_level(&io.options, file, 0);
-    let mut smallest: Option<Vec<u8>> = None;
-    let mut largest: Vec<u8> = Vec::new();
-    while iter.valid() {
-        if smallest.is_none() {
-            smallest = Some(iter.key().to_vec());
-        }
-        largest = iter.key().to_vec();
-        builder.add(iter.key(), iter.value())?;
-        iter.next();
-    }
-    let file_size = builder.finish()?;
-    io.env.sync_dir(&io.db_path)?;
-    Ok(Some(FileMetaData::new(
-        file_number,
-        file_size,
-        InternalKey::from_encoded(smallest.unwrap_or_default()),
-        InternalKey::from_encoded(largest),
-    )))
 }
 
 /// The sequence number a read issued with `opts` may observe: the requested
@@ -1313,9 +1291,8 @@ impl<P: ShapePolicy> EngineCore<P> {
                 MemTableGet::NotFound => {}
             }
         }
-        Ok(self
-            .policy
-            .get_in_version(&io, &version, opts, &lookup)?
+        Ok(version
+            .get(opts, &lookup, &io.table_cache)?
             .map(|found| (found, resolver)))
     }
 
@@ -1468,9 +1445,9 @@ impl<P: ShapePolicy> EngineCore<P> {
     /// must not intersect that family's in-flight inputs.
     ///
     /// On success the job's input files are recorded in the family's
-    /// `claimed_inputs` (keeping other workers off the same inputs) and its
-    /// pre-allocated output numbers in `pending_outputs` (keeping the GC off
-    /// files that exist on disk but are not yet committed to any version).
+    /// `claimed_inputs` (keeping other workers off the same inputs) and the
+    /// current file-number counter in `output_floors` (keeping the GC off
+    /// the tables the job will write but not yet have committed).
     pub fn claim_job(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> Option<ClaimedJob<P>> {
         if state.bg_error.is_some() {
             return None;
@@ -1500,17 +1477,21 @@ impl<P: ShapePolicy> EngineCore<P> {
                     claimed_inputs: &cf.claimed_inputs,
                     smallest_snapshot,
                 };
-                self.policy.pick_job(&cf.io, &mut ctx)
+                self.policy.pick_job(&mut ctx)
             };
             if let Some(claim) = claim {
                 cf.claimed_inputs
                     .extend(claim.input_numbers.iter().copied());
-                cf.pending_outputs
-                    .extend(claim.output_numbers.iter().copied());
+                let output_floor = cf.io.file_numbers.peek();
+                cf.output_floors.push(output_floor);
                 cf.active_jobs += 1;
                 st.active_compactions += 1;
                 self.counters.record_compaction_start();
-                return Some(ClaimedJob { cf: cf_id, claim });
+                return Some(ClaimedJob {
+                    cf: cf_id,
+                    claim,
+                    output_floor,
+                });
             }
         }
         None
@@ -1525,7 +1506,11 @@ impl<P: ShapePolicy> EngineCore<P> {
         claimed: ClaimedJob<P>,
     ) {
         let start = Instant::now();
-        let ClaimedJob { cf: cf_id, claim } = claimed;
+        let ClaimedJob {
+            cf: cf_id,
+            claim,
+            output_floor,
+        } = claimed;
         let io = state
             .cfs
             .get(&cf_id)
@@ -1576,9 +1561,7 @@ impl<P: ShapePolicy> EngineCore<P> {
                 for number in &claim.input_numbers {
                     cf.claimed_inputs.remove(number);
                 }
-                for number in &claim.output_numbers {
-                    cf.pending_outputs.remove(number);
-                }
+                lift_output_floor(&mut cf.output_floors, output_floor);
                 cf.active_jobs -= 1;
             }
             st.active_compactions -= 1;
@@ -1600,7 +1583,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         state: &mut MutexGuard<'_, EngineState<P>>,
         cf_id: CfId,
     ) -> Result<()> {
-        let (imm, number, io) = {
+        let (imm, output_floor, io) = {
             let cf = state
                 .cfs
                 .get_mut(&cf_id)
@@ -1609,14 +1592,14 @@ impl<P: ShapePolicy> EngineCore<P> {
                 Some(imm) => imm,
                 None => return Ok(()),
             };
-            let number = cf.versions.new_file_number();
             // Until the edit commits, the new table exists only on disk;
             // keep the concurrent compaction workers' GC away from it.
-            cf.pending_outputs.insert(number);
-            (imm, number, cf.io.clone())
+            let output_floor = cf.io.file_numbers.peek();
+            cf.output_floors.push(output_floor);
+            (imm, output_floor, cf.io.clone())
         };
         let start = Instant::now();
-        let meta = MutexGuard::unlocked(state, || build_table_from_memtable(&io, &imm, number));
+        let meta = MutexGuard::unlocked(state, || flush_to_table(&io, imm.iter()));
         let last_sequence = state.last_sequence;
         let current_log = state.log_file_number;
         let st = &mut **state;
@@ -1627,15 +1610,11 @@ impl<P: ShapePolicy> EngineCore<P> {
         let meta = match meta {
             Ok(meta) => meta,
             Err(err) => {
-                cf.pending_outputs.remove(&number);
+                lift_output_floor(&mut cf.output_floors, output_floor);
                 return Err(err);
             }
         };
-
-        let mut written = 0;
-        if let Some(meta) = &meta {
-            written = meta.file_size;
-        }
+        let written = meta.as_ref().map_or(0, |meta| meta.file_size);
         // The frozen table covers every record of this family in WALs older
         // than the active memtable's birth log; publish that as the
         // family's recovery floor.
@@ -1644,7 +1623,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         let commit = cf
             .versions
             .commit_level0(meta.as_ref(), Some(mem_log_number));
-        cf.pending_outputs.remove(&number);
+        lift_output_floor(&mut cf.output_floors, output_floor);
         commit?;
         cf.imm = None;
         cf.flushes += 1;
@@ -1694,6 +1673,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             let (live, pinned) = cf.versions.live_files_and_pins();
             any_pinned |= pinned;
             let manifest_number = cf.versions.manifest_number();
+            let output_floor = cf.output_floors.iter().copied().min();
             let children = match cf.io.env.children(&cf.io.db_path) {
                 Ok(children) => children,
                 Err(_) => continue,
@@ -1706,10 +1686,11 @@ impl<P: ShapePolicy> EngineCore<P> {
                 };
                 let keep = match ty {
                     // A table is live if any version references it — or if
-                    // it is the not-yet-committed output of an in-flight
+                    // it may be the not-yet-committed output of an in-flight
                     // flush or compaction job running on another thread.
                     FileType::Table => {
-                        live.binary_search(&number).is_ok() || cf.pending_outputs.contains(&number)
+                        live.binary_search(&number).is_ok()
+                            || output_floor.is_some_and(|floor| number >= floor)
                     }
                     FileType::WriteAheadLog => number >= min_log || number == current_log,
                     FileType::Descriptor => number >= manifest_number,
@@ -2079,9 +2060,7 @@ impl<P: ShapePolicy> EngineCore<P> {
 
         let dir = catalog::cf_dir(&self.io.db_path, id);
         self.io.env.create_dir_all(&dir)?;
-        let io = cf_io(&self.io.env, &dir, &self.io.options);
-        let mut versions =
-            VersionSet::open(Arc::clone(&io.env), io.db_path.clone(), io.options.clone())?;
+        let (io, mut versions) = open_cf_dir(&self.io.env, &dir, &self.io.options)?;
         versions.set_last_sequence(state.last_sequence);
         versions.commit_level0(None, Some(state.log_file_number))?;
         let mem_log_number = state.log_file_number;
@@ -2097,7 +2076,7 @@ impl<P: ShapePolicy> EngineCore<P> {
                 versions,
                 policy: self.policy.new_state(),
                 claimed_inputs: BTreeSet::new(),
-                pending_outputs: BTreeSet::new(),
+                output_floors: Vec::new(),
                 mem_log_number,
                 active_jobs: 0,
                 flush_running: false,

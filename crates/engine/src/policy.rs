@@ -10,21 +10,20 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pebblesdb_common::iterator::DbIterator;
-use pebblesdb_common::key::{LookupKey, SequenceNumber};
-use pebblesdb_common::vlog::LookupValue;
+use pebblesdb_common::key::SequenceNumber;
 use pebblesdb_common::{ReadOptions, Result, StoreOptions};
 use pebblesdb_env::Env;
 use pebblesdb_sstable::TableCache;
 
 use crate::meta::FileMetaData;
-use crate::version_set::{VersionSet, VersionShape};
+use crate::version_set::{FileNumbers, VersionSet, VersionShape};
 
 /// The IO handles one column family runs against, shared by the chassis and
 /// its policy: the environment, the family's directory, the open options and
-/// the family's table cache. Built once per family at open/create time; the
-/// default family's directory is the database root. Cloning is cheap (two
-/// `Arc`s, a path and the options) and is how background jobs carry their
-/// IO handles outside the state mutex.
+/// the family's table cache and file-number counter. Built once per family
+/// at open/create time; the default family's directory is the database
+/// root. Cloning is cheap (three `Arc`s, a path and the options) and is how
+/// background jobs carry their IO handles outside the state mutex.
 #[derive(Clone)]
 pub struct EngineIo {
     /// The filesystem abstraction.
@@ -35,19 +34,20 @@ pub struct EngineIo {
     pub options: StoreOptions,
     /// Open sstable readers plus the shared block cache.
     pub table_cache: Arc<TableCache>,
+    /// The directory's file-number counter, shared with its version set: a
+    /// job names each output table when it opens it.
+    pub file_numbers: FileNumbers,
 }
 
-/// A claimed unit of compaction work, with the file numbers the chassis must
-/// reserve: `input_numbers` keep other workers off the same inputs,
-/// `output_numbers` keep the concurrent GC away from on-disk files no
-/// version references yet.
+/// A claimed unit of compaction work, with the input file numbers the
+/// chassis must reserve to keep other workers off the same inputs. (Outputs
+/// need no reservation: the chassis shields every table numbered at or
+/// above the claim-time counter from the GC until the job is released.)
 pub struct JobClaim<J> {
     /// The policy-specific job description.
     pub job: J,
     /// File numbers of every input the job reads.
     pub input_numbers: Vec<u64>,
-    /// Pre-allocated output file numbers.
-    pub output_numbers: Vec<u64>,
 }
 
 /// Mutable access to the policy-relevant parts of the engine state, handed
@@ -107,20 +107,9 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
 
     // ------------------------------------------------------------- read path
 
-    /// Point lookup in the on-disk structure (memtables were already
-    /// consulted by the chassis). Returns the stored form of the newest
-    /// visible version — an inline value or an unresolved vlog pointer; the
-    /// chassis resolves pointers outside the state lock.
-    fn get_in_version(
-        &self,
-        io: &EngineIo,
-        version: &Self::Version,
-        opts: &ReadOptions,
-        key: &LookupKey,
-    ) -> Result<Option<LookupValue>>;
-
     /// Appends the version's level iterators (level-0 files plus one lazy
-    /// iterator per deeper level) to a cursor's child list. A level iterator
+    /// [`LevelCursor`](crate::LevelCursor) per deeper level, over the shape's
+    /// [`RunSource`](crate::RunSource)) to a cursor's child list. The source
     /// keeps a clone of the `Arc` and reads the version's file lists in
     /// place, so building a cursor copies no per-file or per-guard state.
     fn append_version_iterators(
@@ -150,10 +139,8 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
 
     /// Claims the next unit of compaction work whose inputs do not intersect
     /// `ctx.claimed_inputs`, or `None` when nothing is claimable. The chassis
-    /// registers the claim's input and output numbers before releasing the
-    /// state lock.
-    fn pick_job(&self, io: &EngineIo, ctx: &mut PolicyCtx<'_, Self>)
-        -> Option<JobClaim<Self::Job>>;
+    /// registers the claim's input numbers before releasing the state lock.
+    fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<JobClaim<Self::Job>>;
 
     /// Runs the job's IO. Called **without** the state mutex held; must not
     /// touch shared engine state.

@@ -1,0 +1,529 @@
+//! Sstable mechanics, written once for every tree shape.
+//!
+//! The paper's framing (section 3.4): "the level iterators are themselves
+//! implemented by merging iterators on the sstables inside the guard", and a
+//! classic LSM is an FLSM with one implicit guard per level. So the shapes
+//! differ only in how a level is *cut into runs*; what lies underneath that
+//! cut lives here: the point probe of one sstable and of level 0, the lazy
+//! level cursor over the slots a [`RunSource`] describes (a slot is a guard
+//! or a file), and the compaction merge loop with the table-writing tail it
+//! shares with the memtable flush, both naming their outputs on demand.
+
+use std::sync::Arc;
+
+use pebblesdb_common::filename::table_file_name;
+use pebblesdb_common::iterator::{DbIterator, MergingIterator};
+use pebblesdb_common::key::{
+    extract_user_key, parse_internal_key, InternalKey, LookupKey, SequenceNumber, ValueType,
+    MAX_SEQUENCE_NUMBER,
+};
+use pebblesdb_common::vlog::{LookupValue, ValuePointer};
+use pebblesdb_common::{Error, ReadOptions, Result};
+use pebblesdb_sstable::table::TableIterator;
+use pebblesdb_sstable::{TableBuilder, TableCache};
+
+use crate::meta::FileMetaData;
+use crate::policy::EngineIo;
+
+// ------------------------------------------------------------- point probes
+
+/// Searches one sstable for the newest version of `key` visible at its
+/// snapshot. `None` means the file holds no such version; otherwise the
+/// payload is that version's sequence and stored value (`None` = tombstone),
+/// so a caller can pick the newest match across files that overlap.
+pub fn probe_file(
+    table_cache: &TableCache,
+    read_options: &ReadOptions,
+    file: &FileMetaData,
+    key: &LookupKey,
+) -> Result<Option<(SequenceNumber, Option<LookupValue>)>> {
+    let table = table_cache.get_table(file.number, file.file_size)?;
+    if !table.may_contain_user_key(key.user_key()) {
+        return Ok(None);
+    }
+    let Some((found_key, value)) = table.get(read_options, key.internal_key())? else {
+        return Ok(None);
+    };
+    match parse_internal_key(&found_key) {
+        Some(parsed) if parsed.user_key == key.user_key() => {
+            let value = match parsed.value_type {
+                ValueType::Value => Some(LookupValue::Inline(value)),
+                ValueType::ValuePointer => {
+                    Some(LookupValue::Pointer(ValuePointer::decode(&value)?))
+                }
+                ValueType::Deletion => None,
+            };
+            Ok(Some((parsed.sequence, value)))
+        }
+        _ => Ok(None),
+    }
+}
+
+/// Searches level 0. `files` must be ordered newest first, as every
+/// [`VersionShape::apply`](crate::VersionShape::apply) leaves level 0:
+/// flushes are serialized by the single flush thread, so file numbers order
+/// level-0 tables by recency and the first file that knows the key decides.
+/// The outer `Option` is "did level 0 decide", the inner the value
+/// (`None` = tombstone).
+pub fn probe_level0(
+    table_cache: &TableCache,
+    read_options: &ReadOptions,
+    files: &[Arc<FileMetaData>],
+    key: &LookupKey,
+) -> Result<Option<Option<LookupValue>>> {
+    let user_key = key.user_key();
+    for file in files {
+        if file.overlaps_user_range(Some(user_key), Some(user_key)) {
+            if let Some((_, decided)) = probe_file(table_cache, read_options, file, key)? {
+                return Ok(Some(decided));
+            }
+        }
+    }
+    Ok(None)
+}
+
+// ------------------------------------------------------------ level cursor
+
+/// How one level of a pinned version is cut into *slots*, in key order. A
+/// slot is the unit a [`LevelCursor`] opens lazily: a guard with its
+/// (possibly overlapping) sstables for the FLSM, a single file for a
+/// leveled run. Implementors hold the `Arc` of the version they describe.
+pub trait RunSource {
+    /// Number of slots in the level.
+    fn slots(&self) -> usize;
+    /// The slot a seek to the internal key `target` starts in; `slots()`
+    /// when every slot sorts before `target`.
+    fn slot_for(&self, target: &[u8]) -> usize;
+    /// The sstables of `slot`; none for a slot at or past `slots()`.
+    fn files(&self, slot: usize) -> &[Arc<FileMetaData>];
+    /// The user-key range `[lower, upper)` the cursor emits from `slot`;
+    /// `None` leaves that side unclipped. A slot whose files may reach into
+    /// its neighbours (a guard holding a file written before the guard was
+    /// committed) must clip, so that every entry is emitted exactly once and
+    /// in global key order.
+    fn bounds(&self, slot: usize) -> (Option<&[u8]>, Option<&[u8]>);
+}
+
+/// The open iterator of one slot: a one-file slot reads its table directly
+/// (no merge heap, no boxing), a many-file slot merges its tables.
+enum SlotIter {
+    One(TableIterator),
+    Many(MergingIterator),
+}
+
+/// Runs `$body` on whichever iterator the slot holds, statically dispatched.
+macro_rules! on_slot {
+    ($slot:expr, $iter:ident => $body:expr) => {
+        match $slot {
+            SlotIter::One($iter) => $body,
+            SlotIter::Many($iter) => $body,
+        }
+    };
+}
+
+impl DbIterator for SlotIter {
+    #[inline]
+    fn valid(&self) -> bool {
+        on_slot!(self, iter => iter.valid())
+    }
+    #[inline]
+    fn seek_to_first(&mut self) {
+        on_slot!(self, iter => iter.seek_to_first())
+    }
+    #[inline]
+    fn seek_to_last(&mut self) {
+        on_slot!(self, iter => iter.seek_to_last())
+    }
+    #[inline]
+    fn seek(&mut self, target: &[u8]) {
+        on_slot!(self, iter => iter.seek(target))
+    }
+    #[inline]
+    fn next(&mut self) {
+        on_slot!(self, iter => iter.next())
+    }
+    #[inline]
+    fn prev(&mut self) {
+        on_slot!(self, iter => iter.prev())
+    }
+    #[inline]
+    fn key(&self) -> &[u8] {
+        on_slot!(self, iter => iter.key())
+    }
+    #[inline]
+    fn value(&self) -> &[u8] {
+        on_slot!(self, iter => iter.value())
+    }
+    #[inline]
+    fn status(&self) -> Result<()> {
+        on_slot!(self, iter => iter.status())
+    }
+}
+
+/// A lazy iterator over one level: it walks the level's slots in key order
+/// and opens a slot's sstables only when the cursor reaches it. The slots
+/// are read in place from the version the source pins, so building a cursor
+/// costs the same whatever the number of guards or files.
+pub struct LevelCursor<S: RunSource> {
+    source: S,
+    table_cache: Arc<TableCache>,
+    read_options: ReadOptions,
+    /// The slot the cursor is in; `source.slots()` = unpositioned.
+    slot: usize,
+    current: Option<SlotIter>,
+    /// First error hit while opening a slot; ends iteration.
+    error: Option<Error>,
+    /// Threads used to pre-position a many-file slot's sstables on `seek`
+    /// (the paper's "parallel seeks"); `<= 1` disables the optimisation.
+    parallel_seek_threads: usize,
+}
+
+impl<S: RunSource> LevelCursor<S> {
+    /// Creates an unpositioned cursor over the level `source` describes.
+    pub fn new(table_cache: Arc<TableCache>, read_options: ReadOptions, source: S) -> Self {
+        LevelCursor {
+            slot: source.slots(),
+            source,
+            table_cache,
+            read_options,
+            current: None,
+            error: None,
+            parallel_seek_threads: 1,
+        }
+    }
+
+    /// Enables parallel positioning of a many-file slot's sstables on `seek`.
+    ///
+    /// Section 4.2 of the paper: a seek into a guard must position an
+    /// iterator in *every* sstable of the guard; doing so with a thread pool
+    /// hides the per-sstable IO latency on the coldest (deepest) level.
+    pub fn with_parallel_seeks(mut self, threads: usize) -> Self {
+        self.parallel_seek_threads = threads.max(1);
+        self
+    }
+
+    /// Warms `files` for `target` with a thread pool, so the serial merged
+    /// seek that follows hits cache.
+    fn parallel_warm(&self, files: &[Arc<FileMetaData>], target: &[u8]) {
+        let chunk_size = files.len().div_ceil(self.parallel_seek_threads).max(1);
+        // Capture only the Sync pieces; `self` also holds the (non-Sync)
+        // open slot iterator.
+        let table_cache = &self.table_cache;
+        let read_options = &self.read_options;
+        std::thread::scope(|scope| {
+            for chunk in files.chunks(chunk_size) {
+                scope.spawn(move || {
+                    for file in chunk {
+                        if let Ok(mut iter) =
+                            table_cache.iter(read_options, file.number, file.file_size)
+                        {
+                            iter.seek(target);
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// Makes `slot` the current one, opens its sstables and positions the
+    /// iterator over them with `position` (a slot without files, such as the
+    /// one past the end, opens nothing).
+    /// Returns `false`, with the error latched and the cursor invalid, if a
+    /// table cannot be opened.
+    fn open_slot(&mut self, slot: usize, position: impl FnOnce(&mut SlotIter)) -> bool {
+        self.slot = slot;
+        self.current = None;
+        let opened = match self.source.files(slot) {
+            [] => return true,
+            [file] => self
+                .table_cache
+                .iter(&self.read_options, file.number, file.file_size)
+                .map(SlotIter::One),
+            files => {
+                let mut children = Vec::with_capacity(files.len());
+                push_table_iterators(&self.table_cache, &self.read_options, files, &mut children)
+                    .map(|()| SlotIter::Many(MergingIterator::new(children)))
+            }
+        };
+        match opened {
+            Ok(mut iter) => {
+                position(&mut iter);
+                self.current = Some(iter);
+            }
+            Err(err) => self.error = Some(err),
+        }
+        self.current.is_some()
+    }
+
+    /// Returns `true` if the cursor sits on an entry inside the current
+    /// slot's key range.
+    fn in_bounds(&self) -> bool {
+        let Some(iter) = self.current.as_ref() else {
+            return false;
+        };
+        if !iter.valid() {
+            return false;
+        }
+        // An unclipped slot (every slot of a leveled run) never looks at the
+        // key: for such a source this is `valid()` and nothing else.
+        let (lower, upper) = self.source.bounds(self.slot);
+        let user_key = || extract_user_key(iter.key());
+        lower.is_none_or(|lower| user_key() >= lower)
+            && upper.is_none_or(|upper| user_key() < upper)
+    }
+
+    /// Moves forward, slot by slot, until the cursor is on an entry inside
+    /// its slot's range (or the level is exhausted).
+    fn settle_forward(&mut self) {
+        while !self.in_bounds() {
+            // Either the slot is exhausted or the next entry spills past its
+            // upper bound; move on to the following slot.
+            let next = self.slot + 1;
+            if next >= self.source.slots() {
+                self.current = None;
+                self.slot = self.source.slots();
+                return;
+            }
+            if !self.open_slot(next, DbIterator::seek_to_first) {
+                return;
+            }
+            // Entries below the lower bound belong to an earlier slot and
+            // were emitted there.
+            if let (Some(iter), Some(lower)) = (self.current.as_mut(), self.source.bounds(next).0) {
+                while iter.valid() && extract_user_key(iter.key()) < lower {
+                    iter.next();
+                }
+            }
+        }
+    }
+
+    /// Moves backward, slot by slot, until the cursor is on an entry inside
+    /// its slot's range (or the level is exhausted).
+    fn settle_backward(&mut self) {
+        while !self.in_bounds() {
+            // An entry merely above the upper bound: walk backwards within
+            // the same slot first.
+            if let (Some(iter), Some(upper)) =
+                (self.current.as_mut(), self.source.bounds(self.slot).1)
+            {
+                if iter.valid() && extract_user_key(iter.key()) >= upper {
+                    iter.prev();
+                    continue;
+                }
+            }
+            if self.slot == 0 {
+                self.current = None;
+                return;
+            }
+            let previous = self.slot.min(self.source.slots()) - 1;
+            if !self.open_slot(previous, DbIterator::seek_to_last) {
+                return;
+            }
+        }
+    }
+}
+
+impl<S: RunSource> DbIterator for LevelCursor<S> {
+    fn valid(&self) -> bool {
+        self.current.as_ref().is_some_and(|it| it.valid())
+    }
+
+    fn seek_to_first(&mut self) {
+        if self.open_slot(0, DbIterator::seek_to_first) {
+            self.settle_forward();
+        }
+    }
+
+    fn seek_to_last(&mut self) {
+        let last = self.source.slots().saturating_sub(1);
+        if self.open_slot(last, DbIterator::seek_to_last) {
+            self.settle_backward();
+        }
+    }
+
+    fn seek(&mut self, target: &[u8]) {
+        let slot = self.source.slot_for(target);
+        let files = self.source.files(slot);
+        if self.parallel_seek_threads > 1 && files.len() > 1 {
+            self.parallel_warm(files, target);
+        }
+        if self.open_slot(slot, |iter| iter.seek(target)) {
+            self.settle_forward();
+        }
+    }
+
+    fn next(&mut self) {
+        if let Some(iter) = self.current.as_mut() {
+            iter.next();
+        }
+        self.settle_forward();
+    }
+
+    fn prev(&mut self) {
+        if let Some(iter) = self.current.as_mut() {
+            iter.prev();
+        }
+        self.settle_backward();
+    }
+
+    fn key(&self) -> &[u8] {
+        self.current.as_ref().expect("iterator not valid").key()
+    }
+
+    fn value(&self) -> &[u8] {
+        self.current.as_ref().expect("iterator not valid").value()
+    }
+
+    fn status(&self) -> Result<()> {
+        if let Some(err) = &self.error {
+            return Err(err.clone());
+        }
+        self.current.as_ref().map_or(Ok(()), |it| it.status())
+    }
+}
+
+/// Pushes one table iterator per file onto a merge's child list: the
+/// level-0 files of a cursor (they overlap freely, so each is its own sorted
+/// run), the sstables of a guard, or the inputs of a compaction.
+pub fn push_table_iterators<'a>(
+    table_cache: &TableCache,
+    read_options: &ReadOptions,
+    files: impl IntoIterator<Item = &'a Arc<FileMetaData>>,
+    children: &mut Vec<Box<dyn DbIterator>>,
+) -> Result<()> {
+    for file in files {
+        let iter = table_cache.iter(read_options, file.number, file.file_size)?;
+        children.push(Box::new(iter));
+    }
+    Ok(())
+}
+
+// ------------------------------------------------------------ table writing
+
+/// Opens the directory's next table for writing at `level` (which picks the
+/// compression tier), drawing its file number on demand.
+fn open_table(io: &EngineIo, level: usize) -> Result<(u64, TableBuilder)> {
+    let number = io.file_numbers.next();
+    let file = io
+        .env
+        .new_writable_file(&table_file_name(&io.db_path, number))?;
+    Ok((
+        number,
+        TableBuilder::new_for_level(&io.options, file, level),
+    ))
+}
+
+/// Finishes a table that holds at least one entry and describes it.
+fn finish_table(number: u64, builder: TableBuilder) -> Result<FileMetaData> {
+    let smallest = builder.first_key().unwrap_or_default().to_vec();
+    let largest = builder.last_key().unwrap_or_default().to_vec();
+    let file_size = builder.finish()?;
+    Ok(FileMetaData::new(
+        number,
+        file_size,
+        InternalKey::from_encoded(smallest),
+        InternalKey::from_encoded(largest),
+    ))
+}
+
+/// Writes everything `iter` yields (a memtable) into one new level-0
+/// sstable, syncing the directory so the new entry is durable before a
+/// MANIFEST references it. Returns `None` for an empty iterator.
+pub fn flush_to_table(io: &EngineIo, mut iter: impl DbIterator) -> Result<Option<FileMetaData>> {
+    iter.seek_to_first();
+    if !iter.valid() {
+        return Ok(None);
+    }
+    // Flushes always land in level 0, so the per-level compression tier for
+    // level 0 applies (typically raw: young tables are short-lived).
+    let (number, mut builder) = open_table(io, 0)?;
+    while iter.valid() {
+        builder.add(iter.key(), iter.value())?;
+        iter.next();
+    }
+    let meta = finish_table(number, builder)?;
+    io.env.sync_dir(&io.db_path)?;
+    Ok(Some(meta))
+}
+
+/// What a compaction merge needs to know besides its inputs.
+#[derive(Debug)]
+pub struct MergeSpec {
+    /// The level the outputs are written for.
+    pub output_level: usize,
+    /// Versions superseded at or below this sequence are invisible to every
+    /// live snapshot and are garbage-collected by the merge.
+    pub smallest_snapshot: SequenceNumber,
+    /// Whether tombstones at or below `smallest_snapshot` may be dropped
+    /// (where `route` agrees): only safe when no older version of the key
+    /// can survive outside the merge.
+    pub drop_tombstones: bool,
+}
+
+/// The compaction IO loop: merges `inputs`, drops every version a newer one
+/// shadows for all live snapshots (and droppable tombstones), and writes the
+/// survivors to new tables of `io`'s directory.
+///
+/// `route` maps a user key to `(partition, tombstone_droppable)`. An output
+/// table never crosses a partition boundary — the FLSM partitions by the
+/// output level's guards, a leveled run is one partition — and is rotated
+/// once it reaches `max_file_size`. Outputs are returned in key order; they
+/// exist only on disk until the caller commits them.
+pub fn merge_to_tables<'a>(
+    io: &EngineIo,
+    inputs: impl IntoIterator<Item = &'a Arc<FileMetaData>>,
+    spec: &MergeSpec,
+    mut route: impl FnMut(&[u8]) -> (usize, bool),
+) -> Result<Vec<FileMetaData>> {
+    let read_options = ReadOptions::default();
+    let mut children: Vec<Box<dyn DbIterator>> = Vec::new();
+    push_table_iterators(&io.table_cache, &read_options, inputs, &mut children)?;
+    let mut merged = MergingIterator::new(children);
+    merged.seek_to_first();
+
+    let mut outputs: Vec<FileMetaData> = Vec::new();
+    let mut builder: Option<(u64, TableBuilder)> = None;
+    let mut builder_partition = 0;
+    let mut last_user_key: Option<Vec<u8>> = None;
+    let mut last_sequence_for_key = MAX_SEQUENCE_NUMBER;
+    let (mut partition, mut tombstone_droppable) = (0, false);
+
+    while merged.valid() {
+        let parsed = parse_internal_key(merged.key())
+            .ok_or_else(|| Error::corruption("malformed key during compaction"))?;
+        if last_user_key.as_deref() != Some(parsed.user_key) {
+            last_user_key = Some(parsed.user_key.to_vec());
+            last_sequence_for_key = MAX_SEQUENCE_NUMBER;
+            (partition, tombstone_droppable) = route(parsed.user_key);
+        }
+        // A version may be dropped once a newer version of the same key is
+        // visible to every live snapshot; a tombstone additionally needs the
+        // job and the key's route to rule out an older value it still
+        // shadows.
+        let drop_entry = last_sequence_for_key <= spec.smallest_snapshot
+            || (spec.drop_tombstones
+                && tombstone_droppable
+                && parsed.value_type == ValueType::Deletion
+                && parsed.sequence <= spec.smallest_snapshot);
+        last_sequence_for_key = parsed.sequence;
+
+        if !drop_entry {
+            if let Some((number, full)) = builder.take_if(|(_, b)| {
+                builder_partition != partition || b.file_size() >= io.options.max_file_size as u64
+            }) {
+                outputs.push(finish_table(number, full)?);
+            }
+            if builder.is_none() {
+                builder = Some(open_table(io, spec.output_level)?);
+                builder_partition = partition;
+            }
+            let (_, open) = builder.as_mut().expect("opened above");
+            open.add(merged.key(), merged.value())?;
+        }
+        merged.next();
+    }
+    if let Some((number, last)) = builder {
+        outputs.push(finish_table(number, last)?);
+    }
+    Ok(outputs)
+}

@@ -26,13 +26,16 @@
 
 use std::cmp::Ordering;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Weak};
 
 use pebblesdb_common::coding::{put_length_prefixed_slice, put_varint32, put_varint64, Decoder};
 use pebblesdb_common::filename::{current_file_name, descriptor_file_name};
-use pebblesdb_common::key::{compare_internal_keys, SequenceNumber};
-use pebblesdb_common::{Error, Result, StoreOptions};
+use pebblesdb_common::key::{compare_internal_keys, LookupKey, SequenceNumber};
+use pebblesdb_common::vlog::LookupValue;
+use pebblesdb_common::{Error, ReadOptions, Result, StoreOptions};
 use pebblesdb_env::Env;
+use pebblesdb_sstable::TableCache;
 use pebblesdb_wal::{LogReader, LogWriter};
 
 use crate::meta::{FileMetaData, FileMetaDataEdit};
@@ -234,6 +237,16 @@ pub trait VersionShape: Sized + Send + Sync + 'static {
     fn apply(&self, edit: &VersionEdit) -> Result<Self>;
     /// Adds the records that rebuild this version from an empty one.
     fn snapshot_into(&self, edit: &mut VersionEdit);
+    /// Point lookup in the on-disk structure (memtables were already
+    /// consulted by the chassis). Returns the stored form of the newest
+    /// visible version — an inline value or an unresolved vlog pointer; the
+    /// chassis resolves pointers outside the state lock.
+    fn get(
+        &self,
+        read_options: &ReadOptions,
+        key: &LookupKey,
+        table_cache: &TableCache,
+    ) -> Result<Option<LookupValue>>;
     /// All file numbers referenced by this version.
     fn live_file_numbers(&self) -> Vec<u64>;
     /// Returns `true` if background compaction work is pending.
@@ -253,6 +266,39 @@ pub trait VersionShape: Sized + Send + Sync + 'static {
     fn level_summary(&self) -> String;
 }
 
+/// The file-number counter of one store directory, shared between the
+/// directory's [`VersionSet`] (which persists it with every MANIFEST edit)
+/// and the background jobs that name their output tables while they run,
+/// outside the state mutex.
+///
+/// The counter only hands out unique, growing numbers and publishes no
+/// other data. What the garbage collector relies on is that a number drawn
+/// after a job read [`FileNumbers::peek`] is never below what it read.
+#[derive(Debug, Clone)]
+pub struct FileNumbers(Arc<AtomicU64>);
+
+impl FileNumbers {
+    /// A counter whose first number is `next`.
+    pub fn starting_at(next: u64) -> Self {
+        FileNumbers(Arc::new(AtomicU64::new(next)))
+    }
+
+    /// Draws a fresh file number.
+    pub fn next(&self) -> u64 {
+        self.0.fetch_add(1, AtomicOrdering::SeqCst)
+    }
+
+    /// The number the next draw will return (or exceed, under concurrency).
+    pub fn peek(&self) -> u64 {
+        self.0.load(AtomicOrdering::SeqCst)
+    }
+
+    /// Makes every later draw return at least `next`.
+    fn advance_to(&self, next: u64) {
+        self.0.fetch_max(next, AtomicOrdering::SeqCst);
+    }
+}
+
 /// Owns the current version, the MANIFEST log and file-number allocation.
 pub struct VersionSet<V: VersionShape> {
     env: Arc<dyn Env>,
@@ -264,7 +310,7 @@ pub struct VersionSet<V: VersionShape> {
     replaced: Vec<Weak<V>>,
     manifest: Option<LogWriter>,
     manifest_number: u64,
-    next_file_number: u64,
+    file_numbers: FileNumbers,
     last_sequence: SequenceNumber,
     log_number: u64,
 }
@@ -283,7 +329,7 @@ impl<V: VersionShape> VersionSet<V> {
             replaced: Vec::new(),
             manifest: None,
             manifest_number: 1,
-            next_file_number: 2,
+            file_numbers: FileNumbers::starting_at(2),
             last_sequence: 0,
             log_number: 0,
         };
@@ -301,18 +347,19 @@ impl<V: VersionShape> VersionSet<V> {
         &self.current
     }
 
+    /// The directory's file-number counter; clones share it.
+    pub fn file_numbers(&self) -> &FileNumbers {
+        &self.file_numbers
+    }
+
     /// Allocates a new file number.
-    pub fn new_file_number(&mut self) -> u64 {
-        let number = self.next_file_number;
-        self.next_file_number += 1;
-        number
+    pub fn new_file_number(&self) -> u64 {
+        self.file_numbers.next()
     }
 
     /// Marks `number` as used (during recovery).
-    pub fn mark_file_number_used(&mut self, number: u64) {
-        if self.next_file_number <= number {
-            self.next_file_number = number + 1;
-        }
+    pub fn mark_file_number_used(&self, number: u64) {
+        self.file_numbers.advance_to(number.saturating_add(1));
     }
 
     /// The file number of the live MANIFEST.
@@ -387,7 +434,8 @@ impl<V: VersionShape> VersionSet<V> {
             replay.absorb(VersionEdit::decode(&record)?);
         }
         self.log_number = replay.log_number.unwrap_or(self.log_number);
-        self.next_file_number = replay.next_file_number.unwrap_or(self.next_file_number);
+        self.file_numbers
+            .advance_to(replay.next_file_number.unwrap_or(0));
         self.last_sequence = replay.last_sequence.unwrap_or(self.last_sequence);
         self.current = Arc::new(self.current.apply(&replay)?);
         self.mark_file_number_used(manifest_number);
@@ -399,7 +447,7 @@ impl<V: VersionShape> VersionSet<V> {
         if edit.log_number.is_none() {
             edit.log_number = Some(self.log_number);
         }
-        edit.next_file_number = Some(self.next_file_number);
+        edit.next_file_number = Some(self.file_numbers.peek());
         edit.last_sequence = Some(self.last_sequence);
 
         let next = Arc::new(self.current.apply(&edit)?);
@@ -454,7 +502,7 @@ impl<V: VersionShape> VersionSet<V> {
         let mut writer = LogWriter::new(self.env.new_writable_file(&path)?);
 
         let mut snapshot = VersionEdit {
-            next_file_number: Some(self.next_file_number),
+            next_file_number: Some(self.file_numbers.peek()),
             last_sequence: Some(self.last_sequence),
             log_number: Some(self.log_number),
             ..Default::default()

@@ -17,24 +17,22 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use pebblesdb_common::iterator::{DbIterator, MergingIterator};
-use pebblesdb_common::key::{
-    compare_internal_keys, parse_internal_key, InternalKey, LookupKey, SequenceNumber, ValueType,
-    MAX_SEQUENCE_NUMBER,
-};
+use pebblesdb_common::iterator::DbIterator;
+use pebblesdb_common::key::{compare_internal_keys, SequenceNumber};
 use pebblesdb_common::snapshot::Snapshot;
-use pebblesdb_common::vlog::LookupValue;
 use pebblesdb_common::{
-    CfStats, ColumnFamilyHandle, Db, Error, KvStore, ReadOptions, Result, StoreOptions,
-    StorePreset, StoreStats, WriteBatch, WriteOptions,
+    CfStats, ColumnFamilyHandle, Db, KvStore, ReadOptions, Result, StoreOptions, StorePreset,
+    StoreStats, WriteBatch, WriteOptions,
 };
+use pebblesdb_engine::meta::user_key_range;
+use pebblesdb_engine::runs::{merge_to_tables, push_table_iterators};
 use pebblesdb_engine::{
-    EngineDb, EngineIo, FileMetaData, JobClaim, PolicyCtx, ShapePolicy, VersionEdit, VersionShape,
+    EngineDb, EngineIo, FileMetaData, JobClaim, LevelCursor, MergeSpec, PolicyCtx, ShapePolicy,
+    VersionEdit, VersionShape,
 };
 use pebblesdb_env::Env;
-use pebblesdb_sstable::TableBuilder;
 
-use crate::version::Version;
+use crate::version::{FileRuns, Version};
 
 /// The leveled-compaction shape: one implicit guard per level.
 pub struct LsmPolicy {
@@ -54,11 +52,9 @@ pub struct LsmCompactionJob {
     level: usize,
     inputs: Vec<Arc<FileMetaData>>,
     next_level_inputs: Vec<Arc<FileMetaData>>,
-    drop_tombstones: bool,
-    output_numbers: Vec<u64>,
-    /// Versions superseded at or below this sequence are invisible to every
-    /// live snapshot and may be garbage-collected by the merge.
-    smallest_snapshot: SequenceNumber,
+    /// How the inputs are merged: into `level + 1`, dropping tombstones
+    /// when no deeper level holds the job's key range.
+    spec: MergeSpec,
 }
 
 impl LsmCompactionJob {
@@ -85,16 +81,6 @@ impl ShapePolicy for LsmPolicy {
 
     // ------------------------------------------------------------- read path
 
-    fn get_in_version(
-        &self,
-        io: &EngineIo,
-        version: &Version,
-        opts: &ReadOptions,
-        key: &LookupKey,
-    ) -> Result<Option<LookupValue>> {
-        version.get(opts, key, &io.table_cache)
-    }
-
     fn append_version_iterators(
         &self,
         io: &EngineIo,
@@ -102,24 +88,18 @@ impl ShapePolicy for LsmPolicy {
         opts: &ReadOptions,
         children: &mut Vec<Box<dyn DbIterator>>,
     ) -> Result<()> {
-        for file in &version.files[0] {
-            children.push(Box::new(io.table_cache.iter(
-                opts,
-                file.number,
-                file.file_size,
-            )?));
-        }
-        // Deeper levels hold disjoint files: one lazy concatenating iterator
-        // per level opens only the files the cursor actually reaches.
+        push_table_iterators(&io.table_cache, opts, &version.files[0], children)?;
+        // Deeper levels hold disjoint files: one lazy cursor per level opens
+        // only the files it actually reaches.
         for level in 1..version.num_levels() {
             if version.files[level].is_empty() {
                 continue;
             }
-            children.push(Box::new(crate::iter::LevelConcatIterator::new(
+            let version = Arc::clone(version);
+            children.push(Box::new(LevelCursor::new(
                 Arc::clone(&io.table_cache),
                 opts.clone(),
-                Arc::clone(version),
-                level,
+                FileRuns { version, level },
             )));
         }
         Ok(())
@@ -131,11 +111,7 @@ impl ShapePolicy for LsmPolicy {
     /// range, so jobs cannot be carved into disjoint units the way guards
     /// allow: a job is claimable only when no other job is in flight, which
     /// keeps the engine correct under any chassis worker-pool size.
-    fn pick_job(
-        &self,
-        _io: &EngineIo,
-        ctx: &mut PolicyCtx<'_, Self>,
-    ) -> Option<JobClaim<LsmCompactionJob>> {
+    fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<JobClaim<LsmCompactionJob>> {
         if !ctx.claimed_inputs.is_empty() {
             return None;
         }
@@ -164,41 +140,15 @@ impl ShapePolicy for LsmPolicy {
             return None;
         }
 
-        let smallest_user = inputs
-            .iter()
-            .map(|f| f.smallest.user_key().to_vec())
-            .min()
-            .unwrap_or_default();
-        let largest_user = inputs
-            .iter()
-            .map(|f| f.largest.user_key().to_vec())
-            .max()
-            .unwrap_or_default();
+        let (smallest_user, largest_user) = user_key_range(&inputs);
         let next_level_inputs =
-            version.overlapping_inputs(level + 1, Some(&smallest_user), Some(&largest_user));
+            version.overlapping_inputs(level + 1, &smallest_user, &largest_user);
 
         // Tombstones can be dropped when no deeper level holds the key range.
-        let mut drop_tombstones = true;
-        for deeper in (level + 2)..version.num_levels() {
-            if !version
-                .overlapping_inputs(deeper, Some(&smallest_user), Some(&largest_user))
-                .is_empty()
-            {
-                drop_tombstones = false;
-                break;
-            }
-        }
-
-        let total_input_bytes: u64 = inputs
-            .iter()
-            .chain(next_level_inputs.iter())
-            .map(|f| f.file_size)
-            .sum();
-        let estimated_outputs =
-            (total_input_bytes / self.options.max_file_size.max(1) as u64 + 2) as usize;
-        let output_numbers: Vec<u64> = (0..estimated_outputs)
-            .map(|_| ctx.versions.new_file_number())
-            .collect();
+        let drop_tombstones = ((level + 2)..version.num_levels()).all(|deeper| {
+            let holders = version.overlapping_inputs(deeper, &smallest_user, &largest_user);
+            holders.is_empty()
+        });
 
         let input_numbers = inputs
             .iter()
@@ -207,14 +157,15 @@ impl ShapePolicy for LsmPolicy {
             .collect();
         Some(JobClaim {
             input_numbers,
-            output_numbers: output_numbers.clone(),
             job: LsmCompactionJob {
                 level,
                 inputs,
                 next_level_inputs,
-                drop_tombstones,
-                output_numbers,
-                smallest_snapshot: ctx.smallest_snapshot,
+                spec: MergeSpec {
+                    output_level: level + 1,
+                    smallest_snapshot: ctx.smallest_snapshot,
+                    drop_tombstones,
+                },
             },
         })
     }
@@ -223,7 +174,10 @@ impl ShapePolicy for LsmPolicy {
         if job.is_trivial_move() {
             return Ok(Vec::new());
         }
-        self.compaction_io(io, job)
+        // A leveled run is one partition, and `spec.drop_tombstones` already
+        // says no deeper level holds the job's key range.
+        let inputs = job.inputs.iter().chain(&job.next_level_inputs);
+        merge_to_tables(io, inputs, &job.spec, |_| (0, true))
     }
 
     fn commit_job(
@@ -278,97 +232,6 @@ impl LsmPolicy {
             preset: StorePreset::HyperLevelDb,
         }
     }
-
-    /// The IO part of a compaction: merge the inputs and write output tables.
-    fn compaction_io(&self, io: &EngineIo, job: &LsmCompactionJob) -> Result<Vec<FileMetaData>> {
-        let read_options = ReadOptions::default();
-        let mut children: Vec<Box<dyn DbIterator>> = Vec::new();
-        for file in job.inputs.iter().chain(job.next_level_inputs.iter()) {
-            children.push(Box::new(io.table_cache.iter(
-                &read_options,
-                file.number,
-                file.file_size,
-            )?));
-        }
-        let mut merged = MergingIterator::new(children);
-        merged.seek_to_first();
-
-        let mut outputs: Vec<FileMetaData> = Vec::new();
-        let mut builder: Option<(u64, TableBuilder)> = None;
-        let mut output_index = 0usize;
-        let mut last_user_key: Option<Vec<u8>> = None;
-        let mut last_sequence_for_key = MAX_SEQUENCE_NUMBER;
-
-        while merged.valid() {
-            let key = merged.key().to_vec();
-            let parsed = parse_internal_key(&key)
-                .ok_or_else(|| Error::corruption("malformed key during compaction"))?;
-
-            let is_same_user_key = last_user_key
-                .as_deref()
-                .map(|last| last == parsed.user_key)
-                .unwrap_or(false);
-            if !is_same_user_key {
-                last_user_key = Some(parsed.user_key.to_vec());
-                last_sequence_for_key = MAX_SEQUENCE_NUMBER;
-            }
-
-            // A version may be dropped once a newer version of the same key
-            // is visible to every live snapshot; tombstones additionally
-            // need no deeper level still holding the key.
-            let drop_entry = last_sequence_for_key <= job.smallest_snapshot
-                || (job.drop_tombstones
-                    && parsed.value_type == ValueType::Deletion
-                    && parsed.sequence <= job.smallest_snapshot);
-            last_sequence_for_key = parsed.sequence;
-            if !drop_entry {
-                if builder.is_none() {
-                    let number = *job
-                        .output_numbers
-                        .get(output_index)
-                        .ok_or_else(|| Error::internal("ran out of output file numbers"))?;
-                    output_index += 1;
-                    let path = pebblesdb_common::filename::table_file_name(&io.db_path, number);
-                    let file = io.env.new_writable_file(&path)?;
-                    // Outputs of a level-N compaction land in level N+1, so
-                    // the deeper level's compression tier applies.
-                    // `io.options` carries the store's stat sink; the
-                    // policy's own copy predates the open that installed it.
-                    builder = Some((
-                        number,
-                        TableBuilder::new_for_level(&io.options, file, job.level + 1),
-                    ));
-                }
-                let (_, b) = builder.as_mut().expect("builder exists");
-                b.add(&key, merged.value())?;
-                if b.file_size() >= self.options.max_file_size as u64 {
-                    let (number, b) = builder.take().expect("builder exists");
-                    outputs.push(finish_output(number, b)?);
-                }
-            }
-            merged.next();
-        }
-        if let Some((number, b)) = builder.take() {
-            if b.num_entries() > 0 {
-                outputs.push(finish_output(number, b)?);
-            } else {
-                b.abandon()?;
-            }
-        }
-        Ok(outputs)
-    }
-}
-
-fn finish_output(number: u64, builder: TableBuilder) -> Result<FileMetaData> {
-    let smallest = builder.first_key().map(|k| k.to_vec()).unwrap_or_default();
-    let largest = builder.last_key().map(|k| k.to_vec()).unwrap_or_default();
-    let size = builder.finish()?;
-    Ok(FileMetaData::new(
-        number,
-        size,
-        InternalKey::from_encoded(smallest),
-        InternalKey::from_encoded(largest),
-    ))
 }
 
 /// A handle to an open baseline LSM database.

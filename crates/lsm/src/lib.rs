@@ -24,11 +24,9 @@
 //! ```
 
 pub mod db;
-pub mod iter;
 pub mod version;
 
 pub use db::{LsmDb, LsmPolicy};
-pub use iter::LevelConcatIterator;
 pub use pebblesdb_common::{StoreOptions, StorePreset};
 pub use version::{FileMetaData, Version};
 

@@ -11,11 +11,11 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use pebblesdb_common::key::{compare_internal_keys, LookupKey, SequenceNumber};
-use pebblesdb_common::key::{parse_internal_key, ValueType};
-use pebblesdb_common::vlog::{LookupValue, ValuePointer};
+use pebblesdb_common::key::{compare_internal_keys, LookupKey};
+use pebblesdb_common::vlog::LookupValue;
 use pebblesdb_common::{Error, ReadOptions, Result, StoreOptions};
-use pebblesdb_engine::{VersionEdit, VersionShape};
+use pebblesdb_engine::runs::{probe_file, probe_level0};
+use pebblesdb_engine::{RunSource, VersionEdit, VersionShape};
 use pebblesdb_sstable::TableCache;
 
 pub use pebblesdb_engine::meta::{FileMetaData, FileMetaDataEdit};
@@ -39,132 +39,17 @@ impl Version {
         self.files[level].iter().map(|f| f.file_size).sum()
     }
 
-    /// The files at `level` whose user-key range overlaps `[begin, end]`.
+    /// The files of `level` whose user-key range overlaps `[begin, end]`.
+    /// Compaction asks this of the levels below its inputs (level 0 is
+    /// always compacted whole).
     pub fn overlapping_inputs(
         &self,
         level: usize,
-        begin: Option<&[u8]>,
-        end: Option<&[u8]>,
+        begin: &[u8],
+        end: &[u8],
     ) -> Vec<Arc<FileMetaData>> {
-        let mut inputs = Vec::new();
-        let mut begin = begin.map(|b| b.to_vec());
-        let mut end = end.map(|e| e.to_vec());
-        let mut restart = true;
-        while restart {
-            restart = false;
-            inputs.clear();
-            for file in &self.files[level] {
-                if file.overlaps_user_range(begin.as_deref(), end.as_deref()) {
-                    // Level-0 files overlap each other, so growing the range
-                    // must restart the search to stay transitive.
-                    if level == 0 {
-                        let fs = file.smallest.user_key();
-                        let fl = file.largest.user_key();
-                        if begin.as_deref().map(|b| fs < b).unwrap_or(false) {
-                            begin = Some(fs.to_vec());
-                            restart = true;
-                        }
-                        if end.as_deref().map(|e| fl > e).unwrap_or(false) {
-                            end = Some(fl.to_vec());
-                            restart = true;
-                        }
-                    }
-                    inputs.push(Arc::clone(file));
-                    if restart {
-                        break;
-                    }
-                }
-            }
-        }
-        inputs
-    }
-
-    /// Point lookup: searches level 0 newest-first, then deeper levels.
-    ///
-    /// Returns `Ok(Some(value))`, `Ok(None)` for "definitely deleted or never
-    /// written", and records a seek on the first file probed (for
-    /// seek-triggered compaction, reported through the return).
-    pub fn get(
-        &self,
-        read_options: &ReadOptions,
-        key: &LookupKey,
-        table_cache: &TableCache,
-    ) -> Result<Option<LookupValue>> {
-        let user_key = key.user_key();
-        let snapshot = key.sequence();
-
-        // Level 0: every overlapping file, newest first.
-        let mut level0: Vec<&Arc<FileMetaData>> = self.files[0]
-            .iter()
-            .filter(|f| f.smallest.user_key() <= user_key && user_key <= f.largest.user_key())
-            .collect();
-        level0.sort_by_key(|f| std::cmp::Reverse(f.number));
-        for file in level0 {
-            if let Some(result) =
-                Self::get_in_file(read_options, file, user_key, snapshot, table_cache)?
-            {
-                return Ok(result);
-            }
-        }
-
-        // Deeper levels: the files are disjoint by *internal* key, so binary
-        // search with the lookup's internal key (user key + snapshot
-        // sequence). Searching by user key alone is wrong for snapshot
-        // reads: compaction may split one user key's versions across two
-        // adjacent files, and the version visible at the snapshot can sit in
-        // the file *after* the one holding the newest versions.
-        for level in 1..self.num_levels() {
-            let files = &self.files[level];
-            if files.is_empty() {
-                continue;
-            }
-            let idx = files.partition_point(|f| {
-                compare_internal_keys(f.largest.encoded(), key.internal_key())
-                    == std::cmp::Ordering::Less
-            });
-            if idx >= files.len() {
-                continue;
-            }
-            let file = &files[idx];
-            if file.smallest.user_key() > user_key {
-                continue;
-            }
-            if let Some(result) =
-                Self::get_in_file(read_options, file, user_key, snapshot, table_cache)?
-            {
-                return Ok(result);
-            }
-        }
-        Ok(None)
-    }
-
-    /// Searches a single file. The outer `Option` is "did this file decide
-    /// the outcome"; the inner is the value (None = tombstone).
-    fn get_in_file(
-        read_options: &ReadOptions,
-        file: &Arc<FileMetaData>,
-        user_key: &[u8],
-        snapshot: SequenceNumber,
-        table_cache: &TableCache,
-    ) -> Result<Option<Option<LookupValue>>> {
-        let table = table_cache.get_table(file.number, file.file_size)?;
-        if !table.may_contain_user_key(user_key) {
-            return Ok(None);
-        }
-        let target = LookupKey::new(user_key, snapshot);
-        match table.get(read_options, target.internal_key())? {
-            Some((found_key, value)) => match parse_internal_key(&found_key) {
-                Some(parsed) if parsed.user_key == user_key => match parsed.value_type {
-                    ValueType::Value => Ok(Some(Some(LookupValue::Inline(value)))),
-                    ValueType::ValuePointer => Ok(Some(Some(LookupValue::Pointer(
-                        ValuePointer::decode(&value)?,
-                    )))),
-                    ValueType::Deletion => Ok(Some(None)),
-                },
-                _ => Ok(None),
-            },
-            None => Ok(None),
-        }
+        let overlaps = |f: &&Arc<FileMetaData>| f.overlaps_user_range(Some(begin), Some(end));
+        self.files[level].iter().filter(overlaps).cloned().collect()
     }
 
     /// Returns the level with the highest compaction score, if any level is
@@ -182,6 +67,47 @@ impl Version {
             }
         }
         best
+    }
+}
+
+/// Index of the first file of a sorted, disjoint run whose largest key is at
+/// or past `internal_key` (`files.len()` if none is).
+///
+/// The files are disjoint by *internal* key, so the search compares internal
+/// keys (user key + snapshot sequence). Searching by user key alone is wrong
+/// for snapshot reads: compaction may split one user key's versions across
+/// two adjacent files, and the version visible at the snapshot can sit in
+/// the file *after* the one holding the newest versions.
+fn first_file_reaching(files: &[Arc<FileMetaData>], internal_key: &[u8]) -> usize {
+    files.partition_point(|f| compare_internal_keys(f.largest.encoded(), internal_key).is_lt())
+}
+
+/// One leveled run (a level from 1 down) as the chassis's level cursor sees
+/// it: every file is its own slot, and — the files being disjoint — no slot
+/// needs clipping.
+pub struct FileRuns {
+    /// The pinned version; `version.files[level]` is read in place.
+    pub version: Arc<Version>,
+    /// The level the run is.
+    pub level: usize,
+}
+
+impl RunSource for FileRuns {
+    fn slots(&self) -> usize {
+        self.version.files[self.level].len()
+    }
+
+    fn slot_for(&self, target: &[u8]) -> usize {
+        first_file_reaching(&self.version.files[self.level], target)
+    }
+
+    fn files(&self, slot: usize) -> &[Arc<FileMetaData>] {
+        let file = self.version.files[self.level].get(slot);
+        file.map_or(&[], std::slice::from_ref)
+    }
+
+    fn bounds(&self, _slot: usize) -> (Option<&[u8]>, Option<&[u8]>) {
+        (None, None)
     }
 }
 
@@ -222,6 +148,34 @@ impl VersionShape for Version {
         // of their files overlap would hide keys rather than fail.
         version.validate().map_err(Error::corruption)?;
         Ok(version)
+    }
+
+    /// Point lookup: searches level 0 newest-first, then deeper levels.
+    ///
+    /// Returns `Ok(Some(value))`, or `Ok(None)` for "definitely deleted or
+    /// never written".
+    fn get(
+        &self,
+        read_options: &ReadOptions,
+        key: &LookupKey,
+        table_cache: &TableCache,
+    ) -> Result<Option<LookupValue>> {
+        if let Some(decided) = probe_level0(table_cache, read_options, &self.files[0], key)? {
+            return Ok(decided);
+        }
+        for level in 1..self.num_levels() {
+            let files = &self.files[level];
+            let Some(file) = files.get(first_file_reaching(files, key.internal_key())) else {
+                continue;
+            };
+            if file.smallest.user_key() > key.user_key() {
+                continue;
+            }
+            if let Some((_, decided)) = probe_file(table_cache, read_options, file, key)? {
+                return Ok(decided);
+            }
+        }
+        Ok(None)
     }
 
     fn snapshot_into(&self, edit: &mut VersionEdit) {
@@ -289,7 +243,13 @@ impl VersionShape for Version {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pebblesdb_common::key::{InternalKey, ValueType};
+    use pebblesdb_common::filename::table_file_name;
+    use pebblesdb_common::iterator::DbIterator;
+    use pebblesdb_common::key::{encode_internal_key, extract_user_key, InternalKey, ValueType};
+    use pebblesdb_engine::LevelCursor;
+    use pebblesdb_env::{Env, MemEnv};
+    use pebblesdb_sstable::TableBuilder;
+    use std::path::{Path, PathBuf};
 
     fn ikey(user: &str, seq: u64) -> InternalKey {
         InternalKey::new(user.as_bytes(), seq, ValueType::Value)
@@ -330,19 +290,22 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_inputs_expands_level0_ranges() {
+    fn overlapping_inputs_are_the_files_a_range_touches() {
         let mut edit = VersionEdit::default();
-        // Two overlapping level-0 files and one detached one.
-        edit.new_files.push((0, meta(1, "a", "f")));
-        edit.new_files.push((0, meta(2, "e", "k")));
-        edit.new_files.push((0, meta(3, "x", "z")));
+        edit.new_files.push((1, meta(1, "a", "f")));
+        edit.new_files.push((1, meta(2, "g", "k")));
+        edit.new_files.push((1, meta(3, "x", "z")));
         let version = Version::empty(7).apply(&edit).unwrap();
-        let inputs = version.overlapping_inputs(0, Some(b"a"), Some(b"b"));
-        // Picking "a".."b" pulls in file 1; expansion to file 1's range pulls
-        // in file 2 because they overlap at "e"/"f".
-        let numbers: Vec<u64> = inputs.iter().map(|f| f.number).collect();
-        assert!(numbers.contains(&1) && numbers.contains(&2));
-        assert!(!numbers.contains(&3));
+        let numbers = |begin: &[u8], end: &[u8]| -> Vec<u64> {
+            let inputs = version.overlapping_inputs(1, begin, end);
+            inputs.iter().map(|f| f.number).collect()
+        };
+        // Bounds are inclusive on both sides.
+        assert_eq!(numbers(b"f", b"g"), [1, 2]);
+        assert_eq!(numbers(b"b", b"c"), [1]);
+        assert_eq!(numbers(b"l", b"w"), [0u64; 0]);
+        assert_eq!(numbers(b"a", b"z"), [1, 2, 3]);
+        assert!(version.overlapping_inputs(2, b"a", b"z").is_empty());
     }
 
     #[test]
@@ -385,5 +348,107 @@ mod tests {
             Version::empty(7).apply(&edit),
             Err(Error::Corruption(_))
         ));
+    }
+    fn build_file(
+        env: &Arc<dyn Env>,
+        db: &Path,
+        options: &StoreOptions,
+        number: u64,
+        keys: &[&str],
+    ) -> Arc<FileMetaData> {
+        let file = env.new_writable_file(&table_file_name(db, number)).unwrap();
+        let mut builder = TableBuilder::new(options, file);
+        for k in keys {
+            let key = encode_internal_key(k.as_bytes(), 1, ValueType::Value);
+            builder.add(&key, b"v").unwrap();
+        }
+        let smallest = builder.first_key().unwrap().to_vec();
+        let largest = builder.last_key().unwrap().to_vec();
+        let size = builder.finish().unwrap();
+        Arc::new(FileMetaData::new(
+            number,
+            size,
+            InternalKey::from_encoded(smallest),
+            InternalKey::from_encoded(largest),
+        ))
+    }
+
+    /// A level cursor over level 1 of a version holding `files` there.
+    fn run_cursor(
+        env: &Arc<dyn Env>,
+        db: PathBuf,
+        files: Vec<Arc<FileMetaData>>,
+    ) -> LevelCursor<FileRuns> {
+        let version = Arc::new(Version {
+            files: vec![Vec::new(), files],
+        });
+        let cache = TableCache::new(Arc::clone(env), db, StoreOptions::default(), 16);
+        let source = FileRuns { version, level: 1 };
+        LevelCursor::new(Arc::new(cache), ReadOptions::default(), source)
+    }
+
+    #[test]
+    fn level_cursor_walks_a_run_of_files_lazily() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let db = PathBuf::from("/concat");
+        env.create_dir_all(&db).unwrap();
+        let options = StoreOptions::default();
+        let files = vec![
+            build_file(&env, &db, &options, 1, &["a", "b"]),
+            build_file(&env, &db, &options, 2, &["f", "g"]),
+            build_file(&env, &db, &options, 3, &["m", "n"]),
+        ];
+        let mut iter = run_cursor(&env, db, files);
+
+        iter.seek_to_first();
+        let mut seen = Vec::new();
+        while iter.valid() {
+            seen.push(extract_user_key(iter.key()).to_vec());
+            iter.next();
+        }
+        assert_eq!(
+            seen,
+            vec![
+                b"a".to_vec(),
+                b"b".to_vec(),
+                b"f".to_vec(),
+                b"g".to_vec(),
+                b"m".to_vec(),
+                b"n".to_vec()
+            ]
+        );
+
+        // Seek lands on the right file.
+        iter.seek(&encode_internal_key(b"c", u64::MAX >> 8, ValueType::Value));
+        assert!(iter.valid());
+        assert_eq!(extract_user_key(iter.key()), b"f");
+
+        // Reverse iteration crosses file boundaries too.
+        iter.seek_to_last();
+        assert_eq!(extract_user_key(iter.key()), b"n");
+        iter.prev();
+        assert_eq!(extract_user_key(iter.key()), b"m");
+        iter.prev();
+        assert_eq!(extract_user_key(iter.key()), b"g");
+
+        // Seeking past the end invalidates the iterator.
+        iter.seek(&encode_internal_key(
+            b"zzz",
+            u64::MAX >> 8,
+            ValueType::Value,
+        ));
+        assert!(!iter.valid());
+    }
+
+    #[test]
+    fn empty_level_yields_nothing() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let mut iter = run_cursor(&env, PathBuf::from("/x"), Vec::new());
+        iter.seek_to_first();
+        assert!(!iter.valid());
+        iter.seek_to_last();
+        assert!(!iter.valid());
+        iter.seek(&encode_internal_key(b"a", 1, ValueType::Value));
+        assert!(!iter.valid());
     }
 }

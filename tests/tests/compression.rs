@@ -219,6 +219,41 @@ fn per_level_tiers_keep_young_levels_raw() {
     }
 }
 
+/// Young levels compressed, deep levels raw: a compaction's outputs are then
+/// several times larger than the inputs it read. Output tables are numbered
+/// on demand, so no estimate made from the inputs' on-disk bytes can run
+/// short (one did: put #475 failed and poisoned the store).
+#[test]
+fn raw_outputs_of_compressed_inputs_never_run_out_of_file_numbers() {
+    for engine in ENGINES {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let dir = Path::new("/compression-inverted-tiers");
+        let mut opts = small_file_options(CompressionType::None);
+        opts.write_buffer_size = 256 << 10;
+        opts.compression_per_level = vec![CompressionType::Lz, CompressionType::None];
+        let key = |i: u32| format!("k{i:05}").into_bytes();
+        let check = |db: &dyn Db, when: &str| {
+            for i in 0..6000u32 {
+                assert_eq!(
+                    db.get(&key(i)).unwrap().as_deref(),
+                    Some(compressible_value(i, 1024).as_slice()),
+                    "{engine}, {when}: key {i}"
+                );
+            }
+        };
+
+        let db = open_engine(engine, &env, dir, opts.clone());
+        for i in 0..6000u32 {
+            db.put(&key(i), &compressible_value(i, 1024))
+                .unwrap_or_else(|err| panic!("{engine}: put #{i}: {err}"));
+        }
+        db.flush().unwrap();
+        check(db.as_ref(), "after the load");
+        drop(db);
+        check(open_engine(engine, &env, dir, opts).as_ref(), "reopened");
+    }
+}
+
 /// Every sampled single-bit flip in a compressed table file must read as an
 /// error, a clean miss, or the correct value — never a panic, never garbage.
 #[test]

@@ -20,7 +20,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pebblesdb::PebblesDb;
+use pebblesdb_common::filename::table_file_name;
+use pebblesdb_common::key::{encode_internal_key, ValueType};
 use pebblesdb_common::{KvStore, ReadOptions, StoreOptions, StorePreset, StoreStats, WriteBatch};
+use pebblesdb_engine::{EngineDb, FileMetaDataEdit, ShapePolicy, VersionEdit};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 
@@ -287,6 +290,70 @@ fn cursor_outlives_the_compactions_that_replace_its_version() {
     let preset = StorePreset::HyperLevelDb;
     let lsm = LsmDb::open_with_options(Arc::clone(&env), dir, small_options(), preset).unwrap();
     check(env, &lsm);
+}
+
+/// A job names its output tables while it runs, so until it commits they
+/// are on disk but in no version. The GC pass of a sibling job (or flush)
+/// must leave every table numbered at or above the job's claim-time floor
+/// alone, and reap what the job wrote once it is released without
+/// committing (here: its IO fails, the fabricated inputs not being on disk).
+#[test]
+fn gc_floor_shields_a_claimed_jobs_outputs_until_it_is_released() {
+    fn check<P: ShapePolicy>(env: &Arc<dyn Env>, dir: &Path, db: &EngineDb<P>) {
+        let name = db.engine_name();
+        let core = db.core();
+        // The state lock is held throughout: the store's own workers would
+        // otherwise claim the fabricated job themselves.
+        let mut state = core.state.lock();
+        let mut edit = VersionEdit::default();
+        for (smallest, largest) in [("a", "c"), ("b", "d")] {
+            let number = state.default_cf().versions.new_file_number();
+            let file = FileMetaDataEdit {
+                number,
+                file_size: 1000,
+                smallest: encode_internal_key(smallest.as_bytes(), 9, ValueType::Value),
+                largest: encode_internal_key(largest.as_bytes(), 1, ValueType::Value),
+            };
+            edit.new_files.push((0, file));
+        }
+        let cf = state.default_cf_mut();
+        cf.versions.log_and_apply(edit).unwrap();
+
+        // An orphan numbered before the claim is garbage from the start.
+        let table = |number: u64| table_file_name(dir, number);
+        let write = |number: u64| {
+            let mut file = env.new_writable_file(&table(number)).unwrap();
+            file.append(b"not yet in any version").unwrap();
+            file.close().unwrap();
+        };
+        let orphan = cf.io.file_numbers.next();
+        write(orphan);
+
+        let claimed = core.claim_job(&mut state).expect("two level-0 files");
+        let output = state.default_cf().io.file_numbers.next();
+        assert!(output >= claimed.output_floor, "{name}");
+        write(output);
+
+        core.remove_obsolete_files(&mut state);
+        assert!(!env.file_exists(&table(orphan)), "{name}: orphan kept");
+        assert!(env.file_exists(&table(output)), "{name}: output reaped");
+
+        core.run_claimed_job(&mut state, claimed);
+        assert!(state.bg_error.is_some(), "{name}: the job cannot have run");
+        assert!(state.default_cf().output_floors.is_empty(), "{name}");
+        assert!(state.default_cf().claimed_inputs.is_empty(), "{name}");
+        core.remove_obsolete_files(&mut state);
+        assert!(!env.file_exists(&table(output)), "{name}: output leaked");
+    }
+
+    let dir = Path::new("/gc-floor");
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let flsm = PebblesDb::open_with_options(Arc::clone(&env), dir, small_options()).unwrap();
+    check(&env, dir, flsm.engine());
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let preset = StorePreset::HyperLevelDb;
+    let lsm = LsmDb::open_with_options(Arc::clone(&env), dir, small_options(), preset).unwrap();
+    check(&env, dir, lsm.engine());
 }
 
 /// The multi-threaded per-guard compaction pool under full write load:

@@ -219,7 +219,6 @@ fn flsm_crash_during_level_compaction_commit_is_recoverable() {
     opts.level0_slowdown_writes_trigger = 100;
     opts.level0_stop_writes_trigger = 120;
     opts.enable_aggressive_compaction = false;
-    opts.enable_seek_compaction = true;
     opts.seek_compaction_threshold = 5;
 
     {

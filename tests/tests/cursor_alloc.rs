@@ -83,17 +83,15 @@ fn small_options() -> StoreOptions {
     let mut options = StoreOptions::default();
     options.write_buffer_size = 64 << 10;
     options.base_level_bytes = 256 << 10;
-    options.enable_parallel_seeks = false;
+    options.parallel_seek_threads = 1;
     options
 }
 
 /// Opens an FLSM store, loads it and reads it to rest: cursors until
-/// seek-based compaction has left at most one sstable in every guard and in
-/// level 0. Returns the store and its guard count.
+/// seek-based compaction has left at most one sstable in level 0 and no
+/// guard with overlapping sstables. Returns the store and its guard count.
 fn flsm_at_rest(top_level_bits: u32, bit_decrement: u32, keys: u32) -> (PebblesDb, usize) {
     let mut options = small_options();
-    // A guard's data must fit one sstable, or no compaction can bring the
-    // guard down to a single file.
     options.max_file_size = 16 << 20;
     options.top_level_bits = top_level_bits;
     options.bit_decrement = bit_decrement;
@@ -105,7 +103,7 @@ fn flsm_at_rest(top_level_bits: u32, bit_decrement: u32, keys: u32) -> (PebblesD
     loop {
         db.flush().unwrap();
         let at_rest = db.engine().with_current_version(|v| {
-            v.level0.len() <= 1 && v.levels.iter().all(|l| l.max_files_in_guard() <= 1)
+            v.level0.len() <= 1 && v.levels.iter().all(|l| !l.has_overlapping_guard())
         });
         if at_rest {
             let guards = db.guards_per_level().iter().sum();
