@@ -176,6 +176,12 @@ impl WriteBatch {
         decode_fixed64(&self.rep[..8])
     }
 
+    /// The sequence number of the batch's last record. An empty batch
+    /// occupies no sequence slot and reports its base sequence.
+    pub fn last_sequence(&self) -> SequenceNumber {
+        self.sequence() + u64::from(self.count()).saturating_sub(1)
+    }
+
     /// Sets the sequence number of the first record.
     pub fn set_sequence(&mut self, seq: SequenceNumber) {
         self.rep[..8].copy_from_slice(&seq.to_le_bytes());
@@ -320,6 +326,23 @@ mod tests {
         assert!(batch.is_empty());
         assert_eq!(batch.iter().count(), 0);
         assert_eq!(batch.verify().unwrap(), 0);
+    }
+
+    #[test]
+    fn last_sequence_is_the_final_records_slot() {
+        let mut batch = WriteBatch::new();
+        batch.set_sequence(7);
+        assert_eq!(
+            batch.last_sequence(),
+            7,
+            "an empty batch must not underflow"
+        );
+        batch.put(b"a", b"1");
+        assert_eq!(batch.last_sequence(), 7);
+        batch.delete(b"b");
+        batch.put(b"c", b"3");
+        assert_eq!(batch.last_sequence(), 9);
+        assert_eq!(WriteBatch::new().last_sequence(), 0);
     }
 
     #[test]

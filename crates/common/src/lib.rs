@@ -44,7 +44,7 @@ pub mod vlog;
 pub use args::Args;
 pub use batch::{CfId, WriteBatch};
 pub use cf::{CfOps, CfStats, ColumnFamilyHandle, Db, PrefixDb, DEFAULT_CF_NAME};
-pub use commit::{CommitGroup, CommitQueue, Role, Ticket};
+pub use commit::{CommitGroup, CommitQueue, GroupKind, Numbering, Role, Ticket};
 pub use error::{Error, Result};
 pub use iterator::DbIterator;
 pub use key::{InternalKey, ParsedInternalKey, SequenceNumber, ValueType, MAX_SEQUENCE_NUMBER};

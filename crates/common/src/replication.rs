@@ -48,11 +48,9 @@ pub struct ChangeEvent {
 impl ChangeEvent {
     /// Wraps a committed batch, deriving the sequence range from its header.
     pub fn from_batch(batch: WriteBatch) -> ChangeEvent {
-        let first_seq = batch.sequence();
-        let last_seq = first_seq + u64::from(batch.count()).saturating_sub(1);
         ChangeEvent {
-            first_seq,
-            last_seq,
+            first_seq: batch.sequence(),
+            last_seq: batch.last_sequence(),
             batch,
         }
     }

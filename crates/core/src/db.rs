@@ -727,15 +727,11 @@ mod tests {
         let set1: BTreeSet<u64> = claim1.claim.job.inputs.iter().map(|f| f.number).collect();
         let set2: BTreeSet<u64> = claim2.claim.job.inputs.iter().map(|f| f.number).collect();
         assert!(set1.is_disjoint(&set2));
-        assert_eq!(state.active_compactions, 2);
         assert_eq!(state.default_cf().active_jobs, 2);
-        assert_eq!(
-            inner
-                .counters
-                .max_concurrent_compactions
-                .load(std::sync::atomic::Ordering::Relaxed),
-            2
-        );
+        let counter =
+            |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(counter(&inner.counters.active_compactions), 2);
+        assert_eq!(counter(&inner.counters.max_concurrent_compactions), 2);
         // Whatever both uncommitted jobs go on to write is protected from
         // the GC: each registered the counter it will number its outputs from.
         let mut floors = state.default_cf().output_floors.clone();

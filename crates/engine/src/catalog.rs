@@ -126,29 +126,18 @@ pub fn read(env: &dyn Env, root: &Path) -> Result<CatalogData> {
     Ok(data)
 }
 
-fn create_record(id: CfId, name: &str) -> Vec<u8> {
-    let mut out = vec![TAG_CREATE];
+/// Encodes one catalog record; only create records carry a name.
+fn record(tag: u8, id: CfId, name: &str) -> Vec<u8> {
+    let mut out = vec![tag];
     put_varint32(&mut out, id);
-    put_length_prefixed_slice(&mut out, name.as_bytes());
-    out
-}
-
-fn drop_record(id: CfId) -> Vec<u8> {
-    let mut out = vec![TAG_DROP];
-    put_varint32(&mut out, id);
-    out
-}
-
-fn next_id_record(next: CfId) -> Vec<u8> {
-    let mut out = vec![TAG_NEXT_ID];
-    put_varint32(&mut out, next);
+    if tag == TAG_CREATE {
+        put_length_prefixed_slice(&mut out, name.as_bytes());
+    }
     out
 }
 
 /// An open, appendable catalog.
 pub struct Catalog {
-    env: Arc<dyn Env>,
-    root: PathBuf,
     writer: LogWriter,
 }
 
@@ -162,10 +151,10 @@ impl Catalog {
         let tmp = root.join(format!("{CATALOG_FILE}.rewrite"));
         let file = env.new_writable_file(&tmp)?;
         let mut writer = LogWriter::new(file);
-        writer.add_record(&next_id_record(data.next_cf_id))?;
+        writer.add_record(&record(TAG_NEXT_ID, data.next_cf_id, ""))?;
         for (id, name) in &data.cfs {
             if *id != 0 {
-                writer.add_record(&create_record(*id, name))?;
+                writer.add_record(&record(TAG_CREATE, *id, name))?;
             }
         }
         writer.sync()?;
@@ -173,34 +162,20 @@ impl Catalog {
         env.sync_dir(root)?;
         // The writer's handle survives the rename (same inode / same
         // in-memory buffer), so later appends land in the live `CFS`.
-        Ok(Catalog {
-            env,
-            root: root.to_path_buf(),
-            writer,
-        })
+        Ok(Catalog { writer })
     }
 
     /// Appends (and syncs) a create edit. This is the creation commit point.
     pub fn append_create(&mut self, id: CfId, name: &str) -> Result<()> {
-        self.writer.add_record(&create_record(id, name))?;
+        self.writer.add_record(&record(TAG_CREATE, id, name))?;
         self.writer.sync()
     }
 
     /// Appends (and syncs) a drop edit. This is the drop commit point; the
     /// family's directory may be deleted only after this returns.
     pub fn append_drop(&mut self, id: CfId) -> Result<()> {
-        self.writer.add_record(&drop_record(id))?;
+        self.writer.add_record(&record(TAG_DROP, id, ""))?;
         self.writer.sync()
-    }
-
-    /// The environment this catalog writes through (for tests).
-    pub fn env(&self) -> &Arc<dyn Env> {
-        &self.env
-    }
-
-    /// The database root this catalog lives in.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 }
 

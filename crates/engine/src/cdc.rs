@@ -1,4 +1,5 @@
-//! Change-data capture: the in-memory commit tail and WAL retention floors.
+//! Change-data capture: the in-memory commit tail, WAL retention floors and
+//! the [`EngineChangeStream`] cursor that reads through both.
 //!
 //! The chassis commits every batch through one WAL in one total order;
 //! [`ChangeLog`] is the bookkeeping that lets change streams observe that
@@ -23,13 +24,22 @@
 //! what it needs out and drops this lock first.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use pebblesdb_common::key::SequenceNumber;
-use pebblesdb_common::{Error, Result};
+use pebblesdb_common::filename::log_file_name;
+use pebblesdb_common::key::{SequenceNumber, ValueType};
+use pebblesdb_common::snapshot::Snapshot;
+use pebblesdb_common::vlog::{ValuePointer, ValueResolver};
+use pebblesdb_common::{CfId, ChangeEvent, ChangeStream, Error, Result, WriteBatch};
+use pebblesdb_wal::SegmentReplay;
+
+use crate::chassis::EngineShared;
+use crate::policy::ShapePolicy;
+use crate::vlog::{rewrite_batch, VlogReaderCache};
 
 /// One committed batch retained in the tail: its WAL payload (header
 /// included, value separation already applied) plus where it landed.
@@ -349,6 +359,175 @@ fn segment_floor_for(
         .find(|(_, &birth)| birth < seq)
         .map(|(&log, _)| log)
         .unwrap_or_else(|| births.keys().next().copied().unwrap_or(current_log))
+}
+
+/// A cursor over one store's committed batches, in commit order.
+///
+/// Near the frontier the stream follows the in-memory commit tail, blocking
+/// on the commit signal up to the caller's timeout; a cursor that predates
+/// the tail transparently replays closed WAL segments, then switches back.
+/// Value-separated records are resolved back inline on delivery, so a
+/// consumer sees exactly the user data — it never needs this store's value
+/// log. While alive the stream pins what its cursor can still reach:
+///
+/// * the WAL segments at or past the cursor (until the retention cap says
+///   otherwise), through its registered change-log cursor, and
+/// * the value-log files the cursor's sequence can reference, through a
+///   sliding `cursor_pins` sequence pin.
+///
+/// Both pins advance as events are delivered and drop with the stream.
+pub struct EngineChangeStream<P: ShapePolicy> {
+    shared: Arc<EngineShared<P>>,
+    cursor_id: u64,
+    /// The next undelivered sequence: every committed batch whose last
+    /// sequence is at or past this is still owed to the consumer.
+    next_seq: SequenceNumber,
+    /// Absolute position in the commit tail (see [`ChangeLog::read_tail`]).
+    tail_pos: u64,
+    /// An in-flight closed-segment replay: `(segment number, replay)`.
+    replay: Option<(u64, SegmentReplay)>,
+    /// The highest closed segment fully replayed; guards against re-reading
+    /// a segment whose relevant batches were all below the cursor.
+    replayed_through: u64,
+    /// Value-log pin at the cursor's sequence (swapped forward on delivery,
+    /// new pin acquired before the old one drops).
+    pin: Snapshot,
+}
+
+impl<P: ShapePolicy> EngineChangeStream<P> {
+    pub(crate) fn open(
+        shared: Arc<EngineShared<P>>,
+        from_seq: SequenceNumber,
+    ) -> Result<EngineChangeStream<P>> {
+        let from_seq = from_seq.max(1);
+        let cursor_id = shared.core.change_log.register(from_seq)?;
+        let pin = shared.core.cursor_pins.acquire(from_seq);
+        Ok(EngineChangeStream {
+            shared,
+            cursor_id,
+            next_seq: from_seq,
+            tail_pos: 0,
+            replay: None,
+            replayed_through: 0,
+            pin,
+        })
+    }
+
+    /// Finishes a delivery: resolves separated values, advances the cursor
+    /// and both pins, and wraps the batch as an event.
+    fn deliver(&mut self, batch: WriteBatch) -> Result<Option<ChangeEvent>> {
+        let batch = self.resolve_pointers(batch)?;
+        let core = &self.shared.core;
+        core.counters
+            .wal_bytes_shipped
+            .fetch_add(batch.contents().len() as u64, Ordering::Relaxed);
+        let event = ChangeEvent::from_batch(batch);
+        self.next_seq = self.next_seq.max(event.last_seq + 1);
+        core.change_log.update_cursor(self.cursor_id, self.next_seq);
+        // Acquire the new vlog pin before the old one drops, so the reclaim
+        // floor never momentarily passes the cursor.
+        self.pin = core.cursor_pins.acquire(self.next_seq);
+        Ok(Some(event))
+    }
+
+    /// Rewrites a batch's value-pointer records back to inline values. The
+    /// WAL (and the tail) hold post-separation bytes; consumers get the user
+    /// data. A pointer whose value log is gone — the family was dropped, or
+    /// GC retired the file before this cursor existed — is unrecoverable
+    /// history and truncates the stream.
+    fn resolve_pointers(&self, batch: WriteBatch) -> Result<WriteBatch> {
+        // Each family's reader cache, grabbed under a brief state lock at
+        // its first pointer. Never taken while holding the change-log lock.
+        let mut resolvers: BTreeMap<CfId, Option<Arc<VlogReaderCache>>> = BTreeMap::new();
+        let resolved = rewrite_batch(&batch, |record| {
+            if record.value_type != ValueType::ValuePointer {
+                return Ok(None);
+            }
+            let truncated = || Error::sequence_truncated(record.sequence, record.sequence);
+            let resolver = resolvers.entry(record.cf).or_insert_with(|| {
+                let state = self.shared.core.state.lock();
+                state.cf(record.cf).map(|cf| Arc::clone(&cf.vlog.readers))
+            });
+            let resolver = resolver.as_ref().ok_or_else(truncated)?;
+            let pointer = ValuePointer::decode(record.value)?;
+            let value = resolver.resolve(&pointer).map_err(|_| truncated())?;
+            Ok(Some((ValueType::Value, value)))
+        })?;
+        Ok(resolved.unwrap_or(batch))
+    }
+}
+
+impl<P: ShapePolicy> ChangeStream for EngineChangeStream<P> {
+    fn next_event(&mut self, timeout: Duration) -> Result<Option<ChangeEvent>> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if self.shared.core.shutting_down.load(Ordering::SeqCst) {
+                return Err(Error::ShuttingDown);
+            }
+            // Drain an in-flight segment replay first.
+            if let Some((number, replay)) = self.replay.as_mut() {
+                let number = *number;
+                match replay.next_batch()? {
+                    // Delivered through an earlier segment (a batch range
+                    // can straddle a rotation replayed twice) or a
+                    // pre-sequenced relocation of old data.
+                    Some(batch) if batch.last_sequence() < self.next_seq => {}
+                    Some(batch) => return self.deliver(batch),
+                    None => {
+                        self.replayed_through = self.replayed_through.max(number);
+                        self.replay = None;
+                    }
+                }
+                continue;
+            }
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let wait = if wait.is_zero() { None } else { Some(wait) };
+            let change_log = &self.shared.core.change_log;
+            match change_log.read_tail(self.next_seq, &mut self.tail_pos, wait) {
+                TailRead::Batch(entry) => {
+                    let batch = WriteBatch::from_contents(entry.contents.as_ref().clone())?;
+                    return self.deliver(batch);
+                }
+                TailRead::Replay(segments) => {
+                    let Some(&number) = segments.iter().find(|n| **n > self.replayed_through)
+                    else {
+                        // Every closed segment is replayed and the tail still
+                        // starts later: the gap is the live segment's data,
+                        // which never leaves the tail — so it simply has not
+                        // committed yet. Report an idle tick.
+                        return Ok(None);
+                    };
+                    let core = &self.shared.core;
+                    let path = log_file_name(&core.io.db_path, number);
+                    // An open fails when the segment was reclaimed since the
+                    // listing (the retention cap outran this cursor).
+                    let file = core.io.env.new_sequential_file(&path).map_err(|_| {
+                        let floor = core.change_log.truncated_floor();
+                        Error::sequence_truncated(self.next_seq, floor)
+                    })?;
+                    self.replay = Some((number, SegmentReplay::new(file, self.next_seq)));
+                }
+                TailRead::Idle => return Ok(None),
+                TailRead::Truncated { floor } => {
+                    return Err(Error::sequence_truncated(self.next_seq, floor))
+                }
+            }
+        }
+    }
+
+    fn cursor(&self) -> SequenceNumber {
+        self.next_seq
+    }
+
+    fn backlog(&self) -> u64 {
+        self.shared.core.change_log.backlog_after(self.tail_pos)
+    }
+}
+
+impl<P: ShapePolicy> Drop for EngineChangeStream<P> {
+    fn drop(&mut self) {
+        self.shared.core.change_log.deregister(self.cursor_id);
+    }
 }
 
 #[cfg(test)]

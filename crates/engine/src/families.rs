@@ -1,0 +1,122 @@
+//! Column-family lifecycle: create and drop. The catalog edit is the commit
+//! point of both; directories follow it (reopen finishes either half if a
+//! crash intervenes).
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use pebblesdb_common::{CfId, Error, Result};
+
+use crate::catalog::Catalog;
+use crate::chassis::{CfState, EngineCore};
+use crate::policy::ShapePolicy;
+
+impl<P: ShapePolicy> EngineCore<P> {
+    /// Creates a new, empty column family under the state lock and returns
+    /// its id.
+    ///
+    /// With `want_id`, the family is created under that exact id — the
+    /// follower side of replication mirrors the leader's catalog, and WAL
+    /// records route by id, so the ids must match bit for bit. Asking for an
+    /// existing `(id, name)` pair is an idempotent no-op (catalog re-syncs
+    /// happen on every reconnect); an id or name clash is an error.
+    pub(crate) fn create_cf(&self, name: &str, want_id: Option<CfId>) -> Result<CfId> {
+        if name.is_empty() || name.contains('/') {
+            return Err(Error::invalid_argument(format!(
+                "invalid column family name {name:?}"
+            )));
+        }
+        let mut state = self.state.lock();
+        state.healthy()?;
+        if let Some(existing) = want_id.and_then(|want| state.cf(want)) {
+            if existing.name == name {
+                return Ok(existing.id);
+            }
+            return Err(Error::invalid_argument(format!(
+                "column family id {} is {:?}, not {name:?}",
+                existing.id, existing.name
+            )));
+        }
+        if state.cf_named(name).is_some() {
+            return Err(Error::invalid_argument(format!(
+                "column family {name:?} already exists"
+            )));
+        }
+        if want_id == Some(0) {
+            return Err(Error::invalid_argument(
+                "column family id 0 is the default family",
+            ));
+        }
+        let id = want_id.unwrap_or(state.next_cf_id);
+        state.next_cf_id = state.next_cf_id.max(id + 1);
+
+        // First family ever created: materialise the catalog.
+        if state.catalog.is_none() {
+            let snapshot = state.catalog_snapshot();
+            let catalog = Catalog::rewrite(Arc::clone(&self.io.env), &self.io.db_path, &snapshot)?;
+            state.catalog = Some(catalog);
+        }
+        let catalog = state.catalog.as_mut().expect("materialised above");
+        catalog.append_create(id, name)?;
+
+        let (env, root, options) = (&self.io.env, &self.io.db_path, &self.io.options);
+        let mut cf = CfState::open(env, root, id, name, options, self.policy.new_state())?;
+        cf.start_on_log(state.last_sequence, state.log_file_number)?;
+        state.cfs.insert(id, cf);
+        Ok(id)
+    }
+
+    /// Drops a column family: drains its in-flight background work, commits
+    /// the catalog drop edit, removes it from the live set and deletes its
+    /// directory. The default family cannot be dropped.
+    pub(crate) fn drop_cf(&self, name: &str) -> Result<()> {
+        let removed = {
+            let mut state = self.state.lock();
+            let id = state
+                .cf_named(name)
+                .ok_or_else(|| Error::invalid_argument(format!("no column family {name:?}")))?;
+            if id == 0 {
+                return Err(Error::invalid_argument(
+                    "the default column family cannot be dropped",
+                ));
+            }
+            // Stop new background work against the family and wait out its
+            // in-flight jobs (their outputs die with the directory; the job
+            // commit still runs against the family's version set, which is
+            // dropped right after).
+            state.job_cf(id).dropping = true;
+            while state.job_cf(id).active_jobs > 0 || state.job_cf(id).flush_running {
+                self.wait_for_background(&mut state);
+            }
+            // The catalog edit is the commit point. Until it lands nothing
+            // of the family may be discarded: if it fails the family goes
+            // back to work whole, its unflushed memtables included.
+            let catalog = state.catalog.as_mut();
+            let edit = catalog
+                .expect("a non-default family implies a catalog")
+                .append_drop(id);
+            if let Err(err) = edit {
+                state.job_cf(id).dropping = false;
+                self.flush_available.notify_one();
+                self.work_available.notify_all();
+                self.work_done.notify_all();
+                return Err(err);
+            }
+            state.cfs.remove(&id).expect("dropping family is live")
+        };
+        // Delete the directory outside the lock; reopen reaps it if this
+        // races a crash (the catalog edit above already committed). The drop
+        // itself already succeeded — the catalog edit is the commit point —
+        // so a failed removal is a disk-space leak, not an error the caller
+        // can act on: count it, note it as a background warning, and let the
+        // next open retry the reap.
+        if let Err(err) = self.io.env.remove_dir_all(&removed.io.db_path) {
+            self.counters
+                .cleanup_failures
+                .fetch_add(1, Ordering::Relaxed);
+            self.state.lock().bg_warning.get_or_insert(err);
+        }
+        self.work_done.notify_all();
+        Ok(())
+    }
+}

@@ -3,45 +3,54 @@
 //! PebblesDB's core claim is that the FLSM *generalizes* the LSM: guards
 //! partition each level, and a classic LSM is the degenerate case where every
 //! level has exactly one implicit guard (section 3 of the paper). This crate
-//! makes that framing structural. Everything the two engines share — DB
-//! open/recovery (CURRENT/MANIFEST/WAL replay), the group-commit write path,
-//! `make_room_for_write` and memtable rotation, the dedicated flush thread,
-//! the compaction worker pool, live-file garbage collection, the snapshot
-//! list and stats plumbing — lives here once, in [`EngineCore`]/[`EngineDb`],
-//! parameterized by a [`ShapePolicy`]; and so do the sstable mechanics
-//! underneath a level ([`runs`]): the file probe, the lazy level cursor, the
-//! compaction merge loop and on-demand output numbering.
+//! makes that framing structural: everything the two engines share lives here
+//! once, in [`EngineCore`]/[`EngineDb`], parameterized by a [`ShapePolicy`].
+//! One module per seam:
 //!
-//! A policy supplies only what actually differs between tree shapes:
+//! * [`chassis`] — the types: [`EngineDb`], [`EngineCore`], [`EngineState`],
+//!   [`CfState`], the `KvStore`/`Db`/`CfOps` facade and stats assembly;
+//! * `open` — catalog + per-family CURRENT/MANIFEST recovery, WAL replay, the
+//!   fresh WAL and the background threads;
+//! * `write` — the commit pipeline. Every mutation is a group of WAL records
+//!   committed by one leader in named stages: plan → make room → number →
+//!   take the log/vlog appenders → *(state mutex released)* separate → log →
+//!   apply → reinstall + publish. `make_room_for_write` and memtable
+//!   rotation live beside it;
+//! * `read` — point gets, streaming cursors, snapshots;
+//! * `background` — the dedicated flush thread, the compaction worker pool,
+//!   the one job lifecycle both run through, `flush()` and live-file GC;
+//! * `families` — column-family create/drop ([`catalog`] is their log);
+//! * [`vlog`] — key-value separation: appenders, reader cache, value-log GC;
+//! * [`cdc`] — the commit tail, WAL retention and [`EngineChangeStream`];
+//! * [`version_set`] — the one MANIFEST format and version set;
+//! * [`runs`] — the sstable mechanics underneath a level: the file probe,
+//!   the lazy level cursor, the compaction merge loop and on-demand output
+//!   numbering.
 //!
-//! * the version *shape* — how edits build a version and what a snapshot of
-//!   it enumerates; the MANIFEST format and the version set itself are the
-//!   chassis's ([`version_set`]),
-//! * how point gets and cursors route through a version (which slot of a
-//!   level a key belongs to — a [`RunSource`]),
-//! * how compaction jobs are picked, routed into partitions and committed,
-//!   and
-//! * write/read observations (guard selection, seek-triggered compaction).
-//!
+//! A policy ([`policy`]) supplies only what actually differs between tree
+//! shapes: the version *shape*, how reads route through a level (a
+//! [`RunSource`]), how compaction jobs are picked, routed and committed, and
+//! the write/read observations (guard selection, seek-triggered compaction).
 //! The FLSM engine (`pebblesdb` crate) implements the guarded policy; the
 //! baseline LSM (`pebblesdb-lsm`) implements the one-implicit-guard-per-level
-//! policy. Future subsystems (sharding, key-value separation, alternative
-//! tiering) are written once against this chassis instead of twice per
-//! engine.
+//! policy.
 
+mod background;
 pub mod catalog;
 pub mod cdc;
 pub mod chassis;
+mod families;
 pub mod meta;
+mod open;
 pub mod policy;
+mod read;
 pub mod runs;
 pub mod version_set;
 pub mod vlog;
+mod write;
 
-pub use cdc::{ChangeLog, TailBatch, TailRead};
-pub use chassis::{
-    CfState, ClaimedJob, EngineChangeStream, EngineCore, EngineDb, EngineShared, EngineState,
-};
+pub use cdc::{ChangeLog, EngineChangeStream, TailBatch, TailRead};
+pub use chassis::{CfState, ClaimedJob, EngineCore, EngineDb, EngineShared, EngineState};
 pub use meta::{FileMetaData, FileMetaDataEdit};
 pub use policy::{EngineIo, JobClaim, PolicyCtx, ShapePolicy};
 pub use runs::{LevelCursor, MergeSpec, RunSource};

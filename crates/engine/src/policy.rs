@@ -1,6 +1,6 @@
 //! The [`ShapePolicy`] trait: everything that differs between tree shapes.
 //!
-//! The chassis ([`crate::chassis`]) owns the write pipeline, the flush
+//! The chassis (see the crate docs) owns the write pipeline, the flush
 //! thread, the compaction worker pool and the garbage collector; a policy
 //! plugs in the level *organization* — how a version routes reads, how
 //! compaction work is picked and committed, and which per-key observations

@@ -1,0 +1,164 @@
+//! The read path: point gets, streaming cursors and snapshots. Each takes
+//! the state mutex once, briefly, to pin a consistent view (memtables,
+//! current version, vlog readers); sstable and vlog IO run outside it.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use pebblesdb_common::iterator::{DbIterator, MergingIterator, PinnedIterator};
+use pebblesdb_common::key::{LookupKey, SequenceNumber};
+use pebblesdb_common::snapshot::Snapshot;
+use pebblesdb_common::user_iter::UserIterator;
+use pebblesdb_common::vlog::{LookupValue, ValuePointer, ValueResolver};
+use pebblesdb_common::{CfId, ReadOptions, Result};
+use pebblesdb_skiplist::memtable::MemTableGet;
+use pebblesdb_skiplist::MemTable;
+
+use crate::chassis::EngineCore;
+use crate::policy::ShapePolicy;
+use crate::version_set::VersionShape;
+use crate::vlog::VlogReaderCache;
+
+/// The sequence number a read issued with `opts` may observe: the requested
+/// snapshot, clamped to the store's current sequence.
+fn visible_sequence(opts: &ReadOptions, last_sequence: SequenceNumber) -> SequenceNumber {
+    opts.snapshot
+        .map(|snap| snap.min(last_sequence))
+        .unwrap_or(last_sequence)
+}
+
+/// Probes one memtable. `Some(outcome)` settles the lookup — a value, a
+/// pointer, or `None` for a deletion; `None` sends it on to older data.
+fn probe_memtable(mem: &MemTable, lookup: &LookupKey) -> Result<Option<Option<LookupValue>>> {
+    Ok(match mem.get(lookup) {
+        MemTableGet::Found(value) => Some(Some(LookupValue::Inline(value))),
+        MemTableGet::FoundPointer(encoded) => {
+            Some(Some(LookupValue::Pointer(ValuePointer::decode(&encoded)?)))
+        }
+        MemTableGet::Deleted => Some(None),
+        MemTableGet::NotFound => None,
+    })
+}
+
+impl<P: ShapePolicy> EngineCore<P> {
+    pub(crate) fn get(
+        &self,
+        cf_id: CfId,
+        opts: &ReadOptions,
+        user_key: &[u8],
+    ) -> Result<Option<Vec<u8>>> {
+        self.counters.gets.fetch_add(1, Ordering::Relaxed);
+        let mut retried = false;
+        loop {
+            let Some((found, resolver)) = self.lookup_value(cf_id, opts, user_key)? else {
+                return Ok(None);
+            };
+            match found {
+                LookupValue::Inline(value) => return Ok(Some(value)),
+                LookupValue::Pointer(pointer) => match resolver.resolve(&pointer) {
+                    Ok(value) => return Ok(Some(value)),
+                    // A GC pass may have deleted the vlog file between the
+                    // tree lookup and this read; the relocated pointer is
+                    // already in place, so one fresh lookup settles it.
+                    Err(_) if !retried => retried = true,
+                    Err(err) => return Err(err),
+                },
+            }
+        }
+    }
+
+    /// The tree lookup underneath [`EngineCore::get`]: consults the
+    /// memtables and the version but does **not** resolve value pointers —
+    /// resolution does IO and runs outside the state lock. `Ok(None)` means
+    /// "deleted or never written"; the GC's liveness check uses the raw
+    /// pointer this returns.
+    pub(crate) fn lookup_value(
+        &self,
+        cf_id: CfId,
+        opts: &ReadOptions,
+        user_key: &[u8],
+    ) -> Result<Option<(LookupValue, Arc<VlogReaderCache>)>> {
+        let (lookup, imm, version, io, resolver) = {
+            let state = self.state.lock();
+            let sequence = visible_sequence(opts, state.last_sequence);
+            let cf = state.live_cf(cf_id)?;
+            let lookup = LookupKey::new(user_key, sequence);
+            let resolver = Arc::clone(&cf.vlog.readers);
+            if let Some(settled) = probe_memtable(&cf.mem, &lookup)? {
+                return Ok(settled.map(|found| (found, resolver)));
+            }
+            (
+                lookup,
+                cf.imm.clone(),
+                Arc::clone(cf.versions.current()),
+                cf.io.clone(),
+                resolver,
+            )
+        };
+        if let Some(imm) = imm {
+            if let Some(settled) = probe_memtable(&imm, &lookup)? {
+                return Ok(settled.map(|found| (found, resolver)));
+            }
+        }
+        Ok(version
+            .get(opts, &lookup, &io.table_cache)?
+            .map(|found| (found, resolver)))
+    }
+
+    /// Builds the streaming user-key cursor over one family: its memtables
+    /// plus the policy's per-level iterators, merged and filtered down to
+    /// the view at the cursor's sequence. Creating a cursor counts as a seek
+    /// for the policy's read heuristics (FLSM: the seek-compaction trigger),
+    /// armed on the family being read.
+    pub(crate) fn iter(&self, cf_id: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
+        self.counters.seeks.fetch_add(1, Ordering::Relaxed);
+        let (sequence, mem, imm, version, io, resolver, snapshot) = {
+            let state = self.state.lock();
+            let sequence = visible_sequence(opts, state.last_sequence);
+            // Keeps vlog GC off the files this cursor's view can still
+            // reach (see `EngineCore::cursor_pins` for why not `snapshots`).
+            let snapshot = self.cursor_pins.acquire(sequence);
+            let cf = state.live_cf(cf_id)?;
+            (
+                sequence,
+                Arc::clone(&cf.mem),
+                cf.imm.clone(),
+                Arc::clone(cf.versions.current()),
+                cf.io.clone(),
+                Arc::clone(&cf.vlog.readers),
+                snapshot,
+            )
+        };
+        // The lock is taken a second time only when the policy wants a
+        // compaction for what this cursor is about to read.
+        if self.policy.note_seek(&version) {
+            if let Some(cf) = self.state.lock().cf_mut(cf_id) {
+                self.policy.arm_requested_compaction(&mut cf.policy);
+            }
+            self.work_available.notify_one();
+        }
+
+        let mut children: Vec<Box<dyn DbIterator>> = Vec::new();
+        children.push(Box::new(mem.owned_iter()));
+        if let Some(imm) = imm {
+            children.push(Box::new(imm.owned_iter()));
+        }
+        self.policy
+            .append_version_iterators(&io, &version, opts, &mut children)?;
+
+        let merged = MergingIterator::new(children);
+        let user = UserIterator::new(Box::new(merged), sequence)
+            .with_resolver(resolver as Arc<dyn ValueResolver>);
+        // Pin the version so obsolete-file GC cannot delete the sstables the
+        // cursor is still reading, and the snapshot so vlog GC cannot
+        // reclaim a value the cursor can still observe.
+        Ok(Box::new(PinnedIterator::new(
+            Box::new(user),
+            (version, snapshot),
+        )))
+    }
+
+    pub(crate) fn snapshot(&self) -> Snapshot {
+        self.snapshots.acquire(self.state.lock().last_sequence)
+    }
+}

@@ -1,7 +1,7 @@
-//! Per-column-family value-log state: the active appender the group-commit
-//! leader writes through, the sealed/retired file registries the garbage
-//! collector works from, and the pointer-resolving reader cache shared with
-//! in-flight gets and cursors.
+//! Key-value separation: per-column-family value-log state — the active
+//! appender the group-commit leader writes through, the sealed/retired file
+//! registries, and the pointer-resolving reader cache shared with in-flight
+//! gets and cursors — plus the garbage collector that works from them.
 //!
 //! Lifecycle of a vlog file:
 //!
@@ -18,23 +18,31 @@
 //! Vlog files are deliberately **not** recorded in the MANIFEST: the
 //! directory listing is the registry (like WAL segments), their numbers are
 //! re-marked used at open, and `remove_obsolete_files` always keeps them —
-//! their lifecycle is owned by [`vlog_gc`](crate::chassis::EngineDb::vlog_gc),
-//! which is the only code that ever deletes one.
+//! their lifecycle is owned by [`EngineCore::vlog_gc`], which is the only
+//! code that ever deletes one.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use pebblesdb_common::batch::BatchRecord;
+use pebblesdb_common::commit::{GroupKind, Numbering};
 use pebblesdb_common::filename::{parse_file_name, vlog_file_name, FileType};
-use pebblesdb_common::key::SequenceNumber;
+use pebblesdb_common::key::{SequenceNumber, ValueType};
 use pebblesdb_common::vlog::{
-    encode_vlog_record_with, parse_vlog_record, ValuePointer, ValueResolver,
+    encode_vlog_record_with, iter_vlog_records, parse_vlog_record, LookupValue, ValuePointer,
+    ValueResolver,
 };
-use pebblesdb_common::{CompressionType, EngineCounters, Error, Result};
+use pebblesdb_common::{
+    CfId, CompressionType, EngineCounters, Error, ReadOptions, Result, WriteBatch,
+};
 use pebblesdb_env::{Env, RandomAccessFile, WritableFile};
+
+use crate::chassis::EngineCore;
+use crate::policy::{EngineIo, ShapePolicy};
 
 /// Open readers a family's cache keeps before evicting; pointer resolution
 /// is one ranged read, so a handful of hot files covers real workloads.
@@ -63,30 +71,24 @@ pub struct CfVlog {
 
 impl CfVlog {
     /// Builds the registry for a family rooted at `dir`, scanning the
-    /// directory for vlog files a previous incarnation left behind. Every
-    /// recovered file is sealed — appending to a file with a possibly-torn
-    /// tail would bury the tear mid-file where it reads as corruption.
+    /// directory for vlog files a previous incarnation left behind (none,
+    /// for a freshly created family). Every recovered file is sealed —
+    /// appending to a file with a possibly-torn tail would bury the tear
+    /// mid-file where it reads as corruption.
     pub fn recover(
         env: &Arc<dyn Env>,
         dir: &Path,
         counters: &Arc<EngineCounters>,
     ) -> Result<CfVlog> {
-        let mut vlog = CfVlog::new(env, dir, counters);
+        let mut sealed = BTreeMap::new();
         for name in env.children(dir)? {
-            let Some((FileType::ValueLog, number)) = parse_file_name(&name) else {
-                continue;
-            };
-            let size = env.file_size(&dir.join(&name))?;
-            vlog.sealed.insert(number, size);
+            if let Some((FileType::ValueLog, number)) = parse_file_name(&name) {
+                sealed.insert(number, env.file_size(&dir.join(&name))?);
+            }
         }
-        Ok(vlog)
-    }
-
-    /// An empty registry for a freshly created family.
-    pub fn new(env: &Arc<dyn Env>, dir: &Path, counters: &Arc<EngineCounters>) -> CfVlog {
-        CfVlog {
+        Ok(CfVlog {
             active: None,
-            sealed: BTreeMap::new(),
+            sealed,
             retired: BTreeMap::new(),
             readers: Arc::new(VlogReaderCache {
                 env: Arc::clone(env),
@@ -94,8 +96,79 @@ impl CfVlog {
                 counters: Arc::clone(counters),
                 readers: Mutex::new(HashMap::new()),
             }),
+        })
+    }
+
+    /// Hands the appender to a commit leader (exactly like the engine's
+    /// `state.log`). Rotation is decided here, under the state mutex the
+    /// number allocation needs, and performed by the leader unlocked. A
+    /// single over-large group may overshoot `vlog_file_size`; the next
+    /// group rotates, so files stay within one group of the cap.
+    pub(crate) fn take(&mut self, io: &EngineIo, new_number: impl FnOnce() -> u64) -> TakenVlog {
+        let max_size = io.options.vlog_file_size.max(1) as u64;
+        let active = self.active.take();
+        let open_number = match &active {
+            Some(a) if a.offset < max_size => None,
+            _ => Some(new_number()),
+        };
+        TakenVlog {
+            env: Arc::clone(&io.env),
+            dir: io.db_path.clone(),
+            active,
+            open_number,
+            sealed: Vec::new(),
+            dirty: false,
+            compression: io.options.compression,
         }
     }
+
+    /// Takes the appender (and whatever it sealed) back from the leader.
+    pub(crate) fn reinstall(&mut self, taken: TakenVlog) {
+        self.sealed.extend(taken.sealed);
+        self.active = taken.active;
+    }
+}
+
+/// Copies `batch` with some records' type and value replaced: `replace`
+/// sees every record in order and returns the new `(type, value)` for the
+/// ones to change. Sequence, record order, keys and families are preserved.
+/// Returns `None` — without copying anything — when `replace` changed
+/// nothing. Both directions of key-value separation are this loop: the
+/// commit path swaps large values for pointers, a change stream swaps them
+/// back.
+pub(crate) fn rewrite_batch(
+    batch: &WriteBatch,
+    mut replace: impl FnMut(&BatchRecord<'_>) -> Result<Option<(ValueType, Vec<u8>)>>,
+) -> Result<Option<WriteBatch>> {
+    fn push(out: &mut WriteBatch, record: &BatchRecord<'_>, ty: ValueType, value: &[u8]) {
+        match ty {
+            ValueType::Value => out.put_cf(record.cf, record.key, value),
+            ValueType::Deletion => out.delete_cf(record.cf, record.key),
+            ValueType::ValuePointer => out.put_pointer_cf(record.cf, record.key, value),
+        }
+    }
+    let mut out: Option<WriteBatch> = None;
+    for (index, record) in batch.iter().enumerate() {
+        let record = record?;
+        let replaced = replace(&record)?;
+        if replaced.is_none() && out.is_none() {
+            continue;
+        }
+        // The first change starts the copy, with everything before it.
+        let out = out.get_or_insert_with(|| {
+            let mut copy = WriteBatch::new();
+            copy.set_sequence(batch.sequence());
+            for earlier in batch.iter().take(index).flatten() {
+                push(&mut copy, &earlier, earlier.value_type, earlier.value);
+            }
+            copy
+        });
+        match &replaced {
+            Some((ty, value)) => push(out, &record, *ty, value),
+            None => push(out, &record, record.value_type, record.value),
+        }
+    }
+    Ok(out)
 }
 
 /// The live appender of one family's value log.
@@ -109,29 +182,23 @@ pub struct ActiveVlog {
 }
 
 /// The writer-side handle a commit leader carries into its unlocked IO
-/// section for one touched family: the current appender (if any), plus the
-/// pre-allocated number to rotate to. File creation and the seal of the
-/// previous file both happen unlocked; only the number allocation needed
-/// the state mutex.
+/// section for one family (see [`CfVlog::take`]): file creation and the seal
+/// of the previous file both happen there.
 pub struct TakenVlog {
-    /// The family this appender belongs to.
-    pub cf: pebblesdb_common::CfId,
-    /// The family's environment.
-    pub env: Arc<dyn Env>,
-    /// The family's directory.
-    pub dir: PathBuf,
+    env: Arc<dyn Env>,
+    dir: PathBuf,
     /// The appender taken from the family, if one was already open.
-    pub active: Option<ActiveVlog>,
+    active: Option<ActiveVlog>,
     /// A fresh file number, present when the leader must open a new file
     /// (first separated write, or the current file crossed the size cap).
-    pub open_number: Option<u64>,
+    open_number: Option<u64>,
     /// Files sealed during this group: `(number, final size)`, reinstalled
     /// into the family's registry after the IO section.
-    pub sealed: Vec<(u64, u64)>,
+    sealed: Vec<(u64, u64)>,
     /// Whether this group appended any record (gates the flush/sync calls).
-    pub dirty: bool,
+    dirty: bool,
     /// Codec applied to values before they are framed into records.
-    pub compression: CompressionType,
+    compression: CompressionType,
 }
 
 impl TakenVlog {
@@ -288,7 +355,7 @@ impl ValueResolver for VlogReaderCache {
     }
 }
 
-/// What one [`vlog_gc`](crate::chassis::EngineDb::vlog_gc) pass did.
+/// What one [`EngineCore::vlog_gc`] pass did.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct VlogGcReport {
     /// Sealed files scanned (at most one per family per pass).
@@ -304,4 +371,177 @@ pub struct VlogGcReport {
     pub skipped: u64,
     /// Retired files whose deletion finally went through.
     pub reclaimed_files: u64,
+}
+
+impl<P: ShapePolicy> EngineCore<P> {
+    /// One garbage-collection pass over every family's value log.
+    ///
+    /// Per family: scan the **coldest** sealed file (lowest number — vlog
+    /// numbers grow with time), relocate every record that is still the
+    /// live version's backing store by re-writing its `(key, value)` through
+    /// the normal commit path, then retire the file. Retired files are
+    /// deleted only once the snapshot floor passes their retire sequence,
+    /// so no pinned snapshot (and no cursor, which pins its sequence) can
+    /// ever observe a pointer into a missing file.
+    pub fn vlog_gc(&self) -> Result<VlogGcReport> {
+        // Two concurrent passes would relocate the same records into the
+        // same sequence slot; one at a time, always.
+        let _serial = self.vlog_gc_lock.lock();
+        let mut report = VlogGcReport::default();
+        let cf_ids: Vec<CfId> = self.state.lock().cfs.keys().copied().collect();
+        for cf_id in cf_ids {
+            self.vlog_gc_cf(cf_id, &mut report)?;
+        }
+        self.vlog_reclaim(&mut report);
+        Ok(report)
+    }
+
+    fn vlog_gc_cf(&self, cf_id: CfId, report: &mut VlogGcReport) -> Result<()> {
+        // Pick the coldest sealed file first: reserving a horizon for a
+        // family with nothing to scan would burn sequence slots for no work.
+        let (file_number, readers) = {
+            let state = self.state.lock();
+            state.healthy()?;
+            let Some(cf) = state.cf(cf_id) else {
+                return Ok(());
+            };
+            let Some((&number, _)) = cf.vlog.sealed.iter().next() else {
+                return Ok(());
+            };
+            (number, Arc::clone(&cf.vlog.readers))
+        };
+
+        // Capture the GC horizon — the sequence every relocation will be
+        // pinned at — as a slot *reserved* through the commit queue. The
+        // reservation guarantees no write, past or future, is numbered into
+        // the slot, so a relocation at the horizon can never collide with a
+        // user version of the same key in the same sequence slot. It also
+        // makes GC self-sufficient on a quiescent store: the horizon always
+        // moves past the newest user write, so the pass can relocate records
+        // written in the very last slot instead of waiting for traffic that
+        // may never come.
+        let slot = Arc::new(AtomicU64::new(0));
+        let reserve = GroupKind::Reserve(Arc::clone(&slot));
+        self.submit(reserve, WriteBatch::new(), false)?;
+        let s_check = slot.load(Ordering::Acquire);
+        let data = readers.read_file(file_number)?;
+        report.scanned_files += 1;
+
+        // Collect the records still live at the horizon. A record is live
+        // iff the version visible at `s_check` is a pointer to exactly this
+        // (file, offset); a torn tail ends the scan silently (those bytes
+        // were never acknowledged), mid-file corruption aborts the pass.
+        let points_here = |snapshot: SequenceNumber, key: &[u8], offset: u64| {
+            let opts = ReadOptions {
+                snapshot: Some(snapshot),
+                ..ReadOptions::default()
+            };
+            Ok::<bool, Error>(matches!(
+                self.lookup_value(cf_id, &opts, key)?,
+                Some((LookupValue::Pointer(p), _)) if p.file_number == file_number && p.offset == offset
+            ))
+        };
+        let mut live: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut retire_ok = true;
+        for entry in iter_vlog_records(&data) {
+            let (offset, record, _len) = entry?;
+            let key = record.key;
+            if !points_here(s_check, key, offset)? {
+                continue;
+            }
+            // Relocations are written at `s_check` itself, so a version
+            // born in that exact sequence slot could not be shadowed
+            // without a duplicate internal key. The reservation makes
+            // this unreachable for engine-numbered writes, but a sharded
+            // coordinator assigns sequences externally and could, in
+            // principle, land a version in the reserved slot. Detectable
+            // without sequence plumbing — a slot-`s_check` version is
+            // invisible one sequence earlier — and safe to leave for the
+            // next pass, whose horizon is reserved past it.
+            if !points_here(s_check.saturating_sub(1), key, offset)? {
+                report.skipped += 1;
+                retire_ok = false;
+                continue;
+            }
+            // Relocation re-enters the commit path, which re-frames (and
+            // re-compresses, if configured) the value — so hand it the
+            // original bytes, not the stored compressed form.
+            let value = if record.compressed {
+                pebblesdb_compress::decompress(record.value, MAX_DECOMPRESSED_VALUE)?
+            } else {
+                record.value.to_vec()
+            };
+            live.push((key.to_vec(), value));
+        }
+
+        // Relocate through the commit path as single-record pre-sequenced
+        // batches pinned at the horizon: a concurrent user write carries a
+        // later sequence and shadows the relocation, never the reverse.
+        // The final relocation syncs, so by the time the file can be
+        // deleted no pointer into it lives only in volatile buffers.
+        let total = live.len();
+        for (idx, (key, value)) in live.into_iter().enumerate() {
+            self.policy.note_write();
+            let mut batch = WriteBatch::new();
+            batch.put_cf(cf_id, &key, &value);
+            batch.set_sequence(s_check);
+            let relocation = GroupKind::Write(Numbering::Presequenced);
+            self.submit(relocation, batch, idx + 1 == total)?;
+            self.counters
+                .vlog_gc_relocations
+                .fetch_add(1, Ordering::Relaxed);
+            report.relocated += 1;
+            report.relocated_bytes += value.len() as u64;
+        }
+
+        if retire_ok {
+            let mut state = self.state.lock();
+            if let Some(cf) = state.cf_mut(cf_id) {
+                cf.vlog.sealed.remove(&file_number);
+                cf.vlog.retired.insert(file_number, s_check);
+            }
+        }
+        Ok(())
+    }
+
+    /// Deletes retired vlog files once both the snapshot floor and the
+    /// cursor-pin floor pass their retire sequence. In-flight point gets
+    /// that raced the deletion retry their lookup and land on the relocated
+    /// pointer.
+    fn vlog_reclaim(&self, report: &mut VlogGcReport) {
+        let mut candidates: Vec<(CfId, u64, PathBuf, Arc<VlogReaderCache>)> = Vec::new();
+        {
+            let state = self.state.lock();
+            let floor = self
+                .snapshots
+                .compaction_floor(state.last_sequence)
+                .min(self.cursor_pins.compaction_floor(state.last_sequence));
+            for cf in state.cfs.values() {
+                for (&number, &retire_seq) in &cf.vlog.retired {
+                    if floor >= retire_seq {
+                        let path = vlog_file_name(&cf.io.db_path, number);
+                        candidates.push((cf.id, number, path, Arc::clone(&cf.vlog.readers)));
+                    }
+                }
+            }
+        }
+        for (cf_id, number, path, readers) in candidates {
+            let removed = self.io.env.remove_file(&path);
+            let mut state = self.state.lock();
+            let Some(cf) = state.cf_mut(cf_id) else {
+                continue; // family dropped; its files died with it
+            };
+            if removed.is_ok() {
+                readers.evict(number);
+                report.reclaimed_files += 1;
+                cf.vlog.retired.remove(&number);
+            } else {
+                // Deferred, not lost: the file stays in `retired` and the
+                // next pass retries the delete.
+                self.counters
+                    .cleanup_failures
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
 }

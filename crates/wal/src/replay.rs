@@ -52,8 +52,7 @@ impl SegmentReplay {
                 // batch marks the torn tail recovery also stops at.
                 Err(_) => return Ok(None),
             };
-            let last = batch.sequence() + u64::from(batch.count()).saturating_sub(1);
-            if last >= self.from_seq {
+            if batch.last_sequence() >= self.from_seq {
                 return Ok(Some(batch));
             }
             // Entirely before the cursor (e.g. a pre-sequenced relocation

@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 
 use pebblesdb::PebblesDb;
 use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset, WriteBatch};
+use pebblesdb_engine::{EngineDb, ShapePolicy};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 
@@ -637,4 +638,104 @@ fn cf_drop_with_failed_dir_removal_is_recorded_and_reaped_on_reopen() {
             "{engine}: orphaned directory must be reaped on reopen"
         );
     }
+}
+
+/// Column-family lifecycle, failed-commit window: the catalog's drop edit
+/// cannot be written. The drop must fail *whole*: the family keeps
+/// everything it held — sstables, the active memtable and a frozen memtable
+/// still queued for the flush thread — goes back to being flushed and
+/// compacted (so its writers never park forever), and can be dropped for
+/// real once the device recovers.
+#[test]
+fn failed_cf_drop_leaves_the_family_whole_and_droppable() {
+    fn check<P: ShapePolicy>(engine: &str, mem_env: &MemEnv, db: &EngineDb<P>) {
+        let busy = db.create_cf("busy").unwrap();
+        let temp = db.create_cf("temp").unwrap();
+        let value = vec![b'v'; 1024];
+        let key = |i: u32| format!("t{i:05}").into_bytes();
+        for i in 0..100u32 {
+            temp.put(&key(i), &value).unwrap();
+        }
+        db.flush().unwrap(); // sstable residents
+
+        // Park the one flush thread in a slow flush of `busy`, so the
+        // memtable `temp` freezes next has to queue behind it.
+        let slow = format!("cf-{}/", busy.id());
+        mem_env.set_write_latency_micros_for(&slow, 50_000);
+        for i in 0..48u32 {
+            busy.put(format!("b{i:05}").as_bytes(), &value).unwrap();
+        }
+        let queued = || {
+            let state = db.core().state.lock();
+            let cf = state.cf(temp.id()).unwrap();
+            cf.imm.is_some() && !cf.flush_running
+        };
+        let mut next = 100u32;
+        while !queued() {
+            assert!(next < 200, "{engine}: temp's memtable never froze");
+            temp.put(&key(next), &value).unwrap();
+            next += 1;
+        }
+        for _ in 0..3 {
+            temp.put(&key(next), &value).unwrap(); // active-memtable residents
+            next += 1;
+        }
+        assert!(
+            queued(),
+            "{engine}: setup must leave a frozen memtable queued"
+        );
+
+        mem_env.inject_write_error_after("CFS", 0);
+        assert!(
+            db.drop_cf("temp").is_err(),
+            "{engine}: the catalog failure must surface"
+        );
+        mem_env.clear_fault_injection();
+        mem_env.set_write_latency_micros_for(&slow, 0);
+
+        assert!(db.cf("temp").is_some(), "{engine}: family must stay listed");
+        for i in 0..next {
+            assert_eq!(
+                temp.get(&key(i)).unwrap().as_ref(),
+                Some(&value),
+                "{engine}: key {i} lost by a drop that did not happen"
+            );
+        }
+        // Several memtables' worth of writes: they complete only if the
+        // family is being flushed and compacted again.
+        let writer = db.cf("temp").unwrap();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for i in 1000..1400u32 {
+                writer
+                    .put(format!("t{i:05}").as_bytes(), &[b'w'; 1024])
+                    .unwrap();
+            }
+            done.send(()).unwrap();
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(60)).is_ok(),
+            "{engine}: writers to the family are wedged"
+        );
+        db.drop_cf("temp").unwrap();
+        assert!(db.cf("temp").is_none(), "{engine}: second drop must land");
+    }
+
+    let dir = Path::new("/drop-catalog-fail");
+    let mem_env = MemEnv::new();
+    let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+    let flsm = PebblesDb::open_with_options(Arc::clone(&env), dir, small_options()).unwrap();
+    check("flsm", &mem_env, flsm.engine());
+    drop(flsm);
+    let reopened = open_db_engine("flsm", &env, dir);
+    assert_eq!(reopened.list_cfs(), ["default", "busy"]);
+
+    let mem_env = MemEnv::new();
+    let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+    let preset = StorePreset::HyperLevelDb;
+    let lsm = LsmDb::open_with_options(Arc::clone(&env), dir, small_options(), preset).unwrap();
+    check("lsm", &mem_env, lsm.engine());
+    drop(lsm);
+    let reopened = open_db_engine("lsm", &env, dir);
+    assert_eq!(reopened.list_cfs(), ["default", "busy"]);
 }

@@ -9,7 +9,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pebblesdb::PebblesDb;
-use pebblesdb_common::{Db, ReadOptions, StoreOptions, StorePreset};
+use pebblesdb_common::{Db, ReadOptions, StoreOptions, StorePreset, WriteBatch};
 use pebblesdb_engine::VlogGcReport;
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
@@ -382,6 +382,80 @@ fn crash_between_vlog_append_and_wal_commit_keeps_the_store_consistent() {
             );
         }
         assert_eq!(t.db.get(b"fresh").unwrap(), Some(big_value(7, 1024)));
+    }
+}
+
+/// The other half of crash window 1: the *vlog* append itself fails. The
+/// commit stages run separate -> log -> apply, so a group whose value cannot
+/// be made durable must stop before its first WAL byte: no record of it —
+/// inline or pointer — may reach the log or a memtable, and because bytes a
+/// later pointer would name may be half-written, the store refuses further
+/// writes until it is reopened.
+#[test]
+fn failed_vlog_append_logs_nothing_and_poisons_the_store() {
+    let wal_bytes = |env: &dyn Env, dir: &Path| -> u64 {
+        let names = env.children(dir).unwrap();
+        let logs = names.iter().filter(|name| name.ends_with(".log"));
+        logs.map(|name| env.file_size(&dir.join(name)).unwrap())
+            .sum()
+    };
+    for engine in ENGINES {
+        let mem_env = MemEnv::new();
+        let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+        let dir = Path::new("/vlog-append-fails");
+        {
+            let t = open_engine(engine, &env, dir, vlog_options(256, 64 << 20));
+            for i in 0..20u32 {
+                t.db.put(format!("c{i:03}").as_bytes(), &big_value(i, 1024))
+                    .unwrap();
+            }
+            let logged = wal_bytes(env.as_ref(), dir);
+            mem_env.inject_write_error_after(".vlog", 0);
+            // One atomic batch: a small inline record ahead of the large
+            // value whose separation fails. Neither may surface anywhere.
+            let mut doomed = WriteBatch::new();
+            doomed.put(b"doomed-small", b"inline");
+            doomed.put(b"doomed-big", &big_value(666, 1024));
+            assert!(
+                t.db.write(doomed).is_err(),
+                "{engine}: the vlog failure must surface to the writer"
+            );
+            assert_eq!(
+                wal_bytes(env.as_ref(), dir),
+                logged,
+                "{engine}: the failed group reached the WAL"
+            );
+            assert_eq!(t.db.get(b"doomed-small").unwrap(), None, "{engine}");
+            // The device is healthy again, and this write would not even
+            // touch the value log — but the store stays poisoned.
+            mem_env.clear_fault_injection();
+            assert!(
+                t.db.put(b"later", b"small").is_err(),
+                "{engine}: a failed vlog append must poison the store"
+            );
+        }
+
+        let t = open_engine(engine, &env, dir, vlog_options(256, 64 << 20));
+        for key in [&b"doomed-small"[..], b"doomed-big", b"later"] {
+            assert_eq!(
+                t.db.get(key).unwrap(),
+                None,
+                "{engine}: unacknowledged write resurfaced"
+            );
+        }
+        // Every pointer the tree holds resolves: a full scan reads each
+        // value back through the vlog and finds exactly the acknowledged set.
+        let all = scan_all(t.db.as_ref());
+        assert_eq!(all.len(), 20, "{engine}");
+        for i in 0..20u32 {
+            assert_eq!(
+                all.get(format!("c{i:03}").as_bytes()),
+                Some(&big_value(i, 1024)),
+                "{engine}: acknowledged value lost"
+            );
+        }
+        t.db.put(b"later", &big_value(1, 1024)).unwrap();
+        assert_eq!(t.db.get(b"later").unwrap(), Some(big_value(1, 1024)));
     }
 }
 
