@@ -116,7 +116,9 @@ pub fn open_engine(
 }
 
 /// Opens the engine `kind` with explicit (already scaled) options — used by
-/// drivers that override individual knobs such as `compaction_threads`.
+/// drivers that override individual knobs such as `compaction_threads`. The
+/// LSM-family engines are their [`Db`] seen as a plain store; the B+Tree is
+/// opened bare, without [`open_db_with_options`]'s key-prefix layer.
 pub fn open_engine_with_options(
     kind: EngineKind,
     env: Arc<dyn Env>,
@@ -124,28 +126,8 @@ pub fn open_engine_with_options(
     options: StoreOptions,
 ) -> Result<Arc<dyn KvStore>> {
     Ok(match kind {
-        EngineKind::PebblesDb | EngineKind::PebblesDb1 => {
-            Arc::new(PebblesDb::open_with_options(env, dir, options)?)
-        }
-        EngineKind::HyperLevelDb => Arc::new(LsmDb::open_with_options(
-            env,
-            dir,
-            options,
-            StorePreset::HyperLevelDb,
-        )?),
-        EngineKind::LevelDb => Arc::new(LsmDb::open_with_options(
-            env,
-            dir,
-            options,
-            StorePreset::LevelDb,
-        )?),
-        EngineKind::RocksDb => Arc::new(LsmDb::open_with_options(
-            env,
-            dir,
-            options,
-            StorePreset::RocksDb,
-        )?),
         EngineKind::BTree => Arc::new(BTreeStore::open(env, dir, options)?),
+        _ => open_db_with_options(kind, env, dir, options)?,
     })
 }
 

@@ -135,10 +135,12 @@ impl WriteBatch {
     /// applies a plain batch to its own namespace: code written against the
     /// single-namespace `KvStore` API keeps building batches with
     /// [`WriteBatch::put`]/[`WriteBatch::delete`] and the handle retargets
-    /// them on write.
-    pub fn retarget_default_cf(&self, cf: CfId) -> Result<WriteBatch> {
+    /// them on write. Takes the batch by value so that retargeting at the
+    /// default family — every write through a `default_cf()` handle — is the
+    /// identity move, not a copy of the payload.
+    pub fn retarget_default_cf(self, cf: CfId) -> Result<WriteBatch> {
         if cf == 0 {
-            return Ok(self.clone());
+            return Ok(self);
         }
         let mut out = WriteBatch::new();
         out.set_sequence(self.sequence());
@@ -450,16 +452,27 @@ mod tests {
         batch.put_cf(5, b"b", b"2");
         batch.delete(b"c");
         batch.set_sequence(99);
-        let retargeted = batch.retarget_default_cf(2).unwrap();
+        let retargeted = batch.clone().retarget_default_cf(2).unwrap();
         assert_eq!(retargeted.count(), 3);
         assert_eq!(retargeted.sequence(), 99);
         let cfs: Vec<u32> = retargeted.iter().map(|r| r.unwrap().cf).collect();
         assert_eq!(cfs, vec![2, 5, 2]);
         // Retargeting at the default family is the identity.
         assert_eq!(
-            batch.retarget_default_cf(0).unwrap().contents(),
+            batch.clone().retarget_default_cf(0).unwrap().contents(),
             batch.contents()
         );
+    }
+
+    /// Every write through a default-family handle retargets at id 0; that
+    /// must hand the same buffer back, not a copy of the payload.
+    #[test]
+    fn retarget_at_the_default_family_moves_the_batch() {
+        let mut batch = WriteBatch::new();
+        batch.put(b"key", &[b'v'; 4096]);
+        let buffer = batch.contents().as_ptr();
+        let retargeted = batch.retarget_default_cf(0).unwrap();
+        assert_eq!(retargeted.contents().as_ptr(), buffer);
     }
 
     #[test]
@@ -487,7 +500,7 @@ mod tests {
         assert_eq!(records[2].value_type, ValueType::Value);
 
         // Retargeting preserves pointer records.
-        let retargeted = batch.retarget_default_cf(5).unwrap();
+        let retargeted = batch.clone().retarget_default_cf(5).unwrap();
         let recs: Vec<_> = retargeted.iter().map(|r| r.unwrap()).collect();
         assert_eq!(recs[0].cf, 5);
         assert_eq!(recs[0].value_type, ValueType::ValuePointer);

@@ -1,22 +1,27 @@
-//! Column families: multiple logical namespaces over one store.
+//! Column families and the one store-operation surface.
 //!
 //! Production LSM descendants (RocksDB foremost) multiplex many keyspaces
-//! over a single WAL, sequence space and compaction scheduler; the
-//! application layers in this workspace used to fake the same thing with
-//! key-prefix munging. This module is the public face of the real feature:
+//! over a single WAL, sequence space and compaction scheduler. This module
+//! is where such a store meets its callers:
 //!
-//! * [`Db`] extends [`KvStore`] with namespace management
-//!   (`create_cf`/`drop_cf`/`list_cfs`) and `*_cf` conveniences,
-//! * [`ColumnFamilyHandle`] names one family and itself implements
-//!   [`KvStore`], so every harness (bench, YCSB, the app layers) runs
-//!   unchanged against either a whole database (the default family) or a
-//!   single namespace,
+//! * [`CfOps`] is the **one primitive** a family-capable store implements:
+//!   batch write, family-scoped get and cursor, snapshot, flush, scoped
+//!   statistics and the family catalog. Four types implement it — the engine
+//!   chassis, the sharded coordinator, the read-only follower core and
+//!   [`PrefixDb`]'s emulation — and a new operation is one method here.
+//! * Everything a caller sees is a **view derived once** from such a core.
+//!   [`ColumnFamilyHandle`] is the [`KvStore`] of one family;
+//!   [`store_views!`](crate::store_views) gives a store facade its
+//!   whole-store [`KvStore`] (the default family, unscoped statistics) and
+//!   its [`Db`] (the catalog, with ids turned into handles). `put` and
+//!   `delete` are a one-record batch on every store, so the views derive
+//!   them from [`CfOps::write`]. A facade names its core and writes no
+//!   operation body.
 //! * [`CfStats`] surfaces per-family counters so one family's compaction
 //!   debt cannot hide behind another's, and
-//! * [`PrefixDb`] emulates the API over any plain [`KvStore`] by key
-//!   prefixing — the exact trick the app layers used to hand-roll, now
-//!   written once — so engines without native families (the B+Tree) still
-//!   serve multi-namespace workloads.
+//! * [`PrefixDb`] emulates families over any plain [`KvStore`] by key
+//!   prefixing, so engines without native families (the B+Tree) still serve
+//!   multi-namespace workloads.
 //!
 //! Batches address families per record ([`WriteBatch::put_cf`]); a mixed
 //! batch commits atomically across families because every family shares the
@@ -62,42 +67,69 @@ crate::stat_table! {
     }
 }
 
-/// The raw namespace-scoped operations an engine core exposes.
+/// The primitive operations of a store with column families: exactly what
+/// cannot be derived from something else.
 ///
-/// Object-safe so a [`ColumnFamilyHandle`] can hold its store behind
-/// `Arc<dyn CfOps>` and be a full [`KvStore`] itself. User code should not
-/// call this directly — use [`Db`] and handles.
+/// Object-safe, so a [`ColumnFamilyHandle`] holds its store behind
+/// `Arc<dyn CfOps>`. User code does not call this directly — it uses the
+/// derived views: [`KvStore`] and [`Db`] on the store, [`KvStore`] on a
+/// handle.
 pub trait CfOps: Send + Sync {
-    /// Stores `key -> value` in family `cf`.
-    fn cf_put_opts(&self, cf: CfId, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()>;
-    /// Reads `key` from family `cf`.
-    fn cf_get_opts(&self, cf: CfId, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>>;
-    /// Deletes `key` from family `cf`.
-    fn cf_delete_opts(&self, cf: CfId, opts: &WriteOptions, key: &[u8]) -> Result<()>;
     /// Applies a batch whose records carry per-record family ids, atomically
-    /// across families.
-    fn cf_write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()>;
+    /// across families. Every mutation enters here: `put` and `delete` are a
+    /// one-record batch.
+    fn write(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()>;
+    /// Reads `key` from family `cf`.
+    fn get(&self, cf: CfId, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>>;
     /// A streaming user-key cursor over family `cf`.
-    fn cf_iter(&self, cf: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>>;
+    fn iter(&self, cf: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>>;
     /// Pins the store-wide sequence (consistent across families).
-    fn cf_snapshot(&self) -> Snapshot;
+    fn snapshot(&self) -> Snapshot;
     /// Flushes the whole store and waits for urgent compactions.
-    fn cf_flush(&self) -> Result<()>;
-    /// Store statistics with file/memory figures scoped to family `cf`.
-    fn cf_kv_stats(&self, cf: CfId) -> StoreStats;
-    /// Live file sizes of family `cf`.
-    fn cf_live_file_sizes(&self, cf: CfId) -> Vec<u64>;
+    fn flush(&self) -> Result<()>;
+    /// Store statistics; `scope` restricts the file and memory figures to
+    /// one family, `None` covers the whole store.
+    fn stats(&self, scope: Option<CfId>) -> StoreStats;
+    /// Live file sizes of the family in `scope`, or of every family.
+    fn live_file_sizes(&self, scope: Option<CfId>) -> Vec<u64>;
     /// The engine name (for benchmark labels).
-    fn cf_engine_name(&self) -> String;
+    fn engine_name(&self) -> String;
+
+    /// Creates a new, empty family and returns its id. Fails if a family
+    /// named `name` already exists.
+    fn create_cf(&self, name: &str) -> Result<CfId>;
+    /// Drops a family, deleting its data; operations addressed at its id
+    /// fail from then on. The default family cannot be dropped.
+    fn drop_cf(&self, name: &str) -> Result<()>;
+    /// The live families in id order (the default family first).
+    fn list_cfs(&self) -> Vec<(CfId, String)>;
+    /// Per-family statistics, in id order.
+    fn cf_stats(&self) -> Vec<CfStats>;
+    /// See [`Db::stream`]. A stream keeps its store alive, hence the owning
+    /// receiver.
+    fn stream(self: Arc<Self>, from_seq: SequenceNumber) -> Result<Box<dyn ChangeStream>> {
+        let _ = from_seq;
+        Err(Error::invalid_argument(
+            "this store does not support change streams",
+        ))
+    }
+    /// See [`Db::committed_sequence`].
+    fn committed_sequence(&self) -> SequenceNumber {
+        0
+    }
+    /// See [`Db::shard_stats`].
+    fn shard_stats(&self) -> Vec<StoreStats> {
+        Vec::new()
+    }
 }
 
 /// A named column family of an open store.
 ///
 /// Cheap to clone; holds the store alive (background threads included), so a
-/// handle outliving its [`Db`] keeps working. The handle implements
-/// [`KvStore`] scoped to its namespace: plain batches written through it are
-/// retargeted at the family, cursors stay inside it, and `scan`'s
-/// "empty end = unbounded" means "to the end of this family".
+/// handle outliving its [`Db`] keeps working. The handle is the [`KvStore`]
+/// view of one family: plain batches written through it are retargeted at
+/// the family, cursors stay inside it, statistics are scoped to it, and
+/// `scan`'s "empty end = unbounded" means "to the end of this family".
 #[derive(Clone)]
 pub struct ColumnFamilyHandle {
     ops: Arc<dyn CfOps>,
@@ -108,8 +140,8 @@ pub struct ColumnFamilyHandle {
 impl ColumnFamilyHandle {
     /// Creates a handle for family `id` of the store behind `ops`.
     ///
-    /// Engines call this from `create_cf`/`cf`; user code receives handles
-    /// rather than building them.
+    /// The [`Db`] view mints these from `create_cf`/`cf`; user code receives
+    /// handles rather than building them.
     pub fn new(ops: Arc<dyn CfOps>, id: CfId, name: &str) -> ColumnFamilyHandle {
         ColumnFamilyHandle {
             ops,
@@ -140,49 +172,146 @@ impl std::fmt::Debug for ColumnFamilyHandle {
 
 impl KvStore for ColumnFamilyHandle {
     fn put_opts(&self, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
-        self.ops.cf_put_opts(self.id, opts, key, value)
+        let mut batch = WriteBatch::new();
+        batch.put_cf(self.id, key, value);
+        self.ops.write(opts, batch)
     }
 
     fn get_opts(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.ops.cf_get_opts(self.id, opts, key)
+        self.ops.get(self.id, opts, key)
     }
 
     fn delete_opts(&self, opts: &WriteOptions, key: &[u8]) -> Result<()> {
-        self.ops.cf_delete_opts(self.id, opts, key)
+        let mut batch = WriteBatch::new();
+        batch.delete_cf(self.id, key);
+        self.ops.write(opts, batch)
     }
 
     fn write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        self.ops
-            .cf_write_opts(opts, batch.retarget_default_cf(self.id)?)
+        self.ops.write(opts, batch.retarget_default_cf(self.id)?)
     }
 
     fn iter(&self, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.ops.cf_iter(self.id, opts)
+        self.ops.iter(self.id, opts)
     }
 
     fn snapshot(&self) -> Snapshot {
-        self.ops.cf_snapshot()
+        self.ops.snapshot()
     }
 
     fn flush(&self) -> Result<()> {
-        self.ops.cf_flush()
+        self.ops.flush()
     }
 
     fn stats(&self) -> StoreStats {
-        self.ops.cf_kv_stats(self.id)
+        self.ops.stats(Some(self.id))
     }
 
     fn engine_name(&self) -> String {
         if self.id == 0 {
-            self.ops.cf_engine_name()
+            self.ops.engine_name()
         } else {
-            format!("{}#{}", self.ops.cf_engine_name(), self.name)
+            format!("{}#{}", self.ops.engine_name(), self.name)
         }
     }
 
     fn live_file_sizes(&self) -> Vec<u64> {
-        self.ops.cf_live_file_sizes(self.id)
+        self.ops.live_file_sizes(Some(self.id))
     }
+}
+
+/// Derives a store facade's whole-store [`KvStore`] and its [`Db`] from the
+/// [`CfOps`] core it holds. `store_views!(Store<P> where P: Bound => |store|
+/// &store.core)` names the facade and how to reach its `Arc<Core>`.
+///
+/// This is the only place either view is written. The [`KvStore`] is the
+/// default family (id 0) with store-wide statistics; the [`Db`] is the
+/// core's catalog with ids turned into [`ColumnFamilyHandle`]s over the same
+/// core. Only minting a handle or opening a stream clones the `Arc`.
+#[macro_export]
+macro_rules! store_views {
+    ($store:ty $(where $($p:ident: $bound:path),+)? => |$this:ident| $core:expr) => {
+        const _: () = {
+            use std::sync::Arc;
+            use $crate::{
+                CfOps, CfStats, ChangeStream, ColumnFamilyHandle, Db, DbIterator, KvStore,
+                ReadOptions, Result, SequenceNumber, Snapshot, StoreStats, WriteBatch,
+                WriteOptions,
+            };
+
+            fn core$(<$($p: $bound),+>)?($this: &$store) -> &Arc<impl CfOps + 'static> {
+                $core
+            }
+
+            impl$(<$($p: $bound),+>)? KvStore for $store {
+                fn put_opts(&self, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
+                    let mut batch = WriteBatch::new();
+                    batch.put(key, value);
+                    core(self).write(opts, batch)
+                }
+                fn get_opts(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
+                    core(self).get(0, opts, key)
+                }
+                fn delete_opts(&self, opts: &WriteOptions, key: &[u8]) -> Result<()> {
+                    let mut batch = WriteBatch::new();
+                    batch.delete(key);
+                    core(self).write(opts, batch)
+                }
+                fn write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
+                    core(self).write(opts, batch)
+                }
+                fn iter(&self, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
+                    core(self).iter(0, opts)
+                }
+                fn snapshot(&self) -> Snapshot {
+                    core(self).snapshot()
+                }
+                fn flush(&self) -> Result<()> {
+                    core(self).flush()
+                }
+                fn stats(&self) -> StoreStats {
+                    core(self).stats(None)
+                }
+                fn engine_name(&self) -> String {
+                    core(self).engine_name()
+                }
+                fn live_file_sizes(&self) -> Vec<u64> {
+                    core(self).live_file_sizes(None)
+                }
+            }
+
+            impl$(<$($p: $bound),+>)? Db for $store {
+                fn create_cf(&self, name: &str) -> Result<ColumnFamilyHandle> {
+                    let id = core(self).create_cf(name)?;
+                    Ok(ColumnFamilyHandle::new(core(self).clone(), id, name))
+                }
+                fn drop_cf(&self, name: &str) -> Result<()> {
+                    core(self).drop_cf(name)
+                }
+                fn list_cfs(&self) -> Vec<String> {
+                    let cfs = core(self).list_cfs();
+                    cfs.into_iter().map(|(_, name)| name).collect()
+                }
+                fn cf(&self, name: &str) -> Option<ColumnFamilyHandle> {
+                    let cfs = core(self).list_cfs();
+                    let (id, _) = cfs.into_iter().find(|(_, existing)| existing == name)?;
+                    Some(ColumnFamilyHandle::new(core(self).clone(), id, name))
+                }
+                fn cf_stats(&self) -> Vec<CfStats> {
+                    core(self).cf_stats()
+                }
+                fn stream(&self, from_seq: SequenceNumber) -> Result<Box<dyn ChangeStream>> {
+                    core(self).clone().stream(from_seq)
+                }
+                fn committed_sequence(&self) -> SequenceNumber {
+                    core(self).committed_sequence()
+                }
+                fn shard_stats(&self) -> Vec<StoreStats> {
+                    core(self).shard_stats()
+                }
+            }
+        };
+    };
 }
 
 /// A store with column families.
@@ -193,6 +322,9 @@ impl KvStore for ColumnFamilyHandle {
 /// the sequence space; a [`WriteBatch`] mixing families via
 /// [`WriteBatch::put_cf`] commits atomically, and a [`Snapshot`] pins a
 /// sequence that is consistent across every family.
+///
+/// Stores do not implement this by hand: [`store_views!`](crate::store_views)
+/// derives it, with the store's [`KvStore`], from the store's [`CfOps`] core.
 pub trait Db: KvStore {
     /// Creates a new, empty column family.
     ///
@@ -376,7 +508,7 @@ struct PrefixRegistry {
     next_id: CfId,
 }
 
-/// The shared core of a [`PrefixDb`]; handles hold it as their `CfOps`.
+/// The core of a [`PrefixDb`]: the inner store plus the family registry.
 struct PrefixCore {
     inner: Arc<dyn KvStore>,
     registry: Mutex<PrefixRegistry>,
@@ -388,9 +520,7 @@ impl PrefixCore {
         out.extend_from_slice(key);
         out
     }
-}
 
-impl PrefixCore {
     /// Rejects operations addressed at a family the registry no longer
     /// lists, matching the native engines' dropped-handle semantics.
     fn check_live(&self, cf: CfId) -> Result<()> {
@@ -405,22 +535,7 @@ impl PrefixCore {
 }
 
 impl CfOps for PrefixCore {
-    fn cf_put_opts(&self, cf: CfId, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
-        self.check_live(cf)?;
-        self.inner.put_opts(opts, &self.prefixed(cf, key), value)
-    }
-
-    fn cf_get_opts(&self, cf: CfId, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.check_live(cf)?;
-        self.inner.get_opts(opts, &self.prefixed(cf, key))
-    }
-
-    fn cf_delete_opts(&self, cf: CfId, opts: &WriteOptions, key: &[u8]) -> Result<()> {
-        self.check_live(cf)?;
-        self.inner.delete_opts(opts, &self.prefixed(cf, key))
-    }
-
-    fn cf_write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
+    fn write(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
         // Lower the per-record family ids into key prefixes; atomicity
         // across families is inherited from the inner store's plain batch.
         let mut lowered = WriteBatch::new();
@@ -441,7 +556,12 @@ impl CfOps for PrefixCore {
         self.inner.write_opts(opts, lowered)
     }
 
-    fn cf_iter(&self, cf: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
+    fn get(&self, cf: CfId, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.check_live(cf)?;
+        self.inner.get_opts(opts, &self.prefixed(cf, key))
+    }
+
+    fn iter(&self, cf: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
         self.check_live(cf)?;
         Ok(Box::new(PrefixIterator::new(
             self.inner.iter(opts)?,
@@ -449,28 +569,93 @@ impl CfOps for PrefixCore {
         )))
     }
 
-    fn cf_snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> Snapshot {
         self.inner.snapshot()
     }
 
-    fn cf_flush(&self) -> Result<()> {
+    fn flush(&self) -> Result<()> {
         self.inner.flush()
     }
 
-    fn cf_kv_stats(&self, _cf: CfId) -> StoreStats {
-        // The emulation cannot attribute files to one namespace; report the
-        // store-wide figures.
+    fn stats(&self, _scope: Option<CfId>) -> StoreStats {
+        // The emulation cannot attribute files to one namespace; every
+        // scope reports the store-wide figures.
         let mut stats = self.inner.stats();
         stats.num_column_families = self.registry.lock().by_id.len() as u64;
         stats
     }
 
-    fn cf_live_file_sizes(&self, _cf: CfId) -> Vec<u64> {
+    fn live_file_sizes(&self, _scope: Option<CfId>) -> Vec<u64> {
         self.inner.live_file_sizes()
     }
 
-    fn cf_engine_name(&self) -> String {
+    fn engine_name(&self) -> String {
         self.inner.engine_name()
+    }
+
+    fn create_cf(&self, name: &str) -> Result<CfId> {
+        if name.is_empty() || name.contains('/') {
+            return Err(Error::invalid_argument(format!(
+                "invalid column family name {name:?}"
+            )));
+        }
+        let mut registry = self.registry.lock();
+        if registry.by_name.contains_key(name) {
+            return Err(Error::invalid_argument(format!(
+                "column family {name:?} already exists"
+            )));
+        }
+        let id = registry.next_id;
+        registry.next_id += 1;
+        registry.by_name.insert(name.to_string(), id);
+        registry.by_id.insert(id, name.to_string());
+        Ok(id)
+    }
+
+    fn drop_cf(&self, name: &str) -> Result<()> {
+        let id = {
+            let mut registry = self.registry.lock();
+            if name == DEFAULT_CF_NAME {
+                return Err(Error::invalid_argument(
+                    "the default column family cannot be dropped",
+                ));
+            }
+            let id = registry
+                .by_name
+                .remove(name)
+                .ok_or_else(|| Error::invalid_argument(format!("no column family {name:?}")))?;
+            registry.by_id.remove(&id);
+            id
+        };
+        // Delete the family's key range in bounded chunks.
+        let prefix = cf_prefix(id);
+        let end = prefix_successor(&prefix);
+        loop {
+            let chunk = self.inner.scan(&prefix, &end, 1024)?;
+            if chunk.is_empty() {
+                return Ok(());
+            }
+            let mut batch = WriteBatch::new();
+            for (key, _) in &chunk {
+                batch.delete(key);
+            }
+            self.inner.write(batch)?;
+        }
+    }
+
+    fn list_cfs(&self) -> Vec<(CfId, String)> {
+        let registry = self.registry.lock();
+        let cfs = registry.by_id.iter();
+        cfs.map(|(id, name)| (*id, name.clone())).collect()
+    }
+
+    fn cf_stats(&self) -> Vec<CfStats> {
+        let stats = |(id, name)| CfStats {
+            id,
+            name,
+            ..CfStats::default()
+        };
+        self.list_cfs().into_iter().map(stats).collect()
     }
 }
 
@@ -484,9 +669,9 @@ impl CfOps for PrefixCore {
 /// must re-create its families (their data is still there, because ids are
 /// allocated deterministically in creation order).
 ///
-/// Engines with native families ([`Db`] implemented on the store itself)
-/// should be preferred; this adapter exists so the B+Tree engine and test
-/// doubles can serve the same multi-namespace workloads.
+/// Engines with native families should be preferred; this adapter exists so
+/// the B+Tree engine and test doubles can serve the same multi-namespace
+/// workloads.
 pub struct PrefixDb {
     core: Arc<PrefixCore>,
 }
@@ -509,130 +694,9 @@ impl PrefixDb {
             }),
         }
     }
-
-    fn handle(&self, id: CfId, name: &str) -> ColumnFamilyHandle {
-        ColumnFamilyHandle::new(Arc::clone(&self.core) as Arc<dyn CfOps>, id, name)
-    }
 }
 
-impl KvStore for PrefixDb {
-    fn put_opts(&self, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
-        self.core.cf_put_opts(0, opts, key, value)
-    }
-
-    fn get_opts(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.core.cf_get_opts(0, opts, key)
-    }
-
-    fn delete_opts(&self, opts: &WriteOptions, key: &[u8]) -> Result<()> {
-        self.core.cf_delete_opts(0, opts, key)
-    }
-
-    fn write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        self.core.cf_write_opts(opts, batch)
-    }
-
-    fn iter(&self, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.core.cf_iter(0, opts)
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        self.core.cf_snapshot()
-    }
-
-    fn flush(&self) -> Result<()> {
-        self.core.cf_flush()
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.core.cf_kv_stats(0)
-    }
-
-    fn engine_name(&self) -> String {
-        self.core.cf_engine_name()
-    }
-
-    fn live_file_sizes(&self) -> Vec<u64> {
-        self.core.cf_live_file_sizes(0)
-    }
-}
-
-impl Db for PrefixDb {
-    fn create_cf(&self, name: &str) -> Result<ColumnFamilyHandle> {
-        if name.is_empty() || name.contains('/') {
-            return Err(Error::invalid_argument(format!(
-                "invalid column family name {name:?}"
-            )));
-        }
-        let id = {
-            let mut registry = self.core.registry.lock();
-            if registry.by_name.contains_key(name) {
-                return Err(Error::invalid_argument(format!(
-                    "column family {name:?} already exists"
-                )));
-            }
-            let id = registry.next_id;
-            registry.next_id += 1;
-            registry.by_name.insert(name.to_string(), id);
-            registry.by_id.insert(id, name.to_string());
-            id
-        };
-        Ok(self.handle(id, name))
-    }
-
-    fn drop_cf(&self, name: &str) -> Result<()> {
-        let id = {
-            let mut registry = self.core.registry.lock();
-            if name == DEFAULT_CF_NAME {
-                return Err(Error::invalid_argument(
-                    "the default column family cannot be dropped",
-                ));
-            }
-            let id = registry
-                .by_name
-                .remove(name)
-                .ok_or_else(|| Error::invalid_argument(format!("no column family {name:?}")))?;
-            registry.by_id.remove(&id);
-            id
-        };
-        // Delete the family's key range in bounded chunks.
-        let prefix = cf_prefix(id);
-        let end = prefix_successor(&prefix);
-        loop {
-            let chunk = self.core.inner.scan(&prefix, &end, 1024)?;
-            if chunk.is_empty() {
-                return Ok(());
-            }
-            let mut batch = WriteBatch::new();
-            for (key, _) in &chunk {
-                batch.delete(key);
-            }
-            self.core.inner.write(batch)?;
-        }
-    }
-
-    fn list_cfs(&self) -> Vec<String> {
-        self.core.registry.lock().by_id.values().cloned().collect()
-    }
-
-    fn cf(&self, name: &str) -> Option<ColumnFamilyHandle> {
-        let id = *self.core.registry.lock().by_name.get(name)?;
-        Some(self.handle(id, name))
-    }
-
-    fn cf_stats(&self) -> Vec<CfStats> {
-        let registry = self.core.registry.lock();
-        registry
-            .by_id
-            .iter()
-            .map(|(id, name)| CfStats {
-                id: *id,
-                name: name.clone(),
-                ..CfStats::default()
-            })
-            .collect()
-    }
-}
+crate::store_views!(PrefixDb => |db| &db.core);
 
 #[cfg(test)]
 mod tests {

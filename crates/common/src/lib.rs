@@ -12,6 +12,8 @@
 //! * the iterator abstraction ([`iterator`]),
 //! * the [`store::KvStore`] trait that the benchmark harness and the
 //!   application layers drive generically,
+//! * the one primitive a family-capable store implements ([`cf::CfOps`]) and
+//!   the `KvStore`/[`cf::Db`]/handle views derived from it once ([`cf`]),
 //! * the group-commit writer queue both LSM engines share ([`commit`]),
 //! * database file naming conventions ([`filename`]),
 //! * RESP2 wire framing for the network server and its clients ([`resp`]),

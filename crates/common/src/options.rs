@@ -83,6 +83,10 @@ impl StorePreset {
     }
 }
 
+/// Growth factor between the byte budgets of consecutive levels (the LevelDB
+/// family's 10x).
+const LEVEL_SIZE_MULTIPLIER: u64 = 10;
+
 /// Configuration shared by every engine in the workspace.
 ///
 /// The FLSM-specific knobs (`max_sstables_per_guard`, guard-selection bits,
@@ -100,8 +104,6 @@ pub struct StoreOptions {
     pub write_buffer_size: usize,
     /// Target size (bytes) of an sstable data block.
     pub block_size: usize,
-    /// Number of entries between restart points in a data block.
-    pub block_restart_interval: usize,
     /// Capacity (bytes) of the block cache shared by all sstables.
     pub block_cache_capacity: usize,
     /// Number of open sstable readers kept in the table cache.
@@ -120,11 +122,9 @@ pub struct StoreOptions {
     pub level0_stop_writes_trigger: usize,
     /// Target size (bytes) of an individual sstable produced by compaction.
     pub max_file_size: usize,
-    /// Maximum total bytes for level 1; deeper levels multiply by
-    /// [`StoreOptions::level_size_multiplier`].
+    /// Maximum total bytes for level 1; each deeper level's budget is ten
+    /// times the one above it.
     pub base_level_bytes: u64,
-    /// Growth factor between consecutive level size budgets.
-    pub level_size_multiplier: u64,
     /// Size of the background compaction worker pool.
     ///
     /// The FLSM engine runs this many workers, each claiming a *disjoint
@@ -206,15 +206,9 @@ pub struct StoreOptions {
     /// FLSM: consecutive seeks that trigger seek-based compaction; `0`
     /// turns the trigger off.
     pub seek_compaction_threshold: usize,
-    /// FLSM: compact level `i` into `i+1` when `size(i) >= ratio *
-    /// size(i+1)`.
-    pub aggressive_compaction_ratio: f64,
     /// FLSM: threads that position the sstables of a last-level guard on a
     /// seek (PebblesDB optimization); `1` or less seeks them serially.
     pub parallel_seek_threads: usize,
-    /// FLSM: rewrite into the second-highest level instead of merging when a
-    /// last-level merge would cost this many times more IO.
-    pub last_level_merge_io_factor: f64,
     /// FLSM: enable aggressive whole-level compaction when levels are close
     /// in size.
     pub enable_aggressive_compaction: bool,
@@ -229,7 +223,6 @@ impl Default for StoreOptions {
 
             write_buffer_size: 4 << 20,
             block_size: 4096,
-            block_restart_interval: 16,
             block_cache_capacity: 8 << 20,
             max_open_files: 1000,
             bloom_bits_per_key: 10,
@@ -240,7 +233,6 @@ impl Default for StoreOptions {
             level0_stop_writes_trigger: 12,
             max_file_size: 2 << 20,
             base_level_bytes: 10 << 20,
-            level_size_multiplier: 10,
             compaction_threads: 1,
 
             value_separation_threshold: 0,
@@ -257,9 +249,7 @@ impl Default for StoreOptions {
             top_level_bits: 14,
             bit_decrement: 2,
             seek_compaction_threshold: 10,
-            aggressive_compaction_ratio: 0.25,
             parallel_seek_threads: 4,
-            last_level_merge_io_factor: 25.0,
             enable_aggressive_compaction: true,
         }
     }
@@ -328,7 +318,7 @@ impl StoreOptions {
         }
         let mut size = self.base_level_bytes;
         for _ in 1..level {
-            size = size.saturating_mul(self.level_size_multiplier);
+            size = size.saturating_mul(LEVEL_SIZE_MULTIPLIER);
         }
         size
     }
@@ -423,7 +413,7 @@ mod tests {
         assert_eq!(opts.max_bytes_for_level(1), opts.base_level_bytes);
         assert_eq!(
             opts.max_bytes_for_level(2),
-            opts.base_level_bytes * opts.level_size_multiplier
+            opts.base_level_bytes * LEVEL_SIZE_MULTIPLIER
         );
         assert!(opts.max_bytes_for_level(4) > opts.max_bytes_for_level(3));
     }

@@ -22,6 +22,10 @@ use pebblesdb_engine::{EngineIo, FileMetaData, MergeSpec};
 use crate::guards::{guard_index_for_key, GuardMeta};
 use crate::version::{CompactionReason, FlsmVersion};
 
+/// A last-level merge that would cost this many times more IO than its
+/// input rewrites into the second-highest level instead.
+const LAST_LEVEL_MERGE_IO_FACTOR: f64 = 25.0;
+
 /// A fully described unit of compaction work.
 #[derive(Debug)]
 pub struct FlsmCompactionJob {
@@ -305,9 +309,7 @@ pub fn build_compaction_job(
                 }
             }
         }
-        if dest_full
-            && dest_bytes > (options.last_level_merge_io_factor * input_bytes as f64) as u64
-        {
+        if dest_full && dest_bytes > (LAST_LEVEL_MERGE_IO_FACTOR * input_bytes as f64) as u64 {
             output_level = level;
         }
     }

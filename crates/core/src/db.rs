@@ -15,11 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pebblesdb_common::iterator::DbIterator;
-use pebblesdb_common::snapshot::Snapshot;
-use pebblesdb_common::{
-    CfStats, ColumnFamilyHandle, Db, KvStore, ReadOptions, Result, StoreOptions, StorePreset,
-    StoreStats, WriteBatch, WriteOptions,
-};
+use pebblesdb_common::{KvStore, ReadOptions, Result, StoreOptions, StorePreset};
 use pebblesdb_engine::runs::push_table_iterators;
 use pebblesdb_engine::{
     EngineDb, EngineIo, FileMetaData, JobClaim, LevelCursor, PolicyCtx, ShapePolicy, VersionEdit,
@@ -321,8 +317,8 @@ impl PebblesDb {
 
     /// Opens (creating if necessary) a sharded store of FLSM engines at
     /// `path`: `config.shards` independent [`PebblesDb`]-shaped instances in
-    /// `shard-<i>/` subdirectories behind one [`Db`] facade. See
-    /// [`pebblesdb_shard`] for the routing and commit protocol.
+    /// `shard-<i>/` subdirectories behind one [`Db`](pebblesdb_common::Db)
+    /// facade. See [`pebblesdb_shard`] for the routing and commit protocol.
     pub fn open_sharded(
         env: Arc<dyn Env>,
         path: &Path,
@@ -378,67 +374,9 @@ impl PebblesDb {
     }
 }
 
-/// Column families on PebblesDB: implemented once in the chassis; the FLSM
-/// policy provides each family its own guard tree.
-impl Db for PebblesDb {
-    fn create_cf(&self, name: &str) -> Result<ColumnFamilyHandle> {
-        self.db.create_cf(name)
-    }
-    fn drop_cf(&self, name: &str) -> Result<()> {
-        self.db.drop_cf(name)
-    }
-    fn list_cfs(&self) -> Vec<String> {
-        self.db.list_cfs()
-    }
-    fn cf(&self, name: &str) -> Option<ColumnFamilyHandle> {
-        self.db.cf(name)
-    }
-    fn cf_stats(&self) -> Vec<CfStats> {
-        self.db.cf_stats()
-    }
-    fn stream(
-        &self,
-        from_seq: pebblesdb_common::SequenceNumber,
-    ) -> Result<Box<dyn pebblesdb_common::ChangeStream>> {
-        Db::stream(&self.db, from_seq)
-    }
-    fn committed_sequence(&self) -> pebblesdb_common::SequenceNumber {
-        Db::committed_sequence(&self.db)
-    }
-}
-
-impl KvStore for PebblesDb {
-    fn put_opts(&self, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
-        self.db.put_opts(opts, key, value)
-    }
-    fn get_opts(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.db.get_opts(opts, key)
-    }
-    fn delete_opts(&self, opts: &WriteOptions, key: &[u8]) -> Result<()> {
-        self.db.delete_opts(opts, key)
-    }
-    fn write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        self.db.write_opts(opts, batch)
-    }
-    fn iter(&self, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.db.iter(opts)
-    }
-    fn snapshot(&self) -> Snapshot {
-        self.db.snapshot()
-    }
-    fn flush(&self) -> Result<()> {
-        self.db.flush()
-    }
-    fn stats(&self) -> StoreStats {
-        self.db.stats()
-    }
-    fn engine_name(&self) -> String {
-        self.db.engine_name()
-    }
-    fn live_file_sizes(&self) -> Vec<u64> {
-        self.db.live_file_sizes()
-    }
-}
+// `KvStore` and `Db` are the chassis core's derived views; column families
+// are implemented once there, and the FLSM policy gives each its guard tree.
+pebblesdb_common::store_views!(PebblesDb => |db| db.db.shared());
 
 #[cfg(test)]
 mod tests {

@@ -21,6 +21,10 @@ use pebblesdb_sstable::TableCache;
 
 use crate::guards::{guard_index_for_key, GuardMeta};
 
+/// Aggressive compaction moves level `i` into `i + 1` once `size(i) >= ratio
+/// * size(i + 1)`.
+const AGGRESSIVE_COMPACTION_RATIO: f64 = 0.25;
+
 /// One guard-organised level of the FLSM.
 ///
 /// A level is immutable once built; the aggregate facts the read, stats and
@@ -222,7 +226,7 @@ impl FlsmVersion {
                 let next = self.level_bytes(level + 1);
                 if this > 0
                     && next > 0
-                    && (this as f64) >= options.aggressive_compaction_ratio * (next as f64)
+                    && (this as f64) >= AGGRESSIVE_COMPACTION_RATIO * (next as f64)
                     && this >= options.max_bytes_for_level(level) / 2
                 {
                     push(level, CompactionReason::Aggressive);

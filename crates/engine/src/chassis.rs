@@ -3,9 +3,13 @@
 //! This module holds the store's *types* — [`EngineDb`] (the handle),
 //! [`EngineCore`] (IO handles, policy, the mutexed [`EngineState`] and the
 //! background-thread rendezvous points) and [`CfState`] (one column family's
-//! share of the state) — plus the trait facade (`KvStore`, `Db`, `CfOps`)
-//! and stats assembly. What the store *does* lives in one module per seam;
-//! the crate docs map them.
+//! share of the state) — plus the one place the store meets its callers:
+//! [`CfOps`] implemented on [`EngineShared`], stats assembly included.
+//! [`EngineDb`]'s `KvStore` and `Db` and every column-family handle are views
+//! `pebblesdb_common::store_views!` derives from that impl; the policy
+//! crates' `PebblesDb`/`LsmDb` derive theirs from the same core, so nothing
+//! forwards by hand. What the store *does* lives in one module per seam; the
+//! crate docs map them.
 //!
 //! # Column families
 //!
@@ -37,14 +41,14 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
-use pebblesdb_common::cf::{CfOps, CfStats, ColumnFamilyHandle, Db};
+use pebblesdb_common::cf::{CfOps, CfStats, ColumnFamilyHandle};
 use pebblesdb_common::commit::{CommitQueue, Numbering};
 use pebblesdb_common::iterator::DbIterator;
 use pebblesdb_common::key::SequenceNumber;
 use pebblesdb_common::snapshot::{Snapshot, SnapshotList};
 use pebblesdb_common::{
-    CfId, ChangeStream, EngineCounters, Error, KvStore, ReadOptions, Result, StoreOptions,
-    StoreStats, WriteBatch, WriteOptions,
+    CfId, ChangeStream, EngineCounters, Error, ReadOptions, Result, StoreOptions, StoreStats,
+    WriteBatch, WriteOptions,
 };
 use pebblesdb_skiplist::MemTable;
 use pebblesdb_sstable::TableCache;
@@ -321,6 +325,12 @@ impl<P: ShapePolicy> EngineState<P> {
         self.cfs.get_mut(&0).expect("default family always exists")
     }
 
+    /// The families a statistics `scope` covers: one, or all of them.
+    fn cfs_in(&self, scope: Option<CfId>) -> impl Iterator<Item = &CfState<P>> {
+        let covered = move |cf: &&CfState<P>| scope.is_none_or(|id| id == cf.id);
+        self.cfs.values().filter(covered)
+    }
+
     /// The id of the live family called `name`.
     pub(crate) fn cf_named(&self, name: &str) -> Option<CfId> {
         self.cfs.values().find(|cf| cf.name == name).map(|cf| cf.id)
@@ -416,7 +426,7 @@ impl<P: ShapePolicy> EngineDb<P> {
 
     /// The sequence number of the most recent committed write.
     pub fn last_sequence(&self) -> SequenceNumber {
-        self.shared.core.state.lock().last_sequence
+        self.shared.committed_sequence()
     }
 
     /// Runs one value-log garbage-collection pass (see
@@ -425,14 +435,11 @@ impl<P: ShapePolicy> EngineDb<P> {
         self.shared.core.vlog_gc()
     }
 
-    /// The store's namespace-scoped operations as a shareable trait object,
-    /// for composite stores that route per-family operations here.
-    pub fn cf_ops(&self) -> Arc<dyn CfOps> {
-        Arc::clone(&self.shared) as Arc<dyn CfOps>
-    }
-
-    fn handle(&self, id: CfId, name: &str) -> ColumnFamilyHandle {
-        ColumnFamilyHandle::new(self.cf_ops(), id, name)
+    /// The store's [`CfOps`] core: what the `KvStore`/`Db` views and every
+    /// column-family handle run against, and what composite stores route
+    /// per-family operations to.
+    pub fn shared(&self) -> &Arc<EngineShared<P>> {
+        &self.shared
     }
 
     /// Creates (or idempotently confirms) a column family under an explicit
@@ -441,7 +448,7 @@ impl<P: ShapePolicy> EngineDb<P> {
     /// own allocation cannot guarantee that.
     pub fn create_cf_with_id(&self, id: CfId, name: &str) -> Result<ColumnFamilyHandle> {
         let id = self.shared.core.create_cf(name, Some(id))?;
-        Ok(self.handle(id, name))
+        Ok(ColumnFamilyHandle::new(self.shared.clone(), id, name))
     }
 
     /// Opens a cursor over the store's committed batches starting at
@@ -452,13 +459,35 @@ impl<P: ShapePolicy> EngineDb<P> {
     }
 }
 
-impl<P: ShapePolicy> EngineCore<P> {
-    /// Assembles statistics; `scope` restricts file/memory figures to one
-    /// family, `None` aggregates across all of them. Operation counters and
-    /// device IO are store-wide either way.
-    fn stats_scoped(&self, scope: Option<CfId>) -> StoreStats {
-        let io = self.io.env.io_stats().snapshot();
-        let state = self.state.lock();
+// The one primitive surface of a chassis store. `ColumnFamilyHandle`s hold
+// the `EngineShared` behind this trait, keeping the store (and its background
+// threads) alive for as long as any handle exists.
+impl<P: ShapePolicy> CfOps for EngineShared<P> {
+    fn write(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
+        self.core.write(batch, opts, Numbering::Engine)
+    }
+
+    fn get(&self, cf: CfId, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.core.get(cf, opts, key)
+    }
+
+    fn iter(&self, cf: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
+        self.core.iter(cf, opts)
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        self.core.snapshot()
+    }
+
+    fn flush(&self) -> Result<()> {
+        self.core.flush()
+    }
+
+    /// Operation counters and device IO are store-wide whatever the scope.
+    fn stats(&self, scope: Option<CfId>) -> StoreStats {
+        let core = &self.core;
+        let io = core.io.env.io_stats().snapshot();
+        let state = core.state.lock();
         // The counter rows come from the sink; what is filled in here is
         // what a snapshot computes. A primary has no replication lag: the
         // follower store sets the two replica rows itself.
@@ -467,15 +496,11 @@ impl<P: ShapePolicy> EngineCore<P> {
             bytes_read: io.bytes_read,
             num_column_families: state.cfs.len() as u64,
             num_shards: 1,
-            cdc_streams_active: self.change_log.streams_active(),
+            cdc_streams_active: core.change_log.streams_active(),
             ..Default::default()
         };
-        self.counters.snapshot_into(&mut stats);
-        for cf in state
-            .cfs
-            .values()
-            .filter(|cf| scope.is_none_or(|s| s == cf.id))
-        {
+        core.counters.snapshot_into(&mut stats);
+        for cf in state.cfs_in(scope) {
             let version = cf.versions.current();
             stats.disk_bytes_live += version.total_bytes();
             stats.num_files += version.num_files() as u64;
@@ -491,88 +516,33 @@ impl<P: ShapePolicy> EngineCore<P> {
         stats
     }
 
-    fn live_file_sizes_scoped(&self, scope: Option<CfId>) -> Vec<u64> {
-        let state = self.state.lock();
-        let cfs = state
-            .cfs
-            .values()
-            .filter(|cf| scope.is_none_or(|s| s == cf.id));
+    fn live_file_sizes(&self, scope: Option<CfId>) -> Vec<u64> {
+        let state = self.core.state.lock();
+        let cfs = state.cfs_in(scope);
         cfs.flat_map(|cf| cf.versions.current().file_sizes())
             .collect()
     }
-}
 
-// The object-safe per-family operations; `ColumnFamilyHandle`s hold the
-// `EngineShared` behind this trait, keeping the store (and its background
-// threads) alive for as long as any handle exists.
-impl<P: ShapePolicy> CfOps for EngineShared<P> {
-    fn cf_put_opts(&self, cf: CfId, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
-        let mut batch = WriteBatch::new();
-        batch.put_cf(cf, key, value);
-        self.core.write(batch, opts, Numbering::Engine)
-    }
-
-    fn cf_get_opts(&self, cf: CfId, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.core.get(cf, opts, key)
-    }
-
-    fn cf_delete_opts(&self, cf: CfId, opts: &WriteOptions, key: &[u8]) -> Result<()> {
-        let mut batch = WriteBatch::new();
-        batch.delete_cf(cf, key);
-        self.core.write(batch, opts, Numbering::Engine)
-    }
-
-    fn cf_write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        self.core.write(batch, opts, Numbering::Engine)
-    }
-
-    fn cf_iter(&self, cf: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.core.iter(cf, opts)
-    }
-
-    fn cf_snapshot(&self) -> Snapshot {
-        self.core.snapshot()
-    }
-
-    fn cf_flush(&self) -> Result<()> {
-        self.core.flush()
-    }
-
-    fn cf_kv_stats(&self, cf: CfId) -> StoreStats {
-        self.core.stats_scoped(Some(cf))
-    }
-
-    fn cf_live_file_sizes(&self, cf: CfId) -> Vec<u64> {
-        self.core.live_file_sizes_scoped(Some(cf))
-    }
-
-    fn cf_engine_name(&self) -> String {
+    fn engine_name(&self) -> String {
         self.core.policy.engine_name()
     }
-}
 
-impl<P: ShapePolicy> Db for EngineDb<P> {
-    fn create_cf(&self, name: &str) -> Result<ColumnFamilyHandle> {
-        let id = self.shared.core.create_cf(name, None)?;
-        Ok(self.handle(id, name))
+    fn create_cf(&self, name: &str) -> Result<CfId> {
+        self.core.create_cf(name, None)
     }
 
     fn drop_cf(&self, name: &str) -> Result<()> {
-        self.shared.core.drop_cf(name)
+        self.core.drop_cf(name)
     }
 
-    fn list_cfs(&self) -> Vec<String> {
-        let state = self.shared.core.state.lock();
-        state.cfs.values().map(|cf| cf.name.clone()).collect()
-    }
-
-    fn cf(&self, name: &str) -> Option<ColumnFamilyHandle> {
-        let id = self.shared.core.state.lock().cf_named(name)?;
-        Some(self.handle(id, name))
+    fn list_cfs(&self) -> Vec<(CfId, String)> {
+        let state = self.core.state.lock();
+        let cfs = state.cfs.values();
+        cfs.map(|cf| (cf.id, cf.name.clone())).collect()
     }
 
     fn cf_stats(&self) -> Vec<CfStats> {
-        let state = self.shared.core.state.lock();
+        let state = self.core.state.lock();
         let stats = |cf: &CfState<P>| CfStats {
             id: cf.id,
             name: cf.name.clone(),
@@ -584,54 +554,14 @@ impl<P: ShapePolicy> Db for EngineDb<P> {
         state.cfs.values().map(stats).collect()
     }
 
-    fn stream(&self, from_seq: SequenceNumber) -> Result<Box<dyn ChangeStream>> {
-        Ok(Box::new(self.change_stream(from_seq)?))
+    fn stream(self: Arc<Self>, from_seq: SequenceNumber) -> Result<Box<dyn ChangeStream>> {
+        Ok(Box::new(EngineChangeStream::open(self, from_seq)?))
     }
 
     fn committed_sequence(&self) -> SequenceNumber {
-        self.last_sequence()
+        self.core.state.lock().last_sequence
     }
 }
 
-// The single-namespace API is the default family's slice of `CfOps`.
-impl<P: ShapePolicy> KvStore for EngineDb<P> {
-    fn put_opts(&self, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
-        self.shared.cf_put_opts(0, opts, key, value)
-    }
-
-    fn get_opts(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.shared.cf_get_opts(0, opts, key)
-    }
-
-    fn delete_opts(&self, opts: &WriteOptions, key: &[u8]) -> Result<()> {
-        self.shared.cf_delete_opts(0, opts, key)
-    }
-
-    fn write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        self.shared.cf_write_opts(opts, batch)
-    }
-
-    fn iter(&self, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.shared.cf_iter(0, opts)
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        self.shared.cf_snapshot()
-    }
-
-    fn flush(&self) -> Result<()> {
-        self.shared.cf_flush()
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.shared.core.stats_scoped(None)
-    }
-
-    fn engine_name(&self) -> String {
-        self.shared.cf_engine_name()
-    }
-
-    fn live_file_sizes(&self) -> Vec<u64> {
-        self.shared.core.live_file_sizes_scoped(None)
-    }
-}
+// `KvStore` (the default family) and `Db` (catalog + handles), derived.
+pebblesdb_common::store_views!(EngineDb<P> where P: ShapePolicy => |db| &db.shared);

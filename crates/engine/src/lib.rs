@@ -8,7 +8,10 @@
 //! One module per seam:
 //!
 //! * [`chassis`] — the types: [`EngineDb`], [`EngineCore`], [`EngineState`],
-//!   [`CfState`], the `KvStore`/`Db`/`CfOps` facade and stats assembly;
+//!   [`CfState`], and the store's one operation surface: `CfOps` implemented
+//!   on [`EngineShared`] (stats assembly included). `KvStore`, `Db` and the
+//!   column-family handles are views `pebblesdb_common` derives from it, so
+//!   a request crosses exactly one chassis frame before `EngineCore`;
 //! * `open` — catalog + per-family CURRENT/MANIFEST recovery, WAL replay, the
 //!   fresh WAL and the background threads;
 //! * `write` — the commit pipeline. Every mutation is a group of WAL records

@@ -18,12 +18,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pebblesdb_common::iterator::DbIterator;
-use pebblesdb_common::key::{compare_internal_keys, SequenceNumber};
-use pebblesdb_common::snapshot::Snapshot;
-use pebblesdb_common::{
-    CfStats, ColumnFamilyHandle, Db, KvStore, ReadOptions, Result, StoreOptions, StorePreset,
-    StoreStats, WriteBatch, WriteOptions,
-};
+use pebblesdb_common::key::compare_internal_keys;
+use pebblesdb_common::{KvStore, ReadOptions, Result, StoreOptions, StorePreset};
 use pebblesdb_engine::meta::user_key_range;
 use pebblesdb_engine::runs::{merge_to_tables, push_table_iterators};
 use pebblesdb_engine::{
@@ -330,61 +326,6 @@ impl LsmDb {
     }
 }
 
-/// Column families on the baseline LSM: the exact same chassis feature, one
-/// leveled structure per family.
-impl Db for LsmDb {
-    fn create_cf(&self, name: &str) -> Result<ColumnFamilyHandle> {
-        self.db.create_cf(name)
-    }
-    fn drop_cf(&self, name: &str) -> Result<()> {
-        self.db.drop_cf(name)
-    }
-    fn list_cfs(&self) -> Vec<String> {
-        self.db.list_cfs()
-    }
-    fn cf(&self, name: &str) -> Option<ColumnFamilyHandle> {
-        self.db.cf(name)
-    }
-    fn cf_stats(&self) -> Vec<CfStats> {
-        self.db.cf_stats()
-    }
-    fn stream(&self, from_seq: SequenceNumber) -> Result<Box<dyn pebblesdb_common::ChangeStream>> {
-        Db::stream(&self.db, from_seq)
-    }
-    fn committed_sequence(&self) -> SequenceNumber {
-        Db::committed_sequence(&self.db)
-    }
-}
-
-impl KvStore for LsmDb {
-    fn put_opts(&self, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
-        self.db.put_opts(opts, key, value)
-    }
-    fn get_opts(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.db.get_opts(opts, key)
-    }
-    fn delete_opts(&self, opts: &WriteOptions, key: &[u8]) -> Result<()> {
-        self.db.delete_opts(opts, key)
-    }
-    fn write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        self.db.write_opts(opts, batch)
-    }
-    fn iter(&self, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.db.iter(opts)
-    }
-    fn snapshot(&self) -> Snapshot {
-        self.db.snapshot()
-    }
-    fn flush(&self) -> Result<()> {
-        self.db.flush()
-    }
-    fn stats(&self) -> StoreStats {
-        self.db.stats()
-    }
-    fn engine_name(&self) -> String {
-        self.db.engine_name()
-    }
-    fn live_file_sizes(&self) -> Vec<u64> {
-        self.db.live_file_sizes()
-    }
-}
+// `KvStore` and `Db` are the chassis core's derived views: the exact same
+// column-family feature as the FLSM, one leveled structure per family.
+pebblesdb_common::store_views!(LsmDb => |db| db.db.shared());

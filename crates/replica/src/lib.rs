@@ -32,6 +32,15 @@
 //! atomically, so a [`Snapshot`](pebblesdb_common::Snapshot) taken between
 //! applies pins a consistent prefix of the leader's history — a reader
 //! never observes half a batch, even while the apply thread is running.
+//!
+//! ## One read-only core
+//!
+//! The follower's whole operation surface is one `CfOps` impl
+//! (`FollowerCore`): reads and the catalog listing delegate to the engine's
+//! own core, every mutation is rejected, statistics carry the replication
+//! rows. [`FollowerDb`]'s `KvStore` and `Db` and the handles it vends are
+//! all views of that core (`pebblesdb_common::store_views!`), so the store
+//! and a handle cannot disagree about lag, engine name or what is refused.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,9 +52,8 @@ use parking_lot::Mutex;
 use pebblesdb_common::replication::ChangeStream;
 use pebblesdb_common::resp::RespValue;
 use pebblesdb_common::{
-    CfId, CfOps, CfStats, ColumnFamilyHandle, Db, DbIterator, Error, KvStore, ReadOptions,
-    ReplicationFrame, Result, SequenceNumber, Snapshot, StoreOptions, StoreStats, WriteBatch,
-    WriteOptions,
+    CfId, CfOps, CfStats, Db, DbIterator, Error, ReadOptions, ReplicationFrame, Result,
+    SequenceNumber, Snapshot, StoreOptions, StoreStats, WriteBatch, WriteOptions,
 };
 use pebblesdb_engine::{EngineDb, ShapePolicy};
 use pebblesdb_server::RespClient;
@@ -79,7 +87,8 @@ impl Default for FollowerConfig {
     }
 }
 
-/// Shared between the replication thread and the read facade.
+/// Replication progress, written by the replication thread and read by the
+/// store's surfaces.
 struct FollowerState {
     shutdown: AtomicBool,
     /// Highest `last_seq` durably applied (the resume cursor is this + 1).
@@ -107,11 +116,19 @@ enum StreamEnd {
 }
 
 /// A read replica: a chassis store fed exclusively by a leader's change
-/// stream. Implements [`Db`] read-only — every mutation is rejected.
+/// stream. Implements [`Db`] read-only — every mutation is rejected, through
+/// the store and through its column-family handles alike.
 pub struct FollowerDb<P: ShapePolicy> {
-    db: Arc<EngineDb<P>>,
-    state: Arc<FollowerState>,
+    core: Arc<FollowerCore<P>>,
     thread: Option<JoinHandle<()>>,
+}
+
+/// The follower's one [`CfOps`] core, shared by the store, its handles and
+/// the replication thread: the engine the thread applies into, read-only to
+/// everyone else, plus the replication progress.
+struct FollowerCore<P: ShapePolicy> {
+    db: EngineDb<P>,
+    state: FollowerState,
 }
 
 impl<P: ShapePolicy> FollowerDb<P> {
@@ -129,8 +146,8 @@ impl<P: ShapePolicy> FollowerDb<P> {
         F: FnOnce(&StoreOptions) -> P,
     {
         let policy = make_policy(&options);
-        let db = Arc::new(EngineDb::open(policy, env, path, options)?);
-        let state = Arc::new(FollowerState {
+        let db = EngineDb::open(policy, env, path, options)?;
+        let state = FollowerState {
             shutdown: AtomicBool::new(false),
             // Recovery already replayed the local WAL: the engine's last
             // sequence is exactly the highest leader batch durably applied.
@@ -142,67 +159,66 @@ impl<P: ShapePolicy> FollowerDb<P> {
             batches_applied: AtomicU64::new(0),
             batches_skipped: AtomicU64::new(0),
             last_error: Mutex::new(None),
-        });
+        };
+        let core = Arc::new(FollowerCore { db, state });
         let thread = {
-            let db = Arc::clone(&db);
-            let state = Arc::clone(&state);
+            let core = Arc::clone(&core);
             std::thread::Builder::new()
                 .name("pebblesdb-follower".to_string())
-                .spawn(move || replication_loop(&db, &state, &config))
+                .spawn(move || replication_loop(&core.db, &core.state, &config))
                 .map_err(|err| Error::internal(format!("spawn follower thread: {err}")))?
         };
         Ok(FollowerDb {
-            db,
-            state,
+            core,
             thread: Some(thread),
         })
     }
 
     /// The highest sequence number this replica has durably applied.
     pub fn applied_sequence(&self) -> SequenceNumber {
-        self.state.applied.load(Ordering::Acquire)
+        self.core.state.applied.load(Ordering::Acquire)
     }
 
     /// The leader's last advertised committed sequence (its frontier).
     pub fn leader_sequence(&self) -> SequenceNumber {
-        self.state.leader_seq.load(Ordering::Acquire)
+        self.core.state.leader_seq.load(Ordering::Acquire)
     }
 
     /// The leader's last advertised backlog for this replica, in batches.
     pub fn lag_batches(&self) -> u64 {
-        self.state.backlog.load(Ordering::Acquire)
+        self.core.state.backlog.load(Ordering::Acquire)
     }
 
     /// Whether the replication stream is currently established.
     pub fn is_connected(&self) -> bool {
-        self.state.connected.load(Ordering::Acquire)
+        self.core.state.connected.load(Ordering::Acquire)
     }
 
     /// Whether the leader truncated this replica's history (fatal: the
     /// replica stopped replicating and must be re-seeded).
     pub fn truncated(&self) -> bool {
-        self.state.truncated.load(Ordering::Acquire)
+        self.core.state.truncated.load(Ordering::Acquire)
     }
 
     /// The most recent stream error, for diagnostics.
     pub fn last_error(&self) -> Option<String> {
-        self.state.last_error.lock().clone()
+        self.core.state.last_error.lock().clone()
     }
 
     /// Batches applied by this process (excludes skipped re-deliveries).
     pub fn batches_applied(&self) -> u64 {
-        self.state.batches_applied.load(Ordering::Acquire)
+        self.core.state.batches_applied.load(Ordering::Acquire)
     }
 
     /// Re-delivered batches skipped because they were already applied.
     pub fn batches_skipped(&self) -> u64 {
-        self.state.batches_skipped.load(Ordering::Acquire)
+        self.core.state.batches_skipped.load(Ordering::Acquire)
     }
 
     /// The underlying chassis store (for tests and tooling; note the
     /// engine's own surface is *not* write-protected).
     pub fn engine(&self) -> &EngineDb<P> {
-        &self.db
+        &self.core.db
     }
 
     /// Stops the replication thread and closes the store.
@@ -211,14 +227,10 @@ impl<P: ShapePolicy> FollowerDb<P> {
     }
 
     fn stop(&mut self) {
-        self.state.shutdown.store(true, Ordering::Release);
+        self.core.state.shutdown.store(true, Ordering::Release);
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
-    }
-
-    fn read_only() -> Error {
-        read_only()
     }
 }
 
@@ -231,8 +243,8 @@ impl<P: ShapePolicy> Drop for FollowerDb<P> {
 /// Connect → handshake → apply frames, reconnecting with capped exponential
 /// backoff until shutdown or truncation.
 fn replication_loop<P: ShapePolicy>(
-    db: &Arc<EngineDb<P>>,
-    state: &Arc<FollowerState>,
+    db: &EngineDb<P>,
+    state: &FollowerState,
     config: &FollowerConfig,
 ) {
     let mut backoff = config.reconnect_backoff;
@@ -395,146 +407,81 @@ fn mirror_catalog<P: ShapePolicy>(db: &EngineDb<P>, cfs: &[(CfId, String)]) -> R
 }
 
 // ---------------------------------------------------------------------------
-// The read-only facade.
+// The read-only core.
 // ---------------------------------------------------------------------------
 
-/// Family-scoped ops for handles vended by a [`FollowerDb`]: reads delegate
-/// to the engine handle, mutations are rejected. (Handles taken straight
-/// from the engine would accept writes; the facade re-wraps them.)
-struct ReadOnlyCf {
-    inner: ColumnFamilyHandle,
-    base_engine: String,
-}
-
-impl CfOps for ReadOnlyCf {
-    fn cf_put_opts(&self, _cf: CfId, _o: &WriteOptions, _k: &[u8], _v: &[u8]) -> Result<()> {
-        Err(read_only())
-    }
-    fn cf_get_opts(&self, _cf: CfId, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.inner.get_opts(opts, key)
-    }
-    fn cf_delete_opts(&self, _cf: CfId, _o: &WriteOptions, _k: &[u8]) -> Result<()> {
-        Err(read_only())
-    }
-    fn cf_write_opts(&self, _o: &WriteOptions, _b: WriteBatch) -> Result<()> {
-        Err(read_only())
-    }
-    fn cf_iter(&self, _cf: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.inner.iter(opts)
-    }
-    fn cf_snapshot(&self) -> Snapshot {
-        self.inner.snapshot()
-    }
-    fn cf_flush(&self) -> Result<()> {
-        self.inner.flush()
-    }
-    fn cf_kv_stats(&self, _cf: CfId) -> StoreStats {
-        self.inner.stats()
-    }
-    fn cf_live_file_sizes(&self, _cf: CfId) -> Vec<u64> {
-        self.inner.live_file_sizes()
-    }
-    fn cf_engine_name(&self) -> String {
-        self.base_engine.clone()
-    }
-}
-
-/// The facade's rejection error, shared between the store-level and
-/// handle-level surfaces.
+/// The rejection every mutation gets, through the store or a handle.
 fn read_only() -> Error {
     Error::invalid_argument("follower is read-only; write to the leader")
 }
 
-impl<P: ShapePolicy> KvStore for FollowerDb<P> {
-    fn put_opts(&self, _opts: &WriteOptions, _key: &[u8], _value: &[u8]) -> Result<()> {
-        Err(Self::read_only())
+// Reads, statistics and the catalog listing delegate to the engine's own
+// core; everything that would change the data is rejected.
+impl<P: ShapePolicy> CfOps for FollowerCore<P> {
+    fn write(&self, _opts: &WriteOptions, _batch: WriteBatch) -> Result<()> {
+        Err(read_only())
     }
 
-    fn get_opts(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.db.get_opts(opts, key)
+    fn get(&self, cf: CfId, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.db.shared().get(cf, opts, key)
     }
 
-    fn delete_opts(&self, _opts: &WriteOptions, _key: &[u8]) -> Result<()> {
-        Err(Self::read_only())
-    }
-
-    fn write_opts(&self, _opts: &WriteOptions, _batch: WriteBatch) -> Result<()> {
-        Err(Self::read_only())
-    }
-
-    fn iter(&self, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.db.iter(opts)
+    fn iter(&self, cf: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
+        self.db.shared().iter(cf, opts)
     }
 
     fn snapshot(&self) -> Snapshot {
-        self.db.snapshot()
+        self.db.shared().snapshot()
     }
 
     fn flush(&self) -> Result<()> {
         // Local maintenance, not a logical write: lets operators persist
         // the applied state on demand.
-        self.db.flush()
+        self.db.shared().flush()
     }
 
-    fn stats(&self) -> StoreStats {
-        let mut stats = self.db.stats();
-        stats.replica_applied_seq = self.applied_sequence();
-        stats.replica_lag_batches = self.lag_batches();
+    fn stats(&self, scope: Option<CfId>) -> StoreStats {
+        let mut stats = self.db.shared().stats(scope);
+        stats.replica_applied_seq = self.committed_sequence();
+        stats.replica_lag_batches = self.state.backlog.load(Ordering::Acquire);
         stats
     }
 
+    fn live_file_sizes(&self, scope: Option<CfId>) -> Vec<u64> {
+        self.db.shared().live_file_sizes(scope)
+    }
+
     fn engine_name(&self) -> String {
-        format!("{}-follower", self.db.engine_name())
+        format!("{}-follower", self.db.shared().engine_name())
     }
 
-    fn live_file_sizes(&self) -> Vec<u64> {
-        self.db.live_file_sizes()
-    }
-}
-
-impl<P: ShapePolicy> Db for FollowerDb<P> {
-    fn create_cf(&self, _name: &str) -> Result<ColumnFamilyHandle> {
-        Err(Self::read_only())
+    fn create_cf(&self, _name: &str) -> Result<CfId> {
+        Err(read_only())
     }
 
     fn drop_cf(&self, _name: &str) -> Result<()> {
-        Err(Self::read_only())
+        Err(read_only())
     }
 
-    fn list_cfs(&self) -> Vec<String> {
-        self.db.list_cfs()
-    }
-
-    fn cf(&self, name: &str) -> Option<ColumnFamilyHandle> {
-        let inner = self.db.cf(name)?;
-        let id = inner.id();
-        Some(ColumnFamilyHandle::new(
-            Arc::new(ReadOnlyCf {
-                inner,
-                base_engine: self.db.engine_name(),
-            }),
-            id,
-            name,
-        ))
+    fn list_cfs(&self) -> Vec<(CfId, String)> {
+        self.db.shared().list_cfs()
     }
 
     fn cf_stats(&self) -> Vec<CfStats> {
-        self.db.cf_stats()
+        self.db.shared().cf_stats()
     }
 
-    fn stream(&self, from_seq: SequenceNumber) -> Result<Box<dyn ChangeStream>> {
+    fn stream(self: Arc<Self>, from_seq: SequenceNumber) -> Result<Box<dyn ChangeStream>> {
         // A follower can itself be streamed from (chained replication).
         Ok(Box::new(self.db.change_stream(from_seq)?))
     }
 
     fn committed_sequence(&self) -> SequenceNumber {
-        self.applied_sequence()
-    }
-
-    fn shard_stats(&self) -> Vec<StoreStats> {
-        Vec::new()
+        self.state.applied.load(Ordering::Acquire)
     }
 }
+
+pebblesdb_common::store_views!(FollowerDb<P> where P: ShapePolicy => |db| &db.core);
 
 #[cfg(test)]
 mod tests {

@@ -34,6 +34,15 @@
 //! ([`ShardMergeIterator`]). Column-family operations are mirrored to every
 //! shard in shard order (ids stay identical), and a batch's records keep
 //! their per-record family routing when the batch is split.
+//!
+//! # One operation surface
+//!
+//! The coordinator (`ShardedCore`) implements `CfOps` once — routing on top
+//! of each shard's own `CfOps` core ([`EngineDb::shared`]) — and
+//! [`ShardedDb`]'s `KvStore`, `Db` and column-family handles are the views
+//! `pebblesdb_common::store_views!` derives from it. `put`/`delete` arrive
+//! as one-record batches; a batch whose records all route to one shard is
+//! staged whole, so they take the no-journal path above.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -42,7 +51,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pebblesdb_common::cf::{CfOps, CfStats, ColumnFamilyHandle, Db};
+use pebblesdb_common::cf::{CfOps, CfStats, Db};
 use pebblesdb_common::iterator::DbIterator;
 use pebblesdb_common::key::{SequenceNumber, ValueType};
 use pebblesdb_common::snapshot::{Snapshot, SnapshotList};
@@ -336,8 +345,6 @@ fn replay_journals<P: ShapePolicy>(
 /// The shared state behind a [`ShardedDb`] and its column-family handles.
 struct ShardedCore<P: ShapePolicy> {
     shards: Vec<EngineDb<P>>,
-    /// Each shard's namespace-scoped operations (same engines, pre-cast).
-    shard_ops: Vec<Arc<dyn CfOps>>,
     partitioner: Box<dyn Partitioner>,
     config: ShardConfig,
     /// The next global sequence to hand out (ranges are contiguous).
@@ -389,14 +396,6 @@ impl<P: ShapePolicy> ShardedCore<P> {
         }
     }
 
-    fn check_cf(&self, cf: CfId) -> Result<()> {
-        if self.cfs.lock().contains_key(&cf) {
-            Ok(())
-        } else {
-            Err(missing_cf_error(cf))
-        }
-    }
-
     /// Read options pinned at an explicit sequence: the caller's snapshot,
     /// or the current watermark — never a shard's own `last_sequence`,
     /// which may already include staged-but-unpublished records.
@@ -421,51 +420,6 @@ impl<P: ShapePolicy> ShardedCore<P> {
         // Holding it back would stall the watermark for every later writer.
         self.publish(base, base + count - 1);
         result
-    }
-
-    /// Routes a batch's records to their shards and commits it atomically.
-    fn write_sharded(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let shard_count = self.shard_count();
-        let mut subs: Vec<WriteBatch> = (0..shard_count).map(|_| WriteBatch::new()).collect();
-        {
-            let cfs = self.cfs.lock();
-            for record in batch.iter() {
-                let record = record?;
-                if !cfs.contains_key(&record.cf) {
-                    return Err(missing_cf_error(record.cf));
-                }
-                let shard = self.partitioner.shard_of(record.key, shard_count);
-                match record.value_type {
-                    ValueType::Value => subs[shard].put_cf(record.cf, record.key, record.value),
-                    ValueType::Deletion => subs[shard].delete_cf(record.cf, record.key),
-                    // Pointers are an engine-internal representation; a user
-                    // batch never carries one.
-                    ValueType::ValuePointer => {
-                        return Err(Error::invalid_argument(
-                            "value pointers cannot be written directly",
-                        ));
-                    }
-                }
-            }
-        }
-        let touched: Vec<usize> = subs
-            .iter()
-            .enumerate()
-            .filter(|(_, sub)| !sub.is_empty())
-            .map(|(index, _)| index)
-            .collect();
-        match touched.len() {
-            0 => Ok(()),
-            1 => {
-                let index = touched[0];
-                let sub = std::mem::replace(&mut subs[index], WriteBatch::new());
-                self.write_single(index, opts, sub)
-            }
-            _ => self.write_multi(opts, batch, subs),
-        }
     }
 
     /// Commits a batch spanning several shards: journal, stage every
@@ -529,24 +483,70 @@ impl<P: ShapePolicy> ShardedCore<P> {
         self.publish(base, base + count - 1);
         Ok(())
     }
+}
 
-    // -------------------------------------------------------------- reads
-
-    fn get_cf(&self, cf: CfId, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let shard = self.partitioner.shard_of(key, self.shard_count());
-        self.shard_ops[shard].cf_get_opts(cf, &self.pin_read(opts), key)
+impl<P: ShapePolicy> CfOps for ShardedCore<P> {
+    /// Routes a batch's records to their shards and commits it atomically.
+    fn write(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
+        let shard_count = self.shard_count();
+        let mut home: Option<usize> = None;
+        let mut spans_shards = false;
+        {
+            let cfs = self.cfs.lock();
+            for record in batch.iter() {
+                let record = record?;
+                if !cfs.contains_key(&record.cf) {
+                    return Err(missing_cf_error(record.cf));
+                }
+                // Pointers are an engine-internal representation; a user
+                // batch never carries one.
+                if record.value_type == ValueType::ValuePointer {
+                    return Err(Error::invalid_argument(
+                        "value pointers cannot be written directly",
+                    ));
+                }
+                let shard = self.partitioner.shard_of(record.key, shard_count);
+                spans_shards |= *home.get_or_insert(shard) != shard;
+            }
+        }
+        let Some(home) = home else {
+            return Ok(()); // An empty batch.
+        };
+        // Every point write, and any batch that happens to live on one
+        // shard, is staged as it came: no split, no journal.
+        if !spans_shards {
+            return self.write_single(home, opts, batch);
+        }
+        let mut subs: Vec<WriteBatch> = (0..shard_count).map(|_| WriteBatch::new()).collect();
+        for record in batch.iter() {
+            let record = record?;
+            let sub = &mut subs[self.partitioner.shard_of(record.key, shard_count)];
+            match record.value_type {
+                ValueType::Deletion => sub.delete_cf(record.cf, record.key),
+                // Pointer records were rejected above.
+                _ => sub.put_cf(record.cf, record.key, record.value),
+            }
+        }
+        self.write_multi(opts, batch, subs)
     }
 
-    fn iter_cf(&self, cf: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
+    fn get(&self, cf: CfId, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        let shard = self.partitioner.shard_of(key, self.shard_count());
+        self.shards[shard]
+            .shared()
+            .get(cf, &self.pin_read(opts), key)
+    }
+
+    fn iter(&self, cf: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
         let pinned = self.pin_read(opts);
         let mut children = Vec::with_capacity(self.shard_count());
-        for ops in &self.shard_ops {
-            children.push(ops.cf_iter(cf, &pinned)?);
+        for shard in &self.shards {
+            children.push(shard.shared().iter(cf, &pinned)?);
         }
         Ok(Box::new(ShardMergeIterator::new(children)))
     }
 
-    fn composite_snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> Snapshot {
         let sequence = self.watermark();
         let children: Vec<Snapshot> = self
             .shards
@@ -556,9 +556,7 @@ impl<P: ShapePolicy> ShardedCore<P> {
         self.snapshots.acquire(sequence).with_children(children)
     }
 
-    // -------------------------------------------------------------- admin
-
-    fn flush_all(&self) -> Result<()> {
+    fn flush(&self) -> Result<()> {
         // Under the journal lock no cross-shard batch can be mid-staging;
         // after every shard flushes, all journaled records live in
         // sstables and the journal files can go.
@@ -569,74 +567,95 @@ impl<P: ShapePolicy> ShardedCore<P> {
         journal.rotate()
     }
 
-    fn sharded_engine_name(&self) -> String {
+    /// Per-shard snapshots folded into one, each row by its table's merge
+    /// rule.
+    fn stats(&self, scope: Option<CfId>) -> StoreStats {
+        let per_shard = self.shards.iter().map(|shard| shard.shared().stats(scope));
+        per_shard.fold(StoreStats::default(), |mut total, stats| {
+            total.merge(&stats);
+            total
+        })
+    }
+
+    fn live_file_sizes(&self, scope: Option<CfId>) -> Vec<u64> {
+        let shards = self.shards.iter();
+        shards
+            .flat_map(|shard| shard.shared().live_file_sizes(scope))
+            .collect()
+    }
+
+    fn engine_name(&self) -> String {
         format!(
             "{}[{} shards]",
             self.shards[0].engine_name(),
             self.shard_count()
         )
     }
-}
 
-/// Folds per-shard snapshots into the store-wide one, each row by its
-/// table's merge rule.
-fn aggregate(per_shard: impl Iterator<Item = StoreStats>) -> StoreStats {
-    per_shard.fold(StoreStats::default(), |mut total, stats| {
-        total.merge(&stats);
-        total
-    })
-}
-
-impl<P: ShapePolicy> CfOps for ShardedCore<P> {
-    fn cf_put_opts(&self, cf: CfId, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
-        self.check_cf(cf)?;
-        let shard = self.partitioner.shard_of(key, self.shard_count());
-        let mut batch = WriteBatch::new();
-        batch.put_cf(cf, key, value);
-        self.write_single(shard, opts, batch)
+    fn create_cf(&self, name: &str) -> Result<CfId> {
+        let mut cfs = self.cfs.lock();
+        if cfs.values().any(|existing| existing == name) {
+            return Err(Error::invalid_argument(format!(
+                "column family {name:?} already exists"
+            )));
+        }
+        // Mirror to every shard in shard order; ids stay identical because
+        // every shard has seen the same creation history.
+        let mut id: Option<CfId> = None;
+        for (index, shard) in self.shards.iter().enumerate() {
+            let shard_id = shard.shared().create_cf(name)?;
+            let expected = *id.get_or_insert(shard_id);
+            if shard_id != expected {
+                return Err(Error::corruption(format!(
+                    "family {name:?} got id {shard_id} on shard {index}, expected {expected}"
+                )));
+            }
+        }
+        let id = id.expect("at least one shard");
+        cfs.insert(id, name.to_string());
+        Ok(id)
     }
 
-    fn cf_get_opts(&self, cf: CfId, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.get_cf(cf, opts, key)
-    }
-
-    fn cf_delete_opts(&self, cf: CfId, opts: &WriteOptions, key: &[u8]) -> Result<()> {
-        self.check_cf(cf)?;
-        let shard = self.partitioner.shard_of(key, self.shard_count());
-        let mut batch = WriteBatch::new();
-        batch.delete_cf(cf, key);
-        self.write_single(shard, opts, batch)
-    }
-
-    fn cf_write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        self.write_sharded(opts, batch)
-    }
-
-    fn cf_iter(&self, cf: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.iter_cf(cf, opts)
-    }
-
-    fn cf_snapshot(&self) -> Snapshot {
-        self.composite_snapshot()
-    }
-
-    fn cf_flush(&self) -> Result<()> {
-        self.flush_all()
-    }
-
-    fn cf_kv_stats(&self, cf: CfId) -> StoreStats {
-        aggregate(self.shard_ops.iter().map(|ops| ops.cf_kv_stats(cf)))
-    }
-
-    fn cf_live_file_sizes(&self, cf: CfId) -> Vec<u64> {
-        self.shard_ops
+    fn drop_cf(&self, name: &str) -> Result<()> {
+        let mut cfs = self.cfs.lock();
+        let id = cfs
             .iter()
-            .flat_map(|ops| ops.cf_live_file_sizes(cf))
-            .collect()
+            .find(|(_, existing)| existing.as_str() == name)
+            .map(|(id, _)| *id)
+            .ok_or_else(|| Error::invalid_argument(format!("no column family {name:?}")))?;
+        for shard in &self.shards {
+            shard.drop_cf(name)?;
+        }
+        cfs.remove(&id);
+        Ok(())
     }
 
-    fn cf_engine_name(&self) -> String {
-        self.sharded_engine_name()
+    fn list_cfs(&self) -> Vec<(CfId, String)> {
+        let cfs = self.cfs.lock();
+        cfs.iter().map(|(id, name)| (*id, name.clone())).collect()
+    }
+
+    fn cf_stats(&self) -> Vec<CfStats> {
+        // Merge each family's figures across shards, keyed by id.
+        let mut merged: BTreeMap<CfId, CfStats> = BTreeMap::new();
+        for shard in &self.shards {
+            for stats in shard.cf_stats() {
+                merged
+                    .entry(stats.id)
+                    .and_modify(|total| total.merge(&stats))
+                    .or_insert(stats);
+            }
+        }
+        merged.into_values().collect()
+    }
+
+    /// The visibility watermark: the sequence a fresh snapshot pins.
+    fn committed_sequence(&self) -> SequenceNumber {
+        self.watermark()
+    }
+
+    fn shard_stats(&self) -> Vec<StoreStats> {
+        self.shards.iter().map(|shard| shard.stats()).collect()
     }
 }
 
@@ -699,32 +718,27 @@ impl<P: ShapePolicy> ShardedDb<P> {
         // Family sets can diverge across shards if a crash interrupted the
         // create/drop mirroring; shard 0 commits first both ways, so its
         // catalog is authoritative — drop strays, recreate stragglers.
-        let authoritative = shards[0].list_cfs();
-        for shard in &shards[1..] {
-            for name in shard.list_cfs() {
-                if !authoritative.contains(&name) {
-                    shard.drop_cf(&name)?;
+        let authoritative = shards[0].shared().list_cfs();
+        for (index, shard) in shards.iter().enumerate().skip(1) {
+            let local = shard.shared().list_cfs();
+            for (_, name) in &local {
+                if !authoritative.iter().any(|(_, listed)| listed == name) {
+                    shard.drop_cf(name)?;
                 }
             }
-            for name in &authoritative {
-                if shard.cf(name).is_none() {
-                    shard.create_cf(name)?;
-                }
-            }
-        }
-        let mut cfs: BTreeMap<CfId, String> = BTreeMap::new();
-        for name in &authoritative {
-            let id = shards[0].cf(name).expect("listed family exists").id();
-            for (index, shard) in shards.iter().enumerate().skip(1) {
-                let shard_id = shard.cf(name).expect("healed above").id();
-                if shard_id != id {
+            for (id, name) in &authoritative {
+                let shard_id = match local.iter().find(|(_, existing)| existing == name) {
+                    Some((shard_id, _)) => *shard_id,
+                    None => shard.shared().create_cf(name)?,
+                };
+                if shard_id != *id {
                     return Err(Error::corruption(format!(
                         "family {name:?} has id {id} on shard 0 but {shard_id} on shard {index}"
                     )));
                 }
             }
-            cfs.insert(id, name.clone());
         }
+        let cfs: BTreeMap<CfId, String> = authoritative.into_iter().collect();
 
         let live: BTreeSet<CfId> = cfs.keys().copied().collect();
         replay_journals(&env, path, &shards, partitioner.as_ref(), &live)?;
@@ -735,11 +749,9 @@ impl<P: ShapePolicy> ShardedDb<P> {
             .max()
             .unwrap_or(0);
         let journal = Journal::create(Arc::clone(&env), path.to_path_buf(), 1)?;
-        let shard_ops = shards.iter().map(|shard| shard.cf_ops()).collect();
         Ok(ShardedDb {
             core: Arc::new(ShardedCore {
                 shards,
-                shard_ops,
                 partitioner,
                 config,
                 next_seq: AtomicU64::new(last + 1),
@@ -770,133 +782,9 @@ impl<P: ShapePolicy> ShardedDb<P> {
     pub fn watermark(&self) -> SequenceNumber {
         self.core.watermark()
     }
-
-    fn handle(&self, id: CfId, name: &str) -> ColumnFamilyHandle {
-        ColumnFamilyHandle::new(Arc::clone(&self.core) as Arc<dyn CfOps>, id, name)
-    }
 }
 
-impl<P: ShapePolicy> KvStore for ShardedDb<P> {
-    fn put_opts(&self, opts: &WriteOptions, key: &[u8], value: &[u8]) -> Result<()> {
-        self.core.cf_put_opts(0, opts, key, value)
-    }
-
-    fn get_opts(&self, opts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.core.get_cf(0, opts, key)
-    }
-
-    fn delete_opts(&self, opts: &WriteOptions, key: &[u8]) -> Result<()> {
-        self.core.cf_delete_opts(0, opts, key)
-    }
-
-    fn write_opts(&self, opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        self.core.write_sharded(opts, batch)
-    }
-
-    fn iter(&self, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        self.core.iter_cf(0, opts)
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        self.core.composite_snapshot()
-    }
-
-    fn flush(&self) -> Result<()> {
-        self.core.flush_all()
-    }
-
-    fn stats(&self) -> StoreStats {
-        aggregate(self.core.shards.iter().map(|shard| shard.stats()))
-    }
-
-    fn engine_name(&self) -> String {
-        self.core.sharded_engine_name()
-    }
-
-    fn live_file_sizes(&self) -> Vec<u64> {
-        self.core
-            .shards
-            .iter()
-            .flat_map(|shard| shard.live_file_sizes())
-            .collect()
-    }
-}
-
-impl<P: ShapePolicy> Db for ShardedDb<P> {
-    fn create_cf(&self, name: &str) -> Result<ColumnFamilyHandle> {
-        let mut cfs = self.core.cfs.lock();
-        if cfs.values().any(|existing| existing == name) {
-            return Err(Error::invalid_argument(format!(
-                "column family {name:?} already exists"
-            )));
-        }
-        // Mirror to every shard in shard order; ids stay identical because
-        // every shard has seen the same creation history.
-        let mut id: Option<CfId> = None;
-        for (index, shard) in self.core.shards.iter().enumerate() {
-            let handle = shard.create_cf(name)?;
-            match id {
-                None => id = Some(handle.id()),
-                Some(expected) if expected == handle.id() => {}
-                Some(expected) => {
-                    return Err(Error::corruption(format!(
-                        "family {name:?} got id {} on shard {index}, expected {expected}",
-                        handle.id()
-                    )));
-                }
-            }
-        }
-        let id = id.expect("at least one shard");
-        cfs.insert(id, name.to_string());
-        Ok(self.handle(id, name))
-    }
-
-    fn drop_cf(&self, name: &str) -> Result<()> {
-        let mut cfs = self.core.cfs.lock();
-        let id = cfs
-            .iter()
-            .find(|(_, existing)| existing.as_str() == name)
-            .map(|(id, _)| *id)
-            .ok_or_else(|| Error::invalid_argument(format!("no column family {name:?}")))?;
-        for shard in &self.core.shards {
-            shard.drop_cf(name)?;
-        }
-        cfs.remove(&id);
-        Ok(())
-    }
-
-    fn list_cfs(&self) -> Vec<String> {
-        self.core.cfs.lock().values().cloned().collect()
-    }
-
-    fn cf(&self, name: &str) -> Option<ColumnFamilyHandle> {
-        let id = {
-            let cfs = self.core.cfs.lock();
-            cfs.iter()
-                .find(|(_, existing)| existing.as_str() == name)
-                .map(|(id, _)| *id)
-        }?;
-        Some(self.handle(id, name))
-    }
-
-    fn cf_stats(&self) -> Vec<CfStats> {
-        // Merge each family's figures across shards, keyed by id.
-        let mut merged: BTreeMap<CfId, CfStats> = BTreeMap::new();
-        for shard in &self.core.shards {
-            for stats in shard.cf_stats() {
-                merged
-                    .entry(stats.id)
-                    .and_modify(|total| total.merge(&stats))
-                    .or_insert(stats);
-            }
-        }
-        merged.into_values().collect()
-    }
-
-    fn shard_stats(&self) -> Vec<StoreStats> {
-        self.core.shards.iter().map(|shard| shard.stats()).collect()
-    }
-}
+pebblesdb_common::store_views!(ShardedDb<P> where P: ShapePolicy => |db| &db.core);
 
 #[cfg(test)]
 mod tests {

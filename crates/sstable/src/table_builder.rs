@@ -12,6 +12,9 @@ use pebblesdb_env::WritableFile;
 use crate::block::BlockBuilder;
 use crate::footer::{BlockHandle, Footer};
 
+/// Entries between restart points in a data block.
+const BLOCK_RESTART_INTERVAL: usize = 16;
+
 /// Streams sorted internal key/value pairs into an sstable file.
 ///
 /// Entries must be added in increasing internal-key order. Call
@@ -68,7 +71,7 @@ impl TableBuilder {
         TableBuilder {
             file,
             offset: 0,
-            data_block: BlockBuilder::new(options.block_restart_interval),
+            data_block: BlockBuilder::new(BLOCK_RESTART_INTERVAL),
             index_block: BlockBuilder::new(1),
             filter_keys: Vec::new(),
             bloom_bits_per_key: options.bloom_bits_per_key,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pebblesdb::PebblesDb;
-use pebblesdb_common::{KvStore, ReadOptions, StoreOptions, StorePreset};
+use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 
@@ -167,4 +167,47 @@ fn lsm_cursor_allocations_do_not_grow_with_the_file_count() {
         "{few_files} files: {few_allocs} allocations per cursor, \
          {many_files} files: {many_allocs}"
     );
+}
+
+/// Mean allocations of one (block-cached) point `get`.
+fn allocations_per_get(db: &dyn KvStore, target: &[u8]) -> u64 {
+    for _ in 0..32 {
+        assert!(db.get(target).unwrap().is_some());
+    }
+    const ROUNDS: u64 = 64;
+    let before = ALLOCATIONS.with(Cell::get);
+    for _ in 0..ROUNDS {
+        assert!(db.get(target).unwrap().is_some());
+    }
+    (ALLOCATIONS.with(Cell::get) - before) / ROUNDS
+}
+
+/// The derived views add nothing to a point read: a `get` through the
+/// store's own `KvStore` and through its `default_cf()` handle allocates the
+/// same, and no more than it did through the hand-written forwarding.
+#[test]
+fn point_get_allocations_are_the_same_through_store_and_handle() {
+    /// What one cached `get` allocated, on either engine, when each facade
+    /// still forwarded by hand.
+    const FORWARDED_ALLOCATIONS_PER_GET: u64 = 7;
+
+    let env = || -> Arc<dyn Env> { Arc::new(MemEnv::new()) };
+    let flsm = PebblesDb::open_with_options(env(), Path::new("/get-flsm"), small_options());
+    let preset = StorePreset::HyperLevelDb;
+    let lsm = LsmDb::open_with_options(env(), Path::new("/get-lsm"), small_options(), preset);
+    let stores: [(&str, Box<dyn Db>); 2] = [
+        ("flsm", Box::new(flsm.unwrap())),
+        ("lsm", Box::new(lsm.unwrap())),
+    ];
+    for (name, db) in &stores {
+        load(db.as_ref(), 4_000);
+        let target = key(0); // `load` writes key 0 whatever its shuffle skips
+        let through_store = allocations_per_get(db.as_ref(), &target);
+        let through_handle = allocations_per_get(&db.default_cf(), &target);
+        assert_eq!(through_store, through_handle, "{name}");
+        assert!(
+            through_store <= FORWARDED_ALLOCATIONS_PER_GET,
+            "{name}: {through_store} allocations per get"
+        );
+    }
 }

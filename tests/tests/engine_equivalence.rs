@@ -6,11 +6,16 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use pebblesdb::PebblesDb;
+use pebblesdb::{FlsmPolicy, PebblesDb};
 use pebblesdb_btree::BTreeStore;
-use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset};
+use pebblesdb_common::{
+    ColumnFamilyHandle, Db, KvStore, PrefixDb, ReadOptions, StoreOptions, StorePreset, WriteBatch,
+};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
+use pebblesdb_replica::{FollowerConfig, FollowerDb};
+use pebblesdb_server::{Server, ServerConfig};
+use pebblesdb_shard::{PartitionerKind, ShardConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -349,4 +354,213 @@ fn stats_are_consistent_across_engines() {
         assert!(stats.disk_bytes_live > 0, "{name}");
         assert!(!engine.engine_name().is_empty(), "{name}");
     }
+}
+
+/// Every kind of `Db` the workspace builds; each derives its `KvStore`,
+/// `Db` and handles from one `CfOps` core.
+fn writable_dbs() -> Vec<(&'static str, Arc<dyn Db>)> {
+    let env = || -> Arc<dyn Env> { Arc::new(MemEnv::new()) };
+    let opts = StoreOptions::default;
+    let shards = ShardConfig {
+        shards: 2,
+        partitioner: PartitionerKind::Hash,
+    };
+    let preset = StorePreset::HyperLevelDb;
+    let btree = BTreeStore::open(env(), Path::new("/b"), opts()).unwrap();
+    vec![
+        (
+            "flsm",
+            Arc::new(PebblesDb::open_with_options(env(), Path::new("/p"), opts()).unwrap()),
+        ),
+        (
+            "lsm",
+            Arc::new(LsmDb::open_with_options(env(), Path::new("/h"), opts(), preset).unwrap()),
+        ),
+        (
+            "flsm x2 shards",
+            Arc::new(PebblesDb::open_sharded(env(), Path::new("/s"), opts(), shards).unwrap()),
+        ),
+        ("btree prefix", Arc::new(PrefixDb::new(Arc::new(btree)))),
+    ]
+}
+
+fn one_record(key: &[u8], value: Option<&[u8]>) -> WriteBatch {
+    let mut batch = WriteBatch::new();
+    match value {
+        Some(value) => batch.put(key, value),
+        None => batch.delete(key),
+    }
+    batch
+}
+
+/// The scripted writes: the default family through the store *and* through
+/// its handle, family `a` through `put`/`delete`, family `b` through the
+/// equivalent one-record batches.
+fn run_facade_script(db: &dyn Db) {
+    let default = db.default_cf();
+    let a = db.create_cf("a").unwrap();
+    let b = db.create_cf("b").unwrap();
+    for i in 0..40u32 {
+        let key = format!("key{i:03}").into_bytes();
+        let value = format!("value{i}").into_bytes();
+        // Even keys through the store, odd keys through the handle.
+        let kv: &dyn KvStore = if i % 2 == 0 { db } else { &default };
+        kv.put(&key, &value).unwrap();
+        a.put(&key, &value).unwrap();
+        b.write(one_record(&key, Some(&value))).unwrap();
+        if i % 5 == 0 {
+            let other: &dyn KvStore = if i % 2 == 0 { &default } else { db };
+            other.delete(&key).unwrap();
+            a.delete(&key).unwrap();
+            b.write(one_record(&key, None)).unwrap();
+        }
+    }
+    // A plain batch lands in the family of the view it is written through.
+    let mut batch = WriteBatch::new();
+    batch.put(b"batched", b"default");
+    batch.put_cf(a.id(), b"batched", b"a");
+    default.write(batch.clone()).unwrap();
+    let mut batch_b = WriteBatch::new();
+    batch_b.put(b"batched", b"a");
+    b.write(batch_b).unwrap();
+    db.write(batch).unwrap();
+    db.flush().unwrap();
+}
+
+fn dump(kv: &dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
+    kv.scan(b"", &[], usize::MAX).unwrap()
+}
+
+/// The read half of the conformance check, over a store the script ran
+/// against (or a follower of one).
+fn check_facade_views(name: &str, db: &dyn Db) {
+    let default = db.default_cf();
+    let a = db.cf("a").unwrap_or_else(|| panic!("{name}: family a"));
+    let b = db.cf("b").unwrap_or_else(|| panic!("{name}: family b"));
+    assert_eq!(db.list_cfs(), ["default", "a", "b"], "{name}");
+
+    // Whole-store `KvStore` == `default_cf()` handle.
+    assert_eq!(
+        dump(db).len(),
+        33,
+        "{name}: 40 keys - 8 deleted + 1 batched"
+    );
+    assert_eq!(dump(db), dump(&default), "{name}");
+    for key in [&b"key000"[..], b"key001", b"key005", b"batched", b"absent"] {
+        assert_eq!(db.get(key).unwrap(), default.get(key).unwrap(), "{name}");
+    }
+    assert_eq!(db.get(b"batched").unwrap(), Some(b"default".to_vec()));
+    assert_eq!(db.engine_name(), default.engine_name(), "{name}");
+    let pinned = (db.snapshot().sequence(), default.snapshot().sequence());
+    assert_eq!(pinned.0, pinned.1, "{name}: one store-wide sequence");
+    let mut cursor = default.iter(&ReadOptions::default()).unwrap();
+    cursor.seek_to_last();
+    assert_eq!(cursor.key(), dump(db).last().unwrap().0, "{name}");
+
+    // `put`/`delete` == the one-record batch.
+    assert_eq!(dump(&a), dump(&b), "{name}");
+    assert_eq!(a.get(b"batched").unwrap(), Some(b"a".to_vec()), "{name}");
+    assert_eq!(a.engine_name(), format!("{}#a", db.engine_name()), "{name}");
+
+    // A handle scopes the file figures and nothing else.
+    let whole = db.stats();
+    assert_eq!(whole.num_column_families, 3, "{name}");
+    for handle in [&default, &a, &b] {
+        let scoped = handle.stats();
+        assert!(scoped.num_files <= whole.num_files, "{name}");
+        assert!(scoped.disk_bytes_live <= whole.disk_bytes_live, "{name}");
+        assert!(
+            scoped.memory_usage_bytes <= whole.memory_usage_bytes,
+            "{name}"
+        );
+        assert_eq!(
+            scoped.user_bytes_written, whole.user_bytes_written,
+            "{name}"
+        );
+        assert_eq!(scoped.num_column_families, 3, "{name}");
+        assert!(handle.live_file_sizes().len() <= db.live_file_sizes().len());
+    }
+}
+
+fn every_mutation(db: &dyn Db, handle: &ColumnFamilyHandle) -> Vec<pebblesdb_common::Result<()>> {
+    vec![
+        db.put(b"k", b"v"),
+        db.delete(b"k"),
+        db.write(one_record(b"k", Some(b"v"))),
+        handle.put(b"k", b"v"),
+        handle.delete(b"k"),
+        handle.write(one_record(b"k", Some(b"v"))),
+    ]
+}
+
+/// One scripted workload against every `Db` kind: the whole-store `KvStore`,
+/// the `Db` catalog and the family handles are views derived from one core,
+/// so they must agree with each other on every store — and a follower must
+/// serve the same read views while rejecting every mutation alike.
+#[test]
+fn every_db_facade_serves_the_same_derived_views() {
+    for (name, db) in writable_dbs() {
+        let db = db.as_ref();
+        run_facade_script(db);
+        check_facade_views(name, db);
+
+        // A put and its one-record batch consume the same sequence range.
+        let (a, b) = (db.cf("a").unwrap(), db.cf("b").unwrap());
+        let start = db.committed_sequence();
+        a.put(b"seq", b"v").unwrap();
+        let after_put = db.committed_sequence();
+        b.write(one_record(b"seq", Some(b"v"))).unwrap();
+        assert_eq!(after_put - start, db.committed_sequence() - after_put);
+
+        // A dropped family's handle fails on every operation.
+        db.drop_cf("b").unwrap();
+        assert!(db.cf("b").is_none(), "{name}");
+        assert!(b.get(b"key001").is_err(), "{name}");
+        assert!(b.iter(&ReadOptions::default()).is_err(), "{name}");
+        assert!(b.scan(b"", &[], 10).is_err(), "{name}");
+        let mutations = every_mutation(db, &b);
+        assert!(mutations[..3].iter().all(|r| r.is_ok()), "{name}: store");
+        assert!(mutations[3..].iter().all(|r| r.is_err()), "{name}: handle");
+        assert_eq!(a.get(b"key001").unwrap(), Some(b"value1".to_vec()));
+    }
+
+    // The read half again, through a follower of a scripted leader.
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let leader: Arc<dyn Db> = Arc::new(PebblesDb::open(env, Path::new("/leader")).unwrap());
+    let server = Server::start(Arc::clone(&leader), ServerConfig::default()).unwrap();
+    run_facade_script(leader.as_ref());
+    let config = FollowerConfig {
+        leader_addr: server.local_addr().to_string(),
+        ..Default::default()
+    };
+    let (env, options) = (Arc::new(MemEnv::new()), StoreOptions::default());
+    let follower = FollowerDb::open_with(
+        FlsmPolicy::new,
+        env,
+        Path::new("/follower"),
+        options,
+        config,
+    )
+    .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while follower.applied_sequence() < leader.committed_sequence() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "follower never caught up"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    follower.flush().unwrap();
+    check_facade_views("follower", &follower);
+    assert_eq!(dump(&follower), dump(leader.as_ref()));
+
+    // Every mutation is rejected, with one error, through both surfaces.
+    let refusal = follower.create_cf("c").unwrap_err().to_string();
+    assert!(refusal.contains("read-only"), "got: {refusal}");
+    assert_eq!(follower.drop_cf("a").unwrap_err().to_string(), refusal);
+    for result in every_mutation(&follower, &follower.cf("a").unwrap()) {
+        assert_eq!(result.unwrap_err().to_string(), refusal);
+    }
+    assert_eq!(dump(&follower), dump(leader.as_ref()));
+    server.shutdown();
 }

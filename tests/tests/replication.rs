@@ -376,6 +376,46 @@ fn follower_converges_serves_snapshot_reads_and_rejects_writes() {
     server.shutdown();
 }
 
+/// A follower's family handle and the follower itself are two views of one
+/// read-only core, so they answer alike: the handle carries the replication
+/// rows and the `-follower` name, which the separately written handle path
+/// used to drop.
+#[test]
+fn follower_handles_answer_like_the_follower() {
+    let env = Arc::new(MemEnv::new());
+    let db = open_leader(&env, "/leader");
+    let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
+    let mirror = db.create_cf("mirror").unwrap();
+    for i in 0..50u32 {
+        db.put(format!("k{i:03}").as_bytes(), b"v").unwrap();
+        mirror.put(format!("m{i:03}").as_bytes(), b"v").unwrap();
+    }
+    let (follower, _fenv) = open_follower(server.local_addr());
+    wait_caught_up(&follower, db.as_ref());
+
+    let store = follower.stats();
+    assert_eq!(store.replica_applied_seq, db.committed_sequence());
+    assert_eq!(follower.engine_name(), "PebblesDB-follower");
+    let default = follower.default_cf();
+    let mirror = follower.cf("mirror").expect("catalog is mirrored");
+    for handle in [&default, &mirror] {
+        let stats = handle.stats();
+        assert_eq!(stats.replica_applied_seq, store.replica_applied_seq);
+        assert_eq!(stats.replica_lag_batches, store.replica_lag_batches);
+        assert_eq!(stats.gets, store.gets, "counters are store-wide");
+    }
+    assert_eq!(default.engine_name(), follower.engine_name());
+    assert_eq!(mirror.engine_name(), "PebblesDB-follower#mirror");
+    // Reads through the handle and through the store are the same read.
+    assert_eq!(
+        default.get(b"k007").unwrap(),
+        follower.get(b"k007").unwrap()
+    );
+    assert_eq!(mirror.get(b"m007").unwrap(), Some(b"v".to_vec()));
+
+    server.shutdown();
+}
+
 #[test]
 fn follower_catches_up_across_leader_kill_and_restart() {
     let env = Arc::new(MemEnv::new());

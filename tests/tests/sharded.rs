@@ -498,3 +498,31 @@ fn sharded_column_families_route_and_aggregate() {
     store.put(b"alive", b"yes").unwrap();
     assert_eq!(store.get(b"alive").unwrap(), Some(b"yes".to_vec()));
 }
+
+/// `committed_sequence()` is the visibility watermark: it advances with
+/// every write — point or cross-shard — and is the sequence a snapshot taken
+/// at that moment pins. (It used to be the trait default, a constant 0.)
+#[test]
+fn committed_sequence_is_the_visibility_watermark() {
+    for engine in ["flsm", "lsm"] {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let store = open_sharded(env, Path::new("/sharded-seq"), engine, hash_config());
+        assert_eq!(store.committed_sequence(), 0, "{engine}: fresh store");
+        let mut last = 0;
+        for i in 0..20u16 {
+            store.put(&key_of(i), b"v").unwrap();
+            let now = store.committed_sequence();
+            assert_eq!(now, last + 1, "{engine}: one put is one sequence");
+            assert_eq!(store.snapshot().sequence(), now, "{engine}");
+            last = now;
+        }
+        let (key_a, key_b) = keys_on_shards_0_and_1();
+        let mut batch = WriteBatch::new();
+        batch.put(&key_a, b"a");
+        batch.put(&key_b, b"b");
+        batch.delete(&key_of(3));
+        store.write(batch).unwrap();
+        assert_eq!(store.committed_sequence(), last + 3, "{engine}");
+        assert_eq!(store.snapshot().sequence(), last + 3, "{engine}");
+    }
+}
