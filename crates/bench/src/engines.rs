@@ -1,13 +1,16 @@
-//! Opens the evaluated stores behind the shared `KvStore` trait.
+//! The evaluated stores: which they are, their benchmark-scaled options,
+//! and the one function that opens any of them (and the one that opens the
+//! environment under them).
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use pebblesdb::PebblesDb;
 use pebblesdb_btree::BTreeStore;
-use pebblesdb_common::{Db, KvStore, PrefixDb, Result, StoreOptions, StorePreset};
+use pebblesdb_common::{Db, Error, PrefixDb, Result, StoreOptions, StorePreset};
 use pebblesdb_env::{DiskEnv, Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
+use pebblesdb_shard::ShardConfig;
 
 /// Which store an experiment runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,10 +19,9 @@ pub enum EngineKind {
     PebblesDb,
     /// The FLSM engine with `max_sstables_per_guard = 1`.
     PebblesDb1,
-    /// Baseline LSM with HyperLevelDB parameters.
+    /// Baseline LSM with HyperLevelDB parameters (which are LevelDB's: the
+    /// paper's separate LevelDB series would be this configuration again).
     HyperLevelDb,
-    /// Baseline LSM with LevelDB parameters.
-    LevelDb,
     /// Baseline LSM with RocksDB parameters.
     RocksDb,
     /// The page-oriented B+Tree store (KyotoCabinet / WiredTiger stand-in).
@@ -27,27 +29,13 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Every engine, in the order the paper's figures list them.
-    pub fn all() -> Vec<EngineKind> {
-        vec![
-            EngineKind::PebblesDb,
-            EngineKind::HyperLevelDb,
-            EngineKind::LevelDb,
-            EngineKind::RocksDb,
-            EngineKind::BTree,
-            EngineKind::PebblesDb1,
-        ]
-    }
-
-    /// The four stores compared throughout the paper's figures.
-    pub fn paper_four() -> Vec<EngineKind> {
-        vec![
-            EngineKind::PebblesDb,
-            EngineKind::HyperLevelDb,
-            EngineKind::LevelDb,
-            EngineKind::RocksDb,
-        ]
-    }
+    /// The LSM-family stores compared throughout the paper's figures: the
+    /// three distinct configurations behind its four series.
+    pub const PAPER_STORES: [EngineKind; 3] = [
+        EngineKind::PebblesDb,
+        EngineKind::HyperLevelDb,
+        EngineKind::RocksDb,
+    ];
 
     /// Display name.
     pub fn name(self) -> &'static str {
@@ -55,22 +43,31 @@ impl EngineKind {
             EngineKind::PebblesDb => "PebblesDB",
             EngineKind::PebblesDb1 => "PebblesDB-1",
             EngineKind::HyperLevelDb => "HyperLevelDB",
-            EngineKind::LevelDb => "LevelDB",
             EngineKind::RocksDb => "RocksDB",
             EngineKind::BTree => "BTree",
         }
     }
 
-    /// Parses a `--engine` flag value.
+    /// Parses an `--engine` flag value.
     pub fn from_flag(value: &str) -> Option<EngineKind> {
         match value.to_ascii_lowercase().as_str() {
             "pebblesdb" | "pebbles" | "flsm" => Some(EngineKind::PebblesDb),
             "pebblesdb-1" | "pebblesdb1" => Some(EngineKind::PebblesDb1),
             "hyperleveldb" | "hyper" => Some(EngineKind::HyperLevelDb),
-            "leveldb" => Some(EngineKind::LevelDb),
             "rocksdb" => Some(EngineKind::RocksDb),
             "btree" | "wiredtiger" | "kyotocabinet" => Some(EngineKind::BTree),
             _ => None,
+        }
+    }
+
+    /// The options preset of this store; the B+Tree takes the baseline's
+    /// sizes (it reads only the cache and page-size fields).
+    fn preset(self) -> StorePreset {
+        match self {
+            EngineKind::PebblesDb => StorePreset::PebblesDb,
+            EngineKind::PebblesDb1 => StorePreset::PebblesDb1,
+            EngineKind::HyperLevelDb | EngineKind::BTree => StorePreset::HyperLevelDb,
+            EngineKind::RocksDb => StorePreset::RocksDb,
         }
     }
 }
@@ -78,15 +75,7 @@ impl EngineKind {
 /// Benchmark options: the paper-preset parameters scaled down by
 /// `scale_divisor` so multi-level behaviour appears at laptop-size datasets.
 pub fn scaled_options(kind: EngineKind, scale_divisor: usize) -> StoreOptions {
-    let preset = match kind {
-        EngineKind::PebblesDb => StorePreset::PebblesDb,
-        EngineKind::PebblesDb1 => StorePreset::PebblesDb1,
-        EngineKind::HyperLevelDb => StorePreset::HyperLevelDb,
-        EngineKind::LevelDb => StorePreset::LevelDb,
-        EngineKind::RocksDb => StorePreset::RocksDb,
-        EngineKind::BTree => StorePreset::LevelDb,
-    };
-    let mut options = StoreOptions::with_preset(preset).scale_down(scale_divisor);
+    let mut options = StoreOptions::with_preset(kind.preset()).scale_down(scale_divisor);
     // Guard density is tuned for the scaled-down key counts used in the
     // harness (tens of thousands to a few million keys): roughly a few dozen
     // guards in the deepest populated level, as in the paper's configuration.
@@ -100,157 +89,186 @@ pub fn scaled_options(kind: EngineKind, scale_divisor: usize) -> StoreOptions {
     // Parallel seeks pay off when last-level sstables sit on a cold device;
     // the default bench environment is in-memory, where spawning the seek
     // threads costs more than it saves, so the harness turns them off. The
-    // ablation binary re-enables them explicitly.
+    // ablation experiment re-enables them explicitly.
     options.parallel_seek_threads = 1;
     options
 }
 
-/// Opens the engine `kind` in `dir` using `env`.
-pub fn open_engine(
-    kind: EngineKind,
-    env: Arc<dyn Env>,
-    dir: &Path,
-    scale_divisor: usize,
-) -> Result<Arc<dyn KvStore>> {
-    open_engine_with_options(kind, env, dir, scaled_options(kind, scale_divisor))
+/// A store the harness opened.
+pub struct Opened {
+    /// The store as a multi-family database. The LSM-family engines provide
+    /// column families natively; the B+Tree serves them (and its default
+    /// family) through the shared key-prefix emulation.
+    pub db: Arc<dyn Db>,
+    /// The same store as its own type when it is an unsharded FLSM, for the
+    /// guard-shape accessors no other store has (Figure 5.4).
+    pub flsm: Option<Arc<PebblesDb>>,
 }
 
-/// Opens the engine `kind` with explicit (already scaled) options — used by
-/// drivers that override individual knobs such as `compaction_threads`. The
-/// LSM-family engines are their [`Db`] seen as a plain store; the B+Tree is
-/// opened bare, without [`open_db_with_options`]'s key-prefix layer.
-pub fn open_engine_with_options(
+/// Opens the engine `kind` in `dir` of `env` with explicit (already scaled)
+/// options — the harness's one store opener. With `shards`, the store is a
+/// [`ShardedDb`](pebblesdb_shard::ShardedDb) facade over that many
+/// independent instances (each with its own WAL, flush thread and compaction
+/// pool) in `shard-<i>/` subdirectories; only the LSM-family engines shard —
+/// the B+Tree has no shape policy to replicate.
+pub fn open_store(
     kind: EngineKind,
     env: Arc<dyn Env>,
     dir: &Path,
     options: StoreOptions,
-) -> Result<Arc<dyn KvStore>> {
-    Ok(match kind {
-        EngineKind::BTree => Arc::new(BTreeStore::open(env, dir, options)?),
-        _ => open_db_with_options(kind, env, dir, options)?,
-    })
-}
-
-/// Opens the engine `kind` as a multi-namespace [`Db`]. The LSM-family
-/// engines provide column families natively (chassis feature); the B+Tree
-/// serves them through the shared key-prefix emulation.
-pub fn open_db(
-    kind: EngineKind,
-    env: Arc<dyn Env>,
-    dir: &Path,
-    scale_divisor: usize,
-) -> Result<Arc<dyn Db>> {
-    open_db_with_options(kind, env, dir, scaled_options(kind, scale_divisor))
-}
-
-/// Like [`open_db`] with explicit (already scaled) options.
-pub fn open_db_with_options(
-    kind: EngineKind,
-    env: Arc<dyn Env>,
-    dir: &Path,
-    options: StoreOptions,
-) -> Result<Arc<dyn Db>> {
-    Ok(match kind {
-        EngineKind::PebblesDb | EngineKind::PebblesDb1 => {
-            Arc::new(PebblesDb::open_with_options(env, dir, options)?)
+    shards: Option<ShardConfig>,
+) -> Result<Opened> {
+    let preset = kind.preset();
+    let db: Arc<dyn Db> = match (kind, shards) {
+        (EngineKind::PebblesDb | EngineKind::PebblesDb1, None) => {
+            let flsm = Arc::new(PebblesDb::open_with_options(env, dir, options)?);
+            return Ok(Opened {
+                db: Arc::clone(&flsm) as Arc<dyn Db>,
+                flsm: Some(flsm),
+            });
         }
-        EngineKind::HyperLevelDb => Arc::new(LsmDb::open_with_options(
-            env,
-            dir,
-            options,
-            StorePreset::HyperLevelDb,
-        )?),
-        EngineKind::LevelDb => Arc::new(LsmDb::open_with_options(
-            env,
-            dir,
-            options,
-            StorePreset::LevelDb,
-        )?),
-        EngineKind::RocksDb => Arc::new(LsmDb::open_with_options(
-            env,
-            dir,
-            options,
-            StorePreset::RocksDb,
-        )?),
-        EngineKind::BTree => Arc::new(PrefixDb::new(Arc::new(BTreeStore::open(
+        (EngineKind::PebblesDb | EngineKind::PebblesDb1, Some(config)) => {
+            Arc::new(PebblesDb::open_sharded(env, dir, options, config)?)
+        }
+        (EngineKind::BTree, None) => Arc::new(PrefixDb::new(Arc::new(BTreeStore::open(
             env, dir, options,
         )?))),
-    })
-}
-
-/// Opens the engine `kind` as a [`ShardedDb`](pebblesdb_shard::ShardedDb)
-/// facade over `config.shards` independent instances (each with its own
-/// WAL, flush thread and compaction pool) in `shard-<i>/` subdirectories of
-/// `dir`. Only the LSM-family engines shard — the B+Tree has no shape
-/// policy to replicate.
-pub fn open_sharded_db_with_options(
-    kind: EngineKind,
-    env: Arc<dyn Env>,
-    dir: &Path,
-    options: StoreOptions,
-    config: pebblesdb_shard::ShardConfig,
-) -> Result<Arc<dyn Db>> {
-    let preset = match kind {
-        EngineKind::PebblesDb | EngineKind::PebblesDb1 => {
-            return Ok(Arc::new(PebblesDb::open_sharded(
-                env, dir, options, config,
-            )?));
-        }
-        EngineKind::HyperLevelDb => StorePreset::HyperLevelDb,
-        EngineKind::LevelDb => StorePreset::LevelDb,
-        EngineKind::RocksDb => StorePreset::RocksDb,
-        EngineKind::BTree => {
-            return Err(pebblesdb_common::Error::invalid_argument(
+        (EngineKind::BTree, Some(_)) => {
+            return Err(Error::invalid_argument(
                 "--shards requires an LSM-family engine",
-            ));
+            ))
         }
+        (_, None) => Arc::new(LsmDb::open_with_options(env, dir, options, preset)?),
+        (_, Some(config)) => Arc::new(LsmDb::open_sharded(env, dir, options, preset, config)?),
     };
-    Ok(Arc::new(LsmDb::open_sharded(
-        env, dir, options, preset, config,
-    )?))
+    Ok(Opened { db, flsm: None })
 }
 
-/// Creates the environment requested by `--env` (`mem` or `disk`).
+/// Creates the environment requested by `--env` (`mem` or `disk`) and the
+/// directory a store labelled `label` lives in — the harness's one
+/// environment opener.
 ///
-/// Disk runs use a per-engine directory under the system temp directory (or
+/// Disk runs use a per-label directory under the system temp directory (or
 /// `--dir` if given); memory runs are hermetic and are the default, matching
 /// the fully-cached configuration used for unit-scale runs.
-pub fn open_bench_env(
+///
+/// `write_latency_us > 0` emulates a slow device for sstable writes (flushes
+/// and compactions pay it, the WAL does not). Only the in-memory env can
+/// inject it; this is how compaction-parallelism wins are made visible on a
+/// machine whose page cache would otherwise absorb all compaction IO.
+pub fn open_env(
     env_kind: &str,
-    engine: EngineKind,
+    label: &str,
     dir_flag: &str,
-) -> (Arc<dyn Env>, std::path::PathBuf) {
-    let (env, _, dir) = open_bench_env_full(env_kind, engine, dir_flag);
-    (env, dir)
+    write_latency_us: u64,
+) -> (Arc<dyn Env>, PathBuf) {
+    if env_kind == "disk" {
+        if write_latency_us > 0 {
+            eprintln!("--write-latency-us is only supported with --env mem");
+        }
+        let base = if dir_flag.is_empty() {
+            std::env::temp_dir().join("pebblesdb-bench")
+        } else {
+            PathBuf::from(dir_flag)
+        };
+        let dir = base.join(format!("{label}-{}", std::process::id()));
+        let env = DiskEnv::new();
+        let _ = env.remove_dir_all(&dir);
+        return (Arc::new(env), dir);
+    }
+    let mem = MemEnv::new();
+    if write_latency_us > 0 {
+        mem.set_write_latency_micros_for(".sst", write_latency_us);
+    }
+    (Arc::new(mem), PathBuf::from(format!("/bench/{label}")))
 }
 
-/// Like [`open_bench_env`] but also hands back the concrete [`MemEnv`] (when
-/// the environment is in-memory) so drivers can use its fault-injection
-/// hooks — e.g. adding per-append sstable latency to emulate a slow device.
-pub fn open_bench_env_full(
-    env_kind: &str,
-    engine: EngineKind,
-    dir_flag: &str,
-) -> (Arc<dyn Env>, Option<MemEnv>, std::path::PathBuf) {
-    match env_kind {
-        "disk" => {
-            let base = if dir_flag.is_empty() {
-                std::env::temp_dir().join("pebblesdb-bench")
-            } else {
-                std::path::PathBuf::from(dir_flag)
-            };
-            let dir = base.join(format!("{}-{}", engine.name(), std::process::id()));
-            let env = DiskEnv::new();
-            let _ = env.remove_dir_all(&dir);
-            (Arc::new(env), None, dir)
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pebblesdb_common::CompressionType;
+
+    const ALL: [EngineKind; 5] = [
+        EngineKind::PebblesDb,
+        EngineKind::PebblesDb1,
+        EngineKind::HyperLevelDb,
+        EngineKind::RocksDb,
+        EngineKind::BTree,
+    ];
+
+    /// `bench_suite` builds its stores from `scaled_options(_, 16)`, so these
+    /// fields are `BENCHMARK.json`'s configuration: a refactor that moves one
+    /// moves the benchmark's numbers.
+    #[test]
+    fn the_benchmarks_store_configuration_is_pinned() {
+        for (kind, compaction_threads) in
+            [(EngineKind::PebblesDb, 2), (EngineKind::HyperLevelDb, 1)]
+        {
+            let o = scaled_options(kind, 16);
+            assert_eq!(o.write_buffer_size, 256 << 10, "{kind:?}");
+            assert_eq!(o.block_cache_capacity, 2 << 20);
+            assert_eq!(o.max_file_size, 256 << 10);
+            assert_eq!(o.base_level_bytes, 640 << 10);
+            assert_eq!(o.vlog_file_size, 4 << 20);
+            assert_eq!(o.block_size, 4096);
+            assert_eq!(o.bloom_bits_per_key, 10);
+            assert_eq!(o.max_open_files, 8192);
+            assert_eq!(o.max_levels, 7);
+            assert_eq!(
+                (
+                    o.level0_compaction_trigger,
+                    o.level0_slowdown_writes_trigger,
+                    o.level0_stop_writes_trigger
+                ),
+                (4, 8, 12)
+            );
+            assert_eq!((o.top_level_bits, o.bit_decrement), (14, 2));
+            assert_eq!(o.max_sstables_per_guard, 8);
+            assert_eq!(o.seek_compaction_threshold, 10);
+            assert!(o.enable_aggressive_compaction);
+            assert_eq!(o.parallel_seek_threads, 1);
+            assert_eq!(o.compaction_threads, compaction_threads, "{kind:?}");
+            assert_eq!(o.value_separation_threshold, 0);
+            assert_eq!(o.compression, CompressionType::None);
+            assert!(o.compression_per_level.is_empty());
         }
-        _ => {
-            let mem = MemEnv::new();
-            (
-                Arc::new(mem.clone()),
-                Some(mem),
-                std::path::PathBuf::from(format!("/bench/{}", engine.name())),
-            )
+    }
+
+    #[test]
+    fn every_engine_kind_opens_and_serves_reads() {
+        for kind in ALL {
+            let (env, dir) = open_env("mem", kind.name(), "", 0);
+            let opened = open_store(kind, env, &dir, scaled_options(kind, 4), None).unwrap();
+            opened.db.put(b"k", b"v").unwrap();
+            assert_eq!(
+                opened.db.get(b"k").unwrap(),
+                Some(b"v".to_vec()),
+                "{kind:?}"
+            );
+            assert!(!opened.db.engine_name().is_empty());
+            assert_eq!(EngineKind::from_flag(kind.name()), Some(kind));
+            assert_eq!(
+                opened.flsm.is_some(),
+                opened.db.engine_name().starts_with("Pebbles")
+            );
+        }
+    }
+
+    #[test]
+    fn sharding_is_for_the_lsm_family_only() {
+        let config = || {
+            Some(ShardConfig {
+                shards: 2,
+                ..Default::default()
+            })
+        };
+        for kind in ALL {
+            let (env, dir) = open_env("mem", kind.name(), "", 0);
+            let opened = open_store(kind, env, &dir, scaled_options(kind, 4), config());
+            match kind {
+                EngineKind::BTree => assert!(opened.is_err()),
+                _ => assert_eq!(opened.unwrap().db.shard_stats().len(), 2, "{kind:?}"),
+            }
         }
     }
 }

@@ -4,8 +4,8 @@
 #[derive(Debug, Clone)]
 pub struct Report {
     title: String,
-    columns: Vec<String>,
-    rows: Vec<Vec<String>>,
+    pub(crate) columns: Vec<String>,
+    pub(crate) rows: Vec<Vec<String>>,
     notes: Vec<String>,
 }
 
@@ -73,6 +73,11 @@ impl Report {
     pub fn print(&self) {
         println!("{}", self.render());
     }
+}
+
+/// A table row: its label, then its cells.
+pub fn row(label: &str, cells: impl Iterator<Item = String>) -> Vec<String> {
+    std::iter::once(label.to_string()).chain(cells).collect()
 }
 
 // One byte formatter for every stats surface: the server's INFO command and

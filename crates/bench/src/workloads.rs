@@ -7,12 +7,15 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use pebblesdb_common::{KvStore, ReadOptions, Result};
+use pebblesdb_common::{KvStore, Result, StoreStats};
+use pebblesdb_ycsb::{drive, execute, CoreWorkload, Driven, Operation, WorkloadKind};
+
+use crate::keygen::{bench_key, bench_value_compressible};
+use crate::report::format_kops;
 
 /// The micro-benchmark operations of Figure 5.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,6 +28,9 @@ pub enum Workload {
     Overwrite,
     /// Point-read random keys.
     ReadRandom,
+    /// Each operation reads the whole key space in order through one cursor
+    /// (one operation warms the block cache).
+    ReadSeq,
     /// Position an iterator at random keys (seek only, the paper's worst
     /// case for PebblesDB).
     SeekRandom,
@@ -35,6 +41,10 @@ pub enum Workload {
     },
     /// Delete random keys.
     DeleteRandom,
+    /// Delete keys in ascending order.
+    DeleteSeq,
+    /// A YCSB operation mix over `keys` records of the first store.
+    Ycsb(WorkloadKind),
     /// Half the threads read while the other half write.
     ReadWhileWriting,
     /// Half the threads drive range-scan cursors while the other half write
@@ -46,315 +56,297 @@ pub enum Workload {
     },
 }
 
-/// The outcome of one workload execution.
+/// How a workload is offered: everything about a run but the workload
+/// itself and its operation count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Shape {
+    /// First key index of the key space (time-series windows move it).
+    pub first_key: u64,
+    /// Size of the key space: random workloads draw indices from
+    /// `first_key..first_key + keys`, sequential ones start at `first_key`.
+    pub keys: u64,
+    /// Value payload size in bytes.
+    pub value_size: usize,
+    /// Driver threads.
+    pub threads: usize,
+    /// The ratio an ideal codec would shrink each value to (see
+    /// [`bench_value_compressible`]); `1.0` means fully random.
+    pub compressibility: f64,
+}
+
+/// The outcome of one measured phase: what [`drive`] executed, between two
+/// snapshots of the store's statistics.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
     /// Workload label.
     pub name: String,
-    /// Engine label.
-    pub engine: String,
-    /// Operations executed.
-    pub operations: u64,
-    /// Wall-clock seconds.
-    pub seconds: f64,
+    /// Operations, wall-clock seconds and the latency histogram.
+    pub driven: Driven,
     /// For read workloads, how many keys were found.
-    pub found: Option<u64>,
-    /// Device bytes written during the workload.
-    pub bytes_written: u64,
-    /// Device bytes read during the workload.
-    pub bytes_read: u64,
-    /// User payload bytes handed to the store during the workload.
-    pub user_bytes: u64,
-    /// Microseconds writers spent stalled during the workload.
-    pub stall_micros: u64,
-    /// Largest number of compaction jobs the store ever ran concurrently
-    /// (a lifetime high-water mark, not an interval delta).
-    pub max_concurrent_compactions: u64,
-    /// Block-cache hits during the workload.
-    pub block_cache_hits: u64,
-    /// Block-cache misses during the workload.
-    pub block_cache_misses: u64,
+    pub found: u64,
+    /// The store's statistics just before the phase.
+    pub before: StoreStats,
+    /// The store's statistics just after it.
+    pub after: StoreStats,
 }
 
 impl BenchResult {
-    /// Throughput in thousands of operations per second.
-    pub fn kops_per_second(&self) -> f64 {
-        if self.seconds == 0.0 {
-            0.0
-        } else {
-            self.operations as f64 / self.seconds / 1000.0
-        }
+    /// Throughput in thousands of operations per second, as a table cell.
+    pub fn kops(&self) -> String {
+        format_kops(self.driven.kops_per_second())
+    }
+
+    /// How much the counter `stat` grew over the phase.
+    pub fn delta(&self, stat: fn(&StoreStats) -> u64) -> u64 {
+        stat(&self.after).saturating_sub(stat(&self.before))
     }
 
     /// Write amplification over the measured interval.
     pub fn write_amplification(&self) -> f64 {
-        if self.user_bytes == 0 {
-            0.0
-        } else {
-            self.bytes_written as f64 / self.user_bytes as f64
+        match self.delta(|s| s.user_bytes_written) {
+            0 => 0.0,
+            user => self.delta(|s| s.bytes_written) as f64 / user as f64,
         }
     }
 
     /// Block-cache hit percentage over the measured interval, or `None`
     /// when the cache was never consulted (e.g. pure fill workloads).
     pub fn block_cache_hit_pct(&self) -> Option<f64> {
-        let total = self.block_cache_hits + self.block_cache_misses;
-        if total == 0 {
-            None
-        } else {
-            Some(self.block_cache_hits as f64 * 100.0 / total as f64)
+        let hits = self.delta(|s| s.block_cache_hits);
+        match hits + self.delta(|s| s.block_cache_misses) {
+            0 => None,
+            total => Some(hits as f64 * 100.0 / total as f64),
         }
     }
 }
 
-// Key/value generation lives in [`crate::keygen`] so the network bench
-// client hits the exact same key space; re-exported here because every
-// workload call site historically imported them from this module.
-pub use crate::keygen::{bench_key, bench_value, bench_value_compressible};
+/// The `--benchmarks` vocabulary; scans read 50 entries unless an
+/// experiment says otherwise.
+const NAMES: [(&str, Workload); 11] = [
+    ("fillseq", Workload::FillSeq),
+    ("fillrandom", Workload::FillRandom),
+    ("overwrite", Workload::Overwrite),
+    ("readrandom", Workload::ReadRandom),
+    ("readseq", Workload::ReadSeq),
+    ("seekrandom", Workload::SeekRandom),
+    ("rangequery", Workload::RangeQuery { nexts: 50 }),
+    ("deleterandom", Workload::DeleteRandom),
+    ("deleteseq", Workload::DeleteSeq),
+    ("readwhilewriting", Workload::ReadWhileWriting),
+    ("mixed_scan_write", Workload::MixedScanWrite { nexts: 50 }),
+];
 
 impl Workload {
     /// Display name of the workload.
     pub fn name(&self) -> String {
-        match self {
-            Workload::FillSeq => "fillseq".to_string(),
-            Workload::FillRandom => "fillrandom".to_string(),
-            Workload::Overwrite => "overwrite".to_string(),
-            Workload::ReadRandom => "readrandom".to_string(),
-            Workload::SeekRandom => "seekrandom".to_string(),
+        match *self {
             Workload::RangeQuery { nexts } => format!("rangequery({nexts})"),
-            Workload::DeleteRandom => "deleterandom".to_string(),
-            Workload::ReadWhileWriting => "readwhilewriting".to_string(),
             Workload::MixedScanWrite { nexts } => format!("mixed_scan_write({nexts})"),
+            Workload::Ycsb(kind) => kind.name().to_string(),
+            plain => (NAMES.iter().find(|named| named.1 == plain))
+                .map_or_else(String::new, |named| named.0.to_string()),
         }
     }
 
-    /// Runs `operations` operations against `store` with `threads` threads.
+    /// Parses a `--benchmarks` entry.
+    pub fn from_flag(name: &str) -> Option<Workload> {
+        let named = NAMES.iter().find(|named| named.0 == name);
+        named.map(|named| named.1)
+    }
+
+    /// Runs `operations` operations of this workload as a [`drive`] worker,
+    /// between two snapshots of the store's statistics (every handle of one
+    /// database reports the same store-wide IO and stall counters).
     ///
-    /// `key_space` bounds the random key indices so read workloads hit data
-    /// written by an earlier fill; for fills it is the number of keys
-    /// inserted.
+    /// Keys are round-robined across `stores` — in practice one [`KvStore`]
+    /// handle per column family, so `--cfs N` runs drive N namespaces of one
+    /// database with the same key stream. Key `k` always lands in the same
+    /// family, so reads find what fills wrote regardless of the count.
     pub fn run(
         &self,
-        store: &Arc<dyn KvStore>,
-        operations: u64,
-        key_size: usize,
-        value_size: usize,
-        threads: usize,
-    ) -> Result<BenchResult> {
-        self.run_sharded(
-            std::slice::from_ref(store),
-            operations,
-            key_size,
-            value_size,
-            threads,
-        )
-    }
-
-    /// Like [`Workload::run`], but round-robins keys across `stores` — in
-    /// practice one [`KvStore`] handle per column family, so `--cfs N` runs
-    /// drive N namespaces of one database with the same key stream.
-    ///
-    /// Statistics are read from `stores[0]`; every handle of one database
-    /// reports the same store-wide IO and stall counters, so the deltas
-    /// cover all shards.
-    pub fn run_sharded(
-        &self,
         stores: &[Arc<dyn KvStore>],
         operations: u64,
-        key_size: usize,
-        value_size: usize,
-        threads: usize,
+        shape: &Shape,
     ) -> Result<BenchResult> {
-        self.run_sharded_compressible(stores, operations, key_size, value_size, threads, 1.0)
-    }
-
-    /// Like [`Workload::run_sharded`], with a target value compressibility:
-    /// `compressibility` is the ratio an ideal codec would shrink each value
-    /// to (see [`bench_value_compressible`]); `1.0` means fully random.
-    pub fn run_sharded_compressible(
-        &self,
-        stores: &[Arc<dyn KvStore>],
-        operations: u64,
-        _key_size: usize,
-        value_size: usize,
-        threads: usize,
-        compressibility: f64,
-    ) -> Result<BenchResult> {
-        assert!(!stores.is_empty(), "need at least one store");
-        let threads = threads.max(1);
-        let store = &stores[0];
-        let stats_before = store.stats();
-        let start = Instant::now();
+        let (store, threads) = (&stores[0], shape.threads.max(1));
         let found = AtomicU64::new(0);
-        let executed = AtomicU64::new(0);
-
-        std::thread::scope(|scope| -> Result<()> {
-            let mut handles = Vec::new();
-            for thread_id in 0..threads {
+        let before = store.stats();
+        let driven = match *self {
+            Workload::Ycsb(kind) => {
+                let mix = CoreWorkload::preset(kind, shape.keys).with_value_size(shape.value_size);
+                drive(threads, operations, 0xabcd_0000, mix.worker(store))?
+            }
+            micro => drive(threads, operations, 0xbeef_0000, |thread| {
                 let found = &found;
-                let executed = &executed;
-                let workload = *self;
-                handles.push(scope.spawn(move || -> Result<()> {
-                    let per_thread = operations / threads as u64;
-                    let mut rng = StdRng::seed_from_u64(0xbeef_0000 + thread_id as u64);
-                    for i in 0..per_thread {
-                        let global_index = thread_id as u64 * per_thread + i;
-                        workload.run_one(
-                            stores,
-                            global_index,
-                            operations,
-                            value_size,
-                            compressibility,
-                            thread_id,
-                            threads,
-                            &mut rng,
-                            found,
-                        )?;
-                        executed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(())
-                }));
-            }
-            for handle in handles {
-                handle.join().expect("bench thread panicked")?;
-            }
-            Ok(())
-        })?;
-
-        let seconds = start.elapsed().as_secs_f64();
-        let stats_after = store.stats();
+                Ok(move |index: u64, rng: &mut StdRng| {
+                    micro.run_one(stores, shape, index, thread, rng, found)
+                })
+            })?,
+        };
         Ok(BenchResult {
             name: self.name(),
-            engine: store.engine_name(),
-            operations: executed.load(Ordering::Relaxed),
-            seconds,
-            found: match self {
-                Workload::ReadRandom | Workload::ReadWhileWriting => {
-                    Some(found.load(Ordering::Relaxed))
-                }
-                _ => None,
-            },
-            bytes_written: stats_after
-                .bytes_written
-                .saturating_sub(stats_before.bytes_written),
-            bytes_read: stats_after
-                .bytes_read
-                .saturating_sub(stats_before.bytes_read),
-            user_bytes: stats_after
-                .user_bytes_written
-                .saturating_sub(stats_before.user_bytes_written),
-            stall_micros: stats_after
-                .write_stall_micros
-                .saturating_sub(stats_before.write_stall_micros),
-            max_concurrent_compactions: stats_after.max_concurrent_compactions,
-            block_cache_hits: stats_after
-                .block_cache_hits
-                .saturating_sub(stats_before.block_cache_hits),
-            block_cache_misses: stats_after
-                .block_cache_misses
-                .saturating_sub(stats_before.block_cache_misses),
+            driven,
+            found: found.into_inner(),
+            before,
+            after: store.stats(),
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_one(
         &self,
         stores: &[Arc<dyn KvStore>],
+        shape: &Shape,
         index: u64,
-        key_space: u64,
-        value_size: usize,
-        compressibility: f64,
-        thread_id: usize,
-        threads: usize,
+        thread: usize,
         rng: &mut StdRng,
         found: &AtomicU64,
     ) -> Result<()> {
-        let key_space = key_space.max(1);
-        // Round-robin: key `k` always lands in the same shard (column
-        // family), so reads find what fills wrote regardless of shard count.
-        let shard = |k: u64| &stores[(k % stores.len() as u64) as usize];
-        let value_for = |k: u64, rng: &mut StdRng| {
-            bench_value_compressible(k, value_size, compressibility, rng)
+        let store = |k: u64| &stores[(k % stores.len() as u64) as usize];
+        let random = |rng: &mut StdRng| shape.first_key + rng.gen_range(0..shape.keys.max(1));
+        let put = |k: u64, rng: &mut StdRng| {
+            let value = bench_value_compressible(k, shape.value_size, shape.compressibility, rng);
+            store(k).put(&bench_key(k), &value)
         };
-        match self {
-            Workload::FillSeq => {
-                let value = value_for(index, rng);
-                shard(index).put(&bench_key(index), &value)?;
+        let get = |k: u64| -> Result<()> {
+            if store(k).get(&bench_key(k))?.is_some() {
+                found.fetch_add(1, Ordering::Relaxed);
             }
-            Workload::FillRandom | Workload::Overwrite => {
-                let k = rng.gen_range(0..key_space);
-                let value = value_for(k, rng);
-                shard(k).put(&bench_key(k), &value)?;
-            }
-            Workload::ReadRandom => {
-                let k = rng.gen_range(0..key_space);
-                if shard(k).get(&bench_key(k))?.is_some() {
-                    found.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Workload::SeekRandom => {
-                // Pure cursor positioning — the paper's worst case for
-                // PebblesDB (a seek must consult every sstable in a guard).
-                let k = rng.gen_range(0..key_space);
-                let mut iter = shard(k).iter(&ReadOptions::default())?;
-                iter.seek(&bench_key(k));
-                std::hint::black_box(iter.valid());
-            }
-            Workload::RangeQuery { nexts } => {
-                let k = rng.gen_range(0..key_space);
-                let mut iter = shard(k).iter(&ReadOptions::default())?;
-                iter.seek(&bench_key(k));
-                let mut read = 0usize;
-                while iter.valid() && read < *nexts {
-                    std::hint::black_box((iter.key(), iter.value()));
-                    read += 1;
-                    iter.next();
-                }
-            }
+            Ok(())
+        };
+        // Position a cursor at `k`, then stream `nexts` entries off it.
+        let scan = |k: u64, nexts: usize| execute(store(k), Operation::Scan(bench_key(k), nexts));
+        // The mixed workloads split roles by thread: even threads read or
+        // scan, odd threads write (at least one of each from two threads up).
+        let reader = thread.is_multiple_of(2);
+        match *self {
+            Workload::FillSeq => put(shape.first_key + index, rng),
+            Workload::FillRandom | Workload::Overwrite => put(random(rng), rng),
+            Workload::ReadRandom => get(random(rng)),
+            Workload::ReadSeq => scan(shape.first_key, usize::MAX),
+            // Pure cursor positioning — the paper's worst case for PebblesDB
+            // (a seek must consult every sstable in a guard).
+            Workload::SeekRandom => scan(random(rng), 0),
+            Workload::RangeQuery { nexts } => scan(random(rng), nexts),
             Workload::DeleteRandom => {
-                let k = rng.gen_range(0..key_space);
-                shard(k).delete(&bench_key(k))?;
+                let k = random(rng);
+                store(k).delete(&bench_key(k))
             }
-            Workload::ReadWhileWriting => {
-                // Even threads read, odd threads write (at least one of each
-                // when threads >= 2).
-                if thread_id.is_multiple_of(2) || threads == 1 {
-                    let k = rng.gen_range(0..key_space);
-                    if shard(k).get(&bench_key(k))?.is_some() {
-                        found.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
-                    let k = rng.gen_range(0..key_space);
-                    let value = value_for(k, rng);
-                    shard(k).put(&bench_key(k), &value)?;
-                }
+            Workload::DeleteSeq => {
+                let k = shape.first_key + index;
+                store(k).delete(&bench_key(k))
             }
-            Workload::MixedScanWrite { nexts } => {
-                // Even threads scan, odd threads write; with a single thread
-                // the two roles alternate per operation so the cursor still
-                // races the write stream.
-                let scan = if threads == 1 {
-                    index.is_multiple_of(2)
-                } else {
-                    thread_id.is_multiple_of(2)
-                };
-                if scan {
-                    let k = rng.gen_range(0..key_space);
-                    let mut iter = shard(k).iter(&ReadOptions::default())?;
-                    iter.seek(&bench_key(k));
-                    let mut read = 0usize;
-                    while iter.valid() && read < *nexts {
-                        std::hint::black_box((iter.key(), iter.value()));
-                        read += 1;
-                        iter.next();
+            Workload::ReadWhileWriting if reader => get(random(rng)),
+            Workload::ReadWhileWriting => put(random(rng), rng),
+            // With a single thread the two roles alternate per operation so
+            // the cursor still races the write stream.
+            Workload::MixedScanWrite { nexts }
+                if (shape.threads <= 1 && index.is_multiple_of(2))
+                    || (shape.threads > 1 && reader) =>
+            {
+                scan(random(rng), nexts)
+            }
+            Workload::MixedScanWrite { .. } => put(random(rng), rng),
+            Workload::Ycsb(_) => unreachable!("run() hands a YCSB mix to CoreWorkload::worker"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engines::{open_env, open_store, scaled_options, EngineKind};
+
+    fn store(kind: EngineKind) -> Vec<Arc<dyn KvStore>> {
+        let (env, dir) = open_env("mem", kind.name(), "", 0);
+        let opened = open_store(kind, env, &dir, scaled_options(kind, 16), None).unwrap();
+        vec![opened.db as Arc<dyn KvStore>]
+    }
+
+    fn shape(keys: u64, threads: usize) -> Shape {
+        Shape {
+            first_key: 0,
+            keys,
+            value_size: 100,
+            threads,
+            compressibility: 1.0,
+        }
+    }
+
+    /// The embedded and the YCSB worker both run exactly what was asked,
+    /// whether or not the thread count divides it.
+    #[test]
+    fn executed_equals_requested_for_every_split() {
+        let stores = store(EngineKind::PebblesDb);
+        for workload in [
+            Workload::FillRandom,
+            Workload::Ycsb(WorkloadKind::LoadA),
+            Workload::Ycsb(WorkloadKind::A),
+        ] {
+            for ops in [10u64, 1000, 1001] {
+                for threads in [1usize, 3, 4] {
+                    let result = workload.run(&stores, ops, &shape(1001, threads)).unwrap();
+                    let at = format!("{} x{ops} on {threads}", result.name);
+                    assert_eq!(result.driven.operations, ops, "{at}");
+                    assert_eq!(result.driven.latency.count(), ops, "{at}");
+                    // One put per operation reached the store (A: half of them).
+                    let puts = result.delta(|s| s.user_bytes_written) / (16 + 100);
+                    match workload {
+                        Workload::Ycsb(WorkloadKind::A) => assert!(puts > 0 && puts < ops, "{at}"),
+                        Workload::Ycsb(_) => assert!(puts >= ops, "{at}: {puts} puts"),
+                        _ => assert_eq!(puts, ops, "{at}"),
                     }
-                } else {
-                    let k = rng.gen_range(0..key_space);
-                    let value = value_for(k, rng);
-                    shard(k).put(&bench_key(k), &value)?;
                 }
             }
         }
-        Ok(())
+    }
+
+    /// A 3-thread sequential fill leaves no key of the space unwritten (the
+    /// old split dropped the remainder), and every read of it hits.
+    #[test]
+    fn sequential_fill_on_three_threads_writes_every_key() {
+        let stores = store(EngineKind::HyperLevelDb);
+        let shape = shape(5000, 3);
+        let fill = Workload::FillSeq.run(&stores, 5000, &shape).unwrap();
+        assert!(fill.driven.kops_per_second() > 0.0 && fill.write_amplification() >= 1.0);
+        for index in [0, 1666, 1667, 4998, 4999] {
+            assert!(
+                stores[0].get(&bench_key(index)).unwrap().is_some(),
+                "{index}"
+            );
+        }
+        let read = Workload::ReadRandom.run(&stores, 1000, &shape).unwrap();
+        assert_eq!((read.driven.operations, read.found), (1000, 1000));
+        assert_eq!(
+            Workload::ReadSeq.run(&stores, 1, &shape).unwrap().name,
+            "readseq"
+        );
+    }
+
+    /// Random fills sample keys with replacement, so roughly 1 - 1/e of the
+    /// key space exists; seeks, scans, deletes and the two mixed workloads
+    /// run on one thread and on four.
+    #[test]
+    fn every_micro_workload_executes() {
+        let stores = store(EngineKind::RocksDb);
+        Workload::FillRandom
+            .run(&stores, 2000, &shape(2000, 2))
+            .unwrap();
+        let read = Workload::ReadRandom
+            .run(&stores, 1000, &shape(2000, 1))
+            .unwrap();
+        assert!(
+            read.found > 500 && read.found < 1000,
+            "found {}",
+            read.found
+        );
+        for (name, workload) in NAMES {
+            assert_eq!(Workload::from_flag(name), Some(workload));
+            assert!(workload.name().starts_with(name), "{name}");
+            for threads in [1, 4] {
+                let result = workload.run(&stores, 200, &shape(2000, threads)).unwrap();
+                assert_eq!(result.driven.operations, 200, "{name} on {threads}");
+            }
+        }
+        assert_eq!(Workload::from_flag("fillrandom "), None);
     }
 }

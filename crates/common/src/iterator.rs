@@ -58,27 +58,6 @@ pub trait DbIterator {
     }
 }
 
-/// An iterator over nothing, useful as a placeholder.
-#[derive(Debug, Default)]
-pub struct EmptyIterator;
-
-impl DbIterator for EmptyIterator {
-    fn valid(&self) -> bool {
-        false
-    }
-    fn seek_to_first(&mut self) {}
-    fn seek_to_last(&mut self) {}
-    fn seek(&mut self, _target: &[u8]) {}
-    fn next(&mut self) {}
-    fn prev(&mut self) {}
-    fn key(&self) -> &[u8] {
-        panic!("key() called on empty iterator")
-    }
-    fn value(&self) -> &[u8] {
-        panic!("value() called on empty iterator")
-    }
-}
-
 /// An iterator over an in-memory, already-sorted list of entries.
 ///
 /// Used by tests and by small metadata structures (for example the list of
@@ -374,15 +353,6 @@ mod tests {
             iter.next();
         }
         out
-    }
-
-    #[test]
-    fn empty_iterator_is_never_valid() {
-        let mut iter = EmptyIterator;
-        iter.seek_to_first();
-        assert!(!iter.valid());
-        iter.seek(b"anything");
-        assert!(!iter.valid());
     }
 
     #[test]

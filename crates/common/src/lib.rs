@@ -18,8 +18,10 @@
 //! * database file naming conventions ([`filename`]),
 //! * RESP2 wire framing for the network server and its clients ([`resp`]),
 //! * the declarative stat tables every counter, shard merge and reporting
-//!   surface is generated from ([`stats`]), and
-//! * the tiny `--flag value` parser the workspace binaries share ([`args`]).
+//!   surface is generated from ([`stats`]),
+//! * the one latency histogram the load drivers (and, per the roadmap, the
+//!   engine and the server) record into ([`histogram`]), and
+//! * the `--flag value` parser the workspace binaries share ([`args`]).
 //!
 //! [`pebblesdb`]: https://www.cs.utexas.edu/~vijay/papers/sosp17-pebblesdb.pdf
 
@@ -32,6 +34,7 @@ pub mod crc32c;
 pub mod error;
 pub mod filename;
 pub mod hash;
+pub mod histogram;
 pub mod iterator;
 pub mod key;
 pub mod options;

@@ -56,9 +56,8 @@ impl CompressionType {
 /// Which evaluated key-value store a configuration models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorePreset {
-    /// Google LevelDB defaults: 4 MiB memtable, level-0 slowdown 8 / stop 12.
-    LevelDb,
-    /// HyperLevelDB defaults: LevelDB sizes with more eager compaction.
+    /// HyperLevelDB defaults, which are Google LevelDB's: 4 MiB memtable,
+    /// level-0 slowdown 8 / stop 12, one compaction thread.
     HyperLevelDb,
     /// RocksDB defaults: 64 MiB memtable, level-0 slowdown 20 / stop 24,
     /// multi-threaded compaction.
@@ -74,7 +73,6 @@ impl StorePreset {
     /// A short human-readable name used in benchmark tables.
     pub fn name(self) -> &'static str {
         match self {
-            StorePreset::LevelDb => "LevelDB",
             StorePreset::HyperLevelDb => "HyperLevelDB",
             StorePreset::RocksDb => "RocksDB",
             StorePreset::PebblesDb => "PebblesDB",
@@ -260,12 +258,6 @@ impl StoreOptions {
     pub fn with_preset(preset: StorePreset) -> Self {
         let mut opts = StoreOptions::default();
         match preset {
-            StorePreset::LevelDb => {
-                opts.write_buffer_size = 4 << 20;
-                opts.level0_slowdown_writes_trigger = 8;
-                opts.level0_stop_writes_trigger = 12;
-                opts.compaction_threads = 1;
-            }
             StorePreset::HyperLevelDb => {
                 opts.write_buffer_size = 4 << 20;
                 opts.level0_slowdown_writes_trigger = 8;
@@ -473,7 +465,6 @@ mod tests {
     #[test]
     fn preset_names_are_unique() {
         let names = [
-            StorePreset::LevelDb.name(),
             StorePreset::HyperLevelDb.name(),
             StorePreset::RocksDb.name(),
             StorePreset::PebblesDb.name(),

@@ -142,20 +142,12 @@ impl UncommittedGuards {
         &self.per_level[level]
     }
 
-    /// Removes (and returns) the pending guards for `level`, typically after
-    /// they have been committed by a compaction.
-    pub fn take_level(&mut self, level: usize) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.per_level[level])
-            .into_iter()
-            .collect()
-    }
-
     /// Removes exactly `keys` from `level`'s pending set.
     ///
     /// Used when a compaction commits the guard keys it snapshotted at build
     /// time: guards picked by writers *while the compaction IO ran* must stay
-    /// pending for the next compaction into the level, so a blanket
-    /// [`UncommittedGuards::take_level`] would silently drop them.
+    /// pending for the next compaction into the level, so clearing the
+    /// level's whole set would silently drop them.
     pub fn remove_committed(&mut self, level: usize, keys: &[Vec<u8>]) {
         for key in keys {
             self.per_level[level].remove(key);
@@ -251,8 +243,7 @@ mod tests {
         assert!(!pending.for_level(2).contains(&b"guard-a".to_vec()));
         assert_eq!(pending.len(), 4); // Levels 3, 4, 5, 6.
 
-        let taken = pending.take_level(4);
-        assert_eq!(taken, vec![b"guard-a".to_vec()]);
+        pending.remove_committed(4, &[b"guard-a".to_vec()]);
         assert!(pending.for_level(4).is_empty());
         assert!(!pending.is_empty());
     }

@@ -192,12 +192,6 @@ impl MemEnv {
         Ok(old)
     }
 
-    /// Returns the total bytes stored across all files (for space metrics).
-    pub fn total_file_bytes(&self) -> u64 {
-        let fs = self.fs.lock();
-        fs.files.values().map(|f| f.read().len() as u64).sum()
-    }
-
     /// Simulates the directory-entry loss of a crash: every file created and
     /// every rename performed since the last [`Env::sync_dir`] of its parent
     /// directory is rolled back — created files vanish, renames are undone
@@ -617,15 +611,5 @@ mod tests {
             b"MANIFEST-000007\n"
         );
         assert!(env.io_stats().snapshot().dir_syncs >= 1);
-    }
-
-    #[test]
-    fn total_file_bytes_tracks_contents() {
-        let env = MemEnv::new();
-        let mut f = env.new_writable_file(Path::new("/x")).unwrap();
-        f.append(&[0u8; 100]).unwrap();
-        let mut g = env.new_writable_file(Path::new("/y")).unwrap();
-        g.append(&[0u8; 20]).unwrap();
-        assert_eq!(env.total_file_bytes(), 120);
     }
 }

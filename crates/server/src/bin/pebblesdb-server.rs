@@ -26,20 +26,16 @@ const USAGE: &str = "pebblesdb-server [options]
   --mem                     serve an in-memory store (default when no --db)
   --engine NAME             pebbles | lsm (default pebbles)
   --auth-token TOKEN        require AUTH TOKEN before any command
-  --rate-limit OPS          per-connection sustained ops/sec (0 = unlimited)
-  --burst OPS               per-connection burst allowance (default rate/10)
+  --rate-limit N            per-connection sustained ops/sec (0 = unlimited)
+  --burst N                 per-connection burst allowance (default rate/10)
   --max-connections N       concurrent connection cap (default 256)
-  --idle-timeout-ms MS      close idle connections (default 300000)
+  --idle-timeout-ms N       close idle connections (default 300000)
   --sync                    fsync every acknowledged write
-  --write-latency-us US     with --mem: inject latency per sstable write
+  --write-latency-us N      with --mem: inject latency per sstable write
   --help                    print this help";
 
 fn main() {
-    let args = Args::parse();
-    if args.has_flag("help") {
-        println!("{USAGE}");
-        return;
-    }
+    let args = Args::parse(USAGE);
 
     let engine = args.get_str("engine", "pebbles");
     let db_path = args.get_str("db", "");

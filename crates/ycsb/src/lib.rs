@@ -1,28 +1,45 @@
-//! Yahoo Cloud Serving Benchmark (YCSB) workload generator and runner.
+//! The workspace's load-generation crate: the closed-loop driver and the
+//! Yahoo Cloud Serving Benchmark (YCSB) workloads.
 //!
 //! The paper evaluates PebblesDB with the six core YCSB workloads (Table 5.3
 //! and Figure 5.5) and through the HyperDex / MongoDB application layers
-//! (Figure 5.6). This crate reimplements the parts of YCSB those experiments
-//! need:
+//! (Figure 5.6). This crate holds what those experiments, `db_bench` and
+//! `net_bench` generate load with:
 //!
-//! * the request-distribution generators (uniform, zipfian, scrambled
-//!   zipfian, latest),
+//! * [`drive`] — the one closed-loop run loop: it splits an operation budget
+//!   exactly across threads, seeds each thread, times every operation into
+//!   a [`Histogram`](pebblesdb_common::histogram::Histogram) and returns
+//!   `{ operations, seconds, latency }`. The embedded `db_bench` workloads,
+//!   the YCSB mixes and `net_bench`'s RESP clients are all workers of it;
+//! * the request-distribution generators (zipfian, scrambled zipfian,
+//!   latest);
 //! * the core workload definitions Load A, A–D, Load E, E and F with the
-//!   paper's operation mixes, and
-//! * a multi-threaded runner that drives any [`KvStore`] and reports
-//!   throughput and latency percentiles.
+//!   paper's operation mixes ([`CoreWorkload`]), whose threads share one
+//!   insert sequence: `Load A` on any thread count writes exactly the
+//!   records `0..record_count`, and the transaction phases insert distinct
+//!   records past them; [`CoreWorkload::worker`] makes a workload a
+//!   [`drive`] worker over any [`KvStore`](pebblesdb_common::KvStore).
+//!
+//! ```
+//! # use std::sync::Arc;
+//! # use pebblesdb_common::KvStore;
+//! # use pebblesdb_ycsb::{drive, CoreWorkload, WorkloadKind};
+//! # fn demo(store: Arc<dyn KvStore>) -> pebblesdb_common::Result<()> {
+//! let load = CoreWorkload::preset(WorkloadKind::LoadA, 10_000).with_value_size(1024);
+//! drive(4, load.record_count, 0xabcd_0000, load.worker(&store))?;
+//! let a = CoreWorkload::preset(WorkloadKind::A, 10_000).with_value_size(1024);
+//! let run = drive(4, 5_000, 0xabcd_0000, a.worker(&store))?;
+//! println!("{:.1} KOps/s, p99 {} us", run.kops_per_second(), run.latency.percentile(99.0));
+//! # Ok(()) }
+//! ```
 
+pub mod drive;
 pub mod generators;
-pub mod histogram;
-pub mod runner;
 pub mod workload;
 
-pub use generators::{
-    Generator, LatestGenerator, ScrambledZipfianGenerator, UniformGenerator, ZipfianGenerator,
-};
-pub use histogram::Histogram;
-pub use runner::{run_workload, RunReport};
-pub use workload::{CoreWorkload, Operation, WorkloadKind};
+pub use drive::{drive, Driven};
+pub use generators::{Generator, LatestGenerator, ScrambledZipfianGenerator, ZipfianGenerator};
+pub use workload::{execute, CoreWorkload, Operation, WorkloadKind};
 
 #[cfg(test)]
 mod tests {

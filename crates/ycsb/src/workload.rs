@@ -1,10 +1,14 @@
 //! The YCSB core workloads (Table 5.3 of the paper).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use rand::Rng;
 
 use pebblesdb_common::hash::hash_seeded;
+use pebblesdb_common::{KvStore, ReadOptions, Result};
 
-use crate::generators::{Generator, LatestGenerator, ScrambledZipfianGenerator, UniformGenerator};
+use crate::generators::{Generator, LatestGenerator, ScrambledZipfianGenerator};
 
 /// Which of the paper's YCSB workloads to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,20 +32,6 @@ pub enum WorkloadKind {
 }
 
 impl WorkloadKind {
-    /// All workloads in the order the paper reports them.
-    pub fn all() -> Vec<WorkloadKind> {
-        vec![
-            WorkloadKind::LoadA,
-            WorkloadKind::A,
-            WorkloadKind::B,
-            WorkloadKind::C,
-            WorkloadKind::D,
-            WorkloadKind::LoadE,
-            WorkloadKind::E,
-            WorkloadKind::F,
-        ]
-    }
-
     /// The name used in benchmark tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -80,15 +70,29 @@ pub enum Operation {
 /// Request distribution used for choosing which existing key to touch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestDistribution {
-    /// Every key equally likely.
-    Uniform,
     /// Zipfian over hashed keys (YCSB default).
     Zipfian,
     /// Skewed towards the most recent inserts.
     Latest,
 }
 
+impl RequestDistribution {
+    fn chooser(self, item_count: u64) -> Box<dyn Generator> {
+        match self {
+            RequestDistribution::Zipfian => Box::new(ScrambledZipfianGenerator::new(item_count)),
+            RequestDistribution::Latest => Box::new(LatestGenerator::new(item_count)),
+        }
+    }
+}
+
 /// A configured YCSB workload.
+///
+/// One value describes a whole phase; every driver thread works on its own
+/// [`fork`](CoreWorkload::fork), which has a private key chooser but shares
+/// the insert sequence, so inserts draw distinct record indices across
+/// threads: a load phase of `record_count` operations writes exactly the
+/// records `0..record_count`, and a transaction phase extends the key space
+/// from `record_count` upwards.
 pub struct CoreWorkload {
     /// Fraction of operations that are reads.
     pub read_proportion: f64,
@@ -110,7 +114,7 @@ pub struct CoreWorkload {
     /// Number of records loaded before the run.
     pub record_count: u64,
 
-    insert_sequence: u64,
+    insert_sequence: Arc<AtomicU64>,
     chooser: Box<dyn Generator>,
 }
 
@@ -118,6 +122,10 @@ impl CoreWorkload {
     /// Creates the paper's configuration of the given workload over
     /// `record_count` pre-loaded records.
     pub fn preset(kind: WorkloadKind, record_count: u64) -> CoreWorkload {
+        let record_count = record_count.max(1);
+        // A load phase fills the record space from its start; every other
+        // phase inserts past the records the load left.
+        let first_insert = if kind.is_load() { 0 } else { record_count };
         let mut workload = CoreWorkload {
             read_proportion: 0.0,
             update_proportion: 0.0,
@@ -127,9 +135,9 @@ impl CoreWorkload {
             request_distribution: RequestDistribution::Zipfian,
             value_size: 1024,
             max_scan_length: 100,
-            record_count: record_count.max(1),
-            insert_sequence: record_count.max(1),
-            chooser: Box::new(ScrambledZipfianGenerator::new(record_count.max(1))),
+            record_count,
+            insert_sequence: Arc::new(AtomicU64::new(first_insert)),
+            chooser: RequestDistribution::Zipfian.chooser(record_count),
         };
         match kind {
             WorkloadKind::LoadA | WorkloadKind::LoadE => {
@@ -150,7 +158,7 @@ impl CoreWorkload {
                 workload.read_proportion = 0.95;
                 workload.insert_proportion = 0.05;
                 workload.request_distribution = RequestDistribution::Latest;
-                workload.chooser = Box::new(LatestGenerator::new(record_count.max(1)));
+                workload.chooser = RequestDistribution::Latest.chooser(record_count);
             }
             WorkloadKind::E => {
                 workload.scan_proportion = 0.95;
@@ -164,17 +172,14 @@ impl CoreWorkload {
         workload
     }
 
-    /// Switches the request distribution (used by ablation benchmarks).
-    pub fn with_distribution(mut self, distribution: RequestDistribution) -> Self {
-        self.request_distribution = distribution;
-        self.chooser = match distribution {
-            RequestDistribution::Uniform => Box::new(UniformGenerator::new(self.record_count)),
-            RequestDistribution::Zipfian => {
-                Box::new(ScrambledZipfianGenerator::new(self.record_count))
-            }
-            RequestDistribution::Latest => Box::new(LatestGenerator::new(self.record_count)),
-        };
-        self
+    /// A copy for one more driver thread: the same mix and the same (shared)
+    /// insert sequence, with a key chooser of its own.
+    pub fn fork(&self) -> CoreWorkload {
+        CoreWorkload {
+            insert_sequence: Arc::clone(&self.insert_sequence),
+            chooser: self.request_distribution.chooser(self.record_count),
+            ..*self
+        }
     }
 
     /// Overrides the value size.
@@ -189,25 +194,16 @@ impl CoreWorkload {
         format!("user{hashed:020}").into_bytes()
     }
 
-    /// A deterministic-but-incompressible value of the configured size.
+    /// A value of the configured size for record `index`: the index, then
+    /// incompressible bytes.
     pub fn value_for(&self, index: u64, rng: &mut impl Rng) -> Vec<u8> {
-        Self::make_value(self.value_size, index, rng)
-    }
-
-    /// Builds a value of `value_size` bytes for record `index`.
-    pub fn make_value(value_size: usize, index: u64, rng: &mut impl Rng) -> Vec<u8> {
-        let mut value = Vec::with_capacity(value_size);
+        let mut value = Vec::with_capacity(self.value_size);
         value.extend_from_slice(&index.to_le_bytes());
-        while value.len() < value_size {
+        while value.len() < self.value_size {
             value.push(rng.gen());
         }
-        value.truncate(value_size);
+        value.truncate(self.value_size);
         value
-    }
-
-    /// Keys for the load phase, in insertion order.
-    pub fn load_keys(&self) -> impl Iterator<Item = Vec<u8>> {
-        (0..self.record_count).map(Self::key_for)
     }
 
     /// Draws the next operation of the transaction phase.
@@ -235,10 +231,10 @@ impl CoreWorkload {
             let value = self.value_for(0, rng);
             return Operation::ReadModifyWrite(key, value);
         }
-        // Insert.
-        let index = self.insert_sequence;
-        self.insert_sequence += 1;
-        self.chooser.set_item_count(self.insert_sequence);
+        // Insert: the next index nobody else has drawn.
+        let index = self.insert_sequence.fetch_add(1, Ordering::Relaxed);
+        self.chooser
+            .set_item_count((index + 1).max(self.record_count));
         let value = self.value_for(index, rng);
         Operation::Insert(Self::key_for(index), value)
     }
@@ -247,6 +243,49 @@ impl CoreWorkload {
         let index = self.chooser.next(rng);
         Self::key_for(index)
     }
+
+    /// This workload as a [`drive`](crate::drive) worker over `store`: each
+    /// thread draws operations from its own fork and applies them.
+    pub fn worker<'a>(
+        &'a self,
+        store: &'a Arc<dyn KvStore>,
+    ) -> impl Fn(usize) -> Result<crate::drive::BoxedOp<'a>> + Sync + 'a {
+        move |_thread| {
+            let mut mine = self.fork();
+            Ok(Box::new(move |_index, rng| {
+                execute(store, mine.next_operation(rng))
+            }))
+        }
+    }
+}
+
+/// Applies one generated operation to `store`.
+pub fn execute(store: &Arc<dyn KvStore>, op: Operation) -> Result<()> {
+    match op {
+        Operation::Read(key) => {
+            let _ = store.get(&key)?;
+        }
+        Operation::Update(key, value) | Operation::Insert(key, value) => {
+            store.put(&key, &value)?;
+        }
+        Operation::Scan(key, len) => {
+            // YCSB-E drives the engine exactly like the paper: position a
+            // cursor, then stream `len` entries off it.
+            let mut iter = store.iter(&ReadOptions::default())?;
+            iter.seek(&key);
+            let mut read = 0usize;
+            while iter.valid() && read < len {
+                std::hint::black_box((iter.key(), iter.value()));
+                read += 1;
+                iter.next();
+            }
+        }
+        Operation::ReadModifyWrite(key, value) => {
+            let _ = store.get(&key)?;
+            store.put(&key, &value)?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -260,12 +299,6 @@ mod tests {
         assert_eq!(CoreWorkload::key_for(5), CoreWorkload::key_for(5));
         assert_ne!(CoreWorkload::key_for(5), CoreWorkload::key_for(6));
         assert!(CoreWorkload::key_for(1).starts_with(b"user"));
-    }
-
-    #[test]
-    fn load_phase_produces_record_count_keys() {
-        let workload = CoreWorkload::preset(WorkloadKind::LoadA, 100);
-        assert_eq!(workload.load_keys().count(), 100);
     }
 
     #[test]

@@ -10,8 +10,7 @@ use std::sync::Arc;
 use pebblesdb::PebblesDb;
 use pebblesdb_common::{KvStore, StoreOptions};
 use pebblesdb_env::MemEnv;
-use pebblesdb_ycsb::runner::load_phase;
-use pebblesdb_ycsb::{run_workload, CoreWorkload, WorkloadKind};
+use pebblesdb_ycsb::{drive, CoreWorkload, WorkloadKind};
 
 fn main() {
     let records = 20_000u64;
@@ -25,8 +24,8 @@ fn main() {
     );
 
     println!("loading {records} records with {threads} threads...");
-    let workload = CoreWorkload::preset(WorkloadKind::LoadA, records).with_value_size(1024);
-    load_phase(&store, &workload, threads).expect("load phase");
+    let load = CoreWorkload::preset(WorkloadKind::LoadA, records).with_value_size(1024);
+    drive(threads, records, 0xabcd_0000, load.worker(&store)).expect("load phase");
     store.flush().expect("flush");
 
     for kind in [
@@ -35,11 +34,12 @@ fn main() {
         WorkloadKind::C,
         WorkloadKind::E,
     ] {
-        let report = run_workload(Arc::clone(&store), kind, records, operations, threads, 1024)
-            .expect("run workload");
+        let mix = CoreWorkload::preset(kind, records).with_value_size(1024);
+        let report =
+            drive(threads, operations, 0xabcd_0000, mix.worker(&store)).expect("run workload");
         println!(
             "workload {:<6} {:>8.1} KOps/s   p50 {:>6} us   p99 {:>8} us   ({} ops)",
-            report.workload,
+            kind.name(),
             report.kops_per_second(),
             report.latency.percentile(50.0),
             report.latency.percentile(99.0),
