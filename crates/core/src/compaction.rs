@@ -14,67 +14,16 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pebblesdb_common::key::SequenceNumber;
-use pebblesdb_common::{Result, StoreOptions};
+use pebblesdb_common::StoreOptions;
 use pebblesdb_engine::meta::user_key_range;
-use pebblesdb_engine::runs::merge_to_tables;
-use pebblesdb_engine::{EngineIo, FileMetaData, MergeSpec};
+use pebblesdb_engine::{CompactionJob, FileMetaData, MergeSpec};
 
-use crate::guards::{guard_index_for_key, GuardMeta};
+use crate::guards::GuardMeta;
 use crate::version::{CompactionReason, FlsmVersion};
 
 /// A last-level merge that would cost this many times more IO than its
 /// input rewrites into the second-highest level instead.
 const LAST_LEVEL_MERGE_IO_FACTOR: f64 = 25.0;
-
-/// A fully described unit of compaction work.
-#[derive(Debug)]
-pub struct FlsmCompactionJob {
-    /// The level being compacted.
-    pub level: usize,
-    /// Why this compaction was scheduled.
-    pub reason: CompactionReason,
-    /// Input files (entire guards, or all of level 0).
-    pub inputs: Vec<Arc<FileMetaData>>,
-    /// How the inputs are merged: the output level is `level + 1`, or
-    /// `level` for an in-place rewrite; tombstones can be dropped only when
-    /// it is the last level of the tree.
-    pub spec: MergeSpec,
-    /// Sorted guard keys of the output level used to partition the merged
-    /// stream (committed plus uncommitted).
-    pub partition_keys: Vec<Vec<u8>>,
-    /// Uncommitted guard keys of the output level that become committed when
-    /// this compaction's edit is applied.
-    pub guards_to_commit: Vec<Vec<u8>>,
-    /// With `spec.drop_tombstones`, which output partitions every one of whose
-    /// files is part of this job's inputs. A tombstone may only be dropped in
-    /// a *fully covered* partition: a file left behind in the owning guard
-    /// may still hold an older value the tombstone must keep shadowing.
-    /// Component-based selection makes inputs guard-complete, so this is
-    /// defense-in-depth for any future selection strategy that is not.
-    /// Empty when `spec.drop_tombstones` is false.
-    pub full_partitions: Vec<bool>,
-    /// Total bytes of input (for stats).
-    pub input_bytes: u64,
-}
-
-impl FlsmCompactionJob {
-    /// Executes the job's IO: merge the inputs and write one or more output
-    /// sstables per destination guard.
-    ///
-    /// No file already in the output level is read or rewritten — the
-    /// outputs are purely the fragmented inputs, which is what keeps FLSM
-    /// write amplification low.
-    pub fn merge(&self, io: &EngineIo) -> Result<Vec<FileMetaData>> {
-        merge_to_tables(io, &self.inputs, &self.spec, |user_key| {
-            let partition = guard_index_for_key(&self.partition_keys, user_key);
-            // Besides the output being the last level, dropping a tombstone
-            // needs the owning guard fully covered by this job's inputs (a
-            // leftover file could hold an older value it still shadows).
-            let covered = self.full_partitions.get(partition).copied();
-            (partition, covered.unwrap_or(true))
-        })
-    }
-}
 
 /// Groups a level's non-empty guards into connected components linked by
 /// *spanning files* (a file attached to several guards because it predates
@@ -232,7 +181,9 @@ fn select_seek_inputs(
 }
 
 /// Builds a compaction job for one of the triggers returned by
-/// [`FlsmVersion::compaction_candidates`].
+/// [`compaction_candidates`](crate::version::compaction_candidates): the
+/// inputs are entire guards (or all of level 0); nothing already in the
+/// output level is among them.
 ///
 /// `uncommitted_output_guards` are the pending guard keys for the output
 /// level; they become part of the partition key set and are committed by the
@@ -251,7 +202,7 @@ pub fn build_compaction_job(
     smallest_snapshot: SequenceNumber,
     claimed: &BTreeSet<u64>,
     split: usize,
-) -> Option<FlsmCompactionJob> {
+) -> Option<CompactionJob> {
     let last_level = version.num_levels() - 1;
 
     let inputs: Vec<Arc<FileMetaData>> = if level == 0 {
@@ -347,10 +298,8 @@ pub fn build_compaction_job(
         Vec::new()
     };
 
-    Some(FlsmCompactionJob {
-        level,
-        reason,
-        inputs,
+    Some(CompactionJob {
+        inputs: inputs.into_iter().map(|file| (level, file)).collect(),
         spec: MergeSpec {
             output_level,
             smallest_snapshot,
@@ -359,7 +308,7 @@ pub fn build_compaction_job(
         partition_keys,
         guards_to_commit,
         full_partitions,
-        input_bytes,
+        move_only: false,
     })
 }
 
@@ -370,7 +319,8 @@ mod tests {
     use pebblesdb_common::iterator::DbIterator;
     use pebblesdb_common::key::{encode_internal_key, parse_internal_key, ValueType};
     use pebblesdb_common::ReadOptions;
-    use pebblesdb_engine::{FileMetaDataEdit, FileNumbers, VersionEdit, VersionShape};
+    use pebblesdb_engine::runs::merge_to_tables;
+    use pebblesdb_engine::{EngineIo, FileMetaDataEdit, FileNumbers, VersionEdit, VersionShape};
     use pebblesdb_env::{Env, MemEnv};
     use pebblesdb_sstable::{TableBuilder, TableCache};
     use std::path::{Path, PathBuf};
@@ -451,7 +401,7 @@ mod tests {
         assert_eq!(job.partition_keys, vec![b"h".to_vec(), b"q".to_vec()]);
         assert!(!job.spec.drop_tombstones);
 
-        let outputs = job.merge(&io).unwrap();
+        let outputs = merge_to_tables(&io, &job).unwrap();
         // Keys a,c | h,m | q,x => three partitions => three output files.
         assert_eq!(outputs.len(), 3);
         let mut spans: Vec<(Vec<u8>, Vec<u8>)> = outputs
@@ -495,7 +445,7 @@ mod tests {
             1,
         )
         .unwrap();
-        let outputs = job.merge(&io).unwrap();
+        let outputs = merge_to_tables(&io, &job).unwrap();
         assert_eq!(outputs.len(), 1);
         // Only the newest version survives, so the file holds exactly one key.
         assert_eq!(outputs[0].smallest.user_key(), b"k");
@@ -566,7 +516,7 @@ mod tests {
             1,
         )
         .unwrap();
-        assert_eq!((job.level, job.spec.output_level), (last, last));
+        assert_eq!((job.level(), job.spec.output_level), (last, last));
         assert!(job.spec.drop_tombstones);
         // The whole level is in the inputs, so every partition is coverable.
         assert!(job.full_partitions.iter().all(|full| *full));
@@ -606,7 +556,7 @@ mod tests {
             2,
         )
         .unwrap();
-        claimed.extend(job1.inputs.iter().map(|f| f.number));
+        claimed.extend(job1.input_numbers());
         // ... worker 2 takes the other ...
         let job2 = build_compaction_job(
             &version,
@@ -619,9 +569,9 @@ mod tests {
             2,
         )
         .unwrap();
-        claimed.extend(job2.inputs.iter().map(|f| f.number));
-        let set1: BTreeSet<u64> = job1.inputs.iter().map(|f| f.number).collect();
-        let set2: BTreeSet<u64> = job2.inputs.iter().map(|f| f.number).collect();
+        claimed.extend(job2.input_numbers());
+        let set1: BTreeSet<u64> = job1.input_numbers().collect();
+        let set2: BTreeSet<u64> = job2.input_numbers().collect();
         assert!(set1.is_disjoint(&set2), "{set1:?} overlaps {set2:?}");
         assert_eq!(set1.len() + set2.len(), 4, "every file is claimed once");
 
@@ -739,14 +689,14 @@ mod tests {
         // The over-budget sentinel guard drags guard "m" in through the
         // spanning file 71, so the whole component is the input set and
         // every partition is fully covered.
-        let input_numbers: BTreeSet<u64> = job.inputs.iter().map(|f| f.number).collect();
+        let input_numbers: BTreeSet<u64> = job.input_numbers().collect();
         assert_eq!(input_numbers, [70u64, 71, 72, 73].into_iter().collect());
         assert!(job.spec.drop_tombstones);
         assert_eq!(job.full_partitions, vec![true, true]);
 
         // With the component fully covered, the tombstone for "n" and the
         // older value it shadows are both dropped for good.
-        let outputs = job.merge(&io).unwrap();
+        let outputs = merge_to_tables(&io, &job).unwrap();
         for meta in &outputs {
             let mut iter = io
                 .table_cache
@@ -783,11 +733,9 @@ mod tests {
         // Hand-build a job covering only the sentinel guard's own files plus
         // the spanning file — guard "m" keeps file 72 (older "n").
         let guards = version.levels[last].guards();
-        let inputs: Vec<Arc<FileMetaData>> = guards[0].files.to_vec();
-        let job = FlsmCompactionJob {
-            level: last,
-            reason: CompactionReason::GuardFanout,
-            inputs,
+        let inputs = guards[0].files.iter().map(|file| (last, Arc::clone(file)));
+        let job = CompactionJob {
+            inputs: inputs.collect(),
             spec: MergeSpec {
                 output_level: last,
                 smallest_snapshot: 1_000,
@@ -796,9 +744,9 @@ mod tests {
             partition_keys: vec![b"m".to_vec()],
             guards_to_commit: vec![],
             full_partitions: vec![true, false],
-            input_bytes: 0,
+            move_only: false,
         };
-        let outputs = job.merge(&io).unwrap();
+        let outputs = merge_to_tables(&io, &job).unwrap();
         let mut survived_tombstone = false;
         for meta in &outputs {
             let mut iter = io

@@ -14,19 +14,13 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pebblesdb_common::iterator::DbIterator;
-use pebblesdb_common::{KvStore, ReadOptions, Result, StoreOptions, StorePreset};
-use pebblesdb_engine::runs::push_table_iterators;
-use pebblesdb_engine::{
-    EngineDb, EngineIo, FileMetaData, JobClaim, LevelCursor, PolicyCtx, ShapePolicy, VersionEdit,
-    VersionShape,
-};
+use pebblesdb_common::{KvStore, Result, StoreOptions, StorePreset};
+use pebblesdb_engine::{CompactionJob, EngineDb, PolicyCtx, ShapePolicy};
 use pebblesdb_env::Env;
 
-use crate::compaction::{build_compaction_job, FlsmCompactionJob};
+use crate::compaction::build_compaction_job;
 use crate::guards::{GuardPicker, UncommittedGuards};
-use crate::iter::GuardRuns;
-use crate::version::{CompactionReason, FlsmVersion};
+use crate::version::{compaction_candidates, CompactionReason, FlsmVersion};
 
 /// The guarded FLSM shape policy.
 pub struct FlsmPolicy {
@@ -63,29 +57,22 @@ impl FlsmPolicy {
         }
     }
 
-    /// Picks the level a seek-triggered compaction would help most: level 0
-    /// if it holds at least two files, or the level whose fattest guard is
-    /// fattest among the levels where some guard holds two *overlapping*
-    /// sstables (disjoint ones are already as collapsed as they get).
-    fn pick_seek_compaction_level(version: &FlsmVersion) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None;
-        if version.level0.len() >= 2 {
-            best = Some((0, version.level0.len()));
-        }
-        for (level_idx, level) in version.levels.iter().enumerate().skip(1) {
-            let fanout = level.max_files_in_guard();
-            if level.has_overlapping_guard() && best.is_none_or(|(_, b)| fanout > b) {
-                best = Some((level_idx, fanout));
-            }
-        }
-        best.map(|(level, _)| level)
+    /// The levels a seek-triggered compaction could collapse: level 0 if it
+    /// holds at least two files, and every level where some guard holds two
+    /// *overlapping* sstables (disjoint ones are already as collapsed as
+    /// they get).
+    fn collapsible_levels(version: &FlsmVersion) -> impl DoubleEndedIterator<Item = usize> + '_ {
+        let deeper = 1..version.num_levels();
+        (version.level0.len() >= 2)
+            .then_some(0)
+            .into_iter()
+            .chain(deeper.filter(|level| version.levels[*level].has_overlapping_guard()))
     }
 }
 
 impl ShapePolicy for FlsmPolicy {
     type Version = FlsmVersion;
     type State = FlsmPolicyState;
-    type Job = FlsmCompactionJob;
 
     fn engine_name(&self) -> String {
         self.label.to_string()
@@ -126,50 +113,6 @@ impl ShapePolicy for FlsmPolicy {
 
     // ------------------------------------------------------------- read path
 
-    /// Level 0 contributes one iterator per file; each deeper level
-    /// contributes a single lazy [`LevelCursor`] over its guards that merges
-    /// the sstables of whichever guard the cursor is in, positioning the
-    /// deepest non-empty level's guard with a thread pool on `seek` — the
-    /// paper's "parallel seeks" optimisation (`parallel_seek_threads <= 1`
-    /// turns it off). The cursors read the guards of the shared `version`
-    /// in place, so the cost of a cursor does not depend on the number of
-    /// guards.
-    fn append_version_iterators(
-        &self,
-        io: &EngineIo,
-        version: &Arc<FlsmVersion>,
-        opts: &ReadOptions,
-        children: &mut Vec<Box<dyn DbIterator>>,
-    ) -> Result<()> {
-        push_table_iterators(&io.table_cache, opts, &version.level0, children)?;
-
-        // Parallel guard seeks pay on the deepest non-empty level, whose
-        // sstables are the least likely to be cached.
-        let deepest_nonempty = (1..version.num_levels())
-            .rev()
-            .find(|level| version.level_files(*level) > 0);
-        for level in 1..version.num_levels() {
-            if version.level_files(level) == 0 {
-                continue;
-            }
-            let parallel_threads = if Some(level) == deepest_nonempty {
-                self.options.parallel_seek_threads
-            } else {
-                1
-            };
-            let version = Arc::clone(version);
-            children.push(Box::new(
-                LevelCursor::new(
-                    Arc::clone(&io.table_cache),
-                    opts.clone(),
-                    GuardRuns { version, level },
-                )
-                .with_parallel_seeks(parallel_threads),
-            ));
-        }
-        Ok(())
-    }
-
     /// Counts a seek against `version`, the one the cursor pinned; the
     /// threshold of consecutive seeks arms a seek-triggered compaction via
     /// `arm_requested_compaction`. Only seeks a compaction could speed up
@@ -178,7 +121,7 @@ impl ShapePolicy for FlsmPolicy {
     /// here. A `seek_compaction_threshold` of 0 turns the trigger off.
     fn note_seek(&self, version: &FlsmVersion) -> bool {
         let threshold = self.options.seek_compaction_threshold;
-        if threshold == 0 || Self::pick_seek_compaction_level(version).is_none() {
+        if threshold == 0 || Self::collapsible_levels(version).next().is_none() {
             return false;
         }
         let seeks = self.consecutive_seeks.fetch_add(1, Ordering::Relaxed) + 1;
@@ -202,13 +145,17 @@ impl ShapePolicy for FlsmPolicy {
     /// `seek_compaction_pending` is cleared only when a seek-triggered job
     /// is actually scheduled (or provably never will be): a size-triggered
     /// job claiming the same wakeup must not swallow the request.
-    fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<JobClaim<FlsmCompactionJob>> {
+    fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<CompactionJob> {
         let split = self.options.compaction_threads.max(1);
-        let version = Arc::clone(ctx.versions.current());
+        let version = ctx.versions.current();
+        let levels = ctx.versions.levels();
 
-        let mut candidates = version.compaction_candidates(&self.options);
+        let mut candidates = compaction_candidates(levels, &self.options);
         if ctx.state.seek_compaction_pending {
-            match Self::pick_seek_compaction_level(&version) {
+            // A seek compaction helps most where the fattest slot is fattest
+            // (the shallowest of equals; level 0 is one slot).
+            let collapsible = Self::collapsible_levels(version).rev();
+            match collapsible.max_by_key(|level| levels[*level].max_files_per_slot) {
                 // Seek compactions yield to size triggers; the flag stays
                 // set until the seek job itself is claimed.
                 Some(level) => candidates.push((level, CompactionReason::SeekTriggered)),
@@ -233,7 +180,7 @@ impl ShapePolicy for FlsmPolicy {
                 .cloned()
                 .collect();
             let job = build_compaction_job(
-                &version,
+                version,
                 &self.options,
                 level,
                 reason,
@@ -242,49 +189,23 @@ impl ShapePolicy for FlsmPolicy {
                 ctx.claimed_inputs,
                 split,
             );
-            if let Some(job) = job {
-                if job.reason == CompactionReason::SeekTriggered {
+            if job.is_some() {
+                if reason == CompactionReason::SeekTriggered {
                     ctx.state.seek_compaction_pending = false;
                 }
-                return Some(JobClaim {
-                    input_numbers: job.inputs.iter().map(|f| f.number).collect(),
-                    job,
-                });
+                return job;
             }
         }
         None
     }
 
-    fn run_job_io(&self, io: &EngineIo, job: &FlsmCompactionJob) -> Result<Vec<FileMetaData>> {
-        job.merge(io)
-    }
-
-    fn commit_job(
-        &self,
-        ctx: &mut PolicyCtx<'_, Self>,
-        job: &FlsmCompactionJob,
-        outputs: Vec<FileMetaData>,
-    ) -> Result<(u64, u64)> {
-        let mut edit = VersionEdit::default();
-        for file in &job.inputs {
-            edit.delete_file(job.level, file.number);
-        }
-        let mut bytes_written = 0;
-        for meta in &outputs {
-            bytes_written += meta.file_size;
-            edit.add_file(job.spec.output_level, meta);
-        }
-        for key in &job.guards_to_commit {
-            edit.new_guards.push((job.spec.output_level, key.clone()));
-        }
-        ctx.versions.log_and_apply(edit)?;
-        // Only the keys this job actually committed leave the pending set;
-        // guards picked by writers during the IO stay pending for the next
-        // compaction into the level.
-        ctx.state
+    /// Only the keys this job actually committed leave the pending set;
+    /// guards picked by writers during the IO stay pending for the next
+    /// compaction into the level.
+    fn job_committed(&self, state: &mut FlsmPolicyState, job: &CompactionJob) {
+        state
             .uncommitted_guards
             .remove_committed(job.spec.output_level, &job.guards_to_commit);
-        Ok((job.input_bytes, bytes_written))
     }
 }
 
@@ -333,25 +254,26 @@ impl PebblesDb {
         self.db.options()
     }
 
-    /// Per-level summary string (files and guards per level).
+    /// Per-level summary string: `L0:n L1:{files}f/{guards}g ...`.
     pub fn level_summary(&self) -> String {
-        self.db.with_current_version(|v| v.level_summary())
+        format!("{:#}", self.db.levels())
     }
 
-    /// Number of guards (including the sentinel) at each level.
+    /// Number of guards (including the sentinel) at each level; level 0,
+    /// which has none, counts as one slot.
     pub fn guards_per_level(&self) -> Vec<usize> {
-        self.db.with_current_version(|v| v.guards_per_level())
+        self.db.levels().iter().map(|row| row.slots).collect()
     }
 
     /// Number of files at each level.
     pub fn files_per_level(&self) -> Vec<usize> {
-        self.db
-            .with_current_version(|v| (0..v.num_levels()).map(|l| v.level_files(l)).collect())
+        self.db.levels().iter().map(|row| row.files).collect()
     }
 
     /// Total number of guards that currently hold no sstables.
     pub fn empty_guards(&self) -> usize {
-        self.db.with_current_version(|v| v.empty_guards())
+        let guarded = self.db.levels();
+        guarded.iter().skip(1).map(|row| row.empty_slots).sum()
     }
 
     /// Flushes the memtable and waits until no compaction work is pending.
@@ -382,7 +304,8 @@ pebblesdb_common::store_views!(PebblesDb => |db| db.db.shared());
 mod tests {
     use super::*;
     use pebblesdb_common::key::{encode_internal_key, ValueType};
-    use pebblesdb_engine::{EngineCore, FileMetaDataEdit};
+    use pebblesdb_common::ReadOptions;
+    use pebblesdb_engine::{EngineCore, FileMetaDataEdit, LevelTable, VersionEdit};
     use pebblesdb_env::MemEnv;
     use std::collections::BTreeSet;
 
@@ -436,7 +359,7 @@ mod tests {
         let claimed = inner
             .claim_job(&mut state)
             .expect("the level-0 size trigger yields a job");
-        assert_eq!(claimed.claim.job.reason, CompactionReason::Level0Files);
+        assert_eq!(claimed.job.level(), 0);
         assert!(
             state.default_cf().policy.seek_compaction_pending,
             "seek request was swallowed by the preempting size-triggered job"
@@ -461,7 +384,7 @@ mod tests {
         let claimed = inner
             .claim_job(&mut state)
             .expect("the seek request yields a job");
-        assert_eq!(claimed.claim.job.reason, CompactionReason::SeekTriggered);
+        assert_eq!(claimed.job.level(), 1);
         assert!(!state.default_cf().policy.seek_compaction_pending);
         drop(state);
     }
@@ -507,14 +430,19 @@ mod tests {
         }
     }
 
-    /// Polls the current version until `done` holds.
-    fn wait_for_shape(db: &PebblesDb, what: &str, done: impl Fn(&FlsmVersion) -> bool) {
-        wait_until(db, what, || db.db.with_current_version(&done));
+    /// Polls the current version's table until `done` holds.
+    fn wait_for_shape(db: &PebblesDb, what: &str, done: impl Fn(&LevelTable) -> bool) {
+        wait_until(db, what, || done(&db.db.levels()));
     }
 
-    fn fattest_guard(version: &FlsmVersion) -> usize {
-        let deeper = version.levels.iter().map(|l| l.max_files_in_guard());
-        deeper.max().unwrap_or(0).max(version.level0.len())
+    /// Files in the fullest slot of the tree (level 0 is one slot).
+    fn fattest_guard(db: &PebblesDb) -> usize {
+        let levels = db.db.levels();
+        levels
+            .iter()
+            .map(|row| row.max_files_per_slot)
+            .max()
+            .unwrap()
     }
 
     /// Over a tree with nothing to collapse the trigger is silent: no
@@ -533,7 +461,7 @@ mod tests {
         db.flush().unwrap();
         // Read the tree to rest: the trigger collapses every overlap the
         // load left.
-        let collapsible = |v: &FlsmVersion| FlsmPolicy::pick_seek_compaction_level(v).is_some();
+        let collapsible = |v: &FlsmVersion| FlsmPolicy::collapsible_levels(v).next().is_some();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
         while db.db.with_current_version(collapsible) {
             assert!(std::time::Instant::now() < deadline, "never came to rest");
@@ -574,18 +502,16 @@ mod tests {
                 }
                 db.flush().unwrap();
             }
-            assert_eq!(db.db.with_current_version(|v| v.level0.len()), 2);
+            assert_eq!(db.files_per_level()[0], 2);
             for _ in 0..threshold {
                 open_cursor(&db);
             }
-            wait_for_shape(&db, "level-0 seek compaction", |v| {
-                v.level0.is_empty() && v.levels[1].max_files_in_guard() == round as usize + 1
+            wait_for_shape(&db, "level-0 seek compaction", |levels| {
+                levels[0].files == 0 && levels[1].max_files_per_slot == round as usize + 1
             });
         }
-        db.db.with_current_version(|v| {
-            assert_eq!(fattest_guard(v), 2);
-            assert!(v.compaction_candidates(&options).is_empty());
-        });
+        assert_eq!(fattest_guard(&db), 2);
+        assert!(compaction_candidates(&db.db.levels(), &options).is_empty());
         wait_until(&db, "flag of the last job", || !seek_pending(&db));
         (db, threshold)
     }
@@ -612,10 +538,10 @@ mod tests {
             open_cursor(&db);
             assert!(!seek_pending(&db));
         }
-        assert_eq!(db.db.with_current_version(fattest_guard), 2);
+        assert_eq!(fattest_guard(&db), 2);
         // ...and the cursor that completes the run schedules the job.
         open_cursor(&db);
-        wait_for_shape(&db, "level-1 seek compaction", |v| fattest_guard(v) == 1);
+        wait_until(&db, "level-1 seek compaction", || fattest_guard(&db) == 1);
         assert_eq!(db.files_per_level()[..3], [0, 0, 1]);
     }
 
@@ -626,8 +552,8 @@ mod tests {
     fn seek_trigger_ignores_a_guard_whose_files_are_disjoint() {
         // The second round's keys all sort after the first round's.
         let (db, threshold) = stack_two_files_in_level1(|n| n);
+        assert_eq!(db.db.levels()[1].max_files_per_slot, 2);
         db.db.with_current_version(|v| {
-            assert_eq!(v.levels[1].max_files_in_guard(), 2);
             assert!(!v.levels[1].has_overlapping_guard());
             assert!(!db.db.core().policy.note_seek(v));
         });
@@ -662,8 +588,8 @@ mod tests {
 
         let claim1 = inner.claim_job(&mut state).expect("first claim");
         let claim2 = inner.claim_job(&mut state).expect("second claim");
-        let set1: BTreeSet<u64> = claim1.claim.job.inputs.iter().map(|f| f.number).collect();
-        let set2: BTreeSet<u64> = claim2.claim.job.inputs.iter().map(|f| f.number).collect();
+        let set1: BTreeSet<u64> = claim1.job.input_numbers().collect();
+        let set2: BTreeSet<u64> = claim2.job.input_numbers().collect();
         assert!(set1.is_disjoint(&set2));
         assert_eq!(state.default_cf().active_jobs, 2);
         let counter =

@@ -1,41 +1,25 @@
-//! Guard-organised levels as the chassis's level cursor sees them.
+//! Guard-organised levels as the chassis sees them.
 //!
 //! The paper (section 3.4): "in FLSM, the level iterators are themselves
 //! implemented by merging iterators on the sstables inside the guard of
-//! interest". The cursor itself is the chassis's
-//! [`LevelCursor`](pebblesdb_engine::LevelCursor); this module supplies the
-//! cut: one slot per guard, clipped to the guard's key range.
+//! interest". The point `get` and the cursor are the chassis's
+//! ([`pebblesdb_engine::runs`]); this module supplies the cut: one slot per
+//! guard, clipped to the guard's key range.
 
 use std::sync::Arc;
 
 use pebblesdb_common::key::extract_user_key;
 use pebblesdb_engine::{FileMetaData, RunSource};
 
-use crate::guards::GuardMeta;
-use crate::version::FlsmVersion;
+use crate::version::FlsmLevel;
 
-/// The guards of one FLSM level (from 1 down), read in place from the
-/// version the source pins.
-pub struct GuardRuns {
-    /// The pinned version.
-    pub version: Arc<FlsmVersion>,
-    /// The level whose guards are the slots.
-    pub level: usize,
-}
-
-impl GuardRuns {
-    fn guards(&self) -> &[GuardMeta] {
-        self.version.levels[self.level].guards()
-    }
-}
-
-impl RunSource for GuardRuns {
+impl RunSource for FlsmLevel {
     fn slots(&self) -> usize {
         self.guards().len()
     }
 
     fn slot_for(&self, target: &[u8]) -> usize {
-        self.version.levels[self.level].guard_index_for(extract_user_key(target))
+        self.guard_index_for(extract_user_key(target))
     }
 
     fn files(&self, slot: usize) -> &[Arc<FileMetaData>] {
@@ -63,14 +47,17 @@ impl RunSource for GuardRuns {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::version::FlsmLevel;
+    use crate::guards::GuardMeta;
+    use crate::version::FlsmVersion;
     use pebblesdb_common::filename::table_file_name;
     use pebblesdb_common::iterator::DbIterator;
     use pebblesdb_common::key::{
-        compare_internal_keys, encode_internal_key, InternalKey, ValueType,
+        compare_internal_keys, encode_internal_key, parse_internal_key, InternalKey, LookupKey,
+        ValueType,
     };
+    use pebblesdb_common::vlog::LookupValue;
     use pebblesdb_common::{ReadOptions, StoreOptions};
-    use pebblesdb_engine::{LevelCursor, VersionEdit, VersionShape};
+    use pebblesdb_engine::{runs, LevelCursor, VersionEdit, VersionShape};
     use pebblesdb_env::{Env, MemEnv};
     use pebblesdb_lsm::version::{FileRuns, Version};
     use pebblesdb_sstable::{TableBuilder, TableCache};
@@ -105,7 +92,8 @@ mod tests {
         ))
     }
 
-    /// Table `number` holding `keys` (any order), every value `v<number>`.
+    /// Table `number` holding `keys` (any order), every value `v<number>`;
+    /// an odd sequence number is a put, an even one a tombstone.
     fn build_file(
         env: &Arc<dyn Env>,
         db: &Path,
@@ -115,13 +103,19 @@ mod tests {
     ) -> Arc<FileMetaData> {
         let mut entries: Entries = keys
             .iter()
-            .map(|(k, seq)| {
-                let key = encode_internal_key(k.as_bytes(), *seq, ValueType::Value);
-                (key, format!("v{number}").into_bytes())
-            })
+            .map(|(k, seq)| (entry_key(k, *seq), format!("v{number}").into_bytes()))
             .collect();
         entries.sort_by(|a, b| compare_internal_keys(&a.0, &b.0));
         build_table(env, db, options, number, &entries)
+    }
+
+    fn entry_key(user_key: &str, sequence: u64) -> Vec<u8> {
+        let value_type = if sequence % 2 == 1 {
+            ValueType::Value
+        } else {
+            ValueType::Deletion
+        };
+        encode_internal_key(user_key.as_bytes(), sequence, value_type)
     }
 
     fn setup() -> (Arc<dyn Env>, Arc<TableCache>, Vec<GuardMeta>) {
@@ -148,12 +142,16 @@ mod tests {
     }
 
     /// A cursor over level 1 of a version whose level 1 holds `guards`.
-    fn level_iter(cache: Arc<TableCache>, guards: Vec<GuardMeta>) -> LevelCursor<GuardRuns> {
+    fn level_iter(cache: Arc<TableCache>, guards: Vec<GuardMeta>) -> LevelCursor<FlsmVersion> {
         let mut version = FlsmVersion::empty(2);
         version.levels[1] = FlsmLevel::new(guards);
-        let version = Arc::new(version);
-        let source = GuardRuns { version, level: 1 };
-        LevelCursor::new(cache, ReadOptions::default(), source)
+        level1_cursor(&Arc::new(version), &cache)
+    }
+
+    /// A cursor over level 1 of `version`.
+    fn level1_cursor<V: VersionShape>(version: &Arc<V>, cache: &Arc<TableCache>) -> LevelCursor<V> {
+        let version = Arc::clone(version);
+        LevelCursor::new(Arc::clone(cache), ReadOptions::default(), version, 1)
     }
 
     fn user_keys_forward(iter: &mut impl DbIterator) -> Entries {
@@ -262,13 +260,9 @@ mod tests {
         env.remove_file(&table_file_name(Path::new("/guard-iter"), 3))
             .unwrap();
         let version = Arc::new(Version {
-            files: vec![Vec::new(), files],
+            files: vec![FileRuns::default(), FileRuns(files)],
         });
-        let file_shaped = LevelCursor::new(
-            Arc::clone(&cache),
-            ReadOptions::default(),
-            FileRuns { version, level: 1 },
-        );
+        let file_shaped = level1_cursor(&version, &cache);
         let guard_shaped = level_iter(cache, guards);
 
         fn check(mut iter: impl DbIterator, reachable: usize) {
@@ -362,19 +356,55 @@ mod tests {
         assert!(!iter.valid(), "{what}: an entry was emitted twice");
     }
 
+    /// The chassis `get` of `key` at `snapshot` against the first entry a
+    /// level cursor's `seek` lands on for the same lookup key. Returns which
+    /// of present (0), deleted (1) and absent (2) both agreed on.
+    fn check_get_against_seek<V: VersionShape>(
+        version: &Arc<V>,
+        cache: &Arc<TableCache>,
+        key: &str,
+        snapshot: u64,
+        what: &str,
+    ) -> usize {
+        let lookup = LookupKey::new(key.as_bytes(), snapshot);
+        let mut cursor = level1_cursor(version, cache);
+        cursor.seek(lookup.internal_key());
+        let landed = cursor.valid() && extract_user_key(cursor.key()) == key.as_bytes();
+        let expected = landed.then(|| {
+            let value_type = parse_internal_key(cursor.key()).unwrap().value_type;
+            (value_type == ValueType::Value).then(|| LookupValue::Inline(cursor.value().to_vec()))
+        });
+        let found = runs::get(&**version, cache, &ReadOptions::default(), &lookup).unwrap();
+        assert_eq!(
+            found,
+            expected.clone().flatten(),
+            "{what}: {key}@{snapshot}"
+        );
+        match expected {
+            Some(Some(_)) => 0,
+            Some(None) => 1,
+            None => 2,
+        }
+    }
+
     /// Differential test against a flat sorted oracle, over both ways a
     /// level is cut into slots. Guard-shaped: random guard sets (empty
     /// guards included), files that span several guards and overlap inside
-    /// a guard, user keys repeated at different sequences. File-shaped: the
-    /// same entries cut into a sorted run of disjoint files at random
-    /// points, so one user key's versions may straddle two files. Random
-    /// cursor programs must see every entry exactly once, in global
-    /// internal-key order, in both directions.
+    /// a guard — on odd seeds numbered against their recency, as concurrent
+    /// jobs deliver them — user keys repeated at different sequences, puts
+    /// and tombstones. File-shaped: the same entries cut into a sorted run
+    /// of disjoint files at random points, so one user key's versions may
+    /// straddle two files. Random cursor programs must see every entry
+    /// exactly once, in global internal-key order, in both directions; and
+    /// the chassis point `get` must agree with a cursor `seek` for present,
+    /// deleted and absent keys at random snapshots.
     #[test]
     fn random_levels_of_both_shapes_match_a_flat_sorted_oracle() {
         const KEYS: u32 = 120;
         let user_key = |k: u32| format!("k{k:03}");
         let (mut max_span, mut empty_guards, mut straddled_keys) = (0, 0, 0);
+        // Per shape: gets that found a value, a tombstone, nothing.
+        let mut outcomes = [[0usize; 3]; 2];
         for seed in 0..150u64 {
             let mut rng = StdRng::seed_from_u64(0x6a4d_0000 + seed);
             let env: Arc<dyn Env> = Arc::new(MemEnv::new());
@@ -391,7 +421,13 @@ mod tests {
             }
             let mut oracle: Entries = Vec::new();
             let mut sequence = 1u64;
-            for number in 1..=rng.gen_range(1..9u64) {
+            let files = rng.gen_range(1..9u64);
+            for number in 1..=files {
+                let number = if seed % 2 == 1 {
+                    files + 1 - number
+                } else {
+                    number
+                };
                 // Narrow files sit inside a guard; wide ones span several.
                 let width = if rng.gen_bool(0.5) { 8 } else { 70 };
                 let low = rng.gen_range(0..KEYS);
@@ -407,18 +443,15 @@ mod tests {
                 let file = build_file(&env, &db, &options, number, &borrowed);
                 edit.add_file(1, &file);
                 for (key, seq) in &entries {
-                    oracle.push((
-                        encode_internal_key(key.as_bytes(), *seq, ValueType::Value),
-                        format!("v{number}").into_bytes(),
-                    ));
+                    oracle.push((entry_key(key, *seq), format!("v{number}").into_bytes()));
                 }
             }
             oracle.sort_by(|a, b| compare_internal_keys(&a.0, &b.0));
             let version = Arc::new(FlsmVersion::empty(2).apply(&edit).unwrap());
             version.validate().unwrap();
             let level = &version.levels[1];
-            empty_guards += level.empty_guards();
-            for file in level.unique_files() {
+            empty_guards += level.guards().iter().filter(|g| g.files.is_empty()).count();
+            for file in runs::distinct_files(level) {
                 let span = level.guard_index_for(file.largest.user_key())
                     - level.guard_index_for(file.smallest.user_key());
                 max_span = max_span.max(span + 1);
@@ -441,19 +474,8 @@ mod tests {
             let run = Arc::new(Version::empty(2).apply(&run).unwrap());
 
             let cache = Arc::new(TableCache::new(Arc::clone(&env), db, options, 16));
-            let mut guard_shaped = LevelCursor::new(
-                Arc::clone(&cache),
-                ReadOptions::default(),
-                GuardRuns { version, level: 1 },
-            );
-            let mut file_shaped = LevelCursor::new(
-                cache,
-                ReadOptions::default(),
-                FileRuns {
-                    version: run,
-                    level: 1,
-                },
-            );
+            let mut guard_shaped = level1_cursor(&version, &cache);
+            let mut file_shaped = level1_cursor(&run, &cache);
             let limits = (KEYS, sequence);
             let what = format!("seed {seed}, guards");
             check_against_oracle(
@@ -466,7 +488,24 @@ mod tests {
             );
             let what = format!("seed {seed}, files");
             check_against_oracle(&mut file_shaped, &oracle, &mut rng, user_key, limits, &what);
+
+            for _ in 0..60 {
+                let key = user_key(rng.gen_range(0..KEYS));
+                let snapshot = if rng.gen_bool(0.3) {
+                    u64::MAX >> 8
+                } else {
+                    rng.gen_range(0..sequence + 2)
+                };
+                let what = format!("seed {seed}");
+                outcomes[0][check_get_against_seek(&version, &cache, &key, snapshot, &what)] += 1;
+                outcomes[1][check_get_against_seek(&run, &cache, &key, snapshot, &what)] += 1;
+            }
         }
+        assert_eq!(
+            outcomes[0], outcomes[1],
+            "both shapes hold the same entries"
+        );
+        assert!(outcomes[0].iter().all(|n| *n > 100), "{outcomes:?}");
         assert!(max_span >= 4, "the generator must produce spanning files");
         assert!(empty_guards > 0, "the generator must produce empty slots");
         assert!(straddled_keys > 0, "a user key must straddle two files");

@@ -6,18 +6,18 @@
 //! ([`pebblesdb_engine::version_set`]); its edits additionally carry newly
 //! committed guard keys, which is the only extra metadata PebblesDB persists
 //! compared to its HyperLevelDB base (section 4.3.1 of the paper). This
-//! module supplies the shape: how edits rebuild the guard tree.
+//! module supplies what defines the shape — how edits rebuild the guard
+//! tree, its invariants and its compaction triggers; reads, per-level facts
+//! and commits are the chassis's, over the guards as
+//! [`RunSource`](pebblesdb_engine::RunSource) slots (see [`crate::iter`]).
 
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use pebblesdb_common::key::LookupKey;
-use pebblesdb_common::vlog::LookupValue;
-use pebblesdb_common::{Error, ReadOptions, Result, StoreOptions};
-use pebblesdb_engine::runs::{probe_file, probe_level0};
-use pebblesdb_engine::{FileMetaData, VersionEdit, VersionShape};
-use pebblesdb_sstable::TableCache;
+use pebblesdb_common::{Error, Result, StoreOptions};
+use pebblesdb_engine::runs::distinct_files;
+use pebblesdb_engine::{FileMetaData, LevelRow, VersionEdit, VersionShape};
 
 use crate::guards::{guard_index_for_key, GuardMeta};
 
@@ -25,37 +25,24 @@ use crate::guards::{guard_index_for_key, GuardMeta};
 /// * size(i + 1)`.
 const AGGRESSIVE_COMPACTION_RATIO: f64 = 0.25;
 
-/// One guard-organised level of the FLSM.
-///
-/// A level is immutable once built; the aggregate facts the read, stats and
-/// compaction-picking paths ask of it are computed once in
-/// [`FlsmLevel::new`], so none of them walks the guard list.
+/// One guard-organised level of the FLSM, immutable once built. Its files,
+/// bytes and guard counts are a row of the version set's
+/// [`LevelTable`](pebblesdb_engine::LevelTable); what that table does not
+/// carry is cached here.
 #[derive(Debug, Clone, Default)]
 pub struct FlsmLevel {
     /// `guards[0]` is the sentinel (empty key); the rest are sorted by key.
     guards: Vec<GuardMeta>,
-    num_files: usize,
-    total_bytes: u64,
-    max_files_in_guard: usize,
-    empty_guards: usize,
     has_overlapping_guard: bool,
 }
 
 impl FlsmLevel {
     /// Builds a level from its guards (sentinel first, then sorted by key).
     pub fn new(guards: Vec<GuardMeta>) -> Self {
-        let mut level = FlsmLevel {
-            max_files_in_guard: guards.iter().map(|g| g.files.len()).max().unwrap_or(0),
-            empty_guards: guards.iter().filter(|g| g.files.is_empty()).count(),
+        FlsmLevel {
             has_overlapping_guard: guards.iter().any(GuardMeta::has_overlapping_files),
             guards,
-            num_files: 0,
-            total_bytes: 0,
-        };
-        let files = level.unique_files();
-        level.num_files = files.len();
-        level.total_bytes = files.iter().map(|f| f.file_size).sum();
-        level
+        }
     }
 
     /// Creates a level with only an empty sentinel guard.
@@ -82,57 +69,10 @@ impl FlsmLevel {
             .saturating_sub(1)
     }
 
-    /// The guard that owns `user_key`.
-    pub fn guard_for(&self, user_key: &[u8]) -> &GuardMeta {
-        &self.guards[self.guard_index_for(user_key)]
-    }
-
-    /// Total bytes across every guard (files spanning several guards are
-    /// counted once).
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Total number of distinct files across every guard.
-    pub fn num_files(&self) -> usize {
-        self.num_files
-    }
-
-    /// The distinct files of this level.
-    ///
-    /// A file whose key range spans several guards (because a guard was
-    /// committed after the file was written) is attached to each guard it
-    /// overlaps so point lookups stay correct; aggregations must therefore
-    /// de-duplicate by file number. Walks every guard: the per-operation
-    /// paths read the facts cached by [`FlsmLevel::new`] instead.
-    pub fn unique_files(&self) -> Vec<Arc<FileMetaData>> {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut out = Vec::new();
-        for guard in &self.guards {
-            for file in &guard.files {
-                if seen.insert(file.number) {
-                    out.push(Arc::clone(file));
-                }
-            }
-        }
-        out
-    }
-
-    /// The largest number of sstables held by any single guard.
-    pub fn max_files_in_guard(&self) -> usize {
-        self.max_files_in_guard
-    }
-
     /// Whether some guard holds two sstables that overlap — the only thing
     /// a seek-triggered compaction of this level could collapse.
     pub fn has_overlapping_guard(&self) -> bool {
         self.has_overlapping_guard
-    }
-
-    /// Number of guards with no sstables (tracked for the empty-guard
-    /// experiment, Figure 5.4 of the paper).
-    pub fn empty_guards(&self) -> usize {
-        self.empty_guards
     }
 }
 
@@ -150,91 +90,58 @@ impl FlsmVersion {
     pub fn num_levels(&self) -> usize {
         self.levels.len()
     }
+}
 
-    /// Total bytes at `level`.
-    pub fn level_bytes(&self, level: usize) -> u64 {
-        if level == 0 {
-            self.level0.iter().map(|f| f.file_size).sum()
-        } else {
-            self.levels[level].total_bytes()
+/// Every level of a version with the table `levels` that wants a compaction,
+/// in priority order (level 0 pressure, guard fanout, byte budgets,
+/// aggressive merging).
+///
+/// The compaction pool walks this list so a worker whose preferred level
+/// is fully claimed by in-flight jobs can still pick up independent work
+/// at another level. Each level appears at most once, under its
+/// highest-priority reason.
+pub fn compaction_candidates(
+    levels: &[LevelRow],
+    options: &StoreOptions,
+) -> Vec<(usize, CompactionReason)> {
+    let mut candidates: Vec<(usize, CompactionReason)> = Vec::new();
+    let mut push = |level: usize, reason: CompactionReason| {
+        if candidates.iter().all(|(listed, _)| *listed != level) {
+            candidates.push((level, reason));
+        }
+    };
+    // Level 0 is governed by file count.
+    if levels[0].files >= options.level0_compaction_trigger {
+        push(0, CompactionReason::Level0Files);
+    }
+    // A guard over its sstable budget forces a compaction of its level.
+    // This includes the last level, which rewrites its guards in place
+    // (the paper's "exception to the no-rewrite rule").
+    for row in &levels[1..] {
+        if row.max_files_per_slot > options.max_sstables_per_guard {
+            push(row.level, CompactionReason::GuardFanout);
         }
     }
-
-    /// Number of files at `level`.
-    pub fn level_files(&self, level: usize) -> usize {
-        if level == 0 {
-            self.level0.len()
-        } else {
-            self.levels[level].num_files()
+    // Byte budgets.
+    for row in levels.iter().take(levels.len() - 1).skip(1) {
+        if row.bytes > options.max_bytes_for_level(row.level) {
+            push(row.level, CompactionReason::LevelBytes);
         }
     }
-
-    /// Number of guards per level (sentinel included), for diagnostics.
-    pub fn guards_per_level(&self) -> Vec<usize> {
-        self.levels.iter().map(|l| l.guards().len()).collect()
-    }
-
-    /// Total number of empty guards across all levels.
-    pub fn empty_guards(&self) -> usize {
-        self.levels.iter().skip(1).map(|l| l.empty_guards()).sum()
-    }
-
-    /// Decides whether (and why) a compaction is needed, and at which level.
-    pub fn pick_compaction_level(
-        &self,
-        options: &StoreOptions,
-    ) -> Option<(usize, CompactionReason)> {
-        self.compaction_candidates(options).into_iter().next()
-    }
-
-    /// Every level that currently wants a compaction, in priority order
-    /// (level 0 pressure, guard fanout, byte budgets, aggressive merging).
-    ///
-    /// The compaction pool walks this list so a worker whose preferred level
-    /// is fully claimed by in-flight jobs can still pick up independent work
-    /// at another level. Each level appears at most once, under its
-    /// highest-priority reason.
-    pub fn compaction_candidates(&self, options: &StoreOptions) -> Vec<(usize, CompactionReason)> {
-        let mut candidates: Vec<(usize, CompactionReason)> = Vec::new();
-        let mut push = |level: usize, reason: CompactionReason| {
-            if candidates.iter().all(|(listed, _)| *listed != level) {
-                candidates.push((level, reason));
-            }
-        };
-        // Level 0 is governed by file count.
-        if self.level0.len() >= options.level0_compaction_trigger {
-            push(0, CompactionReason::Level0Files);
-        }
-        // A guard over its sstable budget forces a compaction of its level.
-        // This includes the last level, which rewrites its guards in place
-        // (the paper's "exception to the no-rewrite rule").
-        for level in 1..self.num_levels() {
-            if self.levels[level].max_files_in_guard() > options.max_sstables_per_guard {
-                push(level, CompactionReason::GuardFanout);
+    // Aggressive compaction: level i close in size to level i+1.
+    if options.enable_aggressive_compaction {
+        for pair in levels.windows(2).skip(1) {
+            let (level, this, next) = (pair[0].level, pair[0].bytes, pair[1].bytes);
+            if this > 0
+                && next > 0
+                && (this as f64) >= AGGRESSIVE_COMPACTION_RATIO * (next as f64)
+                && this >= options.max_bytes_for_level(level) / 2
+            {
+                push(level, CompactionReason::Aggressive);
             }
         }
-        // Byte budgets.
-        for level in 1..self.num_levels() - 1 {
-            if self.level_bytes(level) > options.max_bytes_for_level(level) {
-                push(level, CompactionReason::LevelBytes);
-            }
-        }
-        // Aggressive compaction: level i close in size to level i+1.
-        if options.enable_aggressive_compaction {
-            for level in 1..self.num_levels() - 1 {
-                let this = self.level_bytes(level);
-                let next = self.level_bytes(level + 1);
-                if this > 0
-                    && next > 0
-                    && (this as f64) >= AGGRESSIVE_COMPACTION_RATIO * (next as f64)
-                    && this >= options.max_bytes_for_level(level) / 2
-                {
-                    push(level, CompactionReason::Aggressive);
-                }
-            }
-        }
-        candidates
     }
+    candidates
 }
 
 /// Why a compaction was scheduled (used for stats and tests).
@@ -250,11 +157,11 @@ pub enum CompactionReason {
     Aggressive,
     /// Requested by the consecutive-seek heuristic.
     SeekTriggered,
-    /// Explicitly requested (flush / compact_all).
-    Manual,
 }
 
 impl VersionShape for FlsmVersion {
+    type Runs = FlsmLevel;
+
     fn empty(max_levels: usize) -> Self {
         FlsmVersion {
             level0: Vec::new(),
@@ -279,8 +186,11 @@ impl VersionShape for FlsmVersion {
             .iter()
             .map(|level| level.guard_keys().into_iter().collect())
             .collect();
-        let mut files: Vec<Vec<Arc<FileMetaData>>> =
-            self.levels.iter().map(FlsmLevel::unique_files).collect();
+        // A file spanning several guards (one committed after the file was
+        // written) is attached to each so point lookups stay correct; it is
+        // one file all the same.
+        let distinct = |level| distinct_files(level).cloned().collect();
+        let mut files: Vec<Vec<Arc<FileMetaData>>> = self.levels.iter().map(distinct).collect();
         files[0] = self.level0.clone();
 
         for (level, key) in &edit.new_guards {
@@ -325,46 +235,6 @@ impl VersionShape for FlsmVersion {
         Ok(version)
     }
 
-    /// Point lookup across the whole version.
-    fn get(
-        &self,
-        read_options: &ReadOptions,
-        key: &LookupKey,
-        table_cache: &TableCache,
-    ) -> Result<Option<LookupValue>> {
-        let user_key = key.user_key();
-        if let Some(decided) = probe_level0(table_cache, read_options, &self.level0, key)? {
-            return Ok(decided);
-        }
-
-        // Levels 1..: exactly one guard per level can own the key. The
-        // sstables inside a guard overlap freely and — now that concurrent
-        // compaction jobs at different levels may deliver files into the same
-        // guard out of file-number order — the newest-number-first heuristic
-        // is no longer a total order on recency. Each candidate file is
-        // consulted (bloom filters skip most) and the match with the highest
-        // sequence number wins.
-        for level in self.levels.iter().skip(1) {
-            let guard = level.guard_for(user_key);
-            let mut best = None;
-            for file in guard
-                .files
-                .iter()
-                .filter(|f| f.overlaps_user_range(Some(user_key), Some(user_key)))
-            {
-                if let Some(found) = probe_file(table_cache, read_options, file, key)? {
-                    if best.as_ref().is_none_or(|(newest, _)| found.0 > *newest) {
-                        best = Some(found);
-                    }
-                }
-            }
-            if let Some((_, decided)) = best {
-                return Ok(decided);
-            }
-        }
-        Ok(None)
-    }
-
     fn snapshot_into(&self, edit: &mut VersionEdit) {
         for file in &self.level0 {
             edit.add_file(0, file);
@@ -372,22 +242,14 @@ impl VersionShape for FlsmVersion {
         for (level_idx, level) in self.levels.iter().enumerate().skip(1) {
             edit.new_guards
                 .extend(level.guard_keys().into_iter().map(|key| (level_idx, key)));
-            for file in level.unique_files() {
-                edit.add_file(level_idx, &file);
+            for file in distinct_files(level) {
+                edit.add_file(level_idx, file);
             }
         }
     }
 
-    fn live_file_numbers(&self) -> Vec<u64> {
-        let mut numbers: Vec<u64> = self.level0.iter().map(|f| f.number).collect();
-        for level in self.levels.iter().skip(1) {
-            numbers.extend(level.unique_files().iter().map(|f| f.number));
-        }
-        numbers
-    }
-
-    fn needs_compaction(&self, options: &StoreOptions) -> bool {
-        self.pick_compaction_level(options).is_some()
+    fn needs_compaction(&self, levels: &[LevelRow], options: &StoreOptions) -> bool {
+        !compaction_candidates(levels, options).is_empty()
     }
 
     /// The invariants concurrent compaction commits must preserve:
@@ -442,7 +304,7 @@ impl VersionShape for FlsmVersion {
                 }
             }
             // Every guard a file's range overlaps must hold the file.
-            for file in level.unique_files() {
+            for file in distinct_files(level) {
                 let first = level.guard_index_for(file.smallest.user_key());
                 let last = level.guard_index_for(file.largest.user_key());
                 for guard in guards.iter().take(last + 1).skip(first) {
@@ -458,38 +320,12 @@ impl VersionShape for FlsmVersion {
         Ok(())
     }
 
-    fn level0_len(&self) -> usize {
-        self.level0.len()
+    fn level0(&self) -> &[Arc<FileMetaData>] {
+        &self.level0
     }
 
-    fn total_bytes(&self) -> u64 {
-        (0..self.num_levels()).map(|l| self.level_bytes(l)).sum()
-    }
-
-    fn num_files(&self) -> usize {
-        (0..self.num_levels()).map(|l| self.level_files(l)).sum()
-    }
-
-    /// Sizes of every live file (Table 5.1 of the paper).
-    fn file_sizes(&self) -> Vec<u64> {
-        let mut sizes: Vec<u64> = self.level0.iter().map(|f| f.file_size).collect();
-        for level in self.levels.iter().skip(1) {
-            sizes.extend(level.unique_files().iter().map(|f| f.file_size));
-        }
-        sizes
-    }
-
-    /// `L0:n L1:files/guards ...`.
-    fn level_summary(&self) -> String {
-        let mut parts = vec![format!("L0:{}", self.level0.len())];
-        for (idx, level) in self.levels.iter().enumerate().skip(1) {
-            parts.push(format!(
-                "L{idx}:{}f/{}g",
-                level.num_files(),
-                level.guards.len()
-            ));
-        }
-        parts.join(" ")
+    fn runs(&self) -> &[FlsmLevel] {
+        self.levels.get(1..).unwrap_or_default()
     }
 }
 
@@ -497,7 +333,7 @@ impl VersionShape for FlsmVersion {
 mod tests {
     use super::*;
     use pebblesdb_common::key::{InternalKey, ValueType};
-    use pebblesdb_engine::FileMetaDataEdit;
+    use pebblesdb_engine::{FileMetaDataEdit, LevelTable};
 
     fn file_edit(number: u64, smallest: &str, largest: &str) -> FileMetaDataEdit {
         FileMetaDataEdit {
@@ -537,10 +373,12 @@ mod tests {
         assert_eq!(version.levels[3].guards.len(), 2);
 
         // Lookups resolve guard ownership.
-        assert_eq!(level1.guard_for(b"b").key, b"");
-        assert_eq!(level1.guard_for(b"q").key, b"m");
-        assert_eq!(version.empty_guards(), 2 + 2);
-        assert!(version.level_summary().starts_with("L0:1 L1:3f/2g"));
+        assert_eq!(level1.guard_index_for(b"b"), 0);
+        assert_eq!(level1.guard_index_for(b"q"), 1);
+        let rows = LevelTable::of(&version);
+        assert_eq!(rows.iter().map(|row| row.empty_slots).sum::<usize>(), 2 + 2);
+        assert_eq!(format!("{rows:#}"), "L0:1 L1:3f/2g L2:0f/2g L3:0f/2g");
+        assert_eq!(rows.to_string(), "L0:1 L1:3 L2:0 L3:0");
     }
 
     #[test]
@@ -554,9 +392,9 @@ mod tests {
             .apply(&edit)
             .and_then(|v| v.apply(&second))
             .unwrap();
-        assert_eq!(version.levels[1].num_files(), 0);
-        assert_eq!(version.levels[1].guards.len(), 2);
-        assert_eq!(version.empty_guards(), 4);
+        let rows = LevelTable::of(&version);
+        assert_eq!((rows[1].files, rows[1].slots), (0, 2));
+        assert_eq!(rows.iter().map(|row| row.empty_slots).sum::<usize>(), 1 + 4);
     }
 
     /// A file spanning two guards is attached to both but is one file: the
@@ -578,7 +416,7 @@ mod tests {
 
         snapshot.new_files.push((1, file_edit(10, "a", "z")));
         let rebuilt = FlsmVersion::empty(3).apply(&snapshot).unwrap();
-        assert_eq!(rebuilt.num_files(), 1);
+        assert_eq!(LevelTable::of(&rebuilt).num_files(), 1);
         assert_eq!(rebuilt.levels[1].guards[1].files.len(), 1);
         assert!(rebuilt.validate().is_ok());
     }
@@ -632,19 +470,16 @@ mod tests {
         }
         let version = FlsmVersion::empty(opts.max_levels).apply(&edit).unwrap();
 
+        let rows = LevelTable::of(&version);
         assert_eq!(
-            version.compaction_candidates(&opts),
+            compaction_candidates(&rows, &opts),
             vec![
                 (0, CompactionReason::Level0Files),
                 (1, CompactionReason::GuardFanout),
                 (2, CompactionReason::GuardFanout),
             ]
         );
-        // The single-level picker returns the highest-priority candidate.
-        assert_eq!(
-            version.pick_compaction_level(&opts),
-            Some((0, CompactionReason::Level0Files))
-        );
+        assert!(version.needs_compaction(&rows, &opts));
     }
 
     #[test]
@@ -655,7 +490,11 @@ mod tests {
         opts.base_level_bytes = 2500;
         opts.enable_aggressive_compaction = false;
         let version = FlsmVersion::empty(opts.max_levels);
-        assert!(!version.needs_compaction(&opts));
+        assert!(!version.needs_compaction(&LevelTable::of(&version), &opts));
+        let first_candidate = |version: &FlsmVersion| {
+            let candidates = compaction_candidates(&LevelTable::of(version), &opts);
+            candidates.first().copied()
+        };
 
         // Two level-0 files trigger a level-0 compaction.
         let mut edit = VersionEdit::default();
@@ -663,7 +502,7 @@ mod tests {
         edit.new_files.push((0, file_edit(11, "c", "d")));
         let version = version.apply(&edit).unwrap();
         assert_eq!(
-            version.pick_compaction_level(&opts),
+            first_candidate(&version),
             Some((0, CompactionReason::Level0Files))
         );
 
@@ -676,7 +515,7 @@ mod tests {
         }
         let version = version.apply(&edit).unwrap();
         assert_eq!(
-            version.pick_compaction_level(&opts),
+            first_candidate(&version),
             Some((1, CompactionReason::GuardFanout))
         );
     }

@@ -15,8 +15,8 @@ use pebblesdb_common::{CfId, Result, WriteBatch};
 
 use crate::chassis::{ClaimedJob, EngineCore, EngineState};
 use crate::policy::{EngineIo, PolicyCtx, ShapePolicy};
-use crate::runs::flush_to_table;
-use crate::version_set::VersionShape;
+use crate::runs::{flush_to_table, merge_to_tables};
+use crate::version_set::VersionEdit;
 
 /// WAL files tolerated on disk before idle families' recovery floors are
 /// force-advanced (each advance costs one synced MANIFEST edit per family).
@@ -203,7 +203,7 @@ impl<P: ShapePolicy> EngineCore<P> {
     ///
     /// On success the claim is registered in the family's `claimed_inputs`,
     /// `output_floors` and `active_jobs` until `run_claimed_job` releases it.
-    pub fn claim_job(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> Option<ClaimedJob<P>> {
+    pub fn claim_job(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> Option<ClaimedJob> {
         state.healthy().ok()?;
         let smallest_snapshot = self.snapshots.compaction_floor(state.last_sequence);
         let mut order: Vec<(bool, usize, CfId)> = state
@@ -211,7 +211,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             .values()
             .filter(|cf| !cf.dropping)
             .map(|cf| {
-                let level0 = cf.versions.current().level0_len();
+                let level0 = cf.versions.levels()[0].files;
                 (cf.versions.needs_compaction(), level0, cf.id)
             })
             .collect();
@@ -220,21 +220,20 @@ impl<P: ShapePolicy> EngineCore<P> {
         for (_, _, cf_id) in order {
             let cf = state.cf_mut(cf_id).expect("ordered family exists");
             let mut ctx = PolicyCtx {
-                versions: &mut cf.versions,
+                versions: &cf.versions,
                 state: &mut cf.policy,
                 claimed_inputs: &cf.claimed_inputs,
                 smallest_snapshot,
             };
-            if let Some(claim) = self.policy.pick_job(&mut ctx) {
-                cf.claimed_inputs
-                    .extend(claim.input_numbers.iter().copied());
+            if let Some(job) = self.policy.pick_job(&mut ctx) {
+                cf.claimed_inputs.extend(job.input_numbers());
                 let output_floor = cf.io.file_numbers.peek();
                 cf.output_floors.push(output_floor);
                 cf.active_jobs += 1;
                 self.counters.record_compaction_start();
                 return Some(ClaimedJob {
                     cf: cf_id,
-                    claim,
+                    job,
                     output_floor,
                 });
             }
@@ -242,22 +241,21 @@ impl<P: ShapePolicy> EngineCore<P> {
         None
     }
 
-    /// Runs a claimed job's IO with the state mutex released, then commits
-    /// (or abandons) it and releases its claims. The claimed family cannot
-    /// be dropped while the job is in flight (`drop_cf` waits it out).
-    pub fn run_claimed_job(
-        &self,
-        state: &mut MutexGuard<'_, EngineState<P>>,
-        claimed: ClaimedJob<P>,
-    ) {
+    /// Runs a claimed job's merge with the state mutex released, then
+    /// commits (or abandons) it and releases its claims. The claimed family
+    /// cannot be dropped while the job is in flight (`drop_cf` waits it out).
+    pub fn run_claimed_job(&self, state: &mut MutexGuard<'_, EngineState<P>>, claimed: ClaimedJob) {
         let cf_id = claimed.cf;
-        let job = claimed.claim.job;
+        let job = &claimed.job;
         self.run_job(
             state,
             cf_id,
             claimed.output_floor,
             |io| {
-                let outputs = self.policy.run_job_io(io, &job)?;
+                if job.move_only {
+                    return Ok(Vec::new());
+                }
+                let outputs = merge_to_tables(io, job)?;
                 if !outputs.is_empty() {
                     // The new tables' directory entries must be durable
                     // before the MANIFEST commit references them.
@@ -266,22 +264,20 @@ impl<P: ShapePolicy> EngineCore<P> {
                 Ok(outputs)
             },
             |state, outputs| {
-                let smallest_snapshot = self.snapshots.compaction_floor(state.last_sequence);
                 let cf = state.job_cf(cf_id);
-                let mut ctx = PolicyCtx {
-                    versions: &mut cf.versions,
-                    state: &mut cf.policy,
-                    claimed_inputs: &cf.claimed_inputs,
-                    smallest_snapshot,
-                };
-                self.policy.commit_job(&mut ctx, &job, outputs)
+                let edit = VersionEdit::compaction(job, &outputs);
+                cf.versions.log_and_apply(edit)?;
+                self.policy.job_committed(&mut cf.policy, job);
+                // A move reads and writes nothing.
+                let bytes_read = if job.move_only { 0 } else { job.input_bytes() };
+                Ok((bytes_read, outputs.iter().map(|meta| meta.file_size).sum()))
             },
         );
         // Release the claims whether the job committed or failed, so a
         // poisoned store does not wedge its sibling workers.
         let cf = state.job_cf(cf_id);
-        for number in &claimed.claim.input_numbers {
-            cf.claimed_inputs.remove(number);
+        for number in job.input_numbers() {
+            cf.claimed_inputs.remove(&number);
         }
         cf.active_jobs -= 1;
         self.counters.record_compaction_end();

@@ -56,8 +56,8 @@ use pebblesdb_wal::LogWriter;
 
 use crate::catalog::{self, Catalog, CatalogData};
 use crate::cdc::{ChangeLog, EngineChangeStream};
-use crate::policy::{EngineIo, JobClaim, ShapePolicy};
-use crate::version_set::{VersionSet, VersionShape};
+use crate::policy::{CompactionJob, EngineIo, ShapePolicy};
+use crate::version_set::{version_files, LevelTable, VersionSet};
 use crate::vlog::{CfVlog, VlogGcReport};
 
 /// A handle to an open store built on the chassis.
@@ -299,9 +299,6 @@ pub struct EngineState<P: ShapePolicy> {
     pub wal_dir_unsynced: bool,
     /// First background error; poisons the store.
     pub bg_error: Option<Error>,
-    /// First non-fatal background warning (a failed cleanup whose work is
-    /// deferred, not lost). Never poisons the store; kept for inspection.
-    pub bg_warning: Option<Error>,
 }
 
 impl<P: ShapePolicy> EngineState<P> {
@@ -390,11 +387,11 @@ impl<P: ShapePolicy> EngineState<P> {
 }
 
 /// A compaction job claimed for one column family.
-pub struct ClaimedJob<P: ShapePolicy> {
+pub struct ClaimedJob {
     /// The family the job belongs to.
     pub cf: CfId,
-    /// The policy-level claim (inputs, job description).
-    pub claim: JobClaim<P::Job>,
+    /// What the policy picked.
+    pub job: CompactionJob,
     /// The job's entry in the family's `output_floors`.
     pub output_floor: u64,
 }
@@ -415,6 +412,13 @@ impl<P: ShapePolicy> EngineDb<P> {
     pub fn with_current_version<R>(&self, f: impl FnOnce(&P::Version) -> R) -> R {
         let state = self.shared.core.state.lock();
         f(state.default_cf().versions.current())
+    }
+
+    /// The per-level table of the default family's current version (the
+    /// rows cached at its install; nothing is walked under the state lock).
+    pub fn levels(&self) -> LevelTable {
+        let state = self.shared.core.state.lock();
+        state.default_cf().versions.levels().clone()
     }
 
     /// Writes a batch whose sequence numbers were already assigned by an
@@ -501,9 +505,9 @@ impl<P: ShapePolicy> CfOps for EngineShared<P> {
         };
         core.counters.snapshot_into(&mut stats);
         for cf in state.cfs_in(scope) {
-            let version = cf.versions.current();
-            stats.disk_bytes_live += version.total_bytes();
-            stats.num_files += version.num_files() as u64;
+            let levels = cf.versions.levels();
+            stats.disk_bytes_live += levels.total_bytes();
+            stats.num_files += levels.num_files() as u64;
             stats.memory_usage_bytes +=
                 (cf.memtable_bytes() + cf.io.table_cache.memory_usage()) as u64;
             let (hits, misses) = cf.io.table_cache.block_cache_hit_miss();
@@ -519,7 +523,7 @@ impl<P: ShapePolicy> CfOps for EngineShared<P> {
     fn live_file_sizes(&self, scope: Option<CfId>) -> Vec<u64> {
         let state = self.core.state.lock();
         let cfs = state.cfs_in(scope);
-        cfs.flat_map(|cf| cf.versions.current().file_sizes())
+        cfs.flat_map(|cf| version_files(&**cf.versions.current()).map(|f| f.file_size))
             .collect()
     }
 
@@ -546,8 +550,8 @@ impl<P: ShapePolicy> CfOps for EngineShared<P> {
         let stats = |cf: &CfState<P>| CfStats {
             id: cf.id,
             name: cf.name.clone(),
-            num_files: cf.versions.current().num_files() as u64,
-            live_bytes: cf.versions.current().total_bytes(),
+            num_files: cf.versions.levels().num_files() as u64,
+            live_bytes: cf.versions.levels().total_bytes(),
             flushes: cf.flushes,
             memtable_bytes: cf.memtable_bytes() as u64,
         };

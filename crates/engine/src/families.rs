@@ -108,13 +108,11 @@ impl<P: ShapePolicy> EngineCore<P> {
         // races a crash (the catalog edit above already committed). The drop
         // itself already succeeded — the catalog edit is the commit point —
         // so a failed removal is a disk-space leak, not an error the caller
-        // can act on: count it, note it as a background warning, and let the
-        // next open retry the reap.
-        if let Err(err) = self.io.env.remove_dir_all(&removed.io.db_path) {
+        // can act on: count it and let the next open retry the reap.
+        if self.io.env.remove_dir_all(&removed.io.db_path).is_err() {
             self.counters
                 .cleanup_failures
                 .fetch_add(1, Ordering::Relaxed);
-            self.state.lock().bg_warning.get_or_insert(err);
         }
         self.work_done.notify_all();
         Ok(())

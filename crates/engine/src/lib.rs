@@ -25,14 +25,17 @@
 //! * `families` — column-family create/drop ([`catalog`] is their log);
 //! * [`vlog`] — key-value separation: appenders, reader cache, value-log GC;
 //! * [`cdc`] — the commit tail, WAL retention and [`EngineChangeStream`];
-//! * [`version_set`] — the one MANIFEST format and version set;
-//! * [`runs`] — the sstable mechanics underneath a level: the file probe,
-//!   the lazy level cursor, the compaction merge loop and on-demand output
-//!   numbering.
+//! * [`version_set`] — the one MANIFEST format and version set, the
+//!   per-level [`LevelTable`] of each installed version and the two edits a
+//!   store commits (a level-0 table, a compaction);
+//! * [`runs`] — everything that reads a version or carries out a job: the
+//!   point `get`, the lazy level cursor and a cursor's level iterators, the
+//!   compaction merge loop and on-demand output numbering.
 //!
-//! A policy ([`policy`]) supplies only what actually differs between tree
-//! shapes: the version *shape*, how reads route through a level (a
-//! [`RunSource`]), how compaction jobs are picked, routed and committed, and
+//! A policy ([`policy`]) supplies only what *defines* a tree shape: the
+//! version (how edits build it, its invariants and compaction triggers), how
+//! a level is cut into slots (a [`RunSource`]), which files a compaction
+//! takes and where their merge goes (a plain [`CompactionJob`] record), and
 //! the write/read observations (guard selection, seek-triggered compaction).
 //! The FLSM engine (`pebblesdb` crate) implements the guarded policy; the
 //! baseline LSM (`pebblesdb-lsm`) implements the one-implicit-guard-per-level
@@ -55,7 +58,7 @@ mod write;
 pub use cdc::{ChangeLog, EngineChangeStream, TailBatch, TailRead};
 pub use chassis::{CfState, ClaimedJob, EngineCore, EngineDb, EngineShared, EngineState};
 pub use meta::{FileMetaData, FileMetaDataEdit};
-pub use policy::{EngineIo, JobClaim, PolicyCtx, ShapePolicy};
+pub use policy::{CompactionJob, EngineIo, PolicyCtx, ShapePolicy};
 pub use runs::{LevelCursor, MergeSpec, RunSource};
-pub use version_set::{FileNumbers, VersionEdit, VersionSet, VersionShape};
+pub use version_set::{FileNumbers, LevelRow, LevelTable, VersionEdit, VersionSet, VersionShape};
 pub use vlog::VlogGcReport;

@@ -62,7 +62,6 @@ impl<P: ShapePolicy> EngineDb<P> {
             live_wal_files: 0,
             wal_dir_unsynced: false,
             bg_error: None,
-            bg_warning: None,
         };
 
         for (id, name) in &catalog_data.cfs {

@@ -1,21 +1,25 @@
 //! The [`ShapePolicy`] trait: everything that differs between tree shapes.
 //!
-//! The chassis (see the crate docs) owns the write pipeline, the flush
-//! thread, the compaction worker pool and the garbage collector; a policy
-//! plugs in the level *organization* — how a version routes reads, how
-//! compaction work is picked and committed, and which per-key observations
-//! the write path must make (guard selection in the FLSM).
+//! The chassis (see the crate docs) owns the write pipeline, the read path,
+//! the flush thread, the compaction worker pool and the garbage collector. A
+//! policy supplies three things and nothing that merely reads or carries
+//! them out: the version *definition* and its *run cut*
+//! ([`VersionShape`], [`RunSource`](crate::RunSource)), and the *job pick* —
+//! which files a compaction takes and where their merge goes, handed over as
+//! a plain [`CompactionJob`] record the chassis merges and commits. The
+//! remaining hooks are per-key observations (guard selection and the
+//! seek-triggered compaction of the FLSM).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use pebblesdb_common::iterator::DbIterator;
 use pebblesdb_common::key::SequenceNumber;
-use pebblesdb_common::{ReadOptions, Result, StoreOptions};
+use pebblesdb_common::StoreOptions;
 use pebblesdb_env::Env;
 use pebblesdb_sstable::TableCache;
 
 use crate::meta::FileMetaData;
+use crate::runs::MergeSpec;
 use crate::version_set::{FileNumbers, VersionSet, VersionShape};
 
 /// The IO handles one column family runs against, shared by the chassis and
@@ -39,23 +43,60 @@ pub struct EngineIo {
     pub file_numbers: FileNumbers,
 }
 
-/// A claimed unit of compaction work, with the input file numbers the
-/// chassis must reserve to keep other workers off the same inputs. (Outputs
-/// need no reservation: the chassis shields every table numbered at or
-/// above the claim-time counter from the GC until the job is released.)
-pub struct JobClaim<J> {
-    /// The policy-specific job description.
-    pub job: J,
-    /// File numbers of every input the job reads.
-    pub input_numbers: Vec<u64>,
+/// A fully described unit of compaction work: what a policy decides, as
+/// data. The chassis reserves the inputs' file numbers to keep other workers
+/// off them, runs [`merge_to_tables`](crate::runs::merge_to_tables) over the
+/// record outside the state mutex and commits
+/// [`VersionEdit::compaction`](crate::VersionEdit::compaction) of it.
+/// (Outputs need no reservation: every table numbered at or above the
+/// claim-time counter is shielded from the GC until the job is released.)
+#[derive(Debug)]
+pub struct CompactionJob {
+    /// The input files with the level each lives at, in the order the
+    /// commit deletes them: the compacted level's files (whole guards, all
+    /// of level 0, or one file of a leveled run), then — for a leveled run —
+    /// the next level's files they overlap.
+    pub inputs: Vec<(usize, Arc<FileMetaData>)>,
+    /// How the inputs are merged and the level the outputs are written for.
+    pub spec: MergeSpec,
+    /// Sorted user keys no output table may cross: the output level's guards
+    /// (committed plus `guards_to_commit`). Empty for a leveled run.
+    pub partition_keys: Vec<Vec<u8>>,
+    /// With `spec.drop_tombstones`, which output partitions have every one
+    /// of their files among the inputs. A tombstone is dropped only in such
+    /// a partition: a file left behind in the owning guard may still hold an
+    /// older value it must keep shadowing. A partition past the end (every
+    /// partition of a leveled run) counts as covered.
+    pub full_partitions: Vec<bool>,
+    /// Uncommitted guard keys of the output level that the commit persists.
+    pub guards_to_commit: Vec<Vec<u8>>,
+    /// A single input with nothing to merge below it: no IO runs, the commit
+    /// just moves the file down to `spec.output_level`.
+    pub move_only: bool,
 }
 
-/// Mutable access to the policy-relevant parts of the engine state, handed
-/// to [`ShapePolicy::pick_job`] and [`ShapePolicy::commit_job`] under the
-/// chassis state mutex.
+impl CompactionJob {
+    /// The level being compacted.
+    pub fn level(&self) -> usize {
+        self.inputs.first().map_or(0, |(level, _)| *level)
+    }
+
+    /// File numbers of every input the job reads.
+    pub fn input_numbers(&self) -> impl Iterator<Item = u64> + '_ {
+        self.inputs.iter().map(|(_, file)| file.number)
+    }
+
+    /// Total bytes of input.
+    pub fn input_bytes(&self) -> u64 {
+        self.inputs.iter().map(|(_, file)| file.file_size).sum()
+    }
+}
+
+/// The policy-relevant parts of the engine state, handed to
+/// [`ShapePolicy::pick_job`] under the chassis state mutex.
 pub struct PolicyCtx<'a, P: ShapePolicy> {
     /// The engine's version set.
-    pub versions: &'a mut VersionSet<P::Version>,
+    pub versions: &'a VersionSet<P::Version>,
     /// The policy's own mutable state (uncommitted guards, compaction
     /// pointers, pending seek requests, ...).
     pub state: &'a mut P::State,
@@ -67,7 +108,8 @@ pub struct PolicyCtx<'a, P: ShapePolicy> {
     pub smallest_snapshot: SequenceNumber,
 }
 
-/// The shape of one engine: how levels are organised, read and compacted.
+/// The shape of one engine: how levels are organised and what a compaction
+/// takes.
 ///
 /// The same chassis instance drives the FLSM (guards per level) and the
 /// classic LSM (one implicit guard per level) purely through this trait.
@@ -76,8 +118,6 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
     type Version: VersionShape;
     /// Per-store mutable policy state, kept inside the chassis state mutex.
     type State: Send + 'static;
-    /// A fully described unit of compaction work.
-    type Job: Send + 'static;
 
     /// The engine name reported in benchmark output.
     fn engine_name(&self) -> String;
@@ -107,19 +147,6 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
 
     // ------------------------------------------------------------- read path
 
-    /// Appends the version's level iterators (level-0 files plus one lazy
-    /// [`LevelCursor`](crate::LevelCursor) per deeper level, over the shape's
-    /// [`RunSource`](crate::RunSource)) to a cursor's child list. The source
-    /// keeps a clone of the `Arc` and reads the version's file lists in
-    /// place, so building a cursor copies no per-file or per-guard state.
-    fn append_version_iterators(
-        &self,
-        io: &EngineIo,
-        version: &Arc<Self::Version>,
-        opts: &ReadOptions,
-        children: &mut Vec<Box<dyn DbIterator>>,
-    ) -> Result<()>;
-
     /// Called on every cursor creation, outside the state lock, with the
     /// version the cursor pinned. Returning `true` asks the chassis to call
     /// [`ShapePolicy::arm_requested_compaction`] under the state lock and
@@ -137,22 +164,13 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
 
     // ------------------------------------------------------------ compaction
 
-    /// Claims the next unit of compaction work whose inputs do not intersect
-    /// `ctx.claimed_inputs`, or `None` when nothing is claimable. The chassis
-    /// registers the claim's input numbers before releasing the state lock.
-    fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<JobClaim<Self::Job>>;
+    /// Describes the next unit of compaction work whose inputs do not
+    /// intersect `ctx.claimed_inputs`, or `None` when nothing is claimable.
+    /// The chassis registers the job's input numbers before releasing the
+    /// state lock.
+    fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<CompactionJob>;
 
-    /// Runs the job's IO. Called **without** the state mutex held; must not
-    /// touch shared engine state.
-    fn run_job_io(&self, io: &EngineIo, job: &Self::Job) -> Result<Vec<FileMetaData>>;
-
-    /// Commits a finished job under the state lock (build the version edit,
-    /// `log_and_apply` it, update policy state). Returns
-    /// `(bytes_read, bytes_written)` for the compaction counters.
-    fn commit_job(
-        &self,
-        ctx: &mut PolicyCtx<'_, Self>,
-        job: &Self::Job,
-        outputs: Vec<FileMetaData>,
-    ) -> Result<(u64, u64)>;
+    /// Called under the state lock once `job`'s edit is installed (LSM: the
+    /// compaction pointer; FLSM: the committed guards leave the pending set).
+    fn job_committed(&self, state: &mut Self::State, job: &CompactionJob);
 }

@@ -16,7 +16,7 @@ use pebblesdb_skiplist::MemTable;
 
 use crate::chassis::EngineCore;
 use crate::policy::ShapePolicy;
-use crate::version_set::VersionShape;
+use crate::runs;
 use crate::vlog::VlogReaderCache;
 
 /// The sequence number a read issued with `opts` may observe: the requested
@@ -78,7 +78,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         opts: &ReadOptions,
         user_key: &[u8],
     ) -> Result<Option<(LookupValue, Arc<VlogReaderCache>)>> {
-        let (lookup, imm, version, io, resolver) = {
+        let (lookup, imm, version, table_cache, resolver) = {
             let state = self.state.lock();
             let sequence = visible_sequence(opts, state.last_sequence);
             let cf = state.live_cf(cf_id)?;
@@ -91,7 +91,7 @@ impl<P: ShapePolicy> EngineCore<P> {
                 lookup,
                 cf.imm.clone(),
                 Arc::clone(cf.versions.current()),
-                cf.io.clone(),
+                Arc::clone(&cf.io.table_cache),
                 resolver,
             )
         };
@@ -100,19 +100,17 @@ impl<P: ShapePolicy> EngineCore<P> {
                 return Ok(settled.map(|found| (found, resolver)));
             }
         }
-        Ok(version
-            .get(opts, &lookup, &io.table_cache)?
-            .map(|found| (found, resolver)))
+        Ok(runs::get(&*version, &table_cache, opts, &lookup)?.map(|found| (found, resolver)))
     }
 
     /// Builds the streaming user-key cursor over one family: its memtables
-    /// plus the policy's per-level iterators, merged and filtered down to
-    /// the view at the cursor's sequence. Creating a cursor counts as a seek
+    /// plus the pinned version's level iterators, merged and filtered down
+    /// to the view at the cursor's sequence. Creating a cursor counts as a seek
     /// for the policy's read heuristics (FLSM: the seek-compaction trigger),
     /// armed on the family being read.
     pub(crate) fn iter(&self, cf_id: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
         self.counters.seeks.fetch_add(1, Ordering::Relaxed);
-        let (sequence, mem, imm, version, io, resolver, snapshot) = {
+        let (sequence, mem, imm, version, levels, table_cache, resolver, snapshot) = {
             let state = self.state.lock();
             let sequence = visible_sequence(opts, state.last_sequence);
             // Keeps vlog GC off the files this cursor's view can still
@@ -124,7 +122,8 @@ impl<P: ShapePolicy> EngineCore<P> {
                 Arc::clone(&cf.mem),
                 cf.imm.clone(),
                 Arc::clone(cf.versions.current()),
-                cf.io.clone(),
+                cf.versions.levels().clone(),
+                Arc::clone(&cf.io.table_cache),
                 Arc::clone(&cf.vlog.readers),
                 snapshot,
             )
@@ -143,8 +142,14 @@ impl<P: ShapePolicy> EngineCore<P> {
         if let Some(imm) = imm {
             children.push(Box::new(imm.owned_iter()));
         }
-        self.policy
-            .append_version_iterators(&io, &version, opts, &mut children)?;
+        runs::push_version_iterators(
+            &table_cache,
+            opts,
+            &version,
+            &levels,
+            self.io.options.parallel_seek_threads,
+            &mut children,
+        )?;
 
         let merged = MergingIterator::new(children);
         let user = UserIterator::new(Box::new(merged), sequence)

@@ -3,11 +3,14 @@
 //! The paper's framing (section 3.4): "the level iterators are themselves
 //! implemented by merging iterators on the sstables inside the guard", and a
 //! classic LSM is an FLSM with one implicit guard per level. So the shapes
-//! differ only in how a level is *cut into runs*; what lies underneath that
-//! cut lives here: the point probe of one sstable and of level 0, the lazy
-//! level cursor over the slots a [`RunSource`] describes (a slot is a guard
-//! or a file), and the compaction merge loop with the table-writing tail it
-//! shares with the memtable flush, both naming their outputs on demand.
+//! differ only in how a level is *cut into runs* — the [`RunSource`] a
+//! version hands out per level, a slot being a guard or a file. Everything
+//! that reads or carries out that cut lives here, once: the point `get` of a
+//! version, the lazy level cursor and a cursor's level iterators, and the
+//! compaction merge loop (driven by the plain
+//! [`CompactionJob`](crate::CompactionJob) record) with the table-writing
+//! tail it shares with the memtable flush, both naming their outputs on
+//! demand.
 
 use std::sync::Arc;
 
@@ -23,7 +26,8 @@ use pebblesdb_sstable::table::TableIterator;
 use pebblesdb_sstable::{TableBuilder, TableCache};
 
 use crate::meta::FileMetaData;
-use crate::policy::EngineIo;
+use crate::policy::{CompactionJob, EngineIo};
+use crate::version_set::{LevelRow, VersionShape};
 
 // ------------------------------------------------------------- point probes
 
@@ -31,7 +35,7 @@ use crate::policy::EngineIo;
 /// snapshot. `None` means the file holds no such version; otherwise the
 /// payload is that version's sequence and stored value (`None` = tombstone),
 /// so a caller can pick the newest match across files that overlap.
-pub fn probe_file(
+fn probe_file(
     table_cache: &TableCache,
     read_options: &ReadOptions,
     file: &FileMetaData,
@@ -59,24 +63,46 @@ pub fn probe_file(
     }
 }
 
-/// Searches level 0. `files` must be ordered newest first, as every
-/// [`VersionShape::apply`](crate::VersionShape::apply) leaves level 0:
-/// flushes are serialized by the single flush thread, so file numbers order
-/// level-0 tables by recency and the first file that knows the key decides.
-/// The outer `Option` is "did level 0 decide", the inner the value
-/// (`None` = tombstone).
-pub fn probe_level0(
+/// Point lookup in the on-disk structure of `version` (the chassis has
+/// already consulted the memtables). Returns the stored form of the newest
+/// visible version — an inline value or an unresolved vlog pointer, which
+/// the caller resolves outside the state lock; `None` is "deleted or never
+/// written".
+pub fn get<V: VersionShape>(
+    version: &V,
     table_cache: &TableCache,
     read_options: &ReadOptions,
-    files: &[Arc<FileMetaData>],
     key: &LookupKey,
-) -> Result<Option<Option<LookupValue>>> {
+) -> Result<Option<LookupValue>> {
     let user_key = key.user_key();
-    for file in files {
-        if file.overlaps_user_range(Some(user_key), Some(user_key)) {
-            if let Some((_, decided)) = probe_file(table_cache, read_options, file, key)? {
-                return Ok(Some(decided));
+    let holds_key =
+        |file: &&Arc<FileMetaData>| file.overlaps_user_range(Some(user_key), Some(user_key));
+    // Level 0 is ordered newest first, as every `VersionShape::apply` leaves
+    // it: flushes are serialized by the single flush thread, so file numbers
+    // order level-0 tables by recency and the first file that knows the key
+    // decides.
+    for file in version.level0().iter().filter(holds_key) {
+        if let Some((_, decided)) = probe_file(table_cache, read_options, file, key)? {
+            return Ok(decided);
+        }
+    }
+    // Deeper levels: one slot per level can own the key. Its sstables may
+    // overlap, and concurrent jobs deliver files into a guard out of
+    // file-number order, so numbers do not order recency: every candidate
+    // is consulted (bloom filters skip most) and the highest sequence wins.
+    // A leveled run's slot is one file.
+    for run in version.runs() {
+        let mut best = None;
+        let slot = run.slot_for(key.internal_key());
+        for file in run.files(slot).iter().filter(holds_key) {
+            if let Some(found) = probe_file(table_cache, read_options, file, key)? {
+                if best.as_ref().is_none_or(|(newest, _)| found.0 > *newest) {
+                    best = Some(found);
+                }
             }
+        }
+        if let Some((_, decided)) = best {
+            return Ok(decided);
         }
     }
     Ok(None)
@@ -84,17 +110,19 @@ pub fn probe_level0(
 
 // ------------------------------------------------------------ level cursor
 
-/// How one level of a pinned version is cut into *slots*, in key order. A
-/// slot is the unit a [`LevelCursor`] opens lazily: a guard with its
-/// (possibly overlapping) sstables for the FLSM, a single file for a
-/// leveled run. Implementors hold the `Arc` of the version they describe.
+/// How one level (from 1 down) of a version is cut into *slots*, in key
+/// order. A slot is the unit a point `get` probes and a [`LevelCursor`]
+/// opens lazily: a guard with its (possibly overlapping) sstables for the
+/// FLSM, a single file for a leveled run.
 pub trait RunSource {
     /// Number of slots in the level.
     fn slots(&self) -> usize;
     /// The slot a seek to the internal key `target` starts in; `slots()`
     /// when every slot sorts before `target`.
     fn slot_for(&self, target: &[u8]) -> usize;
-    /// The sstables of `slot`; none for a slot at or past `slots()`.
+    /// The sstables of `slot`; none for a slot at or past `slots()`. A file
+    /// that reaches into several slots is listed in each of them, and —
+    /// slots being in key order — those are adjacent.
     fn files(&self, slot: usize) -> &[Arc<FileMetaData>];
     /// The user-key range `[lower, upper)` the cursor emits from `slot`;
     /// `None` leaves that side unclipped. A slot whose files may reach into
@@ -102,6 +130,28 @@ pub trait RunSource {
     /// committed) must clip, so that every entry is emitted exactly once and
     /// in global key order.
     fn bounds(&self, slot: usize) -> (Option<&[u8]>, Option<&[u8]>);
+}
+
+/// The distinct files of one level, in slot order: a file listed in several
+/// slots is yielded for the first of them only.
+pub fn distinct_files<R: RunSource>(run: &R) -> impl Iterator<Item = &Arc<FileMetaData>> {
+    (0..run.slots()).flat_map(move |slot| {
+        let earlier = slot.checked_sub(1).map_or(&[][..], |slot| run.files(slot));
+        let files = run.files(slot).iter();
+        files.filter(move |file| !earlier.iter().any(|seen| Arc::ptr_eq(seen, file)))
+    })
+}
+
+/// The level a cursor reads, in the version it pins.
+struct PinnedLevel<V> {
+    version: Arc<V>,
+    level: usize,
+}
+
+impl<V: VersionShape> PinnedLevel<V> {
+    fn run(&self) -> &V::Runs {
+        &self.version.runs()[self.level - 1]
+    }
 }
 
 /// The open iterator of one slot: a one-file slot reads its table directly
@@ -162,13 +212,13 @@ impl DbIterator for SlotIter {
 
 /// A lazy iterator over one level: it walks the level's slots in key order
 /// and opens a slot's sstables only when the cursor reaches it. The slots
-/// are read in place from the version the source pins, so building a cursor
+/// are read in place from the version the cursor pins, so building one
 /// costs the same whatever the number of guards or files.
-pub struct LevelCursor<S: RunSource> {
-    source: S,
+pub struct LevelCursor<V: VersionShape> {
+    source: PinnedLevel<V>,
     table_cache: Arc<TableCache>,
     read_options: ReadOptions,
-    /// The slot the cursor is in; `source.slots()` = unpositioned.
+    /// The slot the cursor is in; the level's `slots()` = unpositioned.
     slot: usize,
     current: Option<SlotIter>,
     /// First error hit while opening a slot; ends iteration.
@@ -178,11 +228,18 @@ pub struct LevelCursor<S: RunSource> {
     parallel_seek_threads: usize,
 }
 
-impl<S: RunSource> LevelCursor<S> {
-    /// Creates an unpositioned cursor over the level `source` describes.
-    pub fn new(table_cache: Arc<TableCache>, read_options: ReadOptions, source: S) -> Self {
+impl<V: VersionShape> LevelCursor<V> {
+    /// Creates an unpositioned cursor over level `level` (from 1 down) of
+    /// `version`.
+    pub fn new(
+        table_cache: Arc<TableCache>,
+        read_options: ReadOptions,
+        version: Arc<V>,
+        level: usize,
+    ) -> Self {
+        let source = PinnedLevel { version, level };
         LevelCursor {
-            slot: source.slots(),
+            slot: source.run().slots(),
             source,
             table_cache,
             read_options,
@@ -233,7 +290,7 @@ impl<S: RunSource> LevelCursor<S> {
     fn open_slot(&mut self, slot: usize, position: impl FnOnce(&mut SlotIter)) -> bool {
         self.slot = slot;
         self.current = None;
-        let opened = match self.source.files(slot) {
+        let opened = match self.source.run().files(slot) {
             [] => return true,
             [file] => self
                 .table_cache
@@ -266,7 +323,7 @@ impl<S: RunSource> LevelCursor<S> {
         }
         // An unclipped slot (every slot of a leveled run) never looks at the
         // key: for such a source this is `valid()` and nothing else.
-        let (lower, upper) = self.source.bounds(self.slot);
+        let (lower, upper) = self.source.run().bounds(self.slot);
         let user_key = || extract_user_key(iter.key());
         lower.is_none_or(|lower| user_key() >= lower)
             && upper.is_none_or(|upper| user_key() < upper)
@@ -279,9 +336,9 @@ impl<S: RunSource> LevelCursor<S> {
             // Either the slot is exhausted or the next entry spills past its
             // upper bound; move on to the following slot.
             let next = self.slot + 1;
-            if next >= self.source.slots() {
+            if next >= self.source.run().slots() {
                 self.current = None;
-                self.slot = self.source.slots();
+                self.slot = self.source.run().slots();
                 return;
             }
             if !self.open_slot(next, DbIterator::seek_to_first) {
@@ -289,7 +346,9 @@ impl<S: RunSource> LevelCursor<S> {
             }
             // Entries below the lower bound belong to an earlier slot and
             // were emitted there.
-            if let (Some(iter), Some(lower)) = (self.current.as_mut(), self.source.bounds(next).0) {
+            if let (Some(iter), Some(lower)) =
+                (self.current.as_mut(), self.source.run().bounds(next).0)
+            {
                 while iter.valid() && extract_user_key(iter.key()) < lower {
                     iter.next();
                 }
@@ -304,7 +363,7 @@ impl<S: RunSource> LevelCursor<S> {
             // An entry merely above the upper bound: walk backwards within
             // the same slot first.
             if let (Some(iter), Some(upper)) =
-                (self.current.as_mut(), self.source.bounds(self.slot).1)
+                (self.current.as_mut(), self.source.run().bounds(self.slot).1)
             {
                 if iter.valid() && extract_user_key(iter.key()) >= upper {
                     iter.prev();
@@ -315,7 +374,7 @@ impl<S: RunSource> LevelCursor<S> {
                 self.current = None;
                 return;
             }
-            let previous = self.slot.min(self.source.slots()) - 1;
+            let previous = self.slot.min(self.source.run().slots()) - 1;
             if !self.open_slot(previous, DbIterator::seek_to_last) {
                 return;
             }
@@ -323,7 +382,7 @@ impl<S: RunSource> LevelCursor<S> {
     }
 }
 
-impl<S: RunSource> DbIterator for LevelCursor<S> {
+impl<V: VersionShape> DbIterator for LevelCursor<V> {
     fn valid(&self) -> bool {
         self.current.as_ref().is_some_and(|it| it.valid())
     }
@@ -335,15 +394,15 @@ impl<S: RunSource> DbIterator for LevelCursor<S> {
     }
 
     fn seek_to_last(&mut self) {
-        let last = self.source.slots().saturating_sub(1);
+        let last = self.source.run().slots().saturating_sub(1);
         if self.open_slot(last, DbIterator::seek_to_last) {
             self.settle_backward();
         }
     }
 
     fn seek(&mut self, target: &[u8]) {
-        let slot = self.source.slot_for(target);
-        let files = self.source.files(slot);
+        let slot = self.source.run().slot_for(target);
+        let files = self.source.run().files(slot);
         if self.parallel_seek_threads > 1 && files.len() > 1 {
             self.parallel_warm(files, target);
         }
@@ -394,6 +453,37 @@ pub fn push_table_iterators<'a>(
     for file in files {
         let iter = table_cache.iter(read_options, file.number, file.file_size)?;
         children.push(Box::new(iter));
+    }
+    Ok(())
+}
+
+/// Appends a cursor's view of `version` to its child list: one iterator per
+/// level-0 file plus one lazy [`LevelCursor`] per non-empty deeper level
+/// (`levels` is the version's table). The cursors read the pinned version's
+/// slots in place, so building them copies no per-file or per-guard state.
+/// The deepest non-empty level — whose sstables are the least likely to be
+/// cached — positions a many-file slot with `parallel_seek_threads` threads
+/// (the paper's "parallel seeks"; a no-op on one-file slots).
+pub fn push_version_iterators<V: VersionShape>(
+    table_cache: &Arc<TableCache>,
+    read_options: &ReadOptions,
+    version: &Arc<V>,
+    levels: &[LevelRow],
+    parallel_seek_threads: usize,
+    children: &mut Vec<Box<dyn DbIterator>>,
+) -> Result<()> {
+    push_table_iterators(table_cache, read_options, version.level0(), children)?;
+    let nonempty = levels.iter().skip(1).filter(|row| row.files > 0);
+    let deepest = nonempty.clone().next_back().map(|row| row.level);
+    for row in nonempty {
+        let threads = if Some(row.level) == deepest {
+            parallel_seek_threads
+        } else {
+            1
+        };
+        let (cache, version) = (Arc::clone(table_cache), Arc::clone(version));
+        let cursor = LevelCursor::new(cache, read_options.clone(), version, row.level);
+        children.push(Box::new(cursor.with_parallel_seeks(threads)));
     }
     Ok(())
 }
@@ -455,28 +545,25 @@ pub struct MergeSpec {
     /// live snapshot and are garbage-collected by the merge.
     pub smallest_snapshot: SequenceNumber,
     /// Whether tombstones at or below `smallest_snapshot` may be dropped
-    /// (where `route` agrees): only safe when no older version of the key
-    /// can survive outside the merge.
+    /// (where the job's `full_partitions` agree): only safe when no older
+    /// version of the key can survive outside the merge.
     pub drop_tombstones: bool,
 }
 
-/// The compaction IO loop: merges `inputs`, drops every version a newer one
-/// shadows for all live snapshots (and droppable tombstones), and writes the
-/// survivors to new tables of `io`'s directory.
+/// The compaction IO loop: merges the job's inputs, drops every version a
+/// newer one shadows for all live snapshots (and droppable tombstones), and
+/// writes the survivors to new tables of `io`'s directory.
 ///
-/// `route` maps a user key to `(partition, tombstone_droppable)`. An output
-/// table never crosses a partition boundary — the FLSM partitions by the
-/// output level's guards, a leveled run is one partition — and is rotated
-/// once it reaches `max_file_size`. Outputs are returned in key order; they
-/// exist only on disk until the caller commits them.
-pub fn merge_to_tables<'a>(
-    io: &EngineIo,
-    inputs: impl IntoIterator<Item = &'a Arc<FileMetaData>>,
-    spec: &MergeSpec,
-    mut route: impl FnMut(&[u8]) -> (usize, bool),
-) -> Result<Vec<FileMetaData>> {
+/// An output table never crosses one of the job's `partition_keys` — the
+/// FLSM partitions by the output level's guards, a leveled run is one
+/// partition — and is rotated once it reaches `max_file_size`. Outputs are
+/// returned in key order; they exist only on disk until the caller commits
+/// them.
+pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMetaData>> {
+    let spec = &job.spec;
     let read_options = ReadOptions::default();
     let mut children: Vec<Box<dyn DbIterator>> = Vec::new();
+    let inputs = job.inputs.iter().map(|(_, file)| file);
     push_table_iterators(&io.table_cache, &read_options, inputs, &mut children)?;
     let mut merged = MergingIterator::new(children);
     merged.seek_to_first();
@@ -494,11 +581,15 @@ pub fn merge_to_tables<'a>(
         if last_user_key.as_deref() != Some(parsed.user_key) {
             last_user_key = Some(parsed.user_key.to_vec());
             last_sequence_for_key = MAX_SEQUENCE_NUMBER;
-            (partition, tombstone_droppable) = route(parsed.user_key);
+            partition = job
+                .partition_keys
+                .partition_point(|key| key.as_slice() <= parsed.user_key);
+            let covered = job.full_partitions.get(partition);
+            tombstone_droppable = covered.copied().unwrap_or(true);
         }
         // A version may be dropped once a newer version of the same key is
         // visible to every live snapshot; a tombstone additionally needs the
-        // job and the key's route to rule out an older value it still
+        // job and the key's partition to rule out an older value it still
         // shadows.
         let drop_entry = last_sequence_for_key <= spec.smallest_snapshot
             || (spec.drop_tombstones

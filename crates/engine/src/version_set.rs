@@ -8,7 +8,15 @@
 //! (section 4.3.1 of the paper). [`VersionSet`] owns CURRENT/MANIFEST
 //! recovery and rewriting, file numbering, log-number/last-sequence
 //! bookkeeping and the tracking of versions readers still hold; a tree shape
-//! plugs in through [`VersionShape`] on its version type.
+//! plugs in through [`VersionShape`] on its version type: what *defines* a
+//! version (how edits build it, what a snapshot enumerates, its invariants,
+//! when it wants compacting) plus two accessors, the level-0 files and one
+//! [`RunSource`] per deeper level. Everything that *reads* a version is
+//! written once over those accessors: the point `get` and the level cursors
+//! in [`crate::runs`], and here the live-file walk and the per-level
+//! [`LevelTable`], computed once per installed version. Likewise the two
+//! edits a store ever commits are built here: [`VersionSet::commit_level0`]
+//! and [`VersionEdit::compaction`].
 //!
 //! # MANIFEST records
 //!
@@ -25,20 +33,21 @@
 //! | 7 | new guard (FLSM only) | level, guard key |
 
 use std::cmp::Ordering;
+use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Weak};
 
 use pebblesdb_common::coding::{put_length_prefixed_slice, put_varint32, put_varint64, Decoder};
 use pebblesdb_common::filename::{current_file_name, descriptor_file_name};
-use pebblesdb_common::key::{compare_internal_keys, LookupKey, SequenceNumber};
-use pebblesdb_common::vlog::LookupValue;
-use pebblesdb_common::{Error, ReadOptions, Result, StoreOptions};
+use pebblesdb_common::key::{compare_internal_keys, SequenceNumber};
+use pebblesdb_common::{Error, Result, StoreOptions};
 use pebblesdb_env::Env;
-use pebblesdb_sstable::TableCache;
 use pebblesdb_wal::{LogReader, LogWriter};
 
 use crate::meta::{FileMetaData, FileMetaDataEdit};
+use crate::policy::CompactionJob;
+use crate::runs::{distinct_files, RunSource};
 
 /// A record of changes to the file layout, persisted in the MANIFEST.
 #[derive(Debug, Default, Clone)]
@@ -179,6 +188,26 @@ impl VersionEdit {
         self.deleted_files.push((level, number));
     }
 
+    /// The edit a finished compaction commits, for every tree shape: delete
+    /// the job's inputs, add its `outputs` (a move-only job's input itself)
+    /// at the output level and persist the guards it commits there.
+    pub fn compaction(job: &CompactionJob, outputs: &[FileMetaData]) -> VersionEdit {
+        let mut edit = VersionEdit::default();
+        for (level, file) in &job.inputs {
+            edit.delete_file(*level, file.number);
+            if job.move_only {
+                edit.add_file(job.spec.output_level, file);
+            }
+        }
+        for meta in outputs {
+            edit.add_file(job.spec.output_level, meta);
+        }
+        let guards = job.guards_to_commit.iter().cloned();
+        edit.new_guards
+            .extend(guards.map(|key| (job.spec.output_level, key)));
+        edit
+    }
+
     /// Folds `later` into this edit, so that applying the result once equals
     /// applying both in order. Recovery replays a whole MANIFEST as one edit
     /// instead of rebuilding the version once per record.
@@ -225,9 +254,12 @@ impl VersionEdit {
 }
 
 /// What a tree shape supplies on its immutable version type: how edits build
-/// the next version, what a full snapshot enumerates, and the aggregate
-/// facts the chassis reads off a version.
+/// the next version, what a full snapshot enumerates, its invariants and
+/// compaction triggers, and the files themselves — level 0 plus one
+/// [`RunSource`] per deeper level, which is all the chassis reads.
 pub trait VersionShape: Sized + Send + Sync + 'static {
+    /// How the shape cuts a level (from 1 down) into slots.
+    type Runs: RunSource;
     /// An empty version with `max_levels` levels.
     fn empty(max_levels: usize) -> Self;
     /// The version that results from applying `edit` to this one. Fails with
@@ -237,33 +269,107 @@ pub trait VersionShape: Sized + Send + Sync + 'static {
     fn apply(&self, edit: &VersionEdit) -> Result<Self>;
     /// Adds the records that rebuild this version from an empty one.
     fn snapshot_into(&self, edit: &mut VersionEdit);
-    /// Point lookup in the on-disk structure (memtables were already
-    /// consulted by the chassis). Returns the stored form of the newest
-    /// visible version — an inline value or an unresolved vlog pointer; the
-    /// chassis resolves pointers outside the state lock.
-    fn get(
-        &self,
-        read_options: &ReadOptions,
-        key: &LookupKey,
-        table_cache: &TableCache,
-    ) -> Result<Option<LookupValue>>;
-    /// All file numbers referenced by this version.
-    fn live_file_numbers(&self) -> Vec<u64>;
-    /// Returns `true` if background compaction work is pending.
-    fn needs_compaction(&self, options: &StoreOptions) -> bool;
+    /// Returns `true` if background compaction work is pending; `levels` is
+    /// this version's table.
+    fn needs_compaction(&self, levels: &[LevelRow], options: &StoreOptions) -> bool;
     /// Checks the shape's structural invariants, describing the first
     /// violation found. Debug builds run it after every commit.
     fn validate(&self) -> std::result::Result<(), String>;
-    /// Number of level-0 files (drives write back-pressure).
-    fn level0_len(&self) -> usize;
-    /// Total bytes across all live files.
-    fn total_bytes(&self) -> u64;
+    /// The level-0 files, newest first.
+    fn level0(&self) -> &[Arc<FileMetaData>];
+    /// The levels from 1 down: `runs()[i]` cuts level `i + 1`.
+    fn runs(&self) -> &[Self::Runs];
+}
+
+/// Every distinct file `version` references, level 0 first.
+pub fn version_files<V: VersionShape>(version: &V) -> impl Iterator<Item = &Arc<FileMetaData>> {
+    let deeper = version.runs().iter().flat_map(distinct_files);
+    version.level0().iter().chain(deeper)
+}
+
+/// One level of a version in numbers. Level 0, whose files overlap freely,
+/// is a single slot holding all of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LevelRow {
+    /// The level the row describes.
+    pub level: usize,
+    /// Distinct files (one spanning several slots counts once).
+    pub files: usize,
+    /// Their total size.
+    pub bytes: u64,
+    /// Slots the level is cut into: guards (sentinel included) or files.
+    pub slots: usize,
+    /// Slots holding no file (Figure 5.4 of the paper).
+    pub empty_slots: usize,
+    /// Files in the fullest slot.
+    pub max_files_per_slot: usize,
+}
+
+/// The per-level table of one version, a row per level from 0 down. The
+/// version set computes it once when a version is installed; clones share
+/// it. Displays as `L0:4 L1:3 ...`, or with `{:#}` — for a shape whose slots
+/// are guards — as `L0:4 L1:3f/2g ...`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LevelTable(Arc<[LevelRow]>);
+
+impl LevelTable {
+    /// Walks `version` once.
+    pub fn of<V: VersionShape>(version: &V) -> LevelTable {
+        let level0 = version.level0();
+        let mut rows = vec![LevelRow {
+            level: 0,
+            files: level0.len(),
+            bytes: level0.iter().map(|f| f.file_size).sum(),
+            slots: 1,
+            empty_slots: usize::from(level0.is_empty()),
+            max_files_per_slot: level0.len(),
+        }];
+        for (index, run) in version.runs().iter().enumerate() {
+            let attached = (0..run.slots()).map(|slot| run.files(slot).len());
+            let sizes = distinct_files(run).map(|f| f.file_size);
+            let (files, bytes) =
+                sizes.fold((0, 0), |(files, bytes), size| (files + 1, bytes + size));
+            rows.push(LevelRow {
+                level: index + 1,
+                files,
+                bytes,
+                slots: run.slots(),
+                empty_slots: attached.clone().filter(|n| *n == 0).count(),
+                max_files_per_slot: attached.max().unwrap_or(0),
+            });
+        }
+        LevelTable(rows.into())
+    }
+
     /// Total number of live files.
-    fn num_files(&self) -> usize;
-    /// Sizes of every live file.
-    fn file_sizes(&self) -> Vec<u64>;
-    /// Human-readable per-level summary.
-    fn level_summary(&self) -> String;
+    pub fn num_files(&self) -> usize {
+        self.iter().map(|row| row.files).sum()
+    }
+
+    /// Total bytes across all live files.
+    pub fn total_bytes(&self) -> u64 {
+        self.iter().map(|row| row.bytes).sum()
+    }
+}
+
+impl std::ops::Deref for LevelTable {
+    type Target = [LevelRow];
+    fn deref(&self) -> &[LevelRow] {
+        &self.0
+    }
+}
+
+impl fmt::Display for LevelTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for row in self.iter() {
+            let separator = if row.level == 0 { "" } else { " " };
+            write!(f, "{separator}L{}:{}", row.level, row.files)?;
+            if f.alternate() && row.level > 0 {
+                write!(f, "f/{}g", row.slots)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The file-number counter of one store directory, shared between the
@@ -305,6 +411,8 @@ pub struct VersionSet<V: VersionShape> {
     db_path: PathBuf,
     options: StoreOptions,
     current: Arc<V>,
+    /// The table of `current`.
+    levels: LevelTable,
     /// Versions that a read or cursor still held when a commit replaced
     /// them; their files must outlive the holder.
     replaced: Vec<Weak<V>>,
@@ -321,8 +429,10 @@ impl<V: VersionShape> VersionSet<V> {
     /// Either way a fresh full-snapshot MANIFEST is written, which keeps
     /// recovery time bounded by the edits of one run.
     pub fn open(env: Arc<dyn Env>, db_path: PathBuf, options: StoreOptions) -> Result<Self> {
+        let current = Arc::new(V::empty(options.max_levels));
         let mut set = VersionSet {
-            current: Arc::new(V::empty(options.max_levels)),
+            levels: LevelTable::of(&*current),
+            current,
             env,
             db_path,
             options,
@@ -345,6 +455,13 @@ impl<V: VersionShape> VersionSet<V> {
     /// starts tracking it (see [`VersionSet::live_files_and_pins`]).
     pub fn current(&self) -> &Arc<V> {
         &self.current
+    }
+
+    /// The per-level table of the current version. Plain reads: nothing is
+    /// walked, so stats, back-pressure and compaction picking may ask under
+    /// the state mutex.
+    pub fn levels(&self) -> &LevelTable {
+        &self.levels
     }
 
     /// The directory's file-number counter; clones share it.
@@ -384,7 +501,7 @@ impl<V: VersionShape> VersionSet<V> {
 
     /// Returns `true` if background compaction work is pending.
     pub fn needs_compaction(&self) -> bool {
-        self.current.needs_compaction(&self.options)
+        self.current.needs_compaction(&self.levels, &self.options)
     }
 
     /// Number of replaced versions still tracked because something held them
@@ -400,12 +517,12 @@ impl<V: VersionShape> VersionSet<V> {
     /// keeps a held version's files must also learn that a later pass may
     /// find more garbage, even if the holder drops immediately afterwards.
     pub fn live_files_and_pins(&mut self) -> (Vec<u64>, bool) {
-        let mut live = self.current.live_file_numbers();
+        let mut live: Vec<u64> = version_files(&*self.current).map(|f| f.number).collect();
         let mut pinned = false;
         self.replaced.retain(|weak| match weak.upgrade() {
             Some(version) => {
                 pinned = true;
-                live.extend(version.live_file_numbers());
+                live.extend(version_files(&*version).map(|f| f.number));
                 true
             }
             None => false,
@@ -413,6 +530,13 @@ impl<V: VersionShape> VersionSet<V> {
         live.sort_unstable();
         live.dedup();
         (live, pinned)
+    }
+
+    /// Makes `next` the current version, with its table, and hands back the
+    /// version it replaces.
+    fn install(&mut self, next: Arc<V>) -> Arc<V> {
+        self.levels = LevelTable::of(&*next);
+        std::mem::replace(&mut self.current, next)
     }
 
     /// Recovers state from the MANIFEST named by `CURRENT`.
@@ -437,7 +561,7 @@ impl<V: VersionShape> VersionSet<V> {
         self.file_numbers
             .advance_to(replay.next_file_number.unwrap_or(0));
         self.last_sequence = replay.last_sequence.unwrap_or(self.last_sequence);
-        self.current = Arc::new(self.current.apply(&replay)?);
+        self.install(Arc::new(self.current.apply(&replay)?));
         self.mark_file_number_used(manifest_number);
         Ok(())
     }
@@ -465,7 +589,7 @@ impl<V: VersionShape> VersionSet<V> {
         if let Some(v) = edit.log_number {
             self.log_number = v;
         }
-        let replaced = std::mem::replace(&mut self.current, Arc::clone(&next));
+        let replaced = self.install(Arc::clone(&next));
         // Holders clone `current` under the lock that also guards this call,
         // so a count of one means nobody can ever reach `replaced` again.
         self.replaced.retain(|weak| weak.strong_count() > 0);
@@ -475,10 +599,9 @@ impl<V: VersionShape> VersionSet<V> {
         Ok(next)
     }
 
-    /// Commits the only edit shape the chassis itself produces: "switch to
-    /// WAL `log_number`, optionally adding a level-0 table" (WAL rotation at
-    /// open, recovery flushes, memtable flushes). Compaction edits are built
-    /// by the policy.
+    /// Commits "switch to WAL `log_number`, optionally adding a level-0
+    /// table" (WAL rotation at open, recovery flushes, memtable flushes) —
+    /// with [`VersionEdit::compaction`], every edit a store produces.
     pub fn commit_level0(
         &mut self,
         meta: Option<&FileMetaData>,

@@ -24,7 +24,6 @@ use pebblesdb_wal::LogWriter;
 use crate::cdc::TailBatch;
 use crate::chassis::{EngineCore, EngineState};
 use crate::policy::ShapePolicy;
-use crate::version_set::VersionShape;
 use crate::vlog::{rewrite_batch, TakenVlog};
 
 /// What the planning pass found in a group's records.
@@ -330,7 +329,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         loop {
             state.healthy()?;
             let cf = state.live_cf(cf_id)?;
-            let level0_files = cf.versions.current().level0_len();
+            let level0_files = cf.versions.levels()[0].files;
             let slow_down = allow_delay && level0_files >= options.level0_slowdown_writes_trigger;
             if !slow_down
                 && !rotate

@@ -11,24 +11,19 @@
 //! one implicit guard (section 3 of the paper). The shared engine chassis
 //! ([`pebblesdb_engine`]) therefore owns the whole write path, recovery,
 //! flush thread, worker pool and GC; this file contains only the
-//! leveled-compaction policy — how jobs are picked, merged and committed,
-//! and how reads route through the sorted runs.
+//! leveled-compaction policy — which file a job takes and which next-level
+//! files it must rewrite with it.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use pebblesdb_common::iterator::DbIterator;
 use pebblesdb_common::key::compare_internal_keys;
-use pebblesdb_common::{KvStore, ReadOptions, Result, StoreOptions, StorePreset};
+use pebblesdb_common::{KvStore, Result, StoreOptions, StorePreset};
 use pebblesdb_engine::meta::user_key_range;
-use pebblesdb_engine::runs::{merge_to_tables, push_table_iterators};
-use pebblesdb_engine::{
-    EngineDb, EngineIo, FileMetaData, JobClaim, LevelCursor, MergeSpec, PolicyCtx, ShapePolicy,
-    VersionEdit, VersionShape,
-};
+use pebblesdb_engine::{CompactionJob, EngineDb, FileMetaData, MergeSpec, PolicyCtx, ShapePolicy};
 use pebblesdb_env::Env;
 
-use crate::version::{FileRuns, Version};
+use crate::version::{pick_compaction_level, Version};
 
 /// The leveled-compaction shape: one implicit guard per level.
 pub struct LsmPolicy {
@@ -43,27 +38,9 @@ pub struct LsmPolicyState {
     pub compact_pointer: Vec<Vec<u8>>,
 }
 
-/// Work selected for a background compaction pass.
-pub struct LsmCompactionJob {
-    level: usize,
-    inputs: Vec<Arc<FileMetaData>>,
-    next_level_inputs: Vec<Arc<FileMetaData>>,
-    /// How the inputs are merged: into `level + 1`, dropping tombstones
-    /// when no deeper level holds the job's key range.
-    spec: MergeSpec,
-}
-
-impl LsmCompactionJob {
-    /// A single input with nothing to merge below just moves down a level.
-    fn is_trivial_move(&self) -> bool {
-        self.level > 0 && self.inputs.len() == 1 && self.next_level_inputs.is_empty()
-    }
-}
-
 impl ShapePolicy for LsmPolicy {
     type Version = Version;
     type State = LsmPolicyState;
-    type Job = LsmCompactionJob;
 
     fn engine_name(&self) -> String {
         self.preset.name().to_string()
@@ -75,52 +52,26 @@ impl ShapePolicy for LsmPolicy {
         }
     }
 
-    // ------------------------------------------------------------- read path
-
-    fn append_version_iterators(
-        &self,
-        io: &EngineIo,
-        version: &Arc<Version>,
-        opts: &ReadOptions,
-        children: &mut Vec<Box<dyn DbIterator>>,
-    ) -> Result<()> {
-        push_table_iterators(&io.table_cache, opts, &version.files[0], children)?;
-        // Deeper levels hold disjoint files: one lazy cursor per level opens
-        // only the files it actually reaches.
-        for level in 1..version.num_levels() {
-            if version.files[level].is_empty() {
-                continue;
-            }
-            let version = Arc::clone(version);
-            children.push(Box::new(LevelCursor::new(
-                Arc::clone(&io.table_cache),
-                opts.clone(),
-                FileRuns { version, level },
-            )));
-        }
-        Ok(())
-    }
-
     // ------------------------------------------------------------ compaction
 
     /// Classic leveled compaction rewrites every overlapping next-level
     /// range, so jobs cannot be carved into disjoint units the way guards
     /// allow: a job is claimable only when no other job is in flight, which
     /// keeps the engine correct under any chassis worker-pool size.
-    fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<JobClaim<LsmCompactionJob>> {
+    fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<CompactionJob> {
         if !ctx.claimed_inputs.is_empty() {
             return None;
         }
-        let version = Arc::clone(ctx.versions.current());
-        let (level, _score) = version.pick_compaction_level(&self.options)?;
+        let version = ctx.versions.current();
+        let (level, _score) = pick_compaction_level(ctx.versions.levels(), &self.options)?;
 
         let inputs: Vec<Arc<FileMetaData>> = if level == 0 {
             // Compact the whole of level 0 in one go (HyperLevelDB-style
             // batched level-0 compaction).
-            version.files[0].clone()
+            version.files[0].0.clone()
         } else {
             // Rotate through the level using the compaction pointer.
-            let files = &version.files[level];
+            let files = &version.files[level].0;
             let pointer = &ctx.state.compact_pointer[level];
             let chosen = files
                 .iter()
@@ -146,75 +97,33 @@ impl ShapePolicy for LsmPolicy {
             holders.is_empty()
         });
 
-        let input_numbers = inputs
-            .iter()
-            .chain(next_level_inputs.iter())
-            .map(|f| f.number)
-            .collect();
-        Some(JobClaim {
-            input_numbers,
-            job: LsmCompactionJob {
-                level,
-                inputs,
-                next_level_inputs,
-                spec: MergeSpec {
-                    output_level: level + 1,
-                    smallest_snapshot: ctx.smallest_snapshot,
-                    drop_tombstones,
-                },
+        // A single input with nothing to merge below just moves down a level.
+        let move_only = level > 0 && inputs.len() == 1 && next_level_inputs.is_empty();
+        let inputs = inputs.into_iter().map(|file| (level, file));
+        let next_level_inputs = next_level_inputs.into_iter().map(|file| (level + 1, file));
+        // A leveled run is one partition, and `drop_tombstones` already says
+        // no deeper level holds the job's key range.
+        Some(CompactionJob {
+            inputs: inputs.chain(next_level_inputs).collect(),
+            spec: MergeSpec {
+                output_level: level + 1,
+                smallest_snapshot: ctx.smallest_snapshot,
+                drop_tombstones,
             },
+            partition_keys: Vec::new(),
+            full_partitions: Vec::new(),
+            guards_to_commit: Vec::new(),
+            move_only,
         })
     }
 
-    fn run_job_io(&self, io: &EngineIo, job: &LsmCompactionJob) -> Result<Vec<FileMetaData>> {
-        if job.is_trivial_move() {
-            return Ok(Vec::new());
+    /// The level's next compaction starts past the last file this one took.
+    fn job_committed(&self, state: &mut LsmPolicyState, job: &CompactionJob) {
+        let level = job.level();
+        let taken = job.inputs.iter().rev().find(|(at, _)| *at == level);
+        if let Some((_, last_input)) = taken {
+            state.compact_pointer[level] = last_input.largest.encoded().to_vec();
         }
-        // A leveled run is one partition, and `spec.drop_tombstones` already
-        // says no deeper level holds the job's key range.
-        let inputs = job.inputs.iter().chain(&job.next_level_inputs);
-        merge_to_tables(io, inputs, &job.spec, |_| (0, true))
-    }
-
-    fn commit_job(
-        &self,
-        ctx: &mut PolicyCtx<'_, Self>,
-        job: &LsmCompactionJob,
-        outputs: Vec<FileMetaData>,
-    ) -> Result<(u64, u64)> {
-        if job.is_trivial_move() {
-            let file = &job.inputs[0];
-            let mut edit = VersionEdit::default();
-            edit.delete_file(job.level, file.number);
-            edit.add_file(job.level + 1, file);
-            ctx.state.compact_pointer[job.level] = file.largest.encoded().to_vec();
-            ctx.versions.log_and_apply(edit)?;
-            return Ok((0, 0));
-        }
-
-        let bytes_read: u64 = job
-            .inputs
-            .iter()
-            .chain(job.next_level_inputs.iter())
-            .map(|f| f.file_size)
-            .sum();
-        let mut edit = VersionEdit::default();
-        for file in &job.inputs {
-            edit.delete_file(job.level, file.number);
-        }
-        for file in &job.next_level_inputs {
-            edit.delete_file(job.level + 1, file.number);
-        }
-        let mut bytes_written = 0;
-        for meta in &outputs {
-            bytes_written += meta.file_size;
-            edit.add_file(job.level + 1, meta);
-        }
-        if let Some(last_input) = job.inputs.last() {
-            ctx.state.compact_pointer[job.level] = last_input.largest.encoded().to_vec();
-        }
-        ctx.versions.log_and_apply(edit)?;
-        Ok((bytes_read, bytes_written))
     }
 }
 
@@ -294,15 +203,14 @@ impl LsmDb {
         self.db.options()
     }
 
-    /// A human-readable per-level file-count summary.
+    /// A human-readable per-level file-count summary: `L0:n L1:n ...`.
     pub fn level_summary(&self) -> String {
-        self.db.with_current_version(|v| v.level_summary())
+        self.db.levels().to_string()
     }
 
     /// Number of files at each level (useful for tests and examples).
     pub fn files_per_level(&self) -> Vec<usize> {
-        self.db
-            .with_current_version(|v| v.files.iter().map(|f| f.len()).collect())
+        self.db.levels().iter().map(|row| row.files).collect()
     }
 
     /// Triggers a memtable flush plus any needed compactions, then waits for

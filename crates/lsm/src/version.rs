@@ -6,17 +6,17 @@
 //! ([`pebblesdb_engine::version_set`]) appends to the MANIFEST log and
 //! applies to produce the next version — the standard LevelDB descriptor
 //! scheme that PebblesDB inherits (and extends with guard records for the
-//! `pebblesdb` crate's shape). This module supplies the leveled shape.
+//! `pebblesdb` crate's shape). This module supplies what defines the leveled
+//! shape: how edits build a version, its invariant, its compaction score and
+//! the cut of a level into one-file slots ([`FileRuns`]); reads, per-level
+//! facts and commits are the chassis's.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use pebblesdb_common::key::{compare_internal_keys, LookupKey};
-use pebblesdb_common::vlog::LookupValue;
-use pebblesdb_common::{Error, ReadOptions, Result, StoreOptions};
-use pebblesdb_engine::runs::{probe_file, probe_level0};
-use pebblesdb_engine::{RunSource, VersionEdit, VersionShape};
-use pebblesdb_sstable::TableCache;
+use pebblesdb_common::key::compare_internal_keys;
+use pebblesdb_common::{Error, Result, StoreOptions};
+use pebblesdb_engine::{LevelRow, RunSource, VersionEdit, VersionShape};
 
 pub use pebblesdb_engine::meta::{FileMetaData, FileMetaDataEdit};
 
@@ -25,18 +25,13 @@ pub use pebblesdb_engine::meta::{FileMetaData, FileMetaDataEdit};
 pub struct Version {
     /// `files[level]` is sorted by smallest key for levels >= 1; level 0 is
     /// ordered newest-file-first (by file number, descending).
-    pub files: Vec<Vec<Arc<FileMetaData>>>,
+    pub files: Vec<FileRuns>,
 }
 
 impl Version {
     /// Number of levels.
     pub fn num_levels(&self) -> usize {
         self.files.len()
-    }
-
-    /// Total bytes stored at `level`.
-    pub fn level_bytes(&self, level: usize) -> u64 {
-        self.files[level].iter().map(|f| f.file_size).sum()
     }
 
     /// The files of `level` whose user-key range overlaps `[begin, end]`.
@@ -49,61 +44,55 @@ impl Version {
         end: &[u8],
     ) -> Vec<Arc<FileMetaData>> {
         let overlaps = |f: &&Arc<FileMetaData>| f.overlaps_user_range(Some(begin), Some(end));
-        self.files[level].iter().filter(overlaps).cloned().collect()
+        let FileRuns(files) = &self.files[level];
+        files.iter().filter(overlaps).cloned().collect()
     }
+}
 
-    /// Returns the level with the highest compaction score, if any level is
-    /// over budget. Level 0 is scored by file count, deeper levels by bytes.
-    pub fn pick_compaction_level(&self, options: &StoreOptions) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for level in 0..self.num_levels() - 1 {
-            let score = if level == 0 {
-                self.files[0].len() as f64 / options.level0_compaction_trigger as f64
-            } else {
-                self.level_bytes(level) as f64 / options.max_bytes_for_level(level) as f64
-            };
-            if score >= 1.0 && best.map(|(_, s)| score > s).unwrap_or(true) {
-                best = Some((level, score));
-            }
+/// Returns the level of a version with the table `levels` that has the
+/// highest compaction score, if any level is over budget. Level 0 is scored
+/// by file count, deeper levels by bytes.
+pub fn pick_compaction_level(levels: &[LevelRow], options: &StoreOptions) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for row in &levels[..levels.len() - 1] {
+        let score = if row.level == 0 {
+            row.files as f64 / options.level0_compaction_trigger as f64
+        } else {
+            row.bytes as f64 / options.max_bytes_for_level(row.level) as f64
+        };
+        if score >= 1.0 && best.map(|(_, s)| score > s).unwrap_or(true) {
+            best = Some((row.level, score));
         }
-        best
     }
+    best
 }
 
-/// Index of the first file of a sorted, disjoint run whose largest key is at
-/// or past `internal_key` (`files.len()` if none is).
-///
-/// The files are disjoint by *internal* key, so the search compares internal
-/// keys (user key + snapshot sequence). Searching by user key alone is wrong
-/// for snapshot reads: compaction may split one user key's versions across
-/// two adjacent files, and the version visible at the snapshot can sit in
-/// the file *after* the one holding the newest versions.
-fn first_file_reaching(files: &[Arc<FileMetaData>], internal_key: &[u8]) -> usize {
-    files.partition_point(|f| compare_internal_keys(f.largest.encoded(), internal_key).is_lt())
-}
-
-/// One leveled run (a level from 1 down) as the chassis's level cursor sees
-/// it: every file is its own slot, and — the files being disjoint — no slot
-/// needs clipping.
-pub struct FileRuns {
-    /// The pinned version; `version.files[level]` is read in place.
-    pub version: Arc<Version>,
-    /// The level the run is.
-    pub level: usize,
-}
+/// The files of one level. From level 1 down they are a leveled run, which
+/// the chassis reads with every file its own slot and — the files being
+/// disjoint — no slot clipped.
+#[derive(Debug, Clone, Default)]
+pub struct FileRuns(pub Vec<Arc<FileMetaData>>);
 
 impl RunSource for FileRuns {
     fn slots(&self) -> usize {
-        self.version.files[self.level].len()
+        self.0.len()
     }
 
+    /// The first file whose largest key is at or past `target`.
+    ///
+    /// The files are disjoint by *internal* key, so the search compares
+    /// internal keys (user key + snapshot sequence). Searching by user key
+    /// alone is wrong for snapshot reads: compaction may split one user
+    /// key's versions across two adjacent files, and the version visible at
+    /// the snapshot can sit in the file *after* the one holding the newest
+    /// versions.
     fn slot_for(&self, target: &[u8]) -> usize {
-        first_file_reaching(&self.version.files[self.level], target)
+        self.0
+            .partition_point(|f| compare_internal_keys(f.largest.encoded(), target).is_lt())
     }
 
     fn files(&self, slot: usize) -> &[Arc<FileMetaData>] {
-        let file = self.version.files[self.level].get(slot);
-        file.map_or(&[], std::slice::from_ref)
+        self.0.get(slot).map_or(&[], std::slice::from_ref)
     }
 
     fn bounds(&self, _slot: usize) -> (Option<&[u8]>, Option<&[u8]>) {
@@ -112,9 +101,11 @@ impl RunSource for FileRuns {
 }
 
 impl VersionShape for Version {
+    type Runs = FileRuns;
+
     fn empty(max_levels: usize) -> Self {
         Version {
-            files: vec![Vec::new(); max_levels],
+            files: vec![FileRuns::default(); max_levels],
         }
     }
 
@@ -129,12 +120,12 @@ impl VersionShape for Version {
         }
         let mut files = self.files.clone();
         for (level, number) in &edit.deleted_files {
-            files[*level].retain(|f| f.number != *number);
+            files[*level].0.retain(|f| f.number != *number);
         }
         for (level, file) in &edit.new_files {
-            files[*level].push(file.to_meta());
+            files[*level].0.push(file.to_meta());
         }
-        for (level, files) in files.iter_mut().enumerate() {
+        for (level, FileRuns(files)) in files.iter_mut().enumerate() {
             if level == 0 {
                 files.sort_by_key(|f| std::cmp::Reverse(f.number));
             } else {
@@ -150,54 +141,22 @@ impl VersionShape for Version {
         Ok(version)
     }
 
-    /// Point lookup: searches level 0 newest-first, then deeper levels.
-    ///
-    /// Returns `Ok(Some(value))`, or `Ok(None)` for "definitely deleted or
-    /// never written".
-    fn get(
-        &self,
-        read_options: &ReadOptions,
-        key: &LookupKey,
-        table_cache: &TableCache,
-    ) -> Result<Option<LookupValue>> {
-        if let Some(decided) = probe_level0(table_cache, read_options, &self.files[0], key)? {
-            return Ok(decided);
-        }
-        for level in 1..self.num_levels() {
-            let files = &self.files[level];
-            let Some(file) = files.get(first_file_reaching(files, key.internal_key())) else {
-                continue;
-            };
-            if file.smallest.user_key() > key.user_key() {
-                continue;
-            }
-            if let Some((_, decided)) = probe_file(table_cache, read_options, file, key)? {
-                return Ok(decided);
-            }
-        }
-        Ok(None)
-    }
-
     fn snapshot_into(&self, edit: &mut VersionEdit) {
-        for (level, files) in self.files.iter().enumerate() {
+        for (level, FileRuns(files)) in self.files.iter().enumerate() {
             for file in files {
                 edit.add_file(level, file);
             }
         }
     }
 
-    fn live_file_numbers(&self) -> Vec<u64> {
-        self.files.iter().flatten().map(|f| f.number).collect()
-    }
-
-    fn needs_compaction(&self, options: &StoreOptions) -> bool {
-        self.pick_compaction_level(options).is_some()
+    fn needs_compaction(&self, levels: &[LevelRow], options: &StoreOptions) -> bool {
+        pick_compaction_level(levels, options).is_some()
     }
 
     /// Every level from 1 down is a sorted run of files disjoint by internal
     /// key.
     fn validate(&self) -> std::result::Result<(), String> {
-        for (level, files) in self.files.iter().enumerate().skip(1) {
+        for (level, FileRuns(files)) in self.files.iter().enumerate().skip(1) {
             for pair in files.windows(2) {
                 if compare_internal_keys(pair[0].largest.encoded(), pair[1].smallest.encoded())
                     != Ordering::Less
@@ -212,31 +171,12 @@ impl VersionShape for Version {
         Ok(())
     }
 
-    fn level0_len(&self) -> usize {
-        self.files[0].len()
+    fn level0(&self) -> &[Arc<FileMetaData>] {
+        self.files.first().map_or(&[], |level0| &level0.0)
     }
 
-    fn total_bytes(&self) -> u64 {
-        self.files.iter().flatten().map(|f| f.file_size).sum()
-    }
-
-    fn num_files(&self) -> usize {
-        self.files.iter().map(|l| l.len()).sum()
-    }
-
-    fn file_sizes(&self) -> Vec<u64> {
-        self.files.iter().flatten().map(|f| f.file_size).collect()
-    }
-
-    /// Files per level (for debugging and the `compare_engines` example).
-    fn level_summary(&self) -> String {
-        let counts: Vec<String> = self
-            .files
-            .iter()
-            .enumerate()
-            .map(|(level, files)| format!("L{level}:{}", files.len()))
-            .collect();
-        counts.join(" ")
+    fn runs(&self) -> &[FileRuns] {
+        self.files.get(1..).unwrap_or_default()
     }
 }
 
@@ -246,9 +186,10 @@ mod tests {
     use pebblesdb_common::filename::table_file_name;
     use pebblesdb_common::iterator::DbIterator;
     use pebblesdb_common::key::{encode_internal_key, extract_user_key, InternalKey, ValueType};
-    use pebblesdb_engine::LevelCursor;
+    use pebblesdb_common::ReadOptions;
+    use pebblesdb_engine::{LevelCursor, LevelTable};
     use pebblesdb_env::{Env, MemEnv};
-    use pebblesdb_sstable::TableBuilder;
+    use pebblesdb_sstable::{TableBuilder, TableCache};
     use std::path::{Path, PathBuf};
 
     fn ikey(user: &str, seq: u64) -> InternalKey {
@@ -277,16 +218,14 @@ mod tests {
             .apply(&edit)
             .and_then(|v| v.apply(&second))
             .unwrap();
-        assert_eq!(version.files[0].len(), 1);
-        assert_eq!(version.files[1].len(), 1);
-        assert_eq!(version.files[1][0].number, 11);
-        assert_eq!(version.files[2].len(), 1);
-        assert_eq!(version.num_files(), 3);
-        assert_eq!(version.total_bytes(), 3000);
-        assert_eq!(
-            version.level_summary(),
-            "L0:1 L1:1 L2:1 L3:0 L4:0 L5:0 L6:0"
-        );
+        assert_eq!(version.files[0].0.len(), 1);
+        assert_eq!(version.files[1].0.len(), 1);
+        assert_eq!(version.files[1].0[0].number, 11);
+        assert_eq!(version.files[2].0.len(), 1);
+        let rows = LevelTable::of(&version);
+        assert_eq!(rows.num_files(), 3);
+        assert_eq!(rows.total_bytes(), 3000);
+        assert_eq!(rows.to_string(), "L0:1 L1:1 L2:1 L3:0 L4:0 L5:0 L6:0");
     }
 
     #[test]
@@ -314,13 +253,13 @@ mod tests {
         opts.level0_compaction_trigger = 2;
         opts.base_level_bytes = 1500;
         let version = Version::empty(opts.max_levels);
-        assert!(!version.needs_compaction(&opts));
+        assert!(!version.needs_compaction(&LevelTable::of(&version), &opts));
 
         let mut edit = VersionEdit::default();
         edit.new_files.push((0, meta(10, "a", "b")));
         edit.new_files.push((0, meta(11, "c", "d")));
         let version = version.apply(&edit).unwrap();
-        let (level, score) = version.pick_compaction_level(&opts).unwrap();
+        let (level, score) = pick_compaction_level(&LevelTable::of(&version), &opts).unwrap();
         assert_eq!(level, 0);
         assert!(score >= 1.0);
 
@@ -331,7 +270,7 @@ mod tests {
         edit.new_files.push((1, meta(12, "a", "b")));
         edit.new_files.push((1, meta(13, "c", "d")));
         let version = version.apply(&edit).unwrap();
-        let (level, _) = version.pick_compaction_level(&opts).unwrap();
+        let (level, _) = pick_compaction_level(&LevelTable::of(&version), &opts).unwrap();
         assert_eq!(level, 1);
     }
 
@@ -378,13 +317,12 @@ mod tests {
         env: &Arc<dyn Env>,
         db: PathBuf,
         files: Vec<Arc<FileMetaData>>,
-    ) -> LevelCursor<FileRuns> {
+    ) -> LevelCursor<Version> {
         let version = Arc::new(Version {
-            files: vec![Vec::new(), files],
+            files: vec![FileRuns::default(), FileRuns(files)],
         });
         let cache = TableCache::new(Arc::clone(env), db, StoreOptions::default(), 16);
-        let source = FileRuns { version, level: 1 };
-        LevelCursor::new(Arc::new(cache), ReadOptions::default(), source)
+        LevelCursor::new(Arc::new(cache), ReadOptions::default(), version, 1)
     }
 
     #[test]

@@ -184,12 +184,14 @@ fn allocations_per_get(db: &dyn KvStore, target: &[u8]) -> u64 {
 
 /// The derived views add nothing to a point read: a `get` through the
 /// store's own `KvStore` and through its `default_cf()` handle allocates the
-/// same, and no more than it did through the hand-written forwarding.
+/// same, and exactly what the chassis `get` is known to allocate.
 #[test]
 fn point_get_allocations_are_the_same_through_store_and_handle() {
-    /// What one cached `get` allocated, on either engine, when each facade
-    /// still forwarded by hand.
-    const FORWARDED_ALLOCATIONS_PER_GET: u64 = 7;
+    /// What one cached `get` allocates, on either engine. It was 7 while the
+    /// read path cloned the family's whole `EngineIo` (a path and the
+    /// options) to reach its table cache; pinned exactly, so that the next
+    /// allocation to creep in shows.
+    const FORWARDED_ALLOCATIONS_PER_GET: u64 = 6;
 
     let env = || -> Arc<dyn Env> { Arc::new(MemEnv::new()) };
     let flsm = PebblesDb::open_with_options(env(), Path::new("/get-flsm"), small_options());
@@ -205,9 +207,9 @@ fn point_get_allocations_are_the_same_through_store_and_handle() {
         let through_store = allocations_per_get(db.as_ref(), &target);
         let through_handle = allocations_per_get(&db.default_cf(), &target);
         assert_eq!(through_store, through_handle, "{name}");
-        assert!(
-            through_store <= FORWARDED_ALLOCATIONS_PER_GET,
-            "{name}: {through_store} allocations per get"
+        assert_eq!(
+            through_store, FORWARDED_ALLOCATIONS_PER_GET,
+            "{name}: allocations per get"
         );
     }
 }

@@ -2,6 +2,7 @@
 //! persistence and recovery, tracking of versions readers still hold,
 //! corrupt-MANIFEST handling and a mutation fuzz of the one edit decoder.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -11,7 +12,11 @@ use pebblesdb::{FlsmVersion, PebblesDb};
 use pebblesdb_common::filename::{current_file_name, descriptor_file_name};
 use pebblesdb_common::key::{InternalKey, ValueType};
 use pebblesdb_common::{KvStore, StoreOptions, StorePreset};
-use pebblesdb_engine::{FileMetaDataEdit, VersionEdit, VersionSet, VersionShape};
+use pebblesdb_engine::version_set::version_files;
+use pebblesdb_engine::{
+    FileMetaData, FileMetaDataEdit, LevelRow, LevelTable, RunSource, VersionEdit, VersionSet,
+    VersionShape,
+};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::{LsmDb, Version};
 use pebblesdb_wal::LogWriter;
@@ -80,8 +85,8 @@ fn version_set_persists_and_recovers_state() {
     let mut edit = VersionEdit::default();
     edit.new_files.push((1, file_edit(9, "a", "z")));
     persists_and_recovers::<Version>(edit, |version| {
-        assert_eq!(version.files[1].len(), 1);
-        assert_eq!(version.files[1][0].number, 9);
+        assert_eq!(version.files[1].0.len(), 1);
+        assert_eq!(version.files[1].0[0].number, 9);
     });
 }
 
@@ -93,7 +98,7 @@ fn version_set_persists_guards_across_recovery() {
     persists_and_recovers::<FlsmVersion>(edit, |version| {
         assert_eq!(version.levels[1].guards().len(), 2);
         assert_eq!(version.levels[1].guards()[1].key, b"guard-key".to_vec());
-        assert_eq!(version.levels[1].num_files(), 1);
+        assert_eq!(version.levels[1].guards()[1].files.len(), 1);
         // A guard at level 1 is a guard at every deeper level too.
         assert_eq!(version.levels[2].guards().len(), 2);
     });
@@ -316,13 +321,54 @@ fn random_edit(rng: &mut StdRng, max_levels: usize, guards: bool) -> VersionEdit
     edit
 }
 
-/// The per-level facts an FLSM level caches when it is built (`stats()`,
-/// cursor construction and compaction picking read them as fields) against
-/// their recomputation from the guard list, after every step of a random
-/// edit sequence over a 1,296-guard tree.
+/// Every column of `rows` against a recount from the version's slots that
+/// shares nothing with the chassis's walk: a file is one allocation,
+/// whatever slots list it.
+fn assert_rows_match_recount<V: VersionShape>(version: &V, rows: &[LevelRow], what: &str) {
+    let level0 = version.level0();
+    let mut expected = vec![LevelRow {
+        level: 0,
+        files: level0.len(),
+        bytes: level0.iter().map(|f| f.file_size).sum(),
+        slots: 1,
+        empty_slots: usize::from(level0.is_empty()),
+        max_files_per_slot: level0.len(),
+    }];
+    for (index, run) in version.runs().iter().enumerate() {
+        let attached: Vec<usize> = (0..run.slots()).map(|s| run.files(s).len()).collect();
+        let sizes: BTreeMap<*const FileMetaData, u64> = (0..run.slots())
+            .flat_map(|slot| run.files(slot))
+            .map(|f| (Arc::as_ptr(f), f.file_size))
+            .collect();
+        expected.push(LevelRow {
+            level: index + 1,
+            files: sizes.len(),
+            bytes: sizes.values().sum(),
+            slots: attached.len(),
+            empty_slots: attached.iter().filter(|n| **n == 0).count(),
+            max_files_per_slot: attached.iter().copied().max().unwrap_or(0),
+        });
+    }
+    assert_eq!(rows, expected, "{what}");
+    // The whole-version walk lists each file once, too.
+    let files: Vec<_> = version_files(version).collect();
+    assert_eq!(files.len(), expected.iter().map(|row| row.files).sum());
+    let bytes: u64 = files.iter().map(|f| f.file_size).sum();
+    assert_eq!(bytes, expected.iter().map(|row| row.bytes).sum::<u64>());
+}
+
+/// The per-level table the version set computes when it installs a version
+/// (`stats()`, back-pressure, cursor construction and compaction picking
+/// read it as fields) against a recount, after every step of a random edit
+/// sequence over a 1,296-guard tree — and against the table of the version
+/// a reopen recovers from the MANIFEST.
 #[test]
-fn cached_level_facts_match_recomputation_after_every_edit() {
+fn level_table_matches_recount_and_recovery_after_every_edit() {
     const MAX_LEVELS: usize = 5;
+    let mut options = StoreOptions::default();
+    options.max_levels = MAX_LEVELS;
+    let (env, dir) = mem_dir("/vs-rows");
+    let open = || VersionSet::<FlsmVersion>::open(Arc::clone(&env), dir.clone(), options.clone());
     let mut rng = StdRng::seed_from_u64(0x5eed_fac7);
     // Every 4-letter key over the generator's alphabet is a guard, so its
     // files (keys of up to 5 letters) routinely span several guards.
@@ -331,8 +377,9 @@ fn cached_level_facts_match_recomputation_after_every_edit() {
         let key: Vec<u8> = (0..4).map(|i| b'a' + (n / 6u32.pow(i) % 6) as u8).collect();
         edit.new_guards.push((1, key));
     }
-    let mut version = FlsmVersion::empty(MAX_LEVELS).apply(&edit).unwrap();
-    assert!(version.levels[1].guards().len() >= 1000);
+    let mut versions = open().unwrap();
+    versions.log_and_apply(edit).unwrap();
+    assert!(versions.levels()[1].slots >= 1000);
 
     let (mut spanning, mut emptied) = (false, false);
     for step in 0..120 {
@@ -340,38 +387,27 @@ fn cached_level_facts_match_recomputation_after_every_edit() {
         for (_, file) in &mut edit.new_files {
             file.file_size = rng.gen_range(1..5000);
         }
-        let next = version.apply(&edit).unwrap();
-        for (level, built) in next.levels.iter().enumerate().skip(1) {
-            let files = built.unique_files();
-            let attached = built.guards().iter().map(|g| g.files.len());
-            assert_eq!(built.num_files(), files.len(), "step {step} L{level}");
-            assert_eq!(
-                built.total_bytes(),
-                files.iter().map(|f| f.file_size).sum::<u64>(),
-                "step {step} L{level}"
-            );
-            assert_eq!(
-                built.max_files_in_guard(),
-                attached.clone().max().unwrap(),
-                "step {step} L{level}"
-            );
-            assert_eq!(
-                built.empty_guards(),
-                attached.clone().filter(|n| *n == 0).count(),
-                "step {step} L{level}"
-            );
-            spanning |= attached.sum::<usize>() > files.len();
-            emptied |= built.empty_guards() > version.levels[level].empty_guards();
+        let before = versions.levels().clone();
+        let next = versions.log_and_apply(edit).unwrap();
+        let rows = versions.levels().clone();
+        assert_rows_match_recount(&*next, &rows, &format!("step {step}"));
+        for (built, row) in next.levels.iter().zip(rows.iter()).skip(1) {
+            let attached: usize = built.guards().iter().map(|g| g.files.len()).sum();
+            spanning |= attached > row.files;
+            emptied |= row.empty_slots > before[row.level].empty_slots;
         }
-        assert_eq!(next.num_files(), next.live_file_numbers().len());
-        assert_eq!(next.total_bytes(), next.file_sizes().iter().sum::<u64>());
-        version = next;
+        if step % 10 == 9 {
+            drop(versions);
+            versions = open().unwrap();
+            assert_eq!(*versions.levels(), rows, "step {step}: recovered table");
+        }
     }
     assert!(spanning, "no file ever spanned two guards");
     assert!(emptied, "no edit ever emptied a guard");
 }
 
-fn sorted(mut numbers: Vec<u64>) -> Vec<u64> {
+fn live_numbers<V: VersionShape>(version: &V) -> Vec<u64> {
+    let mut numbers: Vec<u64> = version_files(version).map(|f| f.number).collect();
     numbers.sort_unstable();
     numbers
 }
@@ -404,11 +440,10 @@ fn fuzz_decode_and_apply<V: VersionShape>(seed: u64, guards: bool) -> (usize, us
     for case in 0..6000 {
         if case % 50 == 0 {
             let replayed = V::empty(MAX_LEVELS).apply(&replay).unwrap();
-            assert_eq!(replayed.level_summary(), version.level_summary());
-            assert_eq!(
-                sorted(replayed.live_file_numbers()),
-                sorted(version.live_file_numbers())
-            );
+            let rows = LevelTable::of(&version);
+            assert_rows_match_recount(&version, &rows, &format!("seed {seed} case {case}"));
+            assert_eq!(LevelTable::of(&replayed), rows);
+            assert_eq!(live_numbers(&replayed), live_numbers(&version));
             version = V::empty(MAX_LEVELS);
             replay = VersionEdit::default();
         }
@@ -429,7 +464,7 @@ fn fuzz_decode_and_apply<V: VersionShape>(seed: u64, guards: bool) -> (usize, us
                 "seed {seed} case {case}"
             );
             let next = version.apply(&edit)?;
-            let live = next.live_file_numbers();
+            let live = live_numbers(&next);
             for (_, file) in &edit.new_files {
                 assert!(
                     live.contains(&file.number),
