@@ -200,14 +200,14 @@ fn run_follower_phase(report: &mut Report, load: Load) {
             }
             (latencies, hits)
         });
-        // Lag sampler, every 5 ms. `lag_batches` is the backlog the leader
-        // advertises on every shipped frame — commits not yet handed to this
-        // replica — which is the honest lag signal; `leader_sequence()` minus
+        // Lag sampler, every 5 ms. `lag_seqs` is the backlog the leader
+        // advertises on every shipped frame — sequences committed and not
+        // yet handed to this replica — which is the honest lag signal; `leader_sequence()` minus
         // `applied_sequence()` only sees frames already in flight.
         let sampler = scope.spawn(|| {
             let mut lag = Histogram::new();
             while !stop.load(Ordering::Relaxed) {
-                lag.record(follower.lag_batches());
+                lag.record(follower.lag_seqs());
                 std::thread::sleep(Duration::from_millis(5));
             }
             lag
@@ -222,7 +222,7 @@ fn run_follower_phase(report: &mut Report, load: Load) {
         // AND an idle ping confirmed the frontier matches what we applied.
         let drain_started = Instant::now();
         let deadline = Instant::now() + Duration::from_secs(120);
-        while follower.lag_batches() > 0
+        while follower.lag_seqs() > 0
             || follower.leader_sequence() == 0
             || follower.applied_sequence() < follower.leader_sequence()
         {
@@ -251,7 +251,7 @@ fn run_follower_phase(report: &mut Report, load: Load) {
     };
     report.add_row(latency_row("follower-read", &reads, 0));
     report.add_note(&format!(
-        "replication lag (batches behind leader): p50 {} / p99 {} / max {}; \
+        "replication lag (sequences behind leader): p50 {} / p99 {} / max {}; \
          drained in {} ms after writes stopped; applied seq {}, {} batches \
          applied, follower read hit rate {:.1}%",
         lag.percentile(50.0),

@@ -5,6 +5,7 @@
 //! LSM baseline and the FLSM engine use for range queries.
 
 use std::cmp::Ordering;
+use std::marker::PhantomData;
 
 use crate::error::Result;
 use crate::key::compare_internal_keys;
@@ -126,15 +127,46 @@ impl DbIterator for VecIterator {
     }
 }
 
-/// Merges several child iterators into one sorted stream.
+/// A total order on the keys a [`MergingIterator`] merges. Implementors are
+/// zero-sized: the order is a type, so every comparison is a direct call.
+pub trait KeyOrder {
+    /// Compares two keys.
+    fn compare(a: &[u8], b: &[u8]) -> Ordering;
+}
+
+/// Internal keys: user key ascending, then sequence descending.
+pub struct InternalKeyOrder;
+
+impl KeyOrder for InternalKeyOrder {
+    fn compare(a: &[u8], b: &[u8]) -> Ordering {
+        compare_internal_keys(a, b)
+    }
+}
+
+/// Plain bytes — user keys, as store-level cursors surface them.
+pub struct BytewiseOrder;
+
+impl KeyOrder for BytewiseOrder {
+    fn compare(a: &[u8], b: &[u8]) -> Ordering {
+        a.cmp(b)
+    }
+}
+
+/// Merges several child iterators into one stream sorted by `O`.
 ///
 /// Children may contain overlapping keys; ties are broken by child order so
 /// callers should pass newer sources first when that matters (both engines
 /// instead rely on sequence numbers embedded in internal keys).
-pub struct MergingIterator {
+///
+/// `next`/`prev` are O(children) comparisons without a heap — child counts
+/// are small. Direction switching follows the LevelDB pattern: when a
+/// forward cursor is asked to step backwards, every non-current child is
+/// repositioned to just before the current key first (and vice versa).
+pub struct MergingIterator<O = InternalKeyOrder> {
     children: Vec<Box<dyn DbIterator>>,
     current: Option<usize>,
     direction: Direction,
+    order: PhantomData<O>,
 }
 
 #[derive(PartialEq, Eq, Clone, Copy)]
@@ -144,12 +176,20 @@ enum Direction {
 }
 
 impl MergingIterator {
-    /// Creates a merging iterator over `children`.
+    /// Creates a merging iterator over `children`, which yield internal keys.
     pub fn new(children: Vec<Box<dyn DbIterator>>) -> Self {
+        MergingIterator::with_order(children)
+    }
+}
+
+impl<O: KeyOrder> MergingIterator<O> {
+    /// Creates a merging iterator over `children`, whose keys sort by `O`.
+    pub fn with_order(children: Vec<Box<dyn DbIterator>>) -> Self {
         MergingIterator {
             children,
             current: None,
             direction: Direction::Forward,
+            order: PhantomData,
         }
     }
 
@@ -162,9 +202,7 @@ impl MergingIterator {
             smallest = match smallest {
                 None => Some(idx),
                 Some(best) => {
-                    if compare_internal_keys(child.key(), self.children[best].key())
-                        == Ordering::Less
-                    {
+                    if O::compare(child.key(), self.children[best].key()) == Ordering::Less {
                         Some(idx)
                     } else {
                         Some(best)
@@ -184,9 +222,7 @@ impl MergingIterator {
             largest = match largest {
                 None => Some(idx),
                 Some(best) => {
-                    if compare_internal_keys(child.key(), self.children[best].key())
-                        == Ordering::Greater
-                    {
+                    if O::compare(child.key(), self.children[best].key()) == Ordering::Greater {
                         Some(idx)
                     } else {
                         Some(best)
@@ -198,7 +234,7 @@ impl MergingIterator {
     }
 }
 
-impl DbIterator for MergingIterator {
+impl<O: KeyOrder> DbIterator for MergingIterator<O> {
     fn valid(&self) -> bool {
         self.current.is_some()
     }

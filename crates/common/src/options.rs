@@ -149,14 +149,6 @@ pub struct StoreOptions {
     /// collection.
     pub vlog_file_size: usize,
 
-    /// Byte budget of the in-memory change-data-capture tail: the most
-    /// recent committed batches kept in memory so change streams
-    /// (`Db::stream`) can follow the commit order without touching the WAL.
-    /// Streams that fall further behind transparently replay closed WAL
-    /// segments instead. Batches in the live WAL segment are always
-    /// retained regardless of this budget, so the tail can briefly exceed
-    /// it by up to one segment's worth.
-    pub cdc_tail_bytes: usize,
     /// Closed WAL segments kept for change streams beyond what the column
     /// families still need for recovery.
     ///
@@ -236,7 +228,6 @@ impl Default for StoreOptions {
             value_separation_threshold: 0,
             vlog_file_size: 64 << 20,
 
-            cdc_tail_bytes: 2 << 20,
             cdc_wal_retain_segments: 0,
 
             compression: CompressionType::None,

@@ -58,9 +58,9 @@ impl ChangeEvent {
 
 /// A cursor over a store's committed batches.
 ///
-/// Obtained from [`Db::stream`](crate::cf::Db::stream). The stream tails the
-/// in-memory commit log when the cursor is near the frontier and replays
-/// closed WAL segments when it is behind; the switch is transparent.
+/// Obtained from [`Db::stream`](crate::cf::Db::stream). The stream reads the
+/// store's write-ahead log: closed segments when the cursor is behind, the
+/// live one up to what the store has published as committed.
 pub trait ChangeStream: Send {
     /// Returns the next committed batch at or past the cursor, waiting up
     /// to `timeout` for one to commit. `Ok(None)` means the timeout passed
@@ -70,10 +70,9 @@ pub trait ChangeStream: Send {
     /// The next sequence number this stream will deliver from.
     fn cursor(&self) -> SequenceNumber;
 
-    /// Committed batches the store retains that this cursor has not yet
-    /// delivered — the consumer's lag, in batches. Batches already migrated
-    /// out of the retained tail (WAL-replay territory) are not counted, so
-    /// this is a lower bound while catching up from far behind.
+    /// Sequences the store has committed that this cursor has not yet
+    /// delivered — the consumer's lag: the store's last committed sequence
+    /// minus the cursor's last delivered one. Zero iff caught up.
     fn backlog(&self) -> u64;
 }
 
@@ -86,11 +85,11 @@ pub enum ReplicationFrame {
     /// WAL). The follower mirrors the catalog exactly — ids included.
     Catalog(Vec<(CfId, String)>),
     /// One committed batch (its serialized [`WriteBatch`] contents, header
-    /// included) plus the leader's current backlog estimate for this cursor.
+    /// included) plus the leader's current backlog for this cursor.
     Batch {
         /// Sequence number of the batch's last record.
         last_seq: SequenceNumber,
-        /// Leader-side batches committed but not yet shipped on this stream.
+        /// Leader-side sequences committed but not yet shipped on this stream.
         backlog: u64,
         /// `WriteBatch::contents()` — parse with `WriteBatch::from_contents`.
         contents: Vec<u8>,
@@ -100,7 +99,7 @@ pub enum ReplicationFrame {
     Ping {
         /// The leader's last committed sequence number.
         last_seq: SequenceNumber,
-        /// Leader-side batches committed but not yet shipped on this stream.
+        /// Leader-side sequences committed but not yet shipped on this stream.
         backlog: u64,
     },
     /// The cursor's history was reclaimed; the stream is dead. Sequences at

@@ -131,9 +131,10 @@ crate::stat_table! {
         /// Replica stores: the sequence number of the last batch applied from
         /// the leader's change stream (0 on a primary).
         computed replica_applied_seq: Count, Max;
-        /// Replica stores: committed leader batches the replica had not yet
-        /// applied, as last reported by the leader alongside a shipped batch.
-        computed replica_lag_batches: Count, Max;
+        /// Replica stores: sequences the leader had committed and not yet
+        /// shipped to this replica, as last reported by the leader with a
+        /// batch or a ping; zero iff the replica was caught up.
+        computed replica_lag_seqs: Count, Max;
         /// Change streams (`Db::stream` cursors) currently open on this store.
         computed cdc_streams_active: Count, Sum;
         /// Bytes of committed batches handed to change streams (the WAL-shipping

@@ -1,16 +1,20 @@
-//! Change-data capture: the in-memory commit tail, WAL retention floors and
-//! the [`EngineChangeStream`] cursor that reads through both.
+//! Change-data capture: the WAL is the change log. This module holds the
+//! frontier the commit leader publishes, the WAL retention floors and the
+//! [`EngineChangeStream`] cursor that reads segments up to that frontier.
 //!
 //! The chassis commits every batch through one WAL in one total order;
-//! [`ChangeLog`] is the bookkeeping that lets change streams observe that
-//! order without perturbing the write path:
+//! [`ChangeLog`] is the bookkeeping that lets change streams read that log
+//! without perturbing the write path:
 //!
-//! * a bounded **tail** of recently committed batches (their post-separation
-//!   WAL payloads), so a stream near the frontier never touches the disk;
+//! * the **frontier**: three integers — the live segment, how many of its
+//!   bytes are committed, and the last committed sequence — stored by the
+//!   commit leader after its appends succeeded. A stream reads the live
+//!   segment up to that length and no further, so it never sees an append
+//!   in flight, and reads closed segments to their end;
 //! * a **birth** map, `WAL segment -> last sequence committed before the
-//!   segment was opened`, so a stream that predates the tail knows exactly
-//!   which closed segments to replay — and so WAL reclamation knows which
-//!   segments a lagging cursor still needs;
+//!   segment was opened`, so a stream knows which segment its cursor starts
+//!   in — and so WAL reclamation knows which segments a lagging cursor
+//!   still needs;
 //! * the registered **cursors** themselves, which pin WAL segments the way
 //!   snapshots pin versions; and
 //! * the **truncated floor**: the highest sequence whose history is gone.
@@ -20,10 +24,10 @@
 //! Locking: `ChangeLog` has its own mutex and is safe to lock while holding
 //! the engine state mutex (the commit publish, the rotation note and the
 //! reclaim-floor query all do). The reverse order — taking the state mutex
-//! while holding this one — is forbidden; the stream implementation copies
-//! what it needs out and drops this lock first.
+//! while holding this one — is forbidden, and so is file IO under it: the
+//! stream copies what it needs out and drops this lock first.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,69 +45,38 @@ use crate::chassis::EngineShared;
 use crate::policy::ShapePolicy;
 use crate::vlog::{rewrite_batch, VlogReaderCache};
 
-/// One committed batch retained in the tail: its WAL payload (header
-/// included, value separation already applied) plus where it landed.
-#[derive(Clone)]
-pub struct TailBatch {
-    /// The WAL segment the batch was appended to.
+/// How far change streams may read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Frontier {
+    /// The live (still-appending) segment; never reclaimed.
     pub log_number: u64,
-    /// Sequence number of the batch's last record.
+    /// Bytes of it that hold committed records. Always a record boundary.
+    pub log_len: u64,
+    /// The last committed sequence.
     pub last_seq: SequenceNumber,
-    /// `WriteBatch::contents()` as written to the WAL.
-    pub contents: Arc<Vec<u8>>,
-}
-
-/// What [`ChangeLog::read_tail`] resolved the cursor's position to.
-pub enum TailRead {
-    /// The next committed batch at or past the cursor.
-    Batch(TailBatch),
-    /// The cursor predates the tail: replay these closed segments (sorted
-    /// ascending), then ask again.
-    Replay(Vec<u64>),
-    /// Cursor at the frontier and nothing committed within the wait.
-    Idle,
-    /// The cursor's history has been reclaimed.
-    Truncated {
-        /// The highest reclaimed sequence number.
-        floor: SequenceNumber,
-    },
 }
 
 struct ChangeLogInner {
-    /// Recently committed batches, in commit order.
-    tail: VecDeque<TailBatch>,
-    /// Total payload bytes currently in `tail`.
-    tail_bytes: usize,
-    /// The first sequence the tail still fully covers: every committed
-    /// batch with `last_seq >= tail_start` is present in `tail`.
-    tail_start: SequenceNumber,
-    /// Batches ever evicted off the tail's front; `evicted + index` is a
-    /// stable absolute position in the commit order for cursors.
-    evicted: u64,
+    frontier: Frontier,
     /// Sequences at or below this are unreadable (their WAL segments were
-    /// reclaimed). Only consulted when a cursor needs WAL replay — the tail
-    /// serves its range regardless.
+    /// reclaimed).
     truncated_floor: SequenceNumber,
     /// WAL segment number -> last sequence committed before it was opened
     /// (its records all carry later sequences... except pre-sequenced
     /// batches, see `segment_floor_for`). Maintained for every segment
-    /// still on disk.
+    /// still on disk, the live one included.
     births: BTreeMap<u64, SequenceNumber>,
-    /// The live (still-appending) segment; never replayed, never evictable
-    /// from the tail, never reclaimed.
-    current_log: u64,
     /// Registered stream cursors: id -> next sequence to deliver.
     cursors: HashMap<u64, SequenceNumber>,
     next_cursor_id: u64,
 }
 
-/// The commit tail, segment births and cursor registry of one store.
+/// The frontier, segment births and cursor registry of one store.
 pub struct ChangeLog {
     inner: Mutex<ChangeLogInner>,
-    /// Signalled by every publish; tail-mode streams wait here.
+    /// Signalled by a publish when cursors exist; streams at the frontier
+    /// wait here.
     data_ready: Condvar,
-    /// Byte budget for the tail (see `StoreOptions::cdc_tail_bytes`).
-    cap_bytes: usize,
     /// Closed-segment retention cap (see
     /// `StoreOptions::cdc_wal_retain_segments`).
     retain_segments: usize,
@@ -111,12 +84,11 @@ pub struct ChangeLog {
 
 impl ChangeLog {
     /// Bootstraps the log at open time. `births` covers every WAL segment
-    /// found on disk plus the fresh one; `current_log` is the fresh segment;
-    /// `last_sequence` is the recovered frontier. The tail starts empty, so
-    /// it covers exactly the not-yet-committed future; everything earlier is
-    /// WAL-replay territory, bounded below by the oldest surviving segment.
+    /// found on disk plus the fresh one; `current_log` is the fresh, still
+    /// empty segment; `last_sequence` is the recovered frontier. Everything
+    /// earlier is in the surviving closed segments, bounded below by the
+    /// oldest one.
     pub fn new(
-        cap_bytes: usize,
         retain_segments: usize,
         births: BTreeMap<u64, SequenceNumber>,
         current_log: u64,
@@ -125,71 +97,51 @@ impl ChangeLog {
         let truncated_floor = births.values().next().copied().unwrap_or(last_sequence);
         ChangeLog {
             inner: Mutex::new(ChangeLogInner {
-                tail: VecDeque::new(),
-                tail_bytes: 0,
-                tail_start: last_sequence + 1,
-                evicted: 0,
+                frontier: Frontier {
+                    log_number: current_log,
+                    log_len: 0,
+                    last_seq: last_sequence,
+                },
                 truncated_floor,
                 births,
-                current_log,
                 cursors: HashMap::new(),
                 next_cursor_id: 1,
             }),
             data_ready: Condvar::new(),
-            cap_bytes: cap_bytes.max(1),
             retain_segments,
         }
     }
 
-    /// Appends freshly committed batches (one commit group) to the tail and
-    /// wakes waiting streams. Called by the commit leader after the group
-    /// succeeded, while it still holds the engine state mutex — commits are
-    /// serialized, so the tail sees them in commit order.
-    pub fn publish(&self, batches: Vec<TailBatch>) {
-        if batches.is_empty() {
-            return;
-        }
+    /// Moves the frontier and wakes waiting streams. Called by the commit
+    /// leader after the group's appends were flushed and applied, while it
+    /// still holds the engine state mutex — commits are serialized, so the
+    /// frontier only moves forward. With no stream registered this is the
+    /// store of three integers and nothing else.
+    pub fn publish(&self, frontier: Frontier) {
         let mut inner = self.inner.lock();
-        for batch in batches {
-            inner.tail_bytes += batch.contents.len();
-            inner.tail.push_back(batch);
+        inner.frontier = frontier;
+        if !inner.cursors.is_empty() {
+            self.data_ready.notify_all();
         }
-        // Evict oldest-first down to the budget — but never a batch that
-        // only exists in the live WAL segment: replay reads only *closed*
-        // segments (a live segment can tear under a concurrent append), so
-        // everything the live segment holds must stay in memory. The tail
-        // can therefore overshoot the budget by up to one segment.
-        while inner.tail_bytes > self.cap_bytes {
-            let Some(front) = inner.tail.front() else {
-                break;
-            };
-            if front.log_number >= inner.current_log {
-                break;
-            }
-            let front = inner.tail.pop_front().expect("checked above");
-            inner.tail_bytes -= front.contents.len();
-            inner.evicted += 1;
-            // Every evicted batch satisfies `last_seq < tail_start` after
-            // this, so the tail still covers [tail_start, frontier] whole.
-            inner.tail_start = inner.tail_start.max(front.last_seq + 1);
-        }
-        drop(inner);
-        self.data_ready.notify_all();
     }
 
-    /// Notes a WAL rotation: `new_log` is now the live segment and every
-    /// sequence committed from here on is `> last_sequence`.
+    /// Notes a WAL rotation: `new_log` is now the live segment, empty so
+    /// far, and every sequence committed from here on is `> last_sequence`.
+    /// The segment it replaces was appended to by committed groups only (a
+    /// failed append poisons the store before any rotation), so streams
+    /// read it to its end from now on.
     pub fn note_rotation(&self, new_log: u64, last_sequence: SequenceNumber) {
         let mut inner = self.inner.lock();
         inner.births.insert(new_log, last_sequence);
-        inner.current_log = new_log;
+        inner.frontier.log_number = new_log;
+        inner.frontier.log_len = 0;
     }
 
     /// Registers a cursor at `from_seq`, pinning the WAL segments it needs.
     /// Fails immediately when that history is already reclaimed.
     pub fn register(&self, from_seq: SequenceNumber) -> Result<u64> {
         let mut inner = self.inner.lock();
-        if from_seq < inner.tail_start && from_seq <= inner.truncated_floor {
+        if from_seq <= inner.truncated_floor {
             return Err(Error::sequence_truncated(from_seq, inner.truncated_floor));
         }
         let id = inner.next_cursor_id;
@@ -216,11 +168,9 @@ impl ChangeLog {
         self.inner.lock().cursors.len() as u64
     }
 
-    /// Committed batches past the absolute tail position `pos` — a cursor's
-    /// lag in batches (a lower bound while the cursor is in WAL replay).
-    pub fn backlog_after(&self, pos: u64) -> u64 {
-        let inner = self.inner.lock();
-        (inner.evicted + inner.tail.len() as u64).saturating_sub(pos)
+    /// The current frontier.
+    pub fn frontier(&self) -> Frontier {
+        self.inner.lock().frontier
     }
 
     /// The sequence at or below which history is unreadable.
@@ -245,23 +195,14 @@ impl ChangeLog {
     ///   past it is truncated rather than stalling reclamation forever.
     pub fn wal_reclaim_floor(&self, cf_min_log: u64) -> u64 {
         let mut inner = self.inner.lock();
+        let live = inner.frontier.log_number;
         let mut floor = cf_min_log;
         if self.retain_segments == 0 {
-            let needed: Vec<u64> = inner
-                .cursors
-                .values()
-                .map(|&seq| segment_floor_for(&inner.births, inner.current_log, seq))
-                .collect();
-            for log in needed {
-                floor = floor.min(log);
+            for &seq in inner.cursors.values() {
+                floor = floor.min(segment_floor_for(&inner.births, live, seq));
             }
         } else {
-            let closed: Vec<u64> = inner
-                .births
-                .keys()
-                .copied()
-                .filter(|log| *log < inner.current_log)
-                .collect();
+            let closed: Vec<u64> = inner.births.range(..live).map(|(&log, _)| log).collect();
             let window_floor = if closed.len() <= self.retain_segments {
                 closed.first().copied().unwrap_or(floor)
             } else {
@@ -281,63 +222,34 @@ impl ChangeLog {
         floor
     }
 
-    /// Resolves a cursor's position against the tail.
-    ///
-    /// `pos` is the cursor's absolute tail position (opaque to the caller;
-    /// start at 0). When the cursor's sequence predates the tail, returns
-    /// the closed segments to replay instead. With a `wait`, blocks up to
-    /// that long for a commit when the cursor is at the frontier.
-    pub fn read_tail(
-        &self,
-        next_seq: SequenceNumber,
-        pos: &mut u64,
-        wait: Option<Duration>,
-    ) -> TailRead {
-        let deadline = wait.map(|w| Instant::now() + w);
+    /// The segment a cursor at `next_seq` reads next, having finished every
+    /// segment up to and including `done`; fails when the cursor's history
+    /// has been reclaimed.
+    fn segment_for(&self, next_seq: SequenceNumber, done: u64) -> Result<u64> {
+        let inner = self.inner.lock();
+        if next_seq <= inner.truncated_floor {
+            return Err(Error::sequence_truncated(next_seq, inner.truncated_floor));
+        }
+        let live = inner.frontier.log_number;
+        let from = segment_floor_for(&inner.births, live, next_seq).max(done + 1);
+        Ok(inner
+            .births
+            .range(from..)
+            .next()
+            .map_or(live, |(&log, _)| log))
+    }
+
+    /// Blocks until the frontier differs from `seen` or `deadline` passes;
+    /// returns whether it moved.
+    fn wait_past(&self, seen: Frontier, deadline: Instant) -> bool {
         let mut inner = self.inner.lock();
-        loop {
-            if next_seq < inner.tail_start {
-                if next_seq <= inner.truncated_floor {
-                    return TailRead::Truncated {
-                        floor: inner.truncated_floor,
-                    };
-                }
-                let from = segment_floor_for(&inner.births, inner.current_log, next_seq);
-                let segments: Vec<u64> = inner
-                    .births
-                    .keys()
-                    .copied()
-                    .filter(|log| *log >= from && *log < inner.current_log)
-                    .collect();
-                return TailRead::Replay(segments);
-            }
-            // The tail covers the cursor. Clamp the position to the tail's
-            // front (everything evicted is below `tail_start`, hence below
-            // `next_seq`), then skip batches the cursor is already past —
-            // pre-sequenced relocations of old data land in commit order
-            // with old sequences and are not re-delivered.
-            if *pos < inner.evicted {
-                *pos = inner.evicted;
-            }
-            loop {
-                let index = (*pos - inner.evicted) as usize;
-                let Some(entry) = inner.tail.get(index) else {
-                    break;
-                };
-                *pos += 1;
-                if entry.last_seq >= next_seq {
-                    return TailRead::Batch(entry.clone());
-                }
-            }
-            // At the frontier.
-            let Some(deadline) = deadline else {
-                return TailRead::Idle;
-            };
+        while inner.frontier == seen {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() || self.data_ready.wait_for(&mut inner, remaining).timed_out() {
-                return TailRead::Idle;
+                return inner.frontier != seen;
             }
         }
+        true
     }
 }
 
@@ -363,9 +275,10 @@ fn segment_floor_for(
 
 /// A cursor over one store's committed batches, in commit order.
 ///
-/// Near the frontier the stream follows the in-memory commit tail, blocking
-/// on the commit signal up to the caller's timeout; a cursor that predates
-/// the tail transparently replays closed WAL segments, then switches back.
+/// The stream reads the WAL: closed segments from the one its cursor starts
+/// in to their ends, then the live segment up to the published frontier,
+/// where it blocks on the commit signal up to the caller's timeout. One
+/// [`SegmentReplay`] — the reader recovery uses — serves both.
 /// Value-separated records are resolved back inline on delivery, so a
 /// consumer sees exactly the user data — it never needs this store's value
 /// log. While alive the stream pins what its cursor can still reach:
@@ -382,13 +295,10 @@ pub struct EngineChangeStream<P: ShapePolicy> {
     /// The next undelivered sequence: every committed batch whose last
     /// sequence is at or past this is still owed to the consumer.
     next_seq: SequenceNumber,
-    /// Absolute position in the commit tail (see [`ChangeLog::read_tail`]).
-    tail_pos: u64,
-    /// An in-flight closed-segment replay: `(segment number, replay)`.
-    replay: Option<(u64, SegmentReplay)>,
-    /// The highest closed segment fully replayed; guards against re-reading
-    /// a segment whose relevant batches were all below the cursor.
-    replayed_through: u64,
+    /// The segment `replay` reads or, between segments, the one it last
+    /// read to its end (0 before the first).
+    segment: u64,
+    replay: Option<SegmentReplay>,
     /// Value-log pin at the cursor's sequence (swapped forward on delivery,
     /// new pin acquired before the old one drops).
     pin: Snapshot,
@@ -406,9 +316,8 @@ impl<P: ShapePolicy> EngineChangeStream<P> {
             shared,
             cursor_id,
             next_seq: from_seq,
-            tail_pos: 0,
+            segment: 0,
             replay: None,
-            replayed_through: 0,
             pin,
         })
     }
@@ -431,9 +340,9 @@ impl<P: ShapePolicy> EngineChangeStream<P> {
     }
 
     /// Rewrites a batch's value-pointer records back to inline values. The
-    /// WAL (and the tail) hold post-separation bytes; consumers get the user
-    /// data. A pointer whose value log is gone — the family was dropped, or
-    /// GC retired the file before this cursor existed — is unrecoverable
+    /// WAL holds post-separation bytes; consumers get the user data. A
+    /// pointer whose value log is gone — the family was dropped, or GC
+    /// retired the file before this cursor existed — is unrecoverable
     /// history and truncates the stream.
     fn resolve_pointers(&self, batch: WriteBatch) -> Result<WriteBatch> {
         // Each family's reader cache, grabbed under a brief state lock at
@@ -461,56 +370,41 @@ impl<P: ShapePolicy> ChangeStream for EngineChangeStream<P> {
     fn next_event(&mut self, timeout: Duration) -> Result<Option<ChangeEvent>> {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.shared.core.shutting_down.load(Ordering::SeqCst) {
+            let core = &self.shared.core;
+            if core.shutting_down.load(Ordering::SeqCst) {
                 return Err(Error::ShuttingDown);
             }
-            // Drain an in-flight segment replay first.
-            if let Some((number, replay)) = self.replay.as_mut() {
-                let number = *number;
-                match replay.next_batch()? {
-                    // Delivered through an earlier segment (a batch range
-                    // can straddle a rotation replayed twice) or a
-                    // pre-sequenced relocation of old data.
-                    Some(batch) if batch.last_sequence() < self.next_seq => {}
-                    Some(batch) => return self.deliver(batch),
-                    None => {
-                        self.replayed_through = self.replayed_through.max(number);
-                        self.replay = None;
-                    }
-                }
-                continue;
-            }
-            let wait = deadline.saturating_duration_since(Instant::now());
-            let wait = if wait.is_zero() { None } else { Some(wait) };
-            let change_log = &self.shared.core.change_log;
-            match change_log.read_tail(self.next_seq, &mut self.tail_pos, wait) {
-                TailRead::Batch(entry) => {
-                    let batch = WriteBatch::from_contents(entry.contents.as_ref().clone())?;
-                    return self.deliver(batch);
-                }
-                TailRead::Replay(segments) => {
-                    let Some(&number) = segments.iter().find(|n| **n > self.replayed_through)
-                    else {
-                        // Every closed segment is replayed and the tail still
-                        // starts later: the gap is the live segment's data,
-                        // which never leaves the tail — so it simply has not
-                        // committed yet. Report an idle tick.
-                        return Ok(None);
-                    };
-                    let core = &self.shared.core;
-                    let path = log_file_name(&core.io.db_path, number);
+            let replay = match self.replay.as_mut() {
+                Some(replay) => replay,
+                None => {
+                    self.segment = core.change_log.segment_for(self.next_seq, self.segment)?;
+                    let path = log_file_name(&core.io.db_path, self.segment);
                     // An open fails when the segment was reclaimed since the
-                    // listing (the retention cap outran this cursor).
+                    // lookup (the retention cap outran this cursor).
                     let file = core.io.env.new_sequential_file(&path).map_err(|_| {
                         let floor = core.change_log.truncated_floor();
                         Error::sequence_truncated(self.next_seq, floor)
                     })?;
-                    self.replay = Some((number, SegmentReplay::new(file, self.next_seq)));
+                    self.replay.insert(SegmentReplay::new(file, self.next_seq))
                 }
-                TailRead::Idle => return Ok(None),
-                TailRead::Truncated { floor } => {
-                    return Err(Error::sequence_truncated(self.next_seq, floor))
+            };
+            // Taken after the segment was chosen, so the segment is the
+            // live one or an older, closed one. What the frontier allows of
+            // the live one was flushed before it was published.
+            let frontier = core.change_log.frontier();
+            let live = self.segment == frontier.log_number;
+            replay.set_limit(if live { frontier.log_len } else { u64::MAX });
+            match replay.next_batch()? {
+                // Delivered already, or a pre-sequenced relocation of old
+                // data.
+                Some(batch) if batch.last_sequence() < self.next_seq => {}
+                Some(batch) => return self.deliver(batch),
+                None if live => {
+                    if !core.change_log.wait_past(frontier, deadline) {
+                        return Ok(None);
+                    }
                 }
+                None => self.replay = None,
             }
         }
     }
@@ -520,7 +414,8 @@ impl<P: ShapePolicy> ChangeStream for EngineChangeStream<P> {
     }
 
     fn backlog(&self) -> u64 {
-        self.shared.core.change_log.backlog_after(self.tail_pos)
+        let frontier = self.shared.core.change_log.frontier();
+        frontier.last_seq.saturating_sub(self.next_seq - 1)
     }
 }
 
@@ -534,80 +429,81 @@ impl<P: ShapePolicy> Drop for EngineChangeStream<P> {
 mod tests {
     use super::*;
 
-    fn batch(log_number: u64, last_seq: u64, len: usize) -> TailBatch {
-        TailBatch {
-            log_number,
-            last_seq,
-            contents: Arc::new(vec![0u8; len]),
-        }
-    }
-
-    fn fresh(cap: usize, retain: usize) -> ChangeLog {
+    fn fresh(retain: usize) -> ChangeLog {
         // A store opened empty: fresh segment 2, nothing committed.
-        ChangeLog::new(cap, retain, BTreeMap::from([(2, 0)]), 2, 0)
+        ChangeLog::new(retain, BTreeMap::from([(2, 0)]), 2, 0)
+    }
+
+    fn at(log_number: u64, log_len: u64, last_seq: u64) -> Frontier {
+        Frontier {
+            log_number,
+            log_len,
+            last_seq,
+        }
     }
 
     #[test]
-    fn tail_serves_batches_in_commit_order() {
-        let log = fresh(1 << 20, 0);
-        log.publish(vec![batch(2, 1, 10), batch(2, 3, 10)]);
-        let mut pos = 0;
-        match log.read_tail(1, &mut pos, None) {
-            TailRead::Batch(b) => assert_eq!(b.last_seq, 1),
-            _ => panic!("expected a batch"),
-        }
-        match log.read_tail(2, &mut pos, None) {
-            TailRead::Batch(b) => assert_eq!(b.last_seq, 3),
-            _ => panic!("expected a batch"),
-        }
-        assert!(matches!(log.read_tail(4, &mut pos, None), TailRead::Idle));
-        assert_eq!(log.backlog_after(pos), 0);
-    }
-
-    #[test]
-    fn eviction_respects_the_live_segment_and_advances_tail_start() {
-        let log = fresh(25, 0);
-        // Three 10-byte batches in the live segment: none may evict.
-        log.publish(vec![batch(2, 1, 10), batch(2, 2, 10), batch(2, 3, 10)]);
-        let mut pos = 0;
-        assert!(matches!(
-            log.read_tail(1, &mut pos, None),
-            TailRead::Batch(_)
-        ));
-        // Rotation closes segment 2; the next publish can evict its batches.
+    fn frontier_moves_with_publish_and_rotation_and_wakes_a_waiter() {
+        let log = Arc::new(fresh(0));
+        assert_eq!(log.frontier(), at(2, 0, 0));
+        log.publish(at(2, 40, 3));
+        assert_eq!(log.frontier(), at(2, 40, 3));
+        // A rotation opens an empty live segment at the same sequence.
         log.note_rotation(3, 3);
-        log.publish(vec![batch(3, 4, 10)]);
-        // 40 bytes > 25: evict from the front until within budget.
-        let mut pos2 = 0;
-        match log.read_tail(1, &mut pos2, None) {
-            TailRead::Replay(segments) => assert_eq!(segments, vec![2]),
-            _ => panic!("cursor at 1 must now replay the closed segment"),
-        }
-        // A cursor past the evicted range still reads from the tail.
-        let mut pos3 = 0;
-        match log.read_tail(4, &mut pos3, None) {
-            TailRead::Batch(b) => assert_eq!(b.last_seq, 4),
-            _ => panic!("expected a batch"),
-        }
+        assert_eq!(log.frontier(), at(3, 0, 3));
+
+        // A stale view returns at once; a current one waits out its
+        // deadline, or for the next publish.
+        let soon = || Instant::now() + Duration::from_millis(20);
+        assert!(log.wait_past(at(2, 40, 3), soon()));
+        assert!(!log.wait_past(at(3, 0, 3), soon()));
+        let _cursor = log.register(4).unwrap();
+        let waiter = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                log.wait_past(at(3, 0, 3), Instant::now() + Duration::from_secs(60))
+            })
+        };
+        log.publish(at(3, 25, 4));
+        assert!(waiter.join().unwrap(), "a publish wakes the parked stream");
+    }
+
+    #[test]
+    fn a_cursor_walks_segments_from_the_oldest_it_needs_to_the_live_one() {
+        let log = fresh(0);
+        log.note_rotation(3, 10);
+        log.note_rotation(4, 20);
+        // From the start: every segment, in order, ending at the live one.
+        assert_eq!(log.segment_for(1, 0).unwrap(), 2);
+        assert_eq!(log.segment_for(1, 2).unwrap(), 3);
+        assert_eq!(log.segment_for(1, 3).unwrap(), 4);
+        // Mid-history: the segment opened when fewer than 11 were committed.
+        assert_eq!(log.segment_for(11, 0).unwrap(), 3);
+        assert_eq!(log.segment_for(20, 0).unwrap(), 3);
+        // At or past the frontier: the live segment.
+        assert_eq!(log.segment_for(21, 0).unwrap(), 4);
+        assert_eq!(log.segment_for(99, 0).unwrap(), 4);
+        // A cursor that delivered past a segment's range skips it.
+        assert_eq!(log.segment_for(25, 2).unwrap(), 4);
     }
 
     #[test]
     fn reclaim_floor_pins_for_cursors_without_a_cap() {
-        let log = fresh(1 << 20, 0);
+        let log = fresh(0);
         log.note_rotation(3, 10);
         log.note_rotation(4, 20);
         // No cursors: the family floor decides alone.
         assert_eq!(log.wal_reclaim_floor(4), 4);
         // After reclaiming below 4, sequences <= 10 are gone... but births
         // were pruned, so re-derive on a fresh log for the cursor case.
-        let log = fresh(1 << 20, 0);
+        let log = fresh(0);
         log.note_rotation(3, 10);
         log.note_rotation(4, 20);
         let _cursor = log.register(5).unwrap();
         // A cursor at 5 needs segment 2 (birth 0 < 5); nothing may go.
         assert_eq!(log.wal_reclaim_floor(4), 2);
         // A cursor at 11 needs segment 3 (birth 10 < 11 <= 20).
-        let log = fresh(1 << 20, 0);
+        let log = fresh(0);
         log.note_rotation(3, 10);
         log.note_rotation(4, 20);
         let id = log.register(11).unwrap();
@@ -618,15 +514,12 @@ mod tests {
 
     #[test]
     fn retention_cap_keeps_a_window_and_truncates_laggards() {
-        // A 1-byte tail budget: every closed-segment batch evicts on the
-        // next publish, so old history lives only in the WAL segments —
-        // the situation the retention cap exists for.
-        let log = fresh(1, 2);
-        log.publish(vec![batch(2, 10, 10)]);
+        let log = fresh(2);
+        log.publish(at(2, 10, 10));
         log.note_rotation(3, 10);
-        log.publish(vec![batch(3, 20, 10)]);
+        log.publish(at(3, 10, 20));
         log.note_rotation(4, 20);
-        log.publish(vec![batch(4, 30, 10)]);
+        log.publish(at(4, 10, 30));
         log.note_rotation(5, 30);
         let cursor = log.register(1).unwrap();
         // Closed segments: 2, 3, 4. Cap 2 keeps {3, 4} even though the
@@ -634,11 +527,12 @@ mod tests {
         assert_eq!(log.wal_reclaim_floor(5), 3);
         // Segment 2's range (sequences <= 10, segment 3's birth) is gone.
         assert_eq!(log.truncated_floor(), 10);
-        let mut pos = 0;
-        match log.read_tail(1, &mut pos, None) {
-            TailRead::Truncated { floor } => assert_eq!(floor, 10),
-            _ => panic!("lagging cursor must be truncated"),
-        }
+        let err = log
+            .segment_for(1, 0)
+            .expect_err("lagging cursor must be truncated");
+        assert!(err.is_sequence_truncated());
+        // A cursor inside the window reads on from the oldest kept segment.
+        assert_eq!(log.segment_for(11, 0).unwrap(), 3);
         log.deregister(cursor);
         // A fresh register below the floor fails immediately.
         assert!(log.register(9).unwrap_err().is_sequence_truncated());
@@ -647,7 +541,7 @@ mod tests {
 
     #[test]
     fn retention_cap_keeps_the_window_with_no_cursors() {
-        let log = fresh(1 << 20, 2);
+        let log = fresh(2);
         log.note_rotation(3, 10);
         log.note_rotation(4, 20);
         log.note_rotation(5, 30);
@@ -660,21 +554,20 @@ mod tests {
     fn bootstrap_truncation_floor_comes_from_the_oldest_surviving_segment() {
         // Reopened store: segments 7 (birth 100) and 9 (fresh, birth 130)
         // survive; history at or below 100 was reclaimed in a past life.
-        let log = ChangeLog::new(1 << 20, 2, BTreeMap::from([(7, 100), (9, 130)]), 9, 130);
+        let log = ChangeLog::new(2, BTreeMap::from([(7, 100), (9, 130)]), 9, 130);
         assert_eq!(log.truncated_floor(), 100);
         assert!(log.register(100).unwrap_err().is_sequence_truncated());
         let cursor = log.register(101).unwrap();
-        let mut pos = 0;
-        match log.read_tail(101, &mut pos, None) {
-            TailRead::Replay(segments) => assert_eq!(segments, vec![7]),
-            _ => panic!("expected replay of the retained segment"),
-        }
+        // The retained segment first, then the fresh one.
+        assert_eq!(log.segment_for(101, 0).unwrap(), 7);
+        assert_eq!(log.segment_for(101, 7).unwrap(), 9);
+        assert_eq!(log.frontier(), at(9, 0, 130));
         log.deregister(cursor);
     }
 
     #[test]
     fn shipped_bytes_and_stream_counts_accumulate() {
-        let log = fresh(1 << 20, 0);
+        let log = fresh(0);
         assert_eq!(log.streams_active(), 0);
         let a = log.register(1).unwrap();
         let _b = log.register(1).unwrap();

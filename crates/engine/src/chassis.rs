@@ -132,7 +132,7 @@ pub struct EngineCore<P: ShapePolicy> {
     /// Serialises value-log GC passes: two concurrent passes over the same
     /// file would relocate the same records into the same sequence slot.
     pub(crate) vlog_gc_lock: Mutex<()>,
-    /// Change-data capture: the in-memory commit tail, WAL segment births
+    /// Change-data capture: the published WAL frontier, WAL segment births
     /// and the registered stream cursors (see [`crate::cdc`]).
     pub(crate) change_log: Arc<ChangeLog>,
 }

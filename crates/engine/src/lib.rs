@@ -24,7 +24,8 @@
 //!   the one job lifecycle both run through, `flush()` and live-file GC;
 //! * `families` — column-family create/drop ([`catalog`] is their log);
 //! * [`vlog`] — key-value separation: appenders, reader cache, value-log GC;
-//! * [`cdc`] — the commit tail, WAL retention and [`EngineChangeStream`];
+//! * [`cdc`] — the published WAL frontier, WAL retention and
+//!   [`EngineChangeStream`];
 //! * [`version_set`] — the one MANIFEST format and version set, the
 //!   per-level [`LevelTable`] of each installed version and the two edits a
 //!   store commits (a level-0 table, a compaction);
@@ -55,7 +56,7 @@ pub mod version_set;
 pub mod vlog;
 mod write;
 
-pub use cdc::{ChangeLog, EngineChangeStream, TailBatch, TailRead};
+pub use cdc::{ChangeLog, EngineChangeStream, Frontier};
 pub use chassis::{CfState, ClaimedJob, EngineCore, EngineDb, EngineShared, EngineState};
 pub use meta::{FileMetaData, FileMetaDataEdit};
 pub use policy::{CompactionJob, EngineIo, PolicyCtx, ShapePolicy};

@@ -12,9 +12,9 @@ use pebblesdb_common::commit::CommitQueue;
 use pebblesdb_common::filename::{current_file_name, log_file_name, parse_file_name, FileType};
 use pebblesdb_common::key::SequenceNumber;
 use pebblesdb_common::snapshot::SnapshotList;
-use pebblesdb_common::{EngineCounters, Error, Result, StoreOptions, WriteBatch};
+use pebblesdb_common::{EngineCounters, Error, Result, StoreOptions};
 use pebblesdb_skiplist::MemTable;
-use pebblesdb_wal::{LogReader, LogWriter};
+use pebblesdb_wal::{LogWriter, SegmentReplay};
 
 use crate::catalog::{self, Catalog};
 use crate::cdc::ChangeLog;
@@ -112,7 +112,6 @@ impl<P: ShapePolicy> EngineDb<P> {
 
         let label = policy.engine_name().to_ascii_lowercase();
         let change_log = Arc::new(ChangeLog::new(
-            options.cdc_tail_bytes,
             options.cdc_wal_retain_segments,
             wal_births,
             log_number,
@@ -193,12 +192,10 @@ fn recover_wals<P: ShapePolicy>(
         let file = io
             .env
             .new_sequential_file(&log_file_name(&io.db_path, number))?;
-        let mut reader = LogReader::new(file);
-        // A clean end or a torn tail both end replay of this log.
-        while let Ok(Some(record)) = reader.read_record() {
-            let Ok(batch) = WriteBatch::from_contents(record) else {
-                break;
-            };
+        // Every batch (`from_seq` 0), through the reader change streams
+        // use; a clean end or a torn tail both end replay of this log.
+        let mut replay = SegmentReplay::new(file, 0);
+        while let Some(batch) = replay.next_batch()? {
             let base_seq = batch.sequence();
             births
                 .entry(number)

@@ -21,7 +21,7 @@ use pebblesdb_common::{CfId, Result, WriteBatch, WriteOptions};
 use pebblesdb_skiplist::MemTable;
 use pebblesdb_wal::LogWriter;
 
-use crate::cdc::TailBatch;
+use crate::cdc::Frontier;
 use crate::chassis::{EngineCore, EngineState};
 use crate::policy::ShapePolicy;
 use crate::vlog::{rewrite_batch, TakenVlog};
@@ -42,7 +42,6 @@ struct CommitPlan {
 /// writer) the memtables, so all of it can be used unlocked.
 struct GroupIo {
     log: Option<LogWriter>,
-    log_number: u64,
     /// A rotation created this WAL and its directory entry is not durable.
     sync_wal_dir: bool,
     vlogs: BTreeMap<CfId, TakenVlog>,
@@ -115,8 +114,8 @@ impl<P: ShapePolicy> EngineCore<P> {
         let mut io = self.take_appenders(&mut state, &plan);
         let applied = MutexGuard::unlocked(&mut state, || {
             self.separate_values(&mut io, group)?;
-            let tail = self.log_group(&mut io, group)?;
-            Ok((tail, self.apply_group(&io, group)?))
+            self.log_group(&mut io, group)?;
+            self.apply_group(&io, group)
         });
         self.reinstall_and_publish(&mut state, io, applied, end_seq)
     }
@@ -199,7 +198,6 @@ impl<P: ShapePolicy> EngineCore<P> {
         }
         GroupIo {
             log: state.log.take(),
-            log_number: state.log_file_number,
             sync_wal_dir: state.wal_dir_unsynced,
             vlogs,
             mems,
@@ -233,30 +231,26 @@ impl<P: ShapePolicy> EngineCore<P> {
 
     /// Stage 5b — log. Each batch is one WAL record (a pre-sequenced batch's
     /// header carries its own base sequence); the whole group shares one
-    /// fsync. Returns exactly the bytes appended (value separation applied)
-    /// for the change-data-capture tail, published only once the group
-    /// commits.
-    fn log_group(&self, io: &mut GroupIo, group: &CommitGroup) -> Result<Vec<TailBatch>> {
+    /// flush to the operating system (LevelDB's `AddRecord` contract: an
+    /// acknowledged write has left the process, and a change stream may read
+    /// it back from the file) and, for a sync group, one fsync.
+    fn log_group(&self, io: &mut GroupIo, group: &CommitGroup) -> Result<()> {
         if io.sync_wal_dir {
             // The WAL's directory entry must be durable before the group
             // is acknowledged.
             self.io.env.sync_dir(&self.io.db_path)?;
         }
-        let mut tail = Vec::new();
-        if let Some(log) = io.log.as_mut() {
-            for batch in &group.batches {
-                log.add_record(batch.contents())?;
-                tail.push(TailBatch {
-                    log_number: io.log_number,
-                    last_seq: batch.last_sequence(),
-                    contents: Arc::new(batch.contents().to_vec()),
-                });
-            }
-            if group.sync {
-                log.sync()?;
-            }
+        let Some(log) = io.log.as_mut() else {
+            return Ok(());
+        };
+        for batch in &group.batches {
+            log.add_record(batch.contents())?;
         }
-        Ok(tail)
+        if group.sync {
+            log.sync()
+        } else {
+            log.flush()
+        }
     }
 
     /// Stage 5c — apply to the families' concurrent memtables. Per-key
@@ -289,7 +283,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         &self,
         state: &mut EngineState<P>,
         io: GroupIo,
-        applied: Result<(Vec<TailBatch>, Observed)>,
+        applied: Result<Observed>,
         end_seq: SequenceNumber,
     ) -> Result<()> {
         state.log = io.log;
@@ -298,7 +292,7 @@ impl<P: ShapePolicy> EngineCore<P> {
                 cf.vlog.reinstall(taken);
             }
         }
-        let (tail, observed) = applied.map_err(|err| state.poison(err))?;
+        let observed = applied.map_err(|err| state.poison(err))?;
         if io.sync_wal_dir {
             state.wal_dir_unsynced = false;
         }
@@ -308,10 +302,15 @@ impl<P: ShapePolicy> EngineCore<P> {
             }
         }
         state.last_sequence = end_seq;
-        // Commits are serialized (one leader at a time), so appending here
-        // under the state mutex keeps the tail in commit order. Lock order
-        // state -> change_log is the sanctioned one.
-        self.change_log.publish(tail);
+        // The log is the change log: streams may now read it up to here.
+        // Lock order state -> change_log is the sanctioned one.
+        if let Some(log) = &state.log {
+            self.change_log.publish(Frontier {
+                log_number: state.log_file_number,
+                log_len: log.file_len(),
+                last_seq: end_seq,
+            });
+        }
         Ok(())
     }
 
@@ -377,7 +376,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         state.log_file_number = new_log_number;
         // The change log needs the rotation point: every sequence committed
         // from here on lives in the new segment, and the old one is now
-        // closed (replayable, evictable, reclaimable).
+        // closed (read to its end, reclaimable).
         self.change_log
             .note_rotation(new_log_number, state.last_sequence);
         if let Some(Err(err)) = old_log.map(LogWriter::close) {

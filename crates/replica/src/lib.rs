@@ -20,9 +20,10 @@
 //! ## Truncation
 //!
 //! When the leader has reclaimed the WAL history behind the follower's
-//! cursor (only possible under an explicit
-//! [`cdc_wal_retain_segments`](pebblesdb_common::StoreOptions) cap), the
-//! stream ends with a `TRUNCATED` frame. That is fatal for this replica:
+//! cursor — an attached follower outran by an explicit
+//! [`cdc_wal_retain_segments`](pebblesdb_common::StoreOptions) cap, or a
+//! detached one whose segments no cap kept — the stream ends with a
+//! `TRUNCATED` frame. That is fatal for this replica:
 //! it stops reconnecting, reports [`FollowerDb::truncated`], and must be
 //! re-seeded from a fresh copy of the leader.
 //!
@@ -95,7 +96,7 @@ struct FollowerState {
     applied: AtomicU64,
     /// The leader's last advertised committed sequence.
     leader_seq: AtomicU64,
-    /// The leader's last advertised backlog for this cursor, in batches.
+    /// The leader's last advertised backlog for this cursor, in sequences.
     backlog: AtomicU64,
     connected: AtomicBool,
     truncated: AtomicBool,
@@ -184,8 +185,8 @@ impl<P: ShapePolicy> FollowerDb<P> {
         self.core.state.leader_seq.load(Ordering::Acquire)
     }
 
-    /// The leader's last advertised backlog for this replica, in batches.
-    pub fn lag_batches(&self) -> u64 {
+    /// The leader's last advertised backlog for this replica, in sequences.
+    pub fn lag_seqs(&self) -> u64 {
         self.core.state.backlog.load(Ordering::Acquire)
     }
 
@@ -443,7 +444,7 @@ impl<P: ShapePolicy> CfOps for FollowerCore<P> {
     fn stats(&self, scope: Option<CfId>) -> StoreStats {
         let mut stats = self.db.shared().stats(scope);
         stats.replica_applied_seq = self.committed_sequence();
-        stats.replica_lag_batches = self.state.backlog.load(Ordering::Acquire);
+        stats.replica_lag_seqs = self.state.backlog.load(Ordering::Acquire);
         stats
     }
 

@@ -30,8 +30,8 @@
 //!   stays unreadable until a reopen completes it.
 //!
 //! Reads route point gets to the owning shard; cursors merge one per-shard
-//! cursor each, all pinned at a single watermark sequence
-//! ([`ShardMergeIterator`]). Column-family operations are mirrored to every
+//! cursor each, all pinned at a single watermark sequence (the chassis'
+//! `MergingIterator` in bytewise user-key order). Column-family operations are mirrored to every
 //! shard in shard order (ids stay identical), and a batch's records keep
 //! their per-record family routing when the batch is split.
 //!
@@ -52,7 +52,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use pebblesdb_common::cf::{CfOps, CfStats, Db};
-use pebblesdb_common::iterator::DbIterator;
+use pebblesdb_common::iterator::{BytewiseOrder, DbIterator, MergingIterator};
 use pebblesdb_common::key::{SequenceNumber, ValueType};
 use pebblesdb_common::snapshot::{Snapshot, SnapshotList};
 use pebblesdb_common::{
@@ -65,7 +65,6 @@ use pebblesdb_wal::{LogReader, LogWriter};
 mod merge;
 mod partition;
 
-pub use merge::ShardMergeIterator;
 pub use partition::{HashPartitioner, Partitioner, PartitionerKind, RangePartitioner};
 
 /// The metadata file naming the shard count and partitioner, written once at
@@ -543,7 +542,9 @@ impl<P: ShapePolicy> CfOps for ShardedCore<P> {
         for shard in &self.shards {
             children.push(shard.shared().iter(cf, &pinned)?);
         }
-        Ok(Box::new(ShardMergeIterator::new(children)))
+        Ok(Box::new(MergingIterator::<BytewiseOrder>::with_order(
+            children,
+        )))
     }
 
     fn snapshot(&self) -> Snapshot {

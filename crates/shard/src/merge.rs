@@ -1,165 +1,17 @@
-//! A k-way merged cursor over per-shard user-key cursors.
-//!
-//! Each child is a full [`DbIterator`] over one shard's user keys, already
-//! pinned at the same global sequence, so merging them by user key yields a
-//! consistent whole-store cursor. The merge cannot reuse the engine's
-//! internal-key `MergingIterator`: these children surface *user* keys (no
-//! sequence suffix), and because the partitioner assigns every key to
-//! exactly one shard the children's key sets are disjoint — no tie-breaking
-//! is ever needed.
-//!
-//! Direction switching follows the LevelDB pattern: when a forward cursor is
-//! asked to step backwards, every non-current child is repositioned to just
-//! before the current key first (and vice versa), so `next`/`prev` stay
-//! O(shards) comparisons without a heap — shard counts are small.
-
-use pebblesdb_common::iterator::DbIterator;
-use pebblesdb_common::Result;
-
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum Direction {
-    Forward,
-    Reverse,
-}
-
-/// The merged user-key cursor over all shards of a sharded store.
-pub struct ShardMergeIterator {
-    children: Vec<Box<dyn DbIterator>>,
-    current: Option<usize>,
-    direction: Direction,
-}
-
-impl ShardMergeIterator {
-    /// Merges `children` (one cursor per shard, all pinned at one sequence).
-    pub fn new(children: Vec<Box<dyn DbIterator>>) -> ShardMergeIterator {
-        ShardMergeIterator {
-            children,
-            current: None,
-            direction: Direction::Forward,
-        }
-    }
-
-    fn find_smallest(&mut self) {
-        self.current = self
-            .children
-            .iter()
-            .enumerate()
-            .filter(|(_, child)| child.valid())
-            .min_by(|(_, a), (_, b)| a.key().cmp(b.key()))
-            .map(|(index, _)| index);
-    }
-
-    fn find_largest(&mut self) {
-        self.current = self
-            .children
-            .iter()
-            .enumerate()
-            .filter(|(_, child)| child.valid())
-            .max_by(|(_, a), (_, b)| a.key().cmp(b.key()))
-            .map(|(index, _)| index);
-    }
-}
-
-impl DbIterator for ShardMergeIterator {
-    fn valid(&self) -> bool {
-        self.current
-            .is_some_and(|index| self.children[index].valid())
-    }
-
-    fn seek_to_first(&mut self) {
-        for child in &mut self.children {
-            child.seek_to_first();
-        }
-        self.direction = Direction::Forward;
-        self.find_smallest();
-    }
-
-    fn seek_to_last(&mut self) {
-        for child in &mut self.children {
-            child.seek_to_last();
-        }
-        self.direction = Direction::Reverse;
-        self.find_largest();
-    }
-
-    fn seek(&mut self, target: &[u8]) {
-        for child in &mut self.children {
-            child.seek(target);
-        }
-        self.direction = Direction::Forward;
-        self.find_smallest();
-    }
-
-    fn next(&mut self) {
-        assert!(self.valid(), "next() on invalid iterator");
-        let current = self.current.expect("valid implies a current child");
-        if self.direction == Direction::Reverse {
-            // The non-current children sit at or before the current key;
-            // bring each to the first key after it. Key sets are disjoint,
-            // so a seek lands strictly past the key already (the equality
-            // step guards a child that somehow shares it).
-            let key = self.children[current].key().to_vec();
-            for (index, child) in self.children.iter_mut().enumerate() {
-                if index == current {
-                    continue;
-                }
-                child.seek(&key);
-                if child.valid() && child.key() == key.as_slice() {
-                    child.next();
-                }
-            }
-            self.direction = Direction::Forward;
-        }
-        self.children[current].next();
-        self.find_smallest();
-    }
-
-    fn prev(&mut self) {
-        assert!(self.valid(), "prev() on invalid iterator");
-        let current = self.current.expect("valid implies a current child");
-        if self.direction == Direction::Forward {
-            // Bring every non-current child to the last key before the
-            // current one.
-            let key = self.children[current].key().to_vec();
-            for (index, child) in self.children.iter_mut().enumerate() {
-                if index == current {
-                    continue;
-                }
-                child.seek(&key);
-                if child.valid() {
-                    child.prev();
-                } else {
-                    child.seek_to_last();
-                }
-            }
-            self.direction = Direction::Reverse;
-        }
-        self.children[current].prev();
-        self.find_largest();
-    }
-
-    fn key(&self) -> &[u8] {
-        assert!(self.valid(), "key() on invalid iterator");
-        self.children[self.current.expect("valid")].key()
-    }
-
-    fn value(&self) -> &[u8] {
-        assert!(self.valid(), "value() on invalid iterator");
-        self.children[self.current.expect("valid")].value()
-    }
-
-    fn status(&self) -> Result<()> {
-        for child in &self.children {
-            child.status()?;
-        }
-        Ok(())
-    }
-}
+//! The whole-store cursor of a sharded store is the chassis'
+//! [`MergingIterator`](pebblesdb_common::iterator::MergingIterator) in
+//! [`BytewiseOrder`](pebblesdb_common::iterator::BytewiseOrder): each child
+//! is one shard's user-key cursor, all pinned at the same global sequence,
+//! and because the partitioner assigns every key to exactly one shard the
+//! children's key sets are disjoint — no tie-breaking is ever needed. These
+//! tests hold the merge to what a sharded cursor needs of it.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use pebblesdb_common::iterator::{BytewiseOrder, DbIterator, MergingIterator};
     use pebblesdb_common::user_iter::UserEntriesIterator;
+
+    type ShardMerge = MergingIterator<BytewiseOrder>;
 
     fn entries(keys: &[&str]) -> Box<dyn DbIterator> {
         Box::new(UserEntriesIterator::new(
@@ -169,9 +21,9 @@ mod tests {
         ))
     }
 
-    fn merged() -> ShardMergeIterator {
+    fn merged() -> ShardMerge {
         // Disjoint key sets, interleaved in order — like hash shards.
-        ShardMergeIterator::new(vec![
+        ShardMerge::with_order(vec![
             entries(&["a", "d", "g"]),
             entries(&["b", "e"]),
             entries(&["c", "f", "h"]),
@@ -248,7 +100,7 @@ mod tests {
 
     #[test]
     fn empty_children_are_harmless() {
-        let mut iter = ShardMergeIterator::new(vec![entries(&[]), entries(&["k"]), entries(&[])]);
+        let mut iter = ShardMerge::with_order(vec![entries(&[]), entries(&["k"]), entries(&[])]);
         iter.seek_to_first();
         assert_eq!(iter.key(), b"k");
         iter.next();

@@ -6,29 +6,47 @@ use pebblesdb_env::SequentialFile;
 use crate::{RecordType, BLOCK_SIZE, HEADER_SIZE};
 
 /// Replays logical records from a log file, skipping corrupted regions.
+///
+/// The end of the readable bytes is not latched: a call that returned
+/// `Ok(None)` may be repeated once the file has grown or the limit has been
+/// raised, and continues inside the block it stopped in. That is how a
+/// change stream follows a segment the engine is still appending to.
 pub struct LogReader {
     file: Box<dyn SequentialFile>,
-    /// Buffered contents of the current block.
+    /// What has been read of the current block.
     block: Vec<u8>,
     /// Read cursor within `block`.
     block_pos: usize,
-    /// Set when the underlying file is exhausted.
-    eof: bool,
+    /// Bytes of the file read into `block` so far, over all blocks.
+    consumed: u64,
+    /// Bytes of the file the reader may consume.
+    limit: u64,
     corruption_count: usize,
     corruption_bytes: u64,
 }
 
 impl LogReader {
-    /// Creates a reader positioned at the start of `file`.
+    /// Creates a reader positioned at the start of `file`, free to read to
+    /// its end.
     pub fn new(file: Box<dyn SequentialFile>) -> Self {
         LogReader {
             file,
             block: Vec::new(),
             block_pos: 0,
-            eof: false,
+            consumed: 0,
+            limit: u64::MAX,
             corruption_count: 0,
             corruption_bytes: 0,
         }
+    }
+
+    /// Bounds the reader to the first `limit` bytes of the file. A live
+    /// segment is read up to the length its writer reported after a whole
+    /// record ([`LogWriter::file_len`](crate::LogWriter::file_len)), so bytes of an
+    /// append still in flight are never looked at; the limit must fall on
+    /// such a record boundary.
+    pub fn set_limit(&mut self, limit: u64) {
+        self.limit = limit;
     }
 
     /// Number of corrupted fragments encountered so far.
@@ -98,11 +116,9 @@ impl LogReader {
     fn read_physical_record(&mut self) -> Result<Option<(RecordType, Vec<u8>)>> {
         loop {
             if self.block.len() - self.block_pos < HEADER_SIZE {
-                if self.eof {
-                    return Ok(None);
-                }
-                self.refill_block()?;
-                if self.block.is_empty() {
+                // Less than a header left: a block's trailer, or as far as
+                // the file had been read.
+                if !self.fill_block()? {
                     return Ok(None);
                 }
                 continue;
@@ -121,10 +137,14 @@ impl LogReader {
             }
 
             if self.block_pos + HEADER_SIZE + length > self.block.len() {
-                // The writer crashed while appending this fragment.
-                self.corruption_bytes += (self.block.len() - self.block_pos) as u64;
-                self.block_pos = self.block.len();
-                if self.eof {
+                // The fragment runs past what is buffered. In a whole block
+                // its length is garbage: drop the rest of the block. In a
+                // partly read one the rest may be on file by now; if not,
+                // the writer crashed while appending this fragment.
+                if self.block.len() == BLOCK_SIZE {
+                    self.corruption_bytes += (BLOCK_SIZE - self.block_pos) as u64;
+                }
+                if !self.fill_block()? {
                     return Ok(None);
                 }
                 continue;
@@ -157,21 +177,30 @@ impl LogReader {
         }
     }
 
-    fn refill_block(&mut self) -> Result<()> {
-        self.block.clear();
-        self.block.resize(BLOCK_SIZE, 0);
-        self.block_pos = 0;
-        let mut filled = 0;
-        while filled < BLOCK_SIZE {
+    /// Reads more of the file into the block buffer: the rest of the
+    /// current block or, once that is whole, the next one (what was left of
+    /// a whole block is unusable to either caller). Returns whether any
+    /// bytes arrived.
+    fn fill_block(&mut self) -> Result<bool> {
+        if self.block.len() == BLOCK_SIZE {
+            self.block.clear();
+            self.block_pos = 0;
+        }
+        let start = self.block.len();
+        let allowed = self.limit.saturating_sub(self.consumed);
+        let end = start + ((BLOCK_SIZE - start) as u64).min(allowed) as usize;
+        self.block.resize(end, 0);
+        let mut filled = start;
+        while filled < end {
             let n = self.file.read(&mut self.block[filled..])?;
             if n == 0 {
-                self.eof = true;
                 break;
             }
             filled += n;
         }
         self.block.truncate(filled);
-        Ok(())
+        self.consumed += (filled - start) as u64;
+        Ok(filled > start)
     }
 }
 
@@ -202,6 +231,34 @@ mod tests {
         assert!(reader.read_record().is_err());
         assert!(reader.corruption_bytes() >= 100);
         assert_eq!(reader.read_record().unwrap(), None);
+    }
+
+    #[test]
+    fn a_bounded_reader_resumes_across_a_block_trailer() {
+        let env = MemEnv::new();
+        let path = Path::new("/wal/live.log");
+        let mut writer = LogWriter::new(env.new_writable_file(path).unwrap());
+        let mut reader = LogReader::new(env.new_sequential_file(path).unwrap());
+        // Leaves three bytes of the block: too few for a header, and not
+        // padded until the next record is added.
+        let first = vec![b'x'; BLOCK_SIZE - HEADER_SIZE - 3];
+        writer.add_record(&first).unwrap();
+        assert_eq!(writer.file_len(), (BLOCK_SIZE - 3) as u64);
+        reader.set_limit(writer.file_len());
+        assert_eq!(reader.read_record().unwrap(), Some(first));
+        assert_eq!(reader.read_record().unwrap(), None);
+        assert_eq!(
+            reader.read_record().unwrap(),
+            None,
+            "the end is not latched"
+        );
+
+        writer.add_record(b"tail").unwrap();
+        assert_eq!(reader.read_record().unwrap(), None, "still bounded");
+        reader.set_limit(writer.file_len());
+        assert_eq!(reader.read_record().unwrap(), Some(b"tail".to_vec()));
+        assert_eq!(reader.read_record().unwrap(), None);
+        assert_eq!(reader.corruption_count(), 0);
     }
 
     #[test]

@@ -1,17 +1,20 @@
-//! Replaying closed WAL segments from an arbitrary sequence number.
+//! Turning a WAL segment back into the batches it recorded.
 //!
-//! Recovery replays *everything* and lets the memtables sort it out; a
-//! change stream catching up from behind wants only the batches at or past
-//! its cursor. [`SegmentReplay`] wraps a [`LogReader`] and applies the
-//! stream delivery rule: yield every batch whose **last** sequence is at or
-//! past `from_seq`, in the order the segment recorded them (commit order).
-//! A batch that straddles the cursor is delivered whole — consumers resume
-//! at `applied + 1` and skip already-applied batches by their `last_seq`,
-//! so over-delivery is safe and under-delivery never happens.
+//! This is the one place WAL bytes become [`WriteBatch`]es. Recovery
+//! replays *everything* (`from_seq = 0`) and lets the memtables sort it
+//! out; a change stream wants only the batches at or past its cursor.
+//! [`SegmentReplay`] wraps a [`LogReader`] and applies the stream delivery
+//! rule: yield every batch whose **last** sequence is at or past
+//! `from_seq`, in the order the segment recorded them (commit order). A
+//! batch that straddles the cursor is delivered whole — consumers resume at
+//! `applied + 1` and skip already-applied batches by their `last_seq`, so
+//! over-delivery is safe and under-delivery never happens.
 //!
-//! A torn tail (crash mid-append) ends the segment cleanly, exactly as
-//! recovery treats it: the batches before the tear were committed, the torn
-//! record never was.
+//! A closed segment is read to its end, where a torn tail (crash
+//! mid-append) ends it cleanly: the batches before the tear were committed,
+//! the torn record never was. The segment still being appended to is read
+//! up to the length its writer last published ([`SegmentReplay::set_limit`])
+//! and picked up again from there when that length moves.
 
 use pebblesdb_common::batch::WriteBatch;
 use pebblesdb_common::key::SequenceNumber;
@@ -20,7 +23,7 @@ use pebblesdb_env::SequentialFile;
 
 use crate::reader::LogReader;
 
-/// A cursor-filtered batch iterator over one closed WAL segment.
+/// A cursor-filtered batch iterator over one WAL segment.
 pub struct SegmentReplay {
     reader: LogReader,
     from_seq: SequenceNumber,
@@ -35,10 +38,16 @@ impl SegmentReplay {
         }
     }
 
+    /// Bounds the replay to the segment's first `limit` bytes; see
+    /// [`LogReader::set_limit`].
+    pub fn set_limit(&mut self, limit: u64) {
+        self.reader.set_limit(limit);
+    }
+
     /// The next batch at or past the cursor, or `None` at the end of the
-    /// segment. A torn or corrupt tail ends the segment (those bytes were
-    /// never acknowledged); corruption *between* intact records is skipped
-    /// the same way recovery skips it.
+    /// segment (or of what the limit allows, in which case a later call
+    /// continues). A torn or corrupt tail ends the segment: those bytes
+    /// were never acknowledged.
     pub fn next_batch(&mut self) -> Result<Option<WriteBatch>> {
         loop {
             let record = match self.reader.read_record() {
@@ -132,6 +141,58 @@ mod tests {
         assert_eq!(replayed_sequences(&env, path, 10), vec![10, 11]);
         // A cursor at or before it still sees it, in commit order.
         assert_eq!(replayed_sequences(&env, path, 4), vec![10, 4, 11]);
+    }
+
+    /// Keys of the batches `replay` yields until it runs into its limit.
+    fn drain(replay: &mut SegmentReplay) -> Vec<u64> {
+        let mut seqs = Vec::new();
+        while let Some(b) = replay.next_batch().unwrap() {
+            seqs.push(b.sequence());
+        }
+        seqs
+    }
+
+    #[test]
+    fn a_live_segment_is_read_up_to_the_limit_and_resumed_when_it_moves() {
+        let env = MemEnv::new();
+        let path = Path::new("/wal/000013.log");
+        let mut writer = LogWriter::new(env.new_writable_file(path).unwrap());
+        let mut replay = SegmentReplay::new(env.new_sequential_file(path).unwrap(), 1);
+        replay.set_limit(0);
+        assert_eq!(drain(&mut replay), Vec::<u64>::new());
+
+        // Small records: the reader stops and resumes inside one block.
+        let mut published = Vec::new();
+        for seq in 1..=3 {
+            writer.add_record(batch(seq, &[b"k"]).contents()).unwrap();
+            published.push(writer.file_len());
+        }
+        replay.set_limit(published[0]);
+        assert_eq!(drain(&mut replay), vec![1]);
+        assert_eq!(
+            drain(&mut replay),
+            Vec::<u64>::new(),
+            "nothing past the limit"
+        );
+        replay.set_limit(published[2]);
+        assert_eq!(drain(&mut replay), vec![2, 3]);
+
+        // A record spanning three blocks, appended but not yet published,
+        // is not looked at: not its first fragment, not a byte of it.
+        let big = vec![b'x'; 2 * crate::BLOCK_SIZE + 100];
+        let mut spanning = WriteBatch::new();
+        spanning.put(b"big", &big);
+        spanning.set_sequence(4);
+        writer.add_record(spanning.contents()).unwrap();
+        assert_eq!(drain(&mut replay), Vec::<u64>::new());
+        // Published, it arrives whole; so does a record after the block
+        // trailer it left behind.
+        writer.add_record(batch(5, &[b"k"]).contents()).unwrap();
+        replay.set_limit(writer.file_len());
+        assert_eq!(drain(&mut replay), vec![4, 5]);
+
+        // The closed segment, read to its end by a fresh reader, is the same.
+        assert_eq!(replayed_sequences(&env, path, 1), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

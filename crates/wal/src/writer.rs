@@ -9,17 +9,15 @@ use crate::{RecordType, BLOCK_SIZE, HEADER_SIZE};
 /// Writes length-prefixed, checksummed records into 32 KiB blocks.
 pub struct LogWriter {
     file: Box<dyn WritableFile>,
-    /// Offset within the current block.
-    block_offset: usize,
+    /// Length of the file: what it held at the start plus every byte
+    /// appended since, padding included.
+    len: u64,
 }
 
 impl LogWriter {
     /// Creates a writer that appends to `file` starting at a block boundary.
     pub fn new(file: Box<dyn WritableFile>) -> Self {
-        LogWriter {
-            file,
-            block_offset: 0,
-        }
+        LogWriter { file, len: 0 }
     }
 
     /// Creates a writer resuming at `initial_length` bytes into the file.
@@ -28,7 +26,7 @@ impl LogWriter {
     pub fn new_with_offset(file: Box<dyn WritableFile>, initial_length: u64) -> Self {
         LogWriter {
             file,
-            block_offset: (initial_length as usize) % BLOCK_SIZE,
+            len: initial_length,
         }
     }
 
@@ -37,16 +35,14 @@ impl LogWriter {
         let mut remaining = record;
         let mut begin = true;
         loop {
-            let leftover = BLOCK_SIZE - self.block_offset;
+            let leftover = BLOCK_SIZE - self.block_offset();
             if leftover < HEADER_SIZE {
                 // Pad the tail of the block with zeroes and switch blocks.
-                if leftover > 0 {
-                    self.file.append(&[0u8; HEADER_SIZE][..leftover])?;
-                }
-                self.block_offset = 0;
+                self.file.append(&[0u8; HEADER_SIZE][..leftover])?;
+                self.len += leftover as u64;
             }
 
-            let available = BLOCK_SIZE - self.block_offset - HEADER_SIZE;
+            let available = BLOCK_SIZE - self.block_offset() - HEADER_SIZE;
             let fragment_len = remaining.len().min(available);
             let end = fragment_len == remaining.len();
             let record_type = match (begin, end) {
@@ -63,6 +59,18 @@ impl LogWriter {
             }
         }
         Ok(())
+    }
+
+    /// The file's length in bytes. After an `add_record` that returned `Ok`
+    /// it is a record boundary: a reader bounded by it sees whole records
+    /// only (once the bytes are flushed).
+    pub fn file_len(&self) -> u64 {
+        self.len
+    }
+
+    /// Offset within the current block.
+    fn block_offset(&self) -> usize {
+        (self.len % BLOCK_SIZE as u64) as usize
     }
 
     /// Flushes buffered data to the operating system.
@@ -82,7 +90,7 @@ impl LogWriter {
 
     fn emit_physical_record(&mut self, record_type: RecordType, data: &[u8]) -> Result<()> {
         debug_assert!(data.len() <= 0xffff);
-        debug_assert!(self.block_offset + HEADER_SIZE + data.len() <= BLOCK_SIZE);
+        debug_assert!(self.block_offset() + HEADER_SIZE + data.len() <= BLOCK_SIZE);
 
         let mut header = [0u8; HEADER_SIZE];
         // CRC covers the type byte followed by the payload, like LevelDB.
@@ -95,7 +103,7 @@ impl LogWriter {
 
         self.file.append(&header)?;
         self.file.append(data)?;
-        self.block_offset += HEADER_SIZE + data.len();
+        self.len += (HEADER_SIZE + data.len()) as u64;
         Ok(())
     }
 }
@@ -135,7 +143,7 @@ mod tests {
         let len = env.file_size(path).unwrap();
         assert_eq!(
             LogWriter::new_with_offset(env.new_writable_file(Path::new("/other")).unwrap(), len)
-                .block_offset,
+                .block_offset(),
             len as usize % BLOCK_SIZE
         );
     }

@@ -213,3 +213,51 @@ fn point_get_allocations_are_the_same_through_store_and_handle() {
         );
     }
 }
+
+/// Mean allocations of one single-key `put` into a memtable with room.
+fn allocations_per_put(db: &dyn KvStore) -> u64 {
+    // One key over and over: nothing for the FLSM to pick as a new guard.
+    let (key, value) = (key(7), [b'v'; 100]);
+    for _ in 0..32 {
+        db.put(&key, &value).unwrap();
+    }
+    const ROUNDS: u64 = 64;
+    let before = ALLOCATIONS.with(Cell::get);
+    for _ in 0..ROUNDS {
+        db.put(&key, &value).unwrap();
+    }
+    (ALLOCATIONS.with(Cell::get) - before) / ROUNDS
+}
+
+/// What the chassis adds between `put` and the memtable is paid by both
+/// engines alike, so it is pinned like the read path: a `put` through the
+/// store and through its `default_cf()` handle allocates the same, and
+/// exactly this much.
+#[test]
+fn put_allocations_are_the_same_through_store_and_handle() {
+    /// What one `put` allocates, on either engine: the batch, its queue
+    /// ticket, the write group's vectors, the leader's maps. It was 11 while
+    /// every group also copied its batches into an in-memory commit tail for
+    /// change streams (a vector of them, and per batch a copy of its bytes
+    /// in an `Arc`); pinned exactly, so that the next allocation to creep in
+    /// shows.
+    const ALLOCATIONS_PER_PUT: u64 = 8;
+
+    let env = || -> Arc<dyn Env> { Arc::new(MemEnv::new()) };
+    // The default 4 MiB write buffer: no rotation inside the measurement.
+    let flsm = PebblesDb::open(env(), Path::new("/put-flsm"));
+    let lsm = LsmDb::open(env(), Path::new("/put-lsm"));
+    let stores: [(&str, Box<dyn Db>); 2] = [
+        ("flsm", Box::new(flsm.unwrap())),
+        ("lsm", Box::new(lsm.unwrap())),
+    ];
+    for (name, db) in &stores {
+        let through_store = allocations_per_put(db.as_ref());
+        let through_handle = allocations_per_put(&db.default_cf());
+        assert_eq!(through_store, through_handle, "{name}");
+        assert_eq!(
+            through_store, ALLOCATIONS_PER_PUT,
+            "{name}: allocations per put"
+        );
+    }
+}

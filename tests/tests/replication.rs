@@ -1,5 +1,6 @@
 //! End-to-end replication tests: the CDC change stream at the engine level
-//! (live tailing, WAL-segment replay, truncation and pinning contracts),
+//! (following the live WAL segment, closed-segment replay, truncation and
+//! pinning contracts),
 //! the `SYNC` wire protocol, and full leader–follower topologies — a
 //! [`FollowerDb`] converging to byte-equality with its leader, resuming
 //! across a leader kill + restart and across its own restart, serving
@@ -141,7 +142,9 @@ fn change_stream_tails_live_commits_and_replays_closed_segments() {
 
     // Close the current segment (flush rotates the WAL), write more, then a
     // fresh cursor from 1 must replay the closed segment and splice into the
-    // tail transparently.
+    // live one transparently. An idle cursor keeps the closed segment on
+    // disk: under the default retention nothing else does once it is flushed.
+    let _history = db.stream(1).unwrap();
     KvStore::flush(&db).unwrap();
     for i in 20..40u32 {
         db.put(format!("k{i:03}").as_bytes(), format!("v{i}").as_bytes())
@@ -194,7 +197,6 @@ fn wal_reclamation_honors_stream_floors_and_retention_cap() {
     let mut capped = StoreOptions::default();
     capped.write_buffer_size = 32 << 10;
     capped.cdc_wal_retain_segments = 1;
-    capped.cdc_tail_bytes = 4 << 10;
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
     let db = PebblesdbOpen::open(env, "/capped", capped);
     let mut lagging = db.stream(1).unwrap();
@@ -401,7 +403,7 @@ fn follower_handles_answer_like_the_follower() {
     for handle in [&default, &mirror] {
         let stats = handle.stats();
         assert_eq!(stats.replica_applied_seq, store.replica_applied_seq);
-        assert_eq!(stats.replica_lag_batches, store.replica_lag_batches);
+        assert_eq!(stats.replica_lag_seqs, store.replica_lag_seqs);
         assert_eq!(stats.gets, store.gets, "counters are store-wide");
     }
     assert_eq!(default.engine_name(), follower.engine_name());

@@ -1,0 +1,285 @@
+//! The WAL as the change log: change streams read WAL segments — closed ones
+//! to their end, the live one up to the frontier the commit leader
+//! publishes — so these tests hold the live segment to what a stream needs
+//! of it: every committed batch exactly once and in commit order beside a
+//! running writer and across rotations, nothing of a failed group, a wake-up
+//! for every commit, and (on a real disk) acknowledged bytes that have left
+//! the process.
+
+use std::collections::BTreeMap;
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use pebblesdb::PebblesDb;
+use pebblesdb_common::replication::{ChangeEvent, ChangeStream};
+use pebblesdb_common::{CfId, Db, KvStore, StoreOptions, ValueType, WriteBatch, WriteOptions};
+use pebblesdb_env::{DiskEnv, Env, MemEnv};
+
+const WAIT: Duration = Duration::from_secs(60);
+
+type Model = BTreeMap<(CfId, Vec<u8>), Vec<u8>>;
+
+fn apply_event(event: &ChangeEvent, model: &mut Model) {
+    for record in event.batch.iter() {
+        let record = record.unwrap();
+        let slot = (record.cf, record.key.to_vec());
+        match record.value_type {
+            ValueType::Value => model.insert(slot, record.value.to_vec()),
+            ValueType::Deletion => model.remove(&slot),
+            ValueType::ValuePointer => panic!("streams must resolve pointers inline"),
+        };
+    }
+}
+
+/// Reads `stream` until it has delivered through `target_seq`. Returns the
+/// events and how often the stream reported the frontier on the way.
+fn follow(
+    stream: &mut dyn ChangeStream,
+    target_seq: impl Fn() -> Option<u64>,
+) -> (Vec<ChangeEvent>, u64) {
+    let (mut events, mut idles) = (Vec::new(), 0u64);
+    let deadline = Instant::now() + WAIT;
+    loop {
+        if target_seq().is_some_and(|target| stream.cursor() > target) {
+            return (events, idles);
+        }
+        match stream.next_event(Duration::from_millis(1)).unwrap() {
+            Some(event) => events.push(event),
+            None => idles += 1,
+        }
+        assert!(Instant::now() < deadline, "stalled at {}", stream.cursor());
+    }
+}
+
+/// Every committed batch exactly once and in commit order: engine-numbered
+/// sequences are dense, so each event starts where the last one ended.
+fn assert_dense(events: &[ChangeEvent], from_seq: u64) {
+    let mut next = events.first().map_or(from_seq, |e| e.first_seq);
+    assert!(
+        next <= from_seq,
+        "first event starts at {next}, past {from_seq}"
+    );
+    for event in events {
+        assert_eq!(event.first_seq, next, "gap or repeat in the stream");
+        assert!(event.last_seq >= event.first_seq);
+        next = event.last_seq + 1;
+    }
+}
+
+#[test]
+fn streams_beside_a_writer_deliver_every_batch_once_across_rotations() {
+    const OPS: u32 = 3_000;
+    const ROTATE_EVERY: u32 = 500;
+    let mut options = StoreOptions::default();
+    options.value_separation_threshold = 256;
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let db = Arc::new(PebblesDb::open_with_options(env, Path::new("/beside"), options).unwrap());
+    let aux = db.create_cf("aux").unwrap().id();
+
+    // A cursor's pin slides with what it delivers; an idle one keeps every
+    // segment, so the mid-history stream can start in one long closed.
+    let _history = db.stream(1).unwrap();
+    let mut from_start = db.stream(1).unwrap();
+    let (mid_tx, mid_rx) = mpsc::channel::<u64>();
+    // The last sequence the writer commits; 0 until it is done.
+    let final_seq = Arc::new(AtomicU64::new(0));
+    let done =
+        |final_seq: &AtomicU64| Some(final_seq.load(Ordering::Acquire)).filter(|seq| *seq > 0);
+    let writer = {
+        let (db, final_seq) = (Arc::clone(&db), Arc::clone(&final_seq));
+        std::thread::spawn(move || {
+            for op in 0..OPS {
+                let key = format!("key{:04}", op.wrapping_mul(2_654_435_761) % 400).into_bytes();
+                let mut batch = WriteBatch::new();
+                match op % 5 {
+                    0 => batch.delete_cf(if op % 2 == 0 { 0 } else { aux }, &key),
+                    // Past the separation threshold: the WAL holds a pointer.
+                    1 => batch.put_cf(
+                        0,
+                        &key,
+                        &vec![b'a' + (op % 26) as u8; 300 + op as usize % 64],
+                    ),
+                    2 => {
+                        // One atomic batch across both families.
+                        batch.put_cf(0, &key, format!("pair{op}").as_bytes());
+                        batch.put_cf(aux, &key, format!("pair{op}").as_bytes());
+                        batch.delete_cf(aux, format!("key{:04}", op % 400).as_bytes());
+                    }
+                    _ => batch.put_cf(aux, &key, format!("v{op}").as_bytes()),
+                }
+                db.write(batch).unwrap();
+                if op % ROTATE_EVERY == ROTATE_EVERY - 1 {
+                    KvStore::flush(db.as_ref()).unwrap(); // closes the live segment
+                }
+                if op == OPS / 2 {
+                    mid_tx.send(db.committed_sequence()).unwrap();
+                }
+            }
+            final_seq.store(db.committed_sequence(), Ordering::Release);
+        })
+    };
+    let from_mid = {
+        let (db, final_seq) = (Arc::clone(&db), Arc::clone(&final_seq));
+        std::thread::spawn(move || {
+            // A cursor inside a segment two rotations closed.
+            let from_seq = mid_rx.recv().unwrap() / 3;
+            let mut stream = db.stream(from_seq).unwrap();
+            let (events, _) = follow(stream.as_mut(), || done(&final_seq));
+            (from_seq, events)
+        })
+    };
+    let (events, idles) = follow(from_start.as_mut(), || done(&final_seq));
+    writer.join().unwrap();
+    let (mid_seq, mid_events) = from_mid.join().unwrap();
+
+    assert!(idles > 0, "the reader never caught the writer up");
+    assert_dense(&events, 1);
+    assert_eq!(events.last().unwrap().last_seq, db.committed_sequence());
+    assert_eq!(from_start.backlog(), 0);
+    // The mid-history stream saw exactly the suffix of the same history.
+    assert_dense(&mid_events, mid_seq);
+    let identity = |e: &ChangeEvent| (e.first_seq, e.last_seq, e.batch.contents().to_vec());
+    let suffix = events.iter().filter(|e| e.last_seq >= mid_seq);
+    assert!(mid_events.iter().map(identity).eq(suffix.map(identity)));
+
+    // Replaying the stream rebuilds the store.
+    let mut model = Model::new();
+    events
+        .iter()
+        .for_each(|event| apply_event(event, &mut model));
+    for (name, id) in [("default", 0), ("aux", aux)] {
+        let stored: Vec<(Vec<u8>, Vec<u8>)> =
+            db.cf(name).unwrap().scan(b"", &[], usize::MAX).unwrap();
+        let replayed: Vec<(Vec<u8>, Vec<u8>)> = model
+            .iter()
+            .filter(|((cf, _), _)| *cf == id)
+            .map(|((_, key), value)| (key.clone(), value.clone()))
+            .collect();
+        assert_eq!(stored, replayed, "family {name}");
+    }
+}
+
+#[test]
+fn a_failed_group_is_never_delivered_and_the_stream_idles_at_the_last_good_batch() {
+    // (appends the failing put gets through, sync): one append leaves a torn
+    // record in the file; two leave a whole record whose fsync failed. Both
+    // are bytes past the published frontier.
+    for (budget, sync) in [(1, false), (2, true)] {
+        let mem = Arc::new(MemEnv::new());
+        let env: Arc<dyn Env> = Arc::clone(&mem) as Arc<dyn Env>;
+        let db = PebblesDb::open(env, Path::new("/failing")).unwrap();
+        let mut stream = db.stream(1).unwrap();
+        for i in 0..3u32 {
+            db.put(format!("good{i}").as_bytes(), b"v").unwrap();
+        }
+        for expected in 1..=3u64 {
+            let event = stream.next_event(WAIT).unwrap().expect("committed batch");
+            assert_eq!(event.last_seq, expected);
+        }
+
+        mem.inject_write_error_after(".log", budget);
+        let opts = WriteOptions { sync };
+        assert!(db.put_opts(&opts, b"lost", b"v").is_err());
+        mem.clear_fault_injection();
+
+        assert!(stream
+            .next_event(Duration::from_millis(50))
+            .unwrap()
+            .is_none());
+        assert_eq!((stream.cursor(), stream.backlog()), (4, 0));
+        // The store is poisoned: nothing commits after the failed group, so
+        // nothing is ever delivered after it either.
+        assert!(db.put(b"after", b"v").is_err());
+        assert!(stream
+            .next_event(Duration::from_millis(50))
+            .unwrap()
+            .is_none());
+        assert_eq!(db.get(b"lost").unwrap(), None);
+    }
+}
+
+#[test]
+fn a_stream_at_the_frontier_wakes_for_a_commit_and_survives_the_rotation() {
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let db = Arc::new(PebblesDb::open(env, Path::new("/parked")).unwrap());
+    let mut stream = db.stream(1).unwrap();
+    assert!(stream
+        .next_event(Duration::from_millis(1))
+        .unwrap()
+        .is_none());
+
+    // Each round parks the stream (or finds the commit already there — the
+    // wake-up must not be lost either way), commits once, and then closes
+    // the segment the stream was reading.
+    for round in 1..=4u64 {
+        let (calling_tx, calling_rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            calling_tx.send(()).unwrap();
+            let started = Instant::now();
+            let event = stream.next_event(WAIT).unwrap();
+            (stream, event, started.elapsed())
+        });
+        calling_rx.recv().unwrap();
+        db.put(format!("round{round}").as_bytes(), b"v").unwrap();
+        let (returned, event, waited) = waiter.join().unwrap();
+        stream = returned;
+        assert_eq!(event.expect("the commit wakes the stream").last_seq, round);
+        assert!(waited < WAIT / 2, "woken by the timeout, not the commit");
+        assert_eq!(stream.backlog(), 0);
+        KvStore::flush(db.as_ref()).unwrap();
+    }
+    assert!(stream
+        .next_event(Duration::from_millis(1))
+        .unwrap()
+        .is_none());
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// ROADMAP item 7c, first case: what a `kill -9` right after the
+/// acknowledgement would leave on disk is what the process has handed to
+/// the operating system by then, which a copy of the directory sees.
+#[test]
+fn an_acknowledged_non_sync_put_has_left_the_process_on_a_real_disk() {
+    let root = std::env::temp_dir().join(format!("pebbles-wal-flush-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (live, copy) = (root.join("live"), root.join("copy"));
+    let env: Arc<dyn Env> = Arc::new(DiskEnv::new());
+    let db = PebblesDb::open(Arc::clone(&env), &live).unwrap();
+    db.put(b"acked", b"not synced").unwrap();
+
+    // The store is still open: nothing below comes from a close or a drop.
+    let log_bytes: u64 = std::fs::read_dir(&live)
+        .unwrap()
+        .map(|entry| entry.unwrap())
+        .filter(|entry| entry.file_name().to_string_lossy().ends_with(".log"))
+        .map(|entry| entry.metadata().unwrap().len())
+        .sum();
+    assert!(
+        log_bytes > (b"acked".len() + b"not synced".len()) as u64,
+        "{log_bytes} bytes of WAL on disk after an acknowledged put"
+    );
+    copy_dir(&live, &copy);
+    let recovered = PebblesDb::open(env, &copy).unwrap();
+    assert_eq!(
+        recovered.get(b"acked").unwrap(),
+        Some(b"not synced".to_vec())
+    );
+
+    drop((db, recovered));
+    std::fs::remove_dir_all(&root).unwrap();
+}
