@@ -152,13 +152,15 @@ pub struct StoreOptions {
     /// Closed WAL segments kept for change streams beyond what the column
     /// families still need for recovery.
     ///
-    /// `0` (the default) keeps no extra segments — but a **live** stream
-    /// pins every segment its cursor still needs, without bound, so an
-    /// attached follower never loses history. `N > 0` always keeps the
-    /// newest `N` closed segments (so a follower can resume across a
-    /// restart of this store) **and** caps stream pinning at those `N`
-    /// segments: a stream lagging past the cap has its history reclaimed
-    /// and gets a `SequenceTruncated` error instead of stalling GC forever.
+    /// `0` (the default) keeps only the newest closed segment that holds
+    /// history, so a stream attaching just after a flush finds the recent
+    /// past — but a **live** stream pins every segment its cursor still
+    /// needs, without bound, so an attached follower never loses history.
+    /// `N > 0` always keeps the newest `N` closed segments (so a follower
+    /// can resume across a restart of this store) **and** caps stream
+    /// pinning at those `N` segments: a stream lagging past the cap has its
+    /// history reclaimed and gets a `SequenceTruncated` error instead of
+    /// stalling GC forever.
     pub cdc_wal_retain_segments: usize,
 
     /// Codec for sstable data/index blocks and separated vlog values.

@@ -185,10 +185,12 @@ impl ChangeLog {
     /// truncated floor advances, so callers must actually treat segments
     /// below the returned number as deleted.
     ///
+    /// * The newest closed segment that holds history is always kept, as if
+    ///   a cursor sat on its last sequence: a stream or follower attaching
+    ///   just after a flush still finds the recent past.
     /// * With no retention cap (`cdc_wal_retain_segments == 0`) a live
     ///   cursor pins every closed segment its position still needs, without
-    ///   bound; with no cursors the family floors decide alone (the
-    ///   pre-replication behaviour).
+    ///   bound.
     /// * With a cap of `N`, the newest `N` closed segments are always kept —
     ///   even below the family floors, so a follower can resume across a
     ///   restart — and cursors get **at most** that window: one that lags
@@ -196,7 +198,8 @@ impl ChangeLog {
     pub fn wal_reclaim_floor(&self, cf_min_log: u64) -> u64 {
         let mut inner = self.inner.lock();
         let live = inner.frontier.log_number;
-        let mut floor = cf_min_log;
+        let opened_at = inner.births.get(&live).copied().unwrap_or(0);
+        let mut floor = cf_min_log.min(segment_floor_for(&inner.births, live, opened_at));
         if self.retain_segments == 0 {
             for &seq in inner.cursors.values() {
                 floor = floor.min(segment_floor_for(&inner.births, live, seq));
@@ -394,7 +397,13 @@ impl<P: ShapePolicy> ChangeStream for EngineChangeStream<P> {
             let frontier = core.change_log.frontier();
             let live = self.segment == frontier.log_number;
             replay.set_limit(if live { frontier.log_len } else { u64::MAX });
-            match replay.next_batch()? {
+            let next = replay.next_batch();
+            if next.is_err() {
+                // Reread from the cursor next time: the error repeats
+                // rather than turning into a gap.
+                self.replay = None;
+            }
+            match next? {
                 // Delivered already, or a pre-sequenced relocation of old
                 // data.
                 Some(batch) if batch.last_sequence() < self.next_seq => {}
@@ -489,27 +498,30 @@ mod tests {
 
     #[test]
     fn reclaim_floor_pins_for_cursors_without_a_cap() {
-        let log = fresh(0);
-        log.note_rotation(3, 10);
-        log.note_rotation(4, 20);
-        // No cursors: the family floor decides alone.
-        assert_eq!(log.wal_reclaim_floor(4), 4);
-        // After reclaiming below 4, sequences <= 10 are gone... but births
-        // were pruned, so re-derive on a fresh log for the cursor case.
-        let log = fresh(0);
-        log.note_rotation(3, 10);
-        log.note_rotation(4, 20);
-        let _cursor = log.register(5).unwrap();
-        // A cursor at 5 needs segment 2 (birth 0 < 5); nothing may go.
-        assert_eq!(log.wal_reclaim_floor(4), 2);
-        // A cursor at 11 needs segment 3 (birth 10 < 11 <= 20).
-        let log = fresh(0);
-        log.note_rotation(3, 10);
-        log.note_rotation(4, 20);
-        let id = log.register(11).unwrap();
+        let rotated_twice = || {
+            let log = fresh(0);
+            log.note_rotation(3, 10);
+            log.note_rotation(4, 20);
+            log
+        };
+        // No cursors: the families are done with everything below 4, and
+        // the newest closed segment with history in it (3: 11..=20) stays.
+        let log = rotated_twice();
         assert_eq!(log.wal_reclaim_floor(4), 3);
+        assert_eq!(log.truncated_floor(), 10);
+        // A rotation that closes an empty segment does not push it out.
+        log.note_rotation(5, 20);
+        assert_eq!(log.wal_reclaim_floor(5), 3);
+        // A cursor at 11 needs segment 3 (birth 10 < 11 <= 20) as well.
+        let _at_11 = log.register(11).unwrap();
+        assert_eq!(log.wal_reclaim_floor(5), 3);
+        // A cursor at 5 needs segment 2 (birth 0 < 5): nothing may go until
+        // it does.
+        let log = rotated_twice();
+        let id = log.register(5).unwrap();
+        assert_eq!(log.wal_reclaim_floor(4), 2);
         log.deregister(id);
-        assert_eq!(log.wal_reclaim_floor(4), 4);
+        assert_eq!(log.wal_reclaim_floor(4), 3);
     }
 
     #[test]

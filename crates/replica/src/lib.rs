@@ -22,7 +22,8 @@
 //! When the leader has reclaimed the WAL history behind the follower's
 //! cursor — an attached follower outran by an explicit
 //! [`cdc_wal_retain_segments`](pebblesdb_common::StoreOptions) cap, or a
-//! detached one whose segments no cap kept — the stream ends with a
+//! detached one that stayed away for longer than the newest closed segment
+//! the leader always keeps — the stream ends with a
 //! `TRUNCATED` frame. That is fatal for this replica:
 //! it stops reconnecting, reports [`FollowerDb::truncated`], and must be
 //! re-seeded from a fresh copy of the leader.

@@ -49,6 +49,11 @@ impl LogReader {
         self.limit = limit;
     }
 
+    /// Whether a limit is set: every byte inside one was acknowledged.
+    pub fn is_bounded(&self) -> bool {
+        self.limit != u64::MAX
+    }
+
     /// Number of corrupted fragments encountered so far.
     pub fn corruption_count(&self) -> usize {
         self.corruption_count
@@ -191,16 +196,19 @@ impl LogReader {
         let end = start + ((BLOCK_SIZE - start) as u64).min(allowed) as usize;
         self.block.resize(end, 0);
         let mut filled = start;
+        let mut read = Ok(0);
         while filled < end {
-            let n = self.file.read(&mut self.block[filled..])?;
-            if n == 0 {
-                break;
+            read = self.file.read(&mut self.block[filled..]);
+            match read {
+                Ok(n) if n > 0 => filled += n,
+                _ => break,
             }
-            filled += n;
         }
+        // Whether the file ended or the read failed, only what arrived
+        // stays in the block.
         self.block.truncate(filled);
         self.consumed += (filled - start) as u64;
-        Ok(filled > start)
+        read.map(|_| filled > start)
     }
 }
 
@@ -257,6 +265,53 @@ mod tests {
         assert_eq!(reader.read_record().unwrap(), None, "still bounded");
         reader.set_limit(writer.file_len());
         assert_eq!(reader.read_record().unwrap(), Some(b"tail".to_vec()));
+        assert_eq!(reader.read_record().unwrap(), None);
+        assert_eq!(reader.corruption_count(), 0);
+    }
+
+    /// Hands out `inner` a few bytes at a time and fails one read.
+    struct FlakyFile {
+        inner: Box<dyn SequentialFile>,
+        reads_until_error: usize,
+    }
+
+    impl SequentialFile for FlakyFile {
+        fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
+            self.reads_until_error = self.reads_until_error.wrapping_sub(1);
+            if self.reads_until_error == 0 {
+                return Err(Error::corruption("injected read error"));
+            }
+            let n = buf.len().min(7);
+            self.inner.read(&mut buf[..n])
+        }
+
+        fn skip(&mut self, n: u64) -> Result<()> {
+            self.inner.skip(n)
+        }
+    }
+
+    #[test]
+    fn a_failed_read_leaves_no_unread_bytes_in_the_block() {
+        let env = MemEnv::new();
+        let path = Path::new("/wal/flaky.log");
+        let mut writer = LogWriter::new(env.new_writable_file(path).unwrap());
+        writer.add_record(b"first record").unwrap();
+        writer.add_record(b"second record").unwrap();
+        let mut reader = LogReader::new(Box::new(FlakyFile {
+            inner: env.new_sequential_file(path).unwrap(),
+            reads_until_error: 2,
+        }));
+        // The error surfaces once; what had arrived before it is kept and
+        // the rest is read afterwards, not taken for zero padding.
+        assert!(reader.read_record().is_err());
+        assert_eq!(
+            reader.read_record().unwrap(),
+            Some(b"first record".to_vec())
+        );
+        assert_eq!(
+            reader.read_record().unwrap(),
+            Some(b"second record".to_vec())
+        );
         assert_eq!(reader.read_record().unwrap(), None);
         assert_eq!(reader.corruption_count(), 0);
     }

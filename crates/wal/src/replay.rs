@@ -46,20 +46,18 @@ impl SegmentReplay {
 
     /// The next batch at or past the cursor, or `None` at the end of the
     /// segment (or of what the limit allows, in which case a later call
-    /// continues). A torn or corrupt tail ends the segment: those bytes
-    /// were never acknowledged.
+    /// continues). With no limit a torn or corrupt tail ends the segment:
+    /// those bytes were never acknowledged. Inside a limit every byte was,
+    /// so one that cannot be read is lost history and an error.
     pub fn next_batch(&mut self) -> Result<Option<WriteBatch>> {
         loop {
-            let record = match self.reader.read_record() {
-                Ok(Some(record)) => record,
-                // Clean end of segment or an unreadable tail: both end replay.
+            let record = self.reader.read_record();
+            let batch = match record.and_then(|r| r.map(WriteBatch::from_contents).transpose()) {
+                Ok(Some(batch)) => batch,
+                Err(err) if self.reader.is_bounded() => return Err(err),
+                // The clean end, a fragment that does not frame, or a record
+                // that frames but is no batch: the tail recovery stops at.
                 Ok(None) | Err(_) => return Ok(None),
-            };
-            let batch = match WriteBatch::from_contents(record) {
-                Ok(batch) => batch,
-                // A record that frames correctly but does not parse as a
-                // batch marks the torn tail recovery also stops at.
-                Err(_) => return Ok(None),
             };
             if batch.last_sequence() >= self.from_seq {
                 return Ok(Some(batch));
@@ -193,6 +191,33 @@ mod tests {
 
         // The closed segment, read to its end by a fresh reader, is the same.
         assert_eq!(replayed_sequences(&env, path, 1), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_bad_record_inside_the_limit_is_an_error_and_past_the_end_is_a_tail() {
+        let env = MemEnv::new();
+        let path = Path::new("/wal/000014.log");
+        write_segment(
+            &env,
+            path,
+            &[batch(1, &[b"a"]), batch(2, &[b"b"]), batch(3, &[b"c"])],
+        );
+        let len = env.file_size(path).unwrap();
+        // Flip a payload byte of the second record.
+        let mut bytes = env.read_file_to_vec(path).unwrap();
+        let second = bytes.len() / 3 + crate::HEADER_SIZE + 2;
+        bytes[second] ^= 0x40;
+        let mut file = env.new_writable_file(path).unwrap();
+        file.append(&bytes).unwrap();
+        file.close().unwrap();
+
+        // Read as a closed segment it ends at the damage, as recovery would.
+        assert_eq!(replayed_sequences(&env, path, 1), vec![1]);
+        // Read under a limit that covers the record, the damage is reported.
+        let mut replay = SegmentReplay::new(env.new_sequential_file(path).unwrap(), 1);
+        replay.set_limit(len);
+        assert_eq!(replay.next_batch().unwrap().unwrap().sequence(), 1);
+        assert!(replay.next_batch().is_err());
     }
 
     #[test]

@@ -236,11 +236,8 @@ fn allocations_per_put(db: &dyn KvStore) -> u64 {
 #[test]
 fn put_allocations_are_the_same_through_store_and_handle() {
     /// What one `put` allocates, on either engine: the batch, its queue
-    /// ticket, the write group's vectors, the leader's maps. It was 11 while
-    /// every group also copied its batches into an in-memory commit tail for
-    /// change streams (a vector of them, and per batch a copy of its bytes
-    /// in an `Arc`); pinned exactly, so that the next allocation to creep in
-    /// shows.
+    /// ticket, the write group's vectors, the leader's maps. Pinned exactly,
+    /// so that the next allocation to creep in shows.
     const ALLOCATIONS_PER_PUT: u64 = 8;
 
     let env = || -> Arc<dyn Env> { Arc::new(MemEnv::new()) };

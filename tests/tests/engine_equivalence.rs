@@ -524,15 +524,9 @@ fn every_db_facade_serves_the_same_derived_views() {
         assert_eq!(a.get(b"key001").unwrap(), Some(b"value1".to_vec()));
     }
 
-    // The read half again, through a follower of a scripted leader. It
-    // attaches after the script's flush closed the WAL segment the script
-    // wrote (one rotation per family frozen), so the leader is told to keep
-    // its closed segments for it.
+    // The read half again, through a follower of a scripted leader.
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-    let mut retaining = StoreOptions::default();
-    retaining.cdc_wal_retain_segments = 8;
-    let leader = PebblesDb::open_with_options(env, Path::new("/leader"), retaining).unwrap();
-    let leader: Arc<dyn Db> = Arc::new(leader);
+    let leader: Arc<dyn Db> = Arc::new(PebblesDb::open(env, Path::new("/leader")).unwrap());
     let server = Server::start(Arc::clone(&leader), ServerConfig::default()).unwrap();
     run_facade_script(leader.as_ref());
     let config = FollowerConfig {

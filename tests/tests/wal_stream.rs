@@ -2,9 +2,10 @@
 //! to their end, the live one up to the frontier the commit leader
 //! publishes — so these tests hold the live segment to what a stream needs
 //! of it: every committed batch exactly once and in commit order beside a
-//! running writer and across rotations, nothing of a failed group, a wake-up
-//! for every commit, and (on a real disk) acknowledged bytes that have left
-//! the process.
+//! running writer and across rotations (in memory and on a real disk),
+//! nothing of a failed group, an error and never a gap where committed bytes
+//! went bad, a wake-up for every commit, the recent past still there after a
+//! flush, and (on a real disk) acknowledged bytes that have left the process.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -34,21 +35,22 @@ fn apply_event(event: &ChangeEvent, model: &mut Model) {
     }
 }
 
-/// Reads `stream` until it has delivered through `target_seq`. Returns the
-/// events and how often the stream reported the frontier on the way.
+/// Reads `stream` until it has delivered through `target_seq`, counting in
+/// `idles` how often it found itself at the frontier on the way.
 fn follow(
     stream: &mut dyn ChangeStream,
     target_seq: impl Fn() -> Option<u64>,
-) -> (Vec<ChangeEvent>, u64) {
-    let (mut events, mut idles) = (Vec::new(), 0u64);
+    idles: &AtomicU64,
+) -> Vec<ChangeEvent> {
+    let mut events = Vec::new();
     let deadline = Instant::now() + WAIT;
     loop {
         if target_seq().is_some_and(|target| stream.cursor() > target) {
-            return (events, idles);
+            return events;
         }
         match stream.next_event(Duration::from_millis(1)).unwrap() {
             Some(event) => events.push(event),
-            None => idles += 1,
+            None => _ = idles.fetch_add(1, Ordering::SeqCst),
         }
         assert!(Instant::now() < deadline, "stalled at {}", stream.cursor());
     }
@@ -86,10 +88,15 @@ fn streams_beside_a_writer_deliver_every_batch_once_across_rotations() {
     let (mid_tx, mid_rx) = mpsc::channel::<u64>();
     // The last sequence the writer commits; 0 until it is done.
     let final_seq = Arc::new(AtomicU64::new(0));
+    // How often the reader from the start has reached the frontier. The
+    // writer lets it get there before every rotation, so each segment is
+    // read while live (and stopped in mid-block) however the threads run.
+    let idles = Arc::new(AtomicU64::new(0));
     let done =
         |final_seq: &AtomicU64| Some(final_seq.load(Ordering::Acquire)).filter(|seq| *seq > 0);
     let writer = {
         let (db, final_seq) = (Arc::clone(&db), Arc::clone(&final_seq));
+        let idles = Arc::clone(&idles);
         std::thread::spawn(move || {
             for op in 0..OPS {
                 let key = format!("key{:04}", op.wrapping_mul(2_654_435_761) % 400).into_bytes();
@@ -112,6 +119,12 @@ fn streams_beside_a_writer_deliver_every_batch_once_across_rotations() {
                 }
                 db.write(batch).unwrap();
                 if op % ROTATE_EVERY == ROTATE_EVERY - 1 {
+                    let before = idles.load(Ordering::SeqCst);
+                    let deadline = Instant::now() + WAIT;
+                    while idles.load(Ordering::SeqCst) == before {
+                        assert!(Instant::now() < deadline, "the reader never caught up");
+                        std::thread::yield_now();
+                    }
                     KvStore::flush(db.as_ref()).unwrap(); // closes the live segment
                 }
                 if op == OPS / 2 {
@@ -127,15 +140,15 @@ fn streams_beside_a_writer_deliver_every_batch_once_across_rotations() {
             // A cursor inside a segment two rotations closed.
             let from_seq = mid_rx.recv().unwrap() / 3;
             let mut stream = db.stream(from_seq).unwrap();
-            let (events, _) = follow(stream.as_mut(), || done(&final_seq));
+            let events = follow(stream.as_mut(), || done(&final_seq), &AtomicU64::new(0));
             (from_seq, events)
         })
     };
-    let (events, idles) = follow(from_start.as_mut(), || done(&final_seq));
+    let events = follow(from_start.as_mut(), || done(&final_seq), &idles);
     writer.join().unwrap();
     let (mid_seq, mid_events) = from_mid.join().unwrap();
 
-    assert!(idles > 0, "the reader never caught the writer up");
+    assert!(idles.load(Ordering::SeqCst) >= (OPS / ROTATE_EVERY) as u64);
     assert_dense(&events, 1);
     assert_eq!(events.last().unwrap().last_seq, db.committed_sequence());
     assert_eq!(from_start.backlog(), 0);
@@ -237,6 +250,131 @@ fn a_stream_at_the_frontier_wakes_for_a_commit_and_survives_the_rotation() {
         .is_none());
 }
 
+#[test]
+fn recent_history_outlives_a_flush_and_older_history_is_truncated() {
+    // Default options, no stream open while writing: each flush closes a
+    // segment, and the newest closed one that holds history stays on disk.
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let db = PebblesDb::open(env, Path::new("/recent")).unwrap();
+    let users = db.create_cf("users").unwrap();
+    let mut round_ends = Vec::new();
+    for round in 0..3u32 {
+        for i in 0..10u32 {
+            db.put(format!("r{round}k{i}").as_bytes(), b"v").unwrap();
+            users.put(format!("r{round}u{i}").as_bytes(), b"v").unwrap();
+        }
+        // Two families freeze, so this rotates twice: the segment closed
+        // last is empty and must not push the round's history out.
+        KvStore::flush(&db).unwrap();
+        round_ends.push(db.committed_sequence());
+    }
+    db.put(b"live", b"v").unwrap();
+
+    // The last round and the live segment are served ...
+    let mut recent = db.stream(round_ends[1] + 1).unwrap();
+    let target = db.committed_sequence();
+    let events = follow(recent.as_mut(), || Some(target), &AtomicU64::new(0));
+    assert_dense(&events, round_ends[1] + 1);
+    assert_eq!(events.last().unwrap().last_seq, target);
+    // ... and what came before is an explicit truncation at the boundary,
+    // for a new stream and a follower alike.
+    for from_seq in [1, round_ends[1]] {
+        let Err(err) = db.stream(from_seq) else {
+            panic!("history at {from_seq} was reclaimed two flushes ago");
+        };
+        assert!(err.is_sequence_truncated(), "unexpected error: {err}");
+        assert!(
+            err.to_string().contains(&round_ends[1].to_string()),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn damage_inside_the_frontier_is_an_error_on_every_call_never_a_gap() {
+    let mem = Arc::new(MemEnv::new());
+    let env: Arc<dyn Env> = Arc::clone(&mem) as Arc<dyn Env>;
+    let db = PebblesDb::open(env, Path::new("/damaged")).unwrap();
+    for i in 0..3u32 {
+        db.put(format!("key{i}").as_bytes(), b"value").unwrap();
+    }
+    // Flip a byte of the second record in the live segment, the way a bad
+    // sector would: the frontier still covers all three.
+    let live = mem
+        .children(Path::new("/damaged"))
+        .unwrap()
+        .into_iter()
+        .filter(|name| name.ends_with(".log"))
+        .max()
+        .unwrap();
+    let path = Path::new("/damaged").join(live);
+    let mut bytes = mem.read_file_to_vec(&path).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0x40;
+    let mut file = mem.new_writable_file(&path).unwrap();
+    file.append(&bytes).unwrap();
+    file.close().unwrap();
+
+    let mut stream = db.stream(1).unwrap();
+    assert_eq!(stream.next_event(WAIT).unwrap().unwrap().last_seq, 1);
+    for _ in 0..3 {
+        assert!(stream.next_event(Duration::from_millis(10)).is_err());
+        assert_eq!(
+            stream.cursor(),
+            2,
+            "the third batch is not delivered past it"
+        );
+    }
+}
+
+/// A unique, emptied directory under the system's temporary one.
+fn temp_root(name: &str) -> std::path::PathBuf {
+    let root = std::env::temp_dir().join(format!("pebbles-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    root
+}
+
+#[test]
+fn a_stream_follows_a_writer_across_rotations_on_a_real_disk() {
+    let root = temp_root("wal-follow");
+    let mut options = StoreOptions::default();
+    options.write_buffer_size = 32 << 10;
+    let env: Arc<dyn Env> = Arc::new(DiskEnv::new());
+    let db = Arc::new(PebblesDb::open_with_options(env, &root, options).unwrap());
+    let mut stream = db.stream(1).unwrap();
+
+    // Non-sync puts: what the stream reads of the live file is what each
+    // group flushed out of the writer's buffer before publishing it.
+    let done = Arc::new(AtomicU64::new(0));
+    let writer = {
+        let (db, done) = (Arc::clone(&db), Arc::clone(&done));
+        std::thread::spawn(move || {
+            for i in 0..3000u32 {
+                db.put(format!("key{i:05}").as_bytes(), &[b'v'; 64])
+                    .unwrap();
+            }
+            done.store(db.committed_sequence(), Ordering::SeqCst);
+        })
+    };
+    let finished = || Some(done.load(Ordering::SeqCst)).filter(|&seq| seq > 0);
+    let events = follow(stream.as_mut(), finished, &AtomicU64::new(0));
+    writer.join().unwrap();
+    assert_dense(&events, 1);
+    assert_eq!(events.last().unwrap().last_seq, 3000);
+    let mut model = Model::new();
+    events
+        .iter()
+        .for_each(|event| apply_event(event, &mut model));
+    assert_eq!(model.len(), 3000);
+    assert!(
+        db.stats().flushes >= 3,
+        "3000 x 64-byte values rotate a 32 KiB buffer several times"
+    );
+
+    drop((stream, db));
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 fn copy_dir(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).unwrap();
     for entry in std::fs::read_dir(from).unwrap() {
@@ -255,8 +393,7 @@ fn copy_dir(from: &Path, to: &Path) {
 /// the operating system by then, which a copy of the directory sees.
 #[test]
 fn an_acknowledged_non_sync_put_has_left_the_process_on_a_real_disk() {
-    let root = std::env::temp_dir().join(format!("pebbles-wal-flush-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = temp_root("wal-flush");
     let (live, copy) = (root.join("live"), root.join("copy"));
     let env: Arc<dyn Env> = Arc::new(DiskEnv::new());
     let db = PebblesDb::open(Arc::clone(&env), &live).unwrap();
