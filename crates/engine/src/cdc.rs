@@ -84,7 +84,7 @@ pub struct ChangeLog {
 
 impl ChangeLog {
     /// Bootstraps the log at open time. `births` covers every WAL segment
-    /// found on disk plus the fresh one; `current_log` is the fresh, still
+    /// recovery left on disk plus the fresh one; `current_log` is the fresh, still
     /// empty segment; `last_sequence` is the recovered frontier. Everything
     /// earlier is in the surviving closed segments, bounded below by the
     /// oldest one.
@@ -205,13 +205,9 @@ impl ChangeLog {
                 floor = floor.min(segment_floor_for(&inner.births, live, seq));
             }
         } else {
-            let closed: Vec<u64> = inner.births.range(..live).map(|(&log, _)| log).collect();
-            let window_floor = if closed.len() <= self.retain_segments {
-                closed.first().copied().unwrap_or(floor)
-            } else {
-                closed[closed.len() - self.retain_segments]
-            };
-            floor = floor.min(window_floor);
+            // The Nth newest closed segment, or the oldest of fewer.
+            let closed = inner.births.range(..live).rev().map(|(&log, _)| log);
+            floor = floor.min(closed.take(self.retain_segments).last().unwrap_or(floor));
         }
         // Segments below the floor are about to disappear; record what that
         // makes unreadable. The oldest *surviving* segment's birth is the

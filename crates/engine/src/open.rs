@@ -189,9 +189,8 @@ fn recover_wals<P: ShapePolicy>(
             .default_cf_mut()
             .versions
             .mark_file_number_used(number);
-        let file = io
-            .env
-            .new_sequential_file(&log_file_name(&io.db_path, number))?;
+        let path = log_file_name(&io.db_path, number);
+        let file = io.env.new_sequential_file(&path)?;
         // Every batch (`from_seq` 0), through the reader change streams
         // use; a clean end or a torn tail both end replay of this log.
         let mut replay = SegmentReplay::new(file, 0);
@@ -223,10 +222,14 @@ fn recover_wals<P: ShapePolicy>(
             let limit = io.options.write_buffer_size;
             flush_recovered(state, |mem| mem.approximate_memory_usage() > limit)?;
         }
-        // A log with no readable batches (rotated then never written, or a
-        // tail torn at its very first record) still needs a birth so the
-        // change log can account for it.
-        births.entry(number).or_insert(running_max);
+        // A log with no readable batches (rotated or opened and never
+        // written, or torn at its very first record) holds nothing to
+        // recover or to stream: it goes now, so that idle reopens do not
+        // pile empty segments up behind the retained history — or, if it
+        // cannot, gets a birth so the change log accounts for it.
+        if !births.contains_key(&number) && io.env.remove_file(&path).is_err() {
+            births.insert(number, running_max);
+        }
     }
     flush_recovered(state, |mem| !mem.is_empty())?;
     Ok(births)

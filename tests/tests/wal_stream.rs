@@ -276,17 +276,45 @@ fn recent_history_outlives_a_flush_and_older_history_is_truncated() {
     let events = follow(recent.as_mut(), || Some(target), &AtomicU64::new(0));
     assert_dense(&events, round_ends[1] + 1);
     assert_eq!(events.last().unwrap().last_seq, target);
-    // ... and what came before is an explicit truncation at the boundary,
-    // for a new stream and a follower alike.
+    // ... and what came before is an explicit truncation that names the
+    // boundary, from the first sequence to the last one before it.
     for from_seq in [1, round_ends[1]] {
         let Err(err) = db.stream(from_seq) else {
-            panic!("history at {from_seq} was reclaimed two flushes ago");
+            panic!("history at {from_seq} is in a reclaimed segment");
         };
         assert!(err.is_sequence_truncated(), "unexpected error: {err}");
         assert!(
             err.to_string().contains(&round_ends[1].to_string()),
             "{err}"
         );
+    }
+}
+
+#[test]
+fn idle_reopens_keep_the_retained_history_and_pile_up_no_segments() {
+    let mem = Arc::new(MemEnv::new());
+    let open = || {
+        let env: Arc<dyn Env> = Arc::clone(&mem) as Arc<dyn Env>;
+        PebblesDb::open(env, Path::new("/idle")).unwrap()
+    };
+    let db = open();
+    for i in 0..10u32 {
+        db.put(format!("flushed{i}").as_bytes(), b"v").unwrap();
+    }
+    KvStore::flush(&db).unwrap();
+    db.put(b"last", b"v").unwrap(); // sequence 11, alone in the live segment
+    drop(db);
+
+    // Every open starts a fresh segment. The one that holds sequence 11
+    // stays behind it as the recent past; the empty ones in between go.
+    for reopen in 1..=4 {
+        let db = open();
+        let segments = mem.children(Path::new("/idle")).unwrap();
+        let segments = segments.iter().filter(|name| name.ends_with(".log"));
+        assert_eq!(segments.count(), 2, "after reopen {reopen}");
+        let mut stream = db.stream(11).unwrap();
+        assert_eq!(stream.next_event(WAIT).unwrap().unwrap().last_seq, 11);
+        assert!(db.stream(10).is_err_and(|err| err.is_sequence_truncated()));
     }
 }
 
