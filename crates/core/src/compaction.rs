@@ -8,7 +8,8 @@
 //! level's guards. The two exceptions from the paper are implemented too:
 //! the last level rewrites in place (there is nowhere left to push data), and
 //! the second-to-last level may rewrite in place when pushing down would set
-//! up a much more expensive last-level merge.
+//! up a much more expensive last-level merge. One more is this repo's: a
+//! seek-triggered merge rewrites in place over guards that are not empty.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -18,7 +19,7 @@ use pebblesdb_common::StoreOptions;
 use pebblesdb_engine::meta::user_key_range;
 use pebblesdb_engine::{CompactionJob, FileMetaData, MergeSpec};
 
-use crate::guards::GuardMeta;
+use crate::guards::{GuardMeta, UncommittedGuards};
 use crate::version::{CompactionReason, FlsmVersion};
 
 /// A last-level merge that would cost this many times more IO than its
@@ -185,9 +186,8 @@ fn select_seek_inputs(
 /// inputs are entire guards (or all of level 0); nothing already in the
 /// output level is among them.
 ///
-/// `uncommitted_output_guards` are the pending guard keys for the output
-/// level; they become part of the partition key set and are committed by the
-/// job. `claimed` holds the file numbers of every in-flight job's inputs —
+/// The `uncommitted_guards` of the output level become part of the partition
+/// key set and are committed by the job. `claimed` holds the file numbers of every in-flight job's inputs —
 /// the new job's inputs never intersect it, which is what keeps concurrent
 /// workers on disjoint guard subsets. `split` is the worker-pool size used
 /// to chunk a level's eligible guards across jobs. Returns `None` when every
@@ -198,7 +198,7 @@ pub fn build_compaction_job(
     options: &StoreOptions,
     level: usize,
     reason: CompactionReason,
-    uncommitted_output_guards: Vec<Vec<u8>>,
+    uncommitted_guards: &UncommittedGuards,
     smallest_snapshot: SequenceNumber,
     claimed: &BTreeSet<u64>,
     split: usize,
@@ -232,48 +232,51 @@ pub fn build_compaction_job(
     }
     let input_bytes: u64 = inputs.iter().map(|f| f.file_size).sum();
 
-    // Decide the output level.
-    let mut output_level = if level == last_level {
-        level
-    } else {
-        level + 1
+    // The output is appended to the next level unless the job rewrites its
+    // guards in place; `landing` are the guards it would be appended to.
+    let (smallest, largest) = user_key_range(&inputs);
+    let range = (Some(smallest.as_slice()), Some(largest.as_slice()));
+    let occupied = |guard: &&GuardMeta| {
+        let mut files = guard.files.iter();
+        files.any(|f| f.overlaps_user_range(range.0, range.1))
     };
-
-    // The paper's second-highest-level heuristic: if appending to the last
-    // level would land in guards that are already full and much larger than
-    // the input, rewrite within this level instead of setting up a huge
-    // last-level merge.
-    if level + 1 == last_level && level > 0 {
-        let (smallest, largest) = user_key_range(&inputs);
-        let dest = &version.levels[last_level];
-        let mut dest_bytes = 0u64;
-        let mut dest_full = false;
-        for guard in dest.guards() {
-            let overlaps = guard.files.iter().any(|f| {
-                f.smallest.user_key() <= largest.as_slice()
-                    && smallest.as_slice() <= f.largest.user_key()
-            });
-            if overlaps {
+    let landing = || version.levels[level + 1].guards().iter().filter(occupied);
+    let in_place = match reason {
+        _ if level == 0 => false,
+        _ if level == last_level => true,
+        // A seek-triggered merge exists to leave a cursor fewer sstables to
+        // visit. Appended to guards that hold sstables it leaves those
+        // overlapping instead, which arms the same merge one level down — of
+        // this data and of what rested there — and so on to the first empty
+        // level. So it descends into empty guards only, and otherwise
+        // collapses its own: what overlaps is rewritten once, not per level.
+        CompactionReason::SeekTriggered => landing().next().is_some(),
+        // The paper's second-highest-level heuristic: if appending to the
+        // last level would land in guards that are already full and much
+        // larger than the input, rewrite within this level instead of
+        // setting up a huge last-level merge.
+        _ if level + 1 == last_level => {
+            let (mut dest_bytes, mut dest_full) = (0u64, false);
+            for guard in landing() {
                 dest_bytes += guard.total_bytes();
-                if guard.files.len() >= options.max_sstables_per_guard {
-                    dest_full = true;
-                }
+                dest_full |= guard.files.len() >= options.max_sstables_per_guard;
             }
+            dest_full && dest_bytes > (LAST_LEVEL_MERGE_IO_FACTOR * input_bytes as f64) as u64
         }
-        if dest_full && dest_bytes > (LAST_LEVEL_MERGE_IO_FACTOR * input_bytes as f64) as u64 {
-            output_level = level;
-        }
-    }
+        _ => false,
+    };
+    let output_level = if in_place { level } else { level + 1 };
 
     // Partition keys: the output level's committed guards plus its pending
     // (uncommitted) guards, which this compaction will commit.
     let mut partition_keys = version.levels[output_level].guard_keys();
-    let guards_to_commit: Vec<Vec<u8>> = if output_level > level || level == 0 {
-        uncommitted_output_guards
-    } else {
+    let guards_to_commit: Vec<Vec<u8>> = if in_place {
         // In-place rewrites keep the existing guard structure; committing new
         // guards here would require splitting files we are not reading.
         Vec::new()
+    } else {
+        let pending = uncommitted_guards.for_level(output_level);
+        pending.iter().cloned().collect()
     };
     partition_keys.extend(guards_to_commit.iter().cloned());
     partition_keys.sort();
@@ -390,7 +393,7 @@ mod tests {
             &options,
             0,
             CompactionReason::Level0Files,
-            vec![],
+            &UncommittedGuards::new(options.max_levels),
             1_000,
             &BTreeSet::new(),
             1,
@@ -439,7 +442,7 @@ mod tests {
             &options,
             0,
             CompactionReason::Level0Files,
-            vec![],
+            &UncommittedGuards::new(options.max_levels),
             1_000,
             &BTreeSet::new(),
             1,
@@ -510,7 +513,7 @@ mod tests {
             &options,
             last,
             CompactionReason::GuardFanout,
-            vec![],
+            &UncommittedGuards::new(options.max_levels),
             1_000,
             &BTreeSet::new(),
             1,
@@ -520,6 +523,68 @@ mod tests {
         assert!(job.spec.drop_tombstones);
         // The whole level is in the inputs, so every partition is coverable.
         assert!(job.full_partitions.iter().all(|full| *full));
+    }
+
+    /// A seek-triggered merge descends only into guards that hold nothing;
+    /// over occupied ones it collapses its guards where they are, partitioned
+    /// by their own level's guards and committing none. A size-triggered job
+    /// over the same tree still appends to the next level.
+    #[test]
+    fn seek_triggered_jobs_descend_into_empty_guards_only() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let db = PathBuf::from("/flsm-seek");
+        env.create_dir_all(&db).unwrap();
+        let options = StoreOptions::default();
+
+        // Level 1: guard "m" holds two overlapping sstables, the sentinel two
+        // more. Level 2 holds one sstable, under "m" only.
+        let mut edit = VersionEdit::default();
+        edit.new_guards.push((1, b"m".to_vec()));
+        for (number, level, keys) in [
+            (60, 1, [("a", 1), ("c", 2)]),
+            (61, 1, [("b", 3), ("d", 4)]),
+            (62, 1, [("m", 5), ("p", 6)]),
+            (63, 1, [("n", 7), ("q", 8)]),
+            (64, 2, [("o", 1), ("r", 1)]),
+        ] {
+            let file = write_table(&env, &db, &options, number, &keys);
+            edit.new_files.push((level, file));
+        }
+        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
+        let mut pending = UncommittedGuards::new(4);
+        pending.add(2, b"n");
+        let job = |reason, claimed: &[u64]| {
+            build_compaction_job(
+                &version,
+                &options,
+                1,
+                reason,
+                &pending,
+                1_000,
+                &claimed.iter().copied().collect(),
+                1,
+            )
+            .unwrap()
+        };
+        let numbers = |job: &CompactionJob| job.input_numbers().collect::<BTreeSet<u64>>();
+
+        // Under the sentinel level 2 is empty: its sstables go down.
+        let down = job(CompactionReason::SeekTriggered, &[62, 63]);
+        assert_eq!(numbers(&down), BTreeSet::from([60, 61]));
+        assert_eq!(down.spec.output_level, 2);
+        assert_eq!(down.guards_to_commit, vec![b"n".to_vec()]);
+
+        // Under "m" it is not: they are merged within level 1.
+        let stays = job(CompactionReason::SeekTriggered, &[60, 61]);
+        assert_eq!(numbers(&stays), BTreeSet::from([62, 63]));
+        assert_eq!(stays.spec.output_level, 1);
+        assert_eq!(stays.partition_keys, vec![b"m".to_vec()]);
+        assert!(stays.guards_to_commit.is_empty());
+        assert!(!stays.spec.drop_tombstones);
+
+        let sized = job(CompactionReason::GuardFanout, &[60, 61]);
+        assert_eq!(numbers(&sized), BTreeSet::from([62, 63]));
+        assert_eq!(sized.spec.output_level, 2);
     }
 
     #[test]
@@ -550,7 +615,7 @@ mod tests {
             &options,
             1,
             CompactionReason::GuardFanout,
-            vec![],
+            &UncommittedGuards::new(options.max_levels),
             1_000,
             &claimed,
             2,
@@ -563,7 +628,7 @@ mod tests {
             &options,
             1,
             CompactionReason::GuardFanout,
-            vec![],
+            &UncommittedGuards::new(options.max_levels),
             1_000,
             &claimed,
             2,
@@ -581,7 +646,7 @@ mod tests {
             &options,
             1,
             CompactionReason::GuardFanout,
-            vec![],
+            &UncommittedGuards::new(options.max_levels),
             1_000,
             &claimed,
             2,
@@ -608,7 +673,7 @@ mod tests {
             &options,
             0,
             CompactionReason::Level0Files,
-            vec![],
+            &UncommittedGuards::new(options.max_levels),
             1_000,
             &claimed,
             4,
@@ -680,7 +745,7 @@ mod tests {
             &options,
             last,
             CompactionReason::GuardFanout,
-            vec![],
+            &UncommittedGuards::new(options.max_levels),
             1_000, // every sequence is below the snapshot floor
             &BTreeSet::new(),
             1,

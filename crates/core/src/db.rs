@@ -167,24 +167,12 @@ impl ShapePolicy for FlsmPolicy {
         }
 
         for (level, reason) in candidates {
-            let output_level = if level + 1 < self.options.max_levels {
-                level + 1
-            } else {
-                level
-            };
-            let pending_guards: Vec<Vec<u8>> = ctx
-                .state
-                .uncommitted_guards
-                .for_level(output_level)
-                .iter()
-                .cloned()
-                .collect();
             let job = build_compaction_job(
                 version,
                 &self.options,
                 level,
                 reason,
-                pending_guards,
+                &ctx.state.uncommitted_guards,
                 ctx.smallest_snapshot,
                 ctx.claimed_inputs,
                 split,
