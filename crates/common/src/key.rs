@@ -9,7 +9,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use crate::coding::{decode_fixed64, put_fixed64};
+use crate::coding::{decode_fixed64, put_fixed64, put_varint32};
 
 /// Monotonically increasing version number assigned to every write.
 pub type SequenceNumber = u64;
@@ -215,34 +215,46 @@ impl Ord for InternalKey {
 /// A lookup key: the internal key used as a seek target for a `get()`.
 ///
 /// Positions at or before every record for `user_key` visible at `snapshot`.
+/// Built once per `get` and read two ways, as in LevelDB: the memtables seek
+/// with the framed form, the sstables with the bare internal key inside it.
 #[derive(Debug, Clone)]
 pub struct LookupKey {
-    internal_key: Vec<u8>,
-    user_key_len: usize,
+    /// `varint32(internal key length) | user key | 8-byte trailer | 0` — a
+    /// memtable entry with an empty value.
+    framed: Vec<u8>,
+    /// Where the internal key starts.
+    start: usize,
 }
 
 impl LookupKey {
     /// Creates a lookup key for `user_key` at `snapshot`.
     pub fn new(user_key: &[u8], snapshot: SequenceNumber) -> Self {
-        LookupKey {
-            internal_key: encode_internal_key(user_key, snapshot, VALUE_TYPE_FOR_SEEK),
-            user_key_len: user_key.len(),
-        }
+        let mut framed = Vec::with_capacity(user_key.len() + 14);
+        put_varint32(&mut framed, user_key.len() as u32 + 8);
+        let start = framed.len();
+        append_internal_key(&mut framed, user_key, snapshot, VALUE_TYPE_FOR_SEEK);
+        framed.push(0);
+        LookupKey { framed, start }
+    }
+
+    /// The seek target in a memtable's entry encoding.
+    pub fn memtable_key(&self) -> &[u8] {
+        &self.framed
     }
 
     /// The encoded internal key to seek with.
     pub fn internal_key(&self) -> &[u8] {
-        &self.internal_key
+        &self.framed[self.start..self.framed.len() - 1]
     }
 
     /// The raw user key.
     pub fn user_key(&self) -> &[u8] {
-        &self.internal_key[..self.user_key_len]
+        &self.framed[self.start..self.framed.len() - 9]
     }
 
     /// The snapshot sequence number of this lookup.
     pub fn sequence(&self) -> SequenceNumber {
-        decode_fixed64(&self.internal_key[self.user_key_len..]) >> 8
+        decode_fixed64(&self.framed[self.framed.len() - 9..]) >> 8
     }
 }
 

@@ -104,7 +104,10 @@ pub struct StoreOptions {
     pub block_size: usize,
     /// Capacity (bytes) of the block cache shared by all sstables.
     pub block_cache_capacity: usize,
-    /// Number of open sstable readers kept in the table cache.
+    /// Open sstable readers a family keeps beyond those its live cursors
+    /// and compaction jobs hold (a file descriptor each on a real disk).
+    /// A live sstable carries its reader; past this budget the table cache
+    /// closes the ones not probed since its last sweep.
     pub max_open_files: usize,
     /// Bits per key for the sstable-level bloom filter (0 disables filters).
     pub bloom_bits_per_key: usize,

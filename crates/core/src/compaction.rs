@@ -763,10 +763,10 @@ mod tests {
         // older value it shadows are both dropped for good.
         let outputs = merge_to_tables(&io, &job).unwrap();
         for meta in &outputs {
-            let mut iter = io
+            let table = io
                 .table_cache
-                .iter(&ReadOptions::default(), meta.number, meta.file_size)
-                .unwrap();
+                .table(&meta.table, meta.number, meta.file_size);
+            let mut iter = table.unwrap().iter(&ReadOptions::default());
             iter.seek_to_first();
             while iter.valid() {
                 let parsed = parse_internal_key(iter.key()).unwrap();
@@ -814,10 +814,10 @@ mod tests {
         let outputs = merge_to_tables(&io, &job).unwrap();
         let mut survived_tombstone = false;
         for meta in &outputs {
-            let mut iter = io
+            let table = io
                 .table_cache
-                .iter(&ReadOptions::default(), meta.number, meta.file_size)
-                .unwrap();
+                .table(&meta.table, meta.number, meta.file_size);
+            let mut iter = table.unwrap().iter(&ReadOptions::default());
             iter.seek_to_first();
             while iter.valid() {
                 let parsed = parse_internal_key(iter.key()).unwrap();

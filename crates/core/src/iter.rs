@@ -400,6 +400,17 @@ mod tests {
     /// deleted and absent keys at random snapshots.
     #[test]
     fn random_levels_of_both_shapes_match_a_flat_sorted_oracle() {
+        random_levels_match_a_flat_sorted_oracle(16);
+    }
+
+    /// The same with one open reader allowed: every table a merge or a
+    /// probe moves on from is swept while cursors still stand in it.
+    #[test]
+    fn random_levels_match_the_oracle_with_one_open_reader() {
+        random_levels_match_a_flat_sorted_oracle(1);
+    }
+
+    fn random_levels_match_a_flat_sorted_oracle(max_open_files: usize) {
         const KEYS: u32 = 120;
         let user_key = |k: u32| format!("k{k:03}");
         let (mut max_span, mut empty_guards, mut straddled_keys) = (0, 0, 0);
@@ -473,7 +484,8 @@ mod tests {
             }
             let run = Arc::new(Version::empty(2).apply(&run).unwrap());
 
-            let cache = Arc::new(TableCache::new(Arc::clone(&env), db, options, 16));
+            let cache = TableCache::new(Arc::clone(&env), db, options, max_open_files);
+            let cache = Arc::new(cache);
             let mut guard_shaped = level1_cursor(&version, &cache);
             let mut file_shaped = level1_cursor(&run, &cache);
             let limits = (KEYS, sequence);
@@ -500,6 +512,7 @@ mod tests {
                 outcomes[0][check_get_against_seek(&version, &cache, &key, snapshot, &what)] += 1;
                 outcomes[1][check_get_against_seek(&run, &cache, &key, snapshot, &what)] += 1;
             }
+            assert!(cache.open_tables() <= max_open_files, "seed {seed}");
         }
         assert_eq!(
             outcomes[0], outcomes[1],

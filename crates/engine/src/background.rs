@@ -288,7 +288,9 @@ impl<P: ShapePolicy> EngineCore<P> {
     /// family's flushed state covers it **and** no change-stream cursor (or
     /// the follower-restart retention window) still needs it — the change
     /// log turns segments a cursor can no longer reach into an explicit
-    /// `SequenceTruncated`, never a silently unreadable gap.
+    /// `SequenceTruncated`, never a silently unreadable gap. A deleted
+    /// table's reader needs no eviction: it sits on the file's metadata and
+    /// goes with the last version (or finishing job) that holds it.
     pub fn remove_obsolete_files(&self, state: &mut MutexGuard<'_, EngineState<P>>) {
         let min_log = self.change_log.wal_reclaim_floor(state.min_log_number());
         let current_log = state.log_file_number;
@@ -329,9 +331,6 @@ impl<P: ShapePolicy> EngineCore<P> {
                     FileType::Current | FileType::Lock | FileType::BtreePages => true,
                 };
                 if !keep {
-                    if ty == FileType::Table {
-                        cf.io.table_cache.evict(number);
-                    }
                     if cf.io.env.remove_file(&cf.io.db_path.join(&name)).is_err() {
                         // The file is obsolete in every version, so a failed
                         // delete leaks space, not correctness; the next GC

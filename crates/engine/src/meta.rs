@@ -4,10 +4,10 @@
 //! version and the sorted-run LSM version reference tables through it, so it
 //! lives in the chassis crate rather than in either engine.
 
-use std::sync::atomic::{AtomicI64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use pebblesdb_common::key::InternalKey;
+use pebblesdb_sstable::TableSlot;
 
 /// Metadata describing one live sstable.
 #[derive(Debug)]
@@ -20,23 +20,20 @@ pub struct FileMetaData {
     pub smallest: InternalKey,
     /// Largest internal key stored in the file.
     pub largest: InternalKey,
-    /// Seeks allowed before the file becomes a compaction candidate
-    /// (LevelDB-style seek compaction).
-    pub allowed_seeks: AtomicI64,
+    /// The file's open reader, filled and bounded by the family's
+    /// `TableCache`; it lives exactly as long as a version names the file.
+    pub table: Arc<TableSlot>,
 }
 
 impl FileMetaData {
     /// Creates metadata for a new file.
     pub fn new(number: u64, file_size: u64, smallest: InternalKey, largest: InternalKey) -> Self {
-        // One seek is "worth" roughly 16 KiB of compaction IO (LevelDB
-        // heuristic): larger files tolerate more seeks before compaction.
-        let allowed = ((file_size / 16384).max(100)) as i64;
         FileMetaData {
             number,
             file_size,
             smallest,
             largest,
-            allowed_seeks: AtomicI64::new(allowed),
+            table: Arc::default(),
         }
     }
 
@@ -56,11 +53,6 @@ impl FileMetaData {
             }
         }
         true
-    }
-
-    /// Decrements the seek allowance, returning `true` when it hits zero.
-    pub fn record_seek(&self) -> bool {
-        self.allowed_seeks.fetch_sub(1, AtomicOrdering::Relaxed) == 1
     }
 }
 
@@ -123,17 +115,5 @@ mod tests {
         assert!(file.overlaps_user_range(Some(b"m"), None));
         assert!(!file.overlaps_user_range(Some(b"n"), None));
         assert!(!file.overlaps_user_range(None, Some(b"b")));
-    }
-
-    #[test]
-    fn seek_allowance_fires_once() {
-        let file = meta("a", "b");
-        let mut fired = 0;
-        for _ in 0..200 {
-            if file.record_seek() {
-                fired += 1;
-            }
-        }
-        assert_eq!(fired, 1);
     }
 }

@@ -23,13 +23,21 @@ use pebblesdb_common::key::{
 use pebblesdb_common::vlog::{LookupValue, ValuePointer};
 use pebblesdb_common::{Error, ReadOptions, Result};
 use pebblesdb_sstable::table::TableIterator;
-use pebblesdb_sstable::{TableBuilder, TableCache};
+use pebblesdb_sstable::{Table, TableBuilder, TableCache};
 
 use crate::meta::FileMetaData;
 use crate::policy::{CompactionJob, EngineIo};
 use crate::version_set::{LevelRow, VersionShape};
 
 // ------------------------------------------------------------- point probes
+
+/// The open reader of `file`: the one place the chassis reaches a table, for
+/// point probes, cursors and compaction inputs alike. The reader sits in the
+/// slot the file's metadata carries; `table_cache` fills an empty slot and
+/// keeps the number of full ones within `max_open_files`.
+fn reader(table_cache: &TableCache, file: &FileMetaData) -> Result<Arc<Table>> {
+    table_cache.table(&file.table, file.number, file.file_size)
+}
 
 /// Searches one sstable for the newest version of `key` visible at its
 /// snapshot. `None` means the file holds no such version; otherwise the
@@ -41,7 +49,7 @@ fn probe_file(
     file: &FileMetaData,
     key: &LookupKey,
 ) -> Result<Option<(SequenceNumber, Option<LookupValue>)>> {
-    let table = table_cache.get_table(file.number, file.file_size)?;
+    let table = reader(table_cache, file)?;
     if !table.may_contain_user_key(key.user_key()) {
         return Ok(None);
     }
@@ -271,10 +279,8 @@ impl<V: VersionShape> LevelCursor<V> {
             for chunk in files.chunks(chunk_size) {
                 scope.spawn(move || {
                     for file in chunk {
-                        if let Ok(mut iter) =
-                            table_cache.iter(read_options, file.number, file.file_size)
-                        {
-                            iter.seek(target);
+                        if let Ok(table) = reader(table_cache, file) {
+                            table.iter(read_options).seek(target);
                         }
                     }
                 });
@@ -292,10 +298,8 @@ impl<V: VersionShape> LevelCursor<V> {
         self.current = None;
         let opened = match self.source.run().files(slot) {
             [] => return true,
-            [file] => self
-                .table_cache
-                .iter(&self.read_options, file.number, file.file_size)
-                .map(SlotIter::One),
+            [file] => reader(&self.table_cache, file)
+                .map(|table| SlotIter::One(table.iter(&self.read_options))),
             files => {
                 let mut children = Vec::with_capacity(files.len());
                 push_table_iterators(&self.table_cache, &self.read_options, files, &mut children)
@@ -451,8 +455,7 @@ pub fn push_table_iterators<'a>(
     children: &mut Vec<Box<dyn DbIterator>>,
 ) -> Result<()> {
     for file in files {
-        let iter = table_cache.iter(read_options, file.number, file.file_size)?;
-        children.push(Box::new(iter));
+        children.push(Box::new(reader(table_cache, file)?.iter(read_options)));
     }
     Ok(())
 }

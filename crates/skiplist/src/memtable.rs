@@ -122,9 +122,8 @@ impl MemTable {
     /// Looks up the newest record for the lookup key's user key that is
     /// visible at its snapshot sequence number.
     pub fn get(&self, key: &LookupKey) -> MemTableGet {
-        let probe = encode_entry_for_seek(key.internal_key());
         let mut iter = self.list.iter();
-        iter.seek(&probe);
+        iter.seek(key.memtable_key());
         if !iter.valid() {
             return MemTableGet::NotFound;
         }
@@ -273,6 +272,21 @@ impl DbIterator for OwnedMemTableIterator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A `LookupKey` carries its own seek probe; it must be the one the
+    /// iterators build from a bare internal key, long keys included.
+    #[test]
+    fn a_lookup_key_frames_itself_as_a_seek_probe() {
+        for user_key in [&b""[..], b"k", &[b'x'; 300]] {
+            let lookup = LookupKey::new(user_key, 77);
+            assert_eq!(
+                lookup.memtable_key(),
+                encode_entry_for_seek(lookup.internal_key())
+            );
+            assert_eq!(lookup.user_key(), user_key);
+            assert_eq!(lookup.sequence(), 77);
+        }
+    }
 
     #[test]
     fn get_returns_latest_visible_version() {

@@ -163,7 +163,7 @@ pub struct BlockIterator {
     block: Arc<Block>,
     /// Offset of the *next* entry to decode.
     offset: usize,
-    key: Vec<u8>,
+    pub(crate) key: Vec<u8>,
     value_range: (usize, usize),
     valid: bool,
 }

@@ -1,19 +1,20 @@
 //! A thread-safe, sharded LRU cache with byte-size accounting.
 //!
-//! Used as the block cache (keyed by `(table id, block offset)`) and as the
-//! table cache (keyed by file number). Capacity is expressed in abstract
-//! "charge" units — bytes for blocks, entries for tables.
+//! Used as the block cache (keyed by `(table id, block offset)`). Capacity is
+//! expressed in abstract "charge" units — bytes for blocks.
 //!
 //! Large caches are split into a power-of-two number of independently locked
 //! shards selected by key hash, so concurrent readers hitting different
-//! blocks do not serialise on a single mutex. Each shard owns an equal slice
-//! of the total capacity and runs its own LRU list; hit/miss/usage totals
-//! are exact sums over the shards. Small caches (where per-shard capacity
-//! would be too small to behave like an LRU at all) stay single-sharded and
-//! keep strict global LRU ordering.
+//! blocks do not serialise on a single mutex. A key is hashed once per
+//! operation: the shard is picked from the hash's high bits and the shard's
+//! map is handed the same value. Each shard owns an equal slice of the total
+//! capacity and runs its own LRU list; hit/miss/usage totals are exact sums
+//! over the shards. Small caches (where per-shard capacity would be too small
+//! to behave like an LRU at all) stay single-sharded and keep strict global
+//! LRU ordering.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -26,8 +27,58 @@ const MAX_SHARDS: usize = 16;
 /// erratic (single entries larger than a shard), so we keep one shard.
 const MIN_SHARD_CAPACITY: usize = 4096;
 
-struct Entry<K, V> {
+/// One multiply per word: keys are file numbers and block offsets the store
+/// chose itself, so there is no crafted collision for SipHash to defend
+/// against. `finish` rotates the well-mixed high bits down to where a hash
+/// map takes its bucket index from.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.write_u64(u64::from(*byte));
+        }
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A key with its hash, computed once by [`LruCache::hashed`]; the shard's
+/// map reads it back through [`PassThrough`] instead of hashing again.
+#[derive(PartialEq, Eq, Clone)]
+struct Hashed<K> {
+    hash: u64,
     key: K,
+}
+
+impl<K> Hash for Hashed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a Hashed key writes one u64");
+    }
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+struct Entry<K, V> {
+    key: Hashed<K>,
     value: Arc<V>,
     charge: usize,
     prev: usize,
@@ -37,7 +88,7 @@ struct Entry<K, V> {
 const NIL: usize = usize::MAX;
 
 struct LruInner<K, V> {
-    map: HashMap<K, usize>,
+    map: HashMap<Hashed<K>, usize, BuildHasherDefault<PassThrough>>,
     slab: Vec<Option<Entry<K, V>>>,
     free: Vec<usize>,
     head: usize,
@@ -51,7 +102,7 @@ struct LruInner<K, V> {
 impl<K: Eq + Hash + Clone, V> LruInner<K, V> {
     fn new(capacity: usize) -> Self {
         LruInner {
-            map: HashMap::new(),
+            map: HashMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -63,7 +114,7 @@ impl<K: Eq + Hash + Clone, V> LruInner<K, V> {
         }
     }
 
-    fn insert(&mut self, key: K, value: Arc<V>, charge: usize) {
+    fn insert(&mut self, key: Hashed<K>, value: Arc<V>, charge: usize) {
         if let Some(&slot) = self.map.get(&key) {
             self.detach(slot);
             self.remove_slot(slot);
@@ -91,7 +142,7 @@ impl<K: Eq + Hash + Clone, V> LruInner<K, V> {
         self.evict_if_needed();
     }
 
-    fn get(&mut self, key: &K) -> Option<Arc<V>> {
+    fn get(&mut self, key: &Hashed<K>) -> Option<Arc<V>> {
         match self.map.get(key).copied() {
             Some(slot) => {
                 self.hits += 1;
@@ -103,13 +154,6 @@ impl<K: Eq + Hash + Clone, V> LruInner<K, V> {
                 self.misses += 1;
                 None
             }
-        }
-    }
-
-    fn erase(&mut self, key: &K) {
-        if let Some(&slot) = self.map.get(key) {
-            self.detach(slot);
-            self.remove_slot(slot);
         }
     }
 
@@ -210,16 +254,16 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.shards.len()
     }
 
-    fn shard(&self, key: &K) -> &Mutex<LruInner<K, V>> {
-        if self.mask == 0 {
-            return &self.shards[0];
-        }
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    /// Hashes `key` once and picks its shard from the hash's well-mixed
+    /// bits: after `finish`'s rotation those sit at bit 22 and up, clear of
+    /// the low bits and the top seven a hash map reads.
+    fn hashed(&self, key: &K) -> (&Mutex<LruInner<K, V>>, Hashed<K>) {
+        let mut hasher = MulHasher::default();
         key.hash(&mut hasher);
-        // Fold the high bits in: the low bits of some keys (block offsets,
-        // file numbers) are poorly distributed.
-        let h = hasher.finish();
-        &self.shards[((h ^ (h >> 32)) as usize) & self.mask]
+        let hash = hasher.finish();
+        let shard = &self.shards[(hash >> 22) as usize & self.mask];
+        let key = key.clone();
+        (shard, Hashed { hash, key })
     }
 
     /// Inserts `key -> value` with the given charge, evicting old entries
@@ -227,21 +271,16 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// inserted value.
     pub fn insert(&self, key: K, value: V, charge: usize) -> Arc<V> {
         let value = Arc::new(value);
-        self.shard(&key)
-            .lock()
-            .insert(key, Arc::clone(&value), charge);
+        let (shard, key) = self.hashed(&key);
+        shard.lock().insert(key, Arc::clone(&value), charge);
         value
     }
 
     /// Returns the cached value for `key`, marking it most recently used
     /// within its shard.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
-        self.shard(key).lock().get(key)
-    }
-
-    /// Removes `key` from the cache if present.
-    pub fn erase(&self, key: &K) {
-        self.shard(key).lock().erase(key);
+        let (shard, key) = self.hashed(key);
+        shard.lock().get(&key)
     }
 
     /// Number of entries currently cached, summed over all shards.
@@ -336,13 +375,11 @@ mod tests {
     }
 
     #[test]
-    fn erase_and_clear() {
+    fn clear_empties_the_cache() {
         let cache: LruCache<u32, u32> = LruCache::new(10);
         cache.insert(1, 1, 1);
         cache.insert(2, 2, 1);
-        cache.erase(&1);
-        assert!(cache.get(&1).is_none());
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.usage(), 0);
@@ -365,6 +402,31 @@ mod tests {
         let large: LruCache<u32, u32> = LruCache::new(8 << 20);
         assert_eq!(large.shard_count(), MAX_SHARDS);
         assert!(large.shard_count().is_power_of_two());
+    }
+
+    /// Block-cache keys are regular — small file numbers, offsets in block
+    /// steps — and one cheap hash must still spread them: over the shards
+    /// (its high bits) and inside a shard's map (the bits handed on).
+    #[test]
+    fn block_keys_spread_evenly_over_the_shards() {
+        const OFFSETS: u64 = 16;
+        let cache: LruCache<(u64, u64), ()> = LruCache::new(1 << 30);
+        assert_eq!(cache.shard_count(), MAX_SHARDS);
+        for file in 1..=512u64 {
+            for block in 0..OFFSETS {
+                cache.insert((file, block * 4096), (), 1);
+            }
+        }
+        let even = 512 * OFFSETS as usize / MAX_SHARDS;
+        let mut low_bits = std::collections::HashSet::new();
+        for shard in &cache.shards {
+            let inner = shard.lock();
+            let held = inner.map.len();
+            assert!(held >= even / 2 && held <= even * 2, "{held} of {even}");
+            low_bits.extend(inner.map.keys().map(|key| key.hash & 0xfff));
+        }
+        assert_eq!(cache.len(), 512 * OFFSETS as usize);
+        assert!(low_bits.len() > 3_000, "{} bucket indexes", low_bits.len());
     }
 
     #[test]
@@ -390,7 +452,6 @@ mod tests {
         // one entry per shard above the configured capacity.
         assert!(cache.usage() <= capacity + MAX_SHARDS * 512);
 
-        cache.erase(&0);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.usage(), 0);

@@ -38,7 +38,7 @@ pub use cache::LruCache;
 pub use footer::{BlockHandle, Footer, TABLE_MAGIC};
 pub use table::Table;
 pub use table_builder::TableBuilder;
-pub use table_cache::TableCache;
+pub use table_cache::{TableCache, TableSlot};
 
 /// Number of trailer bytes appended to every block: 1-byte compression tag
 /// plus a 4-byte masked CRC32C.
@@ -290,41 +290,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn table_cache_reuses_open_tables() {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-        let db = Path::new("/db");
-        env.create_dir_all(db).unwrap();
-        let opts = StoreOptions::default();
-
-        let path = pebblesdb_common::filename::table_file_name(db, 9);
-        let mem = MemEnv::new();
-        // Build via the shared env (not `mem`) so the cache can open it.
-        drop(mem);
-        let file = env.new_writable_file(&path).unwrap();
-        let mut builder = TableBuilder::new(&opts, file);
-        for i in 0..50 {
-            let key = encode_internal_key(format!("k{i:04}").as_bytes(), 1, ValueType::Value);
-            builder.add(&key, b"v").unwrap();
-        }
-        let size = builder.finish().unwrap();
-
-        let cache = TableCache::new(Arc::clone(&env), db.to_path_buf(), opts.clone(), 16);
-        let t1 = cache.get_table(9, size).unwrap();
-        let t2 = cache.get_table(9, size).unwrap();
-        assert!(Arc::ptr_eq(&t1, &t2));
-        assert_eq!(cache.open_tables(), 1);
-
-        let target = encode_internal_key(b"k0007", u64::MAX >> 8, ValueType::Value);
-        let found = cache
-            .get(&ReadOptions::default(), 9, size, &target)
-            .unwrap()
-            .expect("cached table lookup");
-        assert_eq!(found.1, b"v");
-
-        cache.evict(9);
-        assert_eq!(cache.open_tables(), 0);
     }
 }

@@ -130,10 +130,9 @@ impl Table {
         if !block_iter.valid() {
             return Ok(None);
         }
-        Ok(Some((
-            block_iter.key().to_vec(),
-            block_iter.value().to_vec(),
-        )))
+        let value = block_iter.value().to_vec();
+        // The iterator is done with: its key buffer is handed on, not copied.
+        Ok(Some((block_iter.key, value)))
     }
 
     /// Creates a two-level iterator over the whole table.
@@ -157,7 +156,7 @@ impl Table {
         verify: bool,
         counters: &EngineCounters,
     ) -> Result<Vec<u8>> {
-        let raw = file.read(handle.offset, handle.size as usize + BLOCK_TRAILER_SIZE)?;
+        let mut raw = file.read(handle.offset, handle.size as usize + BLOCK_TRAILER_SIZE)?;
         if raw.len() < handle.size as usize + BLOCK_TRAILER_SIZE {
             return Err(Error::corruption("truncated block read"));
         }
@@ -172,7 +171,10 @@ impl Table {
             }
         }
         match compression {
-            0 => Ok(contents.to_vec()),
+            0 => {
+                raw.truncate(handle.size as usize);
+                Ok(raw)
+            }
             1 => {
                 let start = Instant::now();
                 let decoded = pebblesdb_compress::decompress(contents, MAX_DECOMPRESSED_BLOCK)?;

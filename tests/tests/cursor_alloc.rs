@@ -187,11 +187,13 @@ fn allocations_per_get(db: &dyn KvStore, target: &[u8]) -> u64 {
 /// same, and exactly what the chassis `get` is known to allocate.
 #[test]
 fn point_get_allocations_are_the_same_through_store_and_handle() {
-    /// What one cached `get` allocates, on either engine. It was 7 while the
-    /// read path cloned the family's whole `EngineIo` (a path and the
-    /// options) to reach its table cache; pinned exactly, so that the next
-    /// allocation to creep in shows.
-    const FORWARDED_ALLOCATIONS_PER_GET: u64 = 6;
+    /// What one cached `get` allocates, on either engine: the lookup key
+    /// (framed once, for memtables and sstables alike), the key buffers of
+    /// the index-block and data-block iterators, and the value. It was 6
+    /// while each memtable probe framed the key again and `Table::get`
+    /// copied the found key for its caller to parse and drop; pinned
+    /// exactly, so that the next allocation to creep in shows.
+    const FORWARDED_ALLOCATIONS_PER_GET: u64 = 4;
 
     let env = || -> Arc<dyn Env> { Arc::new(MemEnv::new()) };
     let flsm = PebblesDb::open_with_options(env(), Path::new("/get-flsm"), small_options());

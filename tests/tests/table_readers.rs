@@ -1,0 +1,400 @@
+//! A live sstable carries its open reader; the table cache is the open-file
+//! budget. Counted behind an `Env` wrapper that knows every live
+//! `RandomAccessFile` (a file descriptor each on a real disk):
+//!
+//! * **the bound** — `max_open_files` holds over any mix of gets, cursors
+//!   and compactions, plus what live cursors and jobs pin;
+//! * **the lifetime** — a reader is reused while its file is live and is
+//!   gone once the last version naming the file is, with nothing evicted by
+//!   hand;
+//! * **the race** — readers, a writer and compactions over a budget far
+//!   below the file count return no error and no wrong value.
+
+use std::collections::{BTreeMap, HashMap};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use pebblesdb::PebblesDb;
+use pebblesdb_common::{Db, DbIterator, ReadOptions, Result, StoreOptions, StorePreset};
+use pebblesdb_env::{
+    Env, IoStats, MemEnv, RandomAccessFile, RandomWritableFile, SequentialFile, WritableFile,
+};
+use pebblesdb_lsm::LsmDb;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Live `RandomAccessFile`s per path.
+type Live = Arc<Mutex<HashMap<PathBuf, usize>>>;
+
+/// A `MemEnv` that counts the random-access files it has handed out and
+/// that are still alive.
+struct CountingEnv {
+    inner: MemEnv,
+    live: Live,
+}
+
+struct CountedFile {
+    inner: Arc<dyn RandomAccessFile>,
+    path: PathBuf,
+    live: Live,
+}
+
+impl RandomAccessFile for CountedFile {
+    fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        self.inner.read(offset, len)
+    }
+    fn len(&self) -> Result<u64> {
+        self.inner.len()
+    }
+}
+
+impl Drop for CountedFile {
+    fn drop(&mut self) {
+        let mut live = self.live.lock().unwrap();
+        let count = live.get_mut(&self.path).expect("counted at open");
+        *count -= 1;
+        if *count == 0 {
+            live.remove(&self.path);
+        }
+    }
+}
+
+impl CountingEnv {
+    fn new() -> Arc<CountingEnv> {
+        Arc::new(CountingEnv {
+            inner: MemEnv::new(),
+            live: Live::default(),
+        })
+    }
+
+    /// Random-access files alive right now.
+    fn open_readers(&self) -> usize {
+        self.live.lock().unwrap().values().sum()
+    }
+
+    /// Paths with a live reader whose file is gone.
+    fn readers_of_deleted_files(&self) -> Vec<PathBuf> {
+        let live = self.live.lock().unwrap();
+        let deleted = live.keys().filter(|path| !self.inner.file_exists(path));
+        deleted.cloned().collect()
+    }
+}
+
+impl Env for CountingEnv {
+    fn new_writable_file(&self, path: &Path) -> Result<Box<dyn WritableFile>> {
+        self.inner.new_writable_file(path)
+    }
+    fn new_random_access_file(&self, path: &Path) -> Result<Arc<dyn RandomAccessFile>> {
+        let inner = self.inner.new_random_access_file(path)?;
+        *self.live.lock().unwrap().entry(path.into()).or_default() += 1;
+        Ok(Arc::new(CountedFile {
+            inner,
+            path: path.into(),
+            live: Arc::clone(&self.live),
+        }))
+    }
+    fn new_sequential_file(&self, path: &Path) -> Result<Box<dyn SequentialFile>> {
+        self.inner.new_sequential_file(path)
+    }
+    fn new_random_writable_file(&self, path: &Path) -> Result<Arc<dyn RandomWritableFile>> {
+        self.inner.new_random_writable_file(path)
+    }
+    fn file_exists(&self, path: &Path) -> bool {
+        self.inner.file_exists(path)
+    }
+    fn file_size(&self, path: &Path) -> Result<u64> {
+        self.inner.file_size(path)
+    }
+    fn remove_file(&self, path: &Path) -> Result<()> {
+        self.inner.remove_file(path)
+    }
+    fn rename_file(&self, from: &Path, to: &Path) -> Result<()> {
+        self.inner.rename_file(from, to)
+    }
+    fn create_dir_all(&self, path: &Path) -> Result<()> {
+        self.inner.create_dir_all(path)
+    }
+    fn remove_dir_all(&self, path: &Path) -> Result<()> {
+        self.inner.remove_dir_all(path)
+    }
+    fn children(&self, path: &Path) -> Result<Vec<String>> {
+        self.inner.children(path)
+    }
+    fn io_stats(&self) -> Arc<IoStats> {
+        self.inner.io_stats()
+    }
+}
+
+/// A store of either shape behind the counting `Env`, with the count of
+/// slots its table cache holds full.
+struct Store {
+    name: &'static str,
+    env: Arc<CountingEnv>,
+    db: Arc<dyn Db>,
+    open_tables: Box<dyn Fn() -> usize + Send + Sync>,
+}
+
+/// Both engines with tables of a few kilobytes, so a few thousand keys make
+/// well over 64 of them.
+fn stores(max_open_files: usize) -> Vec<Store> {
+    let mut options = StoreOptions::default();
+    options.write_buffer_size = 16 << 10;
+    options.max_file_size = 4 << 10;
+    options.base_level_bytes = 64 << 10;
+    options.parallel_seek_threads = 1;
+    options.max_open_files = max_open_files;
+
+    let env = CountingEnv::new();
+    let flsm = PebblesDb::open_with_options(env.clone(), Path::new("/flsm"), options.clone());
+    let flsm = Arc::new(flsm.unwrap());
+    let flsm_core = Arc::clone(flsm.engine().core());
+    let flsm = Store {
+        name: "flsm",
+        env,
+        db: flsm,
+        open_tables: Box::new(move || flsm_core.io.table_cache.open_tables()),
+    };
+
+    let env = CountingEnv::new();
+    let preset = StorePreset::HyperLevelDb;
+    let lsm = LsmDb::open_with_options(env.clone(), Path::new("/lsm"), options, preset);
+    let lsm = Arc::new(lsm.unwrap());
+    let lsm_core = Arc::clone(lsm.engine().core());
+    let lsm = Store {
+        name: "lsm",
+        env,
+        db: lsm,
+        open_tables: Box::new(move || lsm_core.io.table_cache.open_tables()),
+    };
+    vec![flsm, lsm]
+}
+
+fn key(i: u32) -> Vec<u8> {
+    format!("key{i:06}").into_bytes()
+}
+
+fn value(i: u32, version: u32) -> Vec<u8> {
+    format!("value-{i:06}-{version:06}-{}", "x".repeat(40)).into_bytes()
+}
+
+type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+
+/// Writes keys `0..keys` in a shuffled order (every flush spans the key
+/// space) and brings the store to rest.
+fn load(store: &Store, model: &mut Model, keys: u32, version: u32) {
+    for i in 0..u64::from(keys) {
+        // A prime multiplier permutes the residues.
+        let i = (i * 2_654_435_761 % u64::from(keys)) as u32;
+        store.db.put(&key(i), &value(i, version)).unwrap();
+        model.insert(key(i), value(i, version));
+    }
+    store.db.flush().unwrap();
+}
+
+/// Walks `iter`, which stands at `from`, `steps` entries against the model.
+fn check_walk(iter: &mut dyn DbIterator, model: &Model, from: &[u8], steps: usize, name: &str) {
+    for (expected_key, expected_value) in model.range(from.to_vec()..).take(steps) {
+        assert!(iter.valid(), "{name}: cursor ended early");
+        assert_eq!(iter.key(), expected_key.as_slice(), "{name}");
+        assert_eq!(iter.value(), expected_value.as_slice(), "{name}");
+        iter.next();
+    }
+    iter.status().unwrap();
+}
+
+/// A cursor at `from`, walked `steps` entries against the model.
+fn check_scan(store: &Store, model: &Model, from: &[u8], steps: usize) {
+    let mut iter = store.db.iter(&ReadOptions::default()).unwrap();
+    iter.seek(from);
+    check_walk(iter.as_mut(), model, from, steps, store.name);
+}
+
+/// (a) The bound. `max_open_files = 8` over far more sstables: whatever is
+/// read, however, once cursors are dropped and jobs are done the open
+/// readers fit the budget; a cursor keeps reading a table whose slot the
+/// sweep has emptied under it.
+#[test]
+fn open_readers_stay_within_the_budget_over_gets_cursors_and_compactions() {
+    const BUDGET: usize = 8;
+    const KEYS: u32 = 6_000;
+    for store in stores(BUDGET) {
+        let name = store.name;
+        let mut model = Model::new();
+        load(&store, &mut model, KEYS, 0);
+        let files = store.db.stats().num_files;
+        assert!(files >= 64, "{name}: only {files} sstables");
+        let mut rng = StdRng::seed_from_u64(0x26);
+
+        for round in 0..40u32 {
+            match round % 4 {
+                // Uniform gets: every one may land in a different file.
+                0 => {
+                    for _ in 0..300 {
+                        let i = rng.gen_range(0..KEYS + 50);
+                        let found = store.db.get(&key(i)).unwrap();
+                        assert_eq!(found.as_ref(), model.get(&key(i)), "{name}: get {i}");
+                    }
+                }
+                // Cursors that cross many files.
+                1 => {
+                    for _ in 0..10 {
+                        let from = key(rng.gen_range(0..KEYS));
+                        check_scan(&store, &model, &from, 200);
+                    }
+                }
+                // Overwrites: flushes and compactions replace files.
+                2 => {
+                    for _ in 0..400 {
+                        let i = rng.gen_range(0..KEYS);
+                        store.db.put(&key(i), &value(i, round)).unwrap();
+                        model.insert(key(i), value(i, round));
+                    }
+                    // Unquiesced on purpose: the reads of the next rounds
+                    // race the jobs this started.
+                }
+                // A cursor parked in a table while gets sweep every slot.
+                _ => {
+                    let from = key(rng.gen_range(0..KEYS / 2));
+                    let mut iter = store.db.iter(&ReadOptions::default()).unwrap();
+                    iter.seek(&from);
+                    assert_eq!(iter.key(), from.as_slice(), "{name}");
+                    for i in (0..KEYS).step_by(7) {
+                        let found = store.db.get(&key(i)).unwrap();
+                        assert_eq!(found.as_ref(), model.get(&key(i)), "{name}: get {i}");
+                    }
+                    assert!((store.open_tables)() <= BUDGET, "{name}: slots");
+                    check_walk(iter.as_mut(), &model, &from, 500, name);
+                }
+            }
+            // No cursor is alive here; jobs may be. At rest nothing is
+            // pinned and the budget is exact.
+            assert!((store.open_tables)() <= BUDGET, "{name}: round {round}");
+            if round % 4 != 2 {
+                store.db.flush().unwrap();
+                let open = store.env.open_readers();
+                assert!(open <= BUDGET, "{name}: {open} readers open at rest");
+            }
+        }
+        let stats = store.db.stats();
+        assert!(stats.table_cache_misses > files, "{name}: the sweep ran");
+        assert!(stats.table_cache_hits > 0, "{name}");
+    }
+}
+
+/// (b) The lifetime. An open reader is reused, not reopened; after the
+/// files under it are compacted away and the store is at rest, no reader of
+/// a deleted file is alive and the full slots are live files' — without any
+/// eviction call on the delete path.
+#[test]
+fn a_reader_is_reused_while_its_file_lives_and_gone_when_it_is_deleted() {
+    const KEYS: u32 = 3_000;
+    for store in stores(1_000) {
+        let name = store.name;
+        let mut model = Model::new();
+        load(&store, &mut model, KEYS, 0);
+
+        // Reuse: a second pass over the same keys opens nothing.
+        let pass = || {
+            for i in (0..KEYS).step_by(3) {
+                assert_eq!(store.db.get(&key(i)).unwrap().as_ref(), model.get(&key(i)));
+            }
+            store.db.stats()
+        };
+        let first = pass();
+        let second = pass();
+        assert_eq!(
+            second.table_cache_misses, first.table_cache_misses,
+            "{name}: the second pass reopened a table"
+        );
+        assert!(second.table_cache_hits > first.table_cache_hits, "{name}");
+        let before = store.env.open_readers();
+        assert!(before > 0 && before == (store.open_tables)(), "{name}");
+
+        // Replace every file under the readers, twice over.
+        for version in 1..=2 {
+            load(&store, &mut model, KEYS, version);
+        }
+        let deleted = store.env.readers_of_deleted_files();
+        assert!(deleted.is_empty(), "{name}: readers outlived {deleted:?}");
+        let live_files = store.db.stats().num_files as usize;
+        let open = (store.open_tables)();
+        assert!(
+            open <= live_files,
+            "{name}: {open} slots, {live_files} files"
+        );
+        assert_eq!(store.env.open_readers(), open, "{name}");
+        check_scan(&store, &model, &key(0), KEYS as usize);
+    }
+}
+
+/// (c) The race. Four readers, a writer whose flushes force compactions,
+/// and a budget of four readers for two seconds: no error, no value that
+/// was never written, and the budget still holds at rest.
+#[test]
+fn readers_racing_a_writer_over_a_tiny_budget_see_no_error_and_no_wrong_value() {
+    const BUDGET: usize = 4;
+    const KEYS: u32 = 2_000;
+    const READERS: u32 = 4;
+    for store in stores(BUDGET) {
+        let name = store.name;
+        let mut model = Model::new();
+        load(&store, &mut model, KEYS, 0);
+        let stop = AtomicBool::new(false);
+        let deadline = Instant::now() + Duration::from_secs(2);
+
+        std::thread::scope(|scope| {
+            let (store, stop) = (&store, &stop);
+            // The writer rewrites keys in order with rising versions: a
+            // key's value is always its own, at some version written so far.
+            let writer = scope.spawn(move || {
+                let mut version = 1;
+                while Instant::now() < deadline {
+                    for i in 0..KEYS {
+                        store.db.put(&key(i), &value(i, version)).unwrap();
+                    }
+                    version += 1;
+                }
+                stop.store(true, Ordering::SeqCst);
+                version
+            });
+            let readers: Vec<_> = (0..READERS)
+                .map(|reader| {
+                    scope.spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(u64::from(reader));
+                        let mut reads = 0u64;
+                        while !stop.load(Ordering::SeqCst) {
+                            let i = rng.gen_range(0..KEYS);
+                            let found = store.db.get(&key(i)).unwrap().expect("never deleted");
+                            let own = format!("value-{i:06}-");
+                            assert!(found.starts_with(own.as_bytes()), "{name}: key {i}");
+                            if reads.is_multiple_of(64) {
+                                let mut iter = store.db.iter(&ReadOptions::default()).unwrap();
+                                iter.seek(&key(i));
+                                for j in i..(i + 20).min(KEYS) {
+                                    assert_eq!(iter.key(), key(j).as_slice(), "{name}");
+                                    iter.next();
+                                }
+                                iter.status().unwrap();
+                            }
+                            reads += 1;
+                        }
+                        reads
+                    })
+                })
+                .collect();
+            let versions = writer.join().unwrap();
+            let reads: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+            assert!(versions > 1 && reads > 1_000, "{name}: {versions}, {reads}");
+        });
+
+        store.db.flush().unwrap();
+        let stats = store.db.stats();
+        assert!(stats.compactions > 0, "{name}: no compaction ran");
+        assert!(stats.table_cache_misses > 0 && stats.table_cache_hits > 0);
+        let open = store.env.open_readers();
+        assert!(open <= BUDGET, "{name}: {open} readers open at rest");
+        assert!(store.env.readers_of_deleted_files().is_empty(), "{name}");
+    }
+}
