@@ -72,11 +72,10 @@ fn ad_hoc(args: &Args, engine: EngineKind) {
     };
 
     let mut options = scaled_options(engine, scale);
-    // 0 keeps the preset's pool size (PebblesDB: 2, baselines: 1).
-    let compaction_threads = args.get_u64("compaction-threads", 0) as usize;
-    if compaction_threads > 0 {
-        options.compaction_threads = compaction_threads;
-    }
+    // Absent, the preset's pool size stays (PebblesDB: 2, baselines: 1);
+    // an explicit 0 runs every background job on the writing thread.
+    options.compaction_threads =
+        args.get_u64("compaction-threads", options.compaction_threads as u64) as usize;
     // 0 (the default) keeps key-value separation off; any other value is the
     // minimum value size, in bytes, that goes to the per-family value log.
     options.value_separation_threshold = args.get_u64("value-separation-threshold", 0) as usize;

@@ -37,7 +37,7 @@ pub const DB_BENCH_USAGE: &str = "db_bench [options]
   --env KIND                      mem | disk (default mem)
   --dir PATH                      with --env disk: parent directory (default the system temp dir)
   --write-latency-us N            with --env mem: inject latency per sstable write
-  --compaction-threads N          ad hoc: compaction pool size (default 0 = the preset's)
+  --compaction-threads N          ad hoc: compaction pool size; 0 = no background threads (default the preset's)
   --value-separation-threshold N  ad hoc: values this large go to the value log (default 0 = off)
   --compression NAME              ad hoc: on|off block + vlog compression (default off)
   --compressibility X             ad hoc: an ideal codec shrinks values to this ratio (default 1.0)
@@ -704,6 +704,38 @@ pub fn experiments(sweep_engine: EngineKind) -> Vec<Experiment> {
             notes: vec!["Paper: without optimisations range queries lose 66%; parallel seeks alone reduce that to 48%, seek-based compaction alone to 7%; bloom filters improve reads by 63%."],
             ..Experiment::default()
         },
+        // fillrandom with the preset's background threads and with none
+        // (`compaction_threads = 0`: every flush and compaction runs on the
+        // writing thread, and the tree is a function of the keys).
+        Experiment {
+            name: "zero_workers",
+            title: "fillrandom with and without background threads".to_string(),
+            keys: 50_000,
+            variants: vec![
+                Variant::new("pebblesdb", PebblesDb, Engine, plain),
+                Variant::new("pebblesdb, 0 workers", PebblesDb, Engine, |o, _| {
+                    o.compaction_threads = 0
+                }),
+                Variant::new("hyperleveldb", HyperLevelDb, Engine, plain),
+                Variant::new("hyperleveldb, 0 workers", HyperLevelDb, Engine, |o, _| {
+                    o.compaction_threads = 0
+                }),
+            ],
+            scenarios: one(vec![Phase::micro(FillRandom).flushed()]),
+            table: Table::PerRun(
+                "store",
+                vec![
+                    kops("fillrandom KOps/s", 0, 0),
+                    col("write IO", |o| format_mib(o[0].stats.bytes_written)),
+                    col("write amp", |o| format_ratio(o[0].stats.write_amplification())),
+                    col("compactions", |o| o[0].stats.compactions.to_string()),
+                ],
+            ),
+            notes: vec![
+                "With 0 workers two runs over the same keys leave byte-identical stores; the paper's multi-threaded compaction (§4) is the >= 1 case.",
+            ],
+            ..Experiment::default()
+        },
         // fillrandom across value sizes, key-value separation off vs on, a
         // fresh store per cell. The logical volume per cell is constant
         // (`--keys` pairs of `--value-size` bytes, 8 MiB by default), so the
@@ -1087,6 +1119,17 @@ mod tests {
                 "write KOps/s",
                 "read KOps/s",
                 "seek KOps/s",
+            ],
+        ),
+        (
+            "zero_workers",
+            "",
+            &[
+                "store",
+                "fillrandom KOps/s",
+                "write IO",
+                "write amp",
+                "compactions",
             ],
         ),
         (

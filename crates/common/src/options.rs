@@ -128,14 +128,20 @@ pub struct StoreOptions {
     pub base_level_bytes: u64,
     /// Size of the background compaction worker pool.
     ///
-    /// The FLSM engine runs this many workers, each claiming a *disjoint
-    /// guard subset* of a level as an independent compaction job (the
-    /// paper's multi-threaded compaction, section 4). A dedicated flush
-    /// thread exists in addition to the pool, so `imm -> L0` never waits
-    /// behind a compaction regardless of this setting. The baseline LSM
-    /// engine keeps one compaction thread (classic leveled compaction
-    /// cannot be split into disjoint jobs) plus the same dedicated flush
-    /// thread.
+    /// With `n >= 1` the store starts `n` compaction workers plus one flush
+    /// thread (so `imm -> L0` never waits behind a compaction), all through
+    /// `Env::spawn`. FLSM workers each claim a *disjoint guard subset* of a
+    /// level as an independent job (the paper's multi-threaded compaction,
+    /// section 4); the baseline LSM runs one compaction at a time whatever
+    /// the pool's size (classic leveled compaction cannot be split into
+    /// disjoint jobs).
+    ///
+    /// With 0 the store has **no background threads**: a flush or a
+    /// compaction runs, through the same job code, on the thread whose call
+    /// made it due — the writer that filled the memtable, the `flush()`
+    /// caller, the cursor that armed a seek-triggered merge — before that
+    /// call returns. A store driven from one thread is then deterministic:
+    /// the same operations leave the same files, byte for byte.
     pub compaction_threads: usize,
 
     /// Key-value separation (WiscKey/BVLSM line): values of at least this

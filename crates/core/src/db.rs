@@ -146,6 +146,8 @@ impl ShapePolicy for FlsmPolicy {
     /// is actually scheduled (or provably never will be): a size-triggered
     /// job claiming the same wakeup must not swallow the request.
     fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<CompactionJob> {
+        // With no workers the calling thread is the pool of one: a job
+        // takes every eligible component of its level.
         let split = self.options.compaction_threads.max(1);
         let version = ctx.versions.current();
         let levels = ctx.versions.levels();
@@ -293,7 +295,7 @@ mod tests {
     use super::*;
     use pebblesdb_common::key::{encode_internal_key, ValueType};
     use pebblesdb_common::ReadOptions;
-    use pebblesdb_engine::{EngineCore, FileMetaDataEdit, LevelTable, VersionEdit};
+    use pebblesdb_engine::{EngineCore, FileMetaDataEdit, VersionEdit};
     use pebblesdb_env::MemEnv;
     use std::collections::BTreeSet;
 
@@ -328,6 +330,13 @@ mod tests {
     fn open_empty(options: StoreOptions) -> PebblesDb {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         PebblesDb::open_with_options(env, Path::new("/claim-test"), options).unwrap()
+    }
+
+    /// A store with no background threads: a flush and the compaction a
+    /// cursor arms have run by the time the call that caused them returns.
+    fn open_inline(mut options: StoreOptions) -> PebblesDb {
+        options.compaction_threads = 0;
+        open_empty(options)
     }
 
     /// Regression test: a size-triggered compaction that preempts a pending
@@ -405,24 +414,6 @@ mod tests {
         iter.seek(b"key");
     }
 
-    /// Polls until `done` holds (it may take the state lock itself).
-    fn wait_until(db: &PebblesDb, what: &str, done: impl Fn() -> bool) {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while !done() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{what}: {}",
-                db.level_summary()
-            );
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-
-    /// Polls the current version's table until `done` holds.
-    fn wait_for_shape(db: &PebblesDb, what: &str, done: impl Fn(&LevelTable) -> bool) {
-        wait_until(db, what, || done(&db.db.levels()));
-    }
-
     /// Files in the fullest slot of the tree (level 0 is one slot).
     fn fattest_guard(db: &PebblesDb) -> usize {
         let levels = db.db.levels();
@@ -441,7 +432,7 @@ mod tests {
         let mut options = StoreOptions::default();
         options.write_buffer_size = 32 << 10;
         options.top_level_bits = 8;
-        let db = open_empty(options);
+        let db = open_inline(options);
         for i in 0..4000u32 {
             let key = format!("key{:06}", i.wrapping_mul(2_654_435_761) % 4000);
             db.put(key.as_bytes(), &[b'v'; 64]).unwrap();
@@ -450,14 +441,17 @@ mod tests {
         // Read the tree to rest: the trigger collapses every overlap the
         // load left.
         let collapsible = |v: &FlsmVersion| FlsmPolicy::collapsible_levels(v).next().is_some();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let mut cursors = 0;
         while db.db.with_current_version(collapsible) {
-            assert!(std::time::Instant::now() < deadline, "never came to rest");
+            cursors += 1;
+            assert!(
+                cursors < 100_000,
+                "never came to rest: {}",
+                db.level_summary()
+            );
             open_cursor(&db);
-            db.flush().unwrap();
         }
-        wait_until(&db, "the last seek compaction", || !seek_pending(&db));
-        db.flush().unwrap();
+        assert!(!seek_pending(&db));
 
         let compactions = db.stats().compactions;
         for _ in 0..1000 {
@@ -481,7 +475,7 @@ mod tests {
         options.enable_aggressive_compaction = false;
         options.top_level_bits = 30; // no guards: every level is its sentinel
         let threshold = options.seek_compaction_threshold;
-        let db = open_empty(options.clone());
+        let db = open_inline(options.clone());
         for round in 0..2u32 {
             for file in 0..2 {
                 for i in 0..50 {
@@ -494,13 +488,13 @@ mod tests {
             for _ in 0..threshold {
                 open_cursor(&db);
             }
-            wait_for_shape(&db, "level-0 seek compaction", |levels| {
-                levels[0].files == 0 && levels[1].max_files_per_slot == round as usize + 1
-            });
+            let levels = db.db.levels();
+            assert_eq!(levels[0].files, 0, "level-0 seek compaction");
+            assert_eq!(levels[1].max_files_per_slot, round as usize + 1);
         }
         assert_eq!(fattest_guard(&db), 2);
         assert!(compaction_candidates(&db.db.levels(), &options).is_empty());
-        wait_until(&db, "flag of the last job", || !seek_pending(&db));
+        assert!(!seek_pending(&db), "flag of the last job");
         (db, threshold)
     }
 
@@ -529,7 +523,7 @@ mod tests {
         assert_eq!(fattest_guard(&db), 2);
         // ...and the cursor that completes the run schedules the job.
         open_cursor(&db);
-        wait_until(&db, "level-1 seek compaction", || fattest_guard(&db) == 1);
+        assert_eq!(fattest_guard(&db), 1, "level-1 seek compaction");
         assert_eq!(db.files_per_level()[..3], [0, 0, 1]);
     }
 
@@ -552,6 +546,36 @@ mod tests {
         }
         assert_eq!(db.stats().compactions, compactions);
         assert_eq!(db.files_per_level()[..3], [0, 2, 0]);
+    }
+
+    /// A level's eligible guards are chunked by the pool's size, and no
+    /// workers chunk like one: the calling thread takes the whole level.
+    #[test]
+    fn zero_workers_split_a_level_like_a_pool_of_one() {
+        for (threads, inputs) in [(0, 4), (1, 4), (2, 2)] {
+            let mut options = StoreOptions::default();
+            options.level0_compaction_trigger = 100;
+            options.enable_aggressive_compaction = false;
+            options.max_sstables_per_guard = 1;
+            options.compaction_threads = threads;
+            let db = open_empty(options);
+            let mut state = db.db.core().state.lock();
+            // Two over-budget guards of level 1: the sentinel and "m".
+            let mut guard = VersionEdit::default();
+            guard.new_guards.push((1, b"m".to_vec()));
+            state
+                .default_cf_mut()
+                .versions
+                .log_and_apply(guard)
+                .unwrap();
+            fabricate_files(
+                &mut state,
+                &[(1, "a", "b"), (1, "c", "d"), (1, "m", "n"), (1, "o", "p")],
+            );
+            let claimed = db.db.core().claim_job(&mut state).expect("over budget");
+            assert_eq!(claimed.job.input_numbers().count(), inputs, "{threads}");
+            drop(state);
+        }
     }
 
     /// Claims at the same level are disjoint, and the counters see the

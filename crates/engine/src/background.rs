@@ -1,11 +1,9 @@
-//! Background work: the dedicated flush thread, the compaction worker pool,
-//! the one job lifecycle both share (a flush and a compaction differ only in
-//! their IO and their version edit), `flush()`'s quiesce and obsolete-file
-//! garbage collection.
+//! Background work: picking and running a flush or a compaction through
+//! the one job lifecycle both share (they differ only in their IO and their
+//! version edit), `flush()`'s quiesce and obsolete-file garbage collection.
+//! Which thread runs a job is `crate::executor`'s business.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::MutexGuard;
 
@@ -25,13 +23,6 @@ use crate::version_set::VersionEdit;
 const WAL_BACKLOG_LIMIT: usize = 8;
 
 impl<P: ShapePolicy> EngineCore<P> {
-    /// Wakes the background threads and parks until one reports progress.
-    pub(crate) fn wait_for_background(&self, state: &mut MutexGuard<'_, EngineState<P>>) {
-        self.flush_available.notify_one();
-        self.work_available.notify_all();
-        self.work_done.wait(state);
-    }
-
     /// The lifecycle of one background job of family `cf_id`, whose
     /// `output_floor` the caller has already pushed: run `work` (the job's
     /// IO) with the state mutex released, `install` its result into the
@@ -46,8 +37,8 @@ impl<P: ShapePolicy> EngineCore<P> {
         work: impl FnOnce(&EngineIo) -> Result<T>,
         install: impl FnOnce(&mut EngineState<P>, T) -> Result<(u64, u64)>,
     ) {
-        let start = Instant::now();
         let io = state.job_cf(cf_id).io.clone();
+        let start = io.env.now();
         let done = MutexGuard::unlocked(state, || work(&io));
         let committed = done.and_then(|outputs| {
             let last_sequence = state.last_sequence;
@@ -63,7 +54,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         }
         match committed {
             Ok((bytes_read, bytes_written)) => {
-                let micros = start.elapsed().as_micros() as u64;
+                let micros = (io.env.now() - start).as_micros() as u64;
                 self.counters
                     .record_compaction(micros, bytes_read, bytes_written);
                 self.remove_obsolete_files(state);
@@ -72,18 +63,15 @@ impl<P: ShapePolicy> EngineCore<P> {
                 state.poison(err);
             }
         }
-        // Stalled writers and `flush`/`drop_cf` callers can re-check, and the
-        // commit may have armed compaction triggers (or freed claimed inputs)
-        // for idle workers. Whatever the caller still releases under this
-        // same hold of the mutex is visible by the time any of them runs.
-        self.work_done.notify_all();
-        self.work_available.notify_all();
+        // Whatever the caller still releases under this same hold of the
+        // mutex is visible by the time anyone this wakes runs.
+        self.notify_progress();
     }
 
-    /// Which family the flush thread should serve next: the largest
-    /// immutable memtable wins, so one hot namespace cannot park the others
-    /// behind its queue.
+    /// Which family's flush runs next: the largest immutable memtable wins,
+    /// so one hot namespace cannot park the others behind its queue.
     fn pick_flush_cf(state: &EngineState<P>) -> Option<CfId> {
+        state.healthy().ok()?;
         state
             .cfs
             .values()
@@ -93,17 +81,16 @@ impl<P: ShapePolicy> EngineCore<P> {
             .map(|(_, id)| id)
     }
 
-    /// The dedicated flush thread: turns the hottest family's `imm` into a
-    /// level-0 sstable the moment one exists, independently of how busy the
-    /// compaction pool is.
-    pub(crate) fn flush_main(core: Arc<EngineCore<P>>) {
-        let mut state = core.state.lock();
-        while !core.shutting_down.load(Ordering::SeqCst) {
-            match Self::pick_flush_cf(&state).filter(|_| state.bg_error.is_none()) {
-                Some(cf_id) => core.flush_memtable(&mut state, cf_id),
-                None => core.flush_available.wait(&mut state),
-            }
-        }
+    /// Runs the most urgent flush, if one is due; returns whether it did.
+    pub(crate) fn flush_next(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> bool {
+        let due = Self::pick_flush_cf(state);
+        due.map(|cf_id| self.flush_memtable(state, cf_id)).is_some()
+    }
+
+    /// Claims and runs the most urgent compaction, if one is due.
+    pub(crate) fn compact_next(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> bool {
+        let due = self.claim_job(state);
+        due.map(|job| self.run_claimed_job(state, job)).is_some()
     }
 
     /// Writes family `cf_id`'s `imm` to a level-0 table and retires it.
@@ -169,7 +156,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             if !busy {
                 break;
             }
-            self.wait_for_background(&mut state);
+            self.wait_for_progress(&mut state);
         }
         // Quiesced: reclaim files whose deletion a commit-time GC skipped
         // because a read still pinned their version. Skipped when the last
@@ -181,20 +168,10 @@ impl<P: ShapePolicy> EngineCore<P> {
         Ok(())
     }
 
-    /// One worker of the compaction pool: claim a job whose inputs are
-    /// disjoint from every in-flight job, run its IO outside the state
-    /// mutex, and commit the result through the serialized `log_and_apply`.
-    pub(crate) fn compaction_worker_main(core: Arc<EngineCore<P>>) {
-        let mut state = core.state.lock();
-        while !core.shutting_down.load(Ordering::SeqCst) {
-            match core.claim_job(&mut state) {
-                Some(claimed) => core.run_claimed_job(&mut state, claimed),
-                None => core.work_available.wait(&mut state),
-            }
-        }
-    }
-
-    /// Claims the highest-priority compaction job across every family.
+    /// Claims the highest-priority compaction job across every family: one
+    /// whose inputs are disjoint from every in-flight job's, so that workers
+    /// can run their IO side by side outside the state mutex and commit
+    /// through the serialized `log_and_apply`.
     ///
     /// Families are polled hottest-first — pending compaction work, then
     /// most level-0 files — so one namespace's debt cannot hide behind an

@@ -94,7 +94,7 @@ pub fn read(env: &dyn Env, root: &Path) -> Result<CatalogData> {
     let mut reader = LogReader::new(file);
     // A torn tail ends replay, exactly like WAL recovery: the edit being
     // appended at the crash never committed.
-    while let Ok(Some(record)) = reader.read_record() {
+    while let Some(record) = reader.read_record_or_tail()? {
         let mut dec = Decoder::new(&record);
         let Ok(tag) = dec.read_bytes(1) else { break };
         match tag[0] {

@@ -30,7 +30,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -238,17 +238,15 @@ impl ChangeLog {
             .map_or(live, |(&log, _)| log))
     }
 
-    /// Blocks until the frontier differs from `seen` or `deadline` passes;
-    /// returns whether it moved.
-    fn wait_past(&self, seen: Frontier, deadline: Instant) -> bool {
+    /// Parks for up to `timeout` unless the frontier already differs from
+    /// `seen`; returns whether it does now. A wake-up may be spurious: a
+    /// caller with a deadline re-reads the clock and comes back.
+    fn wait_past(&self, seen: Frontier, timeout: Duration) -> bool {
         let mut inner = self.inner.lock();
-        while inner.frontier == seen {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() || self.data_ready.wait_for(&mut inner, remaining).timed_out() {
-                return inner.frontier != seen;
-            }
+        if inner.frontier == seen {
+            self.data_ready.wait_for(&mut inner, timeout);
         }
-        true
+        inner.frontier != seen
     }
 }
 
@@ -367,7 +365,7 @@ impl<P: ShapePolicy> EngineChangeStream<P> {
 
 impl<P: ShapePolicy> ChangeStream for EngineChangeStream<P> {
     fn next_event(&mut self, timeout: Duration) -> Result<Option<ChangeEvent>> {
-        let deadline = Instant::now() + timeout;
+        let deadline = self.shared.core.io.env.now() + timeout;
         loop {
             let core = &self.shared.core;
             if core.shutting_down.load(Ordering::SeqCst) {
@@ -405,9 +403,11 @@ impl<P: ShapePolicy> ChangeStream for EngineChangeStream<P> {
                 Some(batch) if batch.last_sequence() < self.next_seq => {}
                 Some(batch) => return self.deliver(batch),
                 None if live => {
-                    if !core.change_log.wait_past(frontier, deadline) {
+                    let remaining = deadline.saturating_sub(core.io.env.now());
+                    if remaining.is_zero() {
                         return Ok(None);
                     }
+                    core.change_log.wait_past(frontier, remaining);
                 }
                 None => self.replay = None,
             }
@@ -459,15 +459,13 @@ mod tests {
 
         // A stale view returns at once; a current one waits out its
         // deadline, or for the next publish.
-        let soon = || Instant::now() + Duration::from_millis(20);
-        assert!(log.wait_past(at(2, 40, 3), soon()));
-        assert!(!log.wait_past(at(3, 0, 3), soon()));
+        let soon = Duration::from_millis(20);
+        assert!(log.wait_past(at(2, 40, 3), soon));
+        assert!(!log.wait_past(at(3, 0, 3), soon));
         let _cursor = log.register(4).unwrap();
         let waiter = {
             let log = Arc::clone(&log);
-            std::thread::spawn(move || {
-                log.wait_past(at(3, 0, 3), Instant::now() + Duration::from_secs(60))
-            })
+            std::thread::spawn(move || log.wait_past(at(3, 0, 3), Duration::from_secs(60)))
         };
         log.publish(at(3, 25, 4));
         assert!(waiter.join().unwrap(), "a publish wakes the parked stream");

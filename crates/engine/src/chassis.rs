@@ -2,7 +2,7 @@
 //!
 //! This module holds the store's *types* — [`EngineDb`] (the handle),
 //! [`EngineCore`] (IO handles, policy, the mutexed [`EngineState`] and the
-//! background-thread rendezvous points) and [`CfState`] (one column family's
+//! background executor) and [`CfState`] (one column family's
 //! share of the state) — plus the one place the store meets its callers:
 //! [`CfOps`] implemented on [`EngineShared`], stats assembly included.
 //! [`EngineDb`]'s `KvStore` and `Db` and every column-family handle are views
@@ -35,11 +35,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use pebblesdb_common::cf::{CfOps, CfStats, ColumnFamilyHandle};
 use pebblesdb_common::commit::{CommitQueue, Numbering};
@@ -56,6 +55,7 @@ use pebblesdb_wal::LogWriter;
 
 use crate::catalog::{self, Catalog, CatalogData};
 use crate::cdc::{ChangeLog, EngineChangeStream};
+use crate::executor::Executor;
 use crate::policy::{CompactionJob, EngineIo, ShapePolicy};
 use crate::version_set::{version_files, LevelTable, VersionSet};
 use crate::vlog::{CfVlog, VlogGcReport};
@@ -71,34 +71,14 @@ pub struct EngineDb<P: ShapePolicy> {
 }
 
 /// The keep-alive unit behind [`EngineDb`] and every column-family handle:
-/// the core plus the background threads, joined when the last owner drops.
+/// when the last owner drops, the background threads are stopped and joined
+/// (see `crate::executor`).
 pub struct EngineShared<P: ShapePolicy> {
     pub(crate) core: Arc<EngineCore<P>>,
-    pub(crate) background_threads: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl<P: ShapePolicy> Drop for EngineShared<P> {
-    fn drop(&mut self) {
-        {
-            // A worker checks the flag and parks under `state`; setting it
-            // and notifying under the same lock means no worker can sit
-            // between its check and its wait and miss the wake-up.
-            let _state = self.core.state.lock();
-            self.core.shutting_down.store(true, Ordering::SeqCst);
-            self.core.work_available.notify_all();
-            self.core.flush_available.notify_all();
-        }
-        for handle in self.background_threads.lock().drain(..) {
-            // `join` only errs if the thread panicked, and the panic has
-            // already printed; re-raising it from a destructor would abort
-            // the process mid-unwind, so swallowing it here is deliberate.
-            let _ = handle.join();
-        }
-    }
 }
 
 /// The shared core of an engine: IO handles, the policy, the mutexed state
-/// and the background-thread rendezvous points.
+/// and the background executor.
 pub struct EngineCore<P: ShapePolicy> {
     /// Environment, database root, options and the default family's cache.
     pub io: EngineIo,
@@ -109,13 +89,8 @@ pub struct EngineCore<P: ShapePolicy> {
     /// Group-commit writer queue: concurrent writers enqueue batches, one
     /// leader gathers the group and performs WAL IO outside `state`.
     pub(crate) commit_queue: CommitQueue,
-    /// Wakes the compaction worker pool.
-    pub(crate) work_available: Condvar,
-    /// Wakes the dedicated flush thread.
-    pub(crate) flush_available: Condvar,
-    /// Wakes writers stalled in `make_room_for_write`, `flush` callers and
-    /// `drop_cf` waiting out in-flight jobs.
-    pub(crate) work_done: Condvar,
+    /// Who runs background jobs and where their waiters park.
+    pub(crate) executor: Executor,
     pub(crate) shutting_down: AtomicBool,
     /// Cumulative operation counters (shared with the vlog reader caches,
     /// which record their hit/miss traffic outside the state mutex).

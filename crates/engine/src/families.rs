@@ -86,7 +86,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             // dropped right after).
             state.job_cf(id).dropping = true;
             while state.job_cf(id).active_jobs > 0 || state.job_cf(id).flush_running {
-                self.wait_for_background(&mut state);
+                self.wait_for_progress(&mut state);
             }
             // The catalog edit is the commit point. Until it lands nothing
             // of the family may be discarded: if it fails the family goes
@@ -97,9 +97,8 @@ impl<P: ShapePolicy> EngineCore<P> {
                 .append_drop(id);
             if let Err(err) = edit {
                 state.job_cf(id).dropping = false;
-                self.flush_available.notify_one();
-                self.work_available.notify_all();
-                self.work_done.notify_all();
+                self.kick(&mut state);
+                self.notify_progress();
                 return Err(err);
             }
             state.cfs.remove(&id).expect("dropping family is live")
@@ -114,7 +113,7 @@ impl<P: ShapePolicy> EngineCore<P> {
                 .cleanup_failures
                 .fetch_add(1, Ordering::Relaxed);
         }
-        self.work_done.notify_all();
+        self.notify_progress();
         Ok(())
     }
 }

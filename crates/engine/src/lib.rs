@@ -12,16 +12,20 @@
 //!   on [`EngineShared`] (stats assembly included). `KvStore`, `Db` and the
 //!   column-family handles are views `pebblesdb_common` derives from it, so
 //!   a request crosses exactly one chassis frame before `EngineCore`;
-//! * `open` — catalog + per-family CURRENT/MANIFEST recovery, WAL replay, the
-//!   fresh WAL and the background threads;
+//! * `open` — catalog + per-family CURRENT/MANIFEST recovery, WAL replay and
+//!   the fresh WAL;
 //! * `write` — the commit pipeline. Every mutation is a group of WAL records
 //!   committed by one leader in named stages: plan → make room → number →
 //!   take the log/vlog appenders → *(state mutex released)* separate → log →
 //!   apply → reinstall + publish. `make_room_for_write` and memtable
 //!   rotation live beside it;
 //! * `read` — point gets, streaming cursors, snapshots;
-//! * `background` — the dedicated flush thread, the compaction worker pool,
-//!   the one job lifecycle both run through, `flush()` and live-file GC;
+//! * `background` — picking a flush or a compaction, the one job lifecycle
+//!   both run through, `flush()` and live-file GC;
+//! * `executor` — who runs those jobs (`compaction_threads` workers through
+//!   `Env::spawn`, or with 0 the calling thread) behind one `kick` /
+//!   `wait_for_progress` pair; the only module that names a condvar of the
+//!   background machinery or a worker thread;
 //! * `families` — column-family create/drop ([`catalog`] is their log);
 //! * [`vlog`] — key-value separation: appenders, reader cache, value-log GC;
 //! * [`cdc`] — the published WAL frontier, WAL retention and
@@ -46,6 +50,7 @@ mod background;
 pub mod catalog;
 pub mod cdc;
 pub mod chassis;
+mod executor;
 mod families;
 pub mod meta;
 mod open;

@@ -1,12 +1,12 @@
 //! Opening a store: catalog + per-family MANIFEST recovery, WAL replay into
-//! the families' memtables, a fresh WAL, and the background threads.
+//! the families' memtables, a fresh WAL, and the background workers.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use pebblesdb_common::commit::CommitQueue;
 use pebblesdb_common::filename::{current_file_name, log_file_name, parse_file_name, FileType};
@@ -110,7 +110,6 @@ impl<P: ShapePolicy> EngineDb<P> {
             state.catalog = Some(Catalog::rewrite(Arc::clone(&env), path, &snapshot)?);
         }
 
-        let label = policy.engine_name().to_ascii_lowercase();
         let change_log = Arc::new(ChangeLog::new(
             options.cdc_wal_retain_segments,
             wal_births,
@@ -122,9 +121,7 @@ impl<P: ShapePolicy> EngineDb<P> {
             policy,
             state: Mutex::new(state),
             commit_queue: CommitQueue::new(),
-            work_available: Condvar::new(),
-            flush_available: Condvar::new(),
-            work_done: Condvar::new(),
+            executor: Default::default(),
             shutting_down: AtomicBool::new(false),
             counters,
             snapshots: SnapshotList::new(),
@@ -134,27 +131,11 @@ impl<P: ShapePolicy> EngineDb<P> {
         });
         core.remove_obsolete_files(&mut core.state.lock());
 
-        // One dedicated flush thread plus `compaction_threads` workers; see
-        // `crate::background`.
-        let spawn = |name: String, main: fn(Arc<EngineCore<P>>)| {
-            let core = Arc::clone(&core);
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(move || main(core))
-                .map_err(|e| Error::internal(format!("spawn background thread: {e}")))
-        };
-        let mut handles = vec![spawn(format!("{label}-flush"), EngineCore::flush_main)?];
-        for worker in 0..core.io.options.compaction_threads.max(1) {
-            let name = format!("{label}-compact-{worker}");
-            handles.push(spawn(name, EngineCore::compaction_worker_main)?);
-        }
-
-        Ok(EngineDb {
-            shared: Arc::new(EngineShared {
-                core,
-                background_threads: Mutex::new(handles),
-            }),
-        })
+        // If a thread cannot be started, dropping `shared` stops and joins
+        // the ones that were.
+        let shared = Arc::new(EngineShared { core });
+        EngineCore::start_workers(&shared.core)?;
+        Ok(EngineDb { shared })
     }
 }
 

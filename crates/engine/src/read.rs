@@ -131,10 +131,11 @@ impl<P: ShapePolicy> EngineCore<P> {
         // The lock is taken a second time only when the policy wants a
         // compaction for what this cursor is about to read.
         if self.policy.note_seek(&version) {
-            if let Some(cf) = self.state.lock().cf_mut(cf_id) {
+            let mut state = self.state.lock();
+            if let Some(cf) = state.cf_mut(cf_id) {
                 self.policy.arm_requested_compaction(&mut cf.policy);
             }
-            self.work_available.notify_one();
+            self.kick(&mut state);
         }
 
         let mut children: Vec<Box<dyn DbIterator>> = Vec::new();

@@ -343,11 +343,12 @@ impl ValueResolver for VlogReaderCache {
         }
         let record = parse_vlog_record(&data)?;
         if record.compressed {
-            let start = std::time::Instant::now();
+            let start = self.env.now();
             let value = pebblesdb_compress::decompress(record.value, MAX_DECOMPRESSED_VALUE)?;
+            let spent = self.env.now() - start;
             self.counters
                 .decompress_micros
-                .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+                .fetch_add(spent.as_micros() as u64, Ordering::Relaxed);
             Ok(value)
         } else {
             Ok(record.value.to_vec())

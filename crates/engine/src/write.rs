@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::MutexGuard;
 
@@ -339,22 +339,25 @@ impl<P: ShapePolicy> EngineCore<P> {
             // The previous memtable is still flushing, or level 0 is full.
             let blocked = cf.imm.is_some() || level0_files >= options.level0_stop_writes_trigger;
             if slow_down || blocked {
-                let stall = Instant::now();
+                let stall = self.io.env.now();
                 if slow_down {
-                    // Gentle back-pressure, once per write: let the
-                    // compaction workers make progress without fully
-                    // blocking this writer.
+                    // Gentle back-pressure, once per write: let compaction
+                    // make progress without fully blocking this writer. (A
+                    // writer that just ran the jobs itself has waited.)
                     allow_delay = false;
-                    self.work_available.notify_all();
-                    MutexGuard::unlocked(state, || std::thread::sleep(Duration::from_millis(1)));
+                    if !self.kick(state) {
+                        let pause = Duration::from_millis(1);
+                        MutexGuard::unlocked(state, || self.io.env.sleep(pause));
+                    }
                 } else {
-                    self.wait_for_background(state);
+                    self.wait_for_progress(state);
                 }
-                self.counters
-                    .record_stall(stall.elapsed().as_micros() as u64);
+                let stalled = self.io.env.now() - stall;
+                self.counters.record_stall(stalled.as_micros() as u64);
                 continue;
             }
             self.rotate_memtable(state, cf_id)?;
+            self.kick(state);
             rotate = false;
         }
     }
@@ -387,7 +390,6 @@ impl<P: ShapePolicy> EngineCore<P> {
         let cf = state.cf_mut(cf_id).expect("family checked by the caller");
         cf.imm = Some(std::mem::replace(&mut cf.mem, Arc::new(MemTable::new())));
         cf.mem_log_number = new_log_number;
-        self.flush_available.notify_one();
         Ok(())
     }
 }

@@ -14,9 +14,11 @@ pub mod mem;
 pub mod stats;
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use pebblesdb_common::Result;
+use pebblesdb_common::{Error, Result};
 
 pub use disk::DiskEnv;
 pub use mem::MemEnv;
@@ -78,7 +80,10 @@ pub trait RandomWritableFile: Send + Sync {
 }
 
 /// The environment a database runs in: file creation, deletion, directory
-/// listing, and the IO statistics shared by every file it hands out.
+/// listing, the IO statistics shared by every file it hands out — and time
+/// and threads ([`Env::now`], [`Env::sleep`], [`Env::spawn`]), so that what
+/// a store does is decided by its inputs and its environment and by nothing
+/// else.
 pub trait Env: Send + Sync {
     /// Creates (or truncates) a writable file.
     fn new_writable_file(&self, path: &Path) -> Result<Box<dyn WritableFile>>;
@@ -120,6 +125,25 @@ pub trait Env: Send + Sync {
     fn children(&self, path: &Path) -> Result<Vec<String>>;
     /// The IO statistics shared by all files created by this environment.
     fn io_stats(&self) -> Arc<IoStats>;
+
+    /// Monotonic time since an origin of the environment's choosing. Only
+    /// differences mean anything; a virtual clock may return whatever it
+    /// has charged so far.
+    fn now(&self) -> Duration {
+        static ORIGIN: OnceLock<Instant> = OnceLock::new();
+        ORIGIN.get_or_init(Instant::now).elapsed()
+    }
+
+    /// Blocks the calling thread for `duration` of this environment's time.
+    fn sleep(&self, duration: Duration) {
+        std::thread::sleep(duration);
+    }
+
+    /// Starts a thread called `name` that runs `main` to completion.
+    fn spawn(&self, name: String, main: Box<dyn FnOnce() + Send>) -> Result<JoinHandle<()>> {
+        let spawned = std::thread::Builder::new().name(name).spawn(main);
+        spawned.map_err(|e| Error::internal(format!("spawn background thread: {e}")))
+    }
 
     /// Writes `data` to `path` and then atomically renames it into place,
     /// syncing the parent directory so the rename survives a crash.

@@ -230,18 +230,19 @@ impl MemEnv {
 struct MemWritableFile {
     path: PathBuf,
     data: FileData,
-    faults: Arc<Mutex<FaultState>>,
-    stats: Arc<IoStats>,
+    /// The environment the file lives in: its fault schedule, its IO
+    /// statistics and the clock injected latency is paid on.
+    env: MemEnv,
 }
 
 impl WritableFile for MemWritableFile {
     fn append(&mut self, data: &[u8]) -> Result<()> {
-        let latency = self.faults.lock().check_append(&self.path)?;
+        let latency = self.env.faults.lock().check_append(&self.path)?;
         if latency > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(latency));
+            self.env.sleep(std::time::Duration::from_micros(latency));
         }
         self.data.write().extend_from_slice(data);
-        self.stats.record_write(data.len() as u64);
+        self.env.stats.record_write(data.len() as u64);
         Ok(())
     }
 
@@ -250,13 +251,13 @@ impl WritableFile for MemWritableFile {
     }
 
     fn sync(&mut self) -> Result<()> {
-        self.faults.lock().check_sync(&self.path)?;
-        self.stats.record_sync();
+        self.env.faults.lock().check_sync(&self.path)?;
+        self.env.stats.record_sync();
         Ok(())
     }
 
     fn close(&mut self) -> Result<()> {
-        self.faults.lock().check_sync(&self.path)?;
+        self.env.faults.lock().check_sync(&self.path)?;
         Ok(())
     }
 }
@@ -350,8 +351,7 @@ impl Env for MemEnv {
         Ok(Box::new(MemWritableFile {
             path: Self::normalize(path),
             data,
-            faults: Arc::clone(&self.faults),
-            stats: Arc::clone(&self.stats),
+            env: self.clone(),
         }))
     }
 

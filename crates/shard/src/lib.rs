@@ -270,7 +270,7 @@ fn replay_journals<P: ShapePolicy>(
         let file = env.new_sequential_file(&root.join(name))?;
         let mut reader = LogReader::new(file);
         // A torn tail ends replay of this journal, exactly like WAL replay.
-        while let Ok(Some(record)) = reader.read_record() {
+        while let Some(record) = reader.read_record_or_tail()? {
             let Ok(batch) = WriteBatch::from_contents(record) else {
                 break;
             };

@@ -117,6 +117,17 @@ impl LogReader {
         }
     }
 
+    /// [`LogReader::read_record`] for the replay of a log whose tail may be
+    /// torn: damage ends the log as its clean end does — the record being
+    /// appended at the crash never committed — while an error of the
+    /// environment is returned, because the bytes it withheld may be fine.
+    pub fn read_record_or_tail(&mut self) -> Result<Option<Vec<u8>>> {
+        match self.read_record() {
+            Err(err) if err.is_corruption() => Ok(None),
+            other => other,
+        }
+    }
+
     /// Reads the next physical fragment, refilling the block buffer as needed.
     fn read_physical_record(&mut self) -> Result<Option<(RecordType, Vec<u8>)>> {
         loop {

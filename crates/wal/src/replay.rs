@@ -48,13 +48,15 @@ impl SegmentReplay {
     /// segment (or of what the limit allows, in which case a later call
     /// continues). With no limit a torn or corrupt tail ends the segment:
     /// those bytes were never acknowledged. Inside a limit every byte was,
-    /// so one that cannot be read is lost history and an error.
+    /// so one that cannot be read is lost history and an error. An error
+    /// of the environment is always an error: the bytes it failed to
+    /// deliver may be acknowledged writes.
     pub fn next_batch(&mut self) -> Result<Option<WriteBatch>> {
         loop {
             let record = self.reader.read_record();
             let batch = match record.and_then(|r| r.map(WriteBatch::from_contents).transpose()) {
                 Ok(Some(batch)) => batch,
-                Err(err) if self.reader.is_bounded() => return Err(err),
+                Err(err) if self.reader.is_bounded() || !err.is_corruption() => return Err(err),
                 // The clean end, a fragment that does not frame, or a record
                 // that frames but is no batch: the tail recovery stops at.
                 Ok(None) | Err(_) => return Ok(None),

@@ -8,10 +8,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pebblesdb::PebblesDb;
-use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset, WriteBatch};
+use pebblesdb_common::{
+    Db, Error, KvStore, ReadOptions, Result, StoreOptions, StorePreset, WriteBatch,
+};
 use pebblesdb_engine::{EngineDb, ShapePolicy};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
+use pebblesdb_tests::ProbeEnv;
 
 /// Number of `.sst` files physically present in the database directory.
 fn tables_on_disk(env: &dyn Env, dir: &Path) -> usize {
@@ -336,18 +339,132 @@ fn dropped_unsynced_dir_entries_lose_no_acknowledged_data() {
 
 /// Opens either LSM-family engine as a multi-namespace `Db`.
 fn open_db_engine(engine: &str, env: &Arc<dyn Env>, dir: &Path) -> Arc<dyn Db> {
-    if engine == "flsm" {
-        Arc::new(PebblesDb::open_with_options(Arc::clone(env), dir, small_options()).unwrap())
+    try_open_db_engine(engine, env, dir, small_options()).unwrap()
+}
+
+fn try_open_db_engine(
+    engine: &str,
+    env: &Arc<dyn Env>,
+    dir: &Path,
+    options: StoreOptions,
+) -> Result<Arc<dyn Db>> {
+    let env = Arc::clone(env);
+    Ok(if engine == "flsm" {
+        Arc::new(PebblesDb::open_with_options(env, dir, options)?)
     } else {
-        Arc::new(
-            LsmDb::open_with_options(
-                Arc::clone(env),
-                dir,
-                small_options(),
-                StorePreset::HyperLevelDb,
-            )
-            .unwrap(),
-        )
+        Arc::new(LsmDb::open_with_options(
+            env,
+            dir,
+            options,
+            StorePreset::HyperLevelDb,
+        )?)
+    })
+}
+
+/// Every file of the store at `dir`: the root and the directories of
+/// families 1 to 3 (`MemEnv` lists files, never directories).
+fn files_under(env: &dyn Env, dir: &Path) -> Vec<String> {
+    let mut files = env.children(dir).unwrap();
+    for id in 1..=3 {
+        let inside = env.children(&dir.join(format!("cf-{id}"))).unwrap();
+        files.extend(inside.into_iter().map(|file| format!("cf-{id}/{file}")));
+    }
+    files
+}
+
+/// Opens `dir` on an env about to fail a sequential read: the open fails
+/// with the `Io` error and deletes nothing.
+fn assert_open_fails_with_io_and_deletes_nothing(
+    engine: &str,
+    probe: &Arc<ProbeEnv>,
+    dir: &Path,
+    options: StoreOptions,
+) {
+    let env: Arc<dyn Env> = Arc::clone(probe) as Arc<dyn Env>;
+    let before = files_under(env.as_ref(), dir);
+    match try_open_db_engine(engine, &env, dir, options) {
+        Err(Error::Io(_)) => {}
+        Err(other) => panic!("{engine}: open failed with {other}, not the read error"),
+        Ok(_) => panic!("{engine}: open succeeded over a failed read"),
+    }
+    assert!(
+        !probe.read_fault_pending(),
+        "{engine}: the fault never fired"
+    );
+    let after = files_under(env.as_ref(), dir);
+    for file in &before {
+        assert!(after.contains(file), "{engine}: {file} was deleted");
+    }
+}
+
+/// A device error in the middle of a WAL is not a torn tail: recovery must
+/// fail with it rather than flush what it had read so far and reclaim the
+/// log — acknowledged writes past the error would be gone for good.
+#[test]
+fn an_io_error_inside_the_wal_fails_the_open_and_a_retry_recovers_everything() {
+    for engine in ["flsm", "lsm"] {
+        let probe = ProbeEnv::new();
+        let env: Arc<dyn Env> = Arc::clone(&probe) as Arc<dyn Env>;
+        let dir = Path::new("/io-error-wal");
+        // One memtable's worth: every write lives in the one WAL only.
+        let options = StoreOptions::default();
+        let written = 3000u32;
+        {
+            let db = try_open_db_engine(engine, &env, dir, options.clone()).unwrap();
+            for i in 0..written {
+                db.put(format!("key{i:06}").as_bytes(), format!("v{i}").as_bytes())
+                    .unwrap();
+            }
+        }
+        // ~35 KB into a log of ~100 KB.
+        probe.fail_sequential_read(".log", 5000);
+        assert_open_fails_with_io_and_deletes_nothing(engine, &probe, dir, options.clone());
+
+        let db = try_open_db_engine(engine, &env, dir, options).unwrap();
+        for i in 0..written {
+            assert_eq!(
+                db.get(format!("key{i:06}").as_bytes()).unwrap(),
+                Some(format!("v{i}").into_bytes()),
+                "{engine}: key{i:06} was acknowledged and is gone"
+            );
+        }
+    }
+}
+
+/// The same for the column-family catalog: ending its replay early made the
+/// rewrite at open compact every later family away, and the open after that
+/// reaped their directories as orphans.
+#[test]
+fn an_io_error_inside_the_catalog_fails_the_open_and_no_family_is_lost() {
+    for engine in ["flsm", "lsm"] {
+        let probe = ProbeEnv::new();
+        let env: Arc<dyn Env> = Arc::clone(&probe) as Arc<dyn Env>;
+        let dir = Path::new("/io-error-catalog");
+        let names = ["alpha", "beta", "gamma"];
+        {
+            let db = open_db_engine(engine, &env, dir);
+            for name in names {
+                let cf = db.create_cf(name).unwrap();
+                for i in 0..500u32 {
+                    cf.put(format!("{name}{i:05}").as_bytes(), name.as_bytes())
+                        .unwrap();
+                }
+            }
+            db.flush().unwrap();
+        }
+        // Past the id-floor record, inside the first family's create edit.
+        probe.fail_sequential_read("CFS", 3);
+        assert_open_fails_with_io_and_deletes_nothing(engine, &probe, dir, small_options());
+
+        for _ in 0..2 {
+            let db = open_db_engine(engine, &env, dir);
+            for name in names {
+                let cf = db
+                    .cf(name)
+                    .unwrap_or_else(|| panic!("{engine}: {name} is gone"));
+                assert_eq!(cf.scan(b"", &[], 1000).unwrap().len(), 500, "{engine}");
+            }
+        }
     }
 }
 

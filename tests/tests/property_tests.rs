@@ -150,10 +150,14 @@ fn baseline_lsm_matches_model() {
 fn concurrent_compactions_match_model_and_snapshots(
     open_store: impl Fn(Arc<dyn Env>, StoreOptions) -> Arc<dyn KvStore>,
 ) {
-    let mut rng = StdRng::seed_from_u64(0x5eed_0010);
-    for case in 0..3 {
+    let seed = 0x5eed_0010;
+    let mut rng = StdRng::seed_from_u64(seed);
+    // The pool's size is one more input: the last case has no pool, and the
+    // two threads below run every flush and compaction themselves.
+    for (case, threads) in [4, 4, 4, 0].into_iter().enumerate() {
+        eprintln!("seed {seed:#x}, case {case}, compaction_threads {threads}");
         let mut opts = tiny_options();
-        opts.compaction_threads = 4;
+        opts.compaction_threads = threads;
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let store = open_store(env, opts);
 
@@ -293,10 +297,12 @@ fn concurrent_compactions_match_model_across_families(
         TwinPut(u16, Vec<u8>),
     }
 
-    let mut rng = StdRng::seed_from_u64(0x5eed_0c0f);
-    for case in 0..2 {
+    let seed = 0x5eed_0c0f;
+    let mut rng = StdRng::seed_from_u64(seed);
+    for (case, threads) in [4, 4, 0].into_iter().enumerate() {
+        eprintln!("seed {seed:#x}, case {case}, compaction_threads {threads}");
         let mut opts = tiny_options();
-        opts.compaction_threads = 4;
+        opts.compaction_threads = threads;
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let store = open_store(env, opts);
         let families: Vec<ColumnFamilyHandle> = vec![

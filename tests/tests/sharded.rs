@@ -14,11 +14,13 @@ use rand::{Rng, SeedableRng};
 use pebblesdb::PebblesDb;
 use pebblesdb_common::snapshot::Snapshot;
 use pebblesdb_common::{
-    CompressionType, Db, KvStore, ReadOptions, StoreOptions, StorePreset, StoreStats, WriteBatch,
+    CompressionType, Db, Error, KvStore, ReadOptions, StoreOptions, StorePreset, StoreStats,
+    WriteBatch,
 };
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 use pebblesdb_shard::{HashPartitioner, Partitioner, PartitionerKind, ShardConfig};
+use pebblesdb_tests::ProbeEnv;
 
 fn tiny_options() -> StoreOptions {
     let mut opts = StoreOptions::default();
@@ -361,6 +363,65 @@ fn cross_shard_batch_interrupted_mid_stage_recovers_atomically() {
         store.put(b"after", b"recovered").unwrap();
         assert_eq!(store.get(b"after").unwrap(), Some(b"recovered".to_vec()));
         env.remove_dir_all(dir).unwrap();
+    }
+}
+
+/// A device error while the coordinator journal is replayed must fail the
+/// open and leave the journal: treated as the journal's end, it had the
+/// half-replayed journal deleted and the cross-shard batch left torn.
+#[test]
+fn an_io_error_inside_the_journal_fails_the_open_and_a_retry_completes_the_batch() {
+    for engine in ["flsm", "lsm"] {
+        let probe = ProbeEnv::new();
+        let env: Arc<dyn Env> = Arc::clone(&probe) as Arc<dyn Env>;
+        let dir = Path::new("/sharded-io-error");
+        let (key_a, key_b) = keys_on_shards_0_and_1();
+        {
+            let store = open_sharded(Arc::clone(&env), dir, engine, hash_config());
+            // Journaled, staged on shard 0, dead before shard 1.
+            probe.inner.inject_write_error_after("shard-1/", 0);
+            let mut batch = WriteBatch::new();
+            batch.put(&key_a, b"half");
+            batch.put(&key_b, b"other-half");
+            assert!(store.write(batch).is_err(), "{engine}: staging must fail");
+            probe.inner.clear_fault_injection();
+        }
+        let journals = |env: &dyn Env| -> Vec<String> {
+            let names = env.children(dir).unwrap().into_iter();
+            names.filter(|name| name.starts_with("journal-")).collect()
+        };
+        let before = journals(env.as_ref());
+        assert!(!before.is_empty(), "{engine}: the batch was journaled");
+
+        // Inside the journal's one record.
+        probe.fail_sequential_read("journal-", 2);
+        let opened = match engine {
+            "flsm" => PebblesDb::open_sharded(Arc::clone(&env), dir, tiny_options(), hash_config())
+                .map(drop),
+            _ => {
+                let preset = StorePreset::HyperLevelDb;
+                LsmDb::open_sharded(Arc::clone(&env), dir, tiny_options(), preset, hash_config())
+                    .map(drop)
+            }
+        };
+        assert!(matches!(opened, Err(Error::Io(_))), "{engine}: {opened:?}");
+        assert!(
+            !probe.read_fault_pending(),
+            "{engine}: the fault never fired"
+        );
+        assert_eq!(journals(env.as_ref()), before, "{engine}: journal deleted");
+
+        let store = open_sharded(Arc::clone(&env), dir, engine, hash_config());
+        assert_eq!(
+            store.get(&key_a).unwrap(),
+            Some(b"half".to_vec()),
+            "{engine}"
+        );
+        assert_eq!(
+            store.get(&key_b).unwrap(),
+            Some(b"other-half".to_vec()),
+            "{engine}: the journal went before it was replayed"
+        );
     }
 }
 
