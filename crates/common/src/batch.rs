@@ -43,7 +43,7 @@ const TAG_VALUE_POINTER: u8 = 4;
 const TAG_CF_VALUE_POINTER: u8 = 5;
 
 /// A re-orderable group of updates applied to a store atomically.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WriteBatch {
     rep: Vec<u8>,
 }

@@ -149,9 +149,16 @@ pub fn parse_vlog_record(data: &[u8]) -> Result<VlogRecord<'_>> {
 /// Iterates the records of a whole vlog file image, yielding
 /// `(offset, record, record_len)` per record.
 ///
-/// A torn tail (the bytes a crash left behind after the last complete
-/// record) ends the iteration silently — exactly like WAL replay — while a
-/// checksum mismatch in the middle of the file surfaces as an `Err`.
+/// A file that stops short of a record's length has ended, silently (a
+/// crash mid-append; those bytes were never acknowledged), while a checksum
+/// mismatch anywhere surfaces as an `Err`.
+///
+/// This is the one append-only file that is *not* a `pebblesdb_wal` record
+/// log, by decision: a [`ValuePointer`] is `(file, offset, length)` and must
+/// resolve with one ranged read of exactly the record, and the record log
+/// fragments a record at every 32 KiB block boundary. So the value log keeps
+/// its own unfragmented framing, and this scan — garbage collection's, the
+/// only whole-file reader — its own, simpler end-of-file rule.
 pub fn iter_vlog_records(data: &[u8]) -> VlogRecordIter<'_> {
     VlogRecordIter { data, offset: 0 }
 }

@@ -3,15 +3,7 @@
 //! Each column family owns its own version set (CURRENT/MANIFEST) — the
 //! default family in the database root, every other family in a `cf-<id>`
 //! subdirectory — but the *set of families* is database-level metadata. It
-//! lives in the `CFS` file at the root: a WAL-format log of create/drop
-//! edits, CRC-protected and torn-tail-safe like every other manifest in the
-//! workspace.
-//!
-//! ```text
-//! CFS record := 0x01 varint32(id) varstring(name)   -- create family
-//!             | 0x02 varint32(id)                   -- drop family
-//!             | 0x03 varint32(next_id)              -- id floor (never reused)
-//! ```
+//! lives in the `CFS` file at the root: a record log of [`CatalogEdit`]s.
 //!
 //! Lifecycle and crash windows:
 //!
@@ -23,9 +15,10 @@
 //!   is deleted. A crash in between leaves an orphaned `cf-<id>` directory
 //!   that reopen reaps (ids are never reused, so the directory is provably
 //!   dead).
-//! * On reopen the log is compacted: the surviving state is rewritten to
-//!   `CFS.rewrite` and atomically renamed over `CFS` (directory synced), so
-//!   the file does not grow with dead edits.
+//! * The first edit of a session, and the first after a failed append,
+//!   rewrites the live state to `CFS.rewrite` and atomically renames it over
+//!   `CFS` (directory synced): the file does not grow with dead edits, and a
+//!   tear a failed append left is never buried under later ones.
 //!
 //! A database that never creates a second family has no `CFS` file at all —
 //! the single-namespace layout on disk is byte-identical to the
@@ -37,18 +30,59 @@ use std::sync::Arc;
 use pebblesdb_common::coding::{put_length_prefixed_slice, put_varint32, Decoder};
 use pebblesdb_common::{CfId, Error, Result, DEFAULT_CF_NAME};
 use pebblesdb_env::Env;
-use pebblesdb_wal::{LogReader, LogWriter};
+use pebblesdb_wal::{LogWriter, Record, Replay, Tail};
 
 const TAG_CREATE: u8 = 1;
 const TAG_DROP: u8 = 2;
 const TAG_NEXT_ID: u8 = 3;
 
-/// The catalog file name inside the database root.
-pub const CATALOG_FILE: &str = "CFS";
+/// One record of the `CFS` log: a tag byte, `varint32(id)` and, in a create,
+/// `varstring(name)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CatalogEdit {
+    /// Tag 1: the family `id` exists from here on, under this name.
+    Create(CfId, String),
+    /// Tag 2: the family `id` is gone.
+    Drop(CfId),
+    /// Tag 3: the id floor — no id below it is ever handed out again.
+    NextId(CfId),
+}
+
+impl Record for CatalogEdit {
+    fn encode(&self) -> Vec<u8> {
+        let (tag, id) = match self {
+            CatalogEdit::Create(id, _) => (TAG_CREATE, id),
+            CatalogEdit::Drop(id) => (TAG_DROP, id),
+            CatalogEdit::NextId(id) => (TAG_NEXT_ID, id),
+        };
+        let mut out = vec![tag];
+        put_varint32(&mut out, *id);
+        if let CatalogEdit::Create(_, name) = self {
+            put_length_prefixed_slice(&mut out, name.as_bytes());
+        }
+        out
+    }
+
+    fn decode(bytes: Vec<u8>) -> Result<CatalogEdit> {
+        let mut dec = Decoder::new(&bytes);
+        let (tag, id) = (dec.read_bytes(1)?[0], dec.read_varint32()?);
+        match tag {
+            TAG_NEXT_ID => Ok(CatalogEdit::NextId(id)),
+            TAG_CREATE | TAG_DROP if id == 0 => {
+                Err(Error::corruption("catalog edit of the default family"))
+            }
+            TAG_DROP => Ok(CatalogEdit::Drop(id)),
+            TAG_CREATE => String::from_utf8(dec.read_length_prefixed_slice()?.to_vec())
+                .map(|name| CatalogEdit::Create(id, name))
+                .map_err(|_| Error::corruption("non-utf8 column family name")),
+            _ => Err(Error::corruption(format!("unknown catalog tag {tag}"))),
+        }
+    }
+}
 
 /// Returns the path of the catalog file inside `root`.
 pub fn catalog_file_name(root: &Path) -> PathBuf {
-    root.join(CATALOG_FILE)
+    root.join("CFS")
 }
 
 /// Returns the directory of column family `id` (the root for the default).
@@ -90,50 +124,20 @@ pub fn read(env: &dyn Env, root: &Path) -> Result<CatalogData> {
     if !env.file_exists(&path) {
         return Ok(data);
     }
-    let file = env.new_sequential_file(&path)?;
-    let mut reader = LogReader::new(file);
-    // A torn tail ends replay, exactly like WAL recovery: the edit being
-    // appended at the crash never committed.
-    while let Some(record) = reader.read_record_or_tail()? {
-        let mut dec = Decoder::new(&record);
-        let Ok(tag) = dec.read_bytes(1) else { break };
-        match tag[0] {
-            TAG_CREATE => {
-                let id = dec.read_varint32()?;
-                let name = dec.read_length_prefixed_slice()?;
-                let name = String::from_utf8(name.to_vec())
-                    .map_err(|_| Error::corruption("non-utf8 column family name"))?;
+    let mut replay = Replay::new(env.new_sequential_file(&path)?, Tail::Torn);
+    while let Some(edit) = replay.next_record()? {
+        match edit {
+            CatalogEdit::Create(id, name) => {
                 data.cfs.retain(|(existing, _)| *existing != id);
                 data.cfs.push((id, name));
-                data.next_cf_id = data.next_cf_id.max(id + 1);
+                data.next_cf_id = data.next_cf_id.max(id.saturating_add(1));
             }
-            TAG_DROP => {
-                let id = dec.read_varint32()?;
-                data.cfs.retain(|(existing, _)| *existing != id);
-            }
-            TAG_NEXT_ID => {
-                let next = dec.read_varint32()?;
-                data.next_cf_id = data.next_cf_id.max(next);
-            }
-            other => {
-                return Err(Error::corruption(format!(
-                    "unknown column family catalog tag {other}"
-                )));
-            }
+            CatalogEdit::Drop(id) => data.cfs.retain(|(existing, _)| *existing != id),
+            CatalogEdit::NextId(next) => data.next_cf_id = data.next_cf_id.max(next),
         }
     }
     data.cfs.sort_by_key(|(id, _)| *id);
     Ok(data)
-}
-
-/// Encodes one catalog record; only create records carry a name.
-fn record(tag: u8, id: CfId, name: &str) -> Vec<u8> {
-    let mut out = vec![tag];
-    put_varint32(&mut out, id);
-    if tag == TAG_CREATE {
-        put_length_prefixed_slice(&mut out, name.as_bytes());
-    }
-    out
 }
 
 /// An open, appendable catalog.
@@ -148,14 +152,12 @@ impl Catalog {
     /// Safe against a crash at any point: the rename is the commit, and the
     /// root directory is synced after it.
     pub fn rewrite(env: Arc<dyn Env>, root: &Path, data: &CatalogData) -> Result<Catalog> {
-        let tmp = root.join(format!("{CATALOG_FILE}.rewrite"));
+        let tmp = catalog_file_name(root).with_extension("rewrite");
         let file = env.new_writable_file(&tmp)?;
         let mut writer = LogWriter::new(file);
-        writer.add_record(&record(TAG_NEXT_ID, data.next_cf_id, ""))?;
-        for (id, name) in &data.cfs {
-            if *id != 0 {
-                writer.add_record(&record(TAG_CREATE, *id, name))?;
-            }
+        writer.add_record(&CatalogEdit::NextId(data.next_cf_id).encode())?;
+        for (id, name) in data.cfs.iter().filter(|(id, _)| *id != 0) {
+            writer.add_record(&CatalogEdit::Create(*id, name.clone()).encode())?;
         }
         writer.sync()?;
         env.rename_file(&tmp, &catalog_file_name(root))?;
@@ -165,16 +167,12 @@ impl Catalog {
         Ok(Catalog { writer })
     }
 
-    /// Appends (and syncs) a create edit. This is the creation commit point.
-    pub fn append_create(&mut self, id: CfId, name: &str) -> Result<()> {
-        self.writer.add_record(&record(TAG_CREATE, id, name))?;
-        self.writer.sync()
-    }
-
-    /// Appends (and syncs) a drop edit. This is the drop commit point; the
-    /// family's directory may be deleted only after this returns.
-    pub fn append_drop(&mut self, id: CfId) -> Result<()> {
-        self.writer.add_record(&record(TAG_DROP, id, ""))?;
+    /// Appends (and syncs) an edit: the commit point of a create or a drop
+    /// (a family's directory may be deleted only after its drop returned).
+    /// After an error the file may end in a tear that later appends would
+    /// bury: the handle must be dropped, and the next edit rewrites.
+    pub fn append(&mut self, edit: &CatalogEdit) -> Result<()> {
+        self.writer.add_record(&edit.encode())?;
         self.writer.sync()
     }
 }
@@ -202,9 +200,13 @@ mod tests {
             &CatalogData::default(),
         )
         .unwrap();
-        catalog.append_create(1, "users").unwrap();
-        catalog.append_create(2, "posts").unwrap();
-        catalog.append_drop(1).unwrap();
+        catalog
+            .append(&CatalogEdit::Create(1, "users".into()))
+            .unwrap();
+        catalog
+            .append(&CatalogEdit::Create(2, "posts".into()))
+            .unwrap();
+        catalog.append(&CatalogEdit::Drop(1)).unwrap();
 
         let data = read(env.as_ref(), root).unwrap();
         assert_eq!(
@@ -215,7 +217,9 @@ mod tests {
 
         // A rewrite compacts the dead edits but preserves the id floor.
         let mut catalog = Catalog::rewrite(Arc::clone(&env) as Arc<dyn Env>, root, &data).unwrap();
-        catalog.append_create(3, "tags").unwrap();
+        catalog
+            .append(&CatalogEdit::Create(3, "tags".into()))
+            .unwrap();
         let data = read(env.as_ref(), root).unwrap();
         assert_eq!(data.cfs.len(), 3);
         assert_eq!(data.next_cf_id, 4);
@@ -231,8 +235,12 @@ mod tests {
             &CatalogData::default(),
         )
         .unwrap();
-        catalog.append_create(1, "users").unwrap();
-        catalog.append_create(2, "posts").unwrap();
+        catalog
+            .append(&CatalogEdit::Create(1, "users".into()))
+            .unwrap();
+        catalog
+            .append(&CatalogEdit::Create(2, "posts".into()))
+            .unwrap();
         drop(catalog);
 
         let path = catalog_file_name(root);

@@ -39,7 +39,7 @@ use pebblesdb_common::key::{SequenceNumber, ValueType};
 use pebblesdb_common::snapshot::Snapshot;
 use pebblesdb_common::vlog::{ValuePointer, ValueResolver};
 use pebblesdb_common::{CfId, ChangeEvent, ChangeStream, Error, Result, WriteBatch};
-use pebblesdb_wal::SegmentReplay;
+use pebblesdb_wal::{Replay, Tail};
 
 use crate::chassis::EngineShared;
 use crate::policy::ShapePolicy;
@@ -274,8 +274,8 @@ fn segment_floor_for(
 ///
 /// The stream reads the WAL: closed segments from the one its cursor starts
 /// in to their ends, then the live segment up to the published frontier,
-/// where it blocks on the commit signal up to the caller's timeout. One
-/// [`SegmentReplay`] — the reader recovery uses — serves both.
+/// where it blocks on the commit signal up to the caller's timeout; one
+/// [`Replay`] serves both, under [`Tail::Torn`] and [`Tail::Committed`].
 /// Value-separated records are resolved back inline on delivery, so a
 /// consumer sees exactly the user data — it never needs this store's value
 /// log. While alive the stream pins what its cursor can still reach:
@@ -295,7 +295,7 @@ pub struct EngineChangeStream<P: ShapePolicy> {
     /// The segment `replay` reads or, between segments, the one it last
     /// read to its end (0 before the first).
     segment: u64,
-    replay: Option<SegmentReplay>,
+    replay: Option<Replay<WriteBatch>>,
     /// Value-log pin at the cursor's sequence (swapped forward on delivery,
     /// new pin acquired before the old one drops).
     pin: Snapshot,
@@ -382,7 +382,7 @@ impl<P: ShapePolicy> ChangeStream for EngineChangeStream<P> {
                         let floor = core.change_log.truncated_floor();
                         Error::sequence_truncated(self.next_seq, floor)
                     })?;
-                    self.replay.insert(SegmentReplay::new(file, self.next_seq))
+                    self.replay.insert(Replay::new(file, Tail::Torn))
                 }
             };
             // Taken after the segment was chosen, so the segment is the
@@ -390,8 +390,12 @@ impl<P: ShapePolicy> ChangeStream for EngineChangeStream<P> {
             // the live one was flushed before it was published.
             let frontier = core.change_log.frontier();
             let live = self.segment == frontier.log_number;
-            replay.set_limit(if live { frontier.log_len } else { u64::MAX });
-            let next = replay.next_batch();
+            replay.set_tail(if live {
+                Tail::Committed(frontier.log_len)
+            } else {
+                Tail::Torn
+            });
+            let next = replay.next_record();
             if next.is_err() {
                 // Reread from the cursor next time: the error repeats
                 // rather than turning into a gap.

@@ -53,7 +53,7 @@ use pebblesdb_skiplist::MemTable;
 use pebblesdb_sstable::TableCache;
 use pebblesdb_wal::LogWriter;
 
-use crate::catalog::{self, Catalog, CatalogData};
+use crate::catalog::{self, Catalog};
 use crate::cdc::{ChangeLog, EngineChangeStream};
 use crate::executor::Executor;
 use crate::policy::{CompactionJob, EngineIo, ShapePolicy};
@@ -249,9 +249,8 @@ pub struct EngineState<P: ShapePolicy> {
     pub last_sequence: SequenceNumber,
     /// The next column-family id to allocate; never reused after a drop.
     pub next_cf_id: CfId,
-    /// The open column-family catalog, if this database has ever had a
-    /// non-default family. `None` means the on-disk layout is exactly the
-    /// single-namespace one.
+    /// The catalog, open for appends: from this session's first create or
+    /// drop until an append fails (the next edit rewrites and reopens it).
     pub catalog: Option<Catalog>,
     /// The live write-ahead log, shared by every family.
     pub log: Option<LogWriter>,
@@ -346,18 +345,6 @@ impl<P: ShapePolicy> EngineState<P> {
             self.bg_error = Some(err.clone());
         }
         err
-    }
-
-    /// The live families as the catalog records them.
-    pub(crate) fn catalog_snapshot(&self) -> CatalogData {
-        CatalogData {
-            cfs: self
-                .cfs
-                .values()
-                .map(|cf| (cf.id, cf.name.clone()))
-                .collect(),
-            next_cf_id: self.next_cf_id,
-        }
     }
 }
 

@@ -7,11 +7,32 @@ use std::sync::Arc;
 
 use pebblesdb_common::{CfId, Error, Result};
 
-use crate::catalog::Catalog;
-use crate::chassis::{CfState, EngineCore};
+use crate::catalog::{Catalog, CatalogData, CatalogEdit};
+use crate::chassis::{CfState, EngineCore, EngineState};
 use crate::policy::ShapePolicy;
 
 impl<P: ShapePolicy> EngineCore<P> {
+    /// Appends `edit` to the catalog. With no handle open — the session's
+    /// first edit, or the last append failed and may have left a tear that
+    /// further appends would bury — `CFS` is first rewritten from the live
+    /// state (atomic tmp + rename), which also drops its dead edits.
+    fn commit_catalog_edit(&self, state: &mut EngineState<P>, edit: &CatalogEdit) -> Result<()> {
+        let mut catalog = match state.catalog.take() {
+            Some(catalog) => catalog,
+            None => {
+                let cfs = state.cfs.values().map(|cf| (cf.id, cf.name.clone()));
+                let live = CatalogData {
+                    cfs: cfs.collect(),
+                    next_cf_id: state.next_cf_id,
+                };
+                Catalog::rewrite(Arc::clone(&self.io.env), &self.io.db_path, &live)?
+            }
+        };
+        catalog.append(edit)?;
+        state.catalog = Some(catalog);
+        Ok(())
+    }
+
     /// Creates a new, empty column family under the state lock and returns
     /// its id.
     ///
@@ -50,14 +71,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         let id = want_id.unwrap_or(state.next_cf_id);
         state.next_cf_id = state.next_cf_id.max(id + 1);
 
-        // First family ever created: materialise the catalog.
-        if state.catalog.is_none() {
-            let snapshot = state.catalog_snapshot();
-            let catalog = Catalog::rewrite(Arc::clone(&self.io.env), &self.io.db_path, &snapshot)?;
-            state.catalog = Some(catalog);
-        }
-        let catalog = state.catalog.as_mut().expect("materialised above");
-        catalog.append_create(id, name)?;
+        self.commit_catalog_edit(&mut state, &CatalogEdit::Create(id, name.to_string()))?;
 
         let (env, root, options) = (&self.io.env, &self.io.db_path, &self.io.options);
         let mut cf = CfState::open(env, root, id, name, options, self.policy.new_state())?;
@@ -91,11 +105,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             // The catalog edit is the commit point. Until it lands nothing
             // of the family may be discarded: if it fails the family goes
             // back to work whole, its unflushed memtables included.
-            let catalog = state.catalog.as_mut();
-            let edit = catalog
-                .expect("a non-default family implies a catalog")
-                .append_drop(id);
-            if let Err(err) = edit {
+            if let Err(err) = self.commit_catalog_edit(&mut state, &CatalogEdit::Drop(id)) {
                 state.job_cf(id).dropping = false;
                 self.kick(&mut state);
                 self.notify_progress();

@@ -69,7 +69,7 @@ pub fn user_key_range(files: &[Arc<FileMetaData>]) -> (Vec<u8>, Vec<u8>) {
 }
 
 /// The serialisable subset of [`FileMetaData`] carried in a version edit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileMetaDataEdit {
     /// File number.
     pub number: u64,

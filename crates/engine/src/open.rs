@@ -12,11 +12,11 @@ use pebblesdb_common::commit::CommitQueue;
 use pebblesdb_common::filename::{current_file_name, log_file_name, parse_file_name, FileType};
 use pebblesdb_common::key::SequenceNumber;
 use pebblesdb_common::snapshot::SnapshotList;
-use pebblesdb_common::{EngineCounters, Error, Result, StoreOptions};
+use pebblesdb_common::{EngineCounters, Error, Result, StoreOptions, WriteBatch};
 use pebblesdb_skiplist::MemTable;
-use pebblesdb_wal::{LogWriter, SegmentReplay};
+use pebblesdb_wal::{LogWriter, Replay, Tail};
 
-use crate::catalog::{self, Catalog};
+use crate::catalog;
 use crate::cdc::ChangeLog;
 use crate::chassis::{CfState, EngineCore, EngineDb, EngineShared, EngineState};
 use crate::policy::{EngineIo, ShapePolicy};
@@ -47,8 +47,8 @@ impl<P: ShapePolicy> EngineDb<P> {
         }
 
         // The catalog names the families; a missing catalog file is the
-        // single-namespace (pre-column-family) layout.
-        let catalog_exists = env.file_exists(&catalog::catalog_file_name(path));
+        // single-namespace (pre-column-family) layout. The first create or
+        // drop of this session opens it for appends.
         let catalog_data = catalog::read(env.as_ref(), path)?;
 
         let mut state: EngineState<P> = EngineState {
@@ -100,14 +100,6 @@ impl<P: ShapePolicy> EngineDb<P> {
         let last_sequence = state.last_sequence;
         for cf in state.cfs.values_mut() {
             cf.start_on_log(last_sequence, log_number)?;
-        }
-
-        // Compact the catalog (drops dead edits) and keep it open for
-        // appends. A database that never had a second family keeps having
-        // no catalog file at all.
-        if catalog_exists {
-            let snapshot = state.catalog_snapshot();
-            state.catalog = Some(Catalog::rewrite(Arc::clone(&env), path, &snapshot)?);
         }
 
         let change_log = Arc::new(ChangeLog::new(
@@ -172,19 +164,15 @@ fn recover_wals<P: ShapePolicy>(
             .mark_file_number_used(number);
         let path = log_file_name(&io.db_path, number);
         let file = io.env.new_sequential_file(&path)?;
-        // Every batch (`from_seq` 0), through the reader change streams
-        // use; a clean end or a torn tail both end replay of this log.
-        let mut replay = SegmentReplay::new(file, 0);
-        while let Some(batch) = replay.next_batch()? {
+        let mut replay = Replay::<WriteBatch>::new(file, Tail::Torn);
+        while let Some(batch) = replay.next_record()? {
             let base_seq = batch.sequence();
             births
                 .entry(number)
                 .or_insert(running_max.max(base_seq.saturating_sub(1)));
             let mut applied = 0u64;
             for item in batch.iter() {
-                let Ok(item) = item else {
-                    break;
-                };
+                let item = item?;
                 // The record consumes its sequence slot whether or not it
                 // still has a family to land in.
                 applied += 1;

@@ -43,14 +43,14 @@ use pebblesdb_common::filename::{current_file_name, descriptor_file_name};
 use pebblesdb_common::key::{compare_internal_keys, SequenceNumber};
 use pebblesdb_common::{Error, Result, StoreOptions};
 use pebblesdb_env::Env;
-use pebblesdb_wal::{LogReader, LogWriter};
+use pebblesdb_wal::{LogWriter, Record, Replay, Tail};
 
 use crate::meta::{FileMetaData, FileMetaDataEdit};
 use crate::policy::CompactionJob;
 use crate::runs::{distinct_files, RunSource};
 
 /// A record of changes to the file layout, persisted in the MANIFEST.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct VersionEdit {
     /// New write-ahead log number (older logs are no longer needed).
     pub log_number: Option<u64>,
@@ -250,6 +250,16 @@ impl VersionEdit {
             return Err(Error::corruption("version edit commits a guard at level 0"));
         }
         Ok(())
+    }
+}
+
+impl Record for VersionEdit {
+    fn encode(&self) -> Vec<u8> {
+        VersionEdit::encode(self)
+    }
+
+    fn decode(bytes: Vec<u8>) -> Result<VersionEdit> {
+        VersionEdit::decode(&bytes)
     }
 }
 
@@ -551,11 +561,11 @@ impl<V: VersionShape> VersionSet<V> {
             .and_then(|n| n.parse().ok())
             .ok_or_else(|| Error::corruption("CURRENT does not name a manifest"))?;
         let file = self.env.new_sequential_file(&self.db_path.join(name))?;
-        let mut reader = LogReader::new(file);
+        let mut edits = Replay::<VersionEdit>::new(file, Tail::Committed(u64::MAX));
 
         let mut replay = VersionEdit::default();
-        while let Some(record) = reader.read_record()? {
-            replay.absorb(VersionEdit::decode(&record)?);
+        while let Some(edit) = edits.next_record()? {
+            replay.absorb(edit);
         }
         self.log_number = replay.log_number.unwrap_or(self.log_number);
         self.file_numbers

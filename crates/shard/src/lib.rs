@@ -60,7 +60,7 @@ use pebblesdb_common::{
 };
 use pebblesdb_engine::chassis::EngineDb;
 use pebblesdb_engine::policy::ShapePolicy;
-use pebblesdb_wal::{LogReader, LogWriter};
+use pebblesdb_wal::{LogWriter, Replay, Tail};
 
 mod merge;
 mod partition;
@@ -268,31 +268,20 @@ fn replay_journals<P: ShapePolicy>(
     let durable = WriteOptions { sync: true };
     for (_, name) in &files {
         let file = env.new_sequential_file(&root.join(name))?;
-        let mut reader = LogReader::new(file);
-        // A torn tail ends replay of this journal, exactly like WAL replay.
-        while let Some(record) = reader.read_record_or_tail()? {
-            let Ok(batch) = WriteBatch::from_contents(record) else {
-                break;
-            };
+        let mut replay = Replay::<WriteBatch>::new(file, Tail::Torn);
+        while let Some(batch) = replay.next_record()? {
             let base = batch.sequence();
             // Rebuild the per-shard record lists in record order.
             type ShardRecords = Vec<(CfId, ValueType, Vec<u8>, Vec<u8>)>;
             let mut per_shard: Vec<ShardRecords> = vec![Vec::new(); shards.len()];
-            let mut intact = true;
             for item in batch.iter() {
-                let Ok(item) = item else {
-                    intact = false;
-                    break;
-                };
+                let item = item?;
                 per_shard[partitioner.shard_of(item.key, shards.len())].push((
                     item.cf,
                     item.value_type,
                     item.key.to_vec(),
                     item.value.to_vec(),
                 ));
-            }
-            if !intact {
-                break;
             }
             // Stage each shard's slice. Skipped (dropped-family) records
             // still consume their sequence slots, so surviving records keep

@@ -1,8 +1,11 @@
-//! The write-ahead log: durable record stream for crash recovery.
+//! The record log: the one append-only file format of the workspace.
 //!
-//! Both engines append serialized [`WriteBatch`]es to a log before applying
-//! them to the memtable; on restart the log is replayed to rebuild the
-//! memtable contents that had not yet been flushed to sstables.
+//! Both engines append serialized [`WriteBatch`]es to a write-ahead log
+//! before applying them to the memtable; on restart the log is replayed to
+//! rebuild the memtable contents that had not yet been flushed to sstables.
+//! The MANIFEST, the column-family catalog and the sharded store's journal
+//! are the same file with other [`Record`] types: written by [`LogWriter`],
+//! read by [`Replay`], which alone says where such a log ends.
 //!
 //! The format is the LevelDB log format: the file is a sequence of 32 KiB
 //! blocks, each holding one or more records. A logical record larger than
@@ -12,12 +15,11 @@
 //!
 //! [`WriteBatch`]: pebblesdb_common::WriteBatch
 
-pub mod reader;
+mod reader;
 pub mod replay;
 pub mod writer;
 
-pub use reader::LogReader;
-pub use replay::SegmentReplay;
+pub use replay::{Record, Replay, Tail};
 pub use writer::LogWriter;
 
 /// Size of a log block in bytes.
@@ -54,6 +56,7 @@ impl RecordType {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::LogReader;
     use pebblesdb_env::{Env, MemEnv};
     use std::path::Path;
 

@@ -1,17 +1,34 @@
-//! Reads records back from a write-ahead log file.
+//! The framing layer: fragments on file back into the records appended.
 
 use pebblesdb_common::{crc32c, Error, Result};
 use pebblesdb_env::SequentialFile;
 
 use crate::{RecordType, BLOCK_SIZE, HEADER_SIZE};
 
-/// Replays logical records from a log file, skipping corrupted regions.
+/// Why [`LogReader::read_record`] has no record to hand over. What follows
+/// from either is [`Replay`](crate::Replay)'s to say.
+#[derive(Debug)]
+pub(crate) enum ReadError {
+    /// Bytes that are on file and are not what a writer appends: a bad
+    /// checksum or length, an unknown fragment type, fragments out of order.
+    Damage(Error),
+    /// The environment failed; the bytes it withheld may be fine.
+    Env(Error),
+}
+
+impl From<Error> for ReadError {
+    fn from(err: Error) -> ReadError {
+        ReadError::Env(err)
+    }
+}
+
+/// Reassembles logical records from a log file.
 ///
 /// The end of the readable bytes is not latched: a call that returned
 /// `Ok(None)` may be repeated once the file has grown or the limit has been
 /// raised, and continues inside the block it stopped in. That is how a
 /// change stream follows a segment the engine is still appending to.
-pub struct LogReader {
+pub(crate) struct LogReader {
     file: Box<dyn SequentialFile>,
     /// What has been read of the current block.
     block: Vec<u8>,
@@ -19,8 +36,9 @@ pub struct LogReader {
     block_pos: usize,
     /// Bytes of the file read into `block` so far, over all blocks.
     consumed: u64,
-    /// Bytes of the file the reader may consume.
-    limit: u64,
+    /// Bytes of the file the reader may consume; a record boundary, so
+    /// that bytes of an append still in flight are never looked at.
+    pub(crate) limit: u64,
     corruption_count: usize,
     corruption_bytes: u64,
 }
@@ -28,7 +46,7 @@ pub struct LogReader {
 impl LogReader {
     /// Creates a reader positioned at the start of `file`, free to read to
     /// its end.
-    pub fn new(file: Box<dyn SequentialFile>) -> Self {
+    pub(crate) fn new(file: Box<dyn SequentialFile>) -> Self {
         LogReader {
             file,
             block: Vec::new(),
@@ -40,96 +58,59 @@ impl LogReader {
         }
     }
 
-    /// Bounds the reader to the first `limit` bytes of the file. A live
-    /// segment is read up to the length its writer reported after a whole
-    /// record ([`LogWriter::file_len`](crate::LogWriter::file_len)), so bytes of an
-    /// append still in flight are never looked at; the limit must fall on
-    /// such a record boundary.
-    pub fn set_limit(&mut self, limit: u64) {
-        self.limit = limit;
-    }
-
-    /// Whether a limit is set: every byte inside one was acknowledged.
-    pub fn is_bounded(&self) -> bool {
-        self.limit != u64::MAX
-    }
-
-    /// Number of corrupted fragments encountered so far.
-    pub fn corruption_count(&self) -> usize {
+    /// Number of damaged fragments encountered so far.
+    #[cfg(test)]
+    pub(crate) fn corruption_count(&self) -> usize {
         self.corruption_count
     }
 
-    /// Number of bytes dropped due to corruption so far.
-    pub fn corruption_bytes(&self) -> u64 {
+    /// Number of bytes dropped as damaged so far.
+    #[cfg(test)]
+    pub(crate) fn corruption_bytes(&self) -> u64 {
         self.corruption_bytes
+    }
+
+    /// Counts `dropped` damaged bytes and names the damage.
+    fn damage(&mut self, dropped: usize, what: impl Into<String>) -> ReadError {
+        self.corruption_count += 1;
+        self.corruption_bytes += dropped as u64;
+        ReadError::Damage(Error::corruption(what))
     }
 
     /// Reads the next logical record.
     ///
-    /// Returns `Ok(None)` at the clean end of the log. A corrupted fragment
-    /// produces an `Err`; callers may keep calling to resynchronise at the
-    /// next readable record (the engines treat an error as "stop replay" for
-    /// the tail of the newest log and as fatal for older logs).
-    pub fn read_record(&mut self) -> Result<Option<Vec<u8>>> {
+    /// Returns `Ok(None)` where the file (or the limit) ends, in the middle
+    /// of a record included: the writer died appending it, or has not
+    /// finished yet. After damage the next call resynchronises at the next
+    /// fragment that frames.
+    pub(crate) fn read_record(&mut self) -> std::result::Result<Option<Vec<u8>>, ReadError> {
         let mut assembled: Option<Vec<u8>> = None;
         loop {
-            let fragment = match self.read_physical_record()? {
-                Some(f) => f,
-                None => {
-                    // End of file. An unterminated fragment sequence means the
-                    // writer crashed mid-record; drop it silently.
-                    return Ok(None);
-                }
+            let Some((record_type, fragment)) = self.read_physical_record()? else {
+                return Ok(None);
             };
-            match fragment.0 {
-                RecordType::Full => {
-                    if assembled.is_some() {
-                        self.corruption_count += 1;
-                        return Err(Error::corruption("partial record followed by full record"));
-                    }
-                    return Ok(Some(fragment.1));
+            match (record_type, assembled.as_mut()) {
+                (RecordType::Full, None) => return Ok(Some(fragment)),
+                (RecordType::First, None) => assembled = Some(fragment),
+                (RecordType::Middle, Some(buf)) => buf.extend_from_slice(&fragment),
+                (RecordType::Last, Some(buf)) => {
+                    buf.extend_from_slice(&fragment);
+                    return Ok(assembled);
                 }
-                RecordType::First => {
-                    if assembled.is_some() {
-                        self.corruption_count += 1;
-                        return Err(Error::corruption("two FIRST fragments in a row"));
-                    }
-                    assembled = Some(fragment.1);
+                (RecordType::Full | RecordType::First, Some(_)) => {
+                    return Err(self.damage(0, "partial record followed by a new record"));
                 }
-                RecordType::Middle => match assembled.as_mut() {
-                    Some(buf) => buf.extend_from_slice(&fragment.1),
-                    None => {
-                        self.corruption_count += 1;
-                        return Err(Error::corruption("MIDDLE fragment without FIRST"));
-                    }
-                },
-                RecordType::Last => match assembled.take() {
-                    Some(mut buf) => {
-                        buf.extend_from_slice(&fragment.1);
-                        return Ok(Some(buf));
-                    }
-                    None => {
-                        self.corruption_count += 1;
-                        return Err(Error::corruption("LAST fragment without FIRST"));
-                    }
-                },
+                (RecordType::Middle | RecordType::Last, None) => {
+                    return Err(self.damage(0, "record fragment without its FIRST"));
+                }
             }
         }
     }
 
-    /// [`LogReader::read_record`] for the replay of a log whose tail may be
-    /// torn: damage ends the log as its clean end does — the record being
-    /// appended at the crash never committed — while an error of the
-    /// environment is returned, because the bytes it withheld may be fine.
-    pub fn read_record_or_tail(&mut self) -> Result<Option<Vec<u8>>> {
-        match self.read_record() {
-            Err(err) if err.is_corruption() => Ok(None),
-            other => other,
-        }
-    }
-
     /// Reads the next physical fragment, refilling the block buffer as needed.
-    fn read_physical_record(&mut self) -> Result<Option<(RecordType, Vec<u8>)>> {
+    fn read_physical_record(
+        &mut self,
+    ) -> std::result::Result<Option<(RecordType, Vec<u8>)>, ReadError> {
         loop {
             if self.block.len() - self.block_pos < HEADER_SIZE {
                 // Less than a header left: a block's trailer, or as far as
@@ -154,11 +135,13 @@ impl LogReader {
 
             if self.block_pos + HEADER_SIZE + length > self.block.len() {
                 // The fragment runs past what is buffered. In a whole block
-                // its length is garbage: drop the rest of the block. In a
-                // partly read one the rest may be on file by now; if not,
+                // its length is garbage, and so is the rest of the block. In
+                // a partly read one the rest may be on file by now; if not,
                 // the writer crashed while appending this fragment.
                 if self.block.len() == BLOCK_SIZE {
-                    self.corruption_bytes += (BLOCK_SIZE - self.block_pos) as u64;
+                    let dropped = BLOCK_SIZE - self.block_pos;
+                    self.block_pos = BLOCK_SIZE;
+                    return Err(self.damage(dropped, "fragment length runs past its block"));
                 }
                 if !self.fill_block()? {
                     return Ok(None);
@@ -167,29 +150,16 @@ impl LogReader {
             }
 
             let data_start = self.block_pos + HEADER_SIZE;
-            let data = &self.block[data_start..data_start + length];
-            let record_type = match RecordType::from_u8(type_tag) {
-                Some(t) => t,
-                None => {
-                    self.block_pos += HEADER_SIZE + length;
-                    self.corruption_count += 1;
-                    self.corruption_bytes += (HEADER_SIZE + length) as u64;
-                    return Err(Error::corruption(format!("unknown record type {type_tag}")));
-                }
+            self.block_pos = data_start + length;
+            let data = &self.block[data_start..self.block_pos];
+            let Some(record_type) = RecordType::from_u8(type_tag) else {
+                let what = format!("unknown record type {type_tag}");
+                return Err(self.damage(HEADER_SIZE + length, what));
             };
-
-            let mut actual_crc = crc32c::extend(0, &[type_tag]);
-            actual_crc = crc32c::extend(actual_crc, data);
-            if actual_crc != expected_crc {
-                self.block_pos += HEADER_SIZE + length;
-                self.corruption_count += 1;
-                self.corruption_bytes += (HEADER_SIZE + length) as u64;
-                return Err(Error::corruption("record checksum mismatch"));
+            if crc32c::extend(crc32c::extend(0, &[type_tag]), data) != expected_crc {
+                return Err(self.damage(HEADER_SIZE + length, "record checksum mismatch"));
             }
-
-            let out = data.to_vec();
-            self.block_pos += HEADER_SIZE + length;
-            return Ok(Some((record_type, out)));
+            return Ok(Some((record_type, data.to_vec())));
         }
     }
 
@@ -263,7 +233,7 @@ mod tests {
         let first = vec![b'x'; BLOCK_SIZE - HEADER_SIZE - 3];
         writer.add_record(&first).unwrap();
         assert_eq!(writer.file_len(), (BLOCK_SIZE - 3) as u64);
-        reader.set_limit(writer.file_len());
+        reader.limit = writer.file_len();
         assert_eq!(reader.read_record().unwrap(), Some(first));
         assert_eq!(reader.read_record().unwrap(), None);
         assert_eq!(
@@ -274,7 +244,7 @@ mod tests {
 
         writer.add_record(b"tail").unwrap();
         assert_eq!(reader.read_record().unwrap(), None, "still bounded");
-        reader.set_limit(writer.file_len());
+        reader.limit = writer.file_len();
         assert_eq!(reader.read_record().unwrap(), Some(b"tail".to_vec()));
         assert_eq!(reader.read_record().unwrap(), None);
         assert_eq!(reader.corruption_count(), 0);

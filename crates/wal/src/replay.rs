@@ -1,71 +1,103 @@
-//! Turning a WAL segment back into the batches it recorded.
+//! Reading a record log back: the one place that says where a log ends.
 //!
-//! This is the one place WAL bytes become [`WriteBatch`]es. Recovery
-//! replays *everything* (`from_seq = 0`) and lets the memtables sort it
-//! out; a change stream wants only the batches at or past its cursor.
-//! [`SegmentReplay`] wraps a [`LogReader`] and applies the stream delivery
-//! rule: yield every batch whose **last** sequence is at or past
-//! `from_seq`, in the order the segment recorded them (commit order). A
-//! batch that straddles the cursor is delivered whole — consumers resume at
-//! `applied + 1` and skip already-applied batches by their `last_seq`, so
-//! over-delivery is safe and under-delivery never happens.
+//! The write-ahead log, each family's MANIFEST, the `CFS` catalog and the
+//! sharded store's journal are all written by [`LogWriter`](crate::LogWriter)
+//! and read by [`Replay`]; they differ in their [`Record`] type and their
+//! [`Tail`]. [`Replay::next_record`] alone decides three things:
 //!
-//! A closed segment is read to its end, where a torn tail (crash
-//! mid-append) ends it cleanly: the batches before the tear were committed,
-//! the torn record never was. The segment still being appended to is read
-//! up to the length its writer last published ([`SegmentReplay::set_limit`])
-//! and picked up again from there when that length moves.
+//! 1. **Framing damage** — a fragment no writer appends: bad checksum,
+//!    length, type or order. Under [`Tail::Torn`] the writer may have died
+//!    mid-append, so damage *ends the log*: what came before was committed,
+//!    the damaged record never was. Under [`Tail::Committed`] every byte
+//!    handed to the reader was acknowledged: `Corruption`.
+//! 2. **A record that checksums but does not decode** is `Corruption` under
+//!    both: it was written whole, so it is no tear — never a silent end,
+//!    never half a batch.
+//! 3. **An error of the environment** is that error under both: the bytes
+//!    it withheld may be acknowledged writes.
+//!
+//! A file that stops, even mid-record, has ended under both: the missing
+//! bytes were never handed to the reader. The end is not latched — a live
+//! segment is picked up again when [`Replay::set_tail`] moves its length.
+
+use std::marker::PhantomData;
 
 use pebblesdb_common::batch::WriteBatch;
-use pebblesdb_common::key::SequenceNumber;
 use pebblesdb_common::Result;
 use pebblesdb_env::SequentialFile;
 
-use crate::reader::LogReader;
+use crate::reader::{LogReader, ReadError};
 
-/// A cursor-filtered batch iterator over one WAL segment.
-pub struct SegmentReplay {
-    reader: LogReader,
-    from_seq: SequenceNumber,
+/// What a record log holds: a value with a byte encoding.
+pub trait Record: Sized {
+    /// The bytes appended to the log for this value.
+    fn encode(&self) -> Vec<u8>;
+    /// The value `bytes` encode, or `Corruption`. May defer validating
+    /// parts a consumer walks anyway (a batch's items), never panics, and
+    /// allocates no more than `bytes` holds.
+    fn decode(bytes: Vec<u8>) -> Result<Self>;
 }
 
-impl SegmentReplay {
-    /// Replays `file`, yielding batches whose last sequence is `>= from_seq`.
-    pub fn new(file: Box<dyn SequentialFile>, from_seq: SequenceNumber) -> SegmentReplay {
-        SegmentReplay {
+impl Record for WriteBatch {
+    fn encode(&self) -> Vec<u8> {
+        self.contents().to_vec()
+    }
+
+    fn decode(bytes: Vec<u8>) -> Result<WriteBatch> {
+        WriteBatch::from_contents(bytes)
+    }
+}
+
+/// What framing damage in a log means.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tail {
+    /// The end of the log: closed WAL segments, the catalog, journals.
+    Torn,
+    /// `Corruption`: the file's first so many bytes were all acknowledged,
+    /// and nothing past them is looked at. The MANIFEST (`u64::MAX`: all of
+    /// it), and the live WAL segment up to the length its writer published
+    /// after a whole record ([`LogWriter::file_len`](crate::LogWriter::file_len)).
+    Committed(u64),
+}
+
+/// The records of one log file, in the order they were appended.
+pub struct Replay<R> {
+    reader: LogReader,
+    tail: Tail,
+    record: PhantomData<fn() -> R>,
+}
+
+impl<R: Record> Replay<R> {
+    /// Replays `file` from its start under `tail`.
+    pub fn new(file: Box<dyn SequentialFile>, tail: Tail) -> Replay<R> {
+        let mut replay = Replay {
             reader: LogReader::new(file),
-            from_seq,
-        }
+            tail,
+            record: PhantomData,
+        };
+        replay.set_tail(tail);
+        replay
     }
 
-    /// Bounds the replay to the segment's first `limit` bytes; see
-    /// [`LogReader::set_limit`].
-    pub fn set_limit(&mut self, limit: u64) {
-        self.reader.set_limit(limit);
+    /// Changes the policy for the records not yet read: a live segment's
+    /// published length moved, or the segment was closed.
+    pub fn set_tail(&mut self, tail: Tail) {
+        self.tail = tail;
+        self.reader.limit = match tail {
+            Tail::Torn => u64::MAX,
+            Tail::Committed(len) => len,
+        };
     }
 
-    /// The next batch at or past the cursor, or `None` at the end of the
-    /// segment (or of what the limit allows, in which case a later call
-    /// continues). With no limit a torn or corrupt tail ends the segment:
-    /// those bytes were never acknowledged. Inside a limit every byte was,
-    /// so one that cannot be read is lost history and an error. An error
-    /// of the environment is always an error: the bytes it failed to
-    /// deliver may be acknowledged writes.
-    pub fn next_batch(&mut self) -> Result<Option<WriteBatch>> {
-        loop {
-            let record = self.reader.read_record();
-            let batch = match record.and_then(|r| r.map(WriteBatch::from_contents).transpose()) {
-                Ok(Some(batch)) => batch,
-                Err(err) if self.reader.is_bounded() || !err.is_corruption() => return Err(err),
-                // The clean end, a fragment that does not frame, or a record
-                // that frames but is no batch: the tail recovery stops at.
-                Ok(None) | Err(_) => return Ok(None),
-            };
-            if batch.last_sequence() >= self.from_seq {
-                return Ok(Some(batch));
-            }
-            // Entirely before the cursor (e.g. a pre-sequenced relocation
-            // of old data): the consumer already has it.
+    /// The next record, or `None` at the end of the log — or of what the
+    /// tail allows, in which case a later call continues.
+    pub fn next_record(&mut self) -> Result<Option<R>> {
+        match self.reader.read_record() {
+            Ok(None) => Ok(None),
+            Err(ReadError::Damage(_)) if self.tail == Tail::Torn => Ok(None),
+            Err(ReadError::Damage(err)) => Err(err),
+            Ok(Some(bytes)) => R::decode(bytes).map(Some),
+            Err(ReadError::Env(err)) => Err(err),
         }
     }
 }
@@ -95,61 +127,20 @@ mod tests {
         writer.sync().unwrap();
     }
 
-    fn replayed_sequences(env: &MemEnv, path: &Path, from: u64) -> Vec<u64> {
-        let file = env.new_sequential_file(path).unwrap();
-        let mut replay = SegmentReplay::new(file, from);
+    /// Sequences of the batches `replay` yields until it runs into its end.
+    fn drain(replay: &mut Replay<WriteBatch>) -> Vec<u64> {
         let mut seqs = Vec::new();
-        while let Some(b) = replay.next_batch().unwrap() {
+        while let Some(b) = replay.next_record().unwrap() {
             seqs.push(b.sequence());
         }
         seqs
     }
 
-    #[test]
-    fn replay_skips_batches_entirely_before_the_cursor() {
-        let env = MemEnv::new();
-        let path = Path::new("/wal/000010.log");
-        // Batches covering [1,2], [3,5], [6,6].
-        write_segment(
-            &env,
-            path,
-            &[
-                batch(1, &[b"a", b"b"]),
-                batch(3, &[b"c", b"d", b"e"]),
-                batch(6, &[b"f"]),
-            ],
-        );
-        assert_eq!(replayed_sequences(&env, path, 1), vec![1, 3, 6]);
-        // Cursor 3 lands inside the second batch's range: delivered whole.
-        assert_eq!(replayed_sequences(&env, path, 3), vec![3, 6]);
-        assert_eq!(replayed_sequences(&env, path, 5), vec![3, 6]);
-        assert_eq!(replayed_sequences(&env, path, 6), vec![6]);
-        assert_eq!(replayed_sequences(&env, path, 7), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn out_of_order_presequenced_batches_filter_by_their_own_range() {
-        let env = MemEnv::new();
-        let path = Path::new("/wal/000011.log");
-        // Commit order: seq 10, then a relocation at old seq 4, then 11.
-        write_segment(
-            &env,
-            path,
-            &[batch(10, &[b"x"]), batch(4, &[b"old"]), batch(11, &[b"y"])],
-        );
-        // A cursor past the relocation skips it but keeps commit order.
-        assert_eq!(replayed_sequences(&env, path, 10), vec![10, 11]);
-        // A cursor at or before it still sees it, in commit order.
-        assert_eq!(replayed_sequences(&env, path, 4), vec![10, 4, 11]);
-    }
-
-    /// Keys of the batches `replay` yields until it runs into its limit.
-    fn drain(replay: &mut SegmentReplay) -> Vec<u64> {
-        let mut seqs = Vec::new();
-        while let Some(b) = replay.next_batch().unwrap() {
-            seqs.push(b.sequence());
-        }
-        seqs
+    fn replayed_sequences(env: &MemEnv, path: &Path) -> Vec<u64> {
+        drain(&mut Replay::new(
+            env.new_sequential_file(path).unwrap(),
+            Tail::Torn,
+        ))
     }
 
     #[test]
@@ -157,8 +148,8 @@ mod tests {
         let env = MemEnv::new();
         let path = Path::new("/wal/000013.log");
         let mut writer = LogWriter::new(env.new_writable_file(path).unwrap());
-        let mut replay = SegmentReplay::new(env.new_sequential_file(path).unwrap(), 1);
-        replay.set_limit(0);
+        let file = env.new_sequential_file(path).unwrap();
+        let mut replay = Replay::new(file, Tail::Committed(0));
         assert_eq!(drain(&mut replay), Vec::<u64>::new());
 
         // Small records: the reader stops and resumes inside one block.
@@ -167,14 +158,14 @@ mod tests {
             writer.add_record(batch(seq, &[b"k"]).contents()).unwrap();
             published.push(writer.file_len());
         }
-        replay.set_limit(published[0]);
+        replay.set_tail(Tail::Committed(published[0]));
         assert_eq!(drain(&mut replay), vec![1]);
         assert_eq!(
             drain(&mut replay),
             Vec::<u64>::new(),
             "nothing past the limit"
         );
-        replay.set_limit(published[2]);
+        replay.set_tail(Tail::Committed(published[2]));
         assert_eq!(drain(&mut replay), vec![2, 3]);
 
         // A record spanning three blocks, appended but not yet published,
@@ -188,11 +179,11 @@ mod tests {
         // Published, it arrives whole; so does a record after the block
         // trailer it left behind.
         writer.add_record(batch(5, &[b"k"]).contents()).unwrap();
-        replay.set_limit(writer.file_len());
+        replay.set_tail(Tail::Committed(writer.file_len()));
         assert_eq!(drain(&mut replay), vec![4, 5]);
 
         // The closed segment, read to its end by a fresh reader, is the same.
-        assert_eq!(replayed_sequences(&env, path, 1), vec![1, 2, 3, 4, 5]);
+        assert_eq!(replayed_sequences(&env, path), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -214,12 +205,46 @@ mod tests {
         file.close().unwrap();
 
         // Read as a closed segment it ends at the damage, as recovery would.
-        assert_eq!(replayed_sequences(&env, path, 1), vec![1]);
+        assert_eq!(replayed_sequences(&env, path), vec![1]);
         // Read under a limit that covers the record, the damage is reported.
-        let mut replay = SegmentReplay::new(env.new_sequential_file(path).unwrap(), 1);
-        replay.set_limit(len);
-        assert_eq!(replay.next_batch().unwrap().unwrap().sequence(), 1);
-        assert!(replay.next_batch().is_err());
+        let file = env.new_sequential_file(path).unwrap();
+        let mut replay = Replay::<WriteBatch>::new(file, Tail::Committed(len));
+        assert_eq!(replay.next_record().unwrap().unwrap().sequence(), 1);
+        assert!(replay.next_record().unwrap_err().is_corruption());
+    }
+
+    #[test]
+    fn a_garbage_length_in_a_whole_block_is_damage_not_a_hole() {
+        let env = MemEnv::new();
+        let path = Path::new("/wal/000015.log");
+        // Two small batches, a third that fills the first block to its last
+        // byte, and a fourth that starts the second block.
+        let small = crate::HEADER_SIZE + batch(1, &[b"a"]).contents().len();
+        let room = crate::BLOCK_SIZE - 2 * small - crate::HEADER_SIZE;
+        let mut filler = WriteBatch::new();
+        filler.put(b"f", &vec![b'x'; room - 18]);
+        filler.set_sequence(3);
+        assert_eq!(filler.contents().len(), room);
+        let batches = [
+            batch(1, &[b"a"]),
+            batch(2, &[b"b"]),
+            filler,
+            batch(4, &[b"d"]),
+        ];
+        write_segment(&env, path, &batches);
+        // The second record's length now runs past the block.
+        let mut bytes = env.read_file_to_vec(path).unwrap();
+        bytes[small + 5] = 0xff;
+        let mut file = env.new_writable_file(path).unwrap();
+        file.append(&bytes).unwrap();
+        file.close().unwrap();
+
+        // Skipping to the next block would replay 4 behind a hole.
+        assert_eq!(replayed_sequences(&env, path), vec![1]);
+        let file = env.new_sequential_file(path).unwrap();
+        let mut replay = Replay::<WriteBatch>::new(file, Tail::Committed(u64::MAX));
+        assert_eq!(replay.next_record().unwrap().unwrap().sequence(), 1);
+        assert!(replay.next_record().unwrap_err().is_corruption());
     }
 
     #[test]
@@ -229,6 +254,6 @@ mod tests {
         write_segment(&env, path, &[batch(1, &[b"a"]), batch(2, &[b"b"])]);
         let size = env.file_size(path).unwrap() as usize;
         env.truncate_file(path, size - 3).unwrap();
-        assert_eq!(replayed_sequences(&env, path, 1), vec![1]);
+        assert_eq!(replayed_sequences(&env, path), vec![1]);
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests for the PebblesDB workspace.
 //!
-//! The tests live in `tests/` next to this file; this library holds the one
-//! `Env` wrapper several of them share.
+//! The tests live in `tests/` next to this file; this library holds what
+//! several of them share: an `Env` wrapper and the decoder fuzz.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -12,6 +12,53 @@ use pebblesdb_common::{Error, Result};
 use pebblesdb_env::{
     Env, IoStats, MemEnv, RandomAccessFile, RandomWritableFile, SequentialFile, WritableFile,
 };
+use pebblesdb_wal::Record;
+use rand::rngs::StdRng;
+use rand::Rng;
+
+/// One seeded mutation: a bit flip, a truncation or spliced junk.
+pub fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>) {
+    match rng.gen_range(0..3) {
+        0 if !bytes.is_empty() => {
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] ^= 1 << rng.gen_range(0..8);
+        }
+        1 if !bytes.is_empty() => bytes.truncate(rng.gen_range(0..bytes.len())),
+        _ => {
+            let at = rng.gen_range(0..=bytes.len());
+            let junk: Vec<u8> = (0..rng.gen_range(1..12)).map(|_| rng.gen()).collect();
+            bytes.splice(at..at, junk);
+        }
+    }
+}
+
+/// One case of the contract every [`Record`] decoder is held to: `value`
+/// survives a round trip, and its encoding after zero to two mutations
+/// decodes to a value `consume` accepts (handed the mutated bytes as well)
+/// or is `Corruption` — never a panic — and what the decoder keeps is
+/// bounded by the bytes it was given. Returns whether the case was accepted.
+pub fn fuzz_record<R: Record + PartialEq + std::fmt::Debug>(
+    rng: &mut StdRng,
+    value: R,
+    consume: impl FnOnce(R, &[u8]) -> Result<()>,
+) -> bool {
+    let mut bytes = value.encode();
+    assert_eq!(R::decode(bytes.clone()).unwrap(), value);
+    for _ in 0..rng.gen_range(0..3) {
+        mutate(rng, &mut bytes);
+    }
+    let outcome = R::decode(bytes.clone()).and_then(|decoded| {
+        assert!(decoded.encode().len() <= bytes.len(), "{decoded:?}");
+        consume(decoded, &bytes)
+    });
+    match outcome {
+        Ok(()) => true,
+        Err(err) => {
+            assert!(err.is_corruption(), "{bytes:?}: {err}");
+            false
+        }
+    }
+}
 
 /// A [`MemEnv`] that watches the threads a store starts through it and can
 /// be told to fail: a sequential read part-way through a file (a flaky

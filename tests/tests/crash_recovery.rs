@@ -468,6 +468,43 @@ fn an_io_error_inside_the_catalog_fails_the_open_and_no_family_is_lost() {
     }
 }
 
+/// A failed catalog append can leave a tear in the *middle* of `CFS` if the
+/// store keeps appending behind it: replay ends at the tear, so every family
+/// created afterwards — acknowledged, written to, flushed — was gone at the
+/// next open, and its id was handed out again over its unreaped directory.
+/// The next edit after a failure rewrites the catalog from the live state.
+#[test]
+fn a_failed_catalog_append_is_not_buried_under_later_edits() {
+    for engine in ["flsm", "lsm"] {
+        let mem_env = MemEnv::new();
+        let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+        let dir = Path::new("/catalog-tear");
+        let mut options = small_options();
+        options.compaction_threads = 0;
+        let c_id = {
+            let db = try_open_db_engine(engine, &env, dir, options.clone()).unwrap();
+            db.create_cf("a").unwrap();
+            // The record's header lands, its payload does not.
+            mem_env.inject_write_error_after("CFS", 1);
+            assert!(db.create_cf("b").is_err(), "{engine}");
+            mem_env.clear_fault_injection();
+            let c = db.create_cf("c").unwrap();
+            c.put(b"k", b"from-c").unwrap();
+            db.flush().unwrap();
+            c.id()
+        };
+        let db = try_open_db_engine(engine, &env, dir, options).unwrap();
+        assert_eq!(db.list_cfs(), ["default", "a", "c"], "{engine}");
+        let c = db.cf("c").unwrap();
+        assert_eq!(c.get(b"k").unwrap(), Some(b"from-c".to_vec()), "{engine}");
+        for name in ["d", "e"] {
+            let cf = db.create_cf(name).unwrap();
+            assert!(cf.id() > c_id, "{engine}: {name} reuses an id");
+            assert_eq!(cf.get(b"k").unwrap(), None, "{engine}: {name} is not empty");
+        }
+    }
+}
+
 /// Column-family lifecycle, crash window 1: records written to several
 /// families after a create live only in the shared WAL when the crash hits;
 /// replay must route every record into its own family. A second create whose
@@ -568,7 +605,9 @@ fn cf_drop_commit_without_dir_removal_reaps_orphans() {
         let data = pebblesdb_engine::catalog::read(env.as_ref(), dir).unwrap();
         let mut catalog =
             pebblesdb_engine::catalog::Catalog::rewrite(Arc::clone(&env), dir, &data).unwrap();
-        catalog.append_drop(temp_id).unwrap();
+        catalog
+            .append(&pebblesdb_engine::catalog::CatalogEdit::Drop(temp_id))
+            .unwrap();
         drop(catalog);
 
         let db = open_db_engine(engine, &env, dir);

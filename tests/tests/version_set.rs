@@ -19,6 +19,7 @@ use pebblesdb_engine::{
 };
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::{LsmDb, Version};
+use pebblesdb_tests::fuzz_record;
 use pebblesdb_wal::LogWriter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -412,21 +413,6 @@ fn live_numbers<V: VersionShape>(version: &V) -> Vec<u64> {
     numbers
 }
 
-fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>) {
-    match rng.gen_range(0..3) {
-        0 if !bytes.is_empty() => {
-            let at = rng.gen_range(0..bytes.len());
-            bytes[at] ^= 1 << rng.gen_range(0..8);
-        }
-        1 if !bytes.is_empty() => bytes.truncate(rng.gen_range(0..bytes.len())),
-        _ => {
-            let at = rng.gen_range(0..=bytes.len());
-            let junk: Vec<u8> = (0..rng.gen_range(1..12)).map(|_| rng.gen()).collect();
-            bytes.splice(at..at, junk);
-        }
-    }
-}
-
 /// Bit flips, truncations and spliced junk through `decode` + `apply`: the
 /// outcome is a valid version or `Corruption` — never a panic — and what the
 /// decoder allocates is bounded by the bytes it was given.
@@ -447,11 +433,8 @@ fn fuzz_decode_and_apply<V: VersionShape>(seed: u64, guards: bool) -> (usize, us
             version = V::empty(MAX_LEVELS);
             replay = VersionEdit::default();
         }
-        let mut bytes = random_edit(&mut rng, MAX_LEVELS, guards).encode();
-        for _ in 0..rng.gen_range(0..3) {
-            mutate(&mut rng, &mut bytes);
-        }
-        let next = VersionEdit::decode(&bytes).and_then(|edit| {
+        let edit = random_edit(&mut rng, MAX_LEVELS, guards);
+        let accepted = fuzz_record(&mut rng, edit, |edit, bytes| {
             let records = edit.deleted_files.len() + edit.new_files.len() + edit.new_guards.len();
             let key_bytes: usize = edit
                 .new_files
@@ -471,21 +454,17 @@ fn fuzz_decode_and_apply<V: VersionShape>(seed: u64, guards: bool) -> (usize, us
                     "seed {seed} case {case}: lost file"
                 );
             }
+            if let Err(violation) = next.validate() {
+                panic!("seed {seed} case {case}: applied to an invalid version: {violation}");
+            }
             replay.absorb(edit);
-            Ok(next)
+            version = next;
+            Ok(())
         });
-        match next {
-            Ok(next) => {
-                if let Err(violation) = next.validate() {
-                    panic!("seed {seed} case {case}: applied to an invalid version: {violation}");
-                }
-                version = next;
-                applied += 1;
-            }
-            Err(err) => {
-                assert!(err.is_corruption(), "seed {seed} case {case}: {err}");
-                rejected += 1;
-            }
+        if accepted {
+            applied += 1;
+        } else {
+            rejected += 1;
         }
     }
     (applied, rejected)

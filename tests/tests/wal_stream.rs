@@ -175,6 +175,45 @@ fn streams_beside_a_writer_deliver_every_batch_once_across_rotations() {
     }
 }
 
+/// The delivery rule, against a cursor that moves: every batch whose *last*
+/// sequence is at or past the cursor, in commit order. A batch the cursor
+/// lands inside is delivered whole; a pre-sequenced batch committed late at
+/// an old sequence lies behind a cursor that has moved past it, and is
+/// skipped like one delivered already.
+#[test]
+fn a_stream_delivers_by_last_sequence_and_skips_what_lies_behind_its_cursor() {
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let db = PebblesDb::open(env, Path::new("/delivery-rule")).unwrap();
+    // Commit order: [1,2] [3,5] [6] [20] [8] [21].
+    for (first_seq, records) in [(1, 2), (3, 3), (6, 1), (20, 1), (8, 1), (21, 1)] {
+        let mut batch = WriteBatch::new();
+        for i in 0..records {
+            batch.put(format!("key{first_seq}-{i}").as_bytes(), b"v");
+        }
+        batch.set_sequence(first_seq);
+        let engine = db.engine();
+        engine
+            .write_presequenced(&WriteOptions::default(), batch)
+            .unwrap();
+    }
+    let delivered = |from_seq: u64| -> Vec<(u64, u64)> {
+        let mut stream = db.stream(from_seq).unwrap();
+        let next = |stream: &mut Box<dyn ChangeStream>| stream.next_event(Duration::ZERO);
+        std::iter::from_fn(|| next(&mut stream).unwrap())
+            .map(|event| (event.first_seq, event.last_seq))
+            .collect()
+    };
+    assert_eq!(delivered(1), [(1, 2), (3, 5), (6, 6), (20, 20), (21, 21)]);
+    // Cursors inside the second batch's range get it whole.
+    assert_eq!(delivered(4), [(3, 5), (6, 6), (20, 20), (21, 21)]);
+    assert_eq!(delivered(5), delivered(4));
+    // At or before the late batch the cursor still passes it: commit order
+    // put sequence 20 in front of it.
+    assert_eq!(delivered(7), [(20, 20), (21, 21)]);
+    assert_eq!(delivered(21), [(21, 21)]);
+    assert_eq!(delivered(22), []);
+}
+
 #[test]
 fn a_failed_group_is_never_delivered_and_the_stream_idles_at_the_last_good_batch() {
     // (appends the failing put gets through, sync): one append leaves a torn
