@@ -4,11 +4,12 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 use pebblesdb::PebblesDb;
 use pebblesdb_btree::BTreeStore;
 use pebblesdb_common::{Db, Error, PrefixDb, Result, StoreOptions, StorePreset};
-use pebblesdb_env::{DiskEnv, Env, MemEnv};
+use pebblesdb_env::{DiskEnv, Env, MemEnv, SimEnv};
 use pebblesdb_lsm::LsmDb;
 use pebblesdb_shard::ShardConfig;
 
@@ -153,8 +154,8 @@ pub fn open_store(
 /// the fully-cached configuration used for unit-scale runs.
 ///
 /// `write_latency_us > 0` emulates a slow device for sstable writes (flushes
-/// and compactions pay it, the WAL does not). Only the in-memory env can
-/// inject it; this is how compaction-parallelism wins are made visible on a
+/// and compactions pay it, the WAL does not) by putting a [`SimEnv`] over
+/// either env; this is how compaction-parallelism wins are made visible on a
 /// machine whose page cache would otherwise absorb all compaction IO.
 pub fn open_env(
     env_kind: &str,
@@ -162,10 +163,7 @@ pub fn open_env(
     dir_flag: &str,
     write_latency_us: u64,
 ) -> (Arc<dyn Env>, PathBuf) {
-    if env_kind == "disk" {
-        if write_latency_us > 0 {
-            eprintln!("--write-latency-us is only supported with --env mem");
-        }
+    let (env, dir): (Arc<dyn Env>, PathBuf) = if env_kind == "disk" {
         let base = if dir_flag.is_empty() {
             std::env::temp_dir().join("pebblesdb-bench")
         } else {
@@ -174,13 +172,17 @@ pub fn open_env(
         let dir = base.join(format!("{label}-{}", std::process::id()));
         let env = DiskEnv::new();
         let _ = env.remove_dir_all(&dir);
-        return (Arc::new(env), dir);
+        (Arc::new(env), dir)
+    } else {
+        let dir = PathBuf::from(format!("/bench/{label}"));
+        (Arc::new(MemEnv::new()), dir)
+    };
+    if write_latency_us == 0 {
+        return (env, dir);
     }
-    let mem = MemEnv::new();
-    if write_latency_us > 0 {
-        mem.set_write_latency_micros_for(".sst", write_latency_us);
-    }
-    (Arc::new(mem), PathBuf::from(format!("/bench/{label}")))
+    let slow = SimEnv::new(env);
+    slow.set_append_latency(".sst", Duration::from_micros(write_latency_us));
+    (Arc::new(slow), dir)
 }
 
 #[cfg(test)]

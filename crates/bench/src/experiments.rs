@@ -36,7 +36,7 @@ pub const DB_BENCH_USAGE: &str = "db_bench [options]
   --scale-divisor N               divide the paper's store sizes by this
   --env KIND                      mem | disk (default mem)
   --dir PATH                      with --env disk: parent directory (default the system temp dir)
-  --write-latency-us N            with --env mem: inject latency per sstable write
+  --write-latency-us N            inject latency per sstable write
   --compaction-threads N          ad hoc: compaction pool size; 0 = no background threads (default the preset's)
   --value-separation-threshold N  ad hoc: values this large go to the value log (default 0 = off)
   --compression NAME              ad hoc: on|off block + vlog compression (default off)

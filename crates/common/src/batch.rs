@@ -23,7 +23,7 @@
 use crate::coding::put_length_prefixed_slice;
 use crate::coding::{decode_fixed32, decode_fixed64, put_fixed32, put_fixed64, Decoder};
 use crate::error::{Error, Result};
-use crate::key::{SequenceNumber, ValueType};
+use crate::key::{SequenceNumber, ValueType, MAX_SEQUENCE_NUMBER};
 
 /// The fixed-size batch header: 8-byte sequence plus 4-byte count.
 pub const BATCH_HEADER_SIZE: usize = 12;
@@ -68,7 +68,14 @@ impl WriteBatch {
         if contents.len() < BATCH_HEADER_SIZE {
             return Err(Error::corruption("write batch too small"));
         }
-        Ok(WriteBatch { rep: contents })
+        let batch = WriteBatch { rep: contents };
+        // Record `i` carries `sequence() + i`: a header from a WAL or a
+        // replication frame whose range leaves the sequence space is refused
+        // here, once, so `last_sequence` and the iterator cannot overflow.
+        match batch.sequence().checked_add(u64::from(batch.count())) {
+            Some(end) if end <= MAX_SEQUENCE_NUMBER => Ok(batch),
+            _ => Err(Error::corruption("write batch sequences out of range")),
+        }
     }
 
     /// Adds a `put` of `key -> value` to the batch.
@@ -345,6 +352,25 @@ mod tests {
         batch.put(b"c", b"3");
         assert_eq!(batch.last_sequence(), 9);
         assert_eq!(WriteBatch::new().last_sequence(), 0);
+    }
+
+    /// A header whose records would be numbered past the sequence space — a
+    /// debug-build panic and a release-build wrap in `last_sequence` and the
+    /// iterator — is refused where outside bytes become a batch.
+    #[test]
+    fn a_sequence_range_that_leaves_the_sequence_space_is_corruption() {
+        let mut batch = WriteBatch::new();
+        batch.put(b"a", b"1");
+        batch.put(b"b", b"2");
+        for base in [u64::MAX, u64::MAX - 1, MAX_SEQUENCE_NUMBER - 1] {
+            batch.set_sequence(base);
+            let decoded = WriteBatch::from_contents(batch.contents().to_vec());
+            assert!(decoded.unwrap_err().is_corruption(), "base {base}");
+        }
+        batch.set_sequence(MAX_SEQUENCE_NUMBER - 2);
+        let decoded = WriteBatch::from_contents(batch.contents().to_vec()).unwrap();
+        assert_eq!(decoded.last_sequence(), MAX_SEQUENCE_NUMBER - 1);
+        assert_eq!(decoded.iter().count(), 2);
     }
 
     #[test]

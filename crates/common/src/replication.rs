@@ -256,12 +256,9 @@ impl ReplicationFrame {
     }
 }
 
-/// A [`ChangeStream`] consumer loop helper: waits until `deadline` work is
-/// done. Kept minimal on purpose — see `pebblesdb-replica` for the full
-/// follower.
-pub fn poll_interval() -> Duration {
-    Duration::from_millis(100)
-}
+/// How long a `SYNC` connection waits on its [`ChangeStream`] before it
+/// checks for shutdown and pings an idle follower.
+pub const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 #[cfg(test)]
 mod tests {

@@ -2,8 +2,9 @@
 //!
 //! Every engine in the workspace performs IO through an [`Env`]; the two
 //! implementations are [`DiskEnv`] (real files under a directory) and
-//! [`MemEnv`] (an in-memory filesystem used by unit tests, crash-injection
-//! tests and the fully-cached experiments).
+//! [`MemEnv`] (an in-memory filesystem used by unit tests, crash tests and
+//! the fully-cached experiments), and [`SimEnv`] is the one layer over either
+//! that schedules faults, injects latency and keeps probes.
 //!
 //! The [`IoStats`] attached to an `Env` counts every byte written and read,
 //! which is how the benchmark harness measures write amplification from
@@ -11,6 +12,7 @@
 
 pub mod disk;
 pub mod mem;
+pub mod sim;
 pub mod stats;
 
 use std::path::{Path, PathBuf};
@@ -22,6 +24,7 @@ use pebblesdb_common::{Error, Result};
 
 pub use disk::DiskEnv;
 pub use mem::MemEnv;
+pub use sim::SimEnv;
 pub use stats::{IoStats, IoStatsSnapshot};
 
 /// A file that is written sequentially (WAL, sstable under construction).

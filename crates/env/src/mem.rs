@@ -1,17 +1,10 @@
 //! An in-memory environment used by tests and fully-cached experiments.
 //!
-//! Besides being fast and hermetic, [`MemEnv`] supports *fault injection*
-//! for crash testing:
-//!
-//! * [`MemEnv::truncate_file`] drops the tail of a file, simulating a torn
-//!   write at a crash point;
-//! * [`MemEnv::inject_write_error_after`] makes appends/syncs to matching
-//!   files start failing after a budget of successes, simulating a crash
-//!   *between* two writes (for example: compaction outputs fully written,
-//!   MANIFEST commit never happens);
-//! * [`MemEnv::set_write_latency_micros`] slows every append down, widening
-//!   the windows in which concurrent compaction jobs overlap so stress tests
-//!   can assert on parallelism deterministically.
+//! Besides being fast and hermetic, [`MemEnv`] models *the disk at a crash*:
+//! [`MemEnv::truncate_file`] tears a file's tail and
+//! [`MemEnv::drop_unsynced_dir_entries`] loses the directory entries no
+//! `sync_dir` covered. Failing or slowing a call is [`SimEnv`](crate::SimEnv)'s
+//! job, over this env or any other.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -46,78 +39,10 @@ struct FileSystem {
     unsynced_renames: Vec<UnsyncedRename>,
 }
 
-/// Shared write-fault configuration consulted by every writable file.
-#[derive(Default)]
-struct FaultState {
-    /// `(path substring, remaining successful appends)`. Once a pattern's
-    /// budget reaches zero, every later append or sync to a matching file
-    /// fails with an injected IO error.
-    fail_after: Vec<(String, u64)>,
-    /// `(path substring, microseconds)` of artificial latency added to every
-    /// append of a matching file; the empty pattern matches every file.
-    write_latency: Vec<(String, u64)>,
-    /// Path substrings whose `remove_file`/`remove_dir_all` calls fail with
-    /// an injected IO error (an undeletable file: EBUSY, permissions, a
-    /// flaky device) until cleared.
-    fail_removes: Vec<String>,
-}
-
-impl FaultState {
-    /// Charges one append against `path`; returns the injected error if a
-    /// matching pattern's success budget is exhausted, otherwise the total
-    /// artificial latency the append must pay.
-    fn check_append(&mut self, path: &Path) -> Result<u64> {
-        let name = path.to_string_lossy();
-        for (pattern, remaining) in &mut self.fail_after {
-            if name.contains(pattern.as_str()) {
-                if *remaining == 0 {
-                    return Err(Error::internal(format!(
-                        "injected write failure for {name}"
-                    )));
-                }
-                *remaining -= 1;
-            }
-        }
-        Ok(self
-            .write_latency
-            .iter()
-            .filter(|(pattern, _)| name.contains(pattern.as_str()))
-            .map(|(_, micros)| micros)
-            .sum())
-    }
-
-    /// Returns the injected error if removals of `path` are configured to
-    /// fail.
-    fn check_remove(&self, path: &Path) -> Result<()> {
-        let name = path.to_string_lossy();
-        for pattern in &self.fail_removes {
-            if name.contains(pattern.as_str()) {
-                return Err(Error::internal(format!(
-                    "injected remove failure for {name}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Like [`FaultState::check_append`] but without consuming budget (used
-    /// by `sync`, which writes no new bytes).
-    fn check_sync(&self, path: &Path) -> Result<()> {
-        let name = path.to_string_lossy();
-        for (pattern, remaining) in &self.fail_after {
-            if name.contains(pattern.as_str()) && *remaining == 0 {
-                return Err(Error::internal(format!("injected sync failure for {name}")));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// An [`Env`] holding every file in memory.
 #[derive(Clone, Default)]
 pub struct MemEnv {
     fs: Arc<Mutex<FileSystem>>,
-    faults: Arc<Mutex<FaultState>>,
     stats: Arc<IoStats>,
 }
 
@@ -127,56 +52,6 @@ impl MemEnv {
         MemEnv::default()
     }
 
-    fn normalize(path: &Path) -> PathBuf {
-        PathBuf::from(path)
-    }
-
-    /// After `successes` more appends to files whose path contains
-    /// `substring`, every further append or sync to such files fails.
-    ///
-    /// With `successes = 0` the next touch fails immediately — e.g.
-    /// `inject_write_error_after("MANIFEST", 0)` kills the store at the
-    /// moment a compaction tries to commit its version edit, *after* its
-    /// output sstables were fully written.
-    pub fn inject_write_error_after(&self, substring: &str, successes: u64) {
-        self.faults
-            .lock()
-            .fail_after
-            .push((substring.to_string(), successes));
-    }
-
-    /// Removes every injected write-error pattern (simulates the machine
-    /// coming back up healthy after the crash).
-    pub fn clear_fault_injection(&self) {
-        let mut faults = self.faults.lock();
-        faults.fail_after.clear();
-        faults.fail_removes.clear();
-    }
-
-    /// Makes `remove_file` and `remove_dir_all` fail for any path containing
-    /// `substring`, without touching the files — an undeletable directory.
-    /// Cleared by [`MemEnv::clear_fault_injection`].
-    pub fn inject_remove_error(&self, substring: &str) {
-        self.faults.lock().fail_removes.push(substring.to_string());
-    }
-
-    /// Adds `micros` of artificial latency to every append, so tests can
-    /// widen compaction IO windows. `0` removes previously set delays.
-    pub fn set_write_latency_micros(&self, micros: u64) {
-        self.set_write_latency_micros_for("", micros);
-    }
-
-    /// Adds `micros` of artificial latency to appends of files whose path
-    /// contains `substring` (e.g. `".sst"` to emulate a slow device for
-    /// sstable writes while leaving the WAL fast). `0` removes the pattern.
-    pub fn set_write_latency_micros_for(&self, substring: &str, micros: u64) {
-        let mut faults = self.faults.lock();
-        faults.write_latency.retain(|(p, _)| p != substring);
-        if micros > 0 {
-            faults.write_latency.push((substring.to_string(), micros));
-        }
-    }
-
     /// Truncates the named file to `len` bytes, simulating a torn write.
     ///
     /// Returns the previous length. Used by crash-recovery tests.
@@ -184,7 +59,7 @@ impl MemEnv {
         let fs = self.fs.lock();
         let data = fs
             .files
-            .get(&Self::normalize(path))
+            .get(path)
             .ok_or_else(|| Error::invalid_argument(format!("no such file: {}", path.display())))?;
         let mut data = data.write();
         let old = data.len();
@@ -228,21 +103,14 @@ impl MemEnv {
 }
 
 struct MemWritableFile {
-    path: PathBuf,
     data: FileData,
-    /// The environment the file lives in: its fault schedule, its IO
-    /// statistics and the clock injected latency is paid on.
-    env: MemEnv,
+    stats: Arc<IoStats>,
 }
 
 impl WritableFile for MemWritableFile {
     fn append(&mut self, data: &[u8]) -> Result<()> {
-        let latency = self.env.faults.lock().check_append(&self.path)?;
-        if latency > 0 {
-            self.env.sleep(std::time::Duration::from_micros(latency));
-        }
         self.data.write().extend_from_slice(data);
-        self.env.stats.record_write(data.len() as u64);
+        self.stats.record_write(data.len() as u64);
         Ok(())
     }
 
@@ -251,13 +119,11 @@ impl WritableFile for MemWritableFile {
     }
 
     fn sync(&mut self) -> Result<()> {
-        self.env.faults.lock().check_sync(&self.path)?;
-        self.env.stats.record_sync();
+        self.stats.record_sync();
         Ok(())
     }
 
     fn close(&mut self) -> Result<()> {
-        self.env.faults.lock().check_sync(&self.path)?;
         Ok(())
     }
 }
@@ -345,13 +211,12 @@ impl Env for MemEnv {
     fn new_writable_file(&self, path: &Path) -> Result<Box<dyn WritableFile>> {
         let mut fs = self.fs.lock();
         let data: FileData = Arc::new(RwLock::new(Vec::new()));
-        fs.files.insert(Self::normalize(path), Arc::clone(&data));
-        fs.unsynced_creates.push(Self::normalize(path));
+        fs.files.insert(path.to_path_buf(), Arc::clone(&data));
+        fs.unsynced_creates.push(path.to_path_buf());
         self.stats.record_file_created();
         Ok(Box::new(MemWritableFile {
-            path: Self::normalize(path),
             data,
-            env: self.clone(),
+            stats: Arc::clone(&self.stats),
         }))
     }
 
@@ -359,7 +224,7 @@ impl Env for MemEnv {
         let fs = self.fs.lock();
         let data = fs
             .files
-            .get(&Self::normalize(path))
+            .get(path)
             .ok_or_else(|| Error::invalid_argument(format!("no such file: {}", path.display())))?;
         Ok(Arc::new(MemRandomAccessFile {
             data: Arc::clone(data),
@@ -371,7 +236,7 @@ impl Env for MemEnv {
         let fs = self.fs.lock();
         let data = fs
             .files
-            .get(&Self::normalize(path))
+            .get(path)
             .ok_or_else(|| Error::invalid_argument(format!("no such file: {}", path.display())))?;
         Ok(Box::new(MemSequentialFile {
             data: Arc::clone(data),
@@ -382,7 +247,7 @@ impl Env for MemEnv {
 
     fn new_random_writable_file(&self, path: &Path) -> Result<Arc<dyn RandomWritableFile>> {
         let mut fs = self.fs.lock();
-        let path = Self::normalize(path);
+        let path = path.to_path_buf();
         if !fs.files.contains_key(&path) {
             self.stats.record_file_created();
             fs.files
@@ -399,25 +264,23 @@ impl Env for MemEnv {
     }
 
     fn file_exists(&self, path: &Path) -> bool {
-        self.fs.lock().files.contains_key(&Self::normalize(path))
+        self.fs.lock().files.contains_key(path)
     }
 
     fn file_size(&self, path: &Path) -> Result<u64> {
         let fs = self.fs.lock();
         let data = fs
             .files
-            .get(&Self::normalize(path))
+            .get(path)
             .ok_or_else(|| Error::invalid_argument(format!("no such file: {}", path.display())))?;
         let len = data.read().len() as u64;
         Ok(len)
     }
 
     fn remove_file(&self, path: &Path) -> Result<()> {
-        self.faults.lock().check_remove(path)?;
         let mut fs = self.fs.lock();
-        let path = Self::normalize(path);
         fs.files
-            .remove(&path)
+            .remove(path)
             .ok_or_else(|| Error::invalid_argument(format!("no such file: {}", path.display())))?;
         // A deleted file's pending directory entries are moot; dropping them
         // keeps a later simulated crash from resurrecting it.
@@ -429,8 +292,8 @@ impl Env for MemEnv {
 
     fn rename_file(&self, from: &Path, to: &Path) -> Result<()> {
         let mut fs = self.fs.lock();
-        let from = Self::normalize(from);
-        let to = Self::normalize(to);
+        let from = from.to_path_buf();
+        let to = to.to_path_buf();
         let data = fs
             .files
             .remove(&from)
@@ -442,41 +305,33 @@ impl Env for MemEnv {
     }
 
     fn sync_dir(&self, path: &Path) -> Result<()> {
-        self.faults.lock().check_sync(path)?;
         let mut fs = self.fs.lock();
-        let dir = Self::normalize(path);
-        fs.unsynced_creates
-            .retain(|p| p.parent() != Some(dir.as_path()));
-        fs.unsynced_renames
-            .retain(|r| r.to.parent() != Some(dir.as_path()));
+        fs.unsynced_creates.retain(|p| p.parent() != Some(path));
+        fs.unsynced_renames.retain(|r| r.to.parent() != Some(path));
         self.stats.record_dir_sync();
         Ok(())
     }
 
     fn create_dir_all(&self, path: &Path) -> Result<()> {
         let mut fs = self.fs.lock();
-        let path = Self::normalize(path);
-        if !fs.dirs.contains(&path) {
-            fs.dirs.push(path);
+        if !fs.dirs.iter().any(|dir| dir == path) {
+            fs.dirs.push(path.to_path_buf());
         }
         Ok(())
     }
 
     fn remove_dir_all(&self, path: &Path) -> Result<()> {
-        self.faults.lock().check_remove(path)?;
         let mut fs = self.fs.lock();
-        let prefix = Self::normalize(path);
-        fs.files.retain(|p, _| !p.starts_with(&prefix));
-        fs.dirs.retain(|p| !p.starts_with(&prefix));
+        fs.files.retain(|p, _| !p.starts_with(path));
+        fs.dirs.retain(|p| !p.starts_with(path));
         Ok(())
     }
 
     fn children(&self, path: &Path) -> Result<Vec<String>> {
         let fs = self.fs.lock();
-        let prefix = Self::normalize(path);
         let mut out = Vec::new();
         for file in fs.files.keys() {
-            if let Ok(rest) = file.strip_prefix(&prefix) {
+            if let Ok(rest) = file.strip_prefix(path) {
                 if let Some(name) = rest.to_str() {
                     if !name.is_empty() && !name.contains('/') {
                         out.push(name.to_string());
@@ -510,46 +365,6 @@ mod tests {
         assert_eq!(old, 10);
         assert_eq!(env.file_size(path).unwrap(), 4);
         assert_eq!(env.read_file_to_vec(path).unwrap(), b"0123");
-    }
-
-    #[test]
-    fn injected_write_errors_fire_after_the_success_budget() {
-        let env = MemEnv::new();
-        env.inject_write_error_after("MANIFEST", 2);
-
-        // Non-matching files are unaffected.
-        let mut log = env.new_writable_file(Path::new("/db/000007.log")).unwrap();
-        log.append(b"fine").unwrap();
-        log.sync().unwrap();
-
-        let mut manifest = env
-            .new_writable_file(Path::new("/db/MANIFEST-000001"))
-            .unwrap();
-        manifest.append(b"one").unwrap();
-        manifest.append(b"two").unwrap();
-        assert!(manifest.append(b"three").is_err(), "budget exhausted");
-        assert!(manifest.sync().is_err(), "sync fails once budget is spent");
-        // Nothing past the budget reached the file.
-        assert_eq!(
-            env.read_file_to_vec(Path::new("/db/MANIFEST-000001"))
-                .unwrap(),
-            b"onetwo"
-        );
-
-        env.clear_fault_injection();
-        manifest.append(b"three").unwrap();
-        manifest.sync().unwrap();
-    }
-
-    #[test]
-    fn write_latency_injection_slows_appends() {
-        let env = MemEnv::new();
-        env.set_write_latency_micros(2_000);
-        let mut f = env.new_writable_file(Path::new("/slow")).unwrap();
-        let start = std::time::Instant::now();
-        f.append(b"x").unwrap();
-        assert!(start.elapsed() >= std::time::Duration::from_micros(2_000));
-        env.set_write_latency_micros(0);
     }
 
     #[test]

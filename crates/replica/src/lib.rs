@@ -47,7 +47,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -148,7 +148,7 @@ impl<P: ShapePolicy> FollowerDb<P> {
         F: FnOnce(&StoreOptions) -> P,
     {
         let policy = make_policy(&options);
-        let db = EngineDb::open(policy, env, path, options)?;
+        let db = EngineDb::open(policy, Arc::clone(&env), path, options)?;
         let state = FollowerState {
             shutdown: AtomicBool::new(false),
             // Recovery already replayed the local WAL: the engine's last
@@ -165,10 +165,8 @@ impl<P: ShapePolicy> FollowerDb<P> {
         let core = Arc::new(FollowerCore { db, state });
         let thread = {
             let core = Arc::clone(&core);
-            std::thread::Builder::new()
-                .name("pebblesdb-follower".to_string())
-                .spawn(move || replication_loop(&core.db, &core.state, &config))
-                .map_err(|err| Error::internal(format!("spawn follower thread: {err}")))?
+            let main = move || replication_loop(&core.db, &core.state, &config);
+            env.spawn("pebblesdb-follower".to_string(), Box::new(main))?
         };
         Ok(FollowerDb {
             core,
@@ -270,12 +268,13 @@ fn replication_loop<P: ShapePolicy>(
             }
         }
         // Sleep in short slices so shutdown is honored promptly.
-        let deadline = Instant::now() + backoff;
-        while Instant::now() < deadline {
+        let env = &db.core().io.env;
+        let deadline = env.now() + backoff;
+        while env.now() < deadline {
             if state.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            std::thread::sleep(Duration::from_millis(10));
+            env.sleep(Duration::from_millis(10));
         }
         backoff = (backoff * 2).min(config.max_reconnect_backoff);
     }
@@ -310,7 +309,8 @@ fn ship_once<P: ShapePolicy>(
     // when the leader goes silent without closing the socket.
     let _ = client.set_timeout(Some(Duration::from_millis(100)));
     state.connected.store(true, Ordering::Release);
-    let mut last_frame = Instant::now();
+    let env = &db.core().io.env;
+    let mut last_frame = env.now();
     loop {
         if state.shutdown.load(Ordering::Acquire) {
             return StreamEnd::Shutdown;
@@ -323,14 +323,14 @@ fn ship_once<P: ShapePolicy>(
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                if last_frame.elapsed() >= config.liveness_timeout {
+                if env.now().saturating_sub(last_frame) >= config.liveness_timeout {
                     return StreamEnd::Broken("leader silent past liveness timeout".to_string());
                 }
                 continue;
             }
             Err(err) => return broken("read", &err),
         };
-        last_frame = Instant::now();
+        last_frame = env.now();
         if let RespValue::Error(msg) = value {
             return StreamEnd::Broken(format!("leader error: {msg}"));
         }

@@ -6,17 +6,17 @@
 //!     --rate-limit 50000 --burst 1000
 //! ```
 //!
-//! `--mem` serves an in-memory store (optionally with `--write-latency-us`
-//! injected per-sstable-write, the single-core benchmarking caveat from the
-//! roadmap); otherwise `--db PATH` serves a disk store. `--engine lsm`
-//! swaps in the degenerate-guard LSM instead of the FLSM.
+//! `--mem` serves an in-memory store; otherwise `--db PATH` serves a disk
+//! store. Either takes `--write-latency-us`, injected per sstable write (the
+//! single-core benchmarking caveat from the roadmap). `--engine lsm` swaps
+//! in the degenerate-guard LSM instead of the FLSM.
 
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
 use pebblesdb_common::{Args, Db};
-use pebblesdb_env::{DiskEnv, Env, MemEnv};
+use pebblesdb_env::{DiskEnv, Env, MemEnv, SimEnv};
 use pebblesdb_server::{RateLimit, Server, ServerConfig, StaticTokenAuth};
 
 const USAGE: &str = "pebblesdb-server [options]
@@ -31,7 +31,7 @@ const USAGE: &str = "pebblesdb-server [options]
   --max-connections N       concurrent connection cap (default 256)
   --idle-timeout-ms N       close idle connections (default 300000)
   --sync                    fsync every acknowledged write
-  --write-latency-us N      with --mem: inject latency per sstable write
+  --write-latency-us N      inject latency per sstable write
   --help                    print this help";
 
 fn main() {
@@ -41,17 +41,16 @@ fn main() {
     let db_path = args.get_str("db", "");
     let use_mem = args.has_flag("mem") || db_path.is_empty();
 
-    let (env, mem): (Arc<dyn Env>, Option<Arc<MemEnv>>) = if use_mem {
-        let mem = Arc::new(MemEnv::new());
-        (mem.clone(), Some(mem))
+    let mut env: Arc<dyn Env> = if use_mem {
+        Arc::new(MemEnv::new())
     } else {
-        (Arc::new(DiskEnv::new()), None)
+        Arc::new(DiskEnv::new())
     };
-    if let Some(mem) = &mem {
-        let write_latency_us = args.get_u64("write-latency-us", 0);
-        if write_latency_us > 0 {
-            mem.set_write_latency_micros_for(".sst", write_latency_us);
-        }
+    let write_latency_us = args.get_u64("write-latency-us", 0);
+    if write_latency_us > 0 {
+        let slow = SimEnv::new(env);
+        slow.set_append_latency(".sst", Duration::from_micros(write_latency_us));
+        env = Arc::new(slow);
     }
     let path_str = if use_mem {
         "/pebblesdb-server".to_string()

@@ -19,7 +19,7 @@ use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use pebblesdb_common::replication::poll_interval;
+use pebblesdb_common::replication::POLL_INTERVAL;
 use pebblesdb_common::resp::RespValue;
 use pebblesdb_common::{CfId, Db, Error, ReplicationFrame, SequenceNumber, WriteBatch};
 
@@ -49,7 +49,7 @@ pub(crate) fn serve_sync(
         if shared.kill.load(Ordering::Acquire) || shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        match changes.next_event(poll_interval()) {
+        match changes.next_event(POLL_INTERVAL) {
             Ok(Some(event)) => {
                 // Re-advertise the catalog before any batch that references
                 // a family the follower has not been told about.

@@ -197,7 +197,7 @@ impl LogReader {
 mod tests {
     use super::*;
     use crate::LogWriter;
-    use pebblesdb_env::{Env, MemEnv};
+    use pebblesdb_env::{Env, MemEnv, SimEnv};
     use std::path::Path;
 
     #[test]
@@ -250,27 +250,6 @@ mod tests {
         assert_eq!(reader.corruption_count(), 0);
     }
 
-    /// Hands out `inner` a few bytes at a time and fails one read.
-    struct FlakyFile {
-        inner: Box<dyn SequentialFile>,
-        reads_until_error: usize,
-    }
-
-    impl SequentialFile for FlakyFile {
-        fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
-            self.reads_until_error = self.reads_until_error.wrapping_sub(1);
-            if self.reads_until_error == 0 {
-                return Err(Error::corruption("injected read error"));
-            }
-            let n = buf.len().min(7);
-            self.inner.read(&mut buf[..n])
-        }
-
-        fn skip(&mut self, n: u64) -> Result<()> {
-            self.inner.skip(n)
-        }
-    }
-
     #[test]
     fn a_failed_read_leaves_no_unread_bytes_in_the_block() {
         let env = MemEnv::new();
@@ -278,10 +257,10 @@ mod tests {
         let mut writer = LogWriter::new(env.new_writable_file(path).unwrap());
         writer.add_record(b"first record").unwrap();
         writer.add_record(b"second record").unwrap();
-        let mut reader = LogReader::new(Box::new(FlakyFile {
-            inner: env.new_sequential_file(path).unwrap(),
-            reads_until_error: 2,
-        }));
+        // Seven bytes arrive, then one read fails.
+        let flaky = SimEnv::new(std::sync::Arc::new(env.clone()));
+        flaky.fail_sequential_read("flaky", 1);
+        let mut reader = LogReader::new(flaky.new_sequential_file(path).unwrap());
         // The error surfaces once; what had arrived before it is kept and
         // the rest is read afterwards, not taken for zero padding.
         assert!(reader.read_record().is_err());

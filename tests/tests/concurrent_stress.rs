@@ -18,6 +18,7 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use pebblesdb::PebblesDb;
 use pebblesdb_common::filename::table_file_name;
@@ -26,6 +27,7 @@ use pebblesdb_common::{KvStore, ReadOptions, StoreOptions, StorePreset, StoreSta
 use pebblesdb_engine::{EngineDb, FileMetaDataEdit, ShapePolicy, VersionEdit};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
+use pebblesdb_tests::sim_over;
 
 const WRITER_THREADS: usize = 4;
 const READER_THREADS: usize = 3;
@@ -421,11 +423,10 @@ fn storm_options() -> StoreOptions {
 /// scans self-consistent, the pre-storm cursor intact, zero memtable clones
 /// and a running flush thread.
 fn compaction_storm(open_store: impl Fn(Arc<dyn Env>) -> Arc<dyn KvStore>) -> StoreStats {
-    let mem_env = MemEnv::new();
+    let (sim, env) = sim_over(MemEnv::new());
     // Widen every sstable write so concurrent jobs reliably overlap in time
     // even on a fast machine; the WAL stays fast.
-    mem_env.set_write_latency_micros_for(".sst", 30);
-    let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+    sim.set_append_latency(".sst", Duration::from_micros(30));
     let store = open_store(env);
 
     // A pre-storm view for the long-lived cursor.

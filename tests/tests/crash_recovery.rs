@@ -12,9 +12,9 @@ use pebblesdb_common::{
     Db, Error, KvStore, ReadOptions, Result, StoreOptions, StorePreset, WriteBatch,
 };
 use pebblesdb_engine::{EngineDb, ShapePolicy};
-use pebblesdb_env::{Env, MemEnv};
+use pebblesdb_env::{DiskEnv, Env, MemEnv, SimEnv};
 use pebblesdb_lsm::LsmDb;
-use pebblesdb_tests::ProbeEnv;
+use pebblesdb_tests::sim_over;
 
 /// Number of `.sst` files physically present in the database directory.
 fn tables_on_disk(env: &dyn Env, dir: &Path) -> usize {
@@ -142,12 +142,26 @@ fn baseline_lsm_recovers_after_torn_wal() {
 /// still covers the unflushed keys) and the orphan sstable must be reaped.
 #[test]
 fn crash_between_flush_output_and_manifest_commit_loses_nothing() {
-    for engine in ["flsm", "lsm"] {
-        let mem_env = MemEnv::new();
-        let env: Arc<dyn Env> = Arc::new(mem_env.clone());
-        let dir = Path::new("/crash-manifest");
+    let dir = std::env::temp_dir().join(format!("pebblesdb-crash-{}", std::process::id()));
+    let dir = dir.as_path();
+    for (engine, disk) in [
+        ("flsm", false),
+        ("lsm", false),
+        ("flsm", true),
+        ("lsm", true),
+    ] {
+        // The fault is scheduled over the env, whichever it is: an in-memory
+        // disk, or real files in a directory removed afterwards.
+        let (sim, env) = if disk {
+            sim_over(DiskEnv::new())
+        } else {
+            sim_over(MemEnv::new())
+        };
+        env.remove_dir_all(dir).unwrap();
+        let flsm = engine == "flsm";
+        let engine = format!("{engine} on {}", if disk { "disk" } else { "mem" });
         let open = |env: &Arc<dyn Env>| -> Arc<dyn KvStore> {
-            if engine == "flsm" {
+            if flsm {
                 Arc::new(
                     PebblesDb::open_with_options(Arc::clone(env), dir, small_options()).unwrap(),
                 )
@@ -180,7 +194,7 @@ fn crash_between_flush_output_and_manifest_commit_loses_nothing() {
             let live_before = db.stats().num_files as usize;
             // Every MANIFEST write fails from here on: the flush writes its
             // level-0 table in full, then cannot commit it.
-            mem_env.inject_write_error_after("MANIFEST", 0);
+            sim.fail_writes_after("MANIFEST", 0);
             assert!(db.flush().is_err(), "{engine}: flush must surface bg_error");
             assert!(
                 tables_on_disk(env.as_ref(), dir) > live_before,
@@ -188,7 +202,7 @@ fn crash_between_flush_output_and_manifest_commit_loses_nothing() {
             );
         } // <- crash: the store is dropped with the orphan still present.
 
-        mem_env.clear_fault_injection();
+        sim.heal();
         let db = open(&env);
         for i in 0..4000u32 {
             assert_eq!(
@@ -203,6 +217,8 @@ fn crash_between_flush_output_and_manifest_commit_loses_nothing() {
             db.stats().num_files as usize,
             "{engine}: recovery must reap every orphan sstable"
         );
+        drop(db);
+        env.remove_dir_all(dir).unwrap();
     }
 }
 
@@ -212,8 +228,7 @@ fn crash_between_flush_output_and_manifest_commit_loses_nothing() {
 /// orphaned outputs are reaped.
 #[test]
 fn flsm_crash_during_level_compaction_commit_is_recoverable() {
-    let mem_env = MemEnv::new();
-    let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+    let (sim, env) = sim_over(MemEnv::new());
     let dir = Path::new("/crash-compaction");
     // Size-triggered compaction is disabled so the level-0 files pile up
     // deterministically; the compaction is then requested via the
@@ -237,7 +252,7 @@ fn flsm_crash_during_level_compaction_commit_is_recoverable() {
         let live_before = db.stats().num_files as usize;
         assert!(live_before >= 3, "setup should leave several level-0 files");
 
-        mem_env.inject_write_error_after("MANIFEST", 0);
+        sim.fail_writes_after("MANIFEST", 0);
         // Arm the seek-triggered compaction of the overlapping level-0 files.
         for _ in 0..opts.seek_compaction_threshold {
             let mut iter = db.iter(&ReadOptions::default()).unwrap();
@@ -255,7 +270,7 @@ fn flsm_crash_during_level_compaction_commit_is_recoverable() {
         );
     } // <- crash.
 
-    mem_env.clear_fault_injection();
+    sim.heal();
     let db = PebblesDb::open_with_options(Arc::clone(&env), dir, opts).unwrap();
     for i in 0..1500u32 {
         assert_eq!(
@@ -376,11 +391,11 @@ fn files_under(env: &dyn Env, dir: &Path) -> Vec<String> {
 /// with the `Io` error and deletes nothing.
 fn assert_open_fails_with_io_and_deletes_nothing(
     engine: &str,
-    probe: &Arc<ProbeEnv>,
+    probe: &SimEnv,
     dir: &Path,
     options: StoreOptions,
 ) {
-    let env: Arc<dyn Env> = Arc::clone(probe) as Arc<dyn Env>;
+    let env: Arc<dyn Env> = Arc::new(probe.clone());
     let before = files_under(env.as_ref(), dir);
     match try_open_db_engine(engine, &env, dir, options) {
         Err(Error::Io(_)) => {}
@@ -403,8 +418,7 @@ fn assert_open_fails_with_io_and_deletes_nothing(
 #[test]
 fn an_io_error_inside_the_wal_fails_the_open_and_a_retry_recovers_everything() {
     for engine in ["flsm", "lsm"] {
-        let probe = ProbeEnv::new();
-        let env: Arc<dyn Env> = Arc::clone(&probe) as Arc<dyn Env>;
+        let (probe, env) = sim_over(MemEnv::new());
         let dir = Path::new("/io-error-wal");
         // One memtable's worth: every write lives in the one WAL only.
         let options = StoreOptions::default();
@@ -437,8 +451,7 @@ fn an_io_error_inside_the_wal_fails_the_open_and_a_retry_recovers_everything() {
 #[test]
 fn an_io_error_inside_the_catalog_fails_the_open_and_no_family_is_lost() {
     for engine in ["flsm", "lsm"] {
-        let probe = ProbeEnv::new();
-        let env: Arc<dyn Env> = Arc::clone(&probe) as Arc<dyn Env>;
+        let (probe, env) = sim_over(MemEnv::new());
         let dir = Path::new("/io-error-catalog");
         let names = ["alpha", "beta", "gamma"];
         {
@@ -476,8 +489,7 @@ fn an_io_error_inside_the_catalog_fails_the_open_and_no_family_is_lost() {
 #[test]
 fn a_failed_catalog_append_is_not_buried_under_later_edits() {
     for engine in ["flsm", "lsm"] {
-        let mem_env = MemEnv::new();
-        let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+        let (sim, env) = sim_over(MemEnv::new());
         let dir = Path::new("/catalog-tear");
         let mut options = small_options();
         options.compaction_threads = 0;
@@ -485,9 +497,9 @@ fn a_failed_catalog_append_is_not_buried_under_later_edits() {
             let db = try_open_db_engine(engine, &env, dir, options.clone()).unwrap();
             db.create_cf("a").unwrap();
             // The record's header lands, its payload does not.
-            mem_env.inject_write_error_after("CFS", 1);
+            sim.fail_writes_after("CFS", 1);
             assert!(db.create_cf("b").is_err(), "{engine}");
-            mem_env.clear_fault_injection();
+            sim.heal();
             let c = db.create_cf("c").unwrap();
             c.put(b"k", b"from-c").unwrap();
             db.flush().unwrap();
@@ -513,8 +525,7 @@ fn a_failed_catalog_append_is_not_buried_under_later_edits() {
 #[test]
 fn cf_wal_replay_routes_records_into_their_families() {
     for engine in ["flsm", "lsm"] {
-        let mem_env = MemEnv::new();
-        let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+        let (sim, env) = sim_over(MemEnv::new());
         let dir = Path::new("/crash-cf-route");
         {
             let db = open_db_engine(engine, &env, dir);
@@ -526,11 +537,11 @@ fn cf_wal_replay_routes_records_into_their_families() {
             // The create edit for "broken" commits to the catalog, then the
             // family's own MANIFEST initialisation dies — the crash window
             // between the catalog commit and the directory setup.
-            mem_env.inject_write_error_after(&format!("{}/cf-", dir.display()), 0);
+            sim.fail_writes_after(&format!("{}/cf-", dir.display()), 0);
             assert!(db.create_cf("broken").is_err());
         } // <- crash: everything above lives in the WAL only.
 
-        mem_env.clear_fault_injection();
+        sim.heal();
         let db = open_db_engine(engine, &env, dir);
         let mut names = db.list_cfs();
         names.sort();
@@ -751,8 +762,7 @@ fn deleting_everything_then_reopening_yields_empty_reads() {
 #[test]
 fn cf_drop_with_failed_dir_removal_is_recorded_and_reaped_on_reopen() {
     for engine in ["flsm", "lsm"] {
-        let mem_env = MemEnv::new();
-        let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+        let (sim, env) = sim_over(MemEnv::new());
         let dir = Path::new("/drop-remove-fail");
         let temp_id;
         {
@@ -764,7 +774,7 @@ fn cf_drop_with_failed_dir_removal_is_recorded_and_reaped_on_reopen() {
             }
             db.flush().unwrap(); // the family owns sstables now
             let before = db.stats().cleanup_failures;
-            mem_env.inject_remove_error(&format!("{}/cf-{temp_id}", dir.display()));
+            sim.fail_removes(&format!("{}/cf-{temp_id}", dir.display()));
 
             // The drop itself succeeds — the family is gone from the catalog
             // and unreachable — but its directory could not be deleted.
@@ -782,7 +792,7 @@ fn cf_drop_with_failed_dir_removal_is_recorded_and_reaped_on_reopen() {
         }
 
         // The machine comes back healthy: reopen reaps the orphan.
-        mem_env.clear_fault_injection();
+        sim.heal();
         let db = open_db_engine(engine, &env, dir);
         assert!(
             db.cf("temp").is_none(),
@@ -804,7 +814,7 @@ fn cf_drop_with_failed_dir_removal_is_recorded_and_reaped_on_reopen() {
 /// real once the device recovers.
 #[test]
 fn failed_cf_drop_leaves_the_family_whole_and_droppable() {
-    fn check<P: ShapePolicy>(engine: &str, mem_env: &MemEnv, db: &EngineDb<P>) {
+    fn check<P: ShapePolicy>(engine: &str, sim: &SimEnv, db: &EngineDb<P>) {
         let busy = db.create_cf("busy").unwrap();
         let temp = db.create_cf("temp").unwrap();
         let value = vec![b'v'; 1024];
@@ -817,7 +827,7 @@ fn failed_cf_drop_leaves_the_family_whole_and_droppable() {
         // Park the one flush thread in a slow flush of `busy`, so the
         // memtable `temp` freezes next has to queue behind it.
         let slow = format!("cf-{}/", busy.id());
-        mem_env.set_write_latency_micros_for(&slow, 50_000);
+        sim.set_append_latency(&slow, Duration::from_millis(50));
         for i in 0..48u32 {
             busy.put(format!("b{i:05}").as_bytes(), &value).unwrap();
         }
@@ -841,13 +851,13 @@ fn failed_cf_drop_leaves_the_family_whole_and_droppable() {
             "{engine}: setup must leave a frozen memtable queued"
         );
 
-        mem_env.inject_write_error_after("CFS", 0);
+        sim.fail_writes_after("CFS", 0);
         assert!(
             db.drop_cf("temp").is_err(),
             "{engine}: the catalog failure must surface"
         );
-        mem_env.clear_fault_injection();
-        mem_env.set_write_latency_micros_for(&slow, 0);
+        sim.heal();
+        sim.set_append_latency(&slow, Duration::ZERO);
 
         assert!(db.cf("temp").is_some(), "{engine}: family must stay listed");
         for i in 0..next {
@@ -878,19 +888,17 @@ fn failed_cf_drop_leaves_the_family_whole_and_droppable() {
     }
 
     let dir = Path::new("/drop-catalog-fail");
-    let mem_env = MemEnv::new();
-    let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+    let (sim, env) = sim_over(MemEnv::new());
     let flsm = PebblesDb::open_with_options(Arc::clone(&env), dir, small_options()).unwrap();
-    check("flsm", &mem_env, flsm.engine());
+    check("flsm", &sim, flsm.engine());
     drop(flsm);
     let reopened = open_db_engine("flsm", &env, dir);
     assert_eq!(reopened.list_cfs(), ["default", "busy"]);
 
-    let mem_env = MemEnv::new();
-    let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+    let (sim, env) = sim_over(MemEnv::new());
     let preset = StorePreset::HyperLevelDb;
     let lsm = LsmDb::open_with_options(Arc::clone(&env), dir, small_options(), preset).unwrap();
-    check("lsm", &mem_env, lsm.engine());
+    check("lsm", &sim, lsm.engine());
     drop(lsm);
     let reopened = open_db_engine("lsm", &env, dir);
     assert_eq!(reopened.list_cfs(), ["default", "busy"]);

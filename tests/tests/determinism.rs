@@ -17,9 +17,10 @@ use rand::{Rng, SeedableRng};
 use pebblesdb::FlsmPolicy;
 use pebblesdb_common::{ColumnFamilyHandle, Db, Error, KvStore, ReadOptions, StoreOptions};
 use pebblesdb_engine::{EngineDb, LevelTable, ShapePolicy};
-use pebblesdb_env::Env;
+use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmPolicy;
-use pebblesdb_tests::ProbeEnv;
+use pebblesdb_replica::{FollowerConfig, FollowerDb};
+use pebblesdb_tests::sim_over;
 
 const OPS: usize = 24_000;
 const KEYS: u32 = 3_000;
@@ -37,10 +38,9 @@ fn options(compaction_threads: usize) -> StoreOptions {
     opts
 }
 
-fn open<P: ShapePolicy>(policy: fn(&StoreOptions) -> P, env: &Arc<ProbeEnv>) -> EngineDb<P> {
+fn open<P: ShapePolicy>(policy: fn(&StoreOptions) -> P, env: &Arc<dyn Env>) -> EngineDb<P> {
     let opts = options(0);
-    let env: Arc<dyn Env> = Arc::clone(env) as Arc<dyn Env>;
-    EngineDb::open(policy(&opts), env, Path::new(DIR), opts).unwrap()
+    EngineDb::open(policy(&opts), Arc::clone(env), Path::new(DIR), opts).unwrap()
 }
 
 fn families<P: ShapePolicy>(db: &EngineDb<P>) -> Vec<ColumnFamilyHandle> {
@@ -71,7 +71,7 @@ fn fingerprint<P: ShapePolicy>(
     seed: u64,
     changed: Option<usize>,
 ) -> Fingerprint {
-    let env = ProbeEnv::new();
+    let (probe, env) = sim_over(MemEnv::new());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut db = open(policy, &env);
     let mut cfs = families(&db);
@@ -125,7 +125,7 @@ fn fingerprint<P: ShapePolicy>(
     drop(cfs);
     drop(db);
     assert_eq!(
-        env.spawn_calls(),
+        probe.spawn_calls(),
         0,
         "a store without workers asked for a thread"
     );
@@ -210,9 +210,8 @@ fn lsm_without_workers_is_a_function_of_its_operations() {
 /// engine gives them, and are joined with the store.
 #[test]
 fn workers_are_started_through_the_env_under_their_names() {
-    let env = ProbeEnv::new();
+    let (env, dyn_env) = sim_over(MemEnv::new());
     let opts = options(2);
-    let dyn_env: Arc<dyn Env> = Arc::clone(&env) as Arc<dyn Env>;
     let flsm = EngineDb::open(
         FlsmPolicy::new(&opts),
         Arc::clone(&dyn_env),
@@ -248,10 +247,9 @@ fn workers_are_started_through_the_env_under_their_names() {
 /// and the threads started before it are stopped and joined, not leaked.
 #[test]
 fn a_failed_spawn_fails_the_open_and_joins_the_threads_already_started() {
-    let env = ProbeEnv::new();
+    let (env, dyn_env) = sim_over(MemEnv::new());
     env.fail_spawn_after(2);
     let opts = options(4);
-    let dyn_env: Arc<dyn Env> = Arc::clone(&env) as Arc<dyn Env>;
     let opened = EngineDb::open(FlsmPolicy::new(&opts), dyn_env, Path::new(DIR), opts);
     assert!(matches!(opened.err(), Some(Error::Internal(_))));
     assert_eq!(env.spawn_calls(), 3);
@@ -261,4 +259,24 @@ fn a_failed_spawn_fails_the_open_and_joins_the_threads_already_started() {
         "the flush thread and a worker leaked"
     );
     assert_eq!(env.thread_names().len(), 2);
+}
+
+/// A follower's replication thread is its store's `Env`'s to start as well:
+/// when the engine's workers start and that one does not, the open fails
+/// with the env's error and the workers are joined.
+#[test]
+fn a_follower_whose_thread_cannot_start_fails_the_open_and_joins_the_workers() {
+    let (env, dyn_env) = sim_over(MemEnv::new());
+    let opts = options(2);
+    // The flush thread and two compaction workers; the fourth is refused.
+    env.fail_spawn_after(3);
+    let config = FollowerConfig {
+        leader_addr: "127.0.0.1:1".to_string(),
+        ..FollowerConfig::default()
+    };
+    let opened = FollowerDb::open_with(FlsmPolicy::new, dyn_env, Path::new(DIR), opts, config);
+    assert!(matches!(opened.err(), Some(Error::Internal(_))));
+    assert_eq!(env.spawn_calls(), 4, "the follower asked the env");
+    assert_eq!(env.running_threads(), 0, "the engine's workers leaked");
+    assert_eq!(env.thread_names().len(), 3);
 }

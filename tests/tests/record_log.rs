@@ -18,7 +18,7 @@ use pebblesdb_engine::version_set::version_files;
 use pebblesdb_engine::{FileMetaDataEdit, VersionEdit, VersionSet};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_shard::{PartitionerKind, ShardConfig};
-use pebblesdb_tests::{fuzz_record, ProbeEnv};
+use pebblesdb_tests::{fuzz_record, sim_over};
 use pebblesdb_wal::{LogWriter, Record, Replay, Tail, HEADER_SIZE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -196,8 +196,7 @@ fn frame(records: &[Vec<u8>]) -> (Vec<u8>, Vec<usize>) {
 /// an `Env` that — given `failed_read` — hands the log out seven bytes at a
 /// time and fails that read. An owner that fails leaves the log as it was.
 fn outcome(log: &Log, bytes: &[u8], published: u64, failed_read: Option<usize>) -> Result<usize> {
-    let probe = ProbeEnv::new();
-    let env: Arc<dyn Env> = Arc::clone(&probe) as Arc<dyn Env>;
+    let (probe, env) = sim_over(MemEnv::new());
     let dir = Path::new("/record-log");
     env.create_dir_all(dir).unwrap();
     let mut file = env.new_writable_file(&dir.join(log.file)).unwrap();
@@ -365,9 +364,21 @@ fn mutated_batches_and_catalog_edits_decode_to_valid_values_or_corruption() {
     let mut rng = StdRng::seed_from_u64(0x5eed_10c5);
     let mut accepted = [0, 0];
     const CASES: usize = 6000;
+    let walked = |batch: WriteBatch, _: &[u8]| {
+        assert!(batch.last_sequence() >= batch.sequence());
+        batch.verify().map(drop)
+    };
+    // Seeded: two records numbered from `u64::MAX - 1`, on which the walk
+    // and `last_sequence` overflowed. No mutation finds a 64-bit header.
+    let mut past_the_end = WriteBatch::new();
+    past_the_end.put(b"a", b"1");
+    past_the_end.put(b"b", b"2");
+    past_the_end.set_sequence(u64::MAX - 1);
+    let bytes = past_the_end.contents().to_vec();
+    let outcome = WriteBatch::decode(bytes.clone()).and_then(|batch| walked(batch, &bytes));
+    assert!(outcome.unwrap_err().is_corruption());
     for _ in 0..CASES {
         let batch = random_batch(&mut rng);
-        let walked = |batch: WriteBatch, _: &[u8]| batch.verify().map(drop);
         accepted[0] += usize::from(fuzz_record(&mut rng, batch, walked));
         let edit = random_catalog_edit(&mut rng);
         accepted[1] += usize::from(fuzz_record(&mut rng, edit, |_, _| Ok(())));

@@ -14,6 +14,7 @@ use pebblesdb_common::resp::RespValue;
 use pebblesdb_common::{Db, KvStore};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_server::{RateLimit, RespClient, Server, ServerConfig, StaticTokenAuth};
+use pebblesdb_tests::sim_over;
 
 fn start_server(config: ServerConfig) -> (Server, Arc<dyn Db>) {
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
@@ -378,16 +379,14 @@ fn shutdown_drain_on_a_dead_connection_is_counted_not_hidden() {
     // the first burst when the client dies and the shutdown lands: the
     // second burst is then answered by the shutdown drain itself, against a
     // connection that is already gone.
-    let mem_env = MemEnv::new();
-    let env: Arc<dyn Env> = Arc::new(mem_env.clone());
-    let db: Arc<dyn Db> =
-        Arc::new(PebblesDb::open(Arc::clone(&env), Path::new("/server-drain")).unwrap());
+    let (sim, env) = sim_over(MemEnv::new());
+    let db: Arc<dyn Db> = Arc::new(PebblesDb::open(env, Path::new("/server-drain")).unwrap());
     let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
     let counters = server.counters();
 
     const BURST: u32 = 40;
     let mut conn = RespClient::connect(server.local_addr()).unwrap();
-    mem_env.set_write_latency_micros(20_000);
+    sim.set_append_latency("", Duration::from_millis(20));
     for i in 0..BURST {
         conn.send(&[b"SET", format!("a{i:03}").as_bytes(), b"v"])
             .unwrap();
@@ -404,7 +403,7 @@ fn shutdown_drain_on_a_dead_connection_is_counted_not_hidden() {
     // Shutdown flags the connection thread mid-burst-A; once it finishes,
     // it enters the drain with burst B still buffered and the peer dead.
     server.shutdown();
-    mem_env.set_write_latency_micros(0);
+    sim.set_append_latency("", Duration::ZERO);
 
     // Burst A was accepted before the drain and must have been applied.
     for i in 0..BURST {

@@ -20,7 +20,7 @@ use pebblesdb_common::{
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 use pebblesdb_shard::{HashPartitioner, Partitioner, PartitionerKind, ShardConfig};
-use pebblesdb_tests::ProbeEnv;
+use pebblesdb_tests::sim_over;
 
 fn tiny_options() -> StoreOptions {
     let mut opts = StoreOptions::default();
@@ -309,8 +309,7 @@ fn keys_on_shards_0_and_1() -> (Vec<u8>, Vec<u8>) {
 #[test]
 fn cross_shard_batch_interrupted_mid_stage_recovers_atomically() {
     for engine in ["flsm", "lsm"] {
-        let mem_env = MemEnv::new();
-        let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+        let (sim, env) = sim_over(MemEnv::new());
         let dir = Path::new("/sharded-crash");
         let (key_a, key_b) = keys_on_shards_0_and_1();
         {
@@ -320,7 +319,7 @@ fn cross_shard_batch_interrupted_mid_stage_recovers_atomically() {
             // Kill shard 1's WAL: the cross-shard batch journals, stages its
             // shard-0 slice, then dies staging shard 1 — exactly the window
             // between sub-batch staging and the global sequence publish.
-            mem_env.inject_write_error_after("shard-1/", 0);
+            sim.fail_writes_after("shard-1/", 0);
             let mut batch = WriteBatch::new();
             batch.put(&key_a, b"half");
             batch.put(&key_b, b"other-half");
@@ -328,7 +327,7 @@ fn cross_shard_batch_interrupted_mid_stage_recovers_atomically() {
 
             // Atomicity before the crash: the shard-0 slice is staged but
             // unpublished, so no reader may see it.
-            mem_env.clear_fault_injection();
+            sim.heal();
             assert_eq!(
                 store.get(&key_a).unwrap(),
                 None,
@@ -372,19 +371,18 @@ fn cross_shard_batch_interrupted_mid_stage_recovers_atomically() {
 #[test]
 fn an_io_error_inside_the_journal_fails_the_open_and_a_retry_completes_the_batch() {
     for engine in ["flsm", "lsm"] {
-        let probe = ProbeEnv::new();
-        let env: Arc<dyn Env> = Arc::clone(&probe) as Arc<dyn Env>;
+        let (probe, env) = sim_over(MemEnv::new());
         let dir = Path::new("/sharded-io-error");
         let (key_a, key_b) = keys_on_shards_0_and_1();
         {
             let store = open_sharded(Arc::clone(&env), dir, engine, hash_config());
             // Journaled, staged on shard 0, dead before shard 1.
-            probe.inner.inject_write_error_after("shard-1/", 0);
+            probe.fail_writes_after("shard-1/", 0);
             let mut batch = WriteBatch::new();
             batch.put(&key_a, b"half");
             batch.put(&key_b, b"other-half");
             assert!(store.write(batch).is_err(), "{engine}: staging must fail");
-            probe.inner.clear_fault_injection();
+            probe.heal();
         }
         let journals = |env: &dyn Env| -> Vec<String> {
             let names = env.children(dir).unwrap().into_iter();
@@ -427,19 +425,18 @@ fn an_io_error_inside_the_journal_fails_the_open_and_a_retry_completes_the_batch
 
 #[test]
 fn cross_shard_batch_whose_journal_append_fails_applies_nothing() {
-    let mem_env = MemEnv::new();
-    let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+    let (sim, env) = sim_over(MemEnv::new());
     let dir = Path::new("/sharded-journal-fail");
     let (key_a, key_b) = keys_on_shards_0_and_1();
     {
         let store = open_sharded(Arc::clone(&env), dir, "flsm", hash_config());
         store.put(b"base", b"line").unwrap();
-        mem_env.inject_write_error_after("journal-", 0);
+        sim.fail_writes_after("journal-", 0);
         let mut batch = WriteBatch::new();
         batch.put(&key_a, b"x");
         batch.put(&key_b, b"y");
         assert!(store.write(batch).is_err());
-        mem_env.clear_fault_injection();
+        sim.heal();
         assert_eq!(store.get(&key_a).unwrap(), None);
         assert_eq!(store.get(&key_b).unwrap(), None);
     }

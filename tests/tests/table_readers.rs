@@ -1,5 +1,5 @@
 //! A live sstable carries its open reader; the table cache is the open-file
-//! budget. Counted behind an `Env` wrapper that knows every live
+//! budget. Counted behind a `SimEnv`, which knows every live
 //! `RandomAccessFile` (a file descriptor each on a real disk):
 //!
 //! * **the bound** — `max_open_files` holds over any mix of gets, cursors
@@ -10,128 +10,25 @@
 //! * **the race** — readers, a writer and compactions over a budget far
 //!   below the file count return no error and no wrong value.
 
-use std::collections::{BTreeMap, HashMap};
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pebblesdb::PebblesDb;
-use pebblesdb_common::{Db, DbIterator, ReadOptions, Result, StoreOptions, StorePreset};
-use pebblesdb_env::{
-    Env, IoStats, MemEnv, RandomAccessFile, RandomWritableFile, SequentialFile, WritableFile,
-};
+use pebblesdb_common::{Db, DbIterator, ReadOptions, StoreOptions, StorePreset};
+use pebblesdb_env::{Env, MemEnv, SimEnv};
 use pebblesdb_lsm::LsmDb;
+use pebblesdb_tests::sim_over;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Live `RandomAccessFile`s per path.
-type Live = Arc<Mutex<HashMap<PathBuf, usize>>>;
-
-/// A `MemEnv` that counts the random-access files it has handed out and
-/// that are still alive.
-struct CountingEnv {
-    inner: MemEnv,
-    live: Live,
-}
-
-struct CountedFile {
-    inner: Arc<dyn RandomAccessFile>,
-    path: PathBuf,
-    live: Live,
-}
-
-impl RandomAccessFile for CountedFile {
-    fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        self.inner.read(offset, len)
-    }
-    fn len(&self) -> Result<u64> {
-        self.inner.len()
-    }
-}
-
-impl Drop for CountedFile {
-    fn drop(&mut self) {
-        let mut live = self.live.lock().unwrap();
-        let count = live.get_mut(&self.path).expect("counted at open");
-        *count -= 1;
-        if *count == 0 {
-            live.remove(&self.path);
-        }
-    }
-}
-
-impl CountingEnv {
-    fn new() -> Arc<CountingEnv> {
-        Arc::new(CountingEnv {
-            inner: MemEnv::new(),
-            live: Live::default(),
-        })
-    }
-
-    /// Random-access files alive right now.
-    fn open_readers(&self) -> usize {
-        self.live.lock().unwrap().values().sum()
-    }
-
-    /// Paths with a live reader whose file is gone.
-    fn readers_of_deleted_files(&self) -> Vec<PathBuf> {
-        let live = self.live.lock().unwrap();
-        let deleted = live.keys().filter(|path| !self.inner.file_exists(path));
-        deleted.cloned().collect()
-    }
-}
-
-impl Env for CountingEnv {
-    fn new_writable_file(&self, path: &Path) -> Result<Box<dyn WritableFile>> {
-        self.inner.new_writable_file(path)
-    }
-    fn new_random_access_file(&self, path: &Path) -> Result<Arc<dyn RandomAccessFile>> {
-        let inner = self.inner.new_random_access_file(path)?;
-        *self.live.lock().unwrap().entry(path.into()).or_default() += 1;
-        Ok(Arc::new(CountedFile {
-            inner,
-            path: path.into(),
-            live: Arc::clone(&self.live),
-        }))
-    }
-    fn new_sequential_file(&self, path: &Path) -> Result<Box<dyn SequentialFile>> {
-        self.inner.new_sequential_file(path)
-    }
-    fn new_random_writable_file(&self, path: &Path) -> Result<Arc<dyn RandomWritableFile>> {
-        self.inner.new_random_writable_file(path)
-    }
-    fn file_exists(&self, path: &Path) -> bool {
-        self.inner.file_exists(path)
-    }
-    fn file_size(&self, path: &Path) -> Result<u64> {
-        self.inner.file_size(path)
-    }
-    fn remove_file(&self, path: &Path) -> Result<()> {
-        self.inner.remove_file(path)
-    }
-    fn rename_file(&self, from: &Path, to: &Path) -> Result<()> {
-        self.inner.rename_file(from, to)
-    }
-    fn create_dir_all(&self, path: &Path) -> Result<()> {
-        self.inner.create_dir_all(path)
-    }
-    fn remove_dir_all(&self, path: &Path) -> Result<()> {
-        self.inner.remove_dir_all(path)
-    }
-    fn children(&self, path: &Path) -> Result<Vec<String>> {
-        self.inner.children(path)
-    }
-    fn io_stats(&self) -> Arc<IoStats> {
-        self.inner.io_stats()
-    }
-}
-
-/// A store of either shape behind the counting `Env`, with the count of
+/// A store of either shape behind the counting layer, with the count of
 /// slots its table cache holds full.
 struct Store {
     name: &'static str,
-    env: Arc<CountingEnv>,
+    env: SimEnv,
     db: Arc<dyn Db>,
     open_tables: Box<dyn Fn() -> usize + Send + Sync>,
 }
@@ -146,8 +43,8 @@ fn stores(max_open_files: usize) -> Vec<Store> {
     options.parallel_seek_threads = 1;
     options.max_open_files = max_open_files;
 
-    let env = CountingEnv::new();
-    let flsm = PebblesDb::open_with_options(env.clone(), Path::new("/flsm"), options.clone());
+    let (env, dyn_env) = sim_over(MemEnv::new());
+    let flsm = PebblesDb::open_with_options(dyn_env, Path::new("/flsm"), options.clone());
     let flsm = Arc::new(flsm.unwrap());
     let flsm_core = Arc::clone(flsm.engine().core());
     let flsm = Store {
@@ -157,9 +54,9 @@ fn stores(max_open_files: usize) -> Vec<Store> {
         open_tables: Box::new(move || flsm_core.io.table_cache.open_tables()),
     };
 
-    let env = CountingEnv::new();
+    let (env, dyn_env) = sim_over(MemEnv::new());
     let preset = StorePreset::HyperLevelDb;
-    let lsm = LsmDb::open_with_options(env.clone(), Path::new("/lsm"), options, preset);
+    let lsm = LsmDb::open_with_options(dyn_env, Path::new("/lsm"), options, preset);
     let lsm = Arc::new(lsm.unwrap());
     let lsm_core = Arc::clone(lsm.engine().core());
     let lsm = Store {
@@ -294,6 +191,10 @@ fn a_reader_is_reused_while_its_file_lives_and_gone_when_it_is_deleted() {
         let name = store.name;
         let mut model = Model::new();
         load(&store, &mut model, KEYS, 0);
+        // The layer forwards all of `Env`: the flushes' directory syncs
+        // reached the disk under it.
+        let dir_syncs = store.env.io_stats().snapshot().dir_syncs;
+        assert!(dir_syncs > 0, "{name}: no sync_dir reached the MemEnv");
 
         // Reuse: a second pass over the same keys opens nothing.
         let pass = || {

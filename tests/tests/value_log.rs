@@ -13,6 +13,7 @@ use pebblesdb_common::{Db, ReadOptions, StoreOptions, StorePreset, WriteBatch};
 use pebblesdb_engine::VlogGcReport;
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
+use pebblesdb_tests::sim_over;
 
 const ENGINES: [&str; 2] = ["flsm", "lsm"];
 
@@ -322,7 +323,7 @@ fn pinned_snapshot_blocks_vlog_reclaim_and_still_resolves() {
 fn crash_between_vlog_append_and_wal_commit_keeps_the_store_consistent() {
     for engine in ENGINES {
         let mem_env = MemEnv::new();
-        let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+        let (sim, env) = sim_over(mem_env.clone());
         let dir = Path::new("/vlog-crash-wal");
         {
             let t = open_engine(engine, &env, dir, vlog_options(256, 64 << 20));
@@ -332,14 +333,14 @@ fn crash_between_vlog_append_and_wal_commit_keeps_the_store_consistent() {
             }
             // The next WAL append dies; the vlog append for "doomed" has
             // already happened by then.
-            mem_env.inject_write_error_after(".log", 0);
+            sim.fail_writes_after(".log", 0);
             assert!(
                 t.db.put(b"doomed", &big_value(666, 1024)).is_err(),
                 "{engine}: the WAL failure must surface to the writer"
             );
         } // <- crash with an orphan vlog record.
 
-        mem_env.clear_fault_injection();
+        sim.heal();
         // Tear the vlog tail into the orphan record for good measure — a
         // real crash can also leave a partial append.
         let vlogs = vlog_files(env.as_ref(), dir);
@@ -400,8 +401,7 @@ fn failed_vlog_append_logs_nothing_and_poisons_the_store() {
             .sum()
     };
     for engine in ENGINES {
-        let mem_env = MemEnv::new();
-        let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+        let (sim, env) = sim_over(MemEnv::new());
         let dir = Path::new("/vlog-append-fails");
         {
             let t = open_engine(engine, &env, dir, vlog_options(256, 64 << 20));
@@ -410,7 +410,7 @@ fn failed_vlog_append_logs_nothing_and_poisons_the_store() {
                     .unwrap();
             }
             let logged = wal_bytes(env.as_ref(), dir);
-            mem_env.inject_write_error_after(".vlog", 0);
+            sim.fail_writes_after(".vlog", 0);
             // One atomic batch: a small inline record ahead of the large
             // value whose separation fails. Neither may surface anywhere.
             let mut doomed = WriteBatch::new();
@@ -428,7 +428,7 @@ fn failed_vlog_append_logs_nothing_and_poisons_the_store() {
             assert_eq!(t.db.get(b"doomed-small").unwrap(), None, "{engine}");
             // The device is healthy again, and this write would not even
             // touch the value log — but the store stays poisoned.
-            mem_env.clear_fault_injection();
+            sim.heal();
             assert!(
                 t.db.put(b"later", b"small").is_err(),
                 "{engine}: a failed vlog append must poison the store"
@@ -466,8 +466,7 @@ fn failed_vlog_append_logs_nothing_and_poisons_the_store() {
 #[test]
 fn gc_interrupted_before_file_deletion_self_heals() {
     for engine in ENGINES {
-        let mem_env = MemEnv::new();
-        let env: Arc<dyn Env> = Arc::new(mem_env.clone());
+        let (sim, env) = sim_over(MemEnv::new());
         let dir = Path::new("/vlog-crash-gc");
         {
             let t = open_engine(engine, &env, dir, vlog_options(256, 2 << 10));
@@ -477,7 +476,7 @@ fn gc_interrupted_before_file_deletion_self_heals() {
             }
             let before = t.db.stats().cleanup_failures;
             // Relocation succeeds; the delete of the emptied file fails.
-            mem_env.inject_remove_error(".vlog");
+            sim.fail_removes(".vlog");
             let report = (t.gc)().unwrap();
             assert!(
                 report.scanned_files > 0,
@@ -496,7 +495,7 @@ fn gc_interrupted_before_file_deletion_self_heals() {
             }
         } // <- crash before the delete could be retried.
 
-        mem_env.clear_fault_injection();
+        sim.heal();
         let t = open_engine(engine, &env, dir, vlog_options(256, 2 << 10));
         let files_before = vlog_files(env.as_ref(), dir).len();
         let mut reclaimed = 0u64;

@@ -18,6 +18,7 @@ use pebblesdb::PebblesDb;
 use pebblesdb_common::replication::{ChangeEvent, ChangeStream};
 use pebblesdb_common::{CfId, Db, KvStore, StoreOptions, ValueType, WriteBatch, WriteOptions};
 use pebblesdb_env::{DiskEnv, Env, MemEnv};
+use pebblesdb_tests::sim_over;
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -220,8 +221,7 @@ fn a_failed_group_is_never_delivered_and_the_stream_idles_at_the_last_good_batch
     // record in the file; two leave a whole record whose fsync failed. Both
     // are bytes past the published frontier.
     for (budget, sync) in [(1, false), (2, true)] {
-        let mem = Arc::new(MemEnv::new());
-        let env: Arc<dyn Env> = Arc::clone(&mem) as Arc<dyn Env>;
+        let (sim, env) = sim_over(MemEnv::new());
         let db = PebblesDb::open(env, Path::new("/failing")).unwrap();
         let mut stream = db.stream(1).unwrap();
         for i in 0..3u32 {
@@ -232,10 +232,10 @@ fn a_failed_group_is_never_delivered_and_the_stream_idles_at_the_last_good_batch
             assert_eq!(event.last_seq, expected);
         }
 
-        mem.inject_write_error_after(".log", budget);
+        sim.fail_writes_after(".log", budget);
         let opts = WriteOptions { sync };
         assert!(db.put_opts(&opts, b"lost", b"v").is_err());
-        mem.clear_fault_injection();
+        sim.heal();
 
         assert!(stream
             .next_event(Duration::from_millis(50))
