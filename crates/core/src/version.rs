@@ -12,7 +12,6 @@
 //! [`RunSource`](pebblesdb_engine::RunSource) slots (see [`crate::iter`]).
 
 use std::cmp::Reverse;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pebblesdb_common::{Error, Result, StoreOptions};
@@ -28,11 +27,12 @@ const AGGRESSIVE_COMPACTION_RATIO: f64 = 0.25;
 /// One guard-organised level of the FLSM, immutable once built. Its files,
 /// bytes and guard counts are a row of the version set's
 /// [`LevelTable`](pebblesdb_engine::LevelTable); what that table does not
-/// carry is cached here.
-#[derive(Debug, Clone, Default)]
+/// carry is cached here. Cloning shares the guards: a version edit that
+/// leaves a level alone hands the next version this level by pointer.
+#[derive(Debug, Clone)]
 pub struct FlsmLevel {
     /// `guards[0]` is the sentinel (empty key); the rest are sorted by key.
-    guards: Vec<GuardMeta>,
+    guards: Arc<[GuardMeta]>,
     has_overlapping_guard: bool,
 }
 
@@ -41,8 +41,27 @@ impl FlsmLevel {
     pub fn new(guards: Vec<GuardMeta>) -> Self {
         FlsmLevel {
             has_overlapping_guard: guards.iter().any(GuardMeta::has_overlapping_files),
-            guards,
+            guards: guards.into(),
         }
+    }
+
+    /// Builds a level from its guard keys (sorted, sentinel excluded) and its
+    /// distinct files, attaching every file to each guard its key range
+    /// overlaps. Freshly compacted files land in exactly one guard; only
+    /// files written before a guard was committed can span more — attached
+    /// to each so point lookups stay correct, one file all the same.
+    fn build(keys: &[Vec<u8>], files: &[Arc<FileMetaData>]) -> Self {
+        let mut guards: Vec<GuardMeta> = Vec::with_capacity(keys.len() + 1);
+        guards.push(GuardMeta::new(Vec::new()));
+        guards.extend(keys.iter().cloned().map(GuardMeta::new));
+        for file in files {
+            let first = guard_index_for_key(keys, file.smallest.user_key());
+            let last = guard_index_for_key(keys, file.largest.user_key());
+            for guard in guards.iter_mut().take(last + 1).skip(first) {
+                guard.files.push(Arc::clone(file));
+            }
+        }
+        FlsmLevel::new(guards)
     }
 
     /// Creates a level with only an empty sentinel guard.
@@ -90,6 +109,25 @@ impl FlsmVersion {
     pub fn num_levels(&self) -> usize {
         self.levels.len()
     }
+}
+
+/// The distinct `files` of `level` once `edit` is applied, newest first.
+fn edited_files(
+    mut files: Vec<Arc<FileMetaData>>,
+    edit: &VersionEdit,
+    level: usize,
+) -> Vec<Arc<FileMetaData>> {
+    for (_, number) in edit.deleted_files.iter().filter(|(at, _)| *at == level) {
+        files.retain(|f| f.number != *number);
+    }
+    let added = edit.new_files.iter().filter(|(at, _)| *at == level);
+    files.extend(added.map(|(_, file)| file.to_meta()));
+    // The dedup matters at recovery only: MANIFEST snapshots written before
+    // the version set moved into the chassis listed a file once per guard it
+    // spans.
+    files.sort_by_key(|f| Reverse(f.number));
+    files.dedup_by_key(|f| f.number);
+    files
 }
 
 /// Every level of a version with the table `levels` that wants a compaction,
@@ -169,9 +207,12 @@ impl VersionShape for FlsmVersion {
         }
     }
 
-    /// Rebuilds the guard tree: guard keys and files are collected per level,
-    /// the edit is applied to those lists, and every file is re-attached to
-    /// the guards its key range overlaps.
+    /// Level 0 is rebuilt; a guard level is rebuilt only if the edit adds or
+    /// deletes a file there or commits a guard at or above it (a guard at
+    /// level i is a guard at every deeper level too): its guard keys and
+    /// files are collected, the edit applied to them and every file
+    /// re-attached to the guards it overlaps. Every other level is the
+    /// previous version's, shared — a flush rebuilds level 0 alone.
     fn apply(&self, edit: &VersionEdit) -> Result<Self> {
         edit.check_levels(self.num_levels())?;
         if edit.new_guards.iter().any(|(_, key)| key.is_empty()) {
@@ -179,60 +220,25 @@ impl VersionShape for FlsmVersion {
                 "version edit commits the sentinel (empty) guard key",
             ));
         }
-        // Guard keys per level (sentinel excluded) and files per level
-        // (level 0 included at index 0).
-        let mut guard_keys: Vec<BTreeSet<Vec<u8>>> = self
-            .levels
-            .iter()
-            .map(|level| level.guard_keys().into_iter().collect())
-            .collect();
-        // A file spanning several guards (one committed after the file was
-        // written) is attached to each so point lookups stay correct; it is
-        // one file all the same.
-        let distinct = |level| distinct_files(level).cloned().collect();
-        let mut files: Vec<Vec<Arc<FileMetaData>>> = self.levels.iter().map(distinct).collect();
-        files[0] = self.level0.clone();
-
-        for (level, key) in &edit.new_guards {
-            // A guard at level i is a guard at every deeper level too.
-            for keys in &mut guard_keys[*level..] {
-                keys.insert(key.clone());
+        let levels = self.levels.iter().enumerate().map(|(level_idx, level)| {
+            let new_keys = edit.new_guards.iter().filter(|(at, _)| *at <= level_idx);
+            let files_change = (edit.deleted_files.iter().map(|(at, _)| at))
+                .chain(edit.new_files.iter().map(|(at, _)| at))
+                .any(|at| *at == level_idx);
+            if level_idx == 0 || (!files_change && new_keys.clone().next().is_none()) {
+                return level.clone();
             }
-        }
-        for (level, number) in &edit.deleted_files {
-            files[*level].retain(|f| f.number != *number);
-        }
-        for (level, file) in &edit.new_files {
-            files[*level].push(file.to_meta());
-        }
-        // Newest first everywhere. The dedup matters at recovery only:
-        // MANIFEST snapshots written before the version set moved into the
-        // chassis listed a file once per guard it spans.
-        for level_files in &mut files {
-            level_files.sort_by_key(|f| Reverse(f.number));
-            level_files.dedup_by_key(|f| f.number);
-        }
-
-        let mut version = FlsmVersion::empty(self.num_levels());
-        version.level0 = std::mem::take(&mut files[0]);
-        for (level_idx, keys) in guard_keys.into_iter().enumerate().skip(1) {
-            let keys: Vec<Vec<u8>> = keys.into_iter().collect();
-            let mut guards: Vec<GuardMeta> = Vec::with_capacity(keys.len() + 1);
-            guards.push(GuardMeta::new(Vec::new()));
-            guards.extend(keys.iter().cloned().map(GuardMeta::new));
-            for file in &files[level_idx] {
-                // A file is attached to every guard its key range overlaps.
-                // Freshly compacted files land in exactly one guard; only
-                // files written before a guard was committed can span more.
-                let first = guard_index_for_key(&keys, file.smallest.user_key());
-                let last = guard_index_for_key(&keys, file.largest.user_key());
-                for guard in guards.iter_mut().take(last + 1).skip(first) {
-                    guard.files.push(Arc::clone(file));
-                }
-            }
-            version.levels[level_idx] = FlsmLevel::new(guards);
-        }
-        Ok(version)
+            let mut keys = level.guard_keys();
+            keys.extend(new_keys.map(|(_, key)| key.clone()));
+            keys.sort();
+            keys.dedup();
+            let files = edited_files(distinct_files(level).cloned().collect(), edit, level_idx);
+            FlsmLevel::build(&keys, &files)
+        });
+        Ok(FlsmVersion {
+            level0: edited_files(self.level0.clone(), edit, 0),
+            levels: levels.collect(),
+        })
     }
 
     fn snapshot_into(&self, edit: &mut VersionEdit) {
@@ -276,11 +282,14 @@ impl VersionShape for FlsmVersion {
                     ));
                 }
             }
-            // Guards propagate to deeper levels.
-            if level_idx + 1 < self.levels.len() {
-                let deeper = &self.levels[level_idx + 1];
+            // Guards propagate to deeper levels: one merge walk over the two
+            // sorted guard lists (an unsorted deeper level fails its own
+            // order check, if not this one).
+            if let Some(deeper) = self.levels.get(level_idx + 1) {
+                let mut below = deeper.guards.iter().skip(1).peekable();
                 for guard in guards.iter().skip(1) {
-                    if !deeper.guards.iter().any(|g| g.key == guard.key) {
+                    while below.next_if(|g| g.key < guard.key).is_some() {}
+                    if below.next_if(|g| g.key == guard.key).is_none() {
                         return Err(format!(
                             "L{level_idx}: guard {:?} missing from L{}",
                             guard.key,
@@ -334,6 +343,9 @@ mod tests {
     use super::*;
     use pebblesdb_common::key::{InternalKey, ValueType};
     use pebblesdb_engine::{FileMetaDataEdit, LevelTable};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn file_edit(number: u64, smallest: &str, largest: &str) -> FileMetaDataEdit {
         FileMetaDataEdit {
@@ -449,6 +461,216 @@ mod tests {
         sentinel.files.push(file_edit(20, "x", "z").to_meta());
         misfiled.levels[1] = FlsmLevel::new(vec![sentinel, guards[1].clone()]);
         assert!(misfiled.validate().is_err());
+
+        // A guard missing from the level below is rejected, wherever the
+        // merge walk meets it: before, between and after the deeper guards.
+        let level = |keys: &[&str]| {
+            let keys = keys.iter().map(|key| key.as_bytes().to_vec());
+            FlsmLevel::new(
+                std::iter::once(Vec::new())
+                    .chain(keys)
+                    .map(GuardMeta::new)
+                    .collect(),
+            )
+        };
+        for upper in [&["c"][..], &["h"], &["x"], &["g", "m", "n"]] {
+            let mut unpropagated = FlsmVersion::empty(4);
+            unpropagated.levels[1] = level(upper);
+            unpropagated.levels[2] = level(&["g", "m", "t"]);
+            unpropagated.levels[3] = level(&["g", "m", "t"]);
+            let err = unpropagated.validate().unwrap_err();
+            assert!(err.contains("missing from L2"), "{upper:?}: {err}");
+        }
+        let mut propagated = FlsmVersion::empty(4);
+        propagated.levels[1] = level(&["g", "t"]);
+        propagated.levels[2] = level(&["g", "m", "t"]);
+        propagated.levels[3] = level(&["a", "g", "m", "t", "z"]);
+        assert!(propagated.validate().is_ok());
+    }
+
+    /// Level 0's file numbers, then every guard level's guard keys with the
+    /// numbers of the files attached to each guard.
+    type Shape = (Vec<u64>, Vec<Vec<(Vec<u8>, Vec<u64>)>>);
+
+    fn numbers<'a>(files: impl IntoIterator<Item = &'a Arc<FileMetaData>>) -> BTreeSet<u64> {
+        files.into_iter().map(|f| f.number).collect()
+    }
+
+    fn shape(version: &FlsmVersion) -> Shape {
+        let in_order = |files: &[Arc<FileMetaData>]| files.iter().map(|f| f.number).collect();
+        let guards = |level: &FlsmLevel| {
+            let guard = |g: &GuardMeta| (g.key.clone(), in_order(&g.files));
+            level.guards.iter().map(guard).collect()
+        };
+        (
+            in_order(&version.level0),
+            version.levels.iter().map(guards).collect(),
+        )
+    }
+
+    /// One seeded edit of the kinds a store commits, drawn against the files
+    /// `version` holds: a flush (level 0 only), guard commits at any level, a
+    /// compaction replacing most of a level's files with new ones a level
+    /// down, a move-only re-add of a file one level down, or a guard
+    /// committed inside a file's range so the file spans it. Returns the
+    /// edit and its kind.
+    fn random_edit(
+        rng: &mut StdRng,
+        version: &FlsmVersion,
+        next: &mut u64,
+    ) -> (VersionEdit, usize) {
+        let max_levels = version.num_levels();
+        let key = |rng: &mut StdRng, len: usize| -> String {
+            let len = rng.gen_range(1..=len);
+            (0..len)
+                .map(|_| rng.gen_range(b'a'..=b'h') as char)
+                .collect()
+        };
+        let mut new_file = |rng: &mut StdRng| {
+            let (a, b) = (key(rng, 4), key(rng, 4));
+            *next += 1;
+            file_edit(*next, a.as_str().min(&b), a.as_str().max(&b))
+        };
+        let files_at = |level: usize| -> Vec<Arc<FileMetaData>> {
+            match level {
+                0 => version.level0.clone(),
+                _ => distinct_files(&version.levels[level]).cloned().collect(),
+            }
+        };
+        let mut edit = VersionEdit::default();
+        let kind = rng.gen_range(0..5);
+        match kind {
+            0 => {
+                edit.new_files.push((0, new_file(rng)));
+                if rng.gen_bool(0.2) {
+                    if let Some(file) = version.level0.last() {
+                        edit.delete_file(0, file.number);
+                    }
+                }
+            }
+            1 => {
+                for _ in 0..rng.gen_range(1..4) {
+                    let level = rng.gen_range(1..max_levels);
+                    edit.new_guards.push((level, key(rng, 3).into_bytes()));
+                }
+            }
+            2 => {
+                // The last level compacts into itself, which keeps the tree
+                // (and each step's rebuild) bounded.
+                let level = rng.gen_range(0..max_levels);
+                let output = (level + 1).min(max_levels - 1);
+                for file in files_at(level) {
+                    if rng.gen_bool(0.7) {
+                        edit.delete_file(level, file.number);
+                    }
+                }
+                for _ in 0..rng.gen_range(1..4) {
+                    edit.new_files.push((output, new_file(rng)));
+                }
+                if rng.gen_bool(0.3) {
+                    edit.new_guards.push((output, key(rng, 3).into_bytes()));
+                }
+            }
+            3 => {
+                let level = rng.gen_range(0..max_levels - 1);
+                if let Some(file) = files_at(level).first() {
+                    edit.delete_file(level, file.number);
+                    edit.add_file(level + 1, file);
+                }
+            }
+            _ => {
+                let level = rng.gen_range(1..max_levels);
+                if let Some(file) = files_at(level).last() {
+                    let key = file.largest.user_key().to_vec();
+                    edit.new_guards.push((rng.gen_range(1..=level), key));
+                }
+            }
+        }
+        (edit, kind)
+    }
+
+    /// Sharing levels must not change the version: after every edit the
+    /// version equals a rebuild from scratch of its own snapshot (which
+    /// touches every level) — guard keys, per-guard files, level table and
+    /// validity — and to a model that keeps each level's guard keys and file
+    /// numbers as sets (a stale shared level fails it), and every level the
+    /// edit leaves alone is the previous version's guard array, by pointer:
+    /// all of them, for a flush.
+    fn shared_levels_match_rebuilds(seed: u64, steps: usize) {
+        const MAX_LEVELS: usize = 5;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut version = FlsmVersion::empty(MAX_LEVELS);
+        let mut model_keys = vec![BTreeSet::<Vec<u8>>::new(); MAX_LEVELS];
+        let mut model_files = vec![BTreeSet::<u64>::new(); MAX_LEVELS];
+        let (mut next_number, mut spanned, mut kinds) = (0, false, [0; 5]);
+        for step in 0..steps {
+            let (edit, kind) = random_edit(&mut rng, &version, &mut next_number);
+            let next = version.apply(&edit).unwrap();
+            let mut snapshot = VersionEdit::default();
+            next.snapshot_into(&mut snapshot);
+            let rebuilt = FlsmVersion::empty(MAX_LEVELS).apply(&snapshot).unwrap();
+            let what = format!("seed {seed} step {step}: {edit:?}");
+            assert_eq!(shape(&next), shape(&rebuilt), "{what}");
+            assert_eq!(LevelTable::of(&next), LevelTable::of(&rebuilt), "{what}");
+
+            for (level, number) in &edit.deleted_files {
+                model_files[*level].remove(number);
+            }
+            for (level, file) in &edit.new_files {
+                model_files[*level].insert(file.number);
+            }
+            for (level, key) in &edit.new_guards {
+                for keys in &mut model_keys[*level..] {
+                    keys.insert(key.clone());
+                }
+            }
+            assert_eq!(numbers(&next.level0), model_files[0], "{what}");
+            for (level, built) in next.levels.iter().enumerate().skip(1) {
+                let keys: BTreeSet<Vec<u8>> = built.guard_keys().into_iter().collect();
+                assert_eq!(keys, model_keys[level], "{what}: L{level} guards");
+                let files = numbers(distinct_files(built));
+                assert_eq!(files, model_files[level], "{what}: L{level} files");
+            }
+            assert_eq!(next.validate(), Ok(()), "{what}");
+            assert_eq!(rebuilt.validate(), Ok(()), "{what}");
+
+            for (level, (before, after)) in version.levels.iter().zip(&next.levels).enumerate() {
+                let touched = edit.new_files.iter().any(|(at, _)| *at == level)
+                    || edit.deleted_files.iter().any(|(at, _)| *at == level)
+                    || edit.new_guards.iter().any(|(at, _)| *at <= level);
+                if kind == 0 || !touched {
+                    assert!(
+                        Arc::ptr_eq(&before.guards, &after.guards),
+                        "{what}: L{level}"
+                    );
+                }
+            }
+            spanned |= next.levels.iter().any(|level| {
+                let attached: usize = level.guards.iter().map(|g| g.files.len()).sum();
+                attached > distinct_files(level).count()
+            });
+            kinds[kind] += usize::from(edit != VersionEdit::default());
+            version = next;
+        }
+        assert!(spanned, "seed {seed}: no file ever spanned two guards");
+        assert!(kinds.iter().all(|n| *n > 0), "seed {seed}: kinds {kinds:?}");
+    }
+
+    #[test]
+    fn shared_levels_match_rebuilds_from_snapshots() {
+        for seed in 0..3 {
+            shared_levels_match_rebuilds(seed, 300);
+        }
+    }
+
+    /// The same property over longer sequences; run in release with
+    /// `cargo test --release -p pebblesdb --lib -- --ignored`.
+    #[test]
+    #[ignore]
+    fn shared_levels_match_rebuilds_long_sweep() {
+        for seed in 0..32 {
+            shared_levels_match_rebuilds(0x5eed_0000 + seed, 2000);
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Cursor construction is O(levels): the heap allocations of one
 //! `iter()` + `seek` + drop do not depend on how many guards (FLSM) or files
-//! (LSM) the tree holds. Counted, not timed — a counting global allocator
-//! makes the check deterministic, and living in its own test binary keeps
-//! the allocator away from every other suite.
+//! (LSM) the tree holds; neither do those of applying a flush's version edit
+//! to an FLSM version, which shares every guard level it leaves alone.
+//! Counted, not timed — a counting global allocator makes the check
+//! deterministic, and living in its own test binary keeps the allocator away
+//! from every other suite.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -10,8 +12,10 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pebblesdb::PebblesDb;
+use pebblesdb::{FlsmVersion, PebblesDb};
+use pebblesdb_common::key::{InternalKey, ValueType};
 use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset};
+use pebblesdb_engine::{FileMetaDataEdit, VersionEdit, VersionShape};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 
@@ -166,6 +170,55 @@ fn lsm_cursor_allocations_do_not_grow_with_the_file_count() {
         few_allocs.abs_diff(many_allocs) <= SLACK,
         "{few_files} files: {few_allocs} allocations per cursor, \
          {many_files} files: {many_allocs}"
+    );
+}
+
+/// Allocations of applying a one-file level-0 edit — what a flush commits,
+/// under the state mutex — to an FLSM version holding `guards` guards (and a
+/// file in every tenth of them).
+fn allocations_per_flush_edit(guards: usize) -> u64 {
+    let file = |number: u64, smallest: &str, largest: &str| FileMetaDataEdit {
+        number,
+        file_size: 1000,
+        smallest: InternalKey::new(smallest.as_bytes(), 9, ValueType::Value)
+            .encoded()
+            .to_vec(),
+        largest: InternalKey::new(largest.as_bytes(), 1, ValueType::Value)
+            .encoded()
+            .to_vec(),
+    };
+    let max_levels = StoreOptions::default().max_levels;
+    let mut tree = VersionEdit::default();
+    for n in 0..guards {
+        let key = format!("guard{n:06}");
+        tree.new_guards
+            .push((max_levels - 1, key.clone().into_bytes()));
+        if n % 10 == 0 {
+            tree.new_files
+                .push((max_levels - 1, file(n as u64 + 1, &key, &format!("{key}z"))));
+        }
+    }
+    let version = FlsmVersion::empty(max_levels).apply(&tree).unwrap();
+    let held: usize = version.levels.iter().map(|l| l.guards().len() - 1).sum();
+    assert_eq!(held, guards);
+
+    let mut flush = VersionEdit::default();
+    flush.new_files.push((0, file(1_000_000, "a", "z")));
+    let before = ALLOCATIONS.with(Cell::get);
+    let next = version.apply(&flush).unwrap();
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(next.level0.len(), 1);
+    allocations
+}
+
+/// A flush's edit rebuilds level 0 and shares every guard level: it
+/// allocated about two times per guard while each commit rebuilt the whole
+/// guard tree.
+#[test]
+fn flsm_flush_edit_allocations_do_not_grow_with_the_guard_count() {
+    assert_eq!(
+        allocations_per_flush_edit(30),
+        allocations_per_flush_edit(3_000)
     );
 }
 
