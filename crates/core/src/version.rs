@@ -111,8 +111,10 @@ impl FlsmVersion {
     }
 }
 
-/// The distinct `files` of `level` once `edit` is applied, newest first.
+/// The distinct `files` of `level` of `base` once `edit` is applied, newest
+/// first.
 fn edited_files(
+    base: &FlsmVersion,
     mut files: Vec<Arc<FileMetaData>>,
     edit: &VersionEdit,
     level: usize,
@@ -121,7 +123,7 @@ fn edited_files(
         files.retain(|f| f.number != *number);
     }
     let added = edit.new_files.iter().filter(|(at, _)| *at == level);
-    files.extend(added.map(|(_, file)| file.to_meta()));
+    files.extend(added.map(|(_, file)| edit.added_file(base, file)));
     // The dedup matters at recovery only: MANIFEST snapshots written before
     // the version set moved into the chassis listed a file once per guard it
     // spans.
@@ -232,11 +234,11 @@ impl VersionShape for FlsmVersion {
             keys.extend(new_keys.map(|(_, key)| key.clone()));
             keys.sort();
             keys.dedup();
-            let files = edited_files(distinct_files(level).cloned().collect(), edit, level_idx);
-            FlsmLevel::build(&keys, &files)
+            let files = distinct_files(level).cloned().collect();
+            FlsmLevel::build(&keys, &edited_files(self, files, edit, level_idx))
         });
         Ok(FlsmVersion {
-            level0: edited_files(self.level0.clone(), edit, 0),
+            level0: edited_files(self, self.level0.clone(), edit, 0),
             levels: levels.collect(),
         })
     }
@@ -342,10 +344,11 @@ impl VersionShape for FlsmVersion {
 mod tests {
     use super::*;
     use pebblesdb_common::key::{InternalKey, ValueType};
+    use pebblesdb_engine::version_set::version_files;
     use pebblesdb_engine::{FileMetaDataEdit, LevelTable};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn file_edit(number: u64, smallest: &str, largest: &str) -> FileMetaDataEdit {
         FileMetaDataEdit {
@@ -593,9 +596,10 @@ mod tests {
     /// version equals a rebuild from scratch of its own snapshot (which
     /// touches every level) — guard keys, per-guard files, level table and
     /// validity — and to a model that keeps each level's guard keys and file
-    /// numbers as sets (a stale shared level fails it), and every level the
-    /// edit leaves alone is the previous version's guard array, by pointer:
-    /// all of them, for a flush.
+    /// numbers as sets (a stale shared level fails it), every level the
+    /// edit leaves alone is the previous version's guard array, by pointer
+    /// (all of them, for a flush), and a file the edit keeps or moves is the
+    /// previous version's `Arc`.
     fn shared_levels_match_rebuilds(seed: u64, steps: usize) {
         const MAX_LEVELS: usize = 5;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -633,6 +637,14 @@ mod tests {
             }
             assert_eq!(next.validate(), Ok(()), "{what}");
             assert_eq!(rebuilt.validate(), Ok(()), "{what}");
+            // One `Arc` per live file across versions, a moved one included.
+            let before: BTreeMap<u64, _> = version_files(&version).map(|f| (f.number, f)).collect();
+            for file in version_files(&next) {
+                let same = before
+                    .get(&file.number)
+                    .is_none_or(|f| Arc::ptr_eq(f, file));
+                assert!(same, "{what}: file {} has a second Arc", file.number);
+            }
 
             for (level, (before, after)) in version.levels.iter().zip(&next.levels).enumerate() {
                 let touched = edit.new_files.iter().any(|(at, _)| *at == level)

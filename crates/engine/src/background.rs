@@ -3,12 +3,13 @@
 //! version edit), `flush()`'s quiesce and obsolete-file garbage collection.
 //! Which thread runs a job is `crate::executor`'s business.
 
+use std::path::Path;
 use std::sync::atomic::Ordering;
 
 use parking_lot::MutexGuard;
 
 use pebblesdb_common::commit::GroupKind;
-use pebblesdb_common::filename::{parse_file_name, FileType};
+use pebblesdb_common::filename::{log_file_name, table_file_name};
 use pebblesdb_common::{CfId, Result, WriteBatch};
 
 use crate::chassis::{ClaimedJob, EngineCore, EngineState};
@@ -23,20 +24,18 @@ use crate::version_set::VersionEdit;
 const WAL_BACKLOG_LIMIT: usize = 8;
 
 impl<P: ShapePolicy> EngineCore<P> {
-    /// The lifecycle of one background job of family `cf_id`, whose
-    /// `output_floor` the caller has already pushed: run `work` (the job's
-    /// IO) with the state mutex released, `install` its result into the
-    /// version set under the mutex — returning `(bytes read, bytes
-    /// written)` — lift the floor, and then either collect the files the
-    /// commit made obsolete or poison the store.
+    /// The lifecycle of one background job of family `cf_id`: run `work`
+    /// (the job's IO) with the state mutex released, then `install` its
+    /// result into the version set under the mutex — returning `(bytes
+    /// read, bytes written)` — or poison the store. Returns whether the job
+    /// committed; the caller then collects what the commit made obsolete.
     fn run_job<T>(
         &self,
         state: &mut MutexGuard<'_, EngineState<P>>,
         cf_id: CfId,
-        output_floor: u64,
         work: impl FnOnce(&EngineIo) -> Result<T>,
         install: impl FnOnce(&mut EngineState<P>, T) -> Result<(u64, u64)>,
-    ) {
+    ) -> bool {
         let io = state.job_cf(cf_id).io.clone();
         let start = io.env.now();
         let done = MutexGuard::unlocked(state, || work(&io));
@@ -48,24 +47,21 @@ impl<P: ShapePolicy> EngineCore<P> {
                 .set_last_sequence(last_sequence);
             install(state, outputs)
         });
-        let floors = &mut state.job_cf(cf_id).output_floors;
-        if let Some(at) = floors.iter().position(|floor| *floor == output_floor) {
-            floors.swap_remove(at);
-        }
+        // Whatever the caller still releases under this same hold of the
+        // mutex is visible by the time anyone this wakes runs.
+        self.notify_progress();
         match committed {
             Ok((bytes_read, bytes_written)) => {
                 let micros = (io.env.now() - start).as_micros() as u64;
                 self.counters
                     .record_compaction(micros, bytes_read, bytes_written);
-                self.remove_obsolete_files(state);
+                true
             }
             Err(err) => {
                 state.poison(err);
+                false
             }
         }
-        // Whatever the caller still releases under this same hold of the
-        // mutex is visible by the time anyone this wakes runs.
-        self.notify_progress();
     }
 
     /// Which family's flush runs next: the largest immutable memtable wins,
@@ -98,12 +94,9 @@ impl<P: ShapePolicy> EngineCore<P> {
         let cf = state.job_cf(cf_id);
         let imm = cf.imm.clone().expect("picked for its immutable memtable");
         cf.flush_running = true;
-        let output_floor = cf.io.file_numbers.peek();
-        cf.output_floors.push(output_floor);
-        self.run_job(
+        let committed = self.run_job(
             state,
             cf_id,
-            output_floor,
             |io| flush_to_table(io, imm.iter()),
             |state, meta| {
                 // The frozen table covers every record of this family in
@@ -120,13 +113,16 @@ impl<P: ShapePolicy> EngineCore<P> {
             },
         );
         state.job_cf(cf_id).flush_running = false;
+        if committed {
+            self.remove_obsolete_files(state);
+        }
     }
 
     /// Families with nothing buffered can advance their recovery floor to
     /// the live WAL; without this an idle namespace would pin every log
     /// segment forever. Runs only past [`WAL_BACKLOG_LIMIT`].
     fn advance_idle_families(&self, state: &mut EngineState<P>) -> Result<()> {
-        if state.live_wal_files <= WAL_BACKLOG_LIMIT {
+        if self.change_log.segments().len() <= WAL_BACKLOG_LIMIT {
             return Ok(());
         }
         let (last_sequence, current_log) = (state.last_sequence, state.log_file_number);
@@ -158,13 +154,9 @@ impl<P: ShapePolicy> EngineCore<P> {
             }
             self.wait_for_progress(&mut state);
         }
-        // Quiesced: reclaim files whose deletion a commit-time GC skipped
-        // because a read still pinned their version. Skipped when the last
-        // GC saw no pins — it already ran to completion, so rescanning the
-        // directories would be wasted work under the state lock.
-        if state.gc_rescan_needed {
-            self.remove_obsolete_files(&mut state);
-        }
+        // Quiesced: delete what a commit's pass left because a read still
+        // held it then.
+        self.remove_obsolete_files(&mut state);
         Ok(())
     }
 
@@ -178,8 +170,8 @@ impl<P: ShapePolicy> EngineCore<P> {
     /// idle sibling. Within a family the policy picks the job; its inputs
     /// must not intersect that family's in-flight inputs.
     ///
-    /// On success the claim is registered in the family's `claimed_inputs`,
-    /// `output_floors` and `active_jobs` until `run_claimed_job` releases it.
+    /// On success the claim is registered in the family's `claimed_inputs`
+    /// and `active_jobs` until `run_claimed_job` releases it.
     pub fn claim_job(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> Option<ClaimedJob> {
         state.healthy().ok()?;
         let smallest_snapshot = self.snapshots.compaction_floor(state.last_sequence);
@@ -204,15 +196,9 @@ impl<P: ShapePolicy> EngineCore<P> {
             };
             if let Some(job) = self.policy.pick_job(&mut ctx) {
                 cf.claimed_inputs.extend(job.input_numbers());
-                let output_floor = cf.io.file_numbers.peek();
-                cf.output_floors.push(output_floor);
                 cf.active_jobs += 1;
                 self.counters.record_compaction_start();
-                return Some(ClaimedJob {
-                    cf: cf_id,
-                    job,
-                    output_floor,
-                });
+                return Some(ClaimedJob { cf: cf_id, job });
             }
         }
         None
@@ -222,29 +208,16 @@ impl<P: ShapePolicy> EngineCore<P> {
     /// commits (or abandons) it and releases its claims. The claimed family
     /// cannot be dropped while the job is in flight (`drop_cf` waits it out).
     pub fn run_claimed_job(&self, state: &mut MutexGuard<'_, EngineState<P>>, claimed: ClaimedJob) {
-        let cf_id = claimed.cf;
-        let job = &claimed.job;
-        self.run_job(
+        let ClaimedJob { cf: cf_id, job } = claimed;
+        let committed = self.run_job(
             state,
             cf_id,
-            claimed.output_floor,
-            |io| {
-                if job.move_only {
-                    return Ok(Vec::new());
-                }
-                let outputs = merge_to_tables(io, job)?;
-                if !outputs.is_empty() {
-                    // The new tables' directory entries must be durable
-                    // before the MANIFEST commit references them.
-                    io.env.sync_dir(&io.db_path)?;
-                }
-                Ok(outputs)
-            },
+            |io| merge_to_tables(io, &job),
             |state, outputs| {
                 let cf = state.job_cf(cf_id);
-                let edit = VersionEdit::compaction(job, &outputs);
+                let edit = VersionEdit::compaction(&job, &outputs);
                 cf.versions.log_and_apply(edit)?;
-                self.policy.job_committed(&mut cf.policy, job);
+                self.policy.job_committed(&mut cf.policy, &job);
                 // A move reads and writes nothing.
                 let bytes_read = if job.move_only { 0 } else { job.input_bytes() };
                 Ok((bytes_read, outputs.iter().map(|meta| meta.file_size).sum()))
@@ -258,70 +231,49 @@ impl<P: ShapePolicy> EngineCore<P> {
         }
         cf.active_jobs -= 1;
         self.counters.record_compaction_end();
+        // The job's own hold on its inputs goes first: the pass would find
+        // every file this commit unlinked still held.
+        drop(job);
+        if committed {
+            self.remove_obsolete_files(state);
+        }
     }
 
-    /// Deletes files no live version, pinned version or in-flight job needs,
-    /// in every family's directory. A WAL segment survives until every
+    /// Deletes what commits made obsolete and nothing holds any more: each
+    /// family's unlinked tables that no version, cursor or job can read (a
+    /// deleted table's reader goes with its last `Arc`), and the WAL
+    /// segments the change log lets go of. A segment survives until every
     /// family's flushed state covers it **and** no change-stream cursor (or
     /// the follower-restart retention window) still needs it — the change
     /// log turns segments a cursor can no longer reach into an explicit
-    /// `SequenceTruncated`, never a silently unreadable gap. A deleted
-    /// table's reader needs no eviction: it sits on the file's metadata and
-    /// goes with the last version (or finishing job) that holds it.
+    /// `SequenceTruncated`, never a silently unreadable gap. No directory is
+    /// listed here: what a crash leaves behind is the open sweep's.
     pub fn remove_obsolete_files(&self, state: &mut MutexGuard<'_, EngineState<P>>) {
-        let min_log = self.change_log.wal_reclaim_floor(state.min_log_number());
-        let current_log = state.log_file_number;
-        let mut any_pinned = false;
-        let mut live_wals = 0usize;
+        let cf_min_log = state.cfs.values().map(|cf| cf.versions.log_number()).min();
+        let reclaimed = self
+            .change_log
+            .reclaim_wal_segments(cf_min_log.unwrap_or(0));
+        let mut wals = std::mem::take(&mut state.obsolete_wals);
+        wals.extend(reclaimed);
+        wals.retain(|number| !self.remove(&log_file_name(&self.io.db_path, *number)));
+        state.obsolete_wals = wals;
         for cf in state.cfs.values_mut() {
-            // If a pinned old version kept files alive in this pass, a later
-            // quiesced `flush` must rescan once the pins drop.
-            let (live, pinned) = cf.versions.live_files_and_pins();
-            any_pinned |= pinned;
-            let manifest_number = cf.versions.manifest_number();
-            let output_floor = cf.output_floors.iter().copied().min();
-            let Ok(children) = cf.io.env.children(&cf.io.db_path) else {
-                continue;
-            };
-            for name in children {
-                let Some((ty, number)) = parse_file_name(&name) else {
-                    // Unknown names (the `CFS` catalog, `cf-<id>` subdirs on
-                    // a real filesystem) are never the GC's to delete.
-                    continue;
-                };
-                let keep = match ty {
-                    // A table is live if any version references it — or if
-                    // it may be the not-yet-committed output of an in-flight
-                    // flush or compaction job running on another thread.
-                    FileType::Table => {
-                        live.binary_search(&number).is_ok()
-                            || output_floor.is_some_and(|floor| number >= floor)
-                    }
-                    FileType::WriteAheadLog => number >= min_log || number == current_log,
-                    FileType::Descriptor => number >= manifest_number,
-                    FileType::Temp => false,
-                    // Value-log lifecycle is owned by `vlog_gc`: a vlog file
-                    // is live until a GC pass empties it and the snapshot
-                    // floor passes its retire point, neither of which this
-                    // version-based scan can see.
-                    FileType::ValueLog => true,
-                    FileType::Current | FileType::Lock | FileType::BtreePages => true,
-                };
-                if !keep {
-                    if cf.io.env.remove_file(&cf.io.db_path.join(&name)).is_err() {
-                        // The file is obsolete in every version, so a failed
-                        // delete leaks space, not correctness; the next GC
-                        // pass retries it. Count it so the leak is visible.
-                        self.counters
-                            .cleanup_failures
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                } else if cf.id == 0 && ty == FileType::WriteAheadLog {
-                    live_wals += 1;
-                }
-            }
+            let dir = &cf.io.db_path;
+            cf.versions
+                .delete_obsolete(|file| self.remove(&table_file_name(dir, file.number)));
         }
-        state.gc_rescan_needed = any_pinned;
-        state.live_wal_files = live_wals;
+    }
+
+    /// Deletes an obsolete file, reporting whether it is gone. It is in no
+    /// version, so a failed delete leaks space, not correctness: the caller
+    /// keeps it for the next pass, and the count keeps the leak visible.
+    pub(crate) fn remove(&self, path: &Path) -> bool {
+        let removed = self.io.env.remove_file(path).is_ok();
+        if !removed {
+            self.counters
+                .cleanup_failures
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        removed
     }
 }

@@ -23,7 +23,7 @@
 //!
 //! Locking: `ChangeLog` has its own mutex and is safe to lock while holding
 //! the engine state mutex (the commit publish, the rotation note and the
-//! reclaim-floor query all do). The reverse order — taking the state mutex
+//! segment reclaim all do). The reverse order — taking the state mutex
 //! while holding this one — is forbidden, and so is file IO under it: the
 //! stream copies what it needs out and drops this lock first.
 
@@ -178,12 +178,12 @@ impl ChangeLog {
         self.inner.lock().truncated_floor
     }
 
-    /// The oldest WAL segment the garbage collector must keep, taking the
-    /// column-family floors (`cf_min_log`), the retention cap and every
-    /// registered cursor into account. Also the **commit point of
-    /// truncation**: births below the returned floor are forgotten and the
-    /// truncated floor advances, so callers must actually treat segments
-    /// below the returned number as deleted.
+    /// Lets go of the WAL segments below the oldest one still needed — by
+    /// the column-family floors (`cf_min_log`), the retention cap or a
+    /// registered cursor — and returns them, oldest first, for the caller to
+    /// delete. Also the **commit point of truncation**: their births are
+    /// forgotten and the truncated floor advances, so callers must actually
+    /// treat the returned segments as deleted.
     ///
     /// * The newest closed segment that holds history is always kept, as if
     ///   a cursor sat on its last sequence: a stream or follower attaching
@@ -195,7 +195,7 @@ impl ChangeLog {
     ///   even below the family floors, so a follower can resume across a
     ///   restart — and cursors get **at most** that window: one that lags
     ///   past it is truncated rather than stalling reclamation forever.
-    pub fn wal_reclaim_floor(&self, cf_min_log: u64) -> u64 {
+    pub fn reclaim_wal_segments(&self, cf_min_log: u64) -> Vec<u64> {
         let mut inner = self.inner.lock();
         let live = inner.frontier.log_number;
         let opened_at = inner.births.get(&live).copied().unwrap_or(0);
@@ -212,13 +212,19 @@ impl ChangeLog {
         // Segments below the floor are about to disappear; record what that
         // makes unreadable. The oldest *surviving* segment's birth is the
         // highest sequence whose history is gone.
-        inner.births.retain(|log, _| *log >= floor);
+        let kept = inner.births.split_off(&floor);
+        let reclaimed = std::mem::replace(&mut inner.births, kept);
         if let Some(&birth) = inner.births.values().next() {
             if birth > inner.truncated_floor {
                 inner.truncated_floor = birth;
             }
         }
-        floor
+        reclaimed.into_keys().collect()
+    }
+
+    /// The WAL segments not yet let go of, the live one included.
+    pub fn segments(&self) -> Vec<u64> {
+        self.inner.lock().births.keys().copied().collect()
     }
 
     /// The segment a cursor at `next_seq` reads next, having finished every
@@ -505,21 +511,25 @@ mod tests {
         // No cursors: the families are done with everything below 4, and
         // the newest closed segment with history in it (3: 11..=20) stays.
         let log = rotated_twice();
-        assert_eq!(log.wal_reclaim_floor(4), 3);
+        assert_eq!(log.reclaim_wal_segments(4), [2]);
         assert_eq!(log.truncated_floor(), 10);
+        assert_eq!(log.segments(), [3, 4]);
+        // A segment is handed out once.
+        assert_eq!(log.reclaim_wal_segments(4), [0u64; 0]);
         // A rotation that closes an empty segment does not push it out.
         log.note_rotation(5, 20);
-        assert_eq!(log.wal_reclaim_floor(5), 3);
+        assert_eq!(log.reclaim_wal_segments(5), [0u64; 0]);
         // A cursor at 11 needs segment 3 (birth 10 < 11 <= 20) as well.
         let _at_11 = log.register(11).unwrap();
-        assert_eq!(log.wal_reclaim_floor(5), 3);
+        assert_eq!(log.reclaim_wal_segments(5), [0u64; 0]);
+        assert_eq!(log.segments(), [3, 4, 5]);
         // A cursor at 5 needs segment 2 (birth 0 < 5): nothing may go until
         // it does.
         let log = rotated_twice();
         let id = log.register(5).unwrap();
-        assert_eq!(log.wal_reclaim_floor(4), 2);
+        assert_eq!(log.reclaim_wal_segments(4), [0u64; 0]);
         log.deregister(id);
-        assert_eq!(log.wal_reclaim_floor(4), 3);
+        assert_eq!(log.reclaim_wal_segments(4), [2]);
     }
 
     #[test]
@@ -534,7 +544,7 @@ mod tests {
         let cursor = log.register(1).unwrap();
         // Closed segments: 2, 3, 4. Cap 2 keeps {3, 4} even though the
         // cursor would need 2 — and even though the families only need 5.
-        assert_eq!(log.wal_reclaim_floor(5), 3);
+        assert_eq!(log.reclaim_wal_segments(5), [2]);
         // Segment 2's range (sequences <= 10, segment 3's birth) is gone.
         assert_eq!(log.truncated_floor(), 10);
         let err = log
@@ -557,7 +567,8 @@ mod tests {
         log.note_rotation(5, 30);
         // Families are done with everything below 5; the window still
         // keeps the two newest closed segments for follower restarts.
-        assert_eq!(log.wal_reclaim_floor(5), 3);
+        assert_eq!(log.reclaim_wal_segments(5), [2]);
+        assert_eq!(log.segments(), [3, 4, 5]);
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub struct EngineCore<P: ShapePolicy> {
     pub(crate) vlog_gc_lock: Mutex<()>,
     /// Change-data capture: the published WAL frontier, WAL segment births
     /// and the registered stream cursors (see [`crate::cdc`]).
-    pub(crate) change_log: Arc<ChangeLog>,
+    pub change_log: Arc<ChangeLog>,
 }
 
 /// One column family's share of the engine state.
@@ -136,13 +136,6 @@ pub struct CfState<P: ShapePolicy> {
     /// set, so concurrent jobs always operate on disjoint file subsets.
     /// File numbers are per-family (each version set allocates its own).
     pub claimed_inputs: BTreeSet<u64>,
-    /// One *floor* per uncommitted job of this family (flush or compaction):
-    /// the file-number counter's value when the job started. A job names
-    /// its output tables on demand, so all of them are numbered at or above
-    /// its floor; `remove_obsolete_files` must never delete a table at or
-    /// above the lowest floor — it may be invisible to every version only
-    /// because its job has not committed yet (RocksDB's min-pending-output).
-    pub output_floors: Vec<u64>,
     /// The WAL that was live when the active memtable was created. Once
     /// `imm` flushes, every record of this family in older WALs is covered
     /// by sstables, so this is the log number a flush commit publishes.
@@ -205,7 +198,6 @@ impl<P: ShapePolicy> CfState<P> {
             versions,
             policy,
             claimed_inputs: BTreeSet::new(),
-            output_floors: Vec::new(),
             mem_log_number: 0,
             active_jobs: 0,
             flush_running: false,
@@ -256,15 +248,9 @@ pub struct EngineState<P: ShapePolicy> {
     pub log: Option<LogWriter>,
     /// The live WAL's file number.
     pub log_file_number: u64,
-    /// Set when the last GC pass ran while a read or cursor still pinned an
-    /// old version (whose files it therefore kept); `flush` on a quiesced
-    /// store rescans only in that case instead of on every call.
-    pub gc_rescan_needed: bool,
-    /// WAL files the last GC pass kept, maintained as a cheap backlog
-    /// signal: idle families' recovery floors are advanced (one synced
-    /// MANIFEST edit per family) only when the backlog shows old segments
-    /// actually piling up, not on every flush.
-    pub live_wal_files: usize,
+    /// WAL segments the change log has let go of whose delete failed; the
+    /// next GC pass retries them.
+    pub obsolete_wals: Vec<u64>,
     /// Set when a memtable rotation created a fresh WAL whose directory
     /// entry has not been fsynced yet. The next group-commit leader syncs
     /// the directory in its *unlocked* IO section before acknowledging any
@@ -315,15 +301,6 @@ impl<P: ShapePolicy> EngineState<P> {
             .expect("a family with a job in flight cannot be dropped")
     }
 
-    /// The WAL number below which every family's data is flushed.
-    pub(crate) fn min_log_number(&self) -> u64 {
-        self.cfs
-            .values()
-            .map(|cf| cf.versions.log_number())
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Fails with the poisoning error once the store has one.
     pub(crate) fn healthy(&self) -> Result<()> {
         self.bg_error.clone().map_or(Ok(()), Err)
@@ -354,8 +331,6 @@ pub struct ClaimedJob {
     pub cf: CfId,
     /// What the policy picked.
     pub job: CompactionJob,
-    /// The job's entry in the family's `output_floors`.
-    pub output_floor: u64,
 }
 
 impl<P: ShapePolicy> EngineDb<P> {

@@ -21,7 +21,7 @@
 //!   rotation live beside it;
 //! * `read` — point gets, streaming cursors, snapshots;
 //! * `background` — picking a flush or a compaction, the one job lifecycle
-//!   both run through, `flush()` and live-file GC;
+//!   both run through, `flush()` and the deletion of what commits unlink;
 //! * `executor` — who runs those jobs (`compaction_threads` workers through
 //!   `Env::spawn`, or with 0 the calling thread) behind one `kick` /
 //!   `wait_for_progress` pair; the only module that names a condvar of the
@@ -31,8 +31,9 @@
 //! * [`cdc`] — the published WAL frontier, WAL retention and
 //!   [`EngineChangeStream`];
 //! * [`version_set`] — the one MANIFEST format and version set, the
-//!   per-level [`LevelTable`] of each installed version and the two edits a
-//!   store commits (a level-0 table, a compaction);
+//!   per-level [`LevelTable`] of each installed version, the two edits a
+//!   store commits (a level-0 table, a compaction), the list of files they
+//!   made obsolete and the open-time sweep of a directory;
 //! * [`runs`] — everything that reads a version or carries out a job: the
 //!   point `get`, the lazy level cursor and a cursor's level iterators, the
 //!   compaction merge loop and on-demand output numbering.

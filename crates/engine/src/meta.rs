@@ -91,6 +91,13 @@ impl FileMetaDataEdit {
             InternalKey::from_encoded(self.largest.clone()),
         ))
     }
+
+    /// Whether `meta` is the file this record describes.
+    pub fn describes(&self, meta: &FileMetaData) -> bool {
+        (self.number, self.file_size) == (meta.number, meta.file_size)
+            && self.smallest == meta.smallest.encoded()
+            && self.largest == meta.largest.encoded()
+    }
 }
 
 #[cfg(test)]

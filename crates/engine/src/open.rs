@@ -58,8 +58,7 @@ impl<P: ShapePolicy> EngineDb<P> {
             catalog: None,
             log: None,
             log_file_number: 0,
-            gc_rescan_needed: false,
-            live_wal_files: 0,
+            obsolete_wals: Vec::new(),
             wal_dir_unsynced: false,
             bg_error: None,
         };
@@ -100,6 +99,7 @@ impl<P: ShapePolicy> EngineDb<P> {
         let last_sequence = state.last_sequence;
         for cf in state.cfs.values_mut() {
             cf.start_on_log(last_sequence, log_number)?;
+            cf.versions.sweep();
         }
 
         let change_log = Arc::new(ChangeLog::new(

@@ -48,8 +48,8 @@ pub struct EngineIo {
 /// off them, runs [`merge_to_tables`](crate::runs::merge_to_tables) over the
 /// record outside the state mutex and commits
 /// [`VersionEdit::compaction`](crate::VersionEdit::compaction) of it.
-/// (Outputs need no reservation: every table numbered at or above the
-/// claim-time counter is shielded from the GC until the job is released.)
+/// (Outputs need no reservation: the garbage collector deletes only what a
+/// commit unlinked, never a table no commit has named.)
 #[derive(Debug)]
 pub struct CompactionJob {
     /// The input files with the level each lives at, in the order the

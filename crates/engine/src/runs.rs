@@ -12,6 +12,7 @@
 //! tail it shares with the memtable flush, both naming their outputs on
 //! demand.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use pebblesdb_common::filename::table_file_name;
@@ -493,17 +494,40 @@ pub fn push_version_iterators<V: VersionShape>(
 
 // ------------------------------------------------------------ table writing
 
-/// Opens the directory's next table for writing at `level` (which picks the
-/// compression tier), drawing its file number on demand.
-fn open_table(io: &EngineIo, level: usize) -> Result<(u64, TableBuilder)> {
-    let number = io.file_numbers.next();
-    let file = io
-        .env
-        .new_writable_file(&table_file_name(&io.db_path, number))?;
-    Ok((
-        number,
-        TableBuilder::new_for_level(&io.options, file, level),
-    ))
+/// The tables one job has opened. Dropped before [`Outputs::done`] — the
+/// job failed — it deletes them: the failure poisons the store, so no
+/// version will ever name them (and reopen's sweep is the backstop).
+struct Outputs<'a>(&'a EngineIo, Vec<PathBuf>);
+
+impl Outputs<'_> {
+    /// Opens the directory's next table for writing at `level` (which picks
+    /// the compression tier), drawing its file number on demand.
+    fn open_table(&mut self, level: usize) -> Result<(u64, TableBuilder)> {
+        let number = self.0.file_numbers.next();
+        let path = table_file_name(&self.0.db_path, number);
+        let file = self.0.env.new_writable_file(&path)?;
+        self.1.push(path);
+        let builder = TableBuilder::new_for_level(&self.0.options, file, level);
+        Ok((number, builder))
+    }
+
+    /// The job succeeded: once the directory entries of its tables are
+    /// durable — a MANIFEST commit will name them — they are the caller's.
+    fn done<T>(mut self, outputs: T) -> Result<T> {
+        if !self.1.is_empty() {
+            self.0.env.sync_dir(&self.0.db_path)?;
+        }
+        self.1.clear();
+        Ok(outputs)
+    }
+}
+
+impl Drop for Outputs<'_> {
+    fn drop(&mut self) {
+        for path in &self.1 {
+            let _ = self.0.env.remove_file(path);
+        }
+    }
 }
 
 /// Finishes a table that holds at least one entry and describes it.
@@ -529,14 +553,13 @@ pub fn flush_to_table(io: &EngineIo, mut iter: impl DbIterator) -> Result<Option
     }
     // Flushes always land in level 0, so the per-level compression tier for
     // level 0 applies (typically raw: young tables are short-lived).
-    let (number, mut builder) = open_table(io, 0)?;
+    let mut outputs = Outputs(io, Vec::new());
+    let (number, mut builder) = outputs.open_table(0)?;
     while iter.valid() {
         builder.add(iter.key(), iter.value())?;
         iter.next();
     }
-    let meta = finish_table(number, builder)?;
-    io.env.sync_dir(&io.db_path)?;
-    Ok(Some(meta))
+    outputs.done(Some(finish_table(number, builder)?))
 }
 
 /// What a compaction merge needs to know besides its inputs.
@@ -560,9 +583,12 @@ pub struct MergeSpec {
 /// An output table never crosses one of the job's `partition_keys` — the
 /// FLSM partitions by the output level's guards, a leveled run is one
 /// partition — and is rotated once it reaches `max_file_size`. Outputs are
-/// returned in key order; they exist only on disk until the caller commits
-/// them.
+/// returned in key order, their directory entries synced; they exist only
+/// on disk until the caller commits them.
 pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMetaData>> {
+    if job.move_only {
+        return Ok(Vec::new()); // a move reads and writes nothing
+    }
     let spec = &job.spec;
     let read_options = ReadOptions::default();
     let mut children: Vec<Box<dyn DbIterator>> = Vec::new();
@@ -571,6 +597,7 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
     let mut merged = MergingIterator::new(children);
     merged.seek_to_first();
 
+    let mut tables = Outputs(io, Vec::new());
     let mut outputs: Vec<FileMetaData> = Vec::new();
     let mut builder: Option<(u64, TableBuilder)> = None;
     let mut builder_partition = 0;
@@ -608,7 +635,7 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
                 outputs.push(finish_table(number, full)?);
             }
             if builder.is_none() {
-                builder = Some(open_table(io, spec.output_level)?);
+                builder = Some(tables.open_table(spec.output_level)?);
                 builder_partition = partition;
             }
             let (_, open) = builder.as_mut().expect("opened above");
@@ -619,5 +646,5 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
     if let Some((number, last)) = builder {
         outputs.push(finish_table(number, last)?);
     }
-    Ok(outputs)
+    tables.done(outputs)
 }

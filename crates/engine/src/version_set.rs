@@ -7,7 +7,7 @@
 //! descriptor scheme PebblesDB inherits, extended only by the guard record
 //! (section 4.3.1 of the paper). [`VersionSet`] owns CURRENT/MANIFEST
 //! recovery and rewriting, file numbering, log-number/last-sequence
-//! bookkeeping and the tracking of versions readers still hold; a tree shape
+//! bookkeeping and the list of files commits made obsolete; a tree shape
 //! plugs in through [`VersionShape`] on its version type: what *defines* a
 //! version (how edits build it, what a snapshot enumerates, its invariants,
 //! when it wants compacting) plus two accessors, the level-0 files and one
@@ -33,13 +33,16 @@
 //! | 7 | new guard (FLSM only) | level, guard key |
 
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use pebblesdb_common::coding::{put_length_prefixed_slice, put_varint32, put_varint64, Decoder};
-use pebblesdb_common::filename::{current_file_name, descriptor_file_name};
+use pebblesdb_common::filename::{
+    current_file_name, descriptor_file_name, parse_file_name, FileType,
+};
 use pebblesdb_common::key::{compare_internal_keys, SequenceNumber};
 use pebblesdb_common::{Error, Result, StoreOptions};
 use pebblesdb_env::Env;
@@ -188,6 +191,23 @@ impl VersionEdit {
         self.deleted_files.push((level, number));
     }
 
+    /// `file`, which this edit adds to `base`, as the next version holds it.
+    /// A file the edit also deletes from `base` unchanged — a trivial move —
+    /// keeps the `Arc` `base` holds it by, and with it its open reader: one
+    /// live file is one `Arc` across versions, so its strong count counts
+    /// every version, cursor and job that can still read it. Every shape's
+    /// [`VersionShape::apply`] builds the files it adds through this.
+    pub fn added_file<V: VersionShape>(
+        &self,
+        base: &V,
+        file: &FileMetaDataEdit,
+    ) -> Arc<FileMetaData> {
+        let moved = self.deleted_files.iter().filter(|(_, n)| *n == file.number);
+        let mut found = moved.flat_map(|(level, _)| level_files(base, *level));
+        let found = found.find(|meta| file.describes(meta));
+        found.cloned().unwrap_or_else(|| file.to_meta())
+    }
+
     /// The edit a finished compaction commits, for every tree shape: delete
     /// the job's inputs, add its `outputs` (a move-only job's input itself)
     /// at the output level and persist the guards it commits there.
@@ -297,6 +317,31 @@ pub fn version_files<V: VersionShape>(version: &V) -> impl Iterator<Item = &Arc<
     version.level0().iter().chain(deeper)
 }
 
+/// The distinct files `version` holds at `level`.
+pub fn level_files<V: VersionShape>(
+    version: &V,
+    level: usize,
+) -> impl Iterator<Item = &Arc<FileMetaData>> {
+    let level0 = if level == 0 { version.level0() } else { &[] };
+    let run = level.checked_sub(1).and_then(|i| version.runs().get(i));
+    let deeper = run.into_iter().flat_map(distinct_files);
+    level0.iter().chain(deeper)
+}
+
+/// The files of `version` that `edit` deletes and does not add back: what
+/// committing `edit` over `version` makes obsolete.
+fn unlinked<V: VersionShape>(version: &V, edit: &VersionEdit) -> Vec<Arc<FileMetaData>> {
+    let readded = |number| edit.new_files.iter().any(|(_, f)| f.number == number);
+    let gone = |level, f: &Arc<FileMetaData>| {
+        edit.deleted_files.contains(&(level, f.number)) && !readded(f.number)
+    };
+    let levels: BTreeSet<usize> = edit.deleted_files.iter().map(|(level, _)| *level).collect();
+    let files = levels
+        .into_iter()
+        .flat_map(|level| level_files(version, level).filter(move |f| gone(level, f)));
+    files.cloned().collect()
+}
+
 /// One level of a version in numbers. Level 0, whose files overlap freely,
 /// is a single slot holding all of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -388,8 +433,7 @@ impl fmt::Display for LevelTable {
 /// outside the state mutex.
 ///
 /// The counter only hands out unique, growing numbers and publishes no
-/// other data. What the garbage collector relies on is that a number drawn
-/// after a job read [`FileNumbers::peek`] is never below what it read.
+/// other data.
 #[derive(Debug, Clone)]
 pub struct FileNumbers(Arc<AtomicU64>);
 
@@ -423,9 +467,10 @@ pub struct VersionSet<V: VersionShape> {
     current: Arc<V>,
     /// The table of `current`.
     levels: LevelTable,
-    /// Versions that a read or cursor still held when a commit replaced
-    /// them; their files must outlive the holder.
-    replaced: Vec<Weak<V>>,
+    /// Files commits have unlinked that are still on disk. Each waits here
+    /// until this list holds its only `Arc`: no version, cursor or job can
+    /// read it any more.
+    obsolete: Vec<Arc<FileMetaData>>,
     manifest: Option<LogWriter>,
     manifest_number: u64,
     file_numbers: FileNumbers,
@@ -446,7 +491,7 @@ impl<V: VersionShape> VersionSet<V> {
             env,
             db_path,
             options,
-            replaced: Vec::new(),
+            obsolete: Vec::new(),
             manifest: None,
             manifest_number: 1,
             file_numbers: FileNumbers::starting_at(2),
@@ -460,9 +505,39 @@ impl<V: VersionShape> VersionSet<V> {
         Ok(set)
     }
 
+    /// Deletes what a past run left in the directory that nothing names:
+    /// tables no version holds (a crash's uncommitted outputs, deletes that
+    /// failed or never ran), MANIFESTs older than the one `open` wrote and
+    /// temp files. Run once the store's recovery has succeeded: an open that
+    /// fails to recover deletes nothing. The one listing of the directory for
+    /// garbage: once open, a store deletes exactly what its commits unlink
+    /// (WAL segments are the change log's to let go of, value logs
+    /// `vlog_gc`'s).
+    pub(crate) fn sweep(&self) {
+        let Ok(names) = self.env.children(&self.db_path) else {
+            return;
+        };
+        let live: BTreeSet<u64> = version_files(&*self.current).map(|f| f.number).collect();
+        for name in names {
+            let orphan = match parse_file_name(&name) {
+                Some((FileType::Table, number)) => !live.contains(&number),
+                Some((FileType::Descriptor, number)) => number < self.manifest_number,
+                Some((FileType::Temp, _)) => true,
+                // Unknown names (the `CFS` catalog, `cf-<id>` subdirs on a
+                // real filesystem) are never the sweep's to delete.
+                _ => false,
+            };
+            if orphan && self.env.remove_file(&self.db_path.join(&name)).is_err() {
+                // Space, not correctness: the next open retries.
+                let failures = &self.options.counters.cleanup_failures;
+                failures.fetch_add(1, AtomicOrdering::Relaxed);
+            }
+        }
+    }
+
     /// The current version. A caller that keeps a clone past the state lock
-    /// pins the version's files: the commit that replaces a held version
-    /// starts tracking it (see [`VersionSet::live_files_and_pins`]).
+    /// pins the version's files: each holds its files' `Arc`s, and a file
+    /// is deleted only once its `Arc` is held by the obsolete list alone.
     pub fn current(&self) -> &Arc<V> {
         &self.current
     }
@@ -514,39 +589,25 @@ impl<V: VersionShape> VersionSet<V> {
         self.current.needs_compaction(&self.levels, &self.options)
     }
 
-    /// Number of replaced versions still tracked because something held them
-    /// when they were replaced (dead entries are pruned by the next commit
-    /// or GC pass).
-    pub fn tracked_versions(&self) -> usize {
-        self.replaced.len()
+    /// The files commits have unlinked from the current version that are
+    /// still on disk, held or not.
+    pub fn obsolete_files(&self) -> &[Arc<FileMetaData>] {
+        &self.obsolete
     }
 
-    /// File numbers referenced by the current version or any replaced version
-    /// a read or cursor still holds, plus whether such a held version
-    /// contributed. Both facts come from the same observation — a GC that
-    /// keeps a held version's files must also learn that a later pass may
-    /// find more garbage, even if the holder drops immediately afterwards.
-    pub fn live_files_and_pins(&mut self) -> (Vec<u64>, bool) {
-        let mut live: Vec<u64> = version_files(&*self.current).map(|f| f.number).collect();
-        let mut pinned = false;
-        self.replaced.retain(|weak| match weak.upgrade() {
-            Some(version) => {
-                pinned = true;
-                live.extend(version_files(&*version).map(|f| f.number));
-                true
-            }
-            None => false,
-        });
-        live.sort_unstable();
-        live.dedup();
-        (live, pinned)
+    /// Hands every obsolete file nothing else holds to `delete` and forgets
+    /// those it deleted; the rest wait for the next pass. Holders clone from
+    /// a version under the lock that also guards this call, so a file held
+    /// by this list alone stays that way.
+    pub fn delete_obsolete(&mut self, mut delete: impl FnMut(&FileMetaData) -> bool) {
+        self.obsolete
+            .retain(|file| Arc::strong_count(file) > 1 || !delete(file));
     }
 
-    /// Makes `next` the current version, with its table, and hands back the
-    /// version it replaces.
-    fn install(&mut self, next: Arc<V>) -> Arc<V> {
+    /// Makes `next` the current version, with its table.
+    fn install(&mut self, next: Arc<V>) {
         self.levels = LevelTable::of(&*next);
-        std::mem::replace(&mut self.current, next)
+        self.current = next;
     }
 
     /// Recovers state from the MANIFEST named by `CURRENT`.
@@ -599,13 +660,8 @@ impl<V: VersionShape> VersionSet<V> {
         if let Some(v) = edit.log_number {
             self.log_number = v;
         }
-        let replaced = self.install(Arc::clone(&next));
-        // Holders clone `current` under the lock that also guards this call,
-        // so a count of one means nobody can ever reach `replaced` again.
-        self.replaced.retain(|weak| weak.strong_count() > 0);
-        if Arc::strong_count(&replaced) > 1 {
-            self.replaced.push(Arc::downgrade(&replaced));
-        }
+        self.obsolete.extend(unlinked(&*self.current, &edit));
+        self.install(Arc::clone(&next));
         Ok(next)
     }
 

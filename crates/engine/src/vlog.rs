@@ -16,10 +16,10 @@
 //!    into it.
 //!
 //! Vlog files are deliberately **not** recorded in the MANIFEST: the
-//! directory listing is the registry (like WAL segments), their numbers are
-//! re-marked used at open, and `remove_obsolete_files` always keeps them —
-//! their lifecycle is owned by [`EngineCore::vlog_gc`], which is the only
-//! code that ever deletes one.
+//! directory listing at open is the registry, their numbers are re-marked
+//! used there, and neither the open sweep nor the obsolete-file pass after
+//! a commit touches them — their lifecycle is owned by
+//! [`EngineCore::vlog_gc`], which is the only code that ever deletes one.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -527,21 +527,17 @@ impl<P: ShapePolicy> EngineCore<P> {
             }
         }
         for (cf_id, number, path, readers) in candidates {
-            let removed = self.io.env.remove_file(&path);
+            // A failed delete is deferred, not lost: the file stays in
+            // `retired` and the next pass retries it.
+            let removed = self.remove(&path);
             let mut state = self.state.lock();
             let Some(cf) = state.cf_mut(cf_id) else {
                 continue; // family dropped; its files died with it
             };
-            if removed.is_ok() {
+            if removed {
                 readers.evict(number);
                 report.reclaimed_files += 1;
                 cf.vlog.retired.remove(&number);
-            } else {
-                // Deferred, not lost: the file stays in `retired` and the
-                // next pass retries the delete.
-                self.counters
-                    .cleanup_failures
-                    .fetch_add(1, Ordering::Relaxed);
             }
         }
     }

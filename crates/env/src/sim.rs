@@ -111,6 +111,8 @@ struct Probes {
     thread_names: Vec<String>,
     /// Live `RandomAccessFile`s per path (a descriptor each on a real disk).
     readers: HashMap<PathBuf, usize>,
+    /// Calls of `children`, failed ones included.
+    listings: usize,
 }
 
 struct State {
@@ -208,6 +210,12 @@ impl SimEnv {
     /// Random-access files alive right now.
     pub fn open_readers(&self) -> usize {
         self.state.probes.lock().readers.values().sum()
+    }
+
+    /// How often a directory was listed (on a real disk, a walk of every
+    /// entry).
+    pub fn listings(&self) -> usize {
+        self.state.probes.lock().listings
     }
 
     /// Paths with a live random-access file whose file is gone.
@@ -350,6 +358,7 @@ impl Env for SimEnv {
         self.state.inner.remove_dir_all(path)
     }
     fn children(&self, path: &Path) -> Result<Vec<String>> {
+        self.state.probes.lock().listings += 1;
         self.state.inner.children(path)
     }
     fn io_stats(&self) -> Arc<IoStats> {
@@ -639,6 +648,7 @@ mod tests {
         assert_eq!(*calls.lock(), expected);
         assert_eq!((sim.spawn_calls(), sim.running_threads()), (1, 0));
         assert_eq!(sim.thread_names(), ["probe"]);
+        assert_eq!(sim.listings(), 1);
     }
 
     #[test]

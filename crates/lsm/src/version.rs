@@ -110,7 +110,7 @@ impl VersionShape for Version {
     }
 
     /// Applies the edit's deletes, then its adds, and restores per-level
-    /// ordering (files are shared with `self` via `Arc`).
+    /// ordering (files are shared with `self` via `Arc`, a moved one too).
     fn apply(&self, edit: &VersionEdit) -> Result<Self> {
         edit.check_levels(self.num_levels())?;
         if !edit.new_guards.is_empty() {
@@ -123,7 +123,7 @@ impl VersionShape for Version {
             files[*level].0.retain(|f| f.number != *number);
         }
         for (level, file) in &edit.new_files {
-            files[*level].0.push(file.to_meta());
+            files[*level].0.push(edit.added_file(self, file));
         }
         for (level, FileRuns(files)) in files.iter_mut().enumerate() {
             if level == 0 {
@@ -226,6 +226,29 @@ mod tests {
         assert_eq!(rows.num_files(), 3);
         assert_eq!(rows.total_bytes(), 3000);
         assert_eq!(rows.to_string(), "L0:1 L1:1 L2:1 L3:0 L4:0 L5:0 L6:0");
+    }
+
+    /// A trivial move hands the next version the file's `Arc`; a file added
+    /// under a moved file's number with other bounds is a new one.
+    #[test]
+    fn a_trivial_move_keeps_the_files_arc() {
+        let mut edit = VersionEdit::default();
+        edit.new_files.push((1, meta(10, "a", "c")));
+        let version = Version::empty(7).apply(&edit).unwrap();
+        let file = Arc::clone(&version.files[1].0[0]);
+
+        let mut moved = VersionEdit::default();
+        moved.delete_file(1, 10);
+        moved.add_file(2, &file);
+        let next = version.apply(&moved).unwrap();
+        assert!(next.files[1].0.is_empty());
+        assert!(Arc::ptr_eq(&next.files[2].0[0], &file));
+
+        let mut changed = VersionEdit::default();
+        changed.delete_file(1, 10);
+        changed.new_files.push((2, meta(10, "a", "d")));
+        let next = version.apply(&changed).unwrap();
+        assert!(!Arc::ptr_eq(&next.files[2].0[0], &file));
     }
 
     #[test]

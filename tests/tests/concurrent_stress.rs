@@ -15,18 +15,19 @@
 //! The suite is intentionally heavier than the unit tests; CI runs it in
 //! release mode.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pebblesdb::PebblesDb;
-use pebblesdb_common::filename::table_file_name;
-use pebblesdb_common::key::{encode_internal_key, ValueType};
+use pebblesdb::{FlsmPolicy, PebblesDb};
+use pebblesdb_common::filename::{descriptor_file_name, table_file_name, temp_file_name};
 use pebblesdb_common::{KvStore, ReadOptions, StoreOptions, StorePreset, StoreStats, WriteBatch};
-use pebblesdb_engine::{EngineDb, FileMetaDataEdit, ShapePolicy, VersionEdit};
+use pebblesdb_engine::version_set::version_files;
+use pebblesdb_engine::{EngineDb, ShapePolicy};
 use pebblesdb_env::{Env, MemEnv};
-use pebblesdb_lsm::LsmDb;
+use pebblesdb_lsm::{LsmDb, LsmPolicy};
 use pebblesdb_tests::sim_over;
 
 const WRITER_THREADS: usize = 4;
@@ -294,68 +295,116 @@ fn cursor_outlives_the_compactions_that_replace_its_version() {
     check(env, &lsm);
 }
 
-/// A job names its output tables while it runs, so until it commits they
-/// are on disk but in no version. The GC pass of a sibling job (or flush)
-/// must leave every table numbered at or above the job's claim-time floor
-/// alone, and reap what the job wrote once it is released without
-/// committing (here: its IO fails, the fabricated inputs not being on disk).
+/// The `.sst` files in `dir`, by number.
+fn tables_in(env: &dyn Env, dir: &Path) -> BTreeSet<u64> {
+    let names = env.children(dir).unwrap().into_iter();
+    names
+        .filter_map(|name| name.strip_suffix(".sst")?.parse().ok())
+        .collect()
+}
+
+/// The numbers of the files the default family's current version holds.
+fn live_tables<P: ShapePolicy>(db: &EngineDb<P>) -> BTreeSet<u64> {
+    let files = |version: &P::Version| version_files(version).map(|f| f.number).collect();
+    db.with_current_version(files)
+}
+
+/// Opens a store of `policy`'s shape at `dir` with no background threads.
+fn open_inline<P: ShapePolicy>(
+    policy: fn(&StoreOptions) -> P,
+    env: &Arc<dyn Env>,
+    dir: &Path,
+) -> EngineDb<P> {
+    let mut opts = small_options();
+    opts.compaction_threads = 0;
+    opts.max_file_size = 4 << 10;
+    EngineDb::open(policy(&opts), Arc::clone(env), dir, opts).unwrap()
+}
+
+/// A job that fails on its way leaves none of its outputs behind: the
+/// failure poisons the store, so no version will ever name them. Here the
+/// compaction a flush triggers fails writing its second output table, the
+/// first one complete by then.
 #[test]
-fn gc_floor_shields_a_claimed_jobs_outputs_until_it_is_released() {
-    fn check<P: ShapePolicy>(env: &Arc<dyn Env>, dir: &Path, db: &EngineDb<P>) {
+fn a_failed_jobs_outputs_are_deleted_with_it() {
+    fn check<P: ShapePolicy>(policy: fn(&StoreOptions) -> P) {
+        let dir = Path::new("/failed-job");
+        let mem = MemEnv::new();
+        let (sim, env) = sim_over(mem.clone());
+        let db = open_inline(policy, &env, dir);
         let name = db.engine_name();
-        let core = db.core();
-        // The state lock is held throughout: the store's own workers would
-        // otherwise claim the fabricated job themselves.
-        let mut state = core.state.lock();
-        let mut edit = VersionEdit::default();
-        for (smallest, largest) in [("a", "c"), ("b", "d")] {
-            let number = state.default_cf().versions.new_file_number();
-            let file = FileMetaDataEdit {
-                number,
-                file_size: 1000,
-                smallest: encode_internal_key(smallest.as_bytes(), 9, ValueType::Value),
-                largest: encode_internal_key(largest.as_bytes(), 1, ValueType::Value),
-            };
-            edit.new_files.push((0, file));
+        for round in 0..2 {
+            for i in 0..400u32 {
+                db.put(format!("key{i:04}").as_bytes(), &[b'a' + round; 40])
+                    .unwrap();
+            }
+            if round == 0 {
+                db.flush().unwrap();
+            }
         }
-        let cf = state.default_cf_mut();
-        cf.versions.log_and_apply(edit).unwrap();
-
-        // An orphan numbered before the claim is garbage from the start.
-        let table = |number: u64| table_file_name(dir, number);
-        let write = |number: u64| {
-            let mut file = env.new_writable_file(&table(number)).unwrap();
-            file.append(b"not yet in any version").unwrap();
-            file.close().unwrap();
-        };
-        let orphan = cf.io.file_numbers.next();
-        write(orphan);
-
-        let claimed = core.claim_job(&mut state).expect("two level-0 files");
-        let output = state.default_cf().io.file_numbers.next();
-        assert!(output >= claimed.output_floor, "{name}");
-        write(output);
-
-        core.remove_obsolete_files(&mut state);
-        assert!(!env.file_exists(&table(orphan)), "{name}: orphan kept");
-        assert!(env.file_exists(&table(output)), "{name}: output reaped");
-
-        core.run_claimed_job(&mut state, claimed);
-        assert!(state.bg_error.is_some(), "{name}: the job cannot have run");
-        assert!(state.default_cf().output_floors.is_empty(), "{name}");
-        assert!(state.default_cf().claimed_inputs.is_empty(), "{name}");
-        core.remove_obsolete_files(&mut state);
-        assert!(!env.file_exists(&table(output)), "{name}: output leaked");
+        assert_eq!(db.levels()[0].files, 1, "{name}");
+        // `flush` rotates to WAL `next`, writes level-0 table `next + 1`,
+        // and the compaction of the two level-0 tables names its outputs
+        // from `next + 2` on.
+        let next = db.core().state.lock().default_cf().io.file_numbers.peek();
+        sim.fail_writes_after(&format!("{:06}.sst", next + 3), 0);
+        let created = mem.io_stats().snapshot().files_created;
+        assert!(db.flush().is_err(), "{name}: the compaction committed");
+        let created = mem.io_stats().snapshot().files_created - created;
+        assert_eq!(created, 4, "{name}: a WAL, a flush and two outputs");
+        let on_disk = tables_in(&mem, dir);
+        assert!(on_disk.contains(&(next + 1)), "{name}: the flush committed");
+        assert_eq!(on_disk, live_tables(&db), "{name}: outputs left behind");
     }
+    check(FlsmPolicy::new);
+    check(LsmPolicy::new);
+}
 
-    let dir = Path::new("/gc-floor");
-    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-    let flsm = PebblesDb::open_with_options(Arc::clone(&env), dir, small_options()).unwrap();
-    check(&env, dir, flsm.engine());
-    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
-    let preset = StorePreset::HyperLevelDb;
-    let lsm = LsmDb::open_with_options(Arc::clone(&env), dir, small_options(), preset).unwrap();
-    check(&env, dir, lsm.engine());
+/// The store deletes only what its commits unlink, so a table written
+/// behind its back — numbered like one of its own — survives every flush
+/// and compaction; reopening sweeps it away, with a stale MANIFEST and a
+/// temp file.
+#[test]
+fn an_orphan_table_survives_until_the_open_sweep() {
+    fn check<P: ShapePolicy>(policy: fn(&StoreOptions) -> P) {
+        let dir = Path::new("/orphans");
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let db = open_inline(policy, &env, dir);
+        let name = db.engine_name();
+        let number = db.core().state.lock().default_cf().io.file_numbers.next();
+        let orphans = [
+            table_file_name(dir, number),
+            descriptor_file_name(dir, 1),
+            temp_file_name(dir, number + 1),
+        ];
+        for path in &orphans {
+            let mut file = env.new_writable_file(path).unwrap();
+            file.append(b"in no version").unwrap();
+            file.close().unwrap();
+        }
+        let compactions = db.stats().compactions;
+        for i in 0..6000u32 {
+            db.put(format!("key{:04}", i % 1500).as_bytes(), &[b'v'; 40])
+                .unwrap();
+        }
+        db.flush().unwrap();
+        assert!(db.stats().compactions > compactions, "{name}");
+        for path in &orphans {
+            assert!(env.file_exists(path), "{name}: {path:?} deleted at runtime");
+        }
+        drop(db);
+
+        let db = open_inline(policy, &env, dir);
+        for path in &orphans {
+            assert!(
+                !env.file_exists(path),
+                "{name}: {path:?} survived the sweep"
+            );
+        }
+        assert_eq!(tables_in(env.as_ref(), dir), live_tables(&db), "{name}");
+    }
+    check(FlsmPolicy::new);
+    check(LsmPolicy::new);
 }
 
 /// The multi-threaded per-guard compaction pool under full write load:

@@ -1,5 +1,5 @@
 //! The chassis version set, exercised once over both tree shapes: MANIFEST
-//! persistence and recovery, tracking of versions readers still hold,
+//! persistence and recovery, the list of files commits made obsolete,
 //! corrupt-MANIFEST handling and a mutation fuzz of the one edit decoder.
 
 use std::collections::BTreeMap;
@@ -71,12 +71,13 @@ fn persists_and_recovers<V: VersionShape>(edit: VersionEdit, check: impl Fn(&V))
         .unwrap();
         manifest_before = vs.manifest_number();
     }
-    let mut recovered = open_set::<V>(&env, &dir).unwrap();
+    let recovered = open_set::<V>(&env, &dir).unwrap();
     assert_eq!(recovered.last_sequence(), 777);
     assert_eq!(recovered.log_number(), 4);
     assert!(recovered.manifest_number() > manifest_before);
     assert!(recovered.new_file_number() > *added.iter().max().unwrap());
-    assert_eq!(recovered.live_files_and_pins(), (added, false));
+    assert_eq!(live_numbers(&**recovered.current()), added);
+    assert!(recovered.obsolete_files().is_empty());
     assert!(recovered.current().validate().is_ok());
     check(recovered.current());
 }
@@ -105,30 +106,57 @@ fn version_set_persists_guards_across_recovery() {
     });
 }
 
-/// A reader holding a replaced version keeps its files alive (and reports
-/// the pin, so the GC knows to rescan); a replaced version nobody holds is
-/// not tracked at all.
+/// A commit lists the files it unlinks, by the `Arc` the replaced version
+/// holds them by; a version a reader still holds keeps them listed and on
+/// disk, and once it drops the next pass hands them over for deletion. A
+/// trivial move unlinks nothing and keeps its file's `Arc`.
 fn pinned_versions_keep_files_live<V: VersionShape>() {
     let (env, dir) = mem_dir("/vs-pins");
     let mut vs = open_set::<V>(&env, &dir).unwrap();
+    let listed =
+        |vs: &VersionSet<V>| -> Vec<u64> { vs.obsolete_files().iter().map(|f| f.number).collect() };
+    let mut deleted = Vec::new();
 
     let mut edit = VersionEdit::default();
     edit.new_files.push((1, file_edit(20, "a", "c")));
     vs.log_and_apply(edit).unwrap();
-    assert_eq!(vs.tracked_versions(), 0, "nobody held the empty version");
+    assert_eq!(listed(&vs), [0u64; 0], "an edit that deletes nothing");
     let pinned = Arc::clone(vs.current());
 
-    // Replace file 20 with 21; 20 must stay live while `pinned` exists.
+    // Replace file 20 with 21; 20 stays listed while `pinned` exists.
     let mut edit = VersionEdit::default();
     edit.delete_file(1, 20);
     edit.new_files.push((1, file_edit(21, "a", "c")));
     vs.log_and_apply(edit).unwrap();
-    assert_eq!(vs.tracked_versions(), 1);
+    vs.delete_obsolete(|file| {
+        deleted.push(file.number);
+        true
+    });
+    assert_eq!(deleted, [0u64; 0], "deleted under a held version");
+    assert_eq!(listed(&vs), [20]);
+    let held = version_files(&*pinned).next().unwrap();
+    assert!(Arc::ptr_eq(&vs.obsolete_files()[0], held));
 
-    assert_eq!(vs.live_files_and_pins(), (vec![20, 21], true));
     drop(pinned);
-    assert_eq!(vs.live_files_and_pins(), (vec![21], false));
-    assert_eq!(vs.tracked_versions(), 0);
+    // A delete that fails keeps the file for the next pass.
+    vs.delete_obsolete(|_| false);
+    assert_eq!(listed(&vs), [20]);
+    vs.delete_obsolete(|file| {
+        deleted.push(file.number);
+        true
+    });
+    assert_eq!(deleted, [20]);
+    assert_eq!(listed(&vs), [0u64; 0]);
+
+    // A trivial move of 21 from level 1 to level 2.
+    let moved = Arc::clone(version_files(&**vs.current()).next().unwrap());
+    let mut edit = VersionEdit::default();
+    edit.delete_file(1, 21);
+    edit.add_file(2, &moved);
+    vs.log_and_apply(edit).unwrap();
+    assert_eq!(listed(&vs), [0u64; 0]);
+    let now = version_files(&**vs.current()).next().unwrap();
+    assert!(Arc::ptr_eq(&moved, now), "the move minted a second Arc");
 }
 
 #[test]
@@ -138,17 +166,23 @@ fn live_file_numbers_include_pinned_versions() {
 }
 
 /// Reads take the current version without registering anything: a
-/// read-only store used to grow the pin list by one entry per `get`, under
-/// the state mutex, until the next GC pass — which never comes without
-/// writes.
+/// read-only store used to grow a list by one entry per `get`, under the
+/// state mutex, until the next GC pass — which never comes without writes.
+/// What is listed is the obsolete files, and only while something holds
+/// them: a cursor held across compactions keeps what they unlink, and once
+/// it drops a quiesced `flush` deletes them.
 #[test]
 fn reads_without_writes_leave_the_pin_list_bounded() {
-    fn load_and_read(db: &dyn KvStore) {
+    fn load(db: &dyn KvStore, round: u8) {
         for i in 0..2000u32 {
-            db.put(format!("key{i:05}").as_bytes(), &[b'v'; 64])
+            db.put(format!("key{i:05}").as_bytes(), &[b'a' + round; 64])
                 .unwrap();
         }
         db.flush().unwrap();
+    }
+    fn check(db: &dyn KvStore, obsolete: impl Fn() -> usize) {
+        let name = db.engine_name();
+        load(db, 0);
         for i in 0..100_000u32 {
             let key = format!("key{:05}", i % 2500);
             assert_eq!(db.get(key.as_bytes()).unwrap().is_some(), i % 2500 < 2000);
@@ -156,22 +190,39 @@ fn reads_without_writes_leave_the_pin_list_bounded() {
         let mut cursor = db.iter(&Default::default()).unwrap();
         cursor.seek_to_first();
         assert!(cursor.valid());
+        assert_eq!(obsolete(), 0, "{name}: reads listed files");
+
+        load(db, 1);
+        load(db, 2);
+        assert!(obsolete() > 0, "{name}: the cursor's files were not kept");
+        for i in 0..2000u32 {
+            assert_eq!(cursor.key(), format!("key{i:05}").as_bytes(), "{name}");
+            assert_eq!(cursor.value(), [b'a'; 64], "{name}");
+            cursor.next();
+        }
+        drop(cursor);
+        db.flush().unwrap();
+        assert_eq!(obsolete(), 0, "{name}: a dropped cursor's files stayed");
     }
     let mut options = StoreOptions::default();
     options.write_buffer_size = 32 << 10;
 
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
     let flsm = PebblesDb::open_with_options(env, Path::new("/pins"), options.clone()).unwrap();
-    load_and_read(&flsm);
     let core = flsm.engine().core();
-    assert!(core.state.lock().default_cf().versions.tracked_versions() <= 1);
+    check(&flsm, || {
+        let state = core.state.lock();
+        state.default_cf().versions.obsolete_files().len()
+    });
 
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
     let lsm = LsmDb::open_with_options(env, Path::new("/pins"), options, StorePreset::HyperLevelDb)
         .unwrap();
-    load_and_read(&lsm);
     let core = lsm.engine().core();
-    assert!(core.state.lock().default_cf().versions.tracked_versions() <= 1);
+    check(&lsm, || {
+        let state = core.state.lock();
+        state.default_cf().versions.obsolete_files().len()
+    });
 }
 
 /// Dropping the store sets the shutdown flag and wakes the workers while
