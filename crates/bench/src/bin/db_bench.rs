@@ -171,7 +171,7 @@ fn ad_hoc(args: &Args, engine: EngineKind) {
     }
     report.add_note("Figure 5.1(b) of the paper runs fillseq/fillrandom/readrandom/seekrandom/deleterandom with 16 B keys and 1 KiB values.");
     report.add_note("'max conc' is the store-lifetime high-water mark of concurrently running compaction jobs (>1 means per-guard jobs overlapped).");
-    report.add_note("'cache hit%' is the block-cache hit rate over the benchmark interval ('-' when the cache was never consulted, e.g. pure fills).");
+    report.add_note("'cache hit%' is the block-cache hit rate over the benchmark interval ('-' when the cache was never consulted: pure fills, and --env mem without compression, whose blocks are read in place).");
     report.print();
 
     // Per-family breakdown, so one namespace's compaction debt cannot hide

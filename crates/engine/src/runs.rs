@@ -164,7 +164,10 @@ impl<V: VersionShape> PinnedLevel<V> {
 }
 
 /// The open iterator of one slot: a one-file slot reads its table directly
-/// (no merge heap, no boxing), a many-file slot merges its tables.
+/// (no merge heap, no boxing), a many-file slot merges its tables. The
+/// one-file variant is the larger by two block cursors held inline; boxing it
+/// would cost an allocation per slot opened.
+#[allow(clippy::large_enum_variant)]
 enum SlotIter {
     One(TableIterator),
     Many(MergingIterator),

@@ -10,6 +10,7 @@
 //! which is how the benchmark harness measures write amplification from
 //! inside the store instead of relying on external tools such as `iostat`.
 
+pub mod bytes;
 pub mod disk;
 pub mod mem;
 pub mod sim;
@@ -22,6 +23,7 @@ use std::time::{Duration, Instant};
 
 use pebblesdb_common::{Error, Result};
 
+pub use bytes::FileBytes;
 pub use disk::DiskEnv;
 pub use mem::MemEnv;
 pub use sim::SimEnv;
@@ -45,6 +47,12 @@ pub trait RandomAccessFile: Send + Sync {
     ///
     /// Returns fewer bytes only if the file ends before `offset + len`.
     fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>>;
+    /// Reads like [`RandomAccessFile::read`], into a [`FileBytes`]. A file
+    /// that holds its bytes in memory overrides this to hand out a view of
+    /// them; by default the view owns a copy.
+    fn read_bytes(&self, offset: u64, len: usize) -> Result<FileBytes> {
+        self.read(offset, len).map(FileBytes::from)
+    }
     /// Total length of the file in bytes.
     fn len(&self) -> Result<u64>;
     /// Returns `true` if the file is empty.
@@ -205,6 +213,7 @@ mod tests {
         let ra = env.new_random_access_file(&path).unwrap();
         assert_eq!(ra.read(6, 5).unwrap(), b"world");
         assert_eq!(ra.read(0, 5).unwrap(), b"hello");
+        assert_eq!(&*ra.read_bytes(6, 50).unwrap(), b"world");
         assert_eq!(ra.len().unwrap(), 11);
 
         let data = env.read_file_to_vec(&path).unwrap();

@@ -1,5 +1,10 @@
 //! An in-memory environment used by tests and fully-cached experiments.
 //!
+//! A file's contents are an `Arc<Vec<u8>>` behind the file's lock, so a
+//! random-access read hands out a [`FileBytes`] view of them without copying;
+//! writes go through [`Arc::make_mut`], which leaves every outstanding view
+//! the bytes it saw.
+//!
 //! Besides being fast and hermetic, [`MemEnv`] models *the disk at a crash*:
 //! [`MemEnv::truncate_file`] tears a file's tail and
 //! [`MemEnv::drop_unsynced_dir_entries`] loses the directory entries no
@@ -15,9 +20,9 @@ use parking_lot::{Mutex, RwLock};
 use pebblesdb_common::{Error, Result};
 
 use crate::stats::IoStats;
-use crate::{Env, RandomAccessFile, RandomWritableFile, SequentialFile, WritableFile};
+use crate::{Env, FileBytes, RandomAccessFile, RandomWritableFile, SequentialFile, WritableFile};
 
-type FileData = Arc<RwLock<Vec<u8>>>;
+type FileData = Arc<RwLock<Arc<Vec<u8>>>>;
 
 /// A rename whose directory entry has not been made durable by a
 /// [`Env::sync_dir`] yet; a simulated crash rolls it back.
@@ -63,7 +68,7 @@ impl MemEnv {
             .ok_or_else(|| Error::invalid_argument(format!("no such file: {}", path.display())))?;
         let mut data = data.write();
         let old = data.len();
-        data.truncate(len);
+        Arc::make_mut(&mut data).truncate(len);
         Ok(old)
     }
 
@@ -109,7 +114,7 @@ struct MemWritableFile {
 
 impl WritableFile for MemWritableFile {
     fn append(&mut self, data: &[u8]) -> Result<()> {
-        self.data.write().extend_from_slice(data);
+        Arc::make_mut(&mut self.data.write()).extend_from_slice(data);
         self.stats.record_write(data.len() as u64);
         Ok(())
     }
@@ -135,12 +140,15 @@ struct MemRandomAccessFile {
 
 impl RandomAccessFile for MemRandomAccessFile {
     fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        Ok(self.read_bytes(offset, len)?.to_vec())
+    }
+
+    fn read_bytes(&self, offset: u64, len: usize) -> Result<FileBytes> {
         let data = self.data.read();
-        let start = (offset as usize).min(data.len());
-        let end = (start + len).min(data.len());
-        let out = data[start..end].to_vec();
-        self.stats.record_read(out.len() as u64);
-        Ok(out)
+        let start = usize::try_from(offset).map_or(data.len(), |at| at.min(data.len()));
+        let end = start.saturating_add(len).min(data.len());
+        self.stats.record_read((end - start) as u64);
+        Ok(FileBytes::resident(Arc::clone(&data), start..end))
     }
 
     fn len(&self) -> Result<u64> {
@@ -179,6 +187,7 @@ struct MemRandomWritableFile {
 impl RandomWritableFile for MemRandomWritableFile {
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         let mut file = self.data.write();
+        let file = Arc::make_mut(&mut file);
         let end = offset as usize + data.len();
         if file.len() < end {
             file.resize(end, 0);
@@ -210,7 +219,7 @@ impl RandomWritableFile for MemRandomWritableFile {
 impl Env for MemEnv {
     fn new_writable_file(&self, path: &Path) -> Result<Box<dyn WritableFile>> {
         let mut fs = self.fs.lock();
-        let data: FileData = Arc::new(RwLock::new(Vec::new()));
+        let data = FileData::default();
         fs.files.insert(path.to_path_buf(), Arc::clone(&data));
         fs.unsynced_creates.push(path.to_path_buf());
         self.stats.record_file_created();
@@ -250,8 +259,7 @@ impl Env for MemEnv {
         let path = path.to_path_buf();
         if !fs.files.contains_key(&path) {
             self.stats.record_file_created();
-            fs.files
-                .insert(path.clone(), Arc::new(RwLock::new(Vec::new())));
+            fs.files.insert(path.clone(), FileData::default());
             // Like new_writable_file: the directory entry is not durable
             // until the parent is synced.
             fs.unsynced_creates.push(path.clone());
@@ -365,6 +373,29 @@ mod tests {
         assert_eq!(old, 10);
         assert_eq!(env.file_size(path).unwrap(), 4);
         assert_eq!(env.read_file_to_vec(path).unwrap(), b"0123");
+    }
+
+    /// A view is the file's own bytes, and it keeps the bytes it saw: an
+    /// append or a truncation copies the buffer on write, a removal drops
+    /// only the file's reference.
+    #[test]
+    fn a_view_keeps_its_bytes_across_append_truncate_and_remove() {
+        let env = MemEnv::new();
+        let path = Path::new("/db/000001.sst");
+        let mut f = env.new_writable_file(path).unwrap();
+        f.append(b"0123456789").unwrap();
+        let file = env.new_random_access_file(path).unwrap();
+        let view = file.read_bytes(2, 6).unwrap();
+        assert!(view.is_resident());
+        assert_eq!(&*view, b"234567");
+
+        f.append(b"abc").unwrap();
+        assert_eq!(file.read(8, 10).unwrap(), b"89abc");
+        env.truncate_file(path, 3).unwrap();
+        assert_eq!(file.read(0, 10).unwrap(), b"012");
+        env.remove_file(path).unwrap();
+        assert_eq!(&*view, b"234567");
+        assert_eq!(&*view.slice(4..6), b"67");
     }
 
     #[test]

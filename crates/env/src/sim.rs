@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 use pebblesdb_common::{Error, Result};
 
 use crate::stats::IoStats;
-use crate::{Env, RandomAccessFile, RandomWritableFile, SequentialFile, WritableFile};
+use crate::{Env, FileBytes, RandomAccessFile, RandomWritableFile, SequentialFile, WritableFile};
 
 /// Everything scheduled to go wrong or to take time. A pattern matches the
 /// paths that contain it; the empty pattern matches every path.
@@ -266,6 +266,9 @@ impl RandomAccessFile for SimRandomAccessFile {
     fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
         self.inner.read(offset, len)
     }
+    fn read_bytes(&self, offset: u64, len: usize) -> Result<FileBytes> {
+        self.inner.read_bytes(offset, len)
+    }
     fn len(&self) -> Result<u64> {
         self.inner.len()
     }
@@ -449,6 +452,10 @@ mod tests {
             record!(self, "read({offset}, {len})");
             self.file.read(offset, len)
         }
+        fn read_bytes(&self, offset: u64, len: usize) -> Result<FileBytes> {
+            record!(self, "read_bytes({offset}, {len})");
+            self.file.read_bytes(offset, len)
+        }
         fn len(&self) -> Result<u64> {
             record!(self, "len()");
             self.file.len()
@@ -588,6 +595,8 @@ mod tests {
         writable.close().unwrap();
         let random = sim.new_random_access_file(&a).unwrap();
         assert_eq!(random.read(1, 3).unwrap(), b"ell");
+        let view = random.read_bytes(2, 8).unwrap();
+        assert_eq!((&*view, view.is_resident()), (&b"llo"[..], true));
         assert_eq!(random.len().unwrap(), 5);
         assert!(!random.is_empty());
         let mut sequential = sim.new_sequential_file(&a).unwrap();
@@ -622,6 +631,7 @@ mod tests {
             "close()",
             r#"new_random_access_file("/d/a")"#,
             "read(1, 3)",
+            "read_bytes(2, 8)",
             "len()",
             "is_empty()",
             r#"new_sequential_file("/d/a")"#,

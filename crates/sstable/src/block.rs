@@ -1,12 +1,12 @@
 //! Data and index blocks: prefix-compressed sorted entries with restarts.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 use pebblesdb_common::coding::{decode_fixed32, decode_varint32, put_fixed32, put_varint32};
 use pebblesdb_common::iterator::DbIterator;
 use pebblesdb_common::key::compare_internal_keys;
 use pebblesdb_common::{Error, Result};
+use pebblesdb_env::FileBytes;
 
 /// Builds a block of sorted entries with shared-prefix compression.
 ///
@@ -107,17 +107,18 @@ impl BlockBuilder {
     }
 }
 
-/// An immutable, decoded block.
-#[derive(Debug)]
+/// An immutable, decoded block: its contents are parsed where they lie, and
+/// a clone shares them.
+#[derive(Debug, Clone)]
 pub struct Block {
-    data: Vec<u8>,
+    data: FileBytes,
     restart_offset: usize,
     num_restarts: usize,
 }
 
 impl Block {
     /// Wraps the raw contents produced by [`BlockBuilder::finish`].
-    pub fn new(data: Vec<u8>) -> Result<Self> {
+    pub fn new(data: FileBytes) -> Result<Self> {
         if data.len() < 4 {
             return Err(Error::corruption("block too small for restart count"));
         }
@@ -146,21 +147,15 @@ impl Block {
         decode_fixed32(&self.data[self.restart_offset + index * 4..]) as usize
     }
 
-    /// Creates an iterator over the block.
-    pub fn iter(self: &Arc<Self>) -> BlockIterator {
-        BlockIterator {
-            block: Arc::clone(self),
-            offset: self.restart_offset,
-            key: Vec::new(),
-            value_range: (0, 0),
-            valid: false,
-        }
+    /// Creates an iterator over a clone of the block.
+    pub fn iter(&self) -> BlockIterator {
+        BlockIterator::new(self.clone())
     }
 }
 
 /// Iterator over the entries of a [`Block`].
 pub struct BlockIterator {
-    block: Arc<Block>,
+    block: Block,
     /// Offset of the *next* entry to decode.
     offset: usize,
     pub(crate) key: Vec<u8>,
@@ -169,6 +164,17 @@ pub struct BlockIterator {
 }
 
 impl BlockIterator {
+    /// An iterator over `block`, before its first entry.
+    pub fn new(block: Block) -> BlockIterator {
+        BlockIterator {
+            offset: block.restart_offset,
+            block,
+            key: Vec::new(),
+            value_range: (0, 0),
+            valid: false,
+        }
+    }
+
     /// Decodes the entry starting at `self.offset`, updating `key`/`value`.
     ///
     /// Returns `false` at the end of the entry area.
@@ -177,7 +183,7 @@ impl BlockIterator {
             self.valid = false;
             return false;
         }
-        let data = &self.block.data;
+        let data: &[u8] = &self.block.data;
         let mut pos = self.offset;
         let (shared, n1) = match decode_varint32(&data[pos..]) {
             Ok(v) => v,
@@ -345,18 +351,18 @@ mod tests {
         encode_internal_key(user.as_bytes(), 1, ValueType::Value)
     }
 
-    fn build(keys: &[&str], restart_interval: usize) -> Arc<Block> {
+    fn build(keys: &[&str], restart_interval: usize) -> Block {
         let mut builder = BlockBuilder::new(restart_interval);
         for k in keys {
             builder.add(&ikey(k), format!("val-{k}").as_bytes());
         }
-        Arc::new(Block::new(builder.finish()).unwrap())
+        Block::new(builder.finish().into()).unwrap()
     }
 
     #[test]
     fn empty_block_iterates_nothing() {
         let mut builder = BlockBuilder::new(4);
-        let block = Arc::new(Block::new(builder.finish()).unwrap());
+        let block = Block::new(builder.finish().into()).unwrap();
         let mut iter = block.iter();
         iter.seek_to_first();
         assert!(!iter.valid());
@@ -420,11 +426,11 @@ mod tests {
 
     #[test]
     fn corrupt_restart_count_is_rejected() {
-        assert!(Block::new(vec![1, 2]).is_err());
+        assert!(Block::new(vec![1, 2].into()).is_err());
         // Restart count claims more restarts than bytes available.
         let mut data = vec![0u8; 8];
         data[4..].copy_from_slice(&100u32.to_le_bytes());
-        assert!(Block::new(data).is_err());
+        assert!(Block::new(data.into()).is_err());
     }
 
     #[test]

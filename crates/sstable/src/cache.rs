@@ -1,7 +1,11 @@
 //! A thread-safe, sharded LRU cache with byte-size accounting.
 //!
 //! Used as the block cache (keyed by `(table id, block offset)`). Capacity is
-//! expressed in abstract "charge" units — bytes for blocks.
+//! expressed in abstract "charge" units — bytes for blocks. Values are handed
+//! out as clones, so a value should be cheap to clone (a [`Block`] shares its
+//! bytes).
+//!
+//! [`Block`]: crate::Block
 //!
 //! Large caches are split into a power-of-two number of independently locked
 //! shards selected by key hash, so concurrent readers hitting different
@@ -15,7 +19,6 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -79,7 +82,7 @@ impl Hasher for PassThrough {
 
 struct Entry<K, V> {
     key: Hashed<K>,
-    value: Arc<V>,
+    value: V,
     charge: usize,
     prev: usize,
     next: usize,
@@ -99,7 +102,7 @@ struct LruInner<K, V> {
     misses: u64,
 }
 
-impl<K: Eq + Hash + Clone, V> LruInner<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone> LruInner<K, V> {
     fn new(capacity: usize) -> Self {
         LruInner {
             map: HashMap::default(),
@@ -114,7 +117,7 @@ impl<K: Eq + Hash + Clone, V> LruInner<K, V> {
         }
     }
 
-    fn insert(&mut self, key: Hashed<K>, value: Arc<V>, charge: usize) {
+    fn insert(&mut self, key: Hashed<K>, value: V, charge: usize) {
         if let Some(&slot) = self.map.get(&key) {
             self.detach(slot);
             self.remove_slot(slot);
@@ -142,13 +145,13 @@ impl<K: Eq + Hash + Clone, V> LruInner<K, V> {
         self.evict_if_needed();
     }
 
-    fn get(&mut self, key: &Hashed<K>) -> Option<Arc<V>> {
+    fn get(&mut self, key: &Hashed<K>) -> Option<V> {
         match self.map.get(key).copied() {
             Some(slot) => {
                 self.hits += 1;
                 self.detach(slot);
                 self.attach_front(slot);
-                self.slab[slot].as_ref().map(|e| Arc::clone(&e.value))
+                self.slab[slot].as_ref().map(|e| e.value.clone())
             }
             None => {
                 self.misses += 1;
@@ -229,7 +232,7 @@ pub struct LruCache<K, V> {
     mask: usize,
 }
 
-impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// Creates a cache holding at most `capacity` units of charge, split
     /// evenly across a power-of-two number of shards chosen from the
     /// capacity (large byte-sized caches get [`MAX_SHARDS`]; small caches
@@ -267,18 +270,15 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Inserts `key -> value` with the given charge, evicting old entries
-    /// from the key's shard if its capacity is exceeded. Returns the
-    /// inserted value.
-    pub fn insert(&self, key: K, value: V, charge: usize) -> Arc<V> {
-        let value = Arc::new(value);
+    /// from the key's shard if its capacity is exceeded.
+    pub fn insert(&self, key: K, value: V, charge: usize) {
         let (shard, key) = self.hashed(&key);
-        shard.lock().insert(key, Arc::clone(&value), charge);
-        value
+        shard.lock().insert(key, value, charge);
     }
 
-    /// Returns the cached value for `key`, marking it most recently used
-    /// within its shard.
-    pub fn get(&self, key: &K) -> Option<Arc<V>> {
+    /// Returns a clone of the cached value for `key`, marking it most
+    /// recently used within its shard.
+    pub fn get(&self, key: &K) -> Option<V> {
         let (shard, key) = self.hashed(key);
         shard.lock().get(&key)
     }
@@ -369,7 +369,7 @@ mod tests {
         let cache: LruCache<u32, u32> = LruCache::new(10);
         cache.insert(1, 100, 2);
         cache.insert(1, 200, 2);
-        assert_eq!(*cache.get(&1).unwrap(), 200);
+        assert_eq!(cache.get(&1), Some(200));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.usage(), 2);
     }
@@ -387,12 +387,15 @@ mod tests {
 
     #[test]
     fn value_survives_eviction_while_referenced() {
-        let cache: LruCache<u32, String> = LruCache::new(1);
-        let held = cache.insert(1, "held".to_string(), 1);
-        cache.insert(2, "evictor".to_string(), 1);
+        let cache: LruCache<u32, std::sync::Arc<String>> = LruCache::new(1);
+        cache.insert(1, std::sync::Arc::new("held".to_string()), 1);
+        let held = cache.get(&1).unwrap();
+        cache.insert(2, std::sync::Arc::new("evictor".to_string()), 1);
         assert!(cache.get(&1).is_none());
-        // The Arc we hold keeps the value alive even though it left the cache.
+        // The clone we hold keeps the value alive after it left the cache,
+        // and the cache let go of its own.
         assert_eq!(held.as_str(), "held");
+        assert_eq!(std::sync::Arc::strong_count(&held), 1);
     }
 
     #[test]
@@ -468,7 +471,7 @@ mod tests {
                 for i in 0..2000u64 {
                     let key = t * 10_000 + i;
                     cache.insert(key, key, 1);
-                    assert_eq!(cache.get(&key).as_deref(), Some(&key));
+                    assert_eq!(cache.get(&key), Some(key));
                 }
             }));
         }

@@ -8,7 +8,7 @@ use pebblesdb_bloom::BloomFilterPolicy;
 use pebblesdb_common::coding::decode_fixed32;
 use pebblesdb_common::iterator::DbIterator;
 use pebblesdb_common::{crc32c, EngineCounters, Error, ReadOptions, Result, StoreOptions};
-use pebblesdb_env::RandomAccessFile;
+use pebblesdb_env::{FileBytes, RandomAccessFile};
 
 use crate::block::{Block, BlockIterator};
 use crate::cache::LruCache;
@@ -17,9 +17,11 @@ use crate::BLOCK_TRAILER_SIZE;
 
 /// A shared block cache keyed by `(table id, block offset)`.
 ///
-/// Cached blocks are always the **uncompressed** bytes: decompression
-/// happens once, on the device-read path, so cache hits never pay decode
-/// cost.
+/// It holds the blocks that cost a copy off the device or a decode, always
+/// as **uncompressed** bytes, so a hit never decodes. A table whose file is
+/// resident (see [`FileBytes`]) parses its uncompressed blocks in place and
+/// never caches them: taking the view again is as cheap as a hit, and a
+/// cached view would pin the file's whole buffer past the file's deletion.
 pub type BlockCache = LruCache<(u64, u64), Block>;
 
 /// Hard ceiling a compressed block's claimed uncompressed size may reach.
@@ -28,11 +30,18 @@ pub type BlockCache = LruCache<(u64, u64), Block>;
 /// of trusted.
 const MAX_DECOMPRESSED_BLOCK: usize = u32::MAX as usize;
 
+/// Trailer tag of a block stored as it is.
+const UNCOMPRESSED: u8 = 0;
+/// Trailer tag of a block stored through `pebblesdb-compress`.
+const LZ: u8 = 1;
+
 /// An open, immutable sstable.
 pub struct Table {
     file: Arc<dyn RandomAccessFile>,
-    index_block: Arc<Block>,
-    filter: Option<Vec<u8>>,
+    /// Whether `file` hands out views of its own bytes.
+    resident: bool,
+    index_block: Block,
+    filter: Option<FileBytes>,
     filter_policy: BloomFilterPolicy,
     block_cache: Option<Arc<BlockCache>>,
     /// Identifier used in block-cache keys (the engine's file number).
@@ -57,26 +66,21 @@ impl Table {
         if (size as usize) < FOOTER_SIZE {
             return Err(Error::corruption("file too small to be an sstable"));
         }
-        let footer_data = file.read(size - FOOTER_SIZE as u64, FOOTER_SIZE)?;
+        let footer_data = file.read_bytes(size - FOOTER_SIZE as u64, FOOTER_SIZE)?;
         let footer = Footer::decode(&footer_data)?;
 
         let counters = &options.counters;
-        let index_contents =
-            Self::read_block_contents(file.as_ref(), &footer.index_handle, true, counters)?;
-        let index_block = Arc::new(Block::new(index_contents)?);
-
+        let read =
+            |handle| StoredBlock::read(file.as_ref(), handle, size)?.contents(true, counters);
+        let index_block = Block::new(read(&footer.index_handle)?)?;
         let filter = if footer.filter_handle.size > 0 && options.bloom_bits_per_key > 0 {
-            Some(Self::read_block_contents(
-                file.as_ref(),
-                &footer.filter_handle,
-                true,
-                counters,
-            )?)
+            Some(read(&footer.filter_handle)?)
         } else {
             None
         };
 
         Ok(Table {
+            resident: footer_data.is_resident(),
             file,
             index_block,
             filter,
@@ -124,8 +128,7 @@ impl Table {
             return Ok(None);
         }
         let (handle, _) = BlockHandle::decode_from(index_iter.value())?;
-        let block = self.read_data_block(read_options, &handle)?;
-        let mut block_iter = block.iter();
+        let mut block_iter = BlockIterator::new(self.read_data_block(read_options, &handle)?);
         block_iter.seek(target);
         if !block_iter.valid() {
             return Ok(None);
@@ -146,71 +149,91 @@ impl Table {
         }
     }
 
-    /// Reads a block off the device and returns its **uncompressed**
-    /// contents, dispatching on the per-block trailer tag. The CRC covers
-    /// the stored (possibly compressed) bytes plus the tag, so it is checked
-    /// before any decode; a tag this build does not know is corruption.
-    fn read_block_contents(
-        file: &dyn RandomAccessFile,
-        handle: &BlockHandle,
-        verify: bool,
-        counters: &EngineCounters,
-    ) -> Result<Vec<u8>> {
-        let mut raw = file.read(handle.offset, handle.size as usize + BLOCK_TRAILER_SIZE)?;
-        if raw.len() < handle.size as usize + BLOCK_TRAILER_SIZE {
+    /// The data block `handle` names. A resident file's uncompressed block
+    /// is parsed where it lies and bypasses the cache; any other block — a
+    /// copy off the device, or a decode — is looked up in the cache first
+    /// and inserted into it after.
+    fn read_data_block(&self, read_options: &ReadOptions, handle: &BlockHandle) -> Result<Block> {
+        let verify = read_options.verify_checksums || self.verify_checksums_default;
+        let mut stored = None;
+        if self.resident {
+            let block = StoredBlock::read(self.file.as_ref(), handle, self.size)?;
+            if block.tag() == UNCOMPRESSED {
+                return Block::new(block.contents(verify, &self.counters)?);
+            }
+            stored = Some(block);
+        }
+        let cache_key = (self.cache_id, handle.offset);
+        let cache = self.block_cache.as_ref();
+        if let Some(block) = cache.and_then(|cache| cache.get(&cache_key)) {
+            return Ok(block);
+        }
+        let stored = match stored {
+            Some(stored) => stored,
+            None => StoredBlock::read(self.file.as_ref(), handle, self.size)?,
+        };
+        let block = Block::new(stored.contents(verify, &self.counters)?)?;
+        if let Some(cache) = cache.filter(|_| read_options.fill_cache) {
+            cache.insert(cache_key, block.clone(), block.size());
+        }
+        Ok(block)
+    }
+}
+
+/// A block as the file stores it: the contents, then a one-byte compression
+/// tag and a masked CRC32C over both.
+struct StoredBlock(FileBytes);
+
+impl StoredBlock {
+    /// Reads the block `handle` names from a table of `table_size` bytes.
+    /// The handle was read off the file too, so it is checked first: one
+    /// that ends past the table is corruption, never an out-of-range read
+    /// or an allocation of whatever size it claims.
+    fn read(file: &dyn RandomAccessFile, handle: &BlockHandle, table_size: u64) -> Result<Self> {
+        let len = handle.size.checked_add(BLOCK_TRAILER_SIZE as u64);
+        let end = len.and_then(|len| handle.offset.checked_add(len));
+        let len = match (len, end) {
+            (Some(len), Some(end)) if end <= table_size => len as usize,
+            _ => return Err(Error::corruption("block handle points past the table")),
+        };
+        let raw = file.read_bytes(handle.offset, len)?;
+        if raw.len() < len {
             return Err(Error::corruption("truncated block read"));
         }
-        let contents = &raw[..handle.size as usize];
-        let compression = raw[handle.size as usize];
+        Ok(StoredBlock(raw))
+    }
+
+    fn tag(&self) -> u8 {
+        self.0[self.0.len() - BLOCK_TRAILER_SIZE]
+    }
+
+    /// The **uncompressed** contents, dispatching on the trailer tag. The CRC
+    /// covers the stored (possibly compressed) bytes plus the tag, so it is
+    /// checked before any decode; a tag this build does not know is
+    /// corruption. Uncompressed contents are a sub-view of the bytes read;
+    /// compressed ones decode into memory of their own.
+    fn contents(self, verify: bool, counters: &EngineCounters) -> Result<FileBytes> {
+        let (size, tag) = (self.0.len() - BLOCK_TRAILER_SIZE, self.tag());
+        let contents = &self.0[..size];
         if verify {
-            let stored = decode_fixed32(&raw[handle.size as usize + 1..]);
-            let mut crc = crc32c::crc32c(contents);
-            crc = crc32c::extend(crc, &[compression]);
+            let stored = decode_fixed32(&self.0[size + 1..]);
+            let crc = crc32c::extend(crc32c::crc32c(contents), &[tag]);
             if crc32c::mask(crc) != stored {
                 return Err(Error::corruption("block checksum mismatch"));
             }
         }
-        match compression {
-            0 => {
-                raw.truncate(handle.size as usize);
-                Ok(raw)
-            }
-            1 => {
+        match tag {
+            UNCOMPRESSED => Ok(self.0.slice(0..size)),
+            LZ => {
                 let start = Instant::now();
                 let decoded = pebblesdb_compress::decompress(contents, MAX_DECOMPRESSED_BLOCK)?;
                 counters
                     .decompress_micros
                     .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-                Ok(decoded)
+                Ok(decoded.into())
             }
             _ => Err(Error::corruption("unsupported compression type")),
         }
-    }
-
-    fn read_data_block(
-        &self,
-        read_options: &ReadOptions,
-        handle: &BlockHandle,
-    ) -> Result<Arc<Block>> {
-        let cache_key = (self.cache_id, handle.offset);
-        if let Some(cache) = &self.block_cache {
-            if let Some(block) = cache.get(&cache_key) {
-                return Ok(block);
-            }
-        }
-        let verify = read_options.verify_checksums || self.verify_checksums_default;
-        let contents =
-            Self::read_block_contents(self.file.as_ref(), handle, verify, &self.counters)?;
-        // `contents` is already decompressed, so the cache below only ever
-        // holds uncompressed blocks — a cache hit never decodes.
-        let block = Block::new(contents)?;
-        if let Some(cache) = &self.block_cache {
-            if read_options.fill_cache {
-                let charge = block.size();
-                return Ok(cache.insert(cache_key, block, charge));
-            }
-        }
-        Ok(Arc::new(block))
     }
 }
 
@@ -240,7 +263,7 @@ impl TableIterator {
         match BlockHandle::decode_from(self.index_iter.value())
             .and_then(|(handle, _)| self.table.read_data_block(&self.read_options, &handle))
         {
-            Ok(block) => self.data_iter = Some(block.iter()),
+            Ok(block) => self.data_iter = Some(BlockIterator::new(block)),
             Err(err) => self.error = Some(err),
         }
     }
@@ -357,10 +380,12 @@ impl DbIterator for TableIterator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockBuilder;
     use crate::table_builder::TableBuilder;
+    use pebblesdb_common::coding::put_fixed32;
     use pebblesdb_common::key::{encode_internal_key, extract_user_key, ValueType};
-    use pebblesdb_env::{Env, MemEnv};
-    use std::path::Path;
+    use pebblesdb_env::{DiskEnv, Env, MemEnv};
+    use std::path::{Path, PathBuf};
 
     fn build(env: &MemEnv, path: &Path, n: u32, opts: &StoreOptions) -> u64 {
         let file = env.new_writable_file(path).unwrap();
@@ -372,6 +397,46 @@ mod tests {
         builder.finish().unwrap()
     }
 
+    /// A file that holds its bytes elsewhere: it implements only `read`,
+    /// so every read is a copy, as off a disk.
+    struct CopyingFile(Arc<dyn RandomAccessFile>);
+
+    impl RandomAccessFile for CopyingFile {
+        fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+            self.0.read(offset, len)
+        }
+        fn len(&self) -> Result<u64> {
+            self.0.len()
+        }
+    }
+
+    fn open_cached(
+        env: &MemEnv,
+        path: &Path,
+        size: u64,
+        opts: &StoreOptions,
+        copying: bool,
+    ) -> (Arc<Table>, Arc<BlockCache>) {
+        let cache: Arc<BlockCache> = Arc::new(LruCache::new(1 << 20));
+        let mut file = env.new_random_access_file(path).unwrap();
+        if copying {
+            file = Arc::new(CopyingFile(file));
+        }
+        let table = Table::open(opts, file, size, 7, Some(Arc::clone(&cache))).unwrap();
+        (Arc::new(table), cache)
+    }
+
+    fn get_k100(table: &Table) {
+        let target = encode_internal_key(b"k00100", u64::MAX >> 8, ValueType::Value);
+        let (_, value) = table
+            .get(&ReadOptions::default(), &target)
+            .unwrap()
+            .unwrap();
+        assert_eq!(value, b"v100");
+    }
+
+    /// Blocks read through a copying file are cached: the second read of a
+    /// block is a hit, not a second copy.
     #[test]
     fn block_cache_serves_repeat_reads() {
         let env = MemEnv::new();
@@ -379,24 +444,59 @@ mod tests {
         let mut opts = StoreOptions::default();
         opts.block_size = 512;
         let size = build(&env, path, 500, &opts);
+        let (table, cache) = open_cached(&env, path, size, &opts, true);
 
-        let cache: Arc<BlockCache> = Arc::new(LruCache::new(1 << 20));
-        let file = env.new_random_access_file(path).unwrap();
-        let table = Arc::new(Table::open(&opts, file, size, 7, Some(Arc::clone(&cache))).unwrap());
+        get_k100(&table);
+        assert_eq!(cache.hit_miss(), (0, 1));
+        get_k100(&table);
+        assert_eq!(cache.hit_miss(), (1, 1));
+        assert!(cache.usage() > 0);
+    }
 
-        let target = encode_internal_key(b"k00100", u64::MAX >> 8, ValueType::Value);
-        table
-            .get(&ReadOptions::default(), &target)
-            .unwrap()
-            .unwrap();
-        let misses_after_first = cache.hit_miss().1;
-        table
-            .get(&ReadOptions::default(), &target)
-            .unwrap()
-            .unwrap();
-        let (hits, misses) = cache.hit_miss();
-        assert!(hits >= 1);
-        assert_eq!(misses, misses_after_first);
+    /// A resident file's uncompressed blocks are read in place: gets and
+    /// cursors neither look the cache up nor fill it.
+    #[test]
+    fn a_resident_table_leaves_the_block_cache_untouched() {
+        let env = MemEnv::new();
+        let path = Path::new("/r.sst");
+        let mut opts = StoreOptions::default();
+        opts.block_size = 512;
+        let size = build(&env, path, 500, &opts);
+        let (table, cache) = open_cached(&env, path, size, &opts, false);
+
+        get_k100(&table);
+        get_k100(&table);
+        let mut iter = table.iter(&ReadOptions::default());
+        iter.seek_to_first();
+        let mut count = 0;
+        while iter.valid() {
+            count += 1;
+            iter.next();
+        }
+        assert_eq!(count, 500);
+        iter.seek_to_last();
+        assert_eq!(extract_user_key(iter.key()), b"k00499");
+        assert_eq!((cache.usage(), cache.hit_miss()), (0, (0, 0)));
+    }
+
+    /// A compressed block costs a decode even when its file is resident, so
+    /// it goes through the cache: decoded on the first read, a hit after.
+    #[test]
+    fn compressed_blocks_of_a_resident_file_are_cached_and_decoded_once() {
+        let env = MemEnv::new();
+        let path = Path::new("/lz.sst");
+        let mut opts = StoreOptions::default();
+        opts.block_size = 512;
+        opts.compression = pebblesdb_common::CompressionType::Lz;
+        let size = build(&env, path, 500, &opts);
+        let (table, cache) = open_cached(&env, path, size, &opts, false);
+
+        get_k100(&table);
+        assert_eq!(cache.hit_miss(), (0, 1));
+        let decoded = cache.usage();
+        assert!(decoded > 0);
+        get_k100(&table);
+        assert_eq!((cache.usage(), cache.hit_miss()), (decoded, (1, 1)));
     }
 
     #[test]
@@ -425,6 +525,75 @@ mod tests {
         assert_eq!(extract_user_key(iter.key()), b"k00299");
         iter.prev();
         assert_eq!(extract_user_key(iter.key()), b"k00298");
+    }
+
+    /// A table file whose index block maps one key to `data`, behind a
+    /// footer that names `index` as the index block (`None`: the real one).
+    fn forged_table(data: BlockHandle, index: Option<BlockHandle>) -> Vec<u8> {
+        let mut builder = BlockBuilder::new(1);
+        builder.add(
+            &encode_internal_key(b"k", 1, ValueType::Value),
+            &data.encode(),
+        );
+        let mut file = builder.finish();
+        let index_handle = BlockHandle::new(0, file.len() as u64);
+        file.push(UNCOMPRESSED);
+        let crc = crc32c::mask(crc32c::crc32c(&file));
+        put_fixed32(&mut file, crc);
+        let footer = Footer {
+            filter_handle: BlockHandle::default(),
+            index_handle: index.unwrap_or(index_handle),
+        };
+        file.extend(footer.encode());
+        file
+    }
+
+    fn is_corruption<T>(result: Result<T>) -> bool {
+        matches!(result, Err(Error::Corruption(_)))
+    }
+
+    /// A block handle is read off the file, so a corrupt one — in the footer
+    /// or in the index block; wrapping the offset arithmetic, or claiming
+    /// 64 GiB — is `Corruption` on either env: never a panic, never an
+    /// allocation of the size it claims.
+    #[test]
+    fn a_corrupt_block_handle_is_corruption_on_both_envs() {
+        let disk_dir = std::env::temp_dir().join(format!("pebbles-handles-{}", std::process::id()));
+        let envs: [(Arc<dyn Env>, PathBuf); 2] = [
+            (Arc::new(MemEnv::new()), PathBuf::from("/handles")),
+            (Arc::new(DiskEnv::new()), disk_dir.clone()),
+        ];
+        let corrupt = [
+            BlockHandle::new(0, u64::MAX - 1),
+            BlockHandle::new(0, 1 << 36),
+            BlockHandle::new(u64::MAX - 2, 1),
+        ];
+        let opts = StoreOptions::default();
+        for (env, dir) in envs {
+            env.create_dir_all(&dir).unwrap();
+            let open = |contents: Vec<u8>| {
+                let path = dir.join("forged.sst");
+                let mut file = env.new_writable_file(&path).unwrap();
+                file.append(&contents).unwrap();
+                file.close().unwrap();
+                let file = env.new_random_access_file(&path).unwrap();
+                Table::open(&opts, file, contents.len() as u64, 1, None)
+            };
+            let target = encode_internal_key(b"k", 1, ValueType::Value);
+            for handle in corrupt {
+                assert!(
+                    is_corruption(open(forged_table(handle, Some(handle)))),
+                    "{handle:?}"
+                );
+
+                let table = Arc::new(open(forged_table(handle, None)).unwrap());
+                assert!(is_corruption(table.get(&ReadOptions::default(), &target)));
+                let mut iter = table.iter(&ReadOptions::default());
+                iter.seek_to_first();
+                assert!(!iter.valid() && is_corruption(iter.status()), "{handle:?}");
+            }
+        }
+        DiskEnv::new().remove_dir_all(&disk_dir).unwrap();
     }
 
     #[test]

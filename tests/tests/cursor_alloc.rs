@@ -8,7 +8,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,7 +16,7 @@ use pebblesdb::{FlsmVersion, PebblesDb};
 use pebblesdb_common::key::{InternalKey, ValueType};
 use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset};
 use pebblesdb_engine::{FileMetaDataEdit, VersionEdit, VersionShape};
-use pebblesdb_env::{Env, MemEnv};
+use pebblesdb_env::{DiskEnv, Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 
 thread_local! {
@@ -267,6 +267,74 @@ fn point_get_allocations_are_the_same_through_store_and_handle() {
             "{name}: allocations per get"
         );
     }
+}
+
+/// Both engines, each on the env and in the directory `place` gives for its
+/// name, loaded, with a block cache of one byte: every block a read needs
+/// is a miss.
+fn uncached_stores(
+    place: impl Fn(&str) -> (Arc<dyn Env>, PathBuf),
+) -> [(&'static str, Box<dyn Db>); 2] {
+    let mut options = small_options();
+    options.block_cache_capacity = 1;
+    let (env, dir) = place("flsm");
+    let flsm = PebblesDb::open_with_options(env, &dir, options.clone());
+    let (env, dir) = place("lsm");
+    let preset = StorePreset::HyperLevelDb;
+    let lsm = LsmDb::open_with_options(env, &dir, options, preset);
+    let stores: [(&str, Box<dyn Db>); 2] = [
+        ("flsm", Box::new(flsm.unwrap())),
+        ("lsm", Box::new(lsm.unwrap())),
+    ];
+    for (_, db) in &stores {
+        load(db.as_ref(), 4_000);
+    }
+    stores
+}
+
+/// A `MemEnv` file hands out views of its own bytes, so a read whose block
+/// is in no cache allocates what a cached one does: the block costs neither
+/// a copy nor a shared handle. They were 6 per `get` and 19 / 17 per cursor
+/// (FLSM / LSM) while every block read was copied into a fresh buffer.
+#[test]
+fn uncached_reads_of_a_resident_file_allocate_no_block() {
+    const ALLOCATIONS_PER_GET: u64 = 4;
+    const ALLOCATIONS_PER_CURSOR: [u64; 2] = [15, 13];
+
+    let stores = uncached_stores(|name| (Arc::new(MemEnv::new()), PathBuf::from("/").join(name)));
+    for ((name, db), per_cursor) in stores.iter().zip(ALLOCATIONS_PER_CURSOR) {
+        let target = key(0);
+        let per_get = allocations_per_get(db.as_ref(), &target);
+        assert_eq!(per_get, ALLOCATIONS_PER_GET, "{name}: allocations per get");
+        let cursor = allocations_per_cursor(db.as_ref(), &target);
+        assert_eq!(cursor, per_cursor, "{name}: allocations per cursor");
+        let stats = db.stats();
+        assert_eq!((stats.block_cache_hits, stats.block_cache_misses), (0, 0));
+    }
+}
+
+/// A file that copies what it reads (here, a real disk) still pays only
+/// for the copy: the copy and the handle that owns it, as many allocations
+/// as the copy and its `Arc<Block>` made before blocks became views.
+#[test]
+fn an_uncached_get_through_a_copying_file_allocates_only_the_copy() {
+    const ALLOCATIONS_PER_GET: u64 = 6;
+
+    let root = std::env::temp_dir().join(format!("pebbles-alloc-{}", std::process::id()));
+    let stores = uncached_stores(|name| {
+        let env: Arc<dyn Env> = Arc::new(DiskEnv::new());
+        let dir = root.join(name);
+        let _ = env.remove_dir_all(&dir);
+        (env, dir)
+    });
+    for (name, db) in &stores {
+        let per_get = allocations_per_get(db.as_ref(), &key(0));
+        assert_eq!(per_get, ALLOCATIONS_PER_GET, "{name}: allocations per get");
+        let misses = db.stats().block_cache_misses;
+        assert!(misses >= 96, "{name}: {misses} block cache misses");
+    }
+    drop(stores);
+    let _ = DiskEnv::new().remove_dir_all(&root);
 }
 
 /// Mean allocations of one single-key `put` into a memtable with room.

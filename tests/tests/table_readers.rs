@@ -8,7 +8,10 @@
 //!   gone once the last version naming the file is, with nothing evicted by
 //!   hand;
 //! * **the race** — readers, a writer and compactions over a budget far
-//!   below the file count return no error and no wrong value.
+//!   below the file count return no error and no wrong value;
+//! * **the block cache** — a `MemEnv` table is read in place, so the cache
+//!   only ever holds blocks that cost a copy or a decode, and on an
+//!   uncompressed store it is never touched.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -297,5 +300,29 @@ fn readers_racing_a_writer_over_a_tiny_budget_see_no_error_and_no_wrong_value() 
         let open = store.env.open_readers();
         assert!(open <= BUDGET, "{name}: {open} readers open at rest");
         assert!(store.env.readers_of_deleted_files().is_empty(), "{name}");
+    }
+}
+
+/// (d) The block cache. Every sstable of an uncompressed store on a
+/// `MemEnv` (behind the layer, which forwards `read_bytes`) is resident:
+/// gets, cursors and the compactions that read the tables parse blocks
+/// where they lie, and the cache sees not one lookup.
+#[test]
+fn a_resident_store_never_touches_the_block_cache() {
+    const KEYS: u32 = 3_000;
+    for store in stores(1_000) {
+        let name = store.name;
+        let mut model = Model::new();
+        for version in 0..3 {
+            load(&store, &mut model, KEYS, version);
+            for i in (0..KEYS).step_by(5) {
+                assert_eq!(store.db.get(&key(i)).unwrap().as_ref(), model.get(&key(i)));
+            }
+            check_scan(&store, &model, &key(KEYS / 3), 500);
+        }
+        let stats = store.db.stats();
+        assert!(stats.compactions > 0, "{name}: no compaction ran");
+        let cache = (stats.block_cache_hits, stats.block_cache_misses);
+        assert_eq!(cache, (0, 0), "{name}: block cache hits and misses");
     }
 }
