@@ -22,6 +22,7 @@ pub fn put_fixed64(dst: &mut Vec<u8>, value: u64) {
 /// # Panics
 ///
 /// Panics if `src` is shorter than four bytes.
+#[inline]
 pub fn decode_fixed32(src: &[u8]) -> u32 {
     u32::from_le_bytes(src[..4].try_into().expect("buffer holds 4 bytes"))
 }
@@ -31,6 +32,7 @@ pub fn decode_fixed32(src: &[u8]) -> u32 {
 /// # Panics
 ///
 /// Panics if `src` is shorter than eight bytes.
+#[inline]
 pub fn decode_fixed64(src: &[u8]) -> u64 {
     u64::from_le_bytes(src[..8].try_into().expect("buffer holds 8 bytes"))
 }
@@ -51,19 +53,30 @@ pub fn put_varint64(dst: &mut Vec<u8>, mut value: u64) {
 
 /// Decodes a varint `u64` from the front of `src`.
 ///
-/// Returns the decoded value and the number of bytes consumed.
+/// Returns the decoded value and the number of bytes consumed. A one-byte
+/// varint — most lengths in a block — is decoded inline; longer ones take
+/// an out-of-line path.
+#[inline]
 pub fn decode_varint64(src: &[u8]) -> Result<(u64, usize)> {
+    match src.first() {
+        Some(&byte) if byte < 0x80 => Ok((u64::from(byte), 1)),
+        _ => decode_varint64_long(src),
+    }
+}
+
+/// The multi-byte case of [`decode_varint64`]. A tenth byte may carry only
+/// bit 63: anything above 1 would overflow and is rejected, not truncated.
+#[cold]
+fn decode_varint64_long(src: &[u8]) -> Result<(u64, usize)> {
     let mut result: u64 = 0;
-    let mut shift = 0u32;
-    for (idx, &byte) in src.iter().enumerate() {
-        if shift > 63 {
+    for (idx, &byte) in src.iter().enumerate().take(10) {
+        if idx == 9 && byte > 1 {
             return Err(Error::corruption("varint64 overflow"));
         }
-        result |= u64::from(byte & 0x7f) << shift;
+        result |= u64::from(byte & 0x7f) << (7 * idx);
         if byte & 0x80 == 0 {
             return Ok((result, idx + 1));
         }
-        shift += 7;
     }
     Err(Error::corruption("truncated varint64"))
 }
@@ -71,6 +84,7 @@ pub fn decode_varint64(src: &[u8]) -> Result<(u64, usize)> {
 /// Decodes a varint `u32` from the front of `src`.
 ///
 /// Returns the decoded value and the number of bytes consumed.
+#[inline]
 pub fn decode_varint32(src: &[u8]) -> Result<(u32, usize)> {
     let (value, len) = decode_varint64(src)?;
     if value > u64::from(u32::MAX) {
@@ -233,6 +247,25 @@ mod tests {
     fn truncated_varint_is_corruption() {
         let buf = vec![0x80u8, 0x80];
         assert!(decode_varint64(&buf).is_err());
+    }
+
+    /// A tenth byte holds bit 63 only: `[0xff x 9, 0x01]` is `u64::MAX`,
+    /// and a larger tenth byte overflows rather than decoding to the same
+    /// value with its high bits dropped.
+    #[test]
+    fn overflowing_tenth_byte_is_corruption() {
+        let mut canonical = vec![0xffu8; 9];
+        canonical.push(0x01);
+        assert_eq!(decode_varint64(&canonical).unwrap(), (u64::MAX, 10));
+        for tenth in [0x02u8, 0x7f, 0x81] {
+            let mut buf = vec![0xffu8; 9];
+            buf.push(tenth);
+            buf.push(0x00);
+            assert!(
+                matches!(decode_varint64(&buf), Err(Error::Corruption(_))),
+                "tenth byte {tenth:#x}"
+            );
+        }
     }
 
     #[test]

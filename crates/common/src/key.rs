@@ -79,6 +79,7 @@ pub fn encode_internal_key(user_key: &[u8], seq: SequenceNumber, value_type: Val
 /// # Panics
 ///
 /// Panics if `internal_key` is shorter than the 8-byte trailer.
+#[inline]
 pub fn extract_user_key(internal_key: &[u8]) -> &[u8] {
     assert!(internal_key.len() >= 8, "internal key too short");
     &internal_key[..internal_key.len() - 8]
@@ -114,6 +115,7 @@ pub fn parse_internal_key(internal_key: &[u8]) -> Option<ParsedInternalKey<'_>> 
 ///
 /// Ordering: user key ascending, then trailer (sequence, type) descending, so
 /// that for equal user keys the newest record comes first.
+#[inline]
 pub fn compare_internal_keys(a: &[u8], b: &[u8]) -> Ordering {
     let ua = extract_user_key(a);
     let ub = extract_user_key(b);

@@ -54,22 +54,19 @@ fn probe_file(
     if !table.may_contain_user_key(key.user_key()) {
         return Ok(None);
     }
-    let Some((found_key, value)) = table.get(read_options, key.internal_key())? else {
-        return Ok(None);
-    };
-    match parse_internal_key(&found_key) {
-        Some(parsed) if parsed.user_key == key.user_key() => {
-            let value = match parsed.value_type {
-                ValueType::Value => Some(LookupValue::Inline(value)),
-                ValueType::ValuePointer => {
-                    Some(LookupValue::Pointer(ValuePointer::decode(&value)?))
-                }
-                ValueType::Deletion => None,
-            };
-            Ok(Some((parsed.sequence, value)))
-        }
-        _ => Ok(None),
-    }
+    // The entry is parsed where it lies; only a matching value is copied.
+    let found = table.get_with(read_options, key.internal_key(), |found_key, value| {
+        let parsed = parse_internal_key(found_key).filter(|p| p.user_key == key.user_key())?;
+        let value = match parsed.value_type {
+            ValueType::Value => Ok(Some(LookupValue::Inline(value.to_vec()))),
+            ValueType::ValuePointer => ValuePointer::decode(value)
+                .map(LookupValue::Pointer)
+                .map(Some),
+            ValueType::Deletion => Ok(None),
+        };
+        Some(value.map(|value| (parsed.sequence, value)))
+    })?;
+    found.flatten().transpose()
 }
 
 /// Point lookup in the on-disk structure of `version` (the chassis has
@@ -320,6 +317,15 @@ impl<V: VersionShape> LevelCursor<V> {
         self.current.is_some()
     }
 
+    /// Latches the current slot's error, if it has one, ending iteration
+    /// there rather than moving on past the damage; `true` once failed.
+    fn failed(&mut self) -> bool {
+        if let Some(Err(err)) = self.current.as_ref().map(DbIterator::status) {
+            (self.error, self.current) = (Some(err), None);
+        }
+        self.error.is_some()
+    }
+
     /// Returns `true` if the cursor sits on an entry inside the current
     /// slot's key range.
     fn in_bounds(&self) -> bool {
@@ -340,7 +346,7 @@ impl<V: VersionShape> LevelCursor<V> {
     /// Moves forward, slot by slot, until the cursor is on an entry inside
     /// its slot's range (or the level is exhausted).
     fn settle_forward(&mut self) {
-        while !self.in_bounds() {
+        while !self.in_bounds() && !self.failed() {
             // Either the slot is exhausted or the next entry spills past its
             // upper bound; move on to the following slot.
             let next = self.slot + 1;
@@ -367,7 +373,7 @@ impl<V: VersionShape> LevelCursor<V> {
     /// Moves backward, slot by slot, until the cursor is on an entry inside
     /// its slot's range (or the level is exhausted).
     fn settle_backward(&mut self) {
-        while !self.in_bounds() {
+        while !self.in_bounds() && !self.failed() {
             // An entry merely above the upper bound: walk backwards within
             // the same slot first.
             if let (Some(iter), Some(upper)) =
@@ -646,6 +652,9 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
         }
         merged.next();
     }
+    // The merge stops at a damaged input: outputs that end there must not
+    // replace the inputs (dropping `tables` deletes them).
+    merged.status()?;
     if let Some((number, last)) = builder {
         outputs.push(finish_table(number, last)?);
     }

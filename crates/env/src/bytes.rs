@@ -71,6 +71,7 @@ impl From<Vec<u8>> for FileBytes {
 impl Deref for FileBytes {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.buf[self.start..self.end]
     }

@@ -1,6 +1,6 @@
 //! Block handles and the fixed-size table footer.
 
-use pebblesdb_common::coding::{decode_fixed64, put_fixed64, put_varint64, Decoder};
+use pebblesdb_common::coding::{decode_fixed64, decode_varint64, put_fixed64, put_varint64};
 use pebblesdb_common::{Error, Result};
 
 /// Magic number identifying the end of an sstable produced by this workspace.
@@ -39,12 +39,11 @@ impl BlockHandle {
     }
 
     /// Decodes a handle from the front of `src`.
+    #[inline]
     pub fn decode_from(src: &[u8]) -> Result<(BlockHandle, usize)> {
-        let mut dec = Decoder::new(src);
-        let offset = dec.read_varint64()?;
-        let size = dec.read_varint64()?;
-        let used = src.len() - dec.remaining();
-        Ok((BlockHandle { offset, size }, used))
+        let (offset, first) = decode_varint64(src)?;
+        let (size, second) = decode_varint64(&src[first..])?;
+        Ok((BlockHandle { offset, size }, first + second))
     }
 }
 

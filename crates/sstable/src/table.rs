@@ -114,28 +114,42 @@ impl Table {
 
     /// Looks up the first entry with internal key `>= target`.
     ///
-    /// Returns the entry's internal key and value; the caller decides whether
-    /// the user key actually matches and whether the sequence number is
-    /// visible.
+    /// Returns a copy of the entry's internal key and value; the caller
+    /// decides whether the user key actually matches and whether the
+    /// sequence number is visible.
     pub fn get(
         &self,
         read_options: &ReadOptions,
         target: &[u8],
     ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        self.get_with(read_options, target, |key, value| {
+            (key.to_vec(), value.to_vec())
+        })
+    }
+
+    /// Looks up the first entry with internal key `>= target` and hands its
+    /// internal key and value to `found` where they lie, so the caller
+    /// copies only what it keeps. `Ok(None)` if the table holds no such
+    /// entry; a malformed entry on the way is `Corruption`.
+    pub fn get_with<T>(
+        &self,
+        read_options: &ReadOptions,
+        target: &[u8],
+        found: impl FnOnce(&[u8], &[u8]) -> T,
+    ) -> Result<Option<T>> {
         let mut index_iter = self.index_block.iter();
         index_iter.seek(target);
+        index_iter.status()?;
         if !index_iter.valid() {
             return Ok(None);
         }
         let (handle, _) = BlockHandle::decode_from(index_iter.value())?;
         let mut block_iter = BlockIterator::new(self.read_data_block(read_options, &handle)?);
         block_iter.seek(target);
-        if !block_iter.valid() {
-            return Ok(None);
-        }
-        let value = block_iter.value().to_vec();
-        // The iterator is done with: its key buffer is handed on, not copied.
-        Ok(Some((block_iter.key, value)))
+        block_iter.status()?;
+        Ok(block_iter
+            .valid()
+            .then(|| found(block_iter.key(), block_iter.value())))
     }
 
     /// Creates a two-level iterator over the whole table.
@@ -238,10 +252,17 @@ impl StoredBlock {
 }
 
 /// A two-level iterator: index block entries point at data blocks.
+///
+/// One data-block iterator is reused from block to block, key buffer and
+/// all. The first error — a block that cannot be read, or a malformed entry
+/// in either block — ends iteration: the iterator stays invalid and
+/// [`TableIterator::status`] reports it, rather than moving on to the next
+/// block and skipping what the damage hid.
 pub struct TableIterator {
     table: Arc<Table>,
     read_options: ReadOptions,
     index_iter: BlockIterator,
+    /// `None` until the first data block is loaded.
     data_iter: Option<BlockIterator>,
     error: Option<Error>,
 }
@@ -255,62 +276,55 @@ impl TableIterator {
         }
     }
 
-    fn load_data_block(&mut self) {
-        self.data_iter = None;
-        if !self.index_iter.valid() {
+    /// Latches the first error of either block iterator; `true` once the
+    /// iterator has failed.
+    fn failed(&mut self) -> bool {
+        if self.error.is_none() {
+            let data = self
+                .data_iter
+                .as_ref()
+                .map_or(Ok(()), BlockIterator::status);
+            self.error = self.index_iter.status().and(data).err();
+        }
+        self.error.is_some()
+    }
+
+    /// Loads the data block the index iterator is on and positions in it
+    /// with `position`. Does nothing past the last block or once failed.
+    fn enter_block(&mut self, position: impl FnOnce(&mut BlockIterator)) {
+        if self.failed() || !self.index_iter.valid() {
             return;
         }
-        match BlockHandle::decode_from(self.index_iter.value())
-            .and_then(|(handle, _)| self.table.read_data_block(&self.read_options, &handle))
-        {
-            Ok(block) => self.data_iter = Some(BlockIterator::new(block)),
-            Err(err) => self.error = Some(err),
+        let block = BlockHandle::decode_from(self.index_iter.value())
+            .and_then(|(handle, _)| self.table.read_data_block(&self.read_options, &handle));
+        match (block, self.data_iter.as_mut()) {
+            (Ok(block), Some(iter)) => {
+                iter.reset(block);
+                position(iter);
+            }
+            (Ok(block), None) => position(self.data_iter.insert(BlockIterator::new(block))),
+            (Err(err), _) => self.error = Some(err),
         }
     }
 
+    /// Whether the data iterator is loaded and exhausted, with more blocks
+    /// to go: the cue to step to the next (or previous) block.
+    fn block_exhausted(&mut self) -> bool {
+        let exhausted = self.data_iter.as_ref().is_some_and(|it| !it.valid());
+        exhausted && !self.failed() && self.index_iter.valid()
+    }
+
     fn skip_empty_data_blocks_forward(&mut self) {
-        while self
-            .data_iter
-            .as_ref()
-            .map(|it| !it.valid())
-            .unwrap_or(true)
-        {
-            if !self.index_iter.valid() {
-                self.data_iter = None;
-                return;
-            }
+        while self.block_exhausted() {
             self.index_iter.next();
-            if !self.index_iter.valid() {
-                self.data_iter = None;
-                return;
-            }
-            self.load_data_block();
-            if let Some(iter) = self.data_iter.as_mut() {
-                iter.seek_to_first();
-            }
+            self.enter_block(DbIterator::seek_to_first);
         }
     }
 
     fn skip_empty_data_blocks_backward(&mut self) {
-        while self
-            .data_iter
-            .as_ref()
-            .map(|it| !it.valid())
-            .unwrap_or(true)
-        {
-            if !self.index_iter.valid() {
-                self.data_iter = None;
-                return;
-            }
+        while self.block_exhausted() {
             self.index_iter.prev();
-            if !self.index_iter.valid() {
-                self.data_iter = None;
-                return;
-            }
-            self.load_data_block();
-            if let Some(iter) = self.data_iter.as_mut() {
-                iter.seek_to_last();
-            }
+            self.enter_block(DbIterator::seek_to_last);
         }
     }
 }
@@ -320,51 +334,40 @@ impl DbIterator for TableIterator {
         TableIterator::status(self)
     }
 
+    #[inline]
     fn valid(&self) -> bool {
-        self.data_iter
-            .as_ref()
-            .map(|it| it.valid())
-            .unwrap_or(false)
+        self.error.is_none()
+            && self.index_iter.valid()
+            && self.data_iter.as_ref().is_some_and(|it| it.valid())
     }
 
     fn seek_to_first(&mut self) {
         self.index_iter.seek_to_first();
-        self.load_data_block();
-        if let Some(iter) = self.data_iter.as_mut() {
-            iter.seek_to_first();
-        }
+        self.enter_block(DbIterator::seek_to_first);
         self.skip_empty_data_blocks_forward();
     }
 
     fn seek_to_last(&mut self) {
         self.index_iter.seek_to_last();
-        self.load_data_block();
-        if let Some(iter) = self.data_iter.as_mut() {
-            iter.seek_to_last();
-        }
+        self.enter_block(DbIterator::seek_to_last);
         self.skip_empty_data_blocks_backward();
     }
 
     fn seek(&mut self, target: &[u8]) {
         self.index_iter.seek(target);
-        self.load_data_block();
-        if let Some(iter) = self.data_iter.as_mut() {
-            iter.seek(target);
-        }
+        self.enter_block(|iter| iter.seek(target));
         self.skip_empty_data_blocks_forward();
     }
 
     fn next(&mut self) {
-        if let Some(iter) = self.data_iter.as_mut() {
-            iter.next();
-        }
+        let iter = self.data_iter.as_mut();
+        iter.expect("next() on invalid table iterator").next();
         self.skip_empty_data_blocks_forward();
     }
 
     fn prev(&mut self) {
-        if let Some(iter) = self.data_iter.as_mut() {
-            iter.prev();
-        }
+        let iter = self.data_iter.as_mut();
+        iter.expect("prev() on invalid table iterator").prev();
         self.skip_empty_data_blocks_backward();
     }
 
@@ -525,6 +528,63 @@ mod tests {
         assert_eq!(extract_user_key(iter.key()), b"k00299");
         iter.prev();
         assert_eq!(extract_user_key(iter.key()), b"k00298");
+    }
+
+    /// A malformed entry — entry 2 of the first data block claims 127
+    /// shared key bytes after a 14-byte key — stops every reader at it with
+    /// `Corruption`, checksums unverified (the default). It used to end its
+    /// block quietly: a scan yielded 268 of 300 entries with an `Ok` status
+    /// and `get("k00003")` returned `Ok(None)`.
+    #[test]
+    fn a_malformed_entry_is_corruption_not_the_end_of_its_block() {
+        let env = MemEnv::new();
+        let path = Path::new("/bad-entry.sst");
+        let mut opts = StoreOptions::default();
+        opts.block_size = 256;
+        let size = build(&env, path, 300, &opts);
+        // Entries 0 and 1 take 3 + 14 + 2 and 3 + 9 + 2 bytes (`k00001`
+        // shares `k0000`); entry 2 starts with its shared length.
+        const ENTRY_2: usize = 19 + 14;
+        let mut contents = env.read_file_to_vec(path).unwrap();
+        assert_eq!(contents[ENTRY_2], 5, "`k00002` shares `k0000`");
+        contents[ENTRY_2] = 127;
+        let mut file = env.new_writable_file(path).unwrap();
+        file.append(&contents).unwrap();
+        file.close().unwrap();
+        let file = env.new_random_access_file(path).unwrap();
+        let table = Arc::new(Table::open(&opts, file, size, 1, None).unwrap());
+
+        let read = ReadOptions::default();
+        let mut iter = table.iter(&read);
+        iter.seek_to_first();
+        let mut seen = Vec::new();
+        while iter.valid() {
+            seen.push(extract_user_key(iter.key()).to_vec());
+            iter.next();
+        }
+        assert_eq!(seen, [b"k00000", b"k00001"]);
+        assert!(is_corruption(iter.status()));
+        iter.seek_to_first();
+        assert!(!iter.valid(), "the iterator stays stopped");
+
+        let mut iter = table.iter(&read);
+        iter.seek_to_last();
+        let mut backward = 0;
+        while iter.valid() {
+            backward += 1;
+            iter.prev();
+        }
+        assert!(backward < 298 && is_corruption(iter.status()), "{backward}");
+
+        let get = |user: &str| {
+            let target = encode_internal_key(user.as_bytes(), u64::MAX >> 8, ValueType::Value);
+            table
+                .get(&read, &target)
+                .map(|found| found.map(|(_, value)| value))
+        };
+        assert!(is_corruption(get("k00003")));
+        assert_eq!(get("k00001").unwrap().unwrap(), b"v1");
+        assert_eq!(get("k00200").unwrap().unwrap(), b"v200");
     }
 
     /// A table file whose index block maps one key to `data`, behind a

@@ -241,12 +241,15 @@ fn allocations_per_get(db: &dyn KvStore, target: &[u8]) -> u64 {
 #[test]
 fn point_get_allocations_are_the_same_through_store_and_handle() {
     /// What one cached `get` allocates, on either engine: the lookup key
-    /// (framed once, for memtables and sstables alike), the key buffers of
-    /// the index-block and data-block iterators, and the value. It was 6
-    /// while each memtable probe framed the key again and `Table::get`
-    /// copied the found key for its caller to parse and drop; pinned
-    /// exactly, so that the next allocation to creep in shows.
-    const FORWARDED_ALLOCATIONS_PER_GET: u64 = 4;
+    /// (framed once, for memtables and sstables alike) and the value. The
+    /// found entry is parsed where it lies; key 0 starts a restart run, so
+    /// no prefix-compressed key is assembled either. It was 4 while the
+    /// index-block and data-block iterators each copied the keys they
+    /// passed into a buffer of their own, and 6 while each memtable probe
+    /// framed the key again and `Table::get` copied the found key for its
+    /// caller to parse and drop; pinned exactly, so that the next
+    /// allocation to creep in shows.
+    const FORWARDED_ALLOCATIONS_PER_GET: u64 = 2;
 
     let env = || -> Arc<dyn Env> { Arc::new(MemEnv::new()) };
     let flsm = PebblesDb::open_with_options(env(), Path::new("/get-flsm"), small_options());
@@ -295,11 +298,12 @@ fn uncached_stores(
 /// A `MemEnv` file hands out views of its own bytes, so a read whose block
 /// is in no cache allocates what a cached one does: the block costs neither
 /// a copy nor a shared handle. They were 6 per `get` and 19 / 17 per cursor
-/// (FLSM / LSM) while every block read was copied into a fresh buffer.
+/// (FLSM / LSM) while every block read was copied into a fresh buffer, and
+/// 4 and 15 / 13 while every block iterator copied its keys.
 #[test]
 fn uncached_reads_of_a_resident_file_allocate_no_block() {
-    const ALLOCATIONS_PER_GET: u64 = 4;
-    const ALLOCATIONS_PER_CURSOR: [u64; 2] = [15, 13];
+    const ALLOCATIONS_PER_GET: u64 = 2;
+    const ALLOCATIONS_PER_CURSOR: [u64; 2] = [11, 9];
 
     let stores = uncached_stores(|name| (Arc::new(MemEnv::new()), PathBuf::from("/").join(name)));
     for ((name, db), per_cursor) in stores.iter().zip(ALLOCATIONS_PER_CURSOR) {
@@ -314,11 +318,12 @@ fn uncached_reads_of_a_resident_file_allocate_no_block() {
 }
 
 /// A file that copies what it reads (here, a real disk) still pays only
-/// for the copy: the copy and the handle that owns it, as many allocations
-/// as the copy and its `Arc<Block>` made before blocks became views.
+/// for the copy: the copy and the handle that owns it, on top of a cached
+/// `get`'s lookup key and value. It was 6 while the block iterators copied
+/// their keys.
 #[test]
 fn an_uncached_get_through_a_copying_file_allocates_only_the_copy() {
-    const ALLOCATIONS_PER_GET: u64 = 6;
+    const ALLOCATIONS_PER_GET: u64 = 4;
 
     let root = std::env::temp_dir().join(format!("pebbles-alloc-{}", std::process::id()));
     let stores = uncached_stores(|name| {
@@ -335,6 +340,59 @@ fn an_uncached_get_through_a_copying_file_allocates_only_the_copy() {
     }
     drop(stores);
     let _ = DiskEnv::new().remove_dir_all(&root);
+}
+
+/// Mean allocations of a cursor that seeks and steps 50 times (the
+/// `range_scan` pattern) over a store holding one table of 2,000 entries
+/// cut into `block_size`-byte blocks.
+fn allocations_per_scan(engine: &str, block_size: usize) -> u64 {
+    let mut options = small_options();
+    options.write_buffer_size = 4 << 20;
+    options.block_size = block_size;
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let dir = Path::new("/scan");
+    let db: Box<dyn Db> = match engine {
+        "flsm" => Box::new(PebblesDb::open_with_options(env, dir, options).unwrap()),
+        _ => {
+            let preset = StorePreset::HyperLevelDb;
+            Box::new(LsmDb::open_with_options(env, dir, options, preset).unwrap())
+        }
+    };
+    for i in 0..2_000 {
+        db.put(&key(i), &[b'v'; 100]).unwrap();
+    }
+    db.flush().unwrap();
+    let scan = || {
+        let mut iter = db.iter(&ReadOptions::default()).unwrap();
+        iter.seek(&key(100));
+        for _ in 0..50 {
+            assert!(iter.valid());
+            iter.next();
+        }
+        assert!(iter.valid() && iter.status().is_ok());
+    };
+    for _ in 0..32 {
+        scan();
+    }
+    const ROUNDS: u64 = 64;
+    let before = ALLOCATIONS.with(Cell::get);
+    for _ in 0..ROUNDS {
+        scan();
+    }
+    (ALLOCATIONS.with(Cell::get) - before) / ROUNDS
+}
+
+/// A table cursor keeps one data-block iterator, key buffer and all, from
+/// block to block: a 50-step scan across some 25 blocks of 256 bytes
+/// allocates exactly what one inside a single 64 KiB block does. It cost
+/// one key buffer per block entered while each block got a fresh iterator.
+#[test]
+fn a_scan_across_blocks_allocates_what_one_inside_a_block_does() {
+    for engine in ["flsm", "lsm"] {
+        let across = allocations_per_scan(engine, 256);
+        let inside = allocations_per_scan(engine, 64 << 10);
+        assert_eq!(across, inside, "{engine}: allocations per 50-step scan");
+    }
 }
 
 /// Mean allocations of one single-key `put` into a memtable with room.
