@@ -38,8 +38,8 @@ pub use mongo::MongoLike;
 mod tests {
     use super::*;
     use parking_lot::Mutex;
+    use pebblesdb_common::iterator::{BytewiseOrder, VecIterator};
     use pebblesdb_common::snapshot::{Snapshot, SnapshotList};
-    use pebblesdb_common::user_iter::UserEntriesIterator;
     use pebblesdb_common::{
         Db, DbIterator, KvStore, PrefixDb, ReadOptions, Result, StoreStats, WriteBatch,
         WriteOptions,
@@ -92,7 +92,7 @@ mod tests {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect();
-            Ok(Box::new(UserEntriesIterator::new(entries)))
+            Ok(Box::new(VecIterator::<BytewiseOrder>::with_order(entries)))
         }
         fn snapshot(&self) -> Snapshot {
             self.snapshots

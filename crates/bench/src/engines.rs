@@ -188,7 +188,7 @@ pub fn open_env(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pebblesdb_common::CompressionType;
+    use pebblesdb_common::{CompressionType, NUM_LEVELS};
 
     const ALL: [EngineKind; 5] = [
         EngineKind::PebblesDb,
@@ -200,39 +200,61 @@ mod tests {
 
     /// `bench_suite` builds its stores from `scaled_options(_, 16)`, so these
     /// fields are `BENCHMARK.json`'s configuration: a refactor that moves one
-    /// moves the benchmark's numbers.
+    /// moves the benchmark's numbers. The destructuring names every field, so
+    /// a new option does not compile until its benchmark value is pinned here.
     #[test]
     fn the_benchmarks_store_configuration_is_pinned() {
-        for (kind, compaction_threads) in
-            [(EngineKind::PebblesDb, 2), (EngineKind::HyperLevelDb, 1)]
-        {
-            let o = scaled_options(kind, 16);
-            assert_eq!(o.write_buffer_size, 256 << 10, "{kind:?}");
-            assert_eq!(o.block_cache_capacity, 2 << 20);
-            assert_eq!(o.max_file_size, 256 << 10);
-            assert_eq!(o.base_level_bytes, 640 << 10);
-            assert_eq!(o.vlog_file_size, 4 << 20);
-            assert_eq!(o.block_size, 4096);
-            assert_eq!(o.bloom_bits_per_key, 10);
-            assert_eq!(o.max_open_files, 8192);
-            assert_eq!(o.max_levels, 7);
+        assert_eq!(NUM_LEVELS, 7);
+        for (kind, threads) in [(EngineKind::PebblesDb, 2), (EngineKind::HyperLevelDb, 1)] {
+            let StoreOptions {
+                paranoid_checks,
+                write_buffer_size,
+                block_size,
+                block_cache_capacity,
+                max_open_files,
+                bloom_bits_per_key,
+                level0_compaction_trigger,
+                level0_slowdown_writes_trigger,
+                level0_stop_writes_trigger,
+                max_file_size,
+                base_level_bytes,
+                compaction_threads,
+                value_separation_threshold,
+                vlog_file_size,
+                compression,
+                counters: _,
+                max_sstables_per_guard,
+                top_level_bits,
+                bit_decrement,
+                seek_compaction_threshold,
+                parallel_seek_threads,
+                enable_aggressive_compaction,
+            } = scaled_options(kind, 16);
+            assert!(!paranoid_checks);
+            assert_eq!(write_buffer_size, 256 << 10, "{kind:?}");
+            assert_eq!(block_cache_capacity, 2 << 20);
+            assert_eq!(max_file_size, 256 << 10);
+            assert_eq!(base_level_bytes, 640 << 10);
+            assert_eq!(vlog_file_size, 4 << 20);
+            assert_eq!(block_size, 4096);
+            assert_eq!(bloom_bits_per_key, 10);
+            assert_eq!(max_open_files, 8192);
             assert_eq!(
                 (
-                    o.level0_compaction_trigger,
-                    o.level0_slowdown_writes_trigger,
-                    o.level0_stop_writes_trigger
+                    level0_compaction_trigger,
+                    level0_slowdown_writes_trigger,
+                    level0_stop_writes_trigger
                 ),
                 (4, 8, 12)
             );
-            assert_eq!((o.top_level_bits, o.bit_decrement), (14, 2));
-            assert_eq!(o.max_sstables_per_guard, 8);
-            assert_eq!(o.seek_compaction_threshold, 10);
-            assert!(o.enable_aggressive_compaction);
-            assert_eq!(o.parallel_seek_threads, 1);
-            assert_eq!(o.compaction_threads, compaction_threads, "{kind:?}");
-            assert_eq!(o.value_separation_threshold, 0);
-            assert_eq!(o.compression, CompressionType::None);
-            assert!(o.compression_per_level.is_empty());
+            assert_eq!((top_level_bits, bit_decrement), (14, 2));
+            assert_eq!(max_sstables_per_guard, 8);
+            assert_eq!(seek_compaction_threshold, 10);
+            assert!(enable_aggressive_compaction);
+            assert_eq!(parallel_seek_threads, 1);
+            assert_eq!(compaction_threads, threads, "{kind:?}");
+            assert_eq!(value_separation_threshold, 0);
+            assert_eq!(compression, CompressionType::None);
         }
     }
 

@@ -701,8 +701,8 @@ crate::store_views!(PrefixDb => |db| &db.core);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iterator::{BytewiseOrder, VecIterator};
     use crate::snapshot::SnapshotList;
-    use crate::user_iter::UserEntriesIterator;
 
     /// A sorted in-memory store with enough behaviour for the emulation.
     #[derive(Default)]
@@ -744,7 +744,7 @@ mod tests {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect();
-            Ok(Box::new(UserEntriesIterator::new(entries)))
+            Ok(Box::new(VecIterator::<BytewiseOrder>::with_order(entries)))
         }
         fn snapshot(&self) -> Snapshot {
             self.snapshots.acquire(0)

@@ -12,8 +12,8 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// The variants mirror the status codes of LevelDB-family stores: IO errors
 /// bubble up from the [`Env`](https://docs.rs/pebblesdb-env) layer,
 /// `Corruption` indicates on-disk data failed a checksum or format check, and
-/// `InvalidArgument` flags caller mistakes (for example opening a database
-/// directory that does not exist with `create_if_missing = false`).
+/// `InvalidArgument` flags caller mistakes (for example writing to a column
+/// family that was dropped).
 #[derive(Debug, Clone)]
 pub enum Error {
     /// The requested key was not found.

@@ -59,30 +59,42 @@ pub trait DbIterator {
     }
 }
 
-/// An iterator over an in-memory, already-sorted list of entries.
+/// An iterator over an in-memory list of entries already sorted by `O`.
 ///
-/// Used by tests and by small metadata structures (for example the list of
-/// level files fed into a concatenating iterator).
-#[derive(Debug, Clone)]
-pub struct VecIterator {
+/// Used by tests and by simple stores that materialise their view up front
+/// (with [`BytewiseOrder`] they surface plain user keys).
+pub struct VecIterator<O = InternalKeyOrder> {
     entries: Vec<(Vec<u8>, Vec<u8>)>,
     /// `entries.len()` means "not positioned / exhausted".
     index: usize,
+    order: PhantomData<O>,
 }
 
 impl VecIterator {
     /// Creates an iterator over `entries`, which must already be sorted by
     /// internal key.
     pub fn new(entries: Vec<(Vec<u8>, Vec<u8>)>) -> Self {
-        debug_assert!(entries
-            .windows(2)
-            .all(|w| compare_internal_keys(&w[0].0, &w[1].0) != Ordering::Greater));
-        let index = entries.len();
-        VecIterator { entries, index }
+        VecIterator::with_order(entries)
     }
 }
 
-impl DbIterator for VecIterator {
+impl<O: KeyOrder> VecIterator<O> {
+    /// Creates an iterator over `entries`, which must already be sorted by
+    /// `O`.
+    pub fn with_order(entries: Vec<(Vec<u8>, Vec<u8>)>) -> Self {
+        debug_assert!(entries
+            .windows(2)
+            .all(|w| O::compare(&w[0].0, &w[1].0) != Ordering::Greater));
+        let index = entries.len();
+        VecIterator {
+            entries,
+            index,
+            order: PhantomData,
+        }
+    }
+}
+
+impl<O: KeyOrder> DbIterator for VecIterator<O> {
     fn valid(&self) -> bool {
         self.index < self.entries.len()
     }
@@ -101,7 +113,7 @@ impl DbIterator for VecIterator {
     fn seek(&mut self, target: &[u8]) {
         self.index = self
             .entries
-            .partition_point(|(k, _)| compare_internal_keys(k, target) == Ordering::Less);
+            .partition_point(|(k, _)| O::compare(k, target) == Ordering::Less);
     }
 
     fn next(&mut self) {
@@ -127,7 +139,8 @@ impl DbIterator for VecIterator {
     }
 }
 
-/// A total order on the keys a [`MergingIterator`] merges. Implementors are
+/// A total order on the keys a [`MergingIterator`] merges or a
+/// [`VecIterator`] holds. Implementors are
 /// zero-sized: the order is a type, so every comparison is a direct call.
 pub trait KeyOrder {
     /// Compares two keys.
@@ -409,6 +422,25 @@ mod tests {
         assert_eq!(crate::key::extract_user_key(iter.key()), b"c");
         iter.seek(&encode_internal_key(b"f", u64::MAX >> 8, ValueType::Value));
         assert!(!iter.valid());
+    }
+
+    #[test]
+    fn vec_iterator_in_bytewise_order_is_a_plain_cursor() {
+        let mut iter = VecIterator::<BytewiseOrder>::with_order(vec![
+            (b"a".to_vec(), b"1".to_vec()),
+            (b"c".to_vec(), b"3".to_vec()),
+        ]);
+        assert!(!iter.valid());
+        iter.seek(b"b");
+        assert_eq!(iter.key(), b"c");
+        iter.seek_to_first();
+        assert_eq!(iter.key(), b"a");
+        iter.next();
+        assert_eq!(iter.key(), b"c");
+        iter.prev();
+        assert_eq!(iter.key(), b"a");
+        iter.seek_to_last();
+        assert_eq!(iter.key(), b"c");
     }
 
     #[test]

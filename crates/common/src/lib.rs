@@ -53,11 +53,13 @@ pub use commit::{CommitGroup, CommitQueue, GroupKind, Numbering, Role, Ticket};
 pub use error::{Error, Result};
 pub use iterator::DbIterator;
 pub use key::{InternalKey, ParsedInternalKey, SequenceNumber, ValueType, MAX_SEQUENCE_NUMBER};
-pub use options::{CompressionType, ReadOptions, StoreOptions, StorePreset, WriteOptions};
+pub use options::{
+    CompressionType, ReadOptions, StoreOptions, StorePreset, WriteOptions, NUM_LEVELS,
+};
 pub use replication::{ChangeEvent, ChangeStream, ReplicationFrame};
 pub use resp::{RespCodec, RespLimits, RespValue};
 pub use snapshot::{Snapshot, SnapshotList};
 pub use stats::{MergeRule, StatField, StatUnit};
 pub use store::{EngineCounters, KvStore, StoreStats};
-pub use user_iter::{UserEntriesIterator, UserIterator};
+pub use user_iter::UserIterator;
 pub use vlog::{LookupValue, ValuePointer, ValueResolver};

@@ -85,16 +85,17 @@ impl StorePreset {
 /// family's 10x).
 const LEVEL_SIZE_MULTIPLIER: u64 = 10;
 
+/// Number of on-disk levels of an LSM store (level 0 included), LevelDB's
+/// seven.
+pub const NUM_LEVELS: usize = 7;
+
 /// Configuration shared by every engine in the workspace.
 ///
 /// The FLSM-specific knobs (`max_sstables_per_guard`, guard-selection bits,
 /// parallel seeks, ...) are ignored by the baseline LSM and B+Tree engines.
+/// Opening a store creates its directory when it does not exist.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
-    /// Create the database directory if it does not exist.
-    pub create_if_missing: bool,
-    /// Fail `open` if the database already exists.
-    pub error_if_exists: bool,
     /// Verify checksums and fail loudly on any sign of corruption.
     pub paranoid_checks: bool,
 
@@ -112,8 +113,6 @@ pub struct StoreOptions {
     /// Bits per key for the sstable-level bloom filter (0 disables filters).
     pub bloom_bits_per_key: usize,
 
-    /// Number of on-disk levels (level 0 included).
-    pub max_levels: usize,
     /// Number of level-0 files that triggers a compaction.
     pub level0_compaction_trigger: usize,
     /// Number of level-0 files at which writes are throttled.
@@ -158,36 +157,12 @@ pub struct StoreOptions {
     /// collection.
     pub vlog_file_size: usize,
 
-    /// Closed WAL segments kept for change streams beyond what the column
-    /// families still need for recovery.
-    ///
-    /// `0` (the default) keeps only the newest closed segment that holds
-    /// history, so a stream attaching just after a flush finds the recent
-    /// past — but a **live** stream pins every segment its cursor still
-    /// needs, without bound, so an attached follower never loses history.
-    /// `N > 0` always keeps the newest `N` closed segments (so a follower
-    /// can resume across a restart of this store) **and** caps stream
-    /// pinning at those `N` segments: a stream lagging past the cap has its
-    /// history reclaimed and gets a `SequenceTruncated` error instead of
-    /// stalling GC forever.
-    pub cdc_wal_retain_segments: usize,
-
-    /// Codec for sstable data/index blocks and separated vlog values.
-    ///
-    /// Applies uniformly to every level unless
-    /// [`StoreOptions::compression_per_level`] overrides it. Whatever the
-    /// setting, blocks whose compressed form saves less than ~12.5% are
-    /// stored raw (tag 0), and readers always dispatch on the per-block tag
-    /// — so mixing settings across restarts of one store is safe.
+    /// Codec for sstable data/index blocks and separated vlog values, at
+    /// every level. Whatever the setting, blocks whose compressed form saves
+    /// less than ~12.5% are stored raw (tag 0), and readers always dispatch
+    /// on the per-block tag — so mixing settings across restarts of one
+    /// store is safe.
     pub compression: CompressionType,
-    /// RocksDB-style per-level override of [`StoreOptions::compression`]:
-    /// entry `i` is the codec for sstables written to level `i`. Empty (the
-    /// default) means `compression` applies everywhere; levels at or beyond
-    /// the last entry use the last entry (so `[None, None, Lz]` keeps the
-    /// young, hot levels raw for flush latency and compresses level 2 and
-    /// deeper). Vlog values always follow `compression` — they have no
-    /// level.
-    pub compression_per_level: Vec<CompressionType>,
     /// The stat sink of the store these options configure: table builders,
     /// block readers and vlog appenders reach the store's counters through
     /// it. Clones share the `Arc` (that is how one store aggregates across
@@ -218,8 +193,6 @@ pub struct StoreOptions {
 impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
-            create_if_missing: true,
-            error_if_exists: false,
             paranoid_checks: false,
 
             write_buffer_size: 4 << 20,
@@ -228,7 +201,6 @@ impl Default for StoreOptions {
             max_open_files: 1000,
             bloom_bits_per_key: 10,
 
-            max_levels: 7,
             level0_compaction_trigger: 4,
             level0_slowdown_writes_trigger: 8,
             level0_stop_writes_trigger: 12,
@@ -239,10 +211,7 @@ impl Default for StoreOptions {
             value_separation_threshold: 0,
             vlog_file_size: 64 << 20,
 
-            cdc_wal_retain_segments: 0,
-
             compression: CompressionType::None,
-            compression_per_level: Vec::new(),
             counters: Arc::default(),
 
             max_sstables_per_guard: 8,
@@ -315,26 +284,6 @@ impl StoreOptions {
             size = size.saturating_mul(LEVEL_SIZE_MULTIPLIER);
         }
         size
-    }
-
-    /// The codec for sstables written to `level`: the matching
-    /// [`StoreOptions::compression_per_level`] entry when one is set (levels
-    /// past the end use the last entry), otherwise
-    /// [`StoreOptions::compression`].
-    pub fn compression_for_level(&self, level: usize) -> CompressionType {
-        match self.compression_per_level.as_slice() {
-            [] => self.compression,
-            tiers => tiers[level.min(tiers.len() - 1)],
-        }
-    }
-
-    /// Number of trailing set bits a key hash needs to become a guard at
-    /// `level` (levels are 1-based for guards; level 0 has no guards).
-    pub fn guard_bits_for_level(&self, level: usize) -> u32 {
-        let relax = self
-            .bit_decrement
-            .saturating_mul(level.saturating_sub(1) as u32);
-        self.top_level_bits.saturating_sub(relax).max(1)
     }
 }
 
@@ -413,45 +362,11 @@ mod tests {
     }
 
     #[test]
-    fn guard_bits_relax_with_depth() {
-        let opts = StoreOptions::default();
-        let l1 = opts.guard_bits_for_level(1);
-        let l2 = opts.guard_bits_for_level(2);
-        let l3 = opts.guard_bits_for_level(3);
-        assert_eq!(l1, opts.top_level_bits);
-        assert_eq!(l1 - l2, opts.bit_decrement);
-        assert_eq!(l2 - l3, opts.bit_decrement);
-        // Never relaxes to zero bits.
-        assert!(opts.guard_bits_for_level(100) >= 1);
-    }
-
-    #[test]
     fn scale_down_preserves_floors() {
         let opts = StoreOptions::default().scale_down(1_000_000);
         assert!(opts.write_buffer_size >= 32 << 10);
         assert!(opts.max_file_size >= 32 << 10);
         assert!(opts.base_level_bytes >= 128 << 10);
-    }
-
-    #[test]
-    fn per_level_compression_tiers_resolve_with_last_entry_extension() {
-        let mut opts = StoreOptions::default();
-        assert_eq!(opts.compression_for_level(0), CompressionType::None);
-
-        opts.compression = CompressionType::Lz;
-        assert_eq!(opts.compression_for_level(0), CompressionType::Lz);
-        assert_eq!(opts.compression_for_level(6), CompressionType::Lz);
-
-        // Young levels raw, level 2 and deeper compressed.
-        opts.compression_per_level = vec![
-            CompressionType::None,
-            CompressionType::None,
-            CompressionType::Lz,
-        ];
-        assert_eq!(opts.compression_for_level(0), CompressionType::None);
-        assert_eq!(opts.compression_for_level(1), CompressionType::None);
-        assert_eq!(opts.compression_for_level(2), CompressionType::Lz);
-        assert_eq!(opts.compression_for_level(6), CompressionType::Lz);
     }
 
     #[test]

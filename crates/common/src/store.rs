@@ -350,8 +350,8 @@ pub trait KvStore: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iterator::{BytewiseOrder, VecIterator};
     use crate::snapshot::SnapshotList;
-    use crate::user_iter::UserEntriesIterator;
     use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex};
 
@@ -427,7 +427,7 @@ mod tests {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect();
-            Ok(Box::new(UserEntriesIterator::new(entries)))
+            Ok(Box::new(VecIterator::<BytewiseOrder>::with_order(entries)))
         }
         fn snapshot(&self) -> Snapshot {
             self.snapshots.acquire(0)

@@ -335,71 +335,6 @@ fn extract_user_key_checked(internal_key: &[u8]) -> &[u8] {
     crate::key::extract_user_key(internal_key)
 }
 
-/// A user-level cursor over an already-resolved, sorted entry list.
-///
-/// Unlike [`VecIterator`](crate::iterator::VecIterator) the keys here are
-/// plain user keys compared bytewise. Useful for simple stores and tests
-/// that materialise their view up front but still speak the cursor API.
-#[derive(Debug, Clone, Default)]
-pub struct UserEntriesIterator {
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
-    /// `entries.len()` means "not positioned / exhausted".
-    index: usize,
-}
-
-impl UserEntriesIterator {
-    /// Creates a cursor over `entries`, which must be sorted by key.
-    pub fn new(entries: Vec<(Vec<u8>, Vec<u8>)>) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 <= w[1].0));
-        let index = entries.len();
-        UserEntriesIterator { entries, index }
-    }
-}
-
-impl DbIterator for UserEntriesIterator {
-    fn valid(&self) -> bool {
-        self.index < self.entries.len()
-    }
-
-    fn seek_to_first(&mut self) {
-        self.index = 0;
-    }
-
-    fn seek_to_last(&mut self) {
-        self.index = if self.entries.is_empty() {
-            0
-        } else {
-            self.entries.len() - 1
-        };
-    }
-
-    fn seek(&mut self, target: &[u8]) {
-        self.index = self.entries.partition_point(|(k, _)| k.as_slice() < target);
-    }
-
-    fn next(&mut self) {
-        assert!(self.valid(), "next() on invalid iterator");
-        self.index += 1;
-    }
-
-    fn prev(&mut self) {
-        assert!(self.valid(), "prev() on invalid iterator");
-        if self.index == 0 {
-            self.index = self.entries.len();
-        } else {
-            self.index -= 1;
-        }
-    }
-
-    fn key(&self) -> &[u8] {
-        &self.entries[self.index].0
-    }
-
-    fn value(&self) -> &[u8] {
-        &self.entries[self.index].1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -671,24 +606,5 @@ mod tests {
         iter.seek_to_first();
         assert!(!iter.valid());
         assert!(iter.status().is_err());
-    }
-
-    #[test]
-    fn user_entries_iterator_is_a_plain_cursor() {
-        let mut iter = UserEntriesIterator::new(vec![
-            (b"a".to_vec(), b"1".to_vec()),
-            (b"c".to_vec(), b"3".to_vec()),
-        ]);
-        assert!(!iter.valid());
-        iter.seek(b"b");
-        assert_eq!(iter.key(), b"c");
-        iter.seek_to_first();
-        assert_eq!(iter.key(), b"a");
-        iter.next();
-        assert_eq!(iter.key(), b"c");
-        iter.prev();
-        assert_eq!(iter.key(), b"a");
-        iter.seek_to_last();
-        assert_eq!(iter.key(), b"c");
     }
 }

@@ -321,7 +321,7 @@ mod tests {
     use pebblesdb_common::filename::table_file_name;
     use pebblesdb_common::iterator::DbIterator;
     use pebblesdb_common::key::{encode_internal_key, parse_internal_key, ValueType};
-    use pebblesdb_common::ReadOptions;
+    use pebblesdb_common::{ReadOptions, NUM_LEVELS};
     use pebblesdb_engine::runs::merge_to_tables;
     use pebblesdb_engine::{EngineIo, FileMetaDataEdit, FileNumbers, VersionEdit, VersionShape};
     use pebblesdb_env::{Env, MemEnv};
@@ -393,7 +393,7 @@ mod tests {
             &options,
             0,
             CompactionReason::Level0Files,
-            &UncommittedGuards::new(options.max_levels),
+            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &BTreeSet::new(),
             1,
@@ -442,7 +442,7 @@ mod tests {
             &options,
             0,
             CompactionReason::Level0Files,
-            &UncommittedGuards::new(options.max_levels),
+            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &BTreeSet::new(),
             1,
@@ -501,19 +501,19 @@ mod tests {
         let db = PathBuf::from("/flsm-last");
         env.create_dir_all(&db).unwrap();
         let options = StoreOptions::default();
-        let last = options.max_levels - 1;
+        let last = NUM_LEVELS - 1;
 
         let f1 = write_table(&env, &db, &options, 40, &[("a", 1), ("b", 2)]);
         let mut edit = VersionEdit::default();
         edit.new_files.push((last, f1));
-        let version = FlsmVersion::empty(options.max_levels).apply(&edit).unwrap();
+        let version = FlsmVersion::empty(NUM_LEVELS).apply(&edit).unwrap();
 
         let job = build_compaction_job(
             &version,
             &options,
             last,
             CompactionReason::GuardFanout,
-            &UncommittedGuards::new(options.max_levels),
+            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &BTreeSet::new(),
             1,
@@ -615,7 +615,7 @@ mod tests {
             &options,
             1,
             CompactionReason::GuardFanout,
-            &UncommittedGuards::new(options.max_levels),
+            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &claimed,
             2,
@@ -628,7 +628,7 @@ mod tests {
             &options,
             1,
             CompactionReason::GuardFanout,
-            &UncommittedGuards::new(options.max_levels),
+            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &claimed,
             2,
@@ -646,7 +646,7 @@ mod tests {
             &options,
             1,
             CompactionReason::GuardFanout,
-            &UncommittedGuards::new(options.max_levels),
+            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &claimed,
             2,
@@ -673,7 +673,7 @@ mod tests {
             &options,
             0,
             CompactionReason::Level0Files,
-            &UncommittedGuards::new(options.max_levels),
+            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &claimed,
             4,
@@ -690,7 +690,7 @@ mod tests {
         db: &Path,
         options: &StoreOptions,
     ) -> FlsmVersion {
-        let last = options.max_levels - 1;
+        let last = NUM_LEVELS - 1;
         let f_a = write_table(env, db, options, 70, &[("a", 1)]);
         let f_b = write_table(env, db, options, 73, &[("c", 5)]);
         let path = table_file_name(db, 71);
@@ -721,7 +721,7 @@ mod tests {
         edit.new_files.push((last, f_b));
         edit.new_files.push((last, f_span));
         edit.new_files.push((last, f_n_old));
-        FlsmVersion::empty(options.max_levels).apply(&edit).unwrap()
+        FlsmVersion::empty(NUM_LEVELS).apply(&edit).unwrap()
     }
 
     /// A file spanning two guards welds them into one compaction component:
@@ -737,7 +737,7 @@ mod tests {
         let db = PathBuf::from("/flsm-component");
         env.create_dir_all(&db).unwrap();
         let io = io_for(&env, &db, &options);
-        let last = options.max_levels - 1;
+        let last = NUM_LEVELS - 1;
         let version = spanning_tombstone_version(&env, &db, &options);
 
         let job = build_compaction_job(
@@ -745,7 +745,7 @@ mod tests {
             &options,
             last,
             CompactionReason::GuardFanout,
-            &UncommittedGuards::new(options.max_levels),
+            &UncommittedGuards::new(NUM_LEVELS),
             1_000, // every sequence is below the snapshot floor
             &BTreeSet::new(),
             1,
@@ -792,7 +792,7 @@ mod tests {
         let db = PathBuf::from("/flsm-tomb");
         env.create_dir_all(&db).unwrap();
         let io = io_for(&env, &db, &options);
-        let last = options.max_levels - 1;
+        let last = NUM_LEVELS - 1;
         let version = spanning_tombstone_version(&env, &db, &options);
 
         // Hand-build a job covering only the sentinel guard's own files plus

@@ -14,7 +14,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pebblesdb_common::{KvStore, Result, StoreOptions, StorePreset};
+use pebblesdb_common::{KvStore, Result, StoreOptions, StorePreset, NUM_LEVELS};
 use pebblesdb_engine::{CompactionJob, EngineDb, PolicyCtx, ShapePolicy};
 use pebblesdb_env::Env;
 
@@ -80,7 +80,7 @@ impl ShapePolicy for FlsmPolicy {
 
     fn new_state(&self) -> FlsmPolicyState {
         FlsmPolicyState {
-            uncommitted_guards: UncommittedGuards::new(self.options.max_levels),
+            uncommitted_guards: UncommittedGuards::new(NUM_LEVELS),
             seek_compaction_pending: false,
         }
     }

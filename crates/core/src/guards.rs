@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use pebblesdb_common::hash::murmur3_32;
 use pebblesdb_common::key::compare_internal_keys;
-use pebblesdb_common::StoreOptions;
+use pebblesdb_common::{StoreOptions, NUM_LEVELS};
 use pebblesdb_engine::FileMetaData;
 
 /// Seed used for guard-selection hashing (fixed so guard placement is stable
@@ -31,7 +31,6 @@ const GUARD_HASH_SEED: u32 = 0x9747_b28c;
 pub struct GuardPicker {
     top_level_bits: u32,
     bit_decrement: u32,
-    max_levels: usize,
 }
 
 impl GuardPicker {
@@ -40,14 +39,15 @@ impl GuardPicker {
         GuardPicker {
             top_level_bits: options.top_level_bits,
             bit_decrement: options.bit_decrement,
-            max_levels: options.max_levels,
         }
     }
 
     /// Number of trailing set bits required to be a guard at `level`
     /// (levels are 1-based; level 0 has no guards).
     pub fn required_bits(&self, level: usize) -> u32 {
-        let relax = self.bit_decrement * (level.saturating_sub(1)) as u32;
+        let relax = self
+            .bit_decrement
+            .saturating_mul(level.saturating_sub(1) as u32);
         self.top_level_bits.saturating_sub(relax).max(1)
     }
 
@@ -58,7 +58,7 @@ impl GuardPicker {
     /// level `i` is automatically a guard at every level `> i`.
     pub fn guard_level(&self, key: &[u8]) -> Option<usize> {
         let ones = murmur3_32(key, GUARD_HASH_SEED).trailing_ones();
-        (1..self.max_levels).find(|&level| ones >= self.required_bits(level))
+        (1..NUM_LEVELS).find(|&level| ones >= self.required_bits(level))
     }
 }
 
@@ -179,27 +179,28 @@ pub fn guard_index_for_key(guard_keys: &[Vec<u8>], user_key: &[u8]) -> usize {
 mod tests {
     use super::*;
 
-    fn picker(top: u32, dec: u32, levels: usize) -> GuardPicker {
+    fn picker(top: u32, dec: u32) -> GuardPicker {
         let mut opts = StoreOptions::default();
         opts.top_level_bits = top;
         opts.bit_decrement = dec;
-        opts.max_levels = levels;
         GuardPicker::new(&opts)
     }
 
     #[test]
     fn required_bits_relax_with_depth_but_never_hit_zero() {
-        let p = picker(10, 2, 7);
+        let p = picker(10, 2);
         assert_eq!(p.required_bits(1), 10);
         assert_eq!(p.required_bits(2), 8);
         assert_eq!(p.required_bits(3), 6);
         assert_eq!(p.required_bits(6), 1);
         assert!(p.required_bits(100) >= 1);
+        // A huge decrement saturates instead of overflowing.
+        assert_eq!(picker(10, u32::MAX).required_bits(3), 1);
     }
 
     #[test]
     fn guard_levels_form_a_skip_list_distribution() {
-        let p = picker(12, 2, 7);
+        let p = picker(12, 2);
         let n = 200_000u32;
         let mut counts = [0usize; 7];
         for i in 0..n {
@@ -227,7 +228,7 @@ mod tests {
 
     #[test]
     fn guard_selection_is_deterministic() {
-        let p = picker(8, 2, 7);
+        let p = picker(8, 2);
         for i in 0..1000 {
             let key = format!("key{i}");
             assert_eq!(p.guard_level(key.as_bytes()), p.guard_level(key.as_bytes()));

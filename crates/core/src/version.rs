@@ -202,10 +202,10 @@ pub enum CompactionReason {
 impl VersionShape for FlsmVersion {
     type Runs = FlsmLevel;
 
-    fn empty(max_levels: usize) -> Self {
+    fn empty(levels: usize) -> Self {
         FlsmVersion {
             level0: Vec::new(),
-            levels: (0..max_levels).map(|_| FlsmLevel::empty()).collect(),
+            levels: (0..levels).map(|_| FlsmLevel::empty()).collect(),
         }
     }
 
@@ -344,6 +344,7 @@ impl VersionShape for FlsmVersion {
 mod tests {
     use super::*;
     use pebblesdb_common::key::{InternalKey, ValueType};
+    use pebblesdb_common::NUM_LEVELS;
     use pebblesdb_engine::version_set::version_files;
     use pebblesdb_engine::{FileMetaDataEdit, LevelTable};
     use rand::rngs::StdRng;
@@ -702,7 +703,7 @@ mod tests {
         for n in 30..33 {
             edit.new_files.push((2, file_edit(n, "k", "p")));
         }
-        let version = FlsmVersion::empty(opts.max_levels).apply(&edit).unwrap();
+        let version = FlsmVersion::empty(NUM_LEVELS).apply(&edit).unwrap();
 
         let rows = LevelTable::of(&version);
         assert_eq!(
@@ -723,7 +724,7 @@ mod tests {
         opts.max_sstables_per_guard = 2;
         opts.base_level_bytes = 2500;
         opts.enable_aggressive_compaction = false;
-        let version = FlsmVersion::empty(opts.max_levels);
+        let version = FlsmVersion::empty(NUM_LEVELS);
         assert!(!version.needs_compaction(&LevelTable::of(&version), &opts));
         let first_candidate = |version: &FlsmVersion| {
             let candidates = compaction_candidates(&LevelTable::of(version), &opts);

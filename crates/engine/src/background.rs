@@ -243,8 +243,8 @@ impl<P: ShapePolicy> EngineCore<P> {
     /// family's unlinked tables that no version, cursor or job can read (a
     /// deleted table's reader goes with its last `Arc`), and the WAL
     /// segments the change log lets go of. A segment survives until every
-    /// family's flushed state covers it **and** no change-stream cursor (or
-    /// the follower-restart retention window) still needs it — the change
+    /// family's flushed state covers it **and** no change-stream cursor
+    /// still needs it — the change
     /// log turns segments a cursor can no longer reach into an explicit
     /// `SequenceTruncated`, never a silently unreadable gap. No directory is
     /// listed here: what a crash leaves behind is the open sweep's.

@@ -77,9 +77,6 @@ pub struct ChangeLog {
     /// Signalled by a publish when cursors exist; streams at the frontier
     /// wait here.
     data_ready: Condvar,
-    /// Closed-segment retention cap (see
-    /// `StoreOptions::cdc_wal_retain_segments`).
-    retain_segments: usize,
 }
 
 impl ChangeLog {
@@ -89,7 +86,6 @@ impl ChangeLog {
     /// earlier is in the surviving closed segments, bounded below by the
     /// oldest one.
     pub fn new(
-        retain_segments: usize,
         births: BTreeMap<u64, SequenceNumber>,
         current_log: u64,
         last_sequence: SequenceNumber,
@@ -108,7 +104,6 @@ impl ChangeLog {
                 next_cursor_id: 1,
             }),
             data_ready: Condvar::new(),
-            retain_segments,
         }
     }
 
@@ -179,35 +174,25 @@ impl ChangeLog {
     }
 
     /// Lets go of the WAL segments below the oldest one still needed — by
-    /// the column-family floors (`cf_min_log`), the retention cap or a
-    /// registered cursor — and returns them, oldest first, for the caller to
-    /// delete. Also the **commit point of truncation**: their births are
-    /// forgotten and the truncated floor advances, so callers must actually
-    /// treat the returned segments as deleted.
+    /// the column-family floors (`cf_min_log`) or a registered cursor — and
+    /// returns them, oldest first, for the caller to delete. Also the
+    /// **commit point of truncation**: their births are forgotten and the
+    /// truncated floor advances, so callers must actually treat the returned
+    /// segments as deleted.
     ///
     /// * The newest closed segment that holds history is always kept, as if
     ///   a cursor sat on its last sequence: a stream or follower attaching
     ///   just after a flush still finds the recent past.
-    /// * With no retention cap (`cdc_wal_retain_segments == 0`) a live
-    ///   cursor pins every closed segment its position still needs, without
-    ///   bound.
-    /// * With a cap of `N`, the newest `N` closed segments are always kept —
-    ///   even below the family floors, so a follower can resume across a
-    ///   restart — and cursors get **at most** that window: one that lags
-    ///   past it is truncated rather than stalling reclamation forever.
+    /// * A live cursor pins every closed segment its position still needs,
+    ///   without bound; once it is dropped, a cursor that would resume below
+    ///   the new floor gets `SequenceTruncated`.
     pub fn reclaim_wal_segments(&self, cf_min_log: u64) -> Vec<u64> {
         let mut inner = self.inner.lock();
         let live = inner.frontier.log_number;
         let opened_at = inner.births.get(&live).copied().unwrap_or(0);
         let mut floor = cf_min_log.min(segment_floor_for(&inner.births, live, opened_at));
-        if self.retain_segments == 0 {
-            for &seq in inner.cursors.values() {
-                floor = floor.min(segment_floor_for(&inner.births, live, seq));
-            }
-        } else {
-            // The Nth newest closed segment, or the oldest of fewer.
-            let closed = inner.births.range(..live).rev().map(|(&log, _)| log);
-            floor = floor.min(closed.take(self.retain_segments).last().unwrap_or(floor));
+        for &seq in inner.cursors.values() {
+            floor = floor.min(segment_floor_for(&inner.births, live, seq));
         }
         // Segments below the floor are about to disappear; record what that
         // makes unreadable. The oldest *surviving* segment's birth is the
@@ -286,8 +271,8 @@ fn segment_floor_for(
 /// consumer sees exactly the user data — it never needs this store's value
 /// log. While alive the stream pins what its cursor can still reach:
 ///
-/// * the WAL segments at or past the cursor (until the retention cap says
-///   otherwise), through its registered change-log cursor, and
+/// * the WAL segments at or past the cursor, through its registered
+///   change-log cursor, and
 /// * the value-log files the cursor's sequence can reference, through a
 ///   sliding `cursor_pins` sequence pin.
 ///
@@ -383,7 +368,7 @@ impl<P: ShapePolicy> ChangeStream for EngineChangeStream<P> {
                     self.segment = core.change_log.segment_for(self.next_seq, self.segment)?;
                     let path = log_file_name(&core.io.db_path, self.segment);
                     // An open fails when the segment was reclaimed since the
-                    // lookup (the retention cap outran this cursor).
+                    // lookup.
                     let file = core.io.env.new_sequential_file(&path).map_err(|_| {
                         let floor = core.change_log.truncated_floor();
                         Error::sequence_truncated(self.next_seq, floor)
@@ -444,9 +429,9 @@ impl<P: ShapePolicy> Drop for EngineChangeStream<P> {
 mod tests {
     use super::*;
 
-    fn fresh(retain: usize) -> ChangeLog {
+    fn fresh() -> ChangeLog {
         // A store opened empty: fresh segment 2, nothing committed.
-        ChangeLog::new(retain, BTreeMap::from([(2, 0)]), 2, 0)
+        ChangeLog::new(BTreeMap::from([(2, 0)]), 2, 0)
     }
 
     fn at(log_number: u64, log_len: u64, last_seq: u64) -> Frontier {
@@ -459,7 +444,7 @@ mod tests {
 
     #[test]
     fn frontier_moves_with_publish_and_rotation_and_wakes_a_waiter() {
-        let log = Arc::new(fresh(0));
+        let log = Arc::new(fresh());
         assert_eq!(log.frontier(), at(2, 0, 0));
         log.publish(at(2, 40, 3));
         assert_eq!(log.frontier(), at(2, 40, 3));
@@ -483,7 +468,7 @@ mod tests {
 
     #[test]
     fn a_cursor_walks_segments_from_the_oldest_it_needs_to_the_live_one() {
-        let log = fresh(0);
+        let log = fresh();
         log.note_rotation(3, 10);
         log.note_rotation(4, 20);
         // From the start: every segment, in order, ending at the live one.
@@ -503,7 +488,7 @@ mod tests {
     #[test]
     fn reclaim_floor_pins_for_cursors_without_a_cap() {
         let rotated_twice = || {
-            let log = fresh(0);
+            let log = fresh();
             log.note_rotation(3, 10);
             log.note_rotation(4, 20);
             log
@@ -533,49 +518,10 @@ mod tests {
     }
 
     #[test]
-    fn retention_cap_keeps_a_window_and_truncates_laggards() {
-        let log = fresh(2);
-        log.publish(at(2, 10, 10));
-        log.note_rotation(3, 10);
-        log.publish(at(3, 10, 20));
-        log.note_rotation(4, 20);
-        log.publish(at(4, 10, 30));
-        log.note_rotation(5, 30);
-        let cursor = log.register(1).unwrap();
-        // Closed segments: 2, 3, 4. Cap 2 keeps {3, 4} even though the
-        // cursor would need 2 — and even though the families only need 5.
-        assert_eq!(log.reclaim_wal_segments(5), [2]);
-        // Segment 2's range (sequences <= 10, segment 3's birth) is gone.
-        assert_eq!(log.truncated_floor(), 10);
-        let err = log
-            .segment_for(1, 0)
-            .expect_err("lagging cursor must be truncated");
-        assert!(err.is_sequence_truncated());
-        // A cursor inside the window reads on from the oldest kept segment.
-        assert_eq!(log.segment_for(11, 0).unwrap(), 3);
-        log.deregister(cursor);
-        // A fresh register below the floor fails immediately.
-        assert!(log.register(9).unwrap_err().is_sequence_truncated());
-        assert!(log.register(11).is_ok());
-    }
-
-    #[test]
-    fn retention_cap_keeps_the_window_with_no_cursors() {
-        let log = fresh(2);
-        log.note_rotation(3, 10);
-        log.note_rotation(4, 20);
-        log.note_rotation(5, 30);
-        // Families are done with everything below 5; the window still
-        // keeps the two newest closed segments for follower restarts.
-        assert_eq!(log.reclaim_wal_segments(5), [2]);
-        assert_eq!(log.segments(), [3, 4, 5]);
-    }
-
-    #[test]
     fn bootstrap_truncation_floor_comes_from_the_oldest_surviving_segment() {
         // Reopened store: segments 7 (birth 100) and 9 (fresh, birth 130)
         // survive; history at or below 100 was reclaimed in a past life.
-        let log = ChangeLog::new(2, BTreeMap::from([(7, 100), (9, 130)]), 9, 130);
+        let log = ChangeLog::new(BTreeMap::from([(7, 100), (9, 130)]), 9, 130);
         assert_eq!(log.truncated_floor(), 100);
         assert!(log.register(100).unwrap_err().is_sequence_truncated());
         let cursor = log.register(101).unwrap();
@@ -588,7 +534,7 @@ mod tests {
 
     #[test]
     fn shipped_bytes_and_stream_counts_accumulate() {
-        let log = fresh(0);
+        let log = fresh();
         assert_eq!(log.streams_active(), 0);
         let a = log.register(1).unwrap();
         let _b = log.register(1).unwrap();

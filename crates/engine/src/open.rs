@@ -9,10 +9,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use pebblesdb_common::commit::CommitQueue;
-use pebblesdb_common::filename::{current_file_name, log_file_name, parse_file_name, FileType};
+use pebblesdb_common::filename::{log_file_name, parse_file_name, FileType};
 use pebblesdb_common::key::SequenceNumber;
 use pebblesdb_common::snapshot::SnapshotList;
-use pebblesdb_common::{EngineCounters, Error, Result, StoreOptions, WriteBatch};
+use pebblesdb_common::{EngineCounters, Result, StoreOptions, WriteBatch};
 use pebblesdb_skiplist::MemTable;
 use pebblesdb_wal::{LogWriter, Replay, Tail};
 
@@ -37,14 +37,6 @@ impl<P: ShapePolicy> EngineDb<P> {
         options.counters = Arc::clone(&counters);
 
         env.create_dir_all(path)?;
-
-        let current_exists = env.file_exists(&current_file_name(path));
-        if current_exists && options.error_if_exists {
-            return Err(Error::invalid_argument("database already exists"));
-        }
-        if !current_exists && !options.create_if_missing {
-            return Err(Error::invalid_argument("database does not exist"));
-        }
 
         // The catalog names the families; a missing catalog file is the
         // single-namespace (pre-column-family) layout. The first create or
@@ -102,12 +94,7 @@ impl<P: ShapePolicy> EngineDb<P> {
             cf.versions.sweep();
         }
 
-        let change_log = Arc::new(ChangeLog::new(
-            options.cdc_wal_retain_segments,
-            wal_births,
-            log_number,
-            state.last_sequence,
-        ));
+        let change_log = Arc::new(ChangeLog::new(wal_births, log_number, state.last_sequence));
         let core = Arc::new(EngineCore {
             io,
             policy,

@@ -509,14 +509,14 @@ pub fn push_version_iterators<V: VersionShape>(
 struct Outputs<'a>(&'a EngineIo, Vec<PathBuf>);
 
 impl Outputs<'_> {
-    /// Opens the directory's next table for writing at `level` (which picks
-    /// the compression tier), drawing its file number on demand.
-    fn open_table(&mut self, level: usize) -> Result<(u64, TableBuilder)> {
+    /// Opens the directory's next table for writing, drawing its file number
+    /// on demand.
+    fn open_table(&mut self) -> Result<(u64, TableBuilder)> {
         let number = self.0.file_numbers.next();
         let path = table_file_name(&self.0.db_path, number);
         let file = self.0.env.new_writable_file(&path)?;
         self.1.push(path);
-        let builder = TableBuilder::new_for_level(&self.0.options, file, level);
+        let builder = TableBuilder::new(&self.0.options, file);
         Ok((number, builder))
     }
 
@@ -560,10 +560,8 @@ pub fn flush_to_table(io: &EngineIo, mut iter: impl DbIterator) -> Result<Option
     if !iter.valid() {
         return Ok(None);
     }
-    // Flushes always land in level 0, so the per-level compression tier for
-    // level 0 applies (typically raw: young tables are short-lived).
     let mut outputs = Outputs(io, Vec::new());
-    let (number, mut builder) = outputs.open_table(0)?;
+    let (number, mut builder) = outputs.open_table()?;
     while iter.valid() {
         builder.add(iter.key(), iter.value())?;
         iter.next();
@@ -591,7 +589,11 @@ pub struct MergeSpec {
 ///
 /// An output table never crosses one of the job's `partition_keys` — the
 /// FLSM partitions by the output level's guards, a leveled run is one
-/// partition — and is rotated once it reaches `max_file_size`. Outputs are
+/// partition — and is rotated once it reaches `max_file_size`, unless the
+/// job rewrites its level in place: then each partition is one table, so a
+/// guard it rewrites holds one sstable however much live data it keeps (cut
+/// by size, a guard holding more than its budget's worth of tables would
+/// come back over budget and be picked again, forever). Outputs are
 /// returned in key order, their directory entries synced; they exist only
 /// on disk until the caller commits them.
 pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMetaData>> {
@@ -599,6 +601,11 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
         return Ok(Vec::new()); // a move reads and writes nothing
     }
     let spec = &job.spec;
+    let max_file_size = if job.level() == spec.output_level {
+        u64::MAX
+    } else {
+        io.options.max_file_size as u64
+    };
     let read_options = ReadOptions::default();
     let mut children: Vec<Box<dyn DbIterator>> = Vec::new();
     let inputs = job.inputs.iter().map(|(_, file)| file);
@@ -638,13 +645,13 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
         last_sequence_for_key = parsed.sequence;
 
         if !drop_entry {
-            if let Some((number, full)) = builder.take_if(|(_, b)| {
-                builder_partition != partition || b.file_size() >= io.options.max_file_size as u64
-            }) {
+            if let Some((number, full)) = builder
+                .take_if(|(_, b)| builder_partition != partition || b.file_size() >= max_file_size)
+            {
                 outputs.push(finish_table(number, full)?);
             }
             if builder.is_none() {
-                builder = Some(tables.open_table(spec.output_level)?);
+                builder = Some(tables.open_table()?);
                 builder_partition = partition;
             }
             let (_, open) = builder.as_mut().expect("opened above");

@@ -44,7 +44,7 @@ use pebblesdb_common::filename::{
     current_file_name, descriptor_file_name, parse_file_name, FileType,
 };
 use pebblesdb_common::key::{compare_internal_keys, SequenceNumber};
-use pebblesdb_common::{Error, Result, StoreOptions};
+use pebblesdb_common::{Error, Result, StoreOptions, NUM_LEVELS};
 use pebblesdb_env::Env;
 use pebblesdb_wal::{LogWriter, Record, Replay, Tail};
 
@@ -290,8 +290,8 @@ impl Record for VersionEdit {
 pub trait VersionShape: Sized + Send + Sync + 'static {
     /// How the shape cuts a level (from 1 down) into slots.
     type Runs: RunSource;
-    /// An empty version with `max_levels` levels.
-    fn empty(max_levels: usize) -> Self;
+    /// An empty version with `levels` levels (a store has [`NUM_LEVELS`]).
+    fn empty(levels: usize) -> Self;
     /// The version that results from applying `edit` to this one. Fails with
     /// `Corruption` on an edit the shape cannot hold (see
     /// [`VersionEdit::check_levels`]); edits come from the MANIFEST as well
@@ -484,7 +484,7 @@ impl<V: VersionShape> VersionSet<V> {
     /// Either way a fresh full-snapshot MANIFEST is written, which keeps
     /// recovery time bounded by the edits of one run.
     pub fn open(env: Arc<dyn Env>, db_path: PathBuf, options: StoreOptions) -> Result<Self> {
-        let current = Arc::new(V::empty(options.max_levels));
+        let current = Arc::new(V::empty(NUM_LEVELS));
         let mut set = VersionSet {
             levels: LevelTable::of(&*current),
             current,

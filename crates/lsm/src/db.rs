@@ -18,7 +18,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pebblesdb_common::key::compare_internal_keys;
-use pebblesdb_common::{KvStore, Result, StoreOptions, StorePreset};
+use pebblesdb_common::{KvStore, Result, StoreOptions, StorePreset, NUM_LEVELS};
 use pebblesdb_engine::meta::user_key_range;
 use pebblesdb_engine::{CompactionJob, EngineDb, FileMetaData, MergeSpec, PolicyCtx, ShapePolicy};
 use pebblesdb_env::Env;
@@ -48,7 +48,7 @@ impl ShapePolicy for LsmPolicy {
 
     fn new_state(&self) -> LsmPolicyState {
         LsmPolicyState {
-            compact_pointer: vec![Vec::new(); self.options.max_levels],
+            compact_pointer: vec![Vec::new(); NUM_LEVELS],
         }
     }
 

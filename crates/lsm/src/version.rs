@@ -103,9 +103,9 @@ impl RunSource for FileRuns {
 impl VersionShape for Version {
     type Runs = FileRuns;
 
-    fn empty(max_levels: usize) -> Self {
+    fn empty(levels: usize) -> Self {
         Version {
-            files: vec![FileRuns::default(); max_levels],
+            files: vec![FileRuns::default(); levels],
         }
     }
 
@@ -186,7 +186,7 @@ mod tests {
     use pebblesdb_common::filename::table_file_name;
     use pebblesdb_common::iterator::DbIterator;
     use pebblesdb_common::key::{encode_internal_key, extract_user_key, InternalKey, ValueType};
-    use pebblesdb_common::ReadOptions;
+    use pebblesdb_common::{ReadOptions, NUM_LEVELS};
     use pebblesdb_engine::{LevelCursor, LevelTable};
     use pebblesdb_env::{Env, MemEnv};
     use pebblesdb_sstable::{TableBuilder, TableCache};
@@ -275,7 +275,7 @@ mod tests {
         let mut opts = StoreOptions::default();
         opts.level0_compaction_trigger = 2;
         opts.base_level_bytes = 1500;
-        let version = Version::empty(opts.max_levels);
+        let version = Version::empty(NUM_LEVELS);
         assert!(!version.needs_compaction(&LevelTable::of(&version), &opts));
 
         let mut edit = VersionEdit::default();

@@ -8,13 +8,12 @@
 
 #[cfg(test)]
 mod tests {
-    use pebblesdb_common::iterator::{BytewiseOrder, DbIterator, MergingIterator};
-    use pebblesdb_common::user_iter::UserEntriesIterator;
+    use pebblesdb_common::iterator::{BytewiseOrder, DbIterator, MergingIterator, VecIterator};
 
     type ShardMerge = MergingIterator<BytewiseOrder>;
 
     fn entries(keys: &[&str]) -> Box<dyn DbIterator> {
-        Box::new(UserEntriesIterator::new(
+        Box::new(VecIterator::<BytewiseOrder>::with_order(
             keys.iter()
                 .map(|k| (k.as_bytes().to_vec(), format!("v-{k}").into_bytes()))
                 .collect(),

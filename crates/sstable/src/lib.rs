@@ -16,8 +16,8 @@
 //! Every block is followed by a one-byte compression tag (0 = raw, 1 = the
 //! in-tree LZ codec from `pebblesdb-compress`) and a masked CRC32C over the
 //! stored bytes plus the tag. Writers compress data/index blocks when
-//! [`StoreOptions::compression`](pebblesdb_common::StoreOptions) (or its
-//! per-level override) says so and it saves at least ~12.5%; readers always
+//! [`StoreOptions::compression`](pebblesdb_common::StoreOptions) says so and
+//! it saves at least ~12.5%; readers always
 //! dispatch on the stored tag, so raw and compressed blocks mix freely
 //! within and across files, and tables written before compression existed
 //! remain readable. The block cache only ever holds uncompressed bytes.

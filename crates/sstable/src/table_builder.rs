@@ -46,28 +46,8 @@ pub struct TableBuilder {
 
 impl TableBuilder {
     /// Creates a builder writing to `file` using the block parameters from
-    /// `options`, compressing with [`StoreOptions::compression`] (per-level
-    /// tiers require [`TableBuilder::new_for_level`]).
+    /// `options`, compressing with [`StoreOptions::compression`].
     pub fn new(options: &StoreOptions, file: Box<dyn WritableFile>) -> Self {
-        Self::with_compression(options, file, options.compression)
-    }
-
-    /// Creates a builder for an sstable destined for `level`, resolving the
-    /// codec through [`StoreOptions::compression_for_level`] — this is what
-    /// the flush and compaction output paths use.
-    pub fn new_for_level(
-        options: &StoreOptions,
-        file: Box<dyn WritableFile>,
-        level: usize,
-    ) -> Self {
-        Self::with_compression(options, file, options.compression_for_level(level))
-    }
-
-    fn with_compression(
-        options: &StoreOptions,
-        file: Box<dyn WritableFile>,
-        compression: CompressionType,
-    ) -> Self {
         TableBuilder {
             file,
             offset: 0,
@@ -81,7 +61,7 @@ impl TableBuilder {
             first_key: None,
             last_key: Vec::new(),
             closed: false,
-            compression,
+            compression: options.compression,
             counters: Arc::clone(&options.counters),
         }
     }

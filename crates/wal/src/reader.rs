@@ -39,8 +39,6 @@ pub(crate) struct LogReader {
     /// Bytes of the file the reader may consume; a record boundary, so
     /// that bytes of an append still in flight are never looked at.
     pub(crate) limit: u64,
-    corruption_count: usize,
-    corruption_bytes: u64,
 }
 
 impl LogReader {
@@ -53,28 +51,7 @@ impl LogReader {
             block_pos: 0,
             consumed: 0,
             limit: u64::MAX,
-            corruption_count: 0,
-            corruption_bytes: 0,
         }
-    }
-
-    /// Number of damaged fragments encountered so far.
-    #[cfg(test)]
-    pub(crate) fn corruption_count(&self) -> usize {
-        self.corruption_count
-    }
-
-    /// Number of bytes dropped as damaged so far.
-    #[cfg(test)]
-    pub(crate) fn corruption_bytes(&self) -> u64 {
-        self.corruption_bytes
-    }
-
-    /// Counts `dropped` damaged bytes and names the damage.
-    fn damage(&mut self, dropped: usize, what: impl Into<String>) -> ReadError {
-        self.corruption_count += 1;
-        self.corruption_bytes += dropped as u64;
-        ReadError::Damage(Error::corruption(what))
     }
 
     /// Reads the next logical record.
@@ -98,10 +75,10 @@ impl LogReader {
                     return Ok(assembled);
                 }
                 (RecordType::Full | RecordType::First, Some(_)) => {
-                    return Err(self.damage(0, "partial record followed by a new record"));
+                    return Err(damage("partial record followed by a new record"));
                 }
                 (RecordType::Middle | RecordType::Last, None) => {
-                    return Err(self.damage(0, "record fragment without its FIRST"));
+                    return Err(damage("record fragment without its FIRST"));
                 }
             }
         }
@@ -139,9 +116,8 @@ impl LogReader {
                 // a partly read one the rest may be on file by now; if not,
                 // the writer crashed while appending this fragment.
                 if self.block.len() == BLOCK_SIZE {
-                    let dropped = BLOCK_SIZE - self.block_pos;
                     self.block_pos = BLOCK_SIZE;
-                    return Err(self.damage(dropped, "fragment length runs past its block"));
+                    return Err(damage("fragment length runs past its block"));
                 }
                 if !self.fill_block()? {
                     return Ok(None);
@@ -153,11 +129,10 @@ impl LogReader {
             self.block_pos = data_start + length;
             let data = &self.block[data_start..self.block_pos];
             let Some(record_type) = RecordType::from_u8(type_tag) else {
-                let what = format!("unknown record type {type_tag}");
-                return Err(self.damage(HEADER_SIZE + length, what));
+                return Err(damage(format!("unknown record type {type_tag}")));
             };
             if crc32c::extend(crc32c::extend(0, &[type_tag]), data) != expected_crc {
-                return Err(self.damage(HEADER_SIZE + length, "record checksum mismatch"));
+                return Err(damage("record checksum mismatch"));
             }
             return Ok(Some((record_type, data.to_vec())));
         }
@@ -193,6 +168,17 @@ impl LogReader {
     }
 }
 
+/// Names bytes on file that are not what a writer appends.
+fn damage(what: impl Into<String>) -> ReadError {
+    ReadError::Damage(Error::corruption(what))
+}
+
+/// Whether `read` stopped at damage rather than at an `Env` error or the end.
+#[cfg(test)]
+pub(crate) fn is_damage<T>(read: &std::result::Result<T, ReadError>) -> bool {
+    matches!(read, Err(ReadError::Damage(err)) if err.is_corruption())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,8 +203,8 @@ mod tests {
         f.close().unwrap();
 
         let mut reader = LogReader::new(env.new_sequential_file(path).unwrap());
-        assert!(reader.read_record().is_err());
-        assert!(reader.corruption_bytes() >= 100);
+        // The damaged bytes come back as one `Corruption`, then are gone.
+        assert!(is_damage(&reader.read_record()));
         assert_eq!(reader.read_record().unwrap(), None);
     }
 
@@ -247,7 +233,6 @@ mod tests {
         reader.limit = writer.file_len();
         assert_eq!(reader.read_record().unwrap(), Some(b"tail".to_vec()));
         assert_eq!(reader.read_record().unwrap(), None);
-        assert_eq!(reader.corruption_count(), 0);
     }
 
     #[test]
@@ -261,9 +246,10 @@ mod tests {
         let flaky = SimEnv::new(std::sync::Arc::new(env.clone()));
         flaky.fail_sequential_read("flaky", 1);
         let mut reader = LogReader::new(flaky.new_sequential_file(path).unwrap());
-        // The error surfaces once; what had arrived before it is kept and
-        // the rest is read afterwards, not taken for zero padding.
-        assert!(reader.read_record().is_err());
+        // The error surfaces once, as the env's and not as damage; what had
+        // arrived before it is kept and the rest is read afterwards, not
+        // taken for zero padding.
+        assert!(matches!(reader.read_record(), Err(ReadError::Env(_))));
         assert_eq!(
             reader.read_record().unwrap(),
             Some(b"first record".to_vec())
@@ -273,7 +259,6 @@ mod tests {
             Some(b"second record".to_vec())
         );
         assert_eq!(reader.read_record().unwrap(), None);
-        assert_eq!(reader.corruption_count(), 0);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Cross-crate integration tests for the PebblesDB workspace.
 //!
 //! The tests live in `tests/` next to this file; this library holds what
-//! several of them share: the decoder fuzz and how a test gets its `SimEnv`.
+//! several of them share: the decoder fuzz, how a test gets its `SimEnv`,
+//! and a deadline for work that must not hang.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 use pebblesdb_common::Result;
 use pebblesdb_env::{Env, SimEnv};
@@ -62,4 +65,25 @@ pub fn fuzz_record<R: Record + PartialEq + std::fmt::Debug>(
 pub fn sim_over(inner: impl Env + 'static) -> (SimEnv, Arc<dyn Env>) {
     let sim = SimEnv::new(Arc::new(inner));
     (sim.clone(), Arc::new(sim))
+}
+
+/// Runs `work` on a thread of its own and hands back what it returns, or
+/// fails the test — instead of hanging it — once `deadline` passes first (the
+/// thread is then left running). A panic in `work` is the test's panic.
+pub fn within<T: Send + 'static>(
+    deadline: Duration,
+    work: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (done, finished) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let value = work();
+        let _ = done.send(());
+        value
+    });
+    if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(deadline) {
+        panic!("work did not finish within {deadline:?}");
+    }
+    worker
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use pebblesdb::FlsmPolicy;
 use pebblesdb_common::key::{InternalKey, ValueType};
-use pebblesdb_common::StoreOptions;
+use pebblesdb_common::{StoreOptions, NUM_LEVELS};
 use pebblesdb_engine::{
     CompactionJob, FileMetaData, FileMetaDataEdit, PolicyCtx, ShapePolicy, VersionEdit, VersionSet,
 };
@@ -130,7 +130,7 @@ fn compaction_edits_encode_to_the_bytes_the_per_engine_commits_wrote() {
     // pending for the level stays pending.
     let mut options = StoreOptions::default();
     options.max_sstables_per_guard = 1;
-    let last = options.max_levels - 1;
+    let last = NUM_LEVELS - 1;
     let mut setup = VersionEdit::default();
     setup.new_guards.push((1, b"m".to_vec()));
     setup.new_files.push((last, file_edit(30, 1000, "a", "d")));

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use pebblesdb::{FlsmVersion, PebblesDb};
 use pebblesdb_common::key::{InternalKey, ValueType};
-use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset};
+use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset, NUM_LEVELS};
 use pebblesdb_engine::{FileMetaDataEdit, VersionEdit, VersionShape};
 use pebblesdb_env::{DiskEnv, Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
@@ -187,18 +187,17 @@ fn allocations_per_flush_edit(guards: usize) -> u64 {
             .encoded()
             .to_vec(),
     };
-    let max_levels = StoreOptions::default().max_levels;
     let mut tree = VersionEdit::default();
     for n in 0..guards {
         let key = format!("guard{n:06}");
         tree.new_guards
-            .push((max_levels - 1, key.clone().into_bytes()));
+            .push((NUM_LEVELS - 1, key.clone().into_bytes()));
         if n % 10 == 0 {
             tree.new_files
-                .push((max_levels - 1, file(n as u64 + 1, &key, &format!("{key}z"))));
+                .push((NUM_LEVELS - 1, file(n as u64 + 1, &key, &format!("{key}z"))));
         }
     }
-    let version = FlsmVersion::empty(max_levels).apply(&tree).unwrap();
+    let version = FlsmVersion::empty(NUM_LEVELS).apply(&tree).unwrap();
     let held: usize = version.levels.iter().map(|l| l.guards().len() - 1).sum();
     assert_eq!(held, guards);
 

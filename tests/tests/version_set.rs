@@ -11,7 +11,7 @@ use std::time::Duration;
 use pebblesdb::{FlsmVersion, PebblesDb};
 use pebblesdb_common::filename::{current_file_name, descriptor_file_name};
 use pebblesdb_common::key::{InternalKey, ValueType};
-use pebblesdb_common::{KvStore, StoreOptions, StorePreset};
+use pebblesdb_common::{KvStore, StoreOptions, StorePreset, NUM_LEVELS};
 use pebblesdb_engine::version_set::version_files;
 use pebblesdb_engine::{
     FileMetaData, FileMetaDataEdit, LevelRow, LevelTable, RunSource, VersionEdit, VersionSet,
@@ -297,17 +297,15 @@ fn assert_corrupt_manifest<V: VersionShape>(what: &str, edit: &VersionEdit) {
 /// not have); every one is `Corruption` now, for both shapes.
 #[test]
 fn corrupt_manifest_records_are_corruption_not_panics_or_silent_loss() {
-    let max_levels = StoreOptions::default().max_levels;
-
     let mut short_key = VersionEdit::default();
     short_key.new_files.push((1, file_edit(7, "d", "f")));
     short_key.new_files[0].1.smallest.truncate(3);
     let mut lost_file = VersionEdit::default();
     lost_file
         .new_files
-        .push((max_levels, file_edit(7, "d", "f")));
+        .push((NUM_LEVELS, file_edit(7, "d", "f")));
     let mut lost_delete = VersionEdit::default();
-    lost_delete.delete_file(max_levels + 3, 3);
+    lost_delete.delete_file(NUM_LEVELS + 3, 3);
     for (what, edit) in [
         ("short key bound", &short_key),
         ("file beyond the last level", &lost_file),
@@ -322,7 +320,7 @@ fn corrupt_manifest_records_are_corruption_not_panics_or_silent_loss() {
     assert_corrupt_manifest::<Version>("guard record in a leveled store", &guard);
     for (what, level, key) in [
         ("guard at level 0", 0, &b"g"[..]),
-        ("guard beyond the last level", max_levels, b"g"),
+        ("guard beyond the last level", NUM_LEVELS, b"g"),
         ("sentinel committed as a guard", 1, b""),
     ] {
         let mut edit = VersionEdit::default();
@@ -416,9 +414,7 @@ fn assert_rows_match_recount<V: VersionShape>(version: &V, rows: &[LevelRow], wh
 /// a reopen recovers from the MANIFEST.
 #[test]
 fn level_table_matches_recount_and_recovery_after_every_edit() {
-    const MAX_LEVELS: usize = 5;
-    let mut options = StoreOptions::default();
-    options.max_levels = MAX_LEVELS;
+    let options = StoreOptions::default();
     let (env, dir) = mem_dir("/vs-rows");
     let open = || VersionSet::<FlsmVersion>::open(Arc::clone(&env), dir.clone(), options.clone());
     let mut rng = StdRng::seed_from_u64(0x5eed_fac7);
@@ -435,7 +431,7 @@ fn level_table_matches_recount_and_recovery_after_every_edit() {
 
     let (mut spanning, mut emptied) = (false, false);
     for step in 0..120 {
-        let mut edit = random_edit(&mut rng, MAX_LEVELS, true);
+        let mut edit = random_edit(&mut rng, NUM_LEVELS, true);
         for (_, file) in &mut edit.new_files {
             file.file_size = rng.gen_range(1..5000);
         }
