@@ -204,12 +204,11 @@ mod tests {
     /// a new option does not compile until its benchmark value is pinned here.
     #[test]
     fn the_benchmarks_store_configuration_is_pinned() {
-        assert_eq!(NUM_LEVELS, 7);
+        assert_eq!((NUM_LEVELS, pebblesdb_sstable::BLOCK_SIZE), (7, 4096));
         for (kind, threads) in [(EngineKind::PebblesDb, 2), (EngineKind::HyperLevelDb, 1)] {
             let StoreOptions {
                 paranoid_checks,
                 write_buffer_size,
-                block_size,
                 block_cache_capacity,
                 max_open_files,
                 bloom_bits_per_key,
@@ -236,7 +235,6 @@ mod tests {
             assert_eq!(max_file_size, 256 << 10);
             assert_eq!(base_level_bytes, 640 << 10);
             assert_eq!(vlog_file_size, 4 << 20);
-            assert_eq!(block_size, 4096);
             assert_eq!(bloom_bits_per_key, 10);
             assert_eq!(max_open_files, 8192);
             assert_eq!(

@@ -36,32 +36,21 @@ impl Report {
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
         for row in &self.rows {
-            for (idx, cell) in row.iter().enumerate() {
-                if idx < widths.len() {
-                    widths[idx] = widths[idx].max(cell.len());
-                }
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
             }
         }
-        let mut out = String::new();
-        out.push_str(&format!("\n== {} ==\n", self.title));
-        let header: Vec<String> = self
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(idx, col)| format!("{col:<width$}", width = widths[idx]))
-            .collect();
-        out.push_str(&header.join("  "));
-        out.push('\n');
+        let line = |cells: &[String]| {
+            let cells = cells.iter().zip(&widths);
+            let padded: Vec<String> = cells.map(|(cell, &w)| format!("{cell:<w$}")).collect();
+            padded.join("  ") + "\n"
+        };
+        let mut out = format!("\n== {} ==\n", self.title);
+        out.push_str(&line(&self.columns));
         out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
         out.push('\n');
         for row in &self.rows {
-            let cells: Vec<String> = row
-                .iter()
-                .enumerate()
-                .map(|(idx, cell)| format!("{cell:<width$}", width = widths[idx]))
-                .collect();
-            out.push_str(&cells.join("  "));
-            out.push('\n');
+            out.push_str(&line(row));
         }
         for note in &self.notes {
             out.push_str(&format!("note: {note}\n"));

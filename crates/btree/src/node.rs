@@ -41,11 +41,6 @@ impl Node {
         }
     }
 
-    /// Returns `true` for leaf nodes.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf { .. })
-    }
-
     /// Serialised size in bytes.
     pub fn encoded_size(&self) -> usize {
         match self {

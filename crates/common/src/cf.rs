@@ -384,38 +384,6 @@ pub trait Db: KvStore {
             None => self.create_cf(name),
         }
     }
-
-    /// Stores `key -> value` in the family behind `cf`.
-    fn put_cf(&self, cf: &ColumnFamilyHandle, key: &[u8], value: &[u8]) -> Result<()> {
-        cf.put(key, value)
-    }
-
-    /// Reads `key` from the family behind `cf`.
-    fn get_cf(&self, cf: &ColumnFamilyHandle, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        cf.get(key)
-    }
-
-    /// Deletes `key` from the family behind `cf`.
-    fn delete_cf(&self, cf: &ColumnFamilyHandle, key: &[u8]) -> Result<()> {
-        cf.delete(key)
-    }
-
-    /// A streaming cursor over the family behind `cf`.
-    fn iter_cf(&self, cf: &ColumnFamilyHandle, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
-        cf.iter(opts)
-    }
-
-    /// Range query over the family behind `cf` (empty `end` = unbounded
-    /// within the family).
-    fn scan_cf(
-        &self,
-        cf: &ColumnFamilyHandle,
-        start: &[u8],
-        end: &[u8],
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        cf.scan(start, end, limit)
-    }
 }
 
 // ---------------------------------------------------------------------------

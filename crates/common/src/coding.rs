@@ -161,16 +161,6 @@ impl<'a> Decoder<'a> {
         Ok(value)
     }
 
-    /// Reads a fixed-width little-endian `u32`.
-    pub fn read_fixed32(&mut self) -> Result<u32> {
-        if self.remaining() < 4 {
-            return Err(Error::corruption("truncated fixed32"));
-        }
-        let value = decode_fixed32(&self.data[self.offset..]);
-        self.offset += 4;
-        Ok(value)
-    }
-
     /// Reads a fixed-width little-endian `u64`.
     pub fn read_fixed64(&mut self) -> Result<u64> {
         if self.remaining() < 8 {

@@ -1,4 +1,5 @@
-//! The group-commit writer queue shared by the LSM and FLSM engines.
+//! The group-commit writer queue of the engine chassis (`crates/engine`),
+//! through which both the LSM and the FLSM commit.
 //!
 //! Concurrent writers enqueue their batches; the writer at the front of the
 //! queue becomes the *leader*, gathers the batches queued behind it into one

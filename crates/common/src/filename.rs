@@ -47,11 +47,6 @@ pub fn current_file_name(db: &Path) -> PathBuf {
     db.join("CURRENT")
 }
 
-/// Returns the path of the `LOCK` file inside `db`.
-pub fn lock_file_name(db: &Path) -> PathBuf {
-    db.join("LOCK")
-}
-
 /// Returns the path of temporary file number `number` inside `db`.
 pub fn temp_file_name(db: &Path, number: u64) -> PathBuf {
     db.join(format!("{number:06}.dbtmp"))

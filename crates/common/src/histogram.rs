@@ -8,7 +8,6 @@
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
-    sum: f64,
     min: u64,
     max: u64,
 }
@@ -38,7 +37,6 @@ impl Histogram {
         Histogram {
             buckets: vec![0; NUM_BUCKETS],
             count: 0,
-            sum: 0.0,
             min: u64::MAX,
             max: 0,
         }
@@ -48,7 +46,6 @@ impl Histogram {
     pub fn record(&mut self, value: u64) {
         self.buckets[bucket_for(value)] += 1;
         self.count += 1;
-        self.sum += value as f64;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -59,7 +56,6 @@ impl Histogram {
             *mine += theirs;
         }
         self.count += other.count;
-        self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -69,30 +65,12 @@ impl Histogram {
         self.count
     }
 
-    /// Mean of the recorded observations.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
     /// Largest recorded observation.
     pub fn max(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
             self.max
-        }
-    }
-
-    /// Smallest recorded observation.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
         }
     }
 
@@ -121,9 +99,7 @@ mod tests {
     fn empty_histogram_reports_zeroes() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
         assert_eq!(h.percentile(99.0), 0);
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
     }
 
@@ -134,7 +110,6 @@ mod tests {
             h.record(i);
         }
         assert_eq!(h.count(), 10_000);
-        assert!((h.mean() - 5000.5).abs() < 1.0);
         let p50 = h.percentile(50.0);
         let p95 = h.percentile(95.0);
         let p99 = h.percentile(99.0);
@@ -142,7 +117,7 @@ mod tests {
         assert!(p50 > 3000 && p50 < 7500, "p50={p50}");
         assert!(p99 >= 9000, "p99={p99}");
         assert_eq!(h.max(), 10_000);
-        assert_eq!(h.min(), 1);
+        assert_eq!(h.percentile(0.0), 1, "the smallest observation");
     }
 
     #[test]
@@ -153,7 +128,7 @@ mod tests {
         b.record(1000);
         a.merge(&b);
         assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), 10);
+        assert_eq!(a.percentile(0.0), 10);
         assert_eq!(a.max(), 1000);
     }
 }

@@ -164,11 +164,6 @@ impl InternalKey {
         &self.encoded
     }
 
-    /// Consumes the key, returning its encoded representation.
-    pub fn into_encoded(self) -> Vec<u8> {
-        self.encoded
-    }
-
     /// Returns the user-key portion.
     pub fn user_key(&self) -> &[u8] {
         extract_user_key(&self.encoded)

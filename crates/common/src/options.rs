@@ -101,8 +101,6 @@ pub struct StoreOptions {
 
     /// Size (bytes) a memtable may reach before being flushed to level 0.
     pub write_buffer_size: usize,
-    /// Target size (bytes) of an sstable data block.
-    pub block_size: usize,
     /// Capacity (bytes) of the block cache shared by all sstables.
     pub block_cache_capacity: usize,
     /// Open sstable readers a family keeps beyond those its live cursors
@@ -196,7 +194,6 @@ impl Default for StoreOptions {
             paranoid_checks: false,
 
             write_buffer_size: 4 << 20,
-            block_size: 4096,
             block_cache_capacity: 8 << 20,
             max_open_files: 1000,
             bloom_bits_per_key: 10,
@@ -287,13 +284,12 @@ impl StoreOptions {
     }
 }
 
-/// Options applied to individual read operations.
-#[derive(Debug, Clone)]
+/// Options applied to individual read operations. A block a read copies
+/// off the device or decodes always goes into the block cache.
+#[derive(Debug, Clone, Default)]
 pub struct ReadOptions {
     /// Verify block checksums on every read.
     pub verify_checksums: bool,
-    /// Insert blocks read by this operation into the block cache.
-    pub fill_cache: bool,
     /// Read as of this sequence number; `None` reads the latest data.
     ///
     /// The sequence must come from a live
@@ -304,16 +300,6 @@ pub struct ReadOptions {
     /// while snapshots are live — an arbitrary unpinned sequence reads
     /// whatever versions still happen to exist.
     pub snapshot: Option<SequenceNumber>,
-}
-
-impl Default for ReadOptions {
-    fn default() -> Self {
-        ReadOptions {
-            verify_checksums: false,
-            fill_cache: true,
-            snapshot: None,
-        }
-    }
 }
 
 /// Options applied to individual write operations.
@@ -348,6 +334,20 @@ mod tests {
 
         let pebbles1 = StoreOptions::with_preset(StorePreset::PebblesDb1);
         assert_eq!(pebbles1.max_sstables_per_guard, 1);
+    }
+
+    /// `bench_suite`'s cursors and table probes read with
+    /// `ReadOptions::default()`, so these are the benchmark's read options.
+    /// The destructuring names every field, so a new option does not compile
+    /// until its benchmark value is pinned here.
+    #[test]
+    fn the_benchmarks_read_options_are_pinned() {
+        let ReadOptions {
+            verify_checksums,
+            snapshot,
+        } = ReadOptions::default();
+        assert!(!verify_checksums);
+        assert_eq!(snapshot, None);
     }
 
     #[test]

@@ -457,6 +457,47 @@ mod tests {
         assert_eq!(outputs[0].largest.sequence(), 9);
     }
 
+    /// A table is cut by size only between user keys. Three versions of
+    /// `k` survive (a snapshot at sequence 0 pins them all) and every table
+    /// is over `max_file_size` after one entry, yet `k` lands in one table.
+    /// Split across two tables of a leveled run, a later job could move the
+    /// newer versions — a tombstone, say — down a level and leave the older
+    /// ones above them, where a read finds them first.
+    #[test]
+    fn an_output_table_never_splits_the_versions_of_a_key() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let db = PathBuf::from("/split-key");
+        env.create_dir_all(&db).unwrap();
+        let mut options = StoreOptions::default();
+        options.max_file_size = 1;
+        let io = io_for(&env, &db, &options);
+        let keys = [("j", 5), ("k", 9), ("k", 8), ("k", 7), ("m", 6)];
+        let input = write_table(&env, &db, &options, 30, &keys).to_meta();
+        let job = CompactionJob {
+            inputs: vec![(0, input)],
+            spec: MergeSpec {
+                output_level: 1,
+                smallest_snapshot: 0,
+                drop_tombstones: false,
+            },
+            partition_keys: Vec::new(),
+            full_partitions: Vec::new(),
+            guards_to_commit: Vec::new(),
+            move_only: false,
+        };
+        let outputs = merge_to_tables(&io, &job).unwrap();
+        let spans: Vec<_> = (outputs.iter())
+            .map(|f| {
+                (
+                    f.smallest.user_key(),
+                    f.smallest.sequence(),
+                    f.largest.sequence(),
+                )
+            })
+            .collect();
+        assert_eq!(spans, [(&b"j"[..], 5, 5), (b"k", 9, 7), (b"m", 6, 6)]);
+    }
+
     #[test]
     fn guard_selection_prefers_over_budget_guards() {
         let mut options = StoreOptions::default();

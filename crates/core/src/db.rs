@@ -14,7 +14,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pebblesdb_common::{KvStore, Result, StoreOptions, StorePreset, NUM_LEVELS};
+use pebblesdb_common::{Result, StoreOptions, StorePreset, NUM_LEVELS};
 use pebblesdb_engine::{CompactionJob, EngineDb, PolicyCtx, ShapePolicy};
 use pebblesdb_env::Env;
 
@@ -266,11 +266,6 @@ impl PebblesDb {
         guarded.iter().skip(1).map(|row| row.empty_slots).sum()
     }
 
-    /// Flushes the memtable and waits until no compaction work is pending.
-    pub fn compact_all(&self) -> Result<()> {
-        KvStore::flush(self)
-    }
-
     /// Runs one value-log garbage-collection pass: relocates live values out
     /// of the coldest sealed vlog file of each family and deletes retired
     /// files no pinned snapshot can still reach.
@@ -294,7 +289,7 @@ pebblesdb_common::store_views!(PebblesDb => |db| db.db.shared());
 mod tests {
     use super::*;
     use pebblesdb_common::key::{encode_internal_key, ValueType};
-    use pebblesdb_common::ReadOptions;
+    use pebblesdb_common::{KvStore, ReadOptions};
     use pebblesdb_engine::{EngineCore, FileMetaDataEdit, VersionEdit};
     use pebblesdb_env::MemEnv;
     use std::collections::BTreeSet;

@@ -589,7 +589,8 @@ pub struct MergeSpec {
 ///
 /// An output table never crosses one of the job's `partition_keys` — the
 /// FLSM partitions by the output level's guards, a leveled run is one
-/// partition — and is rotated once it reaches `max_file_size`, unless the
+/// partition — nor splits the versions of one user key, and is rotated at
+/// the first key past `max_file_size`, unless the
 /// job rewrites its level in place: then each partition is one table, so a
 /// guard it rewrites holds one sstable however much live data it keeps (cut
 /// by size, a guard holding more than its budget's worth of tables would
@@ -624,7 +625,8 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
     while merged.valid() {
         let parsed = parse_internal_key(merged.key())
             .ok_or_else(|| Error::corruption("malformed key during compaction"))?;
-        if last_user_key.as_deref() != Some(parsed.user_key) {
+        let new_key = last_user_key.as_deref() != Some(parsed.user_key);
+        if new_key {
             last_user_key = Some(parsed.user_key.to_vec());
             last_sequence_for_key = MAX_SEQUENCE_NUMBER;
             partition = job
@@ -645,8 +647,12 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
         last_sequence_for_key = parsed.sequence;
 
         if !drop_entry {
-            if let Some((number, full)) = builder
-                .take_if(|(_, b)| builder_partition != partition || b.file_size() >= max_file_size)
+            // Two tables of a leveled run sharing a key would let the next
+            // job take the newer versions down a level and leave the older
+            // ones above them, where a read finds them first.
+            let past_size = |b: &TableBuilder| new_key && b.file_size() >= max_file_size;
+            if let Some((number, full)) =
+                builder.take_if(|(_, b)| builder_partition != partition || past_size(b))
             {
                 outputs.push(finish_table(number, full)?);
             }

@@ -18,7 +18,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pebblesdb_common::key::compare_internal_keys;
-use pebblesdb_common::{KvStore, Result, StoreOptions, StorePreset, NUM_LEVELS};
+use pebblesdb_common::{Result, StoreOptions, StorePreset, NUM_LEVELS};
 use pebblesdb_engine::meta::user_key_range;
 use pebblesdb_engine::{CompactionJob, EngineDb, FileMetaData, MergeSpec, PolicyCtx, ShapePolicy};
 use pebblesdb_env::Env;
@@ -208,15 +208,9 @@ impl LsmDb {
         self.db.levels().to_string()
     }
 
-    /// Number of files at each level (useful for tests and examples).
+    /// Number of files at each level (useful for tests).
     pub fn files_per_level(&self) -> Vec<usize> {
         self.db.levels().iter().map(|row| row.files).collect()
-    }
-
-    /// Triggers a memtable flush plus any needed compactions, then waits for
-    /// the background threads to go idle.
-    pub fn compact_all(&self) -> Result<()> {
-        KvStore::flush(self)
     }
 
     /// Runs one value-log garbage-collection pass: relocates live values out

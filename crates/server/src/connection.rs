@@ -26,13 +26,16 @@ use pebblesdb_common::resp::{RespCodec, RespLimits, RespValue};
 use crate::dispatch::Session;
 use crate::metrics::ServerCounters;
 
+/// Commands answered per reply flush: bounds the in-flight pipeline, so a
+/// deep pipeline cannot build an unbounded reply buffer.
+const MAX_PIPELINE: usize = 128;
+
 /// Shared state the connection loop needs from the server.
 pub(crate) struct ConnShared {
     pub shutdown: Arc<AtomicBool>,
     pub kill: Arc<AtomicBool>,
     pub counters: Arc<ServerCounters>,
     pub idle_timeout: Duration,
-    pub max_pipeline: usize,
     pub limits: RespLimits,
 }
 
@@ -93,8 +96,7 @@ pub(crate) fn serve_connection(mut stream: TcpStream, mut session: Session, shar
 }
 
 /// Executes every complete frame currently buffered, flushing replies every
-/// `max_pipeline` commands so a deep pipeline cannot build an unbounded
-/// reply buffer.
+/// [`MAX_PIPELINE`] commands.
 fn answer_ready_frames(
     stream: &mut TcpStream,
     codec: &mut RespCodec,
@@ -137,7 +139,7 @@ fn answer_ready_frames(
                     return Flow::Close;
                 }
                 in_flight += 1;
-                if in_flight >= shared.max_pipeline {
+                if in_flight >= MAX_PIPELINE {
                     if !write_reply(stream, &replies, shared) {
                         return Flow::Close;
                     }

@@ -39,25 +39,17 @@ use crate::auth::AuthProvider;
 use crate::metrics::{stat_sections, ServerCounters};
 use crate::rate_limit::TokenBucket;
 
+/// Hard cap on `SCAN` page sizes: a requested `COUNT` is clamped to this,
+/// so one command cannot make the server materialise an unbounded page.
+const MAX_SCAN_PAGE: usize = 1024;
+/// `SCAN` page size when the client sends no `COUNT`.
+const DEFAULT_SCAN_PAGE: usize = 128;
+
 /// The dispatcher knobs a [`Session`] needs (a subset of the server config).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SessionOptions {
-    /// Hard cap on `SCAN` page sizes (requested `COUNT` is clamped to this).
-    pub max_scan_page: usize,
-    /// Default `SCAN` page size when the client sends no `COUNT`.
-    pub default_scan_page: usize,
     /// Force `sync` on every acknowledged write.
     pub sync_writes: bool,
-}
-
-impl Default for SessionOptions {
-    fn default() -> SessionOptions {
-        SessionOptions {
-            max_scan_page: 1024,
-            default_scan_page: 128,
-            sync_writes: false,
-        }
-    }
 }
 
 /// A queued `MULTI` transaction: one cross-family atomic batch in the
@@ -348,7 +340,7 @@ impl Session {
         }
         let start: &[u8] = &args[1];
         let mut end: &[u8] = &[];
-        let mut count = self.options.default_scan_page;
+        let mut count = DEFAULT_SCAN_PAGE;
         let mut rest = args[2..].iter();
         while let Some(word) = rest.next() {
             match word.to_ascii_uppercase().as_slice() {
@@ -372,7 +364,7 @@ impl Session {
                 }
             }
         }
-        let count = count.min(self.options.max_scan_page);
+        let count = count.min(MAX_SCAN_PAGE);
         // The iterator lives only for this call: the page is consistent
         // (one cursor), but nothing is pinned once the reply is written.
         let entries = match self.cf.scan(start, end, count) {
@@ -513,6 +505,18 @@ mod tests {
         session.execute(args.iter().map(|a| a.to_vec()).collect())
     }
 
+    /// `bench_suite`'s session probe runs `SessionOptions::default()` and
+    /// `net_mixed` the server's default sessions, so these are the
+    /// benchmark's dispatcher settings. The destructuring names every field,
+    /// so a new option does not compile until its benchmark value is pinned
+    /// here.
+    #[test]
+    fn the_benchmarks_session_options_are_pinned() {
+        let SessionOptions { sync_writes } = SessionOptions::default();
+        assert!(!sync_writes);
+        assert_eq!((DEFAULT_SCAN_PAGE, MAX_SCAN_PAGE), (128, 1024));
+    }
+
     #[test]
     fn info_breaks_out_shards_of_a_sharded_store() {
         let env = Arc::new(MemEnv::new());
@@ -649,7 +653,7 @@ mod tests {
         let RespValue::Array(flat) = &parts[1] else {
             panic!()
         };
-        assert!(flat.len() / 2 <= SessionOptions::default().max_scan_page);
+        assert!(flat.len() / 2 <= MAX_SCAN_PAGE);
         // END bounds the page.
         let reply = run(&mut s, &[b"SCAN", b"k000", b"END", b"k005"]);
         let RespValue::Array(parts) = reply else {

@@ -71,15 +71,13 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Connections idle longer than this are closed (with an error reply).
     pub idle_timeout: Duration,
-    /// Commands answered per reply flush; bounds the in-flight pipeline.
-    pub max_pipeline: usize,
     /// Per-connection rate limit; `None` means unlimited.
     pub rate_limit: Option<RateLimit>,
     /// Credential hook; `Some` makes the server deny-by-default.
     pub auth: Option<Arc<dyn AuthProvider>>,
     /// Frame-size bounds for the decoder.
     pub limits: RespLimits,
-    /// Dispatcher knobs (scan page caps, sync writes).
+    /// Dispatcher knobs (sync writes).
     pub session: SessionOptions,
 }
 
@@ -90,7 +88,6 @@ impl Default for ServerConfig {
             metrics_addr: None,
             max_connections: 256,
             idle_timeout: Duration::from_secs(300),
-            max_pipeline: 128,
             rate_limit: None,
             auth: None,
             limits: RespLimits::default(),
@@ -256,7 +253,6 @@ fn accept_loop(
                     kill: Arc::clone(&kill),
                     counters: Arc::clone(&counters),
                     idle_timeout: config.idle_timeout,
-                    max_pipeline: config.max_pipeline.max(1),
                     limits: config.limits.clone(),
                 };
                 let conns = Arc::clone(&conns);
@@ -288,4 +284,35 @@ fn refuse(mut stream: TcpStream) {
     let mut reply = Vec::new();
     RespValue::error("ERR max connections reached").encode_into(&mut reply);
     let _ = stream.write_all(&reply);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `bench_suite`'s `net_mixed` serves its store with
+    /// `ServerConfig::default()`, so these are the benchmark's server
+    /// settings. The destructuring names every field, so a new option does
+    /// not compile until its benchmark value is pinned here.
+    #[test]
+    fn the_benchmarks_server_configuration_is_pinned() {
+        let ServerConfig {
+            addr,
+            metrics_addr,
+            max_connections,
+            idle_timeout,
+            rate_limit,
+            auth,
+            limits,
+            session,
+        } = ServerConfig::default();
+        assert_eq!(addr, "127.0.0.1:0");
+        assert_eq!(metrics_addr, None);
+        assert_eq!(max_connections, 256);
+        assert_eq!(idle_timeout, Duration::from_secs(300));
+        assert!(rate_limit.is_none() && auth.is_none());
+        let default_limits = RespLimits::default();
+        assert_eq!(format!("{limits:?}"), format!("{default_limits:?}"));
+        assert!(!session.sync_writes);
+    }
 }

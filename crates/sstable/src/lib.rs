@@ -40,6 +40,10 @@ pub use table::Table;
 pub use table_builder::TableBuilder;
 pub use table_cache::{TableCache, TableSlot};
 
+/// Target size (bytes) of a data block: the builder closes a block once its
+/// entries reach this size, so a block holds one entry past it at most.
+pub const BLOCK_SIZE: usize = 4096;
+
 /// Number of trailer bytes appended to every block: 1-byte compression tag
 /// plus a 4-byte masked CRC32C.
 pub const BLOCK_TRAILER_SIZE: usize = 5;

@@ -25,7 +25,7 @@ use crate::BLOCK_TRAILER_SIZE;
 pub type BlockCache = LruCache<(u64, u64), Block>;
 
 /// Hard ceiling a compressed block's claimed uncompressed size may reach.
-/// Real blocks top out around `block_size` (plus one oversized entry); this
+/// Real blocks top out around `BLOCK_SIZE` (plus one oversized entry); this
 /// only exists so a corrupt length header is rejected as corruption instead
 /// of trusted.
 const MAX_DECOMPRESSED_BLOCK: usize = u32::MAX as usize;
@@ -187,7 +187,7 @@ impl Table {
             None => StoredBlock::read(self.file.as_ref(), handle, self.size)?,
         };
         let block = Block::new(stored.contents(verify, &self.counters)?)?;
-        if let Some(cache) = cache.filter(|_| read_options.fill_cache) {
+        if let Some(cache) = cache {
             cache.insert(cache_key, block.clone(), block.size());
         }
         Ok(block)
@@ -390,6 +390,8 @@ mod tests {
     use pebblesdb_env::{DiskEnv, Env, MemEnv};
     use std::path::{Path, PathBuf};
 
+    /// Builds a table of `n` entries `k00000 -> v0`, ... of some 16 bytes
+    /// each, so `n` alone decides how many data blocks it has.
     fn build(env: &MemEnv, path: &Path, n: u32, opts: &StoreOptions) -> u64 {
         let file = env.new_writable_file(path).unwrap();
         let mut builder = TableBuilder::new(opts, file);
@@ -398,6 +400,20 @@ mod tests {
             builder.add(&key, format!("v{i}").as_bytes()).unwrap();
         }
         builder.finish().unwrap()
+    }
+
+    impl Table {
+        /// How many data blocks the table has: one index entry each.
+        pub(crate) fn data_blocks(&self) -> usize {
+            let mut index = self.index_block.iter();
+            index.seek_to_first();
+            let mut blocks = 0;
+            while index.valid() {
+                blocks += 1;
+                index.next();
+            }
+            blocks
+        }
     }
 
     /// A file that holds its bytes elsewhere: it implements only `read`,
@@ -444,10 +460,10 @@ mod tests {
     fn block_cache_serves_repeat_reads() {
         let env = MemEnv::new();
         let path = Path::new("/c.sst");
-        let mut opts = StoreOptions::default();
-        opts.block_size = 512;
-        let size = build(&env, path, 500, &opts);
+        let opts = StoreOptions::default();
+        let size = build(&env, path, 2000, &opts);
         let (table, cache) = open_cached(&env, path, size, &opts, true);
+        assert!(table.data_blocks() >= 4, "{}", table.data_blocks());
 
         get_k100(&table);
         assert_eq!(cache.hit_miss(), (0, 1));
@@ -462,10 +478,10 @@ mod tests {
     fn a_resident_table_leaves_the_block_cache_untouched() {
         let env = MemEnv::new();
         let path = Path::new("/r.sst");
-        let mut opts = StoreOptions::default();
-        opts.block_size = 512;
-        let size = build(&env, path, 500, &opts);
+        let opts = StoreOptions::default();
+        let size = build(&env, path, 2000, &opts);
         let (table, cache) = open_cached(&env, path, size, &opts, false);
+        assert!(table.data_blocks() >= 4, "{}", table.data_blocks());
 
         get_k100(&table);
         get_k100(&table);
@@ -476,9 +492,9 @@ mod tests {
             count += 1;
             iter.next();
         }
-        assert_eq!(count, 500);
+        assert_eq!(count, 2000);
         iter.seek_to_last();
-        assert_eq!(extract_user_key(iter.key()), b"k00499");
+        assert_eq!(extract_user_key(iter.key()), b"k01999");
         assert_eq!((cache.usage(), cache.hit_miss()), (0, (0, 0)));
     }
 
@@ -489,10 +505,10 @@ mod tests {
         let env = MemEnv::new();
         let path = Path::new("/lz.sst");
         let mut opts = StoreOptions::default();
-        opts.block_size = 512;
         opts.compression = pebblesdb_common::CompressionType::Lz;
-        let size = build(&env, path, 500, &opts);
+        let size = build(&env, path, 2000, &opts);
         let (table, cache) = open_cached(&env, path, size, &opts, false);
+        assert!(table.data_blocks() >= 4, "{}", table.data_blocks());
 
         get_k100(&table);
         assert_eq!(cache.hit_miss(), (0, 1));
@@ -506,11 +522,11 @@ mod tests {
     fn iterator_covers_block_boundaries() {
         let env = MemEnv::new();
         let path = Path::new("/b.sst");
-        let mut opts = StoreOptions::default();
-        opts.block_size = 256;
-        let size = build(&env, path, 300, &opts);
+        let opts = StoreOptions::default();
+        let size = build(&env, path, 2000, &opts);
         let file = env.new_random_access_file(path).unwrap();
         let table = Arc::new(Table::open(&opts, file, size, 1, None).unwrap());
+        assert!(table.data_blocks() >= 4, "{}", table.data_blocks());
 
         let mut iter = table.iter(&ReadOptions::default());
         iter.seek_to_first();
@@ -521,27 +537,27 @@ mod tests {
             count += 1;
             iter.next();
         }
-        assert_eq!(count, 300);
+        assert_eq!(count, 2000);
         assert!(iter.status().is_ok());
 
         iter.seek_to_last();
-        assert_eq!(extract_user_key(iter.key()), b"k00299");
+        assert_eq!(extract_user_key(iter.key()), b"k01999");
         iter.prev();
-        assert_eq!(extract_user_key(iter.key()), b"k00298");
+        assert_eq!(extract_user_key(iter.key()), b"k01998");
     }
 
     /// A malformed entry — entry 2 of the first data block claims 127
     /// shared key bytes after a 14-byte key — stops every reader at it with
-    /// `Corruption`, checksums unverified (the default). It used to end its
-    /// block quietly: a scan yielded 268 of 300 entries with an `Ok` status
-    /// and `get("k00003")` returned `Ok(None)`.
+    /// `Corruption`, checksums unverified (the default); the blocks after
+    /// it still read. It used to end its block quietly: a scan skipped the
+    /// rest of that block with an `Ok` status and `get("k00003")` returned
+    /// `Ok(None)`.
     #[test]
     fn a_malformed_entry_is_corruption_not_the_end_of_its_block() {
         let env = MemEnv::new();
         let path = Path::new("/bad-entry.sst");
-        let mut opts = StoreOptions::default();
-        opts.block_size = 256;
-        let size = build(&env, path, 300, &opts);
+        let opts = StoreOptions::default();
+        let size = build(&env, path, 2000, &opts);
         // Entries 0 and 1 take 3 + 14 + 2 and 3 + 9 + 2 bytes (`k00001`
         // shares `k0000`); entry 2 starts with its shared length.
         const ENTRY_2: usize = 19 + 14;
@@ -553,6 +569,7 @@ mod tests {
         file.close().unwrap();
         let file = env.new_random_access_file(path).unwrap();
         let table = Arc::new(Table::open(&opts, file, size, 1, None).unwrap());
+        assert!(table.data_blocks() >= 4, "{}", table.data_blocks());
 
         let read = ReadOptions::default();
         let mut iter = table.iter(&read);
@@ -574,7 +591,10 @@ mod tests {
             backward += 1;
             iter.prev();
         }
-        assert!(backward < 298 && is_corruption(iter.status()), "{backward}");
+        assert!(
+            backward < 1998 && is_corruption(iter.status()),
+            "{backward}"
+        );
 
         let get = |user: &str| {
             let target = encode_internal_key(user.as_bytes(), u64::MAX >> 8, ValueType::Value);
@@ -584,7 +604,7 @@ mod tests {
         };
         assert!(is_corruption(get("k00003")));
         assert_eq!(get("k00001").unwrap().unwrap(), b"v1");
-        assert_eq!(get("k00200").unwrap().unwrap(), b"v200");
+        assert_eq!(get("k01999").unwrap().unwrap(), b"v1999");
     }
 
     /// A table file whose index block maps one key to `data`, behind a

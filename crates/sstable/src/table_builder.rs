@@ -11,6 +11,7 @@ use pebblesdb_env::WritableFile;
 
 use crate::block::BlockBuilder;
 use crate::footer::{BlockHandle, Footer};
+use crate::BLOCK_SIZE;
 
 /// Entries between restart points in a data block.
 const BLOCK_RESTART_INTERVAL: usize = 16;
@@ -30,7 +31,6 @@ pub struct TableBuilder {
     /// positive rate at the configured bits-per-key regardless of table size.
     filter_keys: Vec<Vec<u8>>,
     bloom_bits_per_key: usize,
-    block_size: usize,
     num_entries: u64,
     /// Pending index entry: the last key of the block that was just flushed,
     /// written lazily so it could be shortened (we keep the full key).
@@ -45,7 +45,7 @@ pub struct TableBuilder {
 }
 
 impl TableBuilder {
-    /// Creates a builder writing to `file` using the block parameters from
+    /// Creates a builder writing to `file` with the filter parameters of
     /// `options`, compressing with [`StoreOptions::compression`].
     pub fn new(options: &StoreOptions, file: Box<dyn WritableFile>) -> Self {
         TableBuilder {
@@ -55,7 +55,6 @@ impl TableBuilder {
             index_block: BlockBuilder::new(1),
             filter_keys: Vec::new(),
             bloom_bits_per_key: options.bloom_bits_per_key,
-            block_size: options.block_size.max(256),
             num_entries: 0,
             pending_index_entry: None,
             first_key: None,
@@ -109,7 +108,7 @@ impl TableBuilder {
         self.last_key.extend_from_slice(internal_key);
         self.num_entries += 1;
 
-        if self.data_block.current_size_estimate() >= self.block_size {
+        if self.data_block.current_size_estimate() >= BLOCK_SIZE {
             self.flush_data_block()?;
         }
         Ok(())
@@ -260,20 +259,22 @@ mod tests {
         builder.abandon().unwrap();
     }
 
+    /// Blocks are cut by size: 200 entries of ~80 bytes fill several.
     #[test]
     fn small_blocks_force_multiple_data_blocks() {
         let env = MemEnv::new();
-        let file = env.new_writable_file(Path::new("/t3.sst")).unwrap();
-        let mut opts = StoreOptions::default();
-        opts.block_size = 256;
+        let path = Path::new("/t3.sst");
+        let file = env.new_writable_file(path).unwrap();
+        let opts = StoreOptions::default();
         let mut builder = TableBuilder::new(&opts, file);
         for i in 0..200u32 {
             let key = encode_internal_key(format!("key{i:06}").as_bytes(), 1, ValueType::Value);
             builder.add(&key, &[b'v'; 64]).unwrap();
         }
         let size = builder.finish().unwrap();
-        // 200 entries * ~80 bytes each cannot fit in a couple of 256-byte
-        // blocks, so the file must be comfortably larger than one block.
-        assert!(size > 10 * 256);
+        assert!(size > 3 * BLOCK_SIZE as u64, "{size}");
+        let file = env.new_random_access_file(path).unwrap();
+        let table = crate::Table::open(&opts, file, size, 1, None).unwrap();
+        assert!(table.data_blocks() >= 4, "{}", table.data_blocks());
     }
 }

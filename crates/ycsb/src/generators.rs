@@ -12,6 +12,9 @@ pub trait Generator: Send + Sync {
     fn set_item_count(&mut self, item_count: u64);
 }
 
+/// The YCSB skew constant.
+const THETA: f64 = 0.99;
+
 /// Zipfian-distributed item selection (popular items are requested often).
 ///
 /// Implements the Gray et al. "quick" zipfian algorithm used by the original
@@ -20,51 +23,21 @@ pub trait Generator: Send + Sync {
 #[derive(Debug, Clone)]
 pub struct ZipfianGenerator {
     item_count: u64,
-    theta: f64,
+    /// `zeta(item_count)`: the sum of `1 / i^THETA` over `1..=item_count`.
     zeta_n: f64,
-    zeta2: f64,
-    alpha: f64,
     eta: f64,
 }
 
 impl ZipfianGenerator {
-    /// The YCSB default skew constant.
-    pub const DEFAULT_THETA: f64 = 0.99;
-
     /// Creates a zipfian generator over `item_count` items.
     pub fn new(item_count: u64) -> Self {
-        Self::with_theta(item_count, Self::DEFAULT_THETA)
-    }
-
-    /// Creates a zipfian generator with an explicit skew constant.
-    pub fn with_theta(item_count: u64, theta: f64) -> Self {
-        let item_count = item_count.max(1);
-        let zeta_n = Self::zeta(item_count, theta);
-        let zeta2 = Self::zeta(2, theta);
         let mut gen = ZipfianGenerator {
-            item_count,
-            theta,
-            zeta_n,
-            zeta2,
-            alpha: 0.0,
+            item_count: 0,
+            zeta_n: 0.0,
             eta: 0.0,
         };
-        gen.recompute();
+        gen.set_item_count(item_count);
         gen
-    }
-
-    fn zeta(n: u64, theta: f64) -> f64 {
-        let mut sum = 0.0;
-        for i in 0..n {
-            sum += 1.0 / ((i + 1) as f64).powf(theta);
-        }
-        sum
-    }
-
-    fn recompute(&mut self) {
-        self.alpha = 1.0 / (1.0 - self.theta);
-        self.eta = (1.0 - (2.0 / self.item_count as f64).powf(1.0 - self.theta))
-            / (1.0 - self.zeta2 / self.zeta_n);
     }
 }
 
@@ -75,11 +48,11 @@ impl Generator for ZipfianGenerator {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + 0.5f64.powf(THETA) {
             return 1;
         }
-        let index =
-            (self.item_count as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
+        let alpha = 1.0 / (1.0 - THETA);
+        let index = (self.item_count as f64 * (self.eta * u - self.eta + 1.0).powf(alpha)) as u64;
         index.min(self.item_count - 1)
     }
 
@@ -88,10 +61,12 @@ impl Generator for ZipfianGenerator {
         if item_count > self.item_count {
             // Extend the zeta sum incrementally.
             for i in self.item_count..item_count {
-                self.zeta_n += 1.0 / ((i + 1) as f64).powf(self.theta);
+                self.zeta_n += 1.0 / ((i + 1) as f64).powf(THETA);
             }
             self.item_count = item_count;
-            self.recompute();
+            let zeta2 = 1.0 + 1.0 / 2f64.powf(THETA);
+            self.eta =
+                (1.0 - (2.0 / item_count as f64).powf(1.0 - THETA)) / (1.0 - zeta2 / self.zeta_n);
         }
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! The tests live in `tests/` next to this file; this library holds what
 //! several of them share: the decoder fuzz, how a test gets its `SimEnv`,
-//! and a deadline for work that must not hang.
+//! and a deadline for work that must not hang. It also compiles and runs
+//! the README's code blocks as doctests, so the Quickstart cannot rot.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -13,6 +14,10 @@ use pebblesdb_env::{Env, SimEnv};
 use pebblesdb_wal::Record;
 use rand::rngs::StdRng;
 use rand::Rng;
+
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
 
 /// One seeded mutation: a bit flip, a truncation or spliced junk.
 pub fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>) {

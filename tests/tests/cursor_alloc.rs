@@ -18,6 +18,7 @@ use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset, NUM_
 use pebblesdb_engine::{FileMetaDataEdit, VersionEdit, VersionShape};
 use pebblesdb_env::{DiskEnv, Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
+use pebblesdb_sstable::BLOCK_SIZE;
 
 thread_local! {
     /// Allocations made by this thread; background threads count into
@@ -342,12 +343,11 @@ fn an_uncached_get_through_a_copying_file_allocates_only_the_copy() {
 }
 
 /// Mean allocations of a cursor that seeks and steps 50 times (the
-/// `range_scan` pattern) over a store holding one table of 2,000 entries
-/// cut into `block_size`-byte blocks.
-fn allocations_per_scan(engine: &str, block_size: usize) -> u64 {
+/// `range_scan` pattern) over a store holding 150 entries of `value_len`-byte
+/// values, and the sizes of the tables holding them.
+fn allocations_per_scan(engine: &str, value_len: usize) -> (u64, Vec<u64>) {
     let mut options = small_options();
     options.write_buffer_size = 4 << 20;
-    options.block_size = block_size;
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
     let dir = Path::new("/scan");
     let db: Box<dyn Db> = match engine {
@@ -357,13 +357,13 @@ fn allocations_per_scan(engine: &str, block_size: usize) -> u64 {
             Box::new(LsmDb::open_with_options(env, dir, options, preset).unwrap())
         }
     };
-    for i in 0..2_000 {
-        db.put(&key(i), &[b'v'; 100]).unwrap();
+    for i in 0..150 {
+        db.put(&key(i), &vec![b'v'; value_len]).unwrap();
     }
     db.flush().unwrap();
     let scan = || {
         let mut iter = db.iter(&ReadOptions::default()).unwrap();
-        iter.seek(&key(100));
+        iter.seek(&key(50));
         for _ in 0..50 {
             assert!(iter.valid());
             iter.next();
@@ -378,18 +378,28 @@ fn allocations_per_scan(engine: &str, block_size: usize) -> u64 {
     for _ in 0..ROUNDS {
         scan();
     }
-    (ALLOCATIONS.with(Cell::get) - before) / ROUNDS
+    let allocations = (ALLOCATIONS.with(Cell::get) - before) / ROUNDS;
+    (allocations, db.live_file_sizes())
 }
 
 /// A table cursor keeps one data-block iterator, key buffer and all, from
-/// block to block: a 50-step scan across some 25 blocks of 256 bytes
-/// allocates exactly what one inside a single 64 KiB block does. It cost
-/// one key buffer per block entered while each block got a fresh iterator.
+/// block to block: a 50-step scan over 1 KiB values, which crosses a block
+/// every few entries, allocates exactly what one over 4-byte values inside
+/// a single block does. It cost one key buffer per block entered while each
+/// block got a fresh iterator.
 #[test]
 fn a_scan_across_blocks_allocates_what_one_inside_a_block_does() {
+    // A block closes once its entries reach `BLOCK_SIZE`, so it holds at
+    // most `BLOCK_SIZE / 1 KiB + 1` of them: the 51 entries a scan visits
+    // span at least this many blocks.
+    let blocks_crossed = 51 / (BLOCK_SIZE / 1024 + 1);
+    assert!(blocks_crossed >= 10, "{blocks_crossed} blocks");
     for engine in ["flsm", "lsm"] {
-        let across = allocations_per_scan(engine, 256);
-        let inside = allocations_per_scan(engine, 64 << 10);
+        let (across, _) = allocations_per_scan(engine, 1024);
+        let (inside, tables) = allocations_per_scan(engine, 4);
+        // One table smaller than a block holds a single data block.
+        assert_eq!(tables.len(), 1, "{engine}: {tables:?}");
+        assert!(tables[0] < BLOCK_SIZE as u64, "{engine}: {tables:?}");
         assert_eq!(across, inside, "{engine}: allocations per 50-step scan");
     }
 }
