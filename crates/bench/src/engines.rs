@@ -87,11 +87,6 @@ pub fn scaled_options(kind: EngineKind, scale_divisor: usize) -> StoreOptions {
     options.max_file_size = options.max_file_size.max(256 << 10);
     options.block_cache_capacity = options.block_cache_capacity.max(2 << 20);
     options.max_open_files = 8192;
-    // Parallel seeks pay off when last-level sstables sit on a cold device;
-    // the default bench environment is in-memory, where spawning the seek
-    // threads costs more than it saves, so the harness turns them off. The
-    // ablation experiment re-enables them explicitly.
-    options.parallel_seek_threads = 1;
     options
 }
 
@@ -207,7 +202,6 @@ mod tests {
         assert_eq!((NUM_LEVELS, pebblesdb_sstable::BLOCK_SIZE), (7, 4096));
         for (kind, threads) in [(EngineKind::PebblesDb, 2), (EngineKind::HyperLevelDb, 1)] {
             let StoreOptions {
-                paranoid_checks,
                 write_buffer_size,
                 block_cache_capacity,
                 max_open_files,
@@ -226,10 +220,8 @@ mod tests {
                 top_level_bits,
                 bit_decrement,
                 seek_compaction_threshold,
-                parallel_seek_threads,
                 enable_aggressive_compaction,
             } = scaled_options(kind, 16);
-            assert!(!paranoid_checks);
             assert_eq!(write_buffer_size, 256 << 10, "{kind:?}");
             assert_eq!(block_cache_capacity, 2 << 20);
             assert_eq!(max_file_size, 256 << 10);
@@ -249,7 +241,6 @@ mod tests {
             assert_eq!(max_sstables_per_guard, 8);
             assert_eq!(seek_compaction_threshold, 10);
             assert!(enable_aggressive_compaction);
-            assert_eq!(parallel_seek_threads, 1);
             assert_eq!(compaction_threads, threads, "{kind:?}");
             assert_eq!(value_separation_threshold, 0);
             assert_eq!(compression, CompressionType::None);

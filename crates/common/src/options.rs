@@ -92,13 +92,11 @@ pub const NUM_LEVELS: usize = 7;
 /// Configuration shared by every engine in the workspace.
 ///
 /// The FLSM-specific knobs (`max_sstables_per_guard`, guard-selection bits,
-/// parallel seeks, ...) are ignored by the baseline LSM and B+Tree engines.
+/// seek and aggressive compaction) are ignored by the baseline LSM and
+/// B+Tree engines.
 /// Opening a store creates its directory when it does not exist.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
-    /// Verify checksums and fail loudly on any sign of corruption.
-    pub paranoid_checks: bool,
-
     /// Size (bytes) a memtable may reach before being flushed to level 0.
     pub write_buffer_size: usize,
     /// Capacity (bytes) of the block cache shared by all sstables.
@@ -180,9 +178,6 @@ pub struct StoreOptions {
     /// FLSM: consecutive seeks that trigger seek-based compaction; `0`
     /// turns the trigger off.
     pub seek_compaction_threshold: usize,
-    /// FLSM: threads that position the sstables of a last-level guard on a
-    /// seek (PebblesDB optimization); `1` or less seeks them serially.
-    pub parallel_seek_threads: usize,
     /// FLSM: enable aggressive whole-level compaction when levels are close
     /// in size.
     pub enable_aggressive_compaction: bool,
@@ -191,8 +186,6 @@ pub struct StoreOptions {
 impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
-            paranoid_checks: false,
-
             write_buffer_size: 4 << 20,
             block_cache_capacity: 8 << 20,
             max_open_files: 1000,
@@ -215,7 +208,6 @@ impl Default for StoreOptions {
             top_level_bits: 14,
             bit_decrement: 2,
             seek_compaction_threshold: 10,
-            parallel_seek_threads: 4,
             enable_aggressive_compaction: true,
         }
     }

@@ -7,8 +7,8 @@
 //! 4.4 of the paper). Everything below level 0 is what this file supplies:
 //! levels are organised by guards, compaction fragments data into child
 //! guards instead of rewriting the next level, and reads use sstable-level
-//! bloom filters, parallel seeks and seek-triggered compaction to claw back
-//! the read performance the FLSM structure gives up.
+//! bloom filters and seek-triggered compaction to claw back the read
+//! performance the FLSM structure gives up.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};

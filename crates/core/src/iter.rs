@@ -205,25 +205,6 @@ mod tests {
         assert_eq!(extract_user_key(iter.key()), b"a");
     }
 
-    /// Parallel seeks only warm the cache: a many-file guard positioned with
-    /// a thread pool yields exactly what the serial seek does.
-    #[test]
-    fn parallel_seek_into_a_many_file_guard_matches_the_serial_one() {
-        let (_, cache, guards) = setup();
-        let mut serial = level_iter(Arc::clone(&cache), guards.clone());
-        let mut parallel = level_iter(cache, guards).with_parallel_seeks(4);
-        for key in [&b""[..], b"b", b"c", b"d", b"n", b"u"] {
-            let target = encode_internal_key(key, u64::MAX >> 8, ValueType::Value);
-            serial.seek(&target);
-            parallel.seek(&target);
-            assert_eq!(parallel.valid(), serial.valid());
-            if serial.valid() {
-                assert_eq!(parallel.key(), serial.key());
-                assert_eq!(parallel.value(), serial.value());
-            }
-        }
-    }
-
     #[test]
     fn empty_guard_in_the_middle_is_skipped() {
         let (_, cache, mut guards) = setup();

@@ -12,9 +12,10 @@
 //! what removes the write amplification of classical LSM compaction.
 //!
 //! On top of the FLSM structure, PebblesDB layers the read-side techniques
-//! from chapter 4 of the paper: sstable-level bloom filters, parallel seeks
-//! on the last level, seek-triggered compaction and aggressive whole-level
-//! compaction.
+//! from chapter 4 of the paper: sstable-level bloom filters, seek-triggered
+//! compaction and aggressive whole-level compaction. Parallel seeks are
+//! left out: with no device latency to hide, a thread per seek cost more
+//! than it saved (the README's "Deviations from the paper's set-up").
 //!
 //! ## Quick start
 //!

@@ -143,14 +143,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         if let Some(imm) = imm {
             children.push(Box::new(imm.owned_iter()));
         }
-        runs::push_version_iterators(
-            &table_cache,
-            opts,
-            &version,
-            &levels,
-            self.io.options.parallel_seek_threads,
-            &mut children,
-        )?;
+        runs::push_version_iterators(&table_cache, opts, &version, &levels, &mut children)?;
 
         let merged = MergingIterator::new(children);
         let user = UserIterator::new(Box::new(merged), sequence)

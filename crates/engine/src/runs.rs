@@ -232,9 +232,6 @@ pub struct LevelCursor<V: VersionShape> {
     current: Option<SlotIter>,
     /// First error hit while opening a slot; ends iteration.
     error: Option<Error>,
-    /// Threads used to pre-position a many-file slot's sstables on `seek`
-    /// (the paper's "parallel seeks"); `<= 1` disables the optimisation.
-    parallel_seek_threads: usize,
 }
 
 impl<V: VersionShape> LevelCursor<V> {
@@ -254,39 +251,7 @@ impl<V: VersionShape> LevelCursor<V> {
             read_options,
             current: None,
             error: None,
-            parallel_seek_threads: 1,
         }
-    }
-
-    /// Enables parallel positioning of a many-file slot's sstables on `seek`.
-    ///
-    /// Section 4.2 of the paper: a seek into a guard must position an
-    /// iterator in *every* sstable of the guard; doing so with a thread pool
-    /// hides the per-sstable IO latency on the coldest (deepest) level.
-    pub fn with_parallel_seeks(mut self, threads: usize) -> Self {
-        self.parallel_seek_threads = threads.max(1);
-        self
-    }
-
-    /// Warms `files` for `target` with a thread pool, so the serial merged
-    /// seek that follows hits cache.
-    fn parallel_warm(&self, files: &[Arc<FileMetaData>], target: &[u8]) {
-        let chunk_size = files.len().div_ceil(self.parallel_seek_threads).max(1);
-        // Capture only the Sync pieces; `self` also holds the (non-Sync)
-        // open slot iterator.
-        let table_cache = &self.table_cache;
-        let read_options = &self.read_options;
-        std::thread::scope(|scope| {
-            for chunk in files.chunks(chunk_size) {
-                scope.spawn(move || {
-                    for file in chunk {
-                        if let Ok(table) = reader(table_cache, file) {
-                            table.iter(read_options).seek(target);
-                        }
-                    }
-                });
-            }
-        });
     }
 
     /// Makes `slot` the current one, opens its sstables and positions the
@@ -416,10 +381,6 @@ impl<V: VersionShape> DbIterator for LevelCursor<V> {
 
     fn seek(&mut self, target: &[u8]) {
         let slot = self.source.run().slot_for(target);
-        let files = self.source.run().files(slot);
-        if self.parallel_seek_threads > 1 && files.len() > 1 {
-            self.parallel_warm(files, target);
-        }
         if self.open_slot(slot, |iter| iter.seek(target)) {
             self.settle_forward();
         }
@@ -474,29 +435,18 @@ pub fn push_table_iterators<'a>(
 /// level-0 file plus one lazy [`LevelCursor`] per non-empty deeper level
 /// (`levels` is the version's table). The cursors read the pinned version's
 /// slots in place, so building them copies no per-file or per-guard state.
-/// The deepest non-empty level — whose sstables are the least likely to be
-/// cached — positions a many-file slot with `parallel_seek_threads` threads
-/// (the paper's "parallel seeks"; a no-op on one-file slots).
 pub fn push_version_iterators<V: VersionShape>(
     table_cache: &Arc<TableCache>,
     read_options: &ReadOptions,
     version: &Arc<V>,
     levels: &[LevelRow],
-    parallel_seek_threads: usize,
     children: &mut Vec<Box<dyn DbIterator>>,
 ) -> Result<()> {
     push_table_iterators(table_cache, read_options, version.level0(), children)?;
-    let nonempty = levels.iter().skip(1).filter(|row| row.files > 0);
-    let deepest = nonempty.clone().next_back().map(|row| row.level);
-    for row in nonempty {
-        let threads = if Some(row.level) == deepest {
-            parallel_seek_threads
-        } else {
-            1
-        };
+    for row in levels.iter().skip(1).filter(|row| row.files > 0) {
         let (cache, version) = (Arc::clone(table_cache), Arc::clone(version));
         let cursor = LevelCursor::new(cache, read_options.clone(), version, row.level);
-        children.push(Box::new(cursor.with_parallel_seeks(threads)));
+        children.push(Box::new(cursor));
     }
     Ok(())
 }

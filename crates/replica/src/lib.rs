@@ -59,33 +59,23 @@ use pebblesdb_engine::{EngineDb, ShapePolicy};
 use pebblesdb_server::RespClient;
 
 /// How a follower finds and talks to its leader.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FollowerConfig {
     /// The leader's RESP listener address (`host:port`).
     pub leader_addr: String,
     /// Credential for the leader's `AUTH`, when it requires one.
     pub auth_token: Option<Vec<u8>>,
-    /// First reconnect delay after a broken stream; doubles per attempt.
-    pub reconnect_backoff: Duration,
-    /// Reconnect delay cap.
-    pub max_reconnect_backoff: Duration,
-    /// A stream with no frame (batch or ping) for this long is considered
-    /// dead and reconnected. The leader pings every poll interval (~100ms)
-    /// while idle, so this fires only when the leader is actually gone.
-    pub liveness_timeout: Duration,
 }
 
-impl Default for FollowerConfig {
-    fn default() -> FollowerConfig {
-        FollowerConfig {
-            leader_addr: String::new(),
-            auth_token: None,
-            reconnect_backoff: Duration::from_millis(50),
-            max_reconnect_backoff: Duration::from_secs(1),
-            liveness_timeout: Duration::from_secs(3),
-        }
-    }
-}
+/// First reconnect delay after a broken stream; doubles per failed attempt.
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(50);
+/// Reconnect delay cap.
+const MAX_RECONNECT_BACKOFF: Duration = Duration::from_secs(1);
+/// A stream with no frame (batch or ping) for this long is considered dead
+/// and reconnected. The leader pings every
+/// [`POLL_INTERVAL`](pebblesdb_common::replication::POLL_INTERVAL) while
+/// idle, so this fires only when the leader is actually gone.
+const LIVENESS_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// Replication progress, written by the replication thread and read by the
 /// store's surfaces.
@@ -245,13 +235,14 @@ fn replication_loop<P: ShapePolicy>(
     state: &FollowerState,
     config: &FollowerConfig,
 ) {
-    let mut backoff = config.reconnect_backoff;
+    let mut backoff = Duration::ZERO;
     loop {
         if state.shutdown.load(Ordering::Acquire) {
             return;
         }
         let end = ship_once(db, state, config);
-        state.connected.store(false, Ordering::Release);
+        let streamed = state.connected.swap(false, Ordering::AcqRel);
+        backoff = next_backoff(backoff, streamed);
         match end {
             StreamEnd::Shutdown => return,
             StreamEnd::Truncated(floor) => {
@@ -274,7 +265,18 @@ fn replication_loop<P: ShapePolicy>(
             }
             env.sleep(Duration::from_millis(10));
         }
-        backoff = (backoff * 2).min(config.max_reconnect_backoff);
+    }
+}
+
+/// The wait before the next reconnect, given the one before this attempt:
+/// the base once a stream got past `SYNC` (the leader was up, so whatever
+/// broke it is fresh), else twice the previous wait, from the base up to the
+/// cap.
+fn next_backoff(previous: Duration, streamed: bool) -> Duration {
+    if streamed {
+        RECONNECT_BACKOFF
+    } else {
+        (previous * 2).clamp(RECONNECT_BACKOFF, MAX_RECONNECT_BACKOFF)
     }
 }
 
@@ -321,7 +323,7 @@ fn ship_once<P: ShapePolicy>(
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                if env.now().saturating_sub(last_frame) >= config.liveness_timeout {
+                if env.now().saturating_sub(last_frame) >= LIVENESS_TIMEOUT {
                     return StreamEnd::Broken("leader silent past liveness timeout".to_string());
                 }
                 continue;
@@ -506,18 +508,32 @@ mod tests {
         assert!(err.to_string().contains("leader"), "got: {err}");
     }
 
+    /// Failed attempts double the wait from the base and settle exactly at
+    /// the cap; a stream that got past `SYNC` puts it back to the base, so a
+    /// long-lived replica's next outage starts over at 50 ms.
     #[test]
-    fn config_defaults_back_off_without_exceeding_the_cap() {
-        let config = FollowerConfig::default();
-        assert!(config.reconnect_backoff <= config.max_reconnect_backoff);
-        assert!(config.liveness_timeout > Duration::ZERO);
-        assert!(config.auth_token.is_none());
-        // A follower that doubles its backoff from the default must settle
-        // exactly at the cap, not oscillate past it.
-        let mut backoff = config.reconnect_backoff;
-        for _ in 0..16 {
-            backoff = (backoff * 2).min(config.max_reconnect_backoff);
+    fn backoff_doubles_on_failure_and_resets_after_a_stream() {
+        let mut backoff = Duration::ZERO;
+        let mut waits = Vec::new();
+        for _ in 0..7 {
+            backoff = next_backoff(backoff, false);
+            waits.push(backoff.as_millis());
         }
-        assert_eq!(backoff, config.max_reconnect_backoff);
+        assert_eq!(waits, [50, 100, 200, 400, 800, 1000, 1000]);
+        assert_eq!(next_backoff(MAX_RECONNECT_BACKOFF, true), RECONNECT_BACKOFF);
+    }
+
+    /// A follower is configured by where its leader is and how to log in;
+    /// its timers are constants. The destructuring names every field, so a
+    /// new one does not compile until its default is pinned here.
+    #[test]
+    fn the_follower_config_is_pinned() {
+        let FollowerConfig {
+            leader_addr,
+            auth_token,
+        } = FollowerConfig::default();
+        assert_eq!(leader_addr, "");
+        assert_eq!(auth_token, None);
+        assert!(LIVENESS_TIMEOUT > pebblesdb_common::replication::POLL_INTERVAL * 10);
     }
 }

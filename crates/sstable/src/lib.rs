@@ -152,7 +152,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_block_is_detected_with_paranoid_checks() {
+    fn corrupted_block_is_detected_when_checksums_are_verified() {
         let env = MemEnv::new();
         let path = Path::new("/sst/000004.sst");
         let size = build_table(&env, path, 200);

@@ -46,7 +46,6 @@ pub struct Table {
     block_cache: Option<Arc<BlockCache>>,
     /// Identifier used in block-cache keys (the engine's file number).
     cache_id: u64,
-    verify_checksums_default: bool,
     size: u64,
     counters: Arc<EngineCounters>,
 }
@@ -87,7 +86,6 @@ impl Table {
             filter_policy: BloomFilterPolicy::new(options.bloom_bits_per_key.max(1)),
             block_cache,
             cache_id,
-            verify_checksums_default: options.paranoid_checks,
             size,
             counters: Arc::clone(counters),
         })
@@ -168,7 +166,7 @@ impl Table {
     /// copy off the device, or a decode — is looked up in the cache first
     /// and inserted into it after.
     fn read_data_block(&self, read_options: &ReadOptions, handle: &BlockHandle) -> Result<Block> {
-        let verify = read_options.verify_checksums || self.verify_checksums_default;
+        let verify = read_options.verify_checksums;
         let mut stored = None;
         if self.resident {
             let block = StoredBlock::read(self.file.as_ref(), handle, self.size)?;

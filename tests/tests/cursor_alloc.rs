@@ -88,7 +88,6 @@ fn small_options() -> StoreOptions {
     let mut options = StoreOptions::default();
     options.write_buffer_size = 64 << 10;
     options.base_level_bytes = 256 << 10;
-    options.parallel_seek_threads = 1;
     options
 }
 

@@ -43,7 +43,6 @@ fn stores(max_open_files: usize) -> Vec<Store> {
     options.write_buffer_size = 16 << 10;
     options.max_file_size = 4 << 10;
     options.base_level_bytes = 64 << 10;
-    options.parallel_seek_threads = 1;
     options.max_open_files = max_open_files;
 
     let (env, dyn_env) = sim_over(MemEnv::new());

@@ -455,7 +455,7 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-/// ROADMAP item 7c, first case: what a `kill -9` right after the
+/// ROADMAP item 9b, first case: what a `kill -9` right after the
 /// acknowledgement would leave on disk is what the process has handed to
 /// the operating system by then, which a copy of the directory sees.
 #[test]
