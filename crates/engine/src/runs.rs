@@ -557,7 +557,13 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
     } else {
         io.options.max_file_size as u64
     };
-    let read_options = ReadOptions::default();
+    // A compaction rewrites its inputs under fresh CRCs, so it checks the
+    // old ones first: a flipped value byte is `Corruption` here, not a
+    // wrong value the output vouches for.
+    let read_options = ReadOptions {
+        verify_checksums: true,
+        ..ReadOptions::default()
+    };
     let mut children: Vec<Box<dyn DbIterator>> = Vec::new();
     let inputs = job.inputs.iter().map(|(_, file)| file);
     push_table_iterators(&io.table_cache, &read_options, inputs, &mut children)?;

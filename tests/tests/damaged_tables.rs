@@ -1,14 +1,17 @@
-//! A malformed sstable entry is `Corruption` wherever a store reads it — a
+//! A damaged sstable entry is `Corruption` wherever a store reads it — a
 //! cursor, a `get`, a compaction input — and never the quiet end of its
-//! block. A compaction that meets one fails and deletes its outputs; the
-//! damaged table stays, so no key is dropped without an error.
+//! block or a wrong value. A compaction that meets one fails and deletes
+//! its outputs; the damaged table stays, so no key is dropped or rewritten
+//! without an error.
 //!
-//! The damage is planted in one byte with checksums unverified (the
-//! default): entry 2 of the largest table's first data block claims more
-//! shared key bytes than its predecessor's key holds. It used to end the
-//! block quietly — an `LsmDb` of 4,000 keys reopened to a cursor of 3,965
-//! keys with status `Ok`, and 16,000 more puts compacted the table away and
-//! the 35 keys with it.
+//! Each test plants one byte in entry 2 of the largest table's first data
+//! block. A malformed entry (more shared key bytes than its predecessor's
+//! key holds) is caught with checksums unverified, the default. It used to
+//! end the block quietly — an `LsmDb` of 4,000 keys reopened to a cursor of
+//! 3,965 keys with status `Ok`, and 16,000 more puts compacted the table
+//! away and the 35 keys with it. A flipped value byte breaks no structure;
+//! only the block CRC sees it, which a compaction always checks and a read
+//! checks when asked to.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -53,9 +56,20 @@ fn open(engine: &str, env: &MemEnv) -> Result<Box<dyn Db>> {
     })
 }
 
-/// Rewrites the largest table so that entry 2 of its first data block
-/// shares 127 bytes with a shorter key, and returns its path.
-fn plant_bad_entry(env: &MemEnv) -> PathBuf {
+/// Where a test plants its one byte: entry 2 of the largest table's first
+/// data block.
+#[derive(Debug)]
+enum Damage {
+    /// The entry claims 127 shared key bytes, more than its predecessor's
+    /// key holds: the block no longer parses.
+    SharedLength,
+    /// One byte of the entry's value is flipped: the block parses, and
+    /// only its CRC says the value is wrong.
+    ValueByte,
+}
+
+/// Plants `damage` in the largest table and returns its path.
+fn plant(env: &MemEnv, damage: &Damage) -> PathBuf {
     let dir = Path::new("/db");
     let tables = env.children(dir).unwrap().into_iter();
     let path = tables
@@ -64,7 +78,7 @@ fn plant_bad_entry(env: &MemEnv) -> PathBuf {
         .max_by_key(|path| env.file_size(path).unwrap())
         .unwrap();
     let mut contents = env.read_file_to_vec(&path).unwrap();
-    let mut entry = 0;
+    let (mut entry, mut value) = (0, 0);
     for _ in 0..2 {
         let mut pos = entry;
         let mut lengths = [0; 3];
@@ -72,13 +86,18 @@ fn plant_bad_entry(env: &MemEnv) -> PathBuf {
             let (decoded, used) = decode_varint32(&contents[pos..]).unwrap();
             (*length, pos) = (decoded as usize, pos + used);
         }
-        entry = pos + lengths[1] + lengths[2];
+        (entry, value) = (pos + lengths[1] + lengths[2], pos + lengths[1]);
     }
-    assert!(
-        (1..20).contains(&contents[entry]),
-        "a prefix-compressed key"
-    );
-    contents[entry] = 127;
+    match damage {
+        Damage::SharedLength => {
+            assert!(
+                (1..20).contains(&contents[entry]),
+                "a prefix-compressed key"
+            );
+            contents[entry] = 127;
+        }
+        Damage::ValueByte => contents[value + 50] ^= 1,
+    }
     let mut file = env.new_writable_file(&path).unwrap();
     file.append(&contents).unwrap();
     file.close().unwrap();
@@ -86,11 +105,12 @@ fn plant_bad_entry(env: &MemEnv) -> PathBuf {
 }
 
 /// Every key the store holds is either read right or refused with
-/// `Corruption` — never missing — and the damage shows on each read path.
-fn check_damaged_reads(name: &str, db: &dyn Db) {
+/// `Corruption` — never missing, never wrong — and the damage shows on each
+/// read path.
+fn check_damaged_reads(name: &str, db: &dyn Db, read_options: &ReadOptions) {
     let mut refused = 0;
     for i in 0..KEYS {
-        match db.get(&key(i)) {
+        match db.get_opts(read_options, &key(i)) {
             Ok(found) => assert_eq!(found, Some(value(i)), "{name}: key {i}"),
             Err(Error::Corruption(_)) => refused += 1,
             Err(err) => panic!("{name}: key {i}: {err:?}"),
@@ -98,7 +118,7 @@ fn check_damaged_reads(name: &str, db: &dyn Db) {
     }
     assert!(refused > 0, "{name}: no get met the damage");
 
-    let mut iter = db.iter(&ReadOptions::default()).unwrap();
+    let mut iter = db.iter(read_options).unwrap();
     iter.seek_to_first();
     let mut seen = 0;
     while iter.valid() {
@@ -116,9 +136,13 @@ fn check_damaged_reads(name: &str, db: &dyn Db) {
     );
 }
 
-#[test]
-fn a_malformed_entry_is_corruption_and_its_table_is_never_compacted_away() {
+/// Loads each engine, plants `damage`, checks the reads, then writes enough
+/// to compact every level: the job that reads the damaged table fails and
+/// poisons the store instead of rewriting the table without the keys it
+/// hid, or with a wrong value under a fresh CRC. The table stays.
+fn damaged_table_survives_compaction(damage: Damage, read_options: &ReadOptions) {
     for engine in ["flsm", "lsm"] {
+        let name = format!("{engine}, {damage:?}");
         let env = MemEnv::new();
         let db = open(engine, &env).unwrap();
         for i in 0..KEYS {
@@ -126,23 +150,37 @@ fn a_malformed_entry_is_corruption_and_its_table_is_never_compacted_away() {
         }
         db.flush().unwrap();
         drop(db);
-        let damaged = plant_bad_entry(&env);
+        let damaged = plant(&env, &damage);
 
         let db = open(engine, &env).unwrap();
-        check_damaged_reads(engine, db.as_ref());
-        // Enough writes to compact every level: the job that reads the
-        // damaged table fails and poisons the store instead of rewriting
-        // the table without the keys it hid.
+        check_damaged_reads(&name, db.as_ref(), read_options);
         let failed = (KEYS..5 * KEYS).find(|&i| db.put(&later_key(i), &value(i)).is_err());
         drop(db);
 
-        assert!(env.file_exists(&damaged), "{engine}: damaged table deleted");
+        assert!(env.file_exists(&damaged), "{name}: damaged table deleted");
         let db = open(engine, &env).unwrap();
-        check_damaged_reads(engine, db.as_ref());
+        check_damaged_reads(&name, db.as_ref(), read_options);
         // The FLSM appends these writes into guards and leaves the damaged
         // table where it is; the LSM must rewrite it, and cannot.
         if engine == "lsm" {
-            assert!(failed.is_some(), "lsm: no compaction read the damage");
+            assert!(failed.is_some(), "{name}: no compaction read the damage");
         }
     }
+}
+
+#[test]
+fn a_malformed_entry_is_corruption_and_its_table_is_never_compacted_away() {
+    damaged_table_survives_compaction(Damage::SharedLength, &ReadOptions::default());
+}
+
+/// Nothing but the block CRC sees a flipped value byte, so only a read that
+/// verifies checksums refuses it — and a compaction, which always does, so
+/// that the wrong value is never rewritten under a valid CRC.
+#[test]
+fn a_flipped_value_byte_is_never_laundered_by_a_compaction() {
+    let verified = ReadOptions {
+        verify_checksums: true,
+        ..ReadOptions::default()
+    };
+    damaged_table_survives_compaction(Damage::ValueByte, &verified);
 }
