@@ -161,16 +161,6 @@ impl<'a> Decoder<'a> {
         Ok(value)
     }
 
-    /// Reads a fixed-width little-endian `u64`.
-    pub fn read_fixed64(&mut self) -> Result<u64> {
-        if self.remaining() < 8 {
-            return Err(Error::corruption("truncated fixed64"));
-        }
-        let value = decode_fixed64(&self.data[self.offset..]);
-        self.offset += 8;
-        Ok(value)
-    }
-
     /// Reads a length-prefixed byte slice.
     pub fn read_length_prefixed_slice(&mut self) -> Result<&'a [u8]> {
         let (slice, used) = get_length_prefixed_slice(&self.data[self.offset..])?;
@@ -274,11 +264,11 @@ mod tests {
     fn decoder_reads_fields_in_order() {
         let mut buf = Vec::new();
         put_varint32(&mut buf, 7);
-        put_fixed64(&mut buf, 42);
+        put_varint64(&mut buf, 42);
         put_length_prefixed_slice(&mut buf, b"key");
         let mut dec = Decoder::new(&buf);
         assert_eq!(dec.read_varint32().unwrap(), 7);
-        assert_eq!(dec.read_fixed64().unwrap(), 42);
+        assert_eq!(dec.read_varint64().unwrap(), 42);
         assert_eq!(dec.read_length_prefixed_slice().unwrap(), b"key");
         assert!(dec.is_empty());
     }

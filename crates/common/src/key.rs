@@ -153,12 +153,6 @@ impl InternalKey {
         InternalKey { encoded }
     }
 
-    /// Builds the smallest possible internal key for `user_key`
-    /// (useful as an upper bound when partitioning by user key).
-    pub fn min_possible_for_user_key(user_key: &[u8]) -> Self {
-        InternalKey::new(user_key, MAX_SEQUENCE_NUMBER, VALUE_TYPE_FOR_SEEK)
-    }
-
     /// Returns the encoded representation.
     pub fn encoded(&self) -> &[u8] {
         &self.encoded
@@ -320,13 +314,6 @@ mod tests {
         let dbg = format!("{key:?}");
         assert!(dbg.contains("abc"));
         assert!(dbg.contains('3'));
-    }
-
-    #[test]
-    fn min_possible_sorts_before_all_records_of_key() {
-        let probe = InternalKey::min_possible_for_user_key(b"k");
-        let record = InternalKey::new(b"k", 500, ValueType::Value);
-        assert!(probe < record);
     }
 
     #[test]

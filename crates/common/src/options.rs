@@ -277,11 +277,10 @@ impl StoreOptions {
 }
 
 /// Options applied to individual read operations. A block a read copies
-/// off the device or decodes always goes into the block cache.
+/// off the device or decodes always goes into the block cache, and every
+/// sstable block is checksum-verified once, on its way into memory.
 #[derive(Debug, Clone, Default)]
 pub struct ReadOptions {
-    /// Verify block checksums on every read.
-    pub verify_checksums: bool,
     /// Read as of this sequence number; `None` reads the latest data.
     ///
     /// The sequence must come from a live
@@ -334,11 +333,7 @@ mod tests {
     /// until its benchmark value is pinned here.
     #[test]
     fn the_benchmarks_read_options_are_pinned() {
-        let ReadOptions {
-            verify_checksums,
-            snapshot,
-        } = ReadOptions::default();
-        assert!(!verify_checksums);
+        let ReadOptions { snapshot } = ReadOptions::default();
         assert_eq!(snapshot, None);
     }
 

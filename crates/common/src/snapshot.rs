@@ -127,7 +127,6 @@ impl Snapshot {
     pub fn read_options(&self) -> ReadOptions {
         ReadOptions {
             snapshot: Some(self.sequence),
-            ..ReadOptions::default()
         }
     }
 }

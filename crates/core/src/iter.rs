@@ -56,7 +56,7 @@ mod tests {
         ValueType,
     };
     use pebblesdb_common::vlog::LookupValue;
-    use pebblesdb_common::{ReadOptions, StoreOptions};
+    use pebblesdb_common::StoreOptions;
     use pebblesdb_engine::{runs, LevelCursor, VersionEdit, VersionShape};
     use pebblesdb_env::{Env, MemEnv};
     use pebblesdb_lsm::version::{FileRuns, Version};
@@ -151,7 +151,7 @@ mod tests {
     /// A cursor over level 1 of `version`.
     fn level1_cursor<V: VersionShape>(version: &Arc<V>, cache: &Arc<TableCache>) -> LevelCursor<V> {
         let version = Arc::clone(version);
-        LevelCursor::new(Arc::clone(cache), ReadOptions::default(), version, 1)
+        LevelCursor::new(Arc::clone(cache), version, 1)
     }
 
     fn user_keys_forward(iter: &mut impl DbIterator) -> Entries {
@@ -355,7 +355,7 @@ mod tests {
             let value_type = parse_internal_key(cursor.key()).unwrap().value_type;
             (value_type == ValueType::Value).then(|| LookupValue::Inline(cursor.value().to_vec()))
         });
-        let found = runs::get(&**version, cache, &ReadOptions::default(), &lookup).unwrap();
+        let found = runs::get(&**version, cache, &lookup).unwrap();
         assert_eq!(
             found,
             expected.clone().flatten(),

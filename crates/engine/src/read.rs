@@ -100,7 +100,7 @@ impl<P: ShapePolicy> EngineCore<P> {
                 return Ok(settled.map(|found| (found, resolver)));
             }
         }
-        Ok(runs::get(&*version, &table_cache, opts, &lookup)?.map(|found| (found, resolver)))
+        Ok(runs::get(&*version, &table_cache, &lookup)?.map(|found| (found, resolver)))
     }
 
     /// Builds the streaming user-key cursor over one family: its memtables
@@ -143,7 +143,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         if let Some(imm) = imm {
             children.push(Box::new(imm.owned_iter()));
         }
-        runs::push_version_iterators(&table_cache, opts, &version, &levels, &mut children)?;
+        runs::push_version_iterators(&table_cache, &version, &levels, &mut children)?;
 
         let merged = MergingIterator::new(children);
         let user = UserIterator::new(Box::new(merged), sequence)

@@ -46,7 +46,6 @@ fn reader(table_cache: &TableCache, file: &FileMetaData) -> Result<Arc<Table>> {
 /// so a caller can pick the newest match across files that overlap.
 fn probe_file(
     table_cache: &TableCache,
-    read_options: &ReadOptions,
     file: &FileMetaData,
     key: &LookupKey,
 ) -> Result<Option<(SequenceNumber, Option<LookupValue>)>> {
@@ -55,7 +54,7 @@ fn probe_file(
         return Ok(None);
     }
     // The entry is parsed where it lies; only a matching value is copied.
-    let found = table.get_with(read_options, key.internal_key(), |found_key, value| {
+    let found = table.get_with(key.internal_key(), |found_key, value| {
         let parsed = parse_internal_key(found_key).filter(|p| p.user_key == key.user_key())?;
         let value = match parsed.value_type {
             ValueType::Value => Ok(Some(LookupValue::Inline(value.to_vec()))),
@@ -77,7 +76,6 @@ fn probe_file(
 pub fn get<V: VersionShape>(
     version: &V,
     table_cache: &TableCache,
-    read_options: &ReadOptions,
     key: &LookupKey,
 ) -> Result<Option<LookupValue>> {
     let user_key = key.user_key();
@@ -88,7 +86,7 @@ pub fn get<V: VersionShape>(
     // order level-0 tables by recency and the first file that knows the key
     // decides.
     for file in version.level0().iter().filter(holds_key) {
-        if let Some((_, decided)) = probe_file(table_cache, read_options, file, key)? {
+        if let Some((_, decided)) = probe_file(table_cache, file, key)? {
             return Ok(decided);
         }
     }
@@ -101,7 +99,7 @@ pub fn get<V: VersionShape>(
         let mut best = None;
         let slot = run.slot_for(key.internal_key());
         for file in run.files(slot).iter().filter(holds_key) {
-            if let Some(found) = probe_file(table_cache, read_options, file, key)? {
+            if let Some(found) = probe_file(table_cache, file, key)? {
                 if best.as_ref().is_none_or(|(newest, _)| found.0 > *newest) {
                     best = Some(found);
                 }
@@ -226,7 +224,6 @@ impl DbIterator for SlotIter {
 pub struct LevelCursor<V: VersionShape> {
     source: PinnedLevel<V>,
     table_cache: Arc<TableCache>,
-    read_options: ReadOptions,
     /// The slot the cursor is in; the level's `slots()` = unpositioned.
     slot: usize,
     current: Option<SlotIter>,
@@ -237,18 +234,12 @@ pub struct LevelCursor<V: VersionShape> {
 impl<V: VersionShape> LevelCursor<V> {
     /// Creates an unpositioned cursor over level `level` (from 1 down) of
     /// `version`.
-    pub fn new(
-        table_cache: Arc<TableCache>,
-        read_options: ReadOptions,
-        version: Arc<V>,
-        level: usize,
-    ) -> Self {
+    pub fn new(table_cache: Arc<TableCache>, version: Arc<V>, level: usize) -> Self {
         let source = PinnedLevel { version, level };
         LevelCursor {
             slot: source.run().slots(),
             source,
             table_cache,
-            read_options,
             current: None,
             error: None,
         }
@@ -265,10 +256,10 @@ impl<V: VersionShape> LevelCursor<V> {
         let opened = match self.source.run().files(slot) {
             [] => return true,
             [file] => reader(&self.table_cache, file)
-                .map(|table| SlotIter::One(table.iter(&self.read_options))),
+                .map(|table| SlotIter::One(table.iter(&ReadOptions::default()))),
             files => {
                 let mut children = Vec::with_capacity(files.len());
-                push_table_iterators(&self.table_cache, &self.read_options, files, &mut children)
+                push_table_iterators(&self.table_cache, files, &mut children)
                     .map(|()| SlotIter::Many(MergingIterator::new(children)))
             }
         };
@@ -421,12 +412,12 @@ impl<V: VersionShape> DbIterator for LevelCursor<V> {
 /// run), the sstables of a guard, or the inputs of a compaction.
 pub fn push_table_iterators<'a>(
     table_cache: &TableCache,
-    read_options: &ReadOptions,
     files: impl IntoIterator<Item = &'a Arc<FileMetaData>>,
     children: &mut Vec<Box<dyn DbIterator>>,
 ) -> Result<()> {
     for file in files {
-        children.push(Box::new(reader(table_cache, file)?.iter(read_options)));
+        let table = reader(table_cache, file)?;
+        children.push(Box::new(table.iter(&ReadOptions::default())));
     }
     Ok(())
 }
@@ -437,16 +428,14 @@ pub fn push_table_iterators<'a>(
 /// slots in place, so building them copies no per-file or per-guard state.
 pub fn push_version_iterators<V: VersionShape>(
     table_cache: &Arc<TableCache>,
-    read_options: &ReadOptions,
     version: &Arc<V>,
     levels: &[LevelRow],
     children: &mut Vec<Box<dyn DbIterator>>,
 ) -> Result<()> {
-    push_table_iterators(table_cache, read_options, version.level0(), children)?;
+    push_table_iterators(table_cache, version.level0(), children)?;
     for row in levels.iter().skip(1).filter(|row| row.files > 0) {
         let (cache, version) = (Arc::clone(table_cache), Arc::clone(version));
-        let cursor = LevelCursor::new(cache, read_options.clone(), version, row.level);
-        children.push(Box::new(cursor));
+        children.push(Box::new(LevelCursor::new(cache, version, row.level)));
     }
     Ok(())
 }
@@ -557,16 +546,12 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
     } else {
         io.options.max_file_size as u64
     };
-    // A compaction rewrites its inputs under fresh CRCs, so it checks the
-    // old ones first: a flipped value byte is `Corruption` here, not a
-    // wrong value the output vouches for.
-    let read_options = ReadOptions {
-        verify_checksums: true,
-        ..ReadOptions::default()
-    };
+    // A compaction rewrites its inputs under fresh CRCs; every block it
+    // reads was checked on its way into memory, so a flipped value byte is
+    // `Corruption` here, not a wrong value the outputs vouch for.
     let mut children: Vec<Box<dyn DbIterator>> = Vec::new();
     let inputs = job.inputs.iter().map(|(_, file)| file);
-    push_table_iterators(&io.table_cache, &read_options, inputs, &mut children)?;
+    push_table_iterators(&io.table_cache, inputs, &mut children)?;
     let mut merged = MergingIterator::new(children);
     merged.seek_to_first();
 

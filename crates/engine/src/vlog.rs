@@ -435,7 +435,6 @@ impl<P: ShapePolicy> EngineCore<P> {
         let points_here = |snapshot: SequenceNumber, key: &[u8], offset: u64| {
             let opts = ReadOptions {
                 snapshot: Some(snapshot),
-                ..ReadOptions::default()
             };
             Ok::<bool, Error>(matches!(
                 self.lookup_value(cf_id, &opts, key)?,

@@ -114,18 +114,6 @@ impl IoStats {
     }
 }
 
-impl IoStatsSnapshot {
-    /// Bytes written since an earlier snapshot.
-    pub fn written_since(&self, earlier: &IoStatsSnapshot) -> u64 {
-        self.bytes_written.saturating_sub(earlier.bytes_written)
-    }
-
-    /// Bytes read since an earlier snapshot.
-    pub fn read_since(&self, earlier: &IoStatsSnapshot) -> u64 {
-        self.bytes_read.saturating_sub(earlier.bytes_read)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,17 +143,5 @@ mod tests {
         stats.record_write(10);
         stats.reset();
         assert_eq!(stats.snapshot(), IoStatsSnapshot::default());
-    }
-
-    #[test]
-    fn snapshot_deltas() {
-        let stats = IoStats::new();
-        stats.record_write(100);
-        let before = stats.snapshot();
-        stats.record_write(50);
-        stats.record_read(7);
-        let after = stats.snapshot();
-        assert_eq!(after.written_since(&before), 50);
-        assert_eq!(after.read_since(&before), 7);
     }
 }

@@ -186,7 +186,7 @@ mod tests {
     use pebblesdb_common::filename::table_file_name;
     use pebblesdb_common::iterator::DbIterator;
     use pebblesdb_common::key::{encode_internal_key, extract_user_key, InternalKey, ValueType};
-    use pebblesdb_common::{ReadOptions, NUM_LEVELS};
+    use pebblesdb_common::NUM_LEVELS;
     use pebblesdb_engine::{LevelCursor, LevelTable};
     use pebblesdb_env::{Env, MemEnv};
     use pebblesdb_sstable::{TableBuilder, TableCache};
@@ -345,7 +345,7 @@ mod tests {
             files: vec![FileRuns::default(), FileRuns(files)],
         });
         let cache = TableCache::new(Arc::clone(env), db, StoreOptions::default(), 16);
-        LevelCursor::new(Arc::new(cache), ReadOptions::default(), version, 1)
+        LevelCursor::new(Arc::new(cache), version, 1)
     }
 
     #[test]

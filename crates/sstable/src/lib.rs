@@ -22,6 +22,11 @@
 //! within and across files, and tables written before compression existed
 //! remain readable. The block cache only ever holds uncompressed bytes.
 //!
+//! Each block's CRC is checked once, on its way into memory: a resident
+//! file's blocks when the table opens, any other block when it is copied
+//! off the device or decoded, before the block cache sees it. No read of a
+//! resident block and no cache hit checks it again.
+//!
 //! The sstable-level bloom filter is the PebblesDB optimisation from section
 //! 4.1 of the paper: a `get()` that must examine every sstable in a guard can
 //! skip, in memory, the tables that cannot contain the key.
@@ -51,8 +56,9 @@ pub const BLOCK_TRAILER_SIZE: usize = 5;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::tests::CopyingFile;
     use pebblesdb_common::key::{encode_internal_key, parse_internal_key, ValueType};
-    use pebblesdb_common::{DbIterator, ReadOptions, StoreOptions};
+    use pebblesdb_common::{DbIterator, Error, ReadOptions, StoreOptions};
     use pebblesdb_env::{Env, MemEnv};
     use std::path::Path;
     use std::sync::Arc;
@@ -151,6 +157,9 @@ mod tests {
         assert_eq!(parsed.user_key, b"key000051");
     }
 
+    /// A flipped byte in a data block is `Corruption` at the first point the
+    /// block reaches memory: a resident file's `open`, which checks every
+    /// block, or a copying file's first read of that block.
     #[test]
     fn corrupted_block_is_detected_when_checksums_are_verified() {
         let env = MemEnv::new();
@@ -164,14 +173,15 @@ mod tests {
         f.append(&contents).unwrap();
         f.close().unwrap();
 
+        let opts = StoreOptions::default();
         let file = env.new_random_access_file(path).unwrap();
-        let table = Table::open(&StoreOptions::default(), file, size, 4, None).unwrap();
-        let read_opts = ReadOptions {
-            verify_checksums: true,
-            ..Default::default()
-        };
+        let opened = Table::open(&opts, Arc::clone(&file), size, 4, None);
+        assert!(matches!(opened, Err(Error::Corruption(_))));
+
+        let table = Table::open(&opts, Arc::new(CopyingFile(file)), size, 4, None).unwrap();
         let target = encode_internal_key(b"key000000", u64::MAX >> 8, ValueType::Value);
-        assert!(table.get(&read_opts, &target).is_err());
+        let found = table.get(&ReadOptions::default(), &target);
+        assert!(matches!(found, Err(Error::Corruption(_))), "{found:?}");
     }
 
     #[test]
@@ -198,14 +208,10 @@ mod tests {
                 > 0
         );
 
-        // Every entry reads back bit-identically, with checksums verified.
+        // Every entry reads back bit-identically.
         let file = env.new_random_access_file(lz_path).unwrap();
         let table = Arc::new(Table::open(&lz_opts, file, lz_size, 7, None).unwrap());
-        let read_opts = ReadOptions {
-            verify_checksums: true,
-            ..Default::default()
-        };
-        let mut iter = table.iter(&read_opts);
+        let mut iter = table.iter(&ReadOptions::default());
         iter.seek_to_first();
         let mut count = 0;
         while iter.valid() {
@@ -268,10 +274,6 @@ mod tests {
         let size = build_table_with(&env, path, 500, &lz_opts);
 
         let pristine = env.read_file_to_vec(path).unwrap();
-        let read_opts = ReadOptions {
-            verify_checksums: true,
-            ..Default::default()
-        };
         // Flip one bit at a spread of offsets across the file body. Every
         // flip must surface as an error or a clean miss — never a panic or a
         // wrong value.
@@ -287,7 +289,7 @@ mod tests {
                 continue; // corruption caught at open time: fine
             };
             let target = encode_internal_key(b"key000250", u64::MAX >> 8, ValueType::Value);
-            match table.get(&read_opts, &target) {
+            match table.get(&ReadOptions::default(), &target) {
                 Err(_) | Ok(None) => {}
                 Ok(Some((_, value))) => {
                     assert_eq!(value, b"value-250", "bit flip at {pos} corrupted a read");

@@ -62,6 +62,21 @@ impl Table {
         cache_id: u64,
         block_cache: Option<Arc<BlockCache>>,
     ) -> Result<Self> {
+        Table::open_with(options, file, size, cache_id, block_cache, false)
+    }
+
+    /// [`Table::open`]; `blocks_checked` says an earlier open of this very
+    /// file checked its data blocks (its [`TableSlot`](crate::TableSlot)
+    /// remembers), so a resident file's are not walked again: an sstable
+    /// never changes.
+    pub(crate) fn open_with(
+        options: &StoreOptions,
+        file: Arc<dyn RandomAccessFile>,
+        size: u64,
+        cache_id: u64,
+        block_cache: Option<Arc<BlockCache>>,
+        blocks_checked: bool,
+    ) -> Result<Self> {
         if (size as usize) < FOOTER_SIZE {
             return Err(Error::corruption("file too small to be an sstable"));
         }
@@ -69,17 +84,28 @@ impl Table {
         let footer = Footer::decode(&footer_data)?;
 
         let counters = &options.counters;
-        let read =
-            |handle| StoredBlock::read(file.as_ref(), handle, size)?.contents(true, counters);
-        let index_block = Block::new(read(&footer.index_handle)?)?;
+        let read = |handle: &BlockHandle| StoredBlock::read(file.as_ref(), handle, size)?.verify();
+        let index_block = Block::new(read(&footer.index_handle)?.contents(counters)?)?;
         let filter = if footer.filter_handle.size > 0 && options.bloom_bits_per_key > 0 {
-            Some(read(&footer.filter_handle)?)
+            Some(read(&footer.filter_handle)?.contents(counters)?)
         } else {
             None
         };
+        // A resident file's data blocks are parsed where they lie and never
+        // copied again, so this is the one point at which each is checked.
+        let resident = footer_data.is_resident();
+        if resident && !blocks_checked {
+            let mut index = index_block.iter();
+            index.seek_to_first();
+            while index.valid() {
+                read(&BlockHandle::decode_from(index.value())?.0)?;
+                index.next();
+            }
+            index.status()?;
+        }
 
         Ok(Table {
-            resident: footer_data.is_resident(),
+            resident,
             file,
             index_block,
             filter,
@@ -114,24 +140,23 @@ impl Table {
     ///
     /// Returns a copy of the entry's internal key and value; the caller
     /// decides whether the user key actually matches and whether the
-    /// sequence number is visible.
+    /// sequence number is visible. `_read_options` is ignored: every block
+    /// is verified once on its way into memory, whoever reads it.
     pub fn get(
         &self,
-        read_options: &ReadOptions,
+        _read_options: &ReadOptions,
         target: &[u8],
     ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        self.get_with(read_options, target, |key, value| {
-            (key.to_vec(), value.to_vec())
-        })
+        self.get_with(target, |key, value| (key.to_vec(), value.to_vec()))
     }
 
     /// Looks up the first entry with internal key `>= target` and hands its
     /// internal key and value to `found` where they lie, so the caller
     /// copies only what it keeps. `Ok(None)` if the table holds no such
-    /// entry; a malformed entry on the way is `Corruption`.
+    /// entry; a malformed entry or a block that fails its checksum on the
+    /// way is `Corruption`.
     pub fn get_with<T>(
         &self,
-        read_options: &ReadOptions,
         target: &[u8],
         found: impl FnOnce(&[u8], &[u8]) -> T,
     ) -> Result<Option<T>> {
@@ -142,7 +167,7 @@ impl Table {
             return Ok(None);
         }
         let (handle, _) = BlockHandle::decode_from(index_iter.value())?;
-        let mut block_iter = BlockIterator::new(self.read_data_block(read_options, &handle)?);
+        let mut block_iter = BlockIterator::new(self.read_data_block(&handle)?);
         block_iter.seek(target);
         block_iter.status()?;
         Ok(block_iter
@@ -150,11 +175,11 @@ impl Table {
             .then(|| found(block_iter.key(), block_iter.value())))
     }
 
-    /// Creates a two-level iterator over the whole table.
-    pub fn iter(self: &Arc<Self>, read_options: &ReadOptions) -> TableIterator {
+    /// Creates a two-level iterator over the whole table. `_read_options`
+    /// is ignored, as [`Table::get`]'s is.
+    pub fn iter(self: &Arc<Self>, _read_options: &ReadOptions) -> TableIterator {
         TableIterator {
             table: Arc::clone(self),
-            read_options: read_options.clone(),
             index_iter: self.index_block.iter(),
             data_iter: None,
             error: None,
@@ -164,14 +189,14 @@ impl Table {
     /// The data block `handle` names. A resident file's uncompressed block
     /// is parsed where it lies and bypasses the cache; any other block — a
     /// copy off the device, or a decode — is looked up in the cache first
-    /// and inserted into it after.
-    fn read_data_block(&self, read_options: &ReadOptions, handle: &BlockHandle) -> Result<Block> {
-        let verify = read_options.verify_checksums;
+    /// and inserted into it after. A resident file's blocks were verified
+    /// at open; a copied one is verified here, before the cache sees it.
+    fn read_data_block(&self, handle: &BlockHandle) -> Result<Block> {
         let mut stored = None;
         if self.resident {
             let block = StoredBlock::read(self.file.as_ref(), handle, self.size)?;
             if block.tag() == UNCOMPRESSED {
-                return Block::new(block.contents(verify, &self.counters)?);
+                return Block::new(block.contents(&self.counters)?);
             }
             stored = Some(block);
         }
@@ -182,9 +207,9 @@ impl Table {
         }
         let stored = match stored {
             Some(stored) => stored,
-            None => StoredBlock::read(self.file.as_ref(), handle, self.size)?,
+            None => StoredBlock::read(self.file.as_ref(), handle, self.size)?.verify()?,
         };
-        let block = Block::new(stored.contents(verify, &self.counters)?)?;
+        let block = Block::new(stored.contents(&self.counters)?)?;
         if let Some(cache) = cache {
             cache.insert(cache_key, block.clone(), block.size());
         }
@@ -219,21 +244,24 @@ impl StoredBlock {
         self.0[self.0.len() - BLOCK_TRAILER_SIZE]
     }
 
-    /// The **uncompressed** contents, dispatching on the trailer tag. The CRC
-    /// covers the stored (possibly compressed) bytes plus the tag, so it is
-    /// checked before any decode; a tag this build does not know is
-    /// corruption. Uncompressed contents are a sub-view of the bytes read;
-    /// compressed ones decode into memory of their own.
-    fn contents(self, verify: bool, counters: &EngineCounters) -> Result<FileBytes> {
+    /// Checks the masked CRC32C, which covers the stored (possibly
+    /// compressed) bytes plus the tag, so it runs before any decode.
+    fn verify(self) -> Result<Self> {
+        let size = self.0.len() - BLOCK_TRAILER_SIZE;
+        let crc = crc32c::crc32c(&self.0[..size + 1]);
+        if crc32c::mask(crc) != decode_fixed32(&self.0[size + 1..]) {
+            return Err(Error::corruption("block checksum mismatch"));
+        }
+        Ok(self)
+    }
+
+    /// The **uncompressed** contents, dispatching on the trailer tag; a tag
+    /// this build does not know is corruption. Uncompressed contents are a
+    /// sub-view of the bytes read; compressed ones decode into memory of
+    /// their own.
+    fn contents(self, counters: &EngineCounters) -> Result<FileBytes> {
         let (size, tag) = (self.0.len() - BLOCK_TRAILER_SIZE, self.tag());
         let contents = &self.0[..size];
-        if verify {
-            let stored = decode_fixed32(&self.0[size + 1..]);
-            let crc = crc32c::extend(crc32c::crc32c(contents), &[tag]);
-            if crc32c::mask(crc) != stored {
-                return Err(Error::corruption("block checksum mismatch"));
-            }
-        }
         match tag {
             UNCOMPRESSED => Ok(self.0.slice(0..size)),
             LZ => {
@@ -258,7 +286,6 @@ impl StoredBlock {
 /// block and skipping what the damage hid.
 pub struct TableIterator {
     table: Arc<Table>,
-    read_options: ReadOptions,
     index_iter: BlockIterator,
     /// `None` until the first data block is loaded.
     data_iter: Option<BlockIterator>,
@@ -294,7 +321,7 @@ impl TableIterator {
             return;
         }
         let block = BlockHandle::decode_from(self.index_iter.value())
-            .and_then(|(handle, _)| self.table.read_data_block(&self.read_options, &handle));
+            .and_then(|(handle, _)| self.table.read_data_block(&handle));
         match (block, self.data_iter.as_mut()) {
             (Ok(block), Some(iter)) => {
                 iter.reset(block);
@@ -379,7 +406,7 @@ impl DbIterator for TableIterator {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::block::BlockBuilder;
     use crate::table_builder::TableBuilder;
@@ -416,7 +443,7 @@ mod tests {
 
     /// A file that holds its bytes elsewhere: it implements only `read`,
     /// so every read is a copy, as off a disk.
-    struct CopyingFile(Arc<dyn RandomAccessFile>);
+    pub(crate) struct CopyingFile(pub(crate) Arc<dyn RandomAccessFile>);
 
     impl RandomAccessFile for CopyingFile {
         fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
@@ -544,10 +571,24 @@ mod tests {
         assert_eq!(extract_user_key(iter.key()), b"k01998");
     }
 
+    /// Re-seals the first data block's CRC over the bytes it now holds, so
+    /// that only the block decoder can see what a test planted in it.
+    fn reseal_first_block(contents: &mut [u8]) {
+        let footer = Footer::decode(&contents[contents.len() - FOOTER_SIZE..]).unwrap();
+        let index = footer.index_handle;
+        let index = &contents[index.offset as usize..(index.offset + index.size) as usize];
+        let mut iter = Block::new(index.to_vec().into()).unwrap().iter();
+        iter.seek_to_first();
+        let (first, _) = BlockHandle::decode_from(iter.value()).unwrap();
+        let tag = (first.offset + first.size) as usize;
+        let crc = crc32c::mask(crc32c::crc32c(&contents[first.offset as usize..=tag]));
+        contents[tag + 1..tag + 5].copy_from_slice(&crc.to_le_bytes());
+    }
+
     /// A malformed entry — entry 2 of the first data block claims 127
-    /// shared key bytes after a 14-byte key — stops every reader at it with
-    /// `Corruption`, checksums unverified (the default); the blocks after
-    /// it still read. It used to end its block quietly: a scan skipped the
+    /// shared key bytes after a 14-byte key, under a CRC re-sealed over it —
+    /// stops every reader at it with `Corruption`; the blocks after it
+    /// still read. It used to end its block quietly: a scan skipped the
     /// rest of that block with an `Ok` status and `get("k00003")` returned
     /// `Ok(None)`.
     #[test]
@@ -562,6 +603,7 @@ mod tests {
         let mut contents = env.read_file_to_vec(path).unwrap();
         assert_eq!(contents[ENTRY_2], 5, "`k00002` shares `k0000`");
         contents[ENTRY_2] = 127;
+        reseal_first_block(&mut contents);
         let mut file = env.new_writable_file(path).unwrap();
         file.append(&contents).unwrap();
         file.close().unwrap();
@@ -633,13 +675,15 @@ mod tests {
     /// A block handle is read off the file, so a corrupt one — in the footer
     /// or in the index block; wrapping the offset arithmetic, or claiming
     /// 64 GiB — is `Corruption` on either env: never a panic, never an
-    /// allocation of the size it claims.
+    /// allocation of the size it claims. A resident (`MemEnv`) file meets
+    /// a bad data-block handle at `open`, which checks every data block; a
+    /// copying (`DiskEnv`) one at the `get` or cursor that follows it.
     #[test]
     fn a_corrupt_block_handle_is_corruption_on_both_envs() {
         let disk_dir = std::env::temp_dir().join(format!("pebbles-handles-{}", std::process::id()));
-        let envs: [(Arc<dyn Env>, PathBuf); 2] = [
-            (Arc::new(MemEnv::new()), PathBuf::from("/handles")),
-            (Arc::new(DiskEnv::new()), disk_dir.clone()),
+        let envs: [(Arc<dyn Env>, PathBuf, bool); 2] = [
+            (Arc::new(MemEnv::new()), PathBuf::from("/handles"), true),
+            (Arc::new(DiskEnv::new()), disk_dir.clone(), false),
         ];
         let corrupt = [
             BlockHandle::new(0, u64::MAX - 1),
@@ -647,7 +691,7 @@ mod tests {
             BlockHandle::new(u64::MAX - 2, 1),
         ];
         let opts = StoreOptions::default();
-        for (env, dir) in envs {
+        for (env, dir, resident) in envs {
             env.create_dir_all(&dir).unwrap();
             let open = |contents: Vec<u8>| {
                 let path = dir.join("forged.sst");
@@ -664,7 +708,12 @@ mod tests {
                     "{handle:?}"
                 );
 
-                let table = Arc::new(open(forged_table(handle, None)).unwrap());
+                let opened = open(forged_table(handle, None));
+                if resident {
+                    assert!(is_corruption(opened), "{handle:?}");
+                    continue;
+                }
+                let table = Arc::new(opened.unwrap());
                 assert!(is_corruption(table.get(&ReadOptions::default(), &target)));
                 let mut iter = table.iter(&ReadOptions::default());
                 iter.seek_to_first();
@@ -672,6 +721,40 @@ mod tests {
             }
         }
         DiskEnv::new().remove_dir_all(&disk_dir).unwrap();
+    }
+
+    /// A flipped value byte breaks no structure; only the block CRC sees
+    /// it. A copying file's block is checked on the cache-miss path, so a
+    /// default `get` into it is `Corruption` (it used to return `v1` for
+    /// `k00000`), every time: the block never enters the cache. Gets into
+    /// other blocks still read.
+    #[test]
+    fn a_copied_block_is_verified_before_it_enters_the_cache() {
+        let env = MemEnv::new();
+        let path = Path::new("/flipped.sst");
+        let opts = StoreOptions::default();
+        let size = build(&env, path, 2000, &opts);
+        // Entry 0 of the first block: 3 header bytes, a 14-byte key, `v0`.
+        let mut contents = env.read_file_to_vec(path).unwrap();
+        assert_eq!(&contents[17..19], b"v0");
+        contents[18] ^= 1;
+        let mut file = env.new_writable_file(path).unwrap();
+        file.append(&contents).unwrap();
+        file.close().unwrap();
+        let (table, cache) = open_cached(&env, path, size, &opts, true);
+        assert!(table.data_blocks() >= 4, "{}", table.data_blocks());
+
+        let get = |user: &str| {
+            let target = encode_internal_key(user.as_bytes(), u64::MAX >> 8, ValueType::Value);
+            let found = table.get(&ReadOptions::default(), &target);
+            found.map(|found| found.map(|(_, value)| value))
+        };
+        assert!(is_corruption(get("k00000")));
+        assert!(is_corruption(get("k00001")));
+        assert_eq!((cache.usage(), cache.hit_miss()), (0, (0, 2)));
+        assert_eq!(get("k01999").unwrap().unwrap(), b"v1999");
+        assert_eq!(get("k01999").unwrap().unwrap(), b"v1999");
+        assert_eq!(cache.hit_miss(), (1, 3));
     }
 
     #[test]

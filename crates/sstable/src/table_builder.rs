@@ -6,7 +6,7 @@ use std::sync::Arc;
 use pebblesdb_bloom::BloomFilterPolicy;
 use pebblesdb_common::coding::put_fixed32;
 use pebblesdb_common::key::extract_user_key;
-use pebblesdb_common::{crc32c, CompressionType, EngineCounters, Error, Result, StoreOptions};
+use pebblesdb_common::{crc32c, CompressionType, EngineCounters, Result, StoreOptions};
 use pebblesdb_env::WritableFile;
 
 use crate::block::BlockBuilder;
@@ -37,7 +37,6 @@ pub struct TableBuilder {
     pending_index_entry: Option<(Vec<u8>, BlockHandle)>,
     first_key: Option<Vec<u8>>,
     last_key: Vec<u8>,
-    closed: bool,
     /// Codec for data and index blocks (the filter block is raw bloom bits —
     /// incompressible by construction — and always stored with tag 0).
     compression: CompressionType,
@@ -59,7 +58,6 @@ impl TableBuilder {
             pending_index_entry: None,
             first_key: None,
             last_key: Vec::new(),
-            closed: false,
             compression: options.compression,
             counters: Arc::clone(&options.counters),
         }
@@ -91,9 +89,6 @@ impl TableBuilder {
 
     /// Adds an entry. Keys must arrive in ascending internal-key order.
     pub fn add(&mut self, internal_key: &[u8], value: &[u8]) -> Result<()> {
-        if self.closed {
-            return Err(Error::internal("add() after finish()"));
-        }
         self.maybe_flush_pending_index(internal_key)?;
 
         if self.first_key.is_none() {
@@ -121,7 +116,6 @@ impl TableBuilder {
             self.flush_data_block()?;
         }
         self.maybe_flush_pending_index(&[])?;
-        self.closed = true;
 
         // Filter block: raw bloom filter bytes (not block-formatted).
         let filter_handle = if self.bloom_bits_per_key > 0 && !self.filter_keys.is_empty() {
@@ -150,12 +144,6 @@ impl TableBuilder {
         self.file.sync()?;
         self.file.close()?;
         Ok(self.offset)
-    }
-
-    /// Abandons the table without writing trailing metadata.
-    pub fn abandon(mut self) -> Result<()> {
-        self.closed = true;
-        self.file.close()
     }
 
     fn maybe_flush_pending_index(&mut self, next_key: &[u8]) -> Result<()> {
@@ -247,16 +235,6 @@ mod tests {
         let size = builder.finish().unwrap();
         assert_eq!(size, env.file_size(Path::new("/t.sst")).unwrap());
         assert!(size > 0);
-    }
-
-    #[test]
-    fn add_after_finish_is_rejected() {
-        let env = MemEnv::new();
-        let file = env.new_writable_file(Path::new("/t2.sst")).unwrap();
-        let builder = TableBuilder::new(&StoreOptions::default(), file);
-        // `finish` consumes the builder, so "add after finish" is prevented at
-        // compile time; `abandon` must also close cleanly.
-        builder.abandon().unwrap();
     }
 
     /// Blocks are cut by size: 200 entries of ~80 bytes fill several.

@@ -24,6 +24,9 @@ pub struct TableSlot {
     reader: RwLock<Option<Arc<Table>>>,
     /// Set by every probe, cleared by the sweep that spares the slot for it.
     touched: AtomicBool,
+    /// Set once a reader of the file has opened: its blocks are checked,
+    /// and a reopen after a sweep need not walk them again.
+    checked: AtomicBool,
 }
 
 impl fmt::Debug for TableSlot {
@@ -114,7 +117,10 @@ impl TableCache {
         let path = table_file_name(&self.db_path, file_number);
         let file = self.env.new_random_access_file(&path)?;
         let block_cache = Some(Arc::clone(&self.block_cache));
-        let table = Table::open(&self.options, file, file_size, file_number, block_cache)?;
+        let checked = slot.checked.load(Ordering::Relaxed);
+        let options = &self.options;
+        let table = Table::open_with(options, file, file_size, file_number, block_cache, checked)?;
+        slot.checked.store(true, Ordering::Relaxed);
         let table = Arc::new(table);
         match &mut *slot.reader.write() {
             // Another thread filled the slot meanwhile; its reader is the
@@ -253,6 +259,22 @@ mod tests {
         drop(slot);
         assert!(reader.upgrade().is_none(), "the reader went with its slot");
         assert_eq!(cache.open_tables(), 2);
+    }
+
+    /// A file's blocks are checked once per slot: a reopen after a sweep
+    /// reads the footer, index and filter again but not the data block.
+    #[test]
+    fn a_reopened_file_is_not_checked_again() {
+        let (cache, tables) = cache_over(2, 1);
+        let reads = || cache.env.io_stats().snapshot().reads;
+        let before = reads();
+        probe(&cache, &tables, 1);
+        let first = reads() - before;
+        probe(&cache, &tables, 2);
+        assert!(tables[0].1.reader.read().is_none(), "slot 1 was swept");
+        let before = reads();
+        probe(&cache, &tables, 1);
+        assert_eq!((first, reads() - before), (5, 4));
     }
 
     /// Threads racing through a budget far below the file count: every probe

@@ -20,16 +20,6 @@ impl LogWriter {
         LogWriter { file, len: 0 }
     }
 
-    /// Creates a writer resuming at `initial_length` bytes into the file.
-    ///
-    /// Used when re-opening an existing log for append after recovery.
-    pub fn new_with_offset(file: Box<dyn WritableFile>, initial_length: u64) -> Self {
-        LogWriter {
-            file,
-            len: initial_length,
-        }
-    }
-
     /// Appends one logical record, fragmenting it across blocks as needed.
     pub fn add_record(&mut self, record: &[u8]) -> Result<()> {
         let mut remaining = record;
@@ -130,21 +120,5 @@ mod tests {
         // First record + padding fills exactly one block, then the second
         // record starts a new block.
         assert_eq!(size, BLOCK_SIZE + HEADER_SIZE + 4);
-    }
-
-    #[test]
-    fn writer_resumes_mid_block() {
-        let env = MemEnv::new();
-        let path = Path::new("/wal/resume.log");
-        let file = env.new_writable_file(path).unwrap();
-        let mut writer = LogWriter::new(file);
-        writer.add_record(b"first").unwrap();
-        writer.sync().unwrap();
-        let len = env.file_size(path).unwrap();
-        assert_eq!(
-            LogWriter::new_with_offset(env.new_writable_file(Path::new("/other")).unwrap(), len)
-                .block_offset(),
-            len as usize % BLOCK_SIZE
-        );
     }
 }

@@ -261,10 +261,6 @@ fn bit_flips_in_compressed_tables_never_return_garbage() {
         db.flush().unwrap();
         drop(db);
 
-        let read_opts = ReadOptions {
-            verify_checksums: true,
-            ..Default::default()
-        };
         let files = table_files(env.as_ref(), dir);
         assert!(!files.is_empty(), "{engine}: no sstables on disk");
         for name in files.iter().take(2) {
@@ -287,7 +283,7 @@ fn bit_flips_in_compressed_tables_never_return_garbage() {
                         open_engine(engine, &env, dir, small_file_options(CompressionType::Lz));
                     for i in (0..600u32).step_by(101) {
                         let key = format!("k{i:05}");
-                        match db.get_opts(&read_opts, key.as_bytes()) {
+                        match db.get(key.as_bytes()) {
                             Err(_) | Ok(None) => {}
                             Ok(Some(value)) => assert_eq!(
                                 value,

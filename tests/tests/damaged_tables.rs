@@ -5,22 +5,27 @@
 //! without an error.
 //!
 //! Each test plants one byte in entry 2 of the largest table's first data
-//! block. A malformed entry (more shared key bytes than its predecessor's
-//! key holds) is caught with checksums unverified, the default. It used to
-//! end the block quietly — an `LsmDb` of 4,000 keys reopened to a cursor of
-//! 3,965 keys with status `Ok`, and 16,000 more puts compacted the table
-//! away and the 35 keys with it. A flipped value byte breaks no structure;
-//! only the block CRC sees it, which a compaction always checks and a read
-//! checks when asked to.
+//! block and reads with `ReadOptions::default()`. A malformed entry (more
+//! shared key bytes than its predecessor's key holds) is planted under a
+//! re-sealed block CRC, so that the block decoder, not the checksum, meets
+//! it. It used to end the block quietly — an `LsmDb` of 4,000 keys reopened
+//! to a cursor of 3,965 keys with status `Ok`, and 16,000 more puts
+//! compacted the table away and the 35 keys with it. A flipped value byte
+//! breaks no structure; only the block CRC sees it, which every block
+//! passes once on its way into memory, whoever reads it.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use pebblesdb::PebblesDb;
 use pebblesdb_common::coding::decode_varint32;
-use pebblesdb_common::{Db, Error, ReadOptions, Result, StoreOptions, StorePreset};
+use pebblesdb_common::{
+    crc32c, Db, DbIterator, Error, ReadOptions, Result, StoreOptions, StorePreset,
+};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
+use pebblesdb_sstable::footer::FOOTER_SIZE;
+use pebblesdb_sstable::{Block, BlockHandle, Footer};
 
 const KEYS: u32 = 4_000;
 
@@ -61,11 +66,36 @@ fn open(engine: &str, env: &MemEnv) -> Result<Box<dyn Db>> {
 #[derive(Debug)]
 enum Damage {
     /// The entry claims 127 shared key bytes, more than its predecessor's
-    /// key holds: the block no longer parses.
+    /// key holds, and the block's CRC is re-sealed over the change: the
+    /// block passes its checksum and no longer parses.
     SharedLength,
     /// One byte of the entry's value is flipped: the block parses, and
     /// only its CRC says the value is wrong.
     ValueByte,
+}
+
+impl Damage {
+    /// The `Corruption` message a read that meets the damage reports.
+    fn error(&self) -> &'static str {
+        match self {
+            Damage::SharedLength => "malformed block entry",
+            Damage::ValueByte => "block checksum mismatch",
+        }
+    }
+}
+
+/// Re-seals the CRC of the table's first data block over the bytes it now
+/// holds.
+fn reseal_first_block(contents: &mut [u8]) {
+    let footer = Footer::decode(&contents[contents.len() - FOOTER_SIZE..]).unwrap();
+    let index = footer.index_handle;
+    let index = &contents[index.offset as usize..(index.offset + index.size) as usize];
+    let mut iter = Block::new(index.to_vec().into()).unwrap().iter();
+    iter.seek_to_first();
+    let (first, _) = BlockHandle::decode_from(iter.value()).unwrap();
+    let tag = (first.offset + first.size) as usize;
+    let crc = crc32c::mask(crc32c::crc32c(&contents[first.offset as usize..=tag]));
+    contents[tag + 1..tag + 5].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Plants `damage` in the largest table and returns its path.
@@ -95,6 +125,7 @@ fn plant(env: &MemEnv, damage: &Damage) -> PathBuf {
                 "a prefix-compressed key"
             );
             contents[entry] = 127;
+            reseal_first_block(&mut contents);
         }
         Damage::ValueByte => contents[value + 50] ^= 1,
     }
@@ -104,21 +135,21 @@ fn plant(env: &MemEnv, damage: &Damage) -> PathBuf {
     path
 }
 
-/// Every key the store holds is either read right or refused with
-/// `Corruption` — never missing, never wrong — and the damage shows on each
-/// read path.
-fn check_damaged_reads(name: &str, db: &dyn Db, read_options: &ReadOptions) {
+/// Every key the store holds is either read right or refused with the
+/// damage's `Corruption` — never missing, never wrong — and the damage shows
+/// on each read path.
+fn check_damaged_reads(name: &str, db: &dyn Db, damage: &Damage) {
     let mut refused = 0;
     for i in 0..KEYS {
-        match db.get_opts(read_options, &key(i)) {
+        match db.get(&key(i)) {
             Ok(found) => assert_eq!(found, Some(value(i)), "{name}: key {i}"),
-            Err(Error::Corruption(_)) => refused += 1,
+            Err(Error::Corruption(msg)) if msg == damage.error() => refused += 1,
             Err(err) => panic!("{name}: key {i}: {err:?}"),
         }
     }
     assert!(refused > 0, "{name}: no get met the damage");
 
-    let mut iter = db.iter(read_options).unwrap();
+    let mut iter = db.iter(&ReadOptions::default()).unwrap();
     iter.seek_to_first();
     let mut seen = 0;
     while iter.valid() {
@@ -130,7 +161,7 @@ fn check_damaged_reads(name: &str, db: &dyn Db, read_options: &ReadOptions) {
     }
     assert!(seen < KEYS, "{name}: the cursor read past the damage");
     assert!(
-        matches!(iter.status(), Err(Error::Corruption(_))),
+        matches!(iter.status(), Err(Error::Corruption(msg)) if msg == damage.error()),
         "{name}: {seen} keys, then {:?}",
         iter.status()
     );
@@ -140,7 +171,7 @@ fn check_damaged_reads(name: &str, db: &dyn Db, read_options: &ReadOptions) {
 /// to compact every level: the job that reads the damaged table fails and
 /// poisons the store instead of rewriting the table without the keys it
 /// hid, or with a wrong value under a fresh CRC. The table stays.
-fn damaged_table_survives_compaction(damage: Damage, read_options: &ReadOptions) {
+fn damaged_table_survives_compaction(damage: Damage) {
     for engine in ["flsm", "lsm"] {
         let name = format!("{engine}, {damage:?}");
         let env = MemEnv::new();
@@ -153,13 +184,13 @@ fn damaged_table_survives_compaction(damage: Damage, read_options: &ReadOptions)
         let damaged = plant(&env, &damage);
 
         let db = open(engine, &env).unwrap();
-        check_damaged_reads(&name, db.as_ref(), read_options);
+        check_damaged_reads(&name, db.as_ref(), &damage);
         let failed = (KEYS..5 * KEYS).find(|&i| db.put(&later_key(i), &value(i)).is_err());
         drop(db);
 
         assert!(env.file_exists(&damaged), "{name}: damaged table deleted");
         let db = open(engine, &env).unwrap();
-        check_damaged_reads(&name, db.as_ref(), read_options);
+        check_damaged_reads(&name, db.as_ref(), &damage);
         // The FLSM appends these writes into guards and leaves the damaged
         // table where it is; the LSM must rewrite it, and cannot.
         if engine == "lsm" {
@@ -170,17 +201,13 @@ fn damaged_table_survives_compaction(damage: Damage, read_options: &ReadOptions)
 
 #[test]
 fn a_malformed_entry_is_corruption_and_its_table_is_never_compacted_away() {
-    damaged_table_survives_compaction(Damage::SharedLength, &ReadOptions::default());
+    damaged_table_survives_compaction(Damage::SharedLength);
 }
 
-/// Nothing but the block CRC sees a flipped value byte, so only a read that
-/// verifies checksums refuses it — and a compaction, which always does, so
-/// that the wrong value is never rewritten under a valid CRC.
+/// Nothing but the block CRC sees a flipped value byte. Every block is
+/// verified on its way into memory, so a default read refuses it, and a
+/// compaction never rewrites the wrong value under a valid CRC.
 #[test]
 fn a_flipped_value_byte_is_never_laundered_by_a_compaction() {
-    let verified = ReadOptions {
-        verify_checksums: true,
-        ..ReadOptions::default()
-    };
-    damaged_table_survives_compaction(Damage::ValueByte, &verified);
+    damaged_table_survives_compaction(Damage::ValueByte);
 }

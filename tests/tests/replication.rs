@@ -303,7 +303,6 @@ fn follower_converges_serves_snapshot_reads_and_rejects_writes() {
         let snap = follower.snapshot();
         let opts = ReadOptions {
             snapshot: Some(snap.sequence()),
-            ..Default::default()
         };
         let probe = format!("pair{:04}", checked * 7 % PAIRS).into_bytes();
         let default_half = follower.get_opts(&opts, &probe).unwrap();
