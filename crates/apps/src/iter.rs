@@ -76,15 +76,6 @@ impl DbIterator for DocumentFieldIterator {
         self.refresh();
     }
 
-    fn seek_to_last(&mut self) {
-        self.inner.seek_to_last();
-        // Walk back over any engine keys after the namespace.
-        while self.inner.valid() && !self.inner.key().starts_with(&self.key_prefix) {
-            self.inner.prev();
-        }
-        self.refresh();
-    }
-
     fn seek(&mut self, target: &[u8]) {
         let mut engine_target = self.key_prefix.clone();
         engine_target.extend_from_slice(target);
@@ -95,12 +86,6 @@ impl DbIterator for DocumentFieldIterator {
     fn next(&mut self) {
         assert!(self.valid, "next() on invalid iterator");
         self.inner.next();
-        self.refresh();
-    }
-
-    fn prev(&mut self) {
-        assert!(self.valid, "prev() on invalid iterator");
-        self.inner.prev();
         self.refresh();
     }
 

@@ -40,8 +40,6 @@ const CHECKPOINT_EVERY: u64 = 256;
 
 /// The pre-image a write displaced: `None` means the key did not exist.
 type UndoVersion = (u64, Option<Vec<u8>>);
-/// Decoded `(key, value)` entries of one leaf page.
-type LeafEntries = Vec<(Vec<u8>, Vec<u8>)>;
 
 struct TreeInner {
     pager: Pager,
@@ -449,19 +447,16 @@ impl KvStore for BTreeStore {
 /// The cursor materialises one leaf-sized batch at a time: it locks the
 /// tree, loads the leaf owning the current position (merging the snapshot
 /// undo overlay when reading as of a snapshot), and releases the lock until
-/// the batch is exhausted. Forward motion follows the next bound (the
-/// following leaf's first key); backward motion re-descends to the leaf
-/// holding the predecessor, so the cursor never needs a previous-leaf chain.
+/// the batch is exhausted, then follows the next bound (the following
+/// leaf's first key).
 struct BTreeIterator {
     tree: Arc<Mutex<TreeInner>>,
     /// Resolve against the undo overlay as of this sequence; `None` reads
     /// the live tree.
     snapshot: Option<u64>,
-    /// The resolved batch, covering `[batch_lower, batch_upper)`.
+    /// The resolved batch: the entries from the loaded key up to `batch_upper`.
     entries: Vec<(Vec<u8>, Vec<u8>)>,
     idx: usize,
-    /// Lower bound of the batch's coverage; `None` = unbounded below.
-    batch_lower: Option<Vec<u8>>,
     /// Upper bound of the batch's coverage; `None` = unbounded above.
     batch_upper: Option<Vec<u8>>,
     valid: bool,
@@ -476,7 +471,6 @@ impl BTreeIterator {
             snapshot,
             entries: Vec::new(),
             idx: 0,
-            batch_lower: None,
             batch_upper: None,
             valid: false,
             error: None,
@@ -541,7 +535,7 @@ impl BTreeIterator {
     }
 
     /// Loads the batch of resolved entries with keys `>= from`.
-    fn load_forward(&mut self, from: &[u8]) -> Result<()> {
+    fn load(&mut self, from: &[u8]) -> Result<()> {
         let mut tree = self.tree.lock();
         let leaf = BTreeStore::find_leaf(&mut tree, from)?;
         let node = Node::decode(&tree.pager.read_page(leaf)?)?;
@@ -572,110 +566,25 @@ impl BTreeIterator {
             .filter(|(k, _)| k.as_slice() >= from)
             .collect();
         self.entries = Self::resolve_batch(&tree, self.snapshot, live, from, upper.as_deref());
-        self.batch_lower = Some(from.to_vec());
+        self.idx = 0;
         self.batch_upper = upper;
         Ok(())
     }
 
-    /// Loads the batch of resolved entries with keys `< before` (every key
-    /// when `before` is `None`), ending at the tree's rightmost live leaf
-    /// below the bound.
-    fn load_backward(&mut self, before: Option<&[u8]>) -> Result<()> {
-        let mut tree = self.tree.lock();
-        let root = tree.root;
-        let leaf_entries = Self::leaf_with_entry_below(&mut tree, root, before)?;
-        match leaf_entries {
-            Some(entries) => {
-                let from = entries[0].0.clone();
-                let live: Vec<(Vec<u8>, Vec<u8>)> = entries
-                    .into_iter()
-                    .filter(|(k, _)| before.is_none_or(|b| k.as_slice() < b))
-                    .collect();
-                self.entries = Self::resolve_batch(&tree, self.snapshot, live, &from, before);
-                self.batch_lower = Some(from);
-                self.batch_upper = before.map(|b| b.to_vec());
-            }
-            None => {
-                // No live key below the bound; snapshot-only keys (deleted
-                // after the snapshot) may still exist in the undo overlay.
-                self.entries = Self::resolve_batch(&tree, self.snapshot, Vec::new(), &[], before);
-                self.batch_lower = None;
-                self.batch_upper = before.map(|b| b.to_vec());
-            }
-        }
-        Ok(())
-    }
-
-    /// Finds the entries of the leaf holding the largest live key `< before`
-    /// (any live key when `before` is `None`).
-    fn leaf_with_entry_below(
-        tree: &mut TreeInner,
-        page: u32,
-        before: Option<&[u8]>,
-    ) -> Result<Option<LeafEntries>> {
-        let node = Node::decode(&tree.pager.read_page(page)?)?;
-        match node {
-            Node::Leaf { entries, .. } => {
-                let has_candidate = entries
-                    .iter()
-                    .any(|(k, _)| before.is_none_or(|b| k.as_slice() < b));
-                Ok(if has_candidate { Some(entries) } else { None })
-            }
-            Node::Internal { keys, children } => {
-                let idx = match before {
-                    Some(b) => keys.partition_point(|k| k.as_slice() < b),
-                    None => keys.len(),
-                };
-                for child_idx in (0..=idx.min(children.len() - 1)).rev() {
-                    if let Some(entries) =
-                        Self::leaf_with_entry_below(tree, children[child_idx], before)?
-                    {
-                        return Ok(Some(entries));
-                    }
-                }
-                Ok(None)
-            }
-        }
-    }
-
-    /// Advances through forward batches until one is non-empty or the key
-    /// space is exhausted.
-    fn settle_forward(&mut self) {
-        loop {
-            if !self.entries.is_empty() {
-                self.idx = 0;
-                self.valid = true;
-                return;
-            }
+    /// Advances through forward batches until the cursor is on an entry
+    /// or the key space is exhausted.
+    fn settle(&mut self) {
+        while self.idx >= self.entries.len() {
             let Some(upper) = self.batch_upper.take() else {
                 self.valid = false;
                 return;
             };
-            let result = self.load_forward(&upper);
+            let result = self.load(&upper);
             if !self.record_load_error(result) {
                 return;
             }
         }
-    }
-
-    /// Retreats through backward batches until one is non-empty or the key
-    /// space is exhausted.
-    fn settle_backward(&mut self) {
-        loop {
-            if !self.entries.is_empty() {
-                self.idx = self.entries.len() - 1;
-                self.valid = true;
-                return;
-            }
-            let Some(lower) = self.batch_lower.take() else {
-                self.valid = false;
-                return;
-            };
-            let result = self.load_backward(Some(&lower));
-            if !self.record_load_error(result) {
-                return;
-            }
-        }
+        self.valid = true;
     }
 }
 
@@ -688,53 +597,17 @@ impl DbIterator for BTreeIterator {
         self.seek(&[]);
     }
 
-    fn seek_to_last(&mut self) {
-        let result = self.load_backward(None);
-        if !self.record_load_error(result) {
-            return;
-        }
-        self.settle_backward();
-    }
-
     fn seek(&mut self, target: &[u8]) {
-        let result = self.load_forward(target);
-        if !self.record_load_error(result) {
-            return;
+        let result = self.load(target);
+        if self.record_load_error(result) {
+            self.settle();
         }
-        self.settle_forward();
     }
 
     fn next(&mut self) {
         assert!(self.valid(), "next() on invalid iterator");
         self.idx += 1;
-        if self.idx >= self.entries.len() {
-            let Some(upper) = self.batch_upper.take() else {
-                self.valid = false;
-                return;
-            };
-            let result = self.load_forward(&upper);
-            if !self.record_load_error(result) {
-                return;
-            }
-            self.settle_forward();
-        }
-    }
-
-    fn prev(&mut self) {
-        assert!(self.valid(), "prev() on invalid iterator");
-        if self.idx > 0 {
-            self.idx -= 1;
-            return;
-        }
-        let Some(lower) = self.batch_lower.take() else {
-            self.valid = false;
-            return;
-        };
-        if self.load_backward(Some(&lower)).is_err() {
-            self.valid = false;
-            return;
-        }
-        self.settle_backward();
+        self.settle();
     }
 
     fn key(&self) -> &[u8] {
@@ -788,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    fn cursor_streams_across_leaves_in_both_directions() {
+    fn cursor_streams_across_leaves() {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let db = BTreeStore::open(env, Path::new("/bt"), StoreOptions::default()).unwrap();
         for i in 0..500u32 {
@@ -811,19 +684,14 @@ mod tests {
         }
         assert_eq!(count, 500);
 
-        iter.seek_to_last();
-        assert_eq!(iter.key(), b"k00499");
-        let mut back = 0u32;
+        iter.seek(b"k00122x");
+        let mut rest = 0u32;
         while iter.valid() {
-            back += 1;
-            iter.prev();
+            assert_eq!(iter.key(), format!("k{:05}", 123 + rest).as_bytes());
+            rest += 1;
+            iter.next();
         }
-        assert_eq!(back, 500);
-
-        iter.seek(b"k00123");
-        assert_eq!(iter.key(), b"k00123");
-        iter.prev();
-        assert_eq!(iter.key(), b"k00122");
+        assert_eq!(rest, 500 - 123);
     }
 
     #[test]

@@ -427,16 +427,6 @@ impl DbIterator for PrefixIterator {
         self.inner.seek(&self.prefix);
     }
 
-    fn seek_to_last(&mut self) {
-        // Position just past the prefix range, then step back into it.
-        self.inner.seek(&prefix_successor(&self.prefix));
-        if self.inner.valid() {
-            self.inner.prev();
-        } else {
-            self.inner.seek_to_last();
-        }
-    }
-
     fn seek(&mut self, target: &[u8]) {
         let mut full = self.prefix.clone();
         full.extend_from_slice(target);
@@ -446,11 +436,6 @@ impl DbIterator for PrefixIterator {
     fn next(&mut self) {
         assert!(self.valid(), "next() on invalid iterator");
         self.inner.next();
-    }
-
-    fn prev(&mut self) {
-        assert!(self.valid(), "prev() on invalid iterator");
-        self.inner.prev();
     }
 
     fn key(&self) -> &[u8] {
@@ -766,13 +751,14 @@ mod tests {
         // Bounded scan and limit behave like any KvStore.
         assert_eq!(users.scan(b"u3", b"u6", 100).unwrap().len(), 3);
         assert_eq!(users.scan(b"", &[], 4).unwrap().len(), 4);
-        // Reverse traversal lands on the family's last key.
+        // A cursor ends at the family's last key.
         let mut iter = users.iter(&ReadOptions::default()).unwrap();
-        iter.seek_to_last();
-        assert!(iter.valid());
-        assert_eq!(iter.key(), b"u9");
-        iter.prev();
+        iter.seek(b"u8");
         assert_eq!(iter.key(), b"u8");
+        iter.next();
+        assert_eq!(iter.key(), b"u9");
+        iter.next();
+        assert!(!iter.valid());
         // The default family does not see user keys.
         assert_eq!(db.scan(b"", &[], 100).unwrap().len(), 10);
         assert!(db.scan(b"", &[], 100).unwrap()[0].0.starts_with(b"d"));

@@ -7,21 +7,21 @@
 use std::cmp::Ordering;
 use std::marker::PhantomData;
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::key::compare_internal_keys;
 
-/// A cursor over a sorted sequence of internal key/value pairs.
+/// A forward cursor over a sorted sequence of internal key/value pairs.
 ///
-/// The contract follows LevelDB's iterator: after construction the iterator
-/// is *not* positioned; callers must call one of the seek methods first.
+/// The contract follows LevelDB's iterator, forward half only: after
+/// construction the iterator is *not* positioned; callers must call one of
+/// the seek methods first, then `next` walks towards larger keys. There is
+/// no backward motion: every range read is a seek and a run of `next`s.
 /// `key()`/`value()` may only be called while `valid()` returns `true`.
 pub trait DbIterator {
     /// Returns `true` if the iterator is positioned at an entry.
     fn valid(&self) -> bool;
     /// Positions at the first entry.
     fn seek_to_first(&mut self);
-    /// Positions at the last entry.
-    fn seek_to_last(&mut self);
     /// Positions at the first entry with key `>= target` (internal key).
     fn seek(&mut self, target: &[u8]);
     /// Advances to the next entry.
@@ -30,12 +30,6 @@ pub trait DbIterator {
     ///
     /// May panic if the iterator is not valid.
     fn next(&mut self);
-    /// Moves to the previous entry.
-    ///
-    /// # Panics
-    ///
-    /// May panic if the iterator is not valid.
-    fn prev(&mut self);
     /// The current internal key.
     ///
     /// # Panics
@@ -103,13 +97,6 @@ impl<O: KeyOrder> DbIterator for VecIterator<O> {
         self.index = 0;
     }
 
-    fn seek_to_last(&mut self) {
-        self.index = self.entries.len().saturating_sub(1);
-        if self.entries.is_empty() {
-            self.index = 0;
-        }
-    }
-
     fn seek(&mut self, target: &[u8]) {
         self.index = self
             .entries
@@ -119,15 +106,6 @@ impl<O: KeyOrder> DbIterator for VecIterator<O> {
     fn next(&mut self) {
         assert!(self.valid(), "next() on invalid iterator");
         self.index += 1;
-    }
-
-    fn prev(&mut self) {
-        assert!(self.valid(), "prev() on invalid iterator");
-        if self.index == 0 {
-            self.index = self.entries.len();
-        } else {
-            self.index -= 1;
-        }
     }
 
     fn key(&self) -> &[u8] {
@@ -171,21 +149,16 @@ impl KeyOrder for BytewiseOrder {
 /// callers should pass newer sources first when that matters (both engines
 /// instead rely on sequence numbers embedded in internal keys).
 ///
-/// `next`/`prev` are O(children) comparisons without a heap — child counts
-/// are small. Direction switching follows the LevelDB pattern: when a
-/// forward cursor is asked to step backwards, every non-current child is
-/// repositioned to just before the current key first (and vice versa).
+/// `next` is O(children) comparisons without a heap — child counts are
+/// small. A child that stops with an error stops the merge: its error is
+/// latched and reported by `status`, and the merge stays invalid, because
+/// the entries it would surface next may be versions that the failed
+/// child's newer data shadows.
 pub struct MergingIterator<O = InternalKeyOrder> {
     children: Vec<Box<dyn DbIterator>>,
     current: Option<usize>,
-    direction: Direction,
+    error: Option<Error>,
     order: PhantomData<O>,
-}
-
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum Direction {
-    Forward,
-    Reverse,
 }
 
 impl MergingIterator {
@@ -201,12 +174,24 @@ impl<O: KeyOrder> MergingIterator<O> {
         MergingIterator {
             children,
             current: None,
-            direction: Direction::Forward,
+            error: None,
             order: PhantomData,
         }
     }
 
+    /// Latches the error of child `idx` if it went invalid by failing.
+    fn check(&mut self, idx: usize) {
+        let child = &self.children[idx];
+        if self.error.is_none() && !child.valid() {
+            self.error = child.status().err();
+        }
+    }
+
     fn find_smallest(&mut self) {
+        if self.error.is_some() {
+            self.current = None;
+            return;
+        }
         let mut smallest: Option<usize> = None;
         for (idx, child) in self.children.iter().enumerate() {
             if !child.valid() {
@@ -226,24 +211,14 @@ impl<O: KeyOrder> MergingIterator<O> {
         self.current = smallest;
     }
 
-    fn find_largest(&mut self) {
-        let mut largest: Option<usize> = None;
-        for (idx, child) in self.children.iter().enumerate() {
-            if !child.valid() {
-                continue;
-            }
-            largest = match largest {
-                None => Some(idx),
-                Some(best) => {
-                    if O::compare(child.key(), self.children[best].key()) == Ordering::Greater {
-                        Some(idx)
-                    } else {
-                        Some(best)
-                    }
-                }
-            };
+    /// Positions every child with `seek`, latching the first that fails,
+    /// then settles on the smallest.
+    fn position(&mut self, seek: impl Fn(&mut dyn DbIterator)) {
+        for idx in 0..self.children.len() {
+            seek(self.children[idx].as_mut());
+            self.check(idx);
         }
-        self.current = largest;
+        self.find_smallest();
     }
 }
 
@@ -253,69 +228,18 @@ impl<O: KeyOrder> DbIterator for MergingIterator<O> {
     }
 
     fn seek_to_first(&mut self) {
-        for child in &mut self.children {
-            child.seek_to_first();
-        }
-        self.direction = Direction::Forward;
-        self.find_smallest();
-    }
-
-    fn seek_to_last(&mut self) {
-        for child in &mut self.children {
-            child.seek_to_last();
-        }
-        self.direction = Direction::Reverse;
-        self.find_largest();
+        self.position(|child| child.seek_to_first());
     }
 
     fn seek(&mut self, target: &[u8]) {
-        for child in &mut self.children {
-            child.seek(target);
-        }
-        self.direction = Direction::Forward;
-        self.find_smallest();
+        self.position(|child| child.seek(target));
     }
 
     fn next(&mut self) {
         let current = self.current.expect("next() on invalid merging iterator");
-        // If we were previously moving backwards every non-current child is
-        // positioned before `key()`; re-seek them past the current key first.
-        if self.direction == Direction::Reverse {
-            let key = self.children[current].key().to_vec();
-            for (idx, child) in self.children.iter_mut().enumerate() {
-                if idx == current {
-                    continue;
-                }
-                child.seek(&key);
-                if child.valid() && child.key() == key.as_slice() {
-                    child.next();
-                }
-            }
-            self.direction = Direction::Forward;
-        }
         self.children[current].next();
+        self.check(current);
         self.find_smallest();
-    }
-
-    fn prev(&mut self) {
-        let current = self.current.expect("prev() on invalid merging iterator");
-        if self.direction == Direction::Forward {
-            let key = self.children[current].key().to_vec();
-            for (idx, child) in self.children.iter_mut().enumerate() {
-                if idx == current {
-                    continue;
-                }
-                child.seek(&key);
-                if child.valid() {
-                    child.prev();
-                } else {
-                    child.seek_to_last();
-                }
-            }
-            self.direction = Direction::Reverse;
-        }
-        self.children[current].prev();
-        self.find_largest();
     }
 
     fn key(&self) -> &[u8] {
@@ -327,6 +251,9 @@ impl<O: KeyOrder> DbIterator for MergingIterator<O> {
     }
 
     fn status(&self) -> Result<()> {
+        if let Some(err) = &self.error {
+            return Err(err.clone());
+        }
         for child in &self.children {
             child.status()?;
         }
@@ -359,17 +286,11 @@ impl<P> DbIterator for PinnedIterator<P> {
     fn seek_to_first(&mut self) {
         self.inner.seek_to_first();
     }
-    fn seek_to_last(&mut self) {
-        self.inner.seek_to_last();
-    }
     fn seek(&mut self, target: &[u8]) {
         self.inner.seek(target);
     }
     fn next(&mut self) {
         self.inner.next();
-    }
-    fn prev(&mut self) {
-        self.inner.prev();
     }
     fn key(&self) -> &[u8] {
         self.inner.key()
@@ -437,10 +358,8 @@ mod tests {
         assert_eq!(iter.key(), b"a");
         iter.next();
         assert_eq!(iter.key(), b"c");
-        iter.prev();
-        assert_eq!(iter.key(), b"a");
-        iter.seek_to_last();
-        assert_eq!(iter.key(), b"c");
+        iter.next();
+        assert!(!iter.valid());
     }
 
     #[test]
@@ -474,35 +393,85 @@ mod tests {
     }
 
     #[test]
-    fn merging_iterator_seek_and_reverse() {
+    fn merging_iterator_seek_finds_lower_bound() {
         let left = VecIterator::new(vec![entry("a", 1, "1"), entry("c", 1, "3")]);
         let right = VecIterator::new(vec![entry("b", 1, "2"), entry("d", 1, "4")]);
         let mut merged = MergingIterator::new(vec![Box::new(left), Box::new(right)]);
         merged.seek(&encode_internal_key(b"b", u64::MAX >> 8, ValueType::Value));
         assert!(merged.valid());
         assert_eq!(crate::key::extract_user_key(merged.key()), b"b");
-
-        merged.seek_to_last();
-        assert!(merged.valid());
-        assert_eq!(crate::key::extract_user_key(merged.key()), b"d");
-        merged.prev();
+        merged.next();
         assert_eq!(crate::key::extract_user_key(merged.key()), b"c");
-        merged.prev();
-        assert_eq!(crate::key::extract_user_key(merged.key()), b"b");
+    }
+
+    /// A child that yields `entries` and then fails with a corruption, as
+    /// a damaged sstable's cursor does.
+    struct FailsAfter {
+        inner: VecIterator,
+        left: usize,
+        budget: usize,
+    }
+
+    impl DbIterator for FailsAfter {
+        fn valid(&self) -> bool {
+            self.left > 0 && self.inner.valid()
+        }
+        fn seek_to_first(&mut self) {
+            self.left = self.budget;
+            self.inner.seek_to_first();
+        }
+        fn seek(&mut self, target: &[u8]) {
+            self.left = self.budget;
+            self.inner.seek(target);
+        }
+        fn next(&mut self) {
+            self.left -= 1;
+            self.inner.next();
+        }
+        fn key(&self) -> &[u8] {
+            self.inner.key()
+        }
+        fn value(&self) -> &[u8] {
+            self.inner.value()
+        }
+        fn status(&self) -> Result<()> {
+            if self.left == 0 {
+                return Err(Error::corruption("damaged run"));
+            }
+            Ok(())
+        }
     }
 
     #[test]
-    fn merging_iterator_direction_switch_forward_then_back() {
-        let left = VecIterator::new(vec![entry("a", 1, "1"), entry("c", 1, "3")]);
-        let right = VecIterator::new(vec![entry("b", 1, "2")]);
-        let mut merged = MergingIterator::new(vec![Box::new(left), Box::new(right)]);
-        merged.seek_to_first();
-        merged.next(); // at "b"
-        assert_eq!(crate::key::extract_user_key(merged.key()), b"b");
-        merged.prev(); // back to "a"
-        assert!(merged.valid());
-        assert_eq!(crate::key::extract_user_key(merged.key()), b"a");
-        merged.next();
-        assert_eq!(crate::key::extract_user_key(merged.key()), b"b");
+    fn a_failed_child_stops_the_merge_before_older_versions_surface() {
+        use crate::user_iter::UserIterator;
+        // The newer run holds k1 and k2 and fails after `budget` entries;
+        // the older run below it holds superseded values of both.
+        for budget in [0, 1] {
+            let newer = FailsAfter {
+                inner: VecIterator::new(vec![entry("k1", 9, "new"), entry("k2", 8, "new2")]),
+                left: 0,
+                budget,
+            };
+            let older = VecIterator::new(vec![entry("k1", 3, "old"), entry("k2", 2, "old2")]);
+            let merged = MergingIterator::new(vec![Box::new(newer), Box::new(older)]);
+            let mut iter = UserIterator::new(Box::new(merged), u64::MAX >> 8);
+            let mut seen = Vec::new();
+            iter.seek_to_first();
+            while iter.valid() {
+                seen.push(iter.value().to_vec());
+                iter.next();
+            }
+            let expected: &[&[u8]] = if budget == 0 { &[] } else { &[b"new"] };
+            assert_eq!(seen, expected, "budget {budget}");
+            assert!(
+                iter.status().is_err(),
+                "budget {budget}: the error is reported"
+            );
+
+            // A seek past the failure stays stopped: the error is latched.
+            iter.seek(b"k2");
+            assert!(!iter.valid(), "budget {budget}");
+        }
     }
 }

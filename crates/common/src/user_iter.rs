@@ -4,10 +4,10 @@
 //! user key, tombstones included, ordered by (user key asc, sequence desc).
 //! The public [`KvStore::iter`](crate::KvStore::iter) contract is a cursor
 //! over *user* keys: one live value per key, as of a snapshot sequence.
-//! [`UserIterator`] bridges the two, following the LevelDB `DBIter` design:
-//! entries newer than the snapshot are skipped, tombstones hide older
-//! versions, and only the newest visible version of each key is surfaced —
-//! in both directions.
+//! [`UserIterator`] bridges the two, following the forward half of the
+//! LevelDB `DBIter` design: entries newer than the snapshot are skipped,
+//! tombstones hide older versions, and only the newest visible version of
+//! each key is surfaced.
 
 use std::sync::Arc;
 
@@ -18,37 +18,28 @@ use crate::key::{
 };
 use crate::vlog::{ValuePointer, ValueResolver};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    /// `inner` is positioned at the entry that defines `key()`.
-    Forward,
-    /// `inner` is positioned before the entries of `key()`; the current
-    /// entry is cached in `saved_key` / `saved_value`.
-    Reverse,
-}
-
 /// Adapts an internal-key [`DbIterator`] into a user-key cursor bounded by a
 /// snapshot sequence number.
 ///
 /// `seek` targets are plain user keys. `key()` returns the user key and
 /// `value()` the newest value visible at the snapshot; deleted and
-/// superseded versions are never surfaced.
+/// superseded versions are never surfaced. `inner` always sits on the entry
+/// that defines `key()`.
 pub struct UserIterator {
     inner: Box<dyn DbIterator>,
     sequence: SequenceNumber,
-    direction: Direction,
     valid: bool,
+    /// The user key whose remaining versions `find_next_user_entry` skips.
     saved_key: Vec<u8>,
-    saved_value: Vec<u8>,
     /// Resolves value-pointer entries into their vlog bytes. Entries tagged
     /// [`ValueType::ValuePointer`] are resolved *eagerly* when the cursor
     /// lands on them (the `value()` contract returns a borrow, so resolution
     /// cannot be deferred to the accessor).
     resolver: Option<Arc<dyn ValueResolver>>,
-    /// Holds the resolved bytes when the current Forward entry is a pointer.
+    /// Holds the resolved bytes when the current entry is a pointer.
     resolved_value: Vec<u8>,
-    /// Whether `value()` must read `resolved_value` in Forward direction.
-    forward_resolved: bool,
+    /// Whether `value()` must read `resolved_value`.
+    resolved: bool,
     /// First malformed internal key or failed pointer resolution seen; the
     /// cursor stops rather than silently skipping data.
     corruption: Option<Error>,
@@ -60,13 +51,11 @@ impl UserIterator {
         UserIterator {
             inner,
             sequence,
-            direction: Direction::Forward,
             valid: false,
             saved_key: Vec::new(),
-            saved_value: Vec::new(),
             resolver: None,
             resolved_value: Vec::new(),
-            forward_resolved: false,
+            resolved: false,
             corruption: None,
         }
     }
@@ -79,17 +68,12 @@ impl UserIterator {
         self
     }
 
-    fn record_corruption(&mut self) {
-        self.record_error(Error::corruption("malformed internal key during iteration"));
-    }
-
     fn record_error(&mut self, err: Error) {
         if self.corruption.is_none() {
             self.corruption = Some(err);
         }
         self.valid = false;
         self.saved_key.clear();
-        self.saved_value.clear();
     }
 
     /// Resolves an encoded pointer through the attached resolver.
@@ -110,7 +94,7 @@ impl UserIterator {
     fn find_next_user_entry(&mut self, mut skipping: bool) {
         while self.inner.valid() {
             let Some(parsed) = parse_internal_key(self.inner.key()) else {
-                self.record_corruption();
+                self.record_error(Error::corruption("malformed internal key during iteration"));
                 return;
             };
             if parsed.sequence <= self.sequence {
@@ -123,24 +107,18 @@ impl UserIterator {
                     }
                     ValueType::Value | ValueType::ValuePointer => {
                         if !(skipping && parsed.user_key <= self.saved_key.as_slice()) {
-                            let is_pointer = parsed.value_type == ValueType::ValuePointer;
-                            if is_pointer {
+                            self.resolved = parsed.value_type == ValueType::ValuePointer;
+                            if self.resolved {
                                 let encoded = self.inner.value().to_vec();
                                 match self.resolve(&encoded) {
-                                    Ok(value) => {
-                                        self.resolved_value = value;
-                                        self.forward_resolved = true;
-                                    }
+                                    Ok(value) => self.resolved_value = value,
                                     Err(err) => {
                                         self.record_error(err);
                                         return;
                                     }
                                 }
-                            } else {
-                                self.forward_resolved = false;
                             }
                             self.valid = true;
-                            self.direction = Direction::Forward;
                             self.saved_key.clear();
                             return;
                         }
@@ -152,62 +130,6 @@ impl UserIterator {
         self.valid = false;
         self.saved_key.clear();
     }
-
-    /// Scans backward to the newest visible entry of the previous user key,
-    /// caching it in `saved_key` / `saved_value`.
-    fn find_prev_user_entry(&mut self) {
-        let mut value_type = ValueType::Deletion;
-        if self.inner.valid() {
-            loop {
-                let Some(parsed) = parse_internal_key(self.inner.key()) else {
-                    self.record_corruption();
-                    return;
-                };
-                if parsed.sequence <= self.sequence {
-                    if value_type != ValueType::Deletion
-                        && parsed.user_key < self.saved_key.as_slice()
-                    {
-                        // We stepped onto an earlier user key while
-                        // holding a live entry: the saved entry wins.
-                        break;
-                    }
-                    value_type = parsed.value_type;
-                    if value_type == ValueType::Deletion {
-                        self.saved_key.clear();
-                        self.saved_value.clear();
-                    } else {
-                        self.saved_key.clear();
-                        self.saved_key.extend_from_slice(parsed.user_key);
-                        self.saved_value.clear();
-                        self.saved_value.extend_from_slice(self.inner.value());
-                    }
-                    if value_type == ValueType::ValuePointer {
-                        let encoded = std::mem::take(&mut self.saved_value);
-                        match self.resolve(&encoded) {
-                            Ok(value) => self.saved_value = value,
-                            Err(err) => {
-                                self.record_error(err);
-                                return;
-                            }
-                        }
-                    }
-                }
-                self.inner.prev();
-                if !self.inner.valid() {
-                    break;
-                }
-            }
-        }
-        if value_type == ValueType::Deletion {
-            self.valid = false;
-            self.saved_key.clear();
-            self.saved_value.clear();
-            self.direction = Direction::Forward;
-        } else {
-            self.valid = true;
-            self.direction = Direction::Reverse;
-        }
-    }
 }
 
 impl DbIterator for UserIterator {
@@ -216,110 +138,41 @@ impl DbIterator for UserIterator {
     }
 
     fn seek_to_first(&mut self) {
-        self.direction = Direction::Forward;
-        self.saved_value.clear();
+        self.saved_key.clear();
         self.inner.seek_to_first();
-        if self.inner.valid() {
-            self.find_next_user_entry(false);
-        } else {
-            self.valid = false;
-        }
-    }
-
-    fn seek_to_last(&mut self) {
-        self.direction = Direction::Reverse;
-        self.saved_value.clear();
-        self.inner.seek_to_last();
-        self.find_prev_user_entry();
+        self.find_next_user_entry(false);
     }
 
     fn seek(&mut self, target: &[u8]) {
-        self.direction = Direction::Forward;
         self.saved_key.clear();
-        self.saved_value.clear();
         self.inner.seek(&encode_internal_key(
             target,
             self.sequence,
             VALUE_TYPE_FOR_SEEK,
         ));
-        if self.inner.valid() {
-            self.find_next_user_entry(false);
-        } else {
-            self.valid = false;
-        }
+        self.find_next_user_entry(false);
     }
 
     fn next(&mut self) {
         assert!(self.valid, "next() on invalid iterator");
-        if self.direction == Direction::Reverse {
-            self.direction = Direction::Forward;
-            // `inner` sits before the entries of `saved_key`; step onto the
-            // first of them (or the very first entry).
-            if self.inner.valid() {
-                self.inner.next();
-            } else {
-                self.inner.seek_to_first();
-            }
-            if !self.inner.valid() {
-                self.valid = false;
-                self.saved_key.clear();
-                return;
-            }
-            // `saved_key` still names the current key; skip its versions.
-        } else {
-            self.saved_key.clear();
-            self.saved_key
-                .extend_from_slice(extract_user_key_checked(self.inner.key()));
-            self.inner.next();
-            if !self.inner.valid() {
-                self.valid = false;
-                self.saved_key.clear();
-                return;
-            }
-        }
+        self.saved_key.clear();
+        self.saved_key
+            .extend_from_slice(crate::key::extract_user_key(self.inner.key()));
+        self.inner.next();
         self.find_next_user_entry(true);
-    }
-
-    fn prev(&mut self) {
-        assert!(self.valid, "prev() on invalid iterator");
-        if self.direction == Direction::Forward {
-            // `inner` is at the entry defining `key()`; walk back past every
-            // entry of that user key.
-            debug_assert!(self.inner.valid());
-            self.saved_key.clear();
-            self.saved_key
-                .extend_from_slice(extract_user_key_checked(self.inner.key()));
-            loop {
-                self.inner.prev();
-                if !self.inner.valid() {
-                    self.valid = false;
-                    self.saved_key.clear();
-                    self.saved_value.clear();
-                    return;
-                }
-                if extract_user_key_checked(self.inner.key()) < self.saved_key.as_slice() {
-                    break;
-                }
-            }
-            self.direction = Direction::Reverse;
-        }
-        self.find_prev_user_entry();
     }
 
     fn key(&self) -> &[u8] {
         assert!(self.valid, "key() on invalid iterator");
-        match self.direction {
-            Direction::Forward => extract_user_key_checked(self.inner.key()),
-            Direction::Reverse => &self.saved_key,
-        }
+        crate::key::extract_user_key(self.inner.key())
     }
 
     fn value(&self) -> &[u8] {
         assert!(self.valid, "value() on invalid iterator");
-        match self.direction {
-            Direction::Forward if self.forward_resolved => &self.resolved_value,
-            Direction::Forward => self.inner.value(),
-            Direction::Reverse => &self.saved_value,
+        if self.resolved {
+            &self.resolved_value
+        } else {
+            self.inner.value()
         }
     }
 
@@ -329,10 +182,6 @@ impl DbIterator for UserIterator {
         }
         self.inner.status()
     }
-}
-
-fn extract_user_key_checked(internal_key: &[u8]) -> &[u8] {
-    crate::key::extract_user_key(internal_key)
 }
 
 #[cfg(test)]
@@ -459,59 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn reverse_traversal_matches_forward() {
-        let entries = vec![
-            entry("a", 1, ValueType::Value, "1"),
-            entry("b", 2, ValueType::Value, "2"),
-            entry("b", 7, ValueType::Value, "2b"),
-            entry("c", 3, ValueType::Deletion, ""),
-            entry("c", 1, ValueType::Value, "dead"),
-            entry("d", 4, ValueType::Value, "4"),
-        ];
-        let mut iter = user_iter(entries, MAX_SEQUENCE_NUMBER);
-        let forward = collect_forward(&mut iter);
-
-        let mut backward = Vec::new();
-        iter.seek_to_last();
-        while iter.valid() {
-            backward.push((
-                String::from_utf8_lossy(iter.key()).into_owned(),
-                String::from_utf8_lossy(iter.value()).into_owned(),
-            ));
-            iter.prev();
-        }
-        backward.reverse();
-        assert_eq!(forward, backward);
-        assert_eq!(forward.len(), 3, "c is deleted");
-    }
-
-    #[test]
-    fn direction_switches_mid_stream() {
-        let mut iter = user_iter(
-            vec![
-                entry("a", 1, ValueType::Value, "1"),
-                entry("b", 2, ValueType::Value, "2"),
-                entry("c", 3, ValueType::Value, "3"),
-            ],
-            MAX_SEQUENCE_NUMBER,
-        );
-        iter.seek_to_first();
-        iter.next(); // at b
-        assert_eq!(iter.key(), b"b");
-        iter.prev(); // back to a
-        assert!(iter.valid());
-        assert_eq!(iter.key(), b"a");
-        assert_eq!(iter.value(), b"1");
-        iter.next(); // forward again to b
-        assert_eq!(iter.key(), b"b");
-        assert_eq!(iter.value(), b"2");
-        iter.next();
-        assert_eq!(iter.key(), b"c");
-        iter.next();
-        assert!(!iter.valid());
-    }
-
-    #[test]
     fn corruption_stops_the_cursor_and_surfaces_in_status() {
         // A malformed internal key: long enough to slice, but carrying an
         // invalid value-type tag in its trailer.
@@ -554,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn pointer_entries_resolve_in_both_directions() {
+    fn pointer_entries_resolve_to_their_log_bytes() {
         let resolver = Arc::new(MapResolver(
             [((7, 0), b"big-a".to_vec()), ((7, 100), b"big-c".to_vec())]
                 .into_iter()
@@ -575,13 +371,10 @@ mod tests {
                 ("c".to_string(), "big-c".to_string()),
             ]
         );
-        // Reverse direction resolves through saved_value.
-        iter.seek_to_last();
-        assert_eq!(iter.value(), b"big-c");
-        iter.prev();
+        iter.seek(b"b");
         assert_eq!(iter.value(), b"inline-b");
-        iter.prev();
-        assert_eq!(iter.value(), b"big-a");
+        iter.next();
+        assert_eq!(iter.value(), b"big-c");
         assert!(iter.status().is_ok());
     }
 

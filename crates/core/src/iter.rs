@@ -216,20 +216,6 @@ mod tests {
         assert_eq!(entries.last().unwrap().0, b"c".to_vec());
     }
 
-    #[test]
-    fn reverse_iteration_walks_back_through_guards() {
-        let (_, cache, guards) = setup();
-        let mut iter = level_iter(cache, guards);
-        iter.seek_to_last();
-        assert!(iter.valid());
-        assert_eq!(extract_user_key(iter.key()), b"p");
-        iter.prev();
-        assert_eq!(extract_user_key(iter.key()), b"m");
-        iter.prev();
-        // Crosses back into the sentinel guard.
-        assert_eq!(extract_user_key(iter.key()), b"c");
-    }
-
     /// A table that cannot be opened ends iteration with the error latched
     /// into `status()`, for a guard slot and for a file slot alike; the
     /// cursor never skips the slot silently.
@@ -255,7 +241,7 @@ mod tests {
             }
             assert!(!iter.valid(), "the unreadable slot ended iteration");
             assert!(iter.status().is_err());
-            iter.seek_to_last();
+            iter.seek(&encode_internal_key(b"p", u64::MAX >> 8, ValueType::Value));
             assert!(!iter.valid());
             assert!(iter.status().is_err(), "the error stays latched");
         }
@@ -278,16 +264,12 @@ mod tests {
         // "not valid".
         let mut position: Option<usize> = None;
         for step in 0..80 {
-            match rng.gen_range(0..6) {
+            match rng.gen_range(0..4) {
                 0 => {
                     iter.seek_to_first();
                     position = Some(0);
                 }
                 1 => {
-                    iter.seek_to_last();
-                    position = Some(oracle.len() - 1);
-                }
-                2 => {
                     let key = user_key(rng.gen_range(0..keys));
                     let seq = if rng.gen_bool(0.5) {
                         u64::MAX >> 8
@@ -301,15 +283,10 @@ mod tests {
                     });
                     position = (at < oracle.len()).then_some(at);
                 }
-                3 | 4 => {
+                _ => {
                     let Some(at) = position else { continue };
                     iter.next();
                     position = (at + 1 < oracle.len()).then_some(at + 1);
-                }
-                _ => {
-                    let Some(at) = position else { continue };
-                    iter.prev();
-                    position = at.checked_sub(1);
                 }
             }
             iter.status().unwrap();
@@ -375,8 +352,8 @@ mod tests {
     /// jobs deliver them — user keys repeated at different sequences, puts
     /// and tombstones. File-shaped: the same entries cut into a sorted run
     /// of disjoint files at random points, so one user key's versions may
-    /// straddle two files. Random cursor programs must see every entry
-    /// exactly once, in global internal-key order, in both directions; and
+    /// straddle two files. Random cursor programs of seeks and `next`s must
+    /// see every entry exactly once, in global internal-key order; and
     /// the chassis point `get` must agree with a cursor `seek` for present,
     /// deleted and absent keys at random snapshots.
     #[test]

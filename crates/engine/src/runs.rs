@@ -188,20 +188,12 @@ impl DbIterator for SlotIter {
         on_slot!(self, iter => iter.seek_to_first())
     }
     #[inline]
-    fn seek_to_last(&mut self) {
-        on_slot!(self, iter => iter.seek_to_last())
-    }
-    #[inline]
     fn seek(&mut self, target: &[u8]) {
         on_slot!(self, iter => iter.seek(target))
     }
     #[inline]
     fn next(&mut self) {
         on_slot!(self, iter => iter.next())
-    }
-    #[inline]
-    fn prev(&mut self) {
-        on_slot!(self, iter => iter.prev())
     }
     #[inline]
     fn key(&self) -> &[u8] {
@@ -283,25 +275,22 @@ impl<V: VersionShape> LevelCursor<V> {
     }
 
     /// Returns `true` if the cursor sits on an entry inside the current
-    /// slot's key range.
+    /// slot's key range. Only the upper bound needs a look: a seek starts
+    /// in the slot whose range holds its target, and `settle` steps over
+    /// the entries under a slot's lower bound as it opens the slot.
     fn in_bounds(&self) -> bool {
         let Some(iter) = self.current.as_ref() else {
             return false;
         };
-        if !iter.valid() {
-            return false;
-        }
         // An unclipped slot (every slot of a leveled run) never looks at the
         // key: for such a source this is `valid()` and nothing else.
-        let (lower, upper) = self.source.run().bounds(self.slot);
-        let user_key = || extract_user_key(iter.key());
-        lower.is_none_or(|lower| user_key() >= lower)
-            && upper.is_none_or(|upper| user_key() < upper)
+        let (_, upper) = self.source.run().bounds(self.slot);
+        iter.valid() && upper.is_none_or(|upper| extract_user_key(iter.key()) < upper)
     }
 
     /// Moves forward, slot by slot, until the cursor is on an entry inside
     /// its slot's range (or the level is exhausted).
-    fn settle_forward(&mut self) {
+    fn settle(&mut self) {
         while !self.in_bounds() && !self.failed() {
             // Either the slot is exhausted or the next entry spills past its
             // upper bound; move on to the following slot.
@@ -325,31 +314,6 @@ impl<V: VersionShape> LevelCursor<V> {
             }
         }
     }
-
-    /// Moves backward, slot by slot, until the cursor is on an entry inside
-    /// its slot's range (or the level is exhausted).
-    fn settle_backward(&mut self) {
-        while !self.in_bounds() && !self.failed() {
-            // An entry merely above the upper bound: walk backwards within
-            // the same slot first.
-            if let (Some(iter), Some(upper)) =
-                (self.current.as_mut(), self.source.run().bounds(self.slot).1)
-            {
-                if iter.valid() && extract_user_key(iter.key()) >= upper {
-                    iter.prev();
-                    continue;
-                }
-            }
-            if self.slot == 0 {
-                self.current = None;
-                return;
-            }
-            let previous = self.slot.min(self.source.run().slots()) - 1;
-            if !self.open_slot(previous, DbIterator::seek_to_last) {
-                return;
-            }
-        }
-    }
 }
 
 impl<V: VersionShape> DbIterator for LevelCursor<V> {
@@ -359,21 +323,14 @@ impl<V: VersionShape> DbIterator for LevelCursor<V> {
 
     fn seek_to_first(&mut self) {
         if self.open_slot(0, DbIterator::seek_to_first) {
-            self.settle_forward();
-        }
-    }
-
-    fn seek_to_last(&mut self) {
-        let last = self.source.run().slots().saturating_sub(1);
-        if self.open_slot(last, DbIterator::seek_to_last) {
-            self.settle_backward();
+            self.settle();
         }
     }
 
     fn seek(&mut self, target: &[u8]) {
         let slot = self.source.run().slot_for(target);
         if self.open_slot(slot, |iter| iter.seek(target)) {
-            self.settle_forward();
+            self.settle();
         }
     }
 
@@ -381,14 +338,7 @@ impl<V: VersionShape> DbIterator for LevelCursor<V> {
         if let Some(iter) = self.current.as_mut() {
             iter.next();
         }
-        self.settle_forward();
-    }
-
-    fn prev(&mut self) {
-        if let Some(iter) = self.current.as_mut() {
-            iter.prev();
-        }
-        self.settle_backward();
+        self.settle();
     }
 
     fn key(&self) -> &[u8] {

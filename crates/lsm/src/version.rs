@@ -383,14 +383,10 @@ mod tests {
         iter.seek(&encode_internal_key(b"c", u64::MAX >> 8, ValueType::Value));
         assert!(iter.valid());
         assert_eq!(extract_user_key(iter.key()), b"f");
-
-        // Reverse iteration crosses file boundaries too.
-        iter.seek_to_last();
-        assert_eq!(extract_user_key(iter.key()), b"n");
-        iter.prev();
+        // ...and `next` crosses the file boundary after it.
+        iter.next();
+        iter.next();
         assert_eq!(extract_user_key(iter.key()), b"m");
-        iter.prev();
-        assert_eq!(extract_user_key(iter.key()), b"g");
 
         // Seeking past the end invalidates the iterator.
         iter.seek(&encode_internal_key(
@@ -406,8 +402,6 @@ mod tests {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let mut iter = run_cursor(&env, PathBuf::from("/x"), Vec::new());
         iter.seek_to_first();
-        assert!(!iter.valid());
-        iter.seek_to_last();
         assert!(!iter.valid());
         iter.seek(&encode_internal_key(b"a", 1, ValueType::Value));
         assert!(!iter.valid());

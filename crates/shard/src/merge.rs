@@ -46,18 +46,6 @@ mod tests {
     }
 
     #[test]
-    fn reverse_scan_is_globally_sorted() {
-        let mut iter = merged();
-        iter.seek_to_last();
-        let mut got = Vec::new();
-        while iter.valid() {
-            got.push(String::from_utf8(iter.key().to_vec()).unwrap());
-            iter.prev();
-        }
-        assert_eq!(got, ["h", "g", "f", "e", "d", "c", "b", "a"]);
-    }
-
-    #[test]
     fn seek_lands_on_the_global_successor() {
         let mut iter = merged();
         iter.seek(b"d");
@@ -69,42 +57,13 @@ mod tests {
     }
 
     #[test]
-    fn direction_switches_mid_stream() {
-        let mut iter = merged();
-        iter.seek(b"e");
-        assert_eq!(iter.key(), b"e");
-        iter.prev();
-        assert_eq!(iter.key(), b"d", "forward -> reverse at e");
-        iter.prev();
-        assert_eq!(iter.key(), b"c");
-        iter.next();
-        assert_eq!(iter.key(), b"d", "reverse -> forward at c");
-        iter.next();
-        assert_eq!(iter.key(), b"e");
-        // Flip repeatedly on the same key pair.
-        iter.prev();
-        iter.next();
-        iter.prev();
-        assert_eq!(iter.key(), b"d");
-    }
-
-    #[test]
-    fn prev_from_first_key_invalidates() {
-        let mut iter = merged();
-        iter.seek_to_first();
-        assert_eq!(iter.key(), b"a");
-        iter.prev();
-        assert!(!iter.valid());
-    }
-
-    #[test]
     fn empty_children_are_harmless() {
         let mut iter = ShardMerge::with_order(vec![entries(&[]), entries(&["k"]), entries(&[])]);
         iter.seek_to_first();
         assert_eq!(iter.key(), b"k");
         iter.next();
         assert!(!iter.valid());
-        iter.seek_to_last();
+        iter.seek(b"j");
         assert_eq!(iter.key(), b"k");
     }
 }

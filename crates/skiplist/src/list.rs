@@ -314,36 +314,6 @@ impl SkipList {
         }
     }
 
-    fn find_less_than(&self, key: &[u8]) -> u32 {
-        let mut node = HEAD;
-        let mut level = self.max_height.load(MemOrder::Relaxed) - 1;
-        loop {
-            let next = self.node(node).next[level].load(MemOrder::Acquire);
-            if next != NIL && (self.cmp)(self.node(next).key(), key) == Ordering::Less {
-                node = next;
-            } else if level == 0 {
-                return node;
-            } else {
-                level -= 1;
-            }
-        }
-    }
-
-    fn find_last(&self) -> u32 {
-        let mut node = HEAD;
-        let mut level = self.max_height.load(MemOrder::Relaxed) - 1;
-        loop {
-            let next = self.node(node).next[level].load(MemOrder::Acquire);
-            if next != NIL {
-                node = next;
-            } else if level == 0 {
-                return node;
-            } else {
-                level -= 1;
-            }
-        }
-    }
-
     /// Inserts `key` into the list.
     ///
     /// Inserts are serialised internally; readers and cursors keep working
@@ -428,16 +398,6 @@ impl SkipList {
         self.node(HEAD).next[0].load(MemOrder::Acquire)
     }
 
-    /// Index of the last entry, or the invalid index if empty.
-    pub(crate) fn last_index(&self) -> u32 {
-        let last = self.find_last();
-        if last == HEAD {
-            NIL
-        } else {
-            last
-        }
-    }
-
     /// Index of the first entry `>= key`.
     pub(crate) fn seek_index(&self, key: &[u8]) -> u32 {
         self.find_greater_or_equal(key, None)
@@ -446,16 +406,6 @@ impl SkipList {
     /// Index of the entry after `node`.
     pub(crate) fn next_index(&self, node: u32) -> u32 {
         self.node(node).next[0].load(MemOrder::Acquire)
-    }
-
-    /// Index of the entry before `node`, or the invalid index.
-    pub(crate) fn prev_index(&self, node: u32) -> u32 {
-        let prev = self.find_less_than(self.node(node).key());
-        if prev == HEAD {
-            NIL
-        } else {
-            prev
-        }
     }
 
     /// Whether `node` addresses a real entry.
@@ -530,21 +480,10 @@ impl<'a> SkipListIterator<'a> {
         self.node = self.list.first_index();
     }
 
-    /// Positions at the last entry.
-    pub fn seek_to_last(&mut self) {
-        self.node = self.list.last_index();
-    }
-
     /// Advances to the next entry.
     pub fn next(&mut self) {
         assert!(self.valid(), "next() on invalid skiplist iterator");
         self.node = self.list.next_index(self.node);
-    }
-
-    /// Moves to the previous entry.
-    pub fn prev(&mut self) {
-        assert!(self.valid(), "prev() on invalid skiplist iterator");
-        self.node = self.list.prev_index(self.node);
     }
 }
 
@@ -566,7 +505,7 @@ mod tests {
         let mut iter = list.iter();
         iter.seek_to_first();
         assert!(!iter.valid());
-        iter.seek_to_last();
+        iter.seek(b"");
         assert!(!iter.valid());
     }
 
@@ -612,23 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn prev_walks_backwards() {
-        let list = SkipList::new(bytewise);
-        for k in ["a", "b", "c"] {
-            list.insert(k.as_bytes());
-        }
-        let mut iter = list.iter();
-        iter.seek_to_last();
-        assert_eq!(iter.key(), b"c");
-        iter.prev();
-        assert_eq!(iter.key(), b"b");
-        iter.prev();
-        assert_eq!(iter.key(), b"a");
-        iter.prev();
-        assert!(!iter.valid());
-    }
-
-    #[test]
     fn large_random_insertions_stay_sorted() {
         use rand::seq::SliceRandom;
         let mut keys: Vec<Vec<u8>> = (0..5000u32)
@@ -664,7 +586,7 @@ mod tests {
         list.insert(&huge);
         assert!(list.contains(&huge));
         let mut iter = list.iter();
-        iter.seek_to_last();
+        iter.seek(b"x");
         assert_eq!(iter.key(), huge.as_slice());
     }
 

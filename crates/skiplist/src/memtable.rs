@@ -197,20 +197,12 @@ impl DbIterator for MemTableIterator<'_> {
         self.inner.seek_to_first();
     }
 
-    fn seek_to_last(&mut self) {
-        self.inner.seek_to_last();
-    }
-
     fn seek(&mut self, target: &[u8]) {
         self.inner.seek(&encode_entry_for_seek(target));
     }
 
     fn next(&mut self) {
         self.inner.next();
-    }
-
-    fn prev(&mut self) {
-        self.inner.prev();
     }
 
     fn key(&self) -> &[u8] {
@@ -242,10 +234,6 @@ impl DbIterator for OwnedMemTableIterator {
         self.node = self.mem.list.first_index();
     }
 
-    fn seek_to_last(&mut self) {
-        self.node = self.mem.list.last_index();
-    }
-
     fn seek(&mut self, target: &[u8]) {
         self.node = self.mem.list.seek_index(&encode_entry_for_seek(target));
     }
@@ -253,11 +241,6 @@ impl DbIterator for OwnedMemTableIterator {
     fn next(&mut self) {
         assert!(self.valid(), "next() on invalid memtable iterator");
         self.node = self.mem.list.next_index(self.node);
-    }
-
-    fn prev(&mut self) {
-        assert!(self.valid(), "prev() on invalid memtable iterator");
-        self.node = self.mem.list.prev_index(self.node);
     }
 
     fn key(&self) -> &[u8] {

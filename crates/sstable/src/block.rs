@@ -234,8 +234,6 @@ fn varint32_at(src: &[u8], pos: &mut usize) -> Option<u32> {
 /// reports `Corruption` until the iterator is [reset](BlockIterator::reset).
 pub struct BlockIterator {
     block: Block,
-    /// Offset of the current entry.
-    current: usize,
     /// Offset of the entry after the current one.
     next: usize,
     /// The current key: a range of the block, or `None` for `buf`.
@@ -251,7 +249,6 @@ impl BlockIterator {
     /// An iterator over `block`, before its first entry.
     pub fn new(block: Block) -> BlockIterator {
         BlockIterator {
-            current: block.restart_offset,
             next: block.restart_offset,
             block,
             key: Some((0, 0)),
@@ -305,13 +302,12 @@ impl BlockIterator {
     /// Returns `false` past the last entry and on a malformed one.
     #[inline]
     fn parse_next_entry(&mut self) -> bool {
-        self.current = self.next;
         let entries = self.block.entries();
-        if self.current >= entries.len() {
+        if self.next >= entries.len() {
             self.valid = false;
             return false;
         }
-        let Some(entry) = decode_entry(entries, self.current) else {
+        let Some(entry) = decode_entry(entries, self.next) else {
             return self.corruption();
         };
         let unshared = &entries[entry.key_start..entry.key_end];
@@ -349,12 +345,6 @@ impl DbIterator for BlockIterator {
         }
     }
 
-    fn seek_to_last(&mut self) {
-        if !self.corrupt && self.seek_to_restart_point(self.block.num_restarts - 1) {
-            while self.parse_next_entry() && self.next < self.block.restart_offset {}
-        }
-    }
-
     fn seek(&mut self, target: &[u8]) {
         if self.corrupt {
             return;
@@ -387,29 +377,6 @@ impl DbIterator for BlockIterator {
     fn next(&mut self) {
         assert!(self.valid, "next() on invalid block iterator");
         self.parse_next_entry();
-    }
-
-    fn prev(&mut self) {
-        assert!(self.valid, "prev() on invalid block iterator");
-        // Restart points ascend: find the last one before the current entry,
-        // then walk forward to the entry that ends where the current begins.
-        let original = self.current;
-        let (mut before, mut after) = (0, self.block.num_restarts);
-        while before < after {
-            let mid = (before + after) / 2;
-            if self.block.restart_point(mid) < original {
-                before = mid + 1;
-            } else {
-                after = mid;
-            }
-        }
-        if before == 0 {
-            self.valid = false; // the current entry was the first
-            return;
-        }
-        if self.seek_to_restart_point(before - 1) {
-            while self.parse_next_entry() && self.next < original {}
-        }
     }
 
     #[inline]
@@ -502,23 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn seek_to_last_and_prev_walk_backwards() {
-        let keys = ["a", "b", "c", "d", "e"];
-        let block = build(&keys, 2);
-        let mut iter = block.iter();
-        iter.seek_to_last();
-        assert!(iter.valid());
-        assert_eq!(extract_user_key(iter.key()), b"e");
-        for expected in ["d", "c", "b", "a"] {
-            iter.prev();
-            assert!(iter.valid());
-            assert_eq!(extract_user_key(iter.key()), expected.as_bytes());
-        }
-        iter.prev();
-        assert!(!iter.valid());
-    }
-
-    #[test]
     fn corrupt_restart_count_is_rejected() {
         assert!(Block::new(vec![1, 2].into()).is_err());
         // Restart count claims more restarts than bytes available.
@@ -565,7 +515,6 @@ mod tests {
             for key in &refs {
                 iter.seek(&ikey(key));
                 assert_eq!(extract_user_key(iter.key()), key.as_bytes());
-                iter.prev();
             }
             assert_eq!(iter.buf.capacity() > 0, copies, "interval {interval}");
         }
@@ -589,8 +538,8 @@ mod tests {
         assert_eq!(read(&[0x80, 0x80]), None, "truncated");
     }
 
-    /// A restart point past the entries is corruption wherever the iterator
-    /// follows it — from the end, or back from the first entry after it.
+    /// A restart point past the entries is corruption where a seek's binary
+    /// search follows it.
     #[test]
     fn a_restart_point_past_the_entries_is_corruption() {
         let mut builder = BlockBuilder::new(2);
@@ -602,7 +551,7 @@ mod tests {
         bytes[restarts + 4..restarts + 8].copy_from_slice(&(restarts as u32 + 1).to_le_bytes());
         let block = Block::new(bytes.into()).unwrap();
         let mut iter = block.iter();
-        iter.seek_to_last();
+        iter.seek(&ikey("c"));
         assert!(!iter.valid() && iter.status().is_err());
         iter.seek_to_first();
         assert!(!iter.valid(), "corruption stays latched");
@@ -734,7 +683,7 @@ mod tests {
         targets
     }
 
-    /// An intact block iterates, backs up and seeks exactly as the
+    /// An intact block iterates and seeks exactly as the
     /// reference decode and a binary search over its entries say.
     fn check_intact(entries: &Entries, block: &Block, limit: usize) {
         let mut iter = block.iter();
@@ -745,8 +694,6 @@ mod tests {
             limit,
         );
         assert_eq!(&forward, entries);
-        let backward = walk(&mut iter, DbIterator::seek_to_last, DbIterator::prev, limit);
-        assert!(backward.iter().rev().eq(entries.iter()));
         let at = |iter: &BlockIterator, index: usize| match entries.get(index) {
             Some((key, value)) => iter.valid() && iter.key() == key && iter.value() == value,
             None => !iter.valid(),
@@ -759,10 +706,6 @@ mod tests {
             if iter.valid() {
                 iter.next();
                 assert!(at(&iter, expected + 1), "next after seek to {target:?}");
-                iter.seek(&target);
-                iter.prev();
-                let before = expected.checked_sub(1).unwrap_or(entries.len());
-                assert!(at(&iter, before), "prev after seek to {target:?}");
             }
         }
         assert!(iter.status().is_ok());
@@ -771,7 +714,7 @@ mod tests {
     /// A damaged block iterates to exactly the entries the reference decode
     /// finds before the damage, then reports `Corruption` — or, where the
     /// damage leaves a well-formed block, to all of them with no error. Its
-    /// other ways in (from the end, by seek) end and never panic.
+    /// seeks end and never panic.
     fn check_damaged(bytes: &[u8], targets: &[Vec<u8>]) {
         let (block, reference) = (Block::new(bytes.to_vec().into()), reference_decode(bytes));
         let (block, (expected, corrupt)) = match (block, reference) {
@@ -789,8 +732,6 @@ mod tests {
         );
         assert_eq!(forward, expected);
         assert_eq!(iter.status().is_err(), corrupt);
-        let mut iter = block.iter();
-        walk(&mut iter, DbIterator::seek_to_last, DbIterator::prev, limit);
         for target in targets {
             let mut iter = block.iter();
             iter.seek(target);
@@ -820,11 +761,12 @@ mod tests {
 
             // Values are most of a block: aim half the damage at entry
             // headers and a quarter at the restart array.
-            let mut headers = Vec::new();
+            let (mut headers, mut at) = (Vec::new(), 0);
             let mut iter = block.iter();
             iter.seek_to_first();
             while iter.valid() {
-                headers.push(iter.current);
+                headers.push(at);
+                at = iter.next;
                 iter.next();
             }
             let targets = seek_targets(&entries);

@@ -333,23 +333,16 @@ impl TableIterator {
     }
 
     /// Whether the data iterator is loaded and exhausted, with more blocks
-    /// to go: the cue to step to the next (or previous) block.
+    /// to go: the cue to step to the next block.
     fn block_exhausted(&mut self) -> bool {
         let exhausted = self.data_iter.as_ref().is_some_and(|it| !it.valid());
         exhausted && !self.failed() && self.index_iter.valid()
     }
 
-    fn skip_empty_data_blocks_forward(&mut self) {
+    fn skip_empty_data_blocks(&mut self) {
         while self.block_exhausted() {
             self.index_iter.next();
             self.enter_block(DbIterator::seek_to_first);
-        }
-    }
-
-    fn skip_empty_data_blocks_backward(&mut self) {
-        while self.block_exhausted() {
-            self.index_iter.prev();
-            self.enter_block(DbIterator::seek_to_last);
         }
     }
 }
@@ -369,31 +362,19 @@ impl DbIterator for TableIterator {
     fn seek_to_first(&mut self) {
         self.index_iter.seek_to_first();
         self.enter_block(DbIterator::seek_to_first);
-        self.skip_empty_data_blocks_forward();
-    }
-
-    fn seek_to_last(&mut self) {
-        self.index_iter.seek_to_last();
-        self.enter_block(DbIterator::seek_to_last);
-        self.skip_empty_data_blocks_backward();
+        self.skip_empty_data_blocks();
     }
 
     fn seek(&mut self, target: &[u8]) {
         self.index_iter.seek(target);
         self.enter_block(|iter| iter.seek(target));
-        self.skip_empty_data_blocks_forward();
+        self.skip_empty_data_blocks();
     }
 
     fn next(&mut self) {
         let iter = self.data_iter.as_mut();
         iter.expect("next() on invalid table iterator").next();
-        self.skip_empty_data_blocks_forward();
-    }
-
-    fn prev(&mut self) {
-        let iter = self.data_iter.as_mut();
-        iter.expect("prev() on invalid table iterator").prev();
-        self.skip_empty_data_blocks_backward();
+        self.skip_empty_data_blocks();
     }
 
     fn key(&self) -> &[u8] {
@@ -518,7 +499,11 @@ pub(crate) mod tests {
             iter.next();
         }
         assert_eq!(count, 2000);
-        iter.seek_to_last();
+        iter.seek(&encode_internal_key(
+            b"k01999",
+            u64::MAX >> 8,
+            ValueType::Value,
+        ));
         assert_eq!(extract_user_key(iter.key()), b"k01999");
         assert_eq!((cache.usage(), cache.hit_miss()), (0, (0, 0)));
     }
@@ -565,10 +550,16 @@ pub(crate) mod tests {
         assert_eq!(count, 2000);
         assert!(iter.status().is_ok());
 
-        iter.seek_to_last();
-        assert_eq!(extract_user_key(iter.key()), b"k01999");
-        iter.prev();
+        iter.seek(&encode_internal_key(
+            b"k01998",
+            u64::MAX >> 8,
+            ValueType::Value,
+        ));
         assert_eq!(extract_user_key(iter.key()), b"k01998");
+        iter.next();
+        assert_eq!(extract_user_key(iter.key()), b"k01999");
+        iter.next();
+        assert!(!iter.valid() && iter.status().is_ok());
     }
 
     /// Re-seals the first data block's CRC over the bytes it now holds, so
@@ -625,16 +616,12 @@ pub(crate) mod tests {
         assert!(!iter.valid(), "the iterator stays stopped");
 
         let mut iter = table.iter(&read);
-        iter.seek_to_last();
-        let mut backward = 0;
-        while iter.valid() {
-            backward += 1;
-            iter.prev();
-        }
-        assert!(
-            backward < 1998 && is_corruption(iter.status()),
-            "{backward}"
-        );
+        iter.seek(&encode_internal_key(
+            b"k00003",
+            u64::MAX >> 8,
+            ValueType::Value,
+        ));
+        assert!(!iter.valid() && is_corruption(iter.status()));
 
         let get = |user: &str| {
             let target = encode_internal_key(user.as_bytes(), u64::MAX >> 8, ValueType::Value);

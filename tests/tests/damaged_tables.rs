@@ -98,16 +98,27 @@ fn reseal_first_block(contents: &mut [u8]) {
     contents[tag + 1..tag + 5].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// The store's tables.
+fn tables(env: &MemEnv) -> impl Iterator<Item = PathBuf> {
+    let dir = Path::new("/db");
+    let names = env.children(dir).unwrap().into_iter();
+    names
+        .filter(|name| name.ends_with(".sst"))
+        .map(move |name| dir.join(name))
+}
+
 /// Plants `damage` in the largest table and returns its path.
 fn plant(env: &MemEnv, damage: &Damage) -> PathBuf {
-    let dir = Path::new("/db");
-    let tables = env.children(dir).unwrap().into_iter();
-    let path = tables
-        .filter(|name| name.ends_with(".sst"))
-        .map(|name| dir.join(name))
+    let path = tables(env)
         .max_by_key(|path| env.file_size(path).unwrap())
         .unwrap();
-    let mut contents = env.read_file_to_vec(&path).unwrap();
+    plant_in(env, damage, &path);
+    path
+}
+
+/// Plants `damage` in the table at `path`.
+fn plant_in(env: &MemEnv, damage: &Damage, path: &Path) {
+    let mut contents = env.read_file_to_vec(path).unwrap();
     let (mut entry, mut value) = (0, 0);
     for _ in 0..2 {
         let mut pos = entry;
@@ -129,10 +140,9 @@ fn plant(env: &MemEnv, damage: &Damage) -> PathBuf {
         }
         Damage::ValueByte => contents[value + 50] ^= 1,
     }
-    let mut file = env.new_writable_file(&path).unwrap();
+    let mut file = env.new_writable_file(path).unwrap();
     file.append(&contents).unwrap();
     file.close().unwrap();
-    path
 }
 
 /// Every key the store holds is either read right or refused with the
@@ -210,4 +220,51 @@ fn a_malformed_entry_is_corruption_and_its_table_is_never_compacted_away() {
 #[test]
 fn a_flipped_value_byte_is_never_laundered_by_a_compaction() {
     damaged_table_survives_compaction(Damage::ValueByte);
+}
+
+/// A damaged table stops a store's cursor even where older versions of its
+/// keys lie in other tables beneath it. Here the newest table holds the
+/// current values of the first `SHADOWED` keys over a store of stale ones;
+/// a merged cursor that stepped past the failed table used to read on
+/// through the tables below, yielding `stale` for every key after the
+/// damage with `valid() == true`, and reported the error only at the end.
+#[test]
+fn a_damaged_table_never_uncovers_the_versions_it_shadows() {
+    const SHADOWED: u32 = 400;
+    for engine in ["flsm", "lsm"] {
+        let env = MemEnv::new();
+        let db = open(engine, &env).unwrap();
+        for i in 0..KEYS {
+            db.put(&key(i), b"stale").unwrap();
+        }
+        db.flush().unwrap();
+        for i in 0..SHADOWED {
+            db.put(&key(i), &value(i)).unwrap();
+        }
+        db.flush().unwrap();
+        drop(db);
+        let newest = tables(&env).max().unwrap();
+        plant_in(&env, &Damage::SharedLength, &newest);
+
+        let db = open(engine, &env).unwrap();
+        let mut iter = db.iter(&ReadOptions::default()).unwrap();
+        iter.seek_to_first();
+        let mut seen = 0;
+        while iter.valid() {
+            let i: u32 = std::str::from_utf8(&iter.key()[3..])
+                .unwrap()
+                .parse()
+                .unwrap();
+            assert!(i < SHADOWED, "{engine}: the cursor read past the damage");
+            assert_eq!(iter.value(), value(i), "{engine}: key {i}");
+            seen += 1;
+            iter.next();
+        }
+        assert_eq!(seen, 2, "{engine}: entries 0 and 1 precede the damage");
+        assert!(
+            matches!(iter.status(), Err(Error::Corruption(msg)) if msg == "malformed block entry"),
+            "{engine}: {:?}",
+            iter.status()
+        );
+    }
 }

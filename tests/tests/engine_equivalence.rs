@@ -277,11 +277,13 @@ fn snapshots_isolate_reads_on_every_engine() {
     }
 }
 
-/// Forward and backward cursor traversal agree with the materialised `scan`
-/// on randomized content — the cursor is the source of truth `scan` is
-/// defined on, so walking it both ways must reproduce the same entries.
+/// Cursor traversal agrees with the materialised `scan` on randomized
+/// content — the cursor is the source of truth `scan` is defined on, so a
+/// full walk must reproduce the same entries, and a seek to any key, present
+/// or absent, followed by 20 `next`s must reproduce the scan's suffix from
+/// that key's lower bound (crossing guard, file and table boundaries).
 #[test]
-fn cursor_traversal_matches_scan_forward_and_backward() {
+fn cursor_walks_and_seeks_match_scan() {
     let engines = all_engines();
     let mut rng = StdRng::seed_from_u64(4242);
     for op in 0..4000u32 {
@@ -297,6 +299,14 @@ fn cursor_traversal_matches_scan_forward_and_backward() {
             }
         }
     }
+    // Present keys, the gaps just past them, keys never written, and both
+    // ends of the key space.
+    let mut probes: Vec<Vec<u8>> = vec![Vec::new(), b"zzz".to_vec()];
+    for _ in 0..40 {
+        let key = format!("key{:05}", rng.gen_range(0..1300u32));
+        probes.push(format!("{key}!").into_bytes());
+        probes.push(key.into_bytes());
+    }
     for (name, engine) in &engines {
         engine.flush().unwrap();
         let scanned = engine.scan(b"", &[], 100_000).unwrap();
@@ -310,28 +320,18 @@ fn cursor_traversal_matches_scan_forward_and_backward() {
         }
         assert_eq!(forward, scanned, "{name} forward traversal");
 
-        iter.seek_to_last();
-        let mut backward = Vec::new();
-        while iter.valid() {
-            backward.push((iter.key().to_vec(), iter.value().to_vec()));
-            iter.prev();
-        }
-        backward.reverse();
-        assert_eq!(backward, scanned, "{name} backward traversal");
-
-        // Mid-stream seeks land on the scan's lower bound.
-        let probe = b"key00600".to_vec();
-        let expected_at = scanned
-            .iter()
-            .find(|(k, _)| k.as_slice() >= probe.as_slice());
-        iter.seek(&probe);
-        match expected_at {
-            Some((k, v)) => {
-                assert!(iter.valid(), "{name} seek lands");
-                assert_eq!((iter.key(), iter.value()), (k.as_slice(), v.as_slice()));
+        for probe in &probes {
+            let at = scanned.partition_point(|(k, _)| k < probe);
+            let expected = &scanned[at..(at + 21).min(scanned.len())];
+            iter.seek(probe);
+            let mut seen = Vec::new();
+            while iter.valid() && seen.len() < expected.len() {
+                seen.push((iter.key().to_vec(), iter.value().to_vec()));
+                iter.next();
             }
-            None => assert!(!iter.valid(), "{name} seek past end"),
+            assert_eq!(seen, expected, "{name} seek to {probe:?} and 20 nexts");
         }
+        iter.status().unwrap();
     }
 }
 
@@ -453,9 +453,15 @@ fn check_facade_views(name: &str, db: &dyn Db) {
     assert_eq!(db.engine_name(), default.engine_name(), "{name}");
     let pinned = (db.snapshot().sequence(), default.snapshot().sequence());
     assert_eq!(pinned.0, pinned.1, "{name}: one store-wide sequence");
+    let last = dump(db).pop().unwrap().0;
     let mut cursor = default.iter(&ReadOptions::default()).unwrap();
-    cursor.seek_to_last();
-    assert_eq!(cursor.key(), dump(db).last().unwrap().0, "{name}");
+    cursor.seek(&last);
+    assert_eq!(cursor.key(), last, "{name}");
+    cursor.next();
+    assert!(
+        !cursor.valid(),
+        "{name}: the cursor ends at the family's last key"
+    );
 
     // `put`/`delete` == the one-record batch.
     assert_eq!(dump(&a), dump(&b), "{name}");
