@@ -74,4 +74,19 @@ mod tests {
         let incremental = builder.finish();
         assert_eq!(batch, incremental);
     }
+
+    /// The sstable builder keeps each key's hash, not the key: the filter
+    /// it gets from the hashes is byte for byte the one the keys give.
+    #[test]
+    fn hashes_build_the_filter_the_keys_do() {
+        let policy = BloomFilterPolicy::new(10);
+        // A repeated key, as several versions of one user key in a table.
+        let mut keys: Vec<Vec<u8>> = (0..777).map(key).collect();
+        keys.extend([key(5), key(5), Vec::new()]);
+        let mut builder = BloomFilterBuilder::new(10, keys.len());
+        for k in &keys {
+            builder.add_hash(pebblesdb_common::hash::bloom_hash(k));
+        }
+        assert_eq!(builder.finish(), policy.create_filter(&keys));
+    }
 }

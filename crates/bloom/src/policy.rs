@@ -69,8 +69,10 @@ impl BloomFilterPolicy {
 
 /// Incrementally builds a bloom filter without buffering the keys.
 ///
-/// The sstable builder uses this so large tables do not need to keep every
-/// key in memory just to build the filter at the end.
+/// The filter sees nothing of a key but its [`bloom_hash`], so the sstable
+/// builder keeps four bytes per key rather than the key, and feeds the
+/// hashes through [`BloomFilterBuilder::add_hash`] once the key count that
+/// sizes the filter is known.
 #[derive(Debug, Clone)]
 pub struct BloomFilterBuilder {
     bits: Vec<u8>,
@@ -88,8 +90,11 @@ impl BloomFilterBuilder {
             num_bits = 64;
         }
         let num_bytes = num_bits.div_ceil(8);
+        // Room for the probe count `finish` appends.
+        let mut bits = Vec::with_capacity(num_bytes + 1);
+        bits.resize(num_bytes, 0);
         BloomFilterBuilder {
-            bits: vec![0u8; num_bytes],
+            bits,
             num_bits: num_bytes * 8,
             k: policy.num_probes(),
         }
@@ -97,7 +102,12 @@ impl BloomFilterBuilder {
 
     /// Adds one key to the filter.
     pub fn add_key(&mut self, key: &[u8]) {
-        let mut h = bloom_hash(key);
+        self.add_hash(bloom_hash(key));
+    }
+
+    /// Adds the key whose [`bloom_hash`] is `h`: the same bits as
+    /// [`BloomFilterBuilder::add_key`] of that key.
+    pub fn add_hash(&mut self, mut h: u32) {
         let delta = h.rotate_right(17);
         for _ in 0..self.k {
             let bit_pos = (h as usize) % self.num_bits;

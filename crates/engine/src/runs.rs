@@ -518,7 +518,9 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
             .ok_or_else(|| Error::corruption("malformed key during compaction"))?;
         let new_key = last_user_key.as_deref() != Some(parsed.user_key);
         if new_key {
-            last_user_key = Some(parsed.user_key.to_vec());
+            let last = last_user_key.get_or_insert_with(Vec::new);
+            last.clear();
+            last.extend_from_slice(parsed.user_key);
             last_sequence_for_key = MAX_SEQUENCE_NUMBER;
             partition = job
                 .partition_keys

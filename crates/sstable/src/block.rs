@@ -85,15 +85,15 @@ impl BlockBuilder {
     }
 
     /// Finalises the block, appending the restart array, and returns its
-    /// contents. The builder is left ready to build the next block after
-    /// [`BlockBuilder::reset`].
-    pub fn finish(&mut self) -> Vec<u8> {
-        let mut out = std::mem::take(&mut self.buffer);
+    /// contents. They stay in the builder's buffer, which
+    /// [`BlockBuilder::reset`] readies for the next block without giving up
+    /// its capacity.
+    pub fn finish(&mut self) -> &[u8] {
         for &restart in &self.restarts {
-            put_fixed32(&mut out, restart);
+            put_fixed32(&mut self.buffer, restart);
         }
-        put_fixed32(&mut out, self.restarts.len() as u32);
-        out
+        put_fixed32(&mut self.buffer, self.restarts.len() as u32);
+        &self.buffer
     }
 
     /// Clears the builder for reuse.
@@ -417,13 +417,13 @@ mod tests {
         for k in keys {
             builder.add(&ikey(k), format!("val-{k}").as_bytes());
         }
-        Block::new(builder.finish().into()).unwrap()
+        Block::new(builder.finish().to_vec().into()).unwrap()
     }
 
     #[test]
     fn empty_block_iterates_nothing() {
         let mut builder = BlockBuilder::new(4);
-        let block = Block::new(builder.finish().into()).unwrap();
+        let block = Block::new(builder.finish().to_vec().into()).unwrap();
         let mut iter = block.iter();
         iter.seek_to_first();
         assert!(!iter.valid());
@@ -482,11 +482,11 @@ mod tests {
         let mut builder = BlockBuilder::new(4);
         builder.add(&ikey("a"), b"1");
         assert!(!builder.is_empty());
-        let first = builder.finish();
+        let first = builder.finish().to_vec();
         builder.reset();
         assert!(builder.is_empty());
         builder.add(&ikey("b"), b"2");
-        let second = builder.finish();
+        let second = builder.finish().to_vec();
         assert_ne!(first, second);
     }
 
@@ -546,7 +546,7 @@ mod tests {
         for key in ["a", "b", "c"] {
             builder.add(&ikey(key), b"v");
         }
-        let mut bytes = builder.finish();
+        let mut bytes = builder.finish().to_vec();
         let restarts = bytes.len() - 12;
         bytes[restarts + 4..restarts + 8].copy_from_slice(&(restarts as u32 + 1).to_le_bytes());
         let block = Block::new(bytes.into()).unwrap();
@@ -754,7 +754,7 @@ mod tests {
             for (key, value) in &entries {
                 builder.add(key, value);
             }
-            let bytes = builder.finish();
+            let bytes = builder.finish().to_vec();
             let block = Block::new(bytes.clone().into()).unwrap();
             assert_eq!(reference_decode(&bytes), Some((entries.clone(), false)));
             check_intact(&entries, &block, bytes.len());

@@ -642,7 +642,7 @@ pub(crate) mod tests {
             &encode_internal_key(b"k", 1, ValueType::Value),
             &data.encode(),
         );
-        let mut file = builder.finish();
+        let mut file = builder.finish().to_vec();
         let index_handle = BlockHandle::new(0, file.len() as u64);
         file.push(UNCOMPRESSED);
         let crc = crc32c::mask(crc32c::crc32c(&file));
