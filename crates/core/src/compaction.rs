@@ -19,7 +19,7 @@ use pebblesdb_common::StoreOptions;
 use pebblesdb_engine::meta::user_key_range;
 use pebblesdb_engine::{CompactionJob, FileMetaData, MergeSpec};
 
-use crate::guards::{GuardMeta, UncommittedGuards};
+use crate::guards::GuardMeta;
 use crate::version::{CompactionReason, FlsmVersion};
 
 /// A last-level merge that would cost this many times more IO than its
@@ -186,19 +186,18 @@ fn select_seek_inputs(
 /// inputs are entire guards (or all of level 0); nothing already in the
 /// output level is among them.
 ///
-/// The `uncommitted_guards` of the output level become part of the partition
-/// key set and are committed by the job. `claimed` holds the file numbers of every in-flight job's inputs —
-/// the new job's inputs never intersect it, which is what keeps concurrent
-/// workers on disjoint guard subsets. `split` is the worker-pool size used
-/// to chunk a level's eligible guards across jobs. Returns `None` when every
-/// eligible guard is claimed.
-#[allow(clippy::too_many_arguments)]
+/// The output level's guards are the job's partition keys (the merge of a
+/// job that moves data down picks new ones). `claimed` holds the file
+/// numbers of every in-flight job's inputs — the new job's inputs never
+/// intersect it, which is what keeps concurrent workers on disjoint guard
+/// subsets. `split` is the worker-pool size used to chunk a level's
+/// eligible guards across jobs. Returns `None` when every eligible guard is
+/// claimed.
 pub fn build_compaction_job(
     version: &FlsmVersion,
     options: &StoreOptions,
     level: usize,
     reason: CompactionReason,
-    uncommitted_guards: &UncommittedGuards,
     smallest_snapshot: SequenceNumber,
     claimed: &BTreeSet<u64>,
     split: usize,
@@ -267,21 +266,6 @@ pub fn build_compaction_job(
     };
     let output_level = if in_place { level } else { level + 1 };
 
-    // Partition keys: the output level's committed guards plus its pending
-    // (uncommitted) guards, which this compaction will commit.
-    let mut partition_keys = version.levels[output_level].guard_keys();
-    let guards_to_commit: Vec<Vec<u8>> = if in_place {
-        // In-place rewrites keep the existing guard structure; committing new
-        // guards here would require splitting files we are not reading.
-        Vec::new()
-    } else {
-        let pending = uncommitted_guards.for_level(output_level);
-        pending.iter().cloned().collect()
-    };
-    partition_keys.extend(guards_to_commit.iter().cloned());
-    partition_keys.sort();
-    partition_keys.dedup();
-
     // In-place last-level rewrites may drop tombstones: there is no deeper
     // data the tombstone still needs to shadow. Per-partition coverage is
     // computed so tombstones are kept wherever the owning guard has files
@@ -290,8 +274,8 @@ pub fn build_compaction_job(
     let drop_tombstones = output_level == last_level && level == last_level;
     let full_partitions: Vec<bool> = if drop_tombstones {
         let input_numbers: BTreeSet<u64> = inputs.iter().map(|f| f.number).collect();
-        // In-place jobs commit no new guards, so partition i is exactly
-        // guard i of the level (0 = sentinel).
+        // Partition i is guard i of the level (0 = sentinel): an in-place
+        // merge picks no new guards.
         version.levels[output_level]
             .guards()
             .iter()
@@ -308,8 +292,7 @@ pub fn build_compaction_job(
             smallest_snapshot,
             drop_tombstones,
         },
-        partition_keys,
-        guards_to_commit,
+        partition_keys: version.levels[output_level].guard_keys(),
         full_partitions,
         move_only: false,
     })
@@ -327,6 +310,11 @@ mod tests {
     use pebblesdb_env::{Env, MemEnv};
     use pebblesdb_sstable::{TableBuilder, TableCache};
     use std::path::{Path, PathBuf};
+
+    /// Merges `job` for a shape with no guards to pick.
+    fn merge(io: &EngineIo, job: &CompactionJob) -> Vec<FileMetaData> {
+        merge_to_tables(io, job, |_| None).unwrap().0
+    }
 
     /// IO handles over `db` whose outputs are numbered from 900.
     fn io_for(env: &Arc<dyn Env>, db: &Path, options: &StoreOptions) -> EngineIo {
@@ -347,12 +335,25 @@ mod tests {
         number: u64,
         keys: &[(&str, u64)],
     ) -> FileMetaDataEdit {
+        let entries: Vec<_> = (keys.iter())
+            .map(|(k, seq)| (*k, *seq, ValueType::Value))
+            .collect();
+        write_entries(env, db, options, number, &entries)
+    }
+
+    fn write_entries(
+        env: &Arc<dyn Env>,
+        db: &Path,
+        options: &StoreOptions,
+        number: u64,
+        entries: &[(&str, u64, ValueType)],
+    ) -> FileMetaDataEdit {
         let path = table_file_name(db, number);
         let file = env.new_writable_file(&path).unwrap();
         let mut builder = TableBuilder::new(options, file);
-        let mut encoded: Vec<Vec<u8>> = keys
+        let mut encoded: Vec<Vec<u8>> = entries
             .iter()
-            .map(|(k, seq)| encode_internal_key(k.as_bytes(), *seq, ValueType::Value))
+            .map(|(k, seq, kind)| encode_internal_key(k.as_bytes(), *seq, *kind))
             .collect();
         encoded.sort_by(|a, b| pebblesdb_common::key::compare_internal_keys(a, b));
         for key in &encoded {
@@ -393,7 +394,6 @@ mod tests {
             &options,
             0,
             CompactionReason::Level0Files,
-            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &BTreeSet::new(),
             1,
@@ -404,7 +404,7 @@ mod tests {
         assert_eq!(job.partition_keys, vec![b"h".to_vec(), b"q".to_vec()]);
         assert!(!job.spec.drop_tombstones);
 
-        let outputs = merge_to_tables(&io, &job).unwrap();
+        let outputs = merge(&io, &job);
         // Keys a,c | h,m | q,x => three partitions => three output files.
         assert_eq!(outputs.len(), 3);
         let mut spans: Vec<(Vec<u8>, Vec<u8>)> = outputs
@@ -420,6 +420,122 @@ mod tests {
         assert_eq!(spans[0], (b"a".to_vec(), b"c".to_vec()));
         assert_eq!(spans[1], (b"h".to_vec(), b"m".to_vec()));
         assert_eq!(spans[2], (b"q".to_vec(), b"x".to_vec()));
+    }
+
+    /// A job that moves data down makes each key it writes a guard of the
+    /// output level when the key qualifies there, is not one already and
+    /// holds a value: the merge starts a table at the key and returns it.
+    #[test]
+    fn a_level0_merge_cuts_at_and_returns_exactly_the_new_guards() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let db = PathBuf::from("/flsm-guards");
+        env.create_dir_all(&db).unwrap();
+        let options = StoreOptions::default();
+        let io = io_for(&env, &db, &options);
+        let value = ValueType::Value;
+        let f1 = write_table(
+            &env,
+            &db,
+            &options,
+            10,
+            &[("a", 5), ("c", 5), ("h", 5), ("m", 5)],
+        );
+        let f2 = write_entries(
+            &env,
+            &db,
+            &options,
+            11,
+            &[
+                ("b", 6, value),
+                ("q", 6, value),
+                ("t", 6, ValueType::Deletion),
+                ("x", 6, value),
+            ],
+        );
+        let mut edit = VersionEdit::default();
+        edit.new_files.push((0, f1));
+        edit.new_files.push((0, f2));
+        edit.new_guards.push((1, b"h".to_vec()));
+        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
+        let job = build_compaction_job(
+            &version,
+            &options,
+            0,
+            CompactionReason::Level0Files,
+            1_000,
+            &BTreeSet::new(),
+            1,
+        )
+        .unwrap();
+        assert_eq!(job.partition_keys, [b"h".to_vec()]);
+
+        // "h" is a guard already, "m" and "x" qualify only deeper, and "t"'s
+        // newest version is a tombstone.
+        let guard_level = |key: &[u8]| match key {
+            b"c" | b"h" | b"q" | b"t" => Some(1),
+            b"m" => Some(2),
+            b"x" => Some(3),
+            _ => None,
+        };
+        let (outputs, guards) = merge_to_tables(&io, &job, guard_level).unwrap();
+        assert_eq!(guards, [b"c".to_vec(), b"q".to_vec()]);
+        let spans: Vec<_> = (outputs.iter())
+            .map(|f| (f.smallest.user_key(), f.largest.user_key()))
+            .collect();
+        let expected: [(&[u8], &[u8]); 4] =
+            [(b"a", b"b"), (b"c", b"c"), (b"h", b"m"), (b"q", b"x")];
+        assert_eq!(spans, expected);
+
+        // The edit persists them at level 1, and every deeper level has them.
+        let edit = VersionEdit::compaction(&job, &outputs, &guards);
+        let version = version.apply(&edit).unwrap();
+        version.validate().unwrap();
+        for level in 1..4 {
+            assert_eq!(
+                version.levels[level].guard_keys(),
+                [b"c".to_vec(), b"h".to_vec(), b"q".to_vec()]
+            );
+        }
+        assert!(version.levels[1]
+            .guards()
+            .iter()
+            .all(|g| g.files.len() == 1));
+    }
+
+    /// An in-place rewrite keeps its level's guards: its merge picks none.
+    #[test]
+    fn an_in_place_merge_picks_no_guards() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let db = PathBuf::from("/flsm-in-place");
+        env.create_dir_all(&db).unwrap();
+        let mut options = StoreOptions::default();
+        options.max_sstables_per_guard = 1;
+        let io = io_for(&env, &db, &options);
+        let last = NUM_LEVELS - 1;
+        let mut edit = VersionEdit::default();
+        edit.new_files.push((
+            last,
+            write_table(&env, &db, &options, 40, &[("a", 1), ("c", 2)]),
+        ));
+        edit.new_files.push((
+            last,
+            write_table(&env, &db, &options, 41, &[("b", 3), ("d", 4)]),
+        ));
+        let version = FlsmVersion::empty(NUM_LEVELS).apply(&edit).unwrap();
+        let job = build_compaction_job(
+            &version,
+            &options,
+            last,
+            CompactionReason::GuardFanout,
+            1_000,
+            &BTreeSet::new(),
+            1,
+        )
+        .unwrap();
+        assert_eq!(job.spec.output_level, last);
+        let (outputs, guards) = merge_to_tables(&io, &job, |_| Some(1)).unwrap();
+        assert_eq!(outputs.len(), 1);
+        assert!(guards.is_empty(), "{guards:?}");
     }
 
     #[test]
@@ -442,13 +558,12 @@ mod tests {
             &options,
             0,
             CompactionReason::Level0Files,
-            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &BTreeSet::new(),
             1,
         )
         .unwrap();
-        let outputs = merge_to_tables(&io, &job).unwrap();
+        let outputs = merge(&io, &job);
         assert_eq!(outputs.len(), 1);
         // Only the newest version survives, so the file holds exactly one key.
         assert_eq!(outputs[0].smallest.user_key(), b"k");
@@ -482,10 +597,9 @@ mod tests {
             },
             partition_keys: Vec::new(),
             full_partitions: Vec::new(),
-            guards_to_commit: Vec::new(),
             move_only: false,
         };
-        let outputs = merge_to_tables(&io, &job).unwrap();
+        let outputs = merge(&io, &job);
         let spans: Vec<_> = (outputs.iter())
             .map(|f| {
                 (
@@ -554,7 +668,6 @@ mod tests {
             &options,
             last,
             CompactionReason::GuardFanout,
-            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &BTreeSet::new(),
             1,
@@ -568,7 +681,7 @@ mod tests {
 
     /// A seek-triggered merge descends only into guards that hold nothing;
     /// over occupied ones it collapses its guards where they are, partitioned
-    /// by their own level's guards and committing none. A size-triggered job
+    /// by their own level's guards, which its merge adds none to. A size-triggered job
     /// over the same tree still appends to the next level.
     #[test]
     fn seek_triggered_jobs_descend_into_empty_guards_only() {
@@ -592,15 +705,12 @@ mod tests {
             edit.new_files.push((level, file));
         }
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
-        let mut pending = UncommittedGuards::new(4);
-        pending.add(2, b"n");
         let job = |reason, claimed: &[u64]| {
             build_compaction_job(
                 &version,
                 &options,
                 1,
                 reason,
-                &pending,
                 1_000,
                 &claimed.iter().copied().collect(),
                 1,
@@ -613,14 +723,12 @@ mod tests {
         let down = job(CompactionReason::SeekTriggered, &[62, 63]);
         assert_eq!(numbers(&down), BTreeSet::from([60, 61]));
         assert_eq!(down.spec.output_level, 2);
-        assert_eq!(down.guards_to_commit, vec![b"n".to_vec()]);
 
         // Under "m" it is not: they are merged within level 1.
         let stays = job(CompactionReason::SeekTriggered, &[60, 61]);
         assert_eq!(numbers(&stays), BTreeSet::from([62, 63]));
         assert_eq!(stays.spec.output_level, 1);
         assert_eq!(stays.partition_keys, vec![b"m".to_vec()]);
-        assert!(stays.guards_to_commit.is_empty());
         assert!(!stays.spec.drop_tombstones);
 
         let sized = job(CompactionReason::GuardFanout, &[60, 61]);
@@ -656,7 +764,6 @@ mod tests {
             &options,
             1,
             CompactionReason::GuardFanout,
-            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &claimed,
             2,
@@ -669,7 +776,6 @@ mod tests {
             &options,
             1,
             CompactionReason::GuardFanout,
-            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &claimed,
             2,
@@ -687,7 +793,6 @@ mod tests {
             &options,
             1,
             CompactionReason::GuardFanout,
-            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &claimed,
             2,
@@ -714,7 +819,6 @@ mod tests {
             &options,
             0,
             CompactionReason::Level0Files,
-            &UncommittedGuards::new(NUM_LEVELS),
             1_000,
             &claimed,
             4,
@@ -734,26 +838,8 @@ mod tests {
         let last = NUM_LEVELS - 1;
         let f_a = write_table(env, db, options, 70, &[("a", 1)]);
         let f_b = write_table(env, db, options, 73, &[("c", 5)]);
-        let path = table_file_name(db, 71);
-        let file = env.new_writable_file(&path).unwrap();
-        let mut spanning = TableBuilder::new(options, file);
-        let mut keys = vec![
-            encode_internal_key(b"b", 3, ValueType::Value),
-            encode_internal_key(b"n", 9, ValueType::Deletion),
-        ];
-        keys.sort_by(|a, b| pebblesdb_common::key::compare_internal_keys(a, b));
-        for key in &keys {
-            spanning.add(key, b"").unwrap();
-        }
-        let smallest = spanning.first_key().unwrap().to_vec();
-        let largest = spanning.last_key().unwrap().to_vec();
-        let size = spanning.finish().unwrap();
-        let f_span = FileMetaDataEdit {
-            number: 71,
-            file_size: size,
-            smallest,
-            largest,
-        };
+        let span = [("b", 3, ValueType::Value), ("n", 9, ValueType::Deletion)];
+        let f_span = write_entries(env, db, options, 71, &span);
         let f_n_old = write_table(env, db, options, 72, &[("n", 2)]);
 
         let mut edit = VersionEdit::default();
@@ -786,7 +872,6 @@ mod tests {
             &options,
             last,
             CompactionReason::GuardFanout,
-            &UncommittedGuards::new(NUM_LEVELS),
             1_000, // every sequence is below the snapshot floor
             &BTreeSet::new(),
             1,
@@ -802,7 +887,7 @@ mod tests {
 
         // With the component fully covered, the tombstone for "n" and the
         // older value it shadows are both dropped for good.
-        let outputs = merge_to_tables(&io, &job).unwrap();
+        let outputs = merge(&io, &job);
         for meta in &outputs {
             let table = io
                 .table_cache
@@ -848,11 +933,10 @@ mod tests {
                 drop_tombstones: true,
             },
             partition_keys: vec![b"m".to_vec()],
-            guards_to_commit: vec![],
             full_partitions: vec![true, false],
             move_only: false,
         };
-        let outputs = merge_to_tables(&io, &job).unwrap();
+        let outputs = merge(&io, &job);
         let mut survived_tombstone = false;
         for meta in &outputs {
             let table = io

@@ -14,12 +14,12 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pebblesdb_common::{Result, StoreOptions, StorePreset, NUM_LEVELS};
+use pebblesdb_common::{Result, StoreOptions, StorePreset};
 use pebblesdb_engine::{CompactionJob, EngineDb, PolicyCtx, ShapePolicy};
 use pebblesdb_env::Env;
 
 use crate::compaction::build_compaction_job;
-use crate::guards::{GuardPicker, UncommittedGuards};
+use crate::guards::GuardPicker;
 use crate::version::{compaction_candidates, CompactionReason, FlsmVersion};
 
 /// The guarded FLSM shape policy.
@@ -33,8 +33,6 @@ pub struct FlsmPolicy {
 
 /// Mutable policy state kept under the chassis state mutex.
 pub struct FlsmPolicyState {
-    /// Guards chosen by writers but not yet committed by a compaction.
-    pub uncommitted_guards: UncommittedGuards,
     /// A seek-triggered compaction request is pending.
     pub seek_compaction_pending: bool,
 }
@@ -80,7 +78,6 @@ impl ShapePolicy for FlsmPolicy {
 
     fn new_state(&self) -> FlsmPolicyState {
         FlsmPolicyState {
-            uncommitted_guards: UncommittedGuards::new(NUM_LEVELS),
             seek_compaction_pending: false,
         }
     }
@@ -93,21 +90,6 @@ impl ShapePolicy for FlsmPolicy {
     fn note_write(&self) {
         if self.consecutive_seeks.load(Ordering::Relaxed) != 0 {
             self.consecutive_seeks.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Guard selection: a pure hash of the key, safe to run in the unlocked
-    /// group-commit apply. Selected keys become uncommitted guards for their
-    /// level and all deeper ones once absorbed under the lock.
-    fn observe_key(&self, key: &[u8]) -> Option<(usize, Vec<u8>)> {
-        self.guard_picker
-            .guard_level(key)
-            .map(|level| (level, key.to_vec()))
-    }
-
-    fn absorb_observations(&self, state: &mut FlsmPolicyState, observed: Vec<(usize, Vec<u8>)>) {
-        for (level, key) in observed {
-            state.uncommitted_guards.add(level, &key);
         }
     }
 
@@ -174,7 +156,6 @@ impl ShapePolicy for FlsmPolicy {
                 &self.options,
                 level,
                 reason,
-                &ctx.state.uncommitted_guards,
                 ctx.smallest_snapshot,
                 ctx.claimed_inputs,
                 split,
@@ -189,13 +170,10 @@ impl ShapePolicy for FlsmPolicy {
         None
     }
 
-    /// Only the keys this job actually committed leave the pending set;
-    /// guards picked by writers during the IO stay pending for the next
-    /// compaction into the level.
-    fn job_committed(&self, state: &mut FlsmPolicyState, job: &CompactionJob) {
-        state
-            .uncommitted_guards
-            .remove_committed(job.spec.output_level, &job.guards_to_commit);
+    /// Guard selection (section 4.4): a pure hash of the key. The merge that
+    /// first writes a qualifying key into a level makes it a guard there.
+    fn guard_level(&self, user_key: &[u8]) -> Option<usize> {
+        self.guard_picker.guard_level(user_key)
     }
 }
 

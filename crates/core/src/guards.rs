@@ -13,8 +13,15 @@
 //! consecutive ones becomes a guard at level 1 (and therefore at every deeper
 //! level); each level deeper relaxes the requirement by `bit_decrement` bits,
 //! so deeper levels have exponentially more guards — the skip-list shape.
+//!
+//! Section 3.3 has a new guard take effect at the next compaction into its
+//! level. Here the compaction that first writes a qualifying key into a
+//! level is the one that makes it a guard there: the merge cuts its outputs
+//! at the key and the job's edit persists it (`merge_to_tables`). So a
+//! level's guards follow from the keys compactions have written into it;
+//! nothing picked in memory waits for a commit, and a crash has none to
+//! lose.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pebblesdb_common::hash::murmur3_32;
@@ -111,60 +118,6 @@ impl GuardMeta {
     }
 }
 
-/// Guards chosen but not yet applied to the on-disk layout.
-///
-/// Section 3.3 of the paper: new guards are collected in memory and only take
-/// effect (and are persisted) at the next compaction into their level, so
-/// reads never have to consider half-applied guards.
-#[derive(Debug, Default, Clone)]
-pub struct UncommittedGuards {
-    /// `per_level[level]` holds the guard keys waiting to be committed.
-    per_level: Vec<BTreeSet<Vec<u8>>>,
-}
-
-impl UncommittedGuards {
-    /// Creates empty sets for `levels` levels.
-    pub fn new(levels: usize) -> Self {
-        UncommittedGuards {
-            per_level: vec![BTreeSet::new(); levels],
-        }
-    }
-
-    /// Records `key` as a guard at `level` and every deeper level.
-    pub fn add(&mut self, level: usize, key: &[u8]) {
-        for set in self.per_level.iter_mut().skip(level) {
-            set.insert(key.to_vec());
-        }
-    }
-
-    /// The pending guard keys for `level`.
-    pub fn for_level(&self, level: usize) -> &BTreeSet<Vec<u8>> {
-        &self.per_level[level]
-    }
-
-    /// Removes exactly `keys` from `level`'s pending set.
-    ///
-    /// Used when a compaction commits the guard keys it snapshotted at build
-    /// time: guards picked by writers *while the compaction IO ran* must stay
-    /// pending for the next compaction into the level, so clearing the
-    /// level's whole set would silently drop them.
-    pub fn remove_committed(&mut self, level: usize, keys: &[Vec<u8>]) {
-        for key in keys {
-            self.per_level[level].remove(key);
-        }
-    }
-
-    /// Total number of pending guard keys across all levels.
-    pub fn len(&self) -> usize {
-        self.per_level.iter().map(|s| s.len()).sum()
-    }
-
-    /// Returns `true` if no guards are pending anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Given the sorted guard keys of a level, returns the index of the guard
 /// that owns `user_key` (0 = sentinel).
 ///
@@ -233,34 +186,6 @@ mod tests {
             let key = format!("key{i}");
             assert_eq!(p.guard_level(key.as_bytes()), p.guard_level(key.as_bytes()));
         }
-    }
-
-    #[test]
-    fn uncommitted_guards_propagate_to_deeper_levels() {
-        let mut pending = UncommittedGuards::new(7);
-        pending.add(3, b"guard-a");
-        assert!(pending.for_level(3).contains(&b"guard-a".to_vec()));
-        assert!(pending.for_level(5).contains(&b"guard-a".to_vec()));
-        assert!(!pending.for_level(2).contains(&b"guard-a".to_vec()));
-        assert_eq!(pending.len(), 4); // Levels 3, 4, 5, 6.
-
-        pending.remove_committed(4, &[b"guard-a".to_vec()]);
-        assert!(pending.for_level(4).is_empty());
-        assert!(!pending.is_empty());
-    }
-
-    #[test]
-    fn removing_committed_guards_keeps_later_arrivals_pending() {
-        let mut pending = UncommittedGuards::new(4);
-        pending.add(2, b"early");
-        let snapshot: Vec<Vec<u8>> = pending.for_level(2).iter().cloned().collect();
-        // A writer picks another guard while the compaction IO runs.
-        pending.add(2, b"late");
-        pending.remove_committed(2, &snapshot);
-        assert!(!pending.for_level(2).contains(&b"early".to_vec()));
-        assert!(pending.for_level(2).contains(&b"late".to_vec()));
-        // Deeper levels are untouched until their own compaction commits.
-        assert!(pending.for_level(3).contains(&b"early".to_vec()));
     }
 
     #[test]

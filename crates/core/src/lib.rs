@@ -44,7 +44,7 @@ pub mod iter;
 pub mod version;
 
 pub use db::{FlsmPolicy, PebblesDb};
-pub use guards::{GuardMeta, GuardPicker, UncommittedGuards};
+pub use guards::{GuardMeta, GuardPicker};
 pub use pebblesdb_common::{StoreOptions, StorePreset};
 pub use version::{CompactionReason, FlsmVersion};
 

@@ -212,12 +212,11 @@ impl<P: ShapePolicy> EngineCore<P> {
         let committed = self.run_job(
             state,
             cf_id,
-            |io| merge_to_tables(io, &job),
-            |state, outputs| {
+            |io| merge_to_tables(io, &job, |key| self.policy.guard_level(key)),
+            |state, (outputs, guards)| {
                 let cf = state.job_cf(cf_id);
-                let edit = VersionEdit::compaction(&job, &outputs);
+                let edit = VersionEdit::compaction(&job, &outputs, &guards);
                 cf.versions.log_and_apply(edit)?;
-                self.policy.job_committed(&mut cf.policy, &job);
                 // A move reads and writes nothing.
                 let bytes_read = if job.move_only { 0 } else { job.input_bytes() };
                 Ok((bytes_read, outputs.iter().map(|meta| meta.file_size).sum()))

@@ -128,8 +128,8 @@ pub struct CfState<P: ShapePolicy> {
     pub imm: Option<Arc<MemTable>>,
     /// The family's version set (MANIFEST machinery).
     pub versions: VersionSet<P::Version>,
-    /// The policy's own mutable state (uncommitted guards, compaction
-    /// pointers, pending seek requests, ...).
+    /// The policy's own mutable state (compaction pointers, pending seek
+    /// requests, ...).
     pub policy: P::State,
     /// Input file numbers of this family's in-flight compaction jobs. A
     /// worker claiming new work never selects inputs that intersect this

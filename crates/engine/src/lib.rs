@@ -41,8 +41,8 @@
 //! A policy ([`policy`]) supplies only what *defines* a tree shape: the
 //! version (how edits build it, its invariants and compaction triggers), how
 //! a level is cut into slots (a [`RunSource`]), which files a compaction
-//! takes and where their merge goes (a plain [`CompactionJob`] record), and
-//! the write/read observations (guard selection, seek-triggered compaction).
+//! takes and where their merge goes (a plain [`CompactionJob`] record), which
+//! keys a merge makes guards, and the seek-triggered compaction.
 //! The FLSM engine (`pebblesdb` crate) implements the guarded policy; the
 //! baseline LSM (`pebblesdb-lsm`) implements the one-implicit-guard-per-level
 //! policy.

@@ -7,8 +7,8 @@
 //! ([`VersionShape`], [`RunSource`](crate::RunSource)), and the *job pick* —
 //! which files a compaction takes and where their merge goes, handed over as
 //! a plain [`CompactionJob`] record the chassis merges and commits. The
-//! remaining hooks are per-key observations (guard selection and the
-//! seek-triggered compaction of the FLSM).
+//! remaining hooks are which keys a merge makes guards (the FLSM's hash of a
+//! key) and the seek-triggered compaction of the FLSM.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -59,8 +59,8 @@ pub struct CompactionJob {
     pub inputs: Vec<(usize, Arc<FileMetaData>)>,
     /// How the inputs are merged and the level the outputs are written for.
     pub spec: MergeSpec,
-    /// Sorted user keys no output table may cross: the output level's guards
-    /// (committed plus `guards_to_commit`). Empty for a leveled run.
+    /// Sorted user keys no output table may cross: the output level's
+    /// guards. Empty for a leveled run.
     pub partition_keys: Vec<Vec<u8>>,
     /// With `spec.drop_tombstones`, which output partitions have every one
     /// of their files among the inputs. A tombstone is dropped only in such
@@ -68,8 +68,6 @@ pub struct CompactionJob {
     /// older value it must keep shadowing. A partition past the end (every
     /// partition of a leveled run) counts as covered.
     pub full_partitions: Vec<bool>,
-    /// Uncommitted guard keys of the output level that the commit persists.
-    pub guards_to_commit: Vec<Vec<u8>>,
     /// A single input with nothing to merge below it: no IO runs, the commit
     /// just moves the file down to `spec.output_level`.
     pub move_only: bool,
@@ -97,8 +95,8 @@ impl CompactionJob {
 pub struct PolicyCtx<'a, P: ShapePolicy> {
     /// The engine's version set.
     pub versions: &'a VersionSet<P::Version>,
-    /// The policy's own mutable state (uncommitted guards, compaction
-    /// pointers, pending seek requests, ...).
+    /// The policy's own mutable state (compaction pointers, pending seek
+    /// requests, ...).
     pub state: &'a mut P::State,
     /// Input file numbers of every in-flight compaction job. A new job's
     /// inputs must not intersect this set.
@@ -130,21 +128,6 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
     /// consecutive-seek counter, section 4.2 of the paper).
     fn note_write(&self) {}
 
-    /// Inspects one inserted key during the *unlocked* group-commit apply;
-    /// whatever it returns is handed to [`ShapePolicy::absorb_observations`]
-    /// under the state lock after the apply (FLSM: guard selection, a pure
-    /// hash of the key).
-    fn observe_key(&self, key: &[u8]) -> Option<(usize, Vec<u8>)> {
-        let _ = key;
-        None
-    }
-
-    /// Registers the keys observed by [`ShapePolicy::observe_key`] (FLSM:
-    /// uncommitted guards for their level and all deeper ones).
-    fn absorb_observations(&self, state: &mut Self::State, observed: Vec<(usize, Vec<u8>)>) {
-        let _ = (state, observed);
-    }
-
     // ------------------------------------------------------------- read path
 
     /// Called on every cursor creation, outside the state lock, with the
@@ -170,7 +153,13 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
     /// state lock.
     fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<CompactionJob>;
 
-    /// Called under the state lock once `job`'s edit is installed (LSM: the
-    /// compaction pointer; FLSM: the committed guards leave the pending set).
-    fn job_committed(&self, state: &mut Self::State, job: &CompactionJob);
+    /// The topmost level at which `user_key` is a guard, if any; a key that
+    /// is a guard at a level is one at every deeper level. A job that moves
+    /// data down a level makes each key it writes that qualifies at the
+    /// output level a guard there (FLSM: a pure hash of the key, section 4.4
+    /// of the paper). The LSM has no guards.
+    fn guard_level(&self, user_key: &[u8]) -> Option<usize> {
+        let _ = user_key;
+        None
+    }
 }

@@ -476,22 +476,32 @@ pub struct MergeSpec {
 /// newer one shadows for all live snapshots (and droppable tombstones), and
 /// writes the survivors to new tables of `io`'s directory.
 ///
+/// A job that moves data down a level also picks the output level's new
+/// guards: each key it writes whose newest version is not a tombstone, that
+/// `guard_level` puts at or above the output level and that is not already
+/// one of the job's `partition_keys`. An in-place rewrite picks none.
+///
 /// An output table never crosses one of the job's `partition_keys` — the
 /// FLSM partitions by the output level's guards, a leveled run is one
-/// partition — nor splits the versions of one user key, and is rotated at
-/// the first key past `max_file_size`, unless the
+/// partition — or a new guard, nor splits the versions of one user key, and
+/// is rotated at the first key past `max_file_size`, unless the
 /// job rewrites its level in place: then each partition is one table, so a
 /// guard it rewrites holds one sstable however much live data it keeps (cut
 /// by size, a guard holding more than its budget's worth of tables would
-/// come back over budget and be picked again, forever). Outputs are
-/// returned in key order, their directory entries synced; they exist only
-/// on disk until the caller commits them.
-pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMetaData>> {
+/// come back over budget and be picked again, forever). Returns the outputs
+/// in key order, their directory entries synced (they exist only on disk
+/// until the caller commits them), and the new guards in key order.
+pub fn merge_to_tables(
+    io: &EngineIo,
+    job: &CompactionJob,
+    guard_level: impl Fn(&[u8]) -> Option<usize>,
+) -> Result<(Vec<FileMetaData>, Vec<Vec<u8>>)> {
     if job.move_only {
-        return Ok(Vec::new()); // a move reads and writes nothing
+        return Ok((Vec::new(), Vec::new())); // a move reads and writes nothing
     }
     let spec = &job.spec;
-    let max_file_size = if job.level() == spec.output_level {
+    let in_place = job.level() == spec.output_level;
+    let max_file_size = if in_place {
         u64::MAX
     } else {
         io.options.max_file_size as u64
@@ -507,6 +517,7 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
 
     let mut tables = Outputs(io, Vec::new());
     let mut outputs: Vec<FileMetaData> = Vec::new();
+    let mut guards: Vec<Vec<u8>> = Vec::new();
     let mut builder: Option<(u64, TableBuilder)> = None;
     let mut builder_partition = 0;
     let mut last_user_key: Option<Vec<u8>> = None;
@@ -517,6 +528,7 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
         let parsed = parse_internal_key(merged.key())
             .ok_or_else(|| Error::corruption("malformed key during compaction"))?;
         let new_key = last_user_key.as_deref() != Some(parsed.user_key);
+        let mut new_guard = false;
         if new_key {
             let last = last_user_key.get_or_insert_with(Vec::new);
             last.clear();
@@ -527,6 +539,11 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
                 .partition_point(|key| key.as_slice() <= parsed.user_key);
             let covered = job.full_partitions.get(partition);
             tombstone_droppable = covered.copied().unwrap_or(true);
+            let existing = partition > 0 && job.partition_keys[partition - 1] == parsed.user_key;
+            new_guard = !in_place
+                && parsed.value_type != ValueType::Deletion
+                && !existing
+                && guard_level(parsed.user_key).is_some_and(|level| level <= spec.output_level);
         }
         // A version may be dropped once a newer version of the same key is
         // visible to every live snapshot; a tombstone additionally needs the
@@ -544,10 +561,13 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
             // job take the newer versions down a level and leave the older
             // ones above them, where a read finds them first.
             let past_size = |b: &TableBuilder| new_key && b.file_size() >= max_file_size;
-            if let Some((number, full)) =
-                builder.take_if(|(_, b)| builder_partition != partition || past_size(b))
-            {
+            let cut =
+                |b: &TableBuilder| builder_partition != partition || new_guard || past_size(b);
+            if let Some((number, full)) = builder.take_if(|(_, b)| cut(b)) {
                 outputs.push(finish_table(number, full)?);
+            }
+            if new_guard {
+                guards.push(parsed.user_key.to_vec());
             }
             if builder.is_none() {
                 builder = Some(tables.open_table()?);
@@ -564,5 +584,5 @@ pub fn merge_to_tables(io: &EngineIo, job: &CompactionJob) -> Result<Vec<FileMet
     if let Some((number, last)) = builder {
         outputs.push(finish_table(number, last)?);
     }
-    tables.done(outputs)
+    tables.done((outputs, guards))
 }

@@ -210,8 +210,12 @@ impl VersionEdit {
 
     /// The edit a finished compaction commits, for every tree shape: delete
     /// the job's inputs, add its `outputs` (a move-only job's input itself)
-    /// at the output level and persist the guards it commits there.
-    pub fn compaction(job: &CompactionJob, outputs: &[FileMetaData]) -> VersionEdit {
+    /// at the output level and persist the `guards` its merge picked there.
+    pub fn compaction(
+        job: &CompactionJob,
+        outputs: &[FileMetaData],
+        guards: &[Vec<u8>],
+    ) -> VersionEdit {
         let mut edit = VersionEdit::default();
         for (level, file) in &job.inputs {
             edit.delete_file(*level, file.number);
@@ -222,9 +226,10 @@ impl VersionEdit {
         for meta in outputs {
             edit.add_file(job.spec.output_level, meta);
         }
-        let guards = job.guards_to_commit.iter().cloned();
-        edit.new_guards
-            .extend(guards.map(|key| (job.spec.output_level, key)));
+        let guards = guards
+            .iter()
+            .map(|key| (job.spec.output_level, key.clone()));
+        edit.new_guards.extend(guards);
         edit
     }
 

@@ -48,9 +48,6 @@ struct GroupIo {
     mems: BTreeMap<CfId, Arc<MemTable>>,
 }
 
-/// The policy's key observations from the apply, per family.
-type Observed = BTreeMap<CfId, Vec<(usize, Vec<u8>)>>;
-
 /// Whether key-value separation moves this record's value to the vlog.
 fn separable(record: &BatchRecord<'_>, threshold: usize) -> bool {
     threshold > 0 && record.value_type == ValueType::Value && record.value.len() >= threshold
@@ -253,26 +250,18 @@ impl<P: ShapePolicy> EngineCore<P> {
         }
     }
 
-    /// Stage 5c — apply to the families' concurrent memtables. Per-key
-    /// policy observation (FLSM guard selection, a pure hash) also runs
-    /// here, unlocked; pointer records are puts of real user keys and feed
-    /// it the same way inline values do. Nothing applied is visible to a
-    /// reader until stage 6 publishes the group's sequence.
-    fn apply_group(&self, io: &GroupIo, group: &CommitGroup) -> Result<Observed> {
-        let mut observed = Observed::new();
+    /// Stage 5c — apply to the families' concurrent memtables, unlocked.
+    /// Nothing applied is visible to a reader until stage 6 publishes the
+    /// group's sequence. (Guards are not picked here: the compaction that
+    /// first writes a key into a level makes it a guard there.)
+    fn apply_group(&self, io: &GroupIo, group: &CommitGroup) -> Result<()> {
         for record in group.batches.iter().flat_map(|batch| batch.iter()) {
             let record = record?;
-            let Some(mem) = io.mems.get(&record.cf) else {
-                continue;
-            };
-            if record.value_type != ValueType::Deletion {
-                if let Some(key) = self.policy.observe_key(record.key) {
-                    observed.entry(record.cf).or_default().push(key);
-                }
+            if let Some(mem) = io.mems.get(&record.cf) {
+                mem.add(record.sequence, record.value_type, record.key, record.value);
             }
-            mem.add(record.sequence, record.value_type, record.key, record.value);
         }
-        Ok(observed)
+        Ok(())
     }
 
     /// Stage 6 — reinstall + publish. The appenders go back whether or not
@@ -283,7 +272,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         &self,
         state: &mut EngineState<P>,
         io: GroupIo,
-        applied: Result<Observed>,
+        applied: Result<()>,
         end_seq: SequenceNumber,
     ) -> Result<()> {
         state.log = io.log;
@@ -292,14 +281,9 @@ impl<P: ShapePolicy> EngineCore<P> {
                 cf.vlog.reinstall(taken);
             }
         }
-        let observed = applied.map_err(|err| state.poison(err))?;
+        applied.map_err(|err| state.poison(err))?;
         if io.sync_wal_dir {
             state.wal_dir_unsynced = false;
-        }
-        for (cf_id, keys) in observed {
-            if let Some(cf) = state.cfs.get_mut(&cf_id) {
-                self.policy.absorb_observations(&mut cf.policy, keys);
-            }
         }
         state.last_sequence = end_seq;
         // The log is the change log: streams may now read it up to here.

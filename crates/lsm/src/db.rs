@@ -34,7 +34,8 @@ pub struct LsmPolicy {
 /// Mutable policy state: the per-level compaction pointer that rotates
 /// through a level's key space across compactions.
 pub struct LsmPolicyState {
-    /// `compact_pointer[level]` is the largest internal key compacted so far.
+    /// `compact_pointer[level]` is the largest internal key of the last file
+    /// a job took from the level.
     pub compact_pointer: Vec<Vec<u8>>,
 }
 
@@ -70,9 +71,12 @@ impl ShapePolicy for LsmPolicy {
             // batched level-0 compaction).
             version.files[0].0.clone()
         } else {
-            // Rotate through the level using the compaction pointer.
+            // Rotate through the level using the compaction pointer. It
+            // advances at the pick: no other pick sees it before this job
+            // commits (jobs run one at a time), and a failed job poisons the
+            // store.
             let files = &version.files[level].0;
-            let pointer = &ctx.state.compact_pointer[level];
+            let pointer = &mut ctx.state.compact_pointer[level];
             let chosen = files
                 .iter()
                 .find(|f| {
@@ -81,6 +85,7 @@ impl ShapePolicy for LsmPolicy {
                             == std::cmp::Ordering::Greater
                 })
                 .or_else(|| files.first())?;
+            *pointer = chosen.largest.encoded().to_vec();
             vec![Arc::clone(chosen)]
         };
         if inputs.is_empty() {
@@ -112,18 +117,8 @@ impl ShapePolicy for LsmPolicy {
             },
             partition_keys: Vec::new(),
             full_partitions: Vec::new(),
-            guards_to_commit: Vec::new(),
             move_only,
         })
-    }
-
-    /// The level's next compaction starts past the last file this one took.
-    fn job_committed(&self, state: &mut LsmPolicyState, job: &CompactionJob) {
-        let level = job.level();
-        let taken = job.inputs.iter().rev().find(|(at, _)| *at == level);
-        if let Some((_, last_input)) = taken {
-            state.compact_pointer[level] = last_input.largest.encoded().to_vec();
-        }
     }
 }
 
@@ -231,3 +226,56 @@ impl LsmDb {
 // `KvStore` and `Db` are the chassis core's derived views: the exact same
 // column-family feature as the FLSM, one leveled structure per family.
 pebblesdb_common::store_views!(LsmDb => |db| db.db.shared());
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+    use std::path::PathBuf;
+
+    use pebblesdb_common::key::{InternalKey, ValueType};
+    use pebblesdb_engine::{FileMetaDataEdit, VersionEdit, VersionSet};
+    use pebblesdb_env::MemEnv;
+
+    use super::*;
+
+    /// The compaction pointer advances at the pick: successive picks at one
+    /// level take successive files, and wrap around past the last.
+    #[test]
+    fn successive_picks_rotate_through_a_level() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let dir = PathBuf::from("/rotate");
+        env.create_dir_all(&dir).unwrap();
+        let mut options = StoreOptions::default();
+        options.base_level_bytes = 500;
+        let mut versions: VersionSet<Version> =
+            VersionSet::open(env, dir, options.clone()).unwrap();
+        let key = |user: &str, seq| InternalKey::new(user.as_bytes(), seq, ValueType::Value);
+        let mut setup = VersionEdit::default();
+        for (number, smallest, largest) in [(10, "a", "c"), (11, "d", "f"), (12, "g", "i")] {
+            let file = FileMetaDataEdit {
+                number,
+                file_size: 1000,
+                smallest: key(smallest, 9).encoded().to_vec(),
+                largest: key(largest, 1).encoded().to_vec(),
+            };
+            setup.new_files.push((1, file));
+        }
+        versions.log_and_apply(setup).unwrap();
+
+        let policy = LsmPolicy::new(&options);
+        let mut state = policy.new_state();
+        let picks: Vec<Vec<u64>> = (0..4)
+            .map(|_| {
+                let mut ctx = PolicyCtx {
+                    versions: &versions,
+                    state: &mut state,
+                    claimed_inputs: &BTreeSet::new(),
+                    smallest_snapshot: 1_000,
+                };
+                let job = policy.pick_job(&mut ctx).expect("level 1 is over its size");
+                job.input_numbers().collect()
+            })
+            .collect();
+        assert_eq!(picks, [[10], [11], [12], [10]]);
+    }
+}

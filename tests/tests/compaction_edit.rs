@@ -36,15 +36,15 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// Installs `setup` in a fresh version set, lets `policy` pick its job after
-/// `prepare` has touched the policy state, and returns the job with the hex
-/// of the edit that commits it with `outputs`.
+/// Installs `setup` in a fresh version set, lets `policy` pick its job, and
+/// returns the job with the hex of the edit that commits it with `outputs`
+/// and the new `guards` its merge picked.
 fn picked_job_and_edit<P: ShapePolicy>(
     policy: P,
     options: &StoreOptions,
     setup: VersionEdit,
-    prepare: impl FnOnce(&mut P::State),
     outputs: &[FileMetaData],
+    guards: &[Vec<u8>],
 ) -> (CompactionJob, String) {
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
     let dir = PathBuf::from("/golden");
@@ -52,7 +52,6 @@ fn picked_job_and_edit<P: ShapePolicy>(
     let mut versions: VersionSet<P::Version> = VersionSet::open(env, dir, options.clone()).unwrap();
     versions.log_and_apply(setup).unwrap();
     let mut state = policy.new_state();
-    prepare(&mut state);
     let mut ctx = PolicyCtx {
         versions: &versions,
         state: &mut state,
@@ -60,7 +59,7 @@ fn picked_job_and_edit<P: ShapePolicy>(
         smallest_snapshot: 1_000,
     };
     let job = policy.pick_job(&mut ctx).expect("the setup arms a trigger");
-    let edit = VersionEdit::compaction(&job, outputs);
+    let edit = VersionEdit::compaction(&job, outputs, guards);
     // The edit applies to the version it was picked from.
     versions.log_and_apply(edit.clone()).unwrap();
     (job, hex(&edit.encode()))
@@ -73,7 +72,7 @@ fn compaction_edits_encode_to_the_bytes_the_per_engine_commits_wrote() {
     options.base_level_bytes = 500;
     let mut setup = VersionEdit::default();
     setup.new_files.push((1, file_edit(12, 1000, "c", "m")));
-    let (job, edit) = picked_job_and_edit(LsmPolicy::new(&options), &options, setup, |_| {}, &[]);
+    let (job, edit) = picked_job_and_edit(LsmPolicy::new(&options), &options, setup, &[], &[]);
     assert!(job.move_only);
     assert_eq!(
         edit,
@@ -87,8 +86,7 @@ fn compaction_edits_encode_to_the_bytes_the_per_engine_commits_wrote() {
     setup.new_files.push((2, file_edit(14, 700, "k", "p")));
     setup.new_files.push((2, file_edit(15, 700, "x", "z")));
     let outputs = [output(50, 1500, "a", "h"), output(51, 800, "i", "p")];
-    let (job, edit) =
-        picked_job_and_edit(LsmPolicy::new(&options), &options, setup, |_| {}, &outputs);
+    let (job, edit) = picked_job_and_edit(LsmPolicy::new(&options), &options, setup, &outputs, &[]);
     assert!(!job.move_only);
     assert_eq!(job.input_numbers().collect::<Vec<_>>(), [12, 13, 14]);
     assert_eq!(
@@ -97,7 +95,7 @@ fn compaction_edits_encode_to_the_bytes_the_per_engine_commits_wrote() {
          050233a0060969010900000000000009700101000000000000"
     );
 
-    // An FLSM level-0 job that commits two pending guards at level 1.
+    // An FLSM level-0 job whose merge picked two guards at level 1.
     let mut options = StoreOptions::default();
     options.level0_compaction_trigger = 2;
     let mut setup = VersionEdit::default();
@@ -108,17 +106,15 @@ fn compaction_edits_encode_to_the_bytes_the_per_engine_commits_wrote() {
         output(61, 400, "h", "m"),
         output(62, 400, "q", "x"),
     ];
+    let guards = [b"h".to_vec(), b"q".to_vec()];
     let (job, edit) = picked_job_and_edit(
         FlsmPolicy::new(&options),
         &options,
         setup,
-        |state| {
-            state.uncommitted_guards.add(1, b"h");
-            state.uncommitted_guards.add(1, b"q");
-        },
         &outputs,
+        &guards,
     );
-    assert_eq!(job.guards_to_commit, [b"h".to_vec(), b"q".to_vec()]);
+    assert_eq!(job.spec.output_level, 1);
     assert_eq!(
         edit,
         "04001504001405013c9003096101090000000000000963010100000000000005013d9003\
@@ -126,8 +122,7 @@ fn compaction_edits_encode_to_the_bytes_the_per_engine_commits_wrote() {
          7801010000000000000701016807010171"
     );
 
-    // An FLSM last-level guard over its budget rewrites in place; the guard
-    // pending for the level stays pending.
+    // An FLSM last-level guard over its budget rewrites in place.
     let mut options = StoreOptions::default();
     options.max_sstables_per_guard = 1;
     let last = NUM_LEVELS - 1;
@@ -140,11 +135,11 @@ fn compaction_edits_encode_to_the_bytes_the_per_engine_commits_wrote() {
         FlsmPolicy::new(&options),
         &options,
         setup,
-        |state| state.uncommitted_guards.add(last, b"c"),
         &[output(70, 1800, "a", "e")],
+        &[],
     );
     assert_eq!((job.level(), job.spec.output_level), (last, last));
-    assert!(job.spec.drop_tombstones && job.guards_to_commit.is_empty());
+    assert!(job.spec.drop_tombstones);
     assert_eq!(
         edit,
         "04061f04061e050646880e0961010900000000000009650101000000000000"
@@ -166,11 +161,11 @@ fn compaction_edits_encode_to_the_bytes_the_per_engine_commits_wrote() {
         FlsmPolicy::new(&options),
         &options,
         setup,
-        |state| state.uncommitted_guards.add(last - 1, b"c"),
         &[output(80, 1900, "a", "e")],
+        &[],
     );
     assert_eq!((job.level(), job.spec.output_level), (last - 1, last - 1));
-    assert!(!job.spec.drop_tombstones && job.guards_to_commit.is_empty());
+    assert!(!job.spec.drop_tombstones);
     assert_eq!(
         edit,
         "040529040528050550ec0e0961010900000000000009650101000000000000"

@@ -7,7 +7,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pebblesdb::PebblesDb;
+use pebblesdb::{GuardPicker, PebblesDb};
 use pebblesdb_common::{
     Db, Error, KvStore, ReadOptions, Result, StoreOptions, StorePreset, WriteBatch,
 };
@@ -731,6 +731,40 @@ fn repeated_reopen_preserves_data_and_guards() {
             );
         }
         expected_guards = Some(db.guards_per_level());
+    }
+}
+
+/// A guard is made by the compaction that first writes its key into a
+/// level, so a level's guards follow from the keys written, whether or not
+/// the store was closed between them. (When writers picked guards into
+/// memory, a close lost every one picked since the last compaction into its
+/// level.)
+#[test]
+fn a_reopen_loses_no_guard() {
+    let mut options = StoreOptions::default();
+    options.compaction_threads = 0;
+    options.level0_compaction_trigger = 1;
+    options.top_level_bits = 5;
+    options.bit_decrement = 1;
+    let key = |i: u32| format!("key{i:06}");
+    let picker = GuardPicker::new(&options);
+    let level1 = (0..4000).filter(|i| picker.guard_level(key(*i).as_bytes()) == Some(1));
+    let expected = 1 + level1.count(); // the sentinel and one per key
+    for reopen in [false, true] {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let dir = Path::new("/guards");
+        let open = || PebblesDb::open_with_options(Arc::clone(&env), dir, options.clone());
+        let mut db = open().unwrap();
+        for i in 0..4000 {
+            if reopen && i == 2000 {
+                drop(db);
+                db = open().unwrap();
+            }
+            db.put(key(i).as_bytes(), b"value").unwrap();
+        }
+        db.flush().unwrap();
+        let guards = db.guards_per_level();
+        assert_eq!(guards[1], expected, "reopened: {reopen}, {guards:?}");
     }
 }
 

@@ -220,11 +220,10 @@ fn a_trivial_move_keeps_the_files_arc<P: ShapePolicy>(shape: &str, policy: fn(&S
         },
         partition_keys: Vec::new(),
         full_partitions: Vec::new(),
-        guards_to_commit: Vec::new(),
         move_only,
     };
     let core = db.core();
-    let edit = VersionEdit::compaction(&job(level, true), &[]);
+    let edit = VersionEdit::compaction(&job(level, true), &[], &[]);
     core.state
         .lock()
         .default_cf_mut()
@@ -244,8 +243,9 @@ fn a_trivial_move_keeps_the_files_arc<P: ShapePolicy>(shape: &str, policy: fn(&S
         let mut state = core.state.lock();
         let rewrite = job(level + 1, false);
         let io = state.default_cf().io.clone();
-        let outputs = merge_to_tables(&io, &rewrite).unwrap();
-        let edit = VersionEdit::compaction(&rewrite, &outputs);
+        // An in-place rewrite picks no guards.
+        let (outputs, guards) = merge_to_tables(&io, &rewrite, |_| None).unwrap();
+        let edit = VersionEdit::compaction(&rewrite, &outputs, &guards);
         state.default_cf_mut().versions.log_and_apply(edit).unwrap();
         drop(rewrite);
         core.remove_obsolete_files(&mut state);
