@@ -60,7 +60,8 @@ crate::stat_table! {
         counter flushes: Count, Sum;
         /// Largest number of compaction jobs ever running at the same instant.
         /// With the per-guard compaction pool this exceeds 1 whenever two
-        /// disjoint guard subsets were compacted concurrently.
+        /// disjoint guard subsets were compacted concurrently; a waiter
+        /// running a job of its own can take it past `compaction_threads`.
         counter max_concurrent_compactions: Count, Max;
         /// Total wall-clock time spent in compaction, in microseconds.
         counter compaction_micros: Micros, Sum;
@@ -82,6 +83,12 @@ crate::stat_table! {
         /// companion to `write_stalls`; what the group-commit pipeline is
         /// meant to shrink).
         counter write_stall_micros: Micros, Sum;
+        /// The part of `write_stall_micros` spent waiting for a frozen
+        /// memtable (`imm`) to flush.
+        counter memtable_stall_micros: Micros, Sum;
+        /// Flushes and compactions run by a thread that would otherwise have
+        /// waited for one (a stalled writer, `flush()`, `drop_cf`).
+        counter writer_jobs: Count, Sum;
         /// Block-cache lookups that were served from memory (sstable data
         /// blocks). Engines without a block cache report 0.
         computed block_cache_hits: Count, Sum;
@@ -169,10 +176,15 @@ impl StoreStats {
 // (`counters.gets.fetch_add(1, Ordering::Relaxed)`); only events that move
 // several cells together get a method here.
 impl EngineCounters {
-    /// Records one write stall that lasted `micros` microseconds.
-    pub fn record_stall(&self, micros: u64) {
+    /// Records one write stall that lasted `micros` microseconds, spent
+    /// waiting for a frozen memtable if `on_memtable`.
+    pub fn record_stall(&self, micros: u64, on_memtable: bool) {
         self.write_stalls.fetch_add(1, Ordering::Relaxed);
         self.write_stall_micros.fetch_add(micros, Ordering::Relaxed);
+        if on_memtable {
+            self.memtable_stall_micros
+                .fetch_add(micros, Ordering::Relaxed);
+        }
     }
 
     /// Marks a compaction job as running and returns how many are now
@@ -491,8 +503,8 @@ mod tests {
             .fetch_add(100, Ordering::Relaxed);
         counters.user_bytes_written.fetch_add(20, Ordering::Relaxed);
         counters.gets.fetch_add(1, Ordering::Relaxed);
-        counters.record_stall(40);
-        counters.record_stall(2);
+        counters.record_stall(40, true);
+        counters.record_stall(2, false);
         counters.record_compaction(500, 1000, 2000);
         counters.record_compaction(250, 10, 20);
         counters.record_vlog_resolution(true);
@@ -513,6 +525,7 @@ mod tests {
             gets: 1,
             write_stalls: 2,
             write_stall_micros: 42,
+            memtable_stall_micros: 40,
             compactions: 2,
             compaction_micros: 750,
             compaction_bytes_read: 1010,

@@ -3,11 +3,16 @@
 //! through `Env::spawn`, drain the two lanes of jobs; with 0 the thread that
 //! would have woken a worker runs the jobs itself, through the same calls —
 //! a scheduling choice, not a second code path, and without threads the
-//! tree is a function of the operations applied.
+//! tree is a function of the operations applied. A thread about to wait for
+//! a job (a stalled writer, `flush()`, `drop_cf`) first claims and runs one
+//! due job itself, through those same calls, and waits only when none can
+//! be claimed: a stall is work, not an idle CPU beside a lane's thread that
+//! has not had its turn yet.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use pebblesdb_common::Result;
@@ -40,7 +45,7 @@ impl<P: ShapePolicy> EngineCore<P> {
     pub(crate) fn kick(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> bool {
         let inline = self.io.options.compaction_threads == 0;
         let mut ran = false;
-        while inline && (self.flush_next(state) || self.compact_next(state)) {
+        while inline && self.run_one(state) {
             ran = true;
         }
         self.executor.flush_available.notify_one();
@@ -48,11 +53,37 @@ impl<P: ShapePolicy> EngineCore<P> {
         ran
     }
 
-    /// Kicks, then parks until a job finishes somewhere (unless this thread
-    /// just ran one); callers re-check what they wait for.
+    /// Claims and runs one due job on this thread, the flush lane first.
+    fn run_one(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> bool {
+        self.flush_next(state) || self.compact_next(state)
+    }
+
+    /// The step before any wait: kick, else run one due job here (with no
+    /// workers `kick` has drained both lanes, so none is left). Returns
+    /// whether a job ran on this thread.
+    fn help(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> bool {
+        if self.kick(state) {
+            return true;
+        }
+        let helped = self.run_one(state);
+        if helped {
+            self.counters.writer_jobs.fetch_add(1, Ordering::Relaxed);
+        }
+        helped
+    }
+
+    /// Helps, else parks until a job finishes somewhere; callers re-check
+    /// what they wait for.
     pub(crate) fn wait_for_progress(&self, state: &mut MutexGuard<'_, EngineState<P>>) {
-        if !self.kick(state) {
+        if !self.help(state) {
             self.executor.work_done.wait(state);
+        }
+    }
+
+    /// A writer's level-0 slowdown: helps, else sleeps `pause` unlocked.
+    pub(crate) fn slow_down(&self, state: &mut MutexGuard<'_, EngineState<P>>, pause: Duration) {
+        if !self.help(state) {
+            MutexGuard::unlocked(state, || self.io.env.sleep(pause));
         }
     }
 

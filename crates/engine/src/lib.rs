@@ -24,8 +24,9 @@
 //!   both run through, `flush()` and the deletion of what commits unlink;
 //! * `executor` — who runs those jobs (`compaction_threads` workers through
 //!   `Env::spawn`, or with 0 the calling thread) behind one `kick` /
-//!   `wait_for_progress` pair; the only module that names a condvar of the
-//!   background machinery or a worker thread;
+//!   `wait_for_progress` pair, and a waiter's one due job before it parks;
+//!   the only module that names a condvar of the background machinery or a
+//!   worker thread;
 //! * `families` — column-family create/drop ([`catalog`] is their log);
 //! * [`vlog`] — key-value separation: appenders, reader cache, value-log GC;
 //! * [`cdc`] — the published WAL frontier, WAL retention and

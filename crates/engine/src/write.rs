@@ -300,7 +300,11 @@ impl<P: ShapePolicy> EngineCore<P> {
 
     /// Stage 2 — make room: ensures there is room in one family's memtable,
     /// applying that family's level-0 back-pressure; `rotate` freezes the
-    /// memtable even if it is not full.
+    /// memtable even if it is not full. A writer that has to stall — at the
+    /// slowdown trigger once per write, or until `imm` has flushed or level
+    /// 0 is below its stop trigger — first runs a due flush or compaction
+    /// itself (`crate::executor`), holding the commit turn as it does, and
+    /// sleeps or parks only when it can claim none.
     fn make_room_for_write(
         &self,
         state: &mut MutexGuard<'_, EngineState<P>>,
@@ -321,23 +325,22 @@ impl<P: ShapePolicy> EngineCore<P> {
                 return Ok(());
             }
             // The previous memtable is still flushing, or level 0 is full.
-            let blocked = cf.imm.is_some() || level0_files >= options.level0_stop_writes_trigger;
+            let on_memtable = cf.imm.is_some();
+            let blocked = on_memtable || level0_files >= options.level0_stop_writes_trigger;
             if slow_down || blocked {
                 let stall = self.io.env.now();
                 if slow_down {
-                    // Gentle back-pressure, once per write: let compaction
-                    // make progress without fully blocking this writer. (A
-                    // writer that just ran the jobs itself has waited.)
+                    // Gentle back-pressure, once per write: run a due job,
+                    // or let the workers run one, without fully blocking
+                    // this writer.
                     allow_delay = false;
-                    if !self.kick(state) {
-                        let pause = Duration::from_millis(1);
-                        MutexGuard::unlocked(state, || self.io.env.sleep(pause));
-                    }
+                    self.slow_down(state, Duration::from_millis(1));
                 } else {
                     self.wait_for_progress(state);
                 }
-                let stalled = self.io.env.now() - stall;
-                self.counters.record_stall(stalled.as_micros() as u64);
+                let stalled = (self.io.env.now() - stall).as_micros() as u64;
+                self.counters
+                    .record_stall(stalled, on_memtable && !slow_down);
                 continue;
             }
             self.rotate_memtable(state, cf_id)?;

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use pebblesdb_common::{Error, Result};
 
@@ -43,6 +43,8 @@ struct Schedule {
     read_fault: Option<(String, usize)>,
     /// `spawn` calls that succeed before one fails; `None`: all do.
     spawns_allowed: Option<usize>,
+    /// Threads whose name contains this park at start until released.
+    spawn_hold: Option<String>,
 }
 
 fn injected(what: &str, name: &str) -> Error {
@@ -118,7 +120,23 @@ struct Probes {
 struct State {
     inner: Arc<dyn Env>,
     schedule: Mutex<Schedule>,
+    /// Wakes the threads `spawn_hold` parked.
+    released: Condvar,
     probes: Mutex<Probes>,
+}
+
+impl State {
+    /// Parks the calling thread, started as `name`, while a hold matches it.
+    fn wait_while_held(&self, name: &str) {
+        let mut schedule = self.schedule.lock();
+        let held = |schedule: &Schedule| {
+            let hold = schedule.spawn_hold.as_deref();
+            hold.is_some_and(|pattern| name.contains(pattern))
+        };
+        while held(&schedule) {
+            self.released.wait(&mut schedule);
+        }
+    }
 }
 
 /// The fault, latency and probe layer; clones share one schedule. Open the
@@ -136,6 +154,7 @@ impl SimEnv {
             state: Arc::new(State {
                 inner,
                 schedule: Mutex::default(),
+                released: Condvar::new(),
                 probes: Mutex::default(),
             }),
         }
@@ -179,6 +198,19 @@ impl SimEnv {
     /// Lets `allowed` more `spawn` calls succeed; the ones after fail.
     pub fn fail_spawn_after(&self, allowed: usize) {
         self.state.schedule.lock().spawns_allowed = Some(allowed);
+    }
+
+    /// Parks every thread started from now on whose name contains `pattern`
+    /// at its start, before it runs anything, until `release_spawned` (`""`
+    /// holds them all): a background lane that never gets its turn.
+    pub fn hold_spawned(&self, pattern: &str) {
+        self.state.schedule.lock().spawn_hold = Some(pattern.into());
+    }
+
+    /// Lets every held thread run and holds no more.
+    pub fn release_spawned(&self) {
+        self.state.schedule.lock().spawn_hold = None;
+        self.state.released.notify_all();
     }
 
     /// Makes every append to a file whose path contains `pattern` sleep for
@@ -382,9 +414,11 @@ impl Env for SimEnv {
             *allowed -= 1;
         }
         let state = Arc::clone(&self.state);
+        let started_as = name.clone();
         let watched = move || {
             let own = std::thread::current().name().unwrap_or("").to_string();
             state.probes.lock().thread_names.push(own);
+            state.wait_while_held(&started_as);
             main();
             state.probes.lock().running -= 1;
         };

@@ -1,0 +1,85 @@
+//! A writer that has to wait for a flush or a compaction runs one itself.
+//!
+//! Every background thread of the store is held at its start by the
+//! `SimEnv`, so no flush thread or worker ever takes a turn. A writer that
+//! fills several memtables must then flush them itself: if it parked on a
+//! flush only a held thread could run, its puts would never return.
+
+use std::path::Path;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+use pebblesdb::FlsmPolicy;
+use pebblesdb_common::{KvStore, StoreOptions};
+use pebblesdb_engine::{EngineDb, ShapePolicy};
+use pebblesdb_env::MemEnv;
+use pebblesdb_lsm::LsmPolicy;
+use pebblesdb_tests::sim_over;
+
+const WRITE_BUFFER: usize = 16 << 10;
+/// About four memtables' worth of puts.
+const KEYS: u32 = 640;
+const VALUE: usize = 100;
+
+fn key(i: u32) -> Vec<u8> {
+    format!("key{i:06}").into_bytes()
+}
+
+fn value(i: u32) -> Vec<u8> {
+    let mut value = format!("{i}/").into_bytes();
+    value.resize(VALUE, b'v');
+    value
+}
+
+fn a_writer_runs_the_jobs_no_thread_runs<P: ShapePolicy>(policy: fn(&StoreOptions) -> P) {
+    let (sim, env) = sim_over(MemEnv::new());
+    sim.hold_spawned("");
+    let mut opts = StoreOptions::default();
+    opts.write_buffer_size = WRITE_BUFFER;
+    opts.max_file_size = 8 << 10;
+    opts.base_level_bytes = 32 << 10;
+    opts.level0_compaction_trigger = 2;
+    opts.compaction_threads = 1;
+    let db = EngineDb::open(policy(&opts), env, Path::new("/stalls"), opts).unwrap();
+    let db: Arc<dyn KvStore> = Arc::new(db);
+    assert_eq!(sim.spawn_calls(), 2, "a flush thread and one worker");
+
+    let (done, finished) = mpsc::channel();
+    let writer = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            for i in 0..KEYS {
+                db.put(&key(i), &value(i)).unwrap();
+            }
+            let _ = done.send(());
+        })
+    };
+    let outcome = finished.recv_timeout(Duration::from_secs(10));
+    let stats = db.stats();
+    // Released before anything can fail, so the store's drop can join its
+    // threads whatever happened.
+    sim.release_spawned();
+    outcome.expect("the puts parked on a job no thread runs");
+    writer.join().unwrap();
+
+    assert!(
+        stats.writer_jobs >= 3,
+        "writer ran {} jobs",
+        stats.writer_jobs
+    );
+    assert!(stats.flushes >= 3, "{} flushes", stats.flushes);
+    assert!(stats.memtable_stall_micros <= stats.write_stall_micros);
+    for i in 0..KEYS {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(value(i)), "key {i}");
+    }
+}
+
+#[test]
+fn flsm_writer_runs_the_jobs_no_thread_runs() {
+    a_writer_runs_the_jobs_no_thread_runs(FlsmPolicy::new);
+}
+
+#[test]
+fn lsm_writer_runs_the_jobs_no_thread_runs() {
+    a_writer_runs_the_jobs_no_thread_runs(LsmPolicy::new);
+}
