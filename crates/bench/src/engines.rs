@@ -207,7 +207,6 @@ mod tests {
                 max_open_files,
                 bloom_bits_per_key,
                 level0_compaction_trigger,
-                level0_slowdown_writes_trigger,
                 level0_stop_writes_trigger,
                 max_file_size,
                 base_level_bytes,
@@ -230,12 +229,8 @@ mod tests {
             assert_eq!(bloom_bits_per_key, 10);
             assert_eq!(max_open_files, 8192);
             assert_eq!(
-                (
-                    level0_compaction_trigger,
-                    level0_slowdown_writes_trigger,
-                    level0_stop_writes_trigger
-                ),
-                (4, 8, 12)
+                (level0_compaction_trigger, level0_stop_writes_trigger),
+                (4, 12)
             );
             assert_eq!((top_level_bits, bit_decrement), (14, 2));
             assert_eq!(max_sstables_per_guard, 8);

@@ -57,10 +57,11 @@ impl CompressionType {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorePreset {
     /// HyperLevelDB defaults, which are Google LevelDB's: 4 MiB memtable,
-    /// level-0 slowdown 8 / stop 12, one compaction thread.
+    /// level-0 stop 12, one compaction thread (LevelDB's 1 ms slowdown
+    /// sleep from 8 level-0 files is not modelled: a writer never sleeps).
     HyperLevelDb,
-    /// RocksDB defaults: 64 MiB memtable, level-0 slowdown 20 / stop 24,
-    /// multi-threaded compaction.
+    /// RocksDB defaults: 64 MiB memtable, level-0 stop 24, multi-threaded
+    /// compaction (its slowdown from 20 level-0 files is not modelled).
     RocksDb,
     /// PebblesDB defaults (FLSM engine with guards).
     PebblesDb,
@@ -111,8 +112,6 @@ pub struct StoreOptions {
 
     /// Number of level-0 files that triggers a compaction.
     pub level0_compaction_trigger: usize,
-    /// Number of level-0 files at which writes are throttled.
-    pub level0_slowdown_writes_trigger: usize,
     /// Number of level-0 files at which writes stop until compaction catches
     /// up.
     pub level0_stop_writes_trigger: usize,
@@ -192,7 +191,6 @@ impl Default for StoreOptions {
             bloom_bits_per_key: 10,
 
             level0_compaction_trigger: 4,
-            level0_slowdown_writes_trigger: 8,
             level0_stop_writes_trigger: 12,
             max_file_size: 2 << 20,
             base_level_bytes: 10 << 20,
@@ -220,14 +218,12 @@ impl StoreOptions {
         match preset {
             StorePreset::HyperLevelDb => {
                 opts.write_buffer_size = 4 << 20;
-                opts.level0_slowdown_writes_trigger = 8;
                 opts.level0_stop_writes_trigger = 12;
                 opts.compaction_threads = 1;
             }
             StorePreset::RocksDb => {
                 opts.write_buffer_size = 64 << 20;
                 opts.level0_compaction_trigger = 4;
-                opts.level0_slowdown_writes_trigger = 20;
                 opts.level0_stop_writes_trigger = 24;
                 opts.compaction_threads = 4;
             }
@@ -308,12 +304,10 @@ mod tests {
     fn presets_match_paper_parameters() {
         let hyper = StoreOptions::with_preset(StorePreset::HyperLevelDb);
         assert_eq!(hyper.write_buffer_size, 4 << 20);
-        assert_eq!(hyper.level0_slowdown_writes_trigger, 8);
         assert_eq!(hyper.level0_stop_writes_trigger, 12);
 
         let rocks = StoreOptions::with_preset(StorePreset::RocksDb);
         assert_eq!(rocks.write_buffer_size, 64 << 20);
-        assert_eq!(rocks.level0_slowdown_writes_trigger, 20);
         assert_eq!(rocks.level0_stop_writes_trigger, 24);
         assert!(rocks.compaction_threads > 1);
 

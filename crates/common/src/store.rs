@@ -76,12 +76,12 @@ crate::stat_table! {
         counter gets: Count, Sum;
         /// Number of seek / range-query operations served.
         counter seeks: Count, Sum;
-        /// Number of write stalls (level-0 slowdown or stop).
+        /// Number of write stalls: waits of a writer whose memtable is full
+        /// while `imm` flushes or level 0 is at its stop trigger.
         counter write_stalls: Count, Sum;
-        /// Total microseconds writers spent stalled — slowdown sleeps plus
-        /// waits for memtable flushes and level-0 back-pressure (the duration
-        /// companion to `write_stalls`; what the group-commit pipeline is
-        /// meant to shrink).
+        /// Total microseconds writers spent stalled — jobs they ran
+        /// themselves plus parks until a memtable flush or a level-0
+        /// compaction finished (the duration companion to `write_stalls`).
         counter write_stall_micros: Micros, Sum;
         /// The part of `write_stall_micros` spent waiting for a frozen
         /// memtable (`imm`) to flush.

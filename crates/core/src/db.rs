@@ -443,7 +443,6 @@ mod tests {
     fn stack_two_files_in_level1(key_of: impl Fn(u32) -> u32) -> (PebblesDb, usize) {
         let mut options = StoreOptions::default();
         options.level0_compaction_trigger = 100;
-        options.level0_slowdown_writes_trigger = 100;
         options.level0_stop_writes_trigger = 120;
         options.enable_aggressive_compaction = false;
         options.top_level_bits = 30; // no guards: every level is its sentinel

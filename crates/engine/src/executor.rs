@@ -5,14 +5,14 @@
 //! a scheduling choice, not a second code path, and without threads the
 //! tree is a function of the operations applied. A thread about to wait for
 //! a job (a stalled writer, `flush()`, `drop_cf`) first claims and runs one
-//! due job itself, through those same calls, and waits only when none can
-//! be claimed: a stall is work, not an idle CPU beside a lane's thread that
-//! has not had its turn yet.
+//! due job itself, through those same calls, and parks only when none can
+//! be claimed, until a job finishes: a stall is work, not an idle CPU beside
+//! a lane's thread that has not had its turn yet, and no thread here waits
+//! on a timer.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use pebblesdb_common::Result;
@@ -59,31 +59,16 @@ impl<P: ShapePolicy> EngineCore<P> {
     }
 
     /// The step before any wait: kick, else run one due job here (with no
-    /// workers `kick` has drained both lanes, so none is left). Returns
-    /// whether a job ran on this thread.
-    fn help(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> bool {
-        if self.kick(state) {
-            return true;
-        }
-        let helped = self.run_one(state);
-        if helped {
-            self.counters.writer_jobs.fetch_add(1, Ordering::Relaxed);
-        }
-        helped
-    }
-
-    /// Helps, else parks until a job finishes somewhere; callers re-check
-    /// what they wait for.
+    /// workers `kick` has drained both lanes, so none is left), else park
+    /// until a job finishes somewhere; callers re-check what they wait for.
     pub(crate) fn wait_for_progress(&self, state: &mut MutexGuard<'_, EngineState<P>>) {
-        if !self.help(state) {
-            self.executor.work_done.wait(state);
+        if self.kick(state) {
+            return;
         }
-    }
-
-    /// A writer's level-0 slowdown: helps, else sleeps `pause` unlocked.
-    pub(crate) fn slow_down(&self, state: &mut MutexGuard<'_, EngineState<P>>, pause: Duration) {
-        if !self.help(state) {
-            MutexGuard::unlocked(state, || self.io.env.sleep(pause));
+        if self.run_one(state) {
+            self.counters.writer_jobs.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.executor.work_done.wait(state);
         }
     }
 

@@ -9,7 +9,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::MutexGuard;
 
@@ -300,11 +299,11 @@ impl<P: ShapePolicy> EngineCore<P> {
 
     /// Stage 2 — make room: ensures there is room in one family's memtable,
     /// applying that family's level-0 back-pressure; `rotate` freezes the
-    /// memtable even if it is not full. A writer that has to stall — at the
-    /// slowdown trigger once per write, or until `imm` has flushed or level
-    /// 0 is below its stop trigger — first runs a due flush or compaction
-    /// itself (`crate::executor`), holding the commit turn as it does, and
-    /// sleeps or parks only when it can claim none.
+    /// memtable even if it is not full. A writer whose memtable is full
+    /// waits only while `imm` is still flushing or level 0 is at its stop
+    /// trigger, and it waits on a job, never on a timer: it first runs a due
+    /// flush or compaction itself (`crate::executor`), holding the commit
+    /// turn as it does, and parks only when it can claim none.
     fn make_room_for_write(
         &self,
         state: &mut MutexGuard<'_, EngineState<P>>,
@@ -312,35 +311,19 @@ impl<P: ShapePolicy> EngineCore<P> {
         mut rotate: bool,
     ) -> Result<()> {
         let options = &self.io.options;
-        let mut allow_delay = !rotate;
         loop {
             state.healthy()?;
             let cf = state.live_cf(cf_id)?;
-            let level0_files = cf.versions.levels()[0].files;
-            let slow_down = allow_delay && level0_files >= options.level0_slowdown_writes_trigger;
-            if !slow_down
-                && !rotate
-                && cf.mem.approximate_memory_usage() <= options.write_buffer_size
-            {
+            if !rotate && cf.mem.approximate_memory_usage() <= options.write_buffer_size {
                 return Ok(());
             }
             // The previous memtable is still flushing, or level 0 is full.
             let on_memtable = cf.imm.is_some();
-            let blocked = on_memtable || level0_files >= options.level0_stop_writes_trigger;
-            if slow_down || blocked {
+            if on_memtable || cf.versions.levels()[0].files >= options.level0_stop_writes_trigger {
                 let stall = self.io.env.now();
-                if slow_down {
-                    // Gentle back-pressure, once per write: run a due job,
-                    // or let the workers run one, without fully blocking
-                    // this writer.
-                    allow_delay = false;
-                    self.slow_down(state, Duration::from_millis(1));
-                } else {
-                    self.wait_for_progress(state);
-                }
+                self.wait_for_progress(state);
                 let stalled = (self.io.env.now() - stall).as_micros() as u64;
-                self.counters
-                    .record_stall(stalled, on_memtable && !slow_down);
+                self.counters.record_stall(stalled, on_memtable);
                 continue;
             }
             self.rotate_memtable(state, cf_id)?;

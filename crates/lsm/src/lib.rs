@@ -45,7 +45,6 @@ mod tests {
         opts.max_file_size = 16 << 10;
         opts.base_level_bytes = 64 << 10;
         opts.level0_compaction_trigger = 2;
-        opts.level0_slowdown_writes_trigger = 4;
         opts.level0_stop_writes_trigger = 8;
         opts
     }

@@ -235,7 +235,6 @@ fn flsm_crash_during_level_compaction_commit_is_recoverable() {
     // seek-compaction trigger once fault injection is armed.
     let mut opts = small_options();
     opts.level0_compaction_trigger = 100;
-    opts.level0_slowdown_writes_trigger = 100;
     opts.level0_stop_writes_trigger = 120;
     opts.enable_aggressive_compaction = false;
     opts.seek_compaction_threshold = 5;

@@ -1,9 +1,11 @@
-//! A writer that has to wait for a flush or a compaction runs one itself.
+//! A writer that has to wait for a flush or a compaction runs one itself,
+//! and a writer that has nothing to wait for does not wait.
 //!
-//! Every background thread of the store is held at its start by the
-//! `SimEnv`, so no flush thread or worker ever takes a turn. A writer that
-//! fills several memtables must then flush them itself: if it parked on a
-//! flush only a held thread could run, its puts would never return.
+//! In the first pair every background thread of the store is held at its
+//! start by the `SimEnv`, so no flush thread or worker ever takes a turn. A
+//! writer that fills several memtables must then flush them itself: if it
+//! parked on a flush only a held thread could run, its puts would never
+//! return. The second pair starts no thread at all.
 
 use std::path::Path;
 use std::sync::{mpsc, Arc};
@@ -82,4 +84,39 @@ fn flsm_writer_runs_the_jobs_no_thread_runs() {
 #[test]
 fn lsm_writer_runs_the_jobs_no_thread_runs() {
     a_writer_runs_the_jobs_no_thread_runs(LsmPolicy::new);
+}
+
+/// Level 0 grows to 9+ files while compaction waits for 100 and writes stop
+/// at 120. Below the stop trigger a full memtable is frozen and flushed
+/// and nothing else happens: the writer never stalls, and no timer delays
+/// it on the way to the stop.
+fn level0_below_its_stop_costs_a_writer_nothing<P: ShapePolicy>(policy: fn(&StoreOptions) -> P) {
+    let mut opts = StoreOptions::default();
+    opts.write_buffer_size = WRITE_BUFFER;
+    opts.level0_compaction_trigger = 100;
+    opts.level0_stop_writes_trigger = 120;
+    opts.compaction_threads = 0;
+    let env = Arc::new(MemEnv::new());
+    let db = EngineDb::open(policy(&opts), env, Path::new("/level0"), opts).unwrap();
+    let keys = 3 * KEYS;
+    for i in 0..keys {
+        db.put(&key(i), &value(i)).unwrap();
+    }
+
+    let level0 = db.levels()[0].files;
+    assert!(level0 >= 9, "{level0} level-0 files");
+    assert_eq!(db.stats().write_stalls, 0, "with {level0} level-0 files");
+    for i in 0..keys {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(value(i)), "key {i}");
+    }
+}
+
+#[test]
+fn flsm_level0_below_its_stop_costs_a_writer_nothing() {
+    level0_below_its_stop_costs_a_writer_nothing(FlsmPolicy::new);
+}
+
+#[test]
+fn lsm_level0_below_its_stop_costs_a_writer_nothing() {
+    level0_below_its_stop_costs_a_writer_nothing(LsmPolicy::new);
 }
