@@ -14,16 +14,17 @@
 //! leveled-compaction policy — which file a job takes and which next-level
 //! files it must rewrite with it.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
-use pebblesdb_common::key::compare_internal_keys;
+use pebblesdb_common::key::{compare_internal_keys, SequenceNumber};
 use pebblesdb_common::{Result, StoreOptions, StorePreset, NUM_LEVELS};
 use pebblesdb_engine::meta::user_key_range;
 use pebblesdb_engine::{CompactionJob, EngineDb, FileMetaData, MergeSpec, PolicyCtx, ShapePolicy};
 use pebblesdb_env::Env;
 
-use crate::version::{pick_compaction_level, Version};
+use crate::version::{compaction_levels, Version};
 
 /// The leveled-compaction shape: one implicit guard per level.
 pub struct LsmPolicy {
@@ -55,71 +56,112 @@ impl ShapePolicy for LsmPolicy {
 
     // ------------------------------------------------------------ compaction
 
-    /// Classic leveled compaction rewrites every overlapping next-level
-    /// range, so jobs cannot be carved into disjoint units the way guards
-    /// allow: a job is claimable only when no other job is in flight, which
-    /// keeps the engine correct under any chassis worker-pool size.
+    /// Classic leveled compaction: a job takes one file of a level (all of
+    /// level 0) with every next-level file it overlaps and writes their
+    /// merge, over the user-key hull of its inputs, into the next level.
+    /// Jobs whose key ranges are free run side by side, as in RocksDB: see
+    /// `leveled_job` for the claim rule. Levels are tried by descending
+    /// score and a level's files from its compaction pointer on, so with
+    /// nothing claimed the pick is the best level's next file.
     fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<CompactionJob> {
-        if !ctx.claimed_inputs.is_empty() {
-            return None;
-        }
         let version = ctx.versions.current();
-        let (level, _score) = pick_compaction_level(ctx.versions.levels(), &self.options)?;
-
-        let inputs: Vec<Arc<FileMetaData>> = if level == 0 {
-            // Compact the whole of level 0 in one go (HyperLevelDB-style
-            // batched level-0 compaction).
-            version.files[0].0.clone()
-        } else {
-            // Rotate through the level using the compaction pointer. It
-            // advances at the pick: no other pick sees it before this job
-            // commits (jobs run one at a time), and a failed job poisons the
-            // store.
+        let (claimed, smallest_snapshot) = (ctx.claimed_inputs, ctx.smallest_snapshot);
+        for level in compaction_levels(ctx.versions.levels(), &self.options) {
             let files = &version.files[level].0;
+            if level == 0 {
+                // Compact the whole of level 0 in one go (HyperLevelDB-style
+                // batched level-0 compaction).
+                match leveled_job(version, 0, files.clone(), claimed, smallest_snapshot) {
+                    Some(job) => return Some(job),
+                    None => continue,
+                }
+            }
+            // Rotate through the level using the compaction pointer. It
+            // advances at the pick, so a pick beside a running job tries the
+            // files after it; a failed job poisons the store.
             let pointer = &mut ctx.state.compact_pointer[level];
-            let chosen = files
+            let start = files
                 .iter()
-                .find(|f| {
+                .position(|f| {
                     pointer.is_empty()
                         || compare_internal_keys(f.largest.encoded(), pointer)
                             == std::cmp::Ordering::Greater
                 })
-                .or_else(|| files.first())?;
-            *pointer = chosen.largest.encoded().to_vec();
-            vec![Arc::clone(chosen)]
-        };
-        if inputs.is_empty() {
-            return None;
+                .unwrap_or(0);
+            for chosen in files[start..].iter().chain(&files[..start]) {
+                let inputs = vec![Arc::clone(chosen)];
+                if let Some(job) = leveled_job(version, level, inputs, claimed, smallest_snapshot) {
+                    *pointer = chosen.largest.encoded().to_vec();
+                    return Some(job);
+                }
+            }
         }
-
-        let (smallest_user, largest_user) = user_key_range(&inputs);
-        let next_level_inputs =
-            version.overlapping_inputs(level + 1, &smallest_user, &largest_user);
-
-        // Tombstones can be dropped when no deeper level holds the key range.
-        let drop_tombstones = ((level + 2)..version.num_levels()).all(|deeper| {
-            let holders = version.overlapping_inputs(deeper, &smallest_user, &largest_user);
-            holders.is_empty()
-        });
-
-        // A single input with nothing to merge below just moves down a level.
-        let move_only = level > 0 && inputs.len() == 1 && next_level_inputs.is_empty();
-        let inputs = inputs.into_iter().map(|file| (level, file));
-        let next_level_inputs = next_level_inputs.into_iter().map(|file| (level + 1, file));
-        // A leveled run is one partition, and `drop_tombstones` already says
-        // no deeper level holds the job's key range.
-        Some(CompactionJob {
-            inputs: inputs.chain(next_level_inputs).collect(),
-            spec: MergeSpec {
-                output_level: level + 1,
-                smallest_snapshot: ctx.smallest_snapshot,
-                drop_tombstones,
-            },
-            partition_keys: Vec::new(),
-            full_partitions: Vec::new(),
-            move_only,
-        })
+        None
     }
+}
+
+/// The job that merges `inputs` of `level` with the next-level files they
+/// overlap, if it is claimable beside the jobs holding `claimed`: none of
+/// its inputs is claimed, and no claimed file of `level` overlaps the
+/// user-key hull of all its inputs — the range its outputs cover. A claimed
+/// next-level file overlapping the hull would be one of its own inputs, so
+/// two jobs never write overlapping ranges into one level (which `apply`
+/// would refuse), and level 0, compacted whole, runs one job at a time.
+fn leveled_job(
+    version: &Version,
+    level: usize,
+    inputs: Vec<Arc<FileMetaData>>,
+    claimed: &BTreeSet<u64>,
+    smallest_snapshot: SequenceNumber,
+) -> Option<CompactionJob> {
+    if inputs.is_empty() {
+        return None;
+    }
+    let (smallest_user, largest_user) = user_key_range(&inputs);
+    let next_level_inputs = version.overlapping_inputs(level + 1, &smallest_user, &largest_user);
+    let hull_smallest = next_level_inputs.first().map_or(&smallest_user[..], |f| {
+        f.smallest.user_key().min(&smallest_user)
+    });
+    let hull_largest = next_level_inputs.last().map_or(&largest_user[..], |f| {
+        f.largest.user_key().max(&largest_user)
+    });
+    // At level 0 the inputs are the whole level.
+    let beside = match level {
+        0 => &inputs[..],
+        _ => version.overlapping_inputs(level, hull_smallest, hull_largest),
+    };
+    let is_claimed = |file: &Arc<FileMetaData>| claimed.contains(&file.number);
+    if beside.iter().chain(next_level_inputs).any(is_claimed) {
+        return None;
+    }
+
+    // Tombstones can be dropped when no deeper level holds the hull: a
+    // next-level input reaching past `inputs` carries tombstones there too.
+    let drop_tombstones = ((level + 2)..version.num_levels()).all(|deeper| {
+        version
+            .overlapping_inputs(deeper, hull_smallest, hull_largest)
+            .is_empty()
+    });
+
+    // A single input with nothing to merge below just moves down a level.
+    let move_only = level > 0 && inputs.len() == 1 && next_level_inputs.is_empty();
+    let inputs = inputs.into_iter().map(|file| (level, file));
+    let next_level_inputs = next_level_inputs
+        .iter()
+        .map(|file| (level + 1, Arc::clone(file)));
+    // A leveled run is one partition, and `drop_tombstones` already says
+    // no deeper level holds the job's key range.
+    Some(CompactionJob {
+        inputs: inputs.chain(next_level_inputs).collect(),
+        spec: MergeSpec {
+            output_level: level + 1,
+            smallest_snapshot,
+            drop_tombstones,
+        },
+        partition_keys: Vec::new(),
+        full_partitions: Vec::new(),
+        move_only,
+    })
 }
 
 impl LsmPolicy {
@@ -229,12 +271,15 @@ pebblesdb_common::store_views!(LsmDb => |db| db.db.shared());
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::path::PathBuf;
 
-    use pebblesdb_common::key::{InternalKey, ValueType};
-    use pebblesdb_engine::{FileMetaDataEdit, VersionEdit, VersionSet};
+    use pebblesdb_common::key::{encode_internal_key, InternalKey, LookupKey, ValueType};
+    use pebblesdb_common::vlog::LookupValue;
+    use pebblesdb_engine::runs::{get, merge_to_tables};
+    use pebblesdb_engine::{EngineIo, FileMetaDataEdit, VersionEdit, VersionSet, VersionShape};
     use pebblesdb_env::MemEnv;
+    use pebblesdb_sstable::{TableBuilder, TableCache};
 
     use super::*;
 
@@ -277,5 +322,435 @@ mod tests {
             })
             .collect();
         assert_eq!(picks, [[10], [11], [12], [10]]);
+    }
+
+    /// A leveled version set in `dir` of a fresh `MemEnv` holding `files`,
+    /// `(level, number, smallest, largest, bytes)` with user keys, as
+    /// metadata only (no table is written).
+    fn leveled(
+        dir: &str,
+        options: &StoreOptions,
+        files: &[(usize, u64, String, String, u64)],
+    ) -> VersionSet<Version> {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let dir = PathBuf::from(dir);
+        env.create_dir_all(&dir).unwrap();
+        let mut versions = VersionSet::open(env, dir, options.clone()).unwrap();
+        let mut setup = VersionEdit::default();
+        for (level, number, smallest, largest, bytes) in files {
+            let key = |user: &str, seq| InternalKey::new(user.as_bytes(), seq, ValueType::Value);
+            let file = FileMetaDataEdit {
+                number: *number,
+                file_size: *bytes,
+                smallest: key(smallest, 100 + number).encoded().to_vec(),
+                largest: key(largest, 1).encoded().to_vec(),
+            };
+            setup.new_files.push((*level, file));
+        }
+        versions.log_and_apply(setup).unwrap();
+        versions
+    }
+
+    fn pick(
+        policy: &LsmPolicy,
+        versions: &VersionSet<Version>,
+        state: &mut LsmPolicyState,
+        claimed: &BTreeSet<u64>,
+    ) -> Option<CompactionJob> {
+        policy.pick_job(&mut PolicyCtx {
+            versions,
+            state,
+            claimed_inputs: claimed,
+            smallest_snapshot: 1_000,
+        })
+    }
+
+    /// `(level, number)` of every input of `job`.
+    fn inputs_of(job: &CompactionJob) -> Vec<(usize, u64)> {
+        job.inputs
+            .iter()
+            .map(|(level, f)| (*level, f.number))
+            .collect()
+    }
+
+    /// The pick when leveled jobs ran one at a time: the level with the
+    /// highest score (ties to the shallowest), all of level 0 or the first
+    /// file past the pointer, and the next-level files that overlaps; and
+    /// whether no deeper level holds the hull of them all.
+    fn serial_pick(
+        options: &StoreOptions,
+        version: &Version,
+        pointers: &mut [Vec<u8>],
+    ) -> Option<(Vec<(usize, u64)>, bool)> {
+        let mut best: Option<(usize, f64)> = None;
+        for level in 0..NUM_LEVELS - 1 {
+            let files = &version.files[level].0;
+            let score = if level == 0 {
+                files.len() as f64 / options.level0_compaction_trigger as f64
+            } else {
+                let bytes: u64 = files.iter().map(|f| f.file_size).sum();
+                bytes as f64 / options.max_bytes_for_level(level) as f64
+            };
+            if score >= 1.0 && best.is_none_or(|(_, best)| score > best) {
+                best = Some((level, score));
+            }
+        }
+        let (level, _) = best?;
+        let files = &version.files[level].0;
+        let inputs = if level == 0 {
+            files.clone()
+        } else {
+            let pointer = &mut pointers[level];
+            let chosen = files
+                .iter()
+                .find(|f| {
+                    pointer.is_empty()
+                        || compare_internal_keys(f.largest.encoded(), pointer).is_gt()
+                })
+                .or_else(|| files.first())?;
+            *pointer = chosen.largest.encoded().to_vec();
+            vec![Arc::clone(chosen)]
+        };
+        let overlapping = |level: usize, (lo, hi): &(Vec<u8>, Vec<u8>)| -> Vec<Arc<FileMetaData>> {
+            let files = version.files[level].0.iter();
+            let overlaps = |f: &&Arc<FileMetaData>| f.overlaps_user_range(Some(lo), Some(hi));
+            files.filter(overlaps).cloned().collect()
+        };
+        let next = overlapping(level + 1, &user_key_range(&inputs));
+        let hull = user_key_range(&[inputs.clone(), next.clone()].concat());
+        let drop_tombstones =
+            ((level + 2)..NUM_LEVELS).all(|deeper| overlapping(deeper, &hull).is_empty());
+        let inputs = inputs.iter().map(|f| (level, f.number));
+        let next = next.iter().map(|f| (level + 1, f.number));
+        Some((inputs.chain(next).collect(), drop_tombstones))
+    }
+
+    /// With nothing claimed — every pick of a store with no workers — the
+    /// pick is the serial one, pointer included, over seeded random shapes.
+    #[test]
+    fn with_nothing_claimed_the_pick_is_the_serial_pick() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |bound: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % bound
+        };
+        let user = |k: u64| format!("k{k:03}");
+        let mut jobs = 0;
+        for trial in 0..200 {
+            let mut options = StoreOptions::default();
+            options.level0_compaction_trigger = 1 + next(4) as usize;
+            options.base_level_bytes = 1_000 + next(3_000);
+            let mut files = Vec::new();
+            let mut number = 1;
+            for _ in 0..next(5) {
+                let (a, b) = (next(60), next(60));
+                files.push((0, number, user(a.min(b)), user(a.max(b)), 200 + next(1_000)));
+                number += 1;
+            }
+            for level in 1..4 {
+                let mut bounds: Vec<u64> = (0..2 * next(8)).map(|_| next(100)).collect();
+                bounds.sort_unstable();
+                bounds.dedup();
+                for pair in bounds.chunks_exact(2) {
+                    let bytes = 200 + next(1_000);
+                    files.push((level, number, user(pair[0]), user(pair[1]), bytes));
+                    number += 1;
+                }
+            }
+            let versions = leveled(&format!("/serial-{trial}"), &options, &files);
+            let version = versions.current();
+            let policy = LsmPolicy::new(&options);
+            let mut state = policy.new_state();
+            let mut pointers = vec![Vec::new(); NUM_LEVELS];
+            for _ in 0..3 {
+                let job = pick(&policy, &versions, &mut state, &BTreeSet::new());
+                let job = job.map(|job| (inputs_of(&job), job.spec.drop_tombstones));
+                assert_eq!(
+                    job,
+                    serial_pick(&options, version, &mut pointers),
+                    "trial {trial}"
+                );
+                assert_eq!(state.compact_pointer, pointers, "trial {trial}");
+                jobs += usize::from(job.is_some());
+            }
+        }
+        assert!(jobs > 300, "{jobs} picks found a job");
+    }
+
+    /// A pick beside a claimed L1 -> L2 job takes no claimed file, and its
+    /// hull overlaps no claimed file of its input level.
+    #[test]
+    fn a_pick_beside_a_claimed_job_is_disjoint_from_it() {
+        let mut options = StoreOptions::default();
+        options.base_level_bytes = 2_000;
+        let file = |level, number, lo: &str, hi: &str| (level, number, lo.into(), hi.into(), 1_000);
+        let versions = leveled(
+            "/beside",
+            &options,
+            &[
+                file(1, 1, "a", "c"),
+                file(1, 2, "e", "g"),
+                file(1, 3, "j", "k"),
+                file(1, 4, "m", "o"),
+                file(2, 5, "b", "f"),
+                file(2, 6, "i", "l"),
+                file(2, 7, "n", "p"),
+            ],
+        );
+        let policy = LsmPolicy::new(&options);
+        let mut state = policy.new_state();
+        let first = pick(&policy, &versions, &mut state, &BTreeSet::new()).unwrap();
+        assert_eq!(inputs_of(&first), [(1, 1), (2, 5)]);
+        let claimed: BTreeSet<u64> = first.input_numbers().collect();
+        // File 2 shares file 5 with the first job; file 3 is free.
+        let second = pick(&policy, &versions, &mut state, &claimed).unwrap();
+        assert_eq!(inputs_of(&second), [(1, 3), (2, 6)]);
+
+        // With both claimed, file 4's range is still free; with all three,
+        // nothing is.
+        let both: BTreeSet<u64> = claimed
+            .iter()
+            .copied()
+            .chain(second.input_numbers())
+            .collect();
+        let third = pick(&policy, &versions, &mut state, &both).unwrap();
+        assert_eq!(inputs_of(&third), [(1, 4), (2, 7)]);
+        let all: BTreeSet<u64> = both.iter().copied().chain(third.input_numbers()).collect();
+        assert!(pick(&policy, &versions, &mut state, &all).is_none());
+
+        // A claimed L1 file (say, an L0 -> L1 job's) inside file 2's hull
+        // [b, g] keeps file 2's job off, though none of its inputs is claimed.
+        let mut state = policy.new_state();
+        let one = BTreeSet::from([1]);
+        let blocked = pick(&policy, &versions, &mut state, &one).unwrap();
+        assert_eq!(inputs_of(&blocked), [(1, 3), (2, 6)]);
+
+        for (job, claimed) in [(&second, &claimed), (&third, &both), (&blocked, &one)] {
+            let inputs: Vec<Arc<FileMetaData>> =
+                job.inputs.iter().map(|(_, f)| Arc::clone(f)).collect();
+            let (lo, hi) = user_key_range(&inputs);
+            let beside = versions.current().overlapping_inputs(job.level(), &lo, &hi);
+            let taken = inputs.iter().chain(beside).map(|f| f.number);
+            assert!(
+                taken.clone().all(|n| !claimed.contains(&n)),
+                "{:?}",
+                taken.collect::<Vec<_>>()
+            );
+        }
+    }
+
+    /// Level 0 is compacted whole: while its job runs, no second one starts,
+    /// but a deeper level's job whose range is free does.
+    #[test]
+    fn level0_runs_one_job_and_deeper_levels_run_beside_it() {
+        let mut options = StoreOptions::default();
+        options.level0_compaction_trigger = 2;
+        options.base_level_bytes = 2_500;
+        let file = |level, number, lo: &str, hi: &str| (level, number, lo.into(), hi.into(), 1_000);
+        let mut files = vec![
+            file(0, 1, "a", "d"),
+            file(0, 2, "b", "c"),
+            file(0, 3, "c", "d"),
+        ];
+        files.extend([
+            file(1, 4, "a", "b"),
+            file(1, 5, "m", "n"),
+            file(1, 6, "x", "z"),
+        ]);
+        let versions = leveled("/level0", &options, &files);
+        let policy = LsmPolicy::new(&options);
+        let mut state = policy.new_state();
+        let level0 = pick(&policy, &versions, &mut state, &BTreeSet::new()).unwrap();
+        assert_eq!(inputs_of(&level0), [(0, 3), (0, 2), (0, 1), (1, 4)]);
+        let claimed: BTreeSet<u64> = level0.input_numbers().collect();
+        let beside = pick(&policy, &versions, &mut state, &claimed).unwrap();
+        assert_eq!(inputs_of(&beside), [(1, 5)]);
+        assert!(beside.move_only);
+        let job = pick(&policy, &versions, &mut state, &BTreeSet::from([2])).unwrap();
+        assert_eq!(
+            inputs_of(&job),
+            [(1, 6)],
+            "one claimed level-0 file blocks level 0"
+        );
+    }
+
+    /// `(user key, sequence, value)` in internal-key order; `None` is a
+    /// tombstone.
+    type Entries<'a> = &'a [(&'a str, u64, Option<&'a str>)];
+
+    /// Writes a table of `entries` and returns its metadata.
+    fn table(io: &EngineIo, entries: Entries<'_>) -> FileMetaData {
+        let number = io.file_numbers.next();
+        let path = pebblesdb_common::filename::table_file_name(&io.db_path, number);
+        let mut builder = TableBuilder::new(&io.options, io.env.new_writable_file(&path).unwrap());
+        for (user, seq, value) in entries {
+            let kind = value.map_or(ValueType::Deletion, |_| ValueType::Value);
+            let key = encode_internal_key(user.as_bytes(), *seq, kind);
+            builder
+                .add(&key, value.unwrap_or_default().as_bytes())
+                .unwrap();
+        }
+        let smallest = InternalKey::from_encoded(builder.first_key().unwrap().to_vec());
+        let largest = InternalKey::from_encoded(builder.last_key().unwrap().to_vec());
+        let size = builder.finish().unwrap();
+        FileMetaData::new(number, size, smallest, largest)
+    }
+
+    /// A version set in `dir` of a fresh `MemEnv` whose level 1 is always
+    /// over its budget, holding one table per `(level, entries)`, and its IO
+    /// handles.
+    fn store(dir: &str, layout: &[(usize, Entries<'_>)]) -> (VersionSet<Version>, EngineIo) {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let dir = PathBuf::from(dir);
+        env.create_dir_all(&dir).unwrap();
+        let mut options = StoreOptions::default();
+        options.base_level_bytes = 1;
+        let mut versions: VersionSet<Version> =
+            VersionSet::open(Arc::clone(&env), dir.clone(), options.clone()).unwrap();
+        let table_cache = TableCache::new(Arc::clone(&env), dir.clone(), options.clone(), 16);
+        let io = EngineIo {
+            env,
+            db_path: dir,
+            options,
+            table_cache: Arc::new(table_cache),
+            file_numbers: versions.file_numbers().clone(),
+        };
+        let mut setup = VersionEdit::default();
+        for (level, entries) in layout {
+            setup.add_file(*level, &table(&io, entries));
+        }
+        versions.log_and_apply(setup).unwrap();
+        (versions, io)
+    }
+
+    /// Merges and commits `job` (`merge_to_tables` and the commit's edit).
+    fn run(versions: &mut VersionSet<Version>, io: &EngineIo, job: &CompactionJob) {
+        let (outputs, guards) = merge_to_tables(io, job, |_| None).unwrap();
+        let edit = VersionEdit::compaction(job, &outputs, &guards);
+        versions.log_and_apply(edit).unwrap();
+    }
+
+    /// What a read of `user` at the newest sequence finds in the version.
+    fn read(versions: &VersionSet<Version>, io: &EngineIo, user: &str) -> Option<String> {
+        let key = LookupKey::new(user.as_bytes(), 1_000);
+        match get(versions.current().as_ref(), &io.table_cache, &key).unwrap() {
+            Some(LookupValue::Inline(value)) => Some(String::from_utf8(value).unwrap()),
+            Some(LookupValue::Pointer(_)) => panic!("a pointer in a table of inline values"),
+            None => None,
+        }
+    }
+
+    /// Two jobs claimed side by side, merged against the same version and
+    /// committed in either order, leave a valid version that reads like the
+    /// model: every key's newest value, nothing else.
+    #[test]
+    fn two_jobs_side_by_side_commit_in_either_order() {
+        let layout: [(usize, Entries<'_>); 5] = [
+            (1, &[("a", 20, Some("a1")), ("c", 20, Some("c1"))]),
+            (1, &[("m", 21, Some("m1")), ("o", 21, Some("o1"))]),
+            (
+                2,
+                &[
+                    ("b", 10, Some("b2")),
+                    ("c", 10, Some("c2")),
+                    ("d", 10, Some("d2")),
+                ],
+            ),
+            (
+                2,
+                &[
+                    ("n", 11, Some("n2")),
+                    ("o", 11, Some("o2")),
+                    ("p", 11, Some("p2")),
+                ],
+            ),
+            (
+                3,
+                &[
+                    ("a", 5, Some("a3")),
+                    ("n", 5, Some("n3")),
+                    ("z", 5, Some("z3")),
+                ],
+            ),
+        ];
+        // Shallower levels are newer: a key's first value in the layout wins.
+        let mut model = BTreeMap::new();
+        for (user, _, value) in layout.iter().flat_map(|(_, entries)| entries.iter()) {
+            model
+                .entry(user.to_string())
+                .or_insert(value.unwrap().to_string());
+        }
+        for order in [[0, 1], [1, 0]] {
+            let (mut versions, io) = store(&format!("/either-{}", order[0]), &layout);
+            let policy = LsmPolicy::new(&io.options);
+            let mut state = policy.new_state();
+            let mut claimed = BTreeSet::new();
+            let mut jobs = Vec::new();
+            for _ in 0..2 {
+                let job = pick(&policy, &versions, &mut state, &claimed).unwrap();
+                claimed.extend(job.input_numbers());
+                jobs.push(job);
+            }
+            assert_eq!(claimed.len(), 4, "two disjoint L1 -> L2 jobs");
+            let merged: Vec<_> = jobs
+                .iter()
+                .map(|job| merge_to_tables(&io, job, |_| None).unwrap())
+                .collect();
+            for i in order {
+                let (outputs, guards) = &merged[i];
+                let edit = VersionEdit::compaction(&jobs[i], outputs, guards);
+                versions.log_and_apply(edit).unwrap();
+            }
+            versions.current().validate().unwrap();
+            assert_eq!(versions.current().files[1].0.len(), 0, "order {order:?}");
+            for user in ('a'..='z').map(String::from) {
+                let expected = model.get(&user).cloned();
+                assert_eq!(
+                    read(&versions, &io, &user),
+                    expected,
+                    "key {user}, order {order:?}"
+                );
+            }
+        }
+    }
+
+    /// A next-level input can reach past the range of the file a job picked;
+    /// a tombstone out there still shadows a value deeper down, so the job
+    /// may drop tombstones only where no deeper level holds its whole hull.
+    #[test]
+    fn a_tombstone_past_the_picked_file_keeps_shadowing_a_deeper_value() {
+        let (mut versions, io) = store(
+            "/hull-tombstone",
+            &[
+                (1, &[("e", 30, Some("e1")), ("g", 30, Some("g1"))]),
+                (
+                    2,
+                    &[
+                        ("c", 20, None),
+                        ("f", 20, Some("f2")),
+                        ("h", 20, Some("h2")),
+                    ],
+                ),
+                (3, &[("c", 10, Some("c3"))]),
+            ],
+        );
+        assert_eq!(read(&versions, &io, "c"), None);
+        let policy = LsmPolicy::new(&io.options);
+        let mut state = policy.new_state();
+        let job = pick(&policy, &versions, &mut state, &BTreeSet::new()).unwrap();
+        assert_eq!(
+            job.inputs.len(),
+            2,
+            "the L1 file and the L2 file it overlaps"
+        );
+        run(&mut versions, &io, &job);
+        assert_eq!(
+            read(&versions, &io, "c"),
+            None,
+            "the deleted value came back"
+        );
+        assert_eq!(read(&versions, &io, "f"), Some("f2".to_string()));
     }
 }

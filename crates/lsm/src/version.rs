@@ -34,37 +34,42 @@ impl Version {
         self.files.len()
     }
 
-    /// The files of `level` whose user-key range overlaps `[begin, end]`.
-    /// Compaction asks this of the levels below its inputs (level 0 is
-    /// always compacted whole).
+    /// The files of `level` (1 or deeper) whose user-key range overlaps
+    /// `[begin, end]`: a contiguous slice of the level's sorted, disjoint
+    /// run. Compaction asks this of the levels below its inputs and of its
+    /// input level when it claims (level 0 is always compacted whole).
     pub fn overlapping_inputs(
         &self,
         level: usize,
         begin: &[u8],
         end: &[u8],
-    ) -> Vec<Arc<FileMetaData>> {
-        let overlaps = |f: &&Arc<FileMetaData>| f.overlaps_user_range(Some(begin), Some(end));
+    ) -> &[Arc<FileMetaData>] {
         let FileRuns(files) = &self.files[level];
-        files.iter().filter(overlaps).cloned().collect()
+        let first = files.partition_point(|f| f.largest.user_key() < begin);
+        let past = files.partition_point(|f| f.smallest.user_key() <= end);
+        &files[first..past.max(first)]
     }
 }
 
-/// Returns the level of a version with the table `levels` that has the
-/// highest compaction score, if any level is over budget. Level 0 is scored
-/// by file count, deeper levels by bytes.
-pub fn pick_compaction_level(levels: &[LevelRow], options: &StoreOptions) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for row in &levels[..levels.len() - 1] {
-        let score = if row.level == 0 {
+/// The levels of a version with the table `levels` whose compaction score
+/// is at least 1, highest score first and ties to the shallowest level.
+/// Level 0 is scored by file count, deeper levels by bytes.
+pub fn compaction_levels(levels: &[LevelRow], options: &StoreOptions) -> Vec<usize> {
+    let score = |row: &LevelRow| {
+        if row.level == 0 {
             row.files as f64 / options.level0_compaction_trigger as f64
         } else {
             row.bytes as f64 / options.max_bytes_for_level(row.level) as f64
-        };
-        if score >= 1.0 && best.map(|(_, s)| score > s).unwrap_or(true) {
-            best = Some((row.level, score));
         }
-    }
-    best
+    };
+    let mut due: Vec<(usize, f64)> = levels[..levels.len() - 1]
+        .iter()
+        .map(|row| (row.level, score(row)))
+        .filter(|&(_, score)| score >= 1.0)
+        .collect();
+    // Stable: equal scores keep level order.
+    due.sort_by(|a, b| b.1.total_cmp(&a.1));
+    due.into_iter().map(|(level, _)| level).collect()
 }
 
 /// The files of one level. From level 1 down they are a leveled run, which
@@ -150,7 +155,7 @@ impl VersionShape for Version {
     }
 
     fn needs_compaction(&self, levels: &[LevelRow], options: &StoreOptions) -> bool {
-        pick_compaction_level(levels, options).is_some()
+        !compaction_levels(levels, options).is_empty()
     }
 
     /// Every level from 1 down is a sorted run of files disjoint by internal
@@ -282,9 +287,7 @@ mod tests {
         edit.new_files.push((0, meta(10, "a", "b")));
         edit.new_files.push((0, meta(11, "c", "d")));
         let version = version.apply(&edit).unwrap();
-        let (level, score) = pick_compaction_level(&LevelTable::of(&version), &opts).unwrap();
-        assert_eq!(level, 0);
-        assert!(score >= 1.0);
+        assert_eq!(compaction_levels(&LevelTable::of(&version), &opts), [0]);
 
         // Push level 1 over its byte budget (2 files x 1000 bytes > 1500).
         let mut edit = VersionEdit::default();
@@ -293,8 +296,7 @@ mod tests {
         edit.new_files.push((1, meta(12, "a", "b")));
         edit.new_files.push((1, meta(13, "c", "d")));
         let version = version.apply(&edit).unwrap();
-        let (level, _) = pick_compaction_level(&LevelTable::of(&version), &opts).unwrap();
-        assert_eq!(level, 1);
+        assert_eq!(compaction_levels(&LevelTable::of(&version), &opts), [1]);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! start by the `SimEnv`, so no flush thread or worker ever takes a turn. A
 //! writer that fills several memtables must then flush them itself: if it
 //! parked on a flush only a held thread could run, its puts would never
-//! return. The second pair starts no thread at all.
+//! return. The second pair starts no thread at all. The last test parks a
+//! leveled store's writer at the level-0 stop behind a slow level-0 job.
 
 use std::path::Path;
 use std::sync::{mpsc, Arc};
@@ -119,4 +120,41 @@ fn flsm_level0_below_its_stop_costs_a_writer_nothing() {
 #[test]
 fn lsm_level0_below_its_stop_costs_a_writer_nothing() {
     level0_below_its_stop_costs_a_writer_nothing(LsmPolicy::new);
+}
+
+/// One worker and slow table writes: at the level-0 stop the worker is
+/// inside a long job, and the parked writer claims a job whose key range
+/// that one leaves free — with level 0 spanning every key, a level-2 job
+/// beside the worker's level-0 job, or level 0 itself beside a level-2 job —
+/// and runs it on its own CPU. The worker is the only thread besides the
+/// writer that compacts, so two jobs at once means the writer ran one.
+#[test]
+fn lsm_writer_at_the_stop_compacts_beside_the_workers_job() {
+    let (sim, env) = sim_over(MemEnv::new());
+    sim.set_append_latency(".sst", Duration::from_micros(500));
+    let mut opts = StoreOptions::default();
+    opts.write_buffer_size = WRITE_BUFFER;
+    opts.max_file_size = 8 << 10;
+    opts.base_level_bytes = 8 << 10;
+    opts.level0_compaction_trigger = 2;
+    opts.level0_stop_writes_trigger = 3;
+    opts.compaction_threads = 1;
+    let db = EngineDb::open(LsmPolicy::new(&opts), env, Path::new("/stop"), opts).unwrap();
+    // Every key once, in an order that spreads each memtable over the range.
+    let keys = 6 * KEYS;
+    for i in 0..keys {
+        let k = i * 7919 % keys;
+        db.put(&key(k), &value(k)).unwrap();
+    }
+
+    let stats = db.stats();
+    assert!(stats.write_stalls > 0, "the writer never reached the stop");
+    assert_eq!(
+        stats.max_concurrent_compactions, 2,
+        "the writer ran no compaction beside the worker's ({} writer jobs)",
+        stats.writer_jobs
+    );
+    for i in 0..keys {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(value(i)), "key {i}");
+    }
 }
