@@ -126,9 +126,9 @@ pub struct StoreOptions {
     /// thread (so `imm -> L0` never waits behind a compaction), all through
     /// `Env::spawn`. FLSM workers each claim a *disjoint guard subset* of a
     /// level as an independent job (the paper's multi-threaded compaction,
-    /// section 4); the baseline LSM runs one compaction at a time whatever
-    /// the pool's size (classic leveled compaction cannot be split into
-    /// disjoint jobs).
+    /// section 4); the baseline LSM runs leveled jobs side by side when
+    /// their inputs and output key ranges are free, and level 0, compacted
+    /// whole, one job at a time.
     ///
     /// With 0 the store has **no background threads**: a flush or a
     /// compaction runs, through the same job code, on the thread whose call

@@ -26,72 +26,43 @@ use crate::version::{CompactionReason, FlsmVersion};
 /// input rewrites into the second-highest level instead.
 const LAST_LEVEL_MERGE_IO_FACTOR: f64 = 25.0;
 
-/// Groups a level's non-empty guards into connected components linked by
-/// *spanning files* (a file attached to several guards because it predates
-/// one of their commits).
+/// Whether `file`, attached to `guard`, is attached to the guard before it
+/// too. A file sits in every guard its key range overlaps, so it reaches
+/// back exactly when it starts below `guard`'s key (never for the sentinel).
+fn spans_back(guard: &GuardMeta, file: &FileMetaData) -> bool {
+    file.smallest.user_key() < guard.key.as_slice()
+}
+
+/// A level's guard *components* in key order: the maximal runs of adjacent
+/// non-empty guards in which each guard shares a file with the one before
+/// it (a file written before the later guard was committed, spanning its
+/// key).
 ///
 /// A component — not a single guard — is the minimal unit of compaction.
 /// Compacting a guard without its span-connected neighbours would push a
 /// spanning file's key versions down a level while an unselected neighbour
 /// keeps *older* versions of the same keys at the input level, and
-/// level-ordered lookups would then return the stale value. Each inner
-/// vector holds guard indices; singleton components are the common case
-/// (freshly compacted files land in exactly one guard).
-fn connected_guard_components(guards: &[GuardMeta]) -> Vec<Vec<usize>> {
-    fn find(parent: &mut [usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        i
-    }
-    let mut parent: Vec<usize> = (0..guards.len()).collect();
-    let mut first_owner: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
-    for (idx, guard) in guards.iter().enumerate() {
-        for file in &guard.files {
-            match first_owner.get(&file.number) {
-                None => {
-                    first_owner.insert(file.number, idx);
-                }
-                Some(&owner) => {
-                    let a = find(&mut parent, idx);
-                    let b = find(&mut parent, owner);
-                    parent[a] = b;
-                }
-            }
-        }
-    }
-    let mut components: std::collections::BTreeMap<usize, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for (idx, guard) in guards.iter().enumerate() {
-        if guard.files.is_empty() {
-            continue;
-        }
-        let root = find(&mut parent, idx);
-        components.entry(root).or_default().push(idx);
-    }
-    components.into_values().collect()
+/// level-ordered lookups would then return the stale value. Singleton
+/// components are the common case (freshly compacted files land in exactly
+/// one guard).
+fn guard_components(guards: &[GuardMeta]) -> impl Iterator<Item = &[GuardMeta]> {
+    let joins = |_: &GuardMeta, guard: &GuardMeta| guard.files.iter().any(|f| spans_back(guard, f));
+    guards
+        .chunk_by(joins)
+        .filter(|run| !run[0].files.is_empty())
 }
 
-/// The distinct files of a guard component, newest first within each guard.
-fn component_files(guards: &[GuardMeta], component: &[usize]) -> Vec<Arc<FileMetaData>> {
-    let mut seen = BTreeSet::new();
-    let mut files = Vec::new();
-    for &idx in component {
-        for file in &guards[idx].files {
-            if seen.insert(file.number) {
-                files.push(Arc::clone(file));
-            }
-        }
-    }
-    files
+/// The distinct files of a component, newest first within each guard: a
+/// file is listed under the first guard of the run that holds it.
+fn component_files(run: &[GuardMeta]) -> impl Iterator<Item = &Arc<FileMetaData>> {
+    run.iter()
+        .flat_map(|guard| guard.files.iter().filter(|f| !spans_back(guard, f)))
 }
 
 /// Returns `true` if no file of the component is an input of an in-flight
 /// job.
-fn is_claimable(guards: &[GuardMeta], component: &[usize], claimed: &BTreeSet<u64>) -> bool {
-    let mut files = component.iter().flat_map(|&idx| &guards[idx].files);
-    files.all(|f| !claimed.contains(&f.number))
+fn is_claimable(run: &[GuardMeta], claimed: &BTreeSet<u64>) -> bool {
+    component_files(run).all(|f| !claimed.contains(&f.number))
 }
 
 /// Selects the input guard components for a compaction of `level`, skipping
@@ -112,43 +83,27 @@ pub fn select_guard_inputs(
     claimed: &BTreeSet<u64>,
     split: usize,
 ) -> Vec<Arc<FileMetaData>> {
-    let guards = version.levels[level].guards();
-    let components = connected_guard_components(guards);
-    let claimable = |component: &&Vec<usize>| is_claimable(guards, component, claimed);
-    let over_budget = |component: &&Vec<usize>| {
-        component
-            .iter()
-            .any(|&idx| guards[idx].files.len() > max_sstables_per_guard)
-    };
-    let any_over_budget = components.iter().any(|c| over_budget(&c));
+    let components: Vec<&[GuardMeta]> = guard_components(version.levels[level].guards()).collect();
+    let over_budget =
+        |run: &&[GuardMeta]| run.iter().any(|g| g.files.len() > max_sstables_per_guard);
+    let any_over_budget = components.iter().any(over_budget);
     // When over-budget components exist but are all claimed, the trigger is
     // already being serviced; returning nothing (instead of compacting
     // innocent small components) avoids pointless write amplification.
-    let eligible: Vec<&Vec<usize>> = components
-        .iter()
-        .filter(|c| !any_over_budget || over_budget(c))
-        .filter(claimable)
+    let eligible: Vec<&[GuardMeta]> = (components.into_iter())
+        .filter(|run| !any_over_budget || over_budget(run))
+        .filter(|run| is_claimable(run, claimed))
         .collect();
-    if eligible.is_empty() {
-        return Vec::new();
-    }
     let take = eligible.len().div_ceil(split.max(1));
-    let mut seen = BTreeSet::new();
-    let mut inputs = Vec::new();
-    for component in eligible.into_iter().take(take) {
-        for file in component_files(guards, component) {
-            if seen.insert(file.number) {
-                inputs.push(file);
-            }
-        }
-    }
-    inputs
+    let chosen = eligible.into_iter().take(take);
+    chosen.flat_map(component_files).cloned().collect()
 }
 
-/// Selects the inputs of a seek-triggered compaction at `level`: the whole
-/// component around the claimable guard with the most overlapping sstables.
-/// Returns nothing when no claimable guard holds two overlapping files — a
-/// seek compaction of a single file, or of the disjoint files of a guard
+/// Selects the inputs of a seek-triggered compaction at `level`: the
+/// claimable component whose fattest guard holds the most sstables (the
+/// last of equals), among those with a guard holding two overlapping files.
+/// Returns nothing when no claimable guard holds two overlapping files —
+/// a seek compaction of a single file, or of the disjoint files of a guard
 /// larger than `max_file_size`, would rewrite data without reducing any
 /// overlap, so the request stays pending instead.
 fn select_seek_inputs(
@@ -156,29 +111,11 @@ fn select_seek_inputs(
     level: usize,
     claimed: &BTreeSet<u64>,
 ) -> Vec<Arc<FileMetaData>> {
-    let guards = version.levels[level].guards();
-    let components = connected_guard_components(guards);
-    let best = components
-        .iter()
-        .filter(|component| is_claimable(guards, component, claimed))
-        .filter(|component| {
-            component
-                .iter()
-                .any(|&idx| guards[idx].has_overlapping_files())
-        })
-        .map(|component| {
-            let fanout = component
-                .iter()
-                .map(|&idx| guards[idx].files.len())
-                .max()
-                .unwrap_or(0);
-            (fanout, component)
-        })
-        .max_by_key(|(fanout, _)| *fanout);
-    match best {
-        Some((_, component)) => component_files(guards, component),
-        None => Vec::new(),
-    }
+    let best = guard_components(version.levels[level].guards())
+        .filter(|run| is_claimable(run, claimed))
+        .filter(|run| run.iter().any(GuardMeta::has_overlapping_files))
+        .max_by_key(|run| run.iter().map(|g| g.files.len()).max());
+    best.map_or_else(Vec::new, |run| component_files(run).cloned().collect())
 }
 
 /// Builds a compaction job for one of the triggers returned by
@@ -953,5 +890,221 @@ mod tests {
             }
         }
         assert!(survived_tombstone, "tombstone was dropped unsafely");
+    }
+
+    /// A level-1 layout of metadata only (no table is written): guards at
+    /// `keys`, files `(number, smallest, largest)` by user key, attached to
+    /// every guard they overlap.
+    fn layout(keys: &[&str], files: &[(u64, &str, &str)]) -> FlsmVersion {
+        let mut edit = VersionEdit::default();
+        for key in keys {
+            edit.new_guards.push((1, key.as_bytes().to_vec()));
+        }
+        for &(number, smallest, largest) in files {
+            let key = |user: &str, seq| encode_internal_key(user.as_bytes(), seq, ValueType::Value);
+            let file = FileMetaDataEdit {
+                number,
+                file_size: 1000,
+                smallest: key(smallest, 9),
+                largest: key(largest, 1),
+            };
+            edit.new_files.push((1, file));
+        }
+        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
+        version.validate().unwrap();
+        version
+    }
+
+    /// A component as the guard indices it covers and its files in order.
+    type Component = (Vec<usize>, Vec<u64>);
+
+    /// Level 1's components, as [`guard_components`] and
+    /// [`component_files`] walk them.
+    fn components_of(version: &FlsmVersion) -> Vec<Component> {
+        let guards = version.levels[1].guards();
+        let index = |guard: &GuardMeta| guards.iter().position(|g| std::ptr::eq(g, guard));
+        let component = |run: &[GuardMeta]| {
+            let first = index(&run[0]).unwrap();
+            let files = component_files(run).map(|f| f.number).collect();
+            ((first..first + run.len()).collect(), files)
+        };
+        guard_components(guards).map(component).collect()
+    }
+
+    fn numbers(files: &[Arc<FileMetaData>]) -> Vec<u64> {
+        files.iter().map(|f| f.number).collect()
+    }
+
+    /// A file over three guards joins all three; a file ending exactly at
+    /// a guard key spans it, one starting there does not.
+    #[test]
+    fn a_component_is_a_run_of_guards_joined_by_spanning_files() {
+        // Guards: 0 = sentinel, 1 = "c", 2 = "f", 3 = "k".
+        let keys = ["c", "f", "k"];
+        let version = layout(&keys, &[(10, "d", "m"), (11, "a", "b"), (12, "g", "h")]);
+        let expected = [(vec![0], vec![11]), (vec![1, 2, 3], vec![10, 12])];
+        assert_eq!(components_of(&version), expected);
+
+        let version = layout(&keys, &[(10, "a", "b"), (11, "c", "f"), (12, "k", "k")]);
+        let expected = [
+            (vec![0], vec![10]),
+            (vec![1, 2], vec![11]),
+            (vec![3], vec![12]),
+        ];
+        assert_eq!(components_of(&version), expected);
+    }
+
+    /// An empty guard holds nothing to share: it ends a run and belongs to
+    /// no component.
+    #[test]
+    fn an_empty_guard_separates_two_runs() {
+        let version = layout(&["c", "f", "k", "p"], &[(10, "a", "d"), (11, "l", "q")]);
+        let expected = [(vec![0, 1], vec![10]), (vec![3, 4], vec![11])];
+        assert_eq!(components_of(&version), expected);
+    }
+
+    /// A claimed file anywhere in a run keeps the whole run out of a job,
+    /// size- or seek-triggered; the rest of the level stays claimable.
+    #[test]
+    fn a_claimed_file_in_the_middle_guard_keeps_its_whole_run_out() {
+        // Run: sentinel-"c" (file 10) and "c"-"f" (file 11), with file 12
+        // inside "f" overlapping 11; file 13 alone under "k".
+        let files = [
+            (10, "a", "d"),
+            (11, "e", "g"),
+            (12, "f", "h"),
+            (13, "m", "n"),
+        ];
+        let version = layout(&["c", "f", "k"], &files);
+        let expected = [(vec![0, 1, 2], vec![10, 11, 12]), (vec![3], vec![13])];
+        assert_eq!(components_of(&version), expected);
+
+        let select = |claimed: &[u64]| {
+            let claimed = claimed.iter().copied().collect();
+            numbers(&select_guard_inputs(&version, 1, 10, &claimed, 1))
+        };
+        assert_eq!(select(&[]), [10, 11, 12, 13]);
+        assert_eq!(select(&[12]), [13]);
+        assert_eq!(select(&[13]), [10, 11, 12]);
+
+        let seek = |claimed: &[u64]| {
+            let claimed = claimed.iter().copied().collect();
+            numbers(&select_seek_inputs(&version, 1, &claimed))
+        };
+        assert_eq!(seek(&[]), [10, 11, 12]);
+        assert!(seek(&[12]).is_empty(), "the one fat run is claimed");
+    }
+
+    /// The oracle: the components as the closure of "shares a file" over a
+    /// level's non-empty guards, ordered by first guard, each with its
+    /// files in guard order, newest first, each listed once.
+    fn closure_components(guards: &[GuardMeta]) -> Vec<Component> {
+        let shares = |a: &GuardMeta, b: &GuardMeta| {
+            (a.files.iter()).any(|f| b.files.iter().any(|g| g.number == f.number))
+        };
+        let mut seen = vec![false; guards.len()];
+        let mut components = Vec::new();
+        for start in 0..guards.len() {
+            if seen[start] || guards[start].files.is_empty() {
+                continue;
+            }
+            let mut members = BTreeSet::from([start]);
+            loop {
+                let grown: BTreeSet<usize> = (0..guards.len())
+                    .filter(|&i| members.iter().any(|&m| shares(&guards[m], &guards[i])))
+                    .collect();
+                if grown == members {
+                    break;
+                }
+                members = grown;
+            }
+            let mut files = Vec::new();
+            for &i in &members {
+                seen[i] = true;
+                for file in &guards[i].files {
+                    if !files.contains(&file.number) {
+                        files.push(file.number);
+                    }
+                }
+            }
+            components.push((members.into_iter().collect(), files));
+        }
+        components
+    }
+
+    /// Random guard layouts, with files written before some of their guards
+    /// (so they span them): the one-walk components, their file order and
+    /// both selections equal the oracle's and the selections it implies.
+    #[test]
+    fn components_and_selections_match_a_brute_force_closure() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (mut spanning, mut seek_jobs) = (0, 0);
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let key = |rng: &mut StdRng| {
+                let len = rng.gen_range(1..=2);
+                (0..len)
+                    .map(|_| rng.gen_range(b'a'..=b'p') as char)
+                    .collect::<String>()
+            };
+            let mut keys: Vec<String> = (0..rng.gen_range(0..8)).map(|_| key(&mut rng)).collect();
+            keys.sort();
+            keys.dedup();
+            let files: Vec<(u64, String, String)> = (0..rng.gen_range(0..12))
+                .map(|number| {
+                    let (a, b) = (key(&mut rng), key(&mut rng));
+                    (number + 1, a.clone().min(b.clone()), a.max(b))
+                })
+                .collect();
+            let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+            let files: Vec<_> = (files.iter())
+                .map(|(n, a, b)| (*n, a.as_str(), b.as_str()))
+                .collect();
+            let version = layout(&keys, &files);
+            let guards = version.levels[1].guards();
+
+            let oracle = closure_components(guards);
+            assert_eq!(components_of(&version), oracle, "seed {seed}");
+            spanning += oracle
+                .iter()
+                .filter(|(members, _)| members.len() > 1)
+                .count();
+
+            let claimed: BTreeSet<u64> = (1..=files.len() as u64)
+                .filter(|_| rng.gen_bool(0.15))
+                .collect();
+            let claimable = |(_, files): &&Component| files.iter().all(|f| !claimed.contains(f));
+            let fanout =
+                |(members, _): &Component| members.iter().map(|&i| guards[i].files.len()).max();
+
+            let (budget, split) = (rng.gen_range(1..4), rng.gen_range(1..4));
+            let over =
+                |(members, _): &&Component| members.iter().any(|&i| guards[i].files.len() > budget);
+            let any_over = oracle.iter().any(|c| over(&c));
+            let eligible: Vec<&Component> = (oracle.iter())
+                .filter(|c| !any_over || over(c))
+                .filter(claimable)
+                .collect();
+            let take = eligible.len().div_ceil(split);
+            let expected: Vec<u64> = (eligible.iter().take(take))
+                .flat_map(|(_, files)| files.iter().copied())
+                .collect();
+            let selected = select_guard_inputs(&version, 1, budget, &claimed, split);
+            assert_eq!(numbers(&selected), expected, "seed {seed}");
+
+            let fat = |(members, _): &&Component| {
+                members.iter().any(|&i| guards[i].has_overlapping_files())
+            };
+            let best = (oracle.iter().filter(claimable).filter(fat)).max_by_key(|c| fanout(c));
+            let expected = best.map_or(Vec::new(), |(_, files)| files.clone());
+            let selected = select_seek_inputs(&version, 1, &claimed);
+            seek_jobs += usize::from(!selected.is_empty());
+            assert_eq!(numbers(&selected), expected, "seed {seed}");
+        }
+        assert!(
+            spanning > 100 && seek_jobs > 50,
+            "{spanning} runs, {seek_jobs} seek picks"
+        );
     }
 }

@@ -11,7 +11,6 @@
 //! performance the FLSM structure gives up.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pebblesdb_common::{Result, StoreOptions, StorePreset};
@@ -26,15 +25,7 @@ use crate::version::{compaction_candidates, CompactionReason, FlsmVersion};
 pub struct FlsmPolicy {
     options: StoreOptions,
     guard_picker: GuardPicker,
-    /// Consecutive seeks since the last write (seek-triggered compaction).
-    consecutive_seeks: AtomicUsize,
     label: &'static str,
-}
-
-/// Mutable policy state kept under the chassis state mutex.
-pub struct FlsmPolicyState {
-    /// A seek-triggered compaction request is pending.
-    pub seek_compaction_pending: bool,
 }
 
 impl FlsmPolicy {
@@ -50,7 +41,6 @@ impl FlsmPolicy {
         FlsmPolicy {
             guard_picker: GuardPicker::new(options),
             options: options.clone(),
-            consecutive_seeks: AtomicUsize::new(0),
             label,
         }
     }
@@ -70,63 +60,22 @@ impl FlsmPolicy {
 
 impl ShapePolicy for FlsmPolicy {
     type Version = FlsmVersion;
-    type State = FlsmPolicyState;
+    type State = ();
 
     fn engine_name(&self) -> String {
         self.label.to_string()
     }
 
-    fn new_state(&self) -> FlsmPolicyState {
-        FlsmPolicyState {
-            seek_compaction_pending: false,
-        }
+    fn seek_compaction_helps(&self, version: &FlsmVersion) -> bool {
+        Self::collapsible_levels(version).next().is_some()
     }
-
-    // ------------------------------------------------------------ write path
-
-    /// Writes reset the consecutive-seek counter (section 4.2: seek-based
-    /// compaction targets read-only phases). The counter is shared with
-    /// every reader, so a write-only phase leaves its cache line alone.
-    fn note_write(&self) {
-        if self.consecutive_seeks.load(Ordering::Relaxed) != 0 {
-            self.consecutive_seeks.store(0, Ordering::Relaxed);
-        }
-    }
-
-    // ------------------------------------------------------------- read path
-
-    /// Counts a seek against `version`, the one the cursor pinned; the
-    /// threshold of consecutive seeks arms a seek-triggered compaction via
-    /// `arm_requested_compaction`. Only seeks a compaction could speed up
-    /// count: over a tree none of whose guards holds overlapping sstables
-    /// there is nothing to collapse, and the cursor touches no shared state
-    /// here. A `seek_compaction_threshold` of 0 turns the trigger off.
-    fn note_seek(&self, version: &FlsmVersion) -> bool {
-        let threshold = self.options.seek_compaction_threshold;
-        if threshold == 0 || Self::collapsible_levels(version).next().is_none() {
-            return false;
-        }
-        let seeks = self.consecutive_seeks.fetch_add(1, Ordering::Relaxed) + 1;
-        if seeks >= threshold {
-            self.consecutive_seeks.store(0, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn arm_requested_compaction(&self, state: &mut FlsmPolicyState) {
-        state.seek_compaction_pending = true;
-    }
-
-    // ------------------------------------------------------------ compaction
 
     /// Claims the highest-priority job whose inputs do not intersect any
     /// in-flight job's inputs: a disjoint guard-component subset of a level.
     ///
-    /// `seek_compaction_pending` is cleared only when a seek-triggered job
-    /// is actually scheduled (or provably never will be): a size-triggered
-    /// job claiming the same wakeup must not swallow the request.
+    /// `seek_requested` is cleared only when a seek-triggered job is
+    /// actually scheduled (or provably never will be): a size-triggered job
+    /// claiming the same wakeup must not swallow the request.
     fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<CompactionJob> {
         // With no workers the calling thread is the pool of one: a job
         // takes every eligible component of its level.
@@ -135,7 +84,7 @@ impl ShapePolicy for FlsmPolicy {
         let levels = ctx.versions.levels();
 
         let mut candidates = compaction_candidates(levels, &self.options);
-        if ctx.state.seek_compaction_pending {
+        if *ctx.seek_requested {
             // A seek compaction helps most where the fattest slot is fattest
             // (the shallowest of equals; level 0 is one slot).
             let collapsible = Self::collapsible_levels(version).rev();
@@ -146,7 +95,7 @@ impl ShapePolicy for FlsmPolicy {
                 // No guard holds two overlapping sstables anywhere: the
                 // request can never be satisfied, so drop it instead of
                 // spinning.
-                None => ctx.state.seek_compaction_pending = false,
+                None => *ctx.seek_requested = false,
             }
         }
 
@@ -162,7 +111,7 @@ impl ShapePolicy for FlsmPolicy {
             );
             if job.is_some() {
                 if reason == CompactionReason::SeekTriggered {
-                    ctx.state.seek_compaction_pending = false;
+                    *ctx.seek_requested = false;
                 }
                 return job;
             }
@@ -313,7 +262,7 @@ mod tests {
     }
 
     /// Regression test: a size-triggered compaction that preempts a pending
-    /// seek request must not clear `seek_compaction_pending` — the flag only
+    /// seek request must not clear `seek_requested` — the flag only
     /// falls when the seek-triggered job itself is scheduled.
     #[test]
     fn seek_flag_survives_a_preempting_size_compaction() {
@@ -324,14 +273,14 @@ mod tests {
         let mut state = inner.state.lock();
         // Two level-0 files arm the size trigger.
         fabricate_files(&mut state, &[(0, "a", "c"), (0, "b", "d")]);
-        state.default_cf_mut().policy.seek_compaction_pending = true;
+        state.default_cf_mut().seek_requested = true;
 
         let claimed = inner
             .claim_job(&mut state)
             .expect("the level-0 size trigger yields a job");
         assert_eq!(claimed.job.level(), 0);
         assert!(
-            state.default_cf().policy.seek_compaction_pending,
+            state.default_cf().seek_requested,
             "seek request was swallowed by the preempting size-triggered job"
         );
         drop(state);
@@ -349,13 +298,13 @@ mod tests {
         // A level-1 guard with two overlapping sstables: under every size
         // budget, but exactly what a seek-triggered compaction wants.
         fabricate_files(&mut state, &[(1, "a", "c"), (1, "b", "d")]);
-        state.default_cf_mut().policy.seek_compaction_pending = true;
+        state.default_cf_mut().seek_requested = true;
 
         let claimed = inner
             .claim_job(&mut state)
             .expect("the seek request yields a job");
         assert_eq!(claimed.job.level(), 1);
-        assert!(!state.default_cf().policy.seek_compaction_pending);
+        assert!(!state.default_cf().seek_requested);
         drop(state);
     }
 
@@ -370,16 +319,16 @@ mod tests {
         let inner = db.db.core();
         let mut state = inner.state.lock();
         fabricate_files(&mut state, &[(1, "a", "c")]);
-        state.default_cf_mut().policy.seek_compaction_pending = true;
+        state.default_cf_mut().seek_requested = true;
 
         assert!(inner.claim_job(&mut state).is_none());
-        assert!(!state.default_cf().policy.seek_compaction_pending);
+        assert!(!state.default_cf().seek_requested);
         drop(state);
     }
 
     fn seek_pending(db: &PebblesDb) -> bool {
         let state = db.db.core().state.lock();
-        state.default_cf().policy.seek_compaction_pending
+        state.default_cf().seek_requested
     }
 
     fn open_cursor(db: &PebblesDb) {
@@ -499,6 +448,28 @@ mod tests {
         assert_eq!(db.files_per_level()[..3], [0, 0, 1]);
     }
 
+    /// A write restarts the count wherever it lands in a run of cursors:
+    /// the cursors after it need the whole threshold again, and the one that
+    /// completes it schedules the job.
+    #[test]
+    fn a_write_between_cursors_restarts_the_seek_count() {
+        let threshold = StoreOptions::default().seek_compaction_threshold;
+        for before in 1..threshold {
+            let (db, _) = stack_two_files_in_level1(|n| (n % 100) * 10 + n / 100);
+            for _ in 0..before {
+                open_cursor(&db);
+            }
+            db.put(b"key000001", b"value").unwrap();
+            for _ in 0..threshold - 1 {
+                open_cursor(&db);
+                assert!(!seek_pending(&db), "armed across a write at {before}");
+            }
+            assert_eq!(fattest_guard(&db), 2, "{before}");
+            open_cursor(&db);
+            assert_eq!(fattest_guard(&db), 1, "{before}");
+        }
+    }
+
     /// A guard larger than `max_file_size` keeps several *disjoint*
     /// sstables; counting those as collapsible re-armed the trigger every
     /// `seek_compaction_threshold` cursors and rewrote the guard forever.
@@ -509,7 +480,7 @@ mod tests {
         assert_eq!(db.db.levels()[1].max_files_per_slot, 2);
         db.db.with_current_version(|v| {
             assert!(!v.levels[1].has_overlapping_guard());
-            assert!(!db.db.core().policy.note_seek(v));
+            assert!(!db.db.core().policy.seek_compaction_helps(v));
         });
         let compactions = db.stats().compactions;
         for _ in 0..10 * threshold {

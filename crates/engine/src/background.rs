@@ -191,6 +191,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             let mut ctx = PolicyCtx {
                 versions: &cf.versions,
                 state: &mut cf.policy,
+                seek_requested: &mut cf.seek_requested,
                 claimed_inputs: &cf.claimed_inputs,
                 smallest_snapshot,
             };

@@ -35,7 +35,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -92,6 +92,11 @@ pub struct EngineCore<P: ShapePolicy> {
     /// Who runs background jobs and where their waiters park.
     pub(crate) executor: Executor,
     pub(crate) shutting_down: AtomicBool,
+    /// Cursors created since the last write that counted towards the seek
+    /// trigger (section 4.2 of the paper: seek-based compaction targets
+    /// read-only phases); see `EngineCore::count_seek`. Relaxed: it
+    /// publishes nothing, the request it fires is set under `state`.
+    pub(crate) consecutive_seeks: AtomicUsize,
     /// Cumulative operation counters (shared with the vlog reader caches,
     /// which record their hit/miss traffic outside the state mutex).
     pub counters: Arc<EngineCounters>,
@@ -128,9 +133,12 @@ pub struct CfState<P: ShapePolicy> {
     pub imm: Option<Arc<MemTable>>,
     /// The family's version set (MANIFEST machinery).
     pub versions: VersionSet<P::Version>,
-    /// The policy's own mutable state (compaction pointers, pending seek
-    /// requests, ...).
+    /// The policy's own mutable state (the LSM's compaction pointers),
+    /// handed to its pick as [`PolicyCtx::state`](crate::PolicyCtx::state).
     pub policy: P::State,
+    /// `seek_compaction_threshold` consecutive cursors over this family
+    /// asked for a seek-triggered compaction that no pick has scheduled yet.
+    pub seek_requested: bool,
     /// Input file numbers of this family's in-flight compaction jobs. A
     /// worker claiming new work never selects inputs that intersect this
     /// set, so concurrent jobs always operate on disjoint file subsets.
@@ -165,7 +173,6 @@ impl<P: ShapePolicy> CfState<P> {
         id: CfId,
         name: &str,
         options: &StoreOptions,
-        policy: P::State,
     ) -> Result<CfState<P>> {
         let dir = catalog::cf_dir(root, id);
         env.create_dir_all(&dir)?;
@@ -196,7 +203,8 @@ impl<P: ShapePolicy> CfState<P> {
             mem: Arc::new(MemTable::new()),
             imm: None,
             versions,
-            policy,
+            policy: P::State::default(),
+            seek_requested: false,
             claimed_inputs: BTreeSet::new(),
             mem_log_number: 0,
             active_jobs: 0,

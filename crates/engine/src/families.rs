@@ -74,7 +74,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         self.commit_catalog_edit(&mut state, &CatalogEdit::Create(id, name.to_string()))?;
 
         let (env, root, options) = (&self.io.env, &self.io.db_path, &self.io.options);
-        let mut cf = CfState::open(env, root, id, name, options, self.policy.new_state())?;
+        let mut cf = CfState::open(env, root, id, name, options)?;
         cf.start_on_log(state.last_sequence, state.log_file_number)?;
         state.cfs.insert(id, cf);
         Ok(id)

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -56,7 +56,7 @@ impl<P: ShapePolicy> EngineDb<P> {
         };
 
         for (id, name) in &catalog_data.cfs {
-            let cf = CfState::open(&env, path, *id, name, &options, policy.new_state())?;
+            let cf = CfState::open(&env, path, *id, name, &options)?;
             state.last_sequence = state.last_sequence.max(cf.versions.last_sequence());
             state.cfs.insert(*id, cf);
         }
@@ -102,6 +102,7 @@ impl<P: ShapePolicy> EngineDb<P> {
             commit_queue: CommitQueue::new(),
             executor: Default::default(),
             shutting_down: AtomicBool::new(false),
+            consecutive_seeks: AtomicUsize::new(0),
             counters,
             snapshots: SnapshotList::new(),
             cursor_pins: SnapshotList::new(),

@@ -8,7 +8,7 @@
 //! which files a compaction takes and where their merge goes, handed over as
 //! a plain [`CompactionJob`] record the chassis merges and commits. The
 //! remaining hooks are which keys a merge makes guards (the FLSM's hash of a
-//! key) and the seek-triggered compaction of the FLSM.
+//! key) and whether a seek-triggered compaction could help.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -90,14 +90,18 @@ impl CompactionJob {
     }
 }
 
-/// The policy-relevant parts of the engine state, handed to
+/// The policy-relevant parts of one column family's state, handed to
 /// [`ShapePolicy::pick_job`] under the chassis state mutex.
 pub struct PolicyCtx<'a, P: ShapePolicy> {
-    /// The engine's version set.
+    /// The family's version set.
     pub versions: &'a VersionSet<P::Version>,
-    /// The policy's own mutable state (compaction pointers, pending seek
-    /// requests, ...).
+    /// The policy's own mutable state (the LSM's compaction pointers).
     pub state: &'a mut P::State,
+    /// Whether the family's cursors have asked for a seek-triggered
+    /// compaction (`seek_compaction_threshold` consecutive cursors over a
+    /// version [`ShapePolicy::seek_compaction_helps`] answered yes for). The
+    /// pick clears it once it schedules that job, or finds none ever could.
+    pub seek_requested: &'a mut bool,
     /// Input file numbers of every in-flight compaction job. A new job's
     /// inputs must not intersect this set.
     pub claimed_inputs: &'a BTreeSet<u64>,
@@ -111,41 +115,27 @@ pub struct PolicyCtx<'a, P: ShapePolicy> {
 ///
 /// The same chassis instance drives the FLSM (guards per level) and the
 /// classic LSM (one implicit guard per level) purely through this trait.
+/// The chassis counts the seek trigger (section 4.2 of the paper) itself;
+/// a shape says only whether a seek-triggered compaction could help, and
+/// picks the job.
 pub trait ShapePolicy: Send + Sync + Sized + 'static {
     /// The immutable version snapshot: how this shape organises its levels.
     type Version: VersionShape;
-    /// Per-store mutable policy state, kept inside the chassis state mutex.
-    type State: Send + 'static;
+    /// Per-family mutable policy state, kept inside the chassis state mutex
+    /// and created empty with each family.
+    type State: Default + Send + 'static;
 
     /// The engine name reported in benchmark output.
     fn engine_name(&self) -> String;
-    /// Creates the initial policy state.
-    fn new_state(&self) -> Self::State;
 
-    // ------------------------------------------------------------ write path
-
-    /// Called once per write batch before it commits (FLSM: resets the
-    /// consecutive-seek counter, section 4.2 of the paper).
-    fn note_write(&self) {}
-
-    // ------------------------------------------------------------- read path
-
-    /// Called on every cursor creation, outside the state lock, with the
-    /// version the cursor pinned. Returning `true` asks the chassis to call
-    /// [`ShapePolicy::arm_requested_compaction`] under the state lock and
-    /// wake the worker pool (FLSM: the consecutive-seek trigger, which stays
-    /// silent while `version` has no guard a compaction could collapse).
-    fn note_seek(&self, version: &Self::Version) -> bool {
+    /// Whether a seek-triggered compaction could leave a cursor over
+    /// `version` fewer sstables to visit. Only cursors over such a version
+    /// count towards the trigger, so over a tree with nothing to collapse it
+    /// stays silent. The LSM never asks for one.
+    fn seek_compaction_helps(&self, version: &Self::Version) -> bool {
         let _ = version;
         false
     }
-
-    /// Arms the compaction requested by [`ShapePolicy::note_seek`].
-    fn arm_requested_compaction(&self, state: &mut Self::State) {
-        let _ = state;
-    }
-
-    // ------------------------------------------------------------ compaction
 
     /// Describes the next unit of compaction work whose inputs do not
     /// intersect `ctx.claimed_inputs`, or `None` when nothing is claimable.

@@ -103,11 +103,35 @@ impl<P: ShapePolicy> EngineCore<P> {
         Ok(runs::get(&*version, &table_cache, &lookup)?.map(|found| (found, resolver)))
     }
 
+    /// Counts a cursor over `version` towards the seek trigger, and returns
+    /// `true` when it completes a run of `seek_compaction_threshold` (0 turns
+    /// the trigger off). Only cursors a compaction could speed up count: over
+    /// a version the policy says no to, a cursor touches no shared state.
+    fn count_seek(&self, version: &P::Version) -> bool {
+        let threshold = self.io.options.seek_compaction_threshold;
+        if threshold == 0 || !self.policy.seek_compaction_helps(version) {
+            return false;
+        }
+        let fired = self.consecutive_seeks.fetch_add(1, Ordering::Relaxed) + 1 >= threshold;
+        if fired {
+            self.consecutive_seeks.store(0, Ordering::Relaxed);
+        }
+        fired
+    }
+
+    /// A write ends the read-only phase the seek trigger counts. The counter
+    /// is shared with every reader, so a write-only phase leaves its cache
+    /// line alone.
+    pub(crate) fn restart_seek_count(&self) {
+        if self.consecutive_seeks.load(Ordering::Relaxed) != 0 {
+            self.consecutive_seeks.store(0, Ordering::Relaxed);
+        }
+    }
+
     /// Builds the streaming user-key cursor over one family: its memtables
     /// plus the pinned version's level iterators, merged and filtered down
-    /// to the view at the cursor's sequence. Creating a cursor counts as a seek
-    /// for the policy's read heuristics (FLSM: the seek-compaction trigger),
-    /// armed on the family being read.
+    /// to the view at the cursor's sequence. Creating a cursor counts towards
+    /// the seek trigger, which requests a compaction of the family read.
     pub(crate) fn iter(&self, cf_id: CfId, opts: &ReadOptions) -> Result<Box<dyn DbIterator>> {
         self.counters.seeks.fetch_add(1, Ordering::Relaxed);
         let (sequence, mem, imm, version, levels, table_cache, resolver, snapshot) = {
@@ -128,12 +152,11 @@ impl<P: ShapePolicy> EngineCore<P> {
                 snapshot,
             )
         };
-        // The lock is taken a second time only when the policy wants a
-        // compaction for what this cursor is about to read.
-        if self.policy.note_seek(&version) {
+        // The lock is taken a second time only when the trigger fires.
+        if self.count_seek(&version) {
             let mut state = self.state.lock();
             if let Some(cf) = state.cf_mut(cf_id) {
-                self.policy.arm_requested_compaction(&mut cf.policy);
+                cf.seek_requested = true;
             }
             self.kick(&mut state);
         }

@@ -82,7 +82,8 @@ pub fn get<V: VersionShape>(
     let holds_key =
         |file: &&Arc<FileMetaData>| file.overlaps_user_range(Some(user_key), Some(user_key));
     // Level 0 is ordered newest first, as every `VersionShape::apply` leaves
-    // it: flushes are serialized by the single flush thread, so file numbers
+    // it: a family flushes one `imm` at a time (`CfState::flush_running`),
+    // and freezes the next only once that one is written, so file numbers
     // order level-0 tables by recency and the first file that knows the key
     // decides.
     for file in version.level0().iter().filter(holds_key) {

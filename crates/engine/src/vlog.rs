@@ -481,7 +481,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         // deleted no pointer into it lives only in volatile buffers.
         let total = live.len();
         for (idx, (key, value)) in live.into_iter().enumerate() {
-            self.policy.note_write();
+            self.restart_seek_count();
             let mut batch = WriteBatch::new();
             batch.put_cf(cf_id, &key, &value);
             batch.set_sequence(s_check);

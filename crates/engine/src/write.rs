@@ -63,9 +63,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         if batch.is_empty() {
             return Ok(());
         }
-        // Writes reset read-phase heuristics (FLSM: the consecutive-seek
-        // counter — section 4.2, seek compaction targets read-only phases).
-        self.policy.note_write();
+        self.restart_seek_count();
         let mut user_bytes = 0u64;
         for record in batch.iter() {
             let record = record?;

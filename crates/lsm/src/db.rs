@@ -32,29 +32,16 @@ pub struct LsmPolicy {
     preset: StorePreset,
 }
 
-/// Mutable policy state: the per-level compaction pointer that rotates
-/// through a level's key space across compactions.
-pub struct LsmPolicyState {
-    /// `compact_pointer[level]` is the largest internal key of the last file
-    /// a job took from the level.
-    pub compact_pointer: Vec<Vec<u8>>,
-}
-
 impl ShapePolicy for LsmPolicy {
     type Version = Version;
-    type State = LsmPolicyState;
+    /// The per-level compaction pointer that rotates through a level's key
+    /// space across compactions: the largest internal key of the last file a
+    /// job took from the level.
+    type State = [Vec<u8>; NUM_LEVELS];
 
     fn engine_name(&self) -> String {
         self.preset.name().to_string()
     }
-
-    fn new_state(&self) -> LsmPolicyState {
-        LsmPolicyState {
-            compact_pointer: vec![Vec::new(); NUM_LEVELS],
-        }
-    }
-
-    // ------------------------------------------------------------ compaction
 
     /// Classic leveled compaction: a job takes one file of a level (all of
     /// level 0) with every next-level file it overlaps and writes their
@@ -79,7 +66,7 @@ impl ShapePolicy for LsmPolicy {
             // Rotate through the level using the compaction pointer. It
             // advances at the pick, so a pick beside a running job tries the
             // files after it; a failed job poisons the store.
-            let pointer = &mut ctx.state.compact_pointer[level];
+            let pointer = &mut ctx.state[level];
             let start = files
                 .iter()
                 .position(|f| {
@@ -283,6 +270,45 @@ mod tests {
 
     use super::*;
 
+    /// The leveled shape never asks for a seek-triggered compaction: ten
+    /// times the threshold of cursors over two overlapping level-0 files
+    /// arm nothing and run no job.
+    #[test]
+    fn an_lsm_store_never_arms_the_seek_trigger() {
+        use pebblesdb_common::{KvStore, ReadOptions};
+        let mut options = StoreOptions::default();
+        options.level0_compaction_trigger = 100;
+        options.level0_stop_writes_trigger = 120;
+        options.compaction_threads = 0;
+        let threshold = options.seek_compaction_threshold;
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+        let db = LsmDb::open_with_options(
+            env,
+            Path::new("/no-seek"),
+            options,
+            StorePreset::HyperLevelDb,
+        )
+        .unwrap();
+        for round in 0..2u8 {
+            for i in 0..100u32 {
+                db.put(format!("key{i:04}").as_bytes(), &[b'a' + round; 16])
+                    .unwrap();
+            }
+            db.flush().unwrap();
+        }
+        assert_eq!(db.files_per_level()[0], 2);
+        let compactions = db.stats().compactions;
+        for _ in 0..10 * threshold {
+            let mut cursor = db.iter(&ReadOptions::default()).unwrap();
+            cursor.seek(b"key0050");
+            assert!(cursor.valid());
+            let state = db.engine().core().state.lock();
+            assert!(!state.default_cf().seek_requested, "a cursor armed the LSM");
+        }
+        assert_eq!(db.stats().compactions, compactions);
+        assert_eq!(db.files_per_level()[0], 2);
+    }
+
     /// The compaction pointer advances at the pick: successive picks at one
     /// level take successive files, and wrap around past the last.
     #[test]
@@ -308,12 +334,13 @@ mod tests {
         versions.log_and_apply(setup).unwrap();
 
         let policy = LsmPolicy::new(&options);
-        let mut state = policy.new_state();
+        let mut state = Default::default();
         let picks: Vec<Vec<u64>> = (0..4)
             .map(|_| {
                 let mut ctx = PolicyCtx {
                     versions: &versions,
                     state: &mut state,
+                    seek_requested: &mut false,
                     claimed_inputs: &BTreeSet::new(),
                     smallest_snapshot: 1_000,
                 };
@@ -354,12 +381,13 @@ mod tests {
     fn pick(
         policy: &LsmPolicy,
         versions: &VersionSet<Version>,
-        state: &mut LsmPolicyState,
+        state: &mut [Vec<u8>; NUM_LEVELS],
         claimed: &BTreeSet<u64>,
     ) -> Option<CompactionJob> {
         policy.pick_job(&mut PolicyCtx {
             versions,
             state,
+            seek_requested: &mut false,
             claimed_inputs: claimed,
             smallest_snapshot: 1_000,
         })
@@ -462,7 +490,7 @@ mod tests {
             let versions = leveled(&format!("/serial-{trial}"), &options, &files);
             let version = versions.current();
             let policy = LsmPolicy::new(&options);
-            let mut state = policy.new_state();
+            let mut state = Default::default();
             let mut pointers = vec![Vec::new(); NUM_LEVELS];
             for _ in 0..3 {
                 let job = pick(&policy, &versions, &mut state, &BTreeSet::new());
@@ -472,7 +500,7 @@ mod tests {
                     serial_pick(&options, version, &mut pointers),
                     "trial {trial}"
                 );
-                assert_eq!(state.compact_pointer, pointers, "trial {trial}");
+                assert_eq!(pointers, state, "trial {trial}");
                 jobs += usize::from(job.is_some());
             }
         }
@@ -500,7 +528,7 @@ mod tests {
             ],
         );
         let policy = LsmPolicy::new(&options);
-        let mut state = policy.new_state();
+        let mut state = Default::default();
         let first = pick(&policy, &versions, &mut state, &BTreeSet::new()).unwrap();
         assert_eq!(inputs_of(&first), [(1, 1), (2, 5)]);
         let claimed: BTreeSet<u64> = first.input_numbers().collect();
@@ -522,7 +550,7 @@ mod tests {
 
         // A claimed L1 file (say, an L0 -> L1 job's) inside file 2's hull
         // [b, g] keeps file 2's job off, though none of its inputs is claimed.
-        let mut state = policy.new_state();
+        let mut state = Default::default();
         let one = BTreeSet::from([1]);
         let blocked = pick(&policy, &versions, &mut state, &one).unwrap();
         assert_eq!(inputs_of(&blocked), [(1, 3), (2, 6)]);
@@ -561,7 +589,7 @@ mod tests {
         ]);
         let versions = leveled("/level0", &options, &files);
         let policy = LsmPolicy::new(&options);
-        let mut state = policy.new_state();
+        let mut state = Default::default();
         let level0 = pick(&policy, &versions, &mut state, &BTreeSet::new()).unwrap();
         assert_eq!(inputs_of(&level0), [(0, 3), (0, 2), (0, 1), (1, 4)]);
         let claimed: BTreeSet<u64> = level0.input_numbers().collect();
@@ -685,7 +713,7 @@ mod tests {
         for order in [[0, 1], [1, 0]] {
             let (mut versions, io) = store(&format!("/either-{}", order[0]), &layout);
             let policy = LsmPolicy::new(&io.options);
-            let mut state = policy.new_state();
+            let mut state = Default::default();
             let mut claimed = BTreeSet::new();
             let mut jobs = Vec::new();
             for _ in 0..2 {
@@ -738,7 +766,7 @@ mod tests {
         );
         assert_eq!(read(&versions, &io, "c"), None);
         let policy = LsmPolicy::new(&io.options);
-        let mut state = policy.new_state();
+        let mut state = Default::default();
         let job = pick(&policy, &versions, &mut state, &BTreeSet::new()).unwrap();
         assert_eq!(
             job.inputs.len(),

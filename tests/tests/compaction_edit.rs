@@ -51,10 +51,11 @@ fn picked_job_and_edit<P: ShapePolicy>(
     env.create_dir_all(&dir).unwrap();
     let mut versions: VersionSet<P::Version> = VersionSet::open(env, dir, options.clone()).unwrap();
     versions.log_and_apply(setup).unwrap();
-    let mut state = policy.new_state();
+    let mut state = P::State::default();
     let mut ctx = PolicyCtx {
         versions: &versions,
         state: &mut state,
+        seek_requested: &mut false,
         claimed_inputs: &BTreeSet::new(),
         smallest_snapshot: 1_000,
     };

@@ -204,8 +204,11 @@ fn reads_without_writes_leave_the_pin_list_bounded() {
         db.flush().unwrap();
         assert_eq!(obsolete(), 0, "{name}: a dropped cursor's files stayed");
     }
+    // No background threads: which jobs the loads run, and so which files
+    // they unlink, follows from the writes alone.
     let mut options = StoreOptions::default();
     options.write_buffer_size = 32 << 10;
+    options.compaction_threads = 0;
 
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
     let flsm = PebblesDb::open_with_options(env, Path::new("/pins"), options.clone()).unwrap();
