@@ -17,7 +17,7 @@ use std::sync::Arc;
 use pebblesdb_common::key::SequenceNumber;
 use pebblesdb_common::StoreOptions;
 use pebblesdb_engine::meta::user_key_range;
-use pebblesdb_engine::{CompactionJob, FileMetaData, MergeSpec};
+use pebblesdb_engine::{Claims, CompactionJob, FileMetaData, MergeSpec};
 
 use crate::guards::GuardMeta;
 use crate::version::{CompactionReason, FlsmVersion};
@@ -59,61 +59,63 @@ fn component_files(run: &[GuardMeta]) -> impl Iterator<Item = &Arc<FileMetaData>
         .flat_map(|guard| guard.files.iter().filter(|f| !spans_back(guard, f)))
 }
 
-/// Returns `true` if no file of the component is an input of an in-flight
-/// job.
-fn is_claimable(run: &[GuardMeta], claimed: &BTreeSet<u64>) -> bool {
-    component_files(run).all(|f| !claimed.contains(&f.number))
+/// The user-key hull of a component, what a job taking it holds: a file
+/// sits in every guard it overlaps, so the end guards hold the end keys.
+fn hull(run: &[GuardMeta]) -> (&[u8], &[u8]) {
+    let (first, last) = (&run[0].files, &run[run.len() - 1].files);
+    (user_key_range(first).0, user_key_range(last).1)
 }
 
-/// Selects the input guard components for a compaction of `level`, skipping
-/// components whose files are already claimed by an in-flight job and taking
-/// only a `1/split` chunk of the eligible components.
+/// Selects the input guard components for a compaction of `level`: a
+/// `1/split` chunk of the eligible components `claims` leave free.
 ///
 /// Components containing a guard over the sstable budget are preferred; if
 /// none exist (the compaction was triggered by level size or the aggressive
-/// heuristic), every claimable component is eligible so the compaction
-/// always makes progress. Chunking is what lets `split` workers each claim
-/// a *disjoint component subset* of the same level as independent jobs: the
-/// first claimer takes `ceil(n/split)` components, marks their files
-/// claimed, and the next claimer's selection excludes them.
+/// heuristic), every free component is eligible so the compaction always
+/// makes progress. Chunking lets `split` workers each claim a disjoint
+/// component subset of the same level; a chunk stops short of a claim its
+/// hull would cross.
 pub fn select_guard_inputs(
     version: &FlsmVersion,
     level: usize,
     max_sstables_per_guard: usize,
-    claimed: &BTreeSet<u64>,
+    claims: &Claims,
     split: usize,
 ) -> Vec<Arc<FileMetaData>> {
     let components: Vec<&[GuardMeta]> = guard_components(version.levels[level].guards()).collect();
     let over_budget =
         |run: &&[GuardMeta]| run.iter().any(|g| g.files.len() > max_sstables_per_guard);
     let any_over_budget = components.iter().any(over_budget);
+    let free = |(smallest, largest): (&[u8], &[u8])| claims.free(level, smallest, largest);
     // When over-budget components exist but are all claimed, the trigger is
     // already being serviced; returning nothing (instead of compacting
     // innocent small components) avoids pointless write amplification.
     let eligible: Vec<&[GuardMeta]> = (components.into_iter())
         .filter(|run| !any_over_budget || over_budget(run))
-        .filter(|run| is_claimable(run, claimed))
+        .filter(|run| free(hull(run)))
         .collect();
     let take = eligible.len().div_ceil(split.max(1));
-    let chosen = eligible.into_iter().take(take);
+    let first = eligible.first().map_or(&[][..], |run| hull(run).0);
+    let chosen = (eligible.into_iter().take(take)).take_while(|run| free((first, hull(run).1)));
     chosen.flat_map(component_files).cloned().collect()
 }
 
-/// Selects the inputs of a seek-triggered compaction at `level`: the
-/// claimable component whose fattest guard holds the most sstables (the
-/// last of equals), among those with a guard holding two overlapping files.
-/// Returns nothing when no claimable guard holds two overlapping files —
-/// a seek compaction of a single file, or of the disjoint files of a guard
-/// larger than `max_file_size`, would rewrite data without reducing any
-/// overlap, so the request stays pending instead.
+/// Selects the inputs of a seek-triggered compaction at `level`: the free
+/// component whose fattest guard holds the most sstables (the last of
+/// equals), among those with a guard holding two overlapping files.
+/// Returns nothing when no free guard holds two overlapping files — a seek
+/// compaction of a single file, or of the disjoint files of a guard larger
+/// than `max_file_size`, would rewrite data without reducing any overlap, so
+/// the request stays pending instead.
 fn select_seek_inputs(
     version: &FlsmVersion,
     level: usize,
-    claimed: &BTreeSet<u64>,
+    claims: &Claims,
 ) -> Vec<Arc<FileMetaData>> {
+    let free = |(smallest, largest): (&[u8], &[u8])| claims.free(level, smallest, largest);
     let best = guard_components(version.levels[level].guards())
-        .filter(|run| is_claimable(run, claimed))
         .filter(|run| run.iter().any(GuardMeta::has_overlapping_files))
+        .filter(|run| free(hull(run)))
         .max_by_key(|run| run.iter().map(|g| g.files.len()).max());
     best.map_or_else(Vec::new, |run| component_files(run).cloned().collect())
 }
@@ -124,57 +126,49 @@ fn select_seek_inputs(
 /// output level is among them.
 ///
 /// The output level's guards are the job's partition keys (the merge of a
-/// job that moves data down picks new ones). `claimed` holds the file
-/// numbers of every in-flight job's inputs — the new job's inputs never
-/// intersect it, which is what keeps concurrent workers on disjoint guard
-/// subsets. `split` is the worker-pool size used to chunk a level's
-/// eligible guards across jobs. Returns `None` when every eligible guard is
-/// claimed.
+/// job that moves data down picks new ones). `split` is the worker-pool size
+/// used to chunk a level's eligible guards across jobs. Returns `None` when
+/// `claims` leave no eligible guard free.
 pub fn build_compaction_job(
     version: &FlsmVersion,
     options: &StoreOptions,
     level: usize,
     reason: CompactionReason,
     smallest_snapshot: SequenceNumber,
-    claimed: &BTreeSet<u64>,
+    claims: &Claims,
     split: usize,
 ) -> Option<CompactionJob> {
     let last_level = version.num_levels() - 1;
 
     let inputs: Vec<Arc<FileMetaData>> = if level == 0 {
         // Level-0 files overlap freely, so a level-0 job takes all of them —
-        // and therefore cannot run while another level-0 job is in flight.
-        if version.level0.iter().any(|f| claimed.contains(&f.number)) {
-            return None;
-        }
+        // and holds the whole level while it runs.
         version.level0.clone()
     } else if reason == CompactionReason::SeekTriggered {
         // Seek-triggered compactions stay small: merge only the component
         // around the (unclaimed) guard with the most overlapping sstables,
         // so read latency improves without paying for a whole-level rewrite
         // every few range queries.
-        select_seek_inputs(version, level, claimed)
+        select_seek_inputs(version, level, claims)
     } else {
         select_guard_inputs(
             version,
             level,
             options.max_sstables_per_guard,
-            claimed,
+            claims,
             split,
         )
     };
-    if inputs.is_empty() {
+    let (smallest, largest) = user_key_range(&inputs);
+    if inputs.is_empty() || !claims.free(level, smallest, largest) {
         return None;
     }
     let input_bytes: u64 = inputs.iter().map(|f| f.file_size).sum();
 
     // The output is appended to the next level unless the job rewrites its
     // guards in place; `landing` are the guards it would be appended to.
-    let (smallest, largest) = user_key_range(&inputs);
-    let range = (Some(smallest.as_slice()), Some(largest.as_slice()));
     let occupied = |guard: &&GuardMeta| {
-        let mut files = guard.files.iter();
-        files.any(|f| f.overlaps_user_range(range.0, range.1))
+        (guard.files.iter()).any(|f| f.overlaps_user_range(Some(smallest), Some(largest)))
     };
     let landing = || version.levels[level + 1].guards().iter().filter(occupied);
     let in_place = match reason {
@@ -332,7 +326,7 @@ mod tests {
             0,
             CompactionReason::Level0Files,
             1_000,
-            &BTreeSet::new(),
+            &Claims::default(),
             1,
         )
         .unwrap();
@@ -400,7 +394,7 @@ mod tests {
             0,
             CompactionReason::Level0Files,
             1_000,
-            &BTreeSet::new(),
+            &Claims::default(),
             1,
         )
         .unwrap();
@@ -465,7 +459,7 @@ mod tests {
             last,
             CompactionReason::GuardFanout,
             1_000,
-            &BTreeSet::new(),
+            &Claims::default(),
             1,
         )
         .unwrap();
@@ -496,7 +490,7 @@ mod tests {
             0,
             CompactionReason::Level0Files,
             1_000,
-            &BTreeSet::new(),
+            &Claims::default(),
             1,
         )
         .unwrap();
@@ -574,7 +568,7 @@ mod tests {
             &version,
             1,
             options.max_sstables_per_guard,
-            &BTreeSet::new(),
+            &Claims::default(),
             1,
         );
         let numbers: Vec<u64> = selected.iter().map(|f| f.number).collect();
@@ -583,7 +577,7 @@ mod tests {
 
         // With a higher budget nothing is over budget, so every non-empty
         // guard is selected (progress guarantee for size-triggered runs).
-        let selected = select_guard_inputs(&version, 1, 10, &BTreeSet::new(), 1);
+        let selected = select_guard_inputs(&version, 1, 10, &Claims::default(), 1);
         assert_eq!(selected.len(), 3);
     }
 
@@ -606,7 +600,7 @@ mod tests {
             last,
             CompactionReason::GuardFanout,
             1_000,
-            &BTreeSet::new(),
+            &Claims::default(),
             1,
         )
         .unwrap();
@@ -643,18 +637,15 @@ mod tests {
         }
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
         let job = |reason, claimed: &[u64]| {
-            build_compaction_job(
-                &version,
-                &options,
-                1,
-                reason,
-                1_000,
-                &claimed.iter().copied().collect(),
-                1,
-            )
-            .unwrap()
+            let claims = claims_of(&version, claimed);
+            build_compaction_job(&version, &options, 1, reason, 1_000, &claims, 1).unwrap()
         };
-        let numbers = |job: &CompactionJob| job.input_numbers().collect::<BTreeSet<u64>>();
+        let numbers = |job: &CompactionJob| {
+            job.inputs
+                .iter()
+                .map(|(_, f)| f.number)
+                .collect::<BTreeSet<u64>>()
+        };
 
         // Under the sentinel level 2 is empty: its sstables go down.
         let down = job(CompactionReason::SeekTriggered, &[62, 63]);
@@ -694,7 +685,7 @@ mod tests {
         }
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
-        let mut claimed = BTreeSet::new();
+        let mut claims = Claims::default();
         // Worker 1 of a 2-worker pool takes one guard...
         let job1 = build_compaction_job(
             &version,
@@ -702,11 +693,11 @@ mod tests {
             1,
             CompactionReason::GuardFanout,
             1_000,
-            &claimed,
+            &claims,
             2,
         )
         .unwrap();
-        claimed.extend(job1.input_numbers());
+        claims.hold(&job1.inputs);
         // ... worker 2 takes the other ...
         let job2 = build_compaction_job(
             &version,
@@ -714,13 +705,13 @@ mod tests {
             1,
             CompactionReason::GuardFanout,
             1_000,
-            &claimed,
+            &claims,
             2,
         )
         .unwrap();
-        claimed.extend(job2.input_numbers());
-        let set1: BTreeSet<u64> = job1.input_numbers().collect();
-        let set2: BTreeSet<u64> = job2.input_numbers().collect();
+        claims.hold(&job2.inputs);
+        let numbers = |job: &CompactionJob| job.inputs.iter().map(|(_, f)| f.number).collect();
+        let (set1, set2): (BTreeSet<u64>, BTreeSet<u64>) = (numbers(&job1), numbers(&job2));
         assert!(set1.is_disjoint(&set2), "{set1:?} overlaps {set2:?}");
         assert_eq!(set1.len() + set2.len(), 4, "every file is claimed once");
 
@@ -731,7 +722,7 @@ mod tests {
             1,
             CompactionReason::GuardFanout,
             1_000,
-            &claimed,
+            &claims,
             2,
         );
         assert!(job3.is_none());
@@ -750,14 +741,15 @@ mod tests {
         edit.new_files.push((0, f2));
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
-        let claimed: BTreeSet<u64> = [60u64].into_iter().collect();
+        // An in-flight level-0 job took file 60 (file 61 came after it).
+        let claims = claims_of(&version, &[60]);
         let job = build_compaction_job(
             &version,
             &options,
             0,
             CompactionReason::Level0Files,
             1_000,
-            &claimed,
+            &claims,
             4,
         );
         assert!(job.is_none(), "level 0 must not be double-compacted");
@@ -810,14 +802,14 @@ mod tests {
             last,
             CompactionReason::GuardFanout,
             1_000, // every sequence is below the snapshot floor
-            &BTreeSet::new(),
+            &Claims::default(),
             1,
         )
         .unwrap();
         // The over-budget sentinel guard drags guard "m" in through the
         // spanning file 71, so the whole component is the input set and
         // every partition is fully covered.
-        let input_numbers: BTreeSet<u64> = job.input_numbers().collect();
+        let input_numbers: BTreeSet<u64> = job.inputs.iter().map(|(_, f)| f.number).collect();
         assert_eq!(input_numbers, [70u64, 71, 72, 73].into_iter().collect());
         assert!(job.spec.drop_tombstones);
         assert_eq!(job.full_partitions, vec![true, true]);
@@ -935,6 +927,34 @@ mod tests {
         files.iter().map(|f| f.number).collect()
     }
 
+    /// The claims of in-flight jobs that took the files `claimed` of
+    /// `version`: each file's range held at its level, overlapping files
+    /// held together.
+    fn claims_of(version: &FlsmVersion, claimed: &[u64]) -> Claims {
+        let mut claims = Claims::default();
+        let levels = (version.levels.iter().enumerate()).map(|(level, l)| {
+            let files = l.guards().iter().flat_map(|g| g.files.iter());
+            (level, files.cloned().collect::<Vec<_>>())
+        });
+        for (level, mut files) in levels.chain([(0, version.level0.clone())]) {
+            files.retain(|f| claimed.contains(&f.number));
+            files.sort_by_key(|f| (f.smallest.user_key().to_vec(), f.number));
+            files.dedup_by_key(|f| f.number);
+            let mut group: Vec<(usize, Arc<FileMetaData>)> = Vec::new();
+            for file in files {
+                let (_, largest) = user_key_range(group.iter().map(|(_, f)| f));
+                if !group.is_empty() && file.smallest.user_key() > largest {
+                    claims.hold(&std::mem::take(&mut group));
+                }
+                group.push((level, file));
+            }
+            if !group.is_empty() {
+                claims.hold(&group);
+            }
+        }
+        claims
+    }
+
     /// A file over three guards joins all three; a file ending exactly at
     /// a guard key spans it, one starting there does not.
     #[test]
@@ -980,19 +1000,39 @@ mod tests {
         assert_eq!(components_of(&version), expected);
 
         let select = |claimed: &[u64]| {
-            let claimed = claimed.iter().copied().collect();
-            numbers(&select_guard_inputs(&version, 1, 10, &claimed, 1))
+            let claims = claims_of(&version, claimed);
+            numbers(&select_guard_inputs(&version, 1, 10, &claims, 1))
         };
         assert_eq!(select(&[]), [10, 11, 12, 13]);
         assert_eq!(select(&[12]), [13]);
         assert_eq!(select(&[13]), [10, 11, 12]);
 
         let seek = |claimed: &[u64]| {
-            let claimed = claimed.iter().copied().collect();
-            numbers(&select_seek_inputs(&version, 1, &claimed))
+            let claims = claims_of(&version, claimed);
+            numbers(&select_seek_inputs(&version, 1, &claims))
         };
         assert_eq!(seek(&[]), [10, 11, 12]);
         assert!(seek(&[12]).is_empty(), "the one fat run is claimed");
+    }
+
+    /// A job holds the hull of the runs it takes, so it takes them up to
+    /// the first claimed run, not past it.
+    #[test]
+    fn a_selection_stops_short_of_a_claimed_run() {
+        let files = [
+            (10, "a", "b"),
+            (11, "d", "e"),
+            (12, "g", "h"),
+            (13, "m", "n"),
+        ];
+        let version = layout(&["c", "f", "k"], &files);
+        let select = |claimed: &[u64]| {
+            let claims = claims_of(&version, claimed);
+            numbers(&select_guard_inputs(&version, 1, 10, &claims, 1))
+        };
+        assert_eq!(select(&[12]), [10, 11]);
+        assert_eq!(select(&[10]), [11, 12, 13]);
+        assert_eq!(select(&[10, 12]), [11]);
     }
 
     /// The oracle: the components as the closure of "shares a file" over a
@@ -1066,6 +1106,10 @@ mod tests {
 
             let oracle = closure_components(guards);
             assert_eq!(components_of(&version), oracle, "seed {seed}");
+            for run in guard_components(guards) {
+                let files: Vec<_> = component_files(run).cloned().collect();
+                assert_eq!(hull(run), user_key_range(&files), "seed {seed}");
+            }
             spanning += oracle
                 .iter()
                 .filter(|(members, _)| members.len() > 1)
@@ -1087,10 +1131,19 @@ mod tests {
                 .filter(claimable)
                 .collect();
             let take = eligible.len().div_ceil(split);
-            let expected: Vec<u64> = (eligible.iter().take(take))
+            // A job holds the hull of what it takes: it stops short of a
+            // claimed component that hull would cover.
+            let index = |c: &Component| oracle.iter().position(|d| d == c).unwrap();
+            let crosses = |c: &&&Component| {
+                let from = eligible.first().map_or(0, |first| index(first));
+                oracle[from..index(c)].iter().any(|d| !claimable(&d))
+            };
+            let chosen = (eligible.iter().take(take)).take_while(|c| !crosses(c));
+            let expected: Vec<u64> = chosen
                 .flat_map(|(_, files)| files.iter().copied())
                 .collect();
-            let selected = select_guard_inputs(&version, 1, budget, &claimed, split);
+            let claims = claims_of(&version, &Vec::from_iter(claimed.iter().copied()));
+            let selected = select_guard_inputs(&version, 1, budget, &claims, split);
             assert_eq!(numbers(&selected), expected, "seed {seed}");
 
             let fat = |(members, _): &&Component| {
@@ -1098,7 +1151,7 @@ mod tests {
             };
             let best = (oracle.iter().filter(claimable).filter(fat)).max_by_key(|c| fanout(c));
             let expected = best.map_or(Vec::new(), |(_, files)| files.clone());
-            let selected = select_seek_inputs(&version, 1, &claimed);
+            let selected = select_seek_inputs(&version, 1, &claims);
             seek_jobs += usize::from(!selected.is_empty());
             assert_eq!(numbers(&selected), expected, "seed {seed}");
         }

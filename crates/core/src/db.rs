@@ -70,8 +70,8 @@ impl ShapePolicy for FlsmPolicy {
         Self::collapsible_levels(version).next().is_some()
     }
 
-    /// Claims the highest-priority job whose inputs do not intersect any
-    /// in-flight job's inputs: a disjoint guard-component subset of a level.
+    /// Picks the highest-priority job `ctx.claims` leaves free: a
+    /// guard-component subset of a level whose hull no in-flight job holds.
     ///
     /// `seek_requested` is cleared only when a seek-triggered job is
     /// actually scheduled (or provably never will be): a size-triggered job
@@ -106,7 +106,7 @@ impl ShapePolicy for FlsmPolicy {
                 level,
                 reason,
                 ctx.smallest_snapshot,
-                ctx.claimed_inputs,
+                ctx.claims,
                 split,
             );
             if job.is_some() {
@@ -516,7 +516,7 @@ mod tests {
                 &[(1, "a", "b"), (1, "c", "d"), (1, "m", "n"), (1, "o", "p")],
             );
             let claimed = db.db.core().claim_job(&mut state).expect("over budget");
-            assert_eq!(claimed.job.input_numbers().count(), inputs, "{threads}");
+            assert_eq!(claimed.job.inputs.len(), inputs, "{threads}");
             drop(state);
         }
     }
@@ -543,14 +543,49 @@ mod tests {
 
         let claim1 = inner.claim_job(&mut state).expect("first claim");
         let claim2 = inner.claim_job(&mut state).expect("second claim");
-        let set1: BTreeSet<u64> = claim1.job.input_numbers().collect();
-        let set2: BTreeSet<u64> = claim2.job.input_numbers().collect();
+        let numbers = |job: &CompactionJob| job.inputs.iter().map(|(_, f)| f.number).collect();
+        let (set1, set2): (BTreeSet<u64>, BTreeSet<u64>) =
+            (numbers(&claim1.job), numbers(&claim2.job));
         assert!(set1.is_disjoint(&set2));
-        assert_eq!(state.default_cf().active_jobs, 2);
+        assert_eq!(state.default_cf().claims.jobs(), 2);
         let counter =
             |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!(counter(&inner.counters.active_compactions), 2);
         assert_eq!(counter(&inner.counters.max_concurrent_compactions), 2);
+        drop(state);
+    }
+
+    /// A failed job releases its claim: the poisoned store claims nothing
+    /// new, and the job beside it drains, so no sibling worker waits on a
+    /// claim nobody holds.
+    #[test]
+    fn a_failed_job_releases_its_claim() {
+        let mut options = StoreOptions::default();
+        options.level0_compaction_trigger = 100;
+        options.enable_aggressive_compaction = false;
+        options.max_sstables_per_guard = 1;
+        options.compaction_threads = 0;
+        let db = open_empty(options);
+        let inner = db.db.core();
+        let mut state = inner.state.lock();
+        // A fabricated file has no table behind it: its merge fails.
+        fabricate_files(
+            &mut state,
+            &[(1, "a", "b"), (1, "c", "d"), (2, "p", "q"), (2, "r", "s")],
+        );
+        let first = inner.claim_job(&mut state).expect("first claim");
+        let second = inner.claim_job(&mut state).expect("second claim");
+        inner.run_claimed_job(&mut state, first);
+        assert!(
+            state.bg_error.is_some(),
+            "the failed merge poisons the store"
+        );
+        assert_eq!(state.default_cf().claims.jobs(), 1);
+        assert!(inner.claim_job(&mut state).is_none());
+        inner.run_claimed_job(&mut state, second);
+        let claims = &state.default_cf().claims;
+        assert_eq!(claims.jobs(), 0);
+        assert!(claims.free(1, b"a", b"d") && claims.free(2, b"p", b"s"));
         drop(state);
     }
 }

@@ -144,7 +144,7 @@ impl<P: ShapePolicy> EngineCore<P> {
         loop {
             state.healthy()?;
             let busy = state.cfs.values().any(|cf| {
-                cf.active_jobs > 0
+                cf.claims.jobs() > 0
                     || cf.imm.is_some()
                     || cf.flush_running
                     || cf.versions.needs_compaction()
@@ -160,18 +160,14 @@ impl<P: ShapePolicy> EngineCore<P> {
         Ok(())
     }
 
-    /// Claims the highest-priority compaction job across every family: one
-    /// whose inputs are disjoint from every in-flight job's, so that workers
-    /// can run their IO side by side outside the state mutex and commit
-    /// through the serialized `log_and_apply`.
+    /// Claims the highest-priority compaction job across every family, so
+    /// that workers can run their IO side by side outside the state mutex
+    /// and commit through the serialized `log_and_apply`.
     ///
     /// Families are polled hottest-first — pending compaction work, then
     /// most level-0 files — so one namespace's debt cannot hide behind an
-    /// idle sibling. Within a family the policy picks the job; its inputs
-    /// must not intersect that family's in-flight inputs.
-    ///
-    /// On success the claim is registered in the family's `claimed_inputs`
-    /// and `active_jobs` until `run_claimed_job` releases it.
+    /// idle sibling. Within a family the policy picks a job its `claims`
+    /// leave free; they hold it until `run_claimed_job` releases it.
     pub fn claim_job(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> Option<ClaimedJob> {
         state.healthy().ok()?;
         let smallest_snapshot = self.snapshots.compaction_floor(state.last_sequence);
@@ -186,36 +182,36 @@ impl<P: ShapePolicy> EngineCore<P> {
             .collect();
         order.sort_by_key(|&(needs, level0, _)| std::cmp::Reverse((needs, level0)));
 
-        for (_, _, cf_id) in order {
-            let cf = state.cf_mut(cf_id).expect("ordered family exists");
+        for (_, _, id) in order {
+            let cf = state.cf_mut(id).expect("ordered family exists");
             let mut ctx = PolicyCtx {
                 versions: &cf.versions,
                 state: &mut cf.policy,
                 seek_requested: &mut cf.seek_requested,
-                claimed_inputs: &cf.claimed_inputs,
+                claims: &cf.claims,
                 smallest_snapshot,
             };
             if let Some(job) = self.policy.pick_job(&mut ctx) {
-                cf.claimed_inputs.extend(job.input_numbers());
-                cf.active_jobs += 1;
+                debug_assert!(!job.inputs.is_empty(), "a job without inputs holds nothing");
+                let claim = cf.claims.hold(&job.inputs);
                 self.counters.record_compaction_start();
-                return Some(ClaimedJob { cf: cf_id, job });
+                return Some(ClaimedJob { cf: id, job, claim });
             }
         }
         None
     }
 
     /// Runs a claimed job's merge with the state mutex released, then
-    /// commits (or abandons) it and releases its claims. The claimed family
+    /// commits (or abandons) it and releases its claim. The claimed family
     /// cannot be dropped while the job is in flight (`drop_cf` waits it out).
     pub fn run_claimed_job(&self, state: &mut MutexGuard<'_, EngineState<P>>, claimed: ClaimedJob) {
-        let ClaimedJob { cf: cf_id, job } = claimed;
+        let ClaimedJob { cf: id, job, claim } = claimed;
         let committed = self.run_job(
             state,
-            cf_id,
+            id,
             |io| merge_to_tables(io, &job, |key| self.policy.guard_level(key)),
             |state, (outputs, guards)| {
-                let cf = state.job_cf(cf_id);
+                let cf = state.job_cf(id);
                 let edit = VersionEdit::compaction(&job, &outputs, &guards);
                 cf.versions.log_and_apply(edit)?;
                 // A move reads and writes nothing.
@@ -223,13 +219,9 @@ impl<P: ShapePolicy> EngineCore<P> {
                 Ok((bytes_read, outputs.iter().map(|meta| meta.file_size).sum()))
             },
         );
-        // Release the claims whether the job committed or failed, so a
+        // Release the claim whether the job committed or failed, so a
         // poisoned store does not wedge its sibling workers.
-        let cf = state.job_cf(cf_id);
-        for number in job.input_numbers() {
-            cf.claimed_inputs.remove(&number);
-        }
-        cf.active_jobs -= 1;
+        state.job_cf(id).claims.release(&claim);
         self.counters.record_compaction_end();
         // The job's own hold on its inputs goes first: the pass would find
         // every file this commit unlinked still held.

@@ -33,7 +33,7 @@
 //!   hottest family first) and a WAL segment is reclaimed only once *every*
 //!   family's flushed state covers it; see the `background` module.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
@@ -56,7 +56,7 @@ use pebblesdb_wal::LogWriter;
 use crate::catalog::{self, Catalog};
 use crate::cdc::{ChangeLog, EngineChangeStream};
 use crate::executor::Executor;
-use crate::policy::{CompactionJob, EngineIo, ShapePolicy};
+use crate::policy::{Claim, Claims, CompactionJob, EngineIo, ShapePolicy};
 use crate::version_set::{version_files, LevelTable, VersionSet};
 use crate::vlog::{CfVlog, VlogGcReport};
 
@@ -139,17 +139,12 @@ pub struct CfState<P: ShapePolicy> {
     /// `seek_compaction_threshold` consecutive cursors over this family
     /// asked for a seek-triggered compaction that no pick has scheduled yet.
     pub seek_requested: bool,
-    /// Input file numbers of this family's in-flight compaction jobs. A
-    /// worker claiming new work never selects inputs that intersect this
-    /// set, so concurrent jobs always operate on disjoint file subsets.
-    /// File numbers are per-family (each version set allocates its own).
-    pub claimed_inputs: BTreeSet<u64>,
+    /// The key ranges this family's in-flight compaction jobs hold.
+    pub claims: Claims,
     /// The WAL that was live when the active memtable was created. Once
     /// `imm` flushes, every record of this family in older WALs is covered
     /// by sstables, so this is the log number a flush commit publishes.
     pub mem_log_number: u64,
-    /// Compaction jobs of this family currently claimed or running.
-    pub active_jobs: usize,
     /// Whether the flush thread is writing this family's `imm` right now.
     pub flush_running: bool,
     /// Completed memtable flushes of this family.
@@ -205,9 +200,8 @@ impl<P: ShapePolicy> CfState<P> {
             versions,
             policy: P::State::default(),
             seek_requested: false,
-            claimed_inputs: BTreeSet::new(),
+            claims: Claims::default(),
             mem_log_number: 0,
-            active_jobs: 0,
             flush_running: false,
             flushes: 0,
             dropping: false,
@@ -339,6 +333,8 @@ pub struct ClaimedJob {
     pub cf: CfId,
     /// What the policy picked.
     pub job: CompactionJob,
+    /// The key ranges the job holds until it commits or fails.
+    pub(crate) claim: Claim,
 }
 
 impl<P: ShapePolicy> EngineDb<P> {

@@ -99,7 +99,7 @@ impl<P: ShapePolicy> EngineCore<P> {
             // commit still runs against the family's version set, which is
             // dropped right after).
             state.job_cf(id).dropping = true;
-            while state.job_cf(id).active_jobs > 0 || state.job_cf(id).flush_running {
+            while state.job_cf(id).claims.jobs() > 0 || state.job_cf(id).flush_running {
                 self.wait_for_progress(&mut state);
             }
             // The catalog edit is the commit point. Until it lands nothing

@@ -66,7 +66,7 @@ mod write;
 pub use cdc::{ChangeLog, EngineChangeStream, Frontier};
 pub use chassis::{CfState, ClaimedJob, EngineCore, EngineDb, EngineShared, EngineState};
 pub use meta::{FileMetaData, FileMetaDataEdit};
-pub use policy::{CompactionJob, EngineIo, PolicyCtx, ShapePolicy};
+pub use policy::{Claim, Claims, CompactionJob, EngineIo, PolicyCtx, ShapePolicy};
 pub use runs::{LevelCursor, MergeSpec, RunSource};
 pub use version_set::{FileNumbers, LevelRow, LevelTable, VersionEdit, VersionSet, VersionShape};
 pub use vlog::VlogGcReport;

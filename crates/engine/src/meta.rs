@@ -58,14 +58,14 @@ impl FileMetaData {
 
 /// The user-key range `[smallest, largest]` that `files` cover together
 /// (two empty keys for no files): what a compaction of them must look for
-/// in other levels.
-pub fn user_key_range(files: &[Arc<FileMetaData>]) -> (Vec<u8>, Vec<u8>) {
-    let smallest = files.iter().map(|f| f.smallest.user_key()).min();
-    let largest = files.iter().map(|f| f.largest.user_key()).max();
-    (
-        smallest.unwrap_or_default().to_vec(),
-        largest.unwrap_or_default().to_vec(),
-    )
+/// in other levels, and the range a job over them holds.
+pub fn user_key_range<'a>(
+    files: impl IntoIterator<Item = &'a Arc<FileMetaData>, IntoIter: Clone>,
+) -> (&'a [u8], &'a [u8]) {
+    let files = files.into_iter();
+    let smallest = files.clone().map(|f| f.smallest.user_key()).min();
+    let largest = files.map(|f| f.largest.user_key()).max();
+    (smallest.unwrap_or_default(), largest.unwrap_or_default())
 }
 
 /// The serialisable subset of [`FileMetaData`] carried in a version edit.

@@ -10,7 +10,6 @@
 //! remaining hooks are which keys a merge makes guards (the FLSM's hash of a
 //! key) and whether a seek-triggered compaction could help.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pebblesdb_common::key::SequenceNumber;
@@ -18,7 +17,7 @@ use pebblesdb_common::StoreOptions;
 use pebblesdb_env::Env;
 use pebblesdb_sstable::TableCache;
 
-use crate::meta::FileMetaData;
+use crate::meta::{user_key_range, FileMetaData};
 use crate::runs::MergeSpec;
 use crate::version_set::{FileNumbers, VersionSet, VersionShape};
 
@@ -44,8 +43,8 @@ pub struct EngineIo {
 }
 
 /// A fully described unit of compaction work: what a policy decides, as
-/// data. The chassis reserves the inputs' file numbers to keep other workers
-/// off them, runs [`merge_to_tables`](crate::runs::merge_to_tables) over the
+/// data. The chassis holds its inputs' [`Claims`] to keep other jobs off
+/// them, runs [`merge_to_tables`](crate::runs::merge_to_tables) over the
 /// record outside the state mutex and commits
 /// [`VersionEdit::compaction`](crate::VersionEdit::compaction) of it.
 /// (Outputs need no reservation: the garbage collector deletes only what a
@@ -79,14 +78,52 @@ impl CompactionJob {
         self.inputs.first().map_or(0, |(level, _)| *level)
     }
 
-    /// File numbers of every input the job reads.
-    pub fn input_numbers(&self) -> impl Iterator<Item = u64> + '_ {
-        self.inputs.iter().map(|(_, file)| file.number)
-    }
-
     /// Total bytes of input.
     pub fn input_bytes(&self) -> u64 {
         self.inputs.iter().map(|(_, file)| file.file_size).sum()
+    }
+}
+
+/// The one rule that lets a family's compaction jobs run side by side: at
+/// every level a job takes inputs from it holds the user-key hull of all its
+/// inputs, and it may start only when no held claim at that level overlaps
+/// the hull (bounds inclusive). So running jobs share no input, and never
+/// write overlapping ranges into one level: a job's outputs cover its hull.
+#[derive(Default)]
+pub struct Claims(Vec<Claim>);
+
+/// What one in-flight job holds: a bit per level it reads, and its hull.
+#[derive(Clone, PartialEq)]
+pub struct Claim(u32, Vec<u8>, Vec<u8>);
+
+impl Claims {
+    /// Whether no held claim at `level` overlaps `[smallest, largest]`.
+    pub fn free(&self, level: usize, smallest: &[u8], largest: &[u8]) -> bool {
+        let overlaps = |Claim(at, lo, hi): &Claim| {
+            at >> level & 1 == 1 && **lo <= *largest && *smallest <= **hi
+        };
+        !self.0.iter().any(overlaps)
+    }
+
+    /// The number of jobs in flight: one claim each.
+    pub fn jobs(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Holds the claim of a job over `inputs`, which must be free.
+    pub fn hold(&mut self, inputs: &[(usize, Arc<FileMetaData>)]) -> Claim {
+        let (lo, hi) = user_key_range(inputs.iter().map(|(_, file)| file));
+        let free = inputs.iter().all(|(level, _)| self.free(*level, lo, hi));
+        assert!(free, "a job was picked over a held claim");
+        let levels = inputs.iter().fold(0, |bits, (level, _)| bits | 1 << level);
+        let claim = Claim(levels, lo.to_vec(), hi.to_vec());
+        self.0.push(claim.clone());
+        claim
+    }
+
+    /// Releases a claim [`hold`](Claims::hold) returned.
+    pub(crate) fn release(&mut self, claim: &Claim) {
+        self.0.retain(|held| held != claim);
     }
 }
 
@@ -102,9 +139,8 @@ pub struct PolicyCtx<'a, P: ShapePolicy> {
     /// version [`ShapePolicy::seek_compaction_helps`] answered yes for). The
     /// pick clears it once it schedules that job, or finds none ever could.
     pub seek_requested: &'a mut bool,
-    /// Input file numbers of every in-flight compaction job. A new job's
-    /// inputs must not intersect this set.
-    pub claimed_inputs: &'a BTreeSet<u64>,
+    /// The key ranges the family's in-flight jobs hold.
+    pub claims: &'a Claims,
     /// Versions superseded at or below this sequence are invisible to every
     /// live snapshot and may be garbage-collected by a merge.
     pub smallest_snapshot: SequenceNumber,
@@ -137,10 +173,10 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
         false
     }
 
-    /// Describes the next unit of compaction work whose inputs do not
-    /// intersect `ctx.claimed_inputs`, or `None` when nothing is claimable.
-    /// The chassis registers the job's input numbers before releasing the
-    /// state lock.
+    /// Describes the next unit of compaction work that `ctx.claims` leaves
+    /// free: at each level it takes inputs from, no held claim overlaps the
+    /// user-key hull of all its inputs. `None` when nothing is claimable.
+    /// The chassis holds the job's claim before releasing the state lock.
     fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<CompactionJob>;
 
     /// The topmost level at which `user_key` is a guard, if any; a key that
@@ -151,5 +187,59 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
     fn guard_level(&self, user_key: &[u8]) -> Option<usize> {
         let _ = user_key;
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pebblesdb_common::key::{InternalKey, ValueType};
+    use pebblesdb_common::NUM_LEVELS;
+
+    /// An input at `level` covering user keys `[smallest, largest]`.
+    fn input(level: usize, smallest: &str, largest: &str) -> (usize, Arc<FileMetaData>) {
+        let key = |user: &str, seq| InternalKey::new(user.as_bytes(), seq, ValueType::Value);
+        let file = FileMetaData::new(1, 100, key(smallest, 9), key(largest, 1));
+        (level, Arc::new(file))
+    }
+
+    /// A job holds the hull of all its inputs at each level it reads, with
+    /// inclusive bounds: a shared boundary key conflicts, the next key over
+    /// does not, and no claim reaches another level.
+    #[test]
+    fn a_claim_holds_its_hull_at_its_levels_and_nowhere_else() {
+        let mut claims = Claims::default();
+        assert!(claims.free(1, b"", b"\xff"), "nothing held");
+        let claim = claims.hold(&[input(1, "d", "f"), input(2, "b", "e")]);
+        assert_eq!(claims.jobs(), 1);
+        for level in [1, 2] {
+            assert!(!claims.free(level, b"a", b"b"), "shares the key b");
+            assert!(!claims.free(level, b"f", b"z"), "shares the key f");
+            assert!(!claims.free(level, b"c", b"c"), "inside the hull");
+            assert!(claims.free(level, b"a", b"ab"));
+            assert!(claims.free(level, b"f\0", b"z"));
+        }
+        for level in [0, 3, NUM_LEVELS - 1] {
+            assert!(claims.free(level, b"a", b"z"), "level {level}");
+        }
+
+        // A second job beside the first, at the levels they share.
+        let beside = claims.hold(&[input(1, "g", "h")]);
+        assert_eq!(claims.jobs(), 2);
+        assert!(!claims.free(1, b"g", b"g"));
+        assert!(claims.free(2, b"g", b"h"));
+        claims.release(&claim);
+        assert!(claims.free(1, b"a", b"f") && claims.free(2, b"a", b"f"));
+        assert!(!claims.free(1, b"h", b"h"));
+        claims.release(&beside);
+        assert_eq!(claims.jobs(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a job was picked over a held claim")]
+    fn a_job_over_a_held_claim_is_refused() {
+        let mut claims = Claims::default();
+        claims.hold(&[input(0, "a", "c")]);
+        claims.hold(&[input(0, "c", "d")]);
     }
 }

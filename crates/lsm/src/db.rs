@@ -14,14 +14,14 @@
 //! leveled-compaction policy — which file a job takes and which next-level
 //! files it must rewrite with it.
 
-use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
 use pebblesdb_common::key::{compare_internal_keys, SequenceNumber};
 use pebblesdb_common::{Result, StoreOptions, StorePreset, NUM_LEVELS};
 use pebblesdb_engine::meta::user_key_range;
-use pebblesdb_engine::{CompactionJob, EngineDb, FileMetaData, MergeSpec, PolicyCtx, ShapePolicy};
+use pebblesdb_engine::{Claims, CompactionJob, EngineDb, FileMetaData, MergeSpec};
+use pebblesdb_engine::{PolicyCtx, ShapePolicy};
 use pebblesdb_env::Env;
 
 use crate::version::{compaction_levels, Version};
@@ -45,20 +45,19 @@ impl ShapePolicy for LsmPolicy {
 
     /// Classic leveled compaction: a job takes one file of a level (all of
     /// level 0) with every next-level file it overlaps and writes their
-    /// merge, over the user-key hull of its inputs, into the next level.
-    /// Jobs whose key ranges are free run side by side, as in RocksDB: see
-    /// `leveled_job` for the claim rule. Levels are tried by descending
-    /// score and a level's files from its compaction pointer on, so with
-    /// nothing claimed the pick is the best level's next file.
+    /// merge into the next level. Jobs `ctx.claims` leave free run side by
+    /// side, as in RocksDB. Levels are tried by descending score and a
+    /// level's files from its compaction pointer on, so with nothing claimed
+    /// the pick is the best level's next file.
     fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<CompactionJob> {
         let version = ctx.versions.current();
-        let (claimed, smallest_snapshot) = (ctx.claimed_inputs, ctx.smallest_snapshot);
+        let (claims, smallest_snapshot) = (ctx.claims, ctx.smallest_snapshot);
         for level in compaction_levels(ctx.versions.levels(), &self.options) {
             let files = &version.files[level].0;
             if level == 0 {
                 // Compact the whole of level 0 in one go (HyperLevelDB-style
                 // batched level-0 compaction).
-                match leveled_job(version, 0, files.clone(), claimed, smallest_snapshot) {
+                match leveled_job(version, 0, files.clone(), claims, smallest_snapshot) {
                     Some(job) => return Some(job),
                     None => continue,
                 }
@@ -77,7 +76,7 @@ impl ShapePolicy for LsmPolicy {
                 .unwrap_or(0);
             for chosen in files[start..].iter().chain(&files[..start]) {
                 let inputs = vec![Arc::clone(chosen)];
-                if let Some(job) = leveled_job(version, level, inputs, claimed, smallest_snapshot) {
+                if let Some(job) = leveled_job(version, level, inputs, claims, smallest_snapshot) {
                     *pointer = chosen.largest.encoded().to_vec();
                     return Some(job);
                 }
@@ -88,37 +87,20 @@ impl ShapePolicy for LsmPolicy {
 }
 
 /// The job that merges `inputs` of `level` with the next-level files they
-/// overlap, if it is claimable beside the jobs holding `claimed`: none of
-/// its inputs is claimed, and no claimed file of `level` overlaps the
-/// user-key hull of all its inputs — the range its outputs cover. A claimed
-/// next-level file overlapping the hull would be one of its own inputs, so
-/// two jobs never write overlapping ranges into one level (which `apply`
-/// would refuse), and level 0, compacted whole, runs one job at a time.
+/// overlap, if `claims` leave the hull of them all free at each level it
+/// reads. Level 0, compacted whole, so runs one job at a time.
 fn leveled_job(
     version: &Version,
     level: usize,
     inputs: Vec<Arc<FileMetaData>>,
-    claimed: &BTreeSet<u64>,
+    claims: &Claims,
     smallest_snapshot: SequenceNumber,
 ) -> Option<CompactionJob> {
-    if inputs.is_empty() {
-        return None;
-    }
     let (smallest_user, largest_user) = user_key_range(&inputs);
-    let next_level_inputs = version.overlapping_inputs(level + 1, &smallest_user, &largest_user);
-    let hull_smallest = next_level_inputs.first().map_or(&smallest_user[..], |f| {
-        f.smallest.user_key().min(&smallest_user)
-    });
-    let hull_largest = next_level_inputs.last().map_or(&largest_user[..], |f| {
-        f.largest.user_key().max(&largest_user)
-    });
-    // At level 0 the inputs are the whole level.
-    let beside = match level {
-        0 => &inputs[..],
-        _ => version.overlapping_inputs(level, hull_smallest, hull_largest),
-    };
-    let is_claimed = |file: &Arc<FileMetaData>| claimed.contains(&file.number);
-    if beside.iter().chain(next_level_inputs).any(is_claimed) {
+    let next_level_inputs = version.overlapping_inputs(level + 1, smallest_user, largest_user);
+    let (hull_lo, hull_hi) = user_key_range(inputs.iter().chain(next_level_inputs));
+    let free = |level| claims.free(level, hull_lo, hull_hi);
+    if !free(level) || !(next_level_inputs.is_empty() || free(level + 1)) {
         return None;
     }
 
@@ -126,16 +108,14 @@ fn leveled_job(
     // next-level input reaching past `inputs` carries tombstones there too.
     let drop_tombstones = ((level + 2)..version.num_levels()).all(|deeper| {
         version
-            .overlapping_inputs(deeper, hull_smallest, hull_largest)
+            .overlapping_inputs(deeper, hull_lo, hull_hi)
             .is_empty()
     });
 
     // A single input with nothing to merge below just moves down a level.
     let move_only = level > 0 && inputs.len() == 1 && next_level_inputs.is_empty();
     let inputs = inputs.into_iter().map(|file| (level, file));
-    let next_level_inputs = next_level_inputs
-        .iter()
-        .map(|file| (level + 1, Arc::clone(file)));
+    let next_level_inputs = next_level_inputs.iter().map(|f| (level + 1, Arc::clone(f)));
     // A leveled run is one partition, and `drop_tombstones` already says
     // no deeper level holds the job's key range.
     Some(CompactionJob {
@@ -341,11 +321,11 @@ mod tests {
                     versions: &versions,
                     state: &mut state,
                     seek_requested: &mut false,
-                    claimed_inputs: &BTreeSet::new(),
+                    claims: &Claims::default(),
                     smallest_snapshot: 1_000,
                 };
                 let job = policy.pick_job(&mut ctx).expect("level 1 is over its size");
-                job.input_numbers().collect()
+                inputs_of(&job).into_iter().map(|(_, n)| n).collect()
             })
             .collect();
         assert_eq!(picks, [[10], [11], [12], [10]]);
@@ -382,13 +362,13 @@ mod tests {
         policy: &LsmPolicy,
         versions: &VersionSet<Version>,
         state: &mut [Vec<u8>; NUM_LEVELS],
-        claimed: &BTreeSet<u64>,
+        claims: &Claims,
     ) -> Option<CompactionJob> {
         policy.pick_job(&mut PolicyCtx {
             versions,
             state,
             seek_requested: &mut false,
-            claimed_inputs: claimed,
+            claims,
             smallest_snapshot: 1_000,
         })
     }
@@ -439,15 +419,15 @@ mod tests {
             *pointer = chosen.largest.encoded().to_vec();
             vec![Arc::clone(chosen)]
         };
-        let overlapping = |level: usize, (lo, hi): &(Vec<u8>, Vec<u8>)| -> Vec<Arc<FileMetaData>> {
+        let overlapping = |level: usize, (lo, hi): (&[u8], &[u8])| -> Vec<Arc<FileMetaData>> {
             let files = version.files[level].0.iter();
             let overlaps = |f: &&Arc<FileMetaData>| f.overlaps_user_range(Some(lo), Some(hi));
             files.filter(overlaps).cloned().collect()
         };
-        let next = overlapping(level + 1, &user_key_range(&inputs));
-        let hull = user_key_range(&[inputs.clone(), next.clone()].concat());
+        let next = overlapping(level + 1, user_key_range(&inputs));
+        let hull = user_key_range(inputs.iter().chain(&next));
         let drop_tombstones =
-            ((level + 2)..NUM_LEVELS).all(|deeper| overlapping(deeper, &hull).is_empty());
+            ((level + 2)..NUM_LEVELS).all(|deeper| overlapping(deeper, hull).is_empty());
         let inputs = inputs.iter().map(|f| (level, f.number));
         let next = next.iter().map(|f| (level + 1, f.number));
         Some((inputs.chain(next).collect(), drop_tombstones))
@@ -493,7 +473,7 @@ mod tests {
             let mut state = Default::default();
             let mut pointers = vec![Vec::new(); NUM_LEVELS];
             for _ in 0..3 {
-                let job = pick(&policy, &versions, &mut state, &BTreeSet::new());
+                let job = pick(&policy, &versions, &mut state, &Claims::default());
                 let job = job.map(|job| (inputs_of(&job), job.spec.drop_tombstones));
                 assert_eq!(
                     job,
@@ -529,37 +509,42 @@ mod tests {
         );
         let policy = LsmPolicy::new(&options);
         let mut state = Default::default();
-        let first = pick(&policy, &versions, &mut state, &BTreeSet::new()).unwrap();
+        let first = pick(&policy, &versions, &mut state, &Claims::default()).unwrap();
         assert_eq!(inputs_of(&first), [(1, 1), (2, 5)]);
-        let claimed: BTreeSet<u64> = first.input_numbers().collect();
+        let mut claims = Claims::default();
+        claims.hold(&first.inputs);
+        let claimed: BTreeSet<u64> = inputs_of(&first).into_iter().map(|(_, n)| n).collect();
         // File 2 shares file 5 with the first job; file 3 is free.
-        let second = pick(&policy, &versions, &mut state, &claimed).unwrap();
+        let second = pick(&policy, &versions, &mut state, &claims).unwrap();
         assert_eq!(inputs_of(&second), [(1, 3), (2, 6)]);
 
         // With both claimed, file 4's range is still free; with all three,
         // nothing is.
+        claims.hold(&second.inputs);
         let both: BTreeSet<u64> = claimed
             .iter()
             .copied()
-            .chain(second.input_numbers())
+            .chain(inputs_of(&second).into_iter().map(|(_, n)| n))
             .collect();
-        let third = pick(&policy, &versions, &mut state, &both).unwrap();
+        let third = pick(&policy, &versions, &mut state, &claims).unwrap();
         assert_eq!(inputs_of(&third), [(1, 4), (2, 7)]);
-        let all: BTreeSet<u64> = both.iter().copied().chain(third.input_numbers()).collect();
-        assert!(pick(&policy, &versions, &mut state, &all).is_none());
+        claims.hold(&third.inputs);
+        assert!(pick(&policy, &versions, &mut state, &claims).is_none());
 
         // A claimed L1 file (say, an L0 -> L1 job's) inside file 2's hull
         // [b, g] keeps file 2's job off, though none of its inputs is claimed.
         let mut state = Default::default();
         let one = BTreeSet::from([1]);
-        let blocked = pick(&policy, &versions, &mut state, &one).unwrap();
+        let mut claims = Claims::default();
+        claims.hold(&first.inputs[..1]);
+        let blocked = pick(&policy, &versions, &mut state, &claims).unwrap();
         assert_eq!(inputs_of(&blocked), [(1, 3), (2, 6)]);
 
         for (job, claimed) in [(&second, &claimed), (&third, &both), (&blocked, &one)] {
             let inputs: Vec<Arc<FileMetaData>> =
                 job.inputs.iter().map(|(_, f)| Arc::clone(f)).collect();
             let (lo, hi) = user_key_range(&inputs);
-            let beside = versions.current().overlapping_inputs(job.level(), &lo, &hi);
+            let beside = versions.current().overlapping_inputs(job.level(), lo, hi);
             let taken = inputs.iter().chain(beside).map(|f| f.number);
             assert!(
                 taken.clone().all(|n| !claimed.contains(&n)),
@@ -590,13 +575,17 @@ mod tests {
         let versions = leveled("/level0", &options, &files);
         let policy = LsmPolicy::new(&options);
         let mut state = Default::default();
-        let level0 = pick(&policy, &versions, &mut state, &BTreeSet::new()).unwrap();
+        let level0 = pick(&policy, &versions, &mut state, &Claims::default()).unwrap();
         assert_eq!(inputs_of(&level0), [(0, 3), (0, 2), (0, 1), (1, 4)]);
-        let claimed: BTreeSet<u64> = level0.input_numbers().collect();
-        let beside = pick(&policy, &versions, &mut state, &claimed).unwrap();
+        let mut claims = Claims::default();
+        claims.hold(&level0.inputs);
+        let beside = pick(&policy, &versions, &mut state, &claims).unwrap();
         assert_eq!(inputs_of(&beside), [(1, 5)]);
         assert!(beside.move_only);
-        let job = pick(&policy, &versions, &mut state, &BTreeSet::from([2])).unwrap();
+        // An in-flight level-0 job that took file 2 alone.
+        let mut claims = Claims::default();
+        claims.hold(&level0.inputs[1..2]);
+        let job = pick(&policy, &versions, &mut state, &claims).unwrap();
         assert_eq!(
             inputs_of(&job),
             [(1, 6)],
@@ -714,11 +703,12 @@ mod tests {
             let (mut versions, io) = store(&format!("/either-{}", order[0]), &layout);
             let policy = LsmPolicy::new(&io.options);
             let mut state = Default::default();
-            let mut claimed = BTreeSet::new();
+            let (mut claims, mut claimed) = (Claims::default(), BTreeSet::new());
             let mut jobs = Vec::new();
             for _ in 0..2 {
-                let job = pick(&policy, &versions, &mut state, &claimed).unwrap();
-                claimed.extend(job.input_numbers());
+                let job = pick(&policy, &versions, &mut state, &claims).unwrap();
+                claims.hold(&job.inputs);
+                claimed.extend(inputs_of(&job).into_iter().map(|(_, n)| n));
                 jobs.push(job);
             }
             assert_eq!(claimed.len(), 4, "two disjoint L1 -> L2 jobs");
@@ -767,7 +757,7 @@ mod tests {
         assert_eq!(read(&versions, &io, "c"), None);
         let policy = LsmPolicy::new(&io.options);
         let mut state = Default::default();
-        let job = pick(&policy, &versions, &mut state, &BTreeSet::new()).unwrap();
+        let job = pick(&policy, &versions, &mut state, &Claims::default()).unwrap();
         assert_eq!(
             job.inputs.len(),
             2,

@@ -5,7 +5,6 @@
 //! `commit_job`s (field order: input deletes, next-level deletes, adds,
 //! guards).
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -13,7 +12,8 @@ use pebblesdb::FlsmPolicy;
 use pebblesdb_common::key::{InternalKey, ValueType};
 use pebblesdb_common::{StoreOptions, NUM_LEVELS};
 use pebblesdb_engine::{
-    CompactionJob, FileMetaData, FileMetaDataEdit, PolicyCtx, ShapePolicy, VersionEdit, VersionSet,
+    Claims, CompactionJob, FileMetaData, FileMetaDataEdit, PolicyCtx, ShapePolicy, VersionEdit,
+    VersionSet,
 };
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmPolicy;
@@ -56,7 +56,7 @@ fn picked_job_and_edit<P: ShapePolicy>(
         versions: &versions,
         state: &mut state,
         seek_requested: &mut false,
-        claimed_inputs: &BTreeSet::new(),
+        claims: &Claims::default(),
         smallest_snapshot: 1_000,
     };
     let job = policy.pick_job(&mut ctx).expect("the setup arms a trigger");
@@ -89,7 +89,8 @@ fn compaction_edits_encode_to_the_bytes_the_per_engine_commits_wrote() {
     let outputs = [output(50, 1500, "a", "h"), output(51, 800, "i", "p")];
     let (job, edit) = picked_job_and_edit(LsmPolicy::new(&options), &options, setup, &outputs, &[]);
     assert!(!job.move_only);
-    assert_eq!(job.input_numbers().collect::<Vec<_>>(), [12, 13, 14]);
+    let numbers: Vec<u64> = job.inputs.iter().map(|(_, f)| f.number).collect();
+    assert_eq!(numbers, [12, 13, 14]);
     assert_eq!(
         edit,
         "04010c04020d04020e050232dc0b0961010900000000000009680101000000000000\
