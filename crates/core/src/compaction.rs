@@ -1,6 +1,9 @@
-//! FLSM compaction: merge a guard's sstables, partition by the child guards,
-//! and append the fragments to the next level — without rewriting any data
-//! already in the next level.
+//! FLSM compaction: pick whole guard components and say where their merge
+//! goes, as a plain [`CompactionJob`]; the chassis merges them and cuts the
+//! output where the next level's guards end — bounds it reads off the
+//! version, as a cursor does, so a job copies nothing of that level — and
+//! appends the fragments to the next level without rewriting any data
+//! already there.
 //!
 //! This is the heart of the paper (section 3.4): classical LSM compaction
 //! must rewrite every overlapping next-level sstable, which is where its
@@ -11,16 +14,15 @@
 //! up a much more expensive last-level merge. One more is this repo's: a
 //! seek-triggered merge rewrites in place over guards that are not empty.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use pebblesdb_common::key::SequenceNumber;
 use pebblesdb_common::StoreOptions;
 use pebblesdb_engine::meta::user_key_range;
-use pebblesdb_engine::{Claims, CompactionJob, FileMetaData, MergeSpec};
+use pebblesdb_engine::{Claims, CompactionJob, FileMetaData};
 
 use crate::guards::GuardMeta;
-use crate::version::{CompactionReason, FlsmVersion};
+use crate::version::{FlsmLevel, FlsmVersion};
 
 /// A last-level merge that would cost this many times more IO than its
 /// input rewrites into the second-highest level instead.
@@ -120,20 +122,54 @@ fn select_seek_inputs(
     best.map_or_else(Vec::new, |run| component_files(run).cloned().collect())
 }
 
-/// Builds a compaction job for one of the triggers returned by
-/// [`compaction_candidates`](crate::version::compaction_candidates): the
-/// inputs are entire guards (or all of level 0); nothing already in the
-/// output level is among them.
+/// Whether every guard of `level` that holds one of `inputs` holds nothing
+/// else. Only then may an in-place rewrite drop a tombstone: a file left
+/// behind in the tombstone's guard may hold an older value it still
+/// shadows. Whole components always qualify.
+fn holds_only(level: &FlsmLevel, inputs: &[Arc<FileMetaData>]) -> bool {
+    let mut numbers: Vec<u64> = inputs.iter().map(|f| f.number).collect();
+    numbers.sort_unstable();
+    inputs.iter().all(|input| {
+        let first = level.guard_index_for(input.smallest.user_key());
+        let last = level.guard_index_for(input.largest.user_key());
+        let mut held = level.guards()[first..=last].iter().flat_map(|g| &g.files);
+        held.all(|f| numbers.binary_search(&f.number).is_ok())
+    })
+}
+
+/// The guards of `level` holding a file that overlaps `[smallest, largest]`:
+/// where a job with that hull would append its output. Such a file sits in a
+/// guard under the hull too and in every guard between, so the ones outside
+/// the guards under the hull are the runs adjoining them.
+fn landing_guards<'a>(
+    level: &'a FlsmLevel,
+    smallest: &'a [u8],
+    largest: &'a [u8],
+) -> impl Iterator<Item = &'a GuardMeta> {
+    let occupied = move |guard: &&GuardMeta| {
+        (guard.files.iter()).any(|f| f.overlaps_user_range(Some(smallest), Some(largest)))
+    };
+    let [first, last] = [smallest, largest].map(|key| level.guard_index_for(key));
+    let guards = level.guards();
+    let before = guards[..first].iter().rev().take_while(occupied);
+    let after = guards[last + 1..].iter().take_while(occupied);
+    let under = guards[first..=last].iter().filter(occupied);
+    under.chain(before).chain(after)
+}
+
+/// Builds a compaction job for a level
+/// [`compaction_candidates`](crate::version::compaction_candidates) lists, or
+/// for a seek-triggered request (`seek`): the inputs are entire guard
+/// components (or all of level 0); nothing already in the output level is
+/// among them.
 ///
-/// The output level's guards are the job's partition keys (the merge of a
-/// job that moves data down picks new ones). `split` is the worker-pool size
-/// used to chunk a level's eligible guards across jobs. Returns `None` when
-/// `claims` leave no eligible guard free.
+/// `split` is the worker-pool size used to chunk a level's eligible guards
+/// across jobs. Returns `None` when `claims` leave no eligible guard free.
 pub fn build_compaction_job(
     version: &FlsmVersion,
     options: &StoreOptions,
     level: usize,
-    reason: CompactionReason,
+    seek: bool,
     smallest_snapshot: SequenceNumber,
     claims: &Claims,
     split: usize,
@@ -144,7 +180,7 @@ pub fn build_compaction_job(
         // Level-0 files overlap freely, so a level-0 job takes all of them —
         // and holds the whole level while it runs.
         version.level0.clone()
-    } else if reason == CompactionReason::SeekTriggered {
+    } else if seek {
         // Seek-triggered compactions stay small: merge only the component
         // around the (unclaimed) guard with the most overlapping sstables,
         // so read latency improves without paying for a whole-level rewrite
@@ -166,12 +202,9 @@ pub fn build_compaction_job(
     let input_bytes: u64 = inputs.iter().map(|f| f.file_size).sum();
 
     // The output is appended to the next level unless the job rewrites its
-    // guards in place; `landing` are the guards it would be appended to.
-    let occupied = |guard: &&GuardMeta| {
-        (guard.files.iter()).any(|f| f.overlaps_user_range(Some(smallest), Some(largest)))
-    };
-    let landing = || version.levels[level + 1].guards().iter().filter(occupied);
-    let in_place = match reason {
+    // guards in place.
+    let landing = || landing_guards(&version.levels[level + 1], smallest, largest);
+    let in_place = match seek {
         _ if level == 0 => false,
         _ if level == last_level => true,
         // A seek-triggered merge exists to leave a cursor fewer sstables to
@@ -180,12 +213,12 @@ pub fn build_compaction_job(
         // this data and of what rested there — and so on to the first empty
         // level. So it descends into empty guards only, and otherwise
         // collapses its own: what overlaps is rewritten once, not per level.
-        CompactionReason::SeekTriggered => landing().next().is_some(),
+        true => landing().next().is_some(),
         // The paper's second-highest-level heuristic: if appending to the
         // last level would land in guards that are already full and much
         // larger than the input, rewrite within this level instead of
         // setting up a huge last-level merge.
-        _ if level + 1 == last_level => {
+        false if level + 1 == last_level => {
             let (mut dest_bytes, mut dest_full) = (0u64, false);
             for guard in landing() {
                 dest_bytes += guard.total_bytes();
@@ -193,38 +226,19 @@ pub fn build_compaction_job(
             }
             dest_full && dest_bytes > (LAST_LEVEL_MERGE_IO_FACTOR * input_bytes as f64) as u64
         }
-        _ => false,
-    };
-    let output_level = if in_place { level } else { level + 1 };
-
-    // In-place last-level rewrites may drop tombstones: there is no deeper
-    // data the tombstone still needs to shadow. Per-partition coverage is
-    // computed so tombstones are kept wherever the owning guard has files
-    // outside this job's inputs (those files may hold older values the
-    // tombstone still shadows).
-    let drop_tombstones = output_level == last_level && level == last_level;
-    let full_partitions: Vec<bool> = if drop_tombstones {
-        let input_numbers: BTreeSet<u64> = inputs.iter().map(|f| f.number).collect();
-        // Partition i is guard i of the level (0 = sentinel): an in-place
-        // merge picks no new guards.
-        version.levels[output_level]
-            .guards()
-            .iter()
-            .map(|g| g.files.iter().all(|f| input_numbers.contains(&f.number)))
-            .collect()
-    } else {
-        Vec::new()
+        false => false,
     };
 
+    // An in-place last-level rewrite may drop tombstones: there is no deeper
+    // data a tombstone still needs to shadow, nor, with whole components, a
+    // file left behind in its guard.
+    let drop_tombstones =
+        in_place && level == last_level && holds_only(&version.levels[level], &inputs);
     Some(CompactionJob {
         inputs: inputs.into_iter().map(|file| (level, file)).collect(),
-        spec: MergeSpec {
-            output_level,
-            smallest_snapshot,
-            drop_tombstones,
-        },
-        partition_keys: version.levels[output_level].guard_keys(),
-        full_partitions,
+        output_level: if in_place { level } else { level + 1 },
+        smallest_snapshot,
+        drop_tombstones,
         move_only: false,
     })
 }
@@ -240,11 +254,39 @@ mod tests {
     use pebblesdb_engine::{EngineIo, FileMetaDataEdit, FileNumbers, VersionEdit, VersionShape};
     use pebblesdb_env::{Env, MemEnv};
     use pebblesdb_sstable::{TableBuilder, TableCache};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
     use std::path::{Path, PathBuf};
 
+    /// Merges `job` against its output level in `version`, picking the
+    /// guards `guard_level` names.
+    fn merge_with(
+        io: &EngineIo,
+        version: &FlsmVersion,
+        job: &CompactionJob,
+        guard_level: impl Fn(&[u8]) -> Option<usize>,
+    ) -> (Vec<FileMetaData>, Vec<Vec<u8>>) {
+        let output = &version.levels[job.output_level];
+        merge_to_tables(io, job, output, guard_level).unwrap()
+    }
+
     /// Merges `job` for a shape with no guards to pick.
-    fn merge(io: &EngineIo, job: &CompactionJob) -> Vec<FileMetaData> {
-        merge_to_tables(io, job, |_| None).unwrap().0
+    fn merge(io: &EngineIo, version: &FlsmVersion, job: &CompactionJob) -> Vec<FileMetaData> {
+        merge_with(io, version, job, |_| None).0
+    }
+
+    /// Asserts that each of `outputs` lies inside one guard of `level`.
+    fn each_inside_one_guard(level: &FlsmLevel, outputs: &[FileMetaData]) {
+        for file in outputs {
+            let (smallest, largest) = (file.smallest.user_key(), file.largest.user_key());
+            let guard = level.guard_index_for(smallest);
+            assert_eq!(
+                guard,
+                level.guard_index_for(largest),
+                "{smallest:?}..{largest:?}"
+            );
+        }
     }
 
     /// IO handles over `db` whose outputs are numbered from 900.
@@ -320,22 +362,14 @@ mod tests {
         edit.new_guards.push((1, b"q".to_vec()));
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
-        let job = build_compaction_job(
-            &version,
-            &options,
-            0,
-            CompactionReason::Level0Files,
-            1_000,
-            &Claims::default(),
-            1,
-        )
-        .unwrap();
-        assert_eq!(job.spec.output_level, 1);
+        let job = build_compaction_job(&version, &options, 0, false, 1_000, &Claims::default(), 1)
+            .unwrap();
+        assert_eq!(job.output_level, 1);
         assert_eq!(job.inputs.len(), 2);
-        assert_eq!(job.partition_keys, vec![b"h".to_vec(), b"q".to_vec()]);
-        assert!(!job.spec.drop_tombstones);
+        assert!(!job.drop_tombstones);
 
-        let outputs = merge(&io, &job);
+        let outputs = merge(&io, &version, &job);
+        each_inside_one_guard(&version.levels[1], &outputs);
         // Keys a,c | h,m | q,x => three partitions => three output files.
         assert_eq!(outputs.len(), 3);
         let mut spans: Vec<(Vec<u8>, Vec<u8>)> = outputs
@@ -388,17 +422,8 @@ mod tests {
         edit.new_files.push((0, f2));
         edit.new_guards.push((1, b"h".to_vec()));
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
-        let job = build_compaction_job(
-            &version,
-            &options,
-            0,
-            CompactionReason::Level0Files,
-            1_000,
-            &Claims::default(),
-            1,
-        )
-        .unwrap();
-        assert_eq!(job.partition_keys, [b"h".to_vec()]);
+        let job = build_compaction_job(&version, &options, 0, false, 1_000, &Claims::default(), 1)
+            .unwrap();
 
         // "h" is a guard already, "m" and "x" qualify only deeper, and "t"'s
         // newest version is a tombstone.
@@ -408,8 +433,9 @@ mod tests {
             b"x" => Some(3),
             _ => None,
         };
-        let (outputs, guards) = merge_to_tables(&io, &job, guard_level).unwrap();
+        let (outputs, guards) = merge_with(&io, &version, &job, guard_level);
         assert_eq!(guards, [b"c".to_vec(), b"q".to_vec()]);
+        each_inside_one_guard(&version.levels[1], &outputs);
         let spans: Vec<_> = (outputs.iter())
             .map(|f| (f.smallest.user_key(), f.largest.user_key()))
             .collect();
@@ -457,14 +483,14 @@ mod tests {
             &version,
             &options,
             last,
-            CompactionReason::GuardFanout,
+            false,
             1_000,
             &Claims::default(),
             1,
         )
         .unwrap();
-        assert_eq!(job.spec.output_level, last);
-        let (outputs, guards) = merge_to_tables(&io, &job, |_| Some(1)).unwrap();
+        assert_eq!(job.output_level, last);
+        let (outputs, guards) = merge_with(&io, &version, &job, |_| Some(1));
         assert_eq!(outputs.len(), 1);
         assert!(guards.is_empty(), "{guards:?}");
     }
@@ -484,17 +510,9 @@ mod tests {
         edit.new_files.push((0, f2));
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
-        let job = build_compaction_job(
-            &version,
-            &options,
-            0,
-            CompactionReason::Level0Files,
-            1_000,
-            &Claims::default(),
-            1,
-        )
-        .unwrap();
-        let outputs = merge(&io, &job);
+        let job = build_compaction_job(&version, &options, 0, false, 1_000, &Claims::default(), 1)
+            .unwrap();
+        let outputs = merge(&io, &version, &job);
         assert_eq!(outputs.len(), 1);
         // Only the newest version survives, so the file holds exactly one key.
         assert_eq!(outputs[0].smallest.user_key(), b"k");
@@ -521,16 +539,12 @@ mod tests {
         let input = write_table(&env, &db, &options, 30, &keys).to_meta();
         let job = CompactionJob {
             inputs: vec![(0, input)],
-            spec: MergeSpec {
-                output_level: 1,
-                smallest_snapshot: 0,
-                drop_tombstones: false,
-            },
-            partition_keys: Vec::new(),
-            full_partitions: Vec::new(),
+            output_level: 1,
+            smallest_snapshot: 0,
+            drop_tombstones: false,
             move_only: false,
         };
-        let outputs = merge(&io, &job);
+        let outputs = merge(&io, &FlsmVersion::empty(4), &job);
         let spans: Vec<_> = (outputs.iter())
             .map(|f| {
                 (
@@ -598,28 +612,30 @@ mod tests {
             &version,
             &options,
             last,
-            CompactionReason::GuardFanout,
+            false,
             1_000,
             &Claims::default(),
             1,
         )
         .unwrap();
-        assert_eq!((job.level(), job.spec.output_level), (last, last));
-        assert!(job.spec.drop_tombstones);
-        // The whole level is in the inputs, so every partition is coverable.
-        assert!(job.full_partitions.iter().all(|full| *full));
+        assert_eq!((job.level(), job.output_level), (last, last));
+        // The whole level is in the inputs, so no guard holds a file
+        // outside them.
+        assert!(job.drop_tombstones);
     }
 
     /// A seek-triggered merge descends only into guards that hold nothing;
-    /// over occupied ones it collapses its guards where they are, partitioned
-    /// by their own level's guards, which its merge adds none to. A size-triggered job
-    /// over the same tree still appends to the next level.
+    /// over occupied ones it collapses its guards where they are, cut at
+    /// their own level's guards, which its merge adds none to. A
+    /// size-triggered job over the same tree still appends to the next
+    /// level.
     #[test]
     fn seek_triggered_jobs_descend_into_empty_guards_only() {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let db = PathBuf::from("/flsm-seek");
         env.create_dir_all(&db).unwrap();
         let options = StoreOptions::default();
+        let io = io_for(&env, &db, &options);
 
         // Level 1: guard "m" holds two overlapping sstables, the sentinel two
         // more. Level 2 holds one sstable, under "m" only.
@@ -648,20 +664,26 @@ mod tests {
         };
 
         // Under the sentinel level 2 is empty: its sstables go down.
-        let down = job(CompactionReason::SeekTriggered, &[62, 63]);
+        let down = job(true, &[62, 63]);
         assert_eq!(numbers(&down), BTreeSet::from([60, 61]));
-        assert_eq!(down.spec.output_level, 2);
+        assert_eq!(down.output_level, 2);
 
         // Under "m" it is not: they are merged within level 1.
-        let stays = job(CompactionReason::SeekTriggered, &[60, 61]);
+        let stays = job(true, &[60, 61]);
         assert_eq!(numbers(&stays), BTreeSet::from([62, 63]));
-        assert_eq!(stays.spec.output_level, 1);
-        assert_eq!(stays.partition_keys, vec![b"m".to_vec()]);
-        assert!(!stays.spec.drop_tombstones);
+        assert_eq!(stays.output_level, 1);
+        assert!(!stays.drop_tombstones);
+        let (outputs, guards) = merge_with(&io, &version, &stays, |_| Some(1));
+        assert!(guards.is_empty(), "{guards:?}");
+        each_inside_one_guard(&version.levels[1], &outputs);
+        let spans: Vec<_> = (outputs.iter())
+            .map(|f| (f.smallest.user_key(), f.largest.user_key()))
+            .collect();
+        assert_eq!(spans, [(&b"m"[..], &b"q"[..])], "one table, in guard m");
 
-        let sized = job(CompactionReason::GuardFanout, &[60, 61]);
+        let sized = job(false, &[60, 61]);
         assert_eq!(numbers(&sized), BTreeSet::from([62, 63]));
-        assert_eq!(sized.spec.output_level, 2);
+        assert_eq!(sized.output_level, 2);
     }
 
     #[test]
@@ -687,28 +709,10 @@ mod tests {
 
         let mut claims = Claims::default();
         // Worker 1 of a 2-worker pool takes one guard...
-        let job1 = build_compaction_job(
-            &version,
-            &options,
-            1,
-            CompactionReason::GuardFanout,
-            1_000,
-            &claims,
-            2,
-        )
-        .unwrap();
+        let job1 = build_compaction_job(&version, &options, 1, false, 1_000, &claims, 2).unwrap();
         claims.hold(&job1.inputs);
         // ... worker 2 takes the other ...
-        let job2 = build_compaction_job(
-            &version,
-            &options,
-            1,
-            CompactionReason::GuardFanout,
-            1_000,
-            &claims,
-            2,
-        )
-        .unwrap();
+        let job2 = build_compaction_job(&version, &options, 1, false, 1_000, &claims, 2).unwrap();
         claims.hold(&job2.inputs);
         let numbers = |job: &CompactionJob| job.inputs.iter().map(|(_, f)| f.number).collect();
         let (set1, set2): (BTreeSet<u64>, BTreeSet<u64>) = (numbers(&job1), numbers(&job2));
@@ -716,15 +720,7 @@ mod tests {
         assert_eq!(set1.len() + set2.len(), 4, "every file is claimed once");
 
         // ... and worker 3 finds nothing left at this level.
-        let job3 = build_compaction_job(
-            &version,
-            &options,
-            1,
-            CompactionReason::GuardFanout,
-            1_000,
-            &claims,
-            2,
-        );
+        let job3 = build_compaction_job(&version, &options, 1, false, 1_000, &claims, 2);
         assert!(job3.is_none());
     }
 
@@ -743,15 +739,7 @@ mod tests {
 
         // An in-flight level-0 job took file 60 (file 61 came after it).
         let claims = claims_of(&version, &[60]);
-        let job = build_compaction_job(
-            &version,
-            &options,
-            0,
-            CompactionReason::Level0Files,
-            1_000,
-            &claims,
-            4,
-        );
+        let job = build_compaction_job(&version, &options, 0, false, 1_000, &claims, 4);
         assert!(job.is_none(), "level 0 must not be double-compacted");
     }
 
@@ -800,7 +788,7 @@ mod tests {
             &version,
             &options,
             last,
-            CompactionReason::GuardFanout,
+            false,
             1_000, // every sequence is below the snapshot floor
             &Claims::default(),
             1,
@@ -808,15 +796,16 @@ mod tests {
         .unwrap();
         // The over-budget sentinel guard drags guard "m" in through the
         // spanning file 71, so the whole component is the input set and
-        // every partition is fully covered.
+        // both guards hold nothing else.
         let input_numbers: BTreeSet<u64> = job.inputs.iter().map(|(_, f)| f.number).collect();
         assert_eq!(input_numbers, [70u64, 71, 72, 73].into_iter().collect());
-        assert!(job.spec.drop_tombstones);
-        assert_eq!(job.full_partitions, vec![true, true]);
+        assert!(job.drop_tombstones);
 
         // With the component fully covered, the tombstone for "n" and the
         // older value it shadows are both dropped for good.
-        let outputs = merge(&io, &job);
+        let outputs = merge(&io, &version, &job);
+        each_inside_one_guard(&version.levels[last], &outputs);
+        assert_eq!(outputs.len(), 1, "the sentinel's keys a, b, c");
         for meta in &outputs {
             let table = io
                 .table_cache
@@ -834,11 +823,11 @@ mod tests {
         }
     }
 
-    /// Defense-in-depth for `full_partitions`: if a job's inputs ever cover
-    /// a guard only partially (hand-built here; component selection does not
-    /// produce such jobs), tombstones in the uncovered partition must
-    /// survive the merge — dropping one would resurrect the older value
-    /// still sitting in the file left behind.
+    /// Defense in depth for the tombstone rule: if a job's inputs ever
+    /// leave a file behind in a guard they touch (hand-picked here; component
+    /// selection does not produce such inputs), the job drops no tombstone —
+    /// dropping one would resurrect the older value still sitting in the
+    /// file left behind.
     #[test]
     fn tombstones_survive_in_partially_covered_partitions() {
         let mut options = StoreOptions::default();
@@ -850,22 +839,21 @@ mod tests {
         let last = NUM_LEVELS - 1;
         let version = spanning_tombstone_version(&env, &db, &options);
 
-        // Hand-build a job covering only the sentinel guard's own files plus
-        // the spanning file — guard "m" keeps file 72 (older "n").
-        let guards = version.levels[last].guards();
-        let inputs = guards[0].files.iter().map(|file| (last, Arc::clone(file)));
+        // Only the sentinel guard's own files plus the spanning file — guard
+        // "m" keeps file 72 (older "n").
+        let level = &version.levels[last];
+        let inputs = level.guards()[0].files.clone();
+        assert!(!holds_only(level, &inputs), "guard m keeps file 72");
         let job = CompactionJob {
-            inputs: inputs.collect(),
-            spec: MergeSpec {
-                output_level: last,
-                smallest_snapshot: 1_000,
-                drop_tombstones: true,
-            },
-            partition_keys: vec![b"m".to_vec()],
-            full_partitions: vec![true, false],
+            drop_tombstones: holds_only(level, &inputs),
+            inputs: inputs.into_iter().map(|file| (last, file)).collect(),
+            output_level: last,
+            smallest_snapshot: 1_000,
             move_only: false,
         };
-        let outputs = merge(&io, &job);
+        assert!(!job.drop_tombstones);
+        let outputs = merge(&io, &version, &job);
+        each_inside_one_guard(level, &outputs);
         let mut survived_tombstone = false;
         for meta in &outputs {
             let table = io
@@ -1072,36 +1060,87 @@ mod tests {
         components
     }
 
+    /// A random user key of one to three letters.
+    fn random_key(rng: &mut StdRng) -> String {
+        let len = rng.gen_range(1..=3);
+        (0..len)
+            .map(|_| rng.gen_range(b'a'..=b'z') as char)
+            .collect()
+    }
+
+    /// A random level-1 layout and its number of files (numbered from 1).
+    /// Most files are short, so a layout holds several components; one in
+    /// ten reaches anywhere, the rest end at most a letter past where they
+    /// start.
+    fn random_layout(rng: &mut StdRng) -> (FlsmVersion, usize) {
+        let mut keys: Vec<String> = (0..rng.gen_range(0..24)).map(|_| random_key(rng)).collect();
+        keys.sort();
+        keys.dedup();
+        let files: Vec<(u64, String, String)> = (0..rng.gen_range(0..16))
+            .map(|number| {
+                let a = random_key(rng);
+                let b = if rng.gen_bool(0.1) {
+                    random_key(rng)
+                } else {
+                    let first = (a.as_bytes()[0] + rng.gen_range(0..=1)).min(b'z');
+                    format!("{}{}", first as char, &random_key(rng)[1..])
+                };
+                (number + 1, a.clone().min(b.clone()), a.max(b))
+            })
+            .collect();
+        let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+        let files: Vec<_> = (files.iter())
+            .map(|(n, a, b)| (*n, a.as_str(), b.as_str()))
+            .collect();
+        (layout(&keys, &files), files.len())
+    }
+
+    /// The guards a job's output lands in, found from the guards under its
+    /// hull and the runs adjoining them, are those a walk of the whole level
+    /// finds, spanning files and all.
+    #[test]
+    fn landing_guards_match_a_walk_of_the_whole_level() {
+        let mut adjoining = 0;
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (version, _) = random_layout(&mut rng);
+            let level = &version.levels[1];
+            let guards = level.guards();
+            let mut hull = [random_key(&mut rng), random_key(&mut rng)];
+            hull.sort();
+            let (smallest, largest) = (hull[0].as_bytes(), hull[1].as_bytes());
+            let index = |guard: &GuardMeta| guards.iter().position(|g| std::ptr::eq(g, guard));
+            let mut found: Vec<usize> = landing_guards(level, smallest, largest)
+                .map(|guard| index(guard).unwrap())
+                .collect();
+            found.sort_unstable();
+            let holds = |g: &GuardMeta| {
+                (g.files.iter()).any(|f| f.overlaps_user_range(Some(smallest), Some(largest)))
+            };
+            let walk: Vec<usize> = (0..guards.len()).filter(|&i| holds(&guards[i])).collect();
+            assert_eq!(found, walk, "seed {seed}");
+            let under = level.guard_index_for(smallest)..=level.guard_index_for(largest);
+            adjoining += found.iter().filter(|i| !under.contains(i)).count();
+        }
+        assert!(
+            adjoining >= 100,
+            "{adjoining} guards outside the hull's own"
+        );
+    }
+
     /// Random guard layouts, with files written before some of their guards
     /// (so they span them): the one-walk components, their file order and
     /// both selections equal the oracle's and the selections it implies.
+    /// A layout holds several components, so a selection can take more than
+    /// one or stop short of a claim; the floors at the end keep the draw
+    /// from collapsing into one component.
     #[test]
     fn components_and_selections_match_a_brute_force_closure() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let (mut spanning, mut seek_jobs) = (0, 0);
+        let (mut three_components, mut wide_or_short_selections) = (0, 0);
         for seed in 0..300u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let key = |rng: &mut StdRng| {
-                let len = rng.gen_range(1..=2);
-                (0..len)
-                    .map(|_| rng.gen_range(b'a'..=b'p') as char)
-                    .collect::<String>()
-            };
-            let mut keys: Vec<String> = (0..rng.gen_range(0..8)).map(|_| key(&mut rng)).collect();
-            keys.sort();
-            keys.dedup();
-            let files: Vec<(u64, String, String)> = (0..rng.gen_range(0..12))
-                .map(|number| {
-                    let (a, b) = (key(&mut rng), key(&mut rng));
-                    (number + 1, a.clone().min(b.clone()), a.max(b))
-                })
-                .collect();
-            let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
-            let files: Vec<_> = (files.iter())
-                .map(|(n, a, b)| (*n, a.as_str(), b.as_str()))
-                .collect();
-            let version = layout(&keys, &files);
+            let (version, files) = random_layout(&mut rng);
             let guards = version.levels[1].guards();
 
             let oracle = closure_components(guards);
@@ -1114,15 +1153,15 @@ mod tests {
                 .iter()
                 .filter(|(members, _)| members.len() > 1)
                 .count();
+            three_components += usize::from(oracle.len() >= 3);
 
-            let claimed: BTreeSet<u64> = (1..=files.len() as u64)
-                .filter(|_| rng.gen_bool(0.15))
-                .collect();
+            let claimed: BTreeSet<u64> =
+                (1..=files as u64).filter(|_| rng.gen_bool(0.15)).collect();
             let claimable = |(_, files): &&Component| files.iter().all(|f| !claimed.contains(f));
             let fanout =
                 |(members, _): &Component| members.iter().map(|&i| guards[i].files.len()).max();
 
-            let (budget, split) = (rng.gen_range(1..4), rng.gen_range(1..4));
+            let (budget, split) = (rng.gen_range(1..6), rng.gen_range(1..4));
             let over =
                 |(members, _): &&Component| members.iter().any(|&i| guards[i].files.len() > budget);
             let any_over = oracle.iter().any(|c| over(&c));
@@ -1138,8 +1177,11 @@ mod tests {
                 let from = eligible.first().map_or(0, |first| index(first));
                 oracle[from..index(c)].iter().any(|d| !claimable(&d))
             };
-            let chosen = (eligible.iter().take(take)).take_while(|c| !crosses(c));
-            let expected: Vec<u64> = chosen
+            let chosen: Vec<_> = (eligible.iter().take(take))
+                .take_while(|c| !crosses(c))
+                .collect();
+            wide_or_short_selections += usize::from(chosen.len() >= 2 || chosen.len() < take);
+            let expected: Vec<u64> = (chosen.into_iter())
                 .flat_map(|(_, files)| files.iter().copied())
                 .collect();
             let claims = claims_of(&version, &Vec::from_iter(claimed.iter().copied()));
@@ -1158,6 +1200,11 @@ mod tests {
         assert!(
             spanning > 100 && seek_jobs > 50,
             "{spanning} runs, {seek_jobs} seek picks"
+        );
+        assert!(
+            three_components >= 50 && wide_or_short_selections >= 50,
+            "{three_components} layouts of three or more components, \
+             {wide_or_short_selections} selections over two or more or short of a claim"
         );
     }
 }

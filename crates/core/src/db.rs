@@ -19,7 +19,7 @@ use pebblesdb_env::Env;
 
 use crate::compaction::build_compaction_job;
 use crate::guards::GuardPicker;
-use crate::version::{compaction_candidates, CompactionReason, FlsmVersion};
+use crate::version::{compaction_candidates, FlsmVersion};
 
 /// The guarded FLSM shape policy.
 pub struct FlsmPolicy {
@@ -83,36 +83,34 @@ impl ShapePolicy for FlsmPolicy {
         let version = ctx.versions.current();
         let levels = ctx.versions.levels();
 
-        let mut candidates = compaction_candidates(levels, &self.options);
+        let mut seek_level = None;
         if *ctx.seek_requested {
             // A seek compaction helps most where the fattest slot is fattest
             // (the shallowest of equals; level 0 is one slot).
             let collapsible = Self::collapsible_levels(version).rev();
-            match collapsible.max_by_key(|level| levels[*level].max_files_per_slot) {
-                // Seek compactions yield to size triggers; the flag stays
-                // set until the seek job itself is claimed.
-                Some(level) => candidates.push((level, CompactionReason::SeekTriggered)),
-                // No guard holds two overlapping sstables anywhere: the
-                // request can never be satisfied, so drop it instead of
-                // spinning.
-                None => *ctx.seek_requested = false,
-            }
+            seek_level = collapsible.max_by_key(|level| levels[*level].max_files_per_slot);
+            // No guard holds two overlapping sstables anywhere: the request
+            // can never be satisfied, so drop it instead of spinning.
+            *ctx.seek_requested &= seek_level.is_some();
         }
-
-        for (level, reason) in candidates {
+        // Seek compactions yield to size triggers; the flag stays set until
+        // the seek job itself is claimed.
+        let candidates = compaction_candidates(levels, &self.options).into_iter();
+        for (level, seek) in candidates
+            .map(|level| (level, false))
+            .chain(seek_level.map(|level| (level, true)))
+        {
             let job = build_compaction_job(
                 version,
                 &self.options,
                 level,
-                reason,
+                seek,
                 ctx.smallest_snapshot,
                 ctx.claims,
                 split,
             );
             if job.is_some() {
-                if reason == CompactionReason::SeekTriggered {
-                    *ctx.seek_requested = false;
-                }
+                *ctx.seek_requested &= !seek;
                 return job;
             }
         }

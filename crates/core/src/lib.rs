@@ -46,7 +46,7 @@ pub mod version;
 pub use db::{FlsmPolicy, PebblesDb};
 pub use guards::{GuardMeta, GuardPicker};
 pub use pebblesdb_common::{StoreOptions, StorePreset};
-pub use version::{CompactionReason, FlsmVersion};
+pub use version::FlsmVersion;
 
 #[cfg(test)]
 mod tests {

@@ -138,34 +138,31 @@ fn edited_files(
 ///
 /// The compaction pool walks this list so a worker whose preferred level
 /// is fully claimed by in-flight jobs can still pick up independent work
-/// at another level. Each level appears at most once, under its
-/// highest-priority reason.
-pub fn compaction_candidates(
-    levels: &[LevelRow],
-    options: &StoreOptions,
-) -> Vec<(usize, CompactionReason)> {
-    let mut candidates: Vec<(usize, CompactionReason)> = Vec::new();
-    let mut push = |level: usize, reason: CompactionReason| {
-        if candidates.iter().all(|(listed, _)| *listed != level) {
-            candidates.push((level, reason));
+/// at another level. Each level appears at most once, at its
+/// highest-priority trigger.
+pub fn compaction_candidates(levels: &[LevelRow], options: &StoreOptions) -> Vec<usize> {
+    let mut candidates: Vec<usize> = Vec::new();
+    let mut push = |level: usize| {
+        if !candidates.contains(&level) {
+            candidates.push(level);
         }
     };
     // Level 0 is governed by file count.
     if levels[0].files >= options.level0_compaction_trigger {
-        push(0, CompactionReason::Level0Files);
+        push(0);
     }
     // A guard over its sstable budget forces a compaction of its level.
     // This includes the last level, which rewrites its guards in place
     // (the paper's "exception to the no-rewrite rule").
     for row in &levels[1..] {
         if row.max_files_per_slot > options.max_sstables_per_guard {
-            push(row.level, CompactionReason::GuardFanout);
+            push(row.level);
         }
     }
     // Byte budgets.
     for row in levels.iter().take(levels.len() - 1).skip(1) {
         if row.bytes > options.max_bytes_for_level(row.level) {
-            push(row.level, CompactionReason::LevelBytes);
+            push(row.level);
         }
     }
     // Aggressive compaction: level i close in size to level i+1.
@@ -177,26 +174,11 @@ pub fn compaction_candidates(
                 && (this as f64) >= AGGRESSIVE_COMPACTION_RATIO * (next as f64)
                 && this >= options.max_bytes_for_level(level) / 2
             {
-                push(level, CompactionReason::Aggressive);
+                push(level);
             }
         }
     }
     candidates
-}
-
-/// Why a compaction was scheduled (used for stats and tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompactionReason {
-    /// Too many level-0 files.
-    Level0Files,
-    /// Some guard exceeded `max_sstables_per_guard`.
-    GuardFanout,
-    /// A level exceeded its byte budget.
-    LevelBytes,
-    /// The level is close in size to the next level (aggressive compaction).
-    Aggressive,
-    /// Requested by the consecutive-seek heuristic.
-    SeekTriggered,
 }
 
 impl VersionShape for FlsmVersion {
@@ -706,14 +688,7 @@ mod tests {
         let version = FlsmVersion::empty(NUM_LEVELS).apply(&edit).unwrap();
 
         let rows = LevelTable::of(&version);
-        assert_eq!(
-            compaction_candidates(&rows, &opts),
-            vec![
-                (0, CompactionReason::Level0Files),
-                (1, CompactionReason::GuardFanout),
-                (2, CompactionReason::GuardFanout),
-            ]
-        );
+        assert_eq!(compaction_candidates(&rows, &opts), [0, 1, 2]);
         assert!(version.needs_compaction(&rows, &opts));
     }
 
@@ -736,10 +711,7 @@ mod tests {
         edit.new_files.push((0, file_edit(10, "a", "b")));
         edit.new_files.push((0, file_edit(11, "c", "d")));
         let version = version.apply(&edit).unwrap();
-        assert_eq!(
-            first_candidate(&version),
-            Some((0, CompactionReason::Level0Files))
-        );
+        assert_eq!(first_candidate(&version), Some(0));
 
         // Guard fanout trigger: three files in one guard with budget 2.
         let mut edit = VersionEdit::default();
@@ -749,9 +721,11 @@ mod tests {
             edit.new_files.push((1, file_edit(n, "k", "p")));
         }
         let version = version.apply(&edit).unwrap();
-        assert_eq!(
-            first_candidate(&version),
-            Some((1, CompactionReason::GuardFanout))
-        );
+        assert_eq!(first_candidate(&version), Some(1));
+        // The fanout alone triggers it: no byte budget is in reach.
+        let mut roomy = opts.clone();
+        roomy.base_level_bytes = 1 << 40;
+        let candidates = compaction_candidates(&LevelTable::of(&version), &roomy);
+        assert_eq!(candidates, [1]);
     }
 }

@@ -5,6 +5,7 @@
 
 use std::path::Path;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use parking_lot::MutexGuard;
 
@@ -15,7 +16,7 @@ use pebblesdb_common::{CfId, Result, WriteBatch};
 use crate::chassis::{ClaimedJob, EngineCore, EngineState};
 use crate::policy::{EngineIo, PolicyCtx, ShapePolicy};
 use crate::runs::{flush_to_table, merge_to_tables};
-use crate::version_set::VersionEdit;
+use crate::version_set::{VersionEdit, VersionShape};
 
 /// WAL files tolerated on disk before idle families' recovery floors are
 /// force-advanced (each advance costs one synced MANIFEST edit per family).
@@ -204,12 +205,19 @@ impl<P: ShapePolicy> EngineCore<P> {
     /// Runs a claimed job's merge with the state mutex released, then
     /// commits (or abandons) it and releases its claim. The claimed family
     /// cannot be dropped while the job is in flight (`drop_cf` waits it out).
+    ///
+    /// The merge cuts its outputs at the output level's slots in the
+    /// family's current version, which the job pins as a cursor does; run
+    /// in the same hold of the lock as its claim (`compact_next`), that is
+    /// the version the pick saw.
     pub fn run_claimed_job(&self, state: &mut MutexGuard<'_, EngineState<P>>, claimed: ClaimedJob) {
         let ClaimedJob { cf: id, job, claim } = claimed;
+        let version = Arc::clone(state.job_cf(id).versions.current());
+        let output = &version.runs()[job.output_level - 1];
         let committed = self.run_job(
             state,
             id,
-            |io| merge_to_tables(io, &job, |key| self.policy.guard_level(key)),
+            |io| merge_to_tables(io, &job, output, |key| self.policy.guard_level(key)),
             |state, (outputs, guards)| {
                 let cf = state.job_cf(id);
                 let edit = VersionEdit::compaction(&job, &outputs, &guards);
@@ -223,9 +231,9 @@ impl<P: ShapePolicy> EngineCore<P> {
         // poisoned store does not wedge its sibling workers.
         state.job_cf(id).claims.release(&claim);
         self.counters.record_compaction_end();
-        // The job's own hold on its inputs goes first: the pass would find
-        // every file this commit unlinked still held.
-        drop(job);
+        // The job's own holds on its inputs and its version go first: the
+        // pass would find every file this commit unlinked still held.
+        drop((job, version));
         if committed {
             self.remove_obsolete_files(state);
         }

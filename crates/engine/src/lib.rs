@@ -67,6 +67,6 @@ pub use cdc::{ChangeLog, EngineChangeStream, Frontier};
 pub use chassis::{CfState, ClaimedJob, EngineCore, EngineDb, EngineShared, EngineState};
 pub use meta::{FileMetaData, FileMetaDataEdit};
 pub use policy::{Claim, Claims, CompactionJob, EngineIo, PolicyCtx, ShapePolicy};
-pub use runs::{LevelCursor, MergeSpec, RunSource};
+pub use runs::{LevelCursor, RunSource};
 pub use version_set::{FileNumbers, LevelRow, LevelTable, VersionEdit, VersionSet, VersionShape};
 pub use vlog::VlogGcReport;

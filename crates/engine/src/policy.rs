@@ -6,7 +6,9 @@
 //! them out: the version *definition* and its *run cut*
 //! ([`VersionShape`], [`RunSource`](crate::RunSource)), and the *job pick* —
 //! which files a compaction takes and where their merge goes, handed over as
-//! a plain [`CompactionJob`] record the chassis merges and commits. The
+//! a plain [`CompactionJob`] record the chassis merges and commits. Where
+//! the merge cuts its outputs is the output level's run cut, which the
+//! chassis reads off the version; a job carries no copy of it. The
 //! remaining hooks are which keys a merge makes guards (the FLSM's hash of a
 //! key) and whether a seek-triggered compaction could help.
 
@@ -18,7 +20,6 @@ use pebblesdb_env::Env;
 use pebblesdb_sstable::TableCache;
 
 use crate::meta::{user_key_range, FileMetaData};
-use crate::runs::MergeSpec;
 use crate::version_set::{FileNumbers, VersionSet, VersionShape};
 
 /// The IO handles one column family runs against, shared by the chassis and
@@ -45,7 +46,8 @@ pub struct EngineIo {
 /// A fully described unit of compaction work: what a policy decides, as
 /// data. The chassis holds its inputs' [`Claims`] to keep other jobs off
 /// them, runs [`merge_to_tables`](crate::runs::merge_to_tables) over the
-/// record outside the state mutex and commits
+/// record and the output level of the version it was picked from, outside
+/// the state mutex, and commits
 /// [`VersionEdit::compaction`](crate::VersionEdit::compaction) of it.
 /// (Outputs need no reservation: the garbage collector deletes only what a
 /// commit unlinked, never a table no commit has named.)
@@ -56,19 +58,18 @@ pub struct CompactionJob {
     /// of level 0, or one file of a leveled run), then — for a leveled run —
     /// the next level's files they overlap.
     pub inputs: Vec<(usize, Arc<FileMetaData>)>,
-    /// How the inputs are merged and the level the outputs are written for.
-    pub spec: MergeSpec,
-    /// Sorted user keys no output table may cross: the output level's
-    /// guards. Empty for a leveled run.
-    pub partition_keys: Vec<Vec<u8>>,
-    /// With `spec.drop_tombstones`, which output partitions have every one
-    /// of their files among the inputs. A tombstone is dropped only in such
-    /// a partition: a file left behind in the owning guard may still hold an
-    /// older value it must keep shadowing. A partition past the end (every
-    /// partition of a leveled run) counts as covered.
-    pub full_partitions: Vec<bool>,
+    /// The level the outputs are written for.
+    pub output_level: usize,
+    /// Versions superseded at or below this sequence are invisible to every
+    /// live snapshot and are garbage-collected by the merge.
+    pub smallest_snapshot: SequenceNumber,
+    /// Whether tombstones at or below `smallest_snapshot` may be dropped:
+    /// only when no older version of a key the job writes can survive
+    /// outside the merge, neither deeper down nor in a file the job leaves
+    /// behind in a guard it rewrites.
+    pub drop_tombstones: bool,
     /// A single input with nothing to merge below it: no IO runs, the commit
-    /// just moves the file down to `spec.output_level`.
+    /// just moves the file down to `output_level`.
     pub move_only: bool,
 }
 

@@ -10,7 +10,9 @@
 //! compaction merge loop (driven by the plain
 //! [`CompactionJob`](crate::CompactionJob) record) with the table-writing
 //! tail it shares with the memtable flush, both naming their outputs on
-//! demand.
+//! demand. The merge cuts its outputs where the output level's slots end,
+//! the same [`RunSource::bounds`] a cursor clips its reads at: one
+//! definition of where a guard ends, for reads and writes.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -459,49 +461,42 @@ pub fn flush_to_table(io: &EngineIo, mut iter: impl DbIterator) -> Result<Option
     outputs.done(Some(finish_table(number, builder)?))
 }
 
-/// What a compaction merge needs to know besides its inputs.
-#[derive(Debug)]
-pub struct MergeSpec {
-    /// The level the outputs are written for.
-    pub output_level: usize,
-    /// Versions superseded at or below this sequence are invisible to every
-    /// live snapshot and are garbage-collected by the merge.
-    pub smallest_snapshot: SequenceNumber,
-    /// Whether tombstones at or below `smallest_snapshot` may be dropped
-    /// (where the job's `full_partitions` agree): only safe when no older
-    /// version of the key can survive outside the merge.
-    pub drop_tombstones: bool,
-}
-
 /// The compaction IO loop: merges the job's inputs, drops every version a
-/// newer one shadows for all live snapshots (and droppable tombstones), and
-/// writes the survivors to new tables of `io`'s directory.
+/// newer one shadows for all live snapshots (and, if the job allows, every
+/// tombstone they all see), and writes the survivors to new tables of
+/// `io`'s directory.
+///
+/// `output` is the job's output level in the version the job was picked
+/// from, and its slots are where the merge cuts: a table opened in a slot
+/// ends before the first key at or past the slot's upper bound, the bound
+/// a [`LevelCursor`] clips the slot's reads at. A guard is an FLSM slot; a
+/// leveled run's slots are unbounded, so its output is cut by size alone.
 ///
 /// A job that moves data down a level also picks the output level's new
 /// guards: each key it writes whose newest version is not a tombstone, that
 /// `guard_level` puts at or above the output level and that is not already
-/// one of the job's `partition_keys`. An in-place rewrite picks none.
+/// a guard there (the lower bound of its slot). An in-place rewrite picks
+/// none.
 ///
-/// An output table never crosses one of the job's `partition_keys` — the
-/// FLSM partitions by the output level's guards, a leveled run is one
-/// partition — or a new guard, nor splits the versions of one user key, and
-/// is rotated at the first key past `max_file_size`, unless the
-/// job rewrites its level in place: then each partition is one table, so a
-/// guard it rewrites holds one sstable however much live data it keeps (cut
-/// by size, a guard holding more than its budget's worth of tables would
-/// come back over budget and be picked again, forever). Returns the outputs
-/// in key order, their directory entries synced (they exist only on disk
-/// until the caller commits them), and the new guards in key order.
+/// An output table never crosses a slot bound or a new guard, nor splits
+/// the versions of one user key, and is rotated at the first key past
+/// `max_file_size`, unless the job rewrites its level in place: then each
+/// slot it writes is one table, so a guard it rewrites holds one sstable
+/// however much live data it keeps (cut by size, a guard holding more than
+/// its budget's worth of tables would come back over budget and be picked
+/// again, forever). Returns the outputs in key order, their directory
+/// entries synced (they exist only on disk until the caller commits them),
+/// and the new guards in key order.
 pub fn merge_to_tables(
     io: &EngineIo,
     job: &CompactionJob,
+    output: &impl RunSource,
     guard_level: impl Fn(&[u8]) -> Option<usize>,
 ) -> Result<(Vec<FileMetaData>, Vec<Vec<u8>>)> {
     if job.move_only {
         return Ok((Vec::new(), Vec::new())); // a move reads and writes nothing
     }
-    let spec = &job.spec;
-    let in_place = job.level() == spec.output_level;
+    let in_place = job.level() == job.output_level;
     let max_file_size = if in_place {
         u64::MAX
     } else {
@@ -520,10 +515,10 @@ pub fn merge_to_tables(
     let mut outputs: Vec<FileMetaData> = Vec::new();
     let mut guards: Vec<Vec<u8>> = Vec::new();
     let mut builder: Option<(u64, TableBuilder)> = None;
-    let mut builder_partition = 0;
+    // The upper bound of the slot the open table was opened in.
+    let mut slot_end: Option<&[u8]> = None;
     let mut last_user_key: Option<Vec<u8>> = None;
     let mut last_sequence_for_key = MAX_SEQUENCE_NUMBER;
-    let (mut partition, mut tombstone_droppable) = (0, false);
 
     while merged.valid() {
         let parsed = parse_internal_key(merged.key())
@@ -535,26 +530,18 @@ pub fn merge_to_tables(
             last.clear();
             last.extend_from_slice(parsed.user_key);
             last_sequence_for_key = MAX_SEQUENCE_NUMBER;
-            partition = job
-                .partition_keys
-                .partition_point(|key| key.as_slice() <= parsed.user_key);
-            let covered = job.full_partitions.get(partition);
-            tombstone_droppable = covered.copied().unwrap_or(true);
-            let existing = partition > 0 && job.partition_keys[partition - 1] == parsed.user_key;
             new_guard = !in_place
                 && parsed.value_type != ValueType::Deletion
-                && !existing
-                && guard_level(parsed.user_key).is_some_and(|level| level <= spec.output_level);
+                && guard_level(parsed.user_key).is_some_and(|level| level <= job.output_level)
+                && output.bounds(output.slot_for(merged.key())).0 != Some(parsed.user_key);
         }
         // A version may be dropped once a newer version of the same key is
         // visible to every live snapshot; a tombstone additionally needs the
-        // job and the key's partition to rule out an older value it still
-        // shadows.
-        let drop_entry = last_sequence_for_key <= spec.smallest_snapshot
-            || (spec.drop_tombstones
-                && tombstone_droppable
+        // job to rule out an older value it still shadows.
+        let drop_entry = last_sequence_for_key <= job.smallest_snapshot
+            || (job.drop_tombstones
                 && parsed.value_type == ValueType::Deletion
-                && parsed.sequence <= spec.smallest_snapshot);
+                && parsed.sequence <= job.smallest_snapshot);
         last_sequence_for_key = parsed.sequence;
 
         if !drop_entry {
@@ -562,8 +549,8 @@ pub fn merge_to_tables(
             // job take the newer versions down a level and leave the older
             // ones above them, where a read finds them first.
             let past_size = |b: &TableBuilder| new_key && b.file_size() >= max_file_size;
-            let cut =
-                |b: &TableBuilder| builder_partition != partition || new_guard || past_size(b);
+            let past_slot = slot_end.is_some_and(|end| parsed.user_key >= end);
+            let cut = |b: &TableBuilder| past_slot || new_guard || past_size(b);
             if let Some((number, full)) = builder.take_if(|(_, b)| cut(b)) {
                 outputs.push(finish_table(number, full)?);
             }
@@ -572,7 +559,7 @@ pub fn merge_to_tables(
             }
             if builder.is_none() {
                 builder = Some(tables.open_table()?);
-                builder_partition = partition;
+                slot_end = output.bounds(output.slot_for(merged.key())).1;
             }
             let (_, open) = builder.as_mut().expect("opened above");
             open.add(merged.key(), merged.value())?;

@@ -220,15 +220,13 @@ impl VersionEdit {
         for (level, file) in &job.inputs {
             edit.delete_file(*level, file.number);
             if job.move_only {
-                edit.add_file(job.spec.output_level, file);
+                edit.add_file(job.output_level, file);
             }
         }
         for meta in outputs {
-            edit.add_file(job.spec.output_level, meta);
+            edit.add_file(job.output_level, meta);
         }
-        let guards = guards
-            .iter()
-            .map(|key| (job.spec.output_level, key.clone()));
+        let guards = guards.iter().map(|key| (job.output_level, key.clone()));
         edit.new_guards.extend(guards);
         edit
     }

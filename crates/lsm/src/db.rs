@@ -20,7 +20,7 @@ use std::sync::Arc;
 use pebblesdb_common::key::{compare_internal_keys, SequenceNumber};
 use pebblesdb_common::{Result, StoreOptions, StorePreset, NUM_LEVELS};
 use pebblesdb_engine::meta::user_key_range;
-use pebblesdb_engine::{Claims, CompactionJob, EngineDb, FileMetaData, MergeSpec};
+use pebblesdb_engine::{Claims, CompactionJob, EngineDb, FileMetaData};
 use pebblesdb_engine::{PolicyCtx, ShapePolicy};
 use pebblesdb_env::Env;
 
@@ -116,17 +116,11 @@ fn leveled_job(
     let move_only = level > 0 && inputs.len() == 1 && next_level_inputs.is_empty();
     let inputs = inputs.into_iter().map(|file| (level, file));
     let next_level_inputs = next_level_inputs.iter().map(|f| (level + 1, Arc::clone(f)));
-    // A leveled run is one partition, and `drop_tombstones` already says
-    // no deeper level holds the job's key range.
     Some(CompactionJob {
         inputs: inputs.chain(next_level_inputs).collect(),
-        spec: MergeSpec {
-            output_level: level + 1,
-            smallest_snapshot,
-            drop_tombstones,
-        },
-        partition_keys: Vec::new(),
-        full_partitions: Vec::new(),
+        output_level: level + 1,
+        smallest_snapshot,
+        drop_tombstones,
         move_only,
     })
 }
@@ -474,7 +468,7 @@ mod tests {
             let mut pointers = vec![Vec::new(); NUM_LEVELS];
             for _ in 0..3 {
                 let job = pick(&policy, &versions, &mut state, &Claims::default());
-                let job = job.map(|job| (inputs_of(&job), job.spec.drop_tombstones));
+                let job = job.map(|job| (inputs_of(&job), job.drop_tombstones));
                 assert_eq!(
                     job,
                     serial_pick(&options, version, &mut pointers),
@@ -596,6 +590,8 @@ mod tests {
     /// `(user key, sequence, value)` in internal-key order; `None` is a
     /// tombstone.
     type Entries<'a> = &'a [(&'a str, u64, Option<&'a str>)];
+    /// A merge's outputs and the guards it picked (none, for the LSM).
+    type Merged = (Vec<FileMetaData>, Vec<Vec<u8>>);
 
     /// Writes a table of `entries` and returns its metadata.
     fn table(io: &EngineIo, entries: Entries<'_>) -> FileMetaData {
@@ -642,9 +638,15 @@ mod tests {
         (versions, io)
     }
 
+    /// Merges `job` against the output level of `version`.
+    fn merge(io: &EngineIo, version: &Version, job: &CompactionJob) -> Merged {
+        let output = &version.runs()[job.output_level - 1];
+        merge_to_tables(io, job, output, |_| None).unwrap()
+    }
+
     /// Merges and commits `job` (`merge_to_tables` and the commit's edit).
     fn run(versions: &mut VersionSet<Version>, io: &EngineIo, job: &CompactionJob) {
-        let (outputs, guards) = merge_to_tables(io, job, |_| None).unwrap();
+        let (outputs, guards) = merge(io, versions.current(), job);
         let edit = VersionEdit::compaction(job, &outputs, &guards);
         versions.log_and_apply(edit).unwrap();
     }
@@ -714,7 +716,7 @@ mod tests {
             assert_eq!(claimed.len(), 4, "two disjoint L1 -> L2 jobs");
             let merged: Vec<_> = jobs
                 .iter()
-                .map(|job| merge_to_tables(&io, job, |_| None).unwrap())
+                .map(|job| merge(&io, versions.current(), job))
                 .collect();
             for i in order {
                 let (outputs, guards) = &merged[i];

@@ -175,7 +175,7 @@ fn serial_flsm_pick(
     options: &StoreOptions,
     versions: &VersionSet<FlsmVersion>,
 ) -> Option<Vec<u64>> {
-    let (level, _) = *compaction_candidates(versions.levels(), options).first()?;
+    let level = *compaction_candidates(versions.levels(), options).first()?;
     let version = versions.current();
     if level == 0 {
         return Some(version.level0.iter().map(|f| f.number).collect());

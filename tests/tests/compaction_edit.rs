@@ -116,7 +116,7 @@ fn compaction_edits_encode_to_the_bytes_the_per_engine_commits_wrote() {
         &outputs,
         &guards,
     );
-    assert_eq!(job.spec.output_level, 1);
+    assert_eq!(job.output_level, 1);
     assert_eq!(
         edit,
         "04001504001405013c9003096101090000000000000963010100000000000005013d9003\
@@ -140,8 +140,8 @@ fn compaction_edits_encode_to_the_bytes_the_per_engine_commits_wrote() {
         &[output(70, 1800, "a", "e")],
         &[],
     );
-    assert_eq!((job.level(), job.spec.output_level), (last, last));
-    assert!(job.spec.drop_tombstones);
+    assert_eq!((job.level(), job.output_level), (last, last));
+    assert!(job.drop_tombstones);
     assert_eq!(
         edit,
         "04061f04061e050646880e0961010900000000000009650101000000000000"
@@ -166,8 +166,8 @@ fn compaction_edits_encode_to_the_bytes_the_per_engine_commits_wrote() {
         &[output(80, 1900, "a", "e")],
         &[],
     );
-    assert_eq!((job.level(), job.spec.output_level), (last - 1, last - 1));
-    assert!(!job.spec.drop_tombstones);
+    assert_eq!((job.level(), job.output_level), (last - 1, last - 1));
+    assert!(!job.drop_tombstones);
     assert_eq!(
         edit,
         "040529040528050550ec0e0961010900000000000009650101000000000000"

@@ -1,7 +1,9 @@
 //! Cursor construction is O(levels): the heap allocations of one
 //! `iter()` + `seek` + drop do not depend on how many guards (FLSM) or files
 //! (LSM) the tree holds; neither do those of applying a flush's version edit
-//! to an FLSM version, which shares every guard level it leaves alone.
+//! to an FLSM version, which shares every guard level it leaves alone, nor
+//! those of picking an FLSM compaction, which copies nothing of the level
+//! it writes.
 //! Counted, not timed — a counting global allocator makes the check
 //! deterministic, and living in its own test binary keeps the allocator away
 //! from every other suite.
@@ -13,6 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pebblesdb::{FlsmVersion, PebblesDb};
+use pebblesdb_common::filename::table_file_name;
 use pebblesdb_common::key::{InternalKey, ValueType};
 use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset, NUM_LEVELS};
 use pebblesdb_engine::{FileMetaDataEdit, VersionEdit, VersionShape};
@@ -219,6 +222,73 @@ fn flsm_flush_edit_allocations_do_not_grow_with_the_guard_count() {
         allocations_per_flush_edit(30),
         allocations_per_flush_edit(3_000)
     );
+}
+
+/// Allocations of claiming one FLSM compaction job — a pick, under the
+/// state mutex — over level 1, whose one guard holds two tables against a
+/// budget of one, when the output level 2 holds `guards` guards. The job
+/// then runs, so the claim is released and the merge is seen to land.
+fn allocations_per_claim(guards: usize) -> u64 {
+    let mut options = StoreOptions::default();
+    options.compaction_threads = 0;
+    options.level0_compaction_trigger = 100;
+    options.enable_aggressive_compaction = false;
+    options.max_sstables_per_guard = 1;
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let dir = Path::new("/alloc-claim");
+    let db = PebblesDb::open_with_options(Arc::clone(&env), dir, options.clone()).unwrap();
+    let core = db.engine().core();
+    let mut state = core.state.lock();
+    let versions = &mut state.default_cf_mut().versions;
+    let mut edit = VersionEdit::default();
+    for n in 0..guards {
+        edit.new_guards
+            .push((2, format!("guard{n:06}").into_bytes()));
+    }
+    for keys in [["a", "c"], ["b", "d"]] {
+        let number = versions.new_file_number();
+        let file = env
+            .new_writable_file(&table_file_name(dir, number))
+            .unwrap();
+        let mut builder = TableBuilder::new(&options, file);
+        for key in keys {
+            let key = InternalKey::new(key.as_bytes(), 1, ValueType::Value);
+            builder.add(key.encoded(), b"value").unwrap();
+        }
+        let (smallest, largest) = (builder.first_key(), builder.last_key());
+        let (smallest, largest) = (smallest.unwrap().to_vec(), largest.unwrap().to_vec());
+        let file_size = builder.finish().unwrap();
+        let meta = FileMetaDataEdit {
+            number,
+            file_size,
+            smallest,
+            largest,
+        };
+        edit.new_files.push((1, meta));
+    }
+    versions.log_and_apply(edit).unwrap();
+
+    let before = ALLOCATIONS.with(Cell::get);
+    let claimed = core
+        .claim_job(&mut state)
+        .expect("level 1 is over its budget");
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let job = &claimed.job;
+    assert_eq!((job.level(), job.inputs.len(), job.output_level), (1, 2, 2));
+    core.run_claimed_job(&mut state, claimed);
+    assert!(state.bg_error.is_none(), "{:?}", state.bg_error);
+    drop(state);
+    assert_eq!(db.files_per_level()[1..3], [0, 1]);
+    assert_eq!(db.guards_per_level()[2], guards + 1);
+    allocations
+}
+
+/// A job reads its output level's guards off the version its merge pins: a
+/// pick copies none of them (it allocated once per output-level guard
+/// while each job carried the level's guard keys).
+#[test]
+fn flsm_claim_allocations_do_not_grow_with_the_output_guard_count() {
+    assert_eq!(allocations_per_claim(300), allocations_per_claim(3_000));
 }
 
 /// Mean allocations of one (block-cached) point `get`.
