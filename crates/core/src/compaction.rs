@@ -19,7 +19,7 @@ use std::sync::Arc;
 use pebblesdb_common::key::SequenceNumber;
 use pebblesdb_common::StoreOptions;
 use pebblesdb_engine::meta::user_key_range;
-use pebblesdb_engine::{Claims, CompactionJob, FileMetaData};
+use pebblesdb_engine::{Claims, CompactionJob, FileMetaData, VersionShape};
 
 use crate::guards::GuardMeta;
 use crate::version::{FlsmLevel, FlsmVersion};
@@ -179,7 +179,7 @@ pub fn build_compaction_job(
     let inputs: Vec<Arc<FileMetaData>> = if level == 0 {
         // Level-0 files overlap freely, so a level-0 job takes all of them —
         // and holds the whole level while it runs.
-        version.level0.clone()
+        version.level0().to_vec()
     } else if seek {
         // Seek-triggered compactions stay small: merge only the component
         // around the (unclaimed) guard with the most overlapping sstables,
@@ -251,7 +251,7 @@ mod tests {
     use pebblesdb_common::key::{encode_internal_key, parse_internal_key, ValueType};
     use pebblesdb_common::{ReadOptions, NUM_LEVELS};
     use pebblesdb_engine::runs::merge_to_tables;
-    use pebblesdb_engine::{EngineIo, FileMetaDataEdit, FileNumbers, VersionEdit, VersionShape};
+    use pebblesdb_engine::{EngineIo, FileMetaDataEdit, FileNumbers, VersionEdit};
     use pebblesdb_env::{Env, MemEnv};
     use pebblesdb_sstable::{TableBuilder, TableCache};
     use rand::rngs::StdRng;
@@ -924,7 +924,7 @@ mod tests {
             let files = l.guards().iter().flat_map(|g| g.files.iter());
             (level, files.cloned().collect::<Vec<_>>())
         });
-        for (level, mut files) in levels.chain([(0, version.level0.clone())]) {
+        for (level, mut files) in levels {
             files.retain(|f| claimed.contains(&f.number));
             files.sort_by_key(|f| (f.smallest.user_key().to_vec(), f.number));
             files.dedup_by_key(|f| f.number);

@@ -14,7 +14,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pebblesdb_common::{Result, StoreOptions, StorePreset};
-use pebblesdb_engine::{CompactionJob, EngineDb, PolicyCtx, ShapePolicy};
+use pebblesdb_engine::{CompactionJob, EngineDb, PolicyCtx, ShapePolicy, VersionShape};
 use pebblesdb_env::Env;
 
 use crate::compaction::build_compaction_job;
@@ -51,7 +51,7 @@ impl FlsmPolicy {
     /// they get).
     fn collapsible_levels(version: &FlsmVersion) -> impl DoubleEndedIterator<Item = usize> + '_ {
         let deeper = 1..version.num_levels();
-        (version.level0.len() >= 2)
+        (version.level0().len() >= 2)
             .then_some(0)
             .into_iter()
             .chain(deeper.filter(|level| version.levels[*level].has_overlapping_guard()))

@@ -7,9 +7,10 @@
 //! committed guard keys, which is the only extra metadata PebblesDB persists
 //! compared to its HyperLevelDB base (section 4.3.1 of the paper). This
 //! module supplies what defines the shape — how edits rebuild the guard
-//! tree, its invariants and its compaction triggers; reads, per-level facts
-//! and commits are the chassis's, over the guards as
-//! [`RunSource`](pebblesdb_engine::RunSource) slots (see [`crate::iter`]).
+//! tree, its invariants — and the compaction triggers its policy picks by;
+//! reads, per-level facts, snapshots and commits are the chassis's, over the
+//! guards as [`RunSource`](pebblesdb_engine::RunSource) slots (see
+//! [`crate::iter`]).
 
 use std::cmp::Reverse;
 use std::sync::Arc;
@@ -98,9 +99,8 @@ impl FlsmLevel {
 /// An immutable snapshot of the whole FLSM file layout.
 #[derive(Debug, Default)]
 pub struct FlsmVersion {
-    /// Level-0 files (no guards), newest first.
-    pub level0: Vec<Arc<FileMetaData>>,
-    /// Guard-organised levels; index 0 is unused.
+    /// Guard-organised levels. Level 0 has no guards: its files, newest
+    /// first, are its sentinel's.
     pub levels: Vec<FlsmLevel>,
 }
 
@@ -186,17 +186,16 @@ impl VersionShape for FlsmVersion {
 
     fn empty(levels: usize) -> Self {
         FlsmVersion {
-            level0: Vec::new(),
             levels: (0..levels).map(|_| FlsmLevel::empty()).collect(),
         }
     }
 
-    /// Level 0 is rebuilt; a guard level is rebuilt only if the edit adds or
-    /// deletes a file there or commits a guard at or above it (a guard at
-    /// level i is a guard at every deeper level too): its guard keys and
-    /// files are collected, the edit applied to them and every file
-    /// re-attached to the guards it overlaps. Every other level is the
-    /// previous version's, shared — a flush rebuilds level 0 alone.
+    /// A level is rebuilt only if the edit adds or deletes a file there or
+    /// commits a guard at or above it (a guard at level i is a guard at
+    /// every deeper level too): its guard keys and files are collected, the
+    /// edit applied to them and every file re-attached to the guards it
+    /// overlaps. Every other level is the previous version's, shared — a
+    /// flush rebuilds level 0 alone.
     fn apply(&self, edit: &VersionEdit) -> Result<Self> {
         edit.check_levels(self.num_levels())?;
         if edit.new_guards.iter().any(|(_, key)| key.is_empty()) {
@@ -209,7 +208,7 @@ impl VersionShape for FlsmVersion {
             let files_change = (edit.deleted_files.iter().map(|(at, _)| at))
                 .chain(edit.new_files.iter().map(|(at, _)| at))
                 .any(|at| *at == level_idx);
-            if level_idx == 0 || (!files_change && new_keys.clone().next().is_none()) {
+            if !files_change && new_keys.clone().next().is_none() {
                 return level.clone();
             }
             let mut keys = level.guard_keys();
@@ -220,26 +219,8 @@ impl VersionShape for FlsmVersion {
             FlsmLevel::build(&keys, &edited_files(self, files, edit, level_idx))
         });
         Ok(FlsmVersion {
-            level0: edited_files(self, self.level0.clone(), edit, 0),
             levels: levels.collect(),
         })
-    }
-
-    fn snapshot_into(&self, edit: &mut VersionEdit) {
-        for file in &self.level0 {
-            edit.add_file(0, file);
-        }
-        for (level_idx, level) in self.levels.iter().enumerate().skip(1) {
-            edit.new_guards
-                .extend(level.guard_keys().into_iter().map(|key| (level_idx, key)));
-            for file in distinct_files(level) {
-                edit.add_file(level_idx, file);
-            }
-        }
-    }
-
-    fn needs_compaction(&self, levels: &[LevelRow], options: &StoreOptions) -> bool {
-        !compaction_candidates(levels, options).is_empty()
     }
 
     /// The invariants concurrent compaction commits must preserve:
@@ -314,7 +295,9 @@ impl VersionShape for FlsmVersion {
     }
 
     fn level0(&self) -> &[Arc<FileMetaData>] {
-        &self.level0
+        self.levels
+            .first()
+            .map_or(&[], |level| &level.guards[0].files)
     }
 
     fn runs(&self) -> &[FlsmLevel] {
@@ -327,7 +310,7 @@ mod tests {
     use super::*;
     use pebblesdb_common::key::{InternalKey, ValueType};
     use pebblesdb_common::NUM_LEVELS;
-    use pebblesdb_engine::version_set::version_files;
+    use pebblesdb_engine::version_set::{snapshot, version_files};
     use pebblesdb_engine::{FileMetaDataEdit, LevelTable};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -356,7 +339,7 @@ mod tests {
         edit.new_files.push((0, file_edit(13, "a", "z"))); // Level 0.
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
-        assert_eq!(version.level0.len(), 1);
+        assert_eq!(version.level0().len(), 1);
         let level1 = &version.levels[1];
         assert_eq!(level1.guards.len(), 2);
         assert!(level1.guards[0].is_sentinel());
@@ -408,12 +391,11 @@ mod tests {
         assert_eq!(version.levels[1].guards[0].files.len(), 1);
         assert_eq!(version.levels[1].guards[1].files.len(), 1);
 
-        let mut snapshot = VersionEdit::default();
-        version.snapshot_into(&mut snapshot);
-        assert_eq!(snapshot.new_files.len(), 1);
+        let mut records = snapshot(&version);
+        assert_eq!(records.new_files.len(), 1);
 
-        snapshot.new_files.push((1, file_edit(10, "a", "z")));
-        let rebuilt = FlsmVersion::empty(3).apply(&snapshot).unwrap();
+        records.new_files.push((1, file_edit(10, "a", "z")));
+        let rebuilt = FlsmVersion::empty(3).apply(&records).unwrap();
         assert_eq!(LevelTable::of(&rebuilt).num_files(), 1);
         assert_eq!(rebuilt.levels[1].guards[1].files.len(), 1);
         assert!(rebuilt.validate().is_ok());
@@ -489,7 +471,7 @@ mod tests {
             level.guards.iter().map(guard).collect()
         };
         (
-            in_order(&version.level0),
+            in_order(version.level0()),
             version.levels.iter().map(guards).collect(),
         )
     }
@@ -519,7 +501,7 @@ mod tests {
         };
         let files_at = |level: usize| -> Vec<Arc<FileMetaData>> {
             match level {
-                0 => version.level0.clone(),
+                0 => version.level0().to_vec(),
                 _ => distinct_files(&version.levels[level]).cloned().collect(),
             }
         };
@@ -529,7 +511,7 @@ mod tests {
             0 => {
                 edit.new_files.push((0, new_file(rng)));
                 if rng.gen_bool(0.2) {
-                    if let Some(file) = version.level0.last() {
+                    if let Some(file) = version.level0().last() {
                         edit.delete_file(0, file.number);
                     }
                 }
@@ -581,7 +563,8 @@ mod tests {
     /// validity — and to a model that keeps each level's guard keys and file
     /// numbers as sets (a stale shared level fails it), every level the
     /// edit leaves alone is the previous version's guard array, by pointer
-    /// (all of them, for a flush), and a file the edit keeps or moves is the
+    /// (all but level 0, for a flush; level 0, for an edit that adds or
+    /// deletes none of its files), and a file the edit keeps or moves is the
     /// previous version's `Arc`.
     fn shared_levels_match_rebuilds(seed: u64, steps: usize) {
         const MAX_LEVELS: usize = 5;
@@ -593,9 +576,9 @@ mod tests {
         for step in 0..steps {
             let (edit, kind) = random_edit(&mut rng, &version, &mut next_number);
             let next = version.apply(&edit).unwrap();
-            let mut snapshot = VersionEdit::default();
-            next.snapshot_into(&mut snapshot);
-            let rebuilt = FlsmVersion::empty(MAX_LEVELS).apply(&snapshot).unwrap();
+            let rebuilt = FlsmVersion::empty(MAX_LEVELS)
+                .apply(&snapshot(&next))
+                .unwrap();
             let what = format!("seed {seed} step {step}: {edit:?}");
             assert_eq!(shape(&next), shape(&rebuilt), "{what}");
             assert_eq!(LevelTable::of(&next), LevelTable::of(&rebuilt), "{what}");
@@ -611,7 +594,7 @@ mod tests {
                     keys.insert(key.clone());
                 }
             }
-            assert_eq!(numbers(&next.level0), model_files[0], "{what}");
+            assert_eq!(numbers(next.level0()), model_files[0], "{what}");
             for (level, built) in next.levels.iter().enumerate().skip(1) {
                 let keys: BTreeSet<Vec<u8>> = built.guard_keys().into_iter().collect();
                 assert_eq!(keys, model_keys[level], "{what}: L{level} guards");
@@ -633,7 +616,7 @@ mod tests {
                 let touched = edit.new_files.iter().any(|(at, _)| *at == level)
                     || edit.deleted_files.iter().any(|(at, _)| *at == level)
                     || edit.new_guards.iter().any(|(at, _)| *at <= level);
-                if kind == 0 || !touched {
+                if !touched {
                     assert!(
                         Arc::ptr_eq(&before.guards, &after.guards),
                         "{what}: L{level}"
@@ -689,7 +672,7 @@ mod tests {
 
         let rows = LevelTable::of(&version);
         assert_eq!(compaction_candidates(&rows, &opts), [0, 1, 2]);
-        assert!(version.needs_compaction(&rows, &opts));
+        assert!(!compaction_candidates(&rows, &opts).is_empty());
     }
 
     #[test]
@@ -700,7 +683,7 @@ mod tests {
         opts.base_level_bytes = 2500;
         opts.enable_aggressive_compaction = false;
         let version = FlsmVersion::empty(NUM_LEVELS);
-        assert!(!version.needs_compaction(&LevelTable::of(&version), &opts));
+        assert!(compaction_candidates(&LevelTable::of(&version), &opts).is_empty());
         let first_candidate = |version: &FlsmVersion| {
             let candidates = compaction_candidates(&LevelTable::of(version), &opts);
             candidates.first().copied()

@@ -138,23 +138,14 @@ impl<P: ShapePolicy> EngineCore<P> {
 
     /// `flush()`: rotate every non-empty memtable through the commit queue
     /// (so the rotation is serialised with in-flight write groups), then
-    /// wait until no flush or compaction is running or wanted.
+    /// quiesce: run due jobs until none can be claimed and none is in
+    /// flight. A version that wants compacting always yields a job once
+    /// nothing holds a claim, so that is also when none is wanted — a
+    /// requested seek compaction included.
     pub(crate) fn flush(&self) -> Result<()> {
         self.submit(GroupKind::Rotate, WriteBatch::new(), false)?;
         let mut state = self.state.lock();
-        loop {
-            state.healthy()?;
-            let busy = state.cfs.values().any(|cf| {
-                cf.claims.jobs() > 0
-                    || cf.imm.is_some()
-                    || cf.flush_running
-                    || cf.versions.needs_compaction()
-            });
-            if !busy {
-                break;
-            }
-            self.wait_for_progress(&mut state);
-        }
+        self.quiesce(&mut state)?;
         // Quiesced: delete what a commit's pass left because a read still
         // held it then.
         self.remove_obsolete_files(&mut state);
@@ -165,25 +156,21 @@ impl<P: ShapePolicy> EngineCore<P> {
     /// that workers can run their IO side by side outside the state mutex
     /// and commit through the serialized `log_and_apply`.
     ///
-    /// Families are polled hottest-first — pending compaction work, then
-    /// most level-0 files — so one namespace's debt cannot hide behind an
-    /// idle sibling. Within a family the policy picks a job its `claims`
-    /// leave free; they hold it until `run_claimed_job` releases it.
+    /// Families are polled most level-0 files first, so one namespace's
+    /// debt cannot hide behind an idle sibling: a family with nothing due
+    /// yields no job and the next is asked. Within a family the policy picks
+    /// a job its `claims` leave free; they hold it until `run_claimed_job`
+    /// releases it.
     pub fn claim_job(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> Option<ClaimedJob> {
         state.healthy().ok()?;
         let smallest_snapshot = self.snapshots.compaction_floor(state.last_sequence);
-        let mut order: Vec<(bool, usize, CfId)> = state
-            .cfs
-            .values()
+        let mut order: Vec<(usize, CfId)> = (state.cfs.values())
             .filter(|cf| !cf.dropping)
-            .map(|cf| {
-                let level0 = cf.versions.levels()[0].files;
-                (cf.versions.needs_compaction(), level0, cf.id)
-            })
+            .map(|cf| (cf.versions.levels()[0].files, cf.id))
             .collect();
-        order.sort_by_key(|&(needs, level0, _)| std::cmp::Reverse((needs, level0)));
+        order.sort_by_key(|&(level0, _)| std::cmp::Reverse(level0));
 
-        for (_, _, id) in order {
+        for (_, id) in order {
             let cf = state.cf_mut(id).expect("ordered family exists");
             let mut ctx = PolicyCtx {
                 versions: &cf.versions,

@@ -8,7 +8,8 @@
 //! due job itself, through those same calls, and parks only when none can
 //! be claimed, until a job finishes: a stall is work, not an idle CPU beside
 //! a lane's thread that has not had its turn yet, and no thread here waits
-//! on a timer.
+//! on a timer. `flush()` goes on running due jobs until none can be claimed
+//! and none is in flight (`quiesce`).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -17,7 +18,7 @@ use std::thread::JoinHandle;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use pebblesdb_common::Result;
 
-use crate::chassis::{EngineCore, EngineShared, EngineState};
+use crate::chassis::{CfState, EngineCore, EngineShared, EngineState};
 use crate::policy::ShapePolicy;
 
 /// The rendezvous points of one store and the threads parked on them.
@@ -59,15 +60,40 @@ impl<P: ShapePolicy> EngineCore<P> {
     }
 
     /// The step before any wait: kick, else run one due job here (with no
-    /// workers `kick` has drained both lanes, so none is left), else park
-    /// until a job finishes somewhere; callers re-check what they wait for.
-    pub(crate) fn wait_for_progress(&self, state: &mut MutexGuard<'_, EngineState<P>>) {
+    /// workers `kick` has drained both lanes, so none is left). Returns
+    /// whether a job ran on this thread.
+    fn help(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> bool {
         if self.kick(state) {
-            return;
+            return true;
         }
-        if self.run_one(state) {
+        let ran = self.run_one(state);
+        if ran {
             self.counters.writer_jobs.fetch_add(1, Ordering::Relaxed);
-        } else {
+        }
+        ran
+    }
+
+    /// Helps, else parks until a job finishes somewhere; callers re-check
+    /// what they wait for.
+    pub(crate) fn wait_for_progress(&self, state: &mut MutexGuard<'_, EngineState<P>>) {
+        if !self.help(state) {
+            self.executor.work_done.wait(state);
+        }
+    }
+
+    /// `flush()`'s wait: helps until no job can be claimed, parking while
+    /// one still runs elsewhere (a claim is held or a flush is running);
+    /// returns once neither holds, or the store is poisoned.
+    pub(crate) fn quiesce(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> Result<()> {
+        let in_flight = |cf: &CfState<P>| cf.claims.jobs() > 0 || cf.flush_running;
+        loop {
+            state.healthy()?;
+            if self.help(state) {
+                continue;
+            }
+            if !state.cfs.values().any(in_flight) {
+                return Ok(());
+            }
             self.executor.work_done.wait(state);
         }
     }

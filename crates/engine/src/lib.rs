@@ -23,26 +23,26 @@
 //! * `background` — picking a flush or a compaction, the one job lifecycle
 //!   both run through, `flush()` and the deletion of what commits unlink;
 //! * `executor` — who runs those jobs (`compaction_threads` workers through
-//!   `Env::spawn`, or with 0 the calling thread) behind one `kick` /
-//!   `wait_for_progress` pair, and a waiter's one due job before it parks;
-//!   the only module that names a condvar of the background machinery or a
-//!   worker thread;
+//!   `Env::spawn`, or with 0 the calling thread) behind `kick`,
+//!   `wait_for_progress` and `flush()`'s `quiesce`, and a waiter's one due
+//!   job before it parks; the only module that names a condvar of the
+//!   background machinery or a worker thread;
 //! * `families` — column-family create/drop ([`catalog`] is their log);
 //! * [`vlog`] — key-value separation: appenders, reader cache, value-log GC;
 //! * [`cdc`] — the published WAL frontier, WAL retention and
 //!   [`EngineChangeStream`];
 //! * [`version_set`] — the one MANIFEST format and version set, the
-//!   per-level [`LevelTable`] of each installed version, the two edits a
-//!   store commits (a level-0 table, a compaction), the list of files they
-//!   made obsolete and the open-time sweep of a directory;
+//!   per-level [`LevelTable`] and the MANIFEST snapshot of a version, the
+//!   two edits a store commits (a level-0 table, a compaction), the list of
+//!   files they made obsolete and the open-time sweep of a directory;
 //! * [`runs`] — everything that reads a version or carries out a job: the
 //!   point `get`, the lazy level cursor and a cursor's level iterators, the
 //!   compaction merge loop and on-demand output numbering.
 //!
 //! A policy ([`policy`]) supplies only what *defines* a tree shape: the
-//! version (how edits build it, its invariants and compaction triggers), how
-//! a level is cut into slots (a [`RunSource`]), which files a compaction
-//! takes and where their merge goes (a plain [`CompactionJob`] record), which
+//! version (how edits build it and its invariants), how a level is cut into
+//! slots (a [`RunSource`]), when a compaction is due, which files it takes
+//! and where their merge goes (a plain [`CompactionJob`] record), which
 //! keys a merge makes guards, and the seek-triggered compaction.
 //! The FLSM engine (`pebblesdb` crate) implements the guarded policy; the
 //! baseline LSM (`pebblesdb-lsm`) implements the one-implicit-guard-per-level

@@ -8,15 +8,16 @@
 //! (section 4.3.1 of the paper). [`VersionSet`] owns CURRENT/MANIFEST
 //! recovery and rewriting, file numbering, log-number/last-sequence
 //! bookkeeping and the list of files commits made obsolete; a tree shape
-//! plugs in through [`VersionShape`] on its version type: what *defines* a
-//! version (how edits build it, what a snapshot enumerates, its invariants,
-//! when it wants compacting) plus two accessors, the level-0 files and one
+//! plugs in through [`VersionShape`] on its version type: how edits build a
+//! version and its invariants, plus two accessors, the level-0 files and one
 //! [`RunSource`] per deeper level. Everything that *reads* a version is
 //! written once over those accessors: the point `get` and the level cursors
-//! in [`crate::runs`], and here the live-file walk and the per-level
-//! [`LevelTable`], computed once per installed version. Likewise the two
-//! edits a store ever commits are built here: [`VersionSet::commit_level0`]
-//! and [`VersionEdit::compaction`].
+//! in [`crate::runs`], and here the live-file walk, the per-level
+//! [`LevelTable`], computed once per installed version, and the MANIFEST
+//! [`snapshot`], whose guard records are the slots' lower bounds. Likewise
+//! the two edits a store ever commits are built here:
+//! [`VersionSet::commit_level0`] and [`VersionEdit::compaction`]. When a
+//! version wants compacting is its policy's to say, at the pick.
 //!
 //! # MANIFEST records
 //!
@@ -287,9 +288,8 @@ impl Record for VersionEdit {
 }
 
 /// What a tree shape supplies on its immutable version type: how edits build
-/// the next version, what a full snapshot enumerates, its invariants and
-/// compaction triggers, and the files themselves — level 0 plus one
-/// [`RunSource`] per deeper level, which is all the chassis reads.
+/// the next version, its invariants, and the files themselves — level 0 plus
+/// one [`RunSource`] per deeper level, which is all the chassis reads.
 pub trait VersionShape: Sized + Send + Sync + 'static {
     /// How the shape cuts a level (from 1 down) into slots.
     type Runs: RunSource;
@@ -300,11 +300,6 @@ pub trait VersionShape: Sized + Send + Sync + 'static {
     /// [`VersionEdit::check_levels`]); edits come from the MANIFEST as well
     /// as from the engine.
     fn apply(&self, edit: &VersionEdit) -> Result<Self>;
-    /// Adds the records that rebuild this version from an empty one.
-    fn snapshot_into(&self, edit: &mut VersionEdit);
-    /// Returns `true` if background compaction work is pending; `levels` is
-    /// this version's table.
-    fn needs_compaction(&self, levels: &[LevelRow], options: &StoreOptions) -> bool;
     /// Checks the shape's structural invariants, describing the first
     /// violation found. Debug builds run it after every commit.
     fn validate(&self) -> std::result::Result<(), String>;
@@ -318,6 +313,26 @@ pub trait VersionShape: Sized + Send + Sync + 'static {
 pub fn version_files<V: VersionShape>(version: &V) -> impl Iterator<Item = &Arc<FileMetaData>> {
     let deeper = version.runs().iter().flat_map(distinct_files);
     version.level0().iter().chain(deeper)
+}
+
+/// The records that rebuild `version` from an empty one: the level-0 files,
+/// then for each deeper level every slot's lower bound as a guard and the
+/// level's distinct files. A slot without a lower bound (the LSM's every
+/// slot, the FLSM's sentinel) adds no guard.
+pub fn snapshot<V: VersionShape>(version: &V) -> VersionEdit {
+    let mut edit = VersionEdit::default();
+    for file in version.level0() {
+        edit.add_file(0, file);
+    }
+    for (level, run) in (1..).zip(version.runs()) {
+        let bounds = (0..run.slots()).filter_map(|slot| run.bounds(slot).0);
+        edit.new_guards
+            .extend(bounds.map(|key| (level, key.to_vec())));
+        for file in distinct_files(run) {
+            edit.add_file(level, file);
+        }
+    }
+    edit
 }
 
 /// The distinct files `version` holds at `level`.
@@ -587,11 +602,6 @@ impl<V: VersionShape> VersionSet<V> {
         self.last_sequence = seq;
     }
 
-    /// Returns `true` if background compaction work is pending.
-    pub fn needs_compaction(&self) -> bool {
-        self.current.needs_compaction(&self.levels, &self.options)
-    }
-
     /// The files commits have unlinked from the current version that are
     /// still on disk, held or not.
     pub fn obsolete_files(&self) -> &[Arc<FileMetaData>] {
@@ -693,13 +703,12 @@ impl<V: VersionShape> VersionSet<V> {
         let path = descriptor_file_name(&self.db_path, manifest_number);
         let mut writer = LogWriter::new(self.env.new_writable_file(&path)?);
 
-        let mut snapshot = VersionEdit {
+        let snapshot = VersionEdit {
             next_file_number: Some(self.file_numbers.peek()),
             last_sequence: Some(self.last_sequence),
             log_number: Some(self.log_number),
-            ..Default::default()
+            ..snapshot(&*self.current)
         };
-        self.current.snapshot_into(&mut snapshot);
         writer.add_record(&snapshot.encode())?;
         writer.sync()?;
         self.manifest = Some(writer);

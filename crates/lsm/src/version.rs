@@ -7,9 +7,10 @@
 //! applies to produce the next version — the standard LevelDB descriptor
 //! scheme that PebblesDB inherits (and extends with guard records for the
 //! `pebblesdb` crate's shape). This module supplies what defines the leveled
-//! shape: how edits build a version, its invariant, its compaction score and
-//! the cut of a level into one-file slots ([`FileRuns`]); reads, per-level
-//! facts and commits are the chassis's.
+//! shape: how edits build a version, its invariant, the compaction score its
+//! policy picks by and the cut of a level into one-file slots
+//! ([`FileRuns`]); reads, per-level facts, snapshots and commits are the
+//! chassis's.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -146,18 +147,6 @@ impl VersionShape for Version {
         Ok(version)
     }
 
-    fn snapshot_into(&self, edit: &mut VersionEdit) {
-        for (level, FileRuns(files)) in self.files.iter().enumerate() {
-            for file in files {
-                edit.add_file(level, file);
-            }
-        }
-    }
-
-    fn needs_compaction(&self, levels: &[LevelRow], options: &StoreOptions) -> bool {
-        !compaction_levels(levels, options).is_empty()
-    }
-
     /// Every level from 1 down is a sorted run of files disjoint by internal
     /// key.
     fn validate(&self) -> std::result::Result<(), String> {
@@ -281,7 +270,7 @@ mod tests {
         opts.level0_compaction_trigger = 2;
         opts.base_level_bytes = 1500;
         let version = Version::empty(NUM_LEVELS);
-        assert!(!version.needs_compaction(&LevelTable::of(&version), &opts));
+        assert!(compaction_levels(&LevelTable::of(&version), &opts).is_empty());
 
         let mut edit = VersionEdit::default();
         edit.new_files.push((0, meta(10, "a", "b")));

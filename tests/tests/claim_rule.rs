@@ -20,7 +20,7 @@ use pebblesdb_engine::meta::user_key_range;
 use pebblesdb_engine::version_set::level_files;
 use pebblesdb_engine::{
     Claims, CompactionJob, FileMetaData, FileMetaDataEdit, PolicyCtx, ShapePolicy, VersionEdit,
-    VersionSet,
+    VersionSet, VersionShape,
 };
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::version::compaction_levels;
@@ -178,7 +178,7 @@ fn serial_flsm_pick(
     let level = *compaction_candidates(versions.levels(), options).first()?;
     let version = versions.current();
     if level == 0 {
-        return Some(version.level0.iter().map(|f| f.number).collect());
+        return Some(version.level0().iter().map(|f| f.number).collect());
     }
     let joined = |_: &GuardMeta, g: &GuardMeta| g.files.iter().any(|f| spans_back(g, f));
     let runs: Vec<&[GuardMeta]> = (version.levels[level].guards().chunk_by(joined))

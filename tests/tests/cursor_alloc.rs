@@ -110,7 +110,7 @@ fn flsm_at_rest(top_level_bits: u32, bit_decrement: u32, keys: u32) -> (PebblesD
     loop {
         db.flush().unwrap();
         let at_rest = db.engine().with_current_version(|v| {
-            v.level0.len() <= 1 && v.levels.iter().all(|l| !l.has_overlapping_guard())
+            v.level0().len() <= 1 && v.levels.iter().all(|l| !l.has_overlapping_guard())
         });
         if at_rest {
             let guards = db.guards_per_level().iter().sum();
@@ -209,7 +209,7 @@ fn allocations_per_flush_edit(guards: usize) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     let next = version.apply(&flush).unwrap();
     let allocations = ALLOCATIONS.with(Cell::get) - before;
-    assert_eq!(next.level0.len(), 1);
+    assert_eq!(next.level0().len(), 1);
     allocations
 }
 

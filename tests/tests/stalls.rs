@@ -5,15 +5,17 @@
 //! start by the `SimEnv`, so no flush thread or worker ever takes a turn. A
 //! writer that fills several memtables must then flush them itself: if it
 //! parked on a flush only a held thread could run, its puts would never
-//! return. The second pair starts no thread at all. The last test parks a
-//! leveled store's writer at the level-0 stop behind a slow level-0 job.
+//! return. The second pair starts no thread at all. Then a leveled store's
+//! writer parks at the level-0 stop behind a slow level-0 job, and a
+//! `flush()` runs the job a seek trigger requested while the threads are
+//! held.
 
 use std::path::Path;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use pebblesdb::FlsmPolicy;
-use pebblesdb_common::{KvStore, StoreOptions};
+use pebblesdb_common::{KvStore, ReadOptions, StoreOptions};
 use pebblesdb_engine::{EngineDb, ShapePolicy};
 use pebblesdb_env::MemEnv;
 use pebblesdb_lsm::LsmPolicy;
@@ -156,5 +158,44 @@ fn lsm_writer_at_the_stop_compacts_beside_the_workers_job() {
     );
     for i in 0..keys {
         assert_eq!(db.get(&key(i)).unwrap(), Some(value(i)), "key {i}");
+    }
+}
+
+/// `flush()` leaves no requested compaction behind. With every background
+/// thread held, two overlapping level-0 files below the size trigger and
+/// `seek_compaction_threshold` cursors over them, the seek-triggered job is
+/// due and only the flushing thread can run it: it does, before returning.
+#[test]
+fn flush_runs_the_job_a_seek_trigger_requested() {
+    let (sim, env) = sim_over(MemEnv::new());
+    sim.hold_spawned("");
+    let opts = StoreOptions::default();
+    let threshold = opts.seek_compaction_threshold;
+    let db = EngineDb::open(FlsmPolicy::new(&opts), env, Path::new("/seek"), opts).unwrap();
+    for round in 0..2 {
+        for i in 0..50 {
+            db.put(&key(i), &value(i + round)).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    let level0 = db.levels()[0].files;
+    for _ in 0..threshold {
+        let mut cursor = db.iter(&ReadOptions::default()).unwrap();
+        cursor.seek(&key(25));
+    }
+    let requested = || db.core().state.lock().default_cf().seek_requested;
+    let armed = requested();
+    let compactions = db.stats().compactions;
+    let flushed = db.flush();
+    let after = (requested(), db.stats().compactions);
+    // Released before anything can fail, so the store's drop can join its
+    // threads whatever happened.
+    sim.release_spawned();
+    flushed.unwrap();
+
+    assert_eq!((level0, armed), (2, true), "the cursors armed no seek job");
+    assert_eq!(after, (false, compactions + 1), "(requested, compactions)");
+    for i in 0..50 {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(value(i + 1)), "key {i}");
     }
 }

@@ -106,6 +106,68 @@ fn version_set_persists_guards_across_recovery() {
     });
 }
 
+/// Commits `setup` on a fresh version set, reopens the directory and
+/// returns the hex of the one record of the MANIFEST the reopen wrote: the
+/// full snapshot of the recovered version.
+fn snapshot_record<V: VersionShape>(setup: VersionEdit) -> String {
+    let (env, dir) = mem_dir("/snapshot");
+    {
+        let mut vs = open_set::<V>(&env, &dir).unwrap();
+        vs.set_last_sequence(500);
+        vs.mark_file_number_used(30);
+        vs.log_and_apply(setup).unwrap();
+    }
+    let reopened = open_set::<V>(&env, &dir).unwrap();
+    let manifest = descriptor_file_name(&dir, reopened.manifest_number());
+    let bytes = env.read_file_to_vec(&manifest).unwrap();
+    // One full log record: crc32c (4), length (2), type 1 = full, payload.
+    let length = u16::from_le_bytes([bytes[4], bytes[5]]) as usize;
+    assert_eq!((bytes[6], bytes.len()), (1, 7 + length), "one full record");
+    bytes[7..].iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The MANIFEST snapshot of each shape, byte for byte (records: log number,
+/// next file number, last sequence, then the files level by level — level 0
+/// newest first, a file spanning guards once — then the guards level by
+/// level, every level's own and those inherited from above). Reopening
+/// must keep writing these bytes, or a store's MANIFEST changes under it.
+#[test]
+fn manifest_snapshots_have_the_recorded_bytes() {
+    let mut flsm = VersionEdit::default();
+    flsm.new_files.push((0, file_edit(10, "a", "k")));
+    flsm.new_files.push((0, file_edit(11, "c", "z")));
+    flsm.new_guards.push((1, b"g".to_vec()));
+    flsm.new_guards.push((2, b"p".to_vec()));
+    flsm.new_files.push((1, file_edit(12, "h", "j")));
+    flsm.new_files.push((2, file_edit(13, "a", "c")));
+    // Over guards "g" and "p" of level 2.
+    flsm.new_files.push((2, file_edit(14, "h", "t")));
+    assert_eq!(
+        snapshot_record::<FlsmVersion>(flsm),
+        "0100022003f40305000be80709630109000000000000097a010100000000000005000ae8\
+         0709610109000000000000096b010100000000000005010ce80709680109000000000000\
+         096a010100000000000005020de807096101090000000000000963010100000000000005\
+         020ee8070968010900000000000009740101000000000000070101670702016707020170\
+         0703016707030170070401670704017007050167070501700706016707060170",
+        "FLSM"
+    );
+
+    let mut lsm = VersionEdit::default();
+    lsm.new_files.push((0, file_edit(10, "a", "k")));
+    lsm.new_files.push((0, file_edit(11, "c", "z")));
+    lsm.new_files.push((1, file_edit(12, "a", "f")));
+    lsm.new_files.push((1, file_edit(13, "m", "q")));
+    lsm.new_files.push((2, file_edit(14, "b", "x")));
+    assert_eq!(
+        snapshot_record::<Version>(lsm),
+        "0100022003f40305000be80709630109000000000000097a010100000000000005000ae8\
+         0709610109000000000000096b010100000000000005010ce80709610109000000000000\
+         0966010100000000000005010de807096d01090000000000000971010100000000000005\
+         020ee8070962010900000000000009780101000000000000",
+        "LSM"
+    );
+}
+
 /// A commit lists the files it unlinks, by the `Arc` the replaced version
 /// holds them by; a version a reader still holds keeps them listed and on
 /// disk, and once it drops the next pass hands them over for deletion. A
