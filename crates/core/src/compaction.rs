@@ -217,13 +217,14 @@ pub fn build_compaction_job(
         // The paper's second-highest-level heuristic: if appending to the
         // last level would land in guards that are already full and much
         // larger than the input, rewrite within this level instead of
-        // setting up a huge last-level merge.
+        // setting up a huge last-level merge. A file spanning several of
+        // those guards weighs once.
         false if level + 1 == last_level => {
-            let (mut dest_bytes, mut dest_full) = (0u64, false);
-            for guard in landing() {
-                dest_bytes += guard.total_bytes();
-                dest_full |= guard.files.len() >= options.max_sstables_per_guard;
-            }
+            let dest_full = landing().any(|g| g.files.len() >= options.max_sstables_per_guard);
+            let mut dest: Vec<&Arc<FileMetaData>> = landing().flat_map(|g| &g.files).collect();
+            dest.sort_unstable_by_key(|f| f.number);
+            dest.dedup_by_key(|f| f.number);
+            let dest_bytes: u64 = dest.iter().map(|f| f.file_size).sum();
             dest_full && dest_bytes > (LAST_LEVEL_MERGE_IO_FACTOR * input_bytes as f64) as u64
         }
         false => false,
@@ -622,6 +623,46 @@ mod tests {
         // The whole level is in the inputs, so no guard holds a file
         // outside them.
         assert!(job.drop_tombstones);
+    }
+
+    /// The second-to-last-level heuristic weighs each last-level file once,
+    /// however many of the guards a job lands in hold it: a 15,000-byte file
+    /// over three of them is 15 times a 1,000-byte input, under the factor
+    /// of 25, so the job appends to the last level. At 30,000 bytes it is
+    /// over, and the job rewrites its own level in place.
+    #[test]
+    fn a_spanning_last_level_file_counts_once_against_the_input() {
+        let mut options = StoreOptions::default();
+        options.max_sstables_per_guard = 1;
+        let last = NUM_LEVELS - 1;
+        for (last_level_bytes, output_level) in [(15_000, last), (30_000, last - 1)] {
+            let key = |user: &str, seq| encode_internal_key(user.as_bytes(), seq, ValueType::Value);
+            let file = |number, file_size, smallest, largest| FileMetaDataEdit {
+                number,
+                file_size,
+                smallest: key(smallest, 9),
+                largest: key(largest, 1),
+            };
+            let mut edit = VersionEdit::default();
+            edit.new_guards.push((last - 1, b"g".to_vec()));
+            edit.new_guards.push((last - 1, b"p".to_vec()));
+            edit.new_files
+                .push((last, file(20, last_level_bytes, "a", "z")));
+            edit.new_files.push((last - 1, file(21, 1_000, "b", "y")));
+            let version = FlsmVersion::empty(NUM_LEVELS).apply(&edit).unwrap();
+            let landing = landing_guards(&version.levels[last], b"b", b"y");
+            assert_eq!(landing.count(), 3);
+
+            let claims = Claims::default();
+            let job = build_compaction_job(&version, &options, last - 1, false, 1_000, &claims, 1)
+                .unwrap();
+            assert_eq!(job.inputs.len(), 1);
+            assert_eq!(
+                (job.level(), job.output_level),
+                (last - 1, output_level),
+                "{last_level_bytes} bytes"
+            );
+        }
     }
 
     /// A seek-triggered merge descends only into guards that hold nothing;

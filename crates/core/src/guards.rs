@@ -94,11 +94,6 @@ impl GuardMeta {
         self.key.is_empty()
     }
 
-    /// Total bytes stored under this guard.
-    pub fn total_bytes(&self) -> u64 {
-        self.files.iter().map(|f| f.file_size).sum()
-    }
-
     /// Returns `true` if two of the guard's sstables overlap, which is what
     /// a compaction of the guard can collapse. A guard holding more data
     /// than `max_file_size` legitimately keeps several sstables that are
@@ -206,6 +201,6 @@ mod tests {
         assert!(sentinel.is_sentinel());
         let named = GuardMeta::new(b"k".to_vec());
         assert!(!named.is_sentinel());
-        assert_eq!(named.total_bytes(), 0);
+        assert!(named.files.is_empty());
     }
 }
