@@ -3,7 +3,8 @@
 //! output where the next level's guards end — bounds it reads off the
 //! version, as a cursor does, so a job copies nothing of that level — and
 //! appends the fragments to the next level without rewriting any data
-//! already there.
+//! already there. Which tombstones the merge drops is the chassis' rule too
+//! (LevelDB's, per key): a pick says nothing of deletes or snapshots.
 //!
 //! This is the heart of the paper (section 3.4): classical LSM compaction
 //! must rewrite every overlapping next-level sstable, which is where its
@@ -16,7 +17,6 @@
 
 use std::sync::Arc;
 
-use pebblesdb_common::key::SequenceNumber;
 use pebblesdb_common::StoreOptions;
 use pebblesdb_engine::meta::user_key_range;
 use pebblesdb_engine::{Claims, CompactionJob, FileMetaData, VersionShape};
@@ -122,21 +122,6 @@ fn select_seek_inputs(
     best.map_or_else(Vec::new, |run| component_files(run).cloned().collect())
 }
 
-/// Whether every guard of `level` that holds one of `inputs` holds nothing
-/// else. Only then may an in-place rewrite drop a tombstone: a file left
-/// behind in the tombstone's guard may hold an older value it still
-/// shadows. Whole components always qualify.
-fn holds_only(level: &FlsmLevel, inputs: &[Arc<FileMetaData>]) -> bool {
-    let mut numbers: Vec<u64> = inputs.iter().map(|f| f.number).collect();
-    numbers.sort_unstable();
-    inputs.iter().all(|input| {
-        let first = level.guard_index_for(input.smallest.user_key());
-        let last = level.guard_index_for(input.largest.user_key());
-        let mut held = level.guards()[first..=last].iter().flat_map(|g| &g.files);
-        held.all(|f| numbers.binary_search(&f.number).is_ok())
-    })
-}
-
 /// The guards of `level` holding a file that overlaps `[smallest, largest]`:
 /// where a job with that hull would append its output. Such a file sits in a
 /// guard under the hull too and in every guard between, so the ones outside
@@ -170,7 +155,6 @@ pub fn build_compaction_job(
     options: &StoreOptions,
     level: usize,
     seek: bool,
-    smallest_snapshot: SequenceNumber,
     claims: &Claims,
     split: usize,
 ) -> Option<CompactionJob> {
@@ -230,16 +214,9 @@ pub fn build_compaction_job(
         false => false,
     };
 
-    // An in-place last-level rewrite may drop tombstones: there is no deeper
-    // data a tombstone still needs to shadow, nor, with whole components, a
-    // file left behind in its guard.
-    let drop_tombstones =
-        in_place && level == last_level && holds_only(&version.levels[level], &inputs);
     Some(CompactionJob {
         inputs: inputs.into_iter().map(|file| (level, file)).collect(),
         output_level: if in_place { level } else { level + 1 },
-        smallest_snapshot,
-        drop_tombstones,
         move_only: false,
     })
 }
@@ -260,21 +237,45 @@ mod tests {
     use std::collections::BTreeSet;
     use std::path::{Path, PathBuf};
 
-    /// Merges `job` against its output level in `version`, picking the
-    /// guards `guard_level` names.
+    /// Merges `job` against `version`, picking the guards `guard_level`
+    /// names, with every sequence below the snapshot floor.
     fn merge_with(
         io: &EngineIo,
         version: &FlsmVersion,
         job: &CompactionJob,
         guard_level: impl Fn(&[u8]) -> Option<usize>,
     ) -> (Vec<FileMetaData>, Vec<Vec<u8>>) {
-        let output = &version.levels[job.output_level];
-        merge_to_tables(io, job, output, guard_level).unwrap()
+        merge_to_tables(io, job, version, 1_000, guard_level).unwrap()
     }
 
     /// Merges `job` for a shape with no guards to pick.
     fn merge(io: &EngineIo, version: &FlsmVersion, job: &CompactionJob) -> Vec<FileMetaData> {
         merge_with(io, version, job, |_| None).0
+    }
+
+    /// Every entry of `outputs` in order, as its user key and kind.
+    fn entries_of(io: &EngineIo, outputs: &[FileMetaData]) -> Vec<(String, ValueType)> {
+        let mut entries = Vec::new();
+        for meta in outputs {
+            let table = io
+                .table_cache
+                .table(&meta.table, meta.number, meta.file_size);
+            let mut iter = table.unwrap().iter(&ReadOptions::default());
+            iter.seek_to_first();
+            while iter.valid() {
+                let parsed = parse_internal_key(iter.key()).unwrap();
+                let user = String::from_utf8(parsed.user_key.to_vec()).unwrap();
+                entries.push((user, parsed.value_type));
+                iter.next();
+            }
+        }
+        entries
+    }
+
+    /// Whether `outputs` hold a tombstone for `user`.
+    fn holds_tombstone(io: &EngineIo, outputs: &[FileMetaData], user: &str) -> bool {
+        let tombstone = (user.to_string(), ValueType::Deletion);
+        entries_of(io, outputs).contains(&tombstone)
     }
 
     /// Asserts that each of `outputs` lies inside one guard of `level`.
@@ -352,24 +353,38 @@ mod tests {
         let options = StoreOptions::default();
         let io = io_for(&env, &db, &options);
 
-        // Two overlapping level-0 files spanning the whole key space.
+        // Two overlapping level-0 files spanning the whole key space; "m" is
+        // deleted over an older value at level 2.
         let f1 = write_table(&env, &db, &options, 10, &[("a", 5), ("h", 5), ("q", 5)]);
-        let f2 = write_table(&env, &db, &options, 11, &[("c", 6), ("m", 6), ("x", 6)]);
+        let f2 = write_entries(
+            &env,
+            &db,
+            &options,
+            11,
+            &[
+                ("c", 6, ValueType::Value),
+                ("m", 6, ValueType::Deletion),
+                ("x", 6, ValueType::Value),
+            ],
+        );
+        let older = write_table(&env, &db, &options, 12, &[("m", 1)]);
 
         let mut edit = VersionEdit::default();
         edit.new_files.push((0, f1));
         edit.new_files.push((0, f2));
+        edit.new_files.push((2, older));
         edit.new_guards.push((1, b"h".to_vec()));
         edit.new_guards.push((1, b"q".to_vec()));
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
-        let job = build_compaction_job(&version, &options, 0, false, 1_000, &Claims::default(), 1)
-            .unwrap();
+        let job =
+            build_compaction_job(&version, &options, 0, false, &Claims::default(), 1).unwrap();
         assert_eq!(job.output_level, 1);
         assert_eq!(job.inputs.len(), 2);
-        assert!(!job.drop_tombstones);
 
         let outputs = merge(&io, &version, &job);
+        // Level 2 holds an older "m", so its tombstone goes down with it.
+        assert!(holds_tombstone(&io, &outputs, "m"));
         each_inside_one_guard(&version.levels[1], &outputs);
         // Keys a,c | h,m | q,x => three partitions => three output files.
         assert_eq!(outputs.len(), 3);
@@ -423,8 +438,8 @@ mod tests {
         edit.new_files.push((0, f2));
         edit.new_guards.push((1, b"h".to_vec()));
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
-        let job = build_compaction_job(&version, &options, 0, false, 1_000, &Claims::default(), 1)
-            .unwrap();
+        let job =
+            build_compaction_job(&version, &options, 0, false, &Claims::default(), 1).unwrap();
 
         // "h" is a guard already, "m" and "x" qualify only deeper, and "t"'s
         // newest version is a tombstone.
@@ -480,16 +495,8 @@ mod tests {
             write_table(&env, &db, &options, 41, &[("b", 3), ("d", 4)]),
         ));
         let version = FlsmVersion::empty(NUM_LEVELS).apply(&edit).unwrap();
-        let job = build_compaction_job(
-            &version,
-            &options,
-            last,
-            false,
-            1_000,
-            &Claims::default(),
-            1,
-        )
-        .unwrap();
+        let job =
+            build_compaction_job(&version, &options, last, false, &Claims::default(), 1).unwrap();
         assert_eq!(job.output_level, last);
         let (outputs, guards) = merge_with(&io, &version, &job, |_| Some(1));
         assert_eq!(outputs.len(), 1);
@@ -511,8 +518,8 @@ mod tests {
         edit.new_files.push((0, f2));
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
 
-        let job = build_compaction_job(&version, &options, 0, false, 1_000, &Claims::default(), 1)
-            .unwrap();
+        let job =
+            build_compaction_job(&version, &options, 0, false, &Claims::default(), 1).unwrap();
         let outputs = merge(&io, &version, &job);
         assert_eq!(outputs.len(), 1);
         // Only the newest version survives, so the file holds exactly one key.
@@ -541,11 +548,10 @@ mod tests {
         let job = CompactionJob {
             inputs: vec![(0, input)],
             output_level: 1,
-            smallest_snapshot: 0,
-            drop_tombstones: false,
             move_only: false,
         };
-        let outputs = merge(&io, &FlsmVersion::empty(4), &job);
+        let version = FlsmVersion::empty(4);
+        let (outputs, _) = merge_to_tables(&io, &job, &version, 0, |_| None).unwrap();
         let spans: Vec<_> = (outputs.iter())
             .map(|f| {
                 (
@@ -597,32 +603,30 @@ mod tests {
     }
 
     #[test]
-    fn last_level_jobs_rewrite_in_place_and_drop_tombstones() {
+    fn last_level_jobs_rewrite_in_place_and_drop_their_tombstones() {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let db = PathBuf::from("/flsm-last");
         env.create_dir_all(&db).unwrap();
         let options = StoreOptions::default();
+        let io = io_for(&env, &db, &options);
         let last = NUM_LEVELS - 1;
 
-        let f1 = write_table(&env, &db, &options, 40, &[("a", 1), ("b", 2)]);
+        let entries = [("a", 1, ValueType::Value), ("b", 2, ValueType::Deletion)];
+        let f1 = write_entries(&env, &db, &options, 40, &entries);
         let mut edit = VersionEdit::default();
         edit.new_files.push((last, f1));
         let version = FlsmVersion::empty(NUM_LEVELS).apply(&edit).unwrap();
 
-        let job = build_compaction_job(
-            &version,
-            &options,
-            last,
-            false,
-            1_000,
-            &Claims::default(),
-            1,
-        )
-        .unwrap();
+        let job =
+            build_compaction_job(&version, &options, last, false, &Claims::default(), 1).unwrap();
         assert_eq!((job.level(), job.output_level), (last, last));
         // The whole level is in the inputs, so no guard holds a file
-        // outside them.
-        assert!(job.drop_tombstones);
+        // outside them: the tombstone for "b" goes.
+        let outputs = merge(&io, &version, &job);
+        assert_eq!(
+            entries_of(&io, &outputs),
+            [("a".to_string(), ValueType::Value)]
+        );
     }
 
     /// The second-to-last-level heuristic weighs each last-level file once,
@@ -654,8 +658,8 @@ mod tests {
             assert_eq!(landing.count(), 3);
 
             let claims = Claims::default();
-            let job = build_compaction_job(&version, &options, last - 1, false, 1_000, &claims, 1)
-                .unwrap();
+            let job =
+                build_compaction_job(&version, &options, last - 1, false, &claims, 1).unwrap();
             assert_eq!(job.inputs.len(), 1);
             assert_eq!(
                 (job.level(), job.output_level),
@@ -689,13 +693,19 @@ mod tests {
             (63, 1, [("n", 7), ("q", 8)]),
             (64, 2, [("o", 1), ("r", 1)]),
         ] {
-            let file = write_table(&env, &db, &options, number, &keys);
+            // "q" is deleted, over level 2's range.
+            let kind = |key| match key {
+                "q" => ValueType::Deletion,
+                _ => ValueType::Value,
+            };
+            let keys: Vec<_> = keys.iter().map(|&(k, seq)| (k, seq, kind(k))).collect();
+            let file = write_entries(&env, &db, &options, number, &keys);
             edit.new_files.push((level, file));
         }
         let version = FlsmVersion::empty(4).apply(&edit).unwrap();
         let job = |reason, claimed: &[u64]| {
             let claims = claims_of(&version, claimed);
-            build_compaction_job(&version, &options, 1, reason, 1_000, &claims, 1).unwrap()
+            build_compaction_job(&version, &options, 1, reason, &claims, 1).unwrap()
         };
         let numbers = |job: &CompactionJob| {
             job.inputs
@@ -713,8 +723,9 @@ mod tests {
         let stays = job(true, &[60, 61]);
         assert_eq!(numbers(&stays), BTreeSet::from([62, 63]));
         assert_eq!(stays.output_level, 1);
-        assert!(!stays.drop_tombstones);
         let (outputs, guards) = merge_with(&io, &version, &stays, |_| Some(1));
+        // File 64 at level 2 reaches "q": its tombstone stays.
+        assert!(holds_tombstone(&io, &outputs, "q"));
         assert!(guards.is_empty(), "{guards:?}");
         each_inside_one_guard(&version.levels[1], &outputs);
         let spans: Vec<_> = (outputs.iter())
@@ -750,10 +761,10 @@ mod tests {
 
         let mut claims = Claims::default();
         // Worker 1 of a 2-worker pool takes one guard...
-        let job1 = build_compaction_job(&version, &options, 1, false, 1_000, &claims, 2).unwrap();
+        let job1 = build_compaction_job(&version, &options, 1, false, &claims, 2).unwrap();
         claims.hold(&job1.inputs);
         // ... worker 2 takes the other ...
-        let job2 = build_compaction_job(&version, &options, 1, false, 1_000, &claims, 2).unwrap();
+        let job2 = build_compaction_job(&version, &options, 1, false, &claims, 2).unwrap();
         claims.hold(&job2.inputs);
         let numbers = |job: &CompactionJob| job.inputs.iter().map(|(_, f)| f.number).collect();
         let (set1, set2): (BTreeSet<u64>, BTreeSet<u64>) = (numbers(&job1), numbers(&job2));
@@ -761,7 +772,7 @@ mod tests {
         assert_eq!(set1.len() + set2.len(), 4, "every file is claimed once");
 
         // ... and worker 3 finds nothing left at this level.
-        let job3 = build_compaction_job(&version, &options, 1, false, 1_000, &claims, 2);
+        let job3 = build_compaction_job(&version, &options, 1, false, &claims, 2);
         assert!(job3.is_none());
     }
 
@@ -780,7 +791,7 @@ mod tests {
 
         // An in-flight level-0 job took file 60 (file 61 came after it).
         let claims = claims_of(&version, &[60]);
-        let job = build_compaction_job(&version, &options, 0, false, 1_000, &claims, 4);
+        let job = build_compaction_job(&version, &options, 0, false, &claims, 4);
         assert!(job.is_none(), "level 0 must not be double-compacted");
     }
 
@@ -825,50 +836,33 @@ mod tests {
         let last = NUM_LEVELS - 1;
         let version = spanning_tombstone_version(&env, &db, &options);
 
-        let job = build_compaction_job(
-            &version,
-            &options,
-            last,
-            false,
-            1_000, // every sequence is below the snapshot floor
-            &Claims::default(),
-            1,
-        )
-        .unwrap();
+        let job =
+            build_compaction_job(&version, &options, last, false, &Claims::default(), 1).unwrap();
         // The over-budget sentinel guard drags guard "m" in through the
         // spanning file 71, so the whole component is the input set and
         // both guards hold nothing else.
         let input_numbers: BTreeSet<u64> = job.inputs.iter().map(|(_, f)| f.number).collect();
         assert_eq!(input_numbers, [70u64, 71, 72, 73].into_iter().collect());
-        assert!(job.drop_tombstones);
 
         // With the component fully covered, the tombstone for "n" and the
         // older value it shadows are both dropped for good.
         let outputs = merge(&io, &version, &job);
         each_inside_one_guard(&version.levels[last], &outputs);
         assert_eq!(outputs.len(), 1, "the sentinel's keys a, b, c");
-        for meta in &outputs {
-            let table = io
-                .table_cache
-                .table(&meta.table, meta.number, meta.file_size);
-            let mut iter = table.unwrap().iter(&ReadOptions::default());
-            iter.seek_to_first();
-            while iter.valid() {
-                let parsed = parse_internal_key(iter.key()).unwrap();
-                assert_ne!(
-                    parsed.user_key, b"n",
-                    "key n should be fully compacted away"
-                );
-                iter.next();
-            }
-        }
+        let entries = entries_of(&io, &outputs);
+        let users: Vec<&str> = entries.iter().map(|(user, _)| user.as_str()).collect();
+        assert_eq!(
+            users,
+            ["a", "b", "c"],
+            "key n should be fully compacted away"
+        );
     }
 
     /// Defense in depth for the tombstone rule: if a job's inputs ever
     /// leave a file behind in a guard they touch (hand-picked here; component
-    /// selection does not produce such inputs), the job drops no tombstone —
-    /// dropping one would resurrect the older value still sitting in the
-    /// file left behind.
+    /// selection does not produce such inputs), the merge keeps the
+    /// tombstone of a key that file holds — dropping it would resurrect the
+    /// older value still sitting in the file left behind.
     #[test]
     fn tombstones_survive_in_partially_covered_partitions() {
         let mut options = StoreOptions::default();
@@ -884,32 +878,20 @@ mod tests {
         // "m" keeps file 72 (older "n").
         let level = &version.levels[last];
         let inputs = level.guards()[0].files.clone();
-        assert!(!holds_only(level, &inputs), "guard m keeps file 72");
+        let kept = |f: &Arc<FileMetaData>| f.number == 72;
+        assert!(
+            level.guards()[1].files.iter().any(kept),
+            "guard m keeps file 72"
+        );
+        assert!(!inputs.iter().any(kept));
         let job = CompactionJob {
-            drop_tombstones: holds_only(level, &inputs),
             inputs: inputs.into_iter().map(|file| (last, file)).collect(),
             output_level: last,
-            smallest_snapshot: 1_000,
             move_only: false,
         };
-        assert!(!job.drop_tombstones);
         let outputs = merge(&io, &version, &job);
         each_inside_one_guard(level, &outputs);
-        let mut survived_tombstone = false;
-        for meta in &outputs {
-            let table = io
-                .table_cache
-                .table(&meta.table, meta.number, meta.file_size);
-            let mut iter = table.unwrap().iter(&ReadOptions::default());
-            iter.seek_to_first();
-            while iter.valid() {
-                let parsed = parse_internal_key(iter.key()).unwrap();
-                if parsed.user_key == b"n" && parsed.value_type == ValueType::Deletion {
-                    survived_tombstone = true;
-                }
-                iter.next();
-            }
-        }
+        let survived_tombstone = holds_tombstone(&io, &outputs, "n");
         assert!(survived_tombstone, "tombstone was dropped unsafely");
     }
 

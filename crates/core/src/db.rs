@@ -100,15 +100,7 @@ impl ShapePolicy for FlsmPolicy {
             .map(|level| (level, false))
             .chain(seek_level.map(|level| (level, true)))
         {
-            let job = build_compaction_job(
-                version,
-                &self.options,
-                level,
-                seek,
-                ctx.smallest_snapshot,
-                ctx.claims,
-                split,
-            );
+            let job = build_compaction_job(version, &self.options, level, seek, ctx.claims, split);
             if job.is_some() {
                 *ctx.seek_requested &= !seek;
                 return job;

@@ -16,7 +16,7 @@ use pebblesdb_common::{CfId, Result, WriteBatch};
 use crate::chassis::{ClaimedJob, EngineCore, EngineState};
 use crate::policy::{EngineIo, PolicyCtx, ShapePolicy};
 use crate::runs::{flush_to_table, merge_to_tables};
-use crate::version_set::{VersionEdit, VersionShape};
+use crate::version_set::VersionEdit;
 
 /// WAL files tolerated on disk before idle families' recovery floors are
 /// force-advanced (each advance costs one synced MANIFEST edit per family).
@@ -163,7 +163,6 @@ impl<P: ShapePolicy> EngineCore<P> {
     /// releases it.
     pub fn claim_job(&self, state: &mut MutexGuard<'_, EngineState<P>>) -> Option<ClaimedJob> {
         state.healthy().ok()?;
-        let smallest_snapshot = self.snapshots.compaction_floor(state.last_sequence);
         let mut order: Vec<(usize, CfId)> = (state.cfs.values())
             .filter(|cf| !cf.dropping)
             .map(|cf| (cf.versions.levels()[0].files, cf.id))
@@ -177,7 +176,6 @@ impl<P: ShapePolicy> EngineCore<P> {
                 state: &mut cf.policy,
                 seek_requested: &mut cf.seek_requested,
                 claims: &cf.claims,
-                smallest_snapshot,
             };
             if let Some(job) = self.policy.pick_job(&mut ctx) {
                 debug_assert!(!job.inputs.is_empty(), "a job without inputs holds nothing");
@@ -193,18 +191,21 @@ impl<P: ShapePolicy> EngineCore<P> {
     /// commits (or abandons) it and releases its claim. The claimed family
     /// cannot be dropped while the job is in flight (`drop_cf` waits it out).
     ///
-    /// The merge cuts its outputs at the output level's slots in the
-    /// family's current version, which the job pins as a cursor does; run
-    /// in the same hold of the lock as its claim (`compact_next`), that is
-    /// the version the pick saw.
+    /// The merge reads the family's current version, which the job pins as
+    /// a cursor does: its output level's slots are where the merge cuts, and
+    /// the files outside the job decide which tombstones may go. Run in the
+    /// same hold of the lock as its claim (`compact_next`), that is the
+    /// version the pick saw. The snapshot floor is read here too: a snapshot
+    /// taken later sits above it.
     pub fn run_claimed_job(&self, state: &mut MutexGuard<'_, EngineState<P>>, claimed: ClaimedJob) {
         let ClaimedJob { cf: id, job, claim } = claimed;
         let version = Arc::clone(state.job_cf(id).versions.current());
-        let output = &version.runs()[job.output_level - 1];
+        let floor = self.snapshots.compaction_floor(state.last_sequence);
+        let guard_level = |key: &[u8]| self.policy.guard_level(key);
         let committed = self.run_job(
             state,
             id,
-            |io| merge_to_tables(io, &job, output, |key| self.policy.guard_level(key)),
+            |io| merge_to_tables(io, &job, version.as_ref(), floor, guard_level),
             |state, (outputs, guards)| {
                 let cf = state.job_cf(id);
                 let edit = VersionEdit::compaction(&job, &outputs, &guards);

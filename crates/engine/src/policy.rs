@@ -7,14 +7,15 @@
 //! ([`VersionShape`], [`RunSource`](crate::RunSource)), and the *job pick* —
 //! which files a compaction takes and where their merge goes, handed over as
 //! a plain [`CompactionJob`] record the chassis merges and commits. Where
-//! the merge cuts its outputs is the output level's run cut, which the
-//! chassis reads off the version; a job carries no copy of it. The
-//! remaining hooks are which keys a merge makes guards (the FLSM's hash of a
-//! key) and whether a seek-triggered compaction could help.
+//! the merge cuts its outputs is the output level's run cut, and which
+//! tombstones it may drop is what the rest of the version holds: the
+//! chassis reads both off the version, so a job carries neither, nor the
+//! snapshot floor. The remaining hooks are which keys a merge makes guards
+//! (the FLSM's hash of a key) and whether a seek-triggered compaction could
+//! help.
 
 use std::sync::Arc;
 
-use pebblesdb_common::key::SequenceNumber;
 use pebblesdb_common::StoreOptions;
 use pebblesdb_env::Env;
 use pebblesdb_sstable::TableCache;
@@ -44,10 +45,10 @@ pub struct EngineIo {
 }
 
 /// A fully described unit of compaction work: what a policy decides, as
-/// data. The chassis holds its inputs' [`Claims`] to keep other jobs off
-/// them, runs [`merge_to_tables`](crate::runs::merge_to_tables) over the
-/// record and the output level of the version it was picked from, outside
-/// the state mutex, and commits
+/// data — what a job takes and where it goes. The chassis holds its inputs'
+/// [`Claims`] to keep other jobs off them, runs
+/// [`merge_to_tables`](crate::runs::merge_to_tables) over the record and the
+/// version it was picked from, outside the state mutex, and commits
 /// [`VersionEdit::compaction`](crate::VersionEdit::compaction) of it.
 /// (Outputs need no reservation: the garbage collector deletes only what a
 /// commit unlinked, never a table no commit has named.)
@@ -60,14 +61,6 @@ pub struct CompactionJob {
     pub inputs: Vec<(usize, Arc<FileMetaData>)>,
     /// The level the outputs are written for.
     pub output_level: usize,
-    /// Versions superseded at or below this sequence are invisible to every
-    /// live snapshot and are garbage-collected by the merge.
-    pub smallest_snapshot: SequenceNumber,
-    /// Whether tombstones at or below `smallest_snapshot` may be dropped:
-    /// only when no older version of a key the job writes can survive
-    /// outside the merge, neither deeper down nor in a file the job leaves
-    /// behind in a guard it rewrites.
-    pub drop_tombstones: bool,
     /// A single input with nothing to merge below it: no IO runs, the commit
     /// just moves the file down to `output_level`.
     pub move_only: bool,
@@ -142,9 +135,6 @@ pub struct PolicyCtx<'a, P: ShapePolicy> {
     pub seek_requested: &'a mut bool,
     /// The key ranges the family's in-flight jobs hold.
     pub claims: &'a Claims,
-    /// Versions superseded at or below this sequence are invisible to every
-    /// live snapshot and may be garbage-collected by a merge.
-    pub smallest_snapshot: SequenceNumber,
 }
 
 /// The shape of one engine: how levels are organised and what a compaction

@@ -12,7 +12,9 @@
 //! tail it shares with the memtable flush, both naming their outputs on
 //! demand. The merge cuts its outputs where the output level's slots end,
 //! the same [`RunSource::bounds`] a cursor clips its reads at: one
-//! definition of where a guard ends, for reads and writes.
+//! definition of where a guard ends, for reads and writes. It also says,
+//! once for both shapes and per key, when a tombstone may go: when no file
+//! outside the job can hold an older version of its key, as in LevelDB.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -461,15 +463,45 @@ pub fn flush_to_table(io: &EngineIo, mut iter: impl DbIterator) -> Result<Option
     outputs.done(Some(finish_table(number, builder)?))
 }
 
+/// Whether a file of `version` that `job` does not take may hold `user_key`
+/// at the job's level or deeper: LevelDB's `IsBaseLevelForKey`, asked of
+/// every level from the job's own, so it covers a file a job leaves behind
+/// at its input level and the files an FLSM push lands beside. Shallower
+/// levels hold only newer versions. Metadata only: a level's files that
+/// reach the key sit in adjacent slots from the one a seek to its newest
+/// possible version starts in (a guard, or a leveled run's file).
+fn held_outside<V: VersionShape>(version: &V, job: &CompactionJob, user_key: &[u8]) -> bool {
+    let holds = |file: &Arc<FileMetaData>| file.overlaps_user_range(Some(user_key), Some(user_key));
+    let outside =
+        |file: &Arc<FileMetaData>| job.inputs.iter().all(|(_, f)| f.number != file.number);
+    let held = |file: &Arc<FileMetaData>| holds(file) && outside(file);
+    let level0 = if job.level() == 0 {
+        version.level0()
+    } else {
+        &[]
+    };
+    let seek = LookupKey::new(user_key, MAX_SEQUENCE_NUMBER);
+    let runs = &version.runs()[job.level().max(1) - 1..];
+    level0.iter().any(held)
+        || runs.iter().any(|run| {
+            let slots = run.slot_for(seek.internal_key())..run.slots();
+            let reaching = slots.map(|slot| run.files(slot));
+            let mut reaching = reaching.take_while(|files| files.iter().any(holds));
+            reaching.any(|files| files.iter().any(held))
+        })
+}
+
 /// The compaction IO loop: merges the job's inputs, drops every version a
-/// newer one shadows for all live snapshots (and, if the job allows, every
-/// tombstone they all see), and writes the survivors to new tables of
-/// `io`'s directory.
+/// newer one shadows for all live snapshots, and every tombstone they all
+/// see that no file outside the job can still need ([`held_outside`]), and
+/// writes the survivors to new tables of `io`'s directory.
+/// `smallest_snapshot` is the floor: versions superseded at or below it are
+/// invisible to every live snapshot.
 ///
-/// `output` is the job's output level in the version the job was picked
-/// from, and its slots are where the merge cuts: a table opened in a slot
-/// ends before the first key at or past the slot's upper bound, the bound
-/// a [`LevelCursor`] clips the slot's reads at. A guard is an FLSM slot; a
+/// `version` is the one the job was picked from, and the output level's
+/// slots in it are where the merge cuts: a table opened in a slot ends
+/// before the first key at or past the slot's upper bound, the bound a
+/// [`LevelCursor`] clips the slot's reads at. A guard is an FLSM slot; a
 /// leveled run's slots are unbounded, so its output is cut by size alone.
 ///
 /// A job that moves data down a level also picks the output level's new
@@ -487,15 +519,17 @@ pub fn flush_to_table(io: &EngineIo, mut iter: impl DbIterator) -> Result<Option
 /// again, forever). Returns the outputs in key order, their directory
 /// entries synced (they exist only on disk until the caller commits them),
 /// and the new guards in key order.
-pub fn merge_to_tables(
+pub fn merge_to_tables<V: VersionShape>(
     io: &EngineIo,
     job: &CompactionJob,
-    output: &impl RunSource,
+    version: &V,
+    smallest_snapshot: SequenceNumber,
     guard_level: impl Fn(&[u8]) -> Option<usize>,
 ) -> Result<(Vec<FileMetaData>, Vec<Vec<u8>>)> {
     if job.move_only {
         return Ok((Vec::new(), Vec::new())); // a move reads and writes nothing
     }
+    let output = &version.runs()[job.output_level - 1];
     let in_place = job.level() == job.output_level;
     let max_file_size = if in_place {
         u64::MAX
@@ -536,12 +570,12 @@ pub fn merge_to_tables(
                 && output.bounds(output.slot_for(merged.key())).0 != Some(parsed.user_key);
         }
         // A version may be dropped once a newer version of the same key is
-        // visible to every live snapshot; a tombstone additionally needs the
-        // job to rule out an older value it still shadows.
-        let drop_entry = last_sequence_for_key <= job.smallest_snapshot
-            || (job.drop_tombstones
-                && parsed.value_type == ValueType::Deletion
-                && parsed.sequence <= job.smallest_snapshot);
+        // visible to every live snapshot; a tombstone they all see, once no
+        // file outside the job can hold an older value it still shadows.
+        let drop_entry = last_sequence_for_key <= smallest_snapshot
+            || (parsed.value_type == ValueType::Deletion
+                && parsed.sequence <= smallest_snapshot
+                && !held_outside(version, job, parsed.user_key));
         last_sequence_for_key = parsed.sequence;
 
         if !drop_entry {

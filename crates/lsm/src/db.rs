@@ -17,7 +17,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use pebblesdb_common::key::{compare_internal_keys, SequenceNumber};
+use pebblesdb_common::key::compare_internal_keys;
 use pebblesdb_common::{Result, StoreOptions, StorePreset, NUM_LEVELS};
 use pebblesdb_engine::meta::user_key_range;
 use pebblesdb_engine::{Claims, CompactionJob, EngineDb, FileMetaData};
@@ -51,13 +51,13 @@ impl ShapePolicy for LsmPolicy {
     /// the pick is the best level's next file.
     fn pick_job(&self, ctx: &mut PolicyCtx<'_, Self>) -> Option<CompactionJob> {
         let version = ctx.versions.current();
-        let (claims, smallest_snapshot) = (ctx.claims, ctx.smallest_snapshot);
+        let claims = ctx.claims;
         for level in compaction_levels(ctx.versions.levels(), &self.options) {
             let files = &version.files[level].0;
             if level == 0 {
                 // Compact the whole of level 0 in one go (HyperLevelDB-style
                 // batched level-0 compaction).
-                match leveled_job(version, 0, files.clone(), claims, smallest_snapshot) {
+                match leveled_job(version, 0, files.clone(), claims) {
                     Some(job) => return Some(job),
                     None => continue,
                 }
@@ -76,7 +76,7 @@ impl ShapePolicy for LsmPolicy {
                 .unwrap_or(0);
             for chosen in files[start..].iter().chain(&files[..start]) {
                 let inputs = vec![Arc::clone(chosen)];
-                if let Some(job) = leveled_job(version, level, inputs, claims, smallest_snapshot) {
+                if let Some(job) = leveled_job(version, level, inputs, claims) {
                     *pointer = chosen.largest.encoded().to_vec();
                     return Some(job);
                 }
@@ -94,7 +94,6 @@ fn leveled_job(
     level: usize,
     inputs: Vec<Arc<FileMetaData>>,
     claims: &Claims,
-    smallest_snapshot: SequenceNumber,
 ) -> Option<CompactionJob> {
     let (smallest_user, largest_user) = user_key_range(&inputs);
     let next_level_inputs = version.overlapping_inputs(level + 1, smallest_user, largest_user);
@@ -104,14 +103,6 @@ fn leveled_job(
         return None;
     }
 
-    // Tombstones can be dropped when no deeper level holds the hull: a
-    // next-level input reaching past `inputs` carries tombstones there too.
-    let drop_tombstones = ((level + 2)..version.num_levels()).all(|deeper| {
-        version
-            .overlapping_inputs(deeper, hull_lo, hull_hi)
-            .is_empty()
-    });
-
     // A single input with nothing to merge below just moves down a level.
     let move_only = level > 0 && inputs.len() == 1 && next_level_inputs.is_empty();
     let inputs = inputs.into_iter().map(|file| (level, file));
@@ -119,8 +110,6 @@ fn leveled_job(
     Some(CompactionJob {
         inputs: inputs.chain(next_level_inputs).collect(),
         output_level: level + 1,
-        smallest_snapshot,
-        drop_tombstones,
         move_only,
     })
 }
@@ -316,7 +305,6 @@ mod tests {
                     state: &mut state,
                     seek_requested: &mut false,
                     claims: &Claims::default(),
-                    smallest_snapshot: 1_000,
                 };
                 let job = policy.pick_job(&mut ctx).expect("level 1 is over its size");
                 inputs_of(&job).into_iter().map(|(_, n)| n).collect()
@@ -363,7 +351,6 @@ mod tests {
             state,
             seek_requested: &mut false,
             claims,
-            smallest_snapshot: 1_000,
         })
     }
 
@@ -377,13 +364,12 @@ mod tests {
 
     /// The pick when leveled jobs ran one at a time: the level with the
     /// highest score (ties to the shallowest), all of level 0 or the first
-    /// file past the pointer, and the next-level files that overlaps; and
-    /// whether no deeper level holds the hull of them all.
+    /// file past the pointer, and the next-level files that overlaps.
     fn serial_pick(
         options: &StoreOptions,
         version: &Version,
         pointers: &mut [Vec<u8>],
-    ) -> Option<(Vec<(usize, u64)>, bool)> {
+    ) -> Option<Vec<(usize, u64)>> {
         let mut best: Option<(usize, f64)> = None;
         for level in 0..NUM_LEVELS - 1 {
             let files = &version.files[level].0;
@@ -413,18 +399,12 @@ mod tests {
             *pointer = chosen.largest.encoded().to_vec();
             vec![Arc::clone(chosen)]
         };
-        let overlapping = |level: usize, (lo, hi): (&[u8], &[u8])| -> Vec<Arc<FileMetaData>> {
-            let files = version.files[level].0.iter();
-            let overlaps = |f: &&Arc<FileMetaData>| f.overlaps_user_range(Some(lo), Some(hi));
-            files.filter(overlaps).cloned().collect()
-        };
-        let next = overlapping(level + 1, user_key_range(&inputs));
-        let hull = user_key_range(inputs.iter().chain(&next));
-        let drop_tombstones =
-            ((level + 2)..NUM_LEVELS).all(|deeper| overlapping(deeper, hull).is_empty());
+        let (lo, hi) = user_key_range(&inputs);
+        let next = version.files[level + 1].0.iter();
+        let next = next.filter(|f| f.overlaps_user_range(Some(lo), Some(hi)));
         let inputs = inputs.iter().map(|f| (level, f.number));
-        let next = next.iter().map(|f| (level + 1, f.number));
-        Some((inputs.chain(next).collect(), drop_tombstones))
+        let next = next.map(|f| (level + 1, f.number));
+        Some(inputs.chain(next).collect())
     }
 
     /// With nothing claimed — every pick of a store with no workers — the
@@ -468,7 +448,7 @@ mod tests {
             let mut pointers = vec![Vec::new(); NUM_LEVELS];
             for _ in 0..3 {
                 let job = pick(&policy, &versions, &mut state, &Claims::default());
-                let job = job.map(|job| (inputs_of(&job), job.drop_tombstones));
+                let job = job.map(|job| inputs_of(&job));
                 assert_eq!(
                     job,
                     serial_pick(&options, version, &mut pointers),
@@ -638,10 +618,10 @@ mod tests {
         (versions, io)
     }
 
-    /// Merges `job` against the output level of `version`.
+    /// Merges `job` against `version`, every sequence below the snapshot
+    /// floor.
     fn merge(io: &EngineIo, version: &Version, job: &CompactionJob) -> Merged {
-        let output = &version.runs()[job.output_level - 1];
-        merge_to_tables(io, job, output, |_| None).unwrap()
+        merge_to_tables(io, job, version, 1_000, |_| None).unwrap()
     }
 
     /// Merges and commits `job` (`merge_to_tables` and the commit's edit).
@@ -737,8 +717,8 @@ mod tests {
     }
 
     /// A next-level input can reach past the range of the file a job picked;
-    /// a tombstone out there still shadows a value deeper down, so the job
-    /// may drop tombstones only where no deeper level holds its whole hull.
+    /// a tombstone out there still shadows a value deeper down, so the merge
+    /// keeps it: a deeper file holds its key.
     #[test]
     fn a_tombstone_past_the_picked_file_keeps_shadowing_a_deeper_value() {
         let (mut versions, io) = store(

@@ -2,15 +2,18 @@
 //!
 //! The tests live in `tests/` next to this file; this library holds what
 //! several of them share: the decoder fuzz, how a test gets its `SimEnv`,
-//! and a deadline for work that must not hang. It also compiles and runs
+//! what a table holds, and a deadline for work that must not hang. It also compiles and runs
 //! the README's code blocks as doctests, so the Quickstart cannot rot.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pebblesdb_common::Result;
+use pebblesdb_common::key::{parse_internal_key, SequenceNumber, ValueType};
+use pebblesdb_common::{DbIterator, ReadOptions, Result};
+use pebblesdb_engine::FileMetaData;
 use pebblesdb_env::{Env, SimEnv};
+use pebblesdb_sstable::TableCache;
 use pebblesdb_wal::Record;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -70,6 +73,24 @@ pub fn fuzz_record<R: Record + PartialEq + std::fmt::Debug>(
 pub fn sim_over(inner: impl Env + 'static) -> (SimEnv, Arc<dyn Env>) {
     let sim = SimEnv::new(Arc::new(inner));
     (sim.clone(), Arc::new(sim))
+}
+
+/// Every entry of `file`'s table in key order: its user key, sequence and
+/// kind.
+pub fn table_entries(
+    table_cache: &TableCache,
+    file: &FileMetaData,
+) -> Vec<(Vec<u8>, SequenceNumber, ValueType)> {
+    let table = table_cache.table(&file.table, file.number, file.file_size);
+    let mut iter = table.unwrap().iter(&ReadOptions::default());
+    let mut entries = Vec::new();
+    iter.seek_to_first();
+    while iter.valid() {
+        let parsed = parse_internal_key(iter.key()).unwrap();
+        entries.push((parsed.user_key.to_vec(), parsed.sequence, parsed.value_type));
+        iter.next();
+    }
+    entries
 }
 
 /// Runs `work` on a thread of its own and hands back what it returns, or

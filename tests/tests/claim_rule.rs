@@ -78,7 +78,6 @@ fn claim_until_none<P: ShapePolicy>(
             state: &mut state,
             seek_requested: &mut false,
             claims: &claims,
-            smallest_snapshot: 1_000,
         };
         let Some(job) = policy.pick_job(&mut ctx) else {
             break;

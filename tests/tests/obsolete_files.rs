@@ -21,7 +21,7 @@ use pebblesdb_common::snapshot::Snapshot;
 use pebblesdb_common::{DbIterator, KvStore, ReadOptions, StoreOptions};
 use pebblesdb_engine::runs::merge_to_tables;
 use pebblesdb_engine::version_set::{level_files, version_files};
-use pebblesdb_engine::{CompactionJob, EngineDb, ShapePolicy, VersionEdit, VersionShape};
+use pebblesdb_engine::{CompactionJob, EngineDb, ShapePolicy, VersionEdit};
 use pebblesdb_env::{Env, MemEnv, SimEnv};
 use pebblesdb_lsm::LsmPolicy;
 use pebblesdb_tests::sim_over;
@@ -214,8 +214,6 @@ fn a_trivial_move_keeps_the_files_arc<P: ShapePolicy>(shape: &str, policy: fn(&S
     let job = |from: usize, move_only: bool| CompactionJob {
         inputs: vec![(from, Arc::clone(&file))],
         output_level: level + 1,
-        smallest_snapshot: 0,
-        drop_tombstones: false,
         move_only,
     };
     let core = db.core();
@@ -241,9 +239,9 @@ fn a_trivial_move_keeps_the_files_arc<P: ShapePolicy>(shape: &str, policy: fn(&S
         let io = state.default_cf().io.clone();
         // The job pins the version it merges against, as the chassis does.
         let version = Arc::clone(state.default_cf().versions.current());
-        let output = &version.runs()[level];
         // An in-place rewrite picks no guards.
-        let (outputs, guards) = merge_to_tables(&io, &rewrite, output, |_| None).unwrap();
+        let merged = merge_to_tables(&io, &rewrite, version.as_ref(), 0, |_| None);
+        let (outputs, guards) = merged.unwrap();
         let edit = VersionEdit::compaction(&rewrite, &outputs, &guards);
         state.default_cf_mut().versions.log_and_apply(edit).unwrap();
         drop((rewrite, version));
