@@ -19,10 +19,10 @@ use std::sync::Arc;
 
 use pebblesdb_common::StoreOptions;
 use pebblesdb_engine::meta::user_key_range;
-use pebblesdb_engine::{Claims, CompactionJob, FileMetaData, VersionShape};
+use pebblesdb_engine::{Claims, CompactionJob, FileMetaData, Version};
 
 use crate::guards::GuardMeta;
-use crate::version::{FlsmLevel, FlsmVersion};
+use crate::version::FlsmLevel;
 
 /// A last-level merge that would cost this many times more IO than its
 /// input rewrites into the second-highest level instead.
@@ -78,13 +78,13 @@ fn hull(run: &[GuardMeta]) -> (&[u8], &[u8]) {
 /// component subset of the same level; a chunk stops short of a claim its
 /// hull would cross.
 pub fn select_guard_inputs(
-    version: &FlsmVersion,
+    version: &Version<FlsmLevel>,
     level: usize,
     max_sstables_per_guard: usize,
     claims: &Claims,
     split: usize,
 ) -> Vec<Arc<FileMetaData>> {
-    let components: Vec<&[GuardMeta]> = guard_components(version.levels[level].guards()).collect();
+    let components: Vec<&[GuardMeta]> = guard_components(version.run(level).guards()).collect();
     let over_budget =
         |run: &&[GuardMeta]| run.iter().any(|g| g.files.len() > max_sstables_per_guard);
     let any_over_budget = components.iter().any(over_budget);
@@ -110,12 +110,12 @@ pub fn select_guard_inputs(
 /// than `max_file_size`, would rewrite data without reducing any overlap, so
 /// the request stays pending instead.
 fn select_seek_inputs(
-    version: &FlsmVersion,
+    version: &Version<FlsmLevel>,
     level: usize,
     claims: &Claims,
 ) -> Vec<Arc<FileMetaData>> {
     let free = |(smallest, largest): (&[u8], &[u8])| claims.free(level, smallest, largest);
-    let best = guard_components(version.levels[level].guards())
+    let best = guard_components(version.run(level).guards())
         .filter(|run| run.iter().any(GuardMeta::has_overlapping_files))
         .filter(|run| free(hull(run)))
         .max_by_key(|run| run.iter().map(|g| g.files.len()).max());
@@ -151,7 +151,7 @@ fn landing_guards<'a>(
 /// `split` is the worker-pool size used to chunk a level's eligible guards
 /// across jobs. Returns `None` when `claims` leave no eligible guard free.
 pub fn build_compaction_job(
-    version: &FlsmVersion,
+    version: &Version<FlsmLevel>,
     options: &StoreOptions,
     level: usize,
     seek: bool,
@@ -187,7 +187,7 @@ pub fn build_compaction_job(
 
     // The output is appended to the next level unless the job rewrites its
     // guards in place.
-    let landing = || landing_guards(&version.levels[level + 1], smallest, largest);
+    let landing = || landing_guards(version.run(level + 1), smallest, largest);
     let in_place = match seek {
         _ if level == 0 => false,
         _ if level == last_level => true,
@@ -229,6 +229,7 @@ mod tests {
     use pebblesdb_common::key::{encode_internal_key, parse_internal_key, ValueType};
     use pebblesdb_common::{ReadOptions, NUM_LEVELS};
     use pebblesdb_engine::runs::merge_to_tables;
+    use pebblesdb_engine::version_set::level_files;
     use pebblesdb_engine::{EngineIo, FileMetaDataEdit, FileNumbers, VersionEdit};
     use pebblesdb_env::{Env, MemEnv};
     use pebblesdb_sstable::{TableBuilder, TableCache};
@@ -241,7 +242,7 @@ mod tests {
     /// names, with every sequence below the snapshot floor.
     fn merge_with(
         io: &EngineIo,
-        version: &FlsmVersion,
+        version: &Version<FlsmLevel>,
         job: &CompactionJob,
         guard_level: impl Fn(&[u8]) -> Option<usize>,
     ) -> (Vec<FileMetaData>, Vec<Vec<u8>>) {
@@ -249,7 +250,11 @@ mod tests {
     }
 
     /// Merges `job` for a shape with no guards to pick.
-    fn merge(io: &EngineIo, version: &FlsmVersion, job: &CompactionJob) -> Vec<FileMetaData> {
+    fn merge(
+        io: &EngineIo,
+        version: &Version<FlsmLevel>,
+        job: &CompactionJob,
+    ) -> Vec<FileMetaData> {
         merge_with(io, version, job, |_| None).0
     }
 
@@ -375,7 +380,7 @@ mod tests {
         edit.new_files.push((2, older));
         edit.new_guards.push((1, b"h".to_vec()));
         edit.new_guards.push((1, b"q".to_vec()));
-        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
+        let version = Version::<FlsmLevel>::empty(4).apply(&edit).unwrap();
 
         let job =
             build_compaction_job(&version, &options, 0, false, &Claims::default(), 1).unwrap();
@@ -385,7 +390,7 @@ mod tests {
         let outputs = merge(&io, &version, &job);
         // Level 2 holds an older "m", so its tombstone goes down with it.
         assert!(holds_tombstone(&io, &outputs, "m"));
-        each_inside_one_guard(&version.levels[1], &outputs);
+        each_inside_one_guard(version.run(1), &outputs);
         // Keys a,c | h,m | q,x => three partitions => three output files.
         assert_eq!(outputs.len(), 3);
         let mut spans: Vec<(Vec<u8>, Vec<u8>)> = outputs
@@ -437,7 +442,7 @@ mod tests {
         edit.new_files.push((0, f1));
         edit.new_files.push((0, f2));
         edit.new_guards.push((1, b"h".to_vec()));
-        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
+        let version = Version::<FlsmLevel>::empty(4).apply(&edit).unwrap();
         let job =
             build_compaction_job(&version, &options, 0, false, &Claims::default(), 1).unwrap();
 
@@ -451,7 +456,7 @@ mod tests {
         };
         let (outputs, guards) = merge_with(&io, &version, &job, guard_level);
         assert_eq!(guards, [b"c".to_vec(), b"q".to_vec()]);
-        each_inside_one_guard(&version.levels[1], &outputs);
+        each_inside_one_guard(version.run(1), &outputs);
         let spans: Vec<_> = (outputs.iter())
             .map(|f| (f.smallest.user_key(), f.largest.user_key()))
             .collect();
@@ -465,14 +470,11 @@ mod tests {
         version.validate().unwrap();
         for level in 1..4 {
             assert_eq!(
-                version.levels[level].guard_keys(),
+                version.run(level).guard_keys(),
                 [b"c".to_vec(), b"h".to_vec(), b"q".to_vec()]
             );
         }
-        assert!(version.levels[1]
-            .guards()
-            .iter()
-            .all(|g| g.files.len() == 1));
+        assert!(version.run(1).guards().iter().all(|g| g.files.len() == 1));
     }
 
     /// An in-place rewrite keeps its level's guards: its merge picks none.
@@ -494,7 +496,9 @@ mod tests {
             last,
             write_table(&env, &db, &options, 41, &[("b", 3), ("d", 4)]),
         ));
-        let version = FlsmVersion::empty(NUM_LEVELS).apply(&edit).unwrap();
+        let version = Version::<FlsmLevel>::empty(NUM_LEVELS)
+            .apply(&edit)
+            .unwrap();
         let job =
             build_compaction_job(&version, &options, last, false, &Claims::default(), 1).unwrap();
         assert_eq!(job.output_level, last);
@@ -516,7 +520,7 @@ mod tests {
         let mut edit = VersionEdit::default();
         edit.new_files.push((0, f1));
         edit.new_files.push((0, f2));
-        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
+        let version = Version::<FlsmLevel>::empty(4).apply(&edit).unwrap();
 
         let job =
             build_compaction_job(&version, &options, 0, false, &Claims::default(), 1).unwrap();
@@ -550,7 +554,7 @@ mod tests {
             output_level: 1,
             move_only: false,
         };
-        let version = FlsmVersion::empty(4);
+        let version = Version::<FlsmLevel>::empty(4);
         let (outputs, _) = merge_to_tables(&io, &job, &version, 0, |_| None).unwrap();
         let spans: Vec<_> = (outputs.iter())
             .map(|f| {
@@ -581,7 +585,7 @@ mod tests {
         edit.new_files.push((1, f1));
         edit.new_files.push((1, f2));
         edit.new_files.push((1, f3));
-        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
+        let version = Version::<FlsmLevel>::empty(4).apply(&edit).unwrap();
 
         // The sentinel guard has two files (over the budget of 1); guard "m"
         // has one. Only the sentinel's files are selected.
@@ -615,7 +619,9 @@ mod tests {
         let f1 = write_entries(&env, &db, &options, 40, &entries);
         let mut edit = VersionEdit::default();
         edit.new_files.push((last, f1));
-        let version = FlsmVersion::empty(NUM_LEVELS).apply(&edit).unwrap();
+        let version = Version::<FlsmLevel>::empty(NUM_LEVELS)
+            .apply(&edit)
+            .unwrap();
 
         let job =
             build_compaction_job(&version, &options, last, false, &Claims::default(), 1).unwrap();
@@ -653,8 +659,10 @@ mod tests {
             edit.new_files
                 .push((last, file(20, last_level_bytes, "a", "z")));
             edit.new_files.push((last - 1, file(21, 1_000, "b", "y")));
-            let version = FlsmVersion::empty(NUM_LEVELS).apply(&edit).unwrap();
-            let landing = landing_guards(&version.levels[last], b"b", b"y");
+            let version = Version::<FlsmLevel>::empty(NUM_LEVELS)
+                .apply(&edit)
+                .unwrap();
+            let landing = landing_guards(version.run(last), b"b", b"y");
             assert_eq!(landing.count(), 3);
 
             let claims = Claims::default();
@@ -702,7 +710,7 @@ mod tests {
             let file = write_entries(&env, &db, &options, number, &keys);
             edit.new_files.push((level, file));
         }
-        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
+        let version = Version::<FlsmLevel>::empty(4).apply(&edit).unwrap();
         let job = |reason, claimed: &[u64]| {
             let claims = claims_of(&version, claimed);
             build_compaction_job(&version, &options, 1, reason, &claims, 1).unwrap()
@@ -727,7 +735,7 @@ mod tests {
         // File 64 at level 2 reaches "q": its tombstone stays.
         assert!(holds_tombstone(&io, &outputs, "q"));
         assert!(guards.is_empty(), "{guards:?}");
-        each_inside_one_guard(&version.levels[1], &outputs);
+        each_inside_one_guard(version.run(1), &outputs);
         let spans: Vec<_> = (outputs.iter())
             .map(|f| (f.smallest.user_key(), f.largest.user_key()))
             .collect();
@@ -757,7 +765,7 @@ mod tests {
         for f in [f1, f2, f3, f4] {
             edit.new_files.push((1, f));
         }
-        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
+        let version = Version::<FlsmLevel>::empty(4).apply(&edit).unwrap();
 
         let mut claims = Claims::default();
         // Worker 1 of a 2-worker pool takes one guard...
@@ -787,7 +795,7 @@ mod tests {
         let mut edit = VersionEdit::default();
         edit.new_files.push((0, f1));
         edit.new_files.push((0, f2));
-        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
+        let version = Version::<FlsmLevel>::empty(4).apply(&edit).unwrap();
 
         // An in-flight level-0 job took file 60 (file 61 came after it).
         let claims = claims_of(&version, &[60]);
@@ -803,7 +811,7 @@ mod tests {
         env: &Arc<dyn Env>,
         db: &Path,
         options: &StoreOptions,
-    ) -> FlsmVersion {
+    ) -> Version<FlsmLevel> {
         let last = NUM_LEVELS - 1;
         let f_a = write_table(env, db, options, 70, &[("a", 1)]);
         let f_b = write_table(env, db, options, 73, &[("c", 5)]);
@@ -817,7 +825,9 @@ mod tests {
         edit.new_files.push((last, f_b));
         edit.new_files.push((last, f_span));
         edit.new_files.push((last, f_n_old));
-        FlsmVersion::empty(NUM_LEVELS).apply(&edit).unwrap()
+        Version::<FlsmLevel>::empty(NUM_LEVELS)
+            .apply(&edit)
+            .unwrap()
     }
 
     /// A file spanning two guards welds them into one compaction component:
@@ -847,7 +857,7 @@ mod tests {
         // With the component fully covered, the tombstone for "n" and the
         // older value it shadows are both dropped for good.
         let outputs = merge(&io, &version, &job);
-        each_inside_one_guard(&version.levels[last], &outputs);
+        each_inside_one_guard(version.run(last), &outputs);
         assert_eq!(outputs.len(), 1, "the sentinel's keys a, b, c");
         let entries = entries_of(&io, &outputs);
         let users: Vec<&str> = entries.iter().map(|(user, _)| user.as_str()).collect();
@@ -876,7 +886,7 @@ mod tests {
 
         // Only the sentinel guard's own files plus the spanning file — guard
         // "m" keeps file 72 (older "n").
-        let level = &version.levels[last];
+        let level = version.run(last);
         let inputs = level.guards()[0].files.clone();
         let kept = |f: &Arc<FileMetaData>| f.number == 72;
         assert!(
@@ -898,7 +908,7 @@ mod tests {
     /// A level-1 layout of metadata only (no table is written): guards at
     /// `keys`, files `(number, smallest, largest)` by user key, attached to
     /// every guard they overlap.
-    fn layout(keys: &[&str], files: &[(u64, &str, &str)]) -> FlsmVersion {
+    fn layout(keys: &[&str], files: &[(u64, &str, &str)]) -> Version<FlsmLevel> {
         let mut edit = VersionEdit::default();
         for key in keys {
             edit.new_guards.push((1, key.as_bytes().to_vec()));
@@ -913,7 +923,7 @@ mod tests {
             };
             edit.new_files.push((1, file));
         }
-        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
+        let version = Version::<FlsmLevel>::empty(4).apply(&edit).unwrap();
         version.validate().unwrap();
         version
     }
@@ -923,8 +933,8 @@ mod tests {
 
     /// Level 1's components, as [`guard_components`] and
     /// [`component_files`] walk them.
-    fn components_of(version: &FlsmVersion) -> Vec<Component> {
-        let guards = version.levels[1].guards();
+    fn components_of(version: &Version<FlsmLevel>) -> Vec<Component> {
+        let guards = version.run(1).guards();
         let index = |guard: &GuardMeta| guards.iter().position(|g| std::ptr::eq(g, guard));
         let component = |run: &[GuardMeta]| {
             let first = index(&run[0]).unwrap();
@@ -941,10 +951,10 @@ mod tests {
     /// The claims of in-flight jobs that took the files `claimed` of
     /// `version`: each file's range held at its level, overlapping files
     /// held together.
-    fn claims_of(version: &FlsmVersion, claimed: &[u64]) -> Claims {
+    fn claims_of(version: &Version<FlsmLevel>, claimed: &[u64]) -> Claims {
         let mut claims = Claims::default();
-        let levels = (version.levels.iter().enumerate()).map(|(level, l)| {
-            let files = l.guards().iter().flat_map(|g| g.files.iter());
+        let levels = (0..version.num_levels()).map(|level| {
+            let files = level_files(version, level);
             (level, files.cloned().collect::<Vec<_>>())
         });
         for (level, mut files) in levels {
@@ -1095,7 +1105,7 @@ mod tests {
     /// Most files are short, so a layout holds several components; one in
     /// ten reaches anywhere, the rest end at most a letter past where they
     /// start.
-    fn random_layout(rng: &mut StdRng) -> (FlsmVersion, usize) {
+    fn random_layout(rng: &mut StdRng) -> (Version<FlsmLevel>, usize) {
         let mut keys: Vec<String> = (0..rng.gen_range(0..24)).map(|_| random_key(rng)).collect();
         keys.sort();
         keys.dedup();
@@ -1127,7 +1137,7 @@ mod tests {
         for seed in 0..300u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let (version, _) = random_layout(&mut rng);
-            let level = &version.levels[1];
+            let level = version.run(1);
             let guards = level.guards();
             let mut hull = [random_key(&mut rng), random_key(&mut rng)];
             hull.sort();
@@ -1164,7 +1174,7 @@ mod tests {
         for seed in 0..300u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let (version, files) = random_layout(&mut rng);
-            let guards = version.levels[1].guards();
+            let guards = version.run(1).guards();
 
             let oracle = closure_components(guards);
             assert_eq!(components_of(&version), oracle, "seed {seed}");

@@ -14,12 +14,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use pebblesdb_common::{Result, StoreOptions, StorePreset};
-use pebblesdb_engine::{CompactionJob, EngineDb, PolicyCtx, ShapePolicy, VersionShape};
+use pebblesdb_engine::{CompactionJob, EngineDb, PolicyCtx, ShapePolicy, Version};
 use pebblesdb_env::Env;
 
 use crate::compaction::build_compaction_job;
 use crate::guards::GuardPicker;
-use crate::version::{compaction_candidates, FlsmVersion};
+use crate::version::{compaction_candidates, FlsmLevel};
 
 /// The guarded FLSM shape policy.
 pub struct FlsmPolicy {
@@ -49,24 +49,24 @@ impl FlsmPolicy {
     /// holds at least two files, and every level where some guard holds two
     /// *overlapping* sstables (disjoint ones are already as collapsed as
     /// they get).
-    fn collapsible_levels(version: &FlsmVersion) -> impl DoubleEndedIterator<Item = usize> + '_ {
-        let deeper = 1..version.num_levels();
-        (version.level0().len() >= 2)
+    fn collapsible_levels(v: &Version<FlsmLevel>) -> impl DoubleEndedIterator<Item = usize> + '_ {
+        let deeper = 1..v.num_levels();
+        (v.level0().len() >= 2)
             .then_some(0)
             .into_iter()
-            .chain(deeper.filter(|level| version.levels[*level].has_overlapping_guard()))
+            .chain(deeper.filter(|level| v.run(*level).has_overlapping_guard()))
     }
 }
 
 impl ShapePolicy for FlsmPolicy {
-    type Version = FlsmVersion;
+    type Runs = FlsmLevel;
     type State = ();
 
     fn engine_name(&self) -> String {
         self.label.to_string()
     }
 
-    fn seek_compaction_helps(&self, version: &FlsmVersion) -> bool {
+    fn seek_compaction_helps(&self, version: &Version<FlsmLevel>) -> bool {
         Self::collapsible_levels(version).next().is_some()
     }
 
@@ -352,7 +352,8 @@ mod tests {
         db.flush().unwrap();
         // Read the tree to rest: the trigger collapses every overlap the
         // load left.
-        let collapsible = |v: &FlsmVersion| FlsmPolicy::collapsible_levels(v).next().is_some();
+        let collapsible =
+            |v: &Version<FlsmLevel>| FlsmPolicy::collapsible_levels(v).next().is_some();
         let mut cursors = 0;
         while db.db.with_current_version(collapsible) {
             cursors += 1;
@@ -418,7 +419,7 @@ mod tests {
         let (db, threshold) = stack_two_files_in_level1(|n| (n % 100) * 10 + n / 100);
         assert!(db
             .db
-            .with_current_version(|v| v.levels[1].has_overlapping_guard()));
+            .with_current_version(|v| v.run(1).has_overlapping_guard()));
 
         // One short of the threshold arms nothing...
         for _ in 0..threshold - 1 {
@@ -469,7 +470,7 @@ mod tests {
         let (db, threshold) = stack_two_files_in_level1(|n| n);
         assert_eq!(db.db.levels()[1].max_files_per_slot, 2);
         db.db.with_current_version(|v| {
-            assert!(!v.levels[1].has_overlapping_guard());
+            assert!(!v.run(1).has_overlapping_guard());
             assert!(!db.db.core().policy.seek_compaction_helps(v));
         });
         let compactions = db.stats().compactions;

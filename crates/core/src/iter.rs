@@ -1,69 +1,27 @@
-//! Guard-organised levels as the chassis sees them.
-//!
-//! The paper (section 3.4): "in FLSM, the level iterators are themselves
-//! implemented by merging iterators on the sstables inside the guard of
-//! interest". The point `get` and the cursor are the chassis's
-//! ([`pebblesdb_engine::runs`]); this module supplies the cut: one slot per
-//! guard, clipped to the guard's key range.
-
-use std::sync::Arc;
-
-use pebblesdb_common::key::extract_user_key;
-use pebblesdb_engine::{FileMetaData, RunSource};
-
-use crate::version::FlsmLevel;
-
-impl RunSource for FlsmLevel {
-    fn slots(&self) -> usize {
-        self.guards().len()
-    }
-
-    fn slot_for(&self, target: &[u8]) -> usize {
-        self.guard_index_for(extract_user_key(target))
-    }
-
-    fn files(&self, slot: usize) -> &[Arc<FileMetaData>] {
-        self.guards().get(slot).map_or(&[], |guard| &guard.files)
-    }
-
-    /// The guard-key bounds `[lower, upper)` of guard `slot`.
-    ///
-    /// Files written before a guard was committed may span several guards
-    /// (they are attached to each guard they overlap); bounding iteration to
-    /// the guard's own key range ensures every entry is emitted exactly once
-    /// and in global key order.
-    fn bounds(&self, slot: usize) -> (Option<&[u8]>, Option<&[u8]>) {
-        let guards = self.guards();
-        // The sentinel's empty key is "no lower bound".
-        let lower = guards
-            .get(slot)
-            .filter(|g| !g.is_sentinel())
-            .map(|g| g.key.as_slice());
-        let upper = guards.get(slot + 1).map(|g| g.key.as_slice());
-        (lower, upper)
-    }
-}
+//! The chassis's point `get` and level cursor ([`pebblesdb_engine::runs`])
+//! over guard-organised levels, whose files overlap, span guards and hold
+//! tombstones, against the same entries as a leveled run.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::guards::GuardMeta;
-    use crate::version::FlsmVersion;
+    use crate::version::FlsmLevel;
     use pebblesdb_common::filename::table_file_name;
     use pebblesdb_common::iterator::DbIterator;
     use pebblesdb_common::key::{
-        compare_internal_keys, encode_internal_key, parse_internal_key, InternalKey, LookupKey,
-        ValueType,
+        compare_internal_keys, encode_internal_key, extract_user_key, parse_internal_key,
+        InternalKey, LookupKey, ValueType,
     };
     use pebblesdb_common::vlog::LookupValue;
     use pebblesdb_common::StoreOptions;
-    use pebblesdb_engine::{runs, LevelCursor, VersionEdit, VersionShape};
+    use pebblesdb_engine::{runs, FileMetaData, LevelCursor, RunSource, Version, VersionEdit};
     use pebblesdb_env::{Env, MemEnv};
-    use pebblesdb_lsm::version::{FileRuns, Version};
+    use pebblesdb_lsm::FileRuns;
     use pebblesdb_sstable::{TableBuilder, TableCache};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::path::{Path, PathBuf};
+    use std::sync::Arc;
 
     /// A cursor's entries, or an oracle's: `(internal key, value)`.
     type Entries = Vec<(Vec<u8>, Vec<u8>)>;
@@ -141,15 +99,36 @@ mod tests {
         (env, cache, vec![sentinel, guard_m, guard_t])
     }
 
+    /// A version whose level 1 holds `files` and the guard keys `keys`, as
+    /// an edit builds it.
+    fn level1<R: RunSource>(keys: &[&[u8]], files: &[Arc<FileMetaData>]) -> Arc<Version<R>> {
+        let mut edit = VersionEdit::default();
+        edit.new_guards = keys.iter().map(|key| (1, key.to_vec())).collect();
+        for file in files {
+            edit.add_file(1, file);
+        }
+        Arc::new(Version::empty(2).apply(&edit).unwrap())
+    }
+
     /// A cursor over level 1 of a version whose level 1 holds `guards`.
-    fn level_iter(cache: Arc<TableCache>, guards: Vec<GuardMeta>) -> LevelCursor<FlsmVersion> {
-        let mut version = FlsmVersion::empty(2);
-        version.levels[1] = FlsmLevel::new(guards);
-        level1_cursor(&Arc::new(version), &cache)
+    fn level_iter(cache: Arc<TableCache>, guards: Vec<GuardMeta>) -> LevelCursor<FlsmLevel> {
+        let keys: Vec<&[u8]> = guards.iter().skip(1).map(|g| g.key.as_slice()).collect();
+        let mut files: Vec<_> = guards.iter().flat_map(|g| g.files.clone()).collect();
+        files.dedup_by_key(|f| f.number);
+        let version = level1::<FlsmLevel>(&keys, &files);
+        let numbers = |guards: &[GuardMeta]| -> Vec<Vec<u64>> {
+            let numbers = |g: &GuardMeta| g.files.iter().map(|f| f.number).collect();
+            guards.iter().map(numbers).collect()
+        };
+        assert_eq!(numbers(version.run(1).guards()), numbers(&guards));
+        level1_cursor(&version, &cache)
     }
 
     /// A cursor over level 1 of `version`.
-    fn level1_cursor<V: VersionShape>(version: &Arc<V>, cache: &Arc<TableCache>) -> LevelCursor<V> {
+    fn level1_cursor<R: RunSource>(
+        version: &Arc<Version<R>>,
+        cache: &Arc<TableCache>,
+    ) -> LevelCursor<R> {
         let version = Arc::clone(version);
         LevelCursor::new(Arc::clone(cache), version, 1)
     }
@@ -226,9 +205,7 @@ mod tests {
         let files = vec![guards[0].files[1].clone(), guards[1].files[0].clone()];
         env.remove_file(&table_file_name(Path::new("/guard-iter"), 3))
             .unwrap();
-        let version = Arc::new(Version {
-            files: vec![FileRuns::default(), FileRuns(files)],
-        });
+        let version = level1::<FileRuns>(&[], &files);
         let file_shaped = level1_cursor(&version, &cache);
         let guard_shaped = level_iter(cache, guards);
 
@@ -317,8 +294,8 @@ mod tests {
     /// The chassis `get` of `key` at `snapshot` against the first entry a
     /// level cursor's `seek` lands on for the same lookup key. Returns which
     /// of present (0), deleted (1) and absent (2) both agreed on.
-    fn check_get_against_seek<V: VersionShape>(
-        version: &Arc<V>,
+    fn check_get_against_seek<R: RunSource>(
+        version: &Arc<Version<R>>,
         cache: &Arc<TableCache>,
         key: &str,
         snapshot: u64,
@@ -416,9 +393,9 @@ mod tests {
                 }
             }
             oracle.sort_by(|a, b| compare_internal_keys(&a.0, &b.0));
-            let version = Arc::new(FlsmVersion::empty(2).apply(&edit).unwrap());
+            let version = Arc::new(Version::<FlsmLevel>::empty(2).apply(&edit).unwrap());
             version.validate().unwrap();
-            let level = &version.levels[1];
+            let level = version.run(1);
             empty_guards += level.guards().iter().filter(|g| g.files.is_empty()).count();
             for file in runs::distinct_files(level) {
                 let span = level.guard_index_for(file.largest.user_key())
@@ -440,7 +417,7 @@ mod tests {
                 number += 1;
                 rest = tail;
             }
-            let run = Arc::new(Version::empty(2).apply(&run).unwrap());
+            let run = Arc::new(Version::<FileRuns>::empty(2).apply(&run).unwrap());
 
             let cache = TableCache::new(Arc::clone(&env), db, options, max_open_files);
             let cache = Arc::new(cache);

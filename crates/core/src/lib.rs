@@ -40,13 +40,13 @@
 pub mod compaction;
 pub mod db;
 pub mod guards;
-pub mod iter;
+mod iter;
 pub mod version;
 
 pub use db::{FlsmPolicy, PebblesDb};
 pub use guards::{GuardMeta, GuardPicker};
 pub use pebblesdb_common::{StoreOptions, StorePreset};
-pub use version::FlsmVersion;
+pub use version::FlsmLevel;
 
 #[cfg(test)]
 mod tests {

@@ -1,23 +1,16 @@
-//! FLSM versions: guard-organised file metadata.
-//!
-//! The structure mirrors the baseline LSM's `version` module but each level (from 1
-//! down) is a list of [`GuardMeta`]s instead of a sorted run of disjoint
-//! files. The MANIFEST machinery is the chassis's
-//! ([`pebblesdb_engine::version_set`]); its edits additionally carry newly
-//! committed guard keys, which is the only extra metadata PebblesDB persists
-//! compared to its HyperLevelDB base (section 4.3.1 of the paper). This
-//! module supplies what defines the shape — how edits rebuild the guard
-//! tree, its invariants — and the compaction triggers its policy picks by;
-//! reads, per-level facts, snapshots and commits are the chassis's, over the
-//! guards as [`RunSource`](pebblesdb_engine::RunSource) slots (see
-//! [`crate::iter`]).
+//! The FLSM's level type, [`FlsmLevel`]: a list of [`GuardMeta`]s where the
+//! LSM has a sorted run of disjoint files, in the chassis's
+//! [`Version`](pebblesdb_engine::Version). Guard keys are the only metadata
+//! PebblesDB adds to its HyperLevelDB base's MANIFEST (section 4.3.1 of the
+//! paper). Also the compaction triggers the FLSM policy picks by.
 
 use std::cmp::Reverse;
 use std::sync::Arc;
 
-use pebblesdb_common::{Error, Result, StoreOptions};
+use pebblesdb_common::key::extract_user_key;
+use pebblesdb_common::{Result, StoreOptions};
 use pebblesdb_engine::runs::distinct_files;
-use pebblesdb_engine::{FileMetaData, LevelRow, VersionEdit, VersionShape};
+use pebblesdb_engine::{FileMetaData, LevelRow, RunSource};
 
 use crate::guards::{guard_index_for_key, GuardMeta};
 
@@ -28,13 +21,20 @@ const AGGRESSIVE_COMPACTION_RATIO: f64 = 0.25;
 /// One guard-organised level of the FLSM, immutable once built. Its files,
 /// bytes and guard counts are a row of the version set's
 /// [`LevelTable`](pebblesdb_engine::LevelTable); what that table does not
-/// carry is cached here. Cloning shares the guards: a version edit that
-/// leaves a level alone hands the next version this level by pointer.
-#[derive(Debug, Clone)]
+/// carry is cached here. A version shares a level an edit leaves alone with
+/// the version before it.
+#[derive(Debug)]
 pub struct FlsmLevel {
     /// `guards[0]` is the sentinel (empty key); the rest are sorted by key.
-    guards: Arc<[GuardMeta]>,
+    guards: Vec<GuardMeta>,
     has_overlapping_guard: bool,
+}
+
+impl Default for FlsmLevel {
+    /// A level with only an empty sentinel guard.
+    fn default() -> Self {
+        FlsmLevel::new(vec![GuardMeta::new(Vec::new())])
+    }
 }
 
 impl FlsmLevel {
@@ -42,7 +42,7 @@ impl FlsmLevel {
     pub fn new(guards: Vec<GuardMeta>) -> Self {
         FlsmLevel {
             has_overlapping_guard: guards.iter().any(GuardMeta::has_overlapping_files),
-            guards: guards.into(),
+            guards,
         }
     }
 
@@ -63,11 +63,6 @@ impl FlsmLevel {
             }
         }
         FlsmLevel::new(guards)
-    }
-
-    /// Creates a level with only an empty sentinel guard.
-    pub fn empty() -> Self {
-        FlsmLevel::new(vec![GuardMeta::new(Vec::new())])
     }
 
     /// The level's guards: the sentinel first, the rest sorted by key.
@@ -96,40 +91,123 @@ impl FlsmLevel {
     }
 }
 
-/// An immutable snapshot of the whole FLSM file layout.
-#[derive(Debug, Default)]
-pub struct FlsmVersion {
-    /// Guard-organised levels. Level 0 has no guards: its files, newest
-    /// first, are its sentinel's.
-    pub levels: Vec<FlsmLevel>,
-}
-
-impl FlsmVersion {
-    /// Number of levels (including level 0).
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
+/// One slot per guard, clipped to the guard's key range. The paper (section
+/// 3.4): "in FLSM, the level iterators are themselves implemented by merging
+/// iterators on the sstables inside the guard of interest".
+impl RunSource for FlsmLevel {
+    fn slots(&self) -> usize {
+        self.guards.len()
     }
-}
 
-/// The distinct `files` of `level` of `base` once `edit` is applied, newest
-/// first.
-fn edited_files(
-    base: &FlsmVersion,
-    mut files: Vec<Arc<FileMetaData>>,
-    edit: &VersionEdit,
-    level: usize,
-) -> Vec<Arc<FileMetaData>> {
-    for (_, number) in edit.deleted_files.iter().filter(|(at, _)| *at == level) {
-        files.retain(|f| f.number != *number);
+    fn slot_for(&self, target: &[u8]) -> usize {
+        self.guard_index_for(extract_user_key(target))
     }
-    let added = edit.new_files.iter().filter(|(at, _)| *at == level);
-    files.extend(added.map(|(_, file)| edit.added_file(base, file)));
-    // The dedup matters at recovery only: MANIFEST snapshots written before
-    // the version set moved into the chassis listed a file once per guard it
-    // spans.
-    files.sort_by_key(|f| Reverse(f.number));
-    files.dedup_by_key(|f| f.number);
-    files
+
+    fn files(&self, slot: usize) -> &[Arc<FileMetaData>] {
+        self.guards.get(slot).map_or(&[], |guard| &guard.files)
+    }
+
+    /// The guard-key bounds `[lower, upper)` of guard `slot`.
+    ///
+    /// Files written before a guard was committed may span several guards
+    /// (they are attached to each guard they overlap); bounding iteration to
+    /// the guard's own key range ensures every entry is emitted exactly once
+    /// and in global key order.
+    fn bounds(&self, slot: usize) -> (Option<&[u8]>, Option<&[u8]>) {
+        // The sentinel's empty key is "no lower bound".
+        let lower = (self.guards.get(slot))
+            .filter(|g| !g.is_sentinel())
+            .map(|g| g.key.as_slice());
+        let upper = self.guards.get(slot + 1).map(|g| g.key.as_slice());
+        (lower, upper)
+    }
+
+    /// The level's guard keys and the new ones, its distinct files without
+    /// those numbered `gone` and with `added`, every file re-attached to
+    /// the guards it overlaps.
+    fn apply(&self, gone: &[u64], added: &[Arc<FileMetaData>], guards: &[&[u8]]) -> Result<Self> {
+        let mut keys = self.guard_keys();
+        keys.extend(guards.iter().map(|key| key.to_vec()));
+        keys.sort();
+        keys.dedup();
+        let kept = distinct_files(self).filter(|f| !gone.contains(&f.number));
+        let mut files: Vec<_> = kept.chain(added).cloned().collect();
+        // The dedup matters at recovery only: MANIFEST snapshots written
+        // before the version set moved into the chassis listed a file once
+        // per guard it spans.
+        files.sort_by_key(|f| Reverse(f.number));
+        files.dedup_by_key(|f| f.number);
+        Ok(FlsmLevel::build(&keys, &files))
+    }
+
+    /// The invariants concurrent compaction commits must preserve:
+    /// * the level starts with the sentinel guard and its remaining guard
+    ///   keys are strictly sorted (so guard ranges are disjoint);
+    /// * each of its guards is also a guard of the `deeper` level;
+    /// * every file attached to a guard overlaps that guard's key range, and
+    ///   every guard a file overlaps holds it (point lookups inspect exactly
+    ///   one guard, so a missing attachment is a lost key).
+    fn validate(&self, level: usize, deeper: Option<&Self>) -> std::result::Result<(), String> {
+        let guards = &self.guards;
+        if guards.is_empty() || !guards[0].is_sentinel() {
+            return Err(format!("L{level}: missing sentinel guard"));
+        }
+        for pair in guards.windows(2) {
+            if pair[1].key.is_empty() {
+                return Err(format!("L{level}: duplicate sentinel guard"));
+            }
+            if !pair[0].is_sentinel() && pair[0].key >= pair[1].key {
+                return Err(format!(
+                    "L{level}: guards out of order ({:?} >= {:?})",
+                    pair[0].key, pair[1].key
+                ));
+            }
+        }
+        // Guards propagate to deeper levels: one merge walk over the two
+        // sorted guard lists (an unsorted deeper level fails its own order
+        // check, if not this one).
+        if let Some(deeper) = deeper {
+            let mut below = deeper.guards.iter().skip(1).peekable();
+            for guard in guards.iter().skip(1) {
+                while below.next_if(|g| g.key < guard.key).is_some() {}
+                if below.next_if(|g| g.key == guard.key).is_none() {
+                    return Err(format!(
+                        "L{level}: guard {:?} missing from L{}",
+                        guard.key,
+                        level + 1
+                    ));
+                }
+            }
+        }
+        for (guard_idx, guard) in guards.iter().enumerate() {
+            let lower: &[u8] = &guard.key;
+            let upper: Option<&[u8]> = guards.get(guard_idx + 1).map(|g| g.key.as_slice());
+            for file in &guard.files {
+                let overlaps = file.largest.user_key() >= lower
+                    && upper.is_none_or(|u| file.smallest.user_key() < u);
+                if !overlaps {
+                    return Err(format!(
+                        "L{level}: file {} does not overlap guard {:?}",
+                        file.number, guard.key
+                    ));
+                }
+            }
+        }
+        // Every guard a file's range overlaps must hold the file.
+        for file in distinct_files(self) {
+            let first = self.guard_index_for(file.smallest.user_key());
+            let last = self.guard_index_for(file.largest.user_key());
+            for guard in guards.iter().take(last + 1).skip(first) {
+                if !guard.files.iter().any(|f| f.number == file.number) {
+                    return Err(format!(
+                        "L{level}: file {} missing from overlapped guard {:?}",
+                        file.number, guard.key
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Every level of a version with the table `levels` that wants a compaction,
@@ -181,137 +259,14 @@ pub fn compaction_candidates(levels: &[LevelRow], options: &StoreOptions) -> Vec
     candidates
 }
 
-impl VersionShape for FlsmVersion {
-    type Runs = FlsmLevel;
-
-    fn empty(levels: usize) -> Self {
-        FlsmVersion {
-            levels: (0..levels).map(|_| FlsmLevel::empty()).collect(),
-        }
-    }
-
-    /// A level is rebuilt only if the edit adds or deletes a file there or
-    /// commits a guard at or above it (a guard at level i is a guard at
-    /// every deeper level too): its guard keys and files are collected, the
-    /// edit applied to them and every file re-attached to the guards it
-    /// overlaps. Every other level is the previous version's, shared — a
-    /// flush rebuilds level 0 alone.
-    fn apply(&self, edit: &VersionEdit) -> Result<Self> {
-        edit.check_levels(self.num_levels())?;
-        if edit.new_guards.iter().any(|(_, key)| key.is_empty()) {
-            return Err(Error::corruption(
-                "version edit commits the sentinel (empty) guard key",
-            ));
-        }
-        let levels = self.levels.iter().enumerate().map(|(level_idx, level)| {
-            let new_keys = edit.new_guards.iter().filter(|(at, _)| *at <= level_idx);
-            let files_change = (edit.deleted_files.iter().map(|(at, _)| at))
-                .chain(edit.new_files.iter().map(|(at, _)| at))
-                .any(|at| *at == level_idx);
-            if !files_change && new_keys.clone().next().is_none() {
-                return level.clone();
-            }
-            let mut keys = level.guard_keys();
-            keys.extend(new_keys.map(|(_, key)| key.clone()));
-            keys.sort();
-            keys.dedup();
-            let files = distinct_files(level).cloned().collect();
-            FlsmLevel::build(&keys, &edited_files(self, files, edit, level_idx))
-        });
-        Ok(FlsmVersion {
-            levels: levels.collect(),
-        })
-    }
-
-    /// The invariants concurrent compaction commits must preserve:
-    /// * every guard level starts with the sentinel guard and its remaining
-    ///   guard keys are strictly sorted (so guard ranges are disjoint);
-    /// * a guard at level `i` is also a guard at every deeper level;
-    /// * every file attached to a guard overlaps that guard's key range, and
-    ///   every guard a file overlaps holds it (point lookups inspect exactly
-    ///   one guard, so a missing attachment is a lost key).
-    fn validate(&self) -> std::result::Result<(), String> {
-        for (level_idx, level) in self.levels.iter().enumerate().skip(1) {
-            let guards = &level.guards;
-            if guards.is_empty() || !guards[0].is_sentinel() {
-                return Err(format!("L{level_idx}: missing sentinel guard"));
-            }
-            for pair in guards.windows(2) {
-                if pair[1].key.is_empty() {
-                    return Err(format!("L{level_idx}: duplicate sentinel guard"));
-                }
-                if !pair[0].is_sentinel() && pair[0].key >= pair[1].key {
-                    return Err(format!(
-                        "L{level_idx}: guards out of order ({:?} >= {:?})",
-                        pair[0].key, pair[1].key
-                    ));
-                }
-            }
-            // Guards propagate to deeper levels: one merge walk over the two
-            // sorted guard lists (an unsorted deeper level fails its own
-            // order check, if not this one).
-            if let Some(deeper) = self.levels.get(level_idx + 1) {
-                let mut below = deeper.guards.iter().skip(1).peekable();
-                for guard in guards.iter().skip(1) {
-                    while below.next_if(|g| g.key < guard.key).is_some() {}
-                    if below.next_if(|g| g.key == guard.key).is_none() {
-                        return Err(format!(
-                            "L{level_idx}: guard {:?} missing from L{}",
-                            guard.key,
-                            level_idx + 1
-                        ));
-                    }
-                }
-            }
-            for (guard_idx, guard) in guards.iter().enumerate() {
-                let lower: &[u8] = &guard.key;
-                let upper: Option<&[u8]> = guards.get(guard_idx + 1).map(|g| g.key.as_slice());
-                for file in &guard.files {
-                    let overlaps = file.largest.user_key() >= lower
-                        && upper.is_none_or(|u| file.smallest.user_key() < u);
-                    if !overlaps {
-                        return Err(format!(
-                            "L{level_idx}: file {} does not overlap guard {:?}",
-                            file.number, guard.key
-                        ));
-                    }
-                }
-            }
-            // Every guard a file's range overlaps must hold the file.
-            for file in distinct_files(level) {
-                let first = level.guard_index_for(file.smallest.user_key());
-                let last = level.guard_index_for(file.largest.user_key());
-                for guard in guards.iter().take(last + 1).skip(first) {
-                    if !guard.files.iter().any(|f| f.number == file.number) {
-                        return Err(format!(
-                            "L{level_idx}: file {} missing from overlapped guard {:?}",
-                            file.number, guard.key
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn level0(&self) -> &[Arc<FileMetaData>] {
-        self.levels
-            .first()
-            .map_or(&[], |level| &level.guards[0].files)
-    }
-
-    fn runs(&self) -> &[FlsmLevel] {
-        self.levels.get(1..).unwrap_or_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pebblesdb_common::key::{InternalKey, ValueType};
     use pebblesdb_common::NUM_LEVELS;
-    use pebblesdb_engine::version_set::{snapshot, version_files};
-    use pebblesdb_engine::{FileMetaDataEdit, LevelTable};
+    use pebblesdb_engine::version_set::{level_files, snapshot, version_files};
+    use pebblesdb_engine::{FileMetaDataEdit, LevelTable, Version, VersionEdit};
+    use pebblesdb_lsm::FileRuns;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::{BTreeMap, BTreeSet};
@@ -337,10 +292,10 @@ mod tests {
         edit.new_files.push((1, file_edit(11, "p", "z"))); // Guard "m".
         edit.new_files.push((1, file_edit(12, "m", "n"))); // Guard "m".
         edit.new_files.push((0, file_edit(13, "a", "z"))); // Level 0.
-        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
+        let version = Version::<FlsmLevel>::empty(4).apply(&edit).unwrap();
 
         assert_eq!(version.level0().len(), 1);
-        let level1 = &version.levels[1];
+        let level1 = version.run(1);
         assert_eq!(level1.guards.len(), 2);
         assert!(level1.guards[0].is_sentinel());
         assert_eq!(level1.guards[0].files.len(), 1);
@@ -350,8 +305,8 @@ mod tests {
         assert_eq!(level1.guards[1].files[0].number, 12);
 
         // A guard at level 1 is also a guard at deeper levels.
-        assert_eq!(version.levels[2].guards.len(), 2);
-        assert_eq!(version.levels[3].guards.len(), 2);
+        assert_eq!(version.run(2).guards.len(), 2);
+        assert_eq!(version.run(3).guards.len(), 2);
 
         // Lookups resolve guard ownership.
         assert_eq!(level1.guard_index_for(b"b"), 0);
@@ -369,7 +324,7 @@ mod tests {
         edit.new_files.push((1, file_edit(5, "h", "k")));
         let mut second = VersionEdit::default();
         second.delete_file(1, 5);
-        let version = FlsmVersion::empty(3)
+        let version = Version::<FlsmLevel>::empty(3)
             .apply(&edit)
             .and_then(|v| v.apply(&second))
             .unwrap();
@@ -387,17 +342,17 @@ mod tests {
         let mut edit = VersionEdit::default();
         edit.new_guards.push((1, b"m".to_vec()));
         edit.new_files.push((1, file_edit(10, "a", "z")));
-        let version = FlsmVersion::empty(3).apply(&edit).unwrap();
-        assert_eq!(version.levels[1].guards[0].files.len(), 1);
-        assert_eq!(version.levels[1].guards[1].files.len(), 1);
+        let version = Version::<FlsmLevel>::empty(3).apply(&edit).unwrap();
+        assert_eq!(version.run(1).guards[0].files.len(), 1);
+        assert_eq!(version.run(1).guards[1].files.len(), 1);
 
         let mut records = snapshot(&version);
         assert_eq!(records.new_files.len(), 1);
 
         records.new_files.push((1, file_edit(10, "a", "z")));
-        let rebuilt = FlsmVersion::empty(3).apply(&records).unwrap();
+        let rebuilt = Version::<FlsmLevel>::empty(3).apply(&records).unwrap();
         assert_eq!(LevelTable::of(&rebuilt).num_files(), 1);
-        assert_eq!(rebuilt.levels[1].guards[1].files.len(), 1);
+        assert_eq!(rebuilt.run(1).guards[1].files.len(), 1);
         assert!(rebuilt.validate().is_ok());
     }
 
@@ -407,28 +362,37 @@ mod tests {
         edit.new_guards.push((1, b"m".to_vec()));
         edit.new_files.push((1, file_edit(10, "a", "d")));
         edit.new_files.push((1, file_edit(11, "m", "z")));
-        let version = FlsmVersion::empty(4).apply(&edit).unwrap();
+        let version = Version::<FlsmLevel>::empty(4).apply(&edit).unwrap();
         assert!(version.validate().is_ok());
+        // Levels 1 down of a version no edit builds, each checked against the
+        // one below it, as `Version::validate` does.
+        let validate = |levels: &[FlsmLevel]| {
+            let mut numbered = (1..).zip(levels);
+            numbered.try_for_each(|(level, run)| run.validate(level, levels.get(level)))
+        };
 
         // Out-of-order guards are rejected.
-        let mut broken = FlsmVersion::empty(4);
-        broken.levels[1] = FlsmLevel::new(vec![
-            GuardMeta::new(Vec::new()),
-            GuardMeta::new(b"t".to_vec()),
-            GuardMeta::new(b"g".to_vec()),
-        ]);
-        assert!(broken.validate().is_err());
+        let broken = vec![
+            FlsmLevel::new(vec![
+                GuardMeta::new(Vec::new()),
+                GuardMeta::new(b"t".to_vec()),
+                GuardMeta::new(b"g".to_vec()),
+            ]),
+            FlsmLevel::default(),
+            FlsmLevel::default(),
+        ];
+        assert!(validate(&broken).is_err());
 
         // A file attached to a guard it cannot overlap is rejected.
-        let mut misfiled = FlsmVersion::empty(4);
         let guards = vec![GuardMeta::new(Vec::new()), GuardMeta::new(b"m".to_vec())];
-        for level in &mut misfiled.levels[1..] {
-            *level = FlsmLevel::new(guards.clone());
-        }
         let mut sentinel = GuardMeta::new(Vec::new());
         sentinel.files.push(file_edit(20, "x", "z").to_meta());
-        misfiled.levels[1] = FlsmLevel::new(vec![sentinel, guards[1].clone()]);
-        assert!(misfiled.validate().is_err());
+        let misfiled = vec![
+            FlsmLevel::new(vec![sentinel, guards[1].clone()]),
+            FlsmLevel::new(guards.clone()),
+            FlsmLevel::new(guards.clone()),
+        ];
+        assert!(validate(&misfiled).is_err());
 
         // A guard missing from the level below is rejected, wherever the
         // merge walk meets it: before, between and after the deeper guards.
@@ -442,141 +406,281 @@ mod tests {
             )
         };
         for upper in [&["c"][..], &["h"], &["x"], &["g", "m", "n"]] {
-            let mut unpropagated = FlsmVersion::empty(4);
-            unpropagated.levels[1] = level(upper);
-            unpropagated.levels[2] = level(&["g", "m", "t"]);
-            unpropagated.levels[3] = level(&["g", "m", "t"]);
-            let err = unpropagated.validate().unwrap_err();
+            let unpropagated = vec![
+                level(upper),
+                level(&["g", "m", "t"]),
+                level(&["g", "m", "t"]),
+            ];
+            let err = validate(&unpropagated).unwrap_err();
             assert!(err.contains("missing from L2"), "{upper:?}: {err}");
         }
-        let mut propagated = FlsmVersion::empty(4);
-        propagated.levels[1] = level(&["g", "t"]);
-        propagated.levels[2] = level(&["g", "m", "t"]);
-        propagated.levels[3] = level(&["a", "g", "m", "t", "z"]);
-        assert!(propagated.validate().is_ok());
+        let propagated = vec![
+            level(&["g", "t"]),
+            level(&["g", "m", "t"]),
+            level(&["a", "g", "m", "t", "z"]),
+        ];
+        assert!(validate(&propagated).is_ok());
     }
 
-    /// Level 0's file numbers, then every guard level's guard keys with the
-    /// numbers of the files attached to each guard.
-    type Shape = (Vec<u64>, Vec<Vec<(Vec<u8>, Vec<u64>)>>);
+    /// Level 0's file numbers, then every deeper level's slots: each slot's
+    /// lower bound (a guard key, or none) with the numbers of its files.
+    type Shape = (Vec<u64>, Vec<Vec<(Option<Vec<u8>>, Vec<u64>)>>);
 
     fn numbers<'a>(files: impl IntoIterator<Item = &'a Arc<FileMetaData>>) -> BTreeSet<u64> {
         files.into_iter().map(|f| f.number).collect()
     }
 
-    fn shape(version: &FlsmVersion) -> Shape {
+    fn shape<R: RunSource>(version: &Version<R>) -> Shape {
         let in_order = |files: &[Arc<FileMetaData>]| files.iter().map(|f| f.number).collect();
-        let guards = |level: &FlsmLevel| {
-            let guard = |g: &GuardMeta| (g.key.clone(), in_order(&g.files));
-            level.guards.iter().map(guard).collect()
+        let slots = |run: &R| {
+            let slot = |slot| {
+                (
+                    run.bounds(slot).0.map(<[u8]>::to_vec),
+                    in_order(run.files(slot)),
+                )
+            };
+            (0..run.slots()).map(slot).collect()
         };
         (
             in_order(version.level0()),
-            version.levels.iter().map(guards).collect(),
+            version.runs().map(slots).collect(),
         )
     }
 
-    /// One seeded edit of the kinds a store commits, drawn against the files
-    /// `version` holds: a flush (level 0 only), guard commits at any level, a
-    /// compaction replacing most of a level's files with new ones a level
-    /// down, a move-only re-add of a file one level down, or a guard
-    /// committed inside a file's range so the file spans it. Returns the
-    /// edit and its kind.
-    fn random_edit(
-        rng: &mut StdRng,
-        version: &FlsmVersion,
-        next: &mut u64,
-    ) -> (VersionEdit, usize) {
-        let max_levels = version.num_levels();
-        let key = |rng: &mut StdRng, len: usize| -> String {
-            let len = rng.gen_range(1..=len);
-            (0..len)
-                .map(|_| rng.gen_range(b'a'..=b'h') as char)
-                .collect()
-        };
-        let mut new_file = |rng: &mut StdRng| {
-            let (a, b) = (key(rng, 4), key(rng, 4));
-            *next += 1;
-            file_edit(*next, a.as_str().min(&b), a.as_str().max(&b))
-        };
-        let files_at = |level: usize| -> Vec<Arc<FileMetaData>> {
-            match level {
-                0 => version.level0().to_vec(),
-                _ => distinct_files(&version.levels[level]).cloned().collect(),
-            }
-        };
-        let mut edit = VersionEdit::default();
-        let kind = rng.gen_range(0..5);
-        match kind {
-            0 => {
-                edit.new_files.push((0, new_file(rng)));
-                if rng.gen_bool(0.2) {
-                    if let Some(file) = version.level0().last() {
-                        edit.delete_file(0, file.number);
+    /// A random key of one to `len` letters from `a` to `h`.
+    fn key(rng: &mut StdRng, len: usize) -> String {
+        let len = rng.gen_range(1..=len);
+        (0..len)
+            .map(|_| rng.gen_range(b'a'..=b'h') as char)
+            .collect()
+    }
+
+    /// A level type the sharing property drives: seeded edits of the kinds
+    /// its store commits, drawn against the files a version holds.
+    trait Drawn: RunSource {
+        /// How many kinds of edit [`Drawn::random_edit`] draws.
+        const KINDS: usize;
+        /// Whether some file is expected to span two slots of its level.
+        const SPANS: bool;
+        /// One seeded edit against `version` and its kind; new files are
+        /// numbered from `next` on.
+        fn random_edit(
+            rng: &mut StdRng,
+            version: &Version<Self>,
+            next: &mut u64,
+        ) -> (VersionEdit, usize);
+    }
+
+    impl Drawn for FlsmLevel {
+        const KINDS: usize = 5;
+        const SPANS: bool = true;
+
+        /// A flush (level 0 only), guard commits at any level, a compaction
+        /// replacing most of a level's files with new ones a level down, a
+        /// move-only re-add of a file one level down, or a guard committed
+        /// inside a file's range so the file spans it.
+        fn random_edit(
+            rng: &mut StdRng,
+            version: &Version<FlsmLevel>,
+            next: &mut u64,
+        ) -> (VersionEdit, usize) {
+            let max_levels = version.num_levels();
+            let mut new_file = |rng: &mut StdRng| {
+                let (a, b) = (key(rng, 4), key(rng, 4));
+                *next += 1;
+                file_edit(*next, a.as_str().min(&b), a.as_str().max(&b))
+            };
+            let files_at = |level| level_files(version, level).cloned().collect::<Vec<_>>();
+            let mut edit = VersionEdit::default();
+            let kind = rng.gen_range(0..Self::KINDS);
+            match kind {
+                0 => {
+                    edit.new_files.push((0, new_file(rng)));
+                    if rng.gen_bool(0.2) {
+                        if let Some(file) = version.level0().last() {
+                            edit.delete_file(0, file.number);
+                        }
+                    }
+                }
+                1 => {
+                    for _ in 0..rng.gen_range(1..4) {
+                        let level = rng.gen_range(1..max_levels);
+                        edit.new_guards.push((level, key(rng, 3).into_bytes()));
+                    }
+                }
+                2 => {
+                    // The last level compacts into itself, which keeps the
+                    // tree (and each step's rebuild) bounded.
+                    let level = rng.gen_range(0..max_levels);
+                    let output = (level + 1).min(max_levels - 1);
+                    for file in files_at(level) {
+                        if rng.gen_bool(0.7) {
+                            edit.delete_file(level, file.number);
+                        }
+                    }
+                    for _ in 0..rng.gen_range(1..4) {
+                        edit.new_files.push((output, new_file(rng)));
+                    }
+                    if rng.gen_bool(0.3) {
+                        edit.new_guards.push((output, key(rng, 3).into_bytes()));
+                    }
+                }
+                3 => {
+                    let level = rng.gen_range(0..max_levels - 1);
+                    if let Some(file) = files_at(level).first() {
+                        edit.delete_file(level, file.number);
+                        edit.add_file(level + 1, file);
+                    }
+                }
+                _ => {
+                    let level = rng.gen_range(1..max_levels);
+                    if let Some(file) = files_at(level).last() {
+                        let key = file.largest.user_key().to_vec();
+                        edit.new_guards.push((rng.gen_range(1..=level), key));
                     }
                 }
             }
-            1 => {
-                for _ in 0..rng.gen_range(1..4) {
-                    let level = rng.gen_range(1..max_levels);
-                    edit.new_guards.push((level, key(rng, 3).into_bytes()));
+            (edit, kind)
+        }
+    }
+
+    impl Drawn for FileRuns {
+        const KINDS: usize = 3;
+        const SPANS: bool = false;
+
+        /// A flush (level 0 only), a leveled compaction — some files of a
+        /// level with every file of the next level inside their hull,
+        /// replaced by up to three disjoint files over that hull a level
+        /// down — or a move of a file that overlaps nothing a level down.
+        /// Each run stays disjoint.
+        fn random_edit(
+            rng: &mut StdRng,
+            version: &Version<FileRuns>,
+            next: &mut u64,
+        ) -> (VersionEdit, usize) {
+            let max_levels = version.num_levels();
+            let files_at = |level| level_files(version, level).cloned().collect::<Vec<_>>();
+            let mut edit = VersionEdit::default();
+            let kind = rng.gen_range(0..Self::KINDS);
+            match kind {
+                0 => {
+                    let (a, b) = (key(rng, 4), key(rng, 4));
+                    *next += 1;
+                    let file = file_edit(*next, a.as_str().min(&b), a.as_str().max(&b));
+                    edit.new_files.push((0, file));
+                    if rng.gen_bool(0.2) {
+                        if let Some(file) = version.level0().last() {
+                            edit.delete_file(0, file.number);
+                        }
+                    }
                 }
-            }
-            2 => {
-                // The last level compacts into itself, which keeps the tree
-                // (and each step's rebuild) bounded.
-                let level = rng.gen_range(0..max_levels);
-                let output = (level + 1).min(max_levels - 1);
-                for file in files_at(level) {
-                    if rng.gen_bool(0.7) {
+                1 => {
+                    // The last level compacts into itself.
+                    let level = rng.gen_range(0..max_levels);
+                    let output = (level + 1).min(max_levels - 1);
+                    let inputs: Vec<_> = (files_at(level).into_iter())
+                        .filter(|_| rng.gen_bool(0.5))
+                        .collect();
+                    let Some(first) = inputs.first() else {
+                        return (edit, kind);
+                    };
+                    let mut lo = first.smallest.user_key().to_vec();
+                    let mut hi = first.largest.user_key().to_vec();
+                    for file in &inputs {
+                        lo = lo.min(file.smallest.user_key().to_vec());
+                        hi = hi.max(file.largest.user_key().to_vec());
+                    }
+                    // The output level's files inside the hull go too (at
+                    // the last level, the ones between the inputs).
+                    let below = (files_at(output).into_iter())
+                        .filter(|f| f.overlaps_user_range(Some(&lo), Some(&hi)));
+                    let taken = |f: &Arc<FileMetaData>| inputs.iter().any(|i| i.number == f.number);
+                    let below: Vec<_> = below.filter(|f| !taken(f)).collect();
+                    for file in &below {
+                        lo = lo.min(file.smallest.user_key().to_vec());
+                        hi = hi.max(file.largest.user_key().to_vec());
+                    }
+                    for file in &inputs {
                         edit.delete_file(level, file.number);
                     }
+                    for file in &below {
+                        edit.delete_file(output, file.number);
+                    }
+                    // Up to three pieces of the hull, cut at distinct keys
+                    // strictly inside it, so no piece overlaps another.
+                    let mut cuts: Vec<String> = (0..rng.gen_range(0..3))
+                        .map(|_| key(rng, 4))
+                        .filter(|k| lo.as_slice() < k.as_bytes() && k.as_bytes() < hi.as_slice())
+                        .collect();
+                    cuts.sort();
+                    cuts.dedup();
+                    let lo = String::from_utf8(lo).unwrap();
+                    let hi = String::from_utf8(hi).unwrap();
+                    let mut start = lo;
+                    for cut in cuts.into_iter().chain([hi.clone()]) {
+                        // A piece ends just below its cut: at the cut's
+                        // predecessor key, the cut itself for the last one.
+                        let end = if cut == hi { cut.clone() } else { before(&cut) };
+                        if start <= end {
+                            *next += 1;
+                            edit.new_files
+                                .push((output, file_edit(*next, &start, &end)));
+                        }
+                        start = cut;
+                    }
                 }
-                for _ in 0..rng.gen_range(1..4) {
-                    edit.new_files.push((output, new_file(rng)));
-                }
-                if rng.gen_bool(0.3) {
-                    edit.new_guards.push((output, key(rng, 3).into_bytes()));
+                _ => {
+                    let level = rng.gen_range(0..max_levels - 1);
+                    let below = files_at(level + 1);
+                    let clear = |f: &&Arc<FileMetaData>| {
+                        let (lo, hi) = (f.smallest.user_key(), f.largest.user_key());
+                        !below
+                            .iter()
+                            .any(|b| b.overlaps_user_range(Some(lo), Some(hi)))
+                    };
+                    if let Some(file) = files_at(level).iter().find(clear) {
+                        edit.delete_file(level, file.number);
+                        edit.add_file(level + 1, file);
+                    }
                 }
             }
-            3 => {
-                let level = rng.gen_range(0..max_levels - 1);
-                if let Some(file) = files_at(level).first() {
-                    edit.delete_file(level, file.number);
-                    edit.add_file(level + 1, file);
-                }
-            }
+            (edit, kind)
+        }
+    }
+
+    /// A key below `key`: its last letter lowered, or dropped if it is `a`.
+    fn before(key: &str) -> String {
+        let mut key = key.as_bytes().to_vec();
+        match key.last_mut() {
+            Some(last) if *last > b'a' => *last -= 1,
             _ => {
-                let level = rng.gen_range(1..max_levels);
-                if let Some(file) = files_at(level).last() {
-                    let key = file.largest.user_key().to_vec();
-                    edit.new_guards.push((rng.gen_range(1..=level), key));
-                }
+                key.pop();
             }
         }
-        (edit, kind)
+        String::from_utf8(key).unwrap()
     }
 
     /// Sharing levels must not change the version: after every edit the
     /// version equals a rebuild from scratch of its own snapshot (which
-    /// touches every level) — guard keys, per-guard files, level table and
-    /// validity — and to a model that keeps each level's guard keys and file
-    /// numbers as sets (a stale shared level fails it), every level the
-    /// edit leaves alone is the previous version's guard array, by pointer
+    /// touches every level) — slot bounds, per-slot files, level table and
+    /// validity — and a model that keeps each level's guard keys and file
+    /// numbers as sets (a stale shared level fails it); every level the edit
+    /// leaves alone, level 0 included, is the previous version's allocation
     /// (all but level 0, for a flush; level 0, for an edit that adds or
-    /// deletes none of its files), and a file the edit keeps or moves is the
-    /// previous version's `Arc`.
-    fn shared_levels_match_rebuilds(seed: u64, steps: usize) {
+    /// deletes none of its files); and each live file has exactly one `Arc`,
+    /// within the version and across it and the previous one, a moved file
+    /// included.
+    fn shared_levels_match_rebuilds<R: Drawn>(seed: u64, steps: usize) {
         const MAX_LEVELS: usize = 5;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut version = FlsmVersion::empty(MAX_LEVELS);
+        let mut version = Version::<R>::empty(MAX_LEVELS);
         let mut model_keys = vec![BTreeSet::<Vec<u8>>::new(); MAX_LEVELS];
         let mut model_files = vec![BTreeSet::<u64>::new(); MAX_LEVELS];
-        let (mut next_number, mut spanned, mut kinds) = (0, false, [0; 5]);
+        let (mut next_number, mut spanned, mut kinds) = (0, false, vec![0; R::KINDS]);
         for step in 0..steps {
-            let (edit, kind) = random_edit(&mut rng, &version, &mut next_number);
+            let (edit, kind) = R::random_edit(&mut rng, &version, &mut next_number);
             let next = version.apply(&edit).unwrap();
-            let rebuilt = FlsmVersion::empty(MAX_LEVELS)
+            let rebuilt = Version::<R>::empty(MAX_LEVELS)
                 .apply(&snapshot(&next))
                 .unwrap();
             let what = format!("seed {seed} step {step}: {edit:?}");
@@ -594,16 +698,21 @@ mod tests {
                     keys.insert(key.clone());
                 }
             }
-            assert_eq!(numbers(next.level0()), model_files[0], "{what}");
-            for (level, built) in next.levels.iter().enumerate().skip(1) {
-                let keys: BTreeSet<Vec<u8>> = built.guard_keys().into_iter().collect();
+            for (level, model) in model_files.iter().enumerate() {
+                let files = numbers(level_files(&next, level));
+                assert_eq!(files, *model, "{what}: L{level} files");
+            }
+            for (level, run) in (1..).zip(next.runs()) {
+                let keys = (0..run.slots()).filter_map(|slot| run.bounds(slot).0);
+                let keys: BTreeSet<Vec<u8>> = keys.map(<[u8]>::to_vec).collect();
                 assert_eq!(keys, model_keys[level], "{what}: L{level} guards");
-                let files = numbers(distinct_files(built));
-                assert_eq!(files, model_files[level], "{what}: L{level} files");
             }
             assert_eq!(next.validate(), Ok(()), "{what}");
             assert_eq!(rebuilt.validate(), Ok(()), "{what}");
-            // One `Arc` per live file across versions, a moved one included.
+            // One `Arc` per live file, within the version and across
+            // versions, a moved one included.
+            let live: Vec<u64> = version_files(&next).map(|f| f.number).collect();
+            assert_eq!(live.len(), numbers(version_files(&next)).len(), "{what}");
             let before: BTreeMap<u64, _> = version_files(&version).map(|f| (f.number, f)).collect();
             for file in version_files(&next) {
                 let same = before
@@ -612,42 +721,49 @@ mod tests {
                 assert!(same, "{what}: file {} has a second Arc", file.number);
             }
 
-            for (level, (before, after)) in version.levels.iter().zip(&next.levels).enumerate() {
+            for level in 0..MAX_LEVELS {
                 let touched = edit.new_files.iter().any(|(at, _)| *at == level)
                     || edit.deleted_files.iter().any(|(at, _)| *at == level)
                     || edit.new_guards.iter().any(|(at, _)| *at <= level);
-                if !touched {
-                    assert!(
-                        Arc::ptr_eq(&before.guards, &after.guards),
-                        "{what}: L{level}"
-                    );
-                }
+                // A shared level is the same allocation: its slice or level
+                // sits at the same address.
+                let shared = match level {
+                    0 => std::ptr::eq(next.level0(), version.level0()),
+                    _ => std::ptr::eq(next.run(level), version.run(level)),
+                };
+                assert!(touched || shared, "{what}: L{level} was rebuilt");
             }
-            spanned |= next.levels.iter().any(|level| {
-                let attached: usize = level.guards.iter().map(|g| g.files.len()).sum();
-                attached > distinct_files(level).count()
+            spanned |= next.runs().any(|run| {
+                let attached: usize = (0..run.slots()).map(|slot| run.files(slot).len()).sum();
+                attached > distinct_files(run).count()
             });
             kinds[kind] += usize::from(edit != VersionEdit::default());
             version = next;
         }
-        assert!(spanned, "seed {seed}: no file ever spanned two guards");
+        assert_eq!(
+            spanned,
+            R::SPANS,
+            "seed {seed}: whether a file spanned two slots"
+        );
         assert!(kinds.iter().all(|n| *n > 0), "seed {seed}: kinds {kinds:?}");
     }
 
     #[test]
     fn shared_levels_match_rebuilds_from_snapshots() {
         for seed in 0..3 {
-            shared_levels_match_rebuilds(seed, 300);
+            shared_levels_match_rebuilds::<FlsmLevel>(seed, 300);
+            shared_levels_match_rebuilds::<FileRuns>(seed, 300);
         }
     }
 
-    /// The same property over longer sequences; run in release with
-    /// `cargo test --release -p pebblesdb --lib -- --ignored`.
+    /// The same property over longer sequences, for both shapes; run in
+    /// release with `cargo test --release -p pebblesdb --lib -- --ignored`.
     #[test]
     #[ignore]
     fn shared_levels_match_rebuilds_long_sweep() {
         for seed in 0..32 {
-            shared_levels_match_rebuilds(0x5eed_0000 + seed, 2000);
+            shared_levels_match_rebuilds::<FlsmLevel>(0x5eed_0000 + seed, 2000);
+            shared_levels_match_rebuilds::<FileRuns>(0x5eed_0000 + seed, 2000);
         }
     }
 
@@ -668,7 +784,9 @@ mod tests {
         for n in 30..33 {
             edit.new_files.push((2, file_edit(n, "k", "p")));
         }
-        let version = FlsmVersion::empty(NUM_LEVELS).apply(&edit).unwrap();
+        let version = Version::<FlsmLevel>::empty(NUM_LEVELS)
+            .apply(&edit)
+            .unwrap();
 
         let rows = LevelTable::of(&version);
         assert_eq!(compaction_candidates(&rows, &opts), [0, 1, 2]);
@@ -682,9 +800,9 @@ mod tests {
         opts.max_sstables_per_guard = 2;
         opts.base_level_bytes = 2500;
         opts.enable_aggressive_compaction = false;
-        let version = FlsmVersion::empty(NUM_LEVELS);
+        let version = Version::<FlsmLevel>::empty(NUM_LEVELS);
         assert!(compaction_candidates(&LevelTable::of(&version), &opts).is_empty());
-        let first_candidate = |version: &FlsmVersion| {
+        let first_candidate = |version: &Version<FlsmLevel>| {
             let candidates = compaction_candidates(&LevelTable::of(version), &opts);
             candidates.first().copied()
         };

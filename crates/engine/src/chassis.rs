@@ -57,6 +57,7 @@ use crate::catalog::{self, Catalog};
 use crate::cdc::{ChangeLog, EngineChangeStream};
 use crate::executor::Executor;
 use crate::policy::{Claim, Claims, CompactionJob, EngineIo, ShapePolicy};
+use crate::version::Version;
 use crate::version_set::{version_files, LevelTable, VersionSet};
 use crate::vlog::{CfVlog, VlogGcReport};
 
@@ -132,7 +133,7 @@ pub struct CfState<P: ShapePolicy> {
     /// The immutable memtable being flushed, if any.
     pub imm: Option<Arc<MemTable>>,
     /// The family's version set (MANIFEST machinery).
-    pub versions: VersionSet<P::Version>,
+    pub versions: VersionSet<P::Runs>,
     /// The policy's own mutable state (the LSM's compaction pointers),
     /// handed to its pick as [`PolicyCtx::state`](crate::PolicyCtx::state).
     pub policy: P::State,
@@ -350,7 +351,7 @@ impl<P: ShapePolicy> EngineDb<P> {
 
     /// Runs `f` against the default family's current version under the
     /// state lock.
-    pub fn with_current_version<R>(&self, f: impl FnOnce(&P::Version) -> R) -> R {
+    pub fn with_current_version<T>(&self, f: impl FnOnce(&Version<P::Runs>) -> T) -> T {
         let state = self.shared.core.state.lock();
         f(state.default_cf().versions.current())
     }

@@ -31,6 +31,8 @@
 //! * [`vlog`] — key-value separation: appenders, reader cache, value-log GC;
 //! * [`cdc`] — the published WAL frontier, WAL retention and
 //!   [`EngineChangeStream`];
+//! * [`version`] — the one [`Version`] of every shape: level 0 and one
+//!   shared level per deeper level, and how an edit routes to them;
 //! * [`version_set`] — the one MANIFEST format and version set, the
 //!   per-level [`LevelTable`] and the MANIFEST snapshot of a version, the
 //!   two edits a store commits (a level-0 table, a compaction), the list of
@@ -39,11 +41,11 @@
 //!   point `get`, the lazy level cursor and a cursor's level iterators, the
 //!   compaction merge loop and on-demand output numbering.
 //!
-//! A policy ([`policy`]) supplies only what *defines* a tree shape: the
-//! version (how edits build it and its invariants), how a level is cut into
-//! slots (a [`RunSource`]), when a compaction is due, which files it takes
-//! and where their merge goes (a plain [`CompactionJob`] record), which
-//! keys a merge makes guards, and the seek-triggered compaction.
+//! A policy ([`policy`]) supplies only what *defines* a tree shape: its
+//! level type (a [`RunSource`]: how a level is cut into slots, how an edit
+//! rebuilds it and its invariant), when a compaction is due, which files
+//! it takes and where their merge goes (a plain [`CompactionJob`] record),
+//! which keys a merge makes guards, and the seek-triggered compaction.
 //! The FLSM engine (`pebblesdb` crate) implements the guarded policy; the
 //! baseline LSM (`pebblesdb-lsm`) implements the one-implicit-guard-per-level
 //! policy.
@@ -59,6 +61,7 @@ mod open;
 pub mod policy;
 mod read;
 pub mod runs;
+pub mod version;
 pub mod version_set;
 pub mod vlog;
 mod write;
@@ -68,5 +71,6 @@ pub use chassis::{CfState, ClaimedJob, EngineCore, EngineDb, EngineShared, Engin
 pub use meta::{FileMetaData, FileMetaDataEdit};
 pub use policy::{Claim, Claims, CompactionJob, EngineIo, PolicyCtx, ShapePolicy};
 pub use runs::{LevelCursor, RunSource};
-pub use version_set::{FileNumbers, LevelRow, LevelTable, VersionEdit, VersionSet, VersionShape};
+pub use version::Version;
+pub use version_set::{FileNumbers, LevelRow, LevelTable, VersionEdit, VersionSet};
 pub use vlog::VlogGcReport;

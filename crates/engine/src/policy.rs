@@ -1,10 +1,10 @@
 //! The [`ShapePolicy`] trait: everything that differs between tree shapes.
 //!
 //! The chassis (see the crate docs) owns the write pipeline, the read path,
-//! the flush thread, the compaction worker pool and the garbage collector. A
-//! policy supplies three things and nothing that merely reads or carries
-//! them out: the version *definition* and its *run cut*
-//! ([`VersionShape`], [`RunSource`](crate::RunSource)), and the *job pick* —
+//! the flush thread, the compaction worker pool, the garbage collector and
+//! the one [`Version`]. A policy supplies two things and nothing that merely
+//! reads or carries them out: its *level type* ([`RunSource`]: a level's cut
+//! into slots, how an edit rebuilds it, its invariant) and the *job pick* —
 //! which files a compaction takes and where their merge goes, handed over as
 //! a plain [`CompactionJob`] record the chassis merges and commits. Where
 //! the merge cuts its outputs is the output level's run cut, and which
@@ -21,7 +21,9 @@ use pebblesdb_env::Env;
 use pebblesdb_sstable::TableCache;
 
 use crate::meta::{user_key_range, FileMetaData};
-use crate::version_set::{FileNumbers, VersionSet, VersionShape};
+use crate::runs::RunSource;
+use crate::version::Version;
+use crate::version_set::{FileNumbers, VersionSet};
 
 /// The IO handles one column family runs against, shared by the chassis and
 /// its policy: the environment, the family's directory, the open options and
@@ -125,7 +127,7 @@ impl Claims {
 /// [`ShapePolicy::pick_job`] under the chassis state mutex.
 pub struct PolicyCtx<'a, P: ShapePolicy> {
     /// The family's version set.
-    pub versions: &'a VersionSet<P::Version>,
+    pub versions: &'a VersionSet<P::Runs>,
     /// The policy's own mutable state (the LSM's compaction pointers).
     pub state: &'a mut P::State,
     /// Whether the family's cursors have asked for a seek-triggered
@@ -146,8 +148,8 @@ pub struct PolicyCtx<'a, P: ShapePolicy> {
 /// a shape says only whether a seek-triggered compaction could help, and
 /// picks the job.
 pub trait ShapePolicy: Send + Sync + Sized + 'static {
-    /// The immutable version snapshot: how this shape organises its levels.
-    type Version: VersionShape;
+    /// The shape's level type: each level from 1 down of its [`Version`].
+    type Runs: RunSource;
     /// Per-family mutable policy state, kept inside the chassis state mutex
     /// and created empty with each family.
     type State: Default + Send + 'static;
@@ -159,7 +161,7 @@ pub trait ShapePolicy: Send + Sync + Sized + 'static {
     /// `version` fewer sstables to visit. Only cursors over such a version
     /// count towards the trigger, so over a tree with nothing to collapse it
     /// stays silent. The LSM never asks for one.
-    fn seek_compaction_helps(&self, version: &Self::Version) -> bool {
+    fn seek_compaction_helps(&self, version: &Version<Self::Runs>) -> bool {
         let _ = version;
         false
     }

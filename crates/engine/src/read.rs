@@ -17,6 +17,7 @@ use pebblesdb_skiplist::MemTable;
 use crate::chassis::EngineCore;
 use crate::policy::ShapePolicy;
 use crate::runs;
+use crate::version::Version;
 use crate::vlog::VlogReaderCache;
 
 /// The sequence number a read issued with `opts` may observe: the requested
@@ -107,7 +108,7 @@ impl<P: ShapePolicy> EngineCore<P> {
     /// `true` when it completes a run of `seek_compaction_threshold` (0 turns
     /// the trigger off). Only cursors a compaction could speed up count: over
     /// a version the policy says no to, a cursor touches no shared state.
-    fn count_seek(&self, version: &P::Version) -> bool {
+    fn count_seek(&self, version: &Version<P::Runs>) -> bool {
         let threshold = self.io.options.seek_compaction_threshold;
         if threshold == 0 || !self.policy.seek_compaction_helps(version) {
             return false;

@@ -32,7 +32,8 @@ use pebblesdb_sstable::{Table, TableBuilder, TableCache};
 
 use crate::meta::FileMetaData;
 use crate::policy::{CompactionJob, EngineIo};
-use crate::version_set::{LevelRow, VersionShape};
+use crate::version::Version;
+use crate::version_set::LevelRow;
 
 // ------------------------------------------------------------- point probes
 
@@ -77,19 +78,18 @@ fn probe_file(
 /// visible version — an inline value or an unresolved vlog pointer, which
 /// the caller resolves outside the state lock; `None` is "deleted or never
 /// written".
-pub fn get<V: VersionShape>(
-    version: &V,
+pub fn get<R: RunSource>(
+    version: &Version<R>,
     table_cache: &TableCache,
     key: &LookupKey,
 ) -> Result<Option<LookupValue>> {
     let user_key = key.user_key();
     let holds_key =
         |file: &&Arc<FileMetaData>| file.overlaps_user_range(Some(user_key), Some(user_key));
-    // Level 0 is ordered newest first, as every `VersionShape::apply` leaves
-    // it: a family flushes one `imm` at a time (`CfState::flush_running`),
-    // and freezes the next only once that one is written, so file numbers
-    // order level-0 tables by recency and the first file that knows the key
-    // decides.
+    // Level 0 is ordered newest first, as `Version::apply` leaves it: a
+    // family flushes one `imm` at a time (`CfState::flush_running`), and
+    // freezes the next only once that one is written, so file numbers order
+    // level-0 tables by recency and the first file that knows the key decides.
     for file in version.level0().iter().filter(holds_key) {
         if let Some((_, decided)) = probe_file(table_cache, file, key)? {
             return Ok(decided);
@@ -119,11 +119,12 @@ pub fn get<V: VersionShape>(
 
 // ------------------------------------------------------------ level cursor
 
-/// How one level (from 1 down) of a version is cut into *slots*, in key
-/// order. A slot is the unit a point `get` probes and a [`LevelCursor`]
-/// opens lazily: a guard with its (possibly overlapping) sstables for the
-/// FLSM, a single file for a leveled run.
-pub trait RunSource {
+/// What a tree shape supplies: its type of a level from 1 down of a
+/// [`Version`] (`Default` is an empty one), cut into *slots* in key order —
+/// the unit a point `get` probes and a [`LevelCursor`] opens lazily: a guard
+/// and its (possibly overlapping) sstables for the FLSM, a single file for a
+/// leveled run — with how an edit rebuilds it and its invariant.
+pub trait RunSource: Default + Send + Sync + 'static {
     /// Number of slots in the level.
     fn slots(&self) -> usize;
     /// The slot a seek to the internal key `target` starts in; `slots()`
@@ -139,6 +140,14 @@ pub trait RunSource {
     /// committed) must clip, so that every entry is emitted exactly once and
     /// in global key order.
     fn bounds(&self, slot: usize) -> (Option<&[u8]>, Option<&[u8]>);
+    /// This level without the files numbered `gone`, with `added` and with
+    /// the guard keys `guards` (any order, some maybe held already): what
+    /// [`Version::apply`] asks of a level its edit touches. Fails with
+    /// `Corruption` on a level the shape cannot hold.
+    fn apply(&self, gone: &[u64], added: &[Arc<FileMetaData>], guards: &[&[u8]]) -> Result<Self>;
+    /// Checks the level's invariant as level `level`, with `deeper` the level
+    /// below it, describing the first violation found.
+    fn validate(&self, level: usize, deeper: Option<&Self>) -> std::result::Result<(), String>;
 }
 
 /// The distinct files of one level, in slot order: a file listed in several
@@ -149,18 +158,6 @@ pub fn distinct_files<R: RunSource>(run: &R) -> impl Iterator<Item = &Arc<FileMe
         let files = run.files(slot).iter();
         files.filter(move |file| !earlier.iter().any(|seen| Arc::ptr_eq(seen, file)))
     })
-}
-
-/// The level a cursor reads, in the version it pins.
-struct PinnedLevel<V> {
-    version: Arc<V>,
-    level: usize,
-}
-
-impl<V: VersionShape> PinnedLevel<V> {
-    fn run(&self) -> &V::Runs {
-        &self.version.runs()[self.level - 1]
-    }
 }
 
 /// The open iterator of one slot: a one-file slot reads its table directly
@@ -218,8 +215,10 @@ impl DbIterator for SlotIter {
 /// and opens a slot's sstables only when the cursor reaches it. The slots
 /// are read in place from the version the cursor pins, so building one
 /// costs the same whatever the number of guards or files.
-pub struct LevelCursor<V: VersionShape> {
-    source: PinnedLevel<V>,
+pub struct LevelCursor<R: RunSource> {
+    /// The version the cursor pins, and the level of it that it reads.
+    version: Arc<Version<R>>,
+    level: usize,
     table_cache: Arc<TableCache>,
     /// The slot the cursor is in; the level's `slots()` = unpositioned.
     slot: usize,
@@ -228,18 +227,23 @@ pub struct LevelCursor<V: VersionShape> {
     error: Option<Error>,
 }
 
-impl<V: VersionShape> LevelCursor<V> {
+impl<R: RunSource> LevelCursor<R> {
     /// Creates an unpositioned cursor over level `level` (from 1 down) of
     /// `version`.
-    pub fn new(table_cache: Arc<TableCache>, version: Arc<V>, level: usize) -> Self {
-        let source = PinnedLevel { version, level };
+    pub fn new(table_cache: Arc<TableCache>, version: Arc<Version<R>>, level: usize) -> Self {
         LevelCursor {
-            slot: source.run().slots(),
-            source,
+            slot: version.run(level).slots(),
+            version,
+            level,
             table_cache,
             current: None,
             error: None,
         }
+    }
+
+    /// The level the cursor reads.
+    fn run(&self) -> &R {
+        self.version.run(self.level)
     }
 
     /// Makes `slot` the current one, opens its sstables and positions the
@@ -250,7 +254,7 @@ impl<V: VersionShape> LevelCursor<V> {
     fn open_slot(&mut self, slot: usize, position: impl FnOnce(&mut SlotIter)) -> bool {
         self.slot = slot;
         self.current = None;
-        let opened = match self.source.run().files(slot) {
+        let opened = match self.run().files(slot) {
             [] => return true,
             [file] => reader(&self.table_cache, file)
                 .map(|table| SlotIter::One(table.iter(&ReadOptions::default()))),
@@ -289,7 +293,7 @@ impl<V: VersionShape> LevelCursor<V> {
         };
         // An unclipped slot (every slot of a leveled run) never looks at the
         // key: for such a source this is `valid()` and nothing else.
-        let (_, upper) = self.source.run().bounds(self.slot);
+        let (_, upper) = self.run().bounds(self.slot);
         iter.valid() && upper.is_none_or(|upper| extract_user_key(iter.key()) < upper)
     }
 
@@ -300,9 +304,9 @@ impl<V: VersionShape> LevelCursor<V> {
             // Either the slot is exhausted or the next entry spills past its
             // upper bound; move on to the following slot.
             let next = self.slot + 1;
-            if next >= self.source.run().slots() {
+            if next >= self.run().slots() {
                 self.current = None;
-                self.slot = self.source.run().slots();
+                self.slot = self.run().slots();
                 return;
             }
             if !self.open_slot(next, DbIterator::seek_to_first) {
@@ -310,9 +314,8 @@ impl<V: VersionShape> LevelCursor<V> {
             }
             // Entries below the lower bound belong to an earlier slot and
             // were emitted there.
-            if let (Some(iter), Some(lower)) =
-                (self.current.as_mut(), self.source.run().bounds(next).0)
-            {
+            let lower = self.version.run(self.level).bounds(next).0;
+            if let (Some(iter), Some(lower)) = (self.current.as_mut(), lower) {
                 while iter.valid() && extract_user_key(iter.key()) < lower {
                     iter.next();
                 }
@@ -321,7 +324,7 @@ impl<V: VersionShape> LevelCursor<V> {
     }
 }
 
-impl<V: VersionShape> DbIterator for LevelCursor<V> {
+impl<R: RunSource> DbIterator for LevelCursor<R> {
     fn valid(&self) -> bool {
         self.current.as_ref().is_some_and(|it| it.valid())
     }
@@ -333,7 +336,7 @@ impl<V: VersionShape> DbIterator for LevelCursor<V> {
     }
 
     fn seek(&mut self, target: &[u8]) {
-        let slot = self.source.run().slot_for(target);
+        let slot = self.run().slot_for(target);
         if self.open_slot(slot, |iter| iter.seek(target)) {
             self.settle();
         }
@@ -381,9 +384,9 @@ pub fn push_table_iterators<'a>(
 /// level-0 file plus one lazy [`LevelCursor`] per non-empty deeper level
 /// (`levels` is the version's table). The cursors read the pinned version's
 /// slots in place, so building them copies no per-file or per-guard state.
-pub fn push_version_iterators<V: VersionShape>(
+pub fn push_version_iterators<R: RunSource>(
     table_cache: &Arc<TableCache>,
-    version: &Arc<V>,
+    version: &Arc<Version<R>>,
     levels: &[LevelRow],
     children: &mut Vec<Box<dyn DbIterator>>,
 ) -> Result<()> {
@@ -470,7 +473,7 @@ pub fn flush_to_table(io: &EngineIo, mut iter: impl DbIterator) -> Result<Option
 /// levels hold only newer versions. Metadata only: a level's files that
 /// reach the key sit in adjacent slots from the one a seek to its newest
 /// possible version starts in (a guard, or a leveled run's file).
-fn held_outside<V: VersionShape>(version: &V, job: &CompactionJob, user_key: &[u8]) -> bool {
+fn held_outside<R: RunSource>(version: &Version<R>, job: &CompactionJob, user_key: &[u8]) -> bool {
     let holds = |file: &Arc<FileMetaData>| file.overlaps_user_range(Some(user_key), Some(user_key));
     let outside =
         |file: &Arc<FileMetaData>| job.inputs.iter().all(|(_, f)| f.number != file.number);
@@ -481,9 +484,9 @@ fn held_outside<V: VersionShape>(version: &V, job: &CompactionJob, user_key: &[u
         &[]
     };
     let seek = LookupKey::new(user_key, MAX_SEQUENCE_NUMBER);
-    let runs = &version.runs()[job.level().max(1) - 1..];
+    let mut runs = version.runs().skip(job.level().max(1) - 1);
     level0.iter().any(held)
-        || runs.iter().any(|run| {
+        || runs.any(|run| {
             let slots = run.slot_for(seek.internal_key())..run.slots();
             let reaching = slots.map(|slot| run.files(slot));
             let mut reaching = reaching.take_while(|files| files.iter().any(holds));
@@ -519,17 +522,17 @@ fn held_outside<V: VersionShape>(version: &V, job: &CompactionJob, user_key: &[u
 /// again, forever). Returns the outputs in key order, their directory
 /// entries synced (they exist only on disk until the caller commits them),
 /// and the new guards in key order.
-pub fn merge_to_tables<V: VersionShape>(
+pub fn merge_to_tables<R: RunSource>(
     io: &EngineIo,
     job: &CompactionJob,
-    version: &V,
+    version: &Version<R>,
     smallest_snapshot: SequenceNumber,
     guard_level: impl Fn(&[u8]) -> Option<usize>,
 ) -> Result<(Vec<FileMetaData>, Vec<Vec<u8>>)> {
     if job.move_only {
         return Ok((Vec::new(), Vec::new())); // a move reads and writes nothing
     }
-    let output = &version.runs()[job.output_level - 1];
+    let output = version.run(job.output_level);
     let in_place = job.level() == job.output_level;
     let max_file_size = if in_place {
         u64::MAX

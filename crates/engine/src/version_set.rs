@@ -1,23 +1,21 @@
 //! The version set: one MANIFEST record format and one installer for every
 //! tree shape.
 //!
-//! A version is an immutable snapshot of which sstables live where. Every
-//! mutation (memtable flush, compaction) is a [`VersionEdit`] appended to the
-//! MANIFEST log and applied to produce the next version — the LevelDB
+//! A [`Version`] is an immutable snapshot of which sstables live where.
+//! Every mutation (memtable flush, compaction) is a [`VersionEdit`] appended
+//! to the MANIFEST log and applied to produce the next version — the LevelDB
 //! descriptor scheme PebblesDB inherits, extended only by the guard record
 //! (section 4.3.1 of the paper). [`VersionSet`] owns CURRENT/MANIFEST
 //! recovery and rewriting, file numbering, log-number/last-sequence
-//! bookkeeping and the list of files commits made obsolete; a tree shape
-//! plugs in through [`VersionShape`] on its version type: how edits build a
-//! version and its invariants, plus two accessors, the level-0 files and one
-//! [`RunSource`] per deeper level. Everything that *reads* a version is
-//! written once over those accessors: the point `get` and the level cursors
-//! in [`crate::runs`], and here the live-file walk, the per-level
-//! [`LevelTable`], computed once per installed version, and the MANIFEST
-//! [`snapshot`], whose guard records are the slots' lower bounds. Likewise
-//! the two edits a store ever commits are built here:
-//! [`VersionSet::commit_level0`] and [`VersionEdit::compaction`]. When a
-//! version wants compacting is its policy's to say, at the pick.
+//! bookkeeping and the list of files commits made obsolete, over a
+//! `Version<R>` whose level type `R` is all a tree shape supplies
+//! ([`RunSource`]). Everything that *reads* a version is written once: the
+//! point `get` and the level cursors in [`crate::runs`], and here the
+//! live-file walk, the per-level [`LevelTable`], computed once per installed
+//! version, and the MANIFEST [`snapshot`], whose guard records are the
+//! slots' lower bounds. Likewise the two edits a store ever commits are
+//! built here: [`VersionSet::commit_level0`] and [`VersionEdit::compaction`].
+//! When a version wants compacting is its policy's to say, at the pick.
 //!
 //! # MANIFEST records
 //!
@@ -52,6 +50,7 @@ use pebblesdb_wal::{LogWriter, Record, Replay, Tail};
 use crate::meta::{FileMetaData, FileMetaDataEdit};
 use crate::policy::CompactionJob;
 use crate::runs::{distinct_files, RunSource};
+use crate::version::Version;
 
 /// A record of changes to the file layout, persisted in the MANIFEST.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -196,11 +195,11 @@ impl VersionEdit {
     /// A file the edit also deletes from `base` unchanged — a trivial move —
     /// keeps the `Arc` `base` holds it by, and with it its open reader: one
     /// live file is one `Arc` across versions, so its strong count counts
-    /// every version, cursor and job that can still read it. Every shape's
-    /// [`VersionShape::apply`] builds the files it adds through this.
-    pub fn added_file<V: VersionShape>(
+    /// every version, cursor and job that can still read it.
+    /// [`Version::apply`] builds every file it adds through this.
+    pub fn added_file<R: RunSource>(
         &self,
-        base: &V,
+        base: &Version<R>,
         file: &FileMetaDataEdit,
     ) -> Arc<FileMetaData> {
         let moved = self.deleted_files.iter().filter(|(_, n)| *n == file.number);
@@ -255,8 +254,9 @@ impl VersionEdit {
 
     /// Rejects records no version of `max_levels` levels can hold: a file or
     /// guard at a level that does not exist (dropping it would silently lose
-    /// an sstable at reopen) and a guard at level 0, which has none. Every
-    /// [`VersionShape::apply`] starts with this check.
+    /// an sstable at reopen), a guard at level 0, which has none, and an
+    /// empty guard key, which every guarded level already holds as its
+    /// sentinel. [`Version::apply`] starts with this check.
     pub fn check_levels(&self, max_levels: usize) -> Result<()> {
         let deleted = self.deleted_files.iter().map(|(level, _)| *level);
         let added = self.new_files.iter().map(|(level, _)| *level);
@@ -270,8 +270,10 @@ impl VersionEdit {
                 "version edit names level {level} of a {max_levels}-level store"
             )));
         }
-        if self.new_guards.iter().any(|(level, _)| *level == 0) {
-            return Err(Error::corruption("version edit commits a guard at level 0"));
+        if (self.new_guards.iter()).any(|(level, key)| *level == 0 || key.is_empty()) {
+            return Err(Error::corruption(
+                "version edit commits a guard at level 0 or an empty one",
+            ));
         }
         Ok(())
     }
@@ -287,39 +289,16 @@ impl Record for VersionEdit {
     }
 }
 
-/// What a tree shape supplies on its immutable version type: how edits build
-/// the next version, its invariants, and the files themselves — level 0 plus
-/// one [`RunSource`] per deeper level, which is all the chassis reads.
-pub trait VersionShape: Sized + Send + Sync + 'static {
-    /// How the shape cuts a level (from 1 down) into slots.
-    type Runs: RunSource;
-    /// An empty version with `levels` levels (a store has [`NUM_LEVELS`]).
-    fn empty(levels: usize) -> Self;
-    /// The version that results from applying `edit` to this one. Fails with
-    /// `Corruption` on an edit the shape cannot hold (see
-    /// [`VersionEdit::check_levels`]); edits come from the MANIFEST as well
-    /// as from the engine.
-    fn apply(&self, edit: &VersionEdit) -> Result<Self>;
-    /// Checks the shape's structural invariants, describing the first
-    /// violation found. Debug builds run it after every commit.
-    fn validate(&self) -> std::result::Result<(), String>;
-    /// The level-0 files, newest first.
-    fn level0(&self) -> &[Arc<FileMetaData>];
-    /// The levels from 1 down: `runs()[i]` cuts level `i + 1`.
-    fn runs(&self) -> &[Self::Runs];
-}
-
 /// Every distinct file `version` references, level 0 first.
-pub fn version_files<V: VersionShape>(version: &V) -> impl Iterator<Item = &Arc<FileMetaData>> {
-    let deeper = version.runs().iter().flat_map(distinct_files);
-    version.level0().iter().chain(deeper)
+pub fn version_files<R: RunSource>(v: &Version<R>) -> impl Iterator<Item = &Arc<FileMetaData>> {
+    v.level0().iter().chain(v.runs().flat_map(distinct_files))
 }
 
 /// The records that rebuild `version` from an empty one: the level-0 files,
 /// then for each deeper level every slot's lower bound as a guard and the
 /// level's distinct files. A slot without a lower bound (the LSM's every
 /// slot, the FLSM's sentinel) adds no guard.
-pub fn snapshot<V: VersionShape>(version: &V) -> VersionEdit {
+pub fn snapshot<R: RunSource>(version: &Version<R>) -> VersionEdit {
     let mut edit = VersionEdit::default();
     for file in version.level0() {
         edit.add_file(0, file);
@@ -336,19 +315,19 @@ pub fn snapshot<V: VersionShape>(version: &V) -> VersionEdit {
 }
 
 /// The distinct files `version` holds at `level`.
-pub fn level_files<V: VersionShape>(
-    version: &V,
+pub fn level_files<R: RunSource>(
+    version: &Version<R>,
     level: usize,
 ) -> impl Iterator<Item = &Arc<FileMetaData>> {
     let level0 = if level == 0 { version.level0() } else { &[] };
-    let run = level.checked_sub(1).and_then(|i| version.runs().get(i));
+    let run = level.checked_sub(1).and_then(|i| version.runs().nth(i));
     let deeper = run.into_iter().flat_map(distinct_files);
     level0.iter().chain(deeper)
 }
 
 /// The files of `version` that `edit` deletes and does not add back: what
 /// committing `edit` over `version` makes obsolete.
-fn unlinked<V: VersionShape>(version: &V, edit: &VersionEdit) -> Vec<Arc<FileMetaData>> {
+fn unlinked<R: RunSource>(version: &Version<R>, edit: &VersionEdit) -> Vec<Arc<FileMetaData>> {
     let readded = |number| edit.new_files.iter().any(|(_, f)| f.number == number);
     let gone = |level, f: &Arc<FileMetaData>| {
         edit.deleted_files.contains(&(level, f.number)) && !readded(f.number)
@@ -387,7 +366,7 @@ pub struct LevelTable(Arc<[LevelRow]>);
 
 impl LevelTable {
     /// Walks `version` once.
-    pub fn of<V: VersionShape>(version: &V) -> LevelTable {
+    pub fn of<R: RunSource>(version: &Version<R>) -> LevelTable {
         let level0 = version.level0();
         let mut rows = vec![LevelRow {
             level: 0,
@@ -397,7 +376,7 @@ impl LevelTable {
             empty_slots: usize::from(level0.is_empty()),
             max_files_per_slot: level0.len(),
         }];
-        for (index, run) in version.runs().iter().enumerate() {
+        for (index, run) in version.runs().enumerate() {
             let attached = (0..run.slots()).map(|slot| run.files(slot).len());
             let sizes = distinct_files(run).map(|f| f.file_size);
             let (files, bytes) =
@@ -478,11 +457,11 @@ impl FileNumbers {
 }
 
 /// Owns the current version, the MANIFEST log and file-number allocation.
-pub struct VersionSet<V: VersionShape> {
+pub struct VersionSet<R: RunSource> {
     env: Arc<dyn Env>,
     db_path: PathBuf,
     options: StoreOptions,
-    current: Arc<V>,
+    current: Arc<Version<R>>,
     /// The table of `current`.
     levels: LevelTable,
     /// Files commits have unlinked that are still on disk. Each waits here
@@ -496,13 +475,13 @@ pub struct VersionSet<V: VersionShape> {
     log_number: u64,
 }
 
-impl<V: VersionShape> VersionSet<V> {
+impl<R: RunSource> VersionSet<R> {
     /// Opens the version set of the directory `db_path`: recovers from the
     /// MANIFEST named by `CURRENT` if there is one, starts empty otherwise.
     /// Either way a fresh full-snapshot MANIFEST is written, which keeps
     /// recovery time bounded by the edits of one run.
     pub fn open(env: Arc<dyn Env>, db_path: PathBuf, options: StoreOptions) -> Result<Self> {
-        let current = Arc::new(V::empty(NUM_LEVELS));
+        let current = Arc::new(Version::empty(NUM_LEVELS));
         let mut set = VersionSet {
             levels: LevelTable::of(&*current),
             current,
@@ -556,7 +535,7 @@ impl<V: VersionShape> VersionSet<V> {
     /// The current version. A caller that keeps a clone past the state lock
     /// pins the version's files: each holds its files' `Arc`s, and a file
     /// is deleted only once its `Arc` is held by the obsolete list alone.
-    pub fn current(&self) -> &Arc<V> {
+    pub fn current(&self) -> &Arc<Version<R>> {
         &self.current
     }
 
@@ -618,7 +597,7 @@ impl<V: VersionShape> VersionSet<V> {
     }
 
     /// Makes `next` the current version, with its table.
-    fn install(&mut self, next: Arc<V>) {
+    fn install(&mut self, next: Arc<Version<R>>) {
         self.levels = LevelTable::of(&*next);
         self.current = next;
     }
@@ -651,7 +630,7 @@ impl<V: VersionShape> VersionSet<V> {
     }
 
     /// Applies `edit` to the current version, logs it and installs the result.
-    pub fn log_and_apply(&mut self, mut edit: VersionEdit) -> Result<Arc<V>> {
+    pub fn log_and_apply(&mut self, mut edit: VersionEdit) -> Result<Arc<Version<R>>> {
         if edit.log_number.is_none() {
             edit.log_number = Some(self.log_number);
         }

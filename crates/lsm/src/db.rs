@@ -21,10 +21,10 @@ use pebblesdb_common::key::compare_internal_keys;
 use pebblesdb_common::{Result, StoreOptions, StorePreset, NUM_LEVELS};
 use pebblesdb_engine::meta::user_key_range;
 use pebblesdb_engine::{Claims, CompactionJob, EngineDb, FileMetaData};
-use pebblesdb_engine::{PolicyCtx, ShapePolicy};
+use pebblesdb_engine::{PolicyCtx, ShapePolicy, Version};
 use pebblesdb_env::Env;
 
-use crate::version::{compaction_levels, Version};
+use crate::version::{compaction_levels, FileRuns};
 
 /// The leveled-compaction shape: one implicit guard per level.
 pub struct LsmPolicy {
@@ -33,7 +33,7 @@ pub struct LsmPolicy {
 }
 
 impl ShapePolicy for LsmPolicy {
-    type Version = Version;
+    type Runs = FileRuns;
     /// The per-level compaction pointer that rotates through a level's key
     /// space across compactions: the largest internal key of the last file a
     /// job took from the level.
@@ -53,15 +53,15 @@ impl ShapePolicy for LsmPolicy {
         let version = ctx.versions.current();
         let claims = ctx.claims;
         for level in compaction_levels(ctx.versions.levels(), &self.options) {
-            let files = &version.files[level].0;
             if level == 0 {
                 // Compact the whole of level 0 in one go (HyperLevelDB-style
                 // batched level-0 compaction).
-                match leveled_job(version, 0, files.clone(), claims) {
+                match leveled_job(version, 0, version.level0().to_vec(), claims) {
                     Some(job) => return Some(job),
                     None => continue,
                 }
             }
+            let files = &version.run(level).0;
             // Rotate through the level using the compaction pointer. It
             // advances at the pick, so a pick beside a running job tries the
             // files after it; a failed job poisons the store.
@@ -90,13 +90,15 @@ impl ShapePolicy for LsmPolicy {
 /// overlap, if `claims` leave the hull of them all free at each level it
 /// reads. Level 0, compacted whole, so runs one job at a time.
 fn leveled_job(
-    version: &Version,
+    version: &Version<FileRuns>,
     level: usize,
     inputs: Vec<Arc<FileMetaData>>,
     claims: &Claims,
 ) -> Option<CompactionJob> {
     let (smallest_user, largest_user) = user_key_range(&inputs);
-    let next_level_inputs = version.overlapping_inputs(level + 1, smallest_user, largest_user);
+    let next_level_inputs = version
+        .run(level + 1)
+        .overlapping_inputs(smallest_user, largest_user);
     let (hull_lo, hull_hi) = user_key_range(inputs.iter().chain(next_level_inputs));
     let free = |level| claims.free(level, hull_lo, hull_hi);
     if !free(level) || !(next_level_inputs.is_empty() || free(level + 1)) {
@@ -227,7 +229,8 @@ mod tests {
     use pebblesdb_common::key::{encode_internal_key, InternalKey, LookupKey, ValueType};
     use pebblesdb_common::vlog::LookupValue;
     use pebblesdb_engine::runs::{get, merge_to_tables};
-    use pebblesdb_engine::{EngineIo, FileMetaDataEdit, VersionEdit, VersionSet, VersionShape};
+    use pebblesdb_engine::version_set::level_files;
+    use pebblesdb_engine::{EngineIo, FileMetaDataEdit, VersionEdit, VersionSet};
     use pebblesdb_env::MemEnv;
     use pebblesdb_sstable::{TableBuilder, TableCache};
 
@@ -281,7 +284,7 @@ mod tests {
         env.create_dir_all(&dir).unwrap();
         let mut options = StoreOptions::default();
         options.base_level_bytes = 500;
-        let mut versions: VersionSet<Version> =
+        let mut versions: VersionSet<FileRuns> =
             VersionSet::open(env, dir, options.clone()).unwrap();
         let key = |user: &str, seq| InternalKey::new(user.as_bytes(), seq, ValueType::Value);
         let mut setup = VersionEdit::default();
@@ -320,7 +323,7 @@ mod tests {
         dir: &str,
         options: &StoreOptions,
         files: &[(usize, u64, String, String, u64)],
-    ) -> VersionSet<Version> {
+    ) -> VersionSet<FileRuns> {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let dir = PathBuf::from(dir);
         env.create_dir_all(&dir).unwrap();
@@ -342,7 +345,7 @@ mod tests {
 
     fn pick(
         policy: &LsmPolicy,
-        versions: &VersionSet<Version>,
+        versions: &VersionSet<FileRuns>,
         state: &mut [Vec<u8>; NUM_LEVELS],
         claims: &Claims,
     ) -> Option<CompactionJob> {
@@ -367,12 +370,12 @@ mod tests {
     /// file past the pointer, and the next-level files that overlaps.
     fn serial_pick(
         options: &StoreOptions,
-        version: &Version,
+        version: &Version<FileRuns>,
         pointers: &mut [Vec<u8>],
     ) -> Option<Vec<(usize, u64)>> {
         let mut best: Option<(usize, f64)> = None;
         for level in 0..NUM_LEVELS - 1 {
-            let files = &version.files[level].0;
+            let files: Vec<_> = level_files(version, level).collect();
             let score = if level == 0 {
                 files.len() as f64 / options.level0_compaction_trigger as f64
             } else {
@@ -384,7 +387,7 @@ mod tests {
             }
         }
         let (level, _) = best?;
-        let files = &version.files[level].0;
+        let files: Vec<_> = level_files(version, level).cloned().collect();
         let inputs = if level == 0 {
             files.clone()
         } else {
@@ -400,7 +403,7 @@ mod tests {
             vec![Arc::clone(chosen)]
         };
         let (lo, hi) = user_key_range(&inputs);
-        let next = version.files[level + 1].0.iter();
+        let next = level_files(version, level + 1);
         let next = next.filter(|f| f.overlaps_user_range(Some(lo), Some(hi)));
         let inputs = inputs.iter().map(|f| (level, f.number));
         let next = next.map(|f| (level + 1, f.number));
@@ -518,7 +521,10 @@ mod tests {
             let inputs: Vec<Arc<FileMetaData>> =
                 job.inputs.iter().map(|(_, f)| Arc::clone(f)).collect();
             let (lo, hi) = user_key_range(&inputs);
-            let beside = versions.current().overlapping_inputs(job.level(), lo, hi);
+            let beside = versions
+                .current()
+                .run(job.level())
+                .overlapping_inputs(lo, hi);
             let taken = inputs.iter().chain(beside).map(|f| f.number);
             assert!(
                 taken.clone().all(|n| !claimed.contains(&n)),
@@ -594,13 +600,13 @@ mod tests {
     /// A version set in `dir` of a fresh `MemEnv` whose level 1 is always
     /// over its budget, holding one table per `(level, entries)`, and its IO
     /// handles.
-    fn store(dir: &str, layout: &[(usize, Entries<'_>)]) -> (VersionSet<Version>, EngineIo) {
+    fn store(dir: &str, layout: &[(usize, Entries<'_>)]) -> (VersionSet<FileRuns>, EngineIo) {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new());
         let dir = PathBuf::from(dir);
         env.create_dir_all(&dir).unwrap();
         let mut options = StoreOptions::default();
         options.base_level_bytes = 1;
-        let mut versions: VersionSet<Version> =
+        let mut versions: VersionSet<FileRuns> =
             VersionSet::open(Arc::clone(&env), dir.clone(), options.clone()).unwrap();
         let table_cache = TableCache::new(Arc::clone(&env), dir.clone(), options.clone(), 16);
         let io = EngineIo {
@@ -620,19 +626,19 @@ mod tests {
 
     /// Merges `job` against `version`, every sequence below the snapshot
     /// floor.
-    fn merge(io: &EngineIo, version: &Version, job: &CompactionJob) -> Merged {
+    fn merge(io: &EngineIo, version: &Version<FileRuns>, job: &CompactionJob) -> Merged {
         merge_to_tables(io, job, version, 1_000, |_| None).unwrap()
     }
 
     /// Merges and commits `job` (`merge_to_tables` and the commit's edit).
-    fn run(versions: &mut VersionSet<Version>, io: &EngineIo, job: &CompactionJob) {
+    fn run(versions: &mut VersionSet<FileRuns>, io: &EngineIo, job: &CompactionJob) {
         let (outputs, guards) = merge(io, versions.current(), job);
         let edit = VersionEdit::compaction(job, &outputs, &guards);
         versions.log_and_apply(edit).unwrap();
     }
 
     /// What a read of `user` at the newest sequence finds in the version.
-    fn read(versions: &VersionSet<Version>, io: &EngineIo, user: &str) -> Option<String> {
+    fn read(versions: &VersionSet<FileRuns>, io: &EngineIo, user: &str) -> Option<String> {
         let key = LookupKey::new(user.as_bytes(), 1_000);
         match get(versions.current().as_ref(), &io.table_cache, &key).unwrap() {
             Some(LookupValue::Inline(value)) => Some(String::from_utf8(value).unwrap()),
@@ -704,7 +710,7 @@ mod tests {
                 versions.log_and_apply(edit).unwrap();
             }
             versions.current().validate().unwrap();
-            assert_eq!(versions.current().files[1].0.len(), 0, "order {order:?}");
+            assert_eq!(versions.current().run(1).0.len(), 0, "order {order:?}");
             for user in ('a'..='z').map(String::from) {
                 let expected = model.get(&user).cloned();
                 assert_eq!(

@@ -29,7 +29,7 @@ pub mod version;
 
 pub use db::{LsmDb, LsmPolicy};
 pub use pebblesdb_common::{StoreOptions, StorePreset};
-pub use version::{FileMetaData, Version};
+pub use version::{FileMetaData, FileRuns};
 
 #[cfg(test)]
 mod tests {

@@ -1,56 +1,15 @@
-//! The leveled version: sorted runs of disjoint sstables per level.
-//!
-//! A [`Version`] is an immutable snapshot of which sstables live at which
-//! level. Mutations (memtable flushes, compactions) are described by
-//! [`VersionEdit`]s which the chassis's version set
-//! ([`pebblesdb_engine::version_set`]) appends to the MANIFEST log and
-//! applies to produce the next version — the standard LevelDB descriptor
-//! scheme that PebblesDB inherits (and extends with guard records for the
-//! `pebblesdb` crate's shape). This module supplies what defines the leveled
-//! shape: how edits build a version, its invariant, the compaction score its
-//! policy picks by and the cut of a level into one-file slots
-//! ([`FileRuns`]); reads, per-level facts, snapshots and commits are the
-//! chassis's.
+//! The leveled level type, [`FileRuns`]: a level of the chassis's
+//! [`Version`](pebblesdb_engine::Version) as one sorted run of disjoint
+//! sstables, each its own slot — LevelDB's layout, the FLSM with one
+//! implicit guard per level. Also the compaction score its policy picks by.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use pebblesdb_common::key::compare_internal_keys;
 use pebblesdb_common::{Error, Result, StoreOptions};
-use pebblesdb_engine::{LevelRow, RunSource, VersionEdit, VersionShape};
+use pebblesdb_engine::{LevelRow, RunSource};
 
 pub use pebblesdb_engine::meta::{FileMetaData, FileMetaDataEdit};
-
-/// An immutable snapshot of the files at every level.
-#[derive(Debug)]
-pub struct Version {
-    /// `files[level]` is sorted by smallest key for levels >= 1; level 0 is
-    /// ordered newest-file-first (by file number, descending).
-    pub files: Vec<FileRuns>,
-}
-
-impl Version {
-    /// Number of levels.
-    pub fn num_levels(&self) -> usize {
-        self.files.len()
-    }
-
-    /// The files of `level` (1 or deeper) whose user-key range overlaps
-    /// `[begin, end]`: a contiguous slice of the level's sorted, disjoint
-    /// run. Compaction asks this of the levels below its inputs and of its
-    /// input level when it claims (level 0 is always compacted whole).
-    pub fn overlapping_inputs(
-        &self,
-        level: usize,
-        begin: &[u8],
-        end: &[u8],
-    ) -> &[Arc<FileMetaData>] {
-        let FileRuns(files) = &self.files[level];
-        let first = files.partition_point(|f| f.largest.user_key() < begin);
-        let past = files.partition_point(|f| f.smallest.user_key() <= end);
-        &files[first..past.max(first)]
-    }
-}
 
 /// The levels of a version with the table `levels` whose compaction score
 /// is at least 1, highest score first and ties to the shallowest level.
@@ -73,11 +32,33 @@ pub fn compaction_levels(levels: &[LevelRow], options: &StoreOptions) -> Vec<usi
     due.into_iter().map(|(level, _)| level).collect()
 }
 
-/// The files of one level. From level 1 down they are a leveled run, which
-/// the chassis reads with every file its own slot and — the files being
-/// disjoint — no slot clipped.
+/// The files of one level from 1 down: a leveled run, sorted by smallest
+/// key, which the chassis reads with every file its own slot and — the
+/// files being disjoint — no slot clipped.
 #[derive(Debug, Clone, Default)]
 pub struct FileRuns(pub Vec<Arc<FileMetaData>>);
+
+impl FileRuns {
+    /// The files whose user-key range overlaps `[begin, end]`: a contiguous
+    /// slice of the sorted, disjoint run. Compaction asks this of the level
+    /// below its inputs and of its input level when it claims (level 0 is
+    /// always compacted whole).
+    pub fn overlapping_inputs(&self, begin: &[u8], end: &[u8]) -> &[Arc<FileMetaData>] {
+        let first = self.0.partition_point(|f| f.largest.user_key() < begin);
+        let past = self.0.partition_point(|f| f.smallest.user_key() <= end);
+        &self.0[first..past.max(first)]
+    }
+
+    /// The first two adjacent files that are not disjoint by internal key.
+    fn overlap(&self) -> Option<(u64, u64)> {
+        let ordered = |a: &FileMetaData, b: &FileMetaData| {
+            compare_internal_keys(a.largest.encoded(), b.smallest.encoded()).is_lt()
+        };
+        let mut pairs = self.0.windows(2);
+        let pair = pairs.find(|pair| !ordered(&pair[0], &pair[1]))?;
+        Some((pair[0].number, pair[1].number))
+    }
+}
 
 impl RunSource for FileRuns {
     fn slots(&self) -> usize {
@@ -104,73 +85,33 @@ impl RunSource for FileRuns {
     fn bounds(&self, _slot: usize) -> (Option<&[u8]>, Option<&[u8]>) {
         (None, None)
     }
-}
 
-impl VersionShape for Version {
-    type Runs = FileRuns;
-
-    fn empty(levels: usize) -> Self {
-        Version {
-            files: vec![FileRuns::default(); levels],
-        }
-    }
-
-    /// Applies the edit's deletes, then its adds, and restores per-level
-    /// ordering (files are shared with `self` via `Arc`, a moved one too).
-    fn apply(&self, edit: &VersionEdit) -> Result<Self> {
-        edit.check_levels(self.num_levels())?;
-        if !edit.new_guards.is_empty() {
+    /// The run without the files numbered `gone` and with `added`, sorted.
+    /// Reads binary-search the run, so an edit that makes two of its files
+    /// overlap would hide keys rather than fail: it is `Corruption`, and so
+    /// is a guard record.
+    fn apply(&self, gone: &[u64], added: &[Arc<FileMetaData>], guards: &[&[u8]]) -> Result<Self> {
+        if !guards.is_empty() {
             return Err(Error::corruption(
                 "guard record (tag 7) in the MANIFEST of a leveled store",
             ));
         }
-        let mut files = self.files.clone();
-        for (level, number) in &edit.deleted_files {
-            files[*level].0.retain(|f| f.number != *number);
+        let kept = self.0.iter().filter(|f| !gone.contains(&f.number));
+        let mut files: Vec<_> = kept.chain(added).cloned().collect();
+        files.sort_by(|a, b| compare_internal_keys(a.smallest.encoded(), b.smallest.encoded()));
+        let run = FileRuns(files);
+        match run.overlap() {
+            Some((a, b)) => Err(Error::corruption(format!("files {a} and {b} overlap"))),
+            None => Ok(run),
         }
-        for (level, file) in &edit.new_files {
-            files[*level].0.push(edit.added_file(self, file));
-        }
-        for (level, FileRuns(files)) in files.iter_mut().enumerate() {
-            if level == 0 {
-                files.sort_by_key(|f| std::cmp::Reverse(f.number));
-            } else {
-                files.sort_by(|a, b| {
-                    compare_internal_keys(a.smallest.encoded(), b.smallest.encoded())
-                });
-            }
-        }
-        let version = Version { files };
-        // Reads binary-search the deeper levels, so an edit that makes two
-        // of their files overlap would hide keys rather than fail.
-        version.validate().map_err(Error::corruption)?;
-        Ok(version)
     }
 
-    /// Every level from 1 down is a sorted run of files disjoint by internal
-    /// key.
-    fn validate(&self) -> std::result::Result<(), String> {
-        for (level, FileRuns(files)) in self.files.iter().enumerate().skip(1) {
-            for pair in files.windows(2) {
-                if compare_internal_keys(pair[0].largest.encoded(), pair[1].smallest.encoded())
-                    != Ordering::Less
-                {
-                    return Err(format!(
-                        "L{level}: files {} and {} overlap",
-                        pair[0].number, pair[1].number
-                    ));
-                }
-            }
+    /// The run is sorted and its files are disjoint by internal key.
+    fn validate(&self, level: usize, _deeper: Option<&Self>) -> std::result::Result<(), String> {
+        match self.overlap() {
+            Some((a, b)) => Err(format!("L{level}: files {a} and {b} overlap")),
+            None => Ok(()),
         }
-        Ok(())
-    }
-
-    fn level0(&self) -> &[Arc<FileMetaData>] {
-        self.files.first().map_or(&[], |level0| &level0.0)
-    }
-
-    fn runs(&self) -> &[FileRuns] {
-        self.files.get(1..).unwrap_or_default()
     }
 }
 
@@ -181,7 +122,7 @@ mod tests {
     use pebblesdb_common::iterator::DbIterator;
     use pebblesdb_common::key::{encode_internal_key, extract_user_key, InternalKey, ValueType};
     use pebblesdb_common::NUM_LEVELS;
-    use pebblesdb_engine::{LevelCursor, LevelTable};
+    use pebblesdb_engine::{LevelCursor, LevelTable, Version, VersionEdit};
     use pebblesdb_env::{Env, MemEnv};
     use pebblesdb_sstable::{TableBuilder, TableCache};
     use std::path::{Path, PathBuf};
@@ -208,14 +149,14 @@ mod tests {
         let mut second = VersionEdit::default();
         second.deleted_files.push((1, 10));
         second.new_files.push((2, meta(13, "q", "t")));
-        let version = Version::empty(7)
+        let version = Version::<FileRuns>::empty(7)
             .apply(&edit)
             .and_then(|v| v.apply(&second))
             .unwrap();
-        assert_eq!(version.files[0].0.len(), 1);
-        assert_eq!(version.files[1].0.len(), 1);
-        assert_eq!(version.files[1].0[0].number, 11);
-        assert_eq!(version.files[2].0.len(), 1);
+        assert_eq!(version.level0().len(), 1);
+        assert_eq!(version.run(1).0.len(), 1);
+        assert_eq!(version.run(1).0[0].number, 11);
+        assert_eq!(version.run(2).0.len(), 1);
         let rows = LevelTable::of(&version);
         assert_eq!(rows.num_files(), 3);
         assert_eq!(rows.total_bytes(), 3000);
@@ -228,21 +169,21 @@ mod tests {
     fn a_trivial_move_keeps_the_files_arc() {
         let mut edit = VersionEdit::default();
         edit.new_files.push((1, meta(10, "a", "c")));
-        let version = Version::empty(7).apply(&edit).unwrap();
-        let file = Arc::clone(&version.files[1].0[0]);
+        let version = Version::<FileRuns>::empty(7).apply(&edit).unwrap();
+        let file = Arc::clone(&version.run(1).0[0]);
 
         let mut moved = VersionEdit::default();
         moved.delete_file(1, 10);
         moved.add_file(2, &file);
         let next = version.apply(&moved).unwrap();
-        assert!(next.files[1].0.is_empty());
-        assert!(Arc::ptr_eq(&next.files[2].0[0], &file));
+        assert!(next.run(1).0.is_empty());
+        assert!(Arc::ptr_eq(&next.run(2).0[0], &file));
 
         let mut changed = VersionEdit::default();
         changed.delete_file(1, 10);
         changed.new_files.push((2, meta(10, "a", "d")));
         let next = version.apply(&changed).unwrap();
-        assert!(!Arc::ptr_eq(&next.files[2].0[0], &file));
+        assert!(!Arc::ptr_eq(&next.run(2).0[0], &file));
     }
 
     #[test]
@@ -251,9 +192,9 @@ mod tests {
         edit.new_files.push((1, meta(1, "a", "f")));
         edit.new_files.push((1, meta(2, "g", "k")));
         edit.new_files.push((1, meta(3, "x", "z")));
-        let version = Version::empty(7).apply(&edit).unwrap();
+        let version = Version::<FileRuns>::empty(7).apply(&edit).unwrap();
         let numbers = |begin: &[u8], end: &[u8]| -> Vec<u64> {
-            let inputs = version.overlapping_inputs(1, begin, end);
+            let inputs = version.run(1).overlapping_inputs(begin, end);
             inputs.iter().map(|f| f.number).collect()
         };
         // Bounds are inclusive on both sides.
@@ -261,7 +202,7 @@ mod tests {
         assert_eq!(numbers(b"b", b"c"), [1]);
         assert_eq!(numbers(b"l", b"w"), [0u64; 0]);
         assert_eq!(numbers(b"a", b"z"), [1, 2, 3]);
-        assert!(version.overlapping_inputs(2, b"a", b"z").is_empty());
+        assert!(version.run(2).overlapping_inputs(b"a", b"z").is_empty());
     }
 
     #[test]
@@ -269,7 +210,7 @@ mod tests {
         let mut opts = StoreOptions::default();
         opts.level0_compaction_trigger = 2;
         opts.base_level_bytes = 1500;
-        let version = Version::empty(NUM_LEVELS);
+        let version = Version::<FileRuns>::empty(NUM_LEVELS);
         assert!(compaction_levels(&LevelTable::of(&version), &opts).is_empty());
 
         let mut edit = VersionEdit::default();
@@ -293,12 +234,12 @@ mod tests {
         let mut edit = VersionEdit::default();
         edit.new_files.push((0, meta(1, "a", "m")));
         edit.new_files.push((0, meta(2, "c", "z")));
-        assert!(Version::empty(7).apply(&edit).is_ok());
+        assert!(Version::<FileRuns>::empty(7).apply(&edit).is_ok());
         let mut edit = VersionEdit::default();
         edit.new_files.push((1, meta(1, "a", "m")));
         edit.new_files.push((1, meta(2, "c", "z")));
         assert!(matches!(
-            Version::empty(7).apply(&edit),
+            Version::<FileRuns>::empty(7).apply(&edit),
             Err(Error::Corruption(_))
         ));
     }
@@ -331,10 +272,12 @@ mod tests {
         env: &Arc<dyn Env>,
         db: PathBuf,
         files: Vec<Arc<FileMetaData>>,
-    ) -> LevelCursor<Version> {
-        let version = Arc::new(Version {
-            files: vec![FileRuns::default(), FileRuns(files)],
-        });
+    ) -> LevelCursor<FileRuns> {
+        let mut edit = VersionEdit::default();
+        for file in &files {
+            edit.add_file(1, file);
+        }
+        let version = Arc::new(Version::<FileRuns>::empty(2).apply(&edit).unwrap());
         let cache = TableCache::new(Arc::clone(env), db, StoreOptions::default(), 16);
         LevelCursor::new(Arc::new(cache), version, 1)
     }

@@ -13,18 +13,18 @@ use std::sync::Arc;
 
 use pebblesdb::guards::GuardMeta;
 use pebblesdb::version::compaction_candidates;
-use pebblesdb::{FlsmPolicy, FlsmVersion};
+use pebblesdb::{FlsmLevel, FlsmPolicy};
 use pebblesdb_common::key::{InternalKey, ValueType};
 use pebblesdb_common::StoreOptions;
 use pebblesdb_engine::meta::user_key_range;
 use pebblesdb_engine::version_set::level_files;
 use pebblesdb_engine::{
-    Claims, CompactionJob, FileMetaData, FileMetaDataEdit, PolicyCtx, ShapePolicy, VersionEdit,
-    VersionSet, VersionShape,
+    Claims, CompactionJob, FileMetaData, FileMetaDataEdit, PolicyCtx, RunSource, ShapePolicy,
+    VersionEdit, VersionSet,
 };
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::version::compaction_levels;
-use pebblesdb_lsm::{LsmPolicy, Version};
+use pebblesdb_lsm::{FileRuns, LsmPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,10 +40,7 @@ fn file_edit(number: u64, smallest: &str, largest: &str, size: u64) -> FileMetaD
 
 /// A version set in a fresh `MemEnv` with `setup` applied (metadata only:
 /// no table is written).
-fn versions<V: pebblesdb_engine::VersionShape>(
-    options: &StoreOptions,
-    setup: VersionEdit,
-) -> VersionSet<V> {
+fn versions<R: RunSource>(options: &StoreOptions, setup: VersionEdit) -> VersionSet<R> {
     let env: Arc<dyn Env> = Arc::new(MemEnv::new());
     let dir = PathBuf::from("/claims");
     env.create_dir_all(&dir).unwrap();
@@ -65,7 +62,7 @@ fn numbers(job: &CompactionJob) -> Vec<u64> {
 /// how many jobs were admitted side by side.
 fn claim_until_none<P: ShapePolicy>(
     policy: &P,
-    versions: &VersionSet<P::Version>,
+    versions: &VersionSet<P::Runs>,
     seed: u64,
 ) -> (Option<Vec<u64>>, usize) {
     let mut state = P::State::default();
@@ -107,16 +104,16 @@ fn claim_until_none<P: ShapePolicy>(
 
 /// The leveled pick with nothing claimed: the best-scoring level, all of
 /// level 0 or its first file, and the next-level files that overlaps.
-fn serial_lsm_pick(options: &StoreOptions, versions: &VersionSet<Version>) -> Option<Vec<u64>> {
+fn serial_lsm_pick(options: &StoreOptions, versions: &VersionSet<FileRuns>) -> Option<Vec<u64>> {
     let level = *compaction_levels(versions.levels(), options).first()?;
-    let files = &versions.current().files[level].0;
+    let files: Vec<_> = level_files(versions.current(), level).cloned().collect();
     let inputs = if level == 0 {
         files.clone()
     } else {
         vec![Arc::clone(&files[0])]
     };
     let (lo, hi) = user_key_range(&inputs);
-    let next = versions.current().overlapping_inputs(level + 1, lo, hi);
+    let next = versions.current().run(level + 1).overlapping_inputs(lo, hi);
     Some(inputs.iter().chain(next).map(|f| f.number).collect())
 }
 
@@ -149,7 +146,7 @@ fn the_lsm_claim_rule_is_no_looser_than_the_file_and_hull_rules() {
                 number += 1;
             }
         }
-        let versions: VersionSet<Version> = versions(&options, setup);
+        let versions: VersionSet<FileRuns> = versions(&options, setup);
         let policy = LsmPolicy::new(&options);
         let (first, admitted) = claim_until_none(&policy, &versions, seed);
         assert_eq!(first, serial_lsm_pick(&options, &versions), "seed {seed}");
@@ -170,17 +167,14 @@ fn spans_back(guard: &GuardMeta, file: &FileMetaData) -> bool {
 /// The FLSM pick with nothing claimed: the first compaction candidate's
 /// inputs, all of level 0 or the first `ceil(n/split)` of its eligible
 /// guard runs (over budget, if any run is).
-fn serial_flsm_pick(
-    options: &StoreOptions,
-    versions: &VersionSet<FlsmVersion>,
-) -> Option<Vec<u64>> {
+fn serial_flsm_pick(options: &StoreOptions, versions: &VersionSet<FlsmLevel>) -> Option<Vec<u64>> {
     let level = *compaction_candidates(versions.levels(), options).first()?;
     let version = versions.current();
     if level == 0 {
         return Some(version.level0().iter().map(|f| f.number).collect());
     }
     let joined = |_: &GuardMeta, g: &GuardMeta| g.files.iter().any(|f| spans_back(g, f));
-    let runs: Vec<&[GuardMeta]> = (version.levels[level].guards().chunk_by(joined))
+    let runs: Vec<&[GuardMeta]> = (version.run(level).guards().chunk_by(joined))
         .filter(|run| !run[0].files.is_empty())
         .collect();
     let budget = options.max_sstables_per_guard;
@@ -228,7 +222,7 @@ fn the_flsm_claim_rule_is_no_looser_than_the_file_rule() {
                 number += 1;
             }
         }
-        let versions: VersionSet<FlsmVersion> = versions(&options, setup);
+        let versions: VersionSet<FlsmLevel> = versions(&options, setup);
         let policy = FlsmPolicy::new(&options);
         let (first, admitted) = claim_until_none(&policy, &versions, seed);
         assert_eq!(first, serial_flsm_pick(&options, &versions), "seed {seed}");

@@ -17,7 +17,7 @@ use pebblesdb_common::{StoreOptions, NUM_LEVELS};
 use pebblesdb_engine::runs::merge_to_tables;
 use pebblesdb_engine::{
     Claims, CompactionJob, EngineIo, FileMetaData, FileMetaDataEdit, FileNumbers, PolicyCtx,
-    ShapePolicy, VersionEdit, VersionSet, VersionShape,
+    RunSource, ShapePolicy, Version, VersionEdit, VersionSet,
 };
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::LsmPolicy;
@@ -81,10 +81,10 @@ fn table_edit(env: &Arc<dyn Env>, number: u64, entries: &[(&str, bool)]) -> File
 /// Merges `job` against `version` in `env`'s golden directory, every
 /// sequence below the snapshot floor, and returns the user keys of the
 /// tombstones its outputs keep.
-fn kept_tombstones<V: VersionShape>(
+fn kept_tombstones<R: RunSource>(
     env: &Arc<dyn Env>,
     job: &CompactionJob,
-    version: &V,
+    version: &Version<R>,
 ) -> Vec<Vec<u8>> {
     let (dir, options) = (PathBuf::from(DIR), StoreOptions::default());
     let cache = TableCache::new(Arc::clone(env), dir.clone(), options.clone(), 16);
@@ -114,8 +114,8 @@ fn picked_job_and_edit<P: ShapePolicy>(
     setup: VersionEdit,
     outputs: &[FileMetaData],
     guards: &[Vec<u8>],
-) -> (CompactionJob, Arc<P::Version>, String) {
-    let mut versions: VersionSet<P::Version> =
+) -> (CompactionJob, Arc<Version<P::Runs>>, String) {
+    let mut versions: VersionSet<P::Runs> =
         VersionSet::open(env, PathBuf::from(DIR), options.clone()).unwrap();
     versions.log_and_apply(setup).unwrap();
     let mut state = P::State::default();

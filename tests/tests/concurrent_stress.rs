@@ -25,7 +25,7 @@ use pebblesdb::{FlsmPolicy, PebblesDb};
 use pebblesdb_common::filename::{descriptor_file_name, table_file_name, temp_file_name};
 use pebblesdb_common::{KvStore, ReadOptions, StoreOptions, StorePreset, StoreStats, WriteBatch};
 use pebblesdb_engine::version_set::version_files;
-use pebblesdb_engine::{EngineDb, ShapePolicy};
+use pebblesdb_engine::{EngineDb, ShapePolicy, Version};
 use pebblesdb_env::{Env, MemEnv};
 use pebblesdb_lsm::{LsmDb, LsmPolicy};
 use pebblesdb_tests::sim_over;
@@ -305,7 +305,7 @@ fn tables_in(env: &dyn Env, dir: &Path) -> BTreeSet<u64> {
 
 /// The numbers of the files the default family's current version holds.
 fn live_tables<P: ShapePolicy>(db: &EngineDb<P>) -> BTreeSet<u64> {
-    let files = |version: &P::Version| version_files(version).map(|f| f.number).collect();
+    let files = |version: &Version<P::Runs>| version_files(version).map(|f| f.number).collect();
     db.with_current_version(files)
 }
 

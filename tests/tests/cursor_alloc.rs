@@ -14,11 +14,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pebblesdb::{FlsmVersion, PebblesDb};
+use pebblesdb::{FlsmLevel, PebblesDb};
 use pebblesdb_common::filename::table_file_name;
 use pebblesdb_common::key::{InternalKey, ValueType};
 use pebblesdb_common::{Db, KvStore, ReadOptions, StoreOptions, StorePreset, NUM_LEVELS};
-use pebblesdb_engine::{FileMetaDataEdit, VersionEdit, VersionShape};
+use pebblesdb_engine::{FileMetaDataEdit, Version, VersionEdit};
 use pebblesdb_env::{DiskEnv, Env, MemEnv};
 use pebblesdb_lsm::LsmDb;
 use pebblesdb_sstable::{TableBuilder, BLOCK_SIZE};
@@ -110,7 +110,7 @@ fn flsm_at_rest(top_level_bits: u32, bit_decrement: u32, keys: u32) -> (PebblesD
     loop {
         db.flush().unwrap();
         let at_rest = db.engine().with_current_version(|v| {
-            v.level0().len() <= 1 && v.levels.iter().all(|l| !l.has_overlapping_guard())
+            v.level0().len() <= 1 && v.runs().all(|l| !l.has_overlapping_guard())
         });
         if at_rest {
             let guards = db.guards_per_level().iter().sum();
@@ -200,8 +200,10 @@ fn allocations_per_flush_edit(guards: usize) -> u64 {
                 .push((NUM_LEVELS - 1, file(n as u64 + 1, &key, &format!("{key}z"))));
         }
     }
-    let version = FlsmVersion::empty(NUM_LEVELS).apply(&tree).unwrap();
-    let held: usize = version.levels.iter().map(|l| l.guards().len() - 1).sum();
+    let version = Version::<FlsmLevel>::empty(NUM_LEVELS)
+        .apply(&tree)
+        .unwrap();
+    let held: usize = version.runs().map(|l| l.guards().len() - 1).sum();
     assert_eq!(held, guards);
 
     let mut flush = VersionEdit::default();

@@ -280,3 +280,141 @@ fn a_follower_whose_thread_cannot_start_fails_the_open_and_joins_the_workers() {
     assert_eq!(env.running_threads(), 0, "the engine's workers leaked");
     assert_eq!(env.thread_names().len(), 3);
 }
+
+/// One load of the zero-worker identity protocol: its shape, seed,
+/// `level0_compaction_trigger`, operations, key count, operations between
+/// bursts of cursors, and the options the deep loads change.
+struct Load {
+    lsm: bool,
+    seed: u64,
+    trigger: usize,
+    ops: usize,
+    keys: u32,
+    cursor_every: usize,
+    deep: Option<u64>,
+}
+
+/// Runs `load` on a fresh `MemEnv` store with no workers and returns one
+/// hash of what it left: every key's value read back after `flush()`, then
+/// every file's name and bytes, in name order. Only the public store API is
+/// used, so the same function runs against any earlier tree.
+fn identity_hash(load: &Load) -> u64 {
+    use pebblesdb::PebblesDb;
+    use pebblesdb_common::StorePreset;
+    use pebblesdb_lsm::LsmDb;
+    use std::hash::{DefaultHasher, Hash, Hasher};
+
+    let mut opts = StoreOptions::default();
+    opts.compaction_threads = 0;
+    opts.write_buffer_size = 16 << 10;
+    opts.max_file_size = 8 << 10;
+    opts.top_level_bits = 8;
+    opts.bit_decrement = 1;
+    opts.level0_stop_writes_trigger = 12;
+    opts.level0_compaction_trigger = load.trigger;
+    opts.base_level_bytes = 32 << 10;
+    opts.seek_compaction_threshold = 5;
+    if let Some(base_level_bytes) = load.deep {
+        opts.base_level_bytes = base_level_bytes;
+        opts.max_sstables_per_guard = 2;
+        opts.seek_compaction_threshold = 3;
+    }
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new());
+    let dir = Path::new("/identity");
+    let db: Box<dyn KvStore> = if load.lsm {
+        let preset = StorePreset::HyperLevelDb;
+        Box::new(LsmDb::open_with_options(Arc::clone(&env), dir, opts, preset).unwrap())
+    } else {
+        Box::new(PebblesDb::open_with_options(Arc::clone(&env), dir, opts).unwrap())
+    };
+    let mut rng = StdRng::seed_from_u64(load.seed);
+    let key = |rng: &mut StdRng| format!("key{:06}", rng.gen_range(0..load.keys));
+    for index in 0..load.ops {
+        let user_key = key(&mut rng);
+        if rng.gen_range(0..100) < 80 {
+            let value: Vec<u8> = (0..rng.gen_range(50..150)).map(|_| rng.gen()).collect();
+            db.put(user_key.as_bytes(), &value).unwrap();
+        } else {
+            db.delete(user_key.as_bytes()).unwrap();
+        }
+        if index % load.cursor_every == load.cursor_every - 1 {
+            for _ in 0..30 {
+                let mut iter = db.iter(&ReadOptions::default()).unwrap();
+                iter.seek(key(&mut rng).as_bytes());
+                for _ in 0..rng.gen_range(0..=5) {
+                    if iter.valid() {
+                        iter.next();
+                    }
+                }
+            }
+        }
+    }
+    db.flush().unwrap();
+    let mut hasher = DefaultHasher::new();
+    for n in 0..load.keys {
+        db.get(format!("key{n:06}").as_bytes())
+            .unwrap()
+            .hash(&mut hasher);
+    }
+    drop(db);
+    let mut names = env.children(dir).unwrap();
+    names.sort();
+    for name in names {
+        name.hash(&mut hasher);
+        env.read_file_to_vec(&dir.join(&name))
+            .unwrap()
+            .hash(&mut hasher);
+    }
+    hasher.finish()
+}
+
+/// Prints one hash per load of the zero-worker identity protocol, 16 per
+/// shape, for comparing two trees: copy this file into the other checkout
+/// and run, in each,
+/// `cargo test --release -p pebblesdb-tests --test determinism zero_worker_identity -- --ignored --nocapture`.
+/// Base loads: seeds 1-6 at `level0_compaction_trigger` 4 and 1, 30,000
+/// operations over 8,000 keys, cursors every 3,000. Deep loads: seeds
+/// 101-104 at trigger 2, 60,000 operations over 6,000 keys, cursors every
+/// 500, `base_level_bytes` 256 (101, 102) or 16 (103, 104).
+#[test]
+#[ignore]
+fn zero_worker_identity() {
+    let mut loads = Vec::new();
+    for lsm in [false, true] {
+        for seed in 1..=6 {
+            for trigger in [4, 1] {
+                let (ops, keys, cursor_every, deep) = (30_000, 8_000, 3_000, None);
+                loads.push(Load {
+                    lsm,
+                    seed,
+                    trigger,
+                    ops,
+                    keys,
+                    cursor_every,
+                    deep,
+                });
+            }
+        }
+        for seed in 101..=104 {
+            let deep = Some(if seed <= 102 { 256 } else { 16 });
+            let (trigger, ops, keys, cursor_every) = (2, 60_000, 6_000, 500);
+            loads.push(Load {
+                lsm,
+                seed,
+                trigger,
+                ops,
+                keys,
+                cursor_every,
+                deep,
+            });
+        }
+    }
+    for load in &loads {
+        let shape = if load.lsm { "lsm" } else { "flsm" };
+        let (seed, trigger) = (load.seed, load.trigger);
+        println!(
+            "{shape} seed {seed} trigger {trigger}: {:016x}",
+            identity_hash(load)
+        );
+    }
+}

@@ -303,7 +303,7 @@ fn concurrent_compactions_match_model_and_snapshots(
 }
 
 /// The FLSM engine under the concurrent differential harness. Debug builds
-/// additionally run `FlsmVersion::validate()` after every concurrent commit
+/// additionally run `Version::validate()` after every concurrent commit
 /// (guards sorted and disjoint), via the `debug_assert!` inside
 /// `log_and_apply`.
 #[test]

@@ -9,7 +9,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use pebblesdb::{FlsmVersion, PebblesDb};
+use pebblesdb::{FlsmLevel, PebblesDb};
 use pebblesdb_common::filename::current_file_name;
 use pebblesdb_common::key::{InternalKey, ValueType};
 use pebblesdb_common::{Db, Error, KvStore, Result, StoreOptions, WriteBatch};
@@ -133,7 +133,7 @@ fn manifest_record(i: u32) -> Vec<u8> {
 fn read_manifest(env: &Arc<dyn Env>, dir: &Path, _: u64) -> Result<usize> {
     let current = format!("{}\n", MANIFEST.file);
     env.write_string_to_file_sync(&current_file_name(dir), current.as_bytes())?;
-    let set = VersionSet::<FlsmVersion>::open(Arc::clone(env), dir.into(), no_workers())?;
+    let set = VersionSet::<FlsmLevel>::open(Arc::clone(env), dir.into(), no_workers())?;
     let files = version_files(&**set.current()).count();
     Ok(files)
 }

@@ -15,18 +15,18 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pebblesdb::{FlsmPolicy, FlsmVersion};
+use pebblesdb::{FlsmLevel, FlsmPolicy};
 use pebblesdb_common::filename::table_file_name;
 use pebblesdb_common::key::{encode_internal_key, ValueType};
 use pebblesdb_common::{KvStore, StoreOptions, NUM_LEVELS};
 use pebblesdb_engine::runs::merge_to_tables;
 use pebblesdb_engine::version_set::{level_files, version_files};
 use pebblesdb_engine::{
-    CompactionJob, EngineDb, EngineIo, FileMetaDataEdit, FileNumbers, ShapePolicy, VersionEdit,
-    VersionShape,
+    CompactionJob, EngineDb, EngineIo, FileMetaDataEdit, FileNumbers, RunSource, ShapePolicy,
+    Version, VersionEdit,
 };
 use pebblesdb_env::{Env, MemEnv};
-use pebblesdb_lsm::{LsmPolicy, Version};
+use pebblesdb_lsm::{FileRuns, LsmPolicy};
 use pebblesdb_sstable::{TableBuilder, TableCache};
 use pebblesdb_tests::table_entries;
 
@@ -199,9 +199,9 @@ struct Reach {
     kept_beside: usize,
 }
 
-/// Merges one seeded job over a metadata-only version of shape `V` and
+/// Merges one seeded job over a metadata-only version of level type `R` and
 /// checks every entry it writes against the brute-force rule.
-fn check_case<V: VersionShape>(seed: u64, leveled: bool, reach: &mut Reach) {
+fn check_case<R: RunSource>(seed: u64, leveled: bool, reach: &mut Reach) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (files, guards) = layout(&mut rng, leveled);
     let Some((inputs, level, output_level)) = pick(&mut rng, &files, leveled) else {
@@ -236,7 +236,7 @@ fn check_case<V: VersionShape>(seed: u64, leveled: bool, reach: &mut Reach) {
         };
         edit.new_files.push((file.level, meta));
     }
-    let version = V::empty(NUM_LEVELS).apply(&edit).unwrap();
+    let version = Version::<R>::empty(NUM_LEVELS).apply(&edit).unwrap();
     version.validate().unwrap();
     let at = |l: usize| {
         level_files(&version, l)
@@ -317,17 +317,17 @@ fn check_case<V: VersionShape>(seed: u64, leveled: bool, reach: &mut Reach) {
     );
 }
 
-fn sweep<V: VersionShape>(leveled: bool) -> Reach {
+fn sweep<R: RunSource>(leveled: bool) -> Reach {
     let mut reach = Reach::default();
     for seed in 0..CASES {
-        check_case::<V>(seed, leveled, &mut reach);
+        check_case::<R>(seed, leveled, &mut reach);
     }
     reach
 }
 
 #[test]
 fn the_flsm_merge_drops_a_tombstone_exactly_where_no_file_outside_holds_its_key() {
-    let reach = sweep::<FlsmVersion>(false);
+    let reach = sweep::<FlsmLevel>(false);
     let Reach {
         dropped,
         kept_at_input,
@@ -342,7 +342,7 @@ fn the_flsm_merge_drops_a_tombstone_exactly_where_no_file_outside_holds_its_key(
 
 #[test]
 fn the_lsm_merge_drops_a_tombstone_exactly_where_no_file_outside_holds_its_key() {
-    let reach = sweep::<Version>(true);
+    let reach = sweep::<FileRuns>(true);
     let Reach {
         dropped,
         kept_at_input,

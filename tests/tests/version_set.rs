@@ -8,17 +8,17 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pebblesdb::{FlsmVersion, PebblesDb};
+use pebblesdb::{FlsmLevel, PebblesDb};
 use pebblesdb_common::filename::{current_file_name, descriptor_file_name};
 use pebblesdb_common::key::{InternalKey, ValueType};
 use pebblesdb_common::{KvStore, StoreOptions, StorePreset, NUM_LEVELS};
 use pebblesdb_engine::version_set::version_files;
 use pebblesdb_engine::{
-    FileMetaData, FileMetaDataEdit, LevelRow, LevelTable, RunSource, VersionEdit, VersionSet,
-    VersionShape,
+    FileMetaData, FileMetaDataEdit, LevelRow, LevelTable, RunSource, Version, VersionEdit,
+    VersionSet,
 };
 use pebblesdb_env::{Env, MemEnv};
-use pebblesdb_lsm::{LsmDb, Version};
+use pebblesdb_lsm::{FileRuns, LsmDb};
 use pebblesdb_tests::fuzz_record;
 use pebblesdb_wal::LogWriter;
 use rand::rngs::StdRng;
@@ -44,22 +44,22 @@ fn mem_dir(path: &str) -> (Arc<dyn Env>, PathBuf) {
     (env, dir)
 }
 
-fn open_set<V: VersionShape>(
+fn open_set<R: RunSource>(
     env: &Arc<dyn Env>,
     dir: &Path,
-) -> pebblesdb_common::Result<VersionSet<V>> {
+) -> pebblesdb_common::Result<VersionSet<R>> {
     VersionSet::open(Arc::clone(env), dir.to_path_buf(), StoreOptions::default())
 }
 
 /// Commits `edit` on a fresh version set, reopens the directory and hands
 /// the recovered version to `check`; everything shape-independent (sequence,
 /// log number, file numbering, the live file set) is asserted here.
-fn persists_and_recovers<V: VersionShape>(edit: VersionEdit, check: impl Fn(&V)) {
+fn persists_and_recovers<R: RunSource>(edit: VersionEdit, check: impl Fn(&Version<R>)) {
     let (env, dir) = mem_dir("/vs");
     let added: Vec<u64> = edit.new_files.iter().map(|(_, f)| f.number).collect();
     let manifest_before;
     {
-        let mut vs = open_set::<V>(&env, &dir).unwrap();
+        let mut vs = open_set::<R>(&env, &dir).unwrap();
         vs.set_last_sequence(777);
         for number in &added {
             vs.mark_file_number_used(*number);
@@ -71,7 +71,7 @@ fn persists_and_recovers<V: VersionShape>(edit: VersionEdit, check: impl Fn(&V))
         .unwrap();
         manifest_before = vs.manifest_number();
     }
-    let recovered = open_set::<V>(&env, &dir).unwrap();
+    let recovered = open_set::<R>(&env, &dir).unwrap();
     assert_eq!(recovered.last_sequence(), 777);
     assert_eq!(recovered.log_number(), 4);
     assert!(recovered.manifest_number() > manifest_before);
@@ -86,9 +86,9 @@ fn persists_and_recovers<V: VersionShape>(edit: VersionEdit, check: impl Fn(&V))
 fn version_set_persists_and_recovers_state() {
     let mut edit = VersionEdit::default();
     edit.new_files.push((1, file_edit(9, "a", "z")));
-    persists_and_recovers::<Version>(edit, |version| {
-        assert_eq!(version.files[1].0.len(), 1);
-        assert_eq!(version.files[1].0[0].number, 9);
+    persists_and_recovers::<FileRuns>(edit, |version| {
+        assert_eq!(version.run(1).0.len(), 1);
+        assert_eq!(version.run(1).0[0].number, 9);
     });
 }
 
@@ -97,27 +97,27 @@ fn version_set_persists_guards_across_recovery() {
     let mut edit = VersionEdit::default();
     edit.new_guards.push((1, b"guard-key".to_vec()));
     edit.new_files.push((1, file_edit(8, "x", "z")));
-    persists_and_recovers::<FlsmVersion>(edit, |version| {
-        assert_eq!(version.levels[1].guards().len(), 2);
-        assert_eq!(version.levels[1].guards()[1].key, b"guard-key".to_vec());
-        assert_eq!(version.levels[1].guards()[1].files.len(), 1);
+    persists_and_recovers::<FlsmLevel>(edit, |version| {
+        assert_eq!(version.run(1).guards().len(), 2);
+        assert_eq!(version.run(1).guards()[1].key, b"guard-key".to_vec());
+        assert_eq!(version.run(1).guards()[1].files.len(), 1);
         // A guard at level 1 is a guard at every deeper level too.
-        assert_eq!(version.levels[2].guards().len(), 2);
+        assert_eq!(version.run(2).guards().len(), 2);
     });
 }
 
 /// Commits `setup` on a fresh version set, reopens the directory and
 /// returns the hex of the one record of the MANIFEST the reopen wrote: the
 /// full snapshot of the recovered version.
-fn snapshot_record<V: VersionShape>(setup: VersionEdit) -> String {
+fn snapshot_record<R: RunSource>(setup: VersionEdit) -> String {
     let (env, dir) = mem_dir("/snapshot");
     {
-        let mut vs = open_set::<V>(&env, &dir).unwrap();
+        let mut vs = open_set::<R>(&env, &dir).unwrap();
         vs.set_last_sequence(500);
         vs.mark_file_number_used(30);
         vs.log_and_apply(setup).unwrap();
     }
-    let reopened = open_set::<V>(&env, &dir).unwrap();
+    let reopened = open_set::<R>(&env, &dir).unwrap();
     let manifest = descriptor_file_name(&dir, reopened.manifest_number());
     let bytes = env.read_file_to_vec(&manifest).unwrap();
     // One full log record: crc32c (4), length (2), type 1 = full, payload.
@@ -143,7 +143,7 @@ fn manifest_snapshots_have_the_recorded_bytes() {
     // Over guards "g" and "p" of level 2.
     flsm.new_files.push((2, file_edit(14, "h", "t")));
     assert_eq!(
-        snapshot_record::<FlsmVersion>(flsm),
+        snapshot_record::<FlsmLevel>(flsm),
         "0100022003f40305000be80709630109000000000000097a010100000000000005000ae8\
          0709610109000000000000096b010100000000000005010ce80709680109000000000000\
          096a010100000000000005020de807096101090000000000000963010100000000000005\
@@ -159,7 +159,7 @@ fn manifest_snapshots_have_the_recorded_bytes() {
     lsm.new_files.push((1, file_edit(13, "m", "q")));
     lsm.new_files.push((2, file_edit(14, "b", "x")));
     assert_eq!(
-        snapshot_record::<Version>(lsm),
+        snapshot_record::<FileRuns>(lsm),
         "0100022003f40305000be80709630109000000000000097a010100000000000005000ae8\
          0709610109000000000000096b010100000000000005010ce80709610109000000000000\
          0966010100000000000005010de807096d01090000000000000971010100000000000005\
@@ -172,11 +172,11 @@ fn manifest_snapshots_have_the_recorded_bytes() {
 /// holds them by; a version a reader still holds keeps them listed and on
 /// disk, and once it drops the next pass hands them over for deletion. A
 /// trivial move unlinks nothing and keeps its file's `Arc`.
-fn pinned_versions_keep_files_live<V: VersionShape>() {
+fn pinned_versions_keep_files_live<R: RunSource>() {
     let (env, dir) = mem_dir("/vs-pins");
-    let mut vs = open_set::<V>(&env, &dir).unwrap();
+    let mut vs = open_set::<R>(&env, &dir).unwrap();
     let listed =
-        |vs: &VersionSet<V>| -> Vec<u64> { vs.obsolete_files().iter().map(|f| f.number).collect() };
+        |vs: &VersionSet<R>| -> Vec<u64> { vs.obsolete_files().iter().map(|f| f.number).collect() };
     let mut deleted = Vec::new();
 
     let mut edit = VersionEdit::default();
@@ -223,8 +223,8 @@ fn pinned_versions_keep_files_live<V: VersionShape>() {
 
 #[test]
 fn live_file_numbers_include_pinned_versions() {
-    pinned_versions_keep_files_live::<FlsmVersion>();
-    pinned_versions_keep_files_live::<Version>();
+    pinned_versions_keep_files_live::<FlsmLevel>();
+    pinned_versions_keep_files_live::<FileRuns>();
 }
 
 /// Reads take the current version without registering anything: a
@@ -343,15 +343,15 @@ fn write_manifest(env: &Arc<dyn Env>, dir: &Path, edits: &[VersionEdit]) {
         .unwrap();
 }
 
-fn assert_corrupt_manifest<V: VersionShape>(what: &str, edit: &VersionEdit) {
+fn assert_corrupt_manifest<R: RunSource>(what: &str, edit: &VersionEdit) {
     let (env, dir) = mem_dir("/vs-corrupt");
     let mut good = VersionEdit::default();
     good.new_files.push((1, file_edit(3, "a", "c")));
     write_manifest(&env, &dir, &[good.clone()]);
-    assert!(open_set::<V>(&env, &dir).is_ok());
+    assert!(open_set::<R>(&env, &dir).is_ok());
 
     write_manifest(&env, &dir, &[good, edit.clone()]);
-    match open_set::<V>(&env, &dir) {
+    match open_set::<R>(&env, &dir) {
         Err(err) => assert!(err.is_corruption(), "{what}: {err}"),
         Ok(_) => panic!("{what}: a corrupt MANIFEST opened"),
     }
@@ -376,13 +376,13 @@ fn corrupt_manifest_records_are_corruption_not_panics_or_silent_loss() {
         ("file beyond the last level", &lost_file),
         ("delete beyond the last level", &lost_delete),
     ] {
-        assert_corrupt_manifest::<FlsmVersion>(what, edit);
-        assert_corrupt_manifest::<Version>(what, edit);
+        assert_corrupt_manifest::<FlsmLevel>(what, edit);
+        assert_corrupt_manifest::<FileRuns>(what, edit);
     }
 
     let mut guard = VersionEdit::default();
     guard.new_guards.push((1, b"g".to_vec()));
-    assert_corrupt_manifest::<Version>("guard record in a leveled store", &guard);
+    assert_corrupt_manifest::<FileRuns>("guard record in a leveled store", &guard);
     for (what, level, key) in [
         ("guard at level 0", 0, &b"g"[..]),
         ("guard beyond the last level", NUM_LEVELS, b"g"),
@@ -390,7 +390,7 @@ fn corrupt_manifest_records_are_corruption_not_panics_or_silent_loss() {
     ] {
         let mut edit = VersionEdit::default();
         edit.new_guards.push((level, key.to_vec()));
-        assert_corrupt_manifest::<FlsmVersion>(what, &edit);
+        assert_corrupt_manifest::<FlsmLevel>(what, &edit);
     }
 
     // The error reaches the caller of the store's `open`.
@@ -439,7 +439,7 @@ fn random_edit(rng: &mut StdRng, max_levels: usize, guards: bool) -> VersionEdit
 /// Every column of `rows` against a recount from the version's slots that
 /// shares nothing with the chassis's walk: a file is one allocation,
 /// whatever slots list it.
-fn assert_rows_match_recount<V: VersionShape>(version: &V, rows: &[LevelRow], what: &str) {
+fn assert_rows_match_recount<R: RunSource>(version: &Version<R>, rows: &[LevelRow], what: &str) {
     let level0 = version.level0();
     let mut expected = vec![LevelRow {
         level: 0,
@@ -449,7 +449,7 @@ fn assert_rows_match_recount<V: VersionShape>(version: &V, rows: &[LevelRow], wh
         empty_slots: usize::from(level0.is_empty()),
         max_files_per_slot: level0.len(),
     }];
-    for (index, run) in version.runs().iter().enumerate() {
+    for (index, run) in version.runs().enumerate() {
         let attached: Vec<usize> = (0..run.slots()).map(|s| run.files(s).len()).collect();
         let sizes: BTreeMap<*const FileMetaData, u64> = (0..run.slots())
             .flat_map(|slot| run.files(slot))
@@ -481,7 +481,7 @@ fn assert_rows_match_recount<V: VersionShape>(version: &V, rows: &[LevelRow], wh
 fn level_table_matches_recount_and_recovery_after_every_edit() {
     let options = StoreOptions::default();
     let (env, dir) = mem_dir("/vs-rows");
-    let open = || VersionSet::<FlsmVersion>::open(Arc::clone(&env), dir.clone(), options.clone());
+    let open = || VersionSet::<FlsmLevel>::open(Arc::clone(&env), dir.clone(), options.clone());
     let mut rng = StdRng::seed_from_u64(0x5eed_fac7);
     // Every 4-letter key over the generator's alphabet is a guard, so its
     // files (keys of up to 5 letters) routinely span several guards.
@@ -504,7 +504,7 @@ fn level_table_matches_recount_and_recovery_after_every_edit() {
         let next = versions.log_and_apply(edit).unwrap();
         let rows = versions.levels().clone();
         assert_rows_match_recount(&*next, &rows, &format!("step {step}"));
-        for (built, row) in next.levels.iter().zip(rows.iter()).skip(1) {
+        for (built, row) in next.runs().zip(rows.iter().skip(1)) {
             let attached: usize = built.guards().iter().map(|g| g.files.len()).sum();
             spanning |= attached > row.files;
             emptied |= row.empty_slots > before[row.level].empty_slots;
@@ -519,7 +519,7 @@ fn level_table_matches_recount_and_recovery_after_every_edit() {
     assert!(emptied, "no edit ever emptied a guard");
 }
 
-fn live_numbers<V: VersionShape>(version: &V) -> Vec<u64> {
+fn live_numbers<R: RunSource>(version: &Version<R>) -> Vec<u64> {
     let mut numbers: Vec<u64> = version_files(version).map(|f| f.number).collect();
     numbers.sort_unstable();
     numbers
@@ -528,21 +528,21 @@ fn live_numbers<V: VersionShape>(version: &V) -> Vec<u64> {
 /// Bit flips, truncations and spliced junk through `decode` + `apply`: the
 /// outcome is a valid version or `Corruption` — never a panic — and what the
 /// decoder allocates is bounded by the bytes it was given.
-fn fuzz_decode_and_apply<V: VersionShape>(seed: u64, guards: bool) -> (usize, usize) {
+fn fuzz_decode_and_apply<R: RunSource>(seed: u64, guards: bool) -> (usize, usize) {
     const MAX_LEVELS: usize = 5;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut version = V::empty(MAX_LEVELS);
+    let mut version = Version::<R>::empty(MAX_LEVELS);
     // Every applied edit folded into one, the way recovery replays a MANIFEST.
     let mut replay = VersionEdit::default();
     let (mut applied, mut rejected) = (0, 0);
     for case in 0..6000 {
         if case % 50 == 0 {
-            let replayed = V::empty(MAX_LEVELS).apply(&replay).unwrap();
+            let replayed = Version::<R>::empty(MAX_LEVELS).apply(&replay).unwrap();
             let rows = LevelTable::of(&version);
             assert_rows_match_recount(&version, &rows, &format!("seed {seed} case {case}"));
             assert_eq!(LevelTable::of(&replayed), rows);
             assert_eq!(live_numbers(&replayed), live_numbers(&version));
-            version = V::empty(MAX_LEVELS);
+            version = Version::<R>::empty(MAX_LEVELS);
             replay = VersionEdit::default();
         }
         let edit = random_edit(&mut rng, MAX_LEVELS, guards);
@@ -585,10 +585,10 @@ fn fuzz_decode_and_apply<V: VersionShape>(seed: u64, guards: bool) -> (usize, us
 #[test]
 fn fuzzed_edits_decode_and_apply_to_valid_versions_or_corruption() {
     for (applied, rejected) in [
-        fuzz_decode_and_apply::<FlsmVersion>(0x5eed_f15a, true),
-        fuzz_decode_and_apply::<Version>(0x5eed_015a, false),
+        fuzz_decode_and_apply::<FlsmLevel>(0x5eed_f15a, true),
+        fuzz_decode_and_apply::<FileRuns>(0x5eed_015a, false),
         // Guard records against the shape that must refuse them.
-        fuzz_decode_and_apply::<Version>(0x5eed_915a, true),
+        fuzz_decode_and_apply::<FileRuns>(0x5eed_915a, true),
     ] {
         // Both outcomes must actually be exercised.
         assert!(
